@@ -119,13 +119,15 @@ func DefaultConfig() *Config {
 				},
 			},
 			{
-				// snapshot returns []*diskComponent — no named resource
+				// The one LSM lifecycle every index kind embeds, so readers
+				// and merges of B+tree and R-tree indexes alike are covered.
+				// snapshot returns []*component[D] — no named resource
 				// type, so helper parameters are not classified and call
 				// sites keep the blanket ownership-transfer kill.
-				Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "snapshot", Result: 0,
+				Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "snapshot", Result: 0,
 				Desc: "component snapshot",
 				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "release", Arg: 0},
+					{Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "release", Arg: 0},
 				},
 			},
 			{

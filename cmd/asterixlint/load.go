@@ -188,7 +188,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // ExpandPatterns resolves go-style package patterns ("./...", "./internal/lsm")
-// into package directories, skipping testdata, hidden, and VCS trees.
+// into package directories, skipping testdata, hidden and VCS trees, and
+// nested modules.
 func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 	seen := map[string]bool{}
 	var dirs []string
@@ -212,6 +213,11 @@ func (l *Loader) ExpandPatterns(patterns []string) ([]string, error) {
 				if fi.IsDir() {
 					name := fi.Name()
 					if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+						return filepath.SkipDir
+					}
+					// Like the go tool, "..." stops at a nested module
+					// (benchmark/ has its own go.mod and import root).
+					if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
 						return filepath.SkipDir
 					}
 					return nil

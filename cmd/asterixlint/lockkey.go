@@ -11,8 +11,9 @@ import (
 // sync.RWMutex method calls and names the mutex they operate on.
 //
 // A lock's identity is (package, receiver type, field name) for struct
-// fields — `t.mu.Lock()` on *lsm.Tree is "asterix/internal/lsm.Tree.mu"
-// regardless of which Tree instance is locked — (package, var) for
+// fields — `l.mu.Lock()` in the LSM lifecycle is
+// "asterix/internal/lsm.lifecycle.mu" regardless of which index is
+// locked — (package, var) for
 // package-level mutexes, and a function-local marker for everything
 // else. Only the first two are "global": they participate in the
 // repo-wide acquisition-order graph. Collapsing instances onto their

@@ -116,7 +116,7 @@ func returnPos(blk *cfg.Block, g *cfg.Graph) token.Pos {
 }
 
 // shortLockID trims the module prefix off a lock id for readable
-// messages ("asterix/internal/lsm.Tree.mu" → "lsm.Tree.mu").
+// messages ("asterix/internal/lsm.lifecycle.mu" → "lsm.lifecycle.mu").
 func shortLockID(id string) string {
 	for i := len(id) - 1; i >= 0; i-- {
 		if id[i] == '/' {

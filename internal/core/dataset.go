@@ -6,6 +6,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -36,8 +37,29 @@ type SecondaryIndex struct {
 	ds    *Dataset
 	trees []*lsm.Tree       // BTREE / ZORDER / HILBERT / GRID / KEYWORD
 	rts   []*lsm.RTreeIndex // RTREE
+	all   []lsmIndex        // trees or rts, by partition
 	norm  spatial.Normalizer
 	grid  spatial.Grid
+}
+
+// lsmIndex is the lifecycle surface every LSM index kind shares.
+type lsmIndex interface {
+	check.Validator
+	Flush() error
+	Unregister()
+}
+
+// lsmIndexes lists every LSM index of the dataset: the primary partitions,
+// then each secondary index's partitions.
+func (d *Dataset) lsmIndexes() []lsmIndex {
+	var all []lsmIndex
+	for _, t := range d.parts {
+		all = append(all, t)
+	}
+	for _, si := range d.idxs {
+		all = append(all, si.all...)
+	}
+	return all
 }
 
 // defaultWorld bounds the curve/grid linearizations (geographic-style
@@ -48,21 +70,15 @@ var defaultWorld = [4]float64{-180, -90, 180, 90}
 // account (dataset drop): abandoned trees must not keep competing for
 // the governor's arbitration.
 func (d *Dataset) detachGovernor() {
-	for _, t := range d.parts {
-		t.Unregister()
-	}
-	for _, si := range d.idxs {
-		si.detachGovernor()
+	for _, ix := range d.lsmIndexes() {
+		ix.Unregister()
 	}
 }
 
 // detachGovernor removes the index's component-pool accounts (index drop).
 func (si *SecondaryIndex) detachGovernor() {
-	for _, t := range si.trees {
-		t.Unregister()
-	}
-	for _, rt := range si.rts {
-		rt.Unregister()
+	for _, ix := range si.all {
+		ix.Unregister()
 	}
 }
 
@@ -83,12 +99,7 @@ func (e *Engine) openDataset(def *metadata.DatasetDef) (*Dataset, error) {
 		return d, nil
 	}
 	for p := 0; p < def.Partitions; p++ {
-		t, err := lsm.Open(e.bc, fmt.Sprintf("%s/p%d/primary", def.Name, p), lsm.Options{
-			MemBudget: e.cfg.MemComponentBudget,
-			Policy:    e.cfg.MergePolicy,
-			Metrics:   e.reg,
-			Gov:       e.gov,
-		})
+		t, err := lsm.Open(e.bc, fmt.Sprintf("%s/p%d/primary", def.Name, p), e.lsmOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -112,25 +123,32 @@ func (d *Dataset) openIndex(idef *metadata.IndexDef) (*SecondaryIndex, error) {
 	for p := 0; p < d.def.Partitions; p++ {
 		name := fmt.Sprintf("%s/p%d/idx-%s", d.def.Name, p, idef.Name)
 		if idef.Kind == "RTREE" {
-			rt, err := lsm.OpenRTree(e.bc, name, lsm.RTreeOptions{MemBudget: e.cfg.MemComponentBudget, Metrics: e.reg, Gov: e.gov})
+			rt, err := lsm.OpenRTree(e.bc, name, e.lsmOptions())
 			if err != nil {
+				si.detachGovernor()
 				return nil, err
 			}
-			si.rts = append(si.rts, rt)
+			si.rts, si.all = append(si.rts, rt), append(si.all, rt)
 			continue
 		}
-		t, err := lsm.Open(e.bc, name, lsm.Options{
-			MemBudget: e.cfg.MemComponentBudget,
-			Policy:    e.cfg.MergePolicy,
-			Metrics:   e.reg,
-			Gov:       e.gov,
-		})
+		t, err := lsm.Open(e.bc, name, e.lsmOptions())
 		if err != nil {
+			si.detachGovernor()
 			return nil, err
 		}
-		si.trees = append(si.trees, t)
+		si.trees, si.all = append(si.trees, t), append(si.all, t)
 	}
 	return si, nil
+}
+
+// lsmOptions is the one configuration every LSM index of the engine gets.
+func (e *Engine) lsmOptions() lsm.Options {
+	return lsm.Options{
+		MemBudget: e.cfg.MemComponentBudget,
+		Policy:    e.cfg.MergePolicy,
+		Metrics:   e.reg,
+		Gov:       e.gov,
+	}
 }
 
 // --- Primary key handling ---
@@ -188,7 +206,7 @@ func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *ob
 	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
 		return err
 	} else if ok {
-		if err := d.removeSecondaryEntries(part, keyBytes, old, sp); err != nil {
+		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
 			return err
 		}
 	}
@@ -196,7 +214,7 @@ func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *ob
 	if err := d.parts[part].UpsertSpan(keyBytes, stored, sp); err != nil {
 		return err
 	}
-	return d.addSecondaryEntries(part, keyBytes, rec, sp)
+	return d.writeSecondaryEntries(part, keyBytes, rec, false, sp)
 }
 
 // applyDelete removes a record and its index entries.
@@ -204,11 +222,20 @@ func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
 	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
 		return err
 	} else if ok {
-		if err := d.removeSecondaryEntries(part, keyBytes, old, sp); err != nil {
+		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
 			return err
 		}
 	}
 	return d.parts[part].DeleteSpan(keyBytes, sp)
+}
+
+// decodeRecord decodes a stored (possibly compressed) primary-index value.
+func decodeRecord(stored []byte) (adm.Value, error) {
+	raw, err := decodeRecordBytes(stored)
+	if err != nil {
+		return nil, err
+	}
+	return adm.DecodeValue(raw)
 }
 
 func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error) {
@@ -216,11 +243,7 @@ func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	raw, err := decodeRecordBytes(data)
-	if err != nil {
-		return nil, false, err
-	}
-	v, err := adm.DecodeValue(raw)
+	v, err := decodeRecord(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -326,77 +349,59 @@ func (si *SecondaryIndex) entriesFor(keyBytes []byte, rec *adm.Object) ([]secEnt
 	return nil, fmt.Errorf("core: unknown index kind %q", si.def.Kind)
 }
 
-func (d *Dataset) addSecondaryEntries(part int, keyBytes []byte, rec *adm.Object, sp *obs.Span) error {
+// writeSecondaryEntries adds (or, with remove, antimatter-deletes) the
+// record's entries in every secondary index.
+func (d *Dataset) writeSecondaryEntries(part int, keyBytes []byte, rec *adm.Object, remove bool, sp *obs.Span) error {
 	for _, si := range d.idxs {
-		entries, err := si.entriesFor(keyBytes, rec)
-		if err != nil {
+		if err := si.writeEntries(part, keyBytes, rec, remove, sp); err != nil {
 			return err
-		}
-		for _, e := range entries {
-			if si.def.Kind == "RTREE" {
-				if err := si.rts[part].InsertSpan(e.rect, keyBytes, sp); err != nil {
-					return err
-				}
-			} else if err := si.trees[part].UpsertSpan(e.key, e.val, sp); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-func (d *Dataset) removeSecondaryEntries(part int, keyBytes []byte, rec *adm.Object, sp *obs.Span) error {
-	for _, si := range d.idxs {
-		entries, err := si.entriesFor(keyBytes, rec)
+// writeEntries is the one secondary-index write path: ingestion, deletion
+// and index build all go through it.
+func (si *SecondaryIndex) writeEntries(part int, keyBytes []byte, rec *adm.Object, remove bool, sp *obs.Span) error {
+	entries, err := si.entriesFor(keyBytes, rec)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		switch {
+		case si.def.Kind == "RTREE" && remove:
+			err = si.rts[part].DeleteSpan(e.rect, keyBytes, sp)
+		case si.def.Kind == "RTREE":
+			err = si.rts[part].InsertSpan(e.rect, keyBytes, sp)
+		case remove:
+			err = si.trees[part].DeleteSpan(e.key, sp)
+		default:
+			err = si.trees[part].UpsertSpan(e.key, e.val, sp)
+		}
 		if err != nil {
 			return err
-		}
-		for _, e := range entries {
-			if si.def.Kind == "RTREE" {
-				if err := si.rts[part].DeleteSpan(e.rect, keyBytes, sp); err != nil {
-					return err
-				}
-			} else if err := si.trees[part].DeleteSpan(e.key, sp); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// buildIndex populates a fresh secondary index from existing data.
+// buildIndex populates a fresh secondary index from existing data. Any
+// failure aborts the build: a partial index must never be published.
 func (d *Dataset) buildIndex(si *SecondaryIndex) error {
-	for p := 0; p < d.def.Partitions; p++ {
+	for p := range d.parts {
+		var buildErr error
 		err := d.parts[p].Scan(nil, nil, func(k, v []byte) bool {
-			raw, err := decodeRecordBytes(v)
-			if err != nil {
+			var rec adm.Value
+			if rec, buildErr = decodeRecord(v); buildErr != nil {
 				return false
 			}
-			rec, err := adm.DecodeValue(raw)
-			if err != nil {
-				return false
+			if o, ok := rec.(*adm.Object); ok {
+				buildErr = si.writeEntries(p, append([]byte(nil), k...), o, false, nil)
 			}
-			o, ok := rec.(*adm.Object)
-			if !ok {
-				return true
-			}
-			entries, err := si.entriesFor(append([]byte(nil), k...), o)
-			if err != nil {
-				return false
-			}
-			for _, e := range entries {
-				if si.def.Kind == "RTREE" {
-					if err := si.rts[p].Insert(e.rect, k); err != nil {
-						return false
-					}
-				} else if err := si.trees[p].Upsert(e.key, e.val); err != nil {
-					return false
-				}
-			}
-			return true
+			return buildErr == nil
 		})
-		if err != nil {
-			return err
+		if err = errors.Join(err, buildErr); err != nil {
+			return fmt.Errorf("core: build index %s on %s: %w", si.def.Name, d.def.Name, err)
 		}
 	}
 	return nil
@@ -422,12 +427,7 @@ func (d *Dataset) ScanPartition(part int, emit func(adm.Value) error) error {
 	}
 	var scanErr error
 	err := d.parts[part].Scan(nil, nil, func(k, v []byte) bool {
-		raw, err := decodeRecordBytes(v)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		rec, err := adm.DecodeValue(raw)
+		rec, err := decodeRecord(v)
 		if err != nil {
 			scanErr = err
 			return false
@@ -462,7 +462,8 @@ func (d *Dataset) Count() (int64, error) {
 func (d *Dataset) LSMStats() (components, merges int) {
 	for _, t := range d.parts {
 		components += t.DiskComponents()
-		merges += t.Merges
+		_, m := t.Stats()
+		merges += m
 	}
 	return components, merges
 }
@@ -470,42 +471,23 @@ func (d *Dataset) LSMStats() (components, merges int) {
 // FlushAll flushes every partition's memory components (primary and
 // secondary) to disk components.
 func (d *Dataset) FlushAll() error {
-	for _, t := range d.parts {
-		if err := t.Flush(); err != nil {
+	for _, ix := range d.lsmIndexes() {
+		if err := ix.Flush(); err != nil {
 			return err
-		}
-	}
-	for _, si := range d.idxs {
-		for _, t := range si.trees {
-			if err := t.Flush(); err != nil {
-				return err
-			}
-		}
-		for _, rt := range si.rts {
-			if err := rt.Flush(); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// Validate runs the deep structural validators (internal/check) over the
-// dataset's primary partition trees and value-keyed secondary index
-// trees. Like every check validator it is a no-op unless invariants are
-// enabled (-tags invariants or ASTERIX_INVARIANTS); the crash-recovery
-// matrix calls it after every Reopen.
+// Validate runs the deep structural validators (internal/check) over
+// every LSM index of the dataset, of every kind. Like every check
+// validator it is a no-op unless invariants are enabled (-tags invariants
+// or ASTERIX_INVARIANTS); the crash-recovery matrix calls it after every
+// Reopen.
 func (d *Dataset) Validate() error {
-	for p, t := range d.parts {
-		if err := check.Run(t); err != nil {
-			return fmt.Errorf("core: dataset %s partition %d: %w", d.def.Name, p, err)
-		}
-	}
-	for name, si := range d.idxs {
-		for _, t := range si.trees {
-			if err := check.Run(t); err != nil {
-				return fmt.Errorf("core: dataset %s index %s: %w", d.def.Name, name, err)
-			}
+	for _, ix := range d.lsmIndexes() {
+		if err := check.Run(ix); err != nil {
+			return fmt.Errorf("core: dataset %s: %w", d.def.Name, err)
 		}
 	}
 	return nil
@@ -516,16 +498,11 @@ func (d *Dataset) Validate() error {
 // Kind implements algebricks.IndexAccessor.
 func (si *SecondaryIndex) Kind() string { return si.def.Kind }
 
-// fetchSorted resolves candidate pk byte-keys through the primary index in
-// sorted order (the pk-sort-before-fetch optimization of [26]) and emits
-// records passing the check predicate.
-func (si *SecondaryIndex) fetchSorted(part int, pkSet map[string]bool, check func(*adm.Object) bool, emit func(adm.Value) error) error {
-	return si.fetch(part, pkSet, true, check, emit)
-}
-
-// fetch resolves candidates with or without the pk sort — the ablation
-// knob for experiment E11 (unsorted fetch loses the access locality the
-// paper's [26] trick provides).
+// fetch resolves candidate pk byte-keys through the primary index and
+// emits records passing the check predicate — in sorted pk order (the
+// pk-sort-before-fetch optimization of [26]) unless sorted is off, the
+// ablation knob for experiment E11 (unsorted fetch loses the access
+// locality the trick provides).
 func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, check func(*adm.Object) bool, emit func(adm.Value) error) error {
 	pks := make([]string, 0, len(pkSet))
 	for pk := range pkSet {
@@ -585,78 +562,40 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		if hiB, err = adm.EncodeKey(nil, hi); err != nil {
 			return err
 		}
-		hiB = append(hiB, 0xFF) // include all pk suffixes under hi
 	}
 	pks := map[string]bool{}
-	var innerErr error
-	err = si.trees[part].Scan(loB, hiB, func(k, v []byte) bool {
-		skey, pkb, err := decodeSecVal(v)
-		if err != nil {
-			innerErr = err
-			return false
-		}
+	inRange := func(skey adm.Value) bool {
 		if lo != nil {
-			c := adm.Compare(skey, lo)
-			if c < 0 || (c == 0 && !loInc) {
-				return true
+			if c := adm.Compare(skey, lo); c < 0 || (c == 0 && !loInc) {
+				return false
 			}
 		}
 		if hi != nil {
-			c := adm.Compare(skey, hi)
-			if c > 0 || (c == 0 && !hiInc) {
-				return true
+			if c := adm.Compare(skey, hi); c > 0 || (c == 0 && !hiInc) {
+				return false
 			}
 		}
-		pks[string(pkb)] = true
 		return true
-	})
-	if err != nil {
+	}
+	if err := si.scanCandidates(part, loB, hiB, inRange, pks); err != nil {
 		return err
 	}
-	if innerErr != nil {
-		return innerErr
-	}
-	return si.fetchSorted(part, pks, nil, emit)
+	return si.fetch(part, pks, true, nil, emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
 // variants of the Section V-B study.
 func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(adm.Value) error) error {
-	field := si.def.Fields[0]
-	check := func(rec *adm.Object) bool {
-		switch p := rec.Get(field).(type) {
-		case adm.Point:
-			return rect.Contains(p.X, p.Y)
-		case adm.Rectangle:
-			return rect.Intersects(p)
-		}
-		return false
-	}
-	pks := map[string]bool{}
-	switch si.def.Kind {
-	case "RTREE":
-		q := rtree.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: rect.MaxX, MaxY: rect.MaxY}
-		err := si.rts[part].Search(q, func(r rtree.Rect, key []byte) bool {
-			pks[string(key)] = true
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	case "ZORDER", "HILBERT", "GRID":
-		if err := si.collectSpatialCandidates(part, rect, pks); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("core: SearchSpatial on %s index", si.def.Kind)
-	}
-	return si.fetchSorted(part, pks, check, emit)
+	return si.SearchSpatialAblation(part, rect, true, emit)
 }
 
 // SearchSpatialAblation answers a spatial query with the fetch phase's
 // pk sort toggled (experiment E11: quantifying the [26] optimization).
-// Only meaningful for BTREE-family spatial variants and RTREE.
 func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, sortedFetch bool, emit func(adm.Value) error) error {
+	pks, err := si.spatialCandidates(part, rect)
+	if err != nil {
+		return err
+	}
 	field := si.def.Fields[0]
 	check := func(rec *adm.Object) bool {
 		switch p := rec.Get(field).(type) {
@@ -666,23 +605,6 @@ func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, so
 			return rect.Intersects(p)
 		}
 		return false
-	}
-	pks := map[string]bool{}
-	switch si.def.Kind {
-	case "RTREE":
-		q := rtree.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: rect.MaxX, MaxY: rect.MaxY}
-		if err := si.rts[part].Search(q, func(r rtree.Rect, key []byte) bool {
-			pks[string(key)] = true
-			return true
-		}); err != nil {
-			return err
-		}
-	case "ZORDER", "HILBERT", "GRID":
-		if err := si.collectSpatialCandidates(part, rect, pks); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("core: SearchSpatialAblation on %s index", si.def.Kind)
 	}
 	return si.fetch(part, pks, sortedFetch, check, emit)
 }
@@ -692,28 +614,46 @@ func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, so
 // the "index time vs end-to-end time" split at the heart of the paper's
 // Section V-B study (experiment E2).
 func (si *SecondaryIndex) SearchSpatialCandidates(part int, rect adm.Rectangle) (int, error) {
-	n := 0
+	pks, err := si.spatialCandidates(part, rect)
+	return len(pks), err
+}
+
+// scanCandidates adds to pks the primary keys of the entries in
+// [lo, hi + every pk suffix] whose secondary key passes keep (nil keeps
+// all).
+func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, keep func(skey adm.Value) bool, pks map[string]bool) error {
+	if hi != nil {
+		hi = append(append([]byte(nil), hi...), 0xFF)
+	}
+	var innerErr error
+	err := si.trees[part].Scan(lo, hi, func(k, v []byte) bool {
+		skey, pkb, err := decodeSecVal(v)
+		if err != nil {
+			innerErr = err
+			return false
+		}
+		if keep == nil || keep(skey) {
+			pks[string(pkb)] = true
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	return innerErr
+}
+
+// spatialCandidates gathers the candidate primary keys of a spatial query
+// from whichever structure the index kind uses.
+func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (map[string]bool, error) {
+	pks := map[string]bool{}
 	switch si.def.Kind {
 	case "RTREE":
 		q := rtree.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: rect.MaxX, MaxY: rect.MaxY}
-		err := si.rts[part].Search(q, func(r rtree.Rect, key []byte) bool {
-			n++
+		return pks, si.rts[part].Search(q, func(r rtree.Rect, key []byte) bool {
+			pks[string(key)] = true
 			return true
 		})
-		return n, err
-	case "ZORDER", "HILBERT", "GRID":
-		pks := map[string]bool{}
-		// Reuse the candidate-collection logic by running the search with
-		// fetch replaced by counting: factored via a tiny shim below.
-		err := si.collectSpatialCandidates(part, rect, pks)
-		return len(pks), err
-	}
-	return 0, fmt.Errorf("core: SearchSpatialCandidates on %s index", si.def.Kind)
-}
-
-// collectSpatialCandidates gathers candidate pks for curve/grid indexes.
-func (si *SecondaryIndex) collectSpatialCandidates(part int, rect adm.Rectangle, pks map[string]bool) error {
-	switch si.def.Kind {
 	case "ZORDER", "HILBERT":
 		x0, y0 := si.norm.Lattice(rect.MinX, rect.MinY)
 		x1, y1 := si.norm.Lattice(rect.MaxX, rect.MaxY)
@@ -733,58 +673,30 @@ func (si *SecondaryIndex) collectSpatialCandidates(part int, rect adm.Rectangle,
 			binary.BigEndian.PutUint64(hiB[:], r.Hi)
 			loK, err := adm.EncodeKey(nil, adm.Binary(loB[:]))
 			if err != nil {
-				return err
+				return nil, err
 			}
 			hiK, err := adm.EncodeKey(nil, adm.Binary(hiB[:]))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			hiK = append(hiK, 0xFF)
-			var innerErr error
-			err = si.trees[part].Scan(loK, hiK, func(k, v []byte) bool {
-				_, pkb, err := decodeSecVal(v)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				pks[string(pkb)] = true
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if innerErr != nil {
-				return innerErr
+			if err := si.scanCandidates(part, loK, hiK, nil, pks); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return pks, nil
 	case "GRID":
 		for _, cell := range si.grid.CellsInRect(rect.MinX, rect.MinY, rect.MaxX, rect.MaxY) {
-			loK, err := adm.EncodeKey(nil, adm.Int64(cell))
+			cellK, err := adm.EncodeKey(nil, adm.Int64(cell))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			hiK := append(append([]byte(nil), loK...), 0xFF)
-			var innerErr error
-			err = si.trees[part].Scan(loK, hiK, func(k, v []byte) bool {
-				_, pkb, err := decodeSecVal(v)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				pks[string(pkb)] = true
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if innerErr != nil {
-				return innerErr
+			if err := si.scanCandidates(part, cellK, cellK, nil, pks); err != nil {
+				return nil, err
 			}
 		}
-		return nil
+		return pks, nil
 	}
-	return fmt.Errorf("core: collectSpatialCandidates on %s index", si.def.Kind)
+	return nil, fmt.Errorf("core: spatial search on %s index", si.def.Kind)
 }
 
 // SearchKeyword implements algebricks.IndexAccessor for KEYWORD indexes.
@@ -800,26 +712,13 @@ func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(adm.Va
 	if err != nil {
 		return err
 	}
-	hiK := append(append([]byte(nil), loK...), 0xFF)
 	pks := map[string]bool{}
-	var innerErr error
-	err = si.trees[part].Scan(loK, hiK, func(k, v []byte) bool {
-		skey, pkb, err := decodeSecVal(v)
-		if err != nil {
-			innerErr = err
-			return false
-		}
-		if s, ok := skey.(adm.String); !ok || string(s) != toks[0] {
-			return true
-		}
-		pks[string(pkb)] = true
-		return true
-	})
-	if err != nil {
+	isToken := func(skey adm.Value) bool {
+		s, ok := skey.(adm.String)
+		return ok && string(s) == toks[0]
+	}
+	if err := si.scanCandidates(part, loK, loK, isToken, pks); err != nil {
 		return err
 	}
-	if innerErr != nil {
-		return innerErr
-	}
-	return si.fetchSorted(part, pks, nil, emit)
+	return si.fetch(part, pks, true, nil, emit)
 }

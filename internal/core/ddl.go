@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"asterix/internal/metadata"
@@ -145,13 +146,16 @@ func (e *Engine) execCreateIndex(s *sqlpp.CreateIndex) (Result, error) {
 	if _, exists := d.idxs[s.Name]; exists {
 		return Result{Kind: ResultDDL}, nil
 	}
+	// Build from existing data before publishing the index; a failed
+	// build leaves neither a catalog entry nor a governor account behind.
 	si, err := d.openIndex(idef)
-	if err != nil {
-		return Result{}, err
+	if err == nil {
+		if err = d.buildIndex(si); err != nil {
+			si.detachGovernor()
+		}
 	}
-	// Build from existing data before publishing the index.
-	if err := d.buildIndex(si); err != nil {
-		return Result{}, err
+	if err != nil {
+		return Result{}, errors.Join(err, e.catalog.DropIndex(s.Dataset, s.Name, true))
 	}
 	e.mu.Lock()
 	d.idxs[s.Name] = si

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"testing"
 
 	"asterix/internal/adm"
+	"asterix/internal/check"
+	"asterix/internal/fault"
 )
 
 const pointsDDL = `
@@ -380,5 +383,64 @@ func TestInsertFromQuery(t *testing.T) {
 	rows := queryRows(t, e, `SELECT VALUE COUNT(*) FROM HighV h;`)
 	if rows[0].String() != want[0].String() {
 		t.Fatalf("materialized count: %v", rows)
+	}
+}
+
+// TestCreateIndexFailureLeavesNoIndex fails an index build half way (the
+// index's own memory component overflows and its flush hits an injected
+// I/O error): the statement must fail, leave no index in the catalog or
+// the dataset, keep queries correct through the primary scan, and a
+// retry must build the complete index.
+func TestCreateIndexFailureLeavesNoIndex(t *testing.T) {
+	cases := []struct{ kind, ddl, query, planToken string }{
+		{"BTREE", `CREATE INDEX vIdx ON Points(v);`,
+			`SELECT VALUE p.id FROM Points p WHERE p.v = 5;`, "BTREE"},
+		{"RTREE", `CREATE INDEX vIdx ON Points(loc) TYPE RTREE;`,
+			`SELECT VALUE p.id FROM Points p WHERE spatial_intersect(p.loc, create_rectangle(-180.0, -90.0, 0.0, 0.0));`, "RTREE"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			fault.Disarm()
+			defer fault.Disarm()
+			e := newEngine(t, Config{MemComponentBudget: 8 << 10})
+			mustExec(t, e, pointsDDL)
+			seedPoints(t, e, 1500, 7)
+			want := intsOf(t, queryRows(t, e, tc.query))
+			if len(want) == 0 {
+				t.Fatal("query matches nothing; the case proves nothing")
+			}
+
+			if err := fault.Arm(fault.PointLSMFlush + ":error:times=0"); err != nil {
+				t.Fatal(err)
+			}
+			_, err := e.Execute(context.Background(), tc.ddl)
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("CREATE INDEX with failing flushes: got %v, want the injected error", err)
+			}
+			fault.Disarm()
+
+			if defs := e.catalog.IndexesOf("Points"); len(defs) != 0 {
+				t.Fatalf("failed CREATE INDEX left %d catalog entries", len(defs))
+			}
+			if _, ok := e.SecondaryIndexHandle("Points", "vIdx"); ok {
+				t.Fatal("failed CREATE INDEX left the half-built index open")
+			}
+			if plan, _ := e.Explain(tc.query); strings.Contains(plan, tc.planToken) {
+				t.Fatalf("query plans over the failed index:\n%s", plan)
+			}
+			if got := intsOf(t, queryRows(t, e, tc.query)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("after failed CREATE INDEX query returned %d rows, want %d", len(got), len(want))
+			}
+			check.MustValidate(t, e.MemGovernor())
+
+			mustExec(t, e, tc.ddl)
+			if plan, _ := e.Explain(tc.query); !strings.Contains(plan, tc.planToken) {
+				t.Fatalf("query does not use the rebuilt index:\n%s", plan)
+			}
+			if got := intsOf(t, queryRows(t, e, tc.query)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("rebuilt index returned %d rows, want %d", len(got), len(want))
+			}
+			check.MustValidate(t, e.MemGovernor())
+		})
 	}
 }

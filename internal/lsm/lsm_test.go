@@ -2,14 +2,11 @@ package lsm
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"asterix/internal/check"
-	"asterix/internal/fault"
 	"asterix/internal/mem"
 	"asterix/internal/rtree"
 	"asterix/internal/storage"
@@ -18,7 +15,7 @@ import (
 // mustValidate runs the deep LSM and buffer-cache validators and checks
 // for leaked pins; called at the end of tests that exercised flushes,
 // merges, or reopen.
-func mustValidate(t *testing.T, tr *Tree, bc *storage.BufferCache) {
+func mustValidate(t *testing.T, tr check.Validator, bc *storage.BufferCache) {
 	t.Helper()
 	check.MustValidate(t, tr)
 	check.MustValidate(t, bc)
@@ -235,7 +232,7 @@ func TestTreeAutoFlushOnBudget(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tr.Upsert(ikey(i), make([]byte, 32))
 	}
-	if tr.Flushes == 0 {
+	if flushes, _ := tr.Stats(); flushes == 0 {
 		t.Error("expected automatic flushes when exceeding the memory budget")
 	}
 	n, err := tr.Count()
@@ -261,7 +258,7 @@ func TestConstantPolicyMerges(t *testing.T) {
 	if tr.DiskComponents() > 2 {
 		t.Errorf("constant policy exceeded bound: %d components", tr.DiskComponents())
 	}
-	if tr.Merges == 0 {
+	if _, merges := tr.Stats(); merges == 0 {
 		t.Error("expected merges")
 	}
 	n, _ := tr.Count()
@@ -282,7 +279,7 @@ func TestMergeDropsTombstones(t *testing.T) {
 		tr.Delete(ikey(i))
 	}
 	tr.Flush()
-	if err := tr.mergeRange(0, 1, nil); err != nil {
+	if err := tr.forceMerge(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if tr.DiskComponents() != 1 {
@@ -294,10 +291,7 @@ func TestMergeDropsTombstones(t *testing.T) {
 	}
 	// The merged component must physically contain only 50 entries
 	// (tombstones dropped in a full merge).
-	tr.mu.RLock()
-	physical := tr.disk[0].bt.Count()
-	tr.mu.RUnlock()
-	if physical != 50 {
+	if physical := tr.componentCounts()[0]; physical != 50 {
 		t.Errorf("physical entries = %d, tombstones not dropped", physical)
 	}
 	mustValidate(t, tr, bc)
@@ -396,7 +390,7 @@ func TestPropTreeMatchesReference(t *testing.T) {
 
 func TestLSMRTreeInsertSearchDelete(t *testing.T) {
 	bc, _ := newEnv(t, 1024, 512)
-	rt, err := OpenRTree(bc, "idx/spatial", RTreeOptions{MemBudget: 1 << 30})
+	rt, err := OpenRTree(bc, "idx/spatial", Options{MemBudget: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +424,7 @@ func TestLSMRTreeInsertSearchDelete(t *testing.T) {
 
 func TestLSMRTreeAntimatterAcrossComponents(t *testing.T) {
 	bc, _ := newEnv(t, 1024, 512)
-	rt, _ := OpenRTree(bc, "sp", RTreeOptions{MemBudget: 1 << 30, MaxComps: 100})
+	rt, _ := OpenRTree(bc, "sp", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}})
 	for i := 0; i < 100; i++ {
 		rt.Insert(rtree.PointRect(float64(i), 0), ikey(i))
 	}
@@ -463,7 +457,7 @@ func TestLSMRTreeAntimatterAcrossComponents(t *testing.T) {
 		t.Fatalf("after antimatter flush found %d, want 50", count)
 	}
 	// Full merge cancels pairs and drops antimatter.
-	if err := rt.mergeAll(nil); err != nil {
+	if err := rt.forceMerge(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if rt.DiskComponents() != 1 {
@@ -483,7 +477,7 @@ func TestLSMRTreeReopen(t *testing.T) {
 	dir := t.TempDir()
 	fm, _ := storage.NewFileManager(dir, 1024)
 	bc := storage.NewBufferCache(fm, 256)
-	rt, _ := OpenRTree(bc, "sp", RTreeOptions{MemBudget: 1 << 30})
+	rt, _ := OpenRTree(bc, "sp", Options{MemBudget: 1 << 30})
 	for i := 0; i < 50; i++ {
 		rt.Insert(rtree.PointRect(float64(i), float64(i)), ikey(i))
 	}
@@ -494,7 +488,7 @@ func TestLSMRTreeReopen(t *testing.T) {
 	fm2, _ := storage.NewFileManager(dir, 1024)
 	defer fm2.Close()
 	bc2 := storage.NewBufferCache(fm2, 256)
-	rt2, err := OpenRTree(bc2, "sp", RTreeOptions{})
+	rt2, err := OpenRTree(bc2, "sp", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,92 +586,6 @@ func TestTreeConcurrentReadersAndWriter(t *testing.T) {
 	mustValidate(t, tr, bc)
 }
 
-func TestFlushFaultKeepsDataAndRetries(t *testing.T) {
-	fault.Disarm()
-	defer fault.Disarm()
-	bc, _ := newEnv(t, 512, 64)
-	tr, err := Open(bc, "d/faultflush", Options{MemBudget: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := tr.Upsert(ikey(i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fault.Arm("lsm.flush.io:error"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("flush with armed fault: got %v", err)
-	}
-	fault.Disarm()
-	// The data never left the memory component; a retry flushes it.
-	if tr.MemSize() == 0 {
-		t.Fatal("failed flush emptied the memtable")
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("retry flush: %v", err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, ok, err := tr.Get(ikey(i)); err != nil || !ok {
-			t.Fatalf("key %d lost after failed+retried flush (ok=%v err=%v)", i, ok, err)
-		}
-	}
-	mustValidate(t, tr, bc)
-}
-
-func TestMergeFaultReleasesVictims(t *testing.T) {
-	fault.Disarm()
-	defer fault.Disarm()
-	bc, _ := newEnv(t, 512, 64)
-	tr, err := Open(bc, "d/faultmerge", Options{MemBudget: 1 << 20, Policy: ConstantPolicy{Components: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two flushes, then a third whose maybeMerge will pick a merge and
-	// hit the armed fault.
-	for round := 0; round < 2; round++ {
-		for i := round * 30; i < (round+1)*30; i++ {
-			if err := tr.Upsert(ikey(i), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fault.Arm("lsm.merge.io:error"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 60; i < 90; i++ {
-		if err := tr.Upsert(ikey(i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Flush(); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("merge with armed fault: got %v", err)
-	}
-	fault.Disarm()
-	// The victims must still be live (refs released, not dropped): every
-	// key remains readable and the structure validates.
-	for i := 0; i < 90; i++ {
-		if _, ok, err := tr.Get(ikey(i)); err != nil || !ok {
-			t.Fatalf("key %d lost after failed merge (ok=%v err=%v)", i, ok, err)
-		}
-	}
-	comps := tr.snapshot()
-	for _, c := range comps {
-		if got := atomic.LoadInt32(&c.refs); got != 2 {
-			t.Fatalf("component seq %d refs = %d after failed merge, want 2 (list + snapshot)", c.seq, got)
-		}
-	}
-	if err := tr.release(comps); err != nil {
-		t.Fatal(err)
-	}
-	mustValidate(t, tr, bc)
-}
-
 // TestGovernorArbitratedFlush overflows a shared component pool from a
 // second tree and checks the earliest-dirty tree is the one flushed —
 // cross-tree arbitration replacing the per-tree threshold.
@@ -706,8 +614,8 @@ func TestGovernorArbitratedFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if a.Flushes == 0 {
-		t.Fatalf("earliest-dirty tree a not flushed (a=%d b=%d)", a.Flushes, b.Flushes)
+	if flushes, _ := a.Stats(); flushes == 0 {
+		t.Fatal("earliest-dirty tree a not flushed")
 	}
 	if got := gov.ComponentCharged(); got > 4<<10 {
 		t.Fatalf("component pool still over budget after arbitration: %d", got)

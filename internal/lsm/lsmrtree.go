@@ -1,16 +1,11 @@
 package lsm
 
 import (
+	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
+	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"asterix/internal/mem"
 	"asterix/internal/obs"
 	"asterix/internal/rtree"
 	"asterix/internal/storage"
@@ -20,139 +15,140 @@ import (
 // immutable STR-packed disk components. Deletes are antimatter entries
 // that cancel matching (rect, key) pairs in older components — the design
 // the paper says was adopted into AsterixDB after the Section V-B study.
+// Entry payloads are a flag byte (1 = antimatter) + the primary key.
 type RTreeIndex struct {
-	bc        *storage.BufferCache
-	name      string
-	memBudget int
-	maxComps  int
-
-	// wmu serializes mutations and flushes; the governor's arbitration
-	// hook try-acquires it (see Tree.wmu).
-	wmu sync.Mutex
-	// charge accounts the memory component against the governor's shared
-	// component pool (nil without a governor).
-	charge *mem.ComponentCharge
-
-	mu      sync.RWMutex
-	mem     *rtree.RTree // payload: flag byte + primary key
-	memSize int
-	disk    []*rtreeComponent // newest first
-	seq     int
-
-	Flushes int
-	Merges  int
-
-	// Registry metrics (nil-safe no-ops when RTreeOptions.Metrics unset).
-	mFlushes  *obs.Counter
-	mMerges   *obs.Counter
-	mFlushDur *obs.Histogram
-	mMergeDur *obs.Histogram
-}
-
-type rtreeComponent struct {
-	seq  int
-	file storage.FileID
-	rt   *rtree.DiskRTree
-
-	// refs: 1 for the index's component list plus 1 per reader snapshot;
-	// files are destroyed when the last reference drops (see Tree).
-	refs int32
-}
-
-// RTreeOptions configures an LSM R-tree.
-type RTreeOptions struct {
-	MemBudget int // bytes; default 4 MiB
-	MaxComps  int // full-merge when exceeded; default 4
-	// Metrics, when set, receives the shared LSM flush/merge counters
-	// and duration histograms.
-	Metrics *obs.Registry
-	// Gov, when set, charges the memory component to the governor's
-	// shared component pool (see Options.Gov).
-	Gov *mem.Governor
+	lifecycle[*memRTree, *rtree.DiskRTree]
 }
 
 // OpenRTree opens (or creates) the LSM R-tree named by the file prefix.
-func OpenRTree(bc *storage.BufferCache, name string, opts RTreeOptions) (*RTreeIndex, error) {
-	if opts.MemBudget <= 0 {
-		opts.MemBudget = 4 << 20
-	}
-	if opts.MaxComps <= 0 {
-		opts.MaxComps = 4
-	}
-	t := &RTreeIndex{
-		bc:        bc,
-		name:      name,
-		memBudget: opts.MemBudget,
-		maxComps:  opts.MaxComps,
-		mem:       rtree.New(),
-	}
-	t.charge = opts.Gov.RegisterComponent(name, t.tryFlushForGovernor)
-	t.mFlushes = opts.Metrics.Counter("lsm_flushes_total", "LSM memory-component flushes")
-	t.mMerges = opts.Metrics.Counter("lsm_merges_total", "LSM disk-component merges")
-	t.mFlushDur = opts.Metrics.Histogram("lsm_flush_duration_seconds", "LSM flush wall time", nil)
-	t.mMergeDur = opts.Metrics.Histogram("lsm_merge_duration_seconds", "LSM merge wall time", nil)
-	data, err := os.ReadFile(t.manifestPath())
-	if err != nil && !os.IsNotExist(err) {
+func OpenRTree(bc *storage.BufferCache, name string, opts Options) (*RTreeIndex, error) {
+	t := &RTreeIndex{}
+	if err := t.open(rtreeKind{}, bc, name, opts); err != nil {
 		return nil, err
-	}
-	var seqs []int
-	for _, f := range strings.Fields(string(data)) {
-		var s int
-		if _, err := fmt.Sscanf(f, "%d", &s); err != nil {
-			return nil, fmt.Errorf("lsm: corrupt rtree manifest %q", f)
-		}
-		seqs = append(seqs, s)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	for _, s := range seqs {
-		file, err := bc.FileManager().Open(t.componentFileName(s))
-		if err != nil {
-			return nil, err
-		}
-		rt, err := rtree.OpenDisk(bc, file)
-		if err != nil {
-			return nil, err
-		}
-		t.disk = append(t.disk, &rtreeComponent{seq: s, file: file, rt: rt, refs: 1})
-		if s >= t.seq {
-			t.seq = s + 1
-		}
 	}
 	return t, nil
 }
 
-func (t *RTreeIndex) manifestPath() string {
-	return filepath.Join(t.bc.FileManager().Root(), filepath.FromSlash(t.name)+".manifest")
+// memRTree is the R-tree memory component. rtree.RTree is not safe for
+// concurrent use, so (like memTable) it guards itself: searches run
+// outside the lifecycle lock while a writer mutates the tree in place.
+type memRTree struct {
+	mu    sync.RWMutex
+	rt    *rtree.RTree
+	bytes int
 }
 
-func (t *RTreeIndex) componentFileName(seq int) string {
-	return fmt.Sprintf("%s.r%06d", t.name, seq)
+// put replaces the pair's pending state (live or antimatter) and returns
+// the byte-size delta: an insert revives a pending antimatter entry, a
+// delete cancels a pending live one and leaves antimatter for older disk
+// components.
+func (m *memRTree) put(r rtree.Rect, key []byte, tombstone bool) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.rt.Delete(r, encodeFlagged(key, !tombstone))
+	m.rt.Insert(r, encodeFlagged(key, tombstone))
+	delta := len(key) + 64
+	m.bytes += delta
+	return delta
 }
 
-func (t *RTreeIndex) writeManifest() error {
-	var sb strings.Builder
-	for _, c := range t.disk {
-		fmt.Fprintf(&sb, "%d\n", c.seq)
+// search returns the entries intersecting query. They are collected under
+// the lock and visited by the caller outside it (payloads are immutable
+// once inserted), so a visitor may itself use the index.
+func (m *memRTree) search(query rtree.Rect) []rtree.Entry {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var out []rtree.Entry
+	m.rt.Search(query, func(e rtree.Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
+}
+
+func (m *memRTree) len() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.rt.Len()
+}
+
+func (m *memRTree) size() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.bytes
+}
+
+// everything intersects every rectangle.
+var everything = rtree.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+
+// pairKey identifies a (rect, primary key) pair — the unit antimatter
+// cancels — as the rect's coordinate bits followed by the key.
+func pairKey(r rtree.Rect, key []byte) string {
+	b := make([]byte, 32, 32+len(key))
+	binary.BigEndian.PutUint64(b[0:], math.Float64bits(r.MinX))
+	binary.BigEndian.PutUint64(b[8:], math.Float64bits(r.MinY))
+	binary.BigEndian.PutUint64(b[16:], math.Float64bits(r.MaxX))
+	binary.BigEndian.PutUint64(b[24:], math.Float64bits(r.MaxY))
+	return string(append(b, key...))
+}
+
+// rtreeKind LSM-ifies the R-tree.
+type rtreeKind struct{}
+
+func (rtreeKind) fileTag() byte { return 'r' }
+
+func (rtreeKind) newMem() *memRTree { return &memRTree{rt: rtree.New()} }
+
+func (rtreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memRTree) (*rtree.DiskRTree, error) {
+	return rtree.BuildDisk(bc, file, mem.search(everything))
+}
+
+// merge walks the victims newest first; the first sighting of a pair
+// decides it, so antimatter cancels the older live entries behind it.
+func (rtreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*rtree.DiskRTree, dropAntimatter bool) (*rtree.DiskRTree, error) {
+	decided := map[string]bool{}
+	var keep []rtree.Entry
+	for _, v := range victims {
+		err := v.Search(everything, func(e rtree.Entry) bool {
+			pk := pairKey(e.Rect, e.Payload[1:])
+			if !decided[pk] {
+				decided[pk] = true
+				if e.Payload[0] == 0 || !dropAntimatter {
+					keep = append(keep, e)
+				}
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	path := t.manifestPath()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	return rtree.BuildDisk(bc, file, keep)
+}
+
+func (rtreeKind) open(bc *storage.BufferCache, file storage.FileID) (*rtree.DiskRTree, error) {
+	return rtree.OpenDisk(bc, file)
+}
+
+// validate checks that a full search reaches exactly Count() entries and
+// every payload carries a flag byte.
+func (rtreeKind) validate(d *rtree.DiskRTree) error {
+	var n int64
+	var bad error
+	err := d.Search(everything, func(e rtree.Entry) bool {
+		n++
+		if len(e.Payload) < 1 || e.Payload[0] > 1 {
+			bad = fmt.Errorf("payload missing antimatter flag byte")
+		}
+		return bad == nil
+	})
+	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
-		return err
+	if bad == nil && n != d.Count() {
+		bad = fmt.Errorf("search reaches %d entries, header counts %d", n, d.Count())
 	}
-	return os.Rename(tmp, path)
-}
-
-func flagged(key []byte, tombstone bool) []byte {
-	out := make([]byte, 0, len(key)+1)
-	if tombstone {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	return append(out, key...)
+	return bad
 }
 
 // Insert adds a live (rect, key) entry.
@@ -166,14 +162,7 @@ func (t *RTreeIndex) Insert(r rtree.Rect, key []byte) error {
 func (t *RTreeIndex) InsertSpan(r rtree.Rect, key []byte, sp *obs.Span) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	t.mu.Lock()
-	// If an antimatter entry for this pair is pending in memory, the
-	// insert simply revives it.
-	t.mem.Delete(r, flagged(key, true))
-	t.mem.Insert(r, flagged(key, false))
-	t.memSize += len(key) + 64
-	t.mu.Unlock()
-	return t.afterPut(len(key)+64, sp)
+	return t.afterPut(t.memRef().put(r, key, false), sp)
 }
 
 // Delete records the removal of (rect, key): it cancels any in-memory live
@@ -186,126 +175,39 @@ func (t *RTreeIndex) Delete(r rtree.Rect, key []byte) error {
 func (t *RTreeIndex) DeleteSpan(r rtree.Rect, key []byte, sp *obs.Span) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	t.mu.Lock()
-	t.mem.Delete(r, flagged(key, false))
-	t.mem.Insert(r, flagged(key, true))
-	t.memSize += len(key) + 64
-	t.mu.Unlock()
-	return t.afterPut(len(key)+64, sp)
-}
-
-// afterPut charges the mutation to the governor and applies the per-index
-// budget. Caller holds t.wmu. Arbitration time counts as flush wait on
-// sp (see Tree.afterPut).
-func (t *RTreeIndex) afterPut(delta int, sp *obs.Span) error {
-	var t0 time.Time
-	//lint:ignore obs-nil skips time.Now on the untraced write hot path, not a call guard
-	if sp != nil {
-		t0 = time.Now()
-	}
-	flushSelf, err := t.charge.Add(int64(delta))
-	//lint:ignore obs-nil skips time.Since on the untraced write hot path, not a call guard
-	if sp != nil {
-		sp.AddWait(obs.WaitFlush, time.Since(t0))
-	}
-	if err != nil {
-		return err
-	}
-	t.mu.RLock()
-	over := t.memSize >= t.memBudget
-	t.mu.RUnlock()
-	if flushSelf || over {
-		return t.flushLocked(sp)
-	}
-	return nil
-}
-
-// Unregister removes the index's account from the governor's component
-// pool (index or dataset drop).
-func (t *RTreeIndex) Unregister() {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	t.charge.Unregister()
-	t.charge = nil
-}
-
-// tryFlushForGovernor is the arbitration hook: flush if the writer lock
-// is free, otherwise report busy so the arbiter skips this index.
-func (t *RTreeIndex) tryFlushForGovernor() (bool, error) {
-	if !t.wmu.TryLock() {
-		return false, nil
-	}
-	defer t.wmu.Unlock()
-	return true, t.flushLocked(nil)
-}
-
-// snapshotComps acquires a reference-counted component view.
-func (t *RTreeIndex) snapshotComps() []*rtreeComponent {
-	t.mu.RLock()
-	comps := append([]*rtreeComponent(nil), t.disk...)
-	for _, c := range comps {
-		atomic.AddInt32(&c.refs, 1)
-	}
-	t.mu.RUnlock()
-	return comps
-}
-
-// releaseComps drops references, destroying merged-away components on the
-// last release.
-func (t *RTreeIndex) releaseComps(comps []*rtreeComponent) error {
-	var firstErr error
-	for _, c := range comps {
-		if atomic.AddInt32(&c.refs, -1) == 0 {
-			if err := t.bc.Evict(c.file); err != nil && firstErr == nil {
-				firstErr = err
-				continue
-			}
-			if err := t.bc.FileManager().Delete(t.componentFileName(c.seq)); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
+	return t.afterPut(t.memRef().put(r, key, true), sp)
 }
 
 // Search visits live keys whose rects intersect query, applying antimatter
-// cancellation across components (newest wins).
+// cancellation across components (newest wins); fn returning false stops.
 func (t *RTreeIndex) Search(query rtree.Rect, fn func(r rtree.Rect, key []byte) bool) error {
-	comps := t.snapshotComps()
-	defer t.releaseComps(comps)
-	t.mu.RLock()
-	mem := t.mem
-	t.mu.RUnlock()
+	// Memory first, then the disk snapshot: a flush between the two shows
+	// its entries twice (deduplicated below), never zero times.
+	memRun := t.memRef().search(query)
+	comps := t.snapshot()
+	defer t.release(comps)
 
-	type pairKey string
-	mk := func(r rtree.Rect, key []byte) pairKey {
-		return pairKey(fmt.Sprintf("%v|%s", r, key))
-	}
-	seen := map[pairKey]bool{} // pair already decided (live emitted or cancelled)
+	seen := map[string]bool{} // pair already decided (live emitted or cancelled)
 	stopped := false
-	visit := func(r rtree.Rect, payload []byte) bool {
-		tomb := payload[0] == 1
-		key := payload[1:]
-		pk := mk(r, key)
+	visit := func(e rtree.Entry) bool {
+		key := e.Payload[1:]
+		pk := pairKey(e.Rect, key)
 		if seen[pk] {
 			return true
 		}
 		seen[pk] = true
-		if !tomb {
-			if !fn(r, append([]byte(nil), key...)) {
-				stopped = true
-				return false
-			}
+		if e.Payload[0] == 0 && !fn(e.Rect, append([]byte(nil), key...)) {
+			stopped = true
 		}
-		return true
+		return !stopped
 	}
-	mem.Search(query, func(e rtree.Entry) bool { return visit(e.Rect, e.Payload) })
-	if stopped {
-		return nil
+	for _, e := range memRun {
+		if !visit(e) {
+			return nil
+		}
 	}
 	for _, c := range comps {
-		err := c.rt.Search(query, func(e rtree.Entry) bool { return visit(e.Rect, e.Payload) })
-		if err != nil {
+		if err := c.idx.Search(query, visit); err != nil {
 			return err
 		}
 		if stopped {
@@ -313,149 +215,4 @@ func (t *RTreeIndex) Search(query rtree.Rect, fn func(r rtree.Rect, key []byte) 
 		}
 	}
 	return nil
-}
-
-// MemSize returns the memory component's approximate byte size.
-func (t *RTreeIndex) MemSize() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.memSize
-}
-
-// DiskComponents returns the number of disk components.
-func (t *RTreeIndex) DiskComponents() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.disk)
-}
-
-// Flush packs the memory component into a new disk component.
-func (t *RTreeIndex) Flush() error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	return t.flushLocked(nil)
-}
-
-// flushLocked is Flush with t.wmu held (no put can race the swap). The
-// flush and any merge it triggers are charged to sp as flush/merge wait.
-func (t *RTreeIndex) flushLocked(sp *obs.Span) error {
-	flushStart := time.Now()
-	t.mu.Lock()
-	if t.mem.Len() == 0 {
-		t.mu.Unlock()
-		return nil
-	}
-	mem := t.mem
-	seq := t.seq
-	t.seq++
-	t.mu.Unlock()
-
-	var entries []rtree.Entry
-	mem.All(func(e rtree.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	file, err := t.bc.FileManager().Open(t.componentFileName(seq))
-	if err != nil {
-		return err
-	}
-	rt, err := rtree.BuildDisk(t.bc, file, entries)
-	if err != nil {
-		return err
-	}
-	if err := t.bc.FlushFile(file); err != nil {
-		return err
-	}
-
-	t.mu.Lock()
-	t.disk = append([]*rtreeComponent{{seq: seq, file: file, rt: rt, refs: 1}}, t.disk...)
-	t.mem = rtree.New()
-	t.memSize = 0
-	t.Flushes++
-	err = t.writeManifest()
-	needMerge := len(t.disk) > t.maxComps
-	t.mu.Unlock()
-	t.charge.Flushed()
-	t.mFlushes.Inc()
-	t.mFlushDur.Observe(time.Since(flushStart).Seconds())
-	sp.AddWait(obs.WaitFlush, time.Since(flushStart))
-	if err != nil {
-		return err
-	}
-	if needMerge {
-		return t.mergeAll(sp)
-	}
-	return nil
-}
-
-// mergeAll performs a full merge of every disk component, cancelling
-// antimatter pairs and dropping the antimatter itself. Merge wall time
-// is charged to sp as merge wait.
-func (t *RTreeIndex) mergeAll(sp *obs.Span) error {
-	mergeStart := time.Now()
-	t.mu.Lock()
-	victims := append([]*rtreeComponent(nil), t.disk...)
-	for _, c := range victims {
-		atomic.AddInt32(&c.refs, 1) // hold while merging
-	}
-	seq := t.seq
-	t.seq++
-	t.mu.Unlock()
-	if len(victims) < 2 {
-		for _, c := range victims {
-			atomic.AddInt32(&c.refs, -1)
-		}
-		return nil
-	}
-
-	// Newest-first traversal with pair cancellation.
-	type pairKey string
-	decided := map[pairKey]bool{}
-	var live []rtree.Entry
-	everything := rtree.Rect{MinX: -1e308, MinY: -1e308, MaxX: 1e308, MaxY: 1e308}
-	for _, c := range victims {
-		err := c.rt.Search(everything, func(e rtree.Entry) bool {
-			pk := pairKey(fmt.Sprintf("%v|%s", e.Rect, e.Payload[1:]))
-			if decided[pk] {
-				return true
-			}
-			decided[pk] = true
-			if e.Payload[0] == 0 {
-				live = append(live, e)
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	file, err := t.bc.FileManager().Open(t.componentFileName(seq))
-	if err != nil {
-		return err
-	}
-	rt, err := rtree.BuildDisk(t.bc, file, live)
-	if err != nil {
-		return err
-	}
-	if err := t.bc.FlushFile(file); err != nil {
-		return err
-	}
-
-	t.mu.Lock()
-	t.disk = []*rtreeComponent{{seq: seq, file: file, rt: rt, refs: 1}}
-	t.Merges++
-	err = t.writeManifest()
-	t.mu.Unlock()
-	t.mMerges.Inc()
-	t.mMergeDur.Observe(time.Since(mergeStart).Seconds())
-	sp.AddWait(obs.WaitMerge, time.Since(mergeStart))
-	if err != nil {
-		return err
-	}
-	// Drop the merge's hold and the list's reference; destruction waits
-	// for any concurrent readers.
-	if err := t.releaseComps(victims); err != nil {
-		return err
-	}
-	return t.releaseComps(victims)
 }

@@ -2,211 +2,46 @@ package lsm
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"asterix/internal/btree"
-	"asterix/internal/check"
-	"asterix/internal/fault"
-	"asterix/internal/mem"
 	"asterix/internal/obs"
 	"asterix/internal/storage"
 )
 
-// Tree is an LSM B+tree: one mutable memory component plus a stack of
-// immutable, bloom-guarded disk components. It is the storage form of
-// every primary index and every value-keyed secondary index.
+// Tree is an LSM B+tree: a skiplist memory component plus bloom-guarded
+// B+tree disk components. It is the storage form of every primary index
+// and every value-keyed secondary index.
 type Tree struct {
-	bc        *storage.BufferCache
-	name      string // file-name prefix ("dataset/part0/primary")
-	memBudget int
-	policy    MergePolicy
-
-	// wmu serializes mutations and flushes. The governor's arbitration
-	// hook try-acquires it, so a tree mid-write is skipped rather than
-	// deadlocked on when another tree's ingestion overflows the pool.
-	wmu sync.Mutex
-	// charge is this tree's account against the governor's memory-
-	// component pool (nil without a governor: per-tree budget only).
-	charge *mem.ComponentCharge
-
-	mu   sync.RWMutex
-	mem  *memTable
-	disk []*diskComponent // newest first
-	seq  int
-
-	// Stats for the merge-policy ablation (experiment E8).
-	Flushes int
-	Merges  int
-
-	// Registry metrics (nil-safe no-ops when Options.Metrics is unset).
-	mFlushes  *obs.Counter
-	mMerges   *obs.Counter
-	mFlushDur *obs.Histogram
-	mMergeDur *obs.Histogram
-
-	// OnFlush, if set, is called after each flush completes (the
-	// transaction log uses it to advance the checkpoint LSN).
-	OnFlush func()
+	lifecycle[*memTable, *btreeDisk]
 }
 
-type diskComponent struct {
-	seq   int
-	file  storage.FileID
+// btreeDisk is a B+tree disk component with its in-memory bloom filter.
+type btreeDisk struct {
 	bt    *btree.BTree
 	bloom *bloomFilter
-
-	// refs counts users of the component: 1 for the tree's component
-	// list plus 1 per in-flight reader snapshot. A merge "deletes" a
-	// component by dropping the list's reference; the files are
-	// destroyed only when the last reader releases (dropped is set then).
-	refs    int32
-	dropped bool
 }
 
-// Options configures an LSM tree.
-type Options struct {
-	// MemBudget is the memory-component byte budget; exceeding it
-	// triggers a flush. Default 4 MiB.
-	MemBudget int
-	// Policy is the merge policy. Default ConstantPolicy{Components: 4}.
-	Policy MergePolicy
-	// Metrics, when set, receives flush/merge counters and duration
-	// histograms (shared by name across all trees on the registry).
-	Metrics *obs.Registry
-	// Gov, when set, charges the memory component to the governor's
-	// shared component pool: overflowing the pool flushes the earliest-
-	// dirty tree across the whole engine, not just this one.
-	Gov *mem.Governor
-}
-
-func (o Options) withDefaults() Options {
-	if o.MemBudget <= 0 {
-		o.MemBudget = 4 << 20
-	}
-	if o.Policy == nil {
-		o.Policy = ConstantPolicy{Components: 4}
-	}
-	return o
-}
+// Count implements diskIndex.
+func (d *btreeDisk) Count() int64 { return d.bt.Count() }
 
 // Open opens (or creates) the LSM tree named by the file prefix, reloading
 // any disk components recorded in its manifest.
 func Open(bc *storage.BufferCache, name string, opts Options) (*Tree, error) {
-	opts = opts.withDefaults()
-	t := &Tree{
-		bc:        bc,
-		name:      name,
-		memBudget: opts.MemBudget,
-		policy:    opts.Policy,
-		mem:       newMemTable(),
-	}
-	registerTreeMetrics(t, opts.Metrics)
-	t.charge = opts.Gov.RegisterComponent(name, t.tryFlushForGovernor)
-	seqs, err := t.readManifest()
-	if err != nil {
+	t := &Tree{}
+	if err := t.open(btreeKind{}, bc, name, opts); err != nil {
 		return nil, err
-	}
-	for _, s := range seqs {
-		c, err := t.openComponent(s)
-		if err != nil {
-			return nil, err
-		}
-		t.disk = append(t.disk, c)
-		if s >= t.seq {
-			t.seq = s + 1
-		}
 	}
 	return t, nil
 }
 
-// registerTreeMetrics binds the shared LSM metrics (get-or-create, so
-// every tree on the same registry shares them). Nil registry = nil
-// handles = no-op updates.
-func registerTreeMetrics(t *Tree, reg *obs.Registry) {
-	t.mFlushes = reg.Counter("lsm_flushes_total", "LSM memory-component flushes")
-	t.mMerges = reg.Counter("lsm_merges_total", "LSM disk-component merges")
-	t.mFlushDur = reg.Histogram("lsm_flush_duration_seconds", "LSM flush wall time", nil)
-	t.mMergeDur = reg.Histogram("lsm_merge_duration_seconds", "LSM merge wall time", nil)
-}
+// btreeKind LSM-ifies the B+tree. Values inside disk components carry a
+// leading flag byte (1 = antimatter) before the payload.
+type btreeKind struct{}
 
-func (t *Tree) manifestPath() string {
-	return filepath.Join(t.bc.FileManager().Root(), filepath.FromSlash(t.name)+".manifest")
-}
+func (btreeKind) fileTag() byte { return 'c' }
 
-// readManifest returns the live component sequence numbers, newest first.
-func (t *Tree) readManifest() ([]int, error) {
-	data, err := os.ReadFile(t.manifestPath())
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("lsm: read manifest: %w", err)
-	}
-	var seqs []int
-	for _, line := range strings.Fields(string(data)) {
-		var s int
-		if _, err := fmt.Sscanf(line, "%d", &s); err != nil {
-			return nil, fmt.Errorf("lsm: corrupt manifest %q", line)
-		}
-		seqs = append(seqs, s)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seqs)))
-	return seqs, nil
-}
-
-// writeManifest persists the current component list (caller holds t.mu).
-func (t *Tree) writeManifest() error {
-	var sb strings.Builder
-	for _, c := range t.disk {
-		fmt.Fprintf(&sb, "%d\n", c.seq)
-	}
-	path := t.manifestPath()
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
-		return fmt.Errorf("lsm: write manifest: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-func (t *Tree) componentFileName(seq int) string {
-	return fmt.Sprintf("%s.c%06d", t.name, seq)
-}
-
-// openComponent opens a disk component, rebuilding its bloom filter from a
-// key scan (the filter is held in memory only).
-func (t *Tree) openComponent(seq int) (*diskComponent, error) {
-	file, err := t.bc.FileManager().Open(t.componentFileName(seq))
-	if err != nil {
-		return nil, err
-	}
-	bt, err := btree.Open(t.bc, file)
-	if err != nil {
-		return nil, err
-	}
-	bloom := newBloom(int(bt.Count()))
-	err = bt.Scan(nil, nil, func(k, v []byte) bool {
-		bloom.add(k)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &diskComponent{seq: seq, file: file, bt: bt, bloom: bloom, refs: 1}, nil
-}
-
-// value encoding inside disk components: flag byte (1 = antimatter) +
-// payload.
+func (btreeKind) newMem() *memTable { return newMemTable() }
 
 func encodeFlagged(value []byte, tombstone bool) []byte {
 	out := make([]byte, 0, len(value)+1)
@@ -218,12 +53,134 @@ func encodeFlagged(value []byte, tombstone bool) []byte {
 	return append(out, value...)
 }
 
-// memRef returns the current memory component. Flush swaps the pointer
-// under t.mu, so every access outside Flush goes through here.
-func (t *Tree) memRef() *memTable {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.mem
+// build bulk-loads the memory component's entries in key order.
+func (btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTable) (*btreeDisk, error) {
+	bt, err := btree.Open(bc, file)
+	if err != nil {
+		return nil, err
+	}
+	bloom := newBloom(mem.len())
+	var entries []memEntry
+	mem.scan(nil, nil, func(e memEntry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	i := 0
+	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
+		if i >= len(entries) {
+			return nil, nil, false
+		}
+		e := entries[i]
+		i++
+		bloom.add(e.key)
+		return e.key, encodeFlagged(e.value, e.tombstone), true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &btreeDisk{bt: bt, bloom: bloom}, nil
+}
+
+// merge k-way merges the victims' sorted runs; the lowest (newest) source
+// wins ties.
+func (btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*btreeDisk, dropAntimatter bool) (*btreeDisk, error) {
+	bt, err := btree.Open(bc, file)
+	if err != nil {
+		return nil, err
+	}
+	total := int64(0)
+	iters := make([]*btree.Iterator, len(victims))
+	for i, v := range victims {
+		total += v.bt.Count()
+		iters[i] = v.bt.NewIterator(nil, nil)
+	}
+	bloom := newBloom(int(total))
+	var mergeErr error
+	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
+		for {
+			var bestKey []byte
+			bestSrc := -1
+			for i, it := range iters {
+				if !it.Valid() {
+					if e := it.Err(); e != nil {
+						mergeErr = e
+						return nil, nil, false
+					}
+					continue
+				}
+				if bestSrc == -1 || bytes.Compare(it.Key(), bestKey) < 0 {
+					bestKey = it.Key()
+					bestSrc = i
+				}
+			}
+			if bestSrc == -1 {
+				return nil, nil, false
+			}
+			value := append([]byte(nil), iters[bestSrc].Value()...)
+			for _, it := range iters {
+				if it.Valid() && bytes.Equal(it.Key(), bestKey) {
+					it.Next()
+				}
+			}
+			if dropAntimatter && value[0] == 1 {
+				continue
+			}
+			bloom.add(bestKey)
+			return append([]byte(nil), bestKey...), value, true
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if mergeErr != nil {
+		return nil, mergeErr
+	}
+	return &btreeDisk{bt: bt, bloom: bloom}, nil
+}
+
+// open rebuilds the bloom filter from a key scan (the filter is held in
+// memory only).
+func (btreeKind) open(bc *storage.BufferCache, file storage.FileID) (*btreeDisk, error) {
+	bt, err := btree.Open(bc, file)
+	if err != nil {
+		return nil, err
+	}
+	bloom := newBloom(int(bt.Count()))
+	err = bt.Scan(nil, nil, func(k, v []byte) bool {
+		bloom.add(k)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &btreeDisk{bt: bt, bloom: bloom}, nil
+}
+
+// validate checks that the B+tree passes its own deep validation, keys
+// are in strict order, every value carries a flag byte, and the bloom
+// filter answers mayContain=true for every key present.
+func (btreeKind) validate(d *btreeDisk) error {
+	if err := d.bt.Validate(); err != nil {
+		return err
+	}
+	var prev []byte
+	var scanErr error
+	err := d.bt.Scan(nil, nil, func(k, v []byte) bool {
+		switch {
+		case prev != nil && bytes.Compare(prev, k) >= 0:
+			scanErr = fmt.Errorf("keys not strictly increasing")
+		case len(v) < 1 || v[0] > 1:
+			scanErr = fmt.Errorf("value missing antimatter flag byte")
+		case !d.bloom.mayContain(k):
+			scanErr = fmt.Errorf("bloom filter false negative")
+		}
+		prev = append(prev[:0], k...)
+		return scanErr == nil
+	})
+	if err != nil {
+		return err
+	}
+	return scanErr
 }
 
 // Upsert inserts or replaces the value stored under key.
@@ -248,86 +205,6 @@ func (t *Tree) DeleteSpan(key []byte, sp *obs.Span) error {
 	return t.afterPut(t.memRef().put(key, nil, true), sp)
 }
 
-// afterPut charges the mutation's byte delta to the governor (which may
-// arbitrate flushes of OTHER trees, or elect this one) and then applies
-// the per-tree budget. Caller holds t.wmu. Arbitration time — this
-// writer stalled flushing OTHER trees' components — counts as flush
-// wait on sp, as does a flush of this tree's own component.
-func (t *Tree) afterPut(delta int, sp *obs.Span) error {
-	var t0 time.Time
-	//lint:ignore obs-nil skips time.Now on the untraced write hot path, not a call guard
-	if sp != nil {
-		t0 = time.Now()
-	}
-	flushSelf, err := t.charge.Add(int64(delta))
-	//lint:ignore obs-nil skips time.Since on the untraced write hot path, not a call guard
-	if sp != nil {
-		sp.AddWait(obs.WaitFlush, time.Since(t0))
-	}
-	if err != nil {
-		return err
-	}
-	if flushSelf || t.memRef().size() >= t.memBudget {
-		return t.flushLocked(sp)
-	}
-	return nil
-}
-
-// Unregister removes the tree's account from the governor's component
-// pool (dataset drop); the tree keeps working against its per-tree
-// budget only.
-func (t *Tree) Unregister() {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	t.charge.Unregister()
-	t.charge = nil
-}
-
-// tryFlushForGovernor is the arbitration hook: flush if the writer lock
-// is free, otherwise report busy so the arbiter skips this tree.
-func (t *Tree) tryFlushForGovernor() (bool, error) {
-	if !t.wmu.TryLock() {
-		return false, nil
-	}
-	defer t.wmu.Unlock()
-	return true, t.flushLocked(nil)
-}
-
-// snapshot acquires a reference-counted view of the disk components.
-func (t *Tree) snapshot() []*diskComponent {
-	t.mu.RLock()
-	//lint:ignore hot-alloc per-scan snapshot of the component list: O(components) once per scan, not per entry
-	comps := append([]*diskComponent(nil), t.disk...)
-	for _, c := range comps {
-		atomic.AddInt32(&c.refs, 1)
-	}
-	t.mu.RUnlock()
-	return comps
-}
-
-// release drops snapshot references, destroying components whose last
-// reference this was (they were merged away while being read).
-func (t *Tree) release(comps []*diskComponent) error {
-	var firstErr error
-	for _, c := range comps {
-		if atomic.AddInt32(&c.refs, -1) == 0 {
-			//lint:ignore hot-alloc runs only when the last reference to a merged-away component drops — once per component lifetime, not per scan entry
-			if err := t.destroyComponent(c); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// destroyComponent evicts and deletes a fully-released component's file.
-func (t *Tree) destroyComponent(c *diskComponent) error {
-	if err := t.bc.Evict(c.file); err != nil {
-		return err
-	}
-	return t.bc.FileManager().Delete(t.componentFileName(c.seq))
-}
-
 // Get returns the newest live value for key.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if v, tomb, ok := t.memRef().get(key); ok {
@@ -339,10 +216,10 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	comps := t.snapshot()
 	defer t.release(comps)
 	for _, c := range comps {
-		if !c.bloom.mayContain(key) {
+		if !c.idx.bloom.mayContain(key) {
 			continue
 		}
-		v, ok, err := c.bt.Search(key)
+		v, ok, err := c.idx.bt.Search(key)
 		if err != nil {
 			return nil, false, err
 		}
@@ -378,7 +255,7 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	//lint:ignore hot-alloc per-scan iterator table: O(components) once per scan setup
 	iters := make([]*btree.Iterator, len(comps))
 	for i, c := range comps {
-		iters[i] = c.bt.NewIterator(lo, hi)
+		iters[i] = c.idx.bt.NewIterator(lo, hi)
 	}
 	memPos := 0
 	for {
@@ -431,254 +308,6 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 			}
 		}
 	}
-}
-
-// MemSize returns the memory component's approximate byte size.
-func (t *Tree) MemSize() int { return t.memRef().size() }
-
-// DiskComponents returns the current number of disk components.
-func (t *Tree) DiskComponents() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.disk)
-}
-
-// Flush persists the memory component as a new disk component and applies
-// the merge policy.
-func (t *Tree) Flush() error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	return t.flushLocked(nil)
-}
-
-// flushLocked is Flush with t.wmu held: holding the writer mutex means no
-// put can land in the old memory component between the snapshot scan and
-// the pointer swap; concurrent readers are safe because they take the
-// pointer via memRef. The flush (and any merge it triggers) is charged
-// to sp as flush/merge wait; sp is nil for flushes no statement waits on.
-func (t *Tree) flushLocked(sp *obs.Span) error {
-	flushStart := time.Now()
-	t.mu.Lock()
-	mem := t.mem
-	if mem.len() == 0 {
-		t.mu.Unlock()
-		return nil
-	}
-	seq := t.seq
-	t.seq++
-	t.mu.Unlock()
-
-	fname := t.componentFileName(seq)
-	// A flush that crashed before reaching the manifest can leave an
-	// orphan component file under this name (the seq counter restarts
-	// from the manifest on reopen); opening it as-is would misparse the
-	// stale pages, so drop any leftover first.
-	if err := t.bc.FileManager().Delete(fname); err != nil {
-		return err
-	}
-	file, err := t.bc.FileManager().Open(fname)
-	if err != nil {
-		return err
-	}
-	bt, err := btree.Open(t.bc, file)
-	if err != nil {
-		return err
-	}
-	bloom := newBloom(mem.len())
-
-	// Snapshot the memtable in order, then bulk load.
-	var entries []memEntry
-	mem.scan(nil, nil, func(e memEntry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	i := 0
-	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(entries) {
-			return nil, nil, false
-		}
-		e := entries[i]
-		i++
-		bloom.add(e.key)
-		return e.key, encodeFlagged(e.value, e.tombstone), true
-	})
-	if err != nil {
-		return err
-	}
-	// Injected flush I/O failure: the component is built in the buffer
-	// cache but never made durable or added to the manifest; the memory
-	// component keeps the data, so nothing committed is lost.
-	if err := fault.Hit(fault.PointLSMFlush); err != nil {
-		return fmt.Errorf("lsm: flush %s: %w", t.name, err)
-	}
-	if err := t.bc.FlushFile(file); err != nil {
-		return err
-	}
-
-	t.mu.Lock()
-	t.disk = append([]*diskComponent{{seq: seq, file: file, bt: bt, bloom: bloom, refs: 1}}, t.disk...)
-	t.mem = newMemTable()
-	t.Flushes++
-	err = t.writeManifest()
-	t.mu.Unlock()
-	t.charge.Flushed()
-	t.mFlushes.Inc()
-	t.mFlushDur.Observe(time.Since(flushStart).Seconds())
-	sp.AddWait(obs.WaitFlush, time.Since(flushStart))
-	if err != nil {
-		return err
-	}
-	if t.OnFlush != nil {
-		t.OnFlush()
-	}
-	// Component sequencing + manifest walk in invariant builds.
-	if err := check.Run(t); err != nil {
-		return err
-	}
-	return t.maybeMerge(sp)
-}
-
-// maybeMerge consults the policy and merges one component range.
-func (t *Tree) maybeMerge(sp *obs.Span) error {
-	t.mu.RLock()
-	sizes := make([]int64, len(t.disk))
-	for i, c := range t.disk {
-		sizes[i] = c.bt.Count()
-	}
-	t.mu.RUnlock()
-	lo, hi, ok := t.policy.PickMerge(sizes)
-	if !ok {
-		return nil
-	}
-	return t.mergeRange(lo, hi, sp)
-}
-
-// mergeRange merges disk components [lo..hi] (newest-first indexes) into
-// one. Tombstones are dropped only when the merge includes the oldest
-// component. Merge wall time is charged to sp as merge wait (merges run
-// on the writer's thread, so the triggering statement really does stall
-// for the whole merge).
-func (t *Tree) mergeRange(lo, hi int, sp *obs.Span) error {
-	mergeStart := time.Now()
-	t.mu.RLock()
-	if lo < 0 || hi >= len(t.disk) || lo >= hi {
-		t.mu.RUnlock()
-		return nil
-	}
-	victims := append([]*diskComponent(nil), t.disk[lo:hi+1]...)
-	for _, c := range victims {
-		atomic.AddInt32(&c.refs, 1) // hold them while merging
-	}
-	dropTombstones := hi == len(t.disk)-1
-	t.mu.RUnlock()
-
-	seq := func() int {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		s := t.seq
-		t.seq++
-		return s
-	}()
-	fname := t.componentFileName(seq)
-	// Same orphan hazard as Flush: a crashed merge can leave a stale file
-	// under a seq the reopened tree will hand out again.
-	if err := t.bc.FileManager().Delete(fname); err != nil {
-		return errors.Join(err, t.release(victims))
-	}
-	file, err := t.bc.FileManager().Open(fname)
-	if err != nil {
-		return errors.Join(err, t.release(victims))
-	}
-	bt, err := btree.Open(t.bc, file)
-	if err != nil {
-		return errors.Join(err, t.release(victims))
-	}
-	total := int64(0)
-	for _, c := range victims {
-		total += c.bt.Count()
-	}
-	bloom := newBloom(int(total))
-
-	iters := make([]*btree.Iterator, len(victims))
-	for i, c := range victims {
-		iters[i] = c.bt.NewIterator(nil, nil)
-	}
-	var mergeErr error
-	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
-		for {
-			var bestKey []byte
-			bestSrc := -1
-			for i, it := range iters {
-				if !it.Valid() {
-					if e := it.Err(); e != nil {
-						mergeErr = e
-						return nil, nil, false
-					}
-					continue
-				}
-				if bestSrc == -1 || bytes.Compare(it.Key(), bestKey) < 0 {
-					bestKey = it.Key()
-					bestSrc = i
-				}
-			}
-			if bestSrc == -1 {
-				return nil, nil, false
-			}
-			value := append([]byte(nil), iters[bestSrc].Value()...)
-			for _, it := range iters {
-				if it.Valid() && bytes.Equal(it.Key(), bestKey) {
-					it.Next()
-				}
-			}
-			if dropTombstones && value[0] == 1 {
-				continue
-			}
-			bloom.add(bestKey)
-			return append([]byte(nil), bestKey...), value, true
-		}
-	})
-	if err != nil {
-		return errors.Join(err, t.release(victims))
-	}
-	if mergeErr != nil {
-		return errors.Join(mergeErr, t.release(victims))
-	}
-	// Injected merge I/O failure: the victims stay live (their refs are
-	// released below) and the half-built component never reaches the
-	// manifest.
-	if err := fault.Hit(fault.PointLSMMerge); err != nil {
-		return errors.Join(fmt.Errorf("lsm: merge %s: %w", t.name, err), t.release(victims))
-	}
-	if err := t.bc.FlushFile(file); err != nil {
-		return errors.Join(err, t.release(victims))
-	}
-
-	t.mu.Lock()
-	newDisk := append([]*diskComponent(nil), t.disk[:lo]...)
-	newDisk = append(newDisk, &diskComponent{seq: seq, file: file, bt: bt, bloom: bloom, refs: 1})
-	newDisk = append(newDisk, t.disk[hi+1:]...)
-	t.disk = newDisk
-	t.Merges++
-	for _, c := range victims {
-		c.dropped = true
-	}
-	err = t.writeManifest()
-	t.mu.Unlock()
-	t.mMerges.Inc()
-	t.mMergeDur.Observe(time.Since(mergeStart).Seconds())
-	sp.AddWait(obs.WaitMerge, time.Since(mergeStart))
-	if err != nil {
-		return err
-	}
-	// Drop the list's reference and the merge's own hold; files are
-	// destroyed when the last concurrent reader releases.
-	if err := t.release(victims); err != nil {
-		return err
-	}
-	if err := t.release(victims); err != nil {
-		return err
-	}
-	return check.Run(t)
 }
 
 // Count estimates the number of live keys by a full scan (exact but O(n));
