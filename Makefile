@@ -31,11 +31,13 @@ invariants:
 	go test -tags invariants ./...
 
 # fault-matrix: the robustness gate — crash-recovery matrix, node-failure
-# and cancellation tests, the WAL torn-tail suite, and the LSM lifecycle's
-# flush/merge fault, crash-orphan and validator tests over every index
-# kind, with deep validators compiled in (see docs/ROBUSTNESS.md).
+# and cancellation tests, the spill error-exit matrix (no run file or
+# descriptor outlives a failed task), the WAL torn-tail suite, and the
+# LSM lifecycle's flush/merge fault, crash-orphan and validator tests
+# over every index kind, with deep validators compiled in (see
+# docs/ROBUSTNESS.md).
 fault-matrix:
-	go test -tags invariants -run 'TestCrash|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout' \
+	go test -tags invariants -run 'TestCrash|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout' \
 		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 

@@ -29,11 +29,6 @@ type Config struct {
 	// only call the guarded probe helpers named in FaultGuarded from it.
 	FaultPkgPath string
 	FaultGuarded []string
-	// OperatorPkgs are the runtime packages whose code must size working
-	// memory through governor grants; MemBudgetField is the legacy static
-	// knob whose reads are flagged there.
-	OperatorPkgs   []string
-	MemBudgetField string
 	// Resources registers acquire/release pairs for the resource-leak
 	// rule: every value produced by an acquire must reach one of its
 	// releases on all paths out of the acquiring function.
@@ -85,10 +80,6 @@ func DefaultConfig() *Config {
 		},
 		FaultPkgPath: "asterix/internal/fault",
 		FaultGuarded: []string{"Hit", "HitTag", "Tear", "TearTag", "Armed", "Hits", "Fired", "Snapshot", "BindMetrics", "Int63n"},
-		OperatorPkgs: []string{
-			"asterix/internal/hyracks", "asterix/internal/algebricks",
-		},
-		MemBudgetField: "MemBudget",
 		Resources: []ResourceSpec{
 			{
 				Pkg: "asterix/internal/mem", Recv: "Governor", Func: "Reserve", Result: 0,
@@ -136,6 +127,25 @@ func DefaultConfig() *Config {
 				Releases: []ReleaseSpec{
 					{Pkg: "asterix/internal/txn", Recv: "Txn", Func: "Commit", Arg: -1},
 					{Pkg: "asterix/internal/txn", Recv: "Txn", Func: "Abort", Arg: -1},
+				},
+			},
+			{
+				// Spill run files. Operators reach them only through
+				// hyracks.runSet, which holds them in its slots (an
+				// ownership transfer) and deletes them in its close; this
+				// pair covers any code that handles one directly.
+				Pkg: "asterix/internal/hyracks", Func: "NewRunWriter", Result: 0,
+				Type: "RunWriter", Desc: "run-file writer",
+				Releases: []ReleaseSpec{
+					{Pkg: "asterix/internal/hyracks", Recv: "RunWriter", Func: "Finish", Arg: -1},
+					{Pkg: "asterix/internal/hyracks", Recv: "RunWriter", Func: "Abort", Arg: -1},
+				},
+			},
+			{
+				Pkg: "asterix/internal/hyracks", Recv: "RunWriter", Func: "Finish", Result: 0,
+				Type: "RunReader", Desc: "run-file reader",
+				Releases: []ReleaseSpec{
+					{Pkg: "asterix/internal/hyracks", Recv: "RunReader", Func: "Close", Arg: -1},
 				},
 			},
 			{
@@ -290,7 +300,6 @@ func AllRules() []*Rule {
 		ruleErrDiscard(),
 		ruleFrameAlias(),
 		ruleFaultGate(),
-		ruleMemGrant(),
 		ruleDeferUnlock(),
 		ruleLockOrder(),
 		ruleResourceLeak(),

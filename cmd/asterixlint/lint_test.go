@@ -152,12 +152,6 @@ func TestFrameAliasFixture(t *testing.T) {
 	})
 }
 
-func TestMemGrantFixture(t *testing.T) {
-	checkFixture(t, "memgrant", func(cfg *Config, pkgPath string) {
-		cfg.OperatorPkgs = []string{pkgPath}
-	})
-}
-
 func TestDeferUnlockFixture(t *testing.T) {
 	checkFixture(t, "deferunlock", nil)
 }

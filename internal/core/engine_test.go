@@ -524,3 +524,27 @@ func TestPersistenceAcrossCleanRestart(t *testing.T) {
 		t.Fatalf("count after restart = %d", n)
 	}
 }
+
+// TestOpenSweepsStaleRunFiles: a process killed mid-spill leaves run files
+// under DataDir/tmp; opening the engine over that directory deletes them
+// and nothing else (the cluster constructor does the sweep).
+func TestOpenSweepsStaleRunFiles(t *testing.T) {
+	dir := t.TempDir()
+	spillDir := filepath.Join(dir, "tmp", "nc0")
+	if err := os.MkdirAll(spillDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale, other := filepath.Join(spillDir, "run-x.tmp"), filepath.Join(spillDir, "keep.dat")
+	for _, f := range []string{stale, other} {
+		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newEngine(t, Config{DataDir: dir})
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale run file survived engine start-up (stat: %v)", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Errorf("unrelated file was removed: %v", err)
+	}
+}

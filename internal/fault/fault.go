@@ -53,7 +53,8 @@ const (
 	PointNodeCrash = "hyracks.node.crash"
 	// PointFrameDelay delays (or fails) a connector frame send.
 	PointFrameDelay = "hyracks.frame.delay"
-	// PointSpillIO fails a sort run-file spill.
+	// PointSpillIO fails the creation of a spill run file: a sort run, a
+	// group-by partial partition, a grace-join build or probe partition.
 	PointSpillIO = "hyracks.spill.io"
 	// PointLSMFlush fails an LSM memory-component flush before it is
 	// made durable (the manifest is never updated).
@@ -189,7 +190,6 @@ func Hit(name string) error {
 	if armed.Load() == 0 {
 		return nil
 	}
-	//lint:ignore hot-alloc,wait-attrib armed fault-injection slow path: only tests arm points, and an armed hit exists to inject errors/delays, so its allocations and sleeps are intentional
 	return reg.hit(name, "")
 }
 

@@ -99,13 +99,9 @@ type Cluster struct {
 	Nodes []*NodeController
 	// FrameSize is the tuple-batch size moved through connectors.
 	FrameSize int
-	// MemBudget is the legacy working-memory knob: when no governor is
-	// installed before the first Run, it sizes the working pool of the
-	// default governor (tests set it directly; the engine installs Gov).
-	MemBudget int
 	// Gov arbitrates working memory across concurrent jobs. Set it
-	// before the first Run; left nil, a governor with MemBudget of
-	// working memory is created lazily.
+	// before the first Run; left nil, a governor with defaultWorkingBytes
+	// of working memory is created lazily.
 	Gov *mem.Governor
 
 	// Pool recycles exchange frame containers across the cluster's jobs
@@ -127,13 +123,16 @@ type Cluster struct {
 	linkFailures int64
 }
 
+// defaultWorkingBytes is the working pool of the governor a cluster
+// builds for itself when none was installed.
+const defaultWorkingBytes = 32 << 20
+
 // governor resolves the cluster's memory governor, building the default
-// one from the legacy MemBudget knob on first use.
+// one on first use.
 func (c *Cluster) governor() *mem.Governor {
 	c.govOnce.Do(func() {
 		if c.Gov == nil {
-			//lint:ignore mem-grant folding the legacy MemBudget knob into the governor default is the one sanctioned read
-			c.Gov = mem.NewGovernor(mem.Config{WorkingBytes: int64(c.MemBudget)})
+			c.Gov = mem.NewGovernor(mem.Config{WorkingBytes: defaultWorkingBytes})
 		}
 	})
 	return c.Gov
@@ -206,24 +205,14 @@ func (c *Cluster) DeadNodeIDs() []string {
 	return out
 }
 
-// NewCluster creates an n-node cluster with spill directories under
-// baseDir.
+// NewCluster creates an n-node cluster with node ids nc0..nc(n-1) and
+// spill directories under baseDir.
 func NewCluster(n int, baseDir string) (*Cluster, error) {
-	if n < 1 {
-		n = 1
+	ids := make([]string, max(n, 1))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("nc%d", i)
 	}
-	c := &Cluster{FrameSize: 256, MemBudget: 32 << 20}
-	for i := 0; i < n; i++ {
-		dir := filepath.Join(baseDir, fmt.Sprintf("nc%d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("hyracks: node temp dir: %w", err)
-		}
-		c.Nodes = append(c.Nodes, &NodeController{
-			ID: fmt.Sprintf("nc%d", i), TempDir: dir,
-			killed: make(chan struct{}),
-		})
-	}
-	return c, nil
+	return NewNamedCluster(ids, baseDir)
 }
 
 // NewNamedCluster creates a cluster whose node controllers carry the
@@ -232,15 +221,29 @@ func NewCluster(n int, baseDir string) (*Cluster, error) {
 // local one runs tasks, the remote ones exist so heartbeat failure
 // detection can Kill them and the executor's remote-node watchers fire,
 // exactly as an in-process Kill does.
+//
+// Each node's spill directory is baseDir/<id>. Run files a previous
+// process left there when it was killed mid-spill are deleted: a live
+// task deletes its own on every exit, so whatever is found at start-up
+// is dead bytes. Only run files are touched.
 func NewNamedCluster(ids []string, baseDir string) (*Cluster, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("hyracks: named cluster needs at least one node id")
 	}
-	c := &Cluster{FrameSize: 256, MemBudget: 32 << 20}
+	c := &Cluster{FrameSize: 256}
 	for _, id := range ids {
 		dir := filepath.Join(baseDir, id)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("hyracks: node temp dir: %w", err)
+		}
+		stale, err := filepath.Glob(filepath.Join(dir, runFilePattern))
+		if err != nil {
+			return nil, fmt.Errorf("hyracks: node temp dir: %w", err)
+		}
+		for _, f := range stale {
+			if err := os.Remove(f); err != nil {
+				return nil, fmt.Errorf("hyracks: stale run file: %w", err)
+			}
 		}
 		c.Nodes = append(c.Nodes, &NodeController{
 			ID: id, TempDir: dir,

@@ -95,6 +95,9 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			return fmt.Errorf("hyracks: job admission: %w", err)
 		}
 		jobGrant = jg
+		// Nil-safe and idempotent: the admission is given back on every
+		// exit, the early returns below included.
+		defer jobGrant.Release()
 	}
 
 	var (
@@ -194,9 +197,6 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				Fail:      fail,
 			})
 			if err != nil {
-				if jobGrant != nil {
-					jobGrant.Release()
-				}
 				return fmt.Errorf("hyracks: open edge %d: %w", ei, err)
 			}
 			rt.handle = h
@@ -237,9 +237,6 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				watched[id] = true
 				nc := c.NodeByID(id)
 				if nc == nil {
-					if jobGrant != nil {
-						jobGrant.Release()
-					}
 					return fmt.Errorf("hyracks: placement assigns %s[%d] to unknown node %q", op.Name, p, id)
 				}
 				go func(nc *NodeController) {
@@ -269,9 +266,6 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			select {
 			case <-pl.Start:
 			case <-ctx.Done():
-				if jobGrant != nil {
-					jobGrant.Release()
-				}
 				// A watcher or the abort listener may have cancelled the
 				// run with a typed retriable failure; fail-then-read
 				// synchronizes on the errOnce, so that error wins over a
@@ -488,10 +482,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 		}
 	}
 	wg.Wait()
-	if jobGrant != nil {
-		j.peakWorking = jobGrant.Peak()
-		jobGrant.Release()
-	}
+	j.peakWorking = jobGrant.Peak()
 	// The remote-node watchers and the abort listener stop on the
 	// deferred cancel, so one can be inside fail() right now. An empty
 	// Do synchronizes with it — Do returns only after the first call's

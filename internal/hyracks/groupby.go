@@ -2,11 +2,8 @@ package hyracks
 
 import (
 	"fmt"
-	"time"
 
 	"asterix/internal/adm"
-	"asterix/internal/mem"
-	"asterix/internal/obs"
 )
 
 // AggSpec is a mergeable aggregate function over tuples. Partial states
@@ -119,37 +116,29 @@ func groupKeyEq(a, b Tuple) bool {
 
 func runGroupBy(tc *TaskContext, in *Input, out *Output, groupCols []int, aggs []AggSpec) error {
 	const spillFanout = 8
-	var (
-		gt      = newGroupTable(groupCols)
-		size    = 0
-		spills  [spillFanout]*RunWriter
-		spilled = false
-	)
-	// spillGroup writes a group's partial state as key ++ states. The
-	// record container is scratch: Write encodes it before returning, so
-	// it recycles immediately.
-	spillGroup := func(g *group) error {
-		p := gt.hash(g.key) % spillFanout
-		if spills[p] == nil {
-			rw, err := NewRunWriter(tc.TempDir())
-			if err != nil {
-				return err
+	partials := newRunSet(tc, true)
+	defer partials.close()
+	gt := newGroupTable(groupCols)
+	size := 0
+	// spillTable moves every group to the partition of its key hash as a
+	// partial-aggregate record, key ++ states, and empties the table. The
+	// record container is scratch: write encodes it before returning.
+	spillTable := func() error {
+		for _, bucket := range gt.buckets {
+			for _, g := range bucket {
+				rec := tupleScratch.Get()
+				rec = append(rec, g.key...)
+				rec = append(rec, g.states...)
+				err := partials.write(int(gt.hash(g.key)%spillFanout), rec)
+				tupleScratch.Put(rec)
+				if err != nil {
+					return err
+				}
 			}
-			spills[p] = rw
-			tc.Spill()
 		}
-		rec := tupleScratch.Get()
-		rec = append(rec, g.key...)
-		rec = append(rec, g.states...)
-		err := spills[p].Write(rec)
-		tupleScratch.Put(rec)
-		return err
-	}
-
-	step := func(g *group, t Tuple) {
-		for i, a := range aggs {
-			g.states[i] = a.Step(g.states[i], t)
-		}
+		gt.reset()
+		size = 0
+		return nil
 	}
 
 	err := in.ForEach(func(t Tuple) error {
@@ -164,114 +153,64 @@ func runGroupBy(tc *TaskContext, in *Input, out *Output, groupCols []int, aggs [
 			g = gt.insert(h, t, states)
 			size += g.key.EstimateSizeShallow() + 64
 		}
-		step(g, t)
-		for size > tc.Mem.Granted() {
-			if tc.Mem.Grow(mem.GrowChunk) {
-				continue
-			}
-			// Spill the whole table as partial aggregates and start over.
-			spilled = true
-			t0 := time.Now()
-			for _, bucket := range gt.buckets {
-				for _, g := range bucket {
-					if err := spillGroup(g); err != nil {
-						return err
-					}
-				}
-			}
-			tc.AddWait(obs.WaitSpill, time.Since(t0))
-			gt.reset()
-			size = 0
-			tc.Mem.ShrinkToMin()
+		for i, a := range aggs {
+			g.states[i] = a.Step(g.states[i], t)
 		}
-		return nil
+		return growOrSpill(tc, size, spillTable)
 	})
 	if err != nil {
 		return err
 	}
 
-	emit := func(g *group) error {
-		rec := make(Tuple, 0, len(g.key)+len(aggs))
-		rec = append(rec, g.key...)
-		for i, a := range aggs {
-			rec = append(rec, a.Finish(g.states[i]))
-		}
-		return out.Write(rec)
-	}
-
-	if !spilled {
+	emit := func(gt *groupTable) error {
 		for _, bucket := range gt.buckets {
 			for _, g := range bucket {
-				if err := emit(g); err != nil {
+				rec := make(Tuple, 0, len(g.key)+len(aggs))
+				rec = append(rec, g.key...)
+				for i, a := range aggs {
+					rec = append(rec, a.Finish(g.states[i]))
+				}
+				if err := out.Write(rec); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-
-	// Flush the residual table, then merge partials partition by
-	// partition. Run-file writes and read-back both count as spill I/O.
-	tSpill := time.Now()
-	for _, bucket := range gt.buckets {
-		for _, g := range bucket {
-			if err := spillGroup(g); err != nil {
-				return err
-			}
-		}
+	if partials.len() == 0 {
+		return emit(gt)
 	}
-	tc.AddWait(obs.WaitSpill, time.Since(tSpill))
-	for p := 0; p < spillFanout; p++ {
-		if spills[p] == nil {
-			continue
-		}
-		tRead := time.Now()
-		rr, err := spills[p].Finish()
-		if err != nil {
-			return err
-		}
-		// Spilled records carry the key already extracted up front, so the
-		// merge table's group columns are the identity list. Read-back
-		// records are pooled scratch: probe clones the key and the states
-		// are copied (or their VALUES retained, which recycling permits),
-		// so each record recycles at the end of its iteration.
-		rr.Tuples = tupleScratch
+
+	// Spill the residual table too, then merge the partials one partition
+	// at a time. Spilled records carry the key already extracted up front,
+	// so the merge table's group columns are the identity list. Read-back
+	// records are pooled scratch: insert clones the key and the states are
+	// copied (or their VALUES retained, which recycling permits).
+	if err := spillTable(); err != nil {
+		return err
+	}
+	for p := 0; p < partials.len(); p++ {
 		mt := newGroupTable(gt.idCols)
-		for {
-			rec, ok, err := rr.Next()
-			if err != nil {
-				rr.Close()
-				return err
-			}
-			if !ok {
-				break
-			}
+		err := partials.each(p, tupleScratch, func(rec Tuple) error {
 			if len(rec) != len(groupCols)+len(aggs) {
-				tupleScratch.Put(rec)
-				rr.Close()
 				return fmt.Errorf("groupby: corrupt partial record")
 			}
-			k := rec[:len(groupCols)]
-			states := rec[len(groupCols):]
+			k, states := rec[:len(groupCols)], rec[len(groupCols):]
 			g, h := mt.probe(k)
 			if g == nil {
 				mt.insert(h, k, append([]adm.Value(nil), states...))
-				tupleScratch.Put(rec)
-				continue
+				return nil
 			}
 			for i, a := range aggs {
 				g.states[i] = a.Merge(g.states[i], states[i])
 			}
-			tupleScratch.Put(rec)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		rr.Close()
-		tc.AddWait(obs.WaitSpill, time.Since(tRead))
-		for _, bucket := range mt.buckets {
-			for _, g := range bucket {
-				if err := emit(g); err != nil {
-					return err
-				}
-			}
+		if err := emit(mt); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -160,8 +160,7 @@ func TestSortInMemoryAndMergeOrdered(t *testing.T) {
 }
 
 func TestSortSpills(t *testing.T) {
-	c := newCluster(t, 1)
-	c.MemBudget = 4 << 10 // tiny budget forces spilling
+	c := newSpillCluster(t, 1, 4<<10) // tiny budget forces spilling
 	j := NewJob()
 	n := 3000
 	scan := j.Add(NewScan("scan", 1, func(tc *TaskContext, emit func(Tuple) error) error {
@@ -292,8 +291,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 }
 
 func TestHashJoinGraceSpill(t *testing.T) {
-	c := newCluster(t, 1)
-	c.MemBudget = 2 << 10 // force grace mode
+	c := newSpillCluster(t, 1, 2<<10) // force grace mode
 	j := NewJob()
 	n := 2000
 	left := j.Add(NewScan("left", 1, rangeScan(n)))
@@ -421,8 +419,7 @@ func TestGroupByParallel(t *testing.T) {
 }
 
 func TestGroupBySpill(t *testing.T) {
-	c := newCluster(t, 1)
-	c.MemBudget = 2 << 10
+	c := newSpillCluster(t, 1, 2<<10)
 	j := NewJob()
 	scan := j.Add(NewScan("scan", 1, func(tc *TaskContext, emit func(Tuple) error) error {
 		for i := 0; i < 5000; i++ {

@@ -1,11 +1,8 @@
 package hyracks
 
 import (
-	"time"
-
 	"asterix/internal/adm"
 	"asterix/internal/mem"
-	"asterix/internal/obs"
 )
 
 // JoinKind selects inner or left-outer semantics.
@@ -68,79 +65,36 @@ func hasNullKey(t Tuple, cols []int) bool {
 	return false
 }
 
-func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rightCols []int, kind JoinKind, rightWidth int, residual func(l, r Tuple) (bool, error)) error {
-	matches := func(l, r Tuple) (bool, error) {
-		if !keysEqual(l, leftCols, r, rightCols) {
-			return false, nil
-		}
-		if residual == nil {
-			return true, nil
-		}
-		return residual(l, r)
-	}
-	// Build phase: read the right side into memory, spilling to grace
-	// partitions if the budget is exceeded.
-	const graceFanout = 16
-	var (
-		table     = map[uint64][]Tuple{}
-		tableSize = 0
-		spilled   = false
-		buildRuns [graceFanout]*RunWriter
-	)
-	spillBuild := func(t Tuple) error {
-		p := HashColumns(t, rightCols) % graceFanout
-		if buildRuns[p] == nil {
-			rw, err := NewRunWriter(tc.TempDir())
+// joinProbe returns the routine that joins one left tuple against its
+// candidate right tuples — the bucket of a hash table, or the whole build
+// side of a nested-loop join — and emits what the join kind calls for:
+// left ++ right per matching pair, the left tuple once for a semi join,
+// left ++ MISSING padding for an unmatched left tuple of an outer join.
+func joinProbe(out *Output, kind JoinKind, rightWidth int, match func(l, r Tuple) (bool, error)) func(l Tuple, cands []Tuple) error {
+	return func(l Tuple, cands []Tuple) error {
+		matched := false
+		for _, r := range cands {
+			ok, err := match(l, r)
 			if err != nil {
 				return err
 			}
-			buildRuns[p] = rw
-			tc.Spill()
-		}
-		return buildRuns[p].Write(t)
-	}
-	err := right.ForEach(func(t Tuple) error {
-		if spilled {
-			return spillBuild(t)
-		}
-		h := HashColumns(t, rightCols)
-		table[h] = append(table[h], t)
-		tableSize += t.EstimateSize()
-		for tableSize > tc.Mem.Granted() {
-			if tc.Mem.Grow(mem.GrowChunk) {
+			if !ok {
 				continue
 			}
-			// Degrade: move the in-memory table to spill partitions.
-			spilled = true
-			t0 := time.Now()
-			for _, bucket := range table {
-				for _, bt := range bucket {
-					if err := spillBuild(bt); err != nil {
-						return err
-					}
-				}
+			if kind == LeftSemiJoin {
+				return out.Write(l)
 			}
-			tc.AddWait(obs.WaitSpill, time.Since(t0))
-			table = nil
-			tableSize = 0
-			tc.Mem.ShrinkToMin()
+			matched = true
+			combined := make(Tuple, 0, len(l)+len(r))
+			combined = append(combined, l...)
+			combined = append(combined, r...)
+			if err := out.Write(combined); err != nil {
+				return err
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	emit := func(l, r Tuple) error {
-		if kind == LeftSemiJoin {
-			return out.Write(l)
+		if matched || kind != LeftOuterJoin {
+			return nil
 		}
-		combined := make(Tuple, 0, len(l)+len(r))
-		combined = append(combined, l...)
-		combined = append(combined, r...)
-		return out.Write(combined)
-	}
-	emitOuter := func(l Tuple) error {
 		combined := make(Tuple, 0, len(l)+rightWidth)
 		combined = append(combined, l...)
 		for i := 0; i < rightWidth; i++ {
@@ -148,148 +102,97 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 		}
 		return out.Write(combined)
 	}
+}
 
-	if !spilled {
-		// In-memory probe.
-		return left.ForEach(func(l Tuple) error {
-			matched := false
-			if !hasNullKey(l, leftCols) {
-				h := HashColumns(l, leftCols)
-				for _, r := range table[h] {
-					ok, err := matches(l, r)
-					if err != nil {
-						return err
-					}
-					if ok {
-						matched = true
-						if kind == LeftSemiJoin {
-							return out.Write(l)
-						}
-						if err := emit(l, r); err != nil {
-							return err
-						}
-					}
+func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rightCols []int, kind JoinKind, rightWidth int, residual func(l, r Tuple) (bool, error)) error {
+	const graceFanout = 16
+	// Grace partitions of both sides. The build files are the spills the
+	// counters report; the probe files follow from them.
+	build, probe := newRunSet(tc, true), newRunSet(tc, false)
+	defer build.close()
+	defer probe.close()
+
+	// Build phase: read the right side into a hash table; when the grant
+	// cannot cover it, move the table to the build partitions and send the
+	// rest of the input straight after it.
+	var (
+		table     = map[uint64][]Tuple{}
+		tableSize = 0
+	)
+	spillTable := func() error {
+		for h, bucket := range table {
+			for _, t := range bucket {
+				if err := build.write(int(h%graceFanout), t); err != nil {
+					return err
 				}
 			}
-			if !matched && kind == LeftOuterJoin {
-				return emitOuter(l)
-			}
-			return nil
-		})
-	}
-
-	// Grace: partition the probe side the same way.
-	var probeRuns [graceFanout]*RunWriter
-	err = left.ForEach(func(t Tuple) error {
-		p := HashColumns(t, leftCols) % graceFanout
-		if probeRuns[p] == nil {
-			rw, err := NewRunWriter(tc.TempDir())
-			if err != nil {
-				return err
-			}
-			probeRuns[p] = rw
 		}
-		return probeRuns[p].Write(t)
+		table, tableSize = nil, 0
+		return nil
+	}
+	err := right.ForEach(func(t Tuple) error {
+		h := HashColumns(t, rightCols)
+		if build.len() > 0 {
+			return build.write(int(h%graceFanout), t)
+		}
+		table[h] = append(table[h], t)
+		tableSize += t.EstimateSize()
+		return growOrSpill(tc, tableSize, spillTable)
 	})
 	if err != nil {
 		return err
 	}
 
-	// Join each partition pair in memory.
+	probeOne := joinProbe(out, kind, rightWidth, func(l, r Tuple) (bool, error) {
+		if !keysEqual(l, leftCols, r, rightCols) {
+			return false, nil
+		}
+		if residual == nil {
+			return true, nil
+		}
+		return residual(l, r)
+	})
+	// probeTable joins l against its bucket (none for a null key: SQL join
+	// semantics, null/missing never match).
+	probeTable := func(table map[uint64][]Tuple, l Tuple) error {
+		if hasNullKey(l, leftCols) {
+			return probeOne(l, nil)
+		}
+		return probeOne(l, table[HashColumns(l, leftCols)])
+	}
+	if build.len() == 0 {
+		return left.ForEach(func(l Tuple) error { return probeTable(table, l) })
+	}
+
+	// Grace: partition the probe side the same way, then join each
+	// partition pair in memory.
+	err = left.ForEach(func(l Tuple) error {
+		return probe.write(int(HashColumns(l, leftCols)%graceFanout), l)
+	})
+	if err != nil {
+		return err
+	}
+	// Inner and outer probes copy the probe tuple into every emitted row,
+	// so its read-back container is pooled scratch. A semi join writes the
+	// probe tuple itself downstream and must read fresh ones.
+	probePool := tupleScratch
+	if kind == LeftSemiJoin {
+		probePool = nil
+	}
 	for p := 0; p < graceFanout; p++ {
-		var part map[uint64][]Tuple
-		if buildRuns[p] != nil {
-			part = map[uint64][]Tuple{}
-			tRead := time.Now()
-			rr, err := buildRuns[p].Finish()
-			if err != nil {
-				return err
-			}
-			for {
-				t, ok, err := rr.Next()
-				if err != nil {
-					rr.Close()
-					return err
-				}
-				if !ok {
-					break
-				}
-				part[HashColumns(t, rightCols)] = append(part[HashColumns(t, rightCols)], t)
-			}
-			rr.Close()
-			tc.AddWait(obs.WaitSpill, time.Since(tRead))
-		}
-		if probeRuns[p] == nil {
-			continue
-		}
-		// Probe-side read-back is spill I/O like the build side, but its
-		// reads interleave with match emission, so attribute each read
-		// individually instead of blanketing the whole loop.
-		tFin := time.Now()
-		rr, err := probeRuns[p].Finish()
-		tc.AddWait(obs.WaitSpill, time.Since(tFin))
+		part := map[uint64][]Tuple{}
+		err := build.each(p, nil, func(r Tuple) error {
+			h := HashColumns(r, rightCols)
+			part[h] = append(part[h], r)
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if kind != LeftSemiJoin {
-			// Inner and outer probes copy the probe tuple into every
-			// emitted row, so the read-back container is scratch and
-			// recycles per iteration. Semi joins write the probe tuple
-			// itself downstream — those must keep fresh tuples.
-			rr.Tuples = tupleScratch
+		err = probe.each(p, probePool, func(l Tuple) error { return probeTable(part, l) })
+		if err != nil {
+			return err
 		}
-		for {
-			tNext := time.Now()
-			l, ok, err := rr.Next()
-			tc.AddWait(obs.WaitSpill, time.Since(tNext))
-			if err != nil {
-				rr.Close()
-				return err
-			}
-			if !ok {
-				break
-			}
-			matched := false
-			if part != nil && !hasNullKey(l, leftCols) {
-				h := HashColumns(l, leftCols)
-				for _, r := range part[h] {
-					ok, err := matches(l, r)
-					if err != nil {
-						tupleScratch.Put(l)
-						rr.Close()
-						return err
-					}
-					if ok {
-						matched = true
-						if kind == LeftSemiJoin {
-							break
-						}
-						if err := emit(l, r); err != nil {
-							tupleScratch.Put(l)
-							rr.Close()
-							return err
-						}
-					}
-				}
-			}
-			if matched && kind == LeftSemiJoin {
-				if err := out.Write(l); err != nil {
-					rr.Close()
-					return err
-				}
-			}
-			if !matched && kind == LeftOuterJoin {
-				if err := emitOuter(l); err != nil {
-					tupleScratch.Put(l)
-					rr.Close()
-					return err
-				}
-			}
-			if kind != LeftSemiJoin {
-				tupleScratch.Put(l)
-			}
-		}
-		rr.Close()
 	}
 	return nil
 }
@@ -320,40 +223,8 @@ func NewNestedLoopJoin(name string, parallelism int, pred func(l, r Tuple) (bool
 				}); err != nil {
 					return err
 				}
-				return in[0].ForEach(func(l Tuple) error {
-					matched := false
-					for _, r := range build {
-						ok, err := pred(l, r)
-						if err != nil {
-							return err
-						}
-						if !ok {
-							continue
-						}
-						matched = true
-						if kind == LeftSemiJoin {
-							break
-						}
-						combined := make(Tuple, 0, len(l)+len(r))
-						combined = append(combined, l...)
-						combined = append(combined, r...)
-						if err := out[0].Write(combined); err != nil {
-							return err
-						}
-					}
-					if matched && kind == LeftSemiJoin {
-						return out[0].Write(l)
-					}
-					if !matched && kind == LeftOuterJoin {
-						combined := make(Tuple, 0, len(l)+rightWidth)
-						combined = append(combined, l...)
-						for i := 0; i < rightWidth; i++ {
-							combined = append(combined, adm.Missing)
-						}
-						return out[0].Write(combined)
-					}
-					return nil
-				})
+				probeOne := joinProbe(out[0], kind, rightWidth, pred)
+				return in[0].ForEach(func(l Tuple) error { return probeOne(l, build) })
 			})
 		},
 	}

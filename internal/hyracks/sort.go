@@ -1,13 +1,6 @@
 package hyracks
 
-import (
-	"sort"
-	"time"
-
-	"asterix/internal/fault"
-	"asterix/internal/mem"
-	"asterix/internal/obs"
-)
+import "sort"
 
 // NewSort builds a memory-governed external sort: each partition
 // accumulates tuples in its working-memory grant, growing it as the
@@ -28,131 +21,80 @@ func NewSort(name string, parallelism int, cmp Comparator) *Operator {
 }
 
 func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator) error {
+	runs := newRunSet(tc, true)
+	defer runs.close()
 	var (
 		buf     []Tuple
 		bufSize int
-		runs    []*RunReader
 	)
-	spill := func() error {
-		if err := fault.Hit(fault.PointSpillIO); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		defer func() { tc.AddWait(obs.WaitSpill, time.Since(t0)) }()
+	sortBuf := func() {
 		sort.SliceStable(buf, func(i, j int) bool { return cmp.Compare(buf[i], buf[j]) < 0 })
-		rw, err := NewRunWriter(tc.TempDir())
-		if err != nil {
-			return err
-		}
+	}
+	// spill writes the buffer out as the next sorted run.
+	spill := func() error {
+		sortBuf()
+		run := runs.len()
 		for _, t := range buf {
-			if err := rw.Write(t); err != nil {
-				rw.Abort()
+			if err := runs.write(run, t); err != nil {
 				return err
 			}
 		}
-		rr, err := rw.Finish()
-		if err != nil {
-			return err
-		}
-		runs = append(runs, rr)
-		tc.Spill()
-		buf = buf[:0]
-		bufSize = 0
-		tc.Mem.ShrinkToMin()
+		buf, bufSize = buf[:0], 0
 		return nil
 	}
-
 	err := in.ForEach(func(t Tuple) error {
 		buf = append(buf, t)
 		bufSize += t.EstimateSize()
-		for bufSize > tc.Mem.Granted() {
-			if !tc.Mem.Grow(mem.GrowChunk) {
-				return spill()
-			}
-		}
-		return nil
+		return growOrSpill(tc, bufSize, spill)
 	})
 	if err != nil {
 		return err
 	}
+	sortBuf()
 
-	defer func() {
-		for _, r := range runs {
-			r.Close()
-		}
-	}()
-
-	sort.SliceStable(buf, func(i, j int) bool { return cmp.Compare(buf[i], buf[j]) < 0 })
-	if len(runs) == 0 {
-		// Pure in-memory sort.
-		for _, t := range buf {
-			if err := out.Write(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// K-way merge of spilled runs plus the in-memory tail.
-	type source struct {
-		cur  Tuple
-		next func() (Tuple, bool, error)
-	}
-	var sources []*source
-	for _, r := range runs {
-		r := r
-		// Run read-back is spill I/O: attribute the wait, or the merge
-		// phase's disk stalls vanish from the operator's breakdown while
-		// the write side (spill above) is fully accounted.
-		sources = append(sources, &source{next: func() (Tuple, bool, error) {
-			t0 := time.Now()
-			t, ok, err := r.Next()
-			tc.AddWait(obs.WaitSpill, time.Since(t0))
-			return t, ok, err
-		}})
-	}
-	memPos := 0
-	sources = append(sources, &source{next: func() (Tuple, bool, error) {
-		if memPos >= len(buf) {
-			return nil, false, nil
-		}
-		t := buf[memPos]
-		memPos++
-		return t, true, nil
-	}})
-	for _, s := range sources {
-		t, ok, err := s.next()
-		if err != nil {
+	// K-way merge: sources 0..k-1 are the spilled runs, source k the
+	// in-memory tail — the whole input when nothing spilled. Ties go to the
+	// lowest source, which keeps the sort stable (runs were written in
+	// arrival order, the tail arrived last).
+	k := runs.len()
+	for p := 0; p < k; p++ {
+		if _, err := runs.open(p, nil); err != nil {
 			return err
 		}
-		if ok {
-			s.cur = t
+	}
+	memPos := 0
+	pull := func(src int) (Tuple, error) { // nil at the source's end
+		if src < k {
+			t, _, err := runs.next(src)
+			return t, err
+		}
+		if memPos == len(buf) {
+			return nil, nil
+		}
+		memPos++
+		return buf[memPos-1], nil
+	}
+	heads := make([]Tuple, k+1)
+	for src := range heads {
+		if heads[src], err = pull(src); err != nil {
+			return err
 		}
 	}
 	for {
 		best := -1
-		for i, s := range sources {
-			if s.cur == nil {
-				continue
-			}
-			if best == -1 || cmp.Compare(s.cur, sources[best].cur) < 0 {
-				best = i
+		for src, h := range heads {
+			if h != nil && (best == -1 || cmp.Compare(h, heads[best]) < 0) {
+				best = src
 			}
 		}
 		if best == -1 {
 			return nil
 		}
-		if err := out.Write(sources[best].cur); err != nil {
+		if err := out.Write(heads[best]); err != nil {
 			return err
 		}
-		t, ok, err := sources[best].next()
-		if err != nil {
+		if heads[best], err = pull(best); err != nil {
 			return err
-		}
-		if ok {
-			sources[best].cur = t
-		} else {
-			sources[best].cur = nil
 		}
 	}
 }

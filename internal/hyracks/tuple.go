@@ -136,6 +136,10 @@ func HashColumns(t Tuple, cols []int) uint64 {
 
 // --- Run files: spilled tuple streams for sort/join/group-by. ---
 
+// runFilePattern names run files, for os.CreateTemp and for the start-up
+// sweep of a node's spill directory alike.
+const runFilePattern = "run-*.tmp"
+
 // RunWriter writes tuples to a spill file.
 type RunWriter struct {
 	f   *os.File
@@ -146,9 +150,11 @@ type RunWriter struct {
 
 // NewRunWriter creates a spill file in dir. Its encode scratch comes from
 // the shared run-scratch byte pool and is handed on to the RunReader at
-// Finish; Abort (or a failed Finish) returns it directly.
+// Finish; Abort (or a failed Finish) returns it directly. Operators do not
+// call this: they spill through a runSet, which deletes its files on every
+// exit.
 func NewRunWriter(dir string) (*RunWriter, error) {
-	f, err := os.CreateTemp(dir, "run-*.tmp")
+	f, err := os.CreateTemp(dir, runFilePattern)
 	if err != nil {
 		return nil, fmt.Errorf("hyracks: create run file: %w", err)
 	}
@@ -179,17 +185,16 @@ func (rw *RunWriter) Len() int { return rw.n }
 
 // Finish flushes and returns a reader positioned at the start. The file is
 // unlinked once the reader is closed. The writer's encode scratch moves to
-// the reader (returned to the pool by the reader's Close).
+// the reader (returned to the pool by the reader's Close). A failed Finish
+// aborts the run: the writer is disposed of either way.
 func (rw *RunWriter) Finish() (*RunReader, error) {
-	if err := rw.w.Flush(); err != nil {
-		runScratch.Put(rw.buf)
-		rw.buf = nil
-		return nil, err
+	err := rw.w.Flush()
+	if err == nil {
+		_, err = rw.f.Seek(0, io.SeekStart)
 	}
-	if _, err := rw.f.Seek(0, io.SeekStart); err != nil {
-		runScratch.Put(rw.buf)
-		rw.buf = nil
-		return nil, err
+	if err != nil {
+		rw.Abort()
+		return nil, fmt.Errorf("hyracks: finish run file: %w", err)
 	}
 	rr := &RunReader{f: rw.f, r: bufio.NewReaderSize(rw.f, 1<<16), remaining: rw.n, buf: rw.buf}
 	rw.buf = nil

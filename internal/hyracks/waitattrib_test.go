@@ -33,8 +33,7 @@ func runTracedJob(t *testing.T, c *Cluster, j *Job) *obs.Span {
 // calls were once untracked, so spill writes showed up in the breakdown
 // but the read half of the same I/O vanished).
 func TestSortSpillWaitAttributed(t *testing.T) {
-	c := newCluster(t, 1)
-	c.MemBudget = 4 << 10
+	c := newSpillCluster(t, 1, 4<<10)
 	j := NewJob()
 	n := 3000
 	scan := j.Add(NewScan("scan", 1, func(tc *TaskContext, emit func(Tuple) error) error {
@@ -69,8 +68,7 @@ func TestSortSpillWaitAttributed(t *testing.T) {
 // are spill I/O. The probe side was once untracked, halving the join's
 // visible spill wait.
 func TestGraceJoinSpillWaitAttributed(t *testing.T) {
-	c := newCluster(t, 1)
-	c.MemBudget = 2 << 10
+	c := newSpillCluster(t, 1, 2<<10)
 	j := NewJob()
 	n := 2000
 	left := j.Add(NewScan("left", 1, rangeScan(n)))
