@@ -9,12 +9,14 @@ verify: tier1 lint optimizer
 	go test -race ./...
 
 # optimizer: the plan-quality gate — golden plan tests, hash-join and
-# join-order regressions, rule idempotence, and the optimizer on/off
-# equivalence corpus under the race detector. Regenerate drifted goldens
-# with ASTERIX_UPDATE_GOLDEN=1 go test ./internal/algebricks -run TestGoldenPlans.
+# join-order regressions, rule idempotence, the point-lookup job shape,
+# and under the race detector the optimizer on/off equivalence corpus
+# plus the access-path suites (typed constants, LSM states, DELETE).
+# Regenerate drifted goldens with
+# ASTERIX_UPDATE_GOLDEN=1 go test ./internal/algebricks -run TestGoldenPlans.
 optimizer:
-	go test -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule' ./internal/algebricks/
-	go test -race -run 'TestOptimizerOnOffEquivalence|TestOptimizerDisableRule|TestResultCarriesPlanAndRules' ./internal/core/
+	go test -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule|TestPrimaryKeySearchJobShape' ./internal/algebricks/
+	go test -race -run 'TestOptimizerOnOffEquivalence|TestOptimizerDisableRule|TestResultCarriesPlanAndRules|TestAccessPathTypedConstants|TestPrimaryKeyLSMStates|TestDeleteLocatesVictimsThroughPlan' ./internal/core/
 
 # lint: project-specific static analysis (see docs/STATIC_ANALYSIS.md).
 # -stats prints per-rule finding counts and wall time; the interprocedural
@@ -64,11 +66,22 @@ bench-smoke:
 	go run ./cmd/asterixbench -scale small -out BENCH_ci.json
 	go run ./cmd/asterixbench -compare BENCH_1.json -in BENCH_ci.json -warn-only -hard-units allocs/op,allocs/row
 
+# bench-repo-smoke: the repository benchmark (BENCHMARK.json, benchmark/)
+# wired into the build — its own module's tests, then one seconds-long
+# checked run of the point-lookup workload at the smoke scale. The real
+# performance gate is `bash benchmark/run.sh` on two commits plus
+# `--compare` (see README.md); this target only proves the benchmark still
+# builds, runs and verifies its answers against this tree.
+bench-repo-smoke:
+	cd benchmark && go test ./...
+	bash benchmark/run.sh --scale smoke --workload point_serve --seconds 2
+
 # fuzz-smoke: a short bounded run of each fuzz target (CI uses this).
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMBinaryRoundTrip -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
+	go test -run NONE -fuzz FuzzBTreePage -fuzztime 10s ./internal/btree
 
 help:
 	@echo "Targets:"
@@ -79,8 +92,9 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, SQL++ parser, frame decoder)"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, SQL++ parser, frame decoder, B+tree page reader)"
 	@echo "  bench       top-level benchmarks"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard)"
+	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 
-.PHONY: tier1 verify lint optimizer invariants fault-matrix net-matrix bench bench-smoke fuzz-smoke help
+.PHONY: tier1 verify lint optimizer invariants fault-matrix net-matrix bench bench-smoke bench-repo-smoke fuzz-smoke help

@@ -209,7 +209,9 @@ func DefaultConfig() *Config {
 			{Pkg: "asterix/internal/hyracks", Func: "keysEqual"},
 			{Pkg: "asterix/internal/hyracks", Func: "hasNullKey"},
 			{Pkg: "asterix/internal/hyracks", Recv: "groupTable", Func: "probe"},
-			// Storage iterator Next paths.
+			// Storage read paths.
+			{Pkg: "asterix/internal/btree", Recv: "BTree", Func: "Search"},
+			{Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "Get"},
 			{Pkg: "asterix/internal/btree", Recv: "Iterator", Func: "Next"},
 			{Pkg: "asterix/internal/btree", Recv: "Iterator", Func: "Valid"},
 			{Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "Scan"},

@@ -12,10 +12,12 @@ import (
 	"asterix/internal/sqlpp"
 )
 
-// memSource is an in-memory partitioned dataset for tests.
+// memSource is an in-memory partitioned dataset for tests: record i lives
+// on partition i%par, and pk names its primary key fields.
 type memSource struct {
 	name string
 	par  int
+	pk   []string
 	recs []adm.Value
 }
 
@@ -42,11 +44,16 @@ func (c *memCatalog) Resolve(name string) (DataSource, bool) {
 	return s, ok
 }
 func (c *memCatalog) ResolveIndex(dataset, field string) (IndexAccessor, bool) {
+	if s, ok := c.sources[dataset]; ok && len(s.pk) > 0 && s.pk[0] == field {
+		return &memIndex{src: s, kind: "PRIMARY"}, true
+	}
 	ix, ok := c.indexes[dataset+"."+field]
 	return ix, ok
 }
 
-// memIndex is a scan-backed secondary index for tests: correct, not fast.
+// memIndex is a scan-backed index for tests: correct, not fast. Kind
+// PRIMARY is the source's primary index (keyed on src.pk); the other
+// kinds are secondary indexes on field.
 type memIndex struct {
 	src   *memSource
 	field string
@@ -54,23 +61,76 @@ type memIndex struct {
 }
 
 func (ix *memIndex) Kind() string { return ix.kind }
-func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(adm.Value) error) error {
-	return ix.src.ScanPartition(part, func(rec adm.Value) error {
-		o, ok := rec.(*adm.Object)
-		if !ok {
+func (ix *memIndex) KeyFields() []string {
+	if ix.kind == "PRIMARY" {
+		return ix.src.pk
+	}
+	return []string{ix.field}
+}
+
+// keyOf returns the record's values of the index key fields (nil when one
+// is null or missing: such records are not indexed).
+func (ix *memIndex) keyOf(rec adm.Value) []adm.Value {
+	o, ok := rec.(*adm.Object)
+	if !ok {
+		return nil
+	}
+	var key []adm.Value
+	for _, f := range ix.KeyFields() {
+		v := o.Get(f)
+		if v.Kind() <= adm.KindNull {
 			return nil
 		}
-		v := o.Get(ix.field)
-		if v.Kind() == adm.KindMissing || v.Kind() == adm.KindNull {
+		key = append(key, v)
+	}
+	return key
+}
+
+// boundTuple unpacks a search bound the way IndexAccessor documents it:
+// an array over a key prefix on a composite key, else the value itself.
+func (ix *memIndex) boundTuple(b adm.Value) []adm.Value {
+	if arr, ok := b.(adm.Array); ok && len(ix.KeyFields()) > 1 {
+		return arr
+	}
+	return []adm.Value{b}
+}
+
+// comparePrefix orders key against a bound over a prefix of its fields.
+func comparePrefix(key, bound []adm.Value) int {
+	for i, b := range bound {
+		if c := adm.Compare(key[i], b); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+func (ix *memIndex) OwnerPartition(key adm.Value) (int, bool) {
+	want := ix.boundTuple(key)
+	if ix.kind != "PRIMARY" || len(want) != len(ix.src.pk) {
+		return 0, false
+	}
+	for i, r := range ix.src.recs {
+		if k := ix.keyOf(r); k != nil && comparePrefix(k, want) == 0 {
+			return i % ix.src.par, true
+		}
+	}
+	return 0, true // absent key: any one partition answers "no rows"
+}
+
+func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(adm.Value) error) error {
+	return ix.src.ScanPartition(part, func(rec adm.Value) error {
+		key := ix.keyOf(rec)
+		if key == nil {
 			return nil
 		}
 		if lo != nil {
-			if c := adm.Compare(v, lo); c < 0 || (c == 0 && !loInc) {
+			if c := comparePrefix(key, ix.boundTuple(lo)); c < 0 || (c == 0 && !loInc) {
 				return nil
 			}
 		}
 		if hi != nil {
-			if c := adm.Compare(v, hi); c > 0 || (c == 0 && !hiInc) {
+			if c := comparePrefix(key, ix.boundTuple(hi)); c > 0 || (c == 0 && !hiInc) {
 				return nil
 			}
 		}
@@ -113,7 +173,7 @@ func (ix *memIndex) SearchKeyword(part int, token string, emit func(adm.Value) e
 }
 
 func testCatalog() *memCatalog {
-	users := &memSource{name: "Users", par: 2}
+	users := &memSource{name: "Users", par: 2, pk: []string{"id"}}
 	for i := 0; i < 20; i++ {
 		users.recs = append(users.recs, adm.NewObject(
 			adm.Field{Name: "id", Value: adm.Int64(i)},
@@ -122,7 +182,7 @@ func testCatalog() *memCatalog {
 			adm.Field{Name: "tags", Value: adm.Array{adm.String("a"), adm.String(fmt.Sprintf("t%d", i%3))}},
 		))
 	}
-	msgs := &memSource{name: "Messages", par: 2}
+	msgs := &memSource{name: "Messages", par: 2, pk: []string{"mid"}}
 	for i := 0; i < 50; i++ {
 		msgs.recs = append(msgs.recs, adm.NewObject(
 			adm.Field{Name: "mid", Value: adm.Int64(i)},
@@ -373,7 +433,7 @@ func TestRuleQuantifierToSemijoin(t *testing.T) {
 }
 
 func TestPlanStringShape(t *testing.T) {
-	plan := translate(t, testCatalog(), `SELECT VALUE u FROM Users u WHERE u.id = 3`)
+	plan := translate(t, testCatalog(), `SELECT VALUE u FROM Users u WHERE u.name = "user03"`)
 	s := PlanString(plan)
 	if !strings.Contains(s, "scan(Users as u)") {
 		t.Errorf("plan:\n%s", s)
@@ -383,6 +443,11 @@ func TestPlanStringShape(t *testing.T) {
 // --- End-to-end jobgen execution ---
 
 func runJob(t *testing.T, cat Catalog, src string) []adm.Value {
+	t.Helper()
+	return runJobCtx(context.Background(), t, cat, src)
+}
+
+func runJobCtx(ctx context.Context, t *testing.T, cat Catalog, src string) []adm.Value {
 	t.Helper()
 	q, err := sqlpp.ParseQuery(src + ";")
 	if err != nil {
@@ -405,7 +470,7 @@ func runJob(t *testing.T, cat Catalog, src string) []adm.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.Run(context.Background(), job); err != nil {
+	if err := cluster.Run(ctx, job); err != nil {
 		t.Fatal(err)
 	}
 	var out []adm.Value

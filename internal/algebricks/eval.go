@@ -55,16 +55,27 @@ type DataSource interface {
 // Catalog resolves dataset names and their indexes.
 type Catalog interface {
 	Resolve(name string) (DataSource, bool)
-	// ResolveIndex returns an index on dataset.field of the given kind
-	// ("" = any kind).
+	// ResolveIndex returns the index whose key starts with dataset.field:
+	// the dataset's primary index when field leads its primary key,
+	// otherwise a secondary index on the field.
 	ResolveIndex(dataset, field string) (IndexAccessor, bool)
 }
 
-// IndexAccessor abstracts a secondary index for index-accelerated scans.
+// IndexAccessor abstracts an index for index-accelerated scans: a
+// secondary index, or (kind PRIMARY) the dataset's primary index seen as
+// an ordered index on its key.
 type IndexAccessor interface {
-	Kind() string // BTREE, RTREE, KEYWORD, ZORDER, HILBERT, GRID
-	// SearchRange emits records with lo <= field <= hi (nil = unbounded);
-	// inclusivity flags apply when bounds are non-nil.
+	Kind() string // PRIMARY, BTREE, RTREE, KEYWORD, ZORDER, HILBERT, GRID
+	// KeyFields lists the fields of the index key in key order: the one
+	// indexed field of a secondary index, the primary key of PRIMARY.
+	KeyFields() []string
+	// OwnerPartition returns the only partition that can hold records
+	// with the given key, when the index knows one: PRIMARY for a full
+	// key. Secondary indexes are partition-local and report false.
+	OwnerPartition(key adm.Value) (int, bool)
+	// SearchRange emits records with lo <= key <= hi (nil = unbounded);
+	// inclusivity flags apply when bounds are non-nil. On a composite
+	// primary key a bound is an array over a leading prefix of the key.
 	SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(rec adm.Value) error) error
 	// SearchSpatial emits records whose indexed point intersects rect.
 	SearchSpatial(part int, rect adm.Rectangle, emit func(rec adm.Value) error) error

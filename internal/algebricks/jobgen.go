@@ -161,9 +161,22 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			}
 			token = string(s)
 		}
+		// An equality search the index can pin to one partition runs
+		// there alone: the leaf, and everything pipelined above it, has
+		// parallelism 1.
+		owner := -1
+		if lo != nil && hi != nil && o.LoInc && o.HiInc && adm.Equal(lo, hi) {
+			if p, ok := idx.OwnerPartition(lo); ok {
+				owner, par = p, 1
+			}
+		}
 		kind := o.Kind
 		maxT := o.MaxTuples
 		op := j.Add(hyracks.NewScan("idx-"+o.Dataset+"."+o.Field, par, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
+			part := tc.Partition
+			if owner >= 0 {
+				part = owner
+			}
 			var n int64
 			cb := func(rec adm.Value) error {
 				if maxT > 0 && n >= maxT {
@@ -174,12 +187,12 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			}
 			var err error
 			switch kind {
-			case "BTREE":
-				err = idx.SearchRange(tc.Partition, lo, hi, o.LoInc, o.HiInc, cb)
+			case "PRIMARY", "BTREE":
+				err = idx.SearchRange(part, lo, hi, o.LoInc, o.HiInc, cb)
 			case "RTREE", "ZORDER", "HILBERT", "GRID":
-				err = idx.SearchSpatial(tc.Partition, rect, cb)
+				err = idx.SearchSpatial(part, rect, cb)
 			case "KEYWORD":
-				err = idx.SearchKeyword(tc.Partition, token, cb)
+				err = idx.SearchKeyword(part, token, cb)
 			default:
 				err = fmt.Errorf("jobgen: unknown index kind %s", kind)
 			}

@@ -32,16 +32,21 @@ type ScanOp struct {
 // IndexKind names the access paths an IndexSearchOp can use.
 type IndexKind string
 
-// IndexSearchOp replaces Scan+Select when a sargable predicate matches a
-// secondary index: search the index, fetch qualifying records (pk-sorted,
-// per [26]), and re-check the residual predicate.
+// IndexSearchOp replaces Scan+Select when a sargable predicate matches an
+// index. PRIMARY searches the primary index itself — a point lookup on
+// the owning partition for equality on the full key, a bounded scan
+// otherwise; a secondary index is searched and the qualifying records
+// fetched (pk-sorted, per [26]). Either way the residual predicate is
+// re-checked above.
 type IndexSearchOp struct {
 	Dataset string
 	Var     string
-	Field   string
-	Kind    string // BTREE, RTREE, KEYWORD, ...
+	Field   string // indexed field (PRIMARY: the leading key field)
+	Kind    string // PRIMARY, BTREE, RTREE, KEYWORD, ...
 
-	// BTREE bounds (constant expressions; nil = unbounded).
+	// PRIMARY/BTREE bounds (constant expressions; nil = unbounded). On a
+	// composite primary key they are array constructors over a leading
+	// prefix of the key.
 	Lo, Hi       sqlpp.Expr
 	LoInc, HiInc bool
 	// RTREE query rectangle (constant expression).

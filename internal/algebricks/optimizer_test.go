@@ -1,6 +1,7 @@
 package algebricks
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,9 +14,19 @@ import (
 )
 
 // testCatalog3 extends testCatalog with a third dataset (for join-order
-// clusters) and secondary indexes (for access-path selection).
+// clusters), a dataset with a composite primary key, and secondary
+// indexes (for access-path selection).
 func testCatalog3() *memCatalog {
 	cat := testCatalog()
+	checkins := &memSource{name: "Checkins", par: 2, pk: []string{"uid", "day"}}
+	for i := 0; i < 40; i++ {
+		checkins.recs = append(checkins.recs, adm.NewObject(
+			adm.Field{Name: "uid", Value: adm.Int64(i / 4)},
+			adm.Field{Name: "day", Value: adm.Int64(i % 4)},
+			adm.Field{Name: "place", Value: adm.String(fmt.Sprintf("p%d", i%7))},
+		))
+	}
+	cat.sources["Checkins"] = checkins
 	likes := &memSource{name: "Likes", par: 2}
 	for i := 0; i < 100; i++ {
 		likes.recs = append(likes.recs, adm.NewObject(
@@ -62,7 +73,7 @@ func TestGoldenPlans(t *testing.T) {
 		name string
 		src  string
 	}{
-		{"scan_filter", `SELECT VALUE u.name FROM Users u WHERE u.id < 3`},
+		{"scan_filter", `SELECT VALUE u.id FROM Users u WHERE u.name < "user03"`},
 		{"constant_fold", `SELECT VALUE u.id FROM Users u WHERE u.id < 1 + 2 AND 1 = 1`},
 		{"hash_join", `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id AND u.age > 21`},
 		{"commuted_join", `SELECT u.name, m.mid FROM Users u, Messages m WHERE u.id = m.authorId`},
@@ -72,6 +83,21 @@ func TestGoldenPlans(t *testing.T) {
 			WHERE m.authorId = u.id AND l.mid = m.mid AND u.id = 7`},
 		{"group_after_join", `SELECT u.name AS name, COUNT(m) AS cnt
 			FROM Users u JOIN Messages m ON m.authorId = u.id GROUP BY u.name AS name`},
+		// The primary index as an access path.
+		{"pk_equality", `SELECT VALUE u.name FROM Users u WHERE u.id = 7`},
+		{"pk_equality_commuted", `SELECT VALUE u.name FROM Users u WHERE 7 = u.id`},
+		{"pk_range_one_bound", `SELECT VALUE u.name FROM Users u WHERE u.id > 15`},
+		{"pk_range_commuted", `SELECT VALUE u.name FROM Users u WHERE 15 < u.id`},
+		{"pk_range_two_bounds", `SELECT VALUE u.name FROM Users u WHERE u.id >= 3 AND u.id < 9`},
+		{"pk_equality_beats_secondary", `SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id = 7`},
+		{"pk_range_after_secondary", `SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id > 7`},
+		{"pk_equality_join_input", `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id AND u.id = 7`},
+		{"pk_range_limit", `SELECT VALUE u.name FROM Users u WHERE u.id > 3 LIMIT 2`},
+		{"pk_composite_full", `SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3`},
+		{"pk_composite_prefix", `SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3`},
+		{"pk_composite_prefix_range", `SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day >= 1 AND c.day < 3`},
+		{"pk_composite_second_field_only", `SELECT VALUE c.place FROM Checkins c WHERE c.day = 2`},
+		{"pk_array_constant_stays_scan", `SELECT VALUE u.name FROM Users u WHERE u.id = [7]`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -98,6 +124,47 @@ func TestGoldenPlans(t *testing.T) {
 				t.Errorf("plan drifted from golden %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// Equality on the full primary key is a point lookup on the owning
+// partition: its leaf, and everything pipelined above it, runs as one
+// task. Ranges and key prefixes still probe every partition.
+func TestPrimaryKeySearchJobShape(t *testing.T) {
+	cat := testCatalog3()
+	cases := []struct {
+		src       string
+		leaf      string
+		leafTasks int
+		allTasks  int // 0 = not asserted
+		rows      int
+	}{
+		{`SELECT VALUE u.name FROM Users u WHERE u.id = 7`, "idx-Users.id", 1, 5, 1}, // partition 1
+		{`SELECT VALUE u.name FROM Users u WHERE u.id = 8.0`, "idx-Users.id", 1, 5, 1},
+		{`SELECT VALUE u.name FROM Users u WHERE u.id = 99`, "idx-Users.id", 1, 5, 0},
+		{`SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id = 7`, "idx-Users.id", 1, 5, 1},
+		{`SELECT VALUE u.name FROM Users u WHERE u.id > 15`, "idx-Users.id", 2, 0, 4},
+		{`SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3`, "idx-Checkins.uid", 1, 5, 1},
+		{`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3`, "idx-Checkins.uid", 2, 0, 4},
+		{`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day >= 1 AND c.day < 3`, "idx-Checkins.uid", 2, 0, 2},
+	}
+	for _, c := range cases {
+		root := obs.NewSpan("query")
+		root.SetDetailed(true)
+		rows := runJobCtx(obs.ContextWithSpan(context.Background(), root), t, cat, c.src)
+		if len(rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.src, len(rows), c.rows)
+		}
+		tasks := root.Tree().Children
+		leaf := 0
+		for _, ts := range tasks {
+			if strings.HasPrefix(ts.Name, c.leaf+"[") {
+				leaf++
+			}
+		}
+		if leaf != c.leafTasks || (c.allTasks > 0 && len(tasks) != c.allTasks) {
+			t.Errorf("%s: %d leaf tasks of %d, want %d of %d", c.src, leaf, len(tasks), c.leafTasks, c.allTasks)
+		}
 	}
 }
 

@@ -542,32 +542,41 @@ func ruleIntroduceIndexSearch(tr *Translator, plan Op) (Op, int) {
 	})
 }
 
-// introduceIndex replaces Scan+Select with an index search when a
-// conjunct is sargable on an indexed field.
-func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
-	if tr.Catalog == nil {
-		return nil, false
-	}
-	cs := conjuncts(sel.Cond)
+// rangeBound is the sargable constraint the conjuncts of one predicate
+// put on one field: constant bounds, nil = unbounded on that side.
+type rangeBound struct {
+	lo, hi       sqlpp.Expr
+	loInc, hiInc bool
+}
 
-	fieldOf := func(e sqlpp.Expr) (string, bool) {
-		fa, ok := e.(*sqlpp.FieldAccess)
-		if !ok {
-			return "", false
-		}
-		vr, ok := fa.Base.(*sqlpp.VarRef)
-		if !ok || vr.Name != scan.Var {
-			return "", false
-		}
-		return fa.Field, true
-	}
+// isEq reports whether the bound came from an equality conjunct.
+func (rb *rangeBound) isEq() bool {
+	return rb.lo != nil && rb.lo == rb.hi && rb.loInc && rb.hiInc
+}
 
-	// BTREE: collect range bounds per field, in first-conjunct order so
-	// the chosen access path is deterministic.
-	type rangeBound struct {
-		lo, hi       sqlpp.Expr
-		loInc, hiInc bool
+// isKeyConstant reports whether e is a constant an ordered index can be
+// probed with: it evaluates at plan time to a non-null scalar that
+// adm.EncodeKey accepts. Anything else (arrays, objects, rectangles,
+// null, missing) stays with the residual filter, which gives it the
+// comparison semantics a scan would.
+func (tr *Translator) isKeyConstant(e sqlpp.Expr) bool {
+	if !tr.isConstant(e) || containsSubquery(e) {
+		return false
 	}
+	v, err := tr.constValue(e)
+	if err != nil || v.Kind() <= adm.KindNull {
+		return false
+	}
+	_, err = adm.EncodeKey(nil, v)
+	return err == nil
+}
+
+// collectBounds gathers, per field of scanVar, the bounds that conjuncts
+// of the form `var.field op constant` (either operand order) impose, and
+// the fields in first-conjunct order so access-path choice is
+// deterministic. It serves every ordered index kind, primary and
+// secondary.
+func (tr *Translator) collectBounds(cs []sqlpp.Expr, fieldOf func(sqlpp.Expr) (string, bool)) (map[string]*rangeBound, []string) {
 	bounds := map[string]*rangeBound{}
 	var fieldOrder []string
 	for _, c := range cs {
@@ -578,9 +587,9 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		var field string
 		var valExpr sqlpp.Expr
 		op := b.Op
-		if f, ok := fieldOf(b.L); ok && tr.isConstant(b.R) {
+		if f, ok := fieldOf(b.L); ok && tr.isKeyConstant(b.R) {
 			field, valExpr = f, b.R
-		} else if f, ok := fieldOf(b.R); ok && tr.isConstant(b.L) {
+		} else if f, ok := fieldOf(b.R); ok && tr.isKeyConstant(b.L) {
 			field, valExpr = f, b.L
 			// Flip the comparison.
 			switch op {
@@ -596,10 +605,9 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		} else {
 			continue
 		}
-		idx, ok := tr.Catalog.ResolveIndex(scan.Dataset, field)
-		if !ok || idx.Kind() != "BTREE" {
-			// Only value-ordered indexes take range predicates (the
-			// curve/grid variants are driven through spatial preds).
+		switch op {
+		case "=", "<", "<=", ">", ">=":
+		default:
 			continue
 		}
 		rb := bounds[field]
@@ -621,19 +629,110 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 			rb.lo, rb.loInc = valExpr, true
 		}
 	}
+	return bounds, fieldOrder
+}
+
+// primaryBounds turns per-field bounds into bounds on the primary key
+// (k1..kn): equality on a leading run of key fields, then optionally a
+// range on the next one. Bounds on a single-field key are the constants
+// themselves; on a composite key they are array constructors over the
+// constrained prefix. point reports equality on the full key.
+func primaryBounds(key []string, bounds map[string]*rangeBound) (rb rangeBound, point, ok bool) {
+	var eq []sqlpp.Expr
+	for _, f := range key {
+		b := bounds[f]
+		if b == nil || !b.isEq() {
+			break
+		}
+		eq = append(eq, b.lo)
+	}
+	tuple := func(prefix []sqlpp.Expr, last sqlpp.Expr) sqlpp.Expr {
+		if last != nil {
+			prefix = append(prefix[:len(prefix):len(prefix)], last)
+		}
+		switch {
+		case len(prefix) == 0:
+			return nil
+		case len(key) == 1:
+			return prefix[0]
+		}
+		return &sqlpp.ArrayConstructor{Elems: prefix}
+	}
+	if len(eq) == len(key) {
+		k := tuple(eq, nil)
+		return rangeBound{lo: k, hi: k, loInc: true, hiInc: true}, true, true
+	}
+	rb = rangeBound{loInc: true, hiInc: true}
+	var lo, hi sqlpp.Expr
+	if b := bounds[key[len(eq)]]; b != nil {
+		if lo = b.lo; lo != nil {
+			rb.loInc = b.loInc
+		}
+		if hi = b.hi; hi != nil {
+			rb.hiInc = b.hiInc
+		}
+	}
+	rb.lo, rb.hi = tuple(eq, lo), tuple(eq, hi)
+	return rb, false, rb.lo != nil || rb.hi != nil
+}
+
+// introduceIndex replaces Scan+Select with an index search when a
+// conjunct is sargable on an indexed field or on the primary key.
+func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
+	if tr.Catalog == nil {
+		return nil, false
+	}
+	cs := conjuncts(sel.Cond)
+
+	fieldOf := func(e sqlpp.Expr) (string, bool) {
+		fa, ok := e.(*sqlpp.FieldAccess)
+		if !ok {
+			return "", false
+		}
+		vr, ok := fa.Base.(*sqlpp.VarRef)
+		if !ok || vr.Name != scan.Var {
+			return "", false
+		}
+		return fa.Field, true
+	}
+
+	// Ordered indexes (PRIMARY, BTREE): the first bounded field with a
+	// usable index wins, except that equality on the full primary key —
+	// one record on one partition — beats any earlier candidate. The full
+	// predicate stays as a residual filter: the index delivers a
+	// superset-safe candidate set, and re-checking keeps open-type edge
+	// cases (non-comparable values) correct.
+	bounds, fieldOrder := tr.collectBounds(cs, fieldOf)
+	var best *IndexSearchOp
 	for _, field := range fieldOrder {
-		rb := bounds[field]
-		if rb.lo == nil && rb.hi == nil {
+		idx, ok := tr.Catalog.ResolveIndex(scan.Dataset, field)
+		if !ok {
 			continue
 		}
-		is := &IndexSearchOp{
-			Dataset: scan.Dataset, Var: scan.Var, Field: field, Kind: "BTREE",
-			Lo: rb.lo, Hi: rb.hi, LoInc: rb.loInc, HiInc: rb.hiInc,
+		rb, point := *bounds[field], false
+		switch idx.Kind() {
+		case "BTREE":
+			// Only value-ordered indexes take range predicates (the
+			// curve/grid variants are driven through spatial preds).
+		case "PRIMARY":
+			if rb, point, ok = primaryBounds(idx.KeyFields(), bounds); !ok {
+				continue
+			}
+		default:
+			continue
 		}
-		// Keep the full predicate as a residual filter: the index
-		// delivers a superset-safe candidate set; re-checking keeps
-		// open-type edge cases (non-comparable values) correct.
-		return &SelectOp{In: is, Cond: sel.Cond}, true
+		if best == nil || point {
+			best = &IndexSearchOp{
+				Dataset: scan.Dataset, Var: scan.Var, Field: field, Kind: idx.Kind(),
+				Lo: rb.lo, Hi: rb.hi, LoInc: rb.loInc, HiInc: rb.hiInc,
+			}
+		}
+		if point {
+			break
+		}
+	}
+	if best != nil {
+		return &SelectOp{In: best, Cond: sel.Cond}, true
 	}
 
 	// RTREE: spatial_intersect(field, <const rect>).

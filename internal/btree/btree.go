@@ -115,11 +115,11 @@ func newNode(typ byte) *node { return &node{typ: typ, next: noPage} }
 
 // encodedSize returns the page bytes the node needs.
 func (n *node) encodedSize() int {
-	sz := 1 + 2 + 4 // type, count, next
+	sz := pageHeaderSize
 	for i, k := range n.keys {
-		sz += uvarintLen(uint64(len(k))) + len(k)
+		sz += chunkSize(k)
 		if n.typ == nodeLeaf {
-			sz += uvarintLen(uint64(len(n.vals[i]))) + len(n.vals[i])
+			sz += chunkSize(n.vals[i])
 		}
 	}
 	if n.typ == nodeInterior {
@@ -127,6 +127,9 @@ func (n *node) encodedSize() int {
 	}
 	return sz
 }
+
+// chunkSize returns the encoded size of one length-prefixed byte string.
+func chunkSize(b []byte) int { return uvarintLen(uint64(len(b))) + len(b) }
 
 func uvarintLen(x uint64) int {
 	n := 1
@@ -158,16 +161,21 @@ func (n *node) encode(buf []byte) {
 	}
 }
 
+// decodeNode materialises a page for the write side (insert, delete) and
+// the validator; reads go through page.go.
 func decodeNode(buf []byte) (*node, error) {
-	n := &node{typ: buf[0]}
-	cnt := int(binary.BigEndian.Uint16(buf[1:]))
-	n.next = int32(binary.BigEndian.Uint32(buf[3:]))
-	pos := 7
+	if len(buf) < pageHeaderSize {
+		return nil, errCorrupt
+	}
+	cnt, next, pos, err := pageHeader(buf, buf[0])
+	if err != nil {
+		return nil, err
+	}
+	n := &node{typ: buf[0], next: next}
 	if n.typ == nodeInterior {
 		n.children = make([]int32, cnt+1)
 		for i := range n.children {
-			n.children[i] = int32(binary.BigEndian.Uint32(buf[pos:]))
-			pos += 4
+			n.children[i] = int32(binary.BigEndian.Uint32(buf[pageHeaderSize+4*i:]))
 		}
 	}
 	n.keys = make([][]byte, cnt)
@@ -175,32 +183,33 @@ func decodeNode(buf []byte) (*node, error) {
 		n.vals = make([][]byte, cnt)
 	}
 	for i := 0; i < cnt; i++ {
-		kl, m := binary.Uvarint(buf[pos:])
-		if m <= 0 {
-			return nil, fmt.Errorf("btree: corrupt node")
+		k, end, ok := readChunk(buf, pos)
+		if !ok {
+			return nil, errCorrupt
 		}
-		pos += m
-		n.keys[i] = append([]byte(nil), buf[pos:pos+int(kl)]...)
-		pos += int(kl)
+		n.keys[i] = append([]byte(nil), k...)
+		pos = end
 		if n.typ == nodeLeaf {
-			vl, m := binary.Uvarint(buf[pos:])
-			if m <= 0 {
-				return nil, fmt.Errorf("btree: corrupt node")
+			v, end, ok := readChunk(buf, pos)
+			if !ok {
+				return nil, errCorrupt
 			}
-			pos += m
-			n.vals[i] = append([]byte(nil), buf[pos:pos+int(vl)]...)
-			pos += int(vl)
+			n.vals[i] = append([]byte(nil), v...)
+			pos = end
 		}
 	}
 	return n, nil
 }
 
+func (t *BTree) pageID(num int32) storage.PageID {
+	return storage.PageID{File: t.file, Num: num}
+}
+
 func (t *BTree) readNode(num int32) (*node, error) {
-	p, err := t.bc.Pin(storage.PageID{File: t.file, Num: num})
+	p, err := t.bc.Pin(t.pageID(num))
 	if err != nil {
 		return nil, err
 	}
-	//lint:ignore hot-alloc per-page decode builds the node once and is amortized across every tuple read from that leaf; a node cache would remove it entirely (tracked in ROADMAP)
 	n, err := decodeNode(p.Data)
 	t.bc.Unpin(p, false)
 	return n, err
@@ -258,25 +267,36 @@ func (n *node) leafIndex(key []byte) (int, bool) {
 	return lo, false
 }
 
-// Search returns the value stored under key.
+// Search returns a copy of the value stored under key. The leaf is
+// searched in place while pinned; the copy is the only allocation.
 func (t *BTree) Search(key []byte) ([]byte, bool, error) {
-	num := t.root
-	for lvl := t.height; lvl > 1; lvl-- {
-		n, err := t.readNode(num)
-		if err != nil {
-			return nil, false, err
-		}
-		num = n.children[n.childIndex(key)]
-	}
-	leaf, err := t.readNode(num)
+	num, err := t.findLeaf(key)
 	if err != nil {
 		return nil, false, err
 	}
-	i, found := leaf.leafIndex(key)
-	if !found {
-		return nil, false, nil
+	p, err := t.bc.Pin(t.pageID(num))
+	if err != nil {
+		return nil, false, err
 	}
-	return leaf.vals[i], true, nil
+	defer t.bc.Unpin(p, false)
+	cnt, _, pos, err := pageHeader(p.Data, nodeLeaf)
+	if err != nil {
+		return nil, false, err
+	}
+	c := leafCursor{buf: p.Data, pos: pos, left: cnt}
+	for {
+		k, v, ok, err := c.next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		switch bytes.Compare(k, key) {
+		case 0:
+			//lint:ignore hot-alloc the one copy the contract requires: the result must outlive the page pin
+			return append([]byte(nil), v...), true, nil
+		case 1:
+			return nil, false, nil
+		}
+	}
 }
 
 // Insert upserts key → value.
@@ -312,6 +332,9 @@ func (t *BTree) insertAt(num int32, level int32, key, value []byte) (sep []byte,
 	n, err := t.readNode(num)
 	if err != nil {
 		return nil, noPage, false, err
+	}
+	if (level == 1) != (n.typ == nodeLeaf) {
+		return nil, noPage, false, errCorrupt
 	}
 	if level == 1 {
 		i, found := n.leafIndex(key)
@@ -385,17 +408,16 @@ func (t *BTree) finishInsert(num int32, n *node, replaced bool) ([]byte, int32, 
 // Delete removes key, reporting whether it was present. Leaves may
 // underflow; they are not merged (lazy deletion).
 func (t *BTree) Delete(key []byte) (bool, error) {
-	num := t.root
-	for lvl := t.height; lvl > 1; lvl-- {
-		n, err := t.readNode(num)
-		if err != nil {
-			return false, err
-		}
-		num = n.children[n.childIndex(key)]
+	num, err := t.findLeaf(key)
+	if err != nil {
+		return false, err
 	}
 	leaf, err := t.readNode(num)
 	if err != nil {
 		return false, err
+	}
+	if leaf.typ != nodeLeaf {
+		return false, errCorrupt
 	}
 	i, found := leaf.leafIndex(key)
 	if !found {
@@ -411,46 +433,23 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 }
 
 // Scan visits entries with lo <= key <= hi in order (nil bounds are
-// unbounded). fn returning false stops the scan early.
+// unbounded). fn returning false stops the scan early. key and value are
+// valid only until fn returns.
 func (t *BTree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	num := t.root
-	for lvl := t.height; lvl > 1; lvl-- {
-		n, err := t.readNode(num)
-		if err != nil {
-			return err
-		}
-		if lo == nil {
-			num = n.children[0]
-		} else {
-			num = n.children[n.childIndex(lo)]
+	var it Iterator
+	for it.seek(t, lo, hi); it.Valid(); it.Next() {
+		if !fn(it.key, it.val) {
+			return nil
 		}
 	}
-	for num != noPage {
-		leaf, err := t.readNode(num)
-		if err != nil {
-			return err
-		}
-		start := 0
-		if lo != nil {
-			start, _ = leaf.leafIndex(lo)
-		}
-		for i := start; i < len(leaf.keys); i++ {
-			if hi != nil && bytes.Compare(leaf.keys[i], hi) > 0 {
-				return nil
-			}
-			if !fn(leaf.keys[i], leaf.vals[i]) {
-				return nil
-			}
-		}
-		num = leaf.next
-	}
-	return nil
+	return it.err
 }
 
 // BulkLoad builds the tree bottom-up from strictly-ascending (key, value)
-// pairs supplied by next (which returns ok=false at end). The tree must be
-// empty. This is the efficient sorted-load path that Section V-C contrasts
-// with linear hashing.
+// pairs supplied by next (which returns ok=false at end; a pair need only
+// stay valid until the following call to next). The tree must be empty.
+// This is the efficient sorted-load path that Section V-C contrasts with
+// linear hashing.
 func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: bulk load into non-empty tree")
@@ -460,6 +459,7 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 
 	var (
 		leaf     = newNode(nodeLeaf)
+		leafSize = pageHeaderSize // leaf.encodedSize(), kept as entries are added
 		prevLeaf = noPage
 		pages    []int32  // finished pages at the current level
 		seps     [][]byte // first key of each finished page
@@ -476,19 +476,18 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 			return err
 		}
 		if prevLeaf != noPage {
-			pn, err := t.readNode(prevLeaf)
+			// Link the previous leaf: its next field, patched in the page.
+			p, err := t.bc.Pin(t.pageID(prevLeaf))
 			if err != nil {
 				return err
 			}
-			pn.next = num
-			if err := t.writeNode(prevLeaf, pn); err != nil {
-				return err
-			}
+			binary.BigEndian.PutUint32(p.Data[3:], uint32(num))
+			t.bc.Unpin(p, true)
 		}
 		prevLeaf = num
 		pages = append(pages, num)
 		seps = append(seps, append([]byte(nil), leaf.keys[0]...))
-		leaf = newNode(nodeLeaf)
+		leaf, leafSize = newNode(nodeLeaf), pageHeaderSize
 		return nil
 	}
 
@@ -504,10 +503,19 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		if len(k)+len(v) > t.MaxEntrySize() {
 			return fmt.Errorf("btree: entry exceeds max size")
 		}
+		// An entry can be a quarter page while the fill target leaves a
+		// tenth free: close the leaf first if this one would not fit.
+		entrySize := chunkSize(k) + chunkSize(v)
+		if len(leaf.keys) > 0 && leafSize+entrySize > pageSize {
+			if err := flushLeaf(); err != nil {
+				return err
+			}
+		}
 		leaf.keys = append(leaf.keys, append([]byte(nil), k...))
 		leaf.vals = append(leaf.vals, append([]byte(nil), v...))
+		leafSize += entrySize
 		total++
-		if leaf.encodedSize() >= fill {
+		if leafSize >= fill {
 			if err := flushLeaf(); err != nil {
 				return err
 			}
@@ -529,11 +537,13 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		for i < len(pages) {
 			in := newNode(nodeInterior)
 			in.children = []int32{pages[i]}
+			size := pageHeaderSize + 4 // in.encodedSize(), kept as children are added
 			firstSep := seps[i]
 			i++
-			for i < len(pages) && in.encodedSize() < fill {
+			for i < len(pages) && size < fill && size+4+chunkSize(seps[i]) <= pageSize {
 				in.keys = append(in.keys, seps[i])
 				in.children = append(in.children, pages[i])
+				size += 4 + chunkSize(seps[i])
 				i++
 			}
 			num, err := t.allocNode(in)

@@ -4,11 +4,19 @@ import "bytes"
 
 // Iterator is a pull-style cursor over a key range, used by LSM k-way
 // merges where callback-style Scan cannot interleave multiple sources.
+//
+// It holds no pin between calls: each leaf is pinned once, copied into
+// the iterator's own page buffer and unpinned, and entries are then read
+// out of that copy in place. Key and Value alias the buffer, so they are
+// valid until the next call to Next.
 type Iterator struct {
 	t    *BTree
 	hi   []byte
-	node *node
-	pos  int
+	page []byte // the iterator's copy of the current leaf
+	cur  leafCursor
+	next int32 // leaf after the current one
+	key  []byte
+	val  []byte
 	err  error
 	done bool
 }
@@ -17,76 +25,85 @@ type Iterator struct {
 // yields keys up to hi inclusive (nil = max).
 func (t *BTree) NewIterator(lo, hi []byte) *Iterator {
 	//lint:ignore hot-alloc per-scan cursor setup: one allocation per NewIterator, not per Next
-	it := &Iterator{t: t, hi: hi}
-	num := t.root
-	for lvl := t.height; lvl > 1; lvl-- {
-		n, err := t.readNode(num)
-		if err != nil {
-			it.err = err
-			it.done = true
-			return it
-		}
-		if lo == nil {
-			num = n.children[0]
-		} else {
-			num = n.children[n.childIndex(lo)]
-		}
-	}
-	leaf, err := t.readNode(num)
-	if err != nil {
-		it.err = err
-		it.done = true
-		return it
-	}
-	it.node = leaf
-	if lo != nil {
-		it.pos, _ = leaf.leafIndex(lo)
-	}
-	it.skipEmptyLeaves()
+	it := &Iterator{}
+	it.seek(t, lo, hi)
 	return it
 }
 
-// skipEmptyLeaves advances across exhausted leaves.
-func (it *Iterator) skipEmptyLeaves() {
-	for it.node != nil && it.pos >= len(it.node.keys) {
-		if it.node.next == noPage {
-			it.done = true
-			it.node = nil
-			return
-		}
-		n, err := it.t.readNode(it.node.next)
-		if err != nil {
-			it.err = err
-			it.done = true
-			it.node = nil
-			return
-		}
-		it.node = n
-		it.pos = 0
+// seek positions the iterator on the first entry with key >= lo.
+func (it *Iterator) seek(t *BTree, lo, hi []byte) {
+	it.t, it.hi = t, hi
+	num, err := t.findLeaf(lo)
+	if err != nil {
+		it.fail(err)
+		return
+	}
+	//lint:ignore hot-alloc per-scan cursor setup: the page buffer is allocated once per iterator and reused for every leaf
+	it.page = make([]byte, t.bc.FileManager().PageSize())
+	if !it.load(num) {
+		return
+	}
+	it.Next()
+	for lo != nil && !it.done && bytes.Compare(it.key, lo) < 0 {
+		it.Next()
 	}
 }
 
-// Valid reports whether the cursor is on an entry.
-func (it *Iterator) Valid() bool {
-	if it.done || it.node == nil {
+// load copies leaf num into the iterator's buffer: one pin per leaf visit.
+func (it *Iterator) load(num int32) bool {
+	p, err := it.t.bc.Pin(it.t.pageID(num))
+	if err != nil {
+		it.fail(err)
 		return false
 	}
-	if it.hi != nil && bytes.Compare(it.node.keys[it.pos], it.hi) > 0 {
+	copy(it.page, p.Data)
+	it.t.bc.Unpin(p, false)
+	cnt, next, pos, err := pageHeader(it.page, nodeLeaf)
+	if err != nil {
+		it.fail(err)
 		return false
 	}
+	it.cur = leafCursor{buf: it.page, pos: pos, left: cnt}
+	it.next = next
 	return true
 }
 
+func (it *Iterator) fail(err error) {
+	it.err, it.done = err, true
+}
+
+// Valid reports whether the cursor is on an entry.
+func (it *Iterator) Valid() bool { return !it.done }
+
 // Key returns the current key (valid until Next).
-func (it *Iterator) Key() []byte { return it.node.keys[it.pos] }
+func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current value (valid until Next).
-func (it *Iterator) Value() []byte { return it.node.vals[it.pos] }
+func (it *Iterator) Value() []byte { return it.val }
 
-// Next advances the cursor.
+// Next advances the cursor, crossing to the next non-empty leaf when the
+// current one is exhausted, and ends the iteration past hi.
 func (it *Iterator) Next() {
-	it.pos++
-	it.skipEmptyLeaves()
+	for !it.done {
+		k, v, ok, err := it.cur.next()
+		if err != nil {
+			it.fail(err)
+			return
+		}
+		if ok {
+			if it.hi != nil && bytes.Compare(k, it.hi) > 0 {
+				it.done = true
+				return
+			}
+			it.key, it.val = k, v
+			return
+		}
+		if it.next == noPage {
+			it.done = true
+			return
+		}
+		it.load(it.next)
+	}
 }
 
 // Err returns any I/O error the iterator hit.

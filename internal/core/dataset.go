@@ -5,6 +5,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -425,18 +426,22 @@ func (d *Dataset) ScanPartition(part int, emit func(adm.Value) error) error {
 		}
 		return adapter.Scan(part, d.def.Partitions, emit)
 	}
+	return d.scanRange(part, nil, nil, nil, emit)
+}
+
+// scanRange decodes and emits the partition's records with key bytes in
+// [lo, hi] (nil = unbounded), except the one stored under skip.
+func (d *Dataset) scanRange(part int, lo, hi, skip []byte, emit func(adm.Value) error) error {
 	var scanErr error
-	err := d.parts[part].Scan(nil, nil, func(k, v []byte) bool {
-		rec, err := decodeRecord(v)
-		if err != nil {
-			scanErr = err
-			return false
+	err := d.parts[part].Scan(lo, hi, func(k, v []byte) bool {
+		if skip != nil && bytes.Equal(k, skip) {
+			return true
 		}
-		if err := emit(rec); err != nil {
-			scanErr = err
-			return false
+		var rec adm.Value
+		if rec, scanErr = decodeRecord(v); scanErr == nil {
+			scanErr = emit(rec)
 		}
-		return true
+		return scanErr == nil
 	})
 	if err != nil {
 		return err
@@ -495,8 +500,112 @@ func (d *Dataset) Validate() error {
 
 // --- algebricks.IndexAccessor ---
 
+// primaryIndex presents the dataset's primary index — one B+tree per
+// hash partition, ordered on the encoded primary key — as the PRIMARY
+// access path of the optimizer.
+type primaryIndex struct{ ds *Dataset }
+
+// Kind implements algebricks.IndexAccessor.
+func (primaryIndex) Kind() string { return "PRIMARY" }
+
+// KeyFields implements algebricks.IndexAccessor.
+func (pi primaryIndex) KeyFields() []string { return pi.ds.def.PrimaryKey }
+
+// keyPrefix unpacks a search bound into values of leading key fields: the
+// bound itself on a single-field key, an array over a prefix otherwise.
+func (pi primaryIndex) keyPrefix(bound adm.Value) ([]adm.Value, error) {
+	n := len(pi.ds.def.PrimaryKey)
+	if n == 1 {
+		return []adm.Value{bound}, nil
+	}
+	arr, ok := bound.(adm.Array)
+	if !ok || len(arr) == 0 || len(arr) > n {
+		return nil, fmt.Errorf("core: primary search on %s: bound %s is not a prefix of its %d-field key", pi.ds.def.Name, bound, n)
+	}
+	return arr, nil
+}
+
+// encodeBound encodes a search bound (nil = unbounded) as key bytes; full
+// reports that it covers the whole key.
+func (pi primaryIndex) encodeBound(bound adm.Value) (kb []byte, full bool, err error) {
+	if bound == nil {
+		return nil, false, nil
+	}
+	pks, err := pi.keyPrefix(bound)
+	if err != nil {
+		return nil, false, err
+	}
+	kb, err = encodePK(pks)
+	return kb, len(pks) == len(pi.ds.def.PrimaryKey), err
+}
+
+// OwnerPartition implements algebricks.IndexAccessor: a full key hashes
+// to one partition, exactly as locate places the record on upsert.
+func (pi primaryIndex) OwnerPartition(key adm.Value) (int, bool) {
+	pks, err := pi.keyPrefix(key)
+	if err != nil || len(pks) != len(pi.ds.def.PrimaryKey) {
+		return 0, false
+	}
+	return pi.ds.partitionOf(pks), true
+}
+
+// SearchRange implements algebricks.IndexAccessor: Tree.Get when the
+// bounds pin one full key, a bounded Tree.Scan otherwise.
+func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(adm.Value) error) error {
+	d := pi.ds
+	loB, loFull, err := pi.encodeBound(lo)
+	if err != nil {
+		return err
+	}
+	hiB, hiFull, err := pi.encodeBound(hi)
+	if err != nil {
+		return err
+	}
+	if loFull && hiFull && loInc && hiInc && bytes.Equal(loB, hiB) {
+		rec, ok, err := d.getRecord(part, loB)
+		if err != nil || !ok {
+			return err
+		}
+		return emit(rec)
+	}
+	var skip []byte
+	// Every key extending a prefix sorts after the prefix and before
+	// prefix+0xFF (key component tags are all below 0xFF), so appending
+	// 0xFF turns "past this prefix" into a byte bound. An exclusive upper
+	// bound stops at the prefix itself, which only a full key can equal.
+	if lo != nil && !loInc {
+		loB = append(loB, 0xFF)
+	}
+	if hi != nil {
+		if hiInc {
+			hiB = append(hiB, 0xFF)
+		} else {
+			skip = hiB
+		}
+	}
+	return d.scanRange(part, loB, hiB, skip, emit)
+}
+
+// SearchSpatial implements algebricks.IndexAccessor.
+func (pi primaryIndex) SearchSpatial(int, adm.Rectangle, func(adm.Value) error) error {
+	return fmt.Errorf("core: spatial search on the primary index of %s", pi.ds.def.Name)
+}
+
+// SearchKeyword implements algebricks.IndexAccessor.
+func (pi primaryIndex) SearchKeyword(int, string, func(adm.Value) error) error {
+	return fmt.Errorf("core: keyword search on the primary index of %s", pi.ds.def.Name)
+}
+
 // Kind implements algebricks.IndexAccessor.
 func (si *SecondaryIndex) Kind() string { return si.def.Kind }
+
+// KeyFields implements algebricks.IndexAccessor.
+func (si *SecondaryIndex) KeyFields() []string { return si.def.Fields[:1] }
+
+// OwnerPartition implements algebricks.IndexAccessor: a secondary index
+// is partitioned with its dataset, by primary key, so any partition can
+// hold a given secondary key.
+func (si *SecondaryIndex) OwnerPartition(adm.Value) (int, bool) { return 0, false }
 
 // fetch resolves candidate pk byte-keys through the primary index and
 // emits records passing the check predicate — in sorted pk order (the

@@ -97,8 +97,10 @@ func (e *Engine) storeRecords(ctx context.Context, d *Dataset, recs []adm.Value,
 	return count, nil
 }
 
-// execDelete deletes matching records: scan (with the statement's
-// predicate) to locate victims, then delete transactionally.
+// execDelete deletes matching records: the victims are the rows of
+// `SELECT VALUE alias FROM dataset AS alias WHERE cond`, compiled and run
+// like any query (so a key or indexed predicate is an index search, not
+// a scan), then deleted in one transaction.
 func (e *Engine) execDelete(ctx context.Context, s *sqlpp.DeleteStmt) (Result, error) {
 	e.mu.Lock()
 	d, ok := e.datasets[s.Dataset]
@@ -109,53 +111,40 @@ func (e *Engine) execDelete(ctx context.Context, s *sqlpp.DeleteStmt) (Result, e
 	if d.def.External {
 		return Result{}, fmt.Errorf("core: dataset %q is external (read-only)", s.Dataset)
 	}
-	ev := e.evaluator()
-	type victim struct {
-		part int
-		key  []byte
-	}
-	var victims []victim
-	for p := 0; p < d.def.Partitions; p++ {
-		err := d.ScanPartition(p, func(rec adm.Value) error {
-			o, ok := rec.(*adm.Object)
-			if !ok {
-				return nil
-			}
-			if s.Where != nil {
-				env := algebricks.NewEnv(nil, []string{s.Alias}, []adm.Value{o})
-				keep, err := ev.Eval(s.Where, env)
-				if err != nil {
-					return err
-				}
-				if b, known := adm.Truthy(keep); !known || !b {
-					return nil
-				}
-			}
-			_, kb, _, err := d.locate(o)
-			if err != nil {
-				return err
-			}
-			victims = append(victims, victim{part: p, key: kb})
-			return nil
-		})
-		if err != nil {
-			return Result{}, err
-		}
+	found, err := e.runSelect(ctx, e.evaluator(), &sqlpp.SelectExpr{
+		Select: sqlpp.SelectClause{Value: &sqlpp.VarRef{Name: s.Alias}},
+		From:   []sqlpp.FromTerm{{Expr: &sqlpp.VarRef{Name: s.Dataset}, Alias: s.Alias}},
+		Where:  s.Where,
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	sp := obs.SpanFromContext(ctx)
+	es := sp.StartChild("execute")
+	defer es.End()
 	tx := e.txmgr.Begin().AttachSpan(sp)
-	for _, v := range victims {
-		if err := tx.LogUpdate(d.def.Name, int32(v.part), txn.OpDelete, v.key, nil); err != nil {
+	for _, row := range found.Rows {
+		rec, ok := row.(*adm.Object)
+		if !ok {
+			return Result{}, rollback(tx, fmt.Errorf("core: stored record is %s, not object", row.Kind()))
+		}
+		part, key, _, err := d.locate(rec)
+		if err != nil {
 			return Result{}, rollback(tx, err)
 		}
-		if err := d.applyDelete(v.part, v.key, sp); err != nil {
+		if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpDelete, key, nil); err != nil {
+			return Result{}, rollback(tx, err)
+		}
+		if err := d.applyDelete(part, key, sp); err != nil {
 			return Result{}, rollback(tx, err)
 		}
 	}
 	if err := tx.Commit(); err != nil {
 		return Result{}, err
 	}
-	return Result{Kind: ResultDML, Count: int64(len(victims))}, nil
+	// The result keeps the locating query's plan, rules and job report.
+	found.Kind, found.Count, found.Rows = ResultDML, int64(len(found.Rows)), nil
+	return found, nil
 }
 
 // execLoad bulk-imports external data into a native dataset.

@@ -446,7 +446,8 @@ type Result struct {
 	Rows []adm.Value
 	// Count is the number of records affected by DML.
 	Count int64
-	// Plan is the optimized logical plan (queries only).
+	// Plan is the optimized logical plan (queries, and the query that
+	// located a DELETE's victims).
 	Plan string
 	// PlanJSON is the same plan as a stable JSON tree.
 	PlanJSON string
@@ -529,9 +530,11 @@ func (e *Engine) QueryAST(ctx context.Context, q *sqlpp.QueryStmt) (*Result, err
 }
 
 func (e *Engine) executeStmt(ctx context.Context, stmt sqlpp.Statement) (Result, error) {
-	// Queries trace their own compile/execute phases in execQuery; every
-	// other statement kind is a single "execute" phase.
-	if _, isQuery := stmt.(*sqlpp.QueryStmt); !isQuery {
+	// Queries and deletes trace their own compile/execute phases (see
+	// runSelect); every other statement kind is a single "execute" phase.
+	switch stmt.(type) {
+	case *sqlpp.QueryStmt, *sqlpp.DeleteStmt:
+	default:
 		es := obs.SpanFromContext(ctx).StartChild("execute")
 		defer es.End()
 	}
@@ -601,6 +604,9 @@ func (c *engineCatalog) ResolveIndex(dataset, field string) (algebricks.IndexAcc
 	if !ok {
 		return nil, false
 	}
+	if !d.def.External && len(d.def.PrimaryKey) > 0 && d.def.PrimaryKey[0] == field {
+		return primaryIndex{d}, true
+	}
 	for _, si := range d.idxs {
 		if len(si.def.Fields) > 0 && si.def.Fields[0] == field {
 			return si, true
@@ -626,10 +632,19 @@ func (e *Engine) execQuery(ctx context.Context, q *sqlpp.QueryStmt) (Result, err
 		}
 		return Result{Kind: ResultQuery, Rows: []adm.Value{v}}, nil
 	}
+	return e.runSelect(ctx, ev, q.Body)
+}
+
+// runSelect compiles a SELECT (or UNION) through Algebricks — translate,
+// optimize, jobgen — and runs the job on the cluster. It is the one way
+// the engine finds records by predicate: queries return its rows, DELETE
+// deletes them.
+func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body sqlpp.Expr) (Result, error) {
+	sp := obs.SpanFromContext(ctx)
 	cs := sp.StartChild("compile")
 	ts := cs.StartChild("translate")
 	tr := &algebricks.Translator{Ev: ev, Catalog: ev.Catalog}
-	plan, err := tr.TranslateQuery(q.Body)
+	plan, err := tr.TranslateQuery(body)
 	ts.End()
 	if err != nil {
 		cs.End()

@@ -14,8 +14,13 @@ import (
 func seedEquivData(t testing.TB, e *Engine) {
 	t.Helper()
 	mustExec(t, e, gleambookDDL)
-	mustExec(t, e, `CREATE INDEX gbUserSinceIdx ON GleambookUsers(userSince);`)
+	mustExec(t, e, `CREATE INDEX gbUserSinceIdx ON GleambookUsers(userSince);
+		CREATE TYPE CheckinType AS {uid: int, day: int, place: string};
+		CREATE DATASET Checkins(CheckinType) PRIMARY KEY uid, day;`)
 	seedUsers(t, e, 30)
+	for i := 0; i < 40; i++ {
+		mustExec(t, e, fmt.Sprintf(`UPSERT INTO Checkins ({"uid": %d, "day": %d, "place": "p%d"});`, i/4, i%4, i%7))
+	}
 	var sb strings.Builder
 	for i := 0; i < 90; i++ {
 		loc := ""
@@ -43,14 +48,17 @@ func sortedRows(t testing.TB, e *Engine, q string) []string {
 }
 
 // TestOptimizerOnOffEquivalence runs a corpus of fixed and generated
-// queries against two engines over identical data — one with the
-// optimizer, one with OptimizerOff — and requires identical result
-// multisets. Any rule that changes answers shows up here.
+// queries against engines over identical data — one with the optimizer,
+// one with OptimizerOff, one with only the access-path rule disabled —
+// and requires identical result multisets. Any rule that changes answers
+// shows up here.
 func TestOptimizerOnOffEquivalence(t *testing.T) {
 	on := newEngine(t, Config{})
 	off := newEngine(t, Config{OptimizerOff: true})
+	noIndex := newEngine(t, Config{OptimizerDisable: []string{"introduce-index-search"}})
 	seedEquivData(t, on)
 	seedEquivData(t, off)
+	seedEquivData(t, noIndex)
 
 	queries := []string{
 		// Filters, ranges (index-eligible), constant folding.
@@ -83,6 +91,37 @@ func TestOptimizerOnOffEquivalence(t *testing.T) {
 			FROM GleambookUsers u WHERE u.id < 5;`,
 		`SELECT VALUE u.name FROM GleambookUsers u
 			WHERE SOME f IN u.friendIds SATISFIES f = 3;`,
+		// The primary index as an access path: equality (either operand
+		// order, int and double constants, absent keys), ranges, an extra
+		// conjunct on a secondary-indexed field, a join input, LIMIT, and
+		// a composite key (full, prefix, prefix + range, second field only).
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE 11 = u.id;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.0;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.5;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 1000;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = -1;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = "7";`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE 25 <= u.id;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id > 3.5 AND u.id <= 9;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 4 AND u.id > 7;`,
+		`SELECT VALUE u.name FROM GleambookUsers u
+			WHERE u.userSince >= datetime("2012-01-01T00:00:00") AND u.id = 10;`,
+		`SELECT VALUE u.name FROM GleambookUsers u
+			WHERE u.userSince >= datetime("2016-01-01T00:00:00") AND u.id = 10;`,
+		`SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.messageId >= 80 AND m.authorId = 5;`,
+		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id >= 20 ORDER BY u.id LIMIT 3;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3.0 AND c.day = 2.0;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day = 9;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day > 0 AND c.day <= 2;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.uid >= 8;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.uid < 2 AND c.day = 1;`,
+		`SELECT VALUE c.place FROM Checkins c WHERE c.day = 1;`,
+	}
+	// Every user key: both partitions, each as a point lookup.
+	for id := 0; id < 30; id++ {
+		queries = append(queries, fmt.Sprintf(`SELECT VALUE u.alias FROM GleambookUsers u WHERE u.id = %d;`, id))
 	}
 
 	// Generated corpus: random filters and join predicates over a small
@@ -110,17 +149,12 @@ func TestOptimizerOnOffEquivalence(t *testing.T) {
 	}
 
 	for i, q := range queries {
-		got := sortedRows(t, on, q)
 		want := sortedRows(t, off, q)
-		if len(got) != len(want) {
-			t.Errorf("query %d: %d rows optimized vs %d naive\n%s", i, len(got), len(want), q)
-			continue
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Errorf("query %d row %d differs:\noptimized: %s\nnaive:     %s\n%s",
-					i, j, got[j], want[j], q)
-				break
+		for name, e := range map[string]*Engine{"optimized": on, "no index search": noIndex} {
+			got := sortedRows(t, e, q)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("query %d: %s engine differs from naive\n%s:\n%s\nnaive:\n%s\n%s",
+					i, name, name, strings.Join(got, "\n"), strings.Join(want, "\n"), q)
 			}
 		}
 	}
@@ -177,14 +211,15 @@ func TestResultCarriesPlanAndRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.Plan, "scan(GleambookUsers as u)") {
+	if !strings.Contains(r.Plan, "index-search(GleambookUsers.id PRIMARY as u) range=(-inf..3)") ||
+		!strings.Contains(r.Plan, "scan(GleambookMessages as m)") {
 		t.Errorf("plan text: %s", r.Plan)
 	}
 	if !strings.Contains(r.PlanJSON, `"op":"result"`) {
 		t.Errorf("plan JSON: %s", r.PlanJSON)
 	}
-	if r.RulesFired["recognize-hash-join"] == 0 || r.RulesFired["constant-fold"] == 0 {
-		t.Errorf("expected hash-join recognition and constant folding: %v", r.RulesFired)
+	if r.RulesFired["recognize-hash-join"] == 0 || r.RulesFired["constant-fold"] == 0 || r.RulesFired["introduce-index-search"] == 0 {
+		t.Errorf("expected hash-join recognition, constant folding and an index search: %v", r.RulesFired)
 	}
 	// The engine's registry must carry the per-rule counters (the
 	// /admin/metrics surface).

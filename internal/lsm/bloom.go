@@ -1,7 +1,5 @@
 package lsm
 
-import "hash/fnv"
-
 // bloomFilter is a fixed-size Bloom filter guarding point lookups into a
 // disk component (each disk component carries one, as in AsterixDB's LSM
 // B+tree).
@@ -19,14 +17,16 @@ func newBloom(n int) *bloomFilter {
 	return &bloomFilter{bits: make([]uint64, words), k: 7}
 }
 
+// bloomHashes returns the two hashes the filter's k probes are derived
+// from: FNV-1a of the key, and of the key plus one more byte. Computed
+// inline — a point lookup hashes its key once per component.
 func bloomHashes(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	//lint:ignore err-discard hash.Hash documents that Write never returns an error
-	h.Write(key)
-	h1 := h.Sum64()
-	//lint:ignore err-discard hash.Hash documents that Write never returns an error
-	h.Write([]byte{0x9e})
-	return h1, h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range key {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h, (h ^ 0x9e) * prime64
 }
 
 func (b *bloomFilter) add(key []byte) {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"asterix/internal/btree"
@@ -81,6 +82,49 @@ func (btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTab
 	return &btreeDisk{bt: bt, bloom: bloom}, nil
 }
 
+// lowest returns the iterator sitting on the smallest key (-1 when all
+// are exhausted); the lowest index — the newest source — wins ties.
+func lowest(iters []*btree.Iterator) (src int, key []byte, err error) {
+	src = -1
+	for i, it := range iters {
+		if !it.Valid() {
+			if err := it.Err(); err != nil {
+				return -1, nil, err
+			}
+			continue
+		}
+		if src == -1 || bytes.Compare(it.Key(), key) < 0 {
+			src, key = i, it.Key()
+		}
+	}
+	return src, key, nil
+}
+
+// advancePast moves every iterator sitting on key past it. key aliases
+// the page buffer of iters[owner] (owner -1: none of them), so that
+// iterator goes last: its Next may overwrite the bytes being compared.
+func advancePast(iters []*btree.Iterator, owner int, key []byte) {
+	for i, it := range iters {
+		if i != owner && it.Valid() && bytes.Equal(it.Key(), key) {
+			it.Next()
+		}
+	}
+	if owner >= 0 {
+		iters[owner].Next()
+	}
+}
+
+var errNoFlag = errors.New("lsm: component value missing antimatter flag byte")
+
+// flagged splits a disk-component value into its antimatter flag and
+// payload.
+func flagged(v []byte) (payload []byte, tombstone bool, err error) {
+	if len(v) < 1 || v[0] > 1 {
+		return nil, false, errNoFlag
+	}
+	return v[1:], v[0] == 1, nil
+}
+
 // merge k-way merges the victims' sorted runs; the lowest (newest) source
 // wins ties.
 func (btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*btreeDisk, dropAntimatter bool) (*btreeDisk, error) {
@@ -96,37 +140,27 @@ func (btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*
 	}
 	bloom := newBloom(int(total))
 	var mergeErr error
+	// The entry handed to BulkLoad lives in its iterator's page buffer,
+	// so the sources move past it only when BulkLoad asks for the next.
+	src, key := -1, []byte(nil)
 	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
 		for {
-			var bestKey []byte
-			bestSrc := -1
-			for i, it := range iters {
-				if !it.Valid() {
-					if e := it.Err(); e != nil {
-						mergeErr = e
-						return nil, nil, false
-					}
-					continue
-				}
-				if bestSrc == -1 || bytes.Compare(it.Key(), bestKey) < 0 {
-					bestKey = it.Key()
-					bestSrc = i
-				}
+			if src >= 0 {
+				advancePast(iters, src, key)
 			}
-			if bestSrc == -1 {
+			if src, key, mergeErr = lowest(iters); src == -1 {
 				return nil, nil, false
 			}
-			value := append([]byte(nil), iters[bestSrc].Value()...)
-			for _, it := range iters {
-				if it.Valid() && bytes.Equal(it.Key(), bestKey) {
-					it.Next()
-				}
+			value := iters[src].Value()
+			var tombstone bool
+			if _, tombstone, mergeErr = flagged(value); mergeErr != nil {
+				return nil, nil, false
 			}
-			if dropAntimatter && value[0] == 1 {
+			if dropAntimatter && tombstone {
 				continue
 			}
-			bloom.add(bestKey)
-			return append([]byte(nil), bestKey...), value, true
+			bloom.add(key)
+			return key, value, true
 		}
 	})
 	if err != nil {
@@ -166,11 +200,12 @@ func (btreeKind) validate(d *btreeDisk) error {
 	var prev []byte
 	var scanErr error
 	err := d.bt.Scan(nil, nil, func(k, v []byte) bool {
+		_, _, flagErr := flagged(v)
 		switch {
 		case prev != nil && bytes.Compare(prev, k) >= 0:
 			scanErr = fmt.Errorf("keys not strictly increasing")
-		case len(v) < 1 || v[0] > 1:
-			scanErr = fmt.Errorf("value missing antimatter flag byte")
+		case flagErr != nil:
+			scanErr = flagErr
 		case !d.bloom.mayContain(k):
 			scanErr = fmt.Errorf("bloom filter false negative")
 		}
@@ -205,7 +240,9 @@ func (t *Tree) DeleteSpan(key []byte, sp *obs.Span) error {
 	return t.afterPut(t.memRef().put(key, nil, true), sp)
 }
 
-// Get returns the newest live value for key.
+// Get returns the newest live value for key. The result is the caller's:
+// a memory-component value is immutable once stored, and a disk value is
+// the one copy BTree.Search makes.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	if v, tomb, ok := t.memRef().get(key); ok {
 		if tomb {
@@ -224,89 +261,55 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 			return nil, false, err
 		}
 		if ok {
-			if v[0] == 1 {
-				return nil, false, nil
-			}
-			return append([]byte(nil), v[1:]...), true, nil
+			payload, tombstone, err := flagged(v)
+			return payload, err == nil && !tombstone, err
 		}
 	}
 	return nil, false, nil
 }
 
 // Scan visits live entries with lo <= key <= hi in key order, newest
-// version winning; fn returning false stops early.
+// version winning; fn returning false stops early. key and value point
+// into the scan's page buffers and are valid only until fn returns: a
+// caller that keeps either copies it.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	// Snapshot the memory component's range (bounded by the mem budget).
-	type flaggedEntry struct {
-		key, value []byte
-		tombstone  bool
-	}
-	var memRun []flaggedEntry
+	var memRun []memEntry
 	//lint:ignore hot-alloc per-scan closure capturing the memRun accumulator: one allocation per scan setup
 	t.memRef().scan(lo, hi, func(e memEntry) bool {
-		memRun = append(memRun, flaggedEntry{e.key, e.value, e.tombstone})
+		memRun = append(memRun, e)
 		return true
 	})
 	comps := t.snapshot()
 	defer t.release(comps)
 
-	// K-way merge: source 0 is the memory run (newest), then disk
-	// components newest-first. Lowest source index wins ties.
+	// K-way merge: the memory run is the newest source, then the disk
+	// components newest-first; the newest source wins ties.
 	//lint:ignore hot-alloc per-scan iterator table: O(components) once per scan setup
 	iters := make([]*btree.Iterator, len(comps))
 	for i, c := range comps {
 		iters[i] = c.idx.bt.NewIterator(lo, hi)
 	}
-	memPos := 0
 	for {
-		// Find the smallest key among sources; newest source wins ties.
-		var bestKey []byte
-		bestSrc := -1
-		if memPos < len(memRun) {
-			bestKey = memRun[memPos].key
-			bestSrc = 0
+		src, key, err := lowest(iters)
+		if err != nil {
+			return err
 		}
-		for i, it := range iters {
-			if !it.Valid() {
-				if err := it.Err(); err != nil {
-					return err
-				}
-				continue
-			}
-			if bestSrc == -1 || bytes.Compare(it.Key(), bestKey) < 0 {
-				bestKey = it.Key()
-				bestSrc = i + 1
-			}
+		var value []byte
+		var tombstone bool
+		if len(memRun) > 0 && (src == -1 || bytes.Compare(memRun[0].key, key) <= 0) {
+			src, key, value, tombstone = -1, memRun[0].key, memRun[0].value, memRun[0].tombstone
+			memRun = memRun[1:]
+		} else if src == -1 {
+			return nil
+		} else if value, tombstone, err = flagged(iters[src].Value()); err != nil {
+			return err
 		}
-		if bestSrc == -1 {
+		//lint:ignore hot-alloc user-supplied visitor callback: its allocation behavior belongs to the caller, not the scan kernel
+		if !tombstone && !fn(key, value) {
 			return nil
 		}
-		// Emit the winner; advance every source sitting on this key.
-		var value []byte
-		tombstone := false
-		if bestSrc == 0 {
-			value = memRun[memPos].value
-			tombstone = memRun[memPos].tombstone
-		} else {
-			v := iters[bestSrc-1].Value()
-			tombstone = v[0] == 1
-			//lint:ignore hot-alloc the emitted value must outlive the iterator advance below (and callers may retain it), so it is copied out of the page-backed buffer
-			value = append([]byte(nil), v[1:]...)
-		}
-		if memPos < len(memRun) && bytes.Equal(memRun[memPos].key, bestKey) {
-			memPos++
-		}
-		for _, it := range iters {
-			if it.Valid() && bytes.Equal(it.Key(), bestKey) {
-				it.Next()
-			}
-		}
-		if !tombstone {
-			//lint:ignore hot-alloc user-supplied visitor callback: its allocation behavior belongs to the caller, not the scan kernel
-			if !fn(bestKey, value) {
-				return nil
-			}
-		}
+		advancePast(iters, src, key)
 	}
 }
 

@@ -203,18 +203,38 @@ func TestTwoPeerExchange(t *testing.T) {
 
 // TestCreditBackpressure squeezes a big transfer through a 2-frame
 // credit window: the sender must stall (observable in the counter) and
-// still deliver every row exactly once.
+// still deliver every row exactly once. The consumer holds its first
+// tuple until the sender has stalled, so the stall does not depend on
+// scheduling: with more frames in the transfer than the consumer's
+// channel buffer, the window and the frames in hand can hold, the
+// sender must run out of credit while the consumer waits.
 func TestCreditBackpressure(t *testing.T) {
 	nodes := startMesh(t, []string{"na", "nb"}, func(id string, o *Options) {
 		o.CreditWindow = 2
 	})
-	const rows = 2000
+	const rows = 20 * 256 // 20 frames: past the 8-frame channel buffer plus the window
+	stalled := func() bool {
+		return counterValue(nodes["nb"].metrics, "net_credit_stalls_total") > 0
+	}
 	coll := &hyracks.Collector{}
 	errs := runPlaced(context.Background(), nodes, "bp#1", func(n *simNode) *hyracks.Job {
 		j := hyracks.NewJob()
 		gen := j.Add(genOp(1, rows))
+		held := false
+		hold := j.Add(hyracks.NewMap("hold", 1, func(tc *hyracks.TaskContext, tp hyracks.Tuple, emit func(hyracks.Tuple) error) error {
+			if !held {
+				held = true
+				// Bounded: if the sender never stalls, the assertion
+				// below reports it instead of the test hanging.
+				for deadline := time.Now().Add(10 * time.Second); !stalled() && time.Now().Before(deadline) && tc.Ctx.Err() == nil; {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			return emit(tp)
+		}))
 		sink := j.Add(hyracks.NewSink("collect", 1, coll))
-		j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
+		j.MustConnect(gen, hold, 0, hyracks.MergeUnordered())
+		j.MustConnect(hold, sink, 0, hyracks.OneToOne())
 		return j
 	}, func(op string, part int) string {
 		if op == "gen" {
@@ -230,8 +250,8 @@ func TestCreditBackpressure(t *testing.T) {
 	if coll.Len() != rows {
 		t.Fatalf("got %d rows, want %d", coll.Len(), rows)
 	}
-	if counterValue(nodes["nb"].metrics, "net_credit_stalls_total") == 0 {
-		t.Fatal("a 2-frame window moved 2000 rows without one credit stall")
+	if !stalled() {
+		t.Fatalf("a 2-frame window moved %d rows past a waiting consumer without one credit stall", rows)
 	}
 }
 
