@@ -53,9 +53,11 @@ net-matrix:
 		./internal/net/ ./internal/dist/
 	ASTERIX_NET_MATRIX=1 go test -count=1 -timeout 180s -run 'TestParsePeers|TestMultiProcessCluster' -v ./cmd/asterixd/
 
-# bench: every top-level Go benchmark once.
+# bench: every top-level Go benchmark once, plus the per-layer
+# microbenchmarks of the record decoder (BenchmarkDecodeFields) and the
+# runtime operators (BenchmarkSortLimit, BenchmarkParallelGroupBy).
 bench:
-	go test -bench . -benchtime 1x -run NONE .
+	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/hyracks
 
 # bench-smoke: the CI perf gate — run the experiment suite at the small
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
@@ -79,6 +81,7 @@ bench-repo-smoke:
 # fuzz-smoke: a short bounded run of each fuzz target (CI uses this).
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMBinaryRoundTrip -fuzztime 10s ./internal/adm
+	go test -run NONE -fuzz FuzzADMDecodeFields -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
 	go test -run NONE -fuzz FuzzBTreePage -fuzztime 10s ./internal/btree
@@ -92,8 +95,8 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, SQL++ parser, frame decoder, B+tree page reader)"
-	@echo "  bench       top-level benchmarks"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and partial decoder, SQL++ parser, frame decoder, B+tree page reader)"
+	@echo "  bench       top-level benchmarks + adm/hyracks microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 

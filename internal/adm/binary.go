@@ -242,6 +242,143 @@ func DecodeValue(data []byte) (Value, error) {
 	return v, nil
 }
 
+// DecodeFields decodes an encoded object partially: it walks the encoding
+// in place and materializes only the fields named in fields, stepping over
+// every other value. The result holds the kept fields in stored order
+// (duplicate names included) and shares fields' name strings, so for each
+// name in fields, Get answers what it would on the full decode. Once every
+// wanted name has been met the rest of the record is not read. A value
+// that is not an object is decoded whole.
+func DecodeFields(data []byte, fields []string) (Value, error) {
+	if len(data) == 0 || Kind(data[0]) != KindObject {
+		v, _, err := Decode(data)
+		return v, err
+	}
+	fail := func(what string) (Value, error) {
+		return nil, fmt.Errorf("adm: decode %s: truncated or invalid input", what)
+	}
+	cnt, n := binary.Uvarint(data[1:])
+	if n <= 0 {
+		return fail("object")
+	}
+	pos := 1 + n
+	o := &Object{fields: make([]Field, 0, min(cnt, uint64(len(fields))))}
+	// met marks the wanted names seen so far (the first 64 of them; a
+	// longer list just never stops early), pending counts those not yet.
+	var met uint64
+	pending := len(fields)
+	for i := uint64(0); i < cnt && pending > 0; i++ {
+		l, n := binary.Uvarint(data[pos:])
+		if n <= 0 || l > uint64(len(data)-pos-n) {
+			return fail("object field name")
+		}
+		pos += n
+		name := data[pos : pos+int(l)]
+		pos += int(l)
+		want := -1
+		for j, f := range fields {
+			if string(name) == f {
+				want = j
+				break
+			}
+		}
+		if want < 0 {
+			n, err := skipValue(data[pos:])
+			if err != nil {
+				return nil, err
+			}
+			pos += n
+			continue
+		}
+		v, n, err := Decode(data[pos:])
+		if err != nil {
+			return nil, err
+		}
+		pos += n
+		o.fields = append(o.fields, Field{Name: fields[want], Value: v})
+		if want < 64 && met&(1<<want) == 0 {
+			met |= 1 << want
+			pending--
+		}
+	}
+	return o, nil
+}
+
+// skipValue returns the number of bytes the encoded value at the start of
+// data occupies, without materializing it. It accepts exactly the
+// encodings Decode accepts.
+func skipValue(data []byte) (int, error) {
+	if len(data) == 0 {
+		return 0, fmt.Errorf("adm: decode: empty input")
+	}
+	pos := 1
+	// Each helper advances pos past one component and reports whether the
+	// input held it.
+	fixed := func(w int) bool {
+		pos += w
+		return pos <= len(data)
+	}
+	varint := func() bool {
+		_, n := binary.Varint(data[pos:])
+		pos += max(n, 0)
+		return n > 0
+	}
+	count := func() (uint64, bool) {
+		c, n := binary.Uvarint(data[pos:])
+		pos += max(n, 0)
+		return c, n > 0
+	}
+	bytesOf := func() bool {
+		l, ok := count()
+		if !ok || l > uint64(len(data)-pos) {
+			return false
+		}
+		pos += int(l)
+		return true
+	}
+	nested := func() error {
+		n, err := skipValue(data[pos:])
+		pos += n
+		return err
+	}
+	ok := true
+	switch k := Kind(data[0]); k {
+	case KindMissing, KindNull:
+	case KindBoolean:
+		ok = fixed(1)
+	case KindInt64, KindDate, KindTime, KindDatetime:
+		ok = varint()
+	case KindDuration:
+		ok = varint() && varint()
+	case KindDouble:
+		ok = fixed(8)
+	case KindPoint, KindUUID:
+		ok = fixed(16)
+	case KindRectangle:
+		ok = fixed(32)
+	case KindString, KindBinary:
+		ok = bytesOf()
+	case KindArray, KindMultiset, KindObject:
+		var cnt uint64
+		cnt, ok = count()
+		for i := uint64(0); ok && i < cnt; i++ {
+			if k == KindObject && !bytesOf() {
+				ok = false
+				break
+			}
+			if err := nested(); err != nil {
+				return 0, err
+			}
+		}
+	default:
+		return 0, fmt.Errorf("adm: decode: unknown kind tag %d", data[0])
+	}
+	if !ok {
+		return 0, fmt.Errorf("adm: decode %s: truncated or invalid input", Kind(data[0]))
+	}
+	return pos, nil
+}
+
 // EncodeKey appends an order-preserving encoding of a scalar value:
 // bytes.Compare over encodings agrees with Compare over values. Used as
 // the key format for B+trees and other ordered indexes. Only scalar kinds

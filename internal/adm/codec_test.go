@@ -240,3 +240,95 @@ func TestDecodeCorruptInput(t *testing.T) {
 		t.Error("truncated string must fail")
 	}
 }
+
+// checkDecodeFields asserts the DecodeFields contract on one input:
+// whenever the full decode yields an object, the partial decode succeeds
+// and every requested name resolves to what Get gives on the full decode.
+func checkDecodeFields(t *testing.T, data []byte, names []string) {
+	t.Helper()
+	full, fullErr := DecodeValue(data)
+	part, err := DecodeFields(data, names)
+	o, isObj := full.(*Object)
+	if fullErr != nil || !isObj {
+		return // only "no panic, no runaway allocation" is promised
+	}
+	if err != nil {
+		t.Fatalf("DecodeFields(%x, %q) failed on input DecodeValue accepts: %v", data, names, err)
+	}
+	po, ok := part.(*Object)
+	if !ok {
+		t.Fatalf("DecodeFields(%x) = %T, want *Object", data, part)
+	}
+	if po.Len() > o.Len() {
+		t.Fatalf("DecodeFields kept %d fields of a %d-field object", po.Len(), o.Len())
+	}
+	for _, name := range names {
+		if got, want := po.Get(name), o.Get(name); Compare(got, want) != 0 || got.Kind() != want.Kind() {
+			t.Fatalf("DecodeFields(%x, %q).Get(%q) = %v, full decode has %v", data, names, name, got, want)
+		}
+	}
+}
+
+func TestSkipValueMatchesDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		data := EncodeValue(randomValue(r, 3))
+		if n, err := skipValue(data); err != nil || n != len(data) {
+			t.Fatalf("skipValue(%x) = %d, %v; want %d", data, n, err, len(data))
+		}
+		// On a damaged encoding the two walkers must agree on accept or
+		// reject, and on the length when they accept.
+		cut := data[:r.Intn(len(data))]
+		if r.Intn(2) == 0 && len(data) > 1 {
+			cut = append([]byte(nil), data...)
+			cut[r.Intn(len(cut))] ^= byte(1 + r.Intn(255))
+		}
+		_, dn, derr := Decode(cut)
+		sn, serr := skipValue(cut)
+		if (derr == nil) != (serr == nil) || (derr == nil && dn != sn) {
+			t.Fatalf("on %x: Decode = %d, %v but skipValue = %d, %v", cut, dn, derr, sn, serr)
+		}
+	}
+}
+
+func TestDecodeFields(t *testing.T) {
+	// Built field by field: NewObject would collapse the duplicate name.
+	rec := &Object{fields: []Field{
+		{Name: "id", Value: Int64(7)},
+		{Name: "alias", Value: String("u7")},
+		{Name: "friendIds", Value: Multiset{Int64(1), Int64(2)}},
+		{Name: "id", Value: String("shadowed")},
+		{Name: "employment", Value: Array{NewObject(Field{Name: "org", Value: String("x")})}},
+	}}
+	data := EncodeValue(rec)
+	for _, names := range [][]string{
+		{}, {"id"}, {"alias", "id"}, {"employment"}, {"nope"}, {"id", "nope", "friendIds"},
+		{"id", "alias", "friendIds", "employment"}, {"id", "id"},
+	} {
+		checkDecodeFields(t, data, names)
+	}
+	got, err := DecodeFields(data, []string{"alias", "id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := got.String(); s != `{"id":7,"alias":"u7"}` {
+		t.Errorf("projection = %s, want the two leading fields in stored order", s)
+	}
+	// Once every wanted name is met the rest of the record is not read:
+	// damage behind the last wanted field goes unnoticed, damage before it
+	// is an error, never a panic.
+	aliasEnd := bytes.Index(data, []byte("u7")) + 2
+	if _, err := DecodeFields(data[:aliasEnd], []string{"id", "alias"}); err != nil {
+		t.Errorf("leading-field projection read past its last field: %v", err)
+	}
+	if _, err := DecodeFields(data[:aliasEnd], []string{"employment"}); err == nil {
+		t.Error("truncated record must fail when the wanted field lies behind the damage")
+	}
+	// Not an object: decoded whole.
+	if v, err := DecodeFields(EncodeValue(Int64(3)), []string{"a"}); err != nil || v != Int64(3) {
+		t.Errorf("non-object fallback = %v, %v", v, err)
+	}
+	if _, err := DecodeFields(nil, nil); err == nil {
+		t.Error("empty input must fail")
+	}
+}

@@ -17,9 +17,11 @@ type AggRef struct {
 	Distinct bool
 }
 
-// ExtractAggregates rewrites aggregate calls in e into fresh variables,
-// appending their definitions to aggs. Nested SELECT blocks are left
-// untouched (their aggregates belong to them).
+// ExtractAggregates rewrites aggregate calls in e into variables,
+// appending their definitions to aggs. A call that repeats one already in
+// aggs (COUNT(*) selected and ordered by) reuses its variable, so the
+// group-by computes each distinct aggregate once. Nested SELECT blocks are
+// left untouched (their aggregates belong to them).
 func ExtractAggregates(e sqlpp.Expr, gen *int, aggs *[]AggRef) sqlpp.Expr {
 	switch x := e.(type) {
 	case *sqlpp.Call:
@@ -29,6 +31,12 @@ func ExtractAggregates(e sqlpp.Expr, gen *int, aggs *[]AggRef) sqlpp.Expr {
 				ref.Star = true
 			} else {
 				ref.Arg = x.Args[0]
+			}
+			for _, a := range *aggs {
+				if a.Fn == ref.Fn && a.Distinct == ref.Distinct && a.Star == ref.Star &&
+					(ref.Star || ExprKey(a.Arg) == ExprKey(ref.Arg)) {
+					return &sqlpp.VarRef{Name: a.Var}
+				}
 			}
 			*gen++
 			ref.Var = fmt.Sprintf("$agg%d", *gen)

@@ -23,15 +23,29 @@ type memSource struct {
 
 func (m *memSource) Name() string    { return m.name }
 func (m *memSource) Partitions() int { return m.par }
-func (m *memSource) ScanPartition(p int, emit func(adm.Value) error) error {
+func (m *memSource) Scan(p int, fields []string, emit func(adm.Value) error) error {
 	for i, r := range m.recs {
 		if i%m.par == p {
-			if err := emit(r); err != nil {
+			if err := emit(project(r, fields)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// project hands a leaf's consumer exactly what a storage engine honouring
+// the plan's field list would — an object of the listed fields only — so
+// every query these tests run fails if prune-columns under-lists.
+func project(rec adm.Value, fields []string) adm.Value {
+	if fields == nil {
+		return rec
+	}
+	out, err := adm.DecodeFields(adm.EncodeValue(rec), fields)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 type memCatalog struct {
@@ -118,8 +132,8 @@ func (ix *memIndex) OwnerPartition(key adm.Value) (int, bool) {
 	return 0, true // absent key: any one partition answers "no rows"
 }
 
-func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(adm.Value) error) error {
-	return ix.src.ScanPartition(part, func(rec adm.Value) error {
+func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(adm.Value) error) error {
+	return ix.src.Scan(part, nil, func(rec adm.Value) error {
 		key := ix.keyOf(rec)
 		if key == nil {
 			return nil
@@ -134,11 +148,11 @@ func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, e
 				return nil
 			}
 		}
-		return emit(rec)
+		return emit(project(rec, fields))
 	})
 }
-func (ix *memIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(adm.Value) error) error {
-	return ix.src.ScanPartition(part, func(rec adm.Value) error {
+func (ix *memIndex) SearchSpatial(part int, rect adm.Rectangle, fields []string, emit func(adm.Value) error) error {
+	return ix.src.Scan(part, nil, func(rec adm.Value) error {
 		o, ok := rec.(*adm.Object)
 		if !ok {
 			return nil
@@ -148,13 +162,13 @@ func (ix *memIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(adm.Va
 			return nil
 		}
 		if p.X >= rect.MinX && p.X <= rect.MaxX && p.Y >= rect.MinY && p.Y <= rect.MaxY {
-			return emit(rec)
+			return emit(project(rec, fields))
 		}
 		return nil
 	})
 }
-func (ix *memIndex) SearchKeyword(part int, token string, emit func(adm.Value) error) error {
-	return ix.src.ScanPartition(part, func(rec adm.Value) error {
+func (ix *memIndex) SearchKeyword(part int, token string, fields []string, emit func(adm.Value) error) error {
+	return ix.src.Scan(part, nil, func(rec adm.Value) error {
 		o, ok := rec.(*adm.Object)
 		if !ok {
 			return nil
@@ -165,7 +179,7 @@ func (ix *memIndex) SearchKeyword(part int, token string, emit func(adm.Value) e
 		}
 		for _, w := range strings.Fields(strings.ToLower(string(s))) {
 			if strings.Trim(w, ".,!?") == strings.ToLower(token) {
-				return emit(rec)
+				return emit(project(rec, fields))
 			}
 		}
 		return nil

@@ -48,8 +48,10 @@ func (e *Env) Lookup(name string) (adm.Value, bool) {
 type DataSource interface {
 	Name() string
 	Partitions() int
-	// ScanPartition emits every record of one partition.
-	ScanPartition(part int, emit func(rec adm.Value) error) error
+	// Scan emits every record of one partition. A non-nil fields lists the
+	// only first-level fields the caller reads: the source may emit objects
+	// holding just those (a source that cannot project may ignore it).
+	Scan(part int, fields []string, emit func(rec adm.Value) error) error
 }
 
 // Catalog resolves dataset names and their indexes.
@@ -76,11 +78,12 @@ type IndexAccessor interface {
 	// SearchRange emits records with lo <= key <= hi (nil = unbounded);
 	// inclusivity flags apply when bounds are non-nil. On a composite
 	// primary key a bound is an array over a leading prefix of the key.
-	SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(rec adm.Value) error) error
+	// fields, here and below, is DataSource.Scan's.
+	SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(rec adm.Value) error) error
 	// SearchSpatial emits records whose indexed point intersects rect.
-	SearchSpatial(part int, rect adm.Rectangle, emit func(rec adm.Value) error) error
+	SearchSpatial(part int, rect adm.Rectangle, fields []string, emit func(rec adm.Value) error) error
 	// SearchKeyword emits records whose indexed text contains the token.
-	SearchKeyword(part int, token string, emit func(rec adm.Value) error) error
+	SearchKeyword(part int, token string, fields []string, emit func(rec adm.Value) error) error
 }
 
 // EvalError is a runtime type/evaluation error.
@@ -615,7 +618,7 @@ func asCollection(v adm.Value) ([]adm.Value, bool) {
 func (ev *Evaluator) materialize(ds DataSource) (adm.Value, error) {
 	var out adm.Array
 	for p := 0; p < ds.Partitions(); p++ {
-		err := ds.ScanPartition(p, func(rec adm.Value) error {
+		err := ds.Scan(p, nil, func(rec adm.Value) error {
 			out = append(out, rec)
 			return nil
 		})

@@ -93,10 +93,10 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return built{}, fmt.Errorf("jobgen: unknown dataset %q", o.Dataset)
 		}
 		par := ds.Partitions()
-		maxT := o.MaxTuples
+		maxT, fields := o.MaxTuples, o.Fields
 		op := j.Add(hyracks.NewScan("scan-"+o.Dataset, par, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
 			var n int64
-			err := ds.ScanPartition(tc.Partition, func(rec adm.Value) error {
+			err := ds.Scan(tc.Partition, fields, func(rec adm.Value) error {
 				if maxT > 0 && n >= maxT {
 					return errScanLimit
 				}
@@ -171,7 +171,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			}
 		}
 		kind := o.Kind
-		maxT := o.MaxTuples
+		maxT, fields := o.MaxTuples, o.Fields
 		op := j.Add(hyracks.NewScan("idx-"+o.Dataset+"."+o.Field, par, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
 			part := tc.Partition
 			if owner >= 0 {
@@ -188,11 +188,11 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			var err error
 			switch kind {
 			case "PRIMARY", "BTREE":
-				err = idx.SearchRange(part, lo, hi, o.LoInc, o.HiInc, cb)
+				err = idx.SearchRange(part, lo, hi, o.LoInc, o.HiInc, fields, cb)
 			case "RTREE", "ZORDER", "HILBERT", "GRID":
-				err = idx.SearchSpatial(part, rect, cb)
+				err = idx.SearchSpatial(part, rect, fields, cb)
 			case "KEYWORD":
-				err = idx.SearchKeyword(part, token, cb)
+				err = idx.SearchKeyword(part, token, fields, cb)
 			default:
 				err = fmt.Errorf("jobgen: unknown index kind %s", kind)
 			}
@@ -369,7 +369,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			cmp.Columns = append(cmp.Columns, len(schema)+i)
 			cmp.Desc = append(cmp.Desc, it.Desc)
 		}
-		sorter := j.Add(hyracks.NewSort("order", in.par, cmp))
+		sorter := j.Add(hyracks.NewTopK("order", in.par, cmp, int(o.Limit)))
 		j.MustConnect(keyed, sorter, 0, hyracks.OneToOne())
 		// Concentrate to a single ordered stream and drop key columns.
 		strip := j.Add(hyracks.NewMap("order-strip", 1, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {

@@ -27,6 +27,10 @@ type ScanOp struct {
 	// MaxTuples caps the number of tuples each partition emits (0 = no
 	// cap), set by the limit-pushdown rule.
 	MaxTuples int64
+	// Fields lists, sorted, the only first-level fields of the record the
+	// plan above reads (nil = the whole record), set by the column-pruning
+	// rule; the leaf materializes nothing else.
+	Fields []string
 }
 
 // IndexKind names the access paths an IndexSearchOp can use.
@@ -56,6 +60,8 @@ type IndexSearchOp struct {
 	// MaxTuples caps the number of tuples each partition emits (0 = no
 	// cap), set by the limit-pushdown rule.
 	MaxTuples int64
+	// Fields is ScanOp.Fields for the fetched records.
+	Fields []string
 }
 
 // SelectOp filters tuples by a predicate.
@@ -148,6 +154,9 @@ type OrderDef struct {
 type OrderOp struct {
 	In    Op
 	Items []OrderDef
+	// Limit bounds the sort to its first Limit tuples (0 = all), set by the
+	// push-limit-into-order rule; the LimitOp above keeps the exact bound.
+	Limit int64
 }
 
 // LimitOp applies limit/offset (constants; -1 = none).
@@ -181,7 +190,15 @@ func (o *ScanOp) String() string {
 	if o.MaxTuples > 0 {
 		s += fmt.Sprintf(" limit=%d", o.MaxTuples)
 	}
-	return s
+	return s + fieldsString(o.Fields)
+}
+
+// fieldsString renders a leaf's field list for plan text.
+func fieldsString(fields []string) string {
+	if fields == nil {
+		return ""
+	}
+	return " fields=[" + strings.Join(fields, ", ") + "]"
 }
 
 func (o *IndexSearchOp) Schema() []string { return []string{o.Var} }
@@ -214,7 +231,7 @@ func (o *IndexSearchOp) String() string {
 	if o.MaxTuples > 0 {
 		s += fmt.Sprintf(" limit=%d", o.MaxTuples)
 	}
-	return s
+	return s + fieldsString(o.Fields)
 }
 
 func (o *SelectOp) Schema() []string { return o.In.Schema() }
@@ -320,7 +337,11 @@ func (o *OrderOp) String() string {
 			items[i] += " desc"
 		}
 	}
-	return fmt.Sprintf("order(%s)", strings.Join(items, ", "))
+	s := fmt.Sprintf("order(%s)", strings.Join(items, ", "))
+	if o.Limit > 0 {
+		s += fmt.Sprintf(" limit=%d", o.Limit)
+	}
+	return s
 }
 
 func (o *LimitOp) Schema() []string { return o.In.Schema() }

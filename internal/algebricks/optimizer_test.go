@@ -59,6 +59,19 @@ func optimizeQuery(t *testing.T, cat Catalog, src string) (Op, OptReport) {
 	return out, rep
 }
 
+// Hand-built plans whose shape translation does not produce today: a LIMIT
+// separated from its ORDER by another operator.
+func orderedUsers() *OrderOp {
+	age := &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: "u"}, Field: "age"}
+	return &OrderOp{In: &ScanOp{Dataset: "Users", Var: "u"}, Items: []OrderDef{{Expr: age, Desc: true}}}
+}
+
+// limitOver is LIMIT 4 over the projection of rec.name from in.
+func limitOver(in Op, rec string) Op {
+	name := &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: rec}, Field: "name"}
+	return &LimitOp{In: &ResultOp{In: in, Expr: name}, Limit: 4}
+}
+
 // --- Golden plan tests ---
 //
 // Each case's optimized plan text is compared against
@@ -72,36 +85,64 @@ func TestGoldenPlans(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		plan Op // when set, optimized as is (src is not translated)
 	}{
-		{"scan_filter", `SELECT VALUE u.id FROM Users u WHERE u.name < "user03"`},
-		{"constant_fold", `SELECT VALUE u.id FROM Users u WHERE u.id < 1 + 2 AND 1 = 1`},
-		{"hash_join", `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id AND u.age > 21`},
-		{"commuted_join", `SELECT u.name, m.mid FROM Users u, Messages m WHERE u.id = m.authorId`},
-		{"index_btree", `SELECT VALUE u.name FROM Users u WHERE u.age >= 22 AND u.age <= 23`},
-		{"limit_into_scan", `SELECT VALUE u.name FROM Users u LIMIT 5`},
-		{"three_way_greedy", `SELECT u.name, m.mid, l.lid FROM Users u, Messages m, Likes l
+		{name: "scan_filter", src: `SELECT VALUE u.id FROM Users u WHERE u.name < "user03"`},
+		{name: "constant_fold", src: `SELECT VALUE u.id FROM Users u WHERE u.id < 1 + 2 AND 1 = 1`},
+		{name: "hash_join", src: `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id AND u.age > 21`},
+		{name: "commuted_join", src: `SELECT u.name, m.mid FROM Users u, Messages m WHERE u.id = m.authorId`},
+		{name: "index_btree", src: `SELECT VALUE u.name FROM Users u WHERE u.age >= 22 AND u.age <= 23`},
+		{name: "limit_into_scan", src: `SELECT VALUE u.name FROM Users u LIMIT 5`},
+		{name: "three_way_greedy", src: `SELECT u.name, m.mid, l.lid FROM Users u, Messages m, Likes l
 			WHERE m.authorId = u.id AND l.mid = m.mid AND u.id = 7`},
-		{"group_after_join", `SELECT u.name AS name, COUNT(m) AS cnt
+		{name: "group_after_join", src: `SELECT u.name AS name, COUNT(m) AS cnt
 			FROM Users u JOIN Messages m ON m.authorId = u.id GROUP BY u.name AS name`},
 		// The primary index as an access path.
-		{"pk_equality", `SELECT VALUE u.name FROM Users u WHERE u.id = 7`},
-		{"pk_equality_commuted", `SELECT VALUE u.name FROM Users u WHERE 7 = u.id`},
-		{"pk_range_one_bound", `SELECT VALUE u.name FROM Users u WHERE u.id > 15`},
-		{"pk_range_commuted", `SELECT VALUE u.name FROM Users u WHERE 15 < u.id`},
-		{"pk_range_two_bounds", `SELECT VALUE u.name FROM Users u WHERE u.id >= 3 AND u.id < 9`},
-		{"pk_equality_beats_secondary", `SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id = 7`},
-		{"pk_range_after_secondary", `SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id > 7`},
-		{"pk_equality_join_input", `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id AND u.id = 7`},
-		{"pk_range_limit", `SELECT VALUE u.name FROM Users u WHERE u.id > 3 LIMIT 2`},
-		{"pk_composite_full", `SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3`},
-		{"pk_composite_prefix", `SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3`},
-		{"pk_composite_prefix_range", `SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day >= 1 AND c.day < 3`},
-		{"pk_composite_second_field_only", `SELECT VALUE c.place FROM Checkins c WHERE c.day = 2`},
-		{"pk_array_constant_stays_scan", `SELECT VALUE u.name FROM Users u WHERE u.id = [7]`},
+		{name: "pk_equality", src: `SELECT VALUE u.name FROM Users u WHERE u.id = 7`},
+		{name: "pk_equality_commuted", src: `SELECT VALUE u.name FROM Users u WHERE 7 = u.id`},
+		{name: "pk_range_one_bound", src: `SELECT VALUE u.name FROM Users u WHERE u.id > 15`},
+		{name: "pk_range_commuted", src: `SELECT VALUE u.name FROM Users u WHERE 15 < u.id`},
+		{name: "pk_range_two_bounds", src: `SELECT VALUE u.name FROM Users u WHERE u.id >= 3 AND u.id < 9`},
+		{name: "pk_equality_beats_secondary", src: `SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id = 7`},
+		{name: "pk_range_after_secondary", src: `SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id > 7`},
+		{name: "pk_equality_join_input", src: `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id AND u.id = 7`},
+		{name: "pk_range_limit", src: `SELECT VALUE u.name FROM Users u WHERE u.id > 3 LIMIT 2`},
+		{name: "pk_composite_full", src: `SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3`},
+		{name: "pk_composite_prefix", src: `SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3`},
+		{name: "pk_composite_prefix_range", src: `SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day >= 1 AND c.day < 3`},
+		{name: "pk_composite_second_field_only", src: `SELECT VALUE c.place FROM Checkins c WHERE c.day = 2`},
+		{name: "pk_array_constant_stays_scan", src: `SELECT VALUE u.name FROM Users u WHERE u.id = [7]`},
+		// ORDER BY … LIMIT bounds the sort; only row-preserving operators may
+		// sit between the two.
+		{name: "order_limit", src: `SELECT VALUE u.name FROM Users u ORDER BY u.age DESC LIMIT 4`},
+		{name: "order_limit_offset", src: `SELECT VALUE u.name FROM Users u ORDER BY u.age DESC, u.id LIMIT 4 OFFSET 3`},
+		{name: "order_limit_through_result", plan: limitOver(orderedUsers(), "u")},
+		{name: "order_limit_stops_at_select", plan: limitOver(&SelectOp{In: orderedUsers(),
+			Cond: &sqlpp.Binary{Op: ">", L: &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: "u"}, Field: "id"}, R: &sqlpp.Literal{Value: adm.Int64(3)}}}, "u")},
+		{name: "order_limit_stops_at_group", plan: limitOver(&GroupOp{In: orderedUsers(),
+			Keys: []GroupKeyDef{{Var: "g", Expr: &sqlpp.VarRef{Name: "u"}}}}, "g")},
+		// Leaves materialize only the fields the plan reads; any use of the
+		// record itself keeps it whole.
+		{name: "scan_fields", src: `SELECT m.mid, m.len FROM Messages m WHERE m.authorId % 2 = 0`},
+		{name: "scan_fields_join_sides", src: `SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m
+			WHERE m.authorId = u.id GROUP BY u.name AS name ORDER BY cnt DESC, name LIMIT 3`},
+		{name: "scan_fields_none", src: `SELECT VALUE COUNT(*) FROM Messages m`},
+		{name: "scan_whole_select_value", src: `SELECT VALUE m FROM Messages m WHERE m.len > 10`},
+		{name: "scan_whole_star", src: `SELECT * FROM Messages m WHERE m.len > 10`},
+		{name: "scan_whole_subquery_use", src: `SELECT VALUE u.name FROM Users u
+			WHERE (SOME t IN u.tags SATISFIES t = "t1") AND u.id < 90`},
+		{name: "index_search_fields", src: `SELECT VALUE u.name FROM Users u WHERE u.age >= 22 AND u.age <= 23`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			plan, rep := optimizeQuery(t, cat, c.src)
+			var plan Op
+			var rep OptReport
+			if c.plan != nil {
+				tr := &Translator{Ev: newEval(cat), Catalog: cat}
+				plan, rep = NewOptimizer(nil).Optimize(tr, c.plan)
+			} else {
+				plan, rep = optimizeQuery(t, cat, c.src)
+			}
 			if rep.BudgetExhausted {
 				t.Errorf("optimizer hit pass budget (passes=%d)", rep.Passes)
 			}
@@ -432,6 +473,11 @@ func TestOptimizerIdempotent(t *testing.T) {
 		`SELECT u.name, m.mid, l.lid FROM Messages m, Likes l, Users u
 			WHERE m.authorId = u.id AND l.mid = m.mid AND u.id = 7`,
 		`SELECT VALUE u.name FROM Users u WHERE u.age >= 22 LIMIT 3`,
+		// push-limit-into-order and the leaf field lists of prune-columns.
+		`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m
+			WHERE m.authorId = u.id GROUP BY u.name AS name ORDER BY cnt DESC, name LIMIT 3 OFFSET 2`,
+		`SELECT VALUE COUNT(*) FROM Messages m`,
+		`SELECT VALUE m FROM Messages m ORDER BY m.len DESC LIMIT 2`,
 	}
 	for _, q := range queries {
 		plan, _ := optimizeQuery(t, cat, q)

@@ -1,6 +1,9 @@
 package algebricks
 
 import (
+	"slices"
+	"sort"
+
 	"asterix/internal/adm"
 	"asterix/internal/sqlpp"
 )
@@ -19,6 +22,7 @@ func DefaultRules() []Rule {
 		{Name: "recognize-hash-join", Apply: ruleRecognizeHashJoin},
 		{Name: "introduce-index-search", Apply: ruleIntroduceIndexSearch},
 		{Name: "push-limit-into-scan", Apply: rulePushLimitIntoScan},
+		{Name: "push-limit-into-order", Apply: rulePushLimitIntoOrder},
 		{Name: "prune-columns", Apply: rulePruneColumns},
 		{Name: "eliminate-redundant-project", Apply: ruleEliminateRedundantProject},
 	}
@@ -95,62 +99,59 @@ func (tr *Translator) isConstant(e sqlpp.Expr) bool {
 // quantifier — subtrees the constant folder must not evaluate at plan
 // time (they may scan datasets).
 func containsSubquery(e sqlpp.Expr) bool {
-	found := false
-	var walk func(sqlpp.Expr)
-	walk = func(e sqlpp.Expr) {
-		if found || e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *sqlpp.SelectExpr, *sqlpp.UnionExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
-			found = true
-		case *sqlpp.FieldAccess:
-			walk(x.Base)
-		case *sqlpp.IndexAccess:
-			walk(x.Base)
-			walk(x.Index)
-		case *sqlpp.Call:
-			for _, a := range x.Args {
-				walk(a)
-			}
-		case *sqlpp.Unary:
-			walk(x.X)
-		case *sqlpp.Binary:
-			walk(x.L)
-			walk(x.R)
-		case *sqlpp.IsExpr:
-			walk(x.X)
-		case *sqlpp.Between:
-			walk(x.X)
-			walk(x.Lo)
-			walk(x.Hi)
-		case *sqlpp.InExpr:
-			walk(x.X)
-			walk(x.Coll)
-		case *sqlpp.CaseExpr:
-			walk(x.Operand)
-			for _, wt := range x.Whens {
-				walk(wt.When)
-				walk(wt.Then)
-			}
-			walk(x.Else)
-		case *sqlpp.ObjectConstructor:
-			for _, f := range x.Fields {
-				walk(f.Name)
-				walk(f.Value)
-			}
-		case *sqlpp.ArrayConstructor:
-			for _, el := range x.Elems {
-				walk(el)
-			}
-		case *sqlpp.MultisetConstructor:
-			for _, el := range x.Elems {
-				walk(el)
-			}
+	switch e.(type) {
+	case *sqlpp.SelectExpr, *sqlpp.UnionExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
+		return true
+	}
+	var buf [4]sqlpp.Expr
+	for _, c := range exprChildren(e, buf[:0]) {
+		if containsSubquery(c) {
+			return true
 		}
 	}
-	walk(e)
-	return found
+	return false
+}
+
+// exprChildren lists the direct subexpressions of e that are evaluated in
+// e's own scope (nil entries included where a clause is absent), appending
+// to buf — a caller's stack scratch, so the common nodes cost no
+// allocation. Nodes that open a scope — SELECT blocks, EXISTS, quantifiers
+// — report none; callers treat them as opaque.
+func exprChildren(e sqlpp.Expr, buf []sqlpp.Expr) []sqlpp.Expr {
+	switch x := e.(type) {
+	case *sqlpp.FieldAccess:
+		return append(buf, x.Base)
+	case *sqlpp.IndexAccess:
+		return append(buf, x.Base, x.Index)
+	case *sqlpp.Call:
+		return x.Args
+	case *sqlpp.Unary:
+		return append(buf, x.X)
+	case *sqlpp.Binary:
+		return append(buf, x.L, x.R)
+	case *sqlpp.IsExpr:
+		return append(buf, x.X)
+	case *sqlpp.Between:
+		return append(buf, x.X, x.Lo, x.Hi)
+	case *sqlpp.InExpr:
+		return append(buf, x.X, x.Coll)
+	case *sqlpp.CaseExpr:
+		buf = append(buf, x.Operand, x.Else)
+		for _, wt := range x.Whens {
+			buf = append(buf, wt.When, wt.Then)
+		}
+	case *sqlpp.ObjectConstructor:
+		for _, f := range x.Fields {
+			buf = append(buf, f.Name, f.Value)
+		}
+	case *sqlpp.ArrayConstructor:
+		return x.Elems
+	case *sqlpp.MultisetConstructor:
+		return x.Elems
+	case *sqlpp.UnionExpr:
+		return x.Blocks
+	}
+	return buf
 }
 
 // constValue evaluates a constant expression at plan time.
@@ -787,13 +788,15 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 	return nil, false
 }
 
-// --- rule: push-limit-into-scan ---
+// --- rules: push-limit-into-scan, push-limit-into-order ---
 
-// Cap leaf scans under a LIMIT: walking through row-preserving 1:1
-// operators (assign/result/project), each scan partition needs to produce
-// at most limit+offset tuples. The LimitOp above still enforces the exact
-// global bound.
-func rulePushLimitIntoScan(tr *Translator, plan Op) (Op, int) {
+// pushLimit hands each LIMIT's bound to the operator it sits on: walking
+// down through row-preserving 1:1 operators only (assign/result/project —
+// anything that filters, groups or multiplies rows ends the walk), the
+// operator reached needs to produce at most limit+offset tuples. bound
+// returns where that operator keeps such a cap, nil if it takes none. The
+// LimitOp stays and still enforces the exact global bound.
+func pushLimit(plan Op, bound func(Op) *int64) (Op, int) {
 	return sweep(plan, func(op Op) (Op, bool) {
 		l, ok := op.(*LimitOp)
 		if !ok || l.Limit < 0 {
@@ -808,98 +811,212 @@ func rulePushLimitIntoScan(tr *Translator, plan Op) (Op, int) {
 			switch x := cur.(type) {
 			case *AssignOp:
 				cur = x.In
+				continue
 			case *ResultOp:
 				cur = x.In
+				continue
 			case *ProjectOp:
 				cur = x.In
-			case *ScanOp:
-				if x.MaxTuples == 0 || x.MaxTuples > target {
-					x.MaxTuples = target
-					return op, true
-				}
-				return op, false
-			case *IndexSearchOp:
-				if x.MaxTuples == 0 || x.MaxTuples > target {
-					x.MaxTuples = target
-					return op, true
-				}
-				return op, false
-			default:
-				return op, false
+				continue
 			}
+			if b := bound(cur); b != nil && (*b == 0 || *b > target) {
+				*b = target
+				return op, true
+			}
+			return op, false
 		}
+	})
+}
+
+// Cap leaf scans under a LIMIT: each scan partition emits at most
+// limit+offset tuples.
+func rulePushLimitIntoScan(tr *Translator, plan Op) (Op, int) {
+	return pushLimit(plan, func(op Op) *int64 {
+		switch x := op.(type) {
+		case *ScanOp:
+			return &x.MaxTuples
+		case *IndexSearchOp:
+			return &x.MaxTuples
+		}
+		return nil
+	})
+}
+
+// Bound a sort under a LIMIT: ORDER BY … LIMIT k keeps the first
+// limit+offset tuples per partition instead of sorting, buffering and
+// shipping its whole input to a limit that drops the rest.
+func rulePushLimitIntoOrder(tr *Translator, plan Op) (Op, int) {
+	return pushLimit(plan, func(op Op) *int64 {
+		if x, ok := op.(*OrderOp); ok {
+			return &x.Limit
+		}
+		return nil
 	})
 }
 
 // --- rule: prune-columns ---
 
-// Propagate required columns top-down: drop assigns nobody reads and
-// narrow join inputs with projects so exchanges move minimal tuples.
+// Propagate required columns top-down: drop assigns nobody reads, narrow
+// join inputs with projects so exchanges move minimal tuples, and tell
+// each leaf which fields of its record the plan reads so it materializes
+// only those.
 func rulePruneColumns(tr *Translator, plan Op) (Op, int) {
 	hits := 0
-	need := map[string]bool{}
+	var need needs
 	if indexOf(plan.Schema(), ResultVar) >= 0 {
 		// Downstream (result sink) only reads the result column.
-		need[ResultVar] = true
+		need.set(ResultVar, nil)
 	} else {
 		for _, v := range plan.Schema() {
-			need[v] = true
+			need.set(v, nil)
 		}
 	}
 	out := pruneOp(plan, need, &hits)
 	return out, hits
 }
 
-func addFreeIn(need map[string]bool, e sqlpp.Expr, schema []string) {
-	free := map[string]bool{}
-	FreeVars(e, free)
-	for _, v := range schema {
-		if free[v] {
-			need[v] = true
+// needs is what the operators above read of each column: an absent column
+// is dead, one with nil fields is read whole, otherwise only the listed
+// first-step fields (v.f) of it are read. A short slice, not a map: plans
+// bind a handful of columns and every operator copies its requirement.
+// Field lists are never appended to in place, so copies may share them.
+type needs []colNeed
+
+type colNeed struct {
+	col    string
+	fields []string
+}
+
+func (n needs) get(v string) (fields []string, ok bool) {
+	for _, c := range n {
+		if c.col == v {
+			return c.fields, true
+		}
+	}
+	return nil, false
+}
+
+func (n needs) has(v string) bool {
+	_, ok := n.get(v)
+	return ok
+}
+
+// set records what is read of v: nil for the whole value.
+func (n *needs) set(v string, fields []string) {
+	for i := range *n {
+		if (*n)[i].col == v {
+			(*n)[i].fields = fields
+			return
+		}
+	}
+	*n = append(*n, colNeed{v, fields})
+}
+
+func (n *needs) field(v, f string) {
+	if fs, ok := n.get(v); !ok || (fs != nil && !slices.Contains(fs, f)) {
+		n.set(v, append(fs[:len(fs):len(fs)], f))
+	}
+}
+
+// addUses records how e reads the columns in schema. `v.f` reads one field
+// of column v; every other occurrence of v — bare, indexed, passed to a
+// function, or anywhere inside a subquery, EXISTS or quantifier, whose
+// scopes are not tracked here — reads it whole.
+func (n *needs) addUses(e sqlpp.Expr, schema []string) {
+	switch x := e.(type) {
+	case *sqlpp.VarRef:
+		if indexOf(schema, x.Name) >= 0 {
+			n.set(x.Name, nil)
+		}
+	case *sqlpp.FieldAccess:
+		if vr, ok := x.Base.(*sqlpp.VarRef); !ok {
+			n.addUses(x.Base, schema)
+		} else if indexOf(schema, vr.Name) >= 0 {
+			n.field(vr.Name, x.Field)
+		}
+	case *sqlpp.SelectExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
+		free := map[string]bool{}
+		FreeVars(e, free)
+		for _, v := range schema {
+			if free[v] {
+				n.set(v, nil)
+			}
+		}
+	default:
+		var buf [4]sqlpp.Expr
+		for _, c := range exprChildren(e, buf[:0]) {
+			n.addUses(c, schema)
 		}
 	}
 }
 
-func cloneSet(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		if v {
-			out[k] = true
+// with returns a copy of n, minus column drop (the one the operator itself
+// binds, "" for none), that also covers what e reads of schema.
+func (n needs) with(e sqlpp.Expr, schema []string, drop string) needs {
+	out := make(needs, 0, len(n)+2)
+	for _, c := range n {
+		if c.col != drop {
+			out = append(out, c)
+		}
+	}
+	out.addUses(e, schema)
+	return out
+}
+
+// only returns a copy of n restricted to cols.
+func (n needs) only(cols []string) needs {
+	out := make(needs, 0, len(n)+2)
+	for _, c := range n {
+		if indexOf(cols, c.col) >= 0 {
+			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func pruneOp(op Op, need map[string]bool, hits *int) Op {
+// leafFields is the field list a leaf binding v gets under need: nil when
+// the record is read whole, otherwise the sorted fields read of it (none
+// when only its existence matters). It counts a hit when that changes cur.
+func leafFields(cur []string, need needs, v string, hits *int) []string {
+	var want []string
+	if fs, ok := need.get(v); !ok || fs != nil {
+		want = append(make([]string, 0, len(fs)), fs...)
+		sort.Strings(want)
+	}
+	if (cur == nil) != (want == nil) || !sameStrings(cur, want) {
+		*hits++
+	}
+	return want
+}
+
+func pruneOp(op Op, need needs, hits *int) Op {
 	switch o := op.(type) {
+	case *ScanOp:
+		o.Fields = leafFields(o.Fields, need, o.Var, hits)
+		return o
+	case *IndexSearchOp:
+		o.Fields = leafFields(o.Fields, need, o.Var, hits)
+		return o
 	case *SelectOp:
-		n := cloneSet(need)
-		addFreeIn(n, o.Cond, o.In.Schema())
-		o.In = pruneOp(o.In, n, hits)
+		o.In = pruneOp(o.In, need.with(o.Cond, o.In.Schema(), ""), hits)
 		return o
 	case *AssignOp:
-		if !need[o.Var] {
+		if !need.has(o.Var) {
 			// Dead assign: nobody downstream reads the column.
 			*hits++
 			return pruneOp(o.In, need, hits)
 		}
-		n := cloneSet(need)
-		delete(n, o.Var)
-		addFreeIn(n, o.Expr, o.In.Schema())
-		o.In = pruneOp(o.In, n, hits)
+		o.In = pruneOp(o.In, need.with(o.Expr, o.In.Schema(), o.Var), hits)
 		return o
 	case *UnnestOp:
 		// The unnest shapes cardinality even when its variable is dead;
 		// only the requirement set shrinks.
-		n := cloneSet(need)
-		delete(n, o.Var)
-		addFreeIn(n, o.Expr, o.In.Schema())
-		o.In = pruneOp(o.In, n, hits)
+		o.In = pruneOp(o.In, need.with(o.Expr, o.In.Schema(), o.Var), hits)
 		return o
 	case *ProjectOp:
 		var cols []string
 		for _, c := range o.Cols {
-			if need[c] {
+			if need.has(c) {
 				cols = append(cols, c)
 			}
 		}
@@ -907,71 +1024,51 @@ func pruneOp(op Op, need map[string]bool, hits *int) Op {
 			o.Cols = cols
 			*hits++
 		}
-		n := map[string]bool{}
-		for _, c := range o.Cols {
-			n[c] = true
-		}
-		o.In = pruneOp(o.In, n, hits)
+		o.In = pruneOp(o.In, need.only(o.Cols), hits)
 		return o
 	case *JoinOp:
-		needL := map[string]bool{}
-		needR := map[string]bool{}
 		lSchema, rSchema := o.L.Schema(), o.R.Schema()
-		for _, v := range lSchema {
-			if need[v] {
-				needL[v] = true
-			}
-		}
-		for _, v := range rSchema {
-			if need[v] {
-				needR[v] = true
-			}
-		}
+		needL, needR := need.only(lSchema), need.only(rSchema)
 		if o.On != nil {
-			addFreeIn(needL, o.On, lSchema)
-			addFreeIn(needR, o.On, rSchema)
+			needL.addUses(o.On, lSchema)
+			needR.addUses(o.On, rSchema)
 		}
 		for _, k := range o.LeftKeys {
-			needL[k] = true
+			needL.set(k, nil)
 		}
 		for _, k := range o.RightKeys {
-			needR[k] = true
+			needR.set(k, nil)
 		}
 		o.L = maybeProject(pruneOp(o.L, needL, hits), needL, hits)
 		o.R = maybeProject(pruneOp(o.R, needR, hits), needR, hits)
 		return o
 	case *GroupOp:
-		n := map[string]bool{}
+		var n needs
 		inSchema := o.In.Schema()
 		for _, k := range o.Keys {
-			addFreeIn(n, k.Expr, inSchema)
+			n.addUses(k.Expr, inSchema)
 		}
 		for _, a := range o.Aggs {
-			if a.Arg != nil {
-				addFreeIn(n, a.Arg, inSchema)
-			}
+			n.addUses(a.Arg, inSchema)
 		}
 		if o.GroupAs != "" {
 			// GROUP AS materializes every row variable.
 			for _, v := range o.RowVars {
-				n[v] = true
+				n.set(v, nil)
 			}
 		}
 		o.In = pruneOp(o.In, n, hits)
 		return o
 	case *ResultOp:
-		n := cloneSet(need)
-		delete(n, ResultVar)
-		addFreeIn(n, o.Expr, o.In.Schema())
-		o.In = pruneOp(o.In, n, hits)
+		o.In = pruneOp(o.In, need.with(o.Expr, o.In.Schema(), ResultVar), hits)
 		return o
 	case *DistinctOp:
-		o.In = pruneOp(o.In, map[string]bool{ResultVar: true}, hits)
+		o.In = pruneOp(o.In, needs{{col: ResultVar}}, hits)
 		return o
 	case *OrderOp:
-		n := cloneSet(need)
+		n := need.with(nil, nil, "")
 		for _, it := range o.Items {
-			addFreeIn(n, it.Expr, o.In.Schema())
+			n.addUses(it.Expr, o.In.Schema())
 		}
 		o.In = pruneOp(o.In, n, hits)
 		return o
@@ -980,7 +1077,7 @@ func pruneOp(op Op, need map[string]bool, hits *int) Op {
 		return o
 	case *UnionAllOp:
 		for i := range o.Ins {
-			o.Ins[i] = pruneOp(o.Ins[i], map[string]bool{ResultVar: true}, hits)
+			o.Ins[i] = pruneOp(o.Ins[i], needs{{col: ResultVar}}, hits)
 		}
 		return o
 	default:
@@ -991,14 +1088,14 @@ func pruneOp(op Op, need map[string]bool, hits *int) Op {
 // maybeProject narrows child to the needed columns when it produces more,
 // keeping schema order. Children that are already projects were narrowed
 // in place by pruneOp.
-func maybeProject(child Op, need map[string]bool, hits *int) Op {
+func maybeProject(child Op, need needs, hits *int) Op {
 	if _, ok := child.(*ProjectOp); ok {
 		return child
 	}
 	schema := child.Schema()
 	var cols []string
 	for _, v := range schema {
-		if need[v] {
+		if need.has(v) {
 			cols = append(cols, v)
 		}
 	}

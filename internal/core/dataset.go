@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"asterix/internal/adm"
@@ -204,7 +205,7 @@ func (d *Dataset) locate(rec *adm.Object) (int, []byte, []adm.Value, error) {
 // Flush/merge stalls the write triggers are attributed to sp (nil from
 // recovery redo and programmatic paths).
 func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *obs.Span) error {
-	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
+	if old, ok, err := d.getRecord(part, keyBytes, nil); err != nil {
 		return err
 	} else if ok {
 		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
@@ -220,7 +221,7 @@ func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *ob
 
 // applyDelete removes a record and its index entries.
 func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
-	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
+	if old, ok, err := d.getRecord(part, keyBytes, nil); err != nil {
 		return err
 	} else if ok {
 		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
@@ -230,21 +231,27 @@ func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
 	return d.parts[part].DeleteSpan(keyBytes, sp)
 }
 
-// decodeRecord decodes a stored (possibly compressed) primary-index value.
-func decodeRecord(stored []byte) (adm.Value, error) {
+// decodeRecord decodes a stored (possibly compressed) primary-index value:
+// the whole record when fields is nil, otherwise an object holding only
+// the named first-level fields. Every read path — scan, primary lookup,
+// secondary fetch — materializes records here.
+func decodeRecord(stored []byte, fields []string) (adm.Value, error) {
 	raw, err := decodeRecordBytes(stored)
 	if err != nil {
 		return nil, err
 	}
-	return adm.DecodeValue(raw)
+	if fields == nil {
+		return adm.DecodeValue(raw)
+	}
+	return adm.DecodeFields(raw, fields)
 }
 
-func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error) {
+func (d *Dataset) getRecord(part int, keyBytes []byte, fields []string) (*adm.Object, bool, error) {
 	data, ok, err := d.parts[part].Get(keyBytes)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, err := decodeRecord(data)
+	v, err := decodeRecord(data, fields)
 	if err != nil {
 		return nil, false, err
 	}
@@ -393,7 +400,7 @@ func (d *Dataset) buildIndex(si *SecondaryIndex) error {
 		var buildErr error
 		err := d.parts[p].Scan(nil, nil, func(k, v []byte) bool {
 			var rec adm.Value
-			if rec, buildErr = decodeRecord(v); buildErr != nil {
+			if rec, buildErr = decodeRecord(v, nil); buildErr != nil {
 				return false
 			}
 			if o, ok := rec.(*adm.Object); ok {
@@ -416,8 +423,14 @@ func (d *Dataset) Name() string { return d.def.Name }
 // Partitions implements algebricks.DataSource.
 func (d *Dataset) Partitions() int { return d.def.Partitions }
 
-// ScanPartition implements algebricks.DataSource over the primary index.
+// ScanPartition emits every record of one partition, whole.
 func (d *Dataset) ScanPartition(part int, emit func(adm.Value) error) error {
+	return d.Scan(part, nil, emit)
+}
+
+// Scan implements algebricks.DataSource over the primary index; external
+// datasets ignore fields and emit whole records.
+func (d *Dataset) Scan(part int, fields []string, emit func(adm.Value) error) error {
 	if d.def.External {
 		typ := d.typ
 		adapter, err := external.New(d.def.Adapter, d.def.Params, typ)
@@ -426,19 +439,20 @@ func (d *Dataset) ScanPartition(part int, emit func(adm.Value) error) error {
 		}
 		return adapter.Scan(part, d.def.Partitions, emit)
 	}
-	return d.scanRange(part, nil, nil, nil, emit)
+	return d.scanRange(part, nil, nil, nil, fields, emit)
 }
 
-// scanRange decodes and emits the partition's records with key bytes in
-// [lo, hi] (nil = unbounded), except the one stored under skip.
-func (d *Dataset) scanRange(part int, lo, hi, skip []byte, emit func(adm.Value) error) error {
+// scanRange decodes (decodeRecord's fields) and emits the partition's
+// records with key bytes in [lo, hi] (nil = unbounded), except the one
+// stored under skip.
+func (d *Dataset) scanRange(part int, lo, hi, skip []byte, fields []string, emit func(adm.Value) error) error {
 	var scanErr error
 	err := d.parts[part].Scan(lo, hi, func(k, v []byte) bool {
 		if skip != nil && bytes.Equal(k, skip) {
 			return true
 		}
 		var rec adm.Value
-		if rec, scanErr = decodeRecord(v); scanErr == nil {
+		if rec, scanErr = decodeRecord(v, fields); scanErr == nil {
 			scanErr = emit(rec)
 		}
 		return scanErr == nil
@@ -551,7 +565,7 @@ func (pi primaryIndex) OwnerPartition(key adm.Value) (int, bool) {
 
 // SearchRange implements algebricks.IndexAccessor: Tree.Get when the
 // bounds pin one full key, a bounded Tree.Scan otherwise.
-func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(adm.Value) error) error {
+func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(adm.Value) error) error {
 	d := pi.ds
 	loB, loFull, err := pi.encodeBound(lo)
 	if err != nil {
@@ -562,7 +576,7 @@ func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool
 		return err
 	}
 	if loFull && hiFull && loInc && hiInc && bytes.Equal(loB, hiB) {
-		rec, ok, err := d.getRecord(part, loB)
+		rec, ok, err := d.getRecord(part, loB, fields)
 		if err != nil || !ok {
 			return err
 		}
@@ -583,16 +597,16 @@ func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool
 			skip = hiB
 		}
 	}
-	return d.scanRange(part, loB, hiB, skip, emit)
+	return d.scanRange(part, loB, hiB, skip, fields, emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor.
-func (pi primaryIndex) SearchSpatial(int, adm.Rectangle, func(adm.Value) error) error {
+func (pi primaryIndex) SearchSpatial(int, adm.Rectangle, []string, func(adm.Value) error) error {
 	return fmt.Errorf("core: spatial search on the primary index of %s", pi.ds.def.Name)
 }
 
 // SearchKeyword implements algebricks.IndexAccessor.
-func (pi primaryIndex) SearchKeyword(int, string, func(adm.Value) error) error {
+func (pi primaryIndex) SearchKeyword(int, string, []string, func(adm.Value) error) error {
 	return fmt.Errorf("core: keyword search on the primary index of %s", pi.ds.def.Name)
 }
 
@@ -608,11 +622,12 @@ func (si *SecondaryIndex) KeyFields() []string { return si.def.Fields[:1] }
 func (si *SecondaryIndex) OwnerPartition(adm.Value) (int, bool) { return 0, false }
 
 // fetch resolves candidate pk byte-keys through the primary index and
-// emits records passing the check predicate — in sorted pk order (the
+// emits records (decodeRecord's fields of them; check must read only
+// those) passing the check predicate — in sorted pk order (the
 // pk-sort-before-fetch optimization of [26]) unless sorted is off, the
 // ablation knob for experiment E11 (unsorted fetch loses the access
 // locality the trick provides).
-func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, check func(*adm.Object) bool, emit func(adm.Value) error) error {
+func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, fields []string, check func(*adm.Object) bool, emit func(adm.Value) error) error {
 	pks := make([]string, 0, len(pkSet))
 	for pk := range pkSet {
 		pks = append(pks, pk)
@@ -621,7 +636,7 @@ func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, ch
 		sort.Strings(pks)
 	}
 	for _, pk := range pks {
-		rec, ok, err := si.ds.getRecord(part, []byte(pk))
+		rec, ok, err := si.ds.getRecord(part, []byte(pk), fields)
 		if err != nil {
 			return err
 		}
@@ -656,7 +671,7 @@ func decodeSecVal(v []byte) (adm.Value, []byte, error) {
 }
 
 // SearchRange implements algebricks.IndexAccessor for BTREE indexes.
-func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(adm.Value) error) error {
+func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(adm.Value) error) error {
 	if si.def.Kind != "BTREE" {
 		return fmt.Errorf("core: SearchRange on %s index", si.def.Kind)
 	}
@@ -689,23 +704,31 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 	if err := si.scanCandidates(part, loB, hiB, inRange, pks); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, nil, emit)
+	return si.fetch(part, pks, true, fields, nil, emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
 // variants of the Section V-B study.
-func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(adm.Value) error) error {
-	return si.SearchSpatialAblation(part, rect, true, emit)
+func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, fields []string, emit func(adm.Value) error) error {
+	return si.searchSpatial(part, rect, true, fields, emit)
 }
 
 // SearchSpatialAblation answers a spatial query with the fetch phase's
 // pk sort toggled (experiment E11: quantifying the [26] optimization).
 func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, sortedFetch bool, emit func(adm.Value) error) error {
+	return si.searchSpatial(part, rect, sortedFetch, nil, emit)
+}
+
+func (si *SecondaryIndex) searchSpatial(part int, rect adm.Rectangle, sortedFetch bool, fields []string, emit func(adm.Value) error) error {
 	pks, err := si.spatialCandidates(part, rect)
 	if err != nil {
 		return err
 	}
 	field := si.def.Fields[0]
+	if fields != nil && !slices.Contains(fields, field) {
+		// The containment check below reads the indexed field.
+		fields = append(fields[:len(fields):len(fields)], field)
+	}
 	check := func(rec *adm.Object) bool {
 		switch p := rec.Get(field).(type) {
 		case adm.Point:
@@ -715,7 +738,7 @@ func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, so
 		}
 		return false
 	}
-	return si.fetch(part, pks, sortedFetch, check, emit)
+	return si.fetch(part, pks, sortedFetch, fields, check, emit)
 }
 
 // SearchSpatialCandidates runs only the index portion of a spatial search,
@@ -809,7 +832,7 @@ func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (map[s
 }
 
 // SearchKeyword implements algebricks.IndexAccessor for KEYWORD indexes.
-func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(adm.Value) error) error {
+func (si *SecondaryIndex) SearchKeyword(part int, token string, fields []string, emit func(adm.Value) error) error {
 	if si.def.Kind != "KEYWORD" {
 		return fmt.Errorf("core: SearchKeyword on %s index", si.def.Kind)
 	}
@@ -829,5 +852,5 @@ func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(adm.Va
 	if err := si.scanCandidates(part, loK, loK, isToken, pks); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, nil, emit)
+	return si.fetch(part, pks, true, fields, nil, emit)
 }

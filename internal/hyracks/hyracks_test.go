@@ -195,6 +195,120 @@ func TestSortSpills(t *testing.T) {
 	}
 }
 
+// TestBoundedSortMatchesFullSortPrefix: a bounded sort must emit exactly
+// the first k tuples a full sort emits — same tuples, same order among
+// equal keys — on duplicate-heavy input, on one partition and on several
+// merged, in memory and when k tuples themselves overflow the grant.
+func TestBoundedSortMatchesFullSortPrefix(t *testing.T) {
+	const perPart = 6000
+	cmp := Comparator{Columns: []int{0}, Desc: []bool{true}}
+	run := func(t *testing.T, c *Cluster, par, k int) []Tuple {
+		j := NewJob()
+		scan := j.Add(NewScan("scan", par, func(tc *TaskContext, emit func(Tuple) error) error {
+			r := rand.New(rand.NewSource(int64(tc.Partition)))
+			for i := 0; i < perPart; i++ {
+				// 40 distinct keys; column 1 is the arrival position.
+				tup := Tuple{adm.Int64(r.Intn(40)), adm.Int64(tc.Partition*perPart + i), adm.String("padding-padding-padding-padding")}
+				if err := emit(tup); err != nil {
+					return err
+				}
+			}
+			return nil
+		}))
+		sortOp := j.Add(NewTopK("sort", par, cmp, k))
+		coll := &Collector{}
+		sink := j.Add(NewOrderedSink("sink", coll))
+		j.MustConnect(scan, sortOp, 0, OneToOne())
+		j.MustConnect(sortOp, sink, 0, MergeOrdered(cmp))
+		if err := c.Run(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+		return coll.Tuples()
+	}
+	for _, par := range []int{1, 3} {
+		for _, grant := range []int64{0, 64 << 10} {
+			newC := func(t *testing.T) *Cluster {
+				if grant == 0 {
+					return newCluster(t, 1)
+				}
+				return newSpillCluster(t, 1, grant)
+			}
+			t.Run(fmt.Sprintf("partitions=%d/grant=%d", par, grant), func(t *testing.T) {
+				full := run(t, newC(t), par, 0)
+				if len(full) != par*perPart {
+					t.Fatalf("full sort emitted %d tuples, want %d", len(full), par*perPart)
+				}
+				for _, k := range []int{1, 7, 150, 2500, par*perPart + 10} {
+					c := newC(t)
+					got := run(t, c, par, k)
+					// Each partition keeps k, the merge interleaves them: the
+					// first k of the merged stream are the global first k.
+					want := full[:min(k, len(full))]
+					if len(got) < len(want) {
+						t.Fatalf("k=%d: %d tuples, want at least %d", k, len(got), len(want))
+					}
+					for i := range want {
+						if adm.Compare(got[i][0], want[i][0]) != 0 || adm.Compare(got[i][1], want[i][1]) != 0 {
+							t.Fatalf("k=%d: tuple %d is %v, full sort has %v", k, i, got[i], want[i])
+						}
+					}
+					if grant != 0 && k == 2500 && c.TotalStats().Spills == 0 {
+						t.Errorf("k=%d tuples fit a %d-byte grant; the spilling case proves nothing", k, grant)
+					}
+					if grant != 0 && k == 7 && c.TotalStats().Spills != 0 {
+						t.Errorf("k=%d spilled %d runs under a %d-byte grant: it must hold only what it keeps", k, c.TotalStats().Spills, grant)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSortLimit: one partition sorting 100k tuples, keeping the
+// first 50 against keeping all — what ORDER BY … LIMIT 50 saves.
+func BenchmarkSortLimit(b *testing.B) {
+	const n = 100000
+	r := rand.New(rand.NewSource(1))
+	input := make([]Tuple, n)
+	for i := range input {
+		input[i] = Tuple{adm.String(fmt.Sprintf("message %08d", r.Intn(n))), adm.Int64(i)}
+	}
+	cmp := Comparator{Columns: []int{0}, Desc: []bool{true}}
+	for _, bc := range []struct {
+		name    string
+		k, rows int
+	}{{"k=50", 50, 50}, {"unbounded", 0, n}} {
+		k := bc.k
+		b.Run(bc.name, func(b *testing.B) {
+			c := newCluster(b, 1)
+			b.ReportAllocs()
+			for iter := 0; iter < b.N; iter++ {
+				j := NewJob()
+				scan := j.Add(NewScan("scan", 1, func(tc *TaskContext, emit func(Tuple) error) error {
+					for _, tup := range input {
+						if err := emit(tup); err != nil {
+							return err
+						}
+					}
+					return nil
+				}))
+				sortOp := j.Add(NewTopK("sort", 1, cmp, k))
+				var rows int
+				sink := j.Add(NewFuncSink("sink", 1, func(int, Tuple) error { rows++; return nil }))
+				j.MustConnect(scan, sortOp, 0, OneToOne())
+				j.MustConnect(sortOp, sink, 0, OneToOne())
+				if err := c.Run(context.Background(), j); err != nil {
+					b.Fatal(err)
+				}
+				if rows != bc.rows {
+					b.Fatalf("sink saw %d rows, want %d", rows, bc.rows)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		})
+	}
+}
+
 func TestSortDescending(t *testing.T) {
 	c := newCluster(t, 1)
 	j := NewJob()

@@ -1,6 +1,6 @@
 package hyracks
 
-import "sort"
+import "slices"
 
 // NewSort builds a memory-governed external sort: each partition
 // accumulates tuples in its working-memory grant, growing it as the
@@ -8,27 +8,54 @@ import "sort"
 // on output. With a single run everything stays in memory (the crossover
 // E5 measures).
 func NewSort(name string, parallelism int, cmp Comparator) *Operator {
+	return NewTopK(name, parallelism, cmp, 0)
+}
+
+// NewTopK is NewSort bounded to the first k tuples of each partition's
+// sorted output (k = 0: all of them). A bounded sort retains, charges and
+// spills only tuples that can still be among those k, so ORDER BY … LIMIT
+// costs memory for the limit, not for the input.
+func NewTopK(name string, parallelism int, cmp Comparator, k int) *Operator {
 	return &Operator{
 		Name:        name,
 		Parallelism: parallelism,
 		Memory:      true,
 		New: func(int) Runner {
 			return RunnerFunc(func(tc *TaskContext, in []*Input, out []*Output) error {
-				return runSort(tc, in[0], out[0], cmp)
+				return runSort(tc, in[0], out[0], cmp, k)
 			})
 		},
 	}
 }
 
-func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator) error {
+// runSort emits the input in cmp order, stably (equal tuples in arrival
+// order); with limit > 0, only the first limit tuples of that order.
+func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator, limit int) error {
 	runs := newRunSet(tc, true)
 	defer runs.close()
 	var (
 		buf     []Tuple
 		bufSize int
+		// kth, once set, is a tuple that limit earlier arrivals sort at or
+		// before: a later arrival that does not sort strictly before it can
+		// never be among the first limit, in this run or any other.
+		kth Tuple
 	)
+	// sortBuf orders the buffer and, in a bounded sort, cuts it back to the
+	// limit tuples that can still be output. The buffer holds tuples in
+	// arrival order among equals (survivors of the last cut, then newer
+	// arrivals), so the stable sort keeps the earliest.
 	sortBuf := func() {
-		sort.SliceStable(buf, func(i, j int) bool { return cmp.Compare(buf[i], buf[j]) < 0 })
+		slices.SortStableFunc(buf, cmp.Compare)
+		if limit <= 0 || len(buf) < limit {
+			return
+		}
+		clear(buf[limit:])
+		buf, bufSize = buf[:limit], 0
+		for _, t := range buf {
+			bufSize += t.EstimateSize()
+		}
+		kth = buf[limit-1]
 	}
 	// spill writes the buffer out as the next sorted run.
 	spill := func() error {
@@ -43,8 +70,17 @@ func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator) error {
 		return nil
 	}
 	err := in.ForEach(func(t Tuple) error {
+		if kth != nil && cmp.Compare(t, kth) >= 0 {
+			return nil
+		}
 		buf = append(buf, t)
 		bufSize += t.EstimateSize()
+		// Cutting back at twice the limit keeps the cost of a retained
+		// tuple at one amortized sort step (written without doubling the
+		// limit, which may be near the integer maximum).
+		if limit > 0 && len(buf)-limit >= limit {
+			sortBuf()
+		}
 		return growOrSpill(tc, bufSize, spill)
 	})
 	if err != nil {
@@ -80,7 +116,7 @@ func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator) error {
 			return err
 		}
 	}
-	for {
+	for emitted := 0; limit <= 0 || emitted < limit; emitted++ {
 		best := -1
 		for src, h := range heads {
 			if h != nil && (best == -1 || cmp.Compare(h, heads[best]) < 0) {
@@ -97,4 +133,5 @@ func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator) error {
 			return err
 		}
 	}
+	return nil
 }

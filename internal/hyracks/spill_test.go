@@ -115,6 +115,9 @@ func TestSpillErrorExitsLeaveNothingBehind(t *testing.T) {
 		build bool
 	}{
 		{"sort", func() *Operator { return NewSort("op", 1, Comparator{Columns: []int{0}}) }, false},
+		// Descending, so every arrival displaces a kept tuple and the 1000
+		// kept ones, which overflow the grant, go out as runs of at most 1000.
+		{"bounded sort", func() *Operator { return NewTopK("op", 1, Comparator{Columns: []int{0}, Desc: []bool{true}}, 1000) }, false},
 		{"group-by", func() *Operator { return NewGroupBy("op", 1, []int{0}, []AggSpec{CountAgg(-1)}) }, false},
 		{"inner join", func() *Operator { return NewHashJoin("op", 1, []int{0}, []int{0}, InnerJoin, 2, nil) }, true},
 		{"left-outer join", func() *Operator { return NewHashJoin("op", 1, []int{0}, []int{0}, LeftOuterJoin, 2, nil) }, true},
