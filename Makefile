@@ -54,10 +54,12 @@ net-matrix:
 	ASTERIX_NET_MATRIX=1 go test -count=1 -timeout 180s -run 'TestParsePeers|TestMultiProcessCluster' -v ./cmd/asterixd/
 
 # bench: every top-level Go benchmark once, plus the per-layer
-# microbenchmarks of the record decoder (BenchmarkDecodeFields) and the
-# runtime operators (BenchmarkSortLimit, BenchmarkParallelGroupBy).
+# microbenchmarks of the record decoder (BenchmarkDecodeFields), the
+# expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled)
+# and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
+# BenchmarkExchangeWrite).
 bench:
-	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/hyracks
+	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/hyracks
 
 # bench-smoke: the CI perf gate — run the experiment suite at the small
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
@@ -83,6 +85,7 @@ fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMBinaryRoundTrip -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzADMDecodeFields -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
+	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
 	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
 	go test -run NONE -fuzz FuzzBTreePage -fuzztime 10s ./internal/btree
 
@@ -95,8 +98,8 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and partial decoder, SQL++ parser, frame decoder, B+tree page reader)"
-	@echo "  bench       top-level benchmarks + adm/hyracks microbenchmarks, once each"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and partial decoder, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
+	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 

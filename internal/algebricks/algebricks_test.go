@@ -225,68 +225,57 @@ func evalStr(t *testing.T, ev *Evaluator, src string) adm.Value {
 	return v
 }
 
-func TestEvalScalarExpressions(t *testing.T) {
-	ev := newEval(nil)
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{`1 + 2 * 3`, `7`},
-		{`(1 + 2) * 3`, `9`},
-		{`10 / 4`, `2.5`},
-		{`10 / 5`, `2`},
-		{`7 % 3`, `1`},
-		{`-(3 - 5)`, `2`},
-		{`"a" || "b"`, `"ab"`},
-		{`1 < 2 AND 2 < 3`, `true`},
-		{`1 > 2 OR 2 > 3`, `false`},
-		{`NOT false`, `true`},
-		{`null = 1`, `null`},
-		{`missing = 1`, `missing`},
-		{`null IS NULL`, `true`},
-		{`missing IS MISSING`, `true`},
-		{`null IS UNKNOWN`, `true`},
-		{`5 BETWEEN 1 AND 10`, `true`},
-		{`5 NOT BETWEEN 1 AND 3`, `true`},
-		{`2 IN [1, 2, 3]`, `true`},
-		{`5 NOT IN [1, 2, 3]`, `true`},
-		{`"hello" LIKE "he%"`, `true`},
-		{`"hello" LIKE "h_llo"`, `true`},
-		{`"hello" LIKE "x%"`, `false`},
-		{`CASE WHEN 1 > 2 THEN "a" ELSE "b" END`, `"b"`},
-		{`CASE 2 WHEN 1 THEN "one" WHEN 2 THEN "two" END`, `"two"`},
-		{`[1, 2, 3][1]`, `2`},
-		{`{"a": {"b": 7}}.a.b`, `7`},
-		{`{"a": 1}.nope`, `missing`},
-		{`SOME x IN [1, 2, 3] SATISFIES x > 2`, `true`},
-		{`EVERY x IN [1, 2, 3] SATISFIES x > 0`, `true`},
-		{`EVERY x IN [1, 2, 3] SATISFIES x > 1`, `false`},
-		{`coll_count([1, 2, 3])`, `3`},
-		{`coll_sum([1, 2, 3])`, `6`},
-		{`array_contains([1, 2], 2)`, `true`},
-		{`string_length("abc")`, `3`},
-		{`upper("aBc")`, `"ABC"`},
-		{`contains("hello world", "wor")`, `true`},
-		{`ftcontains("Hello, world!", "WORLD")`, `true`},
-		{`substring("abcdef", 1, 3)`, `"bcd"`},
-		{`abs(-5)`, `5`},
-		{`to_string(42)`, `"42"`},
-		{`is_missing(missing)`, `true`},
-		{`if_missing_or_null(missing, null, 3)`, `3`},
-		{`spatial_distance(point(0, 0), point(3, 4))`, `5.0`},
-		{`spatial_intersect(point(1, 1), create_rectangle(0, 0, 2, 2))`, `true`},
-		{`get_year(datetime("2017-06-01T00:00:00"))`, `2017`},
-		{`datetime("2017-01-31T00:00:00") + duration("P1D")`, `datetime("2017-02-01T00:00:00")`},
-		{`range(1, 4)`, `[1,2,3,4]`},
-	}
-	for _, c := range cases {
-		got := evalStr(t, ev, "SELECT VALUE "+c.src+" FROM [0] one")
-		arr := got.(adm.Array)
-		if len(arr) != 1 || arr[0].String() != c.want {
-			t.Errorf("%s = %s, want %s", c.src, got, c.want)
-		}
-	}
+var scalarCases = []exprCase{
+	{`1 + 2 * 3`, `7`},
+	{`(1 + 2) * 3`, `9`},
+	{`10 / 4`, `2.5`},
+	{`10 / 5`, `2`},
+	{`7 % 3`, `1`},
+	{`-(3 - 5)`, `2`},
+	{`"a" || "b"`, `"ab"`},
+	{`1 < 2 AND 2 < 3`, `true`},
+	{`1 > 2 OR 2 > 3`, `false`},
+	{`NOT false`, `true`},
+	{`null = 1`, `null`},
+	{`missing = 1`, `missing`},
+	{`null IS NULL`, `true`},
+	{`missing IS MISSING`, `true`},
+	{`null IS UNKNOWN`, `true`},
+	{`5 BETWEEN 1 AND 10`, `true`},
+	{`5 NOT BETWEEN 1 AND 3`, `true`},
+	{`2 IN [1, 2, 3]`, `true`},
+	{`5 NOT IN [1, 2, 3]`, `true`},
+	{`"hello" LIKE "he%"`, `true`},
+	{`"hello" LIKE "h_llo"`, `true`},
+	{`"hello" LIKE "x%"`, `false`},
+	{`CASE WHEN 1 > 2 THEN "a" ELSE "b" END`, `"b"`},
+	{`CASE 2 WHEN 1 THEN "one" WHEN 2 THEN "two" END`, `"two"`},
+	{`[1, 2, 3][1]`, `2`},
+	{`{"a": {"b": 7}}.a.b`, `7`},
+	{`{"a": 1}.nope`, `missing`},
+	{`SOME x IN [1, 2, 3] SATISFIES x > 2`, `true`},
+	{`EVERY x IN [1, 2, 3] SATISFIES x > 0`, `true`},
+	{`EVERY x IN [1, 2, 3] SATISFIES x > 1`, `false`},
+	{`coll_count([1, 2, 3])`, `3`},
+	{`coll_sum([1, 2, 3])`, `6`},
+	{`array_contains([1, 2], 2)`, `true`},
+	{`string_length("abc")`, `3`},
+	{`upper("aBc")`, `"ABC"`},
+	{`contains("hello world", "wor")`, `true`},
+	{`ftcontains("Hello, world!", "WORLD")`, `true`},
+	{`substring("abcdef", 1, 3)`, `"bcd"`},
+	{`abs(-5)`, `5`},
+	{`to_string(42)`, `"42"`},
+	{`is_missing(missing)`, `true`},
+	{`if_missing_or_null(missing, null, 3)`, `3`},
+	{`spatial_distance(point(0, 0), point(3, 4))`, `5.0`},
+	{`spatial_intersect(point(1, 1), create_rectangle(0, 0, 2, 2))`, `true`},
+	{`get_year(datetime("2017-06-01T00:00:00"))`, `2017`},
+	{`datetime("2017-01-31T00:00:00") + duration("P1D")`, `datetime("2017-02-01T00:00:00")`},
+	{`range(1, 4)`, `[1,2,3,4]`},
 }
+
+func TestEvalScalarExpressions(t *testing.T) { checkExprCases(t, scalarCases) }
 
 func TestIntervalBin(t *testing.T) {
 	ev := newEval(nil)

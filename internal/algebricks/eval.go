@@ -7,7 +7,9 @@ package algebricks
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"unicode/utf8"
 
 	"asterix/internal/adm"
 	"asterix/internal/sqlpp"
@@ -128,14 +130,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch b := base.(type) {
-		case *adm.Object:
-			return b.Get(x.Field), nil
-		}
-		if base.Kind() <= adm.KindNull {
-			return adm.Missing, nil
-		}
-		return adm.Missing, nil
+		return fieldOf(base, x.Field), nil
 
 	case *sqlpp.IndexAccess:
 		base, err := ev.Eval(x.Base, env)
@@ -146,23 +141,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		i, ok := adm.AsInt(idx)
-		if !ok {
-			return adm.Missing, nil
-		}
-		switch b := base.(type) {
-		case adm.Array:
-			if i < 0 || int(i) >= len(b) {
-				return adm.Missing, nil
-			}
-			return b[i], nil
-		case adm.Multiset:
-			if i < 0 || int(i) >= len(b) {
-				return adm.Missing, nil
-			}
-			return b[i], nil
-		}
-		return adm.Missing, nil
+		return elemAt(base, idx), nil
 
 	case *sqlpp.Unary:
 		v, err := ev.Eval(x.X, env)
@@ -171,25 +150,9 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		}
 		switch x.Op {
 		case "-":
-			switch n := v.(type) {
-			case adm.Int64:
-				return -n, nil
-			case adm.Double:
-				return -n, nil
-			}
-			if v.Kind() <= adm.KindNull {
-				return v, nil
-			}
-			return nil, evalErrf("cannot negate %s", v.Kind())
+			return negate(v)
 		case "NOT":
-			b, known := adm.Truthy(v)
-			if !known {
-				if v.Kind() == adm.KindMissing {
-					return adm.Missing, nil
-				}
-				return adm.Null, nil
-			}
-			return adm.Boolean(!b), nil
+			return truthValue[notTruth(truthOf(v))], nil
 		}
 		return nil, evalErrf("unknown unary op %s", x.Op)
 
@@ -201,19 +164,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		var res bool
-		switch x.What {
-		case "NULL":
-			res = v.Kind() == adm.KindNull
-		case "MISSING":
-			res = v.Kind() == adm.KindMissing
-		case "UNKNOWN":
-			res = v.Kind() <= adm.KindNull
-		}
-		if x.Negate {
-			res = !res
-		}
-		return adm.Boolean(res), nil
+		return adm.Boolean(isKind(isMask(x.What), v) != x.Negate), nil
 
 	case *sqlpp.Between:
 		v, err := ev.Eval(x.X, env)
@@ -228,14 +179,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		if v.Kind() <= adm.KindNull || lo.Kind() <= adm.KindNull || hi.Kind() <= adm.KindNull {
-			return adm.Null, nil
-		}
-		in := adm.Compare(v, lo) >= 0 && adm.Compare(v, hi) <= 0
-		if x.Negate {
-			in = !in
-		}
-		return adm.Boolean(in), nil
+		return truthValue[betweenTruth(v, lo, hi, x.Negate)], nil
 
 	case *sqlpp.InExpr:
 		v, err := ev.Eval(x.X, env)
@@ -246,21 +190,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		elems, ok := asCollection(coll)
-		if !ok {
-			return adm.Null, nil
-		}
-		found := false
-		for _, e := range elems {
-			if adm.Compare(e, v) == 0 {
-				found = true
-				break
-			}
-		}
-		if x.Negate {
-			found = !found
-		}
-		return adm.Boolean(found), nil
+		return truthValue[inTruth(v, coll, x.Negate)], nil
 
 	case *sqlpp.CaseExpr:
 		if x.Operand != nil {
@@ -323,12 +253,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		elems, ok := asCollection(v)
-		res := ok && len(elems) > 0
-		if x.Negate {
-			res = !res
-		}
-		return adm.Boolean(res), nil
+		return adm.Boolean(nonEmpty(v) != x.Negate), nil
 
 	case *sqlpp.ObjectConstructor:
 		o := adm.NewObject()
@@ -337,9 +262,9 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			name, ok := nv.(adm.String)
-			if !ok {
-				return nil, evalErrf("object field name must be a string, got %s", nv.Kind())
+			name, err := fieldName(nv)
+			if err != nil {
+				return nil, err
 			}
 			v, err := ev.Eval(f.Value, env)
 			if err != nil {
@@ -348,7 +273,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 			if v.Kind() == adm.KindMissing {
 				continue // missing fields are simply absent
 			}
-			o.Set(string(name), v)
+			o.Set(name, v)
 		}
 		return o, nil
 
@@ -404,112 +329,228 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 }
 
 func (ev *Evaluator) evalBinary(x *sqlpp.Binary, env *Env) (adm.Value, error) {
-	// AND/OR have three-valued logic with short circuit.
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := ev.Eval(x.L, env)
-		if err != nil {
-			return nil, err
-		}
-		lb, lknown := adm.Truthy(l)
-		if x.Op == "AND" {
-			if lknown && !lb {
-				return adm.Boolean(false), nil
-			}
-		} else {
-			if lknown && lb {
-				return adm.Boolean(true), nil
-			}
+	op := binOpOf(x.Op)
+	l, err := ev.Eval(x.L, env)
+	if err != nil {
+		return nil, err
+	}
+	if op == opAnd || op == opOr {
+		lt := truthOf(l)
+		if logicDecides(op, lt) {
+			return truthValue[lt], nil
 		}
 		r, err := ev.Eval(x.R, env)
 		if err != nil {
 			return nil, err
 		}
-		rb, rknown := adm.Truthy(r)
-		if x.Op == "AND" {
-			if rknown && !rb {
-				return adm.Boolean(false), nil
-			}
-			if lknown && rknown {
-				return adm.Boolean(true), nil
-			}
-			return adm.Null, nil
-		}
-		if rknown && rb {
-			return adm.Boolean(true), nil
-		}
-		if lknown && rknown {
-			return adm.Boolean(false), nil
-		}
-		return adm.Null, nil
-	}
-
-	l, err := ev.Eval(x.L, env)
-	if err != nil {
-		return nil, err
+		return truthValue[logic3(op, lt, truthOf(r))], nil
 	}
 	r, err := ev.Eval(x.R, env)
 	if err != nil {
 		return nil, err
 	}
-	// null/missing propagation.
-	if l.Kind() == adm.KindMissing || r.Kind() == adm.KindMissing {
-		return adm.Missing, nil
+	if u, unknown := unknownOperand(l, r); unknown {
+		return truthValue[u], nil
 	}
-	if l.Kind() == adm.KindNull || r.Kind() == adm.KindNull {
-		return adm.Null, nil
+	if op == opInvalid {
+		return nil, evalErrf("unknown operator %s", x.Op)
 	}
+	return applyBinary(op, l, r)
+}
 
-	switch x.Op {
-	case "=", "!=", "<", "<=", ">", ">=":
-		c := adm.Compare(l, r)
-		var res bool
-		switch x.Op {
-		case "=":
-			res = c == 0
-		case "!=":
-			res = c != 0
-		case "<":
-			res = c < 0
-		case "<=":
-			res = c <= 0
-		case ">":
-			res = c > 0
-		case ">=":
-			res = c >= 0
-		}
-		return adm.Boolean(res), nil
+// The operator kernels. Eval above and the compiled closures of compile.go
+// both call these and nothing else: the interpreter looks a kernel up per
+// call, the compiler once per expression, and neither holds a second
+// definition of what an operator does.
+
+// truth is a three-valued logic result that remembers which unknown it is.
+type truth uint8
+
+const (
+	tFalse truth = iota
+	tTrue
+	tNull
+	tMissing
+)
+
+// truthValue boxes each truth once, so a boolean result never allocates.
+var truthValue = [...]adm.Value{adm.Boolean(false), adm.Boolean(true), adm.Null, adm.Missing}
+
+func boolTruth(b bool) truth {
+	if b {
+		return tTrue
+	}
+	return tFalse
+}
+
+// truthOf is SQL++'s boolean view of a value: anything that is not a
+// boolean is unknown — missing when it is missing, null otherwise.
+func truthOf(v adm.Value) truth {
+	if b, ok := v.(adm.Boolean); ok {
+		return boolTruth(bool(b))
+	}
+	if v.Kind() == adm.KindMissing {
+		return tMissing
+	}
+	return tNull
+}
+
+func notTruth(t truth) truth {
+	switch t {
+	case tFalse:
+		return tTrue
+	case tTrue:
+		return tFalse
+	}
+	return t
+}
+
+// binOp is a binary operator resolved from its source text.
+type binOp uint8
+
+const (
+	opInvalid binOp = iota
+	opAnd
+	opOr
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opConcat
+	opLike
+	opAdd // the arithmetic operators stay in arithSymbols' order
+	opSub
+	opMul
+	opDiv
+	opMod
+)
+
+const arithSymbols = "+-*/%"
+
+// binOpOf resolves an operator's source text (a switch, not a map: the
+// interpreter pays for it on every binary node it evaluates).
+func binOpOf(op string) binOp {
+	switch op {
+	case "AND":
+		return opAnd
+	case "OR":
+		return opOr
+	case "=":
+		return opEq
+	case "!=":
+		return opNe
+	case "<":
+		return opLt
+	case "<=":
+		return opLe
+	case ">":
+		return opGt
+	case ">=":
+		return opGe
 	case "||":
+		return opConcat
+	case "LIKE":
+		return opLike
+	case "+":
+		return opAdd
+	case "-":
+		return opSub
+	case "*":
+		return opMul
+	case "/":
+		return opDiv
+	case "%":
+		return opMod
+	}
+	return opInvalid
+}
+
+// logicDecides reports whether the left operand alone decides AND (false)
+// or OR (true), so the right one is not evaluated.
+func logicDecides(op binOp, l truth) bool {
+	return l == boolTruth(op == opOr)
+}
+
+// logic3 is three-valued AND/OR over both operands.
+func logic3(op binOp, l, r truth) truth {
+	decides := boolTruth(op == opOr)
+	switch {
+	case l == decides || r == decides:
+		return decides
+	case l <= tTrue && r <= tTrue:
+		return notTruth(decides)
+	}
+	return tNull
+}
+
+// unknownOperand is the null/missing propagation of every binary operator
+// but AND/OR: missing if either operand is missing, else null if either is.
+func unknownOperand(l, r adm.Value) (truth, bool) {
+	lk, rk := l.Kind(), r.Kind()
+	switch {
+	case lk == adm.KindMissing || rk == adm.KindMissing:
+		return tMissing, true
+	case lk == adm.KindNull || rk == adm.KindNull:
+		return tNull, true
+	}
+	return tTrue, false
+}
+
+// compareOp applies a comparison operator to adm.Compare's result.
+func compareOp(op binOp, c int) bool {
+	switch op {
+	case opEq:
+		return c == 0
+	case opNe:
+		return c != 0
+	case opLt:
+		return c < 0
+	case opLe:
+		return c <= 0
+	case opGt:
+		return c > 0
+	}
+	return c >= 0
+}
+
+// applyBinary applies a comparison, ||, LIKE or arithmetic operator to two
+// known (neither null nor missing) operands.
+func applyBinary(op binOp, l, r adm.Value) (adm.Value, error) {
+	switch {
+	case op >= opEq && op <= opGe:
+		return adm.Boolean(compareOp(op, adm.Compare(l, r))), nil
+	case op == opConcat:
 		ls, lok := l.(adm.String)
 		rs, rok := r.(adm.String)
 		if !lok || !rok {
 			return nil, evalErrf("|| requires strings, got %s and %s", l.Kind(), r.Kind())
 		}
 		return ls + rs, nil
-	case "LIKE":
+	case op == opLike:
 		ls, lok := l.(adm.String)
 		rs, rok := r.(adm.String)
 		if !lok || !rok {
 			return adm.Null, nil
 		}
 		return adm.Boolean(likeMatch(string(ls), string(rs))), nil
-	case "+", "-", "*", "/", "%":
-		return ev.arith(x.Op, l, r)
 	}
-	return nil, evalErrf("unknown operator %s", x.Op)
+	return arith(op, l, r)
 }
 
-func (ev *Evaluator) arith(op string, l, r adm.Value) (adm.Value, error) {
+func arith(op binOp, l, r adm.Value) (adm.Value, error) {
 	// datetime/duration arithmetic.
 	if ldt, ok := l.(adm.Datetime); ok {
 		if rd, ok := r.(adm.Duration); ok {
 			switch op {
-			case "+":
+			case opAdd:
 				return adm.AddDuration(ldt, rd), nil
-			case "-":
+			case opSub:
 				return adm.SubDuration(ldt, rd), nil
 			}
 		}
-		if rdt, ok := r.(adm.Datetime); ok && op == "-" {
+		if rdt, ok := r.(adm.Datetime); ok && op == opSub {
 			return adm.Duration{Millis: int64(ldt) - int64(rdt)}, nil
 		}
 	}
@@ -517,13 +558,13 @@ func (ev *Evaluator) arith(op string, l, r adm.Value) (adm.Value, error) {
 	ri, rIsInt := r.(adm.Int64)
 	if lIsInt && rIsInt {
 		switch op {
-		case "+":
+		case opAdd:
 			return li + ri, nil
-		case "-":
+		case opSub:
 			return li - ri, nil
-		case "*":
+		case opMul:
 			return li * ri, nil
-		case "/":
+		case opDiv:
 			if ri == 0 {
 				return adm.Null, nil
 			}
@@ -531,7 +572,7 @@ func (ev *Evaluator) arith(op string, l, r adm.Value) (adm.Value, error) {
 				return li / ri, nil
 			}
 			return adm.Double(float64(li) / float64(ri)), nil
-		case "%":
+		case opMod:
 			if ri == 0 {
 				return adm.Null, nil
 			}
@@ -541,65 +582,174 @@ func (ev *Evaluator) arith(op string, l, r adm.Value) (adm.Value, error) {
 	lf, lok := adm.AsFloat(l)
 	rf, rok := adm.AsFloat(r)
 	if !lok || !rok {
-		return nil, evalErrf("cannot apply %s to %s and %s", op, l.Kind(), r.Kind())
+		return nil, evalErrf("cannot apply %c to %s and %s", arithSymbols[op-opAdd], l.Kind(), r.Kind())
 	}
 	switch op {
-	case "+":
+	case opAdd:
 		return adm.Double(lf + rf), nil
-	case "-":
+	case opSub:
 		return adm.Double(lf - rf), nil
-	case "*":
+	case opMul:
 		return adm.Double(lf * rf), nil
-	case "/":
+	case opDiv:
 		if rf == 0 {
 			return adm.Null, nil
 		}
 		return adm.Double(lf / rf), nil
-	case "%":
-		if rf == 0 {
-			return adm.Null, nil
-		}
-		return adm.Double(float64(int64(lf) % int64(rf))), nil
 	}
-	return nil, evalErrf("unknown arithmetic op %s", op)
+	if rf == 0 {
+		return adm.Null, nil
+	}
+	return adm.Double(math.Mod(lf, rf)), nil
 }
 
-// likeMatch implements SQL LIKE with % and _ wildcards.
+// fieldOf is base.field: missing unless base is an object that has it.
+func fieldOf(base adm.Value, field string) adm.Value {
+	if o, ok := base.(*adm.Object); ok {
+		return o.Get(field)
+	}
+	return adm.Missing
+}
+
+// elemAt is base[idx]: missing unless idx is an integer inside the array
+// or multiset base.
+func elemAt(base, idx adm.Value) adm.Value {
+	i, ok := adm.AsInt(idx)
+	elems, isColl := asCollection(base)
+	if !ok || !isColl || i < 0 || i >= int64(len(elems)) {
+		return adm.Missing
+	}
+	return elems[i]
+}
+
+// fieldName is the name of a constructed object field.
+func fieldName(v adm.Value) (string, error) {
+	s, ok := v.(adm.String)
+	if !ok {
+		return "", evalErrf("object field name must be a string, got %s", v.Kind())
+	}
+	return string(s), nil
+}
+
+func negate(v adm.Value) (adm.Value, error) {
+	switch n := v.(type) {
+	case adm.Int64:
+		return -n, nil
+	case adm.Double:
+		return -n, nil
+	}
+	if v.Kind() <= adm.KindNull {
+		return v, nil
+	}
+	return nil, evalErrf("cannot negate %s", v.Kind())
+}
+
+// isMask is the set of kinds (bit k = adm.Kind k) IS NULL|MISSING|UNKNOWN
+// accepts; isKind tests a value against it.
+func isMask(what string) uint {
+	switch what {
+	case "NULL":
+		return 1 << adm.KindNull
+	case "MISSING":
+		return 1 << adm.KindMissing
+	case "UNKNOWN":
+		return 1<<adm.KindNull | 1<<adm.KindMissing
+	}
+	return 0
+}
+
+func isKind(mask uint, v adm.Value) bool { return mask&(1<<v.Kind()) != 0 }
+
+func betweenTruth(v, lo, hi adm.Value, negate bool) truth {
+	if v.Kind() <= adm.KindNull || lo.Kind() <= adm.KindNull || hi.Kind() <= adm.KindNull {
+		return tNull
+	}
+	return boolTruth((adm.Compare(v, lo) >= 0 && adm.Compare(v, hi) <= 0) != negate)
+}
+
+func inTruth(v, coll adm.Value, negate bool) truth {
+	elems, ok := asCollection(coll)
+	if !ok {
+		return tNull
+	}
+	found := false
+	for _, e := range elems {
+		if adm.Compare(e, v) == 0 {
+			found = true
+			break
+		}
+	}
+	return boolTruth(found != negate)
+}
+
+// nonEmpty is EXISTS: true for a collection with at least one element.
+func nonEmpty(v adm.Value) bool {
+	elems, ok := asCollection(v)
+	return ok && len(elems) > 0
+}
+
+// likeMatch implements SQL LIKE: % matches any run of characters, _ exactly
+// one. It keeps a single backtrack point — the last % and the text position
+// it has absorbed up to — because once a later % is reached no earlier one
+// needs revisiting, so a match costs O(len(s)·len(pattern)) whatever the
+// pattern looks like.
 func likeMatch(s, pattern string) bool {
-	// Dynamic programming over the pattern.
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
-			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
-					return true
-				}
-			}
-			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
+	si, pi := 0, 0
+	starP, starS := -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && pattern[pi] == '%':
+			starP, starS = pi, si
+			pi++
+		case pi < len(pattern) && pattern[pi] == '_':
+			si += runeLen(s[si:])
+			pi++
+		case pi < len(pattern) && pattern[pi] == s[si]:
+			si++
+			pi++
+		case starP >= 0:
+			// Mismatch after a %: let it absorb one more character.
+			starS += runeLen(s[starS:])
+			si, pi = starS, starP+1
 		default:
-			if len(s) == 0 || s[0] != p[0] {
-				return false
-			}
-			s, p = s[1:], p[1:]
+			return false
 		}
 	}
-	return len(s) == 0
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
+}
+
+// runeLen is the byte length of the first character of a non-empty s.
+func runeLen(s string) int {
+	if s[0] < utf8.RuneSelf {
+		return 1
+	}
+	_, w := utf8.DecodeRuneInString(s)
+	return w
+}
+
+// likeMatcher prepares a constant pattern once: the shapes that need no
+// matching loop (no wildcard, or % only at the ends) become the strings
+// function that decides them, everything else runs likeMatch.
+func likeMatcher(pattern string) func(s string) bool {
+	body := strings.Trim(pattern, "%")
+	if strings.ContainsAny(body, "%_") {
+		return func(s string) bool { return likeMatch(s, pattern) }
+	}
+	lead, trail := strings.HasPrefix(pattern, "%"), strings.HasSuffix(pattern, "%")
+	switch {
+	case body == "" && pattern != "":
+		return func(string) bool { return true }
+	case lead && trail:
+		return func(s string) bool { return strings.Contains(s, body) }
+	case lead:
+		return func(s string) bool { return strings.HasSuffix(s, body) }
+	case trail:
+		return func(s string) bool { return strings.HasPrefix(s, body) }
+	}
+	return func(s string) bool { return s == body }
 }
 
 // asCollection views arrays and multisets as element slices.

@@ -26,36 +26,70 @@ func (ev *Evaluator) evalCall(x *sqlpp.Call, env *Env) (adm.Value, error) {
 	return ev.callFn(x.Fn, args, x.Distinct)
 }
 
-func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Value, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return evalErrf("%s expects %d argument(s), got %d", fn, n, len(args))
-		}
-		return nil
-	}
-	str := func(i int) (string, bool) {
-		s, ok := args[i].(adm.String)
-		return string(s), ok
-	}
-	anyUnknown := func() bool {
-		for _, a := range args {
-			if a.Kind() <= adm.KindNull {
-				return true
-			}
-		}
-		return false
-	}
+// fnCall is one invocation of a built-in function.
+type fnCall struct {
+	ev       *Evaluator
+	fn       string
+	args     []adm.Value
+	distinct bool
+}
 
-	switch fn {
-	// --- Constructors (ADM's extended types). ---
-	case "datetime":
-		if err := need(1); err != nil {
-			return nil, err
+func (c fnCall) str(i int) (string, bool) {
+	s, ok := c.args[i].(adm.String)
+	return string(s), ok
+}
+
+func (c fnCall) anyUnknown() bool {
+	for _, a := range c.args {
+		if a.Kind() <= adm.KindNull {
+			return true
 		}
-		if dt, ok := args[0].(adm.Datetime); ok {
+	}
+	return false
+}
+
+// builtin is an entry of the function table: the argument count it insists
+// on (-1: the implementation checks) and the implementation.
+type builtin struct {
+	arity int
+	impl  func(c fnCall) (adm.Value, error)
+}
+
+// builtins maps every name a function answers to — filled once, at start-up,
+// by init below — so that a compiled call resolves its function once and
+// the interpreter with one map lookup.
+var builtins = map[string]*builtin{}
+
+// register enters one implementation under space-separated names.
+func register(names string, arity int, impl func(c fnCall) (adm.Value, error)) {
+	b := &builtin{arity: arity, impl: impl}
+	for _, n := range strings.Fields(names) {
+		builtins[n] = b
+	}
+}
+
+// callFn applies the built-in function fn.
+func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Value, error) {
+	return builtins[fn].call(fnCall{ev: ev, fn: fn, args: args, distinct: distinct})
+}
+
+func (b *builtin) call(c fnCall) (adm.Value, error) {
+	switch {
+	case b == nil:
+		return nil, evalErrf("unknown function %q", c.fn)
+	case b.arity >= 0 && len(c.args) != b.arity:
+		return nil, evalErrf("%s expects %d argument(s), got %d", c.fn, b.arity, len(c.args))
+	}
+	return b.impl(c)
+}
+
+func init() {
+	// --- Constructors (ADM's extended types). ---
+	register("datetime", 1, func(c fnCall) (adm.Value, error) {
+		if dt, ok := c.args[0].(adm.Datetime); ok {
 			return dt, nil
 		}
-		s, ok := str(0)
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
@@ -64,11 +98,9 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			return adm.Null, nil
 		}
 		return dt, nil
-	case "date":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		s, ok := str(0)
+	})
+	register("date", 1, func(c fnCall) (adm.Value, error) {
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
@@ -77,11 +109,9 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			return adm.Null, nil
 		}
 		return d, nil
-	case "time":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		s, ok := str(0)
+	})
+	register("time", 1, func(c fnCall) (adm.Value, error) {
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
@@ -90,11 +120,9 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			return adm.Null, nil
 		}
 		return t, nil
-	case "duration":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		s, ok := str(0)
+	})
+	register("duration", 1, func(c fnCall) (adm.Value, error) {
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
@@ -103,74 +131,63 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			return adm.Null, nil
 		}
 		return d, nil
-	case "point":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		xf, ok1 := adm.AsFloat(args[0])
-		yf, ok2 := adm.AsFloat(args[1])
+	})
+	register("point", 2, func(c fnCall) (adm.Value, error) {
+		xf, ok1 := adm.AsFloat(c.args[0])
+		yf, ok2 := adm.AsFloat(c.args[1])
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
 		return adm.Point{X: xf, Y: yf}, nil
-	case "create_rectangle", "rectangle":
-		if err := need(4); err != nil {
-			return nil, err
-		}
+	})
+	register("create_rectangle rectangle", 4, func(c fnCall) (adm.Value, error) {
 		var f [4]float64
 		for i := range f {
-			v, ok := adm.AsFloat(args[i])
+			v, ok := adm.AsFloat(c.args[i])
 			if !ok {
 				return adm.Null, nil
 			}
 			f[i] = v
 		}
 		return adm.Rectangle{MinX: f[0], MinY: f[1], MaxX: f[2], MaxY: f[3]}, nil
-	case "current_datetime":
-		return ev.Now, nil
-	case "current_date":
-		return adm.Date(int64(ev.Now) / (24 * 3600 * 1000)), nil
-
+	})
+	register("current_datetime", -1, func(c fnCall) (adm.Value, error) {
+		return c.ev.Now, nil
+	})
+	register("current_date", -1, func(c fnCall) (adm.Value, error) {
+		return adm.Date(int64(c.ev.Now) / (24 * 3600 * 1000)), nil
+	})
 	// --- Temporal accessors. ---
-	case "get_year", "year":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if dt, ok := args[0].(adm.Datetime); ok {
+	register("get_year year", 1, func(c fnCall) (adm.Value, error) {
+		if dt, ok := c.args[0].(adm.Datetime); ok {
 			return adm.Int64(time.UnixMilli(int64(dt)).UTC().Year()), nil
 		}
-		if d, ok := args[0].(adm.Date); ok {
+		if d, ok := c.args[0].(adm.Date); ok {
 			return adm.Int64(time.Unix(int64(d)*24*3600, 0).UTC().Year()), nil
 		}
 		return adm.Null, nil
-	case "get_month", "month":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if dt, ok := args[0].(adm.Datetime); ok {
+	})
+	register("get_month month", 1, func(c fnCall) (adm.Value, error) {
+		if dt, ok := c.args[0].(adm.Datetime); ok {
 			return adm.Int64(int(time.UnixMilli(int64(dt)).UTC().Month())), nil
 		}
-		if d, ok := args[0].(adm.Date); ok {
+		if d, ok := c.args[0].(adm.Date); ok {
 			return adm.Int64(int(time.Unix(int64(d)*24*3600, 0).UTC().Month())), nil
 		}
 		return adm.Null, nil
-	case "get_day", "day":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if dt, ok := args[0].(adm.Datetime); ok {
+	})
+	register("get_day day", 1, func(c fnCall) (adm.Value, error) {
+		if dt, ok := c.args[0].(adm.Datetime); ok {
 			return adm.Int64(time.UnixMilli(int64(dt)).UTC().Day()), nil
 		}
 		return adm.Null, nil
-	case "get_interval_bin", "interval_bin":
+	})
+	register("get_interval_bin interval_bin", 3, func(c fnCall) (adm.Value, error) {
 		// interval_bin(dt, origin, duration): the start of dt's bin —
 		// the temporal binning the paper's Section V-D user study needed.
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		dt, ok1 := args[0].(adm.Datetime)
-		origin, ok2 := args[1].(adm.Datetime)
-		dur, ok3 := args[2].(adm.Duration)
+		dt, ok1 := c.args[0].(adm.Datetime)
+		origin, ok2 := c.args[1].(adm.Datetime)
+		dur, ok3 := c.args[2].(adm.Duration)
 		if !ok1 || !ok2 || !ok3 || (dur.Millis == 0 && dur.Months == 0) {
 			return adm.Null, nil
 		}
@@ -191,82 +208,64 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			bins--
 		}
 		return adm.Datetime(int64(origin) + bins*dur.Millis), nil
-
-	case "duration_ms", "ms_from_duration":
+	})
+	register("duration_ms ms_from_duration", 1, func(c fnCall) (adm.Value, error) {
 		// Millisecond image of a duration (months converted at 30 days,
 		// as in the duration total order).
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		d, ok := args[0].(adm.Duration)
+		d, ok := c.args[0].(adm.Duration)
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.Int64(int64(d.Months)*30*24*3600*1000 + d.Millis), nil
-	case "datetime_to_ms", "unix_time_from_datetime_in_ms":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		dt, ok := args[0].(adm.Datetime)
+	})
+	register("datetime_to_ms unix_time_from_datetime_in_ms", 1, func(c fnCall) (adm.Value, error) {
+		dt, ok := c.args[0].(adm.Datetime)
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.Int64(int64(dt)), nil
-	case "datetime_from_ms", "datetime_from_unix_time_in_ms":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		i, ok := adm.AsInt(args[0])
+	})
+	register("datetime_from_ms datetime_from_unix_time_in_ms", 1, func(c fnCall) (adm.Value, error) {
+		i, ok := adm.AsInt(c.args[0])
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.Datetime(i), nil
-
+	})
 	// --- Strings. ---
-	case "lower", "lowercase":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		s, ok := str(0)
+	register("lower lowercase", 1, func(c fnCall) (adm.Value, error) {
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.String(strings.ToLower(s)), nil
-	case "upper", "uppercase":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		s, ok := str(0)
+	})
+	register("upper uppercase", 1, func(c fnCall) (adm.Value, error) {
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.String(strings.ToUpper(s)), nil
-	case "string_length", "length":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		s, ok := str(0)
+	})
+	register("string_length length", 1, func(c fnCall) (adm.Value, error) {
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.Int64(len(s)), nil
-	case "contains":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		s, ok1 := str(0)
-		sub, ok2 := str(1)
+	})
+	register("contains", 2, func(c fnCall) (adm.Value, error) {
+		s, ok1 := c.str(0)
+		sub, ok2 := c.str(1)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
 		return adm.Boolean(strings.Contains(s, sub)), nil
-	case "ftcontains":
+	})
+	register("ftcontains", 2, func(c fnCall) (adm.Value, error) {
 		// Full-text containment: token membership (keyword index).
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		s, ok1 := str(0)
-		w, ok2 := str(1)
+		s, ok1 := c.str(0)
+		w, ok2 := c.str(1)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
@@ -276,35 +275,32 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			}
 		}
 		return adm.Boolean(false), nil
-	case "starts_with":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		s, ok1 := str(0)
-		pre, ok2 := str(1)
+	})
+	register("starts_with", 2, func(c fnCall) (adm.Value, error) {
+		s, ok1 := c.str(0)
+		pre, ok2 := c.str(1)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
 		return adm.Boolean(strings.HasPrefix(s, pre)), nil
-	case "ends_with":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		s, ok1 := str(0)
-		suf, ok2 := str(1)
+	})
+	register("ends_with", 2, func(c fnCall) (adm.Value, error) {
+		s, ok1 := c.str(0)
+		suf, ok2 := c.str(1)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
 		return adm.Boolean(strings.HasSuffix(s, suf)), nil
-	case "substring", "substr":
-		if len(args) < 2 || len(args) > 3 {
+	})
+	register("substring substr", -1, func(c fnCall) (adm.Value, error) {
+		if len(c.args) < 2 || len(c.args) > 3 {
 			return nil, evalErrf("substring expects 2 or 3 arguments")
 		}
-		s, ok := str(0)
+		s, ok := c.str(0)
 		if !ok {
 			return adm.Null, nil
 		}
-		start, ok := adm.AsInt(args[1])
+		start, ok := adm.AsInt(c.args[1])
 		if !ok {
 			return adm.Null, nil
 		}
@@ -315,8 +311,8 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			start = int64(len(s))
 		}
 		end := int64(len(s))
-		if len(args) == 3 {
-			n, ok := adm.AsInt(args[2])
+		if len(c.args) == 3 {
+			n, ok := adm.AsInt(c.args[2])
 			if !ok {
 				return adm.Null, nil
 			}
@@ -326,12 +322,10 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			}
 		}
 		return adm.String(s[start:end]), nil
-	case "split":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		s, ok1 := str(0)
-		sep, ok2 := str(1)
+	})
+	register("split", 2, func(c fnCall) (adm.Value, error) {
+		s, ok1 := c.str(0)
+		sep, ok2 := c.str(1)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
@@ -340,21 +334,16 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			out = append(out, adm.String(part))
 		}
 		return out, nil
-	case "to_string", "string":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if s, ok := args[0].(adm.String); ok {
+	})
+	register("to_string string", 1, func(c fnCall) (adm.Value, error) {
+		if s, ok := c.args[0].(adm.String); ok {
 			return s, nil
 		}
-		return adm.String(args[0].String()), nil
-
+		return adm.String(c.args[0].String()), nil
+	})
 	// --- Numerics. ---
-	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		switch n := args[0].(type) {
+	register("abs", 1, func(c fnCall) (adm.Value, error) {
+		switch n := c.args[0].(type) {
 		case adm.Int64:
 			if n < 0 {
 				return -n, nil
@@ -364,15 +353,13 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			return adm.Double(math.Abs(float64(n))), nil
 		}
 		return adm.Null, nil
-	case "floor", "ceil", "round", "sqrt":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		f, ok := adm.AsFloat(args[0])
+	})
+	register("floor ceil round sqrt", 1, func(c fnCall) (adm.Value, error) {
+		f, ok := adm.AsFloat(c.args[0])
 		if !ok {
 			return adm.Null, nil
 		}
-		switch fn {
+		switch c.fn {
 		case "floor":
 			return adm.Double(math.Floor(f)), nil
 		case "ceil":
@@ -382,54 +369,42 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 		default:
 			return adm.Double(math.Sqrt(f)), nil
 		}
-	case "to_bigint", "to_number", "int":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if i, ok := adm.AsInt(args[0]); ok {
+	})
+	register("to_bigint to_number int", 1, func(c fnCall) (adm.Value, error) {
+		if i, ok := adm.AsInt(c.args[0]); ok {
 			return adm.Int64(i), nil
 		}
 		return adm.Null, nil
-
+	})
 	// --- Collections (COLL_* and friends). ---
-	case "coll_count", "array_count", "len":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if elems, ok := asCollection(args[0]); ok {
+	register("coll_count array_count len", 1, func(c fnCall) (adm.Value, error) {
+		if elems, ok := asCollection(c.args[0]); ok {
 			return adm.Int64(len(elems)), nil
 		}
 		return adm.Null, nil
-	case "coll_sum", "array_sum", "coll_min", "array_min", "coll_max",
-		"array_max", "coll_avg", "array_avg",
-		"count", "sum", "min", "max", "avg", "array_agg":
+	})
+	register("coll_sum array_sum coll_min array_min coll_max array_max coll_avg array_avg count sum min max avg array_agg", 1, func(c fnCall) (adm.Value, error) {
 		// Scalar (COLL_-style) aggregate over a collection argument.
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		elems, ok := asCollection(args[0])
+		elems, ok := asCollection(c.args[0])
 		if !ok {
-			if anyUnknown() {
+			if c.anyUnknown() {
 				return adm.Null, nil
 			}
-			return nil, evalErrf("%s expects a collection, got %s", fn, args[0].Kind())
+			return nil, evalErrf("%s expects a collection, got %s", c.fn, c.args[0].Kind())
 		}
-		if distinct {
+		if c.distinct {
 			elems = dedupe(elems)
 		}
-		return foldAggregate(strings.TrimPrefix(strings.TrimPrefix(fn, "coll_"), "array_"), elems)
-
-	case "field_collect":
+		return foldAggregate(strings.TrimPrefix(strings.TrimPrefix(c.fn, "coll_"), "array_"), elems)
+	})
+	register("field_collect", 2, func(c fnCall) (adm.Value, error) {
 		// field_collect(groupAs, "name"): project one field out of a
 		// GROUP AS collection (AQL's with-variable lowering).
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		elems, ok := asCollection(args[0])
+		elems, ok := asCollection(c.args[0])
 		if !ok {
 			return adm.Null, nil
 		}
-		name, ok := str(1)
+		name, ok := c.str(1)
 		if !ok {
 			return adm.Null, nil
 		}
@@ -440,36 +415,29 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			}
 		}
 		return out, nil
-
-	case "array_contains":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		elems, ok := asCollection(args[0])
+	})
+	register("array_contains", 2, func(c fnCall) (adm.Value, error) {
+		elems, ok := asCollection(c.args[0])
 		if !ok {
 			return adm.Null, nil
 		}
 		for _, e := range elems {
-			if adm.Compare(e, args[1]) == 0 {
+			if adm.Compare(e, c.args[1]) == 0 {
 				return adm.Boolean(true), nil
 			}
 		}
 		return adm.Boolean(false), nil
-	case "array_distinct":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		elems, ok := asCollection(args[0])
+	})
+	register("array_distinct", 1, func(c fnCall) (adm.Value, error) {
+		elems, ok := asCollection(c.args[0])
 		if !ok {
 			return adm.Null, nil
 		}
 		return adm.Array(dedupe(elems)), nil
-	case "range":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		lo, ok1 := adm.AsInt(args[0])
-		hi, ok2 := adm.AsInt(args[1])
+	})
+	register("range", 2, func(c fnCall) (adm.Value, error) {
+		lo, ok1 := adm.AsInt(c.args[0])
+		hi, ok2 := adm.AsInt(c.args[1])
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
@@ -478,46 +446,34 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			out = append(out, adm.Int64(i))
 		}
 		return out, nil
-
+	})
 	// --- Spatial. ---
-	case "spatial_intersect":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return spatialIntersect(args[0], args[1])
-	case "spatial_distance":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		p1, ok1 := args[0].(adm.Point)
-		p2, ok2 := args[1].(adm.Point)
+	register("spatial_intersect", 2, func(c fnCall) (adm.Value, error) {
+		return spatialIntersect(c.args[0], c.args[1])
+	})
+	register("spatial_distance", 2, func(c fnCall) (adm.Value, error) {
+		p1, ok1 := c.args[0].(adm.Point)
+		p2, ok2 := c.args[1].(adm.Point)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
 		return adm.Double(math.Hypot(p1.X-p2.X, p1.Y-p2.Y)), nil
-	case "get_x":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if p, ok := args[0].(adm.Point); ok {
+	})
+	register("get_x", 1, func(c fnCall) (adm.Value, error) {
+		if p, ok := c.args[0].(adm.Point); ok {
 			return adm.Double(p.X), nil
 		}
 		return adm.Null, nil
-	case "get_y":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if p, ok := args[0].(adm.Point); ok {
+	})
+	register("get_y", 1, func(c fnCall) (adm.Value, error) {
+		if p, ok := c.args[0].(adm.Point); ok {
 			return adm.Double(p.Y), nil
 		}
 		return adm.Null, nil
-
+	})
 	// --- Objects. ---
-	case "object_names":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if o, ok := args[0].(*adm.Object); ok {
+	register("object_names", 1, func(c fnCall) (adm.Value, error) {
+		if o, ok := c.args[0].(*adm.Object); ok {
 			var out adm.Array
 			for _, f := range o.Fields() {
 				out = append(out, adm.String(f.Name))
@@ -525,22 +481,18 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			return out, nil
 		}
 		return adm.Null, nil
-	case "object_remove":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		o, ok1 := args[0].(*adm.Object)
-		name, ok2 := str(1)
+	})
+	register("object_remove", 2, func(c fnCall) (adm.Value, error) {
+		o, ok1 := c.args[0].(*adm.Object)
+		name, ok2 := c.str(1)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
 		return o.Without(name), nil
-	case "object_merge":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		a, ok1 := args[0].(*adm.Object)
-		b, ok2 := args[1].(*adm.Object)
+	})
+	register("object_merge", 2, func(c fnCall) (adm.Value, error) {
+		a, ok1 := c.args[0].(*adm.Object)
+		b, ok2 := c.args[1].(*adm.Object)
 		if !ok1 || !ok2 {
 			return adm.Null, nil
 		}
@@ -549,26 +501,21 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 			out.Set(f.Name, f.Value)
 		}
 		return out, nil
-
-	case "is_missing":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return adm.Boolean(args[0].Kind() == adm.KindMissing), nil
-	case "is_null":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return adm.Boolean(args[0].Kind() == adm.KindNull), nil
-	case "if_missing_or_null", "coalesce":
-		for _, a := range args {
+	})
+	register("is_missing", 1, func(c fnCall) (adm.Value, error) {
+		return adm.Boolean(c.args[0].Kind() == adm.KindMissing), nil
+	})
+	register("is_null", 1, func(c fnCall) (adm.Value, error) {
+		return adm.Boolean(c.args[0].Kind() == adm.KindNull), nil
+	})
+	register("if_missing_or_null coalesce", -1, func(c fnCall) (adm.Value, error) {
+		for _, a := range c.args {
 			if a.Kind() > adm.KindNull {
 				return a, nil
 			}
 		}
 		return adm.Null, nil
-	}
-	return nil, evalErrf("unknown function %q", fn)
+	})
 }
 
 // foldAggregate applies a COLL_-style aggregate over elements, skipping

@@ -65,11 +65,6 @@ func (g *JobGen) Build(plan Op, coll *hyracks.Collector) (*hyracks.Job, error) {
 	return j, nil
 }
 
-// envFor builds an evaluation environment over a tuple.
-func envFor(schema []string, t hyracks.Tuple) *Env {
-	return NewEnv(nil, schema, t)
-}
-
 func indexOf(schema []string, name string) int {
 	for i, s := range schema {
 		if s == name {
@@ -209,9 +204,9 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return built{}, err
 		}
 		schema := in.schema
-		cond := o.Cond
+		cond := g.Ev.compilePred(o.Cond, schema, nil)
 		op := j.Add(hyracks.NewMap("select", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-			ok, err := g.Ev.truthyExpr(cond, envFor(schema, t))
+			ok, err := cond(t, nil)
 			if err != nil {
 				return err
 			}
@@ -228,10 +223,9 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		if err != nil {
 			return built{}, err
 		}
-		schema := in.schema
-		expr := o.Expr
+		expr := g.Ev.compile(o.Expr, in.schema)
 		op := j.Add(hyracks.NewMap("assign-"+o.Var, in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-			v, err := g.Ev.Eval(expr, envFor(schema, t))
+			v, err := expr(t, nil)
 			if err != nil {
 				return err
 			}
@@ -248,11 +242,10 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		if err != nil {
 			return built{}, err
 		}
-		schema := in.schema
-		expr := o.Expr
+		expr := g.Ev.compile(o.Expr, in.schema)
 		outer := o.Outer
 		op := j.Add(hyracks.NewMap("unnest-"+o.Var, in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-			v, err := g.Ev.Eval(expr, envFor(schema, t))
+			v, err := expr(t, nil)
 			if err != nil {
 				return err
 			}
@@ -310,10 +303,9 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		if err != nil {
 			return built{}, err
 		}
-		schema := in.schema
-		expr := o.Expr
+		expr := g.Ev.compile(o.Expr, in.schema)
 		op := j.Add(hyracks.NewMap("result", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-			v, err := g.Ev.Eval(expr, envFor(schema, t))
+			v, err := expr(t, nil)
 			if err != nil {
 				return err
 			}
@@ -351,11 +343,15 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		schema := in.schema
 		// Append sort-key columns.
 		items := o.Items
+		keys := make([]valueFn, len(items))
+		for i, it := range items {
+			keys[i] = g.Ev.compile(it.Expr, schema)
+		}
 		keyed := j.Add(hyracks.NewMap("order-keys", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-			out := make(hyracks.Tuple, 0, len(t)+len(items))
+			out := make(hyracks.Tuple, 0, len(t)+len(keys))
 			out = append(out, t...)
-			for _, it := range items {
-				v, err := g.Ev.Eval(it.Expr, envFor(schema, t))
+			for _, key := range keys {
+				v, err := key(t, nil)
 				if err != nil {
 					return err
 				}
@@ -468,13 +464,7 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 		// the join, preserving outer/semi match semantics.
 		var residual func(lt, rt hyracks.Tuple) (bool, error)
 		if o.On != nil {
-			lSchema, rSchema := l.schema, r.schema
-			cond := o.On
-			residual = func(lt, rt hyracks.Tuple) (bool, error) {
-				env := NewEnv(nil, lSchema, lt)
-				env = NewEnv(env, rSchema, rt)
-				return g.Ev.truthyExpr(cond, env)
-			}
+			residual = g.Ev.compilePred(o.On, l.schema, r.schema)
 		}
 		join := j.Add(hyracks.NewHashJoin("hash-join", par, lCols, rCols, kind, len(r.schema), residual))
 		j.MustConnect(l.op, join, 0, hyracks.HashPartition(lCols...))
@@ -491,15 +481,9 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 	case JoinSemi:
 		kind = hyracks.LeftSemiJoin
 	}
-	lSchema, rSchema := l.schema, r.schema
-	cond := o.On
-	pred := func(lt, rt hyracks.Tuple) (bool, error) {
-		if cond == nil {
-			return true, nil
-		}
-		env := NewEnv(nil, lSchema, lt)
-		env = NewEnv(env, rSchema, rt)
-		return g.Ev.truthyExpr(cond, env)
+	pred := func(lt, rt hyracks.Tuple) (bool, error) { return true, nil }
+	if o.On != nil {
+		pred = g.Ev.compilePred(o.On, l.schema, r.schema)
 	}
 	join := j.Add(hyracks.NewNestedLoopJoin("nl-join", l.par, pred, kind, len(r.schema)))
 	j.MustConnect(l.op, join, 0, hyracks.OneToOne())
@@ -532,26 +516,23 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 		rowCols[i] = indexOf(schema, name)
 	}
 
-	// Pre-compute: key columns, aggregate argument columns, and the
-	// GROUP AS object column.
-	keys := o.Keys
-	aggs := o.Aggs
-	prep := j.Add(hyracks.NewMap("group-prep", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-		env := envFor(schema, t)
-		out := make(hyracks.Tuple, 0, nKeys+nAggs+1)
-		for _, k := range keys {
-			v, err := g.Ev.Eval(k.Expr, env)
-			if err != nil {
-				return err
-			}
-			out = append(out, v)
+	// Pre-compute one column per key, one per aggregate argument
+	// (COUNT(*) counts a constant), and the GROUP AS object column.
+	cols := make([]valueFn, 0, nKeys+nAggs)
+	for _, k := range o.Keys {
+		cols = append(cols, g.Ev.compile(k.Expr, schema))
+	}
+	for _, a := range o.Aggs {
+		if a.Star {
+			cols = append(cols, code{lit: adm.Int64(1)}.run())
+			continue
 		}
-		for _, a := range aggs {
-			if a.Star {
-				out = append(out, adm.Int64(1))
-				continue
-			}
-			v, err := g.Ev.Eval(a.Arg, env)
+		cols = append(cols, g.Ev.compile(a.Arg, schema))
+	}
+	prep := j.Add(hyracks.NewMap("group-prep", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
+		out := make(hyracks.Tuple, 0, nKeys+nAggs+1)
+		for _, col := range cols {
+			v, err := col(t, nil)
 			if err != nil {
 				return err
 			}

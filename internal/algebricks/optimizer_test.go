@@ -121,6 +121,13 @@ func TestGoldenPlans(t *testing.T) {
 			Cond: &sqlpp.Binary{Op: ">", L: &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: "u"}, Field: "id"}, R: &sqlpp.Literal{Value: adm.Int64(3)}}}, "u")},
 		{name: "order_limit_stops_at_group", plan: limitOver(&GroupOp{In: orderedUsers(),
 			Keys: []GroupKeyDef{{Var: "g", Expr: &sqlpp.VarRef{Name: "u"}}}}, "g")},
+		// result-after-order moves the projection above a bounded sort (the
+		// three cases above and scan_fields_join_sides) unless a sort key
+		// reads it; below an unbounded sort it still runs on every partition.
+		{name: "order_nolimit_result_stays", src: `SELECT VALUE upper(u.name) FROM Users u ORDER BY u.age DESC`},
+		{name: "order_uses_result_stays", plan: &LimitOp{Limit: 4, In: &OrderOp{
+			In:    &ResultOp{In: &ScanOp{Dataset: "Users", Var: "u"}, Expr: &sqlpp.VarRef{Name: "u"}},
+			Items: []OrderDef{{Expr: &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: ResultVar}, Field: "age"}}}}}},
 		// Leaves materialize only the fields the plan reads; any use of the
 		// record itself keeps it whole.
 		{name: "scan_fields", src: `SELECT m.mid, m.len FROM Messages m WHERE m.authorId % 2 = 0`},
@@ -473,14 +480,20 @@ func TestOptimizerIdempotent(t *testing.T) {
 		`SELECT u.name, m.mid, l.lid FROM Messages m, Likes l, Users u
 			WHERE m.authorId = u.id AND l.mid = m.mid AND u.id = 7`,
 		`SELECT VALUE u.name FROM Users u WHERE u.age >= 22 LIMIT 3`,
-		// push-limit-into-order and the leaf field lists of prune-columns.
+		// result-after-order, push-limit-into-order and the leaf field
+		// lists of prune-columns.
 		`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m
 			WHERE m.authorId = u.id GROUP BY u.name AS name ORDER BY cnt DESC, name LIMIT 3 OFFSET 2`,
 		`SELECT VALUE COUNT(*) FROM Messages m`,
 		`SELECT VALUE m FROM Messages m ORDER BY m.len DESC LIMIT 2`,
+		`SELECT VALUE upper(u.name) FROM Users u ORDER BY u.age DESC`,
 	}
+	fired := map[string]int{}
 	for _, q := range queries {
-		plan, _ := optimizeQuery(t, cat, q)
+		plan, rep := optimizeQuery(t, cat, q)
+		for rule, n := range rep.Fired {
+			fired[rule] += n
+		}
 		first := PlanString(plan)
 		tr := &Translator{Ev: newEval(cat), Catalog: cat}
 		again, rep := NewOptimizer(nil).Optimize(tr, plan)
@@ -489,6 +502,11 @@ func TestOptimizerIdempotent(t *testing.T) {
 		}
 		if rep.TotalFired() != 0 {
 			t.Errorf("re-optimizing fired rules for %q: %v", q, rep.Fired)
+		}
+	}
+	for _, rule := range []string{"result-after-order", "push-limit-into-order", "prune-columns"} {
+		if fired[rule] == 0 {
+			t.Errorf("no query of the corpus fires %s", rule)
 		}
 	}
 }

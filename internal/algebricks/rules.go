@@ -23,6 +23,7 @@ func DefaultRules() []Rule {
 		{Name: "introduce-index-search", Apply: ruleIntroduceIndexSearch},
 		{Name: "push-limit-into-scan", Apply: rulePushLimitIntoScan},
 		{Name: "push-limit-into-order", Apply: rulePushLimitIntoOrder},
+		{Name: "result-after-order", Apply: ruleResultAfterOrder},
 		{Name: "prune-columns", Apply: rulePruneColumns},
 		{Name: "eliminate-redundant-project", Apply: ruleEliminateRedundantProject},
 	}
@@ -851,6 +852,34 @@ func rulePushLimitIntoOrder(tr *Translator, plan Op) (Op, int) {
 			return &x.Limit
 		}
 		return nil
+	})
+}
+
+// --- rule: result-after-order ---
+
+// Project after a bounded sort: an ORDER BY … LIMIT k directly above the
+// projection whose keys do not read the projected value trades places with
+// it, so the result is built for the k survivors and the sort moves tuples
+// without the result column. An unbounded sort keeps the projection below:
+// it passes every row on, and below it the projection runs on every
+// partition where above it would run on the one task behind the merge.
+func ruleResultAfterOrder(tr *Translator, plan Op) (Op, int) {
+	return sweep(plan, func(op Op) (Op, bool) {
+		ord, ok := op.(*OrderOp)
+		if !ok || ord.Limit <= 0 {
+			return op, false
+		}
+		res, ok := ord.In.(*ResultOp)
+		if !ok {
+			return op, false
+		}
+		for _, it := range ord.Items {
+			if referencesAny(it.Expr, []string{ResultVar}) {
+				return op, false
+			}
+		}
+		ord.In, res.In = res.In, ord
+		return res, true
 	})
 }
 

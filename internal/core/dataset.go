@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"asterix/internal/adm"
 	"asterix/internal/algebricks"
@@ -30,7 +31,25 @@ type Dataset struct {
 	def   *metadata.DatasetDef
 	typ   *adm.Type
 	parts []*lsm.Tree
-	idxs  map[string]*SecondaryIndex // by index name
+	// idxs is kept in index-name order, so that which index a write
+	// dirties first and which of two candidates the optimizer is offered
+	// first do not change from run to run.
+	idxs []*SecondaryIndex
+}
+
+// findIndex returns the position of the named secondary index in d.idxs —
+// where it would be inserted, when it is absent.
+func (d *Dataset) findIndex(name string) (int, bool) {
+	return slices.BinarySearchFunc(d.idxs, name, func(si *SecondaryIndex, name string) int {
+		return strings.Compare(si.def.Name, name)
+	})
+}
+
+// addIndex inserts si at its place in a fresh copy of d.idxs: a slice a
+// reader is already ranging over is never shifted under it.
+func (d *Dataset) addIndex(si *SecondaryIndex) {
+	i, _ := d.findIndex(si.def.Name)
+	d.idxs = slices.Insert(slices.Clone(d.idxs), i, si)
 }
 
 // SecondaryIndex is one open secondary index across all partitions.
@@ -96,7 +115,7 @@ func (e *Engine) openDataset(def *metadata.DatasetDef) (*Dataset, error) {
 	} else {
 		typ = adm.AnyType
 	}
-	d := &Dataset{eng: e, def: def, typ: typ, idxs: map[string]*SecondaryIndex{}}
+	d := &Dataset{eng: e, def: def, typ: typ}
 	if def.External {
 		return d, nil
 	}
@@ -112,7 +131,7 @@ func (e *Engine) openDataset(def *metadata.DatasetDef) (*Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.idxs[idef.Name] = si
+		d.addIndex(si)
 	}
 	return d, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"asterix/internal/metadata"
 	"asterix/internal/sqlpp"
@@ -143,7 +144,7 @@ func (e *Engine) execCreateIndex(s *sqlpp.CreateIndex) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("core: dataset %q not open", s.Dataset)
 	}
-	if _, exists := d.idxs[s.Name]; exists {
+	if _, exists := d.findIndex(s.Name); exists {
 		return Result{Kind: ResultDDL}, nil
 	}
 	// Build from existing data before publishing the index; a failed
@@ -158,7 +159,7 @@ func (e *Engine) execCreateIndex(s *sqlpp.CreateIndex) (Result, error) {
 		return Result{}, errors.Join(err, e.catalog.DropIndex(s.Dataset, s.Name, true))
 	}
 	e.mu.Lock()
-	d.idxs[s.Name] = si
+	d.addIndex(si)
 	e.mu.Unlock()
 	return Result{Kind: ResultDDL}, nil
 }
@@ -191,8 +192,10 @@ func (e *Engine) execDrop(s *sqlpp.DropStmt) (Result, error) {
 		e.mu.Lock()
 		var dropped *SecondaryIndex
 		if d, ok := e.datasets[s.On]; ok {
-			dropped = d.idxs[s.Name]
-			delete(d.idxs, s.Name)
+			if i, ok := d.findIndex(s.Name); ok {
+				dropped = d.idxs[i]
+				d.idxs = slices.Delete(slices.Clone(d.idxs), i, i+1)
+			}
 		}
 		e.mu.Unlock()
 		if dropped != nil {

@@ -425,8 +425,11 @@ func (e *Engine) SecondaryIndexHandle(dataset, index string) (*SecondaryIndex, b
 	if !ok {
 		return nil, false
 	}
-	si, ok := d.idxs[index]
-	return si, ok
+	i, ok := d.findIndex(index)
+	if !ok {
+		return nil, false
+	}
+	return d.idxs[i], true
 }
 
 // ResultKind classifies statement results.

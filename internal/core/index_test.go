@@ -444,3 +444,48 @@ func TestCreateIndexFailureLeavesNoIndex(t *testing.T) {
 		})
 	}
 }
+
+// A dataset's secondary indexes are visited in index-name order, whatever
+// order they were created or reopened in: the optimizer is offered the same
+// one of two indexes on a field every run, and a write dirties their memory
+// components in the same order (which decides which the governor flushes
+// first, and so the bytes on disk).
+func TestSecondaryIndexesAreVisitedInNameOrder(t *testing.T) {
+	dir := t.TempDir()
+	e := newEngine(t, Config{DataDir: dir})
+	mustExec(t, e, pointsDDL+`
+		CREATE INDEX zByV ON Points(v) TYPE BTREE;
+		CREATE INDEX mLoc ON Points(loc) TYPE RTREE;
+		CREATE INDEX aByV ON Points(v) TYPE BTREE;`)
+	seedPoints(t, e, 50, 1)
+	check := func(e *Engine) {
+		t.Helper()
+		d, _ := e.Dataset("Points")
+		var names []string
+		for _, si := range d.idxs {
+			names = append(names, si.def.Name)
+		}
+		if got := strings.Join(names, " "); got != "aByV mLoc zByV" {
+			t.Errorf("index order %q", got)
+		}
+		for i := 0; i < 20; i++ {
+			ix, ok := (*engineCatalog)(e).ResolveIndex("Points", "v")
+			if !ok || ix.(*SecondaryIndex).def.Name != "aByV" {
+				t.Fatalf("lookup %d resolved v to %v", i, ix)
+			}
+		}
+		if rows := queryRows(t, e, `SELECT VALUE p.id FROM Points p WHERE p.v = 7;`); len(rows) != 1 {
+			t.Errorf("index search returned %d rows", len(rows))
+		}
+	}
+	check(e)
+	mustExec(t, e, `DROP INDEX Points.mLoc;`)
+	if d, _ := e.Dataset("Points"); len(d.idxs) != 2 || d.idxs[0].def.Name != "aByV" || d.idxs[1].def.Name != "zByV" {
+		t.Errorf("after drop: %d indexes", len(d.idxs))
+	}
+	mustExec(t, e, `CREATE INDEX mLoc ON Points(loc) TYPE RTREE;`)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(newEngine(t, Config{DataDir: dir}))
+}

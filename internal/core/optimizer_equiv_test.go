@@ -4,10 +4,26 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
+
+// readCorpus reads one of the statement files under
+// internal/sqlpp/testdata/corpus, which the tests of several packages
+// share: statements are separated by blank lines, and a line starting with
+// "--" (always directly above a statement) is a comment.
+func readCorpus(t testing.TB, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := regexp.MustCompile(`(?m)^--.*\n`).ReplaceAllString(string(data), "")
+	return strings.Split(strings.TrimSpace(text), "\n\n")
+}
 
 // seedEquivData loads identical Gleambook content into an engine,
 // including secondary indexes so the optimizer has access paths to pick.
@@ -61,11 +77,12 @@ func sortedRows(t testing.TB, e *Engine, q string) []string {
 // TestOptimizerOnOffEquivalence runs a corpus of fixed and generated
 // queries against engines over identical data — one with the optimizer,
 // one with OptimizerOff, and one each with only the access-path rule, the
-// bounded-sort rule or column pruning disabled — and requires identical
-// result multisets. Any rule that changes answers shows up here. The last
-// two ablations leave the rest of the plan alone, so on ORDER BY queries
-// they must also return the optimized engine's rows in its exact order:
-// a bounded sort is the prefix of the full sort, ties included.
+// bounded-sort rule, column pruning or result-after-order disabled — and
+// requires identical result multisets. Any rule that changes answers shows
+// up here. The last three ablations leave the rest of the plan alone, so
+// on ORDER BY queries they must also return the optimized engine's rows in
+// its exact order: a bounded sort is the prefix of the full sort, ties
+// included, and projecting after the sort reorders nothing.
 func TestOptimizerOnOffEquivalence(t *testing.T) {
 	on := newEngine(t, Config{})
 	off := newEngine(t, Config{OptimizerOff: true})
@@ -74,6 +91,7 @@ func TestOptimizerOnOffEquivalence(t *testing.T) {
 		"no index search": "introduce-index-search",
 		"no bounded sort": "push-limit-into-order",
 		"no field lists":  "prune-columns",
+		"result first":    "result-after-order",
 	} {
 		ablated[name] = newEngine(t, Config{OptimizerDisable: []string{rule}})
 		seedEquivData(t, ablated[name])
@@ -81,99 +99,7 @@ func TestOptimizerOnOffEquivalence(t *testing.T) {
 	seedEquivData(t, on)
 	seedEquivData(t, off)
 
-	queries := []string{
-		// Filters, ranges (index-eligible), constant folding.
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id < 5;`,
-		`SELECT VALUE u.alias FROM GleambookUsers u WHERE u.id >= 2 + 3 AND u.id <= 10 AND 1 = 1;`,
-		`SELECT VALUE u.name FROM GleambookUsers u
-			WHERE u.userSince >= datetime("2012-01-01T00:00:00") AND u.userSince <= datetime("2014-12-31T23:59:59");`,
-		// 2-way joins: straight, commuted, nested conjunction, constant eq.
-		`SELECT u.name AS n, m.messageId AS mid FROM GleambookUsers u, GleambookMessages m
-			WHERE m.authorId = u.id AND u.id < 6;`,
-		`SELECT u.name AS n, m.messageId AS mid FROM GleambookUsers u, GleambookMessages m
-			WHERE u.id = m.authorId AND m.messageId < 40;`,
-		`SELECT u.alias AS a, m.messageId AS mid FROM GleambookUsers u, GleambookMessages m
-			WHERE (m.authorId = u.id AND u.id < 10) AND m.messageId > 20;`,
-		`SELECT u.name AS n, m.messageId AS mid FROM GleambookUsers u, GleambookMessages m
-			WHERE u.id = 3 AND m.authorId = u.id;`,
-		// 3-way join cluster (greedy ordering on, naive nested loops off).
-		`SELECT u.name AS n, m1.messageId AS a, m2.messageId AS b
-			FROM GleambookMessages m1, GleambookMessages m2, GleambookUsers u
-			WHERE m1.authorId = u.id AND m2.authorId = u.id
-			  AND m1.messageId < 30 AND m2.messageId < 30 AND m1.messageId < m2.messageId;`,
-		// Grouping, aggregates, distinct, order/limit, unnest, subquery.
-		`SELECT u.name AS name, COUNT(m) AS cnt
-			FROM GleambookUsers u JOIN GleambookMessages m ON m.authorId = u.id
-			GROUP BY u.name AS name;`,
-		`SELECT DISTINCT VALUE m.authorId FROM GleambookMessages m WHERE m.messageId < 50;`,
-		`SELECT VALUE u.name FROM GleambookUsers u ORDER BY u.id LIMIT 7 OFFSET 2;`,
-		`SELECT VALUE f FROM GleambookUsers u UNNEST u.friendIds f WHERE u.id < 4;`,
-		`SELECT VALUE coll_count((SELECT VALUE m FROM GleambookMessages m WHERE m.authorId = u.id))
-			FROM GleambookUsers u WHERE u.id < 5;`,
-		`SELECT VALUE u.name FROM GleambookUsers u
-			WHERE SOME f IN u.friendIds SATISFIES f = 3;`,
-		// The primary index as an access path: equality (either operand
-		// order, int and double constants, absent keys), ranges, an extra
-		// conjunct on a secondary-indexed field, a join input, LIMIT, and
-		// a composite key (full, prefix, prefix + range, second field only).
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE 11 = u.id;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.0;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 12.5;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 1000;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = -1;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = "7";`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE 25 <= u.id;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id > 3.5 AND u.id <= 9;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 4 AND u.id > 7;`,
-		`SELECT VALUE u.name FROM GleambookUsers u
-			WHERE u.userSince >= datetime("2012-01-01T00:00:00") AND u.id = 10;`,
-		`SELECT VALUE u.name FROM GleambookUsers u
-			WHERE u.userSince >= datetime("2016-01-01T00:00:00") AND u.id = 10;`,
-		`SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.messageId >= 80 AND m.authorId = 5;`,
-		`SELECT VALUE u.name FROM GleambookUsers u WHERE u.id >= 20 ORDER BY u.id LIMIT 3;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3.0 AND c.day = 2.0;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day = 9;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day > 0 AND c.day <= 2;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.uid >= 8;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.uid < 2 AND c.day = 1;`,
-		`SELECT VALUE c.place FROM Checkins c WHERE c.day = 1;`,
-		// ORDER BY … LIMIT as a bounded sort: tie-heavy keys (over plain
-		// scans, whose arrival order every engine shares), LIMIT 0, LIMIT
-		// and OFFSET beyond the input, a sort above a group-by that also
-		// selects the aggregate it orders by.
-		`SELECT VALUE m.messageId FROM GleambookMessages m ORDER BY m.authorId % 3 LIMIT 10;`,
-		`SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.messageId % 5 != 1
-			ORDER BY m.authorId % 3 DESC, m.messageId % 2 LIMIT 7 OFFSET 5;`,
-		`SELECT VALUE m.messageId FROM GleambookMessages m ORDER BY 1 LIMIT 4;`,
-		`SELECT VALUE u.name FROM GleambookUsers u ORDER BY u.alias LIMIT 0;`,
-		`SELECT VALUE u.name FROM GleambookUsers u ORDER BY u.userSince DESC, u.id LIMIT 1000;`,
-		`SELECT VALUE u.name FROM GleambookUsers u ORDER BY u.userSince, u.id DESC LIMIT 5 OFFSET 28;`,
-		`SELECT VALUE u.name FROM GleambookUsers u ORDER BY u.id OFFSET 40;`,
-		`SELECT u.alias AS alias, COUNT(*) AS cnt FROM GleambookUsers u, GleambookMessages m
-			WHERE m.authorId = u.id AND m.messageId % 4 < 3 GROUP BY u.alias ORDER BY cnt DESC, alias ASC LIMIT 5;`,
-		`SELECT g AS g, COUNT(*) AS cnt, COUNT(*) + SUM(m.messageId) AS s FROM GleambookMessages m
-			GROUP BY m.authorId % 4 AS g HAVING COUNT(*) > 1 ORDER BY COUNT(*) DESC, g LIMIT 3;`,
-		// Leaves decoding only the fields read: optional and undeclared
-		// fields absent from some records, a record used both through a
-		// field and whole, nested and indexed access, no field at all, a
-		// secondary-index fetch, a join projecting each side differently.
-		`SELECT m.messageId AS id, m.topic AS topic, m.senderLocation AS loc, m.inResponseTo AS re
-			FROM GleambookMessages m WHERE m.messageId < 12;`,
-		`SELECT VALUE m.topic FROM GleambookMessages m ORDER BY m.topic DESC, m.messageId LIMIT 8;`,
-		`SELECT VALUE m.nope FROM GleambookMessages m WHERE m.messageId < 3;`,
-		`SELECT m.messageId AS id, m AS rec FROM GleambookMessages m WHERE m.authorId = 4;`,
-		`SELECT VALUE m FROM GleambookMessages m WHERE m.topic = "topic3";`,
-		`SELECT * FROM GleambookMessages m WHERE m.messageId = 9;`,
-		`SELECT VALUE u.employment[0].organizationName FROM GleambookUsers u WHERE u.id < 4;`,
-		`SELECT VALUE coll_count(u.friendIds) FROM GleambookUsers u WHERE u.id < 4;`,
-		`SELECT VALUE COUNT(*) FROM GleambookMessages m;`,
-		`SELECT VALUE u.alias FROM GleambookUsers u WHERE u.userSince >= datetime("2015-01-01T00:00:00");`,
-		`SELECT u.name AS n, m.message AS msg FROM GleambookUsers u, GleambookMessages m
-			WHERE m.authorId = u.id AND m.topic = "topic0";`,
-		`SELECT VALUE x.alias FROM GleambookUsers u LET x = u WHERE u.id < 3;`,
-	}
+	queries := readCorpus(t, "../sqlpp/testdata/corpus/equivalence.sql")
 	// Every user key: both partitions, each as a point lookup.
 	for id := 0; id < 30; id++ {
 		queries = append(queries, fmt.Sprintf(`SELECT VALUE u.alias FROM GleambookUsers u WHERE u.id = %d;`, id))
@@ -236,6 +162,8 @@ func TestOptimizerDisableRule(t *testing.T) {
 			ORDER BY m.authorId % 3 DESC LIMIT 9 OFFSET 2;`,
 		"prune-columns": `SELECT m.messageId AS id, m.topic AS topic FROM GleambookMessages m
 			WHERE m.authorId % 2 = 0;`,
+		"result-after-order": `SELECT m.messageId AS id, m.message AS msg FROM GleambookMessages m
+			ORDER BY m.authorId % 3 DESC, m.messageId LIMIT 9 OFFSET 2;`,
 	} {
 		t.Run(rule, func(t *testing.T) {
 			ablated := newEngine(t, Config{OptimizerDisable: []string{rule}})
@@ -260,6 +188,10 @@ func TestOptimizerDisableRule(t *testing.T) {
 			}
 			for i, v := range rAb.Rows {
 				b[i] = v.String()
+			}
+			if strings.Contains(q, "ORDER BY") && rule != "order-joins-greedily" &&
+				strings.Join(a, "\n") != strings.Join(b, "\n") {
+				t.Errorf("ablation changed the row order:\n%s\nvs\n%s", strings.Join(a, "\n"), strings.Join(b, "\n"))
 			}
 			sort.Strings(a)
 			sort.Strings(b)

@@ -439,6 +439,11 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 						err = runner.Run(tc, ins, outs)
 					})
 				}
+				// The task wrote its last tuple, failed or not: publish what
+				// the writers still count privately before the span ends.
+				for _, w := range writers {
+					w.flushCount()
+				}
 				ts.End()
 				if err == nil {
 					for _, w := range writers {
@@ -521,12 +526,32 @@ type connWriter struct {
 	send      func(dst int, frame []Tuple) error
 	node      *NodeController
 	span      *obs.Span
-	closed    bool
+	// written counts tuples since the last flushCount. The node's and the
+	// span's counters are shared by every task of the partition, so a
+	// write per tuple bounces their cache line between cores; they are
+	// brought up to date whenever a frame is sent and when the task ends,
+	// which keeps them exact at every frame boundary.
+	written int64
+	closed  bool
+}
+
+func (w *connWriter) flushCount() {
+	if w.written > 0 {
+		w.node.addOut(w.written)
+		w.span.AddTuplesOut(w.written)
+		w.written = 0
+	}
+}
+
+// sendFrame publishes the tuple count, then hands a full or final frame to
+// the edge.
+func (w *connWriter) sendFrame(dst int, frame []Tuple) error {
+	w.flushCount()
+	return w.send(dst, frame)
 }
 
 func (w *connWriter) Write(t Tuple) error {
-	w.node.addOut(1)
-	w.span.AddTuplesOut(1)
+	w.written++
 	switch w.conn.Kind {
 	case ConnOneToOne:
 		return w.buffered(w.producer, t)
@@ -554,7 +579,7 @@ func (w *connWriter) Write(t Tuple) error {
 		if len(w.mbuf) >= w.frameSize {
 			f := w.mbuf
 			w.mbuf = nil
-			return w.send(w.mergeDst, f)
+			return w.sendFrame(w.mergeDst, f)
 		}
 		return nil
 	}
@@ -569,12 +594,13 @@ func (w *connWriter) buffered(dst int, t Tuple) error {
 	if len(w.buffers[dst]) >= w.frameSize {
 		f := w.buffers[dst]
 		w.buffers[dst] = nil
-		return w.send(dst, f)
+		return w.sendFrame(dst, f)
 	}
 	return nil
 }
 
-// Close flushes all partial frames.
+// Close flushes all partial frames. The task has published its tuple count
+// by then (it does so when Run returns, whether or not Close follows).
 func (w *connWriter) Close() error {
 	if w.closed {
 		return nil

@@ -20,7 +20,10 @@ import (
 )
 
 // Tuple is one row: a fixed-width array of ADM values whose layout is
-// defined by the plan that produces it.
+// defined by the plan that produces it. A value is never modified once it
+// is in a tuple: a Broadcast edge hands the same values to every consumer
+// task, and a compiled constant (algebricks' fold) is one value in every
+// tuple of every partition. Operators build new values instead.
 type Tuple []adm.Value
 
 // Clone copies the tuple (values are immutable and shared).

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asterix/internal/obs"
@@ -297,7 +298,7 @@ func (g *Governor) Reserve(ctx context.Context, n int64) (*Grant, error) {
 	if err := g.reserve(ctx, n); err != nil {
 		return nil, err
 	}
-	return &Grant{g: g, min: n, n: n}, nil
+	return newGrant(g, nil, n), nil
 }
 
 // JobGrant is a job's admission: the sum of its tasks' minimum grants,
@@ -353,7 +354,7 @@ func (j *JobGrant) TaskGrant() *Grant {
 	if j.cur > j.peak {
 		j.peak = j.cur
 	}
-	return &Grant{g: j.g, job: j, min: n, n: n}
+	return newGrant(j.g, j, n)
 }
 
 // Peak returns the job's high-water mark of granted working bytes.
@@ -394,20 +395,27 @@ func (j *JobGrant) Release() {
 // before. Not safe for concurrent use by multiple goroutines (each task
 // owns its grant).
 type Grant struct {
-	g        *Governor
-	job      *JobGrant
-	min, n   int64
+	g   *Governor
+	job *JobGrant
+	min int64
+	// n is written under g.mu (it moves with workUsed) and read without
+	// it: operators ask Granted once per buffered tuple.
+	n        atomic.Int64
 	released bool
 }
 
-// Granted returns the grant's current size in bytes.
+func newGrant(g *Governor, job *JobGrant, n int64) *Grant {
+	gr := &Grant{g: g, job: job, min: n}
+	gr.n.Store(n)
+	return gr
+}
+
+// Granted returns the grant's current size in bytes. It takes no lock.
 func (gr *Grant) Granted() int {
 	if gr == nil {
 		return math.MaxInt
 	}
-	gr.g.mu.Lock()
-	defer gr.g.mu.Unlock()
-	return int(gr.n)
+	return int(gr.n.Load())
 }
 
 // Grow tries to extend the grant by n bytes. It never waits: the grow is
@@ -426,7 +434,7 @@ func (gr *Grant) Grow(n int) bool {
 		return false
 	}
 	g.workUsed += int64(n)
-	gr.n += int64(n)
+	gr.n.Add(int64(n))
 	if gr.job != nil {
 		gr.job.cur += int64(n)
 		if gr.job.cur > gr.job.peak {
@@ -443,7 +451,7 @@ func (gr *Grant) Shrink(n int) {
 	if gr == nil {
 		return
 	}
-	gr.shrinkTo(gr.g, gr.loadN()-int64(n))
+	gr.shrinkTo(gr.g, gr.n.Load()-int64(n))
 }
 
 // ShrinkToMin returns everything above the task's minimum grant —
@@ -455,23 +463,17 @@ func (gr *Grant) ShrinkToMin() {
 	gr.shrinkTo(gr.g, gr.min)
 }
 
-func (gr *Grant) loadN() int64 {
-	gr.g.mu.Lock()
-	defer gr.g.mu.Unlock()
-	return gr.n
-}
-
 func (gr *Grant) shrinkTo(g *Governor, target int64) {
 	g.mu.Lock()
 	if target < gr.min {
 		target = gr.min
 	}
-	if gr.released || gr.n <= target {
+	if gr.released || gr.n.Load() <= target {
 		g.mu.Unlock()
 		return
 	}
-	back := gr.n - target
-	gr.n = target
+	back := gr.n.Load() - target
+	gr.n.Store(target)
 	g.workUsed -= back
 	if g.workUsed < 0 {
 		g.workUsed = 0
@@ -495,14 +497,14 @@ func (gr *Grant) Release() {
 		return
 	}
 	gr.released = true
-	g.workUsed -= gr.n
+	n := gr.n.Swap(0)
+	g.workUsed -= n
 	if g.workUsed < 0 {
 		g.workUsed = 0
 	}
 	if gr.job != nil {
-		gr.job.cur -= gr.n
+		gr.job.cur -= n
 	}
-	gr.n = 0
 	g.pumpLocked()
 	g.mu.Unlock()
 }
