@@ -15,7 +15,7 @@ verify: tier1 lint optimizer
 # Regenerate drifted goldens with
 # ASTERIX_UPDATE_GOLDEN=1 go test ./internal/algebricks -run TestGoldenPlans.
 optimizer:
-	go test -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule|TestPrimaryKeySearchJobShape' ./internal/algebricks/
+	go test -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule|TestJobShapes' ./internal/algebricks/
 	go test -race -run 'TestOptimizerOnOffEquivalence|TestOptimizerDisableRule|TestResultCarriesPlanAndRules|TestAccessPathTypedConstants|TestPrimaryKeyLSMStates|TestDeleteLocatesVictimsThroughPlan' ./internal/core/
 
 # lint: project-specific static analysis (see docs/STATIC_ANALYSIS.md).
@@ -54,7 +54,7 @@ net-matrix:
 	ASTERIX_NET_MATRIX=1 go test -count=1 -timeout 180s -run 'TestParsePeers|TestMultiProcessCluster' -v ./cmd/asterixd/
 
 # bench: every top-level Go benchmark once, plus the per-layer
-# microbenchmarks of the record decoder (BenchmarkDecodeFields), the
+# microbenchmarks of the record decoder (BenchmarkLocateFields), the
 # expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled)
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
 # BenchmarkExchangeWrite).

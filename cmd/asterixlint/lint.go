@@ -201,6 +201,8 @@ func DefaultConfig() *Config {
 			{Pkg: "asterix/internal/adm", Func: "Equal"},
 			{Pkg: "asterix/internal/adm", Func: "Hash64"},
 			{Pkg: "asterix/internal/adm", Func: "Encode"},
+			// The leaf's in-place field walk: once per stored record.
+			{Pkg: "asterix/internal/adm", Func: "LocateFields"},
 			// Hyracks per-tuple operator kernels.
 			{Pkg: "asterix/internal/hyracks", Recv: "Comparator", Func: "Compare"},
 			{Pkg: "asterix/internal/hyracks", Func: "HashColumns"},

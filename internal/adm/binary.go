@@ -2,6 +2,7 @@ package adm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -242,66 +243,93 @@ func DecodeValue(data []byte) (Value, error) {
 	return v, nil
 }
 
-// DecodeFields decodes an encoded object partially: it walks the encoding
-// in place and materializes only the fields named in fields, stepping over
-// every other value. The result holds the kept fields in stored order
-// (duplicate names included) and shares fields' name strings, so for each
-// name in fields, Get answers what it would on the full decode. Once every
-// wanted name has been met the rest of the record is not read. A value
-// that is not an object is decoded whole.
-func DecodeFields(data []byte, fields []string) (Value, error) {
-	if len(data) == 0 || Kind(data[0]) != KindObject {
-		v, _, err := Decode(data)
-		return v, err
+// ErrCorrupt is what the in-place walkers — LocateFields and the skipping
+// they share — report for bytes that are no ADM encoding: truncated, a
+// length past the input, an unknown kind tag. One preallocated error: a
+// walk allocates nothing, not even to fail.
+var ErrCorrupt = errors.New("adm: decode: truncated or invalid input")
+
+// LocateFields walks an encoded object in place and sets out[i] (out is as
+// long as names) to the encoding of the first stored field called names[i],
+// or to nil when there is none — where Get on the full decode answers the
+// first such field's value, or Missing. The slices point into data; nothing
+// is materialized or allocated. Once every name is met the rest of the
+// record is not read, and the value met last is not measured: its slice runs
+// to the end of data, of which Decode reads what it needs. A value that is
+// not an object has no fields. Damaged input is ErrCorrupt, never a panic.
+func LocateFields(data []byte, names []string, out [][]byte) error {
+	for i := range out {
+		out[i] = nil
 	}
-	fail := func(what string) (Value, error) {
-		return nil, fmt.Errorf("adm: decode %s: truncated or invalid input", what)
+	if len(data) == 0 {
+		return ErrCorrupt
+	}
+	if Kind(data[0]) != KindObject {
+		return nil
 	}
 	cnt, n := binary.Uvarint(data[1:])
 	if n <= 0 {
-		return fail("object")
+		return ErrCorrupt
 	}
 	pos := 1 + n
-	o := &Object{fields: make([]Field, 0, min(cnt, uint64(len(fields))))}
-	// met marks the wanted names seen so far (the first 64 of them; a
-	// longer list just never stops early), pending counts those not yet.
-	var met uint64
-	pending := len(fields)
+	pending := len(names)
 	for i := uint64(0); i < cnt && pending > 0; i++ {
-		l, n := binary.Uvarint(data[pos:])
-		if n <= 0 || l > uint64(len(data)-pos-n) {
-			return fail("object field name")
+		name, n := chunk(data[pos:])
+		if n < 0 {
+			return ErrCorrupt
 		}
 		pos += n
-		name := data[pos : pos+int(l)]
-		pos += int(l)
-		want := -1
-		for j, f := range fields {
-			if string(name) == f {
-				want = j
-				break
+		// A column met here starts at pos; it is cut to its value's length
+		// once that is known, unless it was the last one wanted.
+		hits := 0
+		for j, f := range names {
+			if out[j] == nil && sameName(name, f) {
+				out[j] = data[pos:]
+				hits++
 			}
 		}
-		if want < 0 {
-			n, err := skipValue(data[pos:])
-			if err != nil {
-				return nil, err
-			}
-			pos += n
-			continue
+		if pending -= hits; pending == 0 {
+			return nil
 		}
-		v, n, err := Decode(data[pos:])
+		n, err := skipValue(data[pos:])
 		if err != nil {
-			return nil, err
+			return err
+		}
+		for j := 0; hits > 0; j++ {
+			if out[j] != nil && cap(out[j]) == cap(data)-pos { // starts at pos
+				out[j] = out[j][:n]
+				hits--
+			}
 		}
 		pos += n
-		o.fields = append(o.fields, Field{Name: fields[want], Value: v})
-		if want < 64 && met&(1<<want) == 0 {
-			met |= 1 << want
-			pending--
+	}
+	return nil
+}
+
+// sameName is string(stored) == name without the conversion, which the
+// compiler elides but the hot-alloc lint rule counts as a copy.
+func sameName(stored []byte, name string) bool {
+	if len(stored) != len(name) {
+		return false
+	}
+	for i, c := range stored {
+		if name[i] != c {
+			return false
 		}
 	}
-	return o, nil
+	return true
+}
+
+// chunk returns the length-prefixed byte string at the start of data and
+// the bytes it occupies with its prefix, -1 if data does not hold it.
+func chunk(data []byte) ([]byte, int) {
+	// The length check stays in uint64: converting an adversarial l to int
+	// first can overflow negative and slip past the bound.
+	l, n := binary.Uvarint(data)
+	if n <= 0 || l > uint64(len(data)-n) {
+		return nil, -1
+	}
+	return data[n : n+int(l)], n + int(l)
 }
 
 // skipValue returns the number of bytes the encoded value at the start of
@@ -309,72 +337,59 @@ func DecodeFields(data []byte, fields []string) (Value, error) {
 // encodings Decode accepts.
 func skipValue(data []byte) (int, error) {
 	if len(data) == 0 {
-		return 0, fmt.Errorf("adm: decode: empty input")
+		return 0, ErrCorrupt
 	}
-	pos := 1
-	// Each helper advances pos past one component and reports whether the
-	// input held it.
-	fixed := func(w int) bool {
-		pos += w
-		return pos <= len(data)
-	}
-	varint := func() bool {
-		_, n := binary.Varint(data[pos:])
-		pos += max(n, 0)
-		return n > 0
-	}
-	count := func() (uint64, bool) {
-		c, n := binary.Uvarint(data[pos:])
-		pos += max(n, 0)
-		return c, n > 0
-	}
-	bytesOf := func() bool {
-		l, ok := count()
-		if !ok || l > uint64(len(data)-pos) {
-			return false
-		}
-		pos += int(l)
-		return true
-	}
-	nested := func() error {
-		n, err := skipValue(data[pos:])
-		pos += n
-		return err
-	}
-	ok := true
+	pos, n := 1, 0
 	switch k := Kind(data[0]); k {
 	case KindMissing, KindNull:
 	case KindBoolean:
-		ok = fixed(1)
-	case KindInt64, KindDate, KindTime, KindDatetime:
-		ok = varint()
-	case KindDuration:
-		ok = varint() && varint()
+		pos++
 	case KindDouble:
-		ok = fixed(8)
+		pos += 8
 	case KindPoint, KindUUID:
-		ok = fixed(16)
+		pos += 16
 	case KindRectangle:
-		ok = fixed(32)
+		pos += 32
+	case KindDuration:
+		if _, n = binary.Varint(data[pos:]); n <= 0 {
+			return 0, ErrCorrupt
+		}
+		pos += n
+		fallthrough
+	case KindInt64, KindDate, KindTime, KindDatetime:
+		if _, n = binary.Varint(data[pos:]); n <= 0 {
+			return 0, ErrCorrupt
+		}
+		pos += n
 	case KindString, KindBinary:
-		ok = bytesOf()
+		if _, n = chunk(data[pos:]); n < 0 {
+			return 0, ErrCorrupt
+		}
+		pos += n
 	case KindArray, KindMultiset, KindObject:
-		var cnt uint64
-		cnt, ok = count()
-		for i := uint64(0); ok && i < cnt; i++ {
-			if k == KindObject && !bytesOf() {
-				ok = false
-				break
+		cnt, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return 0, ErrCorrupt
+		}
+		pos += n
+		for i := uint64(0); i < cnt; i++ {
+			if k == KindObject {
+				if _, n = chunk(data[pos:]); n < 0 {
+					return 0, ErrCorrupt
+				}
+				pos += n
 			}
-			if err := nested(); err != nil {
+			n, err := skipValue(data[pos:])
+			if err != nil {
 				return 0, err
 			}
+			pos += n
 		}
 	default:
-		return 0, fmt.Errorf("adm: decode: unknown kind tag %d", data[0])
+		return 0, ErrCorrupt
 	}
-	if !ok {
-		return 0, fmt.Errorf("adm: decode %s: truncated or invalid input", Kind(data[0]))
+	if pos > len(data) {
+		return 0, ErrCorrupt
 	}
 	return pos, nil
 }

@@ -241,30 +241,39 @@ func TestDecodeCorruptInput(t *testing.T) {
 	}
 }
 
-// checkDecodeFields asserts the DecodeFields contract on one input:
-// whenever the full decode yields an object, the partial decode succeeds
-// and every requested name resolves to what Get gives on the full decode.
-func checkDecodeFields(t *testing.T, data []byte, names []string) {
+// checkLocateFields asserts the LocateFields contract on one input: it
+// never reaches outside data, and whenever the full decode yields an object
+// it succeeds and every requested name decodes to what Get gives on the
+// full decode (absent: Missing; a repeated name: its first occurrence).
+func checkLocateFields(t *testing.T, data []byte, names []string) {
 	t.Helper()
+	out := make([][]byte, len(names))
+	err := LocateFields(data, names, out)
+	for i, span := range out {
+		// data[pos:end] keeps data's backing array: its offset is the
+		// difference of the capacities.
+		if off := cap(data) - cap(span); span != nil &&
+			(off < 0 || off+len(span) > len(data) || len(span) > 0 && &span[0] != &data[off]) {
+			t.Fatalf("LocateFields(%x, %q): column %d is not a slice of the input", data, names, i)
+		}
+	}
 	full, fullErr := DecodeValue(data)
-	part, err := DecodeFields(data, names)
 	o, isObj := full.(*Object)
 	if fullErr != nil || !isObj {
-		return // only "no panic, no runaway allocation" is promised
+		return // only "no panic, no over-read" is promised
 	}
 	if err != nil {
-		t.Fatalf("DecodeFields(%x, %q) failed on input DecodeValue accepts: %v", data, names, err)
+		t.Fatalf("LocateFields(%x, %q) failed on input DecodeValue accepts: %v", data, names, err)
 	}
-	po, ok := part.(*Object)
-	if !ok {
-		t.Fatalf("DecodeFields(%x) = %T, want *Object", data, part)
-	}
-	if po.Len() > o.Len() {
-		t.Fatalf("DecodeFields kept %d fields of a %d-field object", po.Len(), o.Len())
-	}
-	for _, name := range names {
-		if got, want := po.Get(name), o.Get(name); Compare(got, want) != 0 || got.Kind() != want.Kind() {
-			t.Fatalf("DecodeFields(%x, %q).Get(%q) = %v, full decode has %v", data, names, name, got, want)
+	for i, name := range names {
+		var got Value = Missing
+		if out[i] != nil {
+			if got, _, err = Decode(out[i]); err != nil {
+				t.Fatalf("LocateFields(%x, %q): column %q does not decode: %v", data, names, name, err)
+			}
+		}
+		if want := o.Get(name); Compare(got, want) != 0 || got.Kind() != want.Kind() {
+			t.Fatalf("LocateFields(%x, %q): column %q = %v, full decode has %v", data, names, name, got, want)
 		}
 	}
 }
@@ -272,7 +281,11 @@ func checkDecodeFields(t *testing.T, data []byte, names []string) {
 func TestSkipValueMatchesDecode(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
-		data := EncodeValue(randomValue(r, 3))
+		v := randomValue(r, 3)
+		if i%2 == 1 { // every other value a record, for the locator below
+			v = NewObject(Field{Name: "c", Value: v}, Field{Name: "a", Value: randomValue(r, 2)}, Field{Name: "z", Value: randomValue(r, 1)})
+		}
+		data := EncodeValue(v)
 		if n, err := skipValue(data); err != nil || n != len(data) {
 			t.Fatalf("skipValue(%x) = %d, %v; want %d", data, n, err, len(data))
 		}
@@ -288,10 +301,19 @@ func TestSkipValueMatchesDecode(t *testing.T) {
 		if (derr == nil) != (serr == nil) || (derr == nil && dn != sn) {
 			t.Fatalf("on %x: Decode = %d, %v but skipValue = %d, %v", cut, dn, derr, sn, serr)
 		}
+		// The locator walks the same damage: an error or columns that agree
+		// with the full decode, never a panic. A name no record has makes it
+		// walk to the end, where it must reject what Decode rejects.
+		checkLocateFields(t, cut, []string{"z", "nope", "a"})
+		var none [1][]byte
+		if lerr := LocateFields(cut, []string{"\x00absent"}, none[:]); derr == nil && lerr != nil ||
+			derr != nil && lerr == nil && len(cut) > 0 && Kind(cut[0]) == KindObject {
+			t.Fatalf("on %x: Decode = %v but a full LocateFields walk = %v", cut, derr, lerr)
+		}
 	}
 }
 
-func TestDecodeFields(t *testing.T) {
+func TestLocateFields(t *testing.T) {
 	// Built field by field: NewObject would collapse the duplicate name.
 	rec := &Object{fields: []Field{
 		{Name: "id", Value: Int64(7)},
@@ -305,30 +327,24 @@ func TestDecodeFields(t *testing.T) {
 		{}, {"id"}, {"alias", "id"}, {"employment"}, {"nope"}, {"id", "nope", "friendIds"},
 		{"id", "alias", "friendIds", "employment"}, {"id", "id"},
 	} {
-		checkDecodeFields(t, data, names)
-	}
-	got, err := DecodeFields(data, []string{"alias", "id"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := got.String(); s != `{"id":7,"alias":"u7"}` {
-		t.Errorf("projection = %s, want the two leading fields in stored order", s)
+		checkLocateFields(t, data, names)
 	}
 	// Once every wanted name is met the rest of the record is not read:
 	// damage behind the last wanted field goes unnoticed, damage before it
 	// is an error, never a panic.
+	var out [2][]byte
 	aliasEnd := bytes.Index(data, []byte("u7")) + 2
-	if _, err := DecodeFields(data[:aliasEnd], []string{"id", "alias"}); err != nil {
+	if err := LocateFields(data[:aliasEnd], []string{"id", "alias"}, out[:]); err != nil {
 		t.Errorf("leading-field projection read past its last field: %v", err)
 	}
-	if _, err := DecodeFields(data[:aliasEnd], []string{"employment"}); err == nil {
+	if err := LocateFields(data[:aliasEnd], []string{"employment"}, out[:1]); err == nil {
 		t.Error("truncated record must fail when the wanted field lies behind the damage")
 	}
-	// Not an object: decoded whole.
-	if v, err := DecodeFields(EncodeValue(Int64(3)), []string{"a"}); err != nil || v != Int64(3) {
-		t.Errorf("non-object fallback = %v, %v", v, err)
+	// Not an object: no fields.
+	if err := LocateFields(EncodeValue(Int64(3)), []string{"a"}, out[:1]); err != nil || out[0] != nil {
+		t.Errorf("non-object: column %x, %v; want absent", out[0], err)
 	}
-	if _, err := DecodeFields(nil, nil); err == nil {
+	if err := LocateFields(nil, nil, nil); err == nil {
 		t.Error("empty input must fail")
 	}
 }

@@ -70,10 +70,10 @@ func roundTripSeeds() []Value {
 	}
 }
 
-// FuzzADMDecodeFields drives the partial decoder with arbitrary bytes and
-// an arbitrary subset of field names: it must never panic or allocate
-// ahead of its input, and must agree with the full decode wherever that
-// succeeds (checkDecodeFields). mask picks the requested names out of the
+// FuzzADMDecodeFields drives the field locator with arbitrary bytes and an
+// arbitrary subset of field names: it must never panic or reach outside its
+// input, and every column it locates must agree with the full decode
+// wherever that succeeds (checkLocateFields). mask picks the requested names out of the
 // input's own field names plus two that may be absent.
 func FuzzADMDecodeFields(f *testing.F) {
 	dup := &Object{fields: []Field{
@@ -103,6 +103,6 @@ func FuzzADMDecodeFields(f *testing.F) {
 				names = append(names, c)
 			}
 		}
-		checkDecodeFields(t, data, names)
+		checkLocateFields(t, data, names)
 	})
 }

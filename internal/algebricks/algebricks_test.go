@@ -23,29 +23,29 @@ type memSource struct {
 
 func (m *memSource) Name() string    { return m.name }
 func (m *memSource) Partitions() int { return m.par }
-func (m *memSource) Scan(p int, fields []string, emit func(adm.Value) error) error {
+
+// Scan serves both forms of the leaf seam, so that every query these tests
+// run goes through both: even records as their stored bytes, which the leaf
+// reads in place, odd ones as values.
+func (m *memSource) Scan(p int, emit func(Record) error) error {
+	return m.scan(p, func(i int, r adm.Value) error {
+		if (i/m.par)%2 == 0 {
+			return emit(Record{Stored: adm.EncodeValue(r)})
+		}
+		return emit(Record{Value: r})
+	})
+}
+
+// scan visits the values of partition p.
+func (m *memSource) scan(p int, visit func(i int, rec adm.Value) error) error {
 	for i, r := range m.recs {
 		if i%m.par == p {
-			if err := emit(project(r, fields)); err != nil {
+			if err := visit(i, r); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// project hands a leaf's consumer exactly what a storage engine honouring
-// the plan's field list would — an object of the listed fields only — so
-// every query these tests run fails if prune-columns under-lists.
-func project(rec adm.Value, fields []string) adm.Value {
-	if fields == nil {
-		return rec
-	}
-	out, err := adm.DecodeFields(adm.EncodeValue(rec), fields)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 type memCatalog struct {
@@ -132,8 +132,8 @@ func (ix *memIndex) OwnerPartition(key adm.Value) (int, bool) {
 	return 0, true // absent key: any one partition answers "no rows"
 }
 
-func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(adm.Value) error) error {
-	return ix.src.Scan(part, nil, func(rec adm.Value) error {
+func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(Record) error) error {
+	return ix.src.scan(part, func(_ int, rec adm.Value) error {
 		key := ix.keyOf(rec)
 		if key == nil {
 			return nil
@@ -148,11 +148,11 @@ func (ix *memIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, f
 				return nil
 			}
 		}
-		return emit(project(rec, fields))
+		return emit(Record{Stored: adm.EncodeValue(rec)})
 	})
 }
-func (ix *memIndex) SearchSpatial(part int, rect adm.Rectangle, fields []string, emit func(adm.Value) error) error {
-	return ix.src.Scan(part, nil, func(rec adm.Value) error {
+func (ix *memIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(Record) error) error {
+	return ix.src.scan(part, func(_ int, rec adm.Value) error {
 		o, ok := rec.(*adm.Object)
 		if !ok {
 			return nil
@@ -162,13 +162,13 @@ func (ix *memIndex) SearchSpatial(part int, rect adm.Rectangle, fields []string,
 			return nil
 		}
 		if p.X >= rect.MinX && p.X <= rect.MaxX && p.Y >= rect.MinY && p.Y <= rect.MaxY {
-			return emit(project(rec, fields))
+			return emit(Record{Stored: adm.EncodeValue(rec)})
 		}
 		return nil
 	})
 }
-func (ix *memIndex) SearchKeyword(part int, token string, fields []string, emit func(adm.Value) error) error {
-	return ix.src.Scan(part, nil, func(rec adm.Value) error {
+func (ix *memIndex) SearchKeyword(part int, token string, emit func(Record) error) error {
+	return ix.src.scan(part, func(_ int, rec adm.Value) error {
 		o, ok := rec.(*adm.Object)
 		if !ok {
 			return nil
@@ -179,7 +179,7 @@ func (ix *memIndex) SearchKeyword(part int, token string, fields []string, emit 
 		}
 		for _, w := range strings.Fields(strings.ToLower(string(s))) {
 			if strings.Trim(w, ".,!?") == strings.ToLower(token) {
-				return emit(project(rec, fields))
+				return emit(Record{Stored: adm.EncodeValue(rec)})
 			}
 		}
 		return nil
@@ -418,9 +418,9 @@ func TestRuleHashJoinRecognition(t *testing.T) {
 	if !strings.Contains(s, "join[inner,hash]") {
 		t.Errorf("expected hash join in plan:\n%s", s)
 	}
-	// The age filter should have been pushed below the join.
+	// The age filter should have been pushed below the join, into the leaf.
 	joinIdx := strings.Index(s, "join[")
-	selIdx := strings.LastIndex(s, "select")
+	selIdx := strings.LastIndex(s, "filter=(u.age > 21)")
 	if selIdx < joinIdx {
 		t.Errorf("selection not pushed below join:\n%s", s)
 	}

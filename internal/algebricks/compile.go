@@ -84,20 +84,20 @@ func lift2(a, b code, k func(x, y adm.Value) (adm.Value, error)) code {
 // compiler resolves names against the columns of a left and a right tuple.
 type compiler struct {
 	ev   *Evaluator
-	l, r []string
+	l, r schema
 }
 
-// compile returns e as a closure over a tuple laid out as schema.
-func (ev *Evaluator) compile(e sqlpp.Expr, schema []string) valueFn {
-	c := compiler{ev: ev, l: schema}
+// compile returns e as a closure over a tuple laid out as s.
+func (ev *Evaluator) compile(e sqlpp.Expr, s schema) valueFn {
+	c := compiler{ev: ev, l: s}
 	return c.compile(e).run()
 }
 
 // compilePred returns e as a condition over a left and a right tuple (one
-// tuple: rSchema and rt nil). It holds when e is true — not when it is
+// tuple: an empty rs and rt nil). It holds when e is true — not when it is
 // false, null or missing.
-func (ev *Evaluator) compilePred(e sqlpp.Expr, lSchema, rSchema []string) func(lt, rt hyracks.Tuple) (bool, error) {
-	c := compiler{ev: ev, l: lSchema, r: rSchema}
+func (ev *Evaluator) compilePred(e sqlpp.Expr, ls, rs schema) func(lt, rt hyracks.Tuple) (bool, error) {
+	c := compiler{ev: ev, l: ls, r: rs}
 	p := c.compile(e).run()
 	return func(lt, rt hyracks.Tuple) (bool, error) {
 		v, err := p(lt, rt)
@@ -118,29 +118,25 @@ func (c colRef) of(l, r hyracks.Tuple) adm.Value {
 	return l[c.idx]
 }
 
-// column resolves a name the way Env.Lookup does over the left tuple's
-// columns followed by the right one's: the last binding wins.
-func (c *compiler) column(name string) (colRef, bool) {
-	for i := len(c.r) - 1; i >= 0; i-- {
-		if c.r[i] == name {
-			return colRef{idx: i, right: true}, true
-		}
+// column resolves a variable — or, when field is set, its first-step field
+// name.f — the way Env.Lookup does over the left tuple's columns followed
+// by the right one's: the last binding wins. whole reports that the column
+// holds the variable itself, of which a field is still to be taken.
+func (c *compiler) column(name, f string, field bool) (ref colRef, whole, ok bool) {
+	if col, ok := c.r.find(name, f, field); ok {
+		return colRef{idx: col.idx, right: true}, !col.field, true
 	}
-	for i := len(c.l) - 1; i >= 0; i-- {
-		if c.l[i] == name {
-			return colRef{idx: i}, true
-		}
-	}
-	return colRef{}, false
+	col, ok := c.l.find(name, f, field)
+	return colRef{idx: col.idx}, !col.field, ok
 }
 
 // fallback evaluates e with the interpreter over an Env of the tuple(s).
 func (c *compiler) fallback(e sqlpp.Expr) code {
-	ev, lSchema, rSchema := c.ev, c.l, c.r
+	ev, lenv, renv, two := c.ev, c.l.envOver(), c.r.envOver(), len(c.r.cols) > 0
 	return code{fn: func(l, r hyracks.Tuple) (adm.Value, error) {
-		env := NewEnv(nil, lSchema, l)
-		if len(rSchema) > 0 {
-			env = NewEnv(env, rSchema, r)
+		env := lenv(nil, l)
+		if two {
+			env = renv(env, r)
 		}
 		return ev.Eval(e, env)
 	}}
@@ -173,7 +169,7 @@ func (c *compiler) compile(e sqlpp.Expr) code {
 		return code{lit: x.Value}
 
 	case *sqlpp.VarRef:
-		col, ok := c.column(x.Name)
+		col, _, ok := c.column(x.Name, "", false)
 		if !ok {
 			return c.fallback(e) // a dataset in expression position, or undefined
 		}
@@ -182,8 +178,11 @@ func (c *compiler) compile(e sqlpp.Expr) code {
 	case *sqlpp.FieldAccess:
 		field := x.Field
 		if v, ok := x.Base.(*sqlpp.VarRef); ok {
-			if col, ok := c.column(v.Name); ok {
+			// A leaf that lists its fields emits v.f as a column of its own.
+			if col, whole, ok := c.column(v.Name, field, true); ok && whole {
 				return code{fn: func(l, r hyracks.Tuple) (adm.Value, error) { return fieldOf(col.of(l, r), field), nil }}
+			} else if ok {
+				return code{fn: func(l, r hyracks.Tuple) (adm.Value, error) { return col.of(l, r), nil }}
 			}
 		}
 		return lift1(c.compile(x.Base), func(b adm.Value) (adm.Value, error) { return fieldOf(b, field), nil })

@@ -87,7 +87,7 @@ func sameResult(a adm.Value, aerr error, b adm.Value, berr error) bool {
 // over one tuple, and compiled as a condition over the row split in two at
 // every position — and reports the first disagreement.
 func checkCompiled(ev *Evaluator, e sqlpp.Expr, rows []hyracks.Tuple) error {
-	value := ev.compile(e, compileSchema)
+	value := ev.compile(e, schemaOf(compileSchema...))
 	for i, row := range rows {
 		env := NewEnv(nil, compileSchema, row)
 		want, werr := ev.Eval(e, env)
@@ -97,7 +97,7 @@ func checkCompiled(ev *Evaluator, e sqlpp.Expr, rows []hyracks.Tuple) error {
 		}
 		holds, herr := ev.truthyExpr(e, env)
 		for split := 0; split <= len(row); split += len(row) / 2 {
-			pred := ev.compilePred(e, compileSchema[:split], compileSchema[split:])
+			pred := ev.compilePred(e, schemaOf(compileSchema[:split]...), schemaOf(compileSchema[split:]...))
 			ok, err := pred(row[:split], row[split:])
 			if ok != holds || (err != nil) != (herr != nil) {
 				return fmt.Errorf("row %d split %d: condition compiled %v (%v), interpreted %v (%v)", i, split, ok, err, holds, herr)
@@ -209,7 +209,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		for _, cases := range [][]exprCase{scalarCases, threeValuedCases, unknownPropagationCases, divisionCases} {
 			for _, c := range cases {
 				e := parseExpr(t, c.src)
-				if got, err := ev.compile(e, nil)(nil, nil); err != nil || got.String() != c.want {
+				if got, err := ev.compile(e, schemaOf())(nil, nil); err != nil || got.String() != c.want {
 					t.Errorf("compiled %s = %v (%v), want %s", c.src, got, err, c.want)
 				}
 				if err := checkCompiled(ev, e, rows); err != nil {
@@ -247,7 +247,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			if err := checkCompiled(ev, e, rows); err != nil {
 				t.Errorf("%s: %v", src, err)
 			}
-			if _, err := ev.compile(e, compileSchema)(rows[0], nil); err != nil {
+			if _, err := ev.compile(e, schemaOf(compileSchema...))(rows[0], nil); err != nil {
 				errs++
 			}
 		}
@@ -263,7 +263,7 @@ func TestCompiledConstantErrorIsPerRow(t *testing.T) {
 	cat := testCatalog()
 	ev := newEval(cat)
 	bad := parseExpr(t, `(1 || 2) = u.name`)
-	f := ev.compile(bad, compileSchema) // must not fail or panic here
+	f := ev.compile(bad, schemaOf(compileSchema...)) // must not fail or panic here
 	if _, err := f(compileRows()[0], nil); err == nil || !strings.Contains(err.Error(), "requires strings") {
 		t.Errorf("per-row error = %v", err)
 	}
@@ -410,11 +410,11 @@ func BenchmarkCompiledExpr(b *testing.B) {
 		b.Run(c.name+"/build", func(b *testing.B) { // what jobgen pays once per statement
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ev.compilePred(e, schema, nil)
+				ev.compilePred(e, schemaOf(schema...), schemaOf())
 			}
 		})
 		b.Run(c.name+"/compiled", func(b *testing.B) {
-			fn := ev.compile(e, schema)
+			fn := ev.compile(e, schemaOf(schema...))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

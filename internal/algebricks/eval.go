@@ -50,10 +50,68 @@ func (e *Env) Lookup(name string) (adm.Value, bool) {
 type DataSource interface {
 	Name() string
 	Partitions() int
-	// Scan emits every record of one partition. A non-nil fields lists the
-	// only first-level fields the caller reads: the source may emit objects
-	// holding just those (a source that cannot project may ignore it).
-	Scan(part int, fields []string, emit func(rec adm.Value) error) error
+	// Scan hands every record of one partition to emit.
+	Scan(part int, emit func(Record) error) error
+}
+
+// Record is one stored record as its source hands it to a leaf: valid only
+// until the callback it was passed to returns, and not decoded yet — the
+// leaf reads the fields its plan lists where they lie.
+type Record struct {
+	// Stored is the record as a byte-holding source keeps it and Unpack
+	// (nil: Stored already is it) returns its ADM encoding. It is not called
+	// for a record no field of which is read.
+	Stored []byte
+	Unpack func(stored []byte) ([]byte, error)
+	// Value is the record itself, from a source that holds values (an
+	// external dataset): Stored is nil.
+	Value adm.Value
+}
+
+// encoding returns the record's ADM encoding, nil for a Value record.
+func (r Record) encoding() ([]byte, error) {
+	if r.Unpack == nil {
+		return r.Stored, nil
+	}
+	return r.Unpack(r.Stored)
+}
+
+// Decode materializes the whole record.
+func (r Record) Decode() (adm.Value, error) {
+	if r.Stored == nil {
+		return r.Value, nil
+	}
+	raw, err := r.encoding()
+	if err != nil {
+		return nil, err
+	}
+	return adm.DecodeValue(raw)
+}
+
+// Field returns the record's first-level field name (Missing when it has
+// none), decoding nothing else.
+func (r Record) Field(name string) (adm.Value, error) {
+	if r.Stored == nil {
+		return fieldOf(r.Value, name), nil
+	}
+	raw, err := r.encoding()
+	if err != nil {
+		return nil, err
+	}
+	var span [1][]byte
+	if err := adm.LocateFields(raw, []string{name}, span[:]); err != nil {
+		return nil, err
+	}
+	return decodeColumn(span[0])
+}
+
+// decodeColumn materializes one located field: nil is an absent one.
+func decodeColumn(span []byte) (adm.Value, error) {
+	if span == nil {
+		return adm.Missing, nil
+	}
+	v, _, err := adm.Decode(span)
+	return v, err
 }
 
 // Catalog resolves dataset names and their indexes.
@@ -80,12 +138,11 @@ type IndexAccessor interface {
 	// SearchRange emits records with lo <= key <= hi (nil = unbounded);
 	// inclusivity flags apply when bounds are non-nil. On a composite
 	// primary key a bound is an array over a leading prefix of the key.
-	// fields, here and below, is DataSource.Scan's.
-	SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(rec adm.Value) error) error
+	SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(Record) error) error
 	// SearchSpatial emits records whose indexed point intersects rect.
-	SearchSpatial(part int, rect adm.Rectangle, fields []string, emit func(rec adm.Value) error) error
+	SearchSpatial(part int, rect adm.Rectangle, emit func(Record) error) error
 	// SearchKeyword emits records whose indexed text contains the token.
-	SearchKeyword(part int, token string, fields []string, emit func(rec adm.Value) error) error
+	SearchKeyword(part int, token string, emit func(Record) error) error
 }
 
 // EvalError is a runtime type/evaluation error.
@@ -768,9 +825,12 @@ func asCollection(v adm.Value) ([]adm.Value, bool) {
 func (ev *Evaluator) materialize(ds DataSource) (adm.Value, error) {
 	var out adm.Array
 	for p := 0; p < ds.Partitions(); p++ {
-		err := ds.Scan(p, nil, func(rec adm.Value) error {
-			out = append(out, rec)
-			return nil
+		err := ds.Scan(p, func(rec Record) error {
+			v, err := rec.Decode()
+			if err == nil {
+				out = append(out, v)
+			}
+			return err
 		})
 		if err != nil {
 			return nil, err

@@ -1,16 +1,12 @@
 package algebricks
 
 import (
-	"errors"
 	"fmt"
 
 	"asterix/internal/adm"
 	"asterix/internal/hyracks"
+	"asterix/internal/sqlpp"
 )
-
-// errScanLimit stops a partition scan early once a pushed-down limit is
-// satisfied; it never escapes the scan operator.
-var errScanLimit = errors.New("scan limit reached")
 
 // JobGen lowers an optimized logical plan to a Hyracks job.
 type JobGen struct {
@@ -22,10 +18,11 @@ type JobGen struct {
 	Parallelism int
 }
 
-// built tracks a lowered subplan.
+// built tracks a lowered subplan: its last operator and the layout of the
+// tuples that operator emits.
 type built struct {
 	op     *hyracks.Operator
-	schema []string
+	schema schema
 	par    int
 	// ordered is non-nil when the stream is globally ordered (single
 	// partition) by this comparator.
@@ -44,7 +41,7 @@ func (g *JobGen) Build(plan Op, coll *hyracks.Collector) (*hyracks.Job, error) {
 		return nil, err
 	}
 	// Project down to the result column.
-	col := indexOf(b.schema, ResultVar)
+	col := b.schema.indexOf(ResultVar)
 	if col < 0 {
 		return nil, fmt.Errorf("jobgen: plan produces no %s column", ResultVar)
 	}
@@ -80,7 +77,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		op := j.Add(hyracks.NewScan("ets", 1, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
 			return emit(hyracks.Tuple{})
 		}))
-		return built{op: op, schema: nil, par: 1}, nil
+		return built{op: op, par: 1}, nil
 
 	case *ScanOp:
 		ds, ok := g.Catalog.Resolve(o.Dataset)
@@ -88,22 +85,11 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return built{}, fmt.Errorf("jobgen: unknown dataset %q", o.Dataset)
 		}
 		par := ds.Partitions()
-		maxT, fields := o.MaxTuples, o.Fields
+		lf := g.Ev.newLeaf(o.Var, o.Fields, o.Filter, o.MaxTuples)
 		op := j.Add(hyracks.NewScan("scan-"+o.Dataset, par, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
-			var n int64
-			err := ds.Scan(tc.Partition, fields, func(rec adm.Value) error {
-				if maxT > 0 && n >= maxT {
-					return errScanLimit
-				}
-				n++
-				return emit(hyracks.Tuple{rec})
-			})
-			if errors.Is(err, errScanLimit) {
-				return nil
-			}
-			return err
+			return lf.run(tc, emit, func(visit func(Record) error) error { return ds.Scan(tc.Partition, visit) })
 		}))
-		return built{op: op, schema: []string{o.Var}, par: par}, nil
+		return built{op: op, schema: lf.out, par: par}, nil
 
 	case *IndexSearchOp:
 		idx, ok := g.Catalog.ResolveIndex(o.Dataset, o.Field)
@@ -166,45 +152,32 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			}
 		}
 		kind := o.Kind
-		maxT, fields := o.MaxTuples, o.Fields
+		lf := g.Ev.newLeaf(o.Var, o.Fields, o.Filter, o.MaxTuples)
 		op := j.Add(hyracks.NewScan("idx-"+o.Dataset+"."+o.Field, par, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
 			part := tc.Partition
 			if owner >= 0 {
 				part = owner
 			}
-			var n int64
-			cb := func(rec adm.Value) error {
-				if maxT > 0 && n >= maxT {
-					return errScanLimit
+			return lf.run(tc, emit, func(visit func(Record) error) error {
+				switch kind {
+				case "PRIMARY", "BTREE":
+					return idx.SearchRange(part, lo, hi, o.LoInc, o.HiInc, visit)
+				case "RTREE", "ZORDER", "HILBERT", "GRID":
+					return idx.SearchSpatial(part, rect, visit)
+				case "KEYWORD":
+					return idx.SearchKeyword(part, token, visit)
 				}
-				n++
-				return emit(hyracks.Tuple{rec})
-			}
-			var err error
-			switch kind {
-			case "PRIMARY", "BTREE":
-				err = idx.SearchRange(part, lo, hi, o.LoInc, o.HiInc, fields, cb)
-			case "RTREE", "ZORDER", "HILBERT", "GRID":
-				err = idx.SearchSpatial(part, rect, fields, cb)
-			case "KEYWORD":
-				err = idx.SearchKeyword(part, token, fields, cb)
-			default:
-				err = fmt.Errorf("jobgen: unknown index kind %s", kind)
-			}
-			if errors.Is(err, errScanLimit) {
-				return nil
-			}
-			return err
+				return fmt.Errorf("jobgen: unknown index kind %s", kind)
+			})
 		}))
-		return built{op: op, schema: []string{o.Var}, par: par}, nil
+		return built{op: op, schema: lf.out, par: par}, nil
 
 	case *SelectOp:
 		in, err := g.buildOp(j, o.In)
 		if err != nil {
 			return built{}, err
 		}
-		schema := in.schema
-		cond := g.Ev.compilePred(o.Cond, schema, nil)
+		cond := g.Ev.compilePred(o.Cond, in.schema, schema{})
 		op := j.Add(hyracks.NewMap("select", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 			ok, err := cond(t, nil)
 			if err != nil {
@@ -216,12 +189,22 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return nil
 		}))
 		j.MustConnect(in.op, op, 0, hyracks.OneToOne())
-		return built{op: op, schema: schema, par: in.par, ordered: in.ordered}, nil
+		return built{op: op, schema: in.schema, par: in.par, ordered: in.ordered}, nil
 
 	case *AssignOp:
 		in, err := g.buildOp(j, o.In)
 		if err != nil {
 			return built{}, err
+		}
+		// v.f of a leaf that emits its fields is there already: the assign
+		// names the column, no operator copies it.
+		if fa, ok := o.Expr.(*sqlpp.FieldAccess); ok {
+			if v, ok := fa.Base.(*sqlpp.VarRef); ok {
+				if col, ok := in.schema.find(v.Name, fa.Field, true); ok && col.field {
+					in.schema = in.schema.bind(o.Var, col.idx)
+					return in, nil
+				}
+			}
 		}
 		expr := g.Ev.compile(o.Expr, in.schema)
 		op := j.Add(hyracks.NewMap("assign-"+o.Var, in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
@@ -235,7 +218,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return emit(out)
 		}))
 		j.MustConnect(in.op, op, 0, hyracks.OneToOne())
-		return built{op: op, schema: plan.Schema(), par: in.par, ordered: in.ordered}, nil
+		return built{op: op, schema: in.schema.bind(o.Var, in.schema.width), par: in.par, ordered: in.ordered}, nil
 
 	case *UnnestOp:
 		in, err := g.buildOp(j, o.In)
@@ -268,19 +251,18 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return nil
 		}))
 		j.MustConnect(in.op, op, 0, hyracks.OneToOne())
-		return built{op: op, schema: plan.Schema(), par: in.par}, nil
+		return built{op: op, schema: in.schema.bind(o.Var, in.schema.width), par: in.par}, nil
 
 	case *ProjectOp:
 		in, err := g.buildOp(j, o.In)
 		if err != nil {
 			return built{}, err
 		}
-		cols := make([]int, len(o.Cols))
-		for i, c := range o.Cols {
-			cols[i] = indexOf(in.schema, c)
-			if cols[i] < 0 {
-				return built{}, fmt.Errorf("jobgen: project column %q missing", c)
-			}
+		// A variable of which no field is read has no column to keep.
+		out, cols := in.schema.project(o.Cols)
+		if cols == nil { // the input is laid out as asked: only names go
+			in.schema = out
+			return in, nil
 		}
 		op := j.Add(hyracks.NewMap("project", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 			out := make(hyracks.Tuple, len(cols))
@@ -290,7 +272,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return emit(out)
 		}))
 		j.MustConnect(in.op, op, 0, hyracks.OneToOne())
-		return built{op: op, schema: plan.Schema(), par: in.par, ordered: in.ordered}, nil
+		return built{op: op, schema: out, par: in.par, ordered: in.ordered}, nil
 
 	case *JoinOp:
 		return g.buildJoin(j, o)
@@ -315,14 +297,14 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return emit(out)
 		}))
 		j.MustConnect(in.op, op, 0, hyracks.OneToOne())
-		return built{op: op, schema: plan.Schema(), par: in.par, ordered: in.ordered}, nil
+		return built{op: op, schema: in.schema.bind(ResultVar, in.schema.width), par: in.par, ordered: in.ordered}, nil
 
 	case *DistinctOp:
 		in, err := g.buildOp(j, o.In)
 		if err != nil {
 			return built{}, err
 		}
-		col := indexOf(in.schema, ResultVar)
+		col := in.schema.indexOf(ResultVar)
 		if col < 0 {
 			return built{}, fmt.Errorf("jobgen: distinct without result column")
 		}
@@ -333,19 +315,19 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		j.MustConnect(in.op, proj, 0, hyracks.OneToOne())
 		d := j.Add(hyracks.NewDistinct("distinct", par, 1))
 		j.MustConnect(proj, d, 0, hyracks.HashPartition(0))
-		return built{op: d, schema: []string{ResultVar}, par: par}, nil
+		return built{op: d, schema: schemaOf(ResultVar), par: par}, nil
 
 	case *OrderOp:
 		in, err := g.buildOp(j, o.In)
 		if err != nil {
 			return built{}, err
 		}
-		schema := in.schema
+		width := in.schema.width
 		// Append sort-key columns.
 		items := o.Items
 		keys := make([]valueFn, len(items))
 		for i, it := range items {
-			keys[i] = g.Ev.compile(it.Expr, schema)
+			keys[i] = g.Ev.compile(it.Expr, in.schema)
 		}
 		keyed := j.Add(hyracks.NewMap("order-keys", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 			out := make(hyracks.Tuple, 0, len(t)+len(keys))
@@ -362,17 +344,17 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		j.MustConnect(in.op, keyed, 0, hyracks.OneToOne())
 		cmp := hyracks.Comparator{}
 		for i, it := range items {
-			cmp.Columns = append(cmp.Columns, len(schema)+i)
+			cmp.Columns = append(cmp.Columns, width+i)
 			cmp.Desc = append(cmp.Desc, it.Desc)
 		}
 		sorter := j.Add(hyracks.NewTopK("order", in.par, cmp, int(o.Limit)))
 		j.MustConnect(keyed, sorter, 0, hyracks.OneToOne())
 		// Concentrate to a single ordered stream and drop key columns.
 		strip := j.Add(hyracks.NewMap("order-strip", 1, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
-			return emit(t[:len(schema)])
+			return emit(t[:width])
 		}))
 		j.MustConnect(sorter, strip, 0, hyracks.MergeOrdered(cmp))
-		return built{op: strip, schema: schema, par: 1, ordered: &cmp}, nil
+		return built{op: strip, schema: in.schema, par: 1, ordered: &cmp}, nil
 
 	case *UnionAllOp:
 		union := j.Add(hyracks.NewUnionAll("union-all", 1, len(o.Ins)))
@@ -381,7 +363,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			if err != nil {
 				return built{}, err
 			}
-			col := indexOf(in.schema, ResultVar)
+			col := in.schema.indexOf(ResultVar)
 			if col < 0 {
 				return built{}, fmt.Errorf("jobgen: union branch lacks %s", ResultVar)
 			}
@@ -391,7 +373,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			j.MustConnect(in.op, proj, 0, hyracks.OneToOne())
 			j.MustConnect(proj, union, port, hyracks.MergeUnordered())
 		}
-		return built{op: union, schema: []string{ResultVar}, par: 1}, nil
+		return built{op: union, schema: schemaOf(ResultVar), par: 1}, nil
 
 	case *LimitOp:
 		in, err := g.buildOp(j, o.In)
@@ -415,10 +397,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 		var seen int64
 		op := j.Add(hyracks.NewMap("limit", 1, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 			seen++
-			if seen <= offset {
-				return nil
-			}
-			if seen > offset+limit {
+			if seen <= offset || seen-offset > limit { // offset+limit may overflow
 				return nil
 			}
 			return emit(t)
@@ -438,15 +417,14 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 	if err != nil {
 		return built{}, err
 	}
-	outSchema := o.Schema()
 	par := g.Parallelism
 
 	if len(o.LeftKeys) > 0 {
 		// Hash join on key columns.
 		var lCols, rCols []int
 		for i := range o.LeftKeys {
-			lc := indexOf(l.schema, o.LeftKeys[i])
-			rc := indexOf(r.schema, o.RightKeys[i])
+			lc := l.schema.indexOf(o.LeftKeys[i])
+			rc := r.schema.indexOf(o.RightKeys[i])
 			if lc < 0 || rc < 0 {
 				return built{}, fmt.Errorf("jobgen: join key columns missing")
 			}
@@ -466,10 +444,9 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 		if o.On != nil {
 			residual = g.Ev.compilePred(o.On, l.schema, r.schema)
 		}
-		join := j.Add(hyracks.NewHashJoin("hash-join", par, lCols, rCols, kind, len(r.schema), residual))
+		join := j.Add(hyracks.NewHashJoin("hash-join", par, lCols, rCols, kind, r.schema.width, residual))
 		j.MustConnect(l.op, join, 0, hyracks.HashPartition(lCols...))
 		j.MustConnect(r.op, join, 1, hyracks.HashPartition(rCols...))
-		_ = outSchema
 		return built{op: join, schema: joinOutSchema(o, l.schema, r.schema), par: par}, nil
 	}
 
@@ -485,17 +462,17 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 	if o.On != nil {
 		pred = g.Ev.compilePred(o.On, l.schema, r.schema)
 	}
-	join := j.Add(hyracks.NewNestedLoopJoin("nl-join", l.par, pred, kind, len(r.schema)))
+	join := j.Add(hyracks.NewNestedLoopJoin("nl-join", l.par, pred, kind, r.schema.width))
 	j.MustConnect(l.op, join, 0, hyracks.OneToOne())
 	j.MustConnect(r.op, join, 1, hyracks.Broadcast())
 	return built{op: join, schema: joinOutSchema(o, l.schema, r.schema), par: l.par}, nil
 }
 
-func joinOutSchema(o *JoinOp, l, r []string) []string {
+func joinOutSchema(o *JoinOp, l, r schema) schema {
 	if o.Kind == JoinSemi {
 		return l
 	}
-	return append(append([]string{}, l...), r...)
+	return l.concat(r)
 }
 
 func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
@@ -503,7 +480,6 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 	if err != nil {
 		return built{}, err
 	}
-	schema := in.schema
 	nKeys := len(o.Keys)
 	nAggs := len(o.Aggs)
 	hasGroupAs := o.GroupAs != ""
@@ -513,21 +489,21 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 	// order since, so resolve positions by name.
 	rowCols := make([]int, len(rowVars))
 	for i, name := range rowVars {
-		rowCols[i] = indexOf(schema, name)
+		rowCols[i] = in.schema.indexOf(name)
 	}
 
 	// Pre-compute one column per key, one per aggregate argument
 	// (COUNT(*) counts a constant), and the GROUP AS object column.
 	cols := make([]valueFn, 0, nKeys+nAggs)
 	for _, k := range o.Keys {
-		cols = append(cols, g.Ev.compile(k.Expr, schema))
+		cols = append(cols, g.Ev.compile(k.Expr, in.schema))
 	}
 	for _, a := range o.Aggs {
 		if a.Star {
 			cols = append(cols, code{lit: adm.Int64(1)}.run())
 			continue
 		}
-		cols = append(cols, g.Ev.compile(a.Arg, schema))
+		cols = append(cols, g.Ev.compile(a.Arg, in.schema))
 	}
 	prep := j.Add(hyracks.NewMap("group-prep", in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 		out := make(hyracks.Tuple, 0, nKeys+nAggs+1)
@@ -613,7 +589,7 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 		outOp = fill
 		outPar = 1
 	}
-	return built{op: outOp, schema: o.Schema(), par: outPar}, nil
+	return built{op: outOp, schema: schemaOf(o.Schema()...), par: outPar}, nil
 }
 
 func parOrOne(nKeys, par int) int {

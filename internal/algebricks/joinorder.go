@@ -32,19 +32,31 @@ func predClass(e sqlpp.Expr) int {
 	return 1
 }
 
+// filterScore sums the classes of a filter's conjuncts (nil: no filter).
+func filterScore(cond sqlpp.Expr) int {
+	score := 0
+	if cond != nil {
+		for _, c := range conjuncts(cond) {
+			score += predClass(c)
+		}
+	}
+	return score
+}
+
 // localScore estimates how constrained a leaf subtree already is: residual
-// filters score by class, and an index search is the strongest signal.
+// filters — above a leaf or inside it — score by class, and an index search
+// is the strongest signal.
 func localScore(op Op) int {
 	score := 0
 	var walk func(Op)
 	walk = func(o Op) {
 		switch x := o.(type) {
 		case *SelectOp:
-			for _, c := range conjuncts(x.Cond) {
-				score += predClass(c)
-			}
+			score += filterScore(x.Cond)
+		case *ScanOp:
+			score += filterScore(x.Filter)
 		case *IndexSearchOp:
-			score += 4
+			score += 4 + filterScore(x.Filter)
 		}
 		for _, in := range o.Inputs() {
 			walk(in)

@@ -28,9 +28,13 @@ type ScanOp struct {
 	// cap), set by the limit-pushdown rule.
 	MaxTuples int64
 	// Fields lists, sorted, the only first-level fields of the record the
-	// plan above reads (nil = the whole record), set by the column-pruning
-	// rule; the leaf materializes nothing else.
+	// plan reads (nil = the whole record), set by the column-pruning rule;
+	// the leaf emits one column per field and materializes nothing else.
 	Fields []string
+	// Filter, set by the push-select-into-scan rule, is a predicate over
+	// Var alone that the leaf applies itself: a record it does not hold for
+	// is never emitted, nor decoded beyond the fields Filter reads.
+	Filter sqlpp.Expr
 }
 
 // IndexKind names the access paths an IndexSearchOp can use.
@@ -40,8 +44,9 @@ type IndexKind string
 // index. PRIMARY searches the primary index itself — a point lookup on
 // the owning partition for equality on the full key, a bounded scan
 // otherwise; a secondary index is searched and the qualifying records
-// fetched (pk-sorted, per [26]). Either way the residual predicate is
-// re-checked above.
+// fetched (pk-sorted, per [26]). Either way the whole predicate is
+// re-checked on what the search delivers: as a select above, or by the leaf
+// itself once push-select-into-scan has made it the leaf's Filter.
 type IndexSearchOp struct {
 	Dataset string
 	Var     string
@@ -60,8 +65,9 @@ type IndexSearchOp struct {
 	// MaxTuples caps the number of tuples each partition emits (0 = no
 	// cap), set by the limit-pushdown rule.
 	MaxTuples int64
-	// Fields is ScanOp.Fields for the fetched records.
+	// Fields and Filter are ScanOp's, for the fetched records.
 	Fields []string
+	Filter sqlpp.Expr
 }
 
 // SelectOp filters tuples by a predicate.
@@ -187,18 +193,23 @@ func (o *ScanOp) Schema() []string { return []string{o.Var} }
 func (o *ScanOp) Inputs() []Op     { return nil }
 func (o *ScanOp) String() string {
 	s := fmt.Sprintf("scan(%s as %s)", o.Dataset, o.Var)
-	if o.MaxTuples > 0 {
-		s += fmt.Sprintf(" limit=%d", o.MaxTuples)
-	}
-	return s + fieldsString(o.Fields)
+	return s + leafString(o.MaxTuples, o.Fields, o.Filter)
 }
 
-// fieldsString renders a leaf's field list for plan text.
-func fieldsString(fields []string) string {
-	if fields == nil {
-		return ""
+// leafString renders what a leaf does beyond reading: its cap, field list
+// and filter, for plan text.
+func leafString(maxTuples int64, fields []string, filter sqlpp.Expr) string {
+	s := ""
+	if maxTuples > 0 {
+		s += fmt.Sprintf(" limit=%d", maxTuples)
 	}
-	return " fields=[" + strings.Join(fields, ", ") + "]"
+	if fields != nil {
+		s += " fields=[" + strings.Join(fields, ", ") + "]"
+	}
+	if filter != nil {
+		s += " filter=" + ExprString(filter)
+	}
+	return s
 }
 
 func (o *IndexSearchOp) Schema() []string { return []string{o.Var} }
@@ -228,10 +239,7 @@ func (o *IndexSearchOp) String() string {
 	if o.Token != nil {
 		s += " token=" + ExprString(o.Token)
 	}
-	if o.MaxTuples > 0 {
-		s += fmt.Sprintf(" limit=%d", o.MaxTuples)
-	}
-	return s + fieldsString(o.Fields)
+	return s + leafString(o.MaxTuples, o.Fields, o.Filter)
 }
 
 func (o *SelectOp) Schema() []string { return o.In.Schema() }

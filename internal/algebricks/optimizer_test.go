@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,6 +65,10 @@ func optimizeQuery(t *testing.T, cat Catalog, src string) (Op, OptReport) {
 func orderedUsers() *OrderOp {
 	age := &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: "u"}, Field: "age"}
 	return &OrderOp{In: &ScanOp{Dataset: "Users", Var: "u"}, Items: []OrderDef{{Expr: age, Desc: true}}}
+}
+
+func fieldOfVar(v, f string) sqlpp.Expr {
+	return &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: v}, Field: f}
 }
 
 // limitOver is LIMIT 4 over the projection of rec.name from in.
@@ -139,6 +144,22 @@ func TestGoldenPlans(t *testing.T) {
 		{name: "scan_whole_subquery_use", src: `SELECT VALUE u.name FROM Users u
 			WHERE (SOME t IN u.tags SATISFIES t = "t1") AND u.id < 90`},
 		{name: "index_search_fields", src: `SELECT VALUE u.name FROM Users u WHERE u.age >= 22 AND u.age <= 23`},
+		// A filter directly on a leaf moves into it, conjunct by conjunct:
+		// what reads another variable or holds a subquery stays a select;
+		// the leaf's field list covers what its filter reads, and a LIMIT
+		// now reaches a leaf that filters.
+		{name: "scan_filter_pushed", src: `SELECT VALUE m.mid FROM Messages m WHERE m.len % 2 = 0 AND m.authorId < 7`},
+		{name: "scan_filter_partial", plan: &ResultOp{Expr: fieldOfVar("m", "mid"), In: &SelectOp{In: &ScanOp{Dataset: "Messages", Var: "m"},
+			Cond: &sqlpp.Binary{Op: "AND",
+				L: &sqlpp.Binary{Op: "=", L: fieldOfVar("m", "authorId"), R: fieldOfVar("u", "id")},
+				R: &sqlpp.Binary{Op: ">", L: fieldOfVar("m", "len"), R: &sqlpp.Literal{Value: adm.Int64(10)}}}}}},
+		{name: "scan_filter_whole_record", src: `SELECT VALUE m.mid FROM Messages m WHERE m IS NOT MISSING AND m.len > 10`},
+		{name: "scan_filter_subquery_stays", src: `SELECT VALUE u.name FROM Users u
+			WHERE (SOME t IN u.tags SATISFIES t = "t1") AND u.name > "user05"`},
+		{name: "scan_filter_limit", src: `SELECT VALUE m.mid FROM Messages m WHERE m.len % 2 = 0 LIMIT 3`},
+		{name: "index_search_residual_filter", src: `SELECT VALUE u.name FROM Users u WHERE u.age >= 22 AND u.name < "user10"`},
+		{name: "join_keys_from_leaf_columns", src: `SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m
+			WHERE m.authorId = u.id GROUP BY u.name AS name`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -175,26 +196,38 @@ func TestGoldenPlans(t *testing.T) {
 	}
 }
 
-// Equality on the full primary key is a point lookup on the owning
-// partition: its leaf, and everything pipelined above it, runs as one
-// task. Ranges and key prefixes still probe every partition.
-func TestPrimaryKeySearchJobShape(t *testing.T) {
+// Job shapes. Equality on the full primary key is a point lookup on the
+// owning partition: its leaf, and everything pipelined above it, runs as
+// one task — leaf, result, project-result, sink, the residual filter being
+// the leaf's own. Ranges and key prefixes still probe every partition. A
+// leaf's filter, its field columns and the names assigns give them cost no
+// task: the join's inputs go from the leaves straight into the exchange.
+func TestJobShapes(t *testing.T) {
 	cat := testCatalog3()
 	cases := []struct {
 		src       string
 		leaf      string
 		leafTasks int
-		allTasks  int // 0 = not asserted
+		allTasks  int    // 0 = not asserted
+		ops       string // the job's operators in task order, "" = not asserted
 		rows      int
 	}{
-		{`SELECT VALUE u.name FROM Users u WHERE u.id = 7`, "idx-Users.id", 1, 5, 1}, // partition 1
-		{`SELECT VALUE u.name FROM Users u WHERE u.id = 8.0`, "idx-Users.id", 1, 5, 1},
-		{`SELECT VALUE u.name FROM Users u WHERE u.id = 99`, "idx-Users.id", 1, 5, 0},
-		{`SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id = 7`, "idx-Users.id", 1, 5, 1},
-		{`SELECT VALUE u.name FROM Users u WHERE u.id > 15`, "idx-Users.id", 2, 0, 4},
-		{`SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3`, "idx-Checkins.uid", 1, 5, 1},
-		{`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3`, "idx-Checkins.uid", 2, 0, 4},
-		{`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day >= 1 AND c.day < 3`, "idx-Checkins.uid", 2, 0, 2},
+		{`SELECT VALUE u.name FROM Users u WHERE u.id = 7`, "idx-Users.id", 1, 4, "idx-Users.id result project-result sink", 1}, // partition 1
+		{`SELECT VALUE u.name FROM Users u WHERE u.id = 8.0`, "idx-Users.id", 1, 4, "", 1},
+		{`SELECT VALUE u.name FROM Users u WHERE u.id = 99`, "idx-Users.id", 1, 4, "", 0},
+		{`SELECT VALUE u.name FROM Users u WHERE u.age > 21 AND u.id = 7`, "idx-Users.id", 1, 4, "", 1},
+		{`SELECT VALUE u.name FROM Users u WHERE u.id > 15`, "idx-Users.id", 2, 0, "", 4},
+		{`SELECT VALUE c.place FROM Checkins c WHERE c.day = 2 AND c.uid = 3`, "idx-Checkins.uid", 1, 4, "", 1},
+		{`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3`, "idx-Checkins.uid", 2, 0, "", 4},
+		{`SELECT VALUE c.place FROM Checkins c WHERE c.uid = 3 AND c.day >= 1 AND c.day < 3`, "idx-Checkins.uid", 2, 0, "", 2},
+		// golden scan_filter_pushed: no select task.
+		{`SELECT VALUE m.mid FROM Messages m WHERE m.len % 2 = 0`, "scan-Messages", 2, 7, "scan-Messages result project-result sink", 25},
+		// golden join_keys_from_leaf_columns: no assign, no project.
+		{`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m WHERE m.authorId = u.id GROUP BY u.name AS name`,
+			"scan-Messages", 2, 0, "scan-Users scan-Messages hash-join group-prep group-by result project-result sink", 20},
+		// The filter's only field is projected away before the exchange.
+		{`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m WHERE m.authorId = u.id AND m.len > 100 GROUP BY u.name AS name`,
+			"scan-Messages", 2, 0, "scan-Users scan-Messages project hash-join group-prep group-by result project-result sink", 16},
 	}
 	for _, c := range cases {
 		root := obs.NewSpan("query")
@@ -205,13 +238,21 @@ func TestPrimaryKeySearchJobShape(t *testing.T) {
 		}
 		tasks := root.Tree().Children
 		leaf := 0
+		var ops []string
 		for _, ts := range tasks {
-			if strings.HasPrefix(ts.Name, c.leaf+"[") {
+			name := ts.Name[:strings.LastIndexByte(ts.Name, '[')]
+			if name == c.leaf {
 				leaf++
+			}
+			if !slices.Contains(ops, name) {
+				ops = append(ops, name)
 			}
 		}
 		if leaf != c.leafTasks || (c.allTasks > 0 && len(tasks) != c.allTasks) {
 			t.Errorf("%s: %d leaf tasks of %d, want %d of %d", c.src, leaf, len(tasks), c.leafTasks, c.allTasks)
+		}
+		if got := strings.Join(ops, " "); c.ops != "" && got != c.ops {
+			t.Errorf("%s: job runs [%s], want [%s]", c.src, got, c.ops)
 		}
 	}
 }
@@ -270,8 +311,8 @@ func TestHashJoinNestedConjunction(t *testing.T) {
 	if !strings.Contains(s, "join[inner,hash]") {
 		t.Errorf("nested conjunction not recognized:\n%s", s)
 	}
-	// Both residual filters push below the join.
-	if i := strings.Index(s, "join["); strings.LastIndex(s, "select") < i {
+	// Both residual filters push below the join, into its leaves.
+	if i := strings.Index(s, "join["); strings.Count(s[i:], "filter=") != 2 || strings.Contains(s, "select") {
 		t.Errorf("residual filters not pushed below join:\n%s", s)
 	}
 }
@@ -303,7 +344,7 @@ func TestHashJoinSameSideEqualityIsNotAKey(t *testing.T) {
 	if !strings.Contains(s, "join[inner,hash]") {
 		t.Errorf("expected hash join:\n%s", s)
 	}
-	if !strings.Contains(s, "select (m.authorId = m.mid)") {
+	if !strings.Contains(s, "filter=(m.authorId = m.mid)") {
 		t.Errorf("same-side equality should stay a filter:\n%s", s)
 	}
 }
@@ -487,6 +528,9 @@ func TestOptimizerIdempotent(t *testing.T) {
 		`SELECT VALUE COUNT(*) FROM Messages m`,
 		`SELECT VALUE m FROM Messages m ORDER BY m.len DESC LIMIT 2`,
 		`SELECT VALUE upper(u.name) FROM Users u ORDER BY u.age DESC`,
+		// push-select-into-scan: part of a filter, and a residual a LIMIT passes.
+		`SELECT VALUE u.name FROM Users u WHERE (SOME t IN u.tags SATISFIES t = "t1") AND u.name > "user05"`,
+		`SELECT VALUE u.name FROM Users u WHERE u.id > 3 AND u.age != 22 LIMIT 2`,
 	}
 	fired := map[string]int{}
 	for _, q := range queries {
@@ -504,7 +548,7 @@ func TestOptimizerIdempotent(t *testing.T) {
 			t.Errorf("re-optimizing fired rules for %q: %v", q, rep.Fired)
 		}
 	}
-	for _, rule := range []string{"result-after-order", "push-limit-into-order", "prune-columns"} {
+	for _, rule := range []string{"result-after-order", "push-limit-into-order", "prune-columns", "push-select-into-scan"} {
 		if fired[rule] == 0 {
 			t.Errorf("no query of the corpus fires %s", rule)
 		}

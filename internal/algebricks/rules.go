@@ -21,6 +21,7 @@ func DefaultRules() []Rule {
 		{Name: "order-joins-greedily", Apply: ruleOrderJoinsGreedily},
 		{Name: "recognize-hash-join", Apply: ruleRecognizeHashJoin},
 		{Name: "introduce-index-search", Apply: ruleIntroduceIndexSearch},
+		{Name: "push-select-into-scan", Apply: rulePushSelectIntoScan},
 		{Name: "push-limit-into-scan", Apply: rulePushLimitIntoScan},
 		{Name: "push-limit-into-order", Apply: rulePushLimitIntoOrder},
 		{Name: "result-after-order", Apply: ruleResultAfterOrder},
@@ -726,7 +727,7 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		if best == nil || point {
 			best = &IndexSearchOp{
 				Dataset: scan.Dataset, Var: scan.Var, Field: field, Kind: idx.Kind(),
-				Lo: rb.lo, Hi: rb.hi, LoInc: rb.loInc, HiInc: rb.hiInc,
+				Lo: rb.lo, Hi: rb.hi, LoInc: rb.loInc, HiInc: rb.hiInc, Filter: scan.Filter,
 			}
 		}
 		if point {
@@ -760,7 +761,7 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		case "RTREE", "ZORDER", "HILBERT", "GRID":
 			is := &IndexSearchOp{
 				Dataset: scan.Dataset, Var: scan.Var, Field: field,
-				Kind: idx.Kind(), Rect: rectExpr,
+				Kind: idx.Kind(), Rect: rectExpr, Filter: scan.Filter,
 			}
 			return &SelectOp{In: is, Cond: sel.Cond}, true
 		}
@@ -782,11 +783,64 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		}
 		is := &IndexSearchOp{
 			Dataset: scan.Dataset, Var: scan.Var, Field: f,
-			Kind: "KEYWORD", Token: call.Args[1],
+			Kind: "KEYWORD", Token: call.Args[1], Filter: scan.Filter,
 		}
 		return &SelectOp{In: is, Cond: sel.Cond}, true
 	}
 	return nil, false
+}
+
+// --- rule: push-select-into-scan ---
+
+// A filter directly on a leaf moves into it, conjunct by conjunct: the leaf
+// then decodes what the conjunct reads, applies it, and neither decodes the
+// rest of a rejected record nor builds a tuple for it. A conjunct moves
+// when it reads nothing but the leaf's variable and holds no subquery,
+// EXISTS or quantifier (those scan datasets and bind variables per row);
+// the others stay in the select. The residual that introduce-index-search
+// leaves above an index search is such a filter, so this rule runs after
+// it — and before push-limit-into-scan, which can then cap a leaf whose
+// filter used to stand in its way: the cap counts the rows emitted.
+func rulePushSelectIntoScan(tr *Translator, plan Op) (Op, int) {
+	return sweep(plan, func(op Op) (Op, bool) {
+		sel, ok := op.(*SelectOp)
+		if !ok {
+			return op, false
+		}
+		var v string
+		var filter *sqlpp.Expr
+		switch leaf := sel.In.(type) {
+		case *ScanOp:
+			v, filter = leaf.Var, &leaf.Filter
+		case *IndexSearchOp:
+			v, filter = leaf.Var, &leaf.Filter
+		default:
+			return op, false
+		}
+		var moved, kept []sqlpp.Expr
+		if *filter != nil {
+			moved = conjuncts(*filter)
+		}
+		n := len(moved)
+		for _, c := range conjuncts(sel.Cond) {
+			free := map[string]bool{}
+			FreeVars(c, free)
+			if delete(free, v); len(free) == 0 && !containsSubquery(c) {
+				moved = append(moved, c)
+			} else {
+				kept = append(kept, c)
+			}
+		}
+		if len(moved) == n {
+			return op, false
+		}
+		*filter = conjoin(moved)
+		if len(kept) == 0 {
+			return sel.In, true
+		}
+		sel.Cond = conjoin(kept)
+		return sel, true
+	})
 }
 
 // --- rules: push-limit-into-scan, push-limit-into-order ---
@@ -1003,9 +1057,10 @@ func (n needs) only(cols []string) needs {
 	return out
 }
 
-// leafFields is the field list a leaf binding v gets under need: nil when
-// the record is read whole, otherwise the sorted fields read of it (none
-// when only its existence matters). It counts a hit when that changes cur.
+// leafFields is the field list a leaf binding v gets under need — what the
+// plan above reads plus what the leaf's own filter does: nil when the
+// record is read whole, otherwise the sorted fields read of it (none when
+// only its existence matters). It counts a hit when that changes cur.
 func leafFields(cur []string, need needs, v string, hits *int) []string {
 	var want []string
 	if fs, ok := need.get(v); !ok || fs != nil {
@@ -1021,10 +1076,10 @@ func leafFields(cur []string, need needs, v string, hits *int) []string {
 func pruneOp(op Op, need needs, hits *int) Op {
 	switch o := op.(type) {
 	case *ScanOp:
-		o.Fields = leafFields(o.Fields, need, o.Var, hits)
+		o.Fields = leafFields(o.Fields, need.with(o.Filter, o.Schema(), ""), o.Var, hits)
 		return o
 	case *IndexSearchOp:
-		o.Fields = leafFields(o.Fields, need, o.Var, hits)
+		o.Fields = leafFields(o.Fields, need.with(o.Filter, o.Schema(), ""), o.Var, hits)
 		return o
 	case *SelectOp:
 		o.In = pruneOp(o.In, need.with(o.Cond, o.In.Schema(), ""), hits)

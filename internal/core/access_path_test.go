@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"asterix/internal/lsm"
+	"asterix/internal/obs"
 )
 
 // engineTrio opens the three optimizer configurations the access-path
@@ -182,7 +183,7 @@ func TestDeleteLocatesVictimsThroughPlan(t *testing.T) {
 		{`DELETE FROM D d WHERE d.id = 17;`, 1, "index-search(D.id PRIMARY as d) range=[17..17]", "introduce-index-search"},
 		{`DELETE FROM D d WHERE d.id = 17;`, 0, "index-search(D.id PRIMARY", "introduce-index-search"},
 		{`DELETE FROM D AS d WHERE d.grp >= 3 AND d.grp < 5;`, 10, "index-search(D.grp BTREE as d) range=[3..5)", "introduce-index-search"},
-		{`DELETE FROM D d WHERE d.note = "n1" OR d.id = 2;`, 2, "scan(D as d)", ""},
+		{`DELETE FROM D d WHERE d.note = "n1" OR d.id = 2;`, 2, `scan(D as d) filter=((d.note = "n1") OR (d.id = 2))`, ""},
 		{`DELETE FROM D;`, 27, "scan(D as D)", ""},
 	}
 	for _, s := range steps {
@@ -201,6 +202,75 @@ func TestDeleteLocatesVictimsThroughPlan(t *testing.T) {
 		}
 		if err := d.Validate(); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// leafCounters runs q under detailed profiling and returns, summed over the
+// leaf tasks (every task that read stored records), what they read and
+// what they emitted, with the statement's result.
+func leafCounters(t *testing.T, e *Engine, q string) (rowsRead, tuplesOut int64, r *Result) {
+	t.Helper()
+	root := obs.NewSpan("query")
+	root.SetDetailed(true)
+	r, err := e.Query(obs.ContextWithSpan(context.Background(), root), q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	var walk func(n *obs.SpanNode)
+	walk = func(n *obs.SpanNode) {
+		if n.Counters["rowsRead"] > 0 {
+			rowsRead += n.Counters["rowsRead"]
+			tuplesOut += n.Counters["tuplesOut"]
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(root.Tree())
+	return rowsRead, tuplesOut, r
+}
+
+// A LIMIT above a filter the leaf applies bounds the leaf: a 10-row LIMIT
+// over a 10 000-key range visits, per partition, the 10 rows it emits plus
+// those its filter rejects on the way — not the range. LIMIT 0 and a
+// limit+offset that overflows are not pushed.
+func TestLimitReachesFilteredLeaf(t *testing.T) {
+	e := newEngine(t, Config{})
+	mustExec(t, e, `CREATE TYPE LT AS {id: int, grp: int}; CREATE DATASET L(LT) PRIMARY KEY id; CREATE INDEX lGrp ON L(grp);`)
+	for lo := 0; lo < 12000; lo += 500 {
+		var sb strings.Builder
+		sb.WriteString(`UPSERT INTO L ([`)
+		for i := lo; i < lo+500; i++ {
+			fmt.Fprintf(&sb, `{"id": %d, "grp": %d, "odd": %d},`, i, i/100, i%2)
+		}
+		mustExec(t, e, strings.TrimSuffix(sb.String(), ",")+`]);`)
+	}
+	parts := int64(2)
+	for _, c := range []struct {
+		q        string
+		leaf     string
+		rows     int
+		maxRead  int64 // per partition; 0 = the whole range is read
+		rejected int64 // rows the leaf's filter may reject per emitted one (it rejects every other)
+	}{
+		{`SELECT VALUE l.id FROM L l WHERE l.id >= 1000 LIMIT 10;`, "index-search(L.id PRIMARY as l) range=[1000..+inf) limit=10", 10, 10, 0},
+		{`SELECT VALUE l.id FROM L l WHERE l.id >= 1000 AND l.odd = 1 LIMIT 10;`, "limit=10", 10, 10, 3},
+		{`SELECT VALUE l.id FROM L l WHERE l.grp >= 20 AND l.grp < 90 LIMIT 7 OFFSET 3;`, "index-search(L.grp BTREE as l) range=[20..90) limit=10", 7, 10, 0},
+		{`SELECT VALUE l.id FROM L l WHERE l.odd = 0 LIMIT 10;`, "scan(L as l) limit=10", 10, 10, 3},
+		{`SELECT VALUE l.id FROM L l WHERE l.id >= 1000 LIMIT 0;`, "range=[1000..+inf) fields", 0, 0, 0},
+		{`SELECT VALUE l.id FROM L l WHERE l.id >= 1000 LIMIT 9223372036854775807 OFFSET 5;`, "range=[1000..+inf) fields", 10995, 0, 0},
+	} {
+		read, out, r := leafCounters(t, e, c.q)
+		if len(r.Rows) != c.rows || !strings.Contains(r.Plan, c.leaf) {
+			t.Errorf("%s: %d rows, want %d, plan:\n%s", c.q, len(r.Rows), c.rows, r.Plan)
+		}
+		if c.maxRead == 0 {
+			if read < 10000 || strings.Contains(r.Plan, "limit=") {
+				t.Errorf("%s: leaf capped (read %d rows), plan:\n%s", c.q, read, r.Plan)
+			}
+		} else if max := parts * c.maxRead * (1 + c.rejected); read > max || out > parts*c.maxRead {
+			t.Errorf("%s: leaves read %d rows and emitted %d, want at most %d and %d", c.q, read, out, max, parts*c.maxRead)
 		}
 	}
 }

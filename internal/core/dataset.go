@@ -224,7 +224,7 @@ func (d *Dataset) locate(rec *adm.Object) (int, []byte, []adm.Value, error) {
 // Flush/merge stalls the write triggers are attributed to sp (nil from
 // recovery redo and programmatic paths).
 func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *obs.Span) error {
-	if old, ok, err := d.getRecord(part, keyBytes, nil); err != nil {
+	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
 		return err
 	} else if ok {
 		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
@@ -240,7 +240,7 @@ func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *ob
 
 // applyDelete removes a record and its index entries.
 func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
-	if old, ok, err := d.getRecord(part, keyBytes, nil); err != nil {
+	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
 		return err
 	} else if ok {
 		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
@@ -250,27 +250,26 @@ func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
 	return d.parts[part].DeleteSpan(keyBytes, sp)
 }
 
-// decodeRecord decodes a stored (possibly compressed) primary-index value:
-// the whole record when fields is nil, otherwise an object holding only
-// the named first-level fields. Every read path — scan, primary lookup,
-// secondary fetch — materializes records here.
-func decodeRecord(stored []byte, fields []string) (adm.Value, error) {
-	raw, err := decodeRecordBytes(stored)
-	if err != nil {
-		return nil, err
-	}
-	if fields == nil {
-		return adm.DecodeValue(raw)
-	}
-	return adm.DecodeFields(raw, fields)
+// storedRecord presents a stored (possibly compressed) primary-index value
+// to a query leaf, which reads the fields it needs out of it in place and
+// unpacks it only if it reads any.
+func storedRecord(stored []byte) algebricks.Record {
+	return algebricks.Record{Stored: stored, Unpack: decodeRecordBytes}
 }
 
-func (d *Dataset) getRecord(part int, keyBytes []byte, fields []string) (*adm.Object, bool, error) {
+// decodeRecord decodes a stored primary-index value whole. What needs a
+// record as a value — index maintenance, GetKey, ScanPartition, a query
+// that reads the record itself — materializes it here.
+func decodeRecord(stored []byte) (adm.Value, error) {
+	return storedRecord(stored).Decode()
+}
+
+func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error) {
 	data, ok, err := d.parts[part].Get(keyBytes)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, err := decodeRecord(data, fields)
+	v, err := decodeRecord(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -419,7 +418,7 @@ func (d *Dataset) buildIndex(si *SecondaryIndex) error {
 		var buildErr error
 		err := d.parts[p].Scan(nil, nil, func(k, v []byte) bool {
 			var rec adm.Value
-			if rec, buildErr = decodeRecord(v, nil); buildErr != nil {
+			if rec, buildErr = decodeRecord(v); buildErr != nil {
 				return false
 			}
 			if o, ok := rec.(*adm.Object); ok {
@@ -444,36 +443,45 @@ func (d *Dataset) Partitions() int { return d.def.Partitions }
 
 // ScanPartition emits every record of one partition, whole.
 func (d *Dataset) ScanPartition(part int, emit func(adm.Value) error) error {
-	return d.Scan(part, nil, emit)
+	return d.Scan(part, decoded(emit))
 }
 
-// Scan implements algebricks.DataSource over the primary index; external
-// datasets ignore fields and emit whole records.
-func (d *Dataset) Scan(part int, fields []string, emit func(adm.Value) error) error {
+// decoded adapts a consumer of whole records to the leaf seam.
+func decoded(emit func(adm.Value) error) func(algebricks.Record) error {
+	return func(rec algebricks.Record) error {
+		v, err := rec.Decode()
+		if err != nil {
+			return err
+		}
+		return emit(v)
+	}
+}
+
+// Scan implements algebricks.DataSource over the primary index; an
+// external dataset hands over the records its adapter parses.
+func (d *Dataset) Scan(part int, emit func(algebricks.Record) error) error {
 	if d.def.External {
 		typ := d.typ
 		adapter, err := external.New(d.def.Adapter, d.def.Params, typ)
 		if err != nil {
 			return err
 		}
-		return adapter.Scan(part, d.def.Partitions, emit)
+		return adapter.Scan(part, d.def.Partitions, func(rec adm.Value) error {
+			return emit(algebricks.Record{Value: rec})
+		})
 	}
-	return d.scanRange(part, nil, nil, nil, fields, emit)
+	return d.scanRange(part, nil, nil, nil, emit)
 }
 
-// scanRange decodes (decodeRecord's fields) and emits the partition's
-// records with key bytes in [lo, hi] (nil = unbounded), except the one
-// stored under skip.
-func (d *Dataset) scanRange(part int, lo, hi, skip []byte, fields []string, emit func(adm.Value) error) error {
+// scanRange emits the partition's records with key bytes in [lo, hi] (nil =
+// unbounded), except the one stored under skip.
+func (d *Dataset) scanRange(part int, lo, hi, skip []byte, emit func(algebricks.Record) error) error {
 	var scanErr error
 	err := d.parts[part].Scan(lo, hi, func(k, v []byte) bool {
 		if skip != nil && bytes.Equal(k, skip) {
 			return true
 		}
-		var rec adm.Value
-		if rec, scanErr = decodeRecord(v, fields); scanErr == nil {
-			scanErr = emit(rec)
-		}
+		scanErr = emit(storedRecord(v))
 		return scanErr == nil
 	})
 	if err != nil {
@@ -584,7 +592,7 @@ func (pi primaryIndex) OwnerPartition(key adm.Value) (int, bool) {
 
 // SearchRange implements algebricks.IndexAccessor: Tree.Get when the
 // bounds pin one full key, a bounded Tree.Scan otherwise.
-func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(adm.Value) error) error {
+func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(algebricks.Record) error) error {
 	d := pi.ds
 	loB, loFull, err := pi.encodeBound(lo)
 	if err != nil {
@@ -595,11 +603,11 @@ func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool
 		return err
 	}
 	if loFull && hiFull && loInc && hiInc && bytes.Equal(loB, hiB) {
-		rec, ok, err := d.getRecord(part, loB, fields)
+		data, ok, err := d.parts[part].Get(loB)
 		if err != nil || !ok {
 			return err
 		}
-		return emit(rec)
+		return emit(storedRecord(data))
 	}
 	var skip []byte
 	// Every key extending a prefix sorts after the prefix and before
@@ -616,16 +624,16 @@ func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool
 			skip = hiB
 		}
 	}
-	return d.scanRange(part, loB, hiB, skip, fields, emit)
+	return d.scanRange(part, loB, hiB, skip, emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor.
-func (pi primaryIndex) SearchSpatial(int, adm.Rectangle, []string, func(adm.Value) error) error {
+func (pi primaryIndex) SearchSpatial(int, adm.Rectangle, func(algebricks.Record) error) error {
 	return fmt.Errorf("core: spatial search on the primary index of %s", pi.ds.def.Name)
 }
 
 // SearchKeyword implements algebricks.IndexAccessor.
-func (pi primaryIndex) SearchKeyword(int, string, []string, func(adm.Value) error) error {
+func (pi primaryIndex) SearchKeyword(int, string, func(algebricks.Record) error) error {
 	return fmt.Errorf("core: keyword search on the primary index of %s", pi.ds.def.Name)
 }
 
@@ -641,12 +649,11 @@ func (si *SecondaryIndex) KeyFields() []string { return si.def.Fields[:1] }
 func (si *SecondaryIndex) OwnerPartition(adm.Value) (int, bool) { return 0, false }
 
 // fetch resolves candidate pk byte-keys through the primary index and
-// emits records (decodeRecord's fields of them; check must read only
-// those) passing the check predicate — in sorted pk order (the
-// pk-sort-before-fetch optimization of [26]) unless sorted is off, the
-// ablation knob for experiment E11 (unsorted fetch loses the access
-// locality the trick provides).
-func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, fields []string, check func(*adm.Object) bool, emit func(adm.Value) error) error {
+// emits the records passing the check predicate (nil: all) — in sorted pk
+// order (the pk-sort-before-fetch optimization of [26]) unless sorted is
+// off, the ablation knob for experiment E11 (unsorted fetch loses the
+// access locality the trick provides).
+func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, check func(algebricks.Record) (bool, error), emit func(algebricks.Record) error) error {
 	pks := make([]string, 0, len(pkSet))
 	for pk := range pkSet {
 		pks = append(pks, pk)
@@ -655,15 +662,24 @@ func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, fi
 		sort.Strings(pks)
 	}
 	for _, pk := range pks {
-		rec, ok, err := si.ds.getRecord(part, []byte(pk), fields)
+		data, ok, err := si.ds.parts[part].Get([]byte(pk))
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue // index entry raced a delete; primary wins
 		}
-		if check != nil && !check(rec) {
-			continue
+		raw, err := decodeRecordBytes(data) // once: check and the leaf both read it
+		if err != nil {
+			return err
+		}
+		rec := algebricks.Record{Stored: raw}
+		if check != nil {
+			if ok, err := check(rec); err != nil {
+				return err
+			} else if !ok {
+				continue
+			}
 		}
 		if err := emit(rec); err != nil {
 			return err
@@ -690,7 +706,7 @@ func decodeSecVal(v []byte) (adm.Value, []byte, error) {
 }
 
 // SearchRange implements algebricks.IndexAccessor for BTREE indexes.
-func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, fields []string, emit func(adm.Value) error) error {
+func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(algebricks.Record) error) error {
 	if si.def.Kind != "BTREE" {
 		return fmt.Errorf("core: SearchRange on %s index", si.def.Kind)
 	}
@@ -723,41 +739,38 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 	if err := si.scanCandidates(part, loB, hiB, inRange, pks); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, fields, nil, emit)
+	return si.fetch(part, pks, true, nil, emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
 // variants of the Section V-B study.
-func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, fields []string, emit func(adm.Value) error) error {
-	return si.searchSpatial(part, rect, true, fields, emit)
+func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(algebricks.Record) error) error {
+	return si.searchSpatial(part, rect, true, emit)
 }
 
 // SearchSpatialAblation answers a spatial query with the fetch phase's
 // pk sort toggled (experiment E11: quantifying the [26] optimization).
 func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, sortedFetch bool, emit func(adm.Value) error) error {
-	return si.searchSpatial(part, rect, sortedFetch, nil, emit)
+	return si.searchSpatial(part, rect, sortedFetch, decoded(emit))
 }
 
-func (si *SecondaryIndex) searchSpatial(part int, rect adm.Rectangle, sortedFetch bool, fields []string, emit func(adm.Value) error) error {
+func (si *SecondaryIndex) searchSpatial(part int, rect adm.Rectangle, sortedFetch bool, emit func(algebricks.Record) error) error {
 	pks, err := si.spatialCandidates(part, rect)
 	if err != nil {
 		return err
 	}
 	field := si.def.Fields[0]
-	if fields != nil && !slices.Contains(fields, field) {
-		// The containment check below reads the indexed field.
-		fields = append(fields[:len(fields):len(fields)], field)
-	}
-	check := func(rec *adm.Object) bool {
-		switch p := rec.Get(field).(type) {
+	check := func(rec algebricks.Record) (bool, error) {
+		v, err := rec.Field(field)
+		switch p := v.(type) {
 		case adm.Point:
-			return rect.Contains(p.X, p.Y)
+			return rect.Contains(p.X, p.Y), err
 		case adm.Rectangle:
-			return rect.Intersects(p)
+			return rect.Intersects(p), err
 		}
-		return false
+		return false, err
 	}
-	return si.fetch(part, pks, sortedFetch, fields, check, emit)
+	return si.fetch(part, pks, sortedFetch, check, emit)
 }
 
 // SearchSpatialCandidates runs only the index portion of a spatial search,
@@ -851,7 +864,7 @@ func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (map[s
 }
 
 // SearchKeyword implements algebricks.IndexAccessor for KEYWORD indexes.
-func (si *SecondaryIndex) SearchKeyword(part int, token string, fields []string, emit func(adm.Value) error) error {
+func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(algebricks.Record) error) error {
 	if si.def.Kind != "KEYWORD" {
 		return fmt.Errorf("core: SearchKeyword on %s index", si.def.Kind)
 	}
@@ -871,5 +884,5 @@ func (si *SecondaryIndex) SearchKeyword(part int, token string, fields []string,
 	if err := si.scanCandidates(part, loK, loK, isToken, pks); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, fields, nil, emit)
+	return si.fetch(part, pks, true, nil, emit)
 }

@@ -76,7 +76,7 @@ func (e *Engine) storeRecords(ctx context.Context, d *Dataset, recs []adm.Value,
 			return count, rollback(tx, err)
 		}
 		if !upsert {
-			if _, exists, err := d.getRecord(part, keyBytes, nil); err != nil {
+			if _, exists, err := d.getRecord(part, keyBytes); err != nil {
 				return count, rollback(tx, err)
 			} else if exists {
 				return count, rollback(tx, fmt.Errorf("core: duplicate primary key in %s", d.def.Name))
@@ -222,5 +222,5 @@ func (e *Engine) GetKey(dataset string, pk ...adm.Value) (*adm.Object, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	return d.getRecord(d.partitionOf(pk), kb, nil)
+	return d.getRecord(d.partitionOf(pk), kb)
 }

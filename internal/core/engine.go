@@ -366,6 +366,8 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(cl.TotalStats().TuplesIn) })
 	reg.RegisterFunc("hyracks_tuples_out_total", "tuples emitted by operator tasks", obs.TypeCounter,
 		func() float64 { return float64(cl.TotalStats().TuplesOut) })
+	reg.RegisterFunc("hyracks_rows_read_total", "stored records visited by leaf tasks, emitted or filtered out", obs.TypeCounter,
+		func() float64 { return float64(cl.TotalStats().RowsRead) })
 	reg.RegisterFunc("hyracks_spills_total", "run-file spills across all nodes", obs.TypeCounter,
 		func() float64 { return float64(cl.TotalStats().Spills) })
 	reg.RegisterFunc("hyracks_nodes", "node controllers in the cluster", obs.TypeGauge,

@@ -75,14 +75,15 @@ func sortedRows(t testing.TB, e *Engine, q string) []string {
 }
 
 // TestOptimizerOnOffEquivalence runs a corpus of fixed and generated
-// queries against engines over identical data — one with the optimizer,
-// one with OptimizerOff, and one each with only the access-path rule, the
-// bounded-sort rule, column pruning or result-after-order disabled — and
-// requires identical result multisets. Any rule that changes answers shows
-// up here. The last three ablations leave the rest of the plan alone, so
-// on ORDER BY queries they must also return the optimized engine's rows in
-// its exact order: a bounded sort is the prefix of the full sort, ties
-// included, and projecting after the sort reorders nothing.
+// queries against seven engines over identical data — one with the
+// optimizer, one with OptimizerOff, and one each with only the access-path
+// rule, the bounded-sort rule, column pruning, result-after-order or the
+// leaf filter disabled — and requires identical result multisets. Any rule
+// that changes answers shows up here. The last four ablations leave the
+// rest of the plan alone, so on ORDER BY queries they must also return the
+// optimized engine's rows in its exact order: a bounded sort is the prefix
+// of the full sort, ties included, projecting after the sort reorders
+// nothing, and a leaf that filters emits what the select above it passed.
 func TestOptimizerOnOffEquivalence(t *testing.T) {
 	on := newEngine(t, Config{})
 	off := newEngine(t, Config{OptimizerOff: true})
@@ -92,6 +93,7 @@ func TestOptimizerOnOffEquivalence(t *testing.T) {
 		"no bounded sort": "push-limit-into-order",
 		"no field lists":  "prune-columns",
 		"result first":    "result-after-order",
+		"no leaf filter":  "push-select-into-scan",
 	} {
 		ablated[name] = newEngine(t, Config{OptimizerDisable: []string{rule}})
 		seedEquivData(t, ablated[name])
@@ -164,6 +166,8 @@ func TestOptimizerDisableRule(t *testing.T) {
 			WHERE m.authorId % 2 = 0;`,
 		"result-after-order": `SELECT m.messageId AS id, m.message AS msg FROM GleambookMessages m
 			ORDER BY m.authorId % 3 DESC, m.messageId LIMIT 9 OFFSET 2;`,
+		"push-select-into-scan": `SELECT m.messageId AS id, m.topic AS topic FROM GleambookMessages m
+			WHERE m.authorId >= 3 AND m.topic > "topic1" ORDER BY m.messageId DESC;`,
 	} {
 		t.Run(rule, func(t *testing.T) {
 			ablated := newEngine(t, Config{OptimizerDisable: []string{rule}})

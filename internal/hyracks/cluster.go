@@ -20,6 +20,7 @@ type NodeController struct {
 	// Counters (atomic).
 	TuplesIn  int64
 	TuplesOut int64
+	RowsRead  int64
 	Spills    int64
 
 	// Failure state: Kill closes killed so every in-flight task watcher
@@ -69,8 +70,9 @@ func (n *NodeController) killedCh() <-chan struct{} {
 	return n.killed
 }
 
-func (n *NodeController) addIn(c int64)  { atomic.AddInt64(&n.TuplesIn, c) }
-func (n *NodeController) addOut(c int64) { atomic.AddInt64(&n.TuplesOut, c) }
+func (n *NodeController) addIn(c int64)   { atomic.AddInt64(&n.TuplesIn, c) }
+func (n *NodeController) addOut(c int64)  { atomic.AddInt64(&n.TuplesOut, c) }
+func (n *NodeController) addRead(c int64) { atomic.AddInt64(&n.RowsRead, c) }
 
 // AddSpill counts one run-file spill on this node.
 func (n *NodeController) AddSpill() { atomic.AddInt64(&n.Spills, 1) }
@@ -80,6 +82,9 @@ type NodeStats struct {
 	TuplesIn  int64
 	TuplesOut int64
 	Spills    int64
+	// RowsRead counts the stored records leaf tasks visited; what their
+	// filters let out is part of TuplesOut.
+	RowsRead int64
 }
 
 // Stats snapshots the node's counters with atomic loads — the only
@@ -90,6 +95,7 @@ func (n *NodeController) Stats() NodeStats {
 		TuplesIn:  atomic.LoadInt64(&n.TuplesIn),
 		TuplesOut: atomic.LoadInt64(&n.TuplesOut),
 		Spills:    atomic.LoadInt64(&n.Spills),
+		RowsRead:  atomic.LoadInt64(&n.RowsRead),
 	}
 }
 
@@ -276,6 +282,7 @@ func (c *Cluster) TotalStats() NodeStats {
 		t.TuplesIn += s.TuplesIn
 		t.TuplesOut += s.TuplesOut
 		t.Spills += s.Spills
+		t.RowsRead += s.RowsRead
 	}
 	return t
 }
@@ -289,5 +296,6 @@ func (c *Cluster) ResetStats() {
 		atomic.StoreInt64(&n.TuplesIn, 0)
 		atomic.StoreInt64(&n.TuplesOut, 0)
 		atomic.StoreInt64(&n.Spills, 0)
+		atomic.StoreInt64(&n.RowsRead, 0)
 	}
 }

@@ -10,22 +10,34 @@ import (
 	"asterix/internal/obs"
 )
 
-// spanTuplesOut sums the tuplesOut counter over the task spans of one
-// operator ("name[partition]") in a traced job's span tree.
-func spanTuplesOut(root *obs.Span, op string) int64 {
+// spanCounter sums a counter over the task spans of one operator
+// ("name[partition]") in a traced job's span tree.
+func spanCounter(root *obs.Span, op, counter string) int64 {
 	var n int64
 	for _, c := range root.Tree().Children {
 		if strings.HasPrefix(c.Name, op+"[") {
-			n += c.Counters["tuplesOut"]
+			n += c.Counters[counter]
 		}
 	}
 	return n
 }
 
+// filteringScan is rangeScan as a leaf whose filter lets one row in three
+// out: it reads three stored rows for every tuple it emits.
+func filteringScan(n int) func(tc *TaskContext, emit func(Tuple) error) error {
+	return func(tc *TaskContext, emit func(Tuple) error) error {
+		return rangeScan(n)(tc, func(t Tuple) error {
+			tc.RowsRead += 3
+			return emit(t)
+		})
+	}
+}
+
 // Writers count tuples privately and publish per frame; at task end the
 // node counters and the task spans must hold the exact number written —
 // here 1000 tuples from two producers, so every producer's last frame is
-// partial — whatever the connector, and a Broadcast write counts once.
+// partial — whatever the connector, and a Broadcast write counts once. The
+// rows a leaf read are published the same way.
 func TestTupleCountersExactAtTaskEnd(t *testing.T) {
 	const n = 1000
 	byKey := Comparator{Columns: []int{0}}
@@ -44,7 +56,7 @@ func TestTupleCountersExactAtTaskEnd(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, 2)
 			j := NewJob()
-			scan := j.Add(NewScan("scan", 2, rangeScan(n)))
+			scan := j.Add(NewScan("scan", 2, filteringScan(n)))
 			sink := j.Add(NewFuncSink("sink", tc.sinkPar, func(int, Tuple) error { return nil }))
 			j.MustConnect(scan, sink, 0, tc.conn)
 			span := obs.NewSpan("job")
@@ -52,18 +64,22 @@ func TestTupleCountersExactAtTaskEnd(t *testing.T) {
 			if err := c.Run(obs.ContextWithSpan(context.Background(), span), j); err != nil {
 				t.Fatal(err)
 			}
-			if s := c.TotalStats(); s.TuplesOut != n || s.TuplesIn != tc.received {
-				t.Errorf("node counters: out %d in %d, want %d and %d", s.TuplesOut, s.TuplesIn, n, tc.received)
+			if s := c.TotalStats(); s.TuplesOut != n || s.TuplesIn != tc.received || s.RowsRead != 3*n {
+				t.Errorf("node counters: out %d in %d read %d, want %d, %d and %d", s.TuplesOut, s.TuplesIn, s.RowsRead, n, tc.received, 3*n)
 			}
-			if got := spanTuplesOut(span, "scan"); got != n {
-				t.Errorf("span tuples_out = %d, want %d", got, n)
+			if out, read := spanCounter(span, "scan", "tuplesOut"), spanCounter(span, "scan", "rowsRead"); out != n || read != 3*n {
+				t.Errorf("span tuplesOut = %d, rowsRead = %d, want %d and %d", out, read, n, 3*n)
+			}
+			if read := spanCounter(span, "sink", "rowsRead"); read != 0 {
+				t.Errorf("a task that is no leaf reports rowsRead = %d", read)
 			}
 		})
 	}
 }
 
-// A task that fails never closes its writers; what it wrote before failing
-// is still counted, to the tuple.
+// A task that fails never closes its writers; what it wrote and what it
+// read before failing — the rows after its last tuple too — is still
+// counted, to the row.
 func TestTupleCountersExactUnderTaskError(t *testing.T) {
 	const written = 300 // one full frame and a partial one
 	c := newCluster(t, 1)
@@ -71,10 +87,12 @@ func TestTupleCountersExactUnderTaskError(t *testing.T) {
 	boom := errors.New("injected task error")
 	scan := j.Add(NewScan("scan", 1, func(tc *TaskContext, emit func(Tuple) error) error {
 		for i := 0; i < written; i++ {
+			tc.RowsRead += 2
 			if err := emit(Tuple{adm.Int64(i)}); err != nil {
 				return err
 			}
 		}
+		tc.RowsRead += 7
 		return boom
 	}))
 	sink := j.Add(NewFuncSink("sink", 1, func(int, Tuple) error { return nil }))
@@ -84,11 +102,11 @@ func TestTupleCountersExactUnderTaskError(t *testing.T) {
 	if err := c.Run(obs.ContextWithSpan(context.Background(), span), j); !errors.Is(err, boom) {
 		t.Fatalf("run: %v", err)
 	}
-	if got := c.TotalStats().TuplesOut; got != written {
-		t.Errorf("node TuplesOut = %d, want %d", got, written)
+	if s := c.TotalStats(); s.TuplesOut != written || s.RowsRead != 2*written+7 {
+		t.Errorf("node TuplesOut = %d, RowsRead = %d, want %d and %d", s.TuplesOut, s.RowsRead, written, 2*written+7)
 	}
-	if got := spanTuplesOut(span, "scan"); got != written {
-		t.Errorf("span tuples_out = %d, want %d", got, written)
+	if out, read := spanCounter(span, "scan", "tuplesOut"), spanCounter(span, "scan", "rowsRead"); out != written || read != 2*written+7 {
+		t.Errorf("span tuplesOut = %d, rowsRead = %d, want %d and %d", out, read, written, 2*written+7)
 	}
 }
 

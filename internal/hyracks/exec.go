@@ -401,8 +401,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 					producer:  p,
 					pool:      pool,
 					send:      func(dst int, frame []Tuple) error { return send(rt, dst, frame) },
-					node:      node,
-					span:      ts,
+					tc:        tc,
 				}
 				if e.conn.Kind == ConnMerge {
 					if len(e.conn.Cmp.Columns) > 0 {
@@ -444,6 +443,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				for _, w := range writers {
 					w.flushCount()
 				}
+				tc.publishRead()
 				ts.End()
 				if err == nil {
 					for _, w := range writers {
@@ -524,8 +524,7 @@ type connWriter struct {
 	mbuf      []Tuple
 	pool      *FramePool
 	send      func(dst int, frame []Tuple) error
-	node      *NodeController
-	span      *obs.Span
+	tc        *TaskContext // whose node and span the counts go to
 	// written counts tuples since the last flushCount. The node's and the
 	// span's counters are shared by every task of the partition, so a
 	// write per tuple bounces their cache line between cores; they are
@@ -536,9 +535,10 @@ type connWriter struct {
 }
 
 func (w *connWriter) flushCount() {
+	w.tc.publishRead()
 	if w.written > 0 {
-		w.node.addOut(w.written)
-		w.span.AddTuplesOut(w.written)
+		w.tc.Node.addOut(w.written)
+		w.tc.Span.AddTuplesOut(w.written)
 		w.written = 0
 	}
 }

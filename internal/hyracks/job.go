@@ -29,6 +29,21 @@ type TaskContext struct {
 	// attribution reaches the slow-query log; nil outside traced
 	// requests.
 	JobSpan *obs.Span
+	// RowsRead counts the stored records a leaf task has visited, emitted or
+	// not. The task adds to it, unshared; the executor publishes it with the
+	// tuple counts, at every frame sent and at task end (see publishRead).
+	RowsRead  int64
+	published int64 // RowsRead as of the last publishRead
+}
+
+// publishRead brings the node's and the span's rows-read counters up to
+// RowsRead. Only the task's own goroutine calls it.
+func (tc *TaskContext) publishRead() {
+	if d := tc.RowsRead - tc.published; d > 0 {
+		tc.Node.addRead(d)
+		tc.Span.AddRowsRead(d)
+		tc.published = tc.RowsRead
+	}
 }
 
 // AddWait attributes blocked time (spill I/O, exchange stalls) to the

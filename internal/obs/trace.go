@@ -120,6 +120,7 @@ type Span struct {
 	// Hot executor counters (atomic).
 	tuplesIn  int64
 	tuplesOut int64
+	rowsRead  int64
 	spills    int64
 
 	// Wait-time attribution in nanoseconds per category (atomic).
@@ -214,6 +215,15 @@ func (s *Span) AddTuplesOut(n int64) {
 		return
 	}
 	atomic.AddInt64(&s.tuplesOut, n)
+}
+
+// AddRowsRead counts stored records visited by this span's leaf task,
+// whether or not its filter let them out.
+func (s *Span) AddRowsRead(n int64) {
+	if s == nil {
+		return
+	}
+	atomic.AddInt64(&s.rowsRead, n)
 }
 
 // AddSpill counts one run-file spill in this span's task.
@@ -321,6 +331,7 @@ func (s *Span) Tree() *SpanNode {
 	}
 	add("tuplesIn", atomic.LoadInt64(&s.tuplesIn))
 	add("tuplesOut", atomic.LoadInt64(&s.tuplesOut))
+	add("rowsRead", atomic.LoadInt64(&s.rowsRead))
 	add("spills", atomic.LoadInt64(&s.spills))
 	for k := WaitKind(0); k < numWaitKinds; k++ {
 		if ns := atomic.LoadInt64(&s.waits[k]); ns > 0 {

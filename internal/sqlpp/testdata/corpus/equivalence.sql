@@ -160,3 +160,28 @@ SELECT VALUE m.messageId + 7.5 % 2 FROM GleambookMessages m WHERE m.messageId % 
 
 SELECT VALUE m.messageId FROM GleambookMessages m
     WHERE (m.message || " é") LIKE "message number _ about topic_ _" AND (m.message || "日本") LIKE "%topic3__";
+
+-- Filters the leaf applies itself: a field two thirds of the rows lack and
+-- the unknown-ness of it, a field both filtered by and projected, a conjunct
+-- that would fail on the rows the one before it rejects, a nested read, a
+-- count that reads only the filter's field, the residual of a secondary
+-- index search, and a record read whole.
+SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.topic > "topic2";
+
+SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.topic IS MISSING AND m.messageId < 20;
+
+SELECT m.messageId AS id, m.topic IS NULL AS n, m.topic IS NOT UNKNOWN AS k FROM GleambookMessages m
+    WHERE m.topic IS UNKNOWN OR m.topic > "topic4";
+
+SELECT VALUE m.message FROM GleambookMessages m WHERE m.message LIKE "%topic5";
+
+SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.messageId < 0 AND m.message / 2 = 1;
+
+SELECT VALUE u.alias FROM GleambookUsers u WHERE u.employment[0].organizationName = "Org2";
+
+SELECT VALUE COUNT(*) FROM GleambookMessages m WHERE m.authorId % 3 = 1;
+
+SELECT VALUE u.alias FROM GleambookUsers u
+    WHERE u.userSince >= datetime("2013-01-01T00:00:00") AND u.id % 2 = 1;
+
+SELECT VALUE m FROM GleambookMessages m WHERE m.authorId % 7 = 0 AND m.senderLocation IS NOT MISSING;
