@@ -594,6 +594,9 @@ func (x *extractor) scanUnit(u *unit) {
 	// Appends writing back to their own base are amortized growth, not
 	// per-call allocation.
 	selfAppend := map[*ast.CallExpr]bool{}
+	// string(b) of a []byte as an operand of a comparison is compiled to a
+	// compare of the bytes where they lie: no copy.
+	cmpConv := map[*ast.CallExpr]bool{}
 	// Selects with a default clause never block; their comm ops are
 	// attempts. Selects without one block as a whole: one site at the
 	// select keyword, comm ops skipped individually.
@@ -693,8 +696,19 @@ func (x *extractor) scanUnit(u *unit) {
 						}
 					}
 				}
+			case *ast.BinaryExpr:
+				switch v.Op {
+				case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+					for _, operand := range []ast.Expr{v.X, v.Y} {
+						if call, ok := ast.Unparen(operand).(*ast.CallExpr); ok && len(call.Args) == 1 {
+							if from := info.Types[call.Args[0]].Type; from != nil && types.Identical(from.Underlying(), types.NewSlice(types.Typ[types.Byte])) {
+								cmpConv[call] = true
+							}
+						}
+					}
+				}
 			case *ast.CallExpr:
-				x.scanCall(u, v, panicArgs, selfAppend)
+				x.scanCall(u, v, panicArgs, selfAppend, cmpConv)
 			}
 			return true
 		})
@@ -802,7 +816,7 @@ func (x *extractor) scanUnit(u *unit) {
 }
 
 // scanCall classifies one call expression's allocation behavior.
-func (x *extractor) scanCall(u *unit, call *ast.CallExpr, panicArgs map[ast.Node]bool, selfAppend map[*ast.CallExpr]bool) {
+func (x *extractor) scanCall(u *unit, call *ast.CallExpr, panicArgs map[ast.Node]bool, selfAppend, cmpConv map[*ast.CallExpr]bool) {
 	info := x.p.Info
 	if panicArgs[call] {
 		return
@@ -829,7 +843,7 @@ func (x *extractor) scanCall(u *unit, call *ast.CallExpr, panicArgs map[ast.Node
 			to := tv.Type.Underlying()
 			from := info.Types[call.Args[0]].Type
 			if from != nil {
-				if isStringByteConv(to, from.Underlying()) {
+				if isStringByteConv(to, from.Underlying()) && !cmpConv[call] {
 					x.addAlloc(u, call.Pos(), "string conversion copies")
 				}
 			}

@@ -9,6 +9,8 @@ import "fmt"
 
 type pair struct{ a, b int }
 
+var keyBytes = []byte{'k'}
+
 // HotKernel is the registered hot root.
 func HotKernel(x int) int {
 	p := &pair{a: x, b: x} // WANT hot-alloc
@@ -16,7 +18,18 @@ func HotKernel(x int) int {
 	n += allocHelper(x)
 	//lint:ignore hot-alloc cold diagnostics subtree, exercised only on corrupt input
 	n += coldHelper(x)
+	n += convHelper(keyBytes, "k")
 	return n
+}
+
+// convHelper compares a []byte as a string, which copies nothing (true
+// negative), and keeps one as a string, which does.
+func convHelper(b []byte, s string) int {
+	if string(b) == s || s < string(b) {
+		return 0
+	}
+	kept := string(b) // WANT hot-alloc
+	return len(kept)
 }
 
 // pureHelper is transitively allocation-free: calling it from the hot

@@ -283,7 +283,7 @@ func LocateFields(data []byte, names []string, out [][]byte) error {
 		// once that is known, unless it was the last one wanted.
 		hits := 0
 		for j, f := range names {
-			if out[j] == nil && sameName(name, f) {
+			if out[j] == nil && string(name) == f {
 				out[j] = data[pos:]
 				hits++
 			}
@@ -304,20 +304,6 @@ func LocateFields(data []byte, names []string, out [][]byte) error {
 		pos += n
 	}
 	return nil
-}
-
-// sameName is string(stored) == name without the conversion, which the
-// compiler elides but the hot-alloc lint rule counts as a copy.
-func sameName(stored []byte, name string) bool {
-	if len(stored) != len(name) {
-		return false
-	}
-	for i, c := range stored {
-		if name[i] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // chunk returns the length-prefixed byte string at the start of data and

@@ -88,23 +88,6 @@ func (r Record) Decode() (adm.Value, error) {
 	return adm.DecodeValue(raw)
 }
 
-// Field returns the record's first-level field name (Missing when it has
-// none), decoding nothing else.
-func (r Record) Field(name string) (adm.Value, error) {
-	if r.Stored == nil {
-		return fieldOf(r.Value, name), nil
-	}
-	raw, err := r.encoding()
-	if err != nil {
-		return nil, err
-	}
-	var span [1][]byte
-	if err := adm.LocateFields(raw, []string{name}, span[:]); err != nil {
-		return nil, err
-	}
-	return decodeColumn(span[0])
-}
-
 // decodeColumn materializes one located field: nil is an absent one.
 func decodeColumn(span []byte) (adm.Value, error) {
 	if span == nil {
@@ -139,7 +122,10 @@ type IndexAccessor interface {
 	// inclusivity flags apply when bounds are non-nil. On a composite
 	// primary key a bound is an array over a leading prefix of the key.
 	SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(Record) error) error
-	// SearchSpatial emits records whose indexed point intersects rect.
+	// SearchSpatial emits the index's candidates for rect: every record
+	// whose indexed point or rectangle intersects it, and possibly others.
+	// The search's residual filter, which introduce-index-search always
+	// leaves on it, decides.
 	SearchSpatial(part int, rect adm.Rectangle, emit func(Record) error) error
 	// SearchKeyword emits records whose indexed text contains the token.
 	SearchKeyword(part int, token string, emit func(Record) error) error

@@ -228,6 +228,9 @@ func TestJobShapes(t *testing.T) {
 		// The filter's only field is projected away before the exchange.
 		{`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m WHERE m.authorId = u.id AND m.len > 100 GROUP BY u.name AS name`,
 			"scan-Messages", 2, 0, "scan-Users scan-Messages project hash-join group-prep group-by result project-result sink", 16},
+		// project []: the join's key columns all go (TestProjectNothing).
+		{`SELECT VALUE x FROM Messages m, Users u, [1, 2] x WHERE m.authorId = u.id`,
+			"scan-Messages", 2, 0, "scan-Messages scan-Users hash-join project ets unnest-x nl-join result project-result sink", 100},
 	}
 	for _, c := range cases {
 		root := obs.NewSpan("query")
@@ -254,6 +257,26 @@ func TestJobShapes(t *testing.T) {
 		if got := strings.Join(ops, " "); c.ops != "" && got != c.ops {
 			t.Errorf("%s: job runs [%s], want [%s]", c.src, got, c.ops)
 		}
+	}
+}
+
+// A project that keeps no column of a wider input still runs: what is bound
+// above it sits at the positions of the narrowed tuple, not of the input.
+func TestProjectNothing(t *testing.T) {
+	cat := testCatalog3()
+	rows := runJob(t, cat, `SELECT VALUE x FROM Messages m, Users u, [1, 2] x WHERE m.authorId = u.id`)
+	count := map[string]int{}
+	for _, r := range rows {
+		count[r.String()]++
+	}
+	if len(rows) != 100 || count["1"] != 50 || count["2"] != 50 {
+		t.Errorf("got %v over %d rows, want 50 of 1 and 50 of 2", count, len(rows))
+	}
+	// A leaf whose only column its filter reads, beside a join.
+	rows = runJob(t, cat, `SELECT DISTINCT VALUE m.authorId FROM Messages m, Users u, Users v WHERE m.authorId = u.id AND v.id < 2`)
+	want := runJob(t, cat, `SELECT DISTINCT VALUE m.authorId FROM Messages m`)
+	if len(rows) != len(want) {
+		t.Errorf("got %d distinct authors %v, want %d", len(rows), rows, len(want))
 	}
 }
 

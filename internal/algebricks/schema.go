@@ -85,8 +85,11 @@ func (s schema) concat(r schema) schema {
 
 // project keeps the columns of the named variables (all the field columns
 // of one a leaf emits as fields): from[i] is the position in s of position
-// i of the result, nil when nothing moves.
+// i of the result. It is nil only when the result is s's own layout, every
+// position where it was; a result that keeps no position of a wider s is
+// empty, not nil.
 func (s schema) project(names []string) (out schema, from []int) {
+	from = make([]int, 0, s.width)
 	to := make([]int, s.width) // position in out, plus one
 	for _, n := range names {
 		for _, c := range s.cols {

@@ -649,11 +649,11 @@ func (si *SecondaryIndex) KeyFields() []string { return si.def.Fields[:1] }
 func (si *SecondaryIndex) OwnerPartition(adm.Value) (int, bool) { return 0, false }
 
 // fetch resolves candidate pk byte-keys through the primary index and
-// emits the records passing the check predicate (nil: all) — in sorted pk
-// order (the pk-sort-before-fetch optimization of [26]) unless sorted is
-// off, the ablation knob for experiment E11 (unsorted fetch loses the
-// access locality the trick provides).
-func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, check func(algebricks.Record) (bool, error), emit func(algebricks.Record) error) error {
+// emits the records — in sorted pk order (the pk-sort-before-fetch
+// optimization of [26]) unless sorted is off, the ablation knob for
+// experiment E11 (unsorted fetch loses the access locality the trick
+// provides).
+func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, emit func(algebricks.Record) error) error {
 	pks := make([]string, 0, len(pkSet))
 	for pk := range pkSet {
 		pks = append(pks, pk)
@@ -669,19 +669,7 @@ func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, ch
 		if !ok {
 			continue // index entry raced a delete; primary wins
 		}
-		raw, err := decodeRecordBytes(data) // once: check and the leaf both read it
-		if err != nil {
-			return err
-		}
-		rec := algebricks.Record{Stored: raw}
-		if check != nil {
-			if ok, err := check(rec); err != nil {
-				return err
-			} else if !ok {
-				continue
-			}
-		}
-		if err := emit(rec); err != nil {
+		if err := emit(storedRecord(data)); err != nil {
 			return err
 		}
 	}
@@ -739,38 +727,43 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 	if err := si.scanCandidates(part, loB, hiB, inRange, pks); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, nil, emit)
+	return si.fetch(part, pks, true, emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
-// variants of the Section V-B study.
+// variants of the Section V-B study: the records the index holds as
+// candidates for rect. Which of them intersect it the plan's residual
+// filter decides, in the leaf, on the field it reads there anyway.
 func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(algebricks.Record) error) error {
-	return si.searchSpatial(part, rect, true, emit)
+	pks, err := si.spatialCandidates(part, rect)
+	if err != nil {
+		return err
+	}
+	return si.fetch(part, pks, true, emit)
 }
 
-// SearchSpatialAblation answers a spatial query with the fetch phase's
-// pk sort toggled (experiment E11: quantifying the [26] optimization).
+// SearchSpatialAblation answers a spatial query exactly, on whole records,
+// with the fetch phase's pk sort toggled (experiment E11: quantifying the
+// [26] optimization).
 func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, sortedFetch bool, emit func(adm.Value) error) error {
-	return si.searchSpatial(part, rect, sortedFetch, decoded(emit))
-}
-
-func (si *SecondaryIndex) searchSpatial(part int, rect adm.Rectangle, sortedFetch bool, emit func(algebricks.Record) error) error {
 	pks, err := si.spatialCandidates(part, rect)
 	if err != nil {
 		return err
 	}
 	field := si.def.Fields[0]
-	check := func(rec algebricks.Record) (bool, error) {
-		v, err := rec.Field(field)
-		switch p := v.(type) {
+	return si.fetch(part, pks, sortedFetch, decoded(func(rec adm.Value) error {
+		switch p := rec.(*adm.Object).Get(field).(type) {
 		case adm.Point:
-			return rect.Contains(p.X, p.Y), err
+			if rect.Contains(p.X, p.Y) {
+				return emit(rec)
+			}
 		case adm.Rectangle:
-			return rect.Intersects(p), err
+			if rect.Intersects(p) {
+				return emit(rec)
+			}
 		}
-		return false, err
-	}
-	return si.fetch(part, pks, sortedFetch, check, emit)
+		return nil
+	}))
 }
 
 // SearchSpatialCandidates runs only the index portion of a spatial search,
@@ -884,5 +877,5 @@ func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(algebr
 	if err := si.scanCandidates(part, loK, loK, isToken, pks); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, nil, emit)
+	return si.fetch(part, pks, true, emit)
 }

@@ -313,20 +313,7 @@ func (p *Peer) acceptLoop() {
 			// (e.g. a reconnect racing the stale conn's EOF), and closing
 			// it unread would drop those messages after the sender saw
 			// the write succeed.
-			if !p.register(pc) {
-				// Not pooled, so Close will not find it: close it when the
-				// peer closes, or Close waits for a reader only the remote
-				// could end.
-				done := make(chan struct{})
-				defer close(done)
-				go func() {
-					select {
-					case <-p.closed:
-						pc.close()
-					case <-done:
-					}
-				}()
-			}
+			p.register(pc)
 			p.readLoop(pc)
 		}(c)
 	}

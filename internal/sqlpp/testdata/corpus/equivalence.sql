@@ -185,3 +185,11 @@ SELECT VALUE u.alias FROM GleambookUsers u
     WHERE u.userSince >= datetime("2013-01-01T00:00:00") AND u.id % 2 = 1;
 
 SELECT VALUE m FROM GleambookMessages m WHERE m.authorId % 7 = 0 AND m.senderLocation IS NOT MISSING;
+
+-- A project that keeps none of its input's columns still narrows the tuple:
+-- a join both sides of which are read for their keys only, under an unnest,
+-- and a leaf whose one column only its filter reads, beside a join.
+SELECT VALUE x FROM GleambookMessages m, GleambookUsers u, [1, 2] x WHERE m.authorId = u.id;
+
+SELECT DISTINCT VALUE m.authorId FROM GleambookMessages m, GleambookUsers u, GleambookUsers v
+    WHERE m.authorId = u.id AND v.id < 2;
