@@ -313,7 +313,22 @@ func (p *Peer) acceptLoop() {
 			// (e.g. a reconnect racing the stale conn's EOF), and closing
 			// it unread would drop those messages after the sender saw
 			// the write succeed.
-			p.register(pc)
+			if !p.register(pc) {
+				// Not pooled (it lost the dedupe, or Close won the race),
+				// so Close will not find it: close it when the peer closes.
+				// Its readLoop otherwise ends only when the remote hangs up.
+				drained := make(chan struct{})
+				defer close(drained)
+				p.wg.Add(1)
+				go func() {
+					defer p.wg.Done()
+					select {
+					case <-p.closed:
+						pc.close()
+					case <-drained:
+					}
+				}()
+			}
 			p.readLoop(pc)
 		}(c)
 	}

@@ -3,6 +3,7 @@ package anet
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -437,6 +438,47 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 			t.Fatalf("goroutines leaked: before=%d after=%d\n%s", before, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestCloseWithUnpooledInboundConn forces the interleaving that used to
+// hang Close: two inbound connections name the same remote peer, so the
+// second loses register's dedupe and is in no pool, and the remote end
+// keeps both open. Close must end the second one's reader itself.
+func TestCloseWithUnpooledInboundConn(t *testing.T) {
+	p, err := NewPeer(Options{ID: "nb", ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		c, err := net.Dial("tcp", p.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close() // only after Close has returned
+		if _, err := c.Write(appendMsg(nil, msgHello, []byte("na"))); err != nil {
+			t.Fatal(err)
+		}
+		// The hello is processed (and the connection registered or turned
+		// away) before the next one is sent.
+		if _, err := c.Write(appendMsg(nil, msgHeartbeat, nil)); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); p.peer("na").lastSeen.Load() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("inbound connection never reached its read loop")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		p.peer("na").lastSeen.Store(0)
+	}
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Close hangs on a connection that lost the dedupe\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }
 
