@@ -112,11 +112,11 @@ func DefaultConfig() *Config {
 			{
 				// The one LSM lifecycle every index kind embeds, so readers
 				// and merges of B+tree and R-tree indexes alike are covered.
-				// snapshot returns []*component[D] — no named resource
+				// view returns []*component[D] first — no named resource
 				// type, so helper parameters are not classified and call
 				// sites keep the blanket ownership-transfer kill.
-				Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "snapshot", Result: 0,
-				Desc: "component snapshot",
+				Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "view", Result: 0,
+				Desc: "component view",
 				Releases: []ReleaseSpec{
 					{Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "release", Arg: 0},
 				},

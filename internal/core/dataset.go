@@ -169,6 +169,7 @@ func (e *Engine) lsmOptions() lsm.Options {
 		Policy:    e.cfg.MergePolicy,
 		Metrics:   e.reg,
 		Gov:       e.gov,
+		Worker:    e.maint,
 	}
 }
 
@@ -221,8 +222,8 @@ func (d *Dataset) locate(rec *adm.Object) (int, []byte, []adm.Value, error) {
 
 // applyUpsert installs a record in the primary index and maintains all
 // secondary indexes (removing entries of any replaced record first).
-// Flush/merge stalls the write triggers are attributed to sp (nil from
-// recovery redo and programmatic paths).
+// Time the write waits for a sealed component's flush is attributed to sp
+// (nil from recovery redo and programmatic paths).
 func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *obs.Span) error {
 	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
 		return err
@@ -506,6 +507,7 @@ func (d *Dataset) Count() (int64, error) {
 // LSMStats sums disk-component counts and merge counts over the primary
 // index's partitions (the E8 merge-policy ablation metric).
 func (d *Dataset) LSMStats() (components, merges int) {
+	d.eng.maint.Drain() // count what the writes so far lead to
 	for _, t := range d.parts {
 		components += t.DiskComponents()
 		_, m := t.Stats()

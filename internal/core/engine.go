@@ -173,7 +173,9 @@ type Engine struct {
 	cluster *hyracks.Cluster
 	txmgr   *txn.Manager
 	gov     *mem.Governor
-	opt     *algebricks.Optimizer
+	// maint flushes and merges every LSM index off the writers' threads.
+	maint *lsm.Worker
+	opt   *algebricks.Optimizer
 
 	// Observability: the registry is shared by every subsystem; the
 	// engine-level instruments below are pushed per statement.
@@ -231,6 +233,7 @@ func Open(cfg Config) (*Engine, error) {
 		cluster:  cluster,
 		txmgr:    txn.NewManager(log),
 		gov:      gov,
+		maint:    &lsm.Worker{},
 		datasets: map[string]*Dataset{},
 	}
 	e.txmgr.NoSync = cfg.NoSyncCommits
@@ -300,18 +303,21 @@ func (e *Engine) Checkpoint() error {
 	return e.txmgr.Checkpoint()
 }
 
-// Close flushes caches and closes files (without checkpointing; reopen
-// will recover from the log). Every stage runs even if an earlier one
-// fails; the errors are joined.
+// Close lets the flushes and merges under way finish, flushes caches and
+// closes files (without checkpointing; reopen will recover from the log).
+// Every stage runs even if an earlier one fails; the errors are joined.
 func (e *Engine) Close() error {
+	e.maint.Drain()
 	return errors.Join(e.bc.FlushAll(), e.fm.Close(), e.txmgr.Log.Close())
 }
 
-// CrashStop simulates a hard crash: file handles close WITHOUT flushing
-// the buffer cache or checkpointing, so only state already durable (the
-// WAL, flushed components, manifests) survives. The engine is unusable
-// afterwards; Reopen the DataDir to run recovery.
+// CrashStop simulates a hard crash: maintenance is abandoned and file
+// handles close WITHOUT flushing the buffer cache or checkpointing, so
+// only state already durable (the WAL, flushed components, manifests)
+// survives. The engine is unusable afterwards; Reopen the DataDir to run
+// recovery.
 func (e *Engine) CrashStop() error {
+	e.maint.Stop()
 	return errors.Join(e.fm.Close(), e.txmgr.Log.Close())
 }
 
@@ -348,6 +354,8 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	reg.Counter("lsm_merges_total", "LSM disk-component merges")
 	reg.Histogram("lsm_flush_duration_seconds", "LSM flush wall time", nil)
 	reg.Histogram("lsm_merge_duration_seconds", "LSM merge wall time", nil)
+	reg.Gauge("lsm_sealed_components", "sealed memory components waiting for or in their flush")
+	reg.Histogram("lsm_writer_stall_seconds", "time a writer waited for an index's sealed slot to free", nil)
 
 	bc := e.bc
 	reg.RegisterFunc("storage_buffercache_hits_total", "buffer-cache page hits", obs.TypeCounter,
@@ -405,6 +413,10 @@ func (e *Engine) BufferCacheStats() storage.Stats { return e.bc.Stats() }
 
 // Cluster exposes the Hyracks cluster (benchmark harness).
 func (e *Engine) Cluster() *hyracks.Cluster { return e.cluster }
+
+// Maintenance returns the spans of the newest background flushes and
+// merges (the server adds them to /admin/stats and to timing profiles).
+func (e *Engine) Maintenance() *obs.SpanNode { return e.maint.Trace() }
 
 // MemGovernor exposes the memory governor (admission tests, benchmark
 // harness).

@@ -1,0 +1,388 @@
+package lsm
+
+import (
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"asterix/internal/check"
+	"asterix/internal/fault"
+	"asterix/internal/mem"
+	"asterix/internal/obs"
+	"asterix/internal/rtree"
+)
+
+// Tests of the sealed component and the worker: what readers see while a
+// flush is under way, and what happens when one fails off the writer's
+// thread.
+
+// history is the oracle of one writer's writes: key k has been written
+// issued[k] times, acked[k] of them acknowledged, and its state after
+// write n is a function of n alone. A reader brackets its read with the
+// two counters and accepts any state the key went through in between.
+type history struct {
+	issued, acked []atomic.Int64
+	// absent reports whether the key is deleted (or unwritten) after its
+	// n-th write.
+	absent func(n int64) bool
+}
+
+func newHistory(keys int, absent func(n int64) bool) *history {
+	return &history{issued: make([]atomic.Int64, keys), acked: make([]atomic.Int64, keys), absent: absent}
+}
+
+func (h *history) ackedNow() []int64 {
+	out := make([]int64, len(h.acked))
+	for i := range h.acked {
+		out[i] = h.acked[i].Load()
+	}
+	return out
+}
+
+// check reports whether seeing version seen of key k (0: not seen) is
+// right for a read that began when acked was read.
+func (h *history) check(k int, acked, seen int64) bool {
+	issued := h.issued[k].Load()
+	if seen != 0 {
+		return seen >= acked && seen <= issued && !h.absent(seen)
+	}
+	for n := acked; n <= issued; n++ {
+		if h.absent(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTreeReadersSeeOneView loops Get and Scan against a writer whose
+// small budget seals a component every few hundred puts (with merges):
+// every read must find each key exactly once, at a version no older than
+// the last acknowledged before the read began, tombstones included —
+// whether the version sits in the active component, the sealed one or on
+// disk, and whichever of them the flush moves it between meanwhile.
+func TestTreeReadersSeeOneView(t *testing.T) {
+	bc, _ := newEnv(t, 1024, 2048)
+	tr, err := Open(bc, "view/t", Options{MemBudget: 16 << 10, Policy: ConstantPolicy{Components: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, writes = 400, 30000
+	h := newHistory(keys, func(n int64) bool { return n == 0 || n%5 == 0 })
+	version := func(v []byte) int64 { return int64(binary.BigEndian.Uint64(v)) }
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(2)
+		go func() { // point reads
+			defer wg.Done()
+			for k := 0; !stop.Load(); k = (k + 7) % keys {
+				acked := h.acked[k].Load()
+				v, ok, err := tr.Get(ikey(k))
+				seen := int64(0)
+				if ok {
+					seen = version(v)
+				}
+				if err != nil || !h.check(k, acked, seen) {
+					t.Errorf("Get(%d) = version %d, err %v: acknowledged %d, issued %d", k, seen, err, acked, h.issued[k].Load())
+					return
+				}
+			}
+		}()
+		go func() { // scans
+			defer wg.Done()
+			for !stop.Load() {
+				acked := h.ackedNow()
+				seen := make([]int64, keys)
+				err := tr.Scan(nil, nil, func(key, v []byte) bool {
+					k := int(binary.BigEndian.Uint64(key))
+					if seen[k] != 0 {
+						t.Errorf("Scan visited key %d twice", k)
+					}
+					seen[k] = version(v)
+					return true
+				})
+				if err != nil {
+					t.Errorf("Scan: %v", err)
+					return
+				}
+				for k := range seen {
+					if !h.check(k, acked[k], seen[k]) {
+						t.Errorf("Scan saw key %d at version %d: acknowledged %d, issued %d", k, seen[k], acked[k], h.issued[k].Load())
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < writes && !t.Failed(); i++ {
+		k := (i * 31) % keys
+		n := h.issued[k].Add(1)
+		if h.absent(n) {
+			err = tr.Delete(ikey(k))
+		} else {
+			err = tr.Upsert(ikey(k), append(ikey(int(n)), make([]byte, 40)...))
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		h.acked[k].Store(n)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if flushes, merges := tr.Stats(); flushes < 10 || merges == 0 {
+		t.Fatalf("the writer caused %d flushes and %d merges, want many and some", flushes, merges)
+	}
+	mustValidate(t, tr, bc)
+}
+
+// TestRTreeReadersSeeOneView is the same for Search: pairs are inserted
+// and deleted in turn, and a search of the whole world must see each pair
+// at most once and present or absent as some write since the last
+// acknowledged one left it.
+func TestRTreeReadersSeeOneView(t *testing.T) {
+	bc, _ := newEnv(t, 1024, 2048)
+	rt, err := OpenRTree(bc, "view/r", Options{MemBudget: 16 << 10, Policy: ConstantPolicy{Components: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, writes = 300, 12000
+	h := newHistory(keys, func(n int64) bool { return n%2 == 0 })
+	world := rtree.Rect{MinX: -1, MinY: -1, MaxX: 1e6, MaxY: 1e6}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				acked := h.ackedNow()
+				seen := make([]int64, keys)
+				err := rt.Search(world, func(r rtree.Rect, key []byte) bool {
+					seen[int(r.MinX)]++
+					return true
+				})
+				if err != nil {
+					t.Errorf("Search: %v", err)
+					return
+				}
+				for k, n := range seen {
+					// A present pair is at some odd version: any in range.
+					if n > 1 || n == 1 && acked[k] == h.issued[k].Load() && h.absent(acked[k]) ||
+						n == 0 && !h.check(k, acked[k], 0) {
+						t.Errorf("Search saw pair %d %d times: acknowledged %d, issued %d", k, n, acked[k], h.issued[k].Load())
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < writes && !t.Failed(); i++ {
+		k := (i * 31) % keys
+		n := h.issued[k].Add(1)
+		if h.absent(n) {
+			err = rt.Delete(pointOf(k), ikey(k))
+		} else {
+			err = rt.Insert(pointOf(k), ikey(k))
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		h.acked[k].Store(n)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if flushes, merges := rt.Stats(); flushes < 5 || merges == 0 {
+		t.Fatalf("the writer caused %d flushes and %d merges, want many and some", flushes, merges)
+	}
+	mustValidate(t, rt, bc)
+}
+
+// TestBackgroundFaultIsStickyAndRetried fails a flush, and then a merge,
+// on the worker, where no statement is waiting for it: what was being
+// written out stays readable, exactly one later write gets the typed
+// error, the work is done again, and writers that fill further
+// components meanwhile neither hang nor lose anything.
+func TestBackgroundFaultIsStickyAndRetried(t *testing.T) {
+	for _, point := range []string{fault.PointLSMFlush, fault.PointLSMMerge} {
+		t.Run(point, func(t *testing.T) {
+			forEachKind(t, func(t *testing.T, open openFunc) {
+				fault.Disarm()
+				defer fault.Disarm()
+				bc, _ := newEnv(t, 1024, 1024)
+				ix := open(bc, "d/bgfault", Options{MemBudget: 4 << 10, Policy: ConstantPolicy{Components: 2}})
+				if err := fault.Arm(point + ":error:after=2:times=1"); err != nil {
+					t.Fatal(err)
+				}
+				// Only writes: the budget seals, the worker flushes and merges.
+				// They go on to the next multiple of 500 after the fault has
+				// fired, so that one of them meets the failure.
+				failures, n := 0, 0
+				for ; n < 3000 && (fault.Fired(point) == 0 || n%500 != 0); n++ {
+					if err := ix.put(n); err != nil {
+						if !errors.Is(err, ErrMaintenance) || !errors.Is(err, fault.ErrInjected) {
+							t.Fatalf("put %d: %v, want the worker's injected failure", n, err)
+						}
+						failures++
+						wantPresent(t, ix, 0, n+1, true, "when the background failure surfaced")
+					}
+				}
+				if fault.Fired(point) == 0 {
+					t.Fatalf("%s never fired in %d puts", point, n)
+				}
+				if err := ix.Flush(); err != nil {
+					// The failure may have been the last job's: Flush reports it
+					// (once) in place of a write.
+					if !errors.Is(err, ErrMaintenance) || failures != 0 {
+						t.Fatalf("flush: %v after %d reported failures", err, failures)
+					}
+					failures++
+					if err := ix.Flush(); err != nil {
+						t.Fatalf("second flush: %v", err)
+					}
+				}
+				if failures != 1 {
+					t.Fatalf("the background failure was reported %d times, want once", failures)
+				}
+				wantPresent(t, ix, 0, n, true, "after the retried maintenance")
+				if ix.memSize() != 0 {
+					t.Fatalf("%d bytes still in memory after Flush", ix.memSize())
+				}
+				mustValidate(t, ix, bc)
+			})
+		})
+	}
+}
+
+// TestWorkerStopAbandons stops the worker while a flush sits at the fault
+// point between build and publish: the job gives up, nothing reaches the
+// manifest, the sealed component stays readable, and writers that need
+// the slot afterwards get an error instead of waiting for ever.
+func TestWorkerStopAbandons(t *testing.T) {
+	forEachKind(t, func(t *testing.T, open openFunc) {
+		fault.Disarm()
+		defer fault.Disarm()
+		bc, _ := newEnv(t, 1024, 1024)
+		w := &Worker{}
+		ix := open(bc, "d/stop", Options{MemBudget: 4 << 10, Worker: w})
+		if err := fault.Arm(fault.PointLSMFlush + ":delay=50ms:times=1"); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; fault.Fired(fault.PointLSMFlush) == 0; n++ {
+			if n > 5000 {
+				t.Fatal("no flush started")
+			}
+			if err := ix.put(n); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		w.Stop()
+		if got := ix.DiskComponents(); got != 0 {
+			t.Fatalf("%d disk components after the worker abandoned the only flush", got)
+		}
+		wantPresent(t, ix, 0, n, true, "after the abandoned flush")
+		if err := ix.Flush(); !errors.Is(err, ErrMaintenance) {
+			t.Fatalf("flush on a stopped worker: %v", err)
+		}
+		// The second one queues the flush again, on the stopped worker.
+		if err := ix.Flush(); !errors.Is(err, ErrMaintenance) {
+			t.Fatalf("second flush on a stopped worker: %v", err)
+		}
+	})
+}
+
+// TestWriterStallIsFlushWait holds the worker at the flush's fault point
+// while a writer fills a second component: the writer's wait for the
+// sealed slot — and nothing else — is flush wait on its span and an
+// observation of lsm_writer_stall_seconds, and the sealed gauge and the
+// governor's sealed account are back at zero once the index is flushed.
+func TestWriterStallIsFlushWait(t *testing.T) {
+	fault.Disarm()
+	defer fault.Disarm()
+	bc, _ := newEnv(t, 1024, 1024)
+	reg := obs.NewRegistry()
+	gov := mem.NewGovernor(mem.Config{ComponentBytes: 1 << 20, WorkingBytes: 1 << 20})
+	tr, err := Open(bc, "stall/t", Options{MemBudget: 4 << 10, Metrics: reg, Gov: gov})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalls := func() int64 { return reg.Snapshot()["lsm_writer_stall_seconds"].(obs.HistogramSnapshot).Count }
+
+	// Without a delay a first component is sealed and no writer waits.
+	sp := obs.NewSpan("free")
+	for i := 0; tr.DiskComponents() == 0 && i < 5000; i++ {
+		if err := tr.UpsertSpan(ikey(i), make([]byte, 64), sp); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	if w := sp.Waits()[obs.WaitFlush]; w != 0 || stalls() != 0 {
+		t.Fatalf("flush wait %v and %d stalls although the sealed slot was always free", w, stalls())
+	}
+
+	if err := fault.Arm(fault.PointLSMFlush + ":delay=30ms:times=1"); err != nil {
+		t.Fatal(err)
+	}
+	sp = obs.NewSpan("stalled")
+	for i := 0; stalls() == 0; i++ {
+		if i > 5000 {
+			t.Fatal("two components' worth of puts and no stall")
+		}
+		if err := tr.UpsertSpan(ikey(i), make([]byte, 64), sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := sp.Waits()[obs.WaitFlush]; w < 5*time.Millisecond || w > 5*time.Second {
+		t.Fatalf("flush wait %v on the span of a writer held up by a 30ms flush", w)
+	}
+	if gov.ComponentSealed() == 0 && reg.Snapshot()["lsm_sealed_components"].(int64) != 0 {
+		t.Fatal("a sealed component is counted by the gauge and not by the governor")
+	}
+	mustValidate(t, tr, bc)
+	if n, b := reg.Snapshot()["lsm_sealed_components"].(int64), gov.ComponentSealed(); n != 0 || b != 0 {
+		t.Fatalf("%d sealed components, %d sealed bytes after Flush", n, b)
+	}
+	check.MustValidate(t, gov)
+}
+
+// TestFlushedComponentIsGarbage: once its flush has ended nothing may
+// keep a memory component reachable. (The slice of memory components once
+// did, through its backing array: every index dragged a dead skiplist of
+// up to a component budget through each garbage collection, which cost
+// the benchmark's htap readers a tenth of their throughput.)
+func TestFlushedComponentIsGarbage(t *testing.T) {
+	bc, _ := newEnv(t, 1024, 256)
+	tr, err := Open(bc, "gc/t", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := tr.Upsert(ikey(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(tr.mem, func(*memTable) { close(freed) })
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(tr) // the index lives; only the component died
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the flushed memory component is still reachable")
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,11 +82,15 @@ type Options struct {
 	// shared component pool: overflowing the pool flushes the earliest-
 	// dirty index across the whole engine, not just this one.
 	Gov *mem.Governor
+	// Worker runs the index's flushes and merges: the engine's, shared by
+	// all its indexes, or when nil the index's own.
+	Worker *Worker
 }
 
-// lifecycle is the LSM framework: one mutable memory component plus a
-// stack of immutable disk components, newest first. Tree and RTreeIndex
-// embed it and add only their read and write operations.
+// lifecycle is the LSM framework: one mutable memory component, at most
+// one sealed memory component on its way to disk, and a stack of
+// immutable disk components, newest first. Tree and RTreeIndex embed it
+// and add only their read and write operations.
 type lifecycle[M memComponent, D diskIndex] struct {
 	kind      indexKind[M, D]
 	bc        *storage.BufferCache
@@ -93,19 +98,31 @@ type lifecycle[M memComponent, D diskIndex] struct {
 	memBudget int
 	policy    MergePolicy
 
-	// wmu serializes mutations, flushes and merges. The governor's
-	// arbitration hook try-acquires it, so an index mid-write is skipped
-	// rather than deadlocked on when another index's ingestion overflows
-	// the pool.
+	// wmu serializes mutations and seals. The governor's arbitration hook
+	// try-acquires it, so an index mid-write is skipped rather than
+	// deadlocked on when another index's ingestion overflows the pool.
+	// The worker never takes it.
 	wmu sync.Mutex
 	// charge is this index's account against the governor's memory-
 	// component pool (nil without a governor: per-index budget only).
 	charge *mem.ComponentCharge
+	// mem takes the writes: mems[0], which writers (holding wmu) read here
+	// without l.mu.
+	mem    M
+	worker *Worker
 
-	mu      sync.RWMutex
-	mem     M
-	disk    []*component[D] // newest first
-	seq     int
+	mu sync.RWMutex
+	// mems is the memory components newest first: mem and, from its seal
+	// until its flush ends, the sealed one. Replaced, never edited.
+	mems []M
+	disk []*component[D] // newest first
+	seq  int
+	// pending counts this index's jobs on the worker (two when a component
+	// is sealed during the merge after the previous flush); done signals a
+	// finished one, whose failure stays in bgErr until somebody is told.
+	pending int
+	bgErr   error
+	done    sync.Cond
 	flushes int
 	merges  int
 
@@ -114,6 +131,79 @@ type lifecycle[M memComponent, D diskIndex] struct {
 	mMerges   *obs.Counter
 	mFlushDur *obs.Histogram
 	mMergeDur *obs.Histogram
+	mSealed   *obs.Gauge
+	mStall    *obs.Histogram
+}
+
+// ErrMaintenance marks a flush or merge that failed on the worker. What
+// it was writing out stays live and readable; the index's next write,
+// Flush or Checkpoint returns the error once and a failed flush runs again.
+var ErrMaintenance = errors.New("lsm: background maintenance failed")
+
+var errStopped = errors.New("worker stopped")
+
+// Worker runs flushes and merges off the writers' threads. One goroutine,
+// alive while there is work, takes the sealed components of the indexes
+// that share the worker in the order they were sealed, and runs each
+// one's flush and then its index's policy merge.
+type Worker struct {
+	stopped atomic.Bool
+
+	mu      sync.Mutex
+	queue   []func() *obs.Span // a job returns its span
+	running chan struct{}      // closed when the goroutine exits; nil while idle
+	recent  []*obs.SpanNode    // the newest jobs' spans, for Trace
+}
+
+func (w *Worker) submit(j func() *obs.Span) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.queue = append(w.queue, j)
+	if w.running == nil {
+		w.running = make(chan struct{})
+		go w.run(w.running)
+	}
+}
+
+func (w *Worker) run(exited chan struct{}) {
+	w.mu.Lock()
+	for len(w.queue) > 0 {
+		j := w.queue[0]
+		w.queue[0], w.queue = nil, w.queue[1:] // the array must not keep a dropped index's job
+		w.mu.Unlock()
+		sp := j()
+		w.mu.Lock()
+		w.recent = append(w.recent[max(0, len(w.recent)-15):], sp.Tree())
+	}
+	w.running = nil
+	w.mu.Unlock()
+	close(exited)
+}
+
+// Drain returns once the jobs queued so far have run.
+func (w *Worker) Drain() {
+	w.mu.Lock()
+	running := w.running
+	w.mu.Unlock()
+	if running != nil {
+		<-running
+	}
+}
+
+// Stop abandons the work: jobs queued or in hand give up before making
+// anything durable (the write-ahead log covers it), and the goroutine has
+// exited when Stop returns.
+func (w *Worker) Stop() {
+	w.stopped.Store(true)
+	w.Drain()
+}
+
+// Trace is the spans of the newest jobs under one "maintenance" root:
+// what storage was doing while statements ran.
+func (w *Worker) Trace() *obs.SpanNode {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return &obs.SpanNode{Name: "maintenance", Children: slices.Clone(w.recent)}
 }
 
 // open initializes the lifecycle in place (the governor hook binds its
@@ -125,13 +215,20 @@ func (l *lifecycle[M, D]) open(kind indexKind[M, D], bc *storage.BufferCache, na
 	if opts.Policy == nil {
 		opts.Policy = ConstantPolicy{Components: 4}
 	}
-	l.kind, l.bc, l.name = kind, bc, name
+	if opts.Worker == nil {
+		opts.Worker = &Worker{}
+	}
+	l.kind, l.bc, l.name, l.worker = kind, bc, name, opts.Worker
 	l.memBudget, l.policy = opts.MemBudget, opts.Policy
 	l.mem = kind.newMem()
+	l.mems = []M{l.mem}
+	l.done.L = &l.mu
 	l.mFlushes = opts.Metrics.Counter("lsm_flushes_total", "LSM memory-component flushes")
 	l.mMerges = opts.Metrics.Counter("lsm_merges_total", "LSM disk-component merges")
 	l.mFlushDur = opts.Metrics.Histogram("lsm_flush_duration_seconds", "LSM flush wall time", nil)
 	l.mMergeDur = opts.Metrics.Histogram("lsm_merge_duration_seconds", "LSM merge wall time", nil)
+	l.mSealed = opts.Metrics.Gauge("lsm_sealed_components", "sealed memory components waiting for or in their flush")
+	l.mStall = opts.Metrics.Histogram("lsm_writer_stall_seconds", "time a writer waited for an index's sealed slot to free", nil)
 	seqs, err := l.readManifest()
 	if err != nil {
 		return err
@@ -150,7 +247,7 @@ func (l *lifecycle[M, D]) open(kind indexKind[M, D], bc *storage.BufferCache, na
 			l.seq = s + 1
 		}
 	}
-	l.charge = opts.Gov.RegisterComponent(name, l.tryFlushForGovernor)
+	l.charge = opts.Gov.RegisterComponent(name, l.trySealForGovernor)
 	return nil
 }
 
@@ -179,10 +276,11 @@ func (l *lifecycle[M, D]) readManifest() ([]int, error) {
 	return seqs, nil
 }
 
-// writeManifest persists the current component list (caller holds l.mu).
-func (l *lifecycle[M, D]) writeManifest() error {
+// writeManifest persists a component list. Only the worker changes the
+// list, so it writes outside l.mu and holds up no reader.
+func (l *lifecycle[M, D]) writeManifest(disk []*component[D]) error {
 	var sb strings.Builder
-	for _, c := range l.disk {
+	for _, c := range disk {
 		fmt.Fprintf(&sb, "%d\n", c.seq)
 	}
 	path := l.manifestPath()
@@ -213,72 +311,62 @@ func (l *lifecycle[M, D]) newComponentFile(seq int) (storage.FileID, error) {
 	return l.bc.FileManager().Open(fname)
 }
 
-// memRef returns the current memory component. A flush swaps it under
-// l.mu, so every other access goes through here.
-func (l *lifecycle[M, D]) memRef() M {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.mem
-}
-
 // afterPut charges a mutation's byte delta to the governor (which may
-// arbitrate flushes of OTHER indexes, or elect this one) and then applies
-// the per-index budget. Caller holds l.wmu. Arbitration time — this
-// writer stalled flushing other indexes' components — counts as flush
-// wait on sp, as does a flush of this index's own component.
+// seal OTHER indexes' components, or elect this one) and then applies the
+// per-index budget. Caller holds l.wmu. An unreported background failure
+// goes through seal too, which returns it.
 func (l *lifecycle[M, D]) afterPut(delta int, sp *obs.Span) error {
-	//lint:ignore obs-nil skips time.Now/time.Since on the untraced write hot path, not a call guard
-	traced := sp != nil
-	var t0 time.Time
-	if traced {
-		t0 = time.Now()
+	l.mu.RLock()
+	failed := l.bgErr != nil && l.pending == 0
+	l.mu.RUnlock()
+	sealSelf, err := l.charge.Add(int64(delta), sp)
+	if err == nil && (failed || sealSelf || l.mem.size() >= l.memBudget) {
+		err = l.seal(sp)
 	}
-	flushSelf, err := l.charge.Add(int64(delta))
-	if traced {
-		sp.AddWait(obs.WaitFlush, time.Since(t0))
-	}
-	if err != nil {
-		return err
-	}
-	if flushSelf || l.memRef().size() >= l.memBudget {
-		return l.flushLocked(sp)
-	}
-	return nil
+	return err
 }
 
 // Unregister removes the index's account from the governor's component
-// pool (index or dataset drop); the index keeps working against its own
-// budget only.
+// pool (index or dataset drop) once the worker is done with the index;
+// the index keeps working against its own budget only.
 func (l *lifecycle[M, D]) Unregister() {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
+	l.mu.Lock()
+	for l.pending > 0 {
+		l.done.Wait()
+	}
+	l.mu.Unlock()
 	l.charge.Unregister()
 	l.charge = nil
 }
 
-// tryFlushForGovernor is the arbitration hook: flush if the writer lock
-// is free, otherwise report busy so the arbiter skips this index.
-func (l *lifecycle[M, D]) tryFlushForGovernor() (bool, error) {
+// trySealForGovernor is the arbitration hook: seal if the writer lock is
+// free, otherwise report busy so the arbiter skips this index.
+func (l *lifecycle[M, D]) trySealForGovernor(sp *obs.Span) (bool, error) {
 	if !l.wmu.TryLock() {
 		return false, nil
 	}
 	defer l.wmu.Unlock()
-	return true, l.flushLocked(nil)
+	return true, l.seal(sp)
 }
 
-// snapshot acquires a reference-counted view of the disk components.
-func (l *lifecycle[M, D]) snapshot() []*component[D] {
+// view is what one read sees: referenced disk components (the caller
+// releases them) and the memory components, under one lock — the one a
+// flush moves its component from mems to disk under, so no view holds it
+// twice or not at all.
+func (l *lifecycle[M, D]) view() ([]*component[D], []M) {
 	l.mu.RLock()
-	//lint:ignore hot-alloc per-scan snapshot of the component list: O(components) once per scan, not per entry
+	defer l.mu.RUnlock()
+	//lint:ignore hot-alloc per-read snapshot of the component list: O(components) once per read, not per entry
 	comps := append([]*component[D](nil), l.disk...)
 	for _, c := range comps {
 		atomic.AddInt32(&c.refs, 1)
 	}
-	l.mu.RUnlock()
-	return comps
+	return comps, l.mems
 }
 
-// release drops snapshot references, destroying components whose last
+// release drops view references, destroying components whose last
 // reference this was (they were merged away while being read).
 func (l *lifecycle[M, D]) release(comps []*component[D]) error {
 	var firstErr error
@@ -301,9 +389,6 @@ func (l *lifecycle[M, D]) destroyComponent(c *component[D]) error {
 	return l.bc.FileManager().Delete(l.componentFileName(c.seq))
 }
 
-// MemSize returns the memory component's approximate byte size.
-func (l *lifecycle[M, D]) MemSize() int { return l.memRef().size() }
-
 // DiskComponents returns the current number of disk components.
 func (l *lifecycle[M, D]) DiskComponents() int {
 	l.mu.RLock()
@@ -320,26 +405,106 @@ func (l *lifecycle[M, D]) Stats() (flushes, merges int) {
 }
 
 // Flush persists the memory component as a new disk component and applies
-// the merge policy.
+// the merge policy: it seals and then waits for the worker.
 func (l *lifecycle[M, D]) Flush() error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	return l.flushLocked(nil)
+	if err := l.seal(nil); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.pending > 0 {
+		l.done.Wait()
+	}
+	return l.takeErr(false)
 }
 
-// flushLocked is Flush with l.wmu held: no put can land in the old memory
-// component between the build and the pointer swap, and concurrent
-// readers are safe because they take the pointer via memRef. The flush
-// (and any merge it triggers) is charged to sp as flush/merge wait; sp is
-// nil for flushes no statement waits on.
-func (l *lifecycle[M, D]) flushLocked(sp *obs.Span) error {
-	flushStart := time.Now()
+// takeErr hands the caller, once, the failure of a finished job; retry
+// queues a failed flush again (a failed merge is the policy's to pick
+// again after the next flush). Caller holds l.mu.
+func (l *lifecycle[M, D]) takeErr(retry bool) error {
+	err := l.bgErr
+	l.bgErr = nil
+	if err != nil && retry && len(l.mems) == 2 {
+		l.submit()
+	}
+	return err
+}
+
+// submit queues the index's maintenance. Caller holds l.mu.
+func (l *lifecycle[M, D]) submit() {
+	l.pending++
+	l.worker.submit(l.maintain)
+}
+
+// seal makes the memory component immutable and hands it to the worker;
+// a fresh one takes the writes at once. Caller holds l.wmu, so no put
+// lands in the old one after the swap. An index has at most one sealed
+// component: while the previous one is on its way to disk the caller
+// waits, and that wait — the only time a writer stalls on storage — is
+// flush wait on sp. Where seals happen depends on the writes alone, never
+// on how far the worker is: one history of writes, one set of components.
+func (l *lifecycle[M, D]) seal(sp *obs.Span) error {
 	l.mu.Lock()
-	mem := l.mem
-	if mem.len() == 0 {
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.pending == 0 { // a failure nobody has been told of
+		if err := l.takeErr(true); err != nil {
+			return err
+		}
+	}
+	if len(l.mems) == 2 {
+		start := time.Now()
+		for len(l.mems) == 2 {
+			if l.pending == 0 {
+				if err := l.takeErr(false); err != nil {
+					return err
+				}
+				l.submit() // the flush failed and that has been reported: run it again
+			}
+			l.done.Wait()
+		}
+		l.mStall.Observe(time.Since(start).Seconds())
+		sp.AddWait(obs.WaitFlush, time.Since(start))
+	}
+	if l.mem.len() == 0 {
 		return nil
 	}
+	l.mems = []M{l.kind.newMem(), l.mem}
+	l.mem = l.mems[0]
+	l.mSealed.Add(1)
+	l.charge.Seal()
+	l.submit()
+	return nil
+}
+
+// maintain is the worker's job for one sealed component: build, make
+// durable, manifest, validate, then the policy's merge.
+func (l *lifecycle[M, D]) maintain() *obs.Span {
+	sp := obs.NewSpan(l.name)
+	defer sp.End()
+	err := l.flushSealed(sp)
+	if err == nil {
+		err = l.maybeMerge(sp)
+	}
+	l.mu.Lock()
+	l.pending--
+	if err != nil && l.bgErr == nil {
+		l.bgErr = fmt.Errorf("%w: %s: %w", ErrMaintenance, l.name, err)
+	}
+	l.done.Broadcast()
+	l.mu.Unlock()
+	return sp
+}
+
+// flushSealed writes the sealed component out as the newest disk
+// component; the swap moves readers from the one to the other.
+func (l *lifecycle[M, D]) flushSealed(sp *obs.Span) error {
+	sp = sp.StartChild("flush")
+	defer sp.End()
+	flushStart := time.Now()
+	l.mu.Lock()
+	sealed := l.mems[1]
 	seq := l.seq
 	l.seq++
 	l.mu.Unlock()
@@ -348,15 +513,18 @@ func (l *lifecycle[M, D]) flushLocked(sp *obs.Span) error {
 	if err != nil {
 		return err
 	}
-	idx, err := l.kind.build(l.bc, file, mem)
+	idx, err := l.kind.build(l.bc, file, sealed)
 	if err != nil {
 		return err
 	}
 	// Injected flush I/O failure: the component is built in the buffer
-	// cache but never made durable or added to the manifest; the memory
+	// cache but never made durable or added to the manifest; the sealed
 	// component keeps the data, so nothing committed is lost.
 	if err := fault.Hit(fault.PointLSMFlush); err != nil {
-		return fmt.Errorf("lsm: flush %s: %w", l.name, err)
+		return fmt.Errorf("flush: %w", err)
+	}
+	if l.worker.stopped.Load() {
+		return errStopped
 	}
 	if err := l.bc.FlushFile(file); err != nil {
 		return err
@@ -364,30 +532,28 @@ func (l *lifecycle[M, D]) flushLocked(sp *obs.Span) error {
 
 	l.mu.Lock()
 	l.disk = append([]*component[D]{{seq: seq, file: file, idx: idx, refs: 1}}, l.disk...)
-	l.mem = l.kind.newMem()
+	l.mems = []M{l.mems[0]} // a fresh array: the old one would keep the flushed component alive
 	l.flushes++
-	err = l.writeManifest()
+	disk := l.disk
 	l.mu.Unlock()
+	l.mSealed.Add(-1)
 	l.charge.Flushed()
+	err = l.writeManifest(disk)
 	l.mFlushes.Inc()
 	l.mFlushDur.Observe(time.Since(flushStart).Seconds())
-	sp.AddWait(obs.WaitFlush, time.Since(flushStart))
 	if err != nil {
 		return err
 	}
 	// Component sequencing + manifest walk in invariant builds.
-	if err := check.Run(l); err != nil {
-		return err
-	}
-	return l.maybeMerge(sp)
+	return check.Run(l)
 }
 
-// maybeMerge consults the policy and merges one component range. Caller
-// holds l.wmu, so the component list cannot change underneath. The one
-// snapshot is both the policy's input and the merge's hold on its
-// victims, released on every exit.
+// maybeMerge consults the policy and merges one component range. It runs
+// on the worker, the only one to change the component list. The one view
+// is both the policy's input and the merge's hold on its victims,
+// released on every exit.
 func (l *lifecycle[M, D]) maybeMerge(sp *obs.Span) (err error) {
-	comps := l.snapshot()
+	comps, _ := l.view()
 	defer func() { err = errors.Join(err, l.release(comps)) }()
 	sizes := make([]int64, len(comps))
 	for i, c := range comps {
@@ -401,11 +567,11 @@ func (l *lifecycle[M, D]) maybeMerge(sp *obs.Span) (err error) {
 }
 
 // mergeRange merges comps[lo..hi] (newest-first indexes into the caller's
-// snapshot of the whole list) into one component. Antimatter is dropped
-// only when the range reaches the oldest component. Merge wall time is
-// charged to sp as merge wait: merges run on the writer's thread, so the
-// triggering statement really does stall for the whole merge.
+// view of the whole list) into one component. Antimatter is dropped only
+// when the range reaches the oldest component.
 func (l *lifecycle[M, D]) mergeRange(comps []*component[D], lo, hi int, sp *obs.Span) error {
+	sp = sp.StartChild("merge")
+	defer sp.End()
 	mergeStart := time.Now()
 	victims := comps[lo : hi+1]
 	idxs := make([]D, len(victims))
@@ -428,7 +594,10 @@ func (l *lifecycle[M, D]) mergeRange(comps []*component[D], lo, hi int, sp *obs.
 	// Injected merge I/O failure: the victims stay live and the half-built
 	// component never reaches the manifest.
 	if err := fault.Hit(fault.PointLSMMerge); err != nil {
-		return fmt.Errorf("lsm: merge %s: %w", l.name, err)
+		return fmt.Errorf("merge: %w", err)
+	}
+	if l.worker.stopped.Load() {
+		return errStopped
 	}
 	if err := l.bc.FlushFile(file); err != nil {
 		return err
@@ -442,11 +611,11 @@ func (l *lifecycle[M, D]) mergeRange(comps []*component[D], lo, hi int, sp *obs.
 	for _, c := range victims {
 		c.dropped = true
 	}
-	err = l.writeManifest()
+	disk := l.disk
 	l.mu.Unlock()
+	err = l.writeManifest(disk)
 	l.mMerges.Inc()
 	l.mMergeDur.Observe(time.Since(mergeStart).Seconds())
-	sp.AddWait(obs.WaitMerge, time.Since(mergeStart))
 	if err != nil {
 		return err
 	}
@@ -472,7 +641,7 @@ func (l *lifecycle[M, D]) mergeRange(comps []*component[D], lo, hi int, sp *obs.
 //
 // O(total entries); intended for tests and opt-in check hooks.
 func (l *lifecycle[M, D]) Validate() (err error) {
-	comps := l.snapshot()
+	comps, _ := l.view()
 	defer func() {
 		// Validation is read-only: releasing the snapshot cannot be the
 		// last reference while the components remain in the index's list.

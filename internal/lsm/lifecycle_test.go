@@ -21,7 +21,7 @@ import (
 type testIndex interface {
 	check.Validator
 	Flush() error
-	MemSize() int
+	memSize() int
 	DiskComponents() int
 	put(i int) error
 	del(i int) error
@@ -59,10 +59,22 @@ func (r rtreeUnderTest) has(i int) (bool, error) {
 	return found, err
 }
 
+// memSize is the memory components' approximate bytes, the sealed one's
+// included.
+func (l *lifecycle[M, D]) memSize() int {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	n := 0
+	for _, m := range l.mems {
+		n += m.size()
+	}
+	return n
+}
+
 // snapshotRefs returns every live component's reference count as seen
 // from inside a snapshot (list + snapshot = 2 when nothing else holds it).
 func (l *lifecycle[M, D]) snapshotRefs() []int32 {
-	comps := l.snapshot()
+	comps, _ := l.view()
 	refs := make([]int32, len(comps))
 	for i, c := range comps {
 		refs[i] = atomic.LoadInt32(&c.refs)
@@ -72,7 +84,7 @@ func (l *lifecycle[M, D]) snapshotRefs() []int32 {
 }
 
 func (l *lifecycle[M, D]) componentCounts() []int64 {
-	comps := l.snapshot()
+	comps, _ := l.view()
 	counts := make([]int64, len(comps))
 	for i, c := range comps {
 		counts[i] = c.idx.Count()
@@ -81,11 +93,10 @@ func (l *lifecycle[M, D]) componentCounts() []int64 {
 	return counts
 }
 
-// forceMerge merges components [lo..hi] regardless of the policy.
+// forceMerge merges components [lo..hi] regardless of the policy. The
+// caller has drained the worker (Flush), the only other merger.
 func (l *lifecycle[M, D]) forceMerge(lo, hi int) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	comps := l.snapshot()
+	comps, _ := l.view()
 	return errors.Join(l.mergeRange(comps, lo, hi, nil), l.release(comps))
 }
 
@@ -164,9 +175,10 @@ func TestFlushFaultKeepsDataAndRetries(t *testing.T) {
 		}
 		fault.Disarm()
 		// The data never left the memory component; a retry flushes it.
-		if ix.MemSize() == 0 {
-			t.Fatal("failed flush emptied the memory component")
+		if ix.memSize() == 0 {
+			t.Fatal("failed flush dropped the sealed component")
 		}
+		wantPresent(t, ix, 0, 50, true, "in the sealed component of a failed flush")
 		if err := ix.Flush(); err != nil {
 			t.Fatalf("retry flush: %v", err)
 		}

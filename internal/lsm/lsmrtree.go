@@ -156,13 +156,13 @@ func (t *RTreeIndex) Insert(r rtree.Rect, key []byte) error {
 	return t.InsertSpan(r, key, nil)
 }
 
-// InsertSpan is Insert with wait-time attribution: governor arbitration
-// and flushes/merges triggered by this write are charged to sp (nil for
-// no attribution).
+// InsertSpan is Insert with wait-time attribution: time this write waits
+// for a sealed component's flush is charged to sp (nil for no
+// attribution).
 func (t *RTreeIndex) InsertSpan(r rtree.Rect, key []byte, sp *obs.Span) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.afterPut(t.memRef().put(r, key, false), sp)
+	return t.afterPut(t.mem.put(r, key, false), sp)
 }
 
 // Delete records the removal of (rect, key): it cancels any in-memory live
@@ -175,16 +175,13 @@ func (t *RTreeIndex) Delete(r rtree.Rect, key []byte) error {
 func (t *RTreeIndex) DeleteSpan(r rtree.Rect, key []byte, sp *obs.Span) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.afterPut(t.memRef().put(r, key, true), sp)
+	return t.afterPut(t.mem.put(r, key, true), sp)
 }
 
 // Search visits live keys whose rects intersect query, applying antimatter
 // cancellation across components (newest wins); fn returning false stops.
 func (t *RTreeIndex) Search(query rtree.Rect, fn func(r rtree.Rect, key []byte) bool) error {
-	// Memory first, then the disk snapshot: a flush between the two shows
-	// its entries twice (deduplicated below), never zero times.
-	memRun := t.memRef().search(query)
-	comps := t.snapshot()
+	comps, mems := t.view()
 	defer t.release(comps)
 
 	seen := map[string]bool{} // pair already decided (live emitted or cancelled)
@@ -201,9 +198,11 @@ func (t *RTreeIndex) Search(query rtree.Rect, fn func(r rtree.Rect, key []byte) 
 		}
 		return !stopped
 	}
-	for _, e := range memRun {
-		if !visit(e) {
-			return nil
+	for _, m := range mems {
+		for _, e := range m.search(query) {
+			if !visit(e) {
+				return nil
+			}
 		}
 	}
 	for _, c := range comps {

@@ -221,13 +221,13 @@ func (btreeKind) validate(d *btreeDisk) error {
 // Upsert inserts or replaces the value stored under key.
 func (t *Tree) Upsert(key, value []byte) error { return t.UpsertSpan(key, value, nil) }
 
-// UpsertSpan is Upsert with wait-time attribution: governor arbitration,
-// flushes, and merges triggered by this write are charged to sp (nil for
-// no attribution).
+// UpsertSpan is Upsert with wait-time attribution: time this write waits
+// for a sealed component's flush is charged to sp (nil for no
+// attribution).
 func (t *Tree) UpsertSpan(key, value []byte, sp *obs.Span) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.afterPut(t.memRef().put(key, value, false), sp)
+	return t.afterPut(t.mem.put(key, value, false), sp)
 }
 
 // Delete records an antimatter entry for key (the key need not exist).
@@ -237,21 +237,20 @@ func (t *Tree) Delete(key []byte) error { return t.DeleteSpan(key, nil) }
 func (t *Tree) DeleteSpan(key []byte, sp *obs.Span) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	return t.afterPut(t.memRef().put(key, nil, true), sp)
+	return t.afterPut(t.mem.put(key, nil, true), sp)
 }
 
 // Get returns the newest live value for key. The result is the caller's:
 // a memory-component value is immutable once stored, and a disk value is
 // the one copy BTree.Search makes.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	if v, tomb, ok := t.memRef().get(key); ok {
-		if tomb {
-			return nil, false, nil
-		}
-		return v, true, nil
-	}
-	comps := t.snapshot()
+	comps, mems := t.view()
 	defer t.release(comps)
+	for _, m := range mems {
+		if v, tomb, ok := m.get(key); ok {
+			return v, !tomb, nil // a tombstone's value is nil
+		}
+	}
 	for _, c := range comps {
 		if !c.idx.bloom.mayContain(key) {
 			continue
@@ -273,17 +272,19 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 // into the scan's page buffers and are valid only until fn returns: a
 // caller that keeps either copies it.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	// Snapshot the memory component's range (bounded by the mem budget).
-	var memRun []memEntry
-	//lint:ignore hot-alloc per-scan closure capturing the memRun accumulator: one allocation per scan setup
-	t.memRef().scan(lo, hi, func(e memEntry) bool {
-		memRun = append(memRun, e)
-		return true
-	})
-	comps := t.snapshot()
+	comps, mems := t.view()
 	defer t.release(comps)
+	// Copy the memory components' ranges (each bounded by the mem budget).
+	var runs [2][]memEntry // newest first, as mems is
+	for i, m := range mems {
+		//lint:ignore hot-alloc per-scan closure capturing the run accumulator: one allocation per memory component per scan setup
+		m.scan(lo, hi, func(e memEntry) bool {
+			runs[i] = append(runs[i], e)
+			return true
+		})
+	}
 
-	// K-way merge: the memory run is the newest source, then the disk
+	// K-way merge: the memory runs are the newest sources, then the disk
 	// components newest-first; the newest source wins ties.
 	//lint:ignore hot-alloc per-scan iterator table: O(components) once per scan setup
 	iters := make([]*btree.Iterator, len(comps))
@@ -295,11 +296,21 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 		if err != nil {
 			return err
 		}
+		m := -1
+		for i := range runs {
+			if len(runs[i]) > 0 && (m < 0 || bytes.Compare(runs[i][0].key, runs[m][0].key) < 0) {
+				m = i
+			}
+		}
 		var value []byte
 		var tombstone bool
-		if len(memRun) > 0 && (src == -1 || bytes.Compare(memRun[0].key, key) <= 0) {
-			src, key, value, tombstone = -1, memRun[0].key, memRun[0].value, memRun[0].tombstone
-			memRun = memRun[1:]
+		if m >= 0 && (src == -1 || bytes.Compare(runs[m][0].key, key) <= 0) {
+			src, key, value, tombstone = -1, runs[m][0].key, runs[m][0].value, runs[m][0].tombstone
+			for i := range runs {
+				if len(runs[i]) > 0 && bytes.Equal(runs[i][0].key, key) {
+					runs[i] = runs[i][1:]
+				}
+			}
 		} else if src == -1 {
 			return nil
 		} else if value, tombstone, err = flagged(iters[src].Value()); err != nil {

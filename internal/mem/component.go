@@ -1,5 +1,7 @@
 package mem
 
+import "asterix/internal/obs"
+
 // ComponentCharge is one LSM tree's account against the memory-component
 // pool. The pool is a soft cap: writers are never rejected, but when the
 // sum of charges exceeds it the governor arbitrates flushes across ALL
@@ -12,25 +14,27 @@ package mem
 type ComponentCharge struct {
 	g    *Governor
 	name string
-	// tryFlush attempts to flush the owning tree's memory component
+	// trySeal attempts to seal the owning tree's memory component
 	// WITHOUT blocking on its writer lock. It returns done=false when the
 	// lock was busy (a writer is mid-mutation there); the arbiter then
 	// moves on to the next-earliest tree instead of deadlocking on a
-	// cross-tree lock cycle.
-	tryFlush func() (done bool, err error)
+	// cross-tree lock cycle. A wait for the tree's previous sealed
+	// component to reach disk is attributed to sp.
+	trySeal func(sp *obs.Span) (done bool, err error)
 
 	// Guarded by g.mu.
 	bytes      int64
+	sealed     int64 // the sealed component's bytes, until its flush ends
 	firstDirty int64 // 0 = clean; else the governor-wide dirty sequence
 }
 
-// RegisterComponent adds a tree's account to the pool. tryFlush is the
+// RegisterComponent adds a tree's account to the pool. trySeal is the
 // arbitration hook (see ComponentCharge). Nil governor returns nil.
-func (g *Governor) RegisterComponent(name string, tryFlush func() (bool, error)) *ComponentCharge {
+func (g *Governor) RegisterComponent(name string, trySeal func(*obs.Span) (bool, error)) *ComponentCharge {
 	if g == nil {
 		return nil
 	}
-	c := &ComponentCharge{g: g, name: name, tryFlush: tryFlush}
+	c := &ComponentCharge{g: g, name: name, trySeal: trySeal}
 	g.mu.Lock()
 	g.charges = append(g.charges, c)
 	g.mu.Unlock()
@@ -49,7 +53,8 @@ func (c *ComponentCharge) Unregister() {
 	if g.compUsed < 0 {
 		g.compUsed = 0
 	}
-	c.bytes = 0
+	g.sealedUsed -= c.sealed
+	c.bytes, c.sealed = 0, 0
 	c.firstDirty = 0
 	for i, q := range g.charges {
 		if q == c {
@@ -61,15 +66,16 @@ func (c *ComponentCharge) Unregister() {
 }
 
 // Add charges delta bytes (negative for in-place shrink) and, when the
-// pool is over budget, arbitrates flushes earliest-dirty-first.
-// flushSelf=true means the caller's own tree is the earliest-dirty
-// victim: the caller already holds its writer lock, so only it can run
-// that flush — it must flush before returning to its client.
+// pool is over budget, arbitrates seals earliest-dirty-first.
+// sealSelf=true means the caller's own tree is the earliest-dirty
+// victim: the caller already holds its writer lock, so only it can seal
+// that component — it must before returning to its client. Time the
+// arbitrated seals wait for sealed slots is attributed to sp.
 //
 // The caller MUST hold its tree's writer lock (the same lock its
-// tryFlush hook try-acquires), which is what makes cross-tree
+// trySeal hook try-acquires), which is what makes cross-tree
 // arbitration safe: a victim mid-write is simply skipped this round.
-func (c *ComponentCharge) Add(delta int64) (flushSelf bool, err error) {
+func (c *ComponentCharge) Add(delta int64, sp *obs.Span) (sealSelf bool, err error) {
 	if c == nil {
 		return false, nil
 	}
@@ -88,13 +94,15 @@ func (c *ComponentCharge) Add(delta int64) (flushSelf bool, err error) {
 		c.firstDirty = g.dirtySeq
 	}
 	g.mu.Unlock()
-	return g.arbitrate(c)
+	return g.arbitrate(c, sp)
 }
 
-// Flushed zeroes the account after the owning tree swapped in a fresh
-// memory component (caller holds its writer lock, so the charge exactly
-// covers the flushed memtable).
-func (c *ComponentCharge) Flushed() {
+// Seal moves the charge out of the pool into the governor's sealed
+// account after the owning tree swapped in a fresh memory component
+// (caller holds its writer lock, so the charge exactly covers the sealed
+// one). It leaves the pool here, not when the flush ends, so what
+// arbitration picks next never depends on how far a flush has got.
+func (c *ComponentCharge) Seal() {
 	if c == nil {
 		return
 	}
@@ -104,16 +112,28 @@ func (c *ComponentCharge) Flushed() {
 	if g.compUsed < 0 {
 		g.compUsed = 0
 	}
-	c.bytes = 0
+	g.sealedUsed += c.bytes
+	c.bytes, c.sealed = 0, c.sealed+c.bytes
 	c.firstDirty = 0
 	g.mu.Unlock()
 }
 
-// arbitrate flushes dirty trees, earliest-dirty first, until the pool is
+// Flushed releases the sealed bytes: the sealed component is on disk.
+func (c *ComponentCharge) Flushed() {
+	if c == nil {
+		return
+	}
+	c.g.mu.Lock()
+	c.g.sealedUsed -= c.sealed
+	c.sealed = 0
+	c.g.mu.Unlock()
+}
+
+// arbitrate seals dirty trees, earliest-dirty first, until the pool is
 // back under budget or no victim is actionable. Victims whose writer
 // lock is busy are skipped for this round (their own write path will
-// re-arbitrate). Returns flushSelf=true when self is the chosen victim.
-func (g *Governor) arbitrate(self *ComponentCharge) (bool, error) {
+// re-arbitrate). Returns sealSelf=true when self is the chosen victim.
+func (g *Governor) arbitrate(self *ComponentCharge, sp *obs.Span) (bool, error) {
 	var skip map[*ComponentCharge]bool
 	for {
 		g.mu.Lock()
@@ -137,7 +157,7 @@ func (g *Governor) arbitrate(self *ComponentCharge) (bool, error) {
 		if victim == self {
 			return true, nil
 		}
-		done, err := victim.tryFlush()
+		done, err := victim.trySeal(sp)
 		if err != nil {
 			return false, err
 		}

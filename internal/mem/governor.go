@@ -97,7 +97,10 @@ type Governor struct {
 	waiters  []*waiter
 	charges  []*ComponentCharge
 	compUsed int64
-	dirtySeq int64
+	// sealedUsed is the bytes of sealed memory components whose flush has
+	// not ended: outside the pool, at most one component per tree.
+	sealedUsed int64
+	dirtySeq   int64
 
 	mWaits      *obs.Counter
 	mTimeouts   *obs.Counter
@@ -136,6 +139,8 @@ func NewGovernor(cfg Config) *Governor {
 		func() float64 { return float64(cfg.ComponentBytes) })
 	reg.RegisterFunc("mem_component_charged_bytes", "LSM memory-component bytes currently charged", obs.TypeGauge,
 		func() float64 { return float64(g.ComponentCharged()) })
+	reg.RegisterFunc("mem_component_sealed_bytes", "sealed LSM memory-component bytes waiting for their flush", obs.TypeGauge,
+		func() float64 { return float64(g.ComponentSealed()) })
 	return g
 }
 
@@ -177,6 +182,17 @@ func (g *Governor) ComponentCharged() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.compUsed
+}
+
+// ComponentSealed returns the bytes of sealed memory components that are
+// still in memory because their flush has not ended.
+func (g *Governor) ComponentSealed() int64 {
+	if g == nil {
+		return 0
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.sealedUsed
 }
 
 // Stats is a point-in-time snapshot of the governor's event counters

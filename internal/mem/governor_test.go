@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"asterix/internal/check"
+	"asterix/internal/obs"
 )
 
 func testGovernor(working, component int64) *Governor {
@@ -217,9 +220,10 @@ func TestNilGovernorIsUnbudgeted(t *testing.T) {
 	gr.Release()
 	j.Release()
 	c := g.RegisterComponent("x", nil)
-	if fs, err := c.Add(123); fs || err != nil {
+	if fs, err := c.Add(123, nil); fs || err != nil {
 		t.Fatalf("nil charge Add = %v, %v", fs, err)
 	}
+	c.Seal()
 	c.Flushed()
 	c.Unregister()
 }
@@ -232,14 +236,16 @@ type flushableTree struct {
 	busy    bool
 }
 
-func (f *flushableTree) tryFlush() (bool, error) {
+// trySeal seals and leaves the sealed bytes in memory, as a tree whose
+// flush has not ended does.
+func (f *flushableTree) trySeal(*obs.Span) (bool, error) {
 	if f.busy {
 		return false, nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.flushes++
-	f.charge.Flushed()
+	f.charge.Seal()
 	return true, nil
 }
 
@@ -247,20 +253,20 @@ func TestComponentArbitrationEarliestFirst(t *testing.T) {
 	g := testGovernor(1<<20, 100)
 	a := &flushableTree{}
 	b := &flushableTree{}
-	a.charge = g.RegisterComponent("a", a.tryFlush)
-	b.charge = g.RegisterComponent("b", b.tryFlush)
+	a.charge = g.RegisterComponent("a", a.trySeal)
+	b.charge = g.RegisterComponent("b", b.trySeal)
 
 	// Dirty a first, then b; overflow the pool from a third account so
 	// neither is "self".
-	if fs, err := a.charge.Add(40); fs || err != nil {
+	if fs, err := a.charge.Add(40, nil); fs || err != nil {
 		t.Fatalf("a.Add = %v, %v", fs, err)
 	}
-	if fs, err := b.charge.Add(40); fs || err != nil {
+	if fs, err := b.charge.Add(40, nil); fs || err != nil {
 		t.Fatalf("b.Add = %v, %v", fs, err)
 	}
 	c := &flushableTree{}
-	c.charge = g.RegisterComponent("c", c.tryFlush)
-	if fs, err := c.charge.Add(30); fs || err != nil {
+	c.charge = g.RegisterComponent("c", c.trySeal)
+	if fs, err := c.charge.Add(30, nil); fs || err != nil {
 		t.Fatalf("c.Add = %v, %v", fs, err)
 	}
 	// Pool was 110 > 100: the earliest-dirty tree (a) must have been
@@ -268,9 +274,17 @@ func TestComponentArbitrationEarliestFirst(t *testing.T) {
 	if a.flushes != 1 || b.flushes != 0 {
 		t.Fatalf("flushes a=%d b=%d, want 1, 0", a.flushes, b.flushes)
 	}
-	if got := g.ComponentCharged(); got != 70 {
-		t.Fatalf("charged = %d, want 70", got)
+	// a's bytes left the pool at the seal and stay in the sealed account
+	// until its flush ends.
+	if got, sealed := g.ComponentCharged(), g.ComponentSealed(); got != 70 || sealed != 40 {
+		t.Fatalf("charged = %d, sealed = %d, want 70, 40", got, sealed)
 	}
+	check.MustValidate(t, g)
+	a.charge.Flushed()
+	if sealed := g.ComponentSealed(); sealed != 0 {
+		t.Fatalf("sealed = %d after the flush ended, want 0", sealed)
+	}
+	check.MustValidate(t, g)
 	if g.StatsSnapshot().ArbitratedFlushes != 1 {
 		t.Fatalf("arbitrated flushes = %d, want 1", g.StatsSnapshot().ArbitratedFlushes)
 	}
@@ -280,14 +294,14 @@ func TestComponentArbitrationSelfAndBusy(t *testing.T) {
 	g := testGovernor(1<<20, 100)
 	a := &flushableTree{busy: true} // writer lock held elsewhere
 	b := &flushableTree{}
-	a.charge = g.RegisterComponent("a", a.tryFlush)
-	b.charge = g.RegisterComponent("b", b.tryFlush)
-	if fs, err := a.charge.Add(80); fs || err != nil {
+	a.charge = g.RegisterComponent("a", a.trySeal)
+	b.charge = g.RegisterComponent("b", b.trySeal)
+	if fs, err := a.charge.Add(80, nil); fs || err != nil {
 		t.Fatalf("a.Add = %v, %v", fs, err)
 	}
 	// b pushes the pool over; a is earliest but busy, so b is told to
 	// flush itself (it holds its own writer lock).
-	fs, err := b.charge.Add(80)
+	fs, err := b.charge.Add(80, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +315,8 @@ func TestComponentArbitrationSelfAndBusy(t *testing.T) {
 	// Self earliest: a (no longer busy) adds more; it is the earliest
 	// dirty, so it flushes itself rather than deadlocking on its own lock.
 	a.busy = false
-	b.charge.Flushed()
-	fs, err = a.charge.Add(30)
+	b.charge.Seal()
+	fs, err = a.charge.Add(30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

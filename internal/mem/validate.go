@@ -4,9 +4,10 @@ import "fmt"
 
 // Validate deep-checks the governor's accounting against its own books:
 // every byte of workUsed must be explainable by the working-pool cap,
-// compUsed must equal the sum of the per-tree component charges, and the
-// waiter queue must be consistent with the FIFO pump (nobody both
-// granted and queued; the head waiter genuinely blocked). It implements
+// compUsed and sealedUsed must equal the sums of the per-tree component
+// charges and sealed bytes, and the waiter queue must be consistent with
+// the FIFO pump (nobody both granted and queued; the head waiter
+// genuinely blocked). It implements
 // check.Validator so tests can call check.MustValidate on a governor at
 // any barrier; a nil governor (unbudgeted cluster) is trivially valid.
 //
@@ -29,7 +30,7 @@ func (g *Governor) Validate() error {
 			g.workUsed, g.cfg.WorkingBytes)
 	}
 
-	var sum int64
+	var sum, sealed int64
 	for _, c := range g.charges {
 		if c.bytes < 0 {
 			return fmt.Errorf("mem: component %q charge %d is negative", c.name, c.bytes)
@@ -43,10 +44,14 @@ func (g *Governor) Validate() error {
 				c.name, c.firstDirty, g.dirtySeq)
 		}
 		sum += c.bytes
+		sealed += c.sealed
 	}
 	if g.compUsed != sum {
 		return fmt.Errorf("mem: compUsed %d != sum of %d registered charges %d",
 			g.compUsed, len(g.charges), sum)
+	}
+	if g.sealedUsed != sealed {
+		return fmt.Errorf("mem: sealedUsed %d != sum of sealed components %d", g.sealedUsed, sealed)
 	}
 
 	for i, w := range g.waiters {

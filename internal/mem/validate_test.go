@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asterix/internal/check"
+	"asterix/internal/obs"
 )
 
 // The validator must stay quiet across the normal grant/charge life
@@ -33,10 +34,12 @@ func TestValidateCleanLifecycle(t *testing.T) {
 	tg := j.TaskGrant()
 	check.MustValidate(t, g)
 
-	c := g.RegisterComponent("t1", func() (bool, error) { return true, nil })
-	if _, err := c.Add(32 << 10); err != nil {
+	c := g.RegisterComponent("t1", func(*obs.Span) (bool, error) { return true, nil })
+	if _, err := c.Add(32<<10, nil); err != nil {
 		t.Fatal(err)
 	}
+	check.MustValidate(t, g)
+	c.Seal()
 	check.MustValidate(t, g)
 	c.Flushed()
 	check.MustValidate(t, g)
@@ -84,7 +87,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			name: "compUsed-ledger-drift",
 			corrupt: func(t *testing.T, g *Governor) {
 				c := g.RegisterComponent("drift", nil)
-				if _, err := c.Add(8 << 10); err != nil {
+				if _, err := c.Add(8<<10, nil); err != nil {
 					t.Fatal(err)
 				}
 				g.compUsed += 512 // lost update: pool total no longer the sum of charges
@@ -103,7 +106,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			name: "dirty-seq-ahead",
 			corrupt: func(t *testing.T, g *Governor) {
 				c := g.RegisterComponent("seq", nil)
-				if _, err := c.Add(1 << 10); err != nil {
+				if _, err := c.Add(1<<10, nil); err != nil {
 					t.Fatal(err)
 				}
 				c.firstDirty = g.dirtySeq + 7

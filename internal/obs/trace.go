@@ -15,7 +15,7 @@ import (
 // manager, the LSM, and the executor. A span accumulates nanoseconds per
 // kind, so a slow query's trace answers "where did the time go" — was it
 // queued for memory admission, stuck behind a record lock, or grinding
-// through spill/flush/merge I/O.
+// through spill I/O or waiting for a flush.
 type WaitKind int32
 
 // Wait categories.
@@ -29,13 +29,12 @@ const (
 	// WaitSpill is run-file spill I/O in memory-governed operators
 	// (sort, join, group-by) — writing and re-reading spilled runs.
 	WaitSpill
-	// WaitFlush is LSM memory-component flush I/O charged to the writer
-	// whose put crossed the budget (including governor-arbitrated
-	// flushes it waited on).
+	// WaitFlush is time a writer whose put had to seal a memory
+	// component (its own index's, or one the governor's arbitration
+	// picked) waited for that index's previous sealed component to reach
+	// disk. Flushes and merges themselves run on the maintenance worker
+	// and stall no statement.
 	WaitFlush
-	// WaitMerge is LSM disk-component merge I/O charged to the writer
-	// whose flush triggered the merge policy.
-	WaitMerge
 	// WaitExchange is time a task spent stalled on frame exchange —
 	// blocked sends into a full downstream connector channel (recorded
 	// only under detailed profiling: it is a per-frame hot path).
@@ -50,7 +49,7 @@ const (
 )
 
 var waitKindNames = [numWaitKinds]string{
-	"admission", "lock", "spill", "flush", "merge", "exchange", "net",
+	"admission", "lock", "spill", "flush", "exchange", "net",
 }
 
 // String names the category as it appears in logs and span counters.

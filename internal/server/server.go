@@ -40,6 +40,13 @@ type MetricsProvider interface {
 	Metrics() *obs.Registry
 }
 
+// MaintenanceTracer is implemented by engines whose storage maintenance
+// runs in the background (core.Engine): the spans of its newest flushes
+// and merges, which no statement's own profile holds any more.
+type MaintenanceTracer interface {
+	Maintenance() *obs.SpanNode
+}
+
 // Explainer is implemented by engines that can compile a statement to its
 // optimized plan without executing it (core.Engine does); it backs the
 // explain-only request flag.
@@ -148,7 +155,14 @@ func (s *service) serveMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *service) serveStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	s.reg.WriteJSON(w)
+	snap := s.reg.Snapshot()
+	if mt, ok := s.eng.(MaintenanceTracer); ok {
+		snap["maintenance"] = mt.Maintenance()
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
+	enc.Encode(snap)
 }
 
 type queryRequest struct {
@@ -200,8 +214,10 @@ type queryResponse struct {
 	// timeout, node failure): the same statement may succeed if resent.
 	Retriable bool         `json:"retriable,omitempty"`
 	Metrics   queryMetrics `json:"metrics"`
-	// Profile is the span tree, present only when requested.
-	Profile *obs.SpanNode `json:"profile,omitempty"`
+	// Profile is the span tree, present only when requested, and
+	// Maintenance with it what storage was doing in the background.
+	Profile     *obs.SpanNode `json:"profile,omitempty"`
+	Maintenance *obs.SpanNode `json:"maintenance,omitempty"`
 	// Plan is the optimized logical plan, present with "profile":"plan"
 	// or the explain flag.
 	Plan *planPayload `json:"plan,omitempty"`
@@ -368,6 +384,9 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Profile == "timings" {
 		resp.Profile = root.Tree()
+		if mt, ok := s.eng.(MaintenanceTracer); ok {
+			resp.Maintenance = mt.Maintenance()
+		}
 	}
 	if req.Profile == "plan" {
 		// Plan of the last statement that produced one (matching the

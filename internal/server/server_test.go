@@ -251,6 +251,37 @@ func TestAdminStatsJSON(t *testing.T) {
 	if _, ok := snap["engine_query_duration_seconds"].(map[string]interface{}); !ok {
 		t.Errorf("histogram snapshot missing: %T", snap["engine_query_duration_seconds"])
 	}
+
+	// The load seals several 4 KiB components; their flushes run on the
+	// maintenance worker and show up, one span per job with a flush
+	// child, under "maintenance" — at the latest a moment later.
+	loadGleambook(t, srv)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(srv.URL + "/admin/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats struct {
+			Maintenance *obs.SpanNode `json:"maintenance"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil || stats.Maintenance == nil || stats.Maintenance.Name != "maintenance" {
+			t.Fatalf("stats carry no maintenance tree: %+v, %v", stats.Maintenance, err)
+		}
+		flushes := 0
+		walkProfile(stats.Maintenance, func(n *obs.SpanNode) {
+			if n.Name == "flush" {
+				flushes++
+			}
+		})
+		if flushes > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no flush span under maintenance: %+v", stats.Maintenance)
+		}
+	}
 }
 
 // walkProfile visits every node of a span tree depth-first.
@@ -289,6 +320,9 @@ func TestProfileTimings(t *testing.T) {
 	if r.Profile == nil || r.Profile.Name != "request" {
 		t.Fatalf("profile missing: %+v", r.Profile)
 	}
+	if r.Maintenance == nil || r.Maintenance.Name != "maintenance" {
+		t.Fatalf("maintenance tree missing beside the profile: %+v", r.Maintenance)
+	}
 	// Expanded phase metrics are populated.
 	if r.Metrics.ParseTime == "" || r.Metrics.OptimizeTime == "0s" || r.Metrics.ExecuteTime == "0s" {
 		t.Errorf("phase metrics empty: %+v", r.Metrics)
@@ -320,7 +354,7 @@ func TestProfileTimings(t *testing.T) {
 
 	// Without the profile flag the response has no span tree.
 	r = post(t, srv, `SELECT VALUE 1;`)
-	if r.Profile != nil {
+	if r.Profile != nil || r.Maintenance != nil {
 		t.Error("profile returned without being requested")
 	}
 }
