@@ -202,7 +202,7 @@ func DefaultConfig() *Config {
 			{Pkg: "asterix/internal/adm", Func: "Hash64"},
 			{Pkg: "asterix/internal/adm", Func: "Encode"},
 			// The leaf's in-place field walk: once per stored record.
-			{Pkg: "asterix/internal/adm", Func: "LocateFields"},
+			{Pkg: "asterix/internal/adm", Recv: "Locator", Func: "Locate"},
 			// Hyracks per-tuple operator kernels.
 			{Pkg: "asterix/internal/hyracks", Recv: "Comparator", Func: "Compare"},
 			{Pkg: "asterix/internal/hyracks", Func: "HashColumns"},

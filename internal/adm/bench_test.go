@@ -9,8 +9,9 @@ var benchSink Value
 
 // BenchmarkLocateFields measures what a scan pays per record for the fields
 // a plan reads — located in place, then decoded — against the whole-record
-// decode ("all"), on the two Gleambook record shapes: ns, bytes and
-// allocations per record.
+// decode ("all"), on the two Gleambook record shapes in both stored forms,
+// the generic one and the positional one of their declared types: ns, bytes
+// and allocations per record.
 func BenchmarkLocateFields(b *testing.B) {
 	message := NewObject(
 		Field{Name: "messageId", Value: Int64(123456)},
@@ -30,41 +31,63 @@ func BenchmarkLocateFields(b *testing.B) {
 			Field{Name: "startDate", Value: Date(14000)},
 		)}},
 	)
+	employment := NewObjectType("EmploymentType", false,
+		FieldType{Name: "organizationName", Type: Primitive(KindString)},
+		FieldType{Name: "startDate", Type: Primitive(KindDate)},
+		FieldType{Name: "endDate", Type: Primitive(KindDate), Optional: true})
 	for _, rec := range []struct {
 		name   string
 		obj    *Object
+		typ    *Type
 		fields [][]string
 	}{
-		{"message", message, [][]string{{"authorId"}, {"authorId", "message", "messageId"}}},
-		{"user", user, [][]string{{"id"}, {"alias", "id"}}},
+		{"message", message, NewObjectType("GleambookMessageType", false,
+			FieldType{Name: "messageId", Type: Primitive(KindInt64)},
+			FieldType{Name: "authorId", Type: Primitive(KindInt64)},
+			FieldType{Name: "inResponseTo", Type: Primitive(KindInt64), Optional: true},
+			FieldType{Name: "senderLocation", Type: Primitive(KindPoint), Optional: true},
+			FieldType{Name: "message", Type: Primitive(KindString)},
+		), [][]string{{"authorId"}, {"authorId", "message", "messageId"}}},
+		{"user", user, NewObjectType("GleambookUserType", false,
+			FieldType{Name: "id", Type: Primitive(KindInt64)},
+			FieldType{Name: "alias", Type: Primitive(KindString)},
+			FieldType{Name: "name", Type: Primitive(KindString)},
+			FieldType{Name: "userSince", Type: Primitive(KindDatetime)},
+			FieldType{Name: "friendIds", Type: NewMultisetType(Primitive(KindInt64))},
+			FieldType{Name: "employment", Type: NewArrayType(employment)},
+		), [][]string{{"id"}, {"alias", "id"}}},
 	} {
-		data := EncodeValue(rec.obj)
-		run := func(name string, decode func() (Value, error)) {
-			b.Run(rec.name+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					v, err := decode()
-					if err != nil {
-						b.Fatal(err)
+		for form, data := range [][]byte{EncodeValue(rec.obj), EncodeRecord(nil, rec.obj, rec.typ)} {
+			form := [...]string{"generic", "positional"}[form]
+			run := func(name string, decode func() (Value, error)) {
+				b.Run(fmt.Sprintf("%s/%s/%s", rec.name, form, name), func(b *testing.B) {
+					b.ReportAllocs()
+					b.ReportMetric(float64(len(data)), "B/rec")
+					for i := 0; i < b.N; i++ {
+						v, err := decode()
+						if err != nil {
+							b.Fatal(err)
+						}
+						benchSink = v
 					}
-					benchSink = v
-				}
-			})
-		}
-		for _, fields := range rec.fields {
-			spans := make([][]byte, len(fields))
-			run(fmt.Sprintf("fields=%d", len(fields)), func() (v Value, err error) {
-				if err = LocateFields(data, fields, spans); err != nil {
-					return nil, err
-				}
-				for _, span := range spans {
-					if v, _, err = Decode(span); err != nil {
+				})
+			}
+			for _, fields := range rec.fields {
+				spans := make([][]byte, len(fields))
+				loc := NewLocator(rec.typ, fields)
+				run(fmt.Sprintf("fields=%d", len(fields)), func() (v Value, err error) {
+					if err = loc.Locate(data, spans); err != nil {
 						return nil, err
 					}
-				}
-				return v, nil
-			})
+					for _, span := range spans {
+						if v, _, err = Decode(span); err != nil {
+							return nil, err
+						}
+					}
+					return v, nil
+				})
+			}
+			run("all", func() (Value, error) { return DecodeRecord(data, rec.typ) })
 		}
-		run("all", func() (Value, error) { return DecodeValue(data) })
 	}
 }

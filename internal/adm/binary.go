@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary storage encoding: each value is a 1-byte kind tag followed by a
@@ -204,29 +205,11 @@ func Decode(data []byte) (Value, int, error) {
 		}
 		return Multiset(elems), pos, nil
 	case KindObject:
-		cnt, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return fail("object")
+		fields, pos, err := decodeFields(data, pos, nil)
+		if err != nil {
+			return nil, 0, err
 		}
-		pos += n
-		// Same untrusted-count cap as collections above.
-		o := &Object{fields: make([]Field, 0, min(cnt, uint64(len(data)-pos)))}
-		for i := uint64(0); i < cnt; i++ {
-			l, n := binary.Uvarint(data[pos:])
-			if n <= 0 || l > uint64(len(data)-pos-n) {
-				return fail("object field name")
-			}
-			pos += n
-			name := string(data[pos : pos+int(l)])
-			pos += int(l)
-			v, n2, err := Decode(data[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			pos += n2
-			o.fields = append(o.fields, Field{Name: name, Value: v})
-		}
-		return o, pos, nil
+		return &Object{fields: fields}, pos, nil
 	}
 	return nil, 0, fmt.Errorf("adm: decode: unknown kind tag %d", data[0])
 }
@@ -243,68 +226,38 @@ func DecodeValue(data []byte) (Value, error) {
 	return v, nil
 }
 
-// ErrCorrupt is what the in-place walkers — LocateFields and the skipping
-// they share — report for bytes that are no ADM encoding: truncated, a
-// length past the input, an unknown kind tag. One preallocated error: a
-// walk allocates nothing, not even to fail.
-var ErrCorrupt = errors.New("adm: decode: truncated or invalid input")
-
-// LocateFields walks an encoded object in place and sets out[i] (out is as
-// long as names) to the encoding of the first stored field called names[i],
-// or to nil when there is none — where Get on the full decode answers the
-// first such field's value, or Missing. The slices point into data; nothing
-// is materialized or allocated. Once every name is met the rest of the
-// record is not read, and the value met last is not measured: its slice runs
-// to the end of data, of which Decode reads what it needs. A value that is
-// not an object has no fields. Damaged input is ErrCorrupt, never a panic.
-func LocateFields(data []byte, names []string, out [][]byte) error {
-	for i := range out {
-		out[i] = nil
-	}
-	if len(data) == 0 {
-		return ErrCorrupt
-	}
-	if Kind(data[0]) != KindObject {
-		return nil
-	}
-	cnt, n := binary.Uvarint(data[1:])
+// decodeFields decodes the count-prefixed name/value pairs at data[pos:] —
+// an object's payload, and the open part of a positional record — and
+// appends them to fields. It returns the position behind the last pair.
+func decodeFields(data []byte, pos int, fields []Field) ([]Field, int, error) {
+	cnt, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return ErrCorrupt
+		return nil, 0, fmt.Errorf("adm: decode object: truncated or invalid input")
 	}
-	pos := 1 + n
-	pending := len(names)
-	for i := uint64(0); i < cnt && pending > 0; i++ {
+	pos += n
+	// Same untrusted-count cap as collections above.
+	fields = slices.Grow(fields, int(min(cnt, uint64(len(data)-pos))))
+	for i := uint64(0); i < cnt; i++ {
 		name, n := chunk(data[pos:])
 		if n < 0 {
-			return ErrCorrupt
+			return nil, 0, fmt.Errorf("adm: decode object field name: truncated or invalid input")
 		}
 		pos += n
-		// A column met here starts at pos; it is cut to its value's length
-		// once that is known, unless it was the last one wanted.
-		hits := 0
-		for j, f := range names {
-			if out[j] == nil && string(name) == f {
-				out[j] = data[pos:]
-				hits++
-			}
-		}
-		if pending -= hits; pending == 0 {
-			return nil
-		}
-		n, err := skipValue(data[pos:])
+		v, n, err := Decode(data[pos:])
 		if err != nil {
-			return err
-		}
-		for j := 0; hits > 0; j++ {
-			if out[j] != nil && cap(out[j]) == cap(data)-pos { // starts at pos
-				out[j] = out[j][:n]
-				hits--
-			}
+			return nil, 0, err
 		}
 		pos += n
+		fields = append(fields, Field{Name: string(name), Value: v})
 	}
-	return nil
+	return fields, pos, nil
 }
+
+// ErrCorrupt is what the in-place walkers — a Locator and the skipping it
+// uses — and the positional record decoder report for bytes that are no ADM
+// encoding: truncated, a length or an offset past the input, an unknown kind
+// tag. One preallocated error: a walk allocates nothing, not even to fail.
+var ErrCorrupt = errors.New("adm: decode: truncated or invalid input")
 
 // chunk returns the length-prefixed byte string at the start of data and
 // the bytes it occupies with its prefix, -1 if data does not hold it.

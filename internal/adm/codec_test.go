@@ -241,39 +241,43 @@ func TestDecodeCorruptInput(t *testing.T) {
 	}
 }
 
-// checkLocateFields asserts the LocateFields contract on one input: it
-// never reaches outside data, and whenever the full decode yields an object
-// it succeeds and every requested name decodes to what Get gives on the
-// full decode (absent: Missing; a repeated name: its first occurrence).
-func checkLocateFields(t *testing.T, data []byte, names []string) {
+// checkLocate asserts the Locator contract on one input, a record of typ
+// (nil: of no type): it never reaches outside data, damage is ErrCorrupt,
+// and whenever the whole decode yields an object it succeeds and every
+// requested name decodes to what Get gives on the whole decode (absent:
+// Missing; a repeated name: its first occurrence).
+func checkLocate(t *testing.T, data []byte, typ *Type, names []string) {
 	t.Helper()
 	out := make([][]byte, len(names))
-	err := LocateFields(data, names, out)
+	err := NewLocator(typ, names).Locate(data, out)
 	for i, span := range out {
-		// data[pos:end] keeps data's backing array: its offset is the
+		// data[pos:] keeps data's backing array: its offset is the
 		// difference of the capacities.
 		if off := cap(data) - cap(span); span != nil &&
 			(off < 0 || off+len(span) > len(data) || len(span) > 0 && &span[0] != &data[off]) {
-			t.Fatalf("LocateFields(%x, %q): column %d is not a slice of the input", data, names, i)
+			t.Fatalf("Locate(%x, %q): column %d is not a slice of the input", data, names, i)
 		}
 	}
-	full, fullErr := DecodeValue(data)
+	if err != nil && err != ErrCorrupt {
+		t.Fatalf("Locate(%x, %q) fails with %v, not ErrCorrupt", data, names, err)
+	}
+	full, fullErr := DecodeRecord(data, typ)
 	o, isObj := full.(*Object)
 	if fullErr != nil || !isObj {
 		return // only "no panic, no over-read" is promised
 	}
 	if err != nil {
-		t.Fatalf("LocateFields(%x, %q) failed on input DecodeValue accepts: %v", data, names, err)
+		t.Fatalf("Locate(%x, %q) failed on input DecodeRecord accepts: %v", data, names, err)
 	}
 	for i, name := range names {
 		var got Value = Missing
 		if out[i] != nil {
 			if got, _, err = Decode(out[i]); err != nil {
-				t.Fatalf("LocateFields(%x, %q): column %q does not decode: %v", data, names, name, err)
+				t.Fatalf("Locate(%x, %q): column %q does not decode: %v", data, names, name, err)
 			}
 		}
 		if want := o.Get(name); Compare(got, want) != 0 || got.Kind() != want.Kind() {
-			t.Fatalf("LocateFields(%x, %q): column %q = %v, full decode has %v", data, names, name, got, want)
+			t.Fatalf("Locate(%x, %q): column %q = %v, whole decode has %v", data, names, name, got, want)
 		}
 	}
 }
@@ -304,16 +308,16 @@ func TestSkipValueMatchesDecode(t *testing.T) {
 		// The locator walks the same damage: an error or columns that agree
 		// with the full decode, never a panic. A name no record has makes it
 		// walk to the end, where it must reject what Decode rejects.
-		checkLocateFields(t, cut, []string{"z", "nope", "a"})
+		checkLocate(t, cut, nil, []string{"z", "nope", "a"})
 		var none [1][]byte
-		if lerr := LocateFields(cut, []string{"\x00absent"}, none[:]); derr == nil && lerr != nil ||
+		if lerr := NewLocator(nil, []string{"\x00absent"}).Locate(cut, none[:]); derr == nil && lerr != nil ||
 			derr != nil && lerr == nil && len(cut) > 0 && Kind(cut[0]) == KindObject {
-			t.Fatalf("on %x: Decode = %v but a full LocateFields walk = %v", cut, derr, lerr)
+			t.Fatalf("on %x: Decode = %v but a full Locate walk = %v", cut, derr, lerr)
 		}
 	}
 }
 
-func TestLocateFields(t *testing.T) {
+func TestLocateGenericForm(t *testing.T) {
 	// Built field by field: NewObject would collapse the duplicate name.
 	rec := &Object{fields: []Field{
 		{Name: "id", Value: Int64(7)},
@@ -327,24 +331,24 @@ func TestLocateFields(t *testing.T) {
 		{}, {"id"}, {"alias", "id"}, {"employment"}, {"nope"}, {"id", "nope", "friendIds"},
 		{"id", "alias", "friendIds", "employment"}, {"id", "id"},
 	} {
-		checkLocateFields(t, data, names)
+		checkLocate(t, data, nil, names)
 	}
 	// Once every wanted name is met the rest of the record is not read:
 	// damage behind the last wanted field goes unnoticed, damage before it
 	// is an error, never a panic.
 	var out [2][]byte
 	aliasEnd := bytes.Index(data, []byte("u7")) + 2
-	if err := LocateFields(data[:aliasEnd], []string{"id", "alias"}, out[:]); err != nil {
+	if err := NewLocator(nil, []string{"id", "alias"}).Locate(data[:aliasEnd], out[:]); err != nil {
 		t.Errorf("leading-field projection read past its last field: %v", err)
 	}
-	if err := LocateFields(data[:aliasEnd], []string{"employment"}, out[:1]); err == nil {
+	if err := NewLocator(nil, []string{"employment"}).Locate(data[:aliasEnd], out[:1]); err == nil {
 		t.Error("truncated record must fail when the wanted field lies behind the damage")
 	}
 	// Not an object: no fields.
-	if err := LocateFields(EncodeValue(Int64(3)), []string{"a"}, out[:1]); err != nil || out[0] != nil {
+	if err := NewLocator(nil, []string{"a"}).Locate(EncodeValue(Int64(3)), out[:1]); err != nil || out[0] != nil {
 		t.Errorf("non-object: column %x, %v; want absent", out[0], err)
 	}
-	if err := LocateFields(nil, nil, nil); err == nil {
+	if err := NewLocator(nil, nil).Locate(nil, nil); err == nil {
 		t.Error("empty input must fail")
 	}
 }

@@ -2,6 +2,7 @@ package adm
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -20,24 +21,62 @@ func FuzzADMBinaryRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 0x00})
 	f.Add([]byte{byte(KindArray), 0xff, 0xff, 0xff, 0xff, 0x0f})
 
+	for _, rec := range fuzzRecords() {
+		f.Add(EncodeRecord(nil, rec, fuzzRecordType))
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v1, n, err := Decode(data)
-		if err != nil {
+		if v1, n, err := Decode(data); err == nil {
+			if n <= 0 || n > len(data) {
+				t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
+			}
+			e1 := EncodeValue(v1)
+			v2, err := DecodeValue(e1)
+			if err != nil {
+				t.Fatalf("re-decode of encoded value failed: %v\nvalue: %v\nencoding: %x", err, v1, e1)
+			}
+			e2 := EncodeValue(v2)
+			if !bytes.Equal(e1, e2) {
+				t.Fatalf("encoding is not a fixpoint:\n e1=%x\n e2=%x", e1, e2)
+			}
+		}
+		// The same bytes as a stored record of fuzzRecordType, in either form.
+		rec, err := DecodeRecord(data, fuzzRecordType)
+		o, isObj := rec.(*Object)
+		if err != nil || !isObj {
 			return
 		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
-		}
-		e1 := EncodeValue(v1)
-		v2, err := DecodeValue(e1)
+		e1 := EncodeRecord(nil, o, fuzzRecordType)
+		v2, err := DecodeRecord(e1, fuzzRecordType)
 		if err != nil {
-			t.Fatalf("re-decode of encoded value failed: %v\nvalue: %v\nencoding: %x", err, v1, e1)
+			t.Fatalf("re-decode of encoded record failed: %v\nrecord: %v\nencoding: %x", err, o, e1)
 		}
-		e2 := EncodeValue(v2)
-		if !bytes.Equal(e1, e2) {
-			t.Fatalf("encoding is not a fixpoint:\n e1=%x\n e2=%x", e1, e2)
+		if e2 := EncodeRecord(nil, v2.(*Object), fuzzRecordType); !bytes.Equal(e1, e2) {
+			t.Fatalf("record encoding is not a fixpoint:\n e1=%x\n e2=%x", e1, e2)
 		}
 	})
+}
+
+// fuzzRecordType is the type under which the fuzz targets read their input
+// as a stored record, and fuzzRecords are records of it: with and without
+// the optional and the undeclared fields, an int where a double is declared,
+// and one too long for one-byte offsets.
+var fuzzRecordType = NewObjectType("FuzzType", false,
+	FieldType{Name: "id", Type: Primitive(KindInt64)},
+	FieldType{Name: "name", Type: Primitive(KindString), Optional: true},
+	FieldType{Name: "score", Type: Primitive(KindDouble), Optional: true},
+	FieldType{Name: "tags", Type: NewArrayType(Primitive(KindString)), Optional: true},
+	FieldType{Name: "a", Type: AnyType, Optional: true},
+)
+
+func fuzzRecords() []*Object {
+	return []*Object{
+		NewObject(Field{Name: "id", Value: Int64(7)}),
+		NewObject(Field{Name: "name", Value: String("")}, Field{Name: "id", Value: Int64(-1)}, Field{Name: "score", Value: Int64(3)}),
+		NewObject(Field{Name: "x", Value: Point{X: 1, Y: 2}}, Field{Name: "id", Value: Int64(8)}, Field{Name: "a", Value: Null},
+			Field{Name: "tags", Value: Array{String("t")}}, Field{Name: "y", Value: NewObject(Field{Name: "id", Value: Missing})}),
+		NewObject(Field{Name: "id", Value: Int64(9)}, Field{Name: "name", Value: String(strings.Repeat("long ", 60))}, Field{Name: "z", Value: Boolean(true)}),
+	}
 }
 
 // roundTripSeeds is one value of every kind, the seed corpus the codec's
@@ -70,27 +109,40 @@ func roundTripSeeds() []Value {
 	}
 }
 
-// FuzzADMDecodeFields drives the field locator with arbitrary bytes and an
-// arbitrary subset of field names: it must never panic or reach outside its
-// input, and every column it locates must agree with the full decode
-// wherever that succeeds (checkLocateFields). mask picks the requested names out of the
-// input's own field names plus two that may be absent.
+// FuzzADMDecodeFields drives the field locator with arbitrary bytes — read
+// as a record of no type and of fuzzRecordType — and an arbitrary subset of
+// field names: it must never panic or reach outside its input, and every
+// column it locates must agree with the whole decode wherever that succeeds
+// (checkLocate). mask picks the requested names out of the input's own
+// field names plus two that may be absent.
 func FuzzADMDecodeFields(f *testing.F) {
 	dup := &Object{fields: []Field{
 		{Name: "a", Value: Int64(1)}, {Name: "b", Value: Array{Null, String("x")}},
 		{Name: "a", Value: Double(2)}, {Name: "c", Value: NewObject(Field{Name: "a", Value: Missing})},
 	}}
+	seeds := [][]byte{EncodeRecord(nil, dup, fuzzRecordType)}
 	for _, v := range append(roundTripSeeds(), Value(dup)) {
+		seeds = append(seeds, EncodeValue(v))
+	}
+	for _, rec := range fuzzRecords() {
+		seeds = append(seeds, EncodeRecord(nil, rec, fuzzRecordType))
+	}
+	for _, seed := range seeds {
 		for _, mask := range []uint16{0, 1, 5, 0xffff} {
-			f.Add(EncodeValue(v), mask)
+			f.Add(seed, mask)
 		}
 	}
 	f.Add([]byte{byte(KindObject), 0xff, 0xff, 0xff, 0xff, 0x0f}, uint16(3))
 	f.Add([]byte{byte(KindObject), 2, 1, 'a', byte(KindArray), 0xff, 0xff, 0x03}, uint16(2))
+	// Offsets into the table itself, past the end, and an open part that
+	// holds a declared name the record has no value for.
+	f.Add([]byte{tagPositional1, 3, 0, 0, 0, 0, 0, byte(KindInt64), 2}, uint16(2))
+	f.Add([]byte{tagPositional2, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, byte(KindInt64), 2}, uint16(3))
+	f.Add([]byte{tagPositional1, 7, 0, 0, 0, 0, 9, byte(KindInt64), 2, 1, 1, 'a', byte(KindNull)}, uint16(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, mask uint16) {
 		candidates := []string{"a", "id"}
-		if v, _, err := Decode(data); err == nil {
+		if v, err := DecodeRecord(data, fuzzRecordType); err == nil {
 			if o, ok := v.(*Object); ok {
 				for _, fl := range o.Fields() {
 					candidates = append(candidates, fl.Name)
@@ -103,6 +155,7 @@ func FuzzADMDecodeFields(f *testing.F) {
 				names = append(names, c)
 			}
 		}
-		checkLocateFields(t, data, names)
+		checkLocate(t, data, fuzzRecordType, names)
+		checkLocate(t, data, nil, names)
 	})
 }

@@ -68,12 +68,21 @@ func NewMultisetType(elem *Type) *Type { return &Type{Tag: TagMultiset, Elem: el
 
 // Field returns the declared field type, if any.
 func (t *Type) Field(name string) (FieldType, bool) {
-	for _, f := range t.Fields {
-		if f.Name == name {
-			return f, true
-		}
+	if i := t.fieldIndex(name); i >= 0 {
+		return t.Fields[i], true
 	}
 	return FieldType{}, false
+}
+
+// fieldIndex returns the position of the first declared field called name,
+// -1 when the type — nil: no type — declares none.
+func (t *Type) fieldIndex(name string) int {
+	for i := 0; t != nil && i < len(t.Fields); i++ {
+		if t.Fields[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // String renders the type in DDL-like syntax.

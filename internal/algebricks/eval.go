@@ -63,6 +63,10 @@ type Record struct {
 	// for a record no field of which is read.
 	Stored []byte
 	Unpack func(stored []byte) ([]byte, error)
+	// Type is the type the source's records were written under, which a
+	// positional encoding (adm.EncodeRecord) needs to be read; nil: the
+	// source holds none.
+	Type *adm.Type
 	// Value is the record itself, from a source that holds values (an
 	// external dataset): Stored is nil.
 	Value adm.Value
@@ -85,7 +89,7 @@ func (r Record) Decode() (adm.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return adm.DecodeValue(raw)
+	return adm.DecodeRecord(raw, r.Type)
 }
 
 // decodeColumn materializes one located field: nil is an absent one.

@@ -60,6 +60,8 @@ func (ev *Evaluator) newLeaf(v string, fields []string, filter sqlpp.Expr, max i
 // run is one task of the leaf: search hands it the partition's records.
 func (lf *leaf) run(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error, search func(visit func(Record) error) error) error {
 	spans := make([][]byte, len(lf.fields))
+	var loc *adm.Locator // of lf.fields in records of typ
+	var typ *adm.Type
 	row := make(hyracks.Tuple, lf.out.width) // what the filter sees; never emitted
 	var chunk hyracks.Tuple                  // where the next emitted tuples are cut from
 	var emitted int64
@@ -70,7 +72,10 @@ func (lf *leaf) run(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error, sea
 			if err != nil {
 				return err
 			}
-			if err := adm.LocateFields(raw, lf.fields, spans); err != nil {
+			if loc == nil || typ != rec.Type {
+				loc, typ = adm.NewLocator(rec.Type, lf.fields), rec.Type
+			}
+			if err := loc.Locate(raw, spans); err != nil {
 				return err
 			}
 		}

@@ -8,18 +8,34 @@ import (
 	"asterix/internal/sqlpp"
 )
 
-// leafMessage is a Gleambook message as the benchmark stores it; its ints
-// are too large for the runtime's preboxed small values.
-var leafMessage = adm.EncodeValue(adm.NewObject(
-	adm.Field{Name: "messageId", Value: adm.Int64(123456)},
-	adm.Field{Name: "authorId", Value: adm.Int64(9041)},
-	adm.Field{Name: "message", Value: adm.String("like verizon its voice-clarity is amazing and the plan is good too")},
-	adm.Field{Name: "inResponseTo", Value: adm.Int64(77123)},
-	adm.Field{Name: "senderLocation", Value: adm.Point{X: 47.5, Y: -80.25}},
-))
+// leafMessageType is the benchmark's GleambookMessageType and leafRecords a
+// message as a dataset of that type stores it — positionally — and in the
+// generic form that older components and untyped sources hold. Its ints are
+// too large for the runtime's preboxed small values.
+var leafMessageType = adm.NewObjectType("GleambookMessageType", false,
+	adm.FieldType{Name: "messageId", Type: adm.Primitive(adm.KindInt64)},
+	adm.FieldType{Name: "authorId", Type: adm.Primitive(adm.KindInt64)},
+	adm.FieldType{Name: "inResponseTo", Type: adm.Primitive(adm.KindInt64), Optional: true},
+	adm.FieldType{Name: "senderLocation", Type: adm.Primitive(adm.KindPoint), Optional: true},
+	adm.FieldType{Name: "message", Type: adm.Primitive(adm.KindString)},
+)
 
-// leafCases are the per-row paths of the leaf over leafMessage: what the
-// plan lists, what it filters by, whether the row survives, and the
+var leafRecords = func() map[string]Record {
+	m := adm.NewObject(
+		adm.Field{Name: "messageId", Value: adm.Int64(123456)},
+		adm.Field{Name: "authorId", Value: adm.Int64(9041)},
+		adm.Field{Name: "message", Value: adm.String("like verizon its voice-clarity is amazing and the plan is good too")},
+		adm.Field{Name: "inResponseTo", Value: adm.Int64(77123)},
+		adm.Field{Name: "senderLocation", Value: adm.Point{X: 47.5, Y: -80.25}},
+	)
+	return map[string]Record{
+		"generic":    {Stored: adm.EncodeValue(m), Type: leafMessageType},
+		"positional": {Stored: adm.EncodeRecord(nil, m, leafMessageType), Type: leafMessageType},
+	}
+}()
+
+// leafCases are the per-row paths of the leaf over a leafRecords message:
+// what the plan lists, what it filters by, whether the row survives, and the
 // allocations a row may cost — a box per int, for a string its bytes and its
 // header (Go boxes a string by allocating its header; nothing short of unsafe
 // makes that one allocation), and a thirty-second of a tuple chunk.
@@ -38,13 +54,13 @@ var leafCases = []struct {
 	{"survives/whole-record", nil, `m.messageId % 2 = 0`, true, -1}, // the old cost of every row; not gated
 }
 
-// runLeaf pushes n copies of leafMessage through a leaf and returns how
-// many it emitted.
-func runLeaf(tb testing.TB, lf *leaf, n int) (emitted int) {
+// runLeaf pushes n copies of rec through a leaf and returns how many it
+// emitted.
+func runLeaf(tb testing.TB, lf *leaf, rec Record, n int) (emitted int) {
 	tc := &hyracks.TaskContext{}
 	err := lf.run(tc, func(hyracks.Tuple) error { emitted++; return nil }, func(visit func(Record) error) error {
 		for i := 0; i < n; i++ {
-			if err := visit(Record{Stored: leafMessage}); err != nil {
+			if err := visit(rec); err != nil {
 				return err
 			}
 		}
@@ -70,29 +86,34 @@ func leafFor(tb testing.TB, fields []string, filter string) *leaf {
 // record whole.
 func TestLeafAllocations(t *testing.T) {
 	const rows = 200
-	for _, c := range leafCases {
-		lf := leafFor(t, c.fields, c.filter)
-		if got := runLeaf(t, lf, rows); (got == rows) != c.emits || got != 0 && got != rows {
-			t.Fatalf("%s: emitted %d of %d rows", c.name, got, rows)
-		}
-		perTask := testing.AllocsPerRun(50, func() { runLeaf(t, lf, 0) })
-		perRow := (testing.AllocsPerRun(50, func() { runLeaf(t, lf, rows) }) - perTask) / rows
-		if c.allocs >= 0 && perRow > c.allocs {
-			t.Errorf("%s: %.2f allocations per row, want at most %.1f", c.name, perRow, c.allocs)
+	for form, rec := range leafRecords {
+		for _, c := range leafCases {
+			lf := leafFor(t, c.fields, c.filter)
+			if got := runLeaf(t, lf, rec, rows); (got == rows) != c.emits || got != 0 && got != rows {
+				t.Fatalf("%s/%s: emitted %d of %d rows", form, c.name, got, rows)
+			}
+			// What a task allocates once — its locator among it — cancels out.
+			perTask := testing.AllocsPerRun(50, func() { runLeaf(t, lf, rec, rows) })
+			perRow := (testing.AllocsPerRun(50, func() { runLeaf(t, lf, rec, 2*rows) }) - perTask) / rows
+			if c.allocs >= 0 && perRow > c.allocs {
+				t.Errorf("%s/%s: %.2f allocations per row, want at most %.1f", form, c.name, perRow, c.allocs)
+			}
 		}
 	}
 }
 
 // BenchmarkScanLeaf is the leaf's cost per stored row (ns, B and allocs),
-// on each of its paths.
+// on each of its paths over each stored form.
 func BenchmarkScanLeaf(b *testing.B) {
-	for _, c := range leafCases {
-		b.Run(c.name, func(b *testing.B) {
-			lf := leafFor(b, c.fields, c.filter)
-			b.ReportAllocs()
-			b.ResetTimer()
-			runLeaf(b, lf, b.N)
-		})
+	for _, form := range []string{"generic", "positional"} {
+		for _, c := range leafCases {
+			b.Run(form+"/"+c.name, func(b *testing.B) {
+				lf := leafFor(b, c.fields, c.filter)
+				b.ReportAllocs()
+				b.ResetTimer()
+				runLeaf(b, lf, leafRecords[form], b.N)
+			})
+		}
 	}
 }
 
@@ -100,14 +121,16 @@ func BenchmarkScanLeaf(b *testing.B) {
 // panic, whichever field the damage hits.
 func TestLeafCorruptRecordIsAnError(t *testing.T) {
 	lf := leafFor(t, []string{"authorId", "message", "messageId"}, `m.message LIKE '%verizon%'`)
-	for cut := 0; cut < len(leafMessage); cut++ {
-		flipped := append([]byte(nil), leafMessage...)
-		flipped[cut] ^= 0x5a
-		for _, data := range [][]byte{leafMessage[:cut], flipped} {
-			err := lf.run(&hyracks.TaskContext{}, func(hyracks.Tuple) error { return nil },
-				func(visit func(Record) error) error { return visit(Record{Stored: data}) })
-			if _, decodeErr := adm.DecodeValue(data); err != nil && decodeErr == nil {
-				t.Errorf("leaf fails with %v on bytes the decoder accepts: %x", err, data)
+	for _, rec := range leafRecords {
+		for cut := 0; cut < len(rec.Stored); cut++ {
+			flipped := append([]byte(nil), rec.Stored...)
+			flipped[cut] ^= 0x5a
+			for _, data := range [][]byte{rec.Stored[:cut], flipped} {
+				err := lf.run(&hyracks.TaskContext{}, func(hyracks.Tuple) error { return nil },
+					func(visit func(Record) error) error { return visit(Record{Stored: data, Type: rec.Type}) })
+				if _, decodeErr := adm.DecodeRecord(data, rec.Type); err != nil && decodeErr == nil {
+					t.Errorf("leaf fails with %v on bytes the decoder accepts: %x", err, data)
+				}
 			}
 		}
 	}

@@ -68,6 +68,7 @@ type lsmIndex interface {
 	check.Validator
 	Flush() error
 	Unregister()
+	Drop() error
 }
 
 // lsmIndexes lists every LSM index of the dataset: the primary partitions,
@@ -87,16 +88,18 @@ func (d *Dataset) lsmIndexes() []lsmIndex {
 // coordinates; the core API allows custom worlds via index params).
 var defaultWorld = [4]float64{-180, -90, 180, 90}
 
-// detachGovernor removes every partition's and index's component-pool
-// account (dataset drop): abandoned trees must not keep competing for
-// the governor's arbitration.
-func (d *Dataset) detachGovernor() {
-	for _, ix := range d.lsmIndexes() {
-		ix.Unregister()
+// dropAll retires LSM indexes — a dropped dataset's, a dropped or half-built
+// secondary index's partitions: none keeps an account in the governor's
+// arbitration, and none leaves storage for a later index of its name to find.
+func dropAll(all []lsmIndex) (err error) {
+	for _, ix := range all {
+		err = errors.Join(err, ix.Drop())
 	}
+	return err
 }
 
-// detachGovernor removes the index's component-pool accounts (index drop).
+// detachGovernor removes the component-pool accounts of an index that
+// failed to open; its storage stays.
 func (si *SecondaryIndex) detachGovernor() {
 	for _, ix := range si.all {
 		ix.Unregister()
@@ -232,7 +235,7 @@ func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *ob
 			return err
 		}
 	}
-	stored := encodeRecordBytes(adm.EncodeValue(rec), d.eng.cfg.Compression)
+	stored := encodeRecordBytes(adm.EncodeRecord(nil, rec, d.typ), d.eng.cfg.Compression)
 	if err := d.parts[part].UpsertSpan(keyBytes, stored, sp); err != nil {
 		return err
 	}
@@ -253,16 +256,17 @@ func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
 
 // storedRecord presents a stored (possibly compressed) primary-index value
 // to a query leaf, which reads the fields it needs out of it in place and
-// unpacks it only if it reads any.
-func storedRecord(stored []byte) algebricks.Record {
-	return algebricks.Record{Stored: stored, Unpack: decodeRecordBytes}
+// unpacks it only if it reads any. The record was written under d.typ, or in
+// the generic form: the type of a dataset never changes.
+func (d *Dataset) storedRecord(stored []byte) algebricks.Record {
+	return algebricks.Record{Stored: stored, Unpack: decodeRecordBytes, Type: d.typ}
 }
 
 // decodeRecord decodes a stored primary-index value whole. What needs a
 // record as a value — index maintenance, GetKey, ScanPartition, a query
 // that reads the record itself — materializes it here.
-func decodeRecord(stored []byte) (adm.Value, error) {
-	return storedRecord(stored).Decode()
+func (d *Dataset) decodeRecord(stored []byte) (adm.Value, error) {
+	return d.storedRecord(stored).Decode()
 }
 
 func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error) {
@@ -270,7 +274,7 @@ func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, err := decodeRecord(data)
+	v, err := d.decodeRecord(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -419,7 +423,7 @@ func (d *Dataset) buildIndex(si *SecondaryIndex) error {
 		var buildErr error
 		err := d.parts[p].Scan(nil, nil, func(k, v []byte) bool {
 			var rec adm.Value
-			if rec, buildErr = decodeRecord(v); buildErr != nil {
+			if rec, buildErr = d.decodeRecord(v); buildErr != nil {
 				return false
 			}
 			if o, ok := rec.(*adm.Object); ok {
@@ -482,7 +486,7 @@ func (d *Dataset) scanRange(part int, lo, hi, skip []byte, emit func(algebricks.
 		if skip != nil && bytes.Equal(k, skip) {
 			return true
 		}
-		scanErr = emit(storedRecord(v))
+		scanErr = emit(d.storedRecord(v))
 		return scanErr == nil
 	})
 	if err != nil {
@@ -609,7 +613,7 @@ func (pi primaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool
 		if err != nil || !ok {
 			return err
 		}
-		return emit(storedRecord(data))
+		return emit(d.storedRecord(data))
 	}
 	var skip []byte
 	// Every key extending a prefix sorts after the prefix and before
@@ -671,7 +675,7 @@ func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, em
 		if !ok {
 			continue // index entry raced a delete; primary wins
 		}
-		if err := emit(storedRecord(data)); err != nil {
+		if err := emit(si.ds.storedRecord(data)); err != nil {
 			return err
 		}
 	}

@@ -152,7 +152,7 @@ func (e *Engine) execCreateIndex(s *sqlpp.CreateIndex) (Result, error) {
 	si, err := d.openIndex(idef)
 	if err == nil {
 		if err = d.buildIndex(si); err != nil {
-			si.detachGovernor()
+			err = errors.Join(err, dropAll(si.all))
 		}
 	}
 	if err != nil {
@@ -167,18 +167,23 @@ func (e *Engine) execCreateIndex(s *sqlpp.CreateIndex) (Result, error) {
 func (e *Engine) execDrop(s *sqlpp.DropStmt) (Result, error) {
 	switch s.What {
 	case "DATASET":
+		e.mu.Lock()
+		d := e.datasets[s.Name]
+		e.mu.Unlock()
+		// Storage goes first: a crash before the catalog follows leaves an
+		// empty dataset, never records for a later dataset of this name —
+		// and another type — to read.
+		if d != nil {
+			if err := dropAll(d.lsmIndexes()); err != nil {
+				return Result{}, err
+			}
+		}
 		if err := e.catalog.DropDataset(s.Name, s.IfExists); err != nil {
 			return Result{}, err
 		}
 		e.mu.Lock()
-		d := e.datasets[s.Name]
 		delete(e.datasets, s.Name)
 		e.mu.Unlock()
-		if d != nil {
-			d.detachGovernor()
-		}
-		// Component files are left for the file manager to reuse; a
-		// vacuum pass could reclaim them (out of scope).
 		return Result{Kind: ResultDDL}, nil
 	case "TYPE":
 		if err := e.catalog.DropType(s.Name, s.IfExists); err != nil {
@@ -199,7 +204,7 @@ func (e *Engine) execDrop(s *sqlpp.DropStmt) (Result, error) {
 		}
 		e.mu.Unlock()
 		if dropped != nil {
-			dropped.detachGovernor()
+			return Result{Kind: ResultDDL}, dropAll(dropped.all)
 		}
 		return Result{Kind: ResultDDL}, nil
 	case "DATAVERSE":

@@ -42,14 +42,15 @@ func ingestMessage(id, ver int) *adm.Object {
 	for i := range words {
 		words[i] = ingestWords[r.Intn(len(ingestWords))]
 	}
+	// Fields in declared order: a record read back whole lists them so.
 	o := adm.NewObject(
 		adm.Field{Name: "messageId", Value: adm.Int64(int64(id))},
 		adm.Field{Name: "authorId", Value: adm.Int64(int64(r.Intn(2000)))},
-		adm.Field{Name: "message", Value: adm.String(fmt.Sprintf("v%d %s", ver, strings.Join(words, " ")))},
 	)
 	if id%2 == 0 {
 		o.Set("senderLocation", adm.Point{X: r.Float64()*360 - 180, Y: r.Float64()*180 - 90})
 	}
+	o.Set("message", adm.String(fmt.Sprintf("v%d %s", ver, strings.Join(words, " "))))
 	return o
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -631,7 +632,7 @@ func TestErrorPropagationCancelsJob(t *testing.T) {
 }
 
 func TestRunFileRoundTrip(t *testing.T) {
-	rw, err := NewRunWriter(t.TempDir())
+	rw, err := NewRunWriter(t.TempDir(), &TaskContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,6 +640,11 @@ func TestRunFileRoundTrip(t *testing.T) {
 		{adm.Int64(1), adm.String("a"), adm.Null},
 		{adm.NewObject(adm.Field{Name: "x", Value: adm.Int64(2)})},
 		{},
+		{adm.String(strings.Repeat("longer than the run buffer ", 3*runBufSize/27))},
+	}
+	// Enough small tuples to cross the buffer a few times, on both sides.
+	for i := 0; i < 3*runBufSize/20; i++ {
+		want = append(want, Tuple{adm.Int64(i), adm.String("0123456789")})
 	}
 	for _, tp := range want {
 		if err := rw.Write(tp); err != nil {

@@ -41,7 +41,8 @@ func growOrSpill(tc *TaskContext, size int, spill func() error) error {
 // close once, right after newRunSet, so whatever is still on disk when the
 // task exits — by error, cancellation, injected fault or a failing
 // downstream write — is deleted and its descriptor and pooled scratch
-// released. Every write and read is attributed to the task as WaitSpill.
+// released. The files' writers and readers attribute the time their I/O
+// takes to the task as WaitSpill: a buffer of tuples at a time, not a tuple.
 type runSet struct {
 	tc *TaskContext
 	// counted: each file the set creates is reported as one spill
@@ -68,13 +69,11 @@ func (s *runSet) len() int { return len(s.runs) }
 
 // write appends t to run p, creating the file on first use.
 func (s *runSet) write(p int, t Tuple) error {
-	t0 := time.Now()
 	w, err := s.writer(p)
-	if err == nil {
-		err = w.Write(t)
+	if err != nil {
+		return err
 	}
-	s.tc.AddWait(obs.WaitSpill, time.Since(t0))
-	return err
+	return w.Write(t)
 }
 
 func (s *runSet) writer(p int) (*RunWriter, error) {
@@ -82,10 +81,13 @@ func (s *runSet) writer(p int) (*RunWriter, error) {
 		s.runs = append(s.runs, run{})
 	}
 	if s.runs[p].w == nil {
-		if err := fault.Hit(fault.PointSpillIO); err != nil {
-			return nil, err
+		t0 := time.Now() // creating the file, and an injected delay, are spill I/O too
+		err := fault.Hit(fault.PointSpillIO)
+		var w *RunWriter
+		if err == nil {
+			w, err = NewRunWriter(s.tc.TempDir(), s.tc)
 		}
-		w, err := NewRunWriter(s.tc.TempDir())
+		s.tc.AddWait(obs.WaitSpill, time.Since(t0))
 		if err != nil {
 			return nil, err
 		}
@@ -104,9 +106,7 @@ func (s *runSet) open(p int, pool *TuplePool) (bool, error) {
 	if p >= len(s.runs) || s.runs[p].w == nil {
 		return false, nil
 	}
-	t0 := time.Now()
 	r, err := s.runs[p].w.Finish()
-	s.tc.AddWait(obs.WaitSpill, time.Since(t0))
 	s.runs[p].w = nil // Finish disposed of the writer, failed or not
 	if err != nil {
 		return false, err
@@ -118,10 +118,7 @@ func (s *runSet) open(p int, pool *TuplePool) (bool, error) {
 
 // next reads the next tuple of an opened run; ok is false at its end.
 func (s *runSet) next(p int) (Tuple, bool, error) {
-	t0 := time.Now()
-	t, ok, err := s.runs[p].r.Next()
-	s.tc.AddWait(obs.WaitSpill, time.Since(t0))
-	return t, ok, err
+	return s.runs[p].r.Next()
 }
 
 // each reads run p back through fn and deletes it. With a pool, fn gets

@@ -10,13 +10,15 @@
 package hyracks
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"time"
 
 	"asterix/internal/adm"
+	"asterix/internal/obs"
 )
 
 // Tuple is one row: a fixed-width array of ADM values whose layout is
@@ -143,25 +145,30 @@ func HashColumns(t Tuple, cols []int) uint64 {
 // sweep of a node's spill directory alike.
 const runFilePattern = "run-*.tmp"
 
-// RunWriter writes tuples to a spill file.
+// runBufSize is how many bytes of a run file are written, and read back,
+// at a time.
+const runBufSize = 1 << 16
+
+// RunWriter writes tuples to a spill file, runBufSize bytes at a time. The
+// time a write takes is the task's WaitSpill.
 type RunWriter struct {
 	f   *os.File
-	w   *bufio.Writer
+	tc  *TaskContext
 	n   int
-	buf []byte
+	buf []byte // one tuple's encoding
+	out []byte // tuples encoded and not yet written
 }
 
-// NewRunWriter creates a spill file in dir. Its encode scratch comes from
-// the shared run-scratch byte pool and is handed on to the RunReader at
-// Finish; Abort (or a failed Finish) returns it directly. Operators do not
-// call this: they spill through a runSet, which deletes its files on every
-// exit.
-func NewRunWriter(dir string) (*RunWriter, error) {
+// NewRunWriter creates a spill file in dir for a task. Its encode scratch
+// comes from the shared run-scratch byte pool and goes back at Finish or
+// Abort. Operators do not call this: they spill through a runSet, which
+// deletes its files on every exit.
+func NewRunWriter(dir string, tc *TaskContext) (*RunWriter, error) {
 	f, err := os.CreateTemp(dir, runFilePattern)
 	if err != nil {
 		return nil, fmt.Errorf("hyracks: create run file: %w", err)
 	}
-	return &RunWriter{f: f, w: bufio.NewWriterSize(f, 1<<16), buf: runScratch.Get()}, nil
+	return &RunWriter{f: f, tc: tc, buf: runScratch.Get(), out: make([]byte, 0, runBufSize)}, nil
 }
 
 // Write appends one tuple.
@@ -171,27 +178,35 @@ func (rw *RunWriter) Write(t Tuple) error {
 	for _, v := range t {
 		rw.buf = adm.Encode(rw.buf, v)
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(rw.buf)))
-	if _, err := rw.w.Write(hdr[:n]); err != nil {
-		return err
+	if len(rw.out)+binary.MaxVarintLen64+len(rw.buf) > cap(rw.out) && len(rw.out) > 0 {
+		if err := rw.flush(); err != nil {
+			return err
+		}
 	}
-	if _, err := rw.w.Write(rw.buf); err != nil {
-		return err
-	}
+	rw.out = binary.AppendUvarint(rw.out, uint64(len(rw.buf)))
+	rw.out = append(rw.out, rw.buf...)
 	rw.n++
 	return nil
+}
+
+// flush writes the buffered tuples to the file.
+func (rw *RunWriter) flush() error {
+	t0 := time.Now()
+	_, err := rw.f.Write(rw.out)
+	rw.tc.AddWait(obs.WaitSpill, time.Since(t0))
+	rw.out = rw.out[:0]
+	return err
 }
 
 // Len returns the number of tuples written.
 func (rw *RunWriter) Len() int { return rw.n }
 
 // Finish flushes and returns a reader positioned at the start. The file is
-// unlinked once the reader is closed. The writer's encode scratch moves to
-// the reader (returned to the pool by the reader's Close). A failed Finish
-// aborts the run: the writer is disposed of either way.
+// unlinked once the reader is closed. The reader reads into the buffer the
+// writer wrote from. A failed Finish aborts the run: the writer is disposed
+// of either way.
 func (rw *RunWriter) Finish() (*RunReader, error) {
-	err := rw.w.Flush()
+	err := rw.flush()
 	if err == nil {
 		_, err = rw.f.Seek(0, io.SeekStart)
 	}
@@ -199,9 +214,9 @@ func (rw *RunWriter) Finish() (*RunReader, error) {
 		rw.Abort()
 		return nil, fmt.Errorf("hyracks: finish run file: %w", err)
 	}
-	rr := &RunReader{f: rw.f, r: bufio.NewReaderSize(rw.f, 1<<16), remaining: rw.n, buf: rw.buf}
+	runScratch.Put(rw.buf)
 	rw.buf = nil
-	return rr, nil
+	return &RunReader{f: rw.f, tc: rw.tc, remaining: rw.n, buf: rw.out}, nil
 }
 
 // Abort discards the run file without reading it.
@@ -215,12 +230,14 @@ func (rw *RunWriter) Abort() {
 	rw.buf = nil
 }
 
-// RunReader reads back a spilled tuple stream.
+// RunReader reads back a spilled tuple stream, a buffer of the file at a
+// time. The time a read takes is the task's WaitSpill.
 type RunReader struct {
 	f         *os.File
-	r         *bufio.Reader
+	tc        *TaskContext
 	remaining int
-	buf       []byte
+	buf       []byte // bytes of the file read ahead; buf[pos:] is not decoded yet
+	pos       int
 
 	// Tuples, when set, makes Next build each tuple in a container drawn
 	// from the pool. Next then returns POOLED tuples: the caller owns each
@@ -230,35 +247,60 @@ type RunReader struct {
 	Tuples *TuplePool
 }
 
+// fill reads the file ahead until n bytes are waiting to be decoded, or to
+// its end: the caller finds fewer there.
+func (rr *RunReader) fill(n int) error {
+	if len(rr.buf)-rr.pos >= n {
+		return nil
+	}
+	rest := rr.buf[rr.pos:]
+	if n > cap(rr.buf) { // a tuple longer than the buffer
+		rr.buf = make([]byte, n)
+	}
+	rr.buf = rr.buf[:cap(rr.buf)]
+	have := copy(rr.buf, rest)
+	rr.pos = 0
+	t0 := time.Now()
+	m, err := io.ReadAtLeast(rr.f, rr.buf[have:], n-have)
+	rr.tc.AddWait(obs.WaitSpill, time.Since(t0))
+	rr.buf = rr.buf[:have+m]
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	}
+	return err
+}
+
 // Next returns the next tuple, or ok=false at end.
 func (rr *RunReader) Next() (Tuple, bool, error) {
 	if rr.remaining == 0 {
 		return nil, false, nil
 	}
-	sz, err := binary.ReadUvarint(rr.r)
-	if err != nil {
+	if err := rr.fill(binary.MaxVarintLen64); err != nil {
 		return nil, false, fmt.Errorf("hyracks: run read: %w", err)
 	}
-	if cap(rr.buf) < int(sz) {
-		rr.buf = make([]byte, sz)
-	}
-	rr.buf = rr.buf[:sz]
-	if _, err := io.ReadFull(rr.r, rr.buf); err != nil {
-		return nil, false, fmt.Errorf("hyracks: run read: %w", err)
-	}
-	pos := 0
-	n, m := binary.Uvarint(rr.buf)
-	if m <= 0 {
+	sz, m := binary.Uvarint(rr.buf[rr.pos:])
+	if m <= 0 || sz > math.MaxInt32 {
 		return nil, false, fmt.Errorf("hyracks: corrupt run file")
 	}
-	pos += m
+	if err := rr.fill(m + int(sz)); err != nil {
+		return nil, false, fmt.Errorf("hyracks: run read: %w", err)
+	}
+	if len(rr.buf)-rr.pos < m+int(sz) {
+		return nil, false, fmt.Errorf("hyracks: run read: %w", io.ErrUnexpectedEOF)
+	}
+	rec := rr.buf[rr.pos+m : rr.pos+m+int(sz)]
+	rr.pos += m + int(sz)
+	n, pos := binary.Uvarint(rec)
+	if pos <= 0 {
+		return nil, false, fmt.Errorf("hyracks: corrupt run file")
+	}
 	t := rr.Tuples.Get()
 	if cap(t) < int(n) {
 		rr.Tuples.Put(t)
 		t = make(Tuple, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
-		v, used, err := adm.Decode(rr.buf[pos:])
+		v, used, err := adm.Decode(rec[pos:])
 		if err != nil {
 			rr.Tuples.Put(t)
 			return nil, false, err
@@ -270,15 +312,13 @@ func (rr *RunReader) Next() (Tuple, bool, error) {
 	return t, true, nil
 }
 
-// Close closes and removes the run file, returning its decode scratch to
-// the shared pool.
+// Close closes and removes the run file.
 func (rr *RunReader) Close() error {
 	name := rr.f.Name()
 	err := rr.f.Close()
 	if rerr := os.Remove(name); err == nil {
 		err = rerr
 	}
-	runScratch.Put(rr.buf)
 	rr.buf = nil
 	return err
 }

@@ -341,6 +341,24 @@ func (l *lifecycle[M, D]) Unregister() {
 	l.charge = nil
 }
 
+// Drop retires the index (index or dataset drop): Unregister, then its
+// manifest goes — an index opened under this name later starts empty,
+// whatever type its dataset has then — and its component files follow as
+// their last reader lets go of them. What the memory component held is gone
+// with the index.
+func (l *lifecycle[M, D]) Drop() error {
+	l.Unregister()
+	l.mu.Lock()
+	disk := l.disk
+	l.disk = nil
+	l.mu.Unlock()
+	err := os.Remove(l.manifestPath())
+	if os.IsNotExist(err) {
+		err = nil
+	}
+	return errors.Join(err, l.release(disk))
+}
+
 // trySealForGovernor is the arbitration hook: seal if the writer lock is
 // free, otherwise report busy so the arbiter skips this index.
 func (l *lifecycle[M, D]) trySealForGovernor(sp *obs.Span) (bool, error) {

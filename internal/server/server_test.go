@@ -163,19 +163,28 @@ func TestAdminMetricsPrometheus(t *testing.T) {
 		t.Fatalf("query: %+v", r)
 	}
 
-	resp, err := http.Get(srv.URL + "/admin/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		resp, err := http.Get(srv.URL + "/admin/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("metrics status: %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
+			t.Errorf("content type: %s", ct)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		return string(raw)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("metrics status: %d", resp.StatusCode)
+	// The load seals its memory components as it ends and the maintenance
+	// worker flushes them behind the statement: scrape until one is counted.
+	body := scrape()
+	for deadline := time.Now().Add(5 * time.Second); promValue(t, body, "lsm_flushes_total") == 0 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		body = scrape()
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Errorf("content type: %s", ct)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	body := string(raw)
 
 	// Valid exposition: every non-comment line is "name[{labels}] value".
 	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
