@@ -59,7 +59,10 @@ net-matrix:
 
 # bench: every top-level Go benchmark once (BenchmarkIngestStall among
 # them: records/s and writer stall ns/record of 20-record UPSERT
-# statements at a 1 MiB component budget), plus the per-layer
+# statements at a 1 MiB component budget; BenchmarkSecondaryMaintenance:
+# ns, B and allocs per record of an insert and of an overwrite that keeps or
+# changes the indexed field, per index kind; BenchmarkIndexSearch: the same
+# per candidate of an equality, a range and a keyword search), plus the per-layer
 # microbenchmarks of the record decoder (BenchmarkLocateFields: fields and
 # whole records out of both stored forms) and the leaf over them
 # (BenchmarkScanLeaf), the
@@ -92,6 +95,7 @@ bench-repo-smoke:
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMBinaryRoundTrip -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzADMDecodeFields -fuzztime 10s ./internal/adm
+	go test -run NONE -fuzz FuzzKeySplit -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
 	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
@@ -106,7 +110,7 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and partial decoder, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, partial decoder and key splitter, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"

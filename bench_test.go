@@ -12,10 +12,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"asterix/internal/adm"
+	"asterix/internal/algebricks"
 	"asterix/internal/core"
 	"asterix/internal/experiments"
 	"asterix/internal/obs"
@@ -150,4 +153,150 @@ func BenchmarkIngestStall(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// measured runs fn and reports what it cost per unit of work as
+// <phase>-ns/<unit>, <phase>-B/<unit> and <phase>-allocs/<unit>.
+func measured(b *testing.B, phase, unit string, fn func() (units int)) {
+	b.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	n := float64(fn())
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(wall.Nanoseconds())/n, phase+"-ns/"+unit)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, phase+"-B/"+unit)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, phase+"-allocs/"+unit)
+}
+
+// BenchmarkSecondaryMaintenance is what one record costs a dataset with one
+// secondary index, of each kind the repository benchmark's ingest workload
+// carries: a fresh insert, an overwrite that keeps the indexed field and one
+// that changes it — through Engine.UpsertValue, log and primary index
+// included, with memory components large enough that nothing flushes.
+func BenchmarkSecondaryMaintenance(b *testing.B) {
+	const n = 20000
+	r := rand.New(rand.NewSource(28))
+	words := strings.Fields("the quick brown fox jumps over a lazy dog while seven wizards box with vexed daft zebras")
+	rec := func(id int, pad string) *adm.Object {
+		text := make([]string, 14+r.Intn(6))
+		for j := range text {
+			text[j] = words[r.Intn(len(words))]
+		}
+		return adm.NewObject(
+			adm.Field{Name: "id", Value: adm.Int64(id)},
+			adm.Field{Name: "author", Value: adm.Int64(r.Intn(20000))},
+			adm.Field{Name: "text", Value: adm.String(strings.Join(text, " "))},
+			adm.Field{Name: "loc", Value: adm.Point{X: r.Float64()*360 - 180, Y: r.Float64()*180 - 90}},
+			adm.Field{Name: "pad", Value: adm.String(pad)},
+		)
+	}
+	var fresh, keep, change []*adm.Object
+	for id := 0; id < n; id++ {
+		fresh = append(fresh, rec(id, "a"))
+		k := adm.NewObject(fresh[id].Fields()...)
+		k.Set("pad", adm.String("b"))
+		keep, change = append(keep, k), append(change, rec(id, "c"))
+	}
+	for _, ix := range []string{"ix ON M(author)", "ix ON M(loc) TYPE RTREE", "ix ON M(text) TYPE KEYWORD"} {
+		b.Run(strings.Fields(ix + " TYPE BTREE")[4], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2,
+					MemComponentBudget: 256 << 20, MemComponentPool: 2 << 30, NoSyncCommits: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Execute(context.Background(), `
+					CREATE TYPE MT AS {id: int, author: int, text: string, loc: point, pad: string};
+					CREATE DATASET M(MT) PRIMARY KEY id;
+					CREATE INDEX `+ix+`;`); err != nil {
+					b.Fatal(err)
+				}
+				for _, phase := range []struct {
+					name string
+					recs []*adm.Object
+				}{{"insert", fresh}, {"keep", keep}, {"change", change}} {
+					measured(b, phase.name, "record", func() int {
+						for _, rec := range phase.recs {
+							if err := eng.UpsertValue("M", rec); err != nil {
+								b.Fatal(err)
+							}
+						}
+						return n
+					})
+				}
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIndexSearch is what one candidate costs the three searches the
+// repository benchmark's lookups make — an equality (10 entries), a range
+// over 10 keys (100) and a keyword — on the index itself, primary fetch
+// included, over flushed components.
+func BenchmarkIndexSearch(b *testing.B) {
+	const n, authors, searches = 50000, 5000, 2000
+	eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2, NoSyncCommits: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Execute(context.Background(), `
+		CREATE TYPE MT AS {id: int, author: int, text: string};
+		CREATE DATASET M(MT) PRIMARY KEY id;
+		CREATE INDEX byAuthor ON M(author);
+		CREATE INDEX byText ON M(text) TYPE KEYWORD;`); err != nil {
+		b.Fatal(err)
+	}
+	for id := 0; id < n; id++ {
+		if err := eng.UpsertValue("M", adm.NewObject(
+			adm.Field{Name: "id", Value: adm.Int64(id)},
+			adm.Field{Name: "author", Value: adm.Int64(id % authors)},
+			adm.Field{Name: "text", Value: adm.String(fmt.Sprintf("message w%d of author a%d", id%500, id%authors))},
+		)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	byAuthor, _ := eng.SecondaryIndexHandle("M", "byAuthor")
+	byText, _ := eng.SecondaryIndexHandle("M", "byText")
+	count := 0
+	emit := func(algebricks.Record) error { count++; return nil }
+	run := func(b *testing.B, search func(part, i int) error) {
+		for i := 0; i < b.N; i++ {
+			measured(b, "search", "candidate", func() int {
+				count = 0
+				for s := 0; s < searches; s++ {
+					for part := 0; part < 2; part++ {
+						if err := search(part, s); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				return count
+			})
+		}
+	}
+	b.Run("equality", func(b *testing.B) {
+		run(b, func(part, i int) error {
+			k := adm.Int64(i * 7 % authors)
+			return byAuthor.SearchRange(part, k, k, true, true, emit)
+		})
+	})
+	b.Run("range10", func(b *testing.B) {
+		run(b, func(part, i int) error {
+			k := i * 7 % (authors - 10)
+			return byAuthor.SearchRange(part, adm.Int64(k), adm.Int64(k+10), true, false, emit)
+		})
+	})
+	b.Run("keyword", func(b *testing.B) {
+		run(b, func(part, i int) error { return byText.SearchKeyword(part, fmt.Sprintf("w%d", i%500), emit) })
+	})
 }

@@ -217,6 +217,8 @@ func DefaultConfig() *Config {
 			{Pkg: "asterix/internal/btree", Recv: "Iterator", Func: "Next"},
 			{Pkg: "asterix/internal/btree", Recv: "Iterator", Func: "Valid"},
 			{Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "Scan"},
+			// Secondary-index entries: per index, per version of a record written.
+			{Pkg: "asterix/internal/core", Recv: "SecondaryIndex", Func: "appendEntries"},
 		},
 		WaitRoots: []FuncRef{
 			{Pkg: "asterix/internal/hyracks", Func: "runSort"},

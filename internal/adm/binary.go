@@ -341,50 +341,61 @@ func skipValue(data []byte) (int, error) {
 func EncodeKey(buf []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case missingValue:
-		return append(buf, 0x00), nil
+		buf = append(buf, 0x00)
 	case nullValue:
-		return append(buf, 0x01), nil
+		buf = append(buf, 0x01)
 	case Boolean:
 		if x {
-			return append(buf, 0x02, 1), nil
+			buf = append(buf, 0x02, 1)
+		} else {
+			buf = append(buf, 0x02, 0)
 		}
-		return append(buf, 0x02, 0), nil
 	case Int64:
-		buf = append(buf, 0x03)
-		return appendOrderedFloat(buf, float64(x)), nil
+		buf = AppendNumberKey(buf, float64(x))
 	case Double:
-		buf = append(buf, 0x03)
-		return appendOrderedFloat(buf, float64(x)), nil
+		buf = AppendNumberKey(buf, float64(x))
 	case String:
-		buf = append(buf, 0x04)
-		return appendEscapedBytes(buf, []byte(x)), nil
+		buf = AppendStringKey(buf, x)
 	case Date:
 		buf = append(buf, 0x05)
-		return appendOrderedInt(buf, int64(x)), nil
+		buf = appendOrderedInt(buf, int64(x))
 	case Time:
 		buf = append(buf, 0x06)
-		return appendOrderedInt(buf, int64(x)), nil
+		buf = appendOrderedInt(buf, int64(x))
 	case Datetime:
 		buf = append(buf, 0x07)
-		return appendOrderedInt(buf, int64(x)), nil
+		buf = appendOrderedInt(buf, int64(x))
 	case Duration:
 		buf = append(buf, 0x08)
 		buf = appendOrderedInt(buf, int64(x.Months)*30*millisPerDay+x.Millis)
 		buf = appendOrderedInt(buf, int64(x.Months))
-		return appendOrderedInt(buf, x.Millis), nil
+		buf = appendOrderedInt(buf, x.Millis)
 	case Point:
 		buf = append(buf, 0x09)
 		buf = appendOrderedFloat(buf, x.X)
-		return appendOrderedFloat(buf, x.Y), nil
+		buf = appendOrderedFloat(buf, x.Y)
 	case UUID:
 		buf = append(buf, 0x0B)
-		return append(buf, x[:]...), nil
+		buf = append(buf, x[:]...)
 	case Binary:
-		buf = append(buf, 0x0C)
-		return appendEscapedBytes(buf, x), nil
+		buf = AppendBinaryKey(buf, x)
+	default:
+		//lint:ignore hot-alloc the refusal of a value that cannot be a key ends the statement: it is not on any per-record path
+		return nil, fmt.Errorf("adm: %s values cannot be index keys", v.Kind())
 	}
-	return nil, fmt.Errorf("adm: %s values cannot be index keys", v.Kind())
+	return buf, nil
 }
+
+// AppendNumberKey, AppendStringKey and AppendBinaryKey are EncodeKey for a
+// number, a string and a binary the caller holds unboxed.
+func AppendNumberKey(buf []byte, f float64) []byte {
+	buf = append(buf, 0x03)
+	return appendOrderedFloat(buf, f)
+}
+
+func AppendStringKey[S ~string | ~[]byte](buf []byte, s S) []byte { return appendEscaped(buf, 0x04, s) }
+
+func AppendBinaryKey(buf, b []byte) []byte { return appendEscaped(buf, 0x0C, b) }
 
 // EncodeCompositeKey encodes several scalar values into one
 // order-preserving composite key.
@@ -397,6 +408,38 @@ func EncodeCompositeKey(buf []byte, vs ...Value) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// keyWidth is the length of a key component by its tag: 0 where it runs to
+// a 0x00 0x00 terminator (strings, binaries), -1 where no kind has the tag.
+var keyWidth = [...]int{0x00: 1, 0x01: 1, 0x02: 2, 0x03: 9, 0x04: 0, 0x05: 9, 0x06: 9, 0x07: 9, 0x08: 25, 0x09: 17, 0x0A: -1, 0x0B: 17, 0x0C: 0}
+
+// KeyLen returns the length of the first component of a key EncodeKey or
+// EncodeCompositeKey produced, so that a composite can be split without
+// decoding it. Damaged input is ErrCorrupt.
+func KeyLen(key []byte) (int, error) {
+	if len(key) == 0 || int(key[0]) >= len(keyWidth) {
+		return 0, ErrCorrupt
+	}
+	if n := keyWidth[key[0]]; n != 0 {
+		if n < 0 || n > len(key) {
+			return 0, ErrCorrupt
+		}
+		return n, nil
+	}
+	for n := 1; n+1 < len(key); n++ {
+		if key[n] != 0x00 {
+			continue
+		}
+		if key[n+1] == 0x00 {
+			return n + 2, nil
+		}
+		if key[n+1] != 0xFF {
+			break
+		}
+		n++ // an escaped 0x00
+	}
+	return 0, ErrCorrupt
 }
 
 // appendOrderedInt encodes an int64 so unsigned byte order matches signed
@@ -418,16 +461,18 @@ func appendOrderedFloat(buf []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(buf, u)
 }
 
-// appendEscapedBytes encodes a byte string with 0x00-escaping and a
-// 0x00 0x00 terminator so that concatenated composite keys preserve
-// lexicographic order: 0x00 in the data becomes 0x00 0xFF.
-func appendEscapedBytes(buf, data []byte) []byte {
-	for _, b := range data {
-		if b == 0x00 {
+// appendEscaped encodes a string or binary key component: its tag, the bytes
+// with 0x00 escaped as 0x00 0xFF, and a 0x00 0x00 terminator, so that
+// concatenated composite keys preserve lexicographic order.
+func appendEscaped[S ~string | ~[]byte](buf []byte, tag byte, data S) []byte {
+	buf = append(buf, tag)
+	for i := 0; i < len(data); i++ {
+		if data[i] == 0x00 {
 			buf = append(buf, 0x00, 0xFF)
 		} else {
-			buf = append(buf, b)
+			buf = append(buf, data[i])
 		}
 	}
-	return append(buf, 0x00, 0x00)
+	buf = append(buf, 0x00, 0x00)
+	return buf
 }

@@ -615,21 +615,33 @@ func spatialIntersect(a, b adm.Value) (adm.Value, error) {
 	return adm.Boolean(ra.Intersects(rb)), nil
 }
 
-// Tokenize splits text into lower-cased word tokens (the keyword index's
-// tokenizer).
+// Tokenize splits text into lower-cased word tokens, the maximal runs of
+// ASCII letters and digits (the keyword index's tokenizer).
 func Tokenize(s string) []string {
 	var out []string
-	var cur strings.Builder
-	for _, r := range s {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
-			cur.WriteRune(r)
-		} else if cur.Len() > 0 {
-			out = append(out, strings.ToLower(cur.String()))
-			cur.Reset()
+	var tok []byte
+	for pos, ok := 0, true; ; {
+		if tok, pos, ok = NextToken(tok[:0], s, pos); !ok {
+			return out
+		}
+		out = append(out, string(tok))
+	}
+}
+
+// NextToken appends to dst, which must be empty, the first token of s at or
+// after pos, lower-cased, and returns where the search goes on; ok is false
+// when s has no more tokens.
+func NextToken(dst []byte, s string, pos int) (tok []byte, next int, ok bool) {
+	for ; pos < len(s); pos++ {
+		c := s[pos]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
+			dst = append(dst, c)
+		} else if len(dst) > 0 {
+			break
 		}
 	}
-	if cur.Len() > 0 {
-		out = append(out, strings.ToLower(cur.String()))
-	}
-	return out
+	return dst, pos, len(dst) > 0
 }

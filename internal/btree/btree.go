@@ -460,6 +460,9 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	var (
 		leaf     = newNode(nodeLeaf)
 		leafSize = pageHeaderSize // leaf.encodedSize(), kept as entries are added
+		// The leaf's keys and values, copied once each: next's pair is good
+		// only until its following call. Emptied when the leaf is written.
+		leafBuf  = make([]byte, 0, pageSize)
 		prevLeaf = noPage
 		pages    []int32  // finished pages at the current level
 		seps     [][]byte // first key of each finished page
@@ -487,7 +490,7 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		prevLeaf = num
 		pages = append(pages, num)
 		seps = append(seps, append([]byte(nil), leaf.keys[0]...))
-		leaf, leafSize = newNode(nodeLeaf), pageHeaderSize
+		leaf.keys, leaf.vals, leafBuf, leafSize = leaf.keys[:0], leaf.vals[:0], leafBuf[:0], pageHeaderSize
 		return nil
 	}
 
@@ -511,8 +514,10 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 				return err
 			}
 		}
-		leaf.keys = append(leaf.keys, append([]byte(nil), k...))
-		leaf.vals = append(leaf.vals, append([]byte(nil), v...))
+		leafBuf = append(append(leafBuf, k...), v...)
+		kv := leafBuf[len(leafBuf)-len(k)-len(v):]
+		leaf.keys = append(leaf.keys, kv[:len(k):len(k)])
+		leaf.vals = append(leaf.vals, kv[len(k):])
 		leafSize += entrySize
 		total++
 		if leafSize >= fill {

@@ -9,8 +9,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 
 	"asterix/internal/adm"
@@ -61,6 +61,9 @@ type SecondaryIndex struct {
 	all   []lsmIndex        // trees or rts, by partition
 	norm  spatial.Normalizer
 	grid  spatial.Grid
+	// Entries written (inserted or antimatter-deleted), and overwrites that
+	// left the index alone because they kept its entries.
+	mWritten, mSkipped *obs.Counter
 }
 
 // lsmIndex is the lifecycle surface every LSM index kind shares.
@@ -144,6 +147,9 @@ func (d *Dataset) openIndex(idef *metadata.IndexDef) (*SecondaryIndex, error) {
 	si.norm = spatial.NewNormalizer(defaultWorld[0], defaultWorld[1], defaultWorld[2], defaultWorld[3])
 	si.grid = spatial.NewGrid(defaultWorld[0], defaultWorld[1], defaultWorld[2], defaultWorld[3], 64, 64)
 	e := d.eng
+	kind := strings.ToLower(idef.Kind)
+	si.mWritten = e.reg.Counter("index_"+kind+"_entries_written_total", "entries inserted into or antimatter-deleted from "+idef.Kind+" secondary indexes")
+	si.mSkipped = e.reg.Counter("index_"+kind+"_writes_skipped_total", "overwrites that kept a record's entries in a "+idef.Kind+" secondary index, which was therefore not written")
 	for p := 0; p < d.def.Partitions; p++ {
 		name := fmt.Sprintf("%s/p%d/idx-%s", d.def.Name, p, idef.Name)
 		if idef.Kind == "RTREE" {
@@ -194,8 +200,19 @@ func (d *Dataset) primaryKeyValues(rec *adm.Object) ([]adm.Value, error) {
 	return pks, nil
 }
 
-// encodePK builds order-preserving key bytes for a primary key.
+// ErrInexactKey refuses an integer primary key that key bytes, which carry a
+// number as a float64 (adm.EncodeKey), would share with another: stored, one
+// would silently overwrite the other; searched for, it would find the other.
+var ErrInexactKey = errors.New("integer primary key is not exact as a float64 (beyond ±2^53)")
+
+// encodePK builds order-preserving key bytes for a primary key, or for a
+// search bound on one.
 func encodePK(pks []adm.Value) ([]byte, error) {
+	for _, v := range pks {
+		if i, ok := v.(adm.Int64); ok && (float64(i) >= 1<<63 || adm.Int64(float64(i)) != i) {
+			return nil, fmt.Errorf("core: %w: %d", ErrInexactKey, int64(i))
+		}
+	}
 	return adm.EncodeCompositeKey(nil, pks...)
 }
 
@@ -223,35 +240,43 @@ func (d *Dataset) locate(rec *adm.Object) (int, []byte, []adm.Value, error) {
 
 // --- Mutations (called after WAL logging, or from recovery redo) ---
 
-// applyUpsert installs a record in the primary index and maintains all
-// secondary indexes (removing entries of any replaced record first).
-// Time the write waits for a sealed component's flush is attributed to sp
-// (nil from recovery redo and programmatic paths).
-func (d *Dataset) applyUpsert(part int, keyBytes []byte, rec *adm.Object, sp *obs.Span) error {
-	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
+// indexWriter is what one statement, or one recovery pass, carries through
+// its writes: the span that waits for a sealed component's flush are charged
+// to (nil from redo and programmatic paths) and the buffers every record's
+// index entries are built in. redo is set by recovery alone: after a crash
+// the primary index can be a flush ahead of a secondary, so the version redo
+// finds there says nothing about the entries the secondary holds, and redo
+// writes every entry, changed or not.
+type indexWriter struct {
+	sp       *obs.Span
+	redo     bool
+	old, cur entryKeys
+}
+
+// applyUpsert installs a record in the primary index and brings every
+// secondary index from the replaced version's entries to the new one's.
+func (d *Dataset) applyUpsert(part int, pk []byte, rec *adm.Object, w *indexWriter) error {
+	old, _, err := d.getRecord(part, pk)
+	if err != nil {
 		return err
-	} else if ok {
-		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
-			return err
-		}
 	}
 	stored := encodeRecordBytes(adm.EncodeRecord(nil, rec, d.typ), d.eng.cfg.Compression)
-	if err := d.parts[part].UpsertSpan(keyBytes, stored, sp); err != nil {
+	if err := d.parts[part].UpsertSpan(pk, stored, w.sp); err != nil {
 		return err
 	}
-	return d.writeSecondaryEntries(part, keyBytes, rec, false, sp)
+	return d.maintainIndexes(part, pk, old, rec, w)
 }
 
 // applyDelete removes a record and its index entries.
-func (d *Dataset) applyDelete(part int, keyBytes []byte, sp *obs.Span) error {
-	if old, ok, err := d.getRecord(part, keyBytes); err != nil {
+func (d *Dataset) applyDelete(part int, pk []byte, w *indexWriter) error {
+	old, _, err := d.getRecord(part, pk)
+	if err != nil {
 		return err
-	} else if ok {
-		if err := d.writeSecondaryEntries(part, keyBytes, old, true, sp); err != nil {
-			return err
-		}
 	}
-	return d.parts[part].DeleteSpan(keyBytes, sp)
+	if err := d.maintainIndexes(part, pk, old, nil, w); err != nil {
+		return err
+	}
+	return d.parts[part].DeleteSpan(pk, w.sp)
 }
 
 // storedRecord presents a stored (possibly compressed) primary-index value
@@ -285,140 +310,158 @@ func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error
 	return o, true, nil
 }
 
-// secondaryEntries computes an index's (key, value) entries for a record.
-// Returned keys are composite (secondary key, primary key); values carry
-// the secondary key value and pk bytes for post-filtering and fetch.
-type secEntry struct {
-	key  []byte
-	rect rtree.Rect // RTREE only
-	val  []byte
+// entryKeys holds one record's entries in one secondary index. An entry of
+// a B-tree-shaped index is its key, `EncodeKey(secondary key) ‖ primary
+// key`, and has no value; the keys lie back to back in buf, the i-th ending
+// at ends[i]. An RTREE entry is the pair (rect, primary key).
+type entryKeys struct {
+	buf   []byte
+	ends  []int
+	rects []rtree.Rect
+	tok   []byte // KEYWORD: the token being keyed
 }
 
-func (si *SecondaryIndex) entriesFor(keyBytes []byte, rec *adm.Object) ([]secEntry, error) {
-	field := si.def.Fields[0]
-	fv := rec.Get(field)
-	if fv.Kind() <= adm.KindNull {
-		return nil, nil // null/missing values are not indexed
+func (ks *entryKeys) reset() { ks.buf, ks.ends, ks.rects = ks.buf[:0], ks.ends[:0], ks.rects[:0] }
+
+// seal ends, with pk, the key buf has grown by since the last one — and
+// drops it if the record has it already (a token that occurs twice).
+func (ks *entryKeys) seal(pk []byte) {
+	ks.buf = append(ks.buf, pk...)
+	start := 0
+	if n := len(ks.ends); n > 0 {
+		start = ks.ends[n-1]
 	}
-	mkVal := func(skey adm.Value) []byte {
-		return adm.EncodeValue(adm.Array{skey, adm.Binary(keyBytes)})
+	prev := 0
+	for _, end := range ks.ends {
+		if bytes.Equal(ks.buf[prev:end], ks.buf[start:]) {
+			ks.buf = ks.buf[:start]
+			return
+		}
+		prev = end
 	}
+	ks.ends = append(ks.ends, len(ks.buf))
+}
+
+// appendEntries appends to ks the entries of rec in si, building each key
+// in place. Null and missing values, and values of a kind the index does
+// not hold, are not indexed.
+func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Object) (err error) {
+	if rec == nil {
+		return nil
+	}
+	fv := rec.Get(si.def.Fields[0])
 	switch si.def.Kind {
 	case "BTREE":
-		if !fv.Kind().IsScalar() {
-			return nil, nil
+		if fv.Kind().IsScalar() {
+			if ks.buf, err = adm.EncodeKey(ks.buf, fv); err == nil {
+				ks.seal(pk)
+			}
 		}
-		kb, err := adm.EncodeKey(nil, fv)
-		if err != nil {
-			return nil, err
+	case "ZORDER", "HILBERT", "GRID":
+		if pt, ok := fv.(adm.Point); ok {
+			ks.buf = si.appendCellKey(ks.buf, pt)
+			ks.seal(pk)
 		}
-		kb = append(kb, keyBytes...)
-		return []secEntry{{key: kb, val: mkVal(fv)}}, nil
-	case "ZORDER", "HILBERT":
-		pt, ok := fv.(adm.Point)
-		if !ok {
-			return nil, nil
-		}
-		x, y := si.norm.Lattice(pt.X, pt.Y)
-		var curve uint64
-		if si.def.Kind == "ZORDER" {
-			curve = spatial.ZOrder(x, y)
-		} else {
-			curve = spatial.Hilbert(x, y)
-		}
-		var cb [8]byte
-		binary.BigEndian.PutUint64(cb[:], curve)
-		kb, err := adm.EncodeKey(nil, adm.Binary(cb[:]))
-		if err != nil {
-			return nil, err
-		}
-		kb = append(kb, keyBytes...)
-		return []secEntry{{key: kb, val: mkVal(fv)}}, nil
-	case "GRID":
-		pt, ok := fv.(adm.Point)
-		if !ok {
-			return nil, nil
-		}
-		cell := si.grid.Cell(pt.X, pt.Y)
-		kb, err := adm.EncodeKey(nil, adm.Int64(cell))
-		if err != nil {
-			return nil, err
-		}
-		kb = append(kb, keyBytes...)
-		return []secEntry{{key: kb, val: mkVal(fv)}}, nil
 	case "KEYWORD":
-		s, ok := fv.(adm.String)
-		if !ok {
-			return nil, nil
-		}
-		toks := algebricks.Tokenize(string(s))
-		seen := map[string]bool{}
-		var out []secEntry
-		for _, tok := range toks {
-			if seen[tok] {
-				continue
+		s, _ := fv.(adm.String)
+		for pos, ok := 0, true; ; {
+			if ks.tok, pos, ok = algebricks.NextToken(ks.tok[:0], string(s), pos); !ok {
+				break
 			}
-			seen[tok] = true
-			kb, err := adm.EncodeKey(nil, adm.String(tok))
-			if err != nil {
-				return nil, err
-			}
-			kb = append(kb, keyBytes...)
-			out = append(out, secEntry{key: kb, val: mkVal(adm.String(tok))})
+			ks.buf = adm.AppendStringKey(ks.buf, ks.tok)
+			ks.seal(pk)
 		}
-		return out, nil
 	case "RTREE":
-		pt, ok := fv.(adm.Point)
-		if ok {
-			return []secEntry{{rect: rtree.PointRect(pt.X, pt.Y)}}, nil
+		switch g := fv.(type) {
+		case adm.Point:
+			ks.rects = append(ks.rects, rtree.PointRect(g.X, g.Y))
+		case adm.Rectangle:
+			ks.rects = append(ks.rects, rtree.Rect{MinX: g.MinX, MinY: g.MinY, MaxX: g.MaxX, MaxY: g.MaxY})
 		}
-		if r, ok := fv.(adm.Rectangle); ok {
-			return []secEntry{{rect: rtree.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}}}, nil
-		}
-		return nil, nil
 	}
-	return nil, fmt.Errorf("core: unknown index kind %q", si.def.Kind)
+	return err
 }
 
-// writeSecondaryEntries adds (or, with remove, antimatter-deletes) the
-// record's entries in every secondary index.
-func (d *Dataset) writeSecondaryEntries(part int, keyBytes []byte, rec *adm.Object, remove bool, sp *obs.Span) error {
+// appendCellKey appends the key a ZORDER, HILBERT or GRID index files a
+// point under: its place on the curve, or its grid cell.
+func (si *SecondaryIndex) appendCellKey(buf []byte, pt adm.Point) []byte {
+	if si.def.Kind == "GRID" {
+		return adm.AppendNumberKey(buf, float64(si.grid.Cell(pt.X, pt.Y)))
+	}
+	x, y := si.norm.Lattice(pt.X, pt.Y)
+	if si.def.Kind == "ZORDER" {
+		return appendCurveKey(buf, spatial.ZOrder(x, y))
+	}
+	return appendCurveKey(buf, spatial.Hilbert(x, y))
+}
+
+func appendCurveKey(buf []byte, curve uint64) []byte {
+	var cb [8]byte
+	binary.BigEndian.PutUint64(cb[:], curve)
+	return adm.AppendBinaryKey(buf, cb[:])
+}
+
+// maintainIndexes brings every secondary index from the entries of old to
+// those of rec (nil: no such version). An index in which the new version
+// has the entries the old one had — every component of a key delimits
+// itself, so equal bytes are equal keys — is not written: they are there,
+// since outside redo every version the primary returns had its entries
+// written with it.
+func (d *Dataset) maintainIndexes(part int, pk []byte, old, rec *adm.Object, w *indexWriter) error {
 	for _, si := range d.idxs {
-		if err := si.writeEntries(part, keyBytes, rec, remove, sp); err != nil {
+		w.old.reset()
+		w.cur.reset()
+		if err := errors.Join(si.appendEntries(&w.old, pk, old), si.appendEntries(&w.cur, pk, rec)); err != nil {
+			return err
+		}
+		if old != nil && rec != nil && !w.redo && bytes.Equal(w.old.buf, w.cur.buf) && slices.Equal(w.old.rects, w.cur.rects) {
+			si.mSkipped.Inc()
+			continue
+		}
+		if err := si.write(part, pk, &w.old, true, w.sp); err != nil {
+			return err
+		}
+		if err := si.write(part, pk, &w.cur, false, w.sp); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeEntries is the one secondary-index write path: ingestion, deletion
-// and index build all go through it.
-func (si *SecondaryIndex) writeEntries(part int, keyBytes []byte, rec *adm.Object, remove bool, sp *obs.Span) error {
-	entries, err := si.entriesFor(keyBytes, rec)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		switch {
-		case si.def.Kind == "RTREE" && remove:
-			err = si.rts[part].DeleteSpan(e.rect, keyBytes, sp)
-		case si.def.Kind == "RTREE":
-			err = si.rts[part].InsertSpan(e.rect, keyBytes, sp)
-		case remove:
-			err = si.trees[part].DeleteSpan(e.key, sp)
-		default:
-			err = si.trees[part].UpsertSpan(e.key, e.val, sp)
+// write is the one secondary-index write path — ingestion, deletion and
+// index build all go through it: it inserts the entries, or with remove
+// antimatter-deletes them.
+func (si *SecondaryIndex) write(part int, pk []byte, ks *entryKeys, remove bool, sp *obs.Span) (err error) {
+	for _, r := range ks.rects {
+		if remove {
+			err = si.rts[part].DeleteSpan(r, pk, sp)
+		} else {
+			err = si.rts[part].InsertSpan(r, pk, sp)
 		}
 		if err != nil {
 			return err
 		}
 	}
+	start := 0
+	for _, end := range ks.ends {
+		if remove {
+			err = si.trees[part].DeleteSpan(ks.buf[start:end], sp)
+		} else {
+			err = si.trees[part].UpsertSpan(ks.buf[start:end], nil, sp)
+		}
+		if err != nil {
+			return err
+		}
+		start = end
+	}
+	si.mWritten.Add(int64(len(ks.rects) + len(ks.ends)))
 	return nil
 }
 
 // buildIndex populates a fresh secondary index from existing data. Any
 // failure aborts the build: a partial index must never be published.
 func (d *Dataset) buildIndex(si *SecondaryIndex) error {
+	var ks entryKeys
 	for p := range d.parts {
 		var buildErr error
 		err := d.parts[p].Scan(nil, nil, func(k, v []byte) bool {
@@ -427,7 +470,10 @@ func (d *Dataset) buildIndex(si *SecondaryIndex) error {
 				return false
 			}
 			if o, ok := rec.(*adm.Object); ok {
-				buildErr = si.writeEntries(p, append([]byte(nil), k...), o, false, nil)
+				ks.reset()
+				if buildErr = si.appendEntries(&ks, k, o); buildErr == nil {
+					buildErr = si.write(p, k, &ks, false, nil)
+				}
 			}
 			return buildErr == nil
 		})
@@ -654,21 +700,39 @@ func (si *SecondaryIndex) KeyFields() []string { return si.def.Fields[:1] }
 // hold a given secondary key.
 func (si *SecondaryIndex) OwnerPartition(adm.Value) (int, bool) { return 0, false }
 
-// fetch resolves candidate pk byte-keys through the primary index and
-// emits the records — in sorted pk order (the pk-sort-before-fetch
-// optimization of [26]) unless sorted is off, the ablation knob for
-// experiment E11 (unsorted fetch loses the access locality the trick
-// provides).
-func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, emit func(algebricks.Record) error) error {
-	pks := make([]string, 0, len(pkSet))
-	for pk := range pkSet {
-		pks = append(pks, pk)
+// candidates gathers the primary keys an index search finds, as slices of
+// one arena that grows by whole chunks so that none of them moves.
+type candidates struct {
+	pks   [][]byte
+	arena []byte
+}
+
+func (c *candidates) add(pk []byte) {
+	if len(c.arena)+len(pk) > cap(c.arena) {
+		c.arena = make([]byte, 0, max(2*cap(c.arena), len(pk), 256))
 	}
-	if sorted {
-		sort.Strings(pks)
+	at := len(c.arena)
+	c.arena = append(c.arena, pk...)
+	c.pks = append(c.pks, c.arena[at:len(c.arena):len(c.arena)])
+}
+
+// sorted returns the candidates in primary-key order, each once (an entry
+// a crash left stale can name a key a second time). Entries under one
+// secondary key arrive in that order and are not sorted again.
+func (c *candidates) sorted() [][]byte {
+	if !slices.IsSortedFunc(c.pks, bytes.Compare) {
+		slices.SortFunc(c.pks, bytes.Compare)
 	}
+	c.pks = slices.CompactFunc(c.pks, bytes.Equal)
+	return c.pks
+}
+
+// fetch resolves candidate primary keys through the primary index and
+// emits the records. Callers pass them sorted: the pk-sort-before-fetch
+// optimization of [26].
+func (si *SecondaryIndex) fetch(part int, pks [][]byte, emit func(algebricks.Record) error) error {
 	for _, pk := range pks {
-		data, ok, err := si.ds.parts[part].Get([]byte(pk))
+		data, ok, err := si.ds.parts[part].Get(pk)
 		if err != nil {
 			return err
 		}
@@ -682,24 +746,10 @@ func (si *SecondaryIndex) fetch(part int, pkSet map[string]bool, sorted bool, em
 	return nil
 }
 
-// decodeSecVal splits a secondary-index value into (skey, pk bytes).
-func decodeSecVal(v []byte) (adm.Value, []byte, error) {
-	val, err := adm.DecodeValue(v)
-	if err != nil {
-		return nil, nil, err
-	}
-	arr, ok := val.(adm.Array)
-	if !ok || len(arr) != 2 {
-		return nil, nil, fmt.Errorf("core: corrupt secondary entry")
-	}
-	pkb, ok := arr[1].(adm.Binary)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: corrupt secondary entry pk")
-	}
-	return arr[0], []byte(pkb), nil
-}
-
-// SearchRange implements algebricks.IndexAccessor for BTREE indexes.
+// SearchRange implements algebricks.IndexAccessor for BTREE indexes: the
+// records whose entries lie within the bounds as key bytes. Where the order
+// of key bytes and the order of values part (integers beyond 2^53, say)
+// the plan's residual filter decides.
 func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(algebricks.Record) error) error {
 	if si.def.Kind != "BTREE" {
 		return fmt.Errorf("core: SearchRange on %s index", si.def.Kind)
@@ -710,30 +760,23 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		if loB, err = adm.EncodeKey(nil, lo); err != nil {
 			return err
 		}
+		if !loInc {
+			loB = append(loB, 0xFF) // past every entry of the key: see scanCandidates
+		}
 	}
 	if hi != nil {
 		if hiB, err = adm.EncodeKey(nil, hi); err != nil {
 			return err
 		}
-	}
-	pks := map[string]bool{}
-	inRange := func(skey adm.Value) bool {
-		if lo != nil {
-			if c := adm.Compare(skey, lo); c < 0 || (c == 0 && !loInc) {
-				return false
-			}
+		if hiInc {
+			hiB = append(hiB, 0xFF)
 		}
-		if hi != nil {
-			if c := adm.Compare(skey, hi); c > 0 || (c == 0 && !hiInc) {
-				return false
-			}
-		}
-		return true
 	}
-	if err := si.scanCandidates(part, loB, hiB, inRange, pks); err != nil {
+	var c candidates
+	if err := si.scanCandidates(part, loB, hiB, &c); err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, emit)
+	return si.fetch(part, c.sorted(), emit)
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
@@ -741,23 +784,28 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 // candidates for rect. Which of them intersect it the plan's residual
 // filter decides, in the leaf, on the field it reads there anyway.
 func (si *SecondaryIndex) SearchSpatial(part int, rect adm.Rectangle, emit func(algebricks.Record) error) error {
-	pks, err := si.spatialCandidates(part, rect)
+	c, err := si.spatialCandidates(part, rect)
 	if err != nil {
 		return err
 	}
-	return si.fetch(part, pks, true, emit)
+	return si.fetch(part, c.sorted(), emit)
 }
 
 // SearchSpatialAblation answers a spatial query exactly, on whole records,
 // with the fetch phase's pk sort toggled (experiment E11: quantifying the
-// [26] optimization).
+// [26] optimization): off, the candidates are fetched in a shuffled order,
+// which loses the access locality the sort provides.
 func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, sortedFetch bool, emit func(adm.Value) error) error {
-	pks, err := si.spatialCandidates(part, rect)
+	c, err := si.spatialCandidates(part, rect)
 	if err != nil {
 		return err
 	}
+	pks := c.sorted()
+	if !sortedFetch {
+		rand.New(rand.NewSource(1)).Shuffle(len(pks), func(i, j int) { pks[i], pks[j] = pks[j], pks[i] })
+	}
 	field := si.def.Fields[0]
-	return si.fetch(part, pks, sortedFetch, decoded(func(rec adm.Value) error {
+	return si.fetch(part, pks, decoded(func(rec adm.Value) error {
 		switch p := rec.(*adm.Object).Get(field).(type) {
 		case adm.Point:
 			if rect.Contains(p.X, p.Y) {
@@ -777,44 +825,37 @@ func (si *SecondaryIndex) SearchSpatialAblation(part int, rect adm.Rectangle, so
 // the "index time vs end-to-end time" split at the heart of the paper's
 // Section V-B study (experiment E2).
 func (si *SecondaryIndex) SearchSpatialCandidates(part int, rect adm.Rectangle) (int, error) {
-	pks, err := si.spatialCandidates(part, rect)
-	return len(pks), err
+	c, err := si.spatialCandidates(part, rect)
+	return len(c.sorted()), err
 }
 
-// scanCandidates adds to pks the primary keys of the entries in
-// [lo, hi + every pk suffix] whose secondary key passes keep (nil keeps
-// all).
-func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, keep func(skey adm.Value) bool, pks map[string]bool) error {
-	if hi != nil {
-		hi = append(append([]byte(nil), hi...), 0xFF)
-	}
+// scanCandidates adds to c the primary key of every entry with key bytes in
+// [lo, hi] (nil = unbounded). An entry is `EncodeKey(skey) ‖ pk` and a pk
+// starts with a key tag, all of which are below 0xFF: a bound `key ‖ 0xFF`
+// lies past every entry of that secondary key and before the next one's.
+// What an entry written before entries were key-only has as its value is
+// not read.
+func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, c *candidates) error {
 	var innerErr error
-	err := si.trees[part].Scan(lo, hi, func(k, v []byte) bool {
-		skey, pkb, err := decodeSecVal(v)
-		if err != nil {
-			innerErr = err
-			return false
+	err := si.trees[part].Scan(lo, hi, func(k, _ []byte) bool {
+		var n int
+		if n, innerErr = adm.KeyLen(k); innerErr == nil {
+			c.add(k[n:])
 		}
-		if keep == nil || keep(skey) {
-			pks[string(pkb)] = true
-		}
-		return true
+		return innerErr == nil
 	})
-	if err != nil {
-		return err
-	}
-	return innerErr
+	return errors.Join(err, innerErr)
 }
 
 // spatialCandidates gathers the candidate primary keys of a spatial query
 // from whichever structure the index kind uses.
-func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (map[string]bool, error) {
-	pks := map[string]bool{}
+func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (*candidates, error) {
+	c := &candidates{}
 	switch si.def.Kind {
 	case "RTREE":
 		q := rtree.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: rect.MaxX, MaxY: rect.MaxY}
-		return pks, si.rts[part].Search(q, func(r rtree.Rect, key []byte) bool {
-			pks[string(key)] = true
+		return c, si.rts[part].Search(q, func(r rtree.Rect, key []byte) bool {
+			c.add(key)
 			return true
 		})
 	case "ZORDER", "HILBERT":
@@ -830,36 +871,26 @@ func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (map[s
 		} else {
 			ranges = spatial.HilbertRanges(x0, y0, x1, y1, curveRangeBudget)
 		}
+		var lo, hi []byte
 		for _, r := range ranges {
-			var loB, hiB [8]byte
-			binary.BigEndian.PutUint64(loB[:], r.Lo)
-			binary.BigEndian.PutUint64(hiB[:], r.Hi)
-			loK, err := adm.EncodeKey(nil, adm.Binary(loB[:]))
-			if err != nil {
-				return nil, err
-			}
-			hiK, err := adm.EncodeKey(nil, adm.Binary(hiB[:]))
-			if err != nil {
-				return nil, err
-			}
-			if err := si.scanCandidates(part, loK, hiK, nil, pks); err != nil {
-				return nil, err
+			lo, hi = appendCurveKey(lo[:0], r.Lo), append(appendCurveKey(hi[:0], r.Hi), 0xFF)
+			if err := si.scanCandidates(part, lo, hi, c); err != nil {
+				return c, err
 			}
 		}
-		return pks, nil
+		return c, nil
 	case "GRID":
+		var lo, hi []byte
 		for _, cell := range si.grid.CellsInRect(rect.MinX, rect.MinY, rect.MaxX, rect.MaxY) {
-			cellK, err := adm.EncodeKey(nil, adm.Int64(cell))
-			if err != nil {
-				return nil, err
-			}
-			if err := si.scanCandidates(part, cellK, cellK, nil, pks); err != nil {
-				return nil, err
+			lo = adm.AppendNumberKey(lo[:0], float64(cell))
+			hi = append(append(hi[:0], lo...), 0xFF)
+			if err := si.scanCandidates(part, lo, hi, c); err != nil {
+				return c, err
 			}
 		}
-		return pks, nil
+		return c, nil
 	}
-	return nil, fmt.Errorf("core: spatial search on %s index", si.def.Kind)
+	return c, fmt.Errorf("core: spatial search on %s index", si.def.Kind)
 }
 
 // SearchKeyword implements algebricks.IndexAccessor for KEYWORD indexes.
@@ -871,17 +902,10 @@ func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(algebr
 	if len(toks) != 1 {
 		return fmt.Errorf("core: keyword search requires a single token, got %q", token)
 	}
-	loK, err := adm.EncodeKey(nil, adm.String(toks[0]))
-	if err != nil {
+	lo := adm.AppendStringKey(nil, toks[0])
+	var c candidates
+	if err := si.scanCandidates(part, lo, append(slices.Clone(lo), 0xFF), &c); err != nil {
 		return err
 	}
-	pks := map[string]bool{}
-	isToken := func(skey adm.Value) bool {
-		s, ok := skey.(adm.String)
-		return ok && string(s) == toks[0]
-	}
-	if err := si.scanCandidates(part, loK, loK, isToken, pks); err != nil {
-		return err
-	}
-	return si.fetch(part, pks, true, emit)
+	return si.fetch(part, c.sorted(), emit)
 }

@@ -60,8 +60,8 @@ func rollback(tx *txn.Txn, err error) error {
 // flushes, and merges the batch stalls on are attributed to the
 // statement span carried by ctx (nil span outside traced requests).
 func (e *Engine) storeRecords(ctx context.Context, d *Dataset, recs []adm.Value, upsert bool) (int64, error) {
-	sp := obs.SpanFromContext(ctx)
-	tx := e.txmgr.Begin().AttachSpan(sp)
+	w := &indexWriter{sp: obs.SpanFromContext(ctx)}
+	tx := e.txmgr.Begin().AttachSpan(w.sp)
 	var count int64
 	for _, rv := range recs {
 		rec, ok := rv.(*adm.Object)
@@ -86,7 +86,7 @@ func (e *Engine) storeRecords(ctx context.Context, d *Dataset, recs []adm.Value,
 		if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpUpsert, keyBytes, recBytes); err != nil {
 			return count, rollback(tx, err)
 		}
-		if err := d.applyUpsert(part, keyBytes, rec, sp); err != nil {
+		if err := d.applyUpsert(part, keyBytes, rec, w); err != nil {
 			return count, rollback(tx, err)
 		}
 		count++
@@ -119,10 +119,10 @@ func (e *Engine) execDelete(ctx context.Context, s *sqlpp.DeleteStmt) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	sp := obs.SpanFromContext(ctx)
-	es := sp.StartChild("execute")
+	w := &indexWriter{sp: obs.SpanFromContext(ctx)}
+	es := w.sp.StartChild("execute")
 	defer es.End()
-	tx := e.txmgr.Begin().AttachSpan(sp)
+	tx := e.txmgr.Begin().AttachSpan(w.sp)
 	for _, row := range found.Rows {
 		rec, ok := row.(*adm.Object)
 		if !ok {
@@ -135,7 +135,7 @@ func (e *Engine) execDelete(ctx context.Context, s *sqlpp.DeleteStmt) (Result, e
 		if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpDelete, key, nil); err != nil {
 			return Result{}, rollback(tx, err)
 		}
-		if err := d.applyDelete(part, key, sp); err != nil {
+		if err := d.applyDelete(part, key, w); err != nil {
 			return Result{}, rollback(tx, err)
 		}
 	}
@@ -204,7 +204,7 @@ func (e *Engine) DeleteKey(dataset string, pk ...adm.Value) error {
 	if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpDelete, kb, nil); err != nil {
 		return rollback(tx, err)
 	}
-	if err := d.applyDelete(part, kb, nil); err != nil {
+	if err := d.applyDelete(part, kb, &indexWriter{}); err != nil {
 		return rollback(tx, err)
 	}
 	return tx.Commit()

@@ -258,6 +258,7 @@ func Open(cfg Config) (*Engine, error) {
 // Recover redoes committed updates from the WAL into LSM memory
 // components, returning the number of records replayed.
 func (e *Engine) Recover() (int, error) {
+	w := &indexWriter{redo: true}
 	return e.txmgr.Recover(func(rec *txn.LogRecord) error {
 		d, ok := e.datasets[rec.Dataset]
 		if !ok {
@@ -273,9 +274,9 @@ func (e *Engine) Recover() (int, error) {
 			if !ok {
 				return fmt.Errorf("core: recovery: logged value is %s", v.Kind())
 			}
-			return d.applyUpsert(int(rec.Partition), rec.Key, o, nil)
+			return d.applyUpsert(int(rec.Partition), rec.Key, o, w)
 		case txn.OpDelete:
-			return d.applyDelete(int(rec.Partition), rec.Key, nil)
+			return d.applyDelete(int(rec.Partition), rec.Key, w)
 		}
 		return nil
 	})

@@ -65,19 +65,17 @@ func TestMemTableBasics(t *testing.T) {
 		t.Fatal("phantom key")
 	}
 	var keys []string
-	m.scan(nil, nil, func(e memEntry) bool {
+	for _, e := range m.run(nil, nil, nil) {
 		keys = append(keys, string(e.key))
-		return true
-	})
+	}
 	if fmt.Sprint(keys) != "[a b c]" {
 		t.Fatalf("scan order: %v", keys)
 	}
 	// Bounded scan.
 	keys = nil
-	m.scan([]byte("b"), []byte("b"), func(e memEntry) bool {
+	for _, e := range m.run([]byte("b"), []byte("b"), nil) {
 		keys = append(keys, string(e.key))
-		return true
-	})
+	}
 	if fmt.Sprint(keys) != "[b]" {
 		t.Fatalf("bounded scan: %v", keys)
 	}
@@ -93,13 +91,12 @@ func TestMemTableOrderedUnderRandomInserts(t *testing.T) {
 		m.put(ikey(r.Intn(1000)), ikey(i), false)
 	}
 	var prev []byte
-	m.scan(nil, nil, func(e memEntry) bool {
+	for _, e := range m.run(nil, nil, nil) {
 		if prev != nil && string(prev) >= string(e.key) {
 			t.Fatalf("out of order: %x after %x", e.key, prev)
 		}
-		prev = append(prev[:0], e.key...)
-		return true
-	})
+		prev = e.key
+	}
 }
 
 func TestBloomFilter(t *testing.T) {

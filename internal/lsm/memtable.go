@@ -120,9 +120,9 @@ func (m *memTable) len() int {
 	return m.count
 }
 
-// scan visits entries (including tombstones) with lo <= key <= hi in
-// order; nil bounds are unbounded. fn returning false stops.
-func (m *memTable) scan(lo, hi []byte, fn func(e memEntry) bool) {
+// run appends to out the entries (including tombstones) with lo <= key <= hi
+// in order; nil bounds are unbounded.
+func (m *memTable) run(lo, hi []byte, out []memEntry) []memEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	x := m.head
@@ -133,12 +133,8 @@ func (m *memTable) scan(lo, hi []byte, fn func(e memEntry) bool) {
 			}
 		}
 	}
-	for n := x.next[0]; n != nil; n = n.next[0] {
-		if hi != nil && bytes.Compare(n.entry.key, hi) > 0 {
-			return
-		}
-		if !fn(n.entry) {
-			return
-		}
+	for n := x.next[0]; n != nil && (hi == nil || bytes.Compare(n.entry.key, hi) <= 0); n = n.next[0] {
+		out = append(out, n.entry)
 	}
+	return out
 }

@@ -61,11 +61,7 @@ func (btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTab
 		return nil, err
 	}
 	bloom := newBloom(mem.len())
-	var entries []memEntry
-	mem.scan(nil, nil, func(e memEntry) bool {
-		entries = append(entries, e)
-		return true
-	})
+	entries := mem.run(nil, nil, make([]memEntry, 0, mem.len()))
 	i := 0
 	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
 		if i >= len(entries) {
@@ -277,11 +273,7 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	// Copy the memory components' ranges (each bounded by the mem budget).
 	var runs [2][]memEntry // newest first, as mems is
 	for i, m := range mems {
-		//lint:ignore hot-alloc per-scan closure capturing the run accumulator: one allocation per memory component per scan setup
-		m.scan(lo, hi, func(e memEntry) bool {
-			runs[i] = append(runs[i], e)
-			return true
-		})
+		runs[i] = m.run(lo, hi, nil)
 	}
 
 	// K-way merge: the memory runs are the newest sources, then the disk
