@@ -68,18 +68,24 @@ net-matrix:
 # (BenchmarkScanLeaf), the
 # expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled)
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
-# BenchmarkExchangeWrite).
+# BenchmarkExchangeWrite), and of storage maintenance
+# (BenchmarkComponentBuild: ns/entry, page-writes/page and leaf-fill of the
+# flush of one memory component and of a 5-way merge).
 bench:
-	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/hyracks
+	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/hyracks ./internal/lsm
 
 # bench-smoke: the CI perf gate — run the experiment suite at the small
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
 # the checked-in BENCH_1.json baseline. Timings stay warn-only (shared CI
 # hosts are noisy), but allocation counters are deterministic and gate
-# hard: an allocs/op or allocs/row regression fails the job.
+# hard: an allocs/op or allocs/row regression fails the job. So do the two
+# numbers of a disk component's build that repeat exactly, which
+# BenchmarkComponentBuild checks itself (the comparator's band cannot say
+# "equal"): page-writes/page must be 1 and leaf-fill at least 0.97.
 bench-smoke:
 	go run ./cmd/asterixbench -scale small -out BENCH_ci.json
 	go run ./cmd/asterixbench -compare BENCH_1.json -in BENCH_ci.json -warn-only -hard-units allocs/op,allocs/row
+	go test -run NONE -bench BenchmarkComponentBuild -benchtime 1x ./internal/lsm
 
 # bench-repo-smoke: the repository benchmark (BENCHMARK.json, benchmark/)
 # wired into the build — its own module's tests, then one seconds-long
@@ -112,7 +118,7 @@ help:
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
 	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, partial decoder and key splitter, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks microbenchmarks, once each"
-	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard)"
+	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 
 .PHONY: tier1 verify lint optimizer invariants fault-matrix net-matrix bench bench-smoke bench-repo-smoke fuzz-smoke help

@@ -449,13 +449,23 @@ func (t *BTree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // pairs supplied by next (which returns ok=false at end; a pair need only
 // stay valid until the following call to next). The tree must be empty.
 // This is the efficient sorted-load path that Section V-C contrasts with
-// linear hashing.
+// linear hashing. What it builds is never inserted into (an LSM disk
+// component): every page is filled until the next entry does not fit, and
+// encoded once.
 func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: bulk load into non-empty tree")
 	}
+	// The meta page stays pinned to the end, so it too is written once.
+	mp, err := t.bc.Pin(t.pageID(metaPage))
+	if err != nil {
+		return err
+	}
+	defer func() {
+		t.writeMeta(mp.Data)
+		t.bc.Unpin(mp, true)
+	}()
 	pageSize := t.bc.FileManager().PageSize()
-	fill := pageSize * 9 / 10 // leave headroom for future inserts
 
 	var (
 		leaf     = newNode(nodeLeaf)
@@ -470,22 +480,22 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		lastKey  []byte
 	)
 
-	flushLeaf := func() error {
-		if len(leaf.keys) == 0 {
-			return nil
-		}
-		num, err := t.allocNode(leaf)
+	// writeLeaf writes the leaf out, encoded once: the loader is its file's
+	// only writer and allocates nothing between two leaves, so a leaf that
+	// has a successor links to the page after its own.
+	writeLeaf := func(last bool) error {
+		p, err := t.bc.NewPage(t.file)
 		if err != nil {
 			return err
 		}
-		if prevLeaf != noPage {
-			// Link the previous leaf: its next field, patched in the page.
-			p, err := t.bc.Pin(t.pageID(prevLeaf))
-			if err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint32(p.Data[3:], uint32(num))
-			t.bc.Unpin(p, true)
+		num := p.ID.Num
+		if leaf.next = noPage; !last {
+			leaf.next = num + 1
+		}
+		leaf.encode(p.Data)
+		t.bc.Unpin(p, true)
+		if prevLeaf != noPage && num != prevLeaf+1 {
+			return fmt.Errorf("btree: bulk load is not the only writer of its file")
 		}
 		prevLeaf = num
 		pages = append(pages, num)
@@ -506,11 +516,9 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		if len(k)+len(v) > t.MaxEntrySize() {
 			return fmt.Errorf("btree: entry exceeds max size")
 		}
-		// An entry can be a quarter page while the fill target leaves a
-		// tenth free: close the leaf first if this one would not fit.
 		entrySize := chunkSize(k) + chunkSize(v)
-		if len(leaf.keys) > 0 && leafSize+entrySize > pageSize {
-			if err := flushLeaf(); err != nil {
+		if leafSize+entrySize > pageSize {
+			if err := writeLeaf(false); err != nil {
 				return err
 			}
 		}
@@ -520,17 +528,12 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		leaf.vals = append(leaf.vals, kv[len(k):])
 		leafSize += entrySize
 		total++
-		if leafSize >= fill {
-			if err := flushLeaf(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flushLeaf(); err != nil {
-		return err
 	}
 	if total == 0 {
-		return t.syncMeta()
+		return nil
+	}
+	if err := writeLeaf(true); err != nil {
+		return err
 	}
 
 	// Build interior levels until a single page remains.
@@ -545,7 +548,7 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 			size := pageHeaderSize + 4 // in.encodedSize(), kept as children are added
 			firstSep := seps[i]
 			i++
-			for i < len(pages) && size < fill && size+4+chunkSize(seps[i]) <= pageSize {
+			for i < len(pages) && size+4+chunkSize(seps[i]) <= pageSize {
 				in.keys = append(in.keys, seps[i])
 				in.children = append(in.children, pages[i])
 				size += 4 + chunkSize(seps[i])
@@ -564,9 +567,6 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	t.root = pages[0]
 	t.height = height
 	t.count = total
-	if err := t.syncMeta(); err != nil {
-		return err
-	}
 	// Deep structural walk of the freshly built tree in invariant builds.
 	return check.Run(t)
 }

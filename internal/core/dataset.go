@@ -161,7 +161,8 @@ func (d *Dataset) openIndex(idef *metadata.IndexDef) (*SecondaryIndex, error) {
 			si.rts, si.all = append(si.rts, rt), append(si.all, rt)
 			continue
 		}
-		t, err := lsm.Open(e.bc, name, e.lsmOptions())
+		// Entries are found by range (searchEntries), never by key.
+		t, err := lsm.OpenUnfiltered(e.bc, name, e.lsmOptions())
 		if err != nil {
 			si.detachGovernor()
 			return nil, err

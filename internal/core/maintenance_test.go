@@ -248,6 +248,12 @@ func TestCrashDuringBackgroundMaintenance(t *testing.T) {
 			if files, listed := componentFiles(t, e.cfg.DataDir); files <= listed {
 				t.Fatalf("%d component files for %d listed components: the abandoned job left no orphan, so the crash came too late", files, listed)
 			}
+			// A component built and not yet flushed has its pages allocated
+			// and none written: allocation writes nothing, so the orphan is an
+			// empty file, which the reopened engine must clean up like any other.
+			if point == fault.PointLSMFlush && !strings.Contains(storageLayout(t, e.cfg.DataDir), " 0\n") {
+				t.Fatalf("no empty component file after a crash between build and flush:\n%s", storageLayout(t, e.cfg.DataDir))
+			}
 
 			e2, err := e.Reopen()
 			if err != nil {

@@ -447,3 +447,69 @@ func TestInexactPrimaryKeyRefused(t *testing.T) {
 		t.Errorf("double constants returned %v", got)
 	}
 }
+
+// TestSecondariesOpenWithoutFilters: a secondary index's B+trees are
+// scanned, never asked for one key, so their components carry no bloom
+// filter and opening the engine does not read their leaves to build one:
+// a reopen reads at most the primary index's pages and one meta page per
+// secondary component. The indexes answer as before.
+func TestSecondariesOpenWithoutFilters(t *testing.T) {
+	t.Setenv("ASTERIX_INVARIANTS", "1")
+	e, err := Open(Config{DataDir: t.TempDir(), MemComponentBudget: 256 << 10, MergePolicy: lsm.NoMergePolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, crashDDL+`CREATE INDEX kvValB ON KV(val);`)
+	const n = 3000
+	for id := 0; id < n; id++ {
+		if err := e.UpsertValue("KV", crashRec(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pageSize := int64(e.fm.PageSize())
+	var primaryPages, secondaryPages, secondaryComponents int64
+	for _, line := range strings.Split(storageLayout(t, e.cfg.DataDir), "\n") {
+		var name string
+		var size int64
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &size); err != nil || strings.HasSuffix(name, ".manifest") {
+			continue
+		}
+		if strings.Contains(name, "/idx-") {
+			secondaryPages += size / pageSize
+			secondaryComponents++
+		} else {
+			primaryPages += size / pageSize
+		}
+	}
+	if secondaryPages < 5*secondaryComponents {
+		t.Fatalf("%d pages in %d secondary components: too few for the reads to tell", secondaryPages, secondaryComponents)
+	}
+
+	e2, err := e.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if reads := e2.bc.Stats().Reads; reads > primaryPages+secondaryComponents {
+		t.Fatalf("reopen read %d pages: more than the %d primary pages and a meta page for each of %d secondary components (which hold %d pages)",
+			reads, primaryPages, secondaryComponents, secondaryPages)
+	}
+	rows := queryRows(t, e2, `SELECT VALUE v.id FROM KV v;`)
+	if len(rows) != n {
+		t.Fatalf("scan found %d rows, want %d", len(rows), n)
+	}
+	checkCrashIndexes(t, e2, rows) // the R-tree against the scan, the keyword index id by id
+	if got := queryRows(t, e2, `SELECT VALUE v.id FROM KV v WHERE v.val = "v0042";`); len(got) != 1 || got[0].String() != "42" {
+		t.Fatalf("B-tree secondary lookup returned %v", got)
+	}
+	d, _ := e2.Dataset("KV")
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,8 +1,9 @@
 package lsm
 
 // bloomFilter is a fixed-size Bloom filter guarding point lookups into a
-// disk component (each disk component carries one, as in AsterixDB's LSM
-// B+tree).
+// disk component (as in AsterixDB's LSM B+tree). A component of a tree that
+// answers no point lookups has none: the nil filter takes every key and
+// may contain any.
 type bloomFilter struct {
 	bits []uint64
 	k    int
@@ -30,6 +31,9 @@ func bloomHashes(key []byte) (uint64, uint64) {
 }
 
 func (b *bloomFilter) add(key []byte) {
+	if b == nil {
+		return
+	}
 	h1, h2 := bloomHashes(key)
 	m := uint64(len(b.bits) * 64)
 	for i := 0; i < b.k; i++ {
@@ -39,6 +43,9 @@ func (b *bloomFilter) add(key []byte) {
 }
 
 func (b *bloomFilter) mayContain(key []byte) bool {
+	if b == nil {
+		return true
+	}
 	h1, h2 := bloomHashes(key)
 	m := uint64(len(b.bits) * 64)
 	for i := 0; i < b.k; i++ {

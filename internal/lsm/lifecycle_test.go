@@ -29,6 +29,7 @@ type testIndex interface {
 
 	snapshotRefs() []int32
 	componentCounts() []int64
+	componentPages() int64
 	forceMerge(lo, hi int) error
 	swapNewestTwo()
 	setNewestDropped(bool)
@@ -91,6 +92,18 @@ func (l *lifecycle[M, D]) componentCounts() []int64 {
 	}
 	_ = l.release(comps)
 	return counts
+}
+
+// componentPages is the pages of the live components' files.
+func (l *lifecycle[M, D]) componentPages() int64 {
+	comps, _ := l.view()
+	var pages int64
+	for _, c := range comps {
+		n, _ := l.bc.FileManager().NumPages(c.file)
+		pages += int64(n)
+	}
+	_ = l.release(comps)
+	return pages
 }
 
 // forceMerge merges components [lo..hi] regardless of the policy. The

@@ -10,14 +10,15 @@ import (
 	"asterix/internal/storage"
 )
 
-// Tree is an LSM B+tree: a skiplist memory component plus bloom-guarded
-// B+tree disk components. It is the storage form of every primary index
-// and every value-keyed secondary index.
+// Tree is an LSM B+tree: a skiplist memory component plus B+tree disk
+// components, bloom-guarded where the tree answers point lookups. It is the
+// storage form of every primary index and every value-keyed secondary index.
 type Tree struct {
 	lifecycle[*memTable, *btreeDisk]
 }
 
-// btreeDisk is a B+tree disk component with its in-memory bloom filter.
+// btreeDisk is a B+tree disk component with its in-memory bloom filter
+// (nil in a tree opened with OpenUnfiltered).
 type btreeDisk struct {
 	bt    *btree.BTree
 	bloom *bloomFilter
@@ -29,8 +30,20 @@ func (d *btreeDisk) Count() int64 { return d.bt.Count() }
 // Open opens (or creates) the LSM tree named by the file prefix, reloading
 // any disk components recorded in its manifest.
 func Open(bc *storage.BufferCache, name string, opts Options) (*Tree, error) {
+	return openTree(btreeKind{probed: true}, bc, name, opts)
+}
+
+// OpenUnfiltered is Open for a tree that is scanned and never asked for one
+// key (a secondary index: its entries are found by range). Its components
+// carry no bloom filter, so nothing hashes their keys at flush, merge or
+// open; Get still answers, by searching every component.
+func OpenUnfiltered(bc *storage.BufferCache, name string, opts Options) (*Tree, error) {
+	return openTree(btreeKind{}, bc, name, opts)
+}
+
+func openTree(kind btreeKind, bc *storage.BufferCache, name string, opts Options) (*Tree, error) {
 	t := &Tree{}
-	if err := t.open(btreeKind{}, bc, name, opts); err != nil {
+	if err := t.open(kind, bc, name, opts); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -38,7 +51,18 @@ func Open(bc *storage.BufferCache, name string, opts Options) (*Tree, error) {
 
 // btreeKind LSM-ifies the B+tree. Values inside disk components carry a
 // leading flag byte (1 = antimatter) before the payload.
-type btreeKind struct{}
+type btreeKind struct {
+	probed bool // the tree answers point lookups: its components carry filters
+}
+
+// newFilter returns the filter for a component of n entries, antimatter
+// included: a Get must find a newer component's antimatter to stop there.
+func (k btreeKind) newFilter(n int64) *bloomFilter {
+	if !k.probed {
+		return nil
+	}
+	return newBloom(int(n))
+}
 
 func (btreeKind) fileTag() byte { return 'c' }
 
@@ -55,12 +79,12 @@ func encodeFlagged(value []byte, tombstone bool) []byte {
 }
 
 // build bulk-loads the memory component's entries in key order.
-func (btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTable) (*btreeDisk, error) {
+func (k btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTable) (*btreeDisk, error) {
 	bt, err := btree.Open(bc, file)
 	if err != nil {
 		return nil, err
 	}
-	bloom := newBloom(mem.len())
+	bloom := k.newFilter(int64(mem.len()))
 	entries := mem.run(nil, nil, make([]memEntry, 0, mem.len()))
 	i := 0
 	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
@@ -79,7 +103,10 @@ func (btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTab
 }
 
 // lowest returns the iterator sitting on the smallest key (-1 when all
-// are exhausted); the lowest index — the newest source — wins ties.
+// are exhausted); the lowest index — the newest source — wins ties. An
+// older source's entry under the key of a newer one can never be read
+// again, so it is stepped over here, in the pass that finds it: one
+// comparison per source and output key, and the caller advances only src.
 func lowest(iters []*btree.Iterator) (src int, key []byte, err error) {
 	src = -1
 	for i, it := range iters {
@@ -89,25 +116,17 @@ func lowest(iters []*btree.Iterator) (src int, key []byte, err error) {
 			}
 			continue
 		}
-		if src == -1 || bytes.Compare(it.Key(), key) < 0 {
-			src, key = i, it.Key()
+		c := -1
+		if src >= 0 {
+			c = bytes.Compare(it.Key(), key)
 		}
-	}
-	return src, key, nil
-}
-
-// advancePast moves every iterator sitting on key past it. key aliases
-// the page buffer of iters[owner] (owner -1: none of them), so that
-// iterator goes last: its Next may overwrite the bytes being compared.
-func advancePast(iters []*btree.Iterator, owner int, key []byte) {
-	for i, it := range iters {
-		if i != owner && it.Valid() && bytes.Equal(it.Key(), key) {
+		if c < 0 {
+			src, key = i, it.Key()
+		} else if c == 0 {
 			it.Next()
 		}
 	}
-	if owner >= 0 {
-		iters[owner].Next()
-	}
+	return src, key, nil
 }
 
 var errNoFlag = errors.New("lsm: component value missing antimatter flag byte")
@@ -123,26 +142,28 @@ func flagged(v []byte) (payload []byte, tombstone bool, err error) {
 
 // merge k-way merges the victims' sorted runs; the lowest (newest) source
 // wins ties.
-func (btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*btreeDisk, dropAntimatter bool) (*btreeDisk, error) {
-	bt, err := btree.Open(bc, file)
-	if err != nil {
-		return nil, err
-	}
+func (k btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*btreeDisk, dropAntimatter bool) (*btreeDisk, error) {
 	total := int64(0)
 	iters := make([]*btree.Iterator, len(victims))
 	for i, v := range victims {
 		total += v.bt.Count()
 		iters[i] = v.bt.NewIterator(nil, nil)
 	}
-	bloom := newBloom(int(total))
+	// The sources are positioned first (that reads pages): the new file's
+	// meta page is then still cached when BulkLoad pins it.
+	bt, err := btree.Open(bc, file)
+	if err != nil {
+		return nil, err
+	}
+	bloom := k.newFilter(total)
 	var mergeErr error
 	// The entry handed to BulkLoad lives in its iterator's page buffer,
-	// so the sources move past it only when BulkLoad asks for the next.
+	// so that source moves past it only when BulkLoad asks for the next.
 	src, key := -1, []byte(nil)
 	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
 		for {
 			if src >= 0 {
-				advancePast(iters, src, key)
+				iters[src].Next()
 			}
 			if src, key, mergeErr = lowest(iters); src == -1 {
 				return nil, nil, false
@@ -168,27 +189,29 @@ func (btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*
 	return &btreeDisk{bt: bt, bloom: bloom}, nil
 }
 
-// open rebuilds the bloom filter from a key scan (the filter is held in
-// memory only).
-func (btreeKind) open(bc *storage.BufferCache, file storage.FileID) (*btreeDisk, error) {
+// open rebuilds the bloom filter, which is held in memory only, from a key
+// scan; a tree without filters reads the component's meta page and no more.
+func (k btreeKind) open(bc *storage.BufferCache, file storage.FileID) (*btreeDisk, error) {
 	bt, err := btree.Open(bc, file)
 	if err != nil {
 		return nil, err
 	}
-	bloom := newBloom(int(bt.Count()))
-	err = bt.Scan(nil, nil, func(k, v []byte) bool {
-		bloom.add(k)
-		return true
-	})
-	if err != nil {
-		return nil, err
+	bloom := k.newFilter(bt.Count())
+	if bloom != nil {
+		err := bt.Scan(nil, nil, func(k, v []byte) bool {
+			bloom.add(k)
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return &btreeDisk{bt: bt, bloom: bloom}, nil
 }
 
 // validate checks that the B+tree passes its own deep validation, keys
 // are in strict order, every value carries a flag byte, and the bloom
-// filter answers mayContain=true for every key present.
+// filter, where there is one, answers mayContain=true for every key present.
 func (btreeKind) validate(d *btreeDisk) error {
 	if err := d.bt.Validate(); err != nil {
 		return err
@@ -294,10 +317,19 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 				m = i
 			}
 		}
+		// cmp places the lowest memory key against the lowest disk key; the
+		// memory components are newer, so they win a tie.
+		cmp := 1
+		switch {
+		case m >= 0 && src >= 0:
+			cmp = bytes.Compare(runs[m][0].key, key)
+		case m >= 0:
+			cmp = -1
+		}
 		var value []byte
 		var tombstone bool
-		if m >= 0 && (src == -1 || bytes.Compare(runs[m][0].key, key) <= 0) {
-			src, key, value, tombstone = -1, runs[m][0].key, runs[m][0].value, runs[m][0].tombstone
+		if cmp <= 0 {
+			key, value, tombstone = runs[m][0].key, runs[m][0].value, runs[m][0].tombstone
 			for i := range runs {
 				if len(runs[i]) > 0 && bytes.Equal(runs[i][0].key, key) {
 					runs[i] = runs[i][1:]
@@ -312,7 +344,9 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 		if !tombstone && !fn(key, value) {
 			return nil
 		}
-		advancePast(iters, src, key)
+		if cmp >= 0 {
+			iters[src].Next()
+		}
 	}
 }
 

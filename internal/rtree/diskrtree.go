@@ -42,10 +42,15 @@ func BuildDisk(bc *storage.BufferCache, file storage.FileID, entries []Entry) (*
 	defer bc.Unpin(mp, true)
 
 	pageSize := bc.FileManager().PageSize()
-	// Estimate leaf capacity from page size and typical entry size.
-	nodeCap := (pageSize - 8) / 48
-	if nodeCap < 2 {
-		nodeCap = 2
+	// A leaf is filled until the next entry does not fit; the STR tiling
+	// takes as a leaf's capacity what a page holds of the average entry.
+	encoded := 0
+	for _, e := range entries {
+		encoded += leafEntrySize(e)
+	}
+	nodeCap := 2
+	if encoded > 0 {
+		nodeCap = max(nodeCap, (pageSize-3)*len(entries)/encoded)
 	}
 	STRSort(entries, nodeCap)
 
@@ -67,8 +72,7 @@ func BuildDisk(bc *storage.BufferCache, file storage.FileID, entries []Entry) (*
 		var rect Rect
 		for i+n < len(entries) {
 			e := entries[i+n]
-			need := 32 + uvarLen(len(e.Payload)) + len(e.Payload)
-			if pos+need > pageSize || n >= nodeCap {
+			if pos+leafEntrySize(e) > pageSize {
 				break
 			}
 			putRect(p.Data[pos:], e.Rect)
@@ -236,6 +240,9 @@ func getRect(buf []byte) Rect {
 		MaxY: math.Float64frombits(binary.BigEndian.Uint64(buf[24:])),
 	}
 }
+
+// leafEntrySize returns the bytes e takes in a leaf page.
+func leafEntrySize(e Entry) int { return 32 + uvarLen(len(e.Payload)) + len(e.Payload) }
 
 func uvarLen(x int) int {
 	n := 1

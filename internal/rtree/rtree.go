@@ -9,8 +9,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Rect is an axis-aligned rectangle (a point has Min == Max).
@@ -344,8 +345,8 @@ func STRSort(entries []Entry, nodeCap int) {
 	if len(entries) == 0 {
 		return
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Rect.MinX+entries[i].Rect.MaxX < entries[j].Rect.MinX+entries[j].Rect.MaxX
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Compare(a.Rect.MinX+a.Rect.MaxX, b.Rect.MinX+b.Rect.MaxX)
 	})
 	leaves := (len(entries) + nodeCap - 1) / nodeCap
 	sliceCount := int(math.Ceil(math.Sqrt(float64(leaves))))
@@ -358,9 +359,8 @@ func STRSort(entries []Entry, nodeCap int) {
 		if end > len(entries) {
 			end = len(entries)
 		}
-		s := entries[off:end]
-		sort.Slice(s, func(i, j int) bool {
-			return s[i].Rect.MinY+s[i].Rect.MaxY < s[j].Rect.MinY+s[j].Rect.MaxY
+		slices.SortFunc(entries[off:end], func(a, b Entry) int {
+			return cmp.Compare(a.Rect.MinY+a.Rect.MaxY, b.Rect.MinY+b.Rect.MaxY)
 		})
 	}
 }

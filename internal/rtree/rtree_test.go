@@ -203,6 +203,43 @@ func TestDiskRTreeMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// A disk component is never inserted into: its leaves are filled until the
+// next entry does not fit, whatever the entries' size (a fixed cap of
+// (pageSize-8)/48 entries once left pages of 43-byte entries a tenth empty).
+func TestDiskRTreePacksLeaves(t *testing.T) {
+	const pageSize, entrySize = 8192, 32 + 1 + 10
+	es := randomPoints(5000, 31)
+	for i := range es {
+		es[i].Payload = append(es[i].Payload, 0, 0)[:10]
+	}
+	bc, id := newBC(t, pageSize, 64)
+	dt, err := BuildDisk(bc, id, append([]Entry(nil), es...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, _ := bc.FileManager().NumPages(id)
+	var leafEntries []int
+	for num := int32(1); num < pages; num++ {
+		p, err := bc.Pin(storage.PageID{File: id, Num: num})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Data[0] == diskLeaf {
+			leafEntries = append(leafEntries, int(binary.BigEndian.Uint16(p.Data[1:])))
+		}
+		bc.Unpin(p, false)
+	}
+	for i, n := range leafEntries[:len(leafEntries)-1] {
+		if 3+(n+1)*entrySize <= pageSize {
+			t.Fatalf("leaf %d of %d holds %d entries, one more would fit", i, len(leafEntries), n)
+		}
+	}
+	n := 0
+	if err := dt.Search(Rect{-1e18, -1e18, 1e18, 1e18}, func(Entry) bool { n++; return true }); err != nil || n != len(es) {
+		t.Fatalf("full search found %d of %d, err %v", n, len(es), err)
+	}
+}
+
 func TestDiskRTreeReopen(t *testing.T) {
 	es := randomPoints(500, 21)
 	fm, err := storage.NewFileManager(t.TempDir(), 1024)

@@ -9,6 +9,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -109,7 +110,9 @@ func (fm *FileManager) NumPages(id FileID) (int32, error) {
 	return pf.pages, nil
 }
 
-// Allocate extends the file by one zeroed page and returns its number.
+// Allocate adds one page to the file and returns its number. It does no
+// I/O: the file grows when the page is first written, and until then the
+// page reads as zeros.
 func (fm *FileManager) Allocate(id FileID) (int32, error) {
 	fm.mu.Lock()
 	defer fm.mu.Unlock()
@@ -117,25 +120,25 @@ func (fm *FileManager) Allocate(id FileID) (int32, error) {
 	if !ok {
 		return 0, fmt.Errorf("storage: unknown file %d", id)
 	}
-	n := pf.pages
 	pf.pages++
-	zero := make([]byte, fm.pageSize)
-	//lint:ignore lock-held the page count and the extending write must be atomic or two allocators hand out the same page
-	if _, err := pf.f.WriteAt(zero, int64(n)*int64(fm.pageSize)); err != nil {
-		return 0, fmt.Errorf("storage: extend %s: %w", pf.name, err)
-	}
-	return n, nil
+	return pf.pages - 1, nil
 }
 
 // ReadPage reads page num of file id into buf (len must equal page size).
 func (fm *FileManager) ReadPage(id FileID, num int32, buf []byte) error {
 	fm.mu.Lock()
 	pf, ok := fm.files[id]
+	allocated := ok && num < pf.pages
 	fm.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("storage: unknown file %d", id)
 	}
-	if _, err := pf.f.ReadAt(buf, int64(num)*int64(fm.pageSize)); err != nil {
+	n, err := pf.f.ReadAt(buf, int64(num)*int64(fm.pageSize))
+	if err == io.EOF && allocated {
+		clear(buf[n:]) // the file does not reach the end of the page yet
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("storage: read %s page %d: %w", pf.name, num, err)
 	}
 	return nil

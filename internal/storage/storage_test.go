@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -66,6 +68,70 @@ func TestFileManagerAllocateReadWrite(t *testing.T) {
 		if b != 0 {
 			t.Fatal("fresh page not zeroed")
 		}
+	}
+}
+
+// Allocation is bookkeeping: it touches no file, so no I/O failure can leave
+// a page counted that was never handed out (Allocate used to count the page
+// and then write zeros to it, and a failed write left the count one ahead).
+// The file grows when a page is written; until then an allocated page reads
+// as zeros, and a crash forgets it.
+func TestAllocateFailureLeavesCount(t *testing.T) {
+	dir := t.TempDir()
+	fm, err := NewFileManager(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := fm.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Repeat([]byte{7}, 256)
+	for want := int32(0); want < 3; want++ {
+		if got, err := fm.Allocate(id); err != nil || got != want {
+			t.Fatalf("Allocate = %d, %v; want %d", got, err, want)
+		}
+	}
+	if err := fm.WritePage(id, 0, page); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(filepath.Join(dir, "f")); err != nil || st.Size() != 256 {
+		t.Fatalf("file is %d bytes (%v) after one page write, want 256: allocation wrote", st.Size(), err)
+	}
+	got := bytes.Repeat([]byte{1}, 256)
+	if err := fm.ReadPage(id, 2, got); err != nil || !bytes.Equal(got, make([]byte, 256)) {
+		t.Fatalf("allocated, unwritten page past the end of the file: err %v, zero %v", err, bytes.Equal(got, make([]byte, 256)))
+	}
+	if err := fm.ReadPage(id, 3, got); err == nil {
+		t.Fatal("reading a page that was never allocated succeeded")
+	}
+
+	// With the descriptor gone every write fails; allocating does not write.
+	if err := fm.files[id].f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := fm.Allocate(id); err != nil || n != 3 {
+		t.Fatalf("Allocate on a dead descriptor = %d, %v; want 3, nil", n, err)
+	}
+	if err := fm.WritePage(id, 3, page); err == nil {
+		t.Fatal("write on a dead descriptor succeeded")
+	}
+	if n, _ := fm.NumPages(id); n != 4 {
+		t.Fatalf("NumPages = %d, want the 4 pages handed out", n)
+	}
+
+	// A new process sees the pages that were written, not the ones promised.
+	fm2, err := NewFileManager(dir, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fm2.Close()
+	id2, err := fm2.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := fm2.NumPages(id2); n != 1 {
+		t.Fatalf("reopened file has %d pages, want the 1 written", n)
 	}
 }
 
