@@ -76,7 +76,6 @@ func startCluster(self, dataListen, peerSpec, dataDir string, hbInterval time.Du
 		Peers:             peers,
 		Gov:               gov,
 		Metrics:           reg,
-		FramePool:         cluster.FramePool(),
 		OnPeerDown:        node.OnPeerDown,
 		OnPeerUp:          node.OnPeerUp,
 		OnControl:         node.HandleControl,

@@ -33,11 +33,6 @@ type Config struct {
 	// rule: every value produced by an acquire must reach one of its
 	// releases on all paths out of the acquiring function.
 	Resources []ResourceSpec
-	// Pools registers buffer pools for the pool-safety rule family: a
-	// container drawn from a pool's Get must reach its Put on every
-	// path, must not be touched after the Put, put twice, or recycled
-	// after its ownership escaped.
-	Pools []PoolSpec
 
 	// HotRoots are the per-tuple kernels the hot-alloc rule requires to
 	// be transitively allocation-free (see docs/STATIC_ANALYSIS.md for
@@ -170,31 +165,6 @@ func DefaultConfig() *Config {
 				},
 			},
 		},
-		Pools: []PoolSpec{
-			{
-				// Exchange frame containers ([]Tuple): connWriter batches,
-				// merge-input output frames, wire decode. Unnamed element
-				// type, so call arguments stay loans.
-				Pkg: "asterix/internal/hyracks", Recv: "FramePool",
-				Get: "Get", Put: "Put",
-				Desc: "pooled frame",
-			},
-			{
-				// Spill-record scratch tuples: group-by partial records,
-				// grace-join probe read-back. The named Tuple element lets
-				// helper parameters resolve kept/released.
-				Pkg: "asterix/internal/hyracks", Recv: "TuplePool",
-				Get: "Get", Put: "Put",
-				ElemPkg: "asterix/internal/hyracks", ElemType: "Tuple",
-				Desc: "pooled tuple",
-			},
-			{
-				// Run-file encode/decode scratch ([]byte).
-				Pkg: "asterix/internal/hyracks", Recv: "BytePool",
-				Get: "Get", Put: "Put",
-				Desc: "pooled byte buffer",
-			},
-		},
 		HotRoots: []FuncRef{
 			// ADM comparator/serde kernels: run once per tuple column.
 			{Pkg: "asterix/internal/adm", Func: "Compare"},
@@ -299,7 +269,7 @@ type Rule struct {
 // cross-package state are built fresh on each call, so independent
 // runs (and tests) do not share graphs.
 func AllRules() []*Rule {
-	rules := []*Rule{
+	return []*Rule{
 		ruleObsNil(),
 		ruleLockHeld(),
 		ruleGoLifecycle(),
@@ -313,7 +283,6 @@ func AllRules() []*Rule {
 		ruleHotAlloc(),
 		ruleWaitAttrib(),
 	}
-	return append(rules, poolSafetyRules()...)
 }
 
 var ignoreRe = regexp.MustCompile(`^//lint:ignore\s+(\S+)(?:\s+(.*))?$`)

@@ -220,15 +220,6 @@ func TestCtxFlowFixture(t *testing.T) {
 	checkFixture(t, "ctxflow", nil)
 }
 
-func TestPoolSafetyFixture(t *testing.T) {
-	checkFixture(t, "poolsafety", func(cfg *Config, pkgPath string) {
-		cfg.Pools = []PoolSpec{{
-			Pkg: pkgPath, Recv: "Pool", Get: "Get", Put: "Put",
-			ElemPkg: pkgPath, ElemType: "Rec", Desc: "pooled rec",
-		}}
-	})
-}
-
 func TestStaleSuppressionFixture(t *testing.T) {
 	checkFixture(t, "stalesup", nil)
 }

@@ -25,9 +25,7 @@ import (
 // helpers), a call passing x through a function value (the callee is
 // unknown, so assume it forwards to a consumer), and — summary-
 // sensitively — a call whose resolved parameter summary says the callee
-// retains x. Pool Get/Put calls are excluded: that lifecycle belongs to
-// the pool-safety rules, and a Put is a return to the pool, not a
-// consumer handoff.
+// retains x.
 func ruleFrameAlias() *Rule {
 	return &Rule{
 		Name:   "frame-alias",
@@ -132,14 +130,6 @@ func (fa *frameAliasBody) sends(n ast.Node) []frameSend {
 
 // callSends classifies one call's frame arguments.
 func (fa *frameAliasBody) callSends(call *ast.CallExpr) []frameSend {
-	// Pool traffic is the pool-safety rules' territory.
-	if poolGetSpec(fa.c, fa.p.Info, call) != nil {
-		return nil
-	}
-	if t, ps := poolPutTarget(fa.c, fa.p.Info, call); ps != nil {
-		_ = t
-		return nil
-	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := fa.p.Info.Uses[id].(*types.Builtin); isBuiltin {
 			return nil // append/copy/len aliasing is the assignment classifier's job

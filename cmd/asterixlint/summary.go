@@ -111,25 +111,15 @@ type ParamFlow struct {
 	CalleeParam int    `json:"j"`
 }
 
-// PooledResult records that a function hands the caller a pool-drawn
-// container at result index Index: the caller owns the Put. Extracted
-// from return statements returning, verbatim, a variable assigned from
-// a registered pool Get.
-type PooledResult struct {
-	Index int    `json:"i"`
-	Desc  string `json:"d,omitempty"`
-}
-
 // Summary is one function's interprocedural fact sheet.
 type Summary struct {
-	ID     string         `json:"id"`
-	Allocs []AllocSite    `json:"allocs,omitempty"`
-	Blocks []BlockSite    `json:"blocks,omitempty"`
-	Edges  []EdgeFact     `json:"edges,omitempty"`
-	Panics bool           `json:"panics,omitempty"`
-	Params []ParamFact    `json:"params,omitempty"`
-	Flows  []ParamFlow    `json:"flows,omitempty"`
-	Pooled []PooledResult `json:"pooled,omitempty"`
+	ID     string      `json:"id"`
+	Allocs []AllocSite `json:"allocs,omitempty"`
+	Blocks []BlockSite `json:"blocks,omitempty"`
+	Edges  []EdgeFact  `json:"edges,omitempty"`
+	Panics bool        `json:"panics,omitempty"`
+	Params []ParamFact `json:"params,omitempty"`
+	Flows  []ParamFlow `json:"flows,omitempty"`
 }
 
 // Interp is the interprocedural state handed to rules' Interp hooks.
@@ -205,39 +195,6 @@ func resourceTypes(c *Config) map[string]string {
 	return m
 }
 
-// extractionConfig returns c extended with synthetic resource specs for
-// the registered pool element types, so parameter classification
-// (kept/released) covers functions handling pooled containers of a
-// named type. The synthetic specs declare no acquire function (an empty
-// Func matches no call, so resource-leak tracking never opens a site
-// for them) and release through the pool's Put.
-func extractionConfig(c *Config) *Config {
-	n := 0
-	for i := range c.Pools {
-		if c.Pools[i].ElemType != "" {
-			n++
-		}
-	}
-	if n == 0 {
-		return c
-	}
-	ec := *c
-	ec.Resources = append([]ResourceSpec(nil), c.Resources...)
-	for i := range c.Pools {
-		ps := &c.Pools[i]
-		if ps.ElemType == "" {
-			continue
-		}
-		ec.Resources = append(ec.Resources, ResourceSpec{
-			Pkg:      ps.ElemPkg,
-			Type:     ps.ElemType,
-			Desc:     ps.Desc,
-			Releases: []ReleaseSpec{{Pkg: ps.Pkg, Recv: ps.Recv, Func: ps.Put, Arg: 0}},
-		})
-	}
-	return &ec
-}
-
 // buildInterp computes (or restores) the summary table for the loaded
 // package set.
 func buildInterp(c *Config, fset *token.FileSet, modRoot, cacheDir string, pkgs []*Package) *Interp {
@@ -259,11 +216,10 @@ func buildInterp(c *Config, fset *token.FileSet, modRoot, cacheDir string, pkgs 
 		pkgOf[gp] = p
 	}
 	graph := cfg.BuildCallGraph(gps)
-	ec := extractionConfig(c)
-	restypes := resourceTypes(ec)
+	restypes := resourceTypes(c)
 	for _, id := range graph.IDs {
 		f := graph.Funcs[id]
-		ip.sums[id] = newExtractor(ip, pkgOf[f.Pkg], restypes, ec).extract(f)
+		ip.sums[id] = newExtractor(ip, pkgOf[f.Pkg], restypes).extract(f)
 	}
 	for id := range ip.sums {
 		ip.ids = append(ip.ids, id)
@@ -417,9 +373,6 @@ type extractor struct {
 	ip       *Interp
 	p        *Package
 	restypes map[string]string
-	// ec is the extraction config: the run config extended with the
-	// synthetic pool-element resource specs (see extractionConfig).
-	ec *Config
 
 	units []*unit
 	// panicSpans are panic-argument source ranges: calls inside them are
@@ -439,8 +392,8 @@ func (x *extractor) inPanicArg(pos token.Pos) bool {
 	return false
 }
 
-func newExtractor(ip *Interp, p *Package, restypes map[string]string, ec *Config) *extractor {
-	return &extractor{ip: ip, p: p, restypes: restypes, ec: ec}
+func newExtractor(ip *Interp, p *Package, restypes map[string]string) *extractor {
+	return &extractor{ip: ip, p: p, restypes: restypes}
 }
 
 // unitAt returns the innermost unit whose body contains pos (go-launched
@@ -465,79 +418,7 @@ func (x *extractor) extract(f *cfg.CGFunc) *Summary {
 	}
 	x.edges(f)
 	x.params(f)
-	x.pooled(f)
 	return x.sum
-}
-
-// pooled records the function's pool-producing results: a return
-// statement in the declaration body returning, verbatim, a variable
-// assigned from a registered pool Get (function literals are excluded —
-// their returns are not this function's). Naked returns of named
-// results are not matched; the repo's producers return explicitly.
-func (x *extractor) pooled(f *cfg.CGFunc) {
-	if len(x.ec.Pools) == 0 {
-		return
-	}
-	info := x.p.Info
-	fromGet := map[types.Object]*PoolSpec{}
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
-			return true
-		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		ps := poolGetSpec(x.ec, info, call)
-		if ps == nil {
-			return true
-		}
-		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return true
-		}
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		if obj != nil {
-			fromGet[obj] = ps
-		}
-		return true
-	})
-	if len(fromGet) == 0 {
-		return
-	}
-	seen := map[int]bool{}
-	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		for i, r := range ret.Results {
-			id, ok := ast.Unparen(r).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			obj := info.Uses[id]
-			if obj == nil {
-				continue
-			}
-			if ps, isPooled := fromGet[obj]; isPooled && !seen[i] {
-				seen[i] = true
-				x.sum.Pooled = append(x.sum.Pooled, PooledResult{Index: i, Desc: ps.Desc})
-			}
-		}
-		return true
-	})
-	sort.Slice(x.sum.Pooled, func(i, j int) bool { return x.sum.Pooled[i].Index < x.sum.Pooled[j].Index })
 }
 
 // collectUnits gathers the declaration body and every folded literal,
@@ -980,7 +861,7 @@ func (x *extractor) params(f *cfg.CGFunc) {
 		return
 	}
 	info := x.p.Info
-	la := &leakAnalysis{c: x.ec, p: x.p} // reuse release matching
+	la := &leakAnalysis{c: x.ip.c, p: x.p} // reuse release matching
 	for i := 0; i < sig.Params().Len(); i++ {
 		pv := sig.Params().At(i)
 		n := namedType(pv.Type())

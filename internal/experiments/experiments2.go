@@ -782,7 +782,7 @@ func All() []NamedExperiment {
 		{"E10", E10Recovery}, {"E11", E11PKSortAblation},
 		{"E12", E12Compression}, {"E13", E13NodeFailure},
 		{"E14", E14HotPathAllocs}, {"E15", E15DistJoinLinkFault},
-		{"E16", E16OptimizerJoinOrder}, {"E17", E17PooledBuffers},
+		{"E16", E16OptimizerJoinOrder},
 	}
 }
 

@@ -213,24 +213,3 @@ func TestE14HotPathAllocs(t *testing.T) {
 		}
 	}
 }
-
-func TestE17PooledBuffers(t *testing.T) {
-	rep := runExp(t, E17PooledBuffers)
-	get := func(name string) float64 {
-		for _, m := range rep.Measurements {
-			if m.Name == name {
-				return m.Value
-			}
-		}
-		t.Fatalf("measurement %s missing", name)
-		return 0
-	}
-	// The experiment fails itself when pooling buys nothing; assert the
-	// artifact carries both sides of each before/after pair.
-	if p, u := get("exchange_allocs_per_row_pooled"), get("exchange_allocs_per_row_unpooled"); p >= u {
-		t.Errorf("exchange pooled %.2f >= unpooled %.2f", p, u)
-	}
-	if p, u := get("wire_decode_allocs_per_frame_pooled"), get("wire_decode_allocs_per_frame_unpooled"); p >= u {
-		t.Errorf("wire decode pooled %.2f >= unpooled %.2f", p, u)
-	}
-}

@@ -110,17 +110,7 @@ type Cluster struct {
 	// of working memory is created lazily.
 	Gov *mem.Governor
 
-	// Pool recycles exchange frame containers across the cluster's jobs
-	// (connWriter batches, merge-input output frames). Left nil it is
-	// built lazily on first Run, sized by FrameSize and charged to the
-	// governor's metrics; set DisableFramePool to keep the legacy
-	// allocate-per-frame behavior (the pooled/unpooled equivalence corpus
-	// and the E17 baseline run that way).
-	Pool             *FramePool
-	DisableFramePool bool
-
-	govOnce  sync.Once
-	poolOnce sync.Once
+	govOnce sync.Once
 
 	// Job lifecycle counters (atomic).
 	jobAttempts  int64
@@ -142,28 +132,6 @@ func (c *Cluster) governor() *mem.Governor {
 		}
 	})
 	return c.Gov
-}
-
-// FramePool resolves the cluster's frame pool for external sharers —
-// the anet peer's receive-side decode takes its frame containers from
-// the same pool the executor recycles into, so remote frames round-trip
-// through one freelist. Returns nil when DisableFramePool is set (every
-// pool operation is nil-safe and degrades to plain allocation).
-func (c *Cluster) FramePool() *FramePool { return c.framePool() }
-
-// framePool resolves the cluster's frame pool, building the default one
-// on first use (nil while DisableFramePool — every pool operation is
-// nil-safe and degrades to plain allocation).
-func (c *Cluster) framePool() *FramePool {
-	if c.DisableFramePool {
-		return nil
-	}
-	c.poolOnce.Do(func() {
-		if c.Pool == nil {
-			c.Pool = NewFramePool(c.FrameSize, 256, c.governor().PoolCharge("frame"))
-		}
-	})
-	return c.Pool
 }
 
 // RetryStats is an atomic snapshot of the cluster's job retry counters.

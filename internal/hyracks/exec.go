@@ -136,7 +136,6 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 		jobID = pl.JobID
 	}
 	defer transport.CloseJob(jobID)
-	pool := c.framePool()
 	for ei, e := range j.edges {
 		rt := &edgeRT{}
 		n := e.to.Parallelism
@@ -322,14 +321,10 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 					// Remote consumer: the transport serializes the frame
 					// and blocks under the consumer's credit window. Wire
 					// stalls are always attributed (the per-frame clock is
-					// noise next to a network round trip). Send's contract
-					// is that the frame is fully encoded (or abandoned)
-					// before it returns, so the container recycles here
-					// either way.
+					// noise next to a network round trip).
 					t0 := time.Now()
 					err := rt.handle.Send(tctx, dst, frame)
 					tc.AddWait(obs.WaitNet, time.Since(t0))
-					pool.Put(frame)
 					return err
 				}
 				ch := rt.chans[dst]
@@ -367,13 +362,13 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 						for i, ch := range rt.chans {
 							buffered[i] = unboundedBuffer(tctx, ch)
 						}
-						ins[port] = newMergingInput(tctx, buffered, e.conn.Cmp, c.FrameSize, pool, node, ts)
+						ins[port] = newMergingInput(tctx, buffered, e.conn.Cmp, c.FrameSize, node, ts)
 					} else {
-						ins[port] = newConcatInput(tctx, rt.chans, pool, node, ts)
+						ins[port] = newConcatInput(tctx, rt.chans, node, ts)
 					}
 				default:
 					ch := rt.chans[p]
-					ins[port] = &Input{pool: pool, recv: func() ([]Tuple, bool, error) {
+					ins[port] = &Input{recv: func() ([]Tuple, bool, error) {
 						select {
 						case f, ok := <-ch:
 							if !ok {
@@ -399,7 +394,6 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 					nch:       len(rt.chans),
 					frameSize: c.FrameSize,
 					producer:  p,
-					pool:      pool,
 					send:      func(dst int, frame []Tuple) error { return send(rt, dst, frame) },
 					tc:        tc,
 				}
@@ -507,24 +501,28 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	return ctx.Err()
 }
 
+// firstFrameCap is the capacity a connWriter's frames start with until one
+// of them has filled.
+const firstFrameCap = 8
+
 // connWriter routes a producer partition's output tuples into the edge's
-// channels with frame batching. Batch buffers start life as recycled
-// frame containers: a locally-consumed frame transfers ownership to its
-// consumer over the channel (the consumer's Input recycles it after the
-// tuple pass), while a remote send recycles it as soon as the transport
-// has serialized it.
+// channels with frame batching. A frame is an ordinary slice: once sent it
+// belongs to whoever received it.
 type connWriter struct {
 	conn      Connector
 	nch       int
 	buffers   [][]Tuple
 	frameSize int
-	producer  int
-	rr        int
-	mergeDst  int
-	mbuf      []Tuple
-	pool      *FramePool
-	send      func(dst int, frame []Tuple) error
-	tc        *TaskContext // whose node and span the counts go to
+	// filled: one of this writer's frames has reached frameSize, so new
+	// ones are allocated at that size. Until then a frame starts at
+	// firstFrameCap and grows by append — a point lookup's answer is a
+	// handful of rows per edge, not a frame's worth.
+	filled   bool
+	producer int
+	rr       int
+	mergeDst int // ConnMerge: the one channel this producer feeds
+	send     func(dst int, frame []Tuple) error
+	tc       *TaskContext // whose node and span the counts go to
 	// written counts tuples since the last flushCount. The node's and the
 	// span's counters are shared by every task of the partition, so a
 	// write per tuple bounces their cache line between cores; they are
@@ -570,30 +568,24 @@ func (w *connWriter) Write(t Tuple) error {
 		w.rr++
 		return w.buffered(dst, t)
 	case ConnMerge:
-		// One writer-local buffer feeding this producer's merge channel
-		// (shared MPSC channel for unordered merges).
-		if w.mbuf == nil {
-			w.mbuf = w.pool.Get()
-		}
-		w.mbuf = append(w.mbuf, t)
-		if len(w.mbuf) >= w.frameSize {
-			f := w.mbuf
-			w.mbuf = nil
-			return w.sendFrame(w.mergeDst, f)
-		}
-		return nil
+		return w.buffered(w.mergeDst, t)
 	}
 	return fmt.Errorf("hyracks: unknown connector kind %d", w.conn.Kind)
 }
 
 func (w *connWriter) buffered(dst int, t Tuple) error {
 	if w.buffers[dst] == nil {
-		w.buffers[dst] = w.pool.Get()
+		size := firstFrameCap
+		if w.filled {
+			size = w.frameSize
+		}
+		w.buffers[dst] = make([]Tuple, 0, size)
 	}
 	w.buffers[dst] = append(w.buffers[dst], t)
 	if len(w.buffers[dst]) >= w.frameSize {
 		f := w.buffers[dst]
 		w.buffers[dst] = nil
+		w.filled = true
 		return w.sendFrame(dst, f)
 	}
 	return nil
@@ -606,14 +598,6 @@ func (w *connWriter) Close() error {
 		return nil
 	}
 	w.closed = true
-	if w.conn.Kind == ConnMerge {
-		if len(w.mbuf) > 0 {
-			f := w.mbuf
-			w.mbuf = nil
-			return w.send(w.mergeDst, f)
-		}
-		return nil
-	}
 	for i, buf := range w.buffers {
 		if len(buf) > 0 {
 			if err := w.send(i, buf); err != nil {
@@ -634,44 +618,26 @@ func unboundedBuffer(ctx context.Context, in chan []Tuple) chan []Tuple {
 	go func() {
 		defer close(out)
 		var queue [][]Tuple
-		inOpen := true
-		for {
-			if len(queue) == 0 {
-				if !inOpen {
-					return
-				}
-				select {
-				case f, ok := <-in:
-					if !ok {
-						inOpen = false
-						continue
-					}
-					queue = append(queue, f)
-				case <-ctx.Done():
-					return
-				}
-				continue
+		// A nil channel is never ready: in goes nil once the producer has
+		// closed it, send stays nil while there is nothing to deliver.
+		for in != nil || len(queue) > 0 {
+			var send chan []Tuple
+			var head []Tuple
+			if len(queue) > 0 {
+				send, head = out, queue[0]
 			}
-			if inOpen {
-				select {
-				case f, ok := <-in:
-					if !ok {
-						inOpen = false
-					} else {
-						queue = append(queue, f)
-					}
-				case out <- queue[0]:
-					queue = queue[1:]
-				case <-ctx.Done():
-					return
+			select {
+			case f, ok := <-in:
+				if !ok {
+					in = nil
+				} else {
+					queue = append(queue, f)
 				}
-			} else {
-				select {
-				case out <- queue[0]:
-					queue = queue[1:]
-				case <-ctx.Done():
-					return
-				}
+			case send <- head:
+				queue[0] = nil // or the backing array keeps a delivered frame reachable
+				queue = queue[1:]
+			case <-ctx.Done():
+				return
 			}
 		}
 	}()
@@ -680,9 +646,9 @@ func unboundedBuffer(ctx context.Context, in chan []Tuple) chan []Tuple {
 
 // newConcatInput drains k producer channels sequentially (unordered
 // concentrator).
-func newConcatInput(ctx context.Context, chans []chan []Tuple, pool *FramePool, node *NodeController, span *obs.Span) *Input {
+func newConcatInput(ctx context.Context, chans []chan []Tuple, node *NodeController, span *obs.Span) *Input {
 	idx := 0
-	return &Input{pool: pool, recv: func() ([]Tuple, bool, error) {
+	return &Input{recv: func() ([]Tuple, bool, error) {
 		for idx < len(chans) {
 			select {
 			case f, ok := <-chans[idx]:
@@ -701,13 +667,9 @@ func newConcatInput(ctx context.Context, chans []chan []Tuple, pool *FramePool, 
 	}}
 }
 
-// newMergingInput merge-sorts k already-sorted producer channels. Each
-// cursor's exhausted frame recycles when the next one replaces it, and
-// the merged output frames come from the pool (the downstream Input
-// recycles them after the tuple pass); the tuple headers copied from
-// cursor frames into the output survive recycling — they are independent
-// arrays.
-func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, frameSize int, pool *FramePool, node *NodeController, span *obs.Span) *Input {
+// newMergingInput merge-sorts k already-sorted producer channels into
+// frames of at most frameSize tuples.
+func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, frameSize int, node *NodeController, span *obs.Span) *Input {
 	type cursor struct {
 		frame []Tuple
 		pos   int
@@ -719,14 +681,11 @@ func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, 
 			select {
 			case f, ok := <-chans[i]:
 				if !ok {
-					curs[i].done = true
-					pool.Put(curs[i].frame)
-					curs[i].frame = nil
+					curs[i] = cursor{done: true}
 					return nil
 				}
 				node.addIn(int64(len(f)))
 				span.AddTuplesIn(int64(len(f)))
-				pool.Put(curs[i].frame)
 				curs[i].frame = f
 				curs[i].pos = 0
 			case <-ctx.Done():
@@ -736,7 +695,7 @@ func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, 
 		return nil
 	}
 	primed := false
-	return &Input{pool: pool, recv: func() ([]Tuple, bool, error) {
+	return &Input{recv: func() ([]Tuple, bool, error) {
 		if !primed {
 			for i := range curs {
 				if err := fill(i); err != nil {
@@ -745,7 +704,16 @@ func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, 
 			}
 			primed = true
 		}
-		out := pool.Get()
+		// The tuples waiting in the cursors size the output: a short answer
+		// gets a short frame, and append grows it if refills bring more.
+		waiting := 0
+		for i := range curs {
+			waiting += len(curs[i].frame) - curs[i].pos
+		}
+		if waiting == 0 {
+			return nil, false, nil
+		}
+		out := make([]Tuple, 0, min(waiting, frameSize))
 		for len(out) < frameSize {
 			best := -1
 			for i := range curs {
@@ -762,13 +730,8 @@ func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, 
 			out = append(out, curs[best].frame[curs[best].pos])
 			curs[best].pos++
 			if err := fill(best); err != nil {
-				pool.Put(out)
 				return nil, false, err
 			}
-		}
-		if len(out) == 0 {
-			pool.Put(out)
-			return nil, false, nil
 		}
 		return out, true, nil
 	}}

@@ -121,17 +121,14 @@ func runGroupBy(tc *TaskContext, in *Input, out *Output, groupCols []int, aggs [
 	gt := newGroupTable(groupCols)
 	size := 0
 	// spillTable moves every group to the partition of its key hash as a
-	// partial-aggregate record, key ++ states, and empties the table. The
-	// record container is scratch: write encodes it before returning.
+	// partial-aggregate record, key ++ states, and empties the table. One
+	// record container serves every group: write encodes it before returning.
+	var rec Tuple
 	spillTable := func() error {
 		for _, bucket := range gt.buckets {
 			for _, g := range bucket {
-				rec := tupleScratch.Get()
-				rec = append(rec, g.key...)
-				rec = append(rec, g.states...)
-				err := partials.write(int(gt.hash(g.key)%spillFanout), rec)
-				tupleScratch.Put(rec)
-				if err != nil {
+				rec = append(append(rec[:0], g.key...), g.states...)
+				if err := partials.write(int(gt.hash(g.key)%spillFanout), rec); err != nil {
 					return err
 				}
 			}
@@ -184,14 +181,14 @@ func runGroupBy(tc *TaskContext, in *Input, out *Output, groupCols []int, aggs [
 	// Spill the residual table too, then merge the partials one partition
 	// at a time. Spilled records carry the key already extracted up front,
 	// so the merge table's group columns are the identity list. Read-back
-	// records are pooled scratch: insert clones the key and the states are
-	// copied (or their VALUES retained, which recycling permits).
+	// records share one container: insert clones the key and the states are
+	// copied (or their values retained, which reuse permits).
 	if err := spillTable(); err != nil {
 		return err
 	}
 	for p := 0; p < partials.len(); p++ {
 		mt := newGroupTable(gt.idCols)
-		err := partials.each(p, tupleScratch, func(rec Tuple) error {
+		err := partials.each(p, true, func(rec Tuple) error {
 			if len(rec) != len(groupCols)+len(aggs) {
 				return fmt.Errorf("groupby: corrupt partial record")
 			}

@@ -70,27 +70,15 @@ func (tc *TaskContext) Spill() {
 }
 
 // Input is a pull endpoint delivering frames from an upstream connector.
-// A frame's container belongs to the consumer once delivered: ForEach
-// recycles it after the per-tuple pass, and NextFrame callers should hand
-// exhausted frames back with Recycle (dropping one is benign — the GC
-// takes it — but defeats pooling).
+// A frame belongs to the consumer once delivered.
 type Input struct {
 	recv func() ([]Tuple, bool, error)
-	pool *FramePool
 }
 
-// NextFrame returns the next frame, ok=false at end of stream. The caller
-// owns the returned frame; Recycle it once its tuples are consumed.
+// NextFrame returns the next frame, ok=false at end of stream.
 func (in *Input) NextFrame() ([]Tuple, bool, error) { return in.recv() }
 
-// Recycle returns an exhausted frame container to the cluster's pool.
-// Tuples already read out of it stay valid (they are independent arrays);
-// the container itself must not be used after this call.
-func (in *Input) Recycle(frame []Tuple) { in.pool.Put(frame) }
-
-// ForEach drains the input, calling fn per tuple. Each frame's container
-// is recycled after its tuples are delivered, so fn must not retain the
-// frame slice itself — retaining individual tuples is fine.
+// ForEach drains the input, calling fn per tuple.
 func (in *Input) ForEach(fn func(Tuple) error) error {
 	for {
 		frame, ok, err := in.recv()
@@ -105,7 +93,6 @@ func (in *Input) ForEach(fn func(Tuple) error) error {
 				return err
 			}
 		}
-		in.pool.Put(frame)
 	}
 }
 

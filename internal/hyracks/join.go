@@ -173,15 +173,12 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 		return err
 	}
 	// Inner and outer probes copy the probe tuple into every emitted row,
-	// so its read-back container is pooled scratch. A semi join writes the
+	// so one read-back container serves them all. A semi join writes the
 	// probe tuple itself downstream and must read fresh ones.
-	probePool := tupleScratch
-	if kind == LeftSemiJoin {
-		probePool = nil
-	}
+	reuseProbe := kind != LeftSemiJoin
 	for p := 0; p < graceFanout; p++ {
 		part := map[uint64][]Tuple{}
-		err := build.each(p, nil, func(r Tuple) error {
+		err := build.each(p, false, func(r Tuple) error {
 			h := HashColumns(r, rightCols)
 			part[h] = append(part[h], r)
 			return nil
@@ -189,7 +186,7 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 		if err != nil {
 			return err
 		}
-		err = probe.each(p, probePool, func(l Tuple) error { return probeTable(part, l) })
+		err = probe.each(p, reuseProbe, func(l Tuple) error { return probeTable(part, l) })
 		if err != nil {
 			return err
 		}

@@ -77,7 +77,6 @@ func NewLimit(name string, parallelism int, n int64) *Operator {
 							return err
 						}
 					}
-					in[0].Recycle(frame)
 				}
 			})
 		},

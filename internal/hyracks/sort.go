@@ -94,7 +94,7 @@ func runSort(tc *TaskContext, in *Input, out *Output, cmp Comparator, limit int)
 	// arrival order, the tail arrived last).
 	k := runs.len()
 	for p := 0; p < k; p++ {
-		if _, err := runs.open(p, nil); err != nil {
+		if _, err := runs.open(p, false); err != nil {
 			return err
 		}
 	}

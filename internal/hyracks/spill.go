@@ -40,9 +40,9 @@ func growOrSpill(tc *TaskContext, size int, spill func() error) error {
 // most once, and deleted when its read-back ends. The operator defers
 // close once, right after newRunSet, so whatever is still on disk when the
 // task exits — by error, cancellation, injected fault or a failing
-// downstream write — is deleted and its descriptor and pooled scratch
-// released. The files' writers and readers attribute the time their I/O
-// takes to the task as WaitSpill: a buffer of tuples at a time, not a tuple.
+// downstream write — is deleted and its descriptor released. The files'
+// writers and readers attribute the time their I/O takes to the task as
+// WaitSpill: a buffer of tuples at a time, not a tuple.
 type runSet struct {
 	tc *TaskContext
 	// counted: each file the set creates is reported as one spill
@@ -99,10 +99,10 @@ func (s *runSet) writer(p int) (*RunWriter, error) {
 	return s.runs[p].w, nil
 }
 
-// open ends the writing of run p and positions it for next. With a pool,
-// next returns pooled tuples (see RunReader.Tuples). It reports false for
-// an index nothing was written to.
-func (s *runSet) open(p int, pool *TuplePool) (bool, error) {
+// open ends the writing of run p and positions it for next. With reuse,
+// a tuple next returns is valid until the following call (see
+// RunReader.reuse). It reports false for an index nothing was written to.
+func (s *runSet) open(p int, reuse bool) (bool, error) {
 	if p >= len(s.runs) || s.runs[p].w == nil {
 		return false, nil
 	}
@@ -111,7 +111,7 @@ func (s *runSet) open(p int, pool *TuplePool) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	r.Tuples = pool
+	r.reuse = reuse
 	s.runs[p].r = r
 	return true, nil
 }
@@ -121,11 +121,11 @@ func (s *runSet) next(p int) (Tuple, bool, error) {
 	return s.runs[p].r.Next()
 }
 
-// each reads run p back through fn and deletes it. With a pool, fn gets
-// pooled scratch it must not retain (the values in it may be); a tuple
-// that flows on downstream needs a nil pool.
-func (s *runSet) each(p int, pool *TuplePool, fn func(Tuple) error) error {
-	if ok, err := s.open(p, pool); !ok {
+// each reads run p back through fn and deletes it. With reuse, fn gets
+// the reader's one container and must not retain it (the values in it
+// may be); a tuple that is kept or flows on downstream needs reuse false.
+func (s *runSet) each(p int, reuse bool, fn func(Tuple) error) error {
+	if ok, err := s.open(p, reuse); !ok {
 		return err
 	}
 	for {
@@ -137,9 +137,7 @@ func (s *runSet) each(p int, pool *TuplePool, fn func(Tuple) error) error {
 			s.drop(p)
 			return nil
 		}
-		err = fn(t)
-		pool.Put(t)
-		if err != nil {
+		if err := fn(t); err != nil {
 			return err
 		}
 	}

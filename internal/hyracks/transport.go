@@ -30,11 +30,8 @@ import (
 //     makes RunWithRetry safe over the network: a retried attempt runs
 //     under a fresh attempt-scoped job id and never sees frames from
 //     the attempt it replaced.
-//   - Send must not retain the frame after it returns: the frame is
-//     fully serialized (or the send abandoned) by then, so the caller
-//     recycles the container into the cluster's frame pool. Frames the
-//     transport delivers INTO desc.Recv transfer ownership to the
-//     consumer, which recycles them after its tuple pass.
+//   - A frame the transport delivers into desc.Recv belongs to the
+//     consumer.
 type Transport interface {
 	// OpenEdge registers one edge of a job attempt and returns the
 	// handle producers use to reach the edge's remote channels.

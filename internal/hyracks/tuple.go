@@ -11,6 +11,7 @@ package hyracks
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -159,16 +160,15 @@ type RunWriter struct {
 	out []byte // tuples encoded and not yet written
 }
 
-// NewRunWriter creates a spill file in dir for a task. Its encode scratch
-// comes from the shared run-scratch byte pool and goes back at Finish or
-// Abort. Operators do not call this: they spill through a runSet, which
-// deletes its files on every exit.
+// NewRunWriter creates a spill file in dir for a task. Operators do not
+// call this: they spill through a runSet, which deletes its files on every
+// exit.
 func NewRunWriter(dir string, tc *TaskContext) (*RunWriter, error) {
 	f, err := os.CreateTemp(dir, runFilePattern)
 	if err != nil {
 		return nil, fmt.Errorf("hyracks: create run file: %w", err)
 	}
-	return &RunWriter{f: f, tc: tc, buf: runScratch.Get(), out: make([]byte, 0, runBufSize)}, nil
+	return &RunWriter{f: f, tc: tc, out: make([]byte, 0, runBufSize)}, nil
 }
 
 // Write appends one tuple.
@@ -214,8 +214,6 @@ func (rw *RunWriter) Finish() (*RunReader, error) {
 		rw.Abort()
 		return nil, fmt.Errorf("hyracks: finish run file: %w", err)
 	}
-	runScratch.Put(rw.buf)
-	rw.buf = nil
 	return &RunReader{f: rw.f, tc: rw.tc, remaining: rw.n, buf: rw.out}, nil
 }
 
@@ -226,9 +224,10 @@ func (rw *RunWriter) Abort() {
 	rw.f.Close()
 	//lint:ignore err-discard best-effort cleanup of a spill file that is being thrown away
 	os.Remove(name)
-	runScratch.Put(rw.buf)
-	rw.buf = nil
 }
+
+// errCorruptRun reports a run file that does not hold what RunWriter wrote.
+var errCorruptRun = errors.New("hyracks: corrupt run file")
 
 // RunReader reads back a spilled tuple stream, a buffer of the file at a
 // time. The time a read takes is the task's WaitSpill.
@@ -239,12 +238,12 @@ type RunReader struct {
 	buf       []byte // bytes of the file read ahead; buf[pos:] is not decoded yet
 	pos       int
 
-	// Tuples, when set, makes Next build each tuple in a container drawn
-	// from the pool. Next then returns POOLED tuples: the caller owns each
-	// one until it Puts it back, and must not retain it past the Put (the
-	// values read out of it may be retained freely). Leave nil when read-
-	// back tuples flow downstream — sort merge output, semi-join probe.
-	Tuples *TuplePool
+	// reuse makes Next decode every tuple into the one container scratch:
+	// a tuple is then valid until the next call, and only the values read
+	// out of it may be kept. Leave it false when read-back tuples are kept
+	// or flow downstream — build side, sort merge output, semi-join probe.
+	reuse   bool
+	scratch Tuple
 }
 
 // fill reads the file ahead until n bytes are waiting to be decoded, or to
@@ -280,33 +279,36 @@ func (rr *RunReader) Next() (Tuple, bool, error) {
 	}
 	sz, m := binary.Uvarint(rr.buf[rr.pos:])
 	if m <= 0 || sz > math.MaxInt32 {
-		return nil, false, fmt.Errorf("hyracks: corrupt run file")
+		return nil, false, errCorruptRun
 	}
 	if err := rr.fill(m + int(sz)); err != nil {
 		return nil, false, fmt.Errorf("hyracks: run read: %w", err)
 	}
 	if len(rr.buf)-rr.pos < m+int(sz) {
-		return nil, false, fmt.Errorf("hyracks: run read: %w", io.ErrUnexpectedEOF)
+		return nil, false, fmt.Errorf("%w: %v", errCorruptRun, io.ErrUnexpectedEOF)
 	}
 	rec := rr.buf[rr.pos+m : rr.pos+m+int(sz)]
 	rr.pos += m + int(sz)
+	// Every value is at least one byte, which bounds the column count by
+	// the bytes left in the record before it sizes anything.
 	n, pos := binary.Uvarint(rec)
-	if pos <= 0 {
-		return nil, false, fmt.Errorf("hyracks: corrupt run file")
+	if pos <= 0 || n > uint64(len(rec)-pos) {
+		return nil, false, errCorruptRun
 	}
-	t := rr.Tuples.Get()
-	if cap(t) < int(n) {
-		rr.Tuples.Put(t)
+	t := rr.scratch[:0]
+	if !rr.reuse || cap(t) < int(n) {
 		t = make(Tuple, 0, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		v, used, err := adm.Decode(rec[pos:])
 		if err != nil {
-			rr.Tuples.Put(t)
-			return nil, false, err
+			return nil, false, fmt.Errorf("%w: %v", errCorruptRun, err)
 		}
 		t = append(t, v)
 		pos += used
+	}
+	if rr.reuse {
+		rr.scratch = t
 	}
 	rr.remaining--
 	return t, true, nil

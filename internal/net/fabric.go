@@ -184,12 +184,9 @@ func (p *Peer) lookupEdge(ref edgeRef) *edgeState {
 // deliverData routes one inbound data frame into its receive queue.
 // Unknown attempts are stale by construction — the READY/START barrier
 // guarantees live attempts are registered everywhere before the first
-// frame — so the frame is dropped and counted, never misdelivered. The
-// decoded frame rides a pooled container: enqueueing transfers it to the
-// consumer (whose Input recycles it after the tuple pass); every dropped
-// frame recycles here.
+// frame — so the frame is dropped and counted, never misdelivered.
 func (p *Peer) deliverData(from string, payload []byte) {
-	ref, ch, frame, err := decodeDataPayload(payload, p.opt.FramePool)
+	ref, ch, frame, err := decodeDataPayload(payload)
 	if err != nil {
 		p.m.staleDrops.Inc()
 		return
@@ -197,18 +194,15 @@ func (p *Peer) deliverData(from string, payload []byte) {
 	es := p.lookupEdge(ref)
 	if es == nil {
 		p.m.staleDrops.Inc()
-		p.opt.FramePool.Put(frame)
 		return
 	}
 	q := es.queues[ch]
 	if q == nil {
 		p.m.staleDrops.Inc()
-		p.opt.FramePool.Put(frame)
 		return
 	}
 	if es.broken.Load() {
 		p.m.staleDrops.Inc() // edge already poisoned: the attempt is dying
-		p.opt.FramePool.Put(frame)
 		return
 	}
 	select {
@@ -221,7 +215,6 @@ func (p *Peer) deliverData(from string, payload []byte) {
 		// on truncated data (the sender saw success and its EOS still
 		// arrives). Treat it as a protocol violation instead.
 		p.protocolViolation(from, es, ref)
-		p.opt.FramePool.Put(frame)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"asterix/internal/fault"
-	"asterix/internal/hyracks"
 	"asterix/internal/mem"
 	"asterix/internal/obs"
 )
@@ -26,11 +25,6 @@ type Options struct {
 	// governor: each registered edge reserves its receive queues'
 	// capacity before frames flow.
 	Gov *mem.Governor
-	// FramePool, when non-nil, supplies the frame containers inbound data
-	// frames decode into (share the hyracks cluster's pool so receive-side
-	// frames recycle through the same bounded freelist the executor
-	// drains into). Nil keeps allocate-per-frame decoding.
-	FramePool *hyracks.FramePool
 	// Metrics, when non-nil, receives the net_* counters.
 	Metrics *obs.Registry
 	// OnPeerDown is invoked (once per down transition) when a peer that

@@ -42,7 +42,6 @@ func startMesh(t *testing.T, ids []string, tune func(id string, o *Options)) map
 			ID:                id,
 			ListenAddr:        "127.0.0.1:0",
 			Metrics:           reg,
-			FramePool:         cl.FramePool(),
 			HeartbeatInterval: 25 * time.Millisecond,
 			OnPeerDown: func(down string) {
 				if nc := cl.NodeByID(down); nc != nil {
@@ -699,15 +698,10 @@ func TestPartitionIsolatesPeer(t *testing.T) {
 	}
 }
 
-// TestPooledExchangeSoakUnderDelay is the pooled-frame aliasing soak:
-// a 3-node mesh moves hash-partitioned rows through pooled frame
-// containers on both the send path (connWriter batches recycle after
-// the transport serializes them) and the receive path (inbound frames
-// decode into containers drawn from the cluster pool), while net.delay
+// TestPooledExchangeSoakUnderDelay is the exchange aliasing soak: a
+// 3-node mesh moves hash-partitioned rows over the wire while net.delay
 // randomly stalls nb's outbound frames. Every round must deliver every
-// row exactly once with its payload still paired to its id — a frame
-// recycled while the wire or a consumer still held it would corrupt
-// pairs or counts — and the pool must show real recycling.
+// row exactly once with its payload still paired to its id.
 func TestPooledExchangeSoakUnderDelay(t *testing.T) {
 	defer fault.Disarm()
 	if err := fault.Arm("net.delay:delay=1ms:p=0.2:times=0:tag=nb"); err != nil {
@@ -779,12 +773,5 @@ func TestPooledExchangeSoakUnderDelay(t *testing.T) {
 		if missing > 0 || dup {
 			t.Fatalf("round %d: %d rows missing, dup=%v", round, missing, dup)
 		}
-	}
-	reused := int64(0)
-	for _, n := range nodes {
-		reused += n.cluster.FramePool().Stats().Reuses
-	}
-	if reused == 0 {
-		t.Fatal("frame pools never recycled a container across the soak")
 	}
 }

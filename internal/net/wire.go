@@ -187,14 +187,9 @@ func encodeDataPayload(buf []byte, ref edgeRef, ch int, frame []hyracks.Tuple) [
 // decodeDataPayload is the inverse of encodeDataPayload. It validates
 // every length against the remaining input, so truncated or fuzzed
 // payloads fail with an error instead of panicking or over-allocating.
-//
-// The frame container comes from pool (nil-safe: a nil pool allocates
-// fresh). On success the POOLED frame transfers to the caller, who must
-// route it to a consumer or Put it back; every error path returns the
-// container to the pool itself, so a failed decode never leaks one.
 // Decoded values never alias p — adm.Decode copies string and binary
 // bytes — so the payload buffer may be reused immediately.
-func decodeDataPayload(p []byte, pool *hyracks.FramePool) (ref edgeRef, ch int, frame []hyracks.Tuple, err error) {
+func decodeDataPayload(p []byte) (ref edgeRef, ch int, frame []hyracks.Tuple, err error) {
 	if ref, p, err = readEdgeRef(p); err != nil {
 		return ref, 0, nil, err
 	}
@@ -210,26 +205,20 @@ func decodeDataPayload(p []byte, pool *hyracks.FramePool) (ref edgeRef, ch int, 
 	if n > uint64(len(p)) { // each tuple needs ≥ 1 byte
 		return ref, 0, nil, fmt.Errorf("anet: frame claims %d tuples in %d bytes", n, len(p))
 	}
-	frame = pool.Get()
-	if frame == nil {
-		frame = make([]hyracks.Tuple, 0, n)
-	}
+	frame = make([]hyracks.Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
 		cols, rest, err := readUvarint(p)
 		if err != nil {
-			pool.Put(frame)
 			return ref, 0, nil, err
 		}
 		p = rest
 		if cols > uint64(len(p)) {
-			pool.Put(frame)
 			return ref, 0, nil, fmt.Errorf("anet: tuple claims %d columns in %d bytes", cols, len(p))
 		}
 		t := make(hyracks.Tuple, 0, cols)
 		for j := uint64(0); j < cols; j++ {
 			v, w, err := adm.Decode(p)
 			if err != nil {
-				pool.Put(frame)
 				return ref, 0, nil, fmt.Errorf("anet: tuple value: %w", err)
 			}
 			t = append(t, v)
@@ -238,7 +227,6 @@ func decodeDataPayload(p []byte, pool *hyracks.FramePool) (ref edgeRef, ch int, 
 		frame = append(frame, t)
 	}
 	if len(p) != 0 {
-		pool.Put(frame)
 		return ref, 0, nil, fmt.Errorf("anet: %d trailing bytes after frame", len(p))
 	}
 	return ref, ch, frame, nil

@@ -20,7 +20,7 @@ func testFrame() []hyracks.Tuple {
 func TestDataPayloadRoundTrip(t *testing.T) {
 	ref := edgeRef{jobID: "q1#2", edge: 3}
 	p := encodeDataPayload(nil, ref, 7, testFrame())
-	gotRef, ch, frame, err := decodeDataPayload(p, nil)
+	gotRef, ch, frame, err := decodeDataPayload(p)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -86,14 +86,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref, ch, frame, err := decodeDataPayload(data, nil)
+		ref, ch, frame, err := decodeDataPayload(data)
 		if err != nil {
 			return
 		}
 		// A successful decode must re-encode to a decodable payload of
 		// identical shape.
 		re := encodeDataPayload(nil, ref, ch, frame)
-		ref2, ch2, frame2, err := decodeDataPayload(re, nil)
+		ref2, ch2, frame2, err := decodeDataPayload(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
