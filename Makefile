@@ -71,9 +71,11 @@ net-matrix:
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
 # BenchmarkExchangeWrite), and of storage maintenance
 # (BenchmarkComponentBuild: ns/entry, page-writes/page and leaf-fill of the
-# flush of one memory component and of a 5-way merge).
+# flush of one memory component and of a 5-way merge) and of recovery
+# (BenchmarkRecover: ns and read system calls per record redone from a
+# 100 000-record log).
 bench:
-	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/hyracks ./internal/lsm
+	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/hyracks ./internal/lsm ./internal/txn
 
 # bench-smoke: the CI perf gate — run the experiment suite at the small
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
@@ -102,6 +104,7 @@ bench-repo-smoke:
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMBinaryRoundTrip -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzADMDecodeFields -fuzztime 10s ./internal/adm
+	go test -run NONE -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzKeySplit -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
@@ -117,8 +120,8 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, partial decoder and key splitter, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
-	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks microbenchmarks, once each"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, stored-record decoder, partial decoder and key splitter, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
+	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 

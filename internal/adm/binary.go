@@ -84,12 +84,12 @@ func EncodeValue(v Value) []byte { return Encode(nil, v) }
 // consumed.
 func Decode(data []byte) (Value, int, error) {
 	if len(data) == 0 {
-		return nil, 0, fmt.Errorf("adm: decode: empty input")
+		return nil, 0, ErrCorrupt
 	}
 	k := Kind(data[0])
 	pos := 1
 	fail := func(what string) (Value, int, error) {
-		return nil, 0, fmt.Errorf("adm: decode %s: truncated or invalid input", what)
+		return nil, 0, fmt.Errorf("%w (%s)", ErrCorrupt, what)
 	}
 	switch k {
 	case KindMissing:
@@ -183,27 +183,7 @@ func Decode(data []byte) (Value, int, error) {
 		copy(b, data[pos:pos+int(l)])
 		return b, pos + int(l), nil
 	case KindArray, KindMultiset:
-		cnt, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return fail("collection")
-		}
-		pos += n
-		// Cap the preallocation: cnt is untrusted and every element costs
-		// at least one input byte, so a huge count on a short input must
-		// not allocate ahead of decoding.
-		elems := make([]Value, 0, min(cnt, uint64(len(data)-pos)))
-		for i := uint64(0); i < cnt; i++ {
-			e, n, err := Decode(data[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			elems = append(elems, e)
-			pos += n
-		}
-		if k == KindArray {
-			return Array(elems), pos, nil
-		}
-		return Multiset(elems), pos, nil
+		return decodeElems(data, nil)
 	case KindObject:
 		fields, pos, err := decodeFields(data, pos, nil)
 		if err != nil {
@@ -211,7 +191,33 @@ func Decode(data []byte) (Value, int, error) {
 		}
 		return &Object{fields: fields}, pos, nil
 	}
-	return nil, 0, fmt.Errorf("adm: decode: unknown kind tag %d", data[0])
+	return nil, 0, fmt.Errorf("%w (unknown kind tag %d)", ErrCorrupt, data[0])
+}
+
+// decodeElems decodes the array or multiset at the start of data, its
+// elements under declared type elem (nil: none; see DecodeAs).
+func decodeElems(data []byte, elem *Type) (Value, int, error) {
+	cnt, pos := binary.Uvarint(data[1:])
+	if pos <= 0 {
+		return nil, 0, fmt.Errorf("%w (collection)", ErrCorrupt)
+	}
+	pos++
+	// Cap the preallocation: cnt is untrusted and every element costs at
+	// least one input byte, so a huge count on a short input must not
+	// allocate ahead of decoding.
+	elems := make([]Value, 0, min(cnt, uint64(len(data)-pos)))
+	for i := uint64(0); i < cnt; i++ {
+		e, n, err := DecodeAs(data[pos:], elem)
+		if err != nil {
+			return nil, 0, err
+		}
+		elems = append(elems, e)
+		pos += n
+	}
+	if Kind(data[0]) == KindArray {
+		return Array(elems), pos, nil
+	}
+	return Multiset(elems), pos, nil
 }
 
 // DecodeValue decodes a value that occupies the whole input.
@@ -221,7 +227,7 @@ func DecodeValue(data []byte) (Value, error) {
 		return nil, err
 	}
 	if n != len(data) {
-		return nil, fmt.Errorf("adm: decode: %d trailing bytes", len(data)-n)
+		return nil, fmt.Errorf("%w (%d trailing bytes)", ErrCorrupt, len(data)-n)
 	}
 	return v, nil
 }
@@ -232,7 +238,7 @@ func DecodeValue(data []byte) (Value, error) {
 func decodeFields(data []byte, pos int, fields []Field) ([]Field, int, error) {
 	cnt, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("adm: decode object: truncated or invalid input")
+		return nil, 0, fmt.Errorf("%w (object)", ErrCorrupt)
 	}
 	pos += n
 	// Same untrusted-count cap as collections above.
@@ -240,7 +246,7 @@ func decodeFields(data []byte, pos int, fields []Field) ([]Field, int, error) {
 	for i := uint64(0); i < cnt; i++ {
 		name, n := chunk(data[pos:])
 		if n < 0 {
-			return nil, 0, fmt.Errorf("adm: decode object field name: truncated or invalid input")
+			return nil, 0, fmt.Errorf("%w (object field name)", ErrCorrupt)
 		}
 		pos += n
 		v, n, err := Decode(data[pos:])
@@ -253,10 +259,11 @@ func decodeFields(data []byte, pos int, fields []Field) ([]Field, int, error) {
 	return fields, pos, nil
 }
 
-// ErrCorrupt is what the in-place walkers — a Locator and the skipping it
-// uses — and the positional record decoder report for bytes that are no ADM
-// encoding: truncated, a length or an offset past the input, an unknown kind
-// tag. One preallocated error: a walk allocates nothing, not even to fail.
+// ErrCorrupt is what every decoder reports for bytes that are no ADM
+// encoding — truncated, a length or an offset past the input, an unknown
+// kind tag: the in-place walkers (a Locator and the skipping it uses) and the
+// positional record decoder return it as is, one preallocated error, so that
+// a walk allocates nothing, not even to fail; Decode wraps it.
 var ErrCorrupt = errors.New("adm: decode: truncated or invalid input")
 
 // chunk returns the length-prefixed byte string at the start of data and

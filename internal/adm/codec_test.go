@@ -271,8 +271,9 @@ func checkLocate(t *testing.T, data []byte, typ *Type, names []string) {
 	}
 	for i, name := range names {
 		var got Value = Missing
+		declared, _ := typ.Field(name)
 		if out[i] != nil {
-			if got, _, err = Decode(out[i]); err != nil {
+			if got, _, err = DecodeAs(out[i], declared.Type); err != nil {
 				t.Fatalf("Locate(%x, %q): column %q does not decode: %v", data, names, name, err)
 			}
 		}

@@ -2,6 +2,7 @@ package adm
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -26,22 +27,42 @@ func FuzzADMBinaryRoundTrip(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if v1, n, err := Decode(data); err == nil {
-			if n <= 0 || n > len(data) {
-				t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
-			}
-			e1 := EncodeValue(v1)
-			v2, err := DecodeValue(e1)
-			if err != nil {
-				t.Fatalf("re-decode of encoded value failed: %v\nvalue: %v\nencoding: %x", err, v1, e1)
-			}
-			e2 := EncodeValue(v2)
-			if !bytes.Equal(e1, e2) {
-				t.Fatalf("encoding is not a fixpoint:\n e1=%x\n e2=%x", e1, e2)
-			}
+		v1, n, err := Decode(data)
+		if err != nil {
+			return
 		}
-		// The same bytes as a stored record of fuzzRecordType, in either form.
+		if n <= 0 || n > len(data) {
+			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
+		}
+		e1 := EncodeValue(v1)
+		v2, err := DecodeValue(e1)
+		if err != nil {
+			t.Fatalf("re-decode of encoded value failed: %v\nvalue: %v\nencoding: %x", err, v1, e1)
+		}
+		e2 := EncodeValue(v2)
+		if !bytes.Equal(e1, e2) {
+			t.Fatalf("encoding is not a fixpoint:\n e1=%x\n e2=%x", e1, e2)
+		}
+	})
+}
+
+// FuzzDecodeRecord reads arbitrary bytes as a stored record of
+// fuzzRecordType, in either form: whatever the damage, the decoder fails
+// with ErrCorrupt and never panics, and a record it accepts re-encodes to a
+// fixpoint. The type declares an object, an array of objects and a multiset
+// of objects, so the positional records it reads nest.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range fuzzRecords() {
+		data := EncodeRecord(nil, rec, fuzzRecordType)
+		f.Add(data)
+		f.Add(data[:len(data)-1])
+		f.Add(EncodeValue(rec))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data, fuzzRecordType)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeRecord(%x) fails with %v, not ErrCorrupt", data, err)
+		}
 		o, isObj := rec.(*Object)
 		if err != nil || !isObj {
 			return
@@ -60,22 +81,38 @@ func FuzzADMBinaryRoundTrip(f *testing.F) {
 // fuzzRecordType is the type under which the fuzz targets read their input
 // as a stored record, and fuzzRecords are records of it: with and without
 // the optional and the undeclared fields, an int where a double is declared,
-// and one too long for one-byte offsets.
+// one too long for one-byte offsets, and nested objects — declared and not,
+// in and out of collections, one long enough for two-byte offsets itself.
 var fuzzRecordType = NewObjectType("FuzzType", false,
 	FieldType{Name: "id", Type: Primitive(KindInt64)},
 	FieldType{Name: "name", Type: Primitive(KindString), Optional: true},
 	FieldType{Name: "score", Type: Primitive(KindDouble), Optional: true},
 	FieldType{Name: "tags", Type: NewArrayType(Primitive(KindString)), Optional: true},
 	FieldType{Name: "a", Type: AnyType, Optional: true},
+	FieldType{Name: "job", Type: fuzzNestedType, Optional: true},
+	FieldType{Name: "jobs", Type: NewArrayType(fuzzNestedType), Optional: true},
+	FieldType{Name: "bag", Type: NewMultisetType(fuzzNestedType), Optional: true},
+)
+
+var fuzzNestedType = NewObjectType("FuzzNested", false,
+	FieldType{Name: "org", Type: Primitive(KindString)},
+	FieldType{Name: "since", Type: Primitive(KindDate), Optional: true},
 )
 
 func fuzzRecords() []*Object {
+	job := func(org string, extra ...Field) *Object {
+		return NewObject(append([]Field{{Name: "org", Value: String(org)}, {Name: "since", Value: Date(17000)}}, extra...)...)
+	}
 	return []*Object{
 		NewObject(Field{Name: "id", Value: Int64(7)}),
 		NewObject(Field{Name: "name", Value: String("")}, Field{Name: "id", Value: Int64(-1)}, Field{Name: "score", Value: Int64(3)}),
 		NewObject(Field{Name: "x", Value: Point{X: 1, Y: 2}}, Field{Name: "id", Value: Int64(8)}, Field{Name: "a", Value: Null},
 			Field{Name: "tags", Value: Array{String("t")}}, Field{Name: "y", Value: NewObject(Field{Name: "id", Value: Missing})}),
 		NewObject(Field{Name: "id", Value: Int64(9)}, Field{Name: "name", Value: String(strings.Repeat("long ", 60))}, Field{Name: "z", Value: Boolean(true)}),
+		NewObject(Field{Name: "id", Value: Int64(10)}, Field{Name: "job", Value: job("acme", Field{Name: "title", Value: String("cto")})},
+			Field{Name: "jobs", Value: Array{job("a"), NewObject(Field{Name: "org", Value: String("b")}), Null}},
+			Field{Name: "bag", Value: Multiset{job(strings.Repeat("c", 300))}}, Field{Name: "more", Value: job("open")}),
+		NewObject(Field{Name: "id", Value: Int64(11)}, Field{Name: "jobs", Value: Array{}}, Field{Name: "job", Value: Null}),
 	}
 }
 

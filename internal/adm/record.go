@@ -10,15 +10,20 @@ import (
 // record keeps, behind a tag byte that is no Kind, one offset per declared
 // field in declared order (from the tag byte; 0 = the record has no such
 // field) and one more to its open part (0 = no undeclared field), then the
-// declared values it has, each encoded as Encode does, then — the open part
-// — the undeclared fields as an object's payload, count first. Offsets are
-// 1, 2 or 4 bytes wide, big endian, the narrowest the record's length fits;
-// the tag says which. Only the top level is positional: a nested object is
-// encoded as everywhere else.
+// declared values it has, each encoded under its declared type, then — the
+// open part — the undeclared fields as an object's payload, count first.
+// Offsets are 1, 2 or 4 bytes wide, big endian, the narrowest the record's
+// length fits; the tag says which.
+//
+// The form recurses on the declared type: a declared field, array element or
+// multiset element whose declared type is an object type and whose value is
+// an object is itself a positional record, its offsets counted from its own
+// tag byte. Everything else — undeclared fields, values of type any, and all
+// that lies below them — is encoded as Encode does.
 //
 // A positional record means nothing without the type it was written under,
-// so Decode and skipValue reject the tags: DecodeRecord and a Locator, which
-// are given the type, read both forms.
+// so Decode and skipValue reject the tags: DecodeRecord, DecodeAs and a
+// Locator, which are given the type, read both forms.
 const (
 	tagPositional1 = byte(KindObject) + 1 + iota
 	tagPositional2
@@ -61,13 +66,42 @@ func sized(buf []int32, n int) []int32 {
 }
 
 // EncodeRecord appends the encoding of a record of a dataset of type t:
-// positional under an object type, Encode's otherwise. The first field of
-// each declared name takes the declared position; a repeated name is kept
-// with the undeclared fields.
-func EncodeRecord(buf []byte, o *Object, t *Type) []byte {
-	if t == nil || t.Tag != TagObject {
-		return Encode(buf, o)
+// positional under an object type, Encode's otherwise.
+func EncodeRecord(buf []byte, o *Object, t *Type) []byte { return encodeAs(buf, o, t) }
+
+// encodeAs appends v as a value of declared type t (nil: none): an object
+// under an object type positionally, a collection under a collection type
+// element by element under its element type, anything else as Encode does.
+func encodeAs(buf []byte, v Value, t *Type) []byte {
+	var elems []Value
+	switch x := v.(type) {
+	case *Object:
+		if t != nil && t.Tag == TagObject {
+			return encodePositional(buf, x, t)
+		}
+	case Array:
+		if t != nil && t.Tag == TagArray {
+			elems = x
+		}
+	case Multiset:
+		if t != nil && t.Tag == TagMultiset {
+			elems = x
+		}
 	}
+	if elems == nil {
+		return Encode(buf, v)
+	}
+	buf = binary.AppendUvarint(append(buf, byte(v.Kind())), uint64(len(elems)))
+	for _, e := range elems {
+		buf = encodeAs(buf, e, t.Elem)
+	}
+	return buf
+}
+
+// encodePositional appends o in the positional form of object type t. The
+// first field of each declared name takes the declared position; a repeated
+// name is kept with the undeclared fields.
+func encodePositional(buf []byte, o *Object, t *Type) []byte {
 	// slot[i] is the object's field stored at declared position i, 1-based;
 	// declared[k] says that the object's field k is stored at one.
 	var slotBuf, declaredBuf [24]int32
@@ -88,7 +122,7 @@ func EncodeRecord(buf []byte, o *Object, t *Type) []byte {
 	for i, k := range slot {
 		if k != 0 {
 			slot[i] = int32(len(buf) - start)
-			buf = Encode(buf, o.fields[k-1].Value)
+			buf = encodeAs(buf, o.fields[k-1].Value, t.Fields[i].Type)
 		}
 	}
 	openAt := 0
@@ -138,17 +172,38 @@ func EncodeRecord(buf []byte, o *Object, t *Type) []byte {
 // DecodeRecord decodes a stored record of a dataset of type t, which
 // occupies the whole input, in either form. A positional record's declared
 // fields come first, in declared order and named by the type, then its
-// undeclared fields in the order they were written.
+// undeclared fields in the order they were written. Damaged input is
+// ErrCorrupt.
 func DecodeRecord(data []byte, t *Type) (Value, error) {
-	w := 0
-	if len(data) > 0 {
-		w = offsetWidth(data[0])
+	v, n, err := DecodeAs(data, t)
+	if err == nil && n != len(data) {
+		err = fmt.Errorf("adm: decode record: %d bytes behind its end: %w", len(data)-n, ErrCorrupt)
 	}
-	if w == 0 {
-		return DecodeValue(data)
+	return v, err
+}
+
+// DecodeAs decodes the value at the start of data, written under declared
+// type t (nil: none) in either form, and returns it with the number of bytes
+// it used — so that what follows it, the next element of a collection, say,
+// is found without a second pass. Damaged input is ErrCorrupt.
+func DecodeAs(data []byte, t *Type) (Value, int, error) {
+	if len(data) == 0 {
+		return nil, 0, ErrCorrupt
 	}
+	if w := offsetWidth(data[0]); w != 0 {
+		return decodePositional(data, w, t)
+	}
+	if k := Kind(data[0]); t != nil && (k == KindArray && t.Tag == TagArray || k == KindMultiset && t.Tag == TagMultiset) {
+		return decodeElems(data, t.Elem)
+	}
+	return Decode(data)
+}
+
+// decodePositional decodes the positional record of type t, its offsets w
+// wide, at the start of data.
+func decodePositional(data []byte, w int, t *Type) (Value, int, error) {
 	if t == nil || t.Tag != TagObject || len(data) < 1+(len(t.Fields)+1)*w {
-		return nil, fmt.Errorf("adm: decode record: %w", ErrCorrupt)
+		return nil, 0, ErrCorrupt
 	}
 	n := len(t.Fields)
 	room := n
@@ -158,7 +213,7 @@ func DecodeRecord(data []byte, t *Type) (Value, error) {
 	}
 	fields := make([]Field, 0, room)
 	// The values tile the record behind its offsets: each starts where the
-	// one before it ends, the open part last, and nothing follows.
+	// one before it ends, the open part last; the record ends with it.
 	pos := 1 + (n+1)*w
 	for i := 0; i <= n; i++ {
 		off := offsetAt(data, w, i)
@@ -166,26 +221,23 @@ func DecodeRecord(data []byte, t *Type) (Value, error) {
 			continue
 		}
 		if off != pos || pos >= len(data) {
-			return nil, fmt.Errorf("adm: decode record: %w", ErrCorrupt)
+			return nil, 0, ErrCorrupt
 		}
 		if i == n {
 			var err error
 			if fields, pos, err = decodeFields(data, pos, fields); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			break
 		}
-		v, used, err := Decode(data[pos:])
+		v, used, err := DecodeAs(data[pos:], t.Fields[i].Type)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		fields = append(fields, Field{Name: t.Fields[i].Name, Value: v})
 		pos += used
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("adm: decode record: %d bytes behind its last field: %w", len(data)-pos, ErrCorrupt)
-	}
-	return &Object{fields: fields}, nil
+	return &Object{fields: fields}, pos, nil
 }
 
 // Locator finds fields of stored records in place. It is built once, from

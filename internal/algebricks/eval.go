@@ -92,15 +92,6 @@ func (r Record) Decode() (adm.Value, error) {
 	return adm.DecodeRecord(raw, r.Type)
 }
 
-// decodeColumn materializes one located field: nil is an absent one.
-func decodeColumn(span []byte) (adm.Value, error) {
-	if span == nil {
-		return adm.Missing, nil
-	}
-	v, _, err := adm.Decode(span)
-	return v, err
-}
-
 // Catalog resolves dataset names and their indexes.
 type Catalog interface {
 	Resolve(name string) (DataSource, bool)

@@ -62,8 +62,9 @@ func (lf *leaf) run(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error, sea
 	spans := make([][]byte, len(lf.fields))
 	var loc *adm.Locator // of lf.fields in records of typ
 	var typ *adm.Type
-	row := make(hyracks.Tuple, lf.out.width) // what the filter sees; never emitted
-	var chunk hyracks.Tuple                  // where the next emitted tuples are cut from
+	types := make([]*adm.Type, len(lf.fields)) // declared types of lf.fields in typ
+	row := make(hyracks.Tuple, lf.out.width)   // what the filter sees; never emitted
+	var chunk hyracks.Tuple                    // where the next emitted tuples are cut from
 	var emitted int64
 	err := search(func(rec Record) (err error) {
 		tc.RowsRead++
@@ -74,13 +75,17 @@ func (lf *leaf) run(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error, sea
 			}
 			if loc == nil || typ != rec.Type {
 				loc, typ = adm.NewLocator(rec.Type, lf.fields), rec.Type
+				for i, name := range lf.fields {
+					f, _ := typ.Field(name)
+					types[i] = f.Type
+				}
 			}
 			if err := loc.Locate(raw, spans); err != nil {
 				return err
 			}
 		}
 		for _, c := range lf.first {
-			if row[c], err = lf.column(rec, spans, c); err != nil {
+			if row[c], err = lf.column(rec, spans, types, c); err != nil {
 				return err
 			}
 		}
@@ -98,7 +103,7 @@ func (lf *leaf) run(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error, sea
 			out[c] = row[c]
 		}
 		for _, c := range lf.rest {
-			if out[c], err = lf.column(rec, spans, c); err != nil {
+			if out[c], err = lf.column(rec, spans, types, c); err != nil {
 				return err
 			}
 		}
@@ -116,13 +121,17 @@ func (lf *leaf) run(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error, sea
 	return err
 }
 
-// column materializes column c of rec, whose listed fields spans locates.
-func (lf *leaf) column(rec Record, spans [][]byte, c int) (adm.Value, error) {
+// column materializes column c of rec, whose listed fields spans locates
+// and types declares.
+func (lf *leaf) column(rec Record, spans [][]byte, types []*adm.Type, c int) (adm.Value, error) {
 	switch {
 	case lf.fields == nil:
 		return rec.Decode()
 	case rec.Stored == nil:
 		return fieldOf(rec.Value, lf.fields[c]), nil
+	case spans[c] == nil:
+		return adm.Missing, nil
 	}
-	return decodeColumn(spans[c])
+	v, _, err := adm.DecodeAs(spans[c], types[c])
+	return v, err
 }

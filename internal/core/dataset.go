@@ -22,6 +22,7 @@ import (
 	"asterix/internal/obs"
 	"asterix/internal/rtree"
 	"asterix/internal/spatial"
+	"asterix/internal/txn"
 )
 
 // Dataset is an open native dataset: one LSM B+tree per hash partition
@@ -254,14 +255,23 @@ type indexWriter struct {
 	old, cur entryKeys
 }
 
-// applyUpsert installs a record in the primary index and brings every
-// secondary index from the replaced version's entries to the new one's.
-func (d *Dataset) applyUpsert(part int, pk []byte, rec *adm.Object, w *indexWriter) error {
+// apply applies one logged update: for an upsert, rec is the record its
+// value stores.
+func (d *Dataset) apply(u *txn.LogRecord, rec *adm.Object, w *indexWriter) error {
+	if u.Op == txn.OpDelete {
+		return d.applyDelete(int(u.Partition), u.Key, w)
+	}
+	return d.applyUpsert(int(u.Partition), u.Key, u.Value, rec, w)
+}
+
+// applyUpsert installs a record, stored as the bytes given, in the primary
+// index and brings every secondary index from the replaced version's entries
+// to the new one's.
+func (d *Dataset) applyUpsert(part int, pk, stored []byte, rec *adm.Object, w *indexWriter) error {
 	old, _, err := d.getRecord(part, pk)
 	if err != nil {
 		return err
 	}
-	stored := encodeRecordBytes(adm.EncodeRecord(nil, rec, d.typ), d.eng.cfg.Compression)
 	if err := d.parts[part].UpsertSpan(pk, stored, w.sp); err != nil {
 		return err
 	}
@@ -289,10 +299,18 @@ func (d *Dataset) storedRecord(stored []byte) algebricks.Record {
 }
 
 // decodeRecord decodes a stored primary-index value whole. What needs a
-// record as a value — index maintenance, GetKey, ScanPartition, a query
-// that reads the record itself — materializes it here.
-func (d *Dataset) decodeRecord(stored []byte) (adm.Value, error) {
-	return d.storedRecord(stored).Decode()
+// record as a value — index maintenance and its redo, GetKey — materializes
+// it here.
+func (d *Dataset) decodeRecord(stored []byte) (*adm.Object, error) {
+	v, err := d.storedRecord(stored).Decode()
+	if err != nil {
+		return nil, err
+	}
+	o, ok := v.(*adm.Object)
+	if !ok {
+		return nil, fmt.Errorf("core: stored record is %s, not object", v.Kind())
+	}
+	return o, nil
 }
 
 func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error) {
@@ -300,15 +318,8 @@ func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	v, err := d.decodeRecord(data)
-	if err != nil {
-		return nil, false, err
-	}
-	o, ok := v.(*adm.Object)
-	if !ok {
-		return nil, false, fmt.Errorf("core: stored record is %s, not object", v.Kind())
-	}
-	return o, true, nil
+	o, err := d.decodeRecord(data)
+	return o, err == nil, err
 }
 
 // entryKeys holds one record's entries in one secondary index. An entry of
@@ -466,13 +477,10 @@ func (d *Dataset) buildIndex(si *SecondaryIndex) error {
 	for p := range d.parts {
 		var buildErr error
 		err := d.parts[p].Scan(nil, nil, func(k, v []byte) bool {
-			var rec adm.Value
-			if rec, buildErr = d.decodeRecord(v); buildErr != nil {
-				return false
-			}
-			if o, ok := rec.(*adm.Object); ok {
+			var rec *adm.Object
+			if rec, buildErr = d.decodeRecord(v); buildErr == nil {
 				ks.reset()
-				if buildErr = si.appendEntries(&ks, k, o); buildErr == nil {
+				if buildErr = si.appendEntries(&ks, k, rec); buildErr == nil {
 					buildErr = si.write(p, k, &ks, false, nil)
 				}
 			}

@@ -56,45 +56,63 @@ func rollback(tx *txn.Txn, err error) error {
 	return errors.Join(err, tx.Abort())
 }
 
-// storeRecords writes a batch of records transactionally. Lock waits,
-// flushes, and merges the batch stalls on are attributed to the
-// statement span carried by ctx (nil span outside traced requests).
+// storeRecords writes a statement's records as one transaction. Every record
+// is checked — an object of the dataset's type with a key that neither the
+// statement nor, for an INSERT, the dataset holds already — and encoded into
+// the bytes the dataset stores before anything is logged or applied, so a
+// record that fails them leaves nothing of the statement behind.
 func (e *Engine) storeRecords(ctx context.Context, d *Dataset, recs []adm.Value, upsert bool) (int64, error) {
-	w := &indexWriter{sp: obs.SpanFromContext(ctx)}
-	tx := e.txmgr.Begin().AttachSpan(w.sp)
-	var count int64
-	for _, rv := range recs {
+	ups := make([]txn.LogRecord, len(recs))
+	objs := make([]*adm.Object, len(recs))
+	seen := map[string]bool{} // INSERT: the keys of the statement
+	for i, rv := range recs {
 		rec, ok := rv.(*adm.Object)
 		if !ok {
-			return count, rollback(tx, fmt.Errorf("core: record is %s, not object", rv.Kind()))
+			return 0, fmt.Errorf("core: record is %s, not object", rv.Kind())
 		}
 		if err := d.typ.Validate(rec); err != nil {
-			return count, rollback(tx, err)
+			return 0, err
 		}
-		part, keyBytes, _, err := d.locate(rec)
+		part, key, _, err := d.locate(rec)
 		if err != nil {
-			return count, rollback(tx, err)
+			return 0, err
 		}
 		if !upsert {
-			if _, exists, err := d.getRecord(part, keyBytes); err != nil {
-				return count, rollback(tx, err)
-			} else if exists {
-				return count, rollback(tx, fmt.Errorf("core: duplicate primary key in %s", d.def.Name))
+			_, exists, err := d.parts[part].Get(key)
+			if err != nil {
+				return 0, err
 			}
+			if exists || seen[string(key)] {
+				return 0, fmt.Errorf("core: duplicate primary key in %s", d.def.Name)
+			}
+			seen[string(key)] = true
 		}
-		recBytes := adm.EncodeValue(rec)
-		if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpUpsert, keyBytes, recBytes); err != nil {
-			return count, rollback(tx, err)
-		}
-		if err := d.applyUpsert(part, keyBytes, rec, w); err != nil {
-			return count, rollback(tx, err)
-		}
-		count++
+		objs[i] = rec
+		ups[i] = txn.LogRecord{Partition: int32(part), Op: txn.OpUpsert, Key: key,
+			Value: encodeRecordBytes(adm.EncodeRecord(nil, rec, d.typ), e.cfg.Compression)}
 	}
-	if err := tx.Commit(); err != nil {
-		return count, err
+	if err := e.logAndApply(d, ups, objs, &indexWriter{sp: obs.SpanFromContext(ctx)}); err != nil {
+		return 0, err
 	}
-	return count, nil
+	return int64(len(ups)), nil
+}
+
+// logAndApply runs a checked statement as one transaction: its keys locked
+// and its update records logged with one write, then each applied — objs[i]
+// is the record ups[i] stores, nil for a delete — then the commit written.
+// Lock waits, flushes, and merges the statement stalls on are attributed to
+// w's span (nil outside traced requests).
+func (e *Engine) logAndApply(d *Dataset, ups []txn.LogRecord, objs []*adm.Object, w *indexWriter) error {
+	tx := e.txmgr.Begin().AttachSpan(w.sp)
+	if err := tx.LogUpdates(d.def.Name, d.def.Incarnation, ups); err != nil {
+		return rollback(tx, err)
+	}
+	for i := range ups {
+		if err := d.apply(&ups[i], objs[i], w); err != nil {
+			return rollback(tx, err)
+		}
+	}
+	return tx.Commit()
 }
 
 // execDelete deletes matching records: the victims are the rows of
@@ -122,24 +140,19 @@ func (e *Engine) execDelete(ctx context.Context, s *sqlpp.DeleteStmt) (Result, e
 	w := &indexWriter{sp: obs.SpanFromContext(ctx)}
 	es := w.sp.StartChild("execute")
 	defer es.End()
-	tx := e.txmgr.Begin().AttachSpan(w.sp)
-	for _, row := range found.Rows {
+	ups := make([]txn.LogRecord, len(found.Rows))
+	for i, row := range found.Rows {
 		rec, ok := row.(*adm.Object)
 		if !ok {
-			return Result{}, rollback(tx, fmt.Errorf("core: stored record is %s, not object", row.Kind()))
+			return Result{}, fmt.Errorf("core: stored record is %s, not object", row.Kind())
 		}
 		part, key, _, err := d.locate(rec)
 		if err != nil {
-			return Result{}, rollback(tx, err)
+			return Result{}, err
 		}
-		if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpDelete, key, nil); err != nil {
-			return Result{}, rollback(tx, err)
-		}
-		if err := d.applyDelete(part, key, w); err != nil {
-			return Result{}, rollback(tx, err)
-		}
+		ups[i] = txn.LogRecord{Partition: int32(part), Op: txn.OpDelete, Key: key}
 	}
-	if err := tx.Commit(); err != nil {
+	if err := e.logAndApply(d, ups, make([]*adm.Object, len(ups)), w); err != nil {
 		return Result{}, err
 	}
 	// The result keeps the locating query's plan, rules and job report.
@@ -199,15 +212,8 @@ func (e *Engine) DeleteKey(dataset string, pk ...adm.Value) error {
 	if err != nil {
 		return err
 	}
-	part := d.partitionOf(pk)
-	tx := e.txmgr.Begin()
-	if err := tx.LogUpdate(d.def.Name, int32(part), txn.OpDelete, kb, nil); err != nil {
-		return rollback(tx, err)
-	}
-	if err := d.applyDelete(part, kb, &indexWriter{}); err != nil {
-		return rollback(tx, err)
-	}
-	return tx.Commit()
+	ups := []txn.LogRecord{{Partition: int32(d.partitionOf(pk)), Op: txn.OpDelete, Key: kb}}
+	return e.logAndApply(d, ups, []*adm.Object{nil}, &indexWriter{})
 }
 
 // GetKey fetches one record by primary key (programmatic path).

@@ -256,29 +256,35 @@ func Open(cfg Config) (*Engine, error) {
 }
 
 // Recover redoes committed updates from the WAL into LSM memory
-// components, returning the number of records replayed.
+// components, returning the number of records replayed. An update names its
+// dataset by incarnation — one of a dataset dropped since names no open
+// dataset and is skipped — and carries the value as stored, which redo
+// decodes with the dataset's type for index maintenance. An update written
+// before incarnations names its dataset and holds a generic-form record,
+// which is stored as it is.
 func (e *Engine) Recover() (int, error) {
 	w := &indexWriter{redo: true}
+	byIncarnation := map[int64]*Dataset{}
+	for _, d := range e.datasets {
+		byIncarnation[d.def.Incarnation] = d
+	}
 	return e.txmgr.Recover(func(rec *txn.LogRecord) error {
-		d, ok := e.datasets[rec.Dataset]
+		d, ok := byIncarnation[rec.Incarnation]
+		if rec.Type == txn.RecUpdate {
+			d, ok = e.datasets[rec.Dataset]
+			rec.Value = encodeRecordBytes(rec.Value, e.cfg.Compression)
+		}
 		if !ok {
 			return nil // dataset dropped after the logged update
 		}
-		switch rec.Op {
-		case txn.OpUpsert:
-			v, err := adm.DecodeValue(rec.Value)
-			if err != nil {
+		var o *adm.Object
+		if rec.Op == txn.OpUpsert {
+			var err error
+			if o, err = d.decodeRecord(rec.Value); err != nil {
 				return err
 			}
-			o, ok := v.(*adm.Object)
-			if !ok {
-				return fmt.Errorf("core: recovery: logged value is %s", v.Kind())
-			}
-			return d.applyUpsert(int(rec.Partition), rec.Key, o, w)
-		case txn.OpDelete:
-			return d.applyDelete(int(rec.Partition), rec.Key, w)
 		}
-		return nil
+		return d.apply(rec, o, w)
 	})
 }
 
@@ -391,6 +397,10 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(tm.Stats().Aborts) })
 	reg.RegisterFunc("txn_torn_tails_total", "torn WAL tails detected by log scans", obs.TypeCounter,
 		func() float64 { return float64(tm.Log.TornTails()) })
+	reg.RegisterFunc("txn_log_writes_total", "write system calls WAL appends issued", obs.TypeCounter,
+		func() float64 { n, _ := tm.Log.Writes(); return float64(n) })
+	reg.RegisterFunc("txn_log_bytes_total", "bytes WAL appends wrote", obs.TypeCounter,
+		func() float64 { _, n := tm.Log.Writes(); return float64(n) })
 	tm.Locks.BindMetrics(reg)
 
 	reg.RegisterFunc("hyracks_job_attempts_total", "job executions including retries", obs.TypeCounter,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -244,46 +245,177 @@ func TestMixedRecordFormsInOneDataset(t *testing.T) {
 
 // A dropped dataset's records are gone with it: a dataset created under its
 // name later — of another type, under which they could not even be read —
-// starts empty, now and after a restart.
+// starts empty, now and after a restart; with a checkpoint between the two
+// and without, when the log still holds the dropped one's updates for redo.
 func TestDroppedDatasetDoesNotComeBack(t *testing.T) {
-	e := newEngine(t, Config{})
-	mustExec(t, e, `CREATE TYPE A AS {id: int, x: string};
-		CREATE DATASET D(A) PRIMARY KEY id;
-		CREATE INDEX dx ON D(x);
-		UPSERT INTO D ([{"id": 1, "x": "one"}, {"id": 2, "x": "two"}]);`)
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, e, `UPSERT INTO D ({"id": 3, "x": "three"});
-		DROP DATASET D; DROP TYPE A;
-		CREATE TYPE A AS {id: int, y: int?, x: string?};
-		CREATE DATASET D(A) PRIMARY KEY id;
-		CREATE INDEX dx ON D(x);`)
-	// The checkpoint ends the redo window: the log names a dataset, not which
-	// dataset of that name, and would redo record 3 into the new one.
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, e, `UPSERT INTO D ({"id": 9, "x": "nine", "y": 9});`)
-	for _, eng := range []func() *Engine{
-		func() *Engine { return e },
-		func() *Engine {
-			if err := e.CrashStop(); err != nil {
+	for _, checkpoint := range []bool{true, false} {
+		e := newEngine(t, Config{})
+		mustExec(t, e, `CREATE TYPE A AS {id: int, x: string};
+			CREATE DATASET D(A) PRIMARY KEY id;
+			CREATE INDEX dx ON D(x);
+			UPSERT INTO D ([{"id": 1, "x": "one"}, {"id": 2, "x": "two"}]);`)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, e, `UPSERT INTO D ({"id": 3, "x": "three"});
+			DROP DATASET D; DROP TYPE A;
+			CREATE TYPE A AS {id: int, y: int?, x: string?};
+			CREATE DATASET D(A) PRIMARY KEY id;
+			CREATE INDEX dx ON D(x);`)
+		if checkpoint {
+			if err := e.Checkpoint(); err != nil {
 				t.Fatal(err)
-			}
-			e2, err := e.Reopen()
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { e2.Close() })
-			return e2
-		},
-	} {
-		e := eng()
-		for _, q := range []string{`SELECT VALUE d FROM D d;`, `SELECT VALUE d FROM D d WHERE d.x >= "a";`} {
-			if got := strings.Join(orderedRows(t, e, q), " "); got != `{"id":9,"y":9,"x":"nine"}` {
-				t.Errorf("%s after drop and re-create: %s", q, got)
 			}
 		}
+		mustExec(t, e, `UPSERT INTO D ({"id": 9, "x": "nine", "y": 9});`)
+		for _, eng := range []func() *Engine{
+			func() *Engine { return e },
+			func() *Engine { return crashAndReopen(t, e) },
+		} {
+			e := eng()
+			for _, q := range []string{`SELECT VALUE d FROM D d;`, `SELECT VALUE d FROM D d WHERE d.x >= "a";`} {
+				if got := strings.Join(orderedRows(t, e, q), " "); got != `{"id":9,"y":9,"x":"nine"}` {
+					t.Errorf("checkpoint %v: %s after drop and re-create: %s", checkpoint, q, got)
+				}
+			}
+		}
+	}
+}
+
+// nestedUser is version ver of Gleambook user id: none to three employment
+// elements, the optional end date on some, an undeclared field on some
+// elements and on some users.
+func nestedUser(id, ver int) *adm.Object {
+	start, _ := adm.ParseDate("2015-06-01")
+	jobs := adm.Array{}
+	for j := 0; j < (id+ver)%4; j++ {
+		job := adm.NewObject(
+			adm.Field{Name: "organizationName", Value: adm.String(fmt.Sprintf("Org%d", (id+j)%5))},
+			adm.Field{Name: "startDate", Value: start + adm.Date(j+ver)},
+		)
+		if j%2 == 1 {
+			job.Set("endDate", start+adm.Date(400))
+		}
+		if id%7 == 0 {
+			job.Set("title", adm.String("lead"))
+		}
+		jobs = append(jobs, job)
+	}
+	o := userObj(id)
+	o.Set("employment", jobs)
+	if id%5 == 0 {
+		o.Set("nickname", adm.String(fmt.Sprintf("n%d.%d", id, ver)))
+	}
+	return o
+}
+
+// checkUsers compares GleambookUsers with the oracle's records: whole, by
+// field, unnested and grouped, and by key.
+func checkUsers(t *testing.T, e *Engine, oracle map[int]*adm.Object, when string) {
+	t.Helper()
+	whole := queryRows(t, e, `SELECT VALUE u FROM GleambookUsers u;`)
+	fields := queryRows(t, e, `SELECT u.id AS id, u.employment AS employment FROM GleambookUsers u;`)
+	if len(whole) != len(oracle) || len(fields) != len(oracle) {
+		t.Fatalf("%s: %d records, %d projected; oracle has %d", when, len(whole), len(fields), len(oracle))
+	}
+	for i := range whole {
+		o, f := whole[i].(*adm.Object), fields[i].(*adm.Object)
+		want := oracle[int(o.Get("id").(adm.Int64))]
+		if want == nil || adm.Compare(o, want) != 0 {
+			t.Fatalf("%s: record %v, oracle has %v", when, o, want)
+		}
+		if want := oracle[int(f.Get("id").(adm.Int64))]; adm.Compare(f.Get("employment"), want.Get("employment")) != 0 {
+			t.Fatalf("%s: employment %v, oracle has %v", when, f.Get("employment"), want.Get("employment"))
+		}
+	}
+	orgs := map[string]int64{}
+	for _, o := range oracle {
+		for _, job := range o.Get("employment").(adm.Array) {
+			orgs[string(job.(*adm.Object).Get("organizationName").(adm.String))]++
+		}
+	}
+	groups := queryRows(t, e, `SELECT e.organizationName AS org, COUNT(*) AS n
+		FROM GleambookUsers u UNNEST u.employment e GROUP BY e.organizationName AS org;`)
+	if len(groups) != len(orgs) {
+		t.Fatalf("%s: %d organizations, oracle has %d", when, len(groups), len(orgs))
+	}
+	for _, g := range groups {
+		g := g.(*adm.Object)
+		if n := orgs[string(g.Get("org").(adm.String))]; g.Get("n") != adm.Int64(n) {
+			t.Fatalf("%s: group %v, oracle counts %d", when, g, n)
+		}
+	}
+	for id, want := range oracle {
+		if o, ok, err := e.GetKey("GleambookUsers", adm.Int64(int64(id))); err != nil || !ok || adm.Compare(o, want) != 0 {
+			t.Fatalf("%s: GetKey(%d) = %v, %v, %v; oracle has %v", when, id, o, ok, err, want)
+		}
+	}
+}
+
+// A dataset holds its records in all three forms — generic, positional with
+// generic nested values as written before nested types were positional, and
+// positional all the way down — in memory, flushed and merged components:
+// every way of reading them answers like a map of the records written. A
+// projection that does not read employment does not decode it.
+func TestNestedRecordForms(t *testing.T) {
+	e := newEngine(t, Config{MergePolicy: lsm.ConstantPolicy{Components: 1}, NoSyncCommits: true})
+	mustExec(t, e, gleambookDDL)
+	d, _ := e.Dataset("GleambookUsers")
+	// The same top-level positions with every value encoded as Encode does.
+	flat := adm.NewObjectType(d.typ.Name, d.typ.Closed)
+	for _, f := range d.typ.Fields {
+		flat.Fields = append(flat.Fields, adm.FieldType{Name: f.Name, Type: adm.AnyType, Optional: f.Optional})
+	}
+	put := func(rec *adm.Object, raw []byte) {
+		part, key, _, err := d.locate(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.parts[part].UpsertSpan(key, encodeRecordBytes(raw, false), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := map[int]*adm.Object{}
+	for ver, ids := range [][2]int{{0, 60}, {30, 90}, {60, 120}} {
+		for id := ids[0]; id < ids[1]; id++ {
+			rec := nestedUser(id, ver)
+			switch (id + ver) % 3 {
+			case 0:
+				put(rec, adm.EncodeValue(rec))
+			case 1:
+				put(rec, adm.EncodeRecord(nil, rec, flat))
+			default:
+				if err := e.UpsertValue("GleambookUsers", rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oracle[id] = rec
+		}
+		if ver < 2 {
+			if err := d.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkUsers(t, e, oracle, fmt.Sprintf("version %d", ver))
+	}
+	if _, merges := d.LSMStats(); merges == 0 {
+		t.Fatal("no merge: the history does not reach a merged component")
+	}
+
+	// Damage inside the first employment element of a positional record: a
+	// projection of other fields never sees it, one of employment does.
+	rec := nestedUser(501, 0)
+	raw := adm.EncodeRecord(nil, rec, d.typ)
+	at := int(raw[1+5]) // employment's offset; the record is short
+	if raw[at] != byte(adm.KindArray) || raw[at+1] != 1 {
+		t.Fatalf("employment of %v at %d is not a one-element array: %x", rec, at, raw)
+	}
+	raw[at+2] = 0xEE
+	put(rec, raw)
+	if got := orderedRows(t, e, `SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 501;`); len(got) != 1 || got[0] != `"User 501"` {
+		t.Errorf("name of the damaged record: %v", got)
+	}
+	if _, err := e.Query(context.Background(), `SELECT VALUE u.employment FROM GleambookUsers u WHERE u.id = 501;`); !errors.Is(err, adm.ErrCorrupt) {
+		t.Errorf("employment of the damaged record: %v, want ErrCorrupt", err)
 	}
 }

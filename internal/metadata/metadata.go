@@ -4,6 +4,7 @@
 package metadata
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,15 +36,18 @@ type TypeRef struct {
 	Multiset *TypeRef `json:"multiset,omitempty"`
 }
 
-// DatasetDef is a persisted dataset definition.
+// DatasetDef is a persisted dataset definition. Incarnation tells datasets
+// of one name apart: each CREATE draws a fresh one from the catalog's
+// counter, and the WAL names a dataset by it.
 type DatasetDef struct {
-	Name       string            `json:"name"`
-	TypeName   string            `json:"type"`
-	PrimaryKey []string          `json:"primaryKey,omitempty"`
-	Partitions int               `json:"partitions"`
-	External   bool              `json:"external,omitempty"`
-	Adapter    string            `json:"adapter,omitempty"`
-	Params     map[string]string `json:"params,omitempty"`
+	Name        string            `json:"name"`
+	Incarnation int64             `json:"incarnation,omitempty"`
+	TypeName    string            `json:"type"`
+	PrimaryKey  []string          `json:"primaryKey,omitempty"`
+	Partitions  int               `json:"partitions"`
+	External    bool              `json:"external,omitempty"`
+	Adapter     string            `json:"adapter,omitempty"`
+	Params      map[string]string `json:"params,omitempty"`
 }
 
 // IndexDef is a persisted secondary-index definition.
@@ -62,6 +66,8 @@ type Catalog struct {
 	Types    map[string]*TypeDef
 	Datasets map[string]*DatasetDef
 	Indexes  map[string]*IndexDef // key: dataset "." index name
+	// incarnations is the last incarnation handed out.
+	incarnations int64
 }
 
 // Open loads (or initializes) the catalog at dir/metadata.json.
@@ -89,24 +95,37 @@ func Open(dir string) (*Catalog, error) {
 	for _, t := range snap.Types {
 		c.Types[t.Name] = t
 	}
-	for _, d := range snap.Datasets {
-		c.Datasets[d.Name] = d
-	}
 	for _, i := range snap.Indexes {
 		c.Indexes[i.Dataset+"."+i.Name] = i
+	}
+	// A dataset of a catalog written before incarnations has none: it gets
+	// one now, saved before the log can name it.
+	c.incarnations = snap.Incarnations
+	for _, d := range snap.Datasets { // in name order
+		c.Datasets[d.Name] = d
+		if d.Incarnation == 0 {
+			c.incarnations++
+			d.Incarnation = c.incarnations
+		}
+	}
+	if c.incarnations != snap.Incarnations {
+		if err := c.save(); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
 
 type catalogSnapshot struct {
-	Types    []*TypeDef    `json:"types"`
-	Datasets []*DatasetDef `json:"datasets"`
-	Indexes  []*IndexDef   `json:"indexes"`
+	Types        []*TypeDef    `json:"types"`
+	Datasets     []*DatasetDef `json:"datasets"`
+	Indexes      []*IndexDef   `json:"indexes"`
+	Incarnations int64         `json:"incarnations,omitempty"`
 }
 
 // save persists the catalog (caller holds mu).
 func (c *Catalog) save() error {
-	var snap catalogSnapshot
+	snap := catalogSnapshot{Incarnations: c.incarnations}
 	for _, t := range c.Types {
 		snap.Types = append(snap.Types, t)
 	}
@@ -161,6 +180,8 @@ func (c *Catalog) AddDataset(d *DatasetDef, ifNotExists bool) error {
 			return fmt.Errorf("metadata: unknown type %q", d.TypeName)
 		}
 	}
+	c.incarnations++
+	d.Incarnation = c.incarnations
 	c.Datasets[d.Name] = d
 	return c.save()
 }
@@ -219,6 +240,19 @@ func (c *Catalog) DropType(name string, ifExists bool) error {
 	for _, d := range c.Datasets {
 		if d.TypeName == name {
 			return fmt.Errorf("metadata: type %q is in use by dataset %q", name, d.Name)
+		}
+	}
+	// Stored records hold values of a nested object type by position: a type
+	// re-created under the name would read them as other fields.
+	for _, t := range c.Types {
+		for _, f := range t.Fields {
+			r := f.Type
+			for r.Array != nil || r.Multiset != nil { // a collection's element, at any depth
+				r = *cmp.Or(r.Array, r.Multiset)
+			}
+			if t.Name != name && r.Named == name {
+				return fmt.Errorf("metadata: type %q is in use by type %q", name, t.Name)
+			}
 		}
 	}
 	delete(c.Types, name)

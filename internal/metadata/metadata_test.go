@@ -1,6 +1,10 @@
 package metadata
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"asterix/internal/adm"
@@ -160,5 +164,100 @@ func TestRecursiveTypeBounded(t *testing.T) {
 	}}, false)
 	if _, err := c.ResolveType("Loop"); err == nil {
 		t.Error("recursive type must be rejected, not loop forever")
+	}
+}
+
+// A type another type uses — in a field, or as the element of a collection
+// at any depth — cannot be dropped: records store values of it by position.
+func TestDropTypeRefusesNestedUse(t *testing.T) {
+	c, _ := newCat(t)
+	c.AddType(employmentType(), false)
+	c.AddType(userType(), false)
+	c.AddType(&TypeDef{Name: "Deep", Fields: []FieldDef{
+		{Name: "jobs", Type: TypeRef{Multiset: &TypeRef{Array: &TypeRef{Named: "UserType"}}}},
+	}}, false)
+	for _, name := range []string{"EmploymentType", "UserType"} {
+		if err := c.DropType(name, false); err == nil || !strings.Contains(err.Error(), "in use by type") {
+			t.Errorf("DropType(%s) = %v, want in use by type", name, err)
+		}
+	}
+	for _, name := range []string{"Deep", "UserType", "EmploymentType"} {
+		if err := c.DropType(name, false); err != nil {
+			t.Errorf("DropType(%s) once nothing uses it: %v", name, err)
+		}
+	}
+}
+
+// Every CREATE of a dataset draws a new incarnation, never one handed out
+// before — not across a drop, not across a reopen — and a catalog written
+// without incarnations gets them, persisted, when it is opened.
+func TestDatasetIncarnations(t *testing.T) {
+	c, dir := newCat(t)
+	c.AddType(employmentType(), false)
+	seen := map[int64]bool{}
+	create := func(c *Catalog, name string) int64 {
+		t.Helper()
+		d := &DatasetDef{Name: name, TypeName: "EmploymentType", PrimaryKey: []string{"organizationName"}, Partitions: 1}
+		if err := c.AddDataset(d, false); err != nil {
+			t.Fatal(err)
+		}
+		if d.Incarnation <= 0 || seen[d.Incarnation] {
+			t.Fatalf("%s: incarnation %d, handed out before: %v", name, d.Incarnation, seen)
+		}
+		seen[d.Incarnation] = true
+		return d.Incarnation
+	}
+	create(c, "A")
+	create(c, "B")
+	c.DropDataset("A", false)
+	create(c, "A")
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := c2.Dataset("A"); !seen[a.Incarnation] {
+		t.Fatalf("reopened A has incarnation %d", a.Incarnation)
+	}
+	c2.DropDataset("B", false)
+	create(c2, "B")
+
+	// The same catalog without incarnations.
+	path := filepath.Join(dir, "metadata.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	delete(snap, "incarnations")
+	for _, d := range snap["datasets"].([]any) {
+		delete(d.(map[string]any), "incarnation")
+	}
+	if data, err = json.Marshal(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c3.Dataset("A")
+	b, _ := c3.Dataset("B")
+	if a.Incarnation <= 0 || b.Incarnation <= 0 || a.Incarnation == b.Incarnation {
+		t.Fatalf("incarnations given on open: A %d, B %d", a.Incarnation, b.Incarnation)
+	}
+	c4, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a4, _ := c4.Dataset("A"); a4.Incarnation != a.Incarnation {
+		t.Fatalf("incarnation given on open not persisted: %d, then %d", a.Incarnation, a4.Incarnation)
+	}
+	if d := (&DatasetDef{Name: "C", TypeName: "EmploymentType", Partitions: 1}); c4.AddDataset(d, false) != nil || d.Incarnation == a.Incarnation || d.Incarnation == b.Incarnation {
+		t.Fatalf("new dataset after open: incarnation %d", d.Incarnation)
 	}
 }

@@ -7,6 +7,7 @@
 package txn
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,13 +25,21 @@ import (
 // RecordType tags log records.
 type RecordType uint8
 
-// Log record types.
+// Log record types. An update is logged as a RecStoredUpdate: it names its
+// dataset by incarnation and carries the value as the dataset stores it.
+// RecUpdate — a dataset name and a value in the generic form — is what logs
+// written before held; it is still read and redone.
 const (
 	RecUpdate RecordType = iota + 1
 	RecCommit
 	RecAbort
 	RecCheckpoint
+	RecStoredUpdate
 )
+
+// walChunk is the most of a batch of records one write system call
+// carries, scanBuffer the read-ahead of a log scan.
+const walChunk, scanBuffer = 1 << 20, 256 << 10
 
 // Op is the logged mutation kind.
 type Op uint8
@@ -42,14 +52,16 @@ const (
 
 // LogRecord is one entry in the WAL.
 type LogRecord struct {
-	LSN       int64 // byte offset in the log (assigned by Append)
-	Type      RecordType
-	TxnID     int64
-	Dataset   string
-	Partition int32
-	Op        Op
-	Key       []byte
-	Value     []byte
+	LSN     int64 // byte offset in the log (assigned by Append)
+	Type    RecordType
+	TxnID   int64
+	Dataset string // RecUpdate: the dataset's name
+	// Incarnation is, for a RecStoredUpdate, the dataset's incarnation.
+	Incarnation int64
+	Partition   int32
+	Op          Op
+	Key         []byte
+	Value       []byte
 	// SafeLSN is, for checkpoints, the LSN from which redo must start.
 	SafeLSN int64
 }
@@ -62,10 +74,11 @@ type LogManager struct {
 	path string
 	// wedged is set after an injected torn write: the simulated process
 	// died mid-append, so the log refuses further writes until the torn
-	// tail is repaired (RepairTail) by a reopen/recovery.
+	// tail is repaired (truncate) by a reopen/recovery.
 	wedged bool
-	// tornTails counts torn or corrupt tails detected by scans (atomic).
-	tornTails int64
+	// tornTails counts torn or corrupt tails detected by scans; writes and
+	// written the write system calls appends issued and their bytes.
+	tornTails, writes, written atomic.Int64
 }
 
 // OpenLog opens (creating if needed) the log file at dir/txn.log.
@@ -75,7 +88,7 @@ func OpenLog(dir string) (*LogManager, error) {
 	}
 	path := filepath.Join(dir, "txn.log")
 	// O_APPEND: writes always land at EOF, so a reopened log appends after
-	// the surviving records (and after RepairTail truncates a torn tail,
+	// the surviving records (and after recovery truncates a torn tail,
 	// the next append lands exactly at the repaired end).
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -98,38 +111,41 @@ func (lm *LogManager) Size() int64 {
 	return lm.size
 }
 
-// Append writes a record and returns its LSN.
-func (lm *LogManager) Append(rec *LogRecord) (int64, error) {
-	body := encodeRecord(rec)
-	full := make([]byte, 0, 8+len(body))
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	full = append(full, hdr[:]...)
-	full = append(full, body...)
+// Append writes records, back to back in the order given, and sets their
+// LSNs: with one write system call per walChunk of them, so that a
+// statement's updates cost one write, not one each.
+func (lm *LogManager) Append(recs ...LogRecord) error {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	if lm.wedged {
-		return 0, fmt.Errorf("txn: append: log wedged after torn write")
+		return fmt.Errorf("txn: append: log wedged after torn write")
 	}
-	lsn := lm.size
-	if frag, torn := fault.Tear(fault.PointWALAppend, full); torn {
-		// Simulated crash mid-write: a prefix of the record reaches the
-		// file and the "process" dies — the log wedges so nothing (not
-		// even an abort record) can land after the torn fragment. Only
-		// RepairTail (the reopen/recovery path) unwedges it.
-		//lint:ignore lock-held,err-discard serialized WAL write of a torn fragment that is garbage by construction; recovery truncates it regardless
-		_, _ = lm.f.Write(frag)
-		lm.wedged = true
-		return 0, fmt.Errorf("txn: append %s: %w", rec.Dataset, fault.ErrInjected)
+	for len(recs) > 0 {
+		var buf []byte
+		for len(recs) > 0 && len(buf) < walChunk {
+			recs[0].LSN = lm.size + int64(len(buf))
+			buf = appendFramed(buf, &recs[0])
+			recs = recs[1:]
+		}
+		if frag, torn := fault.Tear(fault.PointWALAppend, buf); torn {
+			// Simulated crash mid-write: a prefix of the records reaches the
+			// file and the "process" dies — the log wedges so nothing (not
+			// even an abort record) can land after the torn fragment. Only
+			// recovery (truncate) unwedges it.
+			//lint:ignore lock-held,err-discard serialized WAL write of a torn fragment that is garbage by construction; recovery truncates it regardless
+			_, _ = lm.f.Write(frag)
+			lm.wedged = true
+			return fmt.Errorf("txn: append: %w", fault.ErrInjected)
+		}
+		//lint:ignore lock-held WAL ordering: appends must be serialized under mu so LSNs match file offsets
+		if _, err := lm.f.Write(buf); err != nil {
+			return fmt.Errorf("txn: append: %w", err)
+		}
+		lm.size += int64(len(buf))
+		lm.writes.Add(1)
+		lm.written.Add(int64(len(buf)))
 	}
-	//lint:ignore lock-held WAL ordering: appends must be serialized under mu so LSNs match file offsets
-	if _, err := lm.f.Write(full); err != nil {
-		return 0, fmt.Errorf("txn: append: %w", err)
-	}
-	lm.size += int64(len(full))
-	rec.LSN = lsn
-	return lsn, nil
+	return nil
 }
 
 // Sync forces the log to stable storage (called at commit when
@@ -149,14 +165,27 @@ func (lm *LogManager) Sync() error {
 
 // TornTails returns how many torn or corrupt log tails scans have
 // detected over this manager's lifetime.
-func (lm *LogManager) TornTails() int64 { return atomic.LoadInt64(&lm.tornTails) }
+func (lm *LogManager) TornTails() int64 { return lm.tornTails.Load() }
 
-func encodeRecord(r *LogRecord) []byte {
-	buf := make([]byte, 0, 64+len(r.Key)+len(r.Value)+len(r.Dataset))
+// Writes returns how many write system calls appends have issued over this
+// manager's lifetime, and how many bytes they wrote.
+func (lm *LogManager) Writes() (calls, bytes int64) {
+	return lm.writes.Load(), lm.written.Load()
+}
+
+// appendFramed appends r as it lies in the log: its body's length and
+// checksum, then the body.
+func appendFramed(buf []byte, r *LogRecord) []byte {
+	at := len(buf)
+	buf = append(slices.Grow(buf, 40+len(r.Dataset)+len(r.Key)+len(r.Value)), make([]byte, 8)...)
 	buf = append(buf, byte(r.Type))
 	buf = binary.AppendVarint(buf, r.TxnID)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Dataset)))
-	buf = append(buf, r.Dataset...)
+	if r.Type == RecStoredUpdate {
+		buf = binary.AppendUvarint(buf, uint64(r.Incarnation))
+	} else {
+		buf = binary.AppendUvarint(buf, uint64(len(r.Dataset)))
+		buf = append(buf, r.Dataset...)
+	}
 	buf = binary.AppendVarint(buf, int64(r.Partition))
 	buf = append(buf, byte(r.Op))
 	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
@@ -164,6 +193,9 @@ func encodeRecord(r *LogRecord) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
 	buf = append(buf, r.Value...)
 	buf = binary.AppendVarint(buf, r.SafeLSN)
+	body := buf[at+8:]
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(body)))
+	binary.BigEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(body))
 	return buf
 }
 
@@ -181,6 +213,9 @@ func decodeRecord(body []byte) (*LogRecord, error) {
 	r.TxnID = v
 	pos += n
 	l, n := binary.Uvarint(body[pos:])
+	if r.Type == RecStoredUpdate { // an incarnation where a name would be
+		r.Incarnation, l = int64(l), 0
+	}
 	if n <= 0 || pos+n+int(l) > len(body) {
 		return nil, fmt.Errorf("txn: corrupt record")
 	}
@@ -232,36 +267,30 @@ func (lm *LogManager) Scan(fromLSN int64, fn func(rec *LogRecord) bool) error {
 // offset just past the last one — the valid end of the log. Anything
 // after that offset (a partial header, a short body, a checksum mismatch,
 // or an undecodable record) is a torn tail: the scan ends there, the
-// torn-tail counter ticks, and no error is returned.
+// torn-tail counter ticks, and no error is returned. It reads the log
+// front to back through one read-ahead buffer.
 func (lm *LogManager) scan(fromLSN int64, fn func(rec *LogRecord) bool) (int64, error) {
 	lm.mu.Lock()
 	size := lm.size
 	lm.mu.Unlock()
+	r := bufio.NewReaderSize(io.NewSectionReader(lm.f, fromLSN, size-fromLSN), scanBuffer)
 	pos := fromLSN
+	var hdr [8]byte
+	var body []byte
 	for pos < size {
-		var hdr [8]byte
-		if _, err := lm.f.ReadAt(hdr[:], pos); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				lm.noteTornTail()
-				return pos, nil
-			}
-			return pos, err
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return lm.tornAt(pos, err)
 		}
-		bl := int(binary.BigEndian.Uint32(hdr[0:]))
-		sum := binary.BigEndian.Uint32(hdr[4:])
-		if pos+8+int64(bl) > size {
+		bl := int64(binary.BigEndian.Uint32(hdr[0:]))
+		if pos+8+bl > size {
 			lm.noteTornTail()
 			return pos, nil
 		}
-		body := make([]byte, bl)
-		if _, err := lm.f.ReadAt(body, pos+8); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				lm.noteTornTail()
-				return pos, nil
-			}
-			return pos, err
+		body = slices.Grow(body[:0], int(bl))[:bl]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return lm.tornAt(pos, err)
 		}
-		if crc32.ChecksumIEEE(body) != sum {
+		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[4:]) {
 			lm.noteTornTail()
 			return pos, nil
 		}
@@ -276,23 +305,26 @@ func (lm *LogManager) scan(fromLSN int64, fn func(rec *LogRecord) bool) (int64, 
 		if !fn(rec) {
 			return pos, nil
 		}
-		pos += 8 + int64(bl)
+		pos += 8 + bl
 	}
 	return pos, nil
 }
 
-func (lm *LogManager) noteTornTail() { atomic.AddInt64(&lm.tornTails, 1) }
-
-// RepairTail truncates any torn tail — bytes past the last whole,
-// checksummed record — so that post-recovery appends land at an offset
-// future scans can reach. Recovery calls it before replay; it also
-// clears the wedged state left by an injected torn write. Returns the
-// number of bytes dropped.
-func (lm *LogManager) RepairTail() (int64, error) {
-	validEnd, err := lm.scan(0, func(*LogRecord) bool { return true })
-	if err != nil {
-		return 0, err
+// tornAt ends a scan whose read at pos failed: short is a torn tail.
+func (lm *LogManager) tornAt(pos int64, err error) (int64, error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		lm.noteTornTail()
+		return pos, nil
 	}
+	return pos, err
+}
+
+func (lm *LogManager) noteTornTail() { lm.tornTails.Add(1) }
+
+// truncate cuts the log at validEnd, the end of its last whole record as
+// recovery's first scan found it, so that post-recovery appends land at an
+// offset future scans can reach, and unwedges it.
+func (lm *LogManager) truncate(validEnd int64) error {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	// Stat rather than lm.size: an injected torn write reaches the file
@@ -300,18 +332,15 @@ func (lm *LogManager) RepairTail() (int64, error) {
 	//lint:ignore lock-held cold recovery path; the tail must not move between measuring and truncating
 	st, err := lm.f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("txn: repair tail: %w", err)
+		return fmt.Errorf("txn: repair tail: %w", err)
 	}
-	dropped := st.Size() - validEnd
-	if dropped <= 0 {
-		lm.wedged = false
-		return 0, nil
+	if st.Size() > validEnd {
+		//lint:ignore lock-held truncation must be atomic with respect to concurrent appends
+		if err := lm.f.Truncate(validEnd); err != nil {
+			return fmt.Errorf("txn: repair tail: %w", err)
+		}
+		lm.size = validEnd
 	}
-	//lint:ignore lock-held truncation must be atomic with respect to concurrent appends
-	if err := lm.f.Truncate(validEnd); err != nil {
-		return 0, fmt.Errorf("txn: repair tail: %w", err)
-	}
-	lm.size = validEnd
 	lm.wedged = false
-	return dropped, nil
+	return nil
 }

@@ -204,20 +204,22 @@ func (m *Manager) Begin() *Txn {
 	return &Txn{ID: id, mgr: m}
 }
 
-// LogUpdate write-ahead-logs one mutation. The caller applies the change
-// to the LSM memory component only after this returns.
-func (t *Txn) LogUpdate(dataset string, partition int32, op Op, key, value []byte) error {
+// LogUpdates write-ahead-logs a statement's mutations of one dataset — the
+// incarnation inc of the dataset called dataset — each given by its
+// Partition, Op, Key and Value: it locks every key, then appends all the
+// update records with one write (one per walChunk). The caller applies the
+// changes only after this returns.
+func (t *Txn) LogUpdates(dataset string, inc int64, ups []LogRecord) error {
 	if t.done {
 		return fmt.Errorf("txn %d: already finished", t.ID)
 	}
-	if err := t.mgr.Locks.lock(t.ID, dataset, key, t.span); err != nil {
-		return err
+	for i := range ups {
+		if err := t.mgr.Locks.lock(t.ID, dataset, ups[i].Key, t.span); err != nil {
+			return err
+		}
+		ups[i].Type, ups[i].TxnID, ups[i].Incarnation = RecStoredUpdate, t.ID, inc
 	}
-	_, err := t.mgr.Log.Append(&LogRecord{
-		Type: RecUpdate, TxnID: t.ID, Dataset: dataset,
-		Partition: partition, Op: op, Key: key, Value: value,
-	})
-	return err
+	return t.mgr.Log.Append(ups...)
 }
 
 // Commit writes the commit record, syncs the log, and releases locks.
@@ -226,7 +228,7 @@ func (t *Txn) Commit() error {
 		return fmt.Errorf("txn %d: already finished", t.ID)
 	}
 	t.done = true
-	if _, err := t.mgr.Log.Append(&LogRecord{Type: RecCommit, TxnID: t.ID}); err != nil {
+	if err := t.mgr.Log.Append(LogRecord{Type: RecCommit, TxnID: t.ID}); err != nil {
 		return err
 	}
 	if !t.mgr.NoSync {
@@ -249,7 +251,7 @@ func (t *Txn) Abort() error {
 		return nil
 	}
 	t.done = true
-	if _, err := t.mgr.Log.Append(&LogRecord{Type: RecAbort, TxnID: t.ID}); err != nil {
+	if err := t.mgr.Log.Append(LogRecord{Type: RecAbort, TxnID: t.ID}); err != nil {
 		return err
 	}
 	t.mgr.Locks.UnlockAll(t.ID)
@@ -261,7 +263,7 @@ func (t *Txn) Abort() error {
 // have been flushed; recovery will start redo from this point.
 func (m *Manager) Checkpoint() error {
 	safe := m.Log.Size()
-	if _, err := m.Log.Append(&LogRecord{Type: RecCheckpoint, SafeLSN: safe}); err != nil {
+	if err := m.Log.Append(LogRecord{Type: RecCheckpoint, SafeLSN: safe}); err != nil {
 		return err
 	}
 	if err := m.Log.Sync(); err != nil {
@@ -275,32 +277,34 @@ func (m *Manager) Checkpoint() error {
 
 // Recover replays committed updates since the last checkpoint, calling
 // apply for each in log order. It returns the number of records redone.
-// A torn tail (crash mid-append) is truncated first so post-recovery
-// appends land at a reachable offset, never stranded behind garbage.
+// Pass 1 reads the whole log: the last checkpoint, the committed
+// transactions, the highest transaction id, and where the last whole record
+// ends — a torn tail (crash mid-append) behind it is truncated before redo,
+// so post-recovery appends land at a reachable offset, never stranded
+// behind garbage. Pass 2 redoes from the checkpoint.
 func (m *Manager) Recover(apply func(rec *LogRecord) error) (int, error) {
-	if _, err := m.Log.RepairTail(); err != nil {
-		return 0, err
-	}
-	// Pass 1: find the last checkpoint and the set of committed txns.
 	committed := map[int64]bool{}
-	start := int64(0)
-	err := m.Log.Scan(0, func(rec *LogRecord) bool {
+	start, maxID := int64(0), int64(0)
+	validEnd, err := m.Log.scan(0, func(rec *LogRecord) bool {
 		switch rec.Type {
 		case RecCheckpoint:
 			start = rec.SafeLSN
 		case RecCommit:
 			committed[rec.TxnID] = true
 		}
+		maxID = max(maxID, rec.TxnID)
 		return true
 	})
 	if err != nil {
 		return 0, err
 	}
-	// Pass 2: redo committed updates from the checkpoint.
+	if err := m.Log.truncate(validEnd); err != nil {
+		return 0, err
+	}
 	redone := 0
 	var applyErr error
 	err = m.Log.Scan(start, func(rec *LogRecord) bool {
-		if rec.Type == RecUpdate && committed[rec.TxnID] {
+		if (rec.Type == RecUpdate || rec.Type == RecStoredUpdate) && committed[rec.TxnID] {
 			if e := apply(rec); e != nil {
 				applyErr = e
 				return false
@@ -315,13 +319,11 @@ func (m *Manager) Recover(apply func(rec *LogRecord) error) (int, error) {
 	if applyErr != nil {
 		return redone, applyErr
 	}
-	// Resume id assignment past anything seen in the log.
+	// Resume id assignment past every id the log holds: an aborted or
+	// unfinished transaction's id reused would make its updates the new
+	// transaction's, and the new commit would redo them.
 	m.mu.Lock()
-	for id := range committed {
-		if id >= m.nextID {
-			m.nextID = id + 1
-		}
-	}
+	m.nextID = max(m.nextID, maxID+1)
 	m.mu.Unlock()
 	return redone, nil
 }

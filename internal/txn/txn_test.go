@@ -24,6 +24,11 @@ func newLog(t testing.TB) (*LogManager, string) {
 	return lm, dir
 }
 
+// logOne logs one update of key in incarnation 1 of dataset ds.
+func logOne(tx *Txn, ds string, op Op, key, value []byte) error {
+	return tx.LogUpdates(ds, 1, []LogRecord{{Op: op, Key: key, Value: value}})
+}
+
 func TestLogAppendScanRoundTrip(t *testing.T) {
 	lm, _ := newLog(t)
 	recs := []*LogRecord{
@@ -32,7 +37,7 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 		{Type: RecCommit, TxnID: 1},
 	}
 	for _, r := range recs {
-		if _, err := lm.Append(r); err != nil {
+		if err := lm.Append(*r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,8 +65,8 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 
 func TestLogTornTailIgnored(t *testing.T) {
 	lm, dir := newLog(t)
-	lm.Append(&LogRecord{Type: RecUpdate, TxnID: 1, Dataset: "d", Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
-	lm.Append(&LogRecord{Type: RecCommit, TxnID: 1})
+	lm.Append(LogRecord{Type: RecUpdate, TxnID: 1, Dataset: "d", Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
+	lm.Append(LogRecord{Type: RecCommit, TxnID: 1})
 	lm.Close()
 	// Simulate a crash mid-append: garbage partial header at the tail.
 	path := filepath.Join(dir, "txn.log")
@@ -91,14 +96,14 @@ func TestRecoverReplaysOnlyCommitted(t *testing.T) {
 	m := NewManager(lm)
 
 	t1 := m.Begin()
-	t1.LogUpdate("Users", 0, OpUpsert, []byte("a"), []byte("1"))
+	logOne(t1, "Users", OpUpsert, []byte("a"), []byte("1"))
 	t1.Commit()
 
 	t2 := m.Begin() // never commits (loser)
-	t2.LogUpdate("Users", 0, OpUpsert, []byte("b"), []byte("2"))
+	logOne(t2, "Users", OpUpsert, []byte("b"), []byte("2"))
 
 	t3 := m.Begin()
-	t3.LogUpdate("Users", 0, OpDelete, []byte("a"), nil)
+	logOne(t3, "Users", OpDelete, []byte("a"), nil)
 	t3.Commit()
 
 	var applied []string
@@ -121,13 +126,13 @@ func TestCheckpointLimitsRedo(t *testing.T) {
 	lm, _ := newLog(t)
 	m := NewManager(lm)
 	t1 := m.Begin()
-	t1.LogUpdate("d", 0, OpUpsert, []byte("old"), []byte("x"))
+	logOne(t1, "d", OpUpsert, []byte("old"), []byte("x"))
 	t1.Commit()
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	t2 := m.Begin()
-	t2.LogUpdate("d", 0, OpUpsert, []byte("new"), []byte("y"))
+	logOne(t2, "d", OpUpsert, []byte("new"), []byte("y"))
 	t2.Commit()
 
 	var keys []string
@@ -146,7 +151,7 @@ func TestAbortExcludesUpdates(t *testing.T) {
 	lm, _ := newLog(t)
 	m := NewManager(lm)
 	tx := m.Begin()
-	tx.LogUpdate("d", 0, OpUpsert, []byte("k"), []byte("v"))
+	logOne(tx, "d", OpUpsert, []byte("k"), []byte("v"))
 	tx.Abort()
 	n, err := m.Recover(func(rec *LogRecord) error { return nil })
 	if err != nil {
@@ -219,8 +224,8 @@ func TestManagerIDsMonotonic(t *testing.T) {
 
 func TestRepairTailTruncatesGarbage(t *testing.T) {
 	lm, dir := newLog(t)
-	lm.Append(&LogRecord{Type: RecUpdate, TxnID: 1, Dataset: "d", Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
-	lm.Append(&LogRecord{Type: RecCommit, TxnID: 1})
+	lm.Append(LogRecord{Type: RecUpdate, TxnID: 1, Dataset: "d", Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
+	lm.Append(LogRecord{Type: RecCommit, TxnID: 1})
 	lm.Close()
 	// Crash mid-append: a plausible-looking torn header + partial body.
 	path := filepath.Join(dir, "txn.log")
@@ -247,7 +252,7 @@ func TestRepairTailTruncatesGarbage(t *testing.T) {
 	// Post-repair appends must be reachable by a future scan: without the
 	// truncation they would sit behind the garbage and be lost.
 	tx := m.Begin()
-	if err := tx.LogUpdate("d", 0, OpUpsert, []byte("after"), []byte("w")); err != nil {
+	if err := logOne(tx, "d", OpUpsert, []byte("after"), []byte("w")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -255,7 +260,7 @@ func TestRepairTailTruncatesGarbage(t *testing.T) {
 	}
 	var keys []string
 	if err := lm2.Scan(0, func(r *LogRecord) bool {
-		if r.Type == RecUpdate {
+		if r.Type == RecUpdate || r.Type == RecStoredUpdate {
 			keys = append(keys, string(r.Key))
 		}
 		return true
@@ -274,7 +279,7 @@ func TestTornWriteFaultWedgesLog(t *testing.T) {
 	m := NewManager(lm)
 	m.NoSync = true
 	t1 := m.Begin()
-	if err := t1.LogUpdate("d", 0, OpUpsert, []byte("pre"), []byte("1")); err != nil {
+	if err := logOne(t1, "d", OpUpsert, []byte("pre"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := t1.Commit(); err != nil {
@@ -285,7 +290,7 @@ func TestTornWriteFaultWedgesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2 := m.Begin()
-	err := t2.LogUpdate("d", 0, OpUpsert, []byte("torn"), []byte("2"))
+	err := logOne(t2, "d", OpUpsert, []byte("torn"), []byte("2"))
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("want injected torn write, got %v", err)
 	}
@@ -309,7 +314,7 @@ func TestTornWriteFaultWedgesLog(t *testing.T) {
 		t.Fatalf("recovered keys %v, want [pre]", keys)
 	}
 	t3 := m.Begin()
-	if err := t3.LogUpdate("d", 0, OpUpsert, []byte("post"), []byte("3")); err != nil {
+	if err := logOne(t3, "d", OpUpsert, []byte("post"), []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 	if err := t3.Commit(); err != nil {
@@ -326,7 +331,7 @@ func TestWALSyncFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := m.Begin()
-	if err := tx.LogUpdate("d", 0, OpUpsert, []byte("k"), []byte("v")); err != nil {
+	if err := logOne(tx, "d", OpUpsert, []byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); !errors.Is(err, fault.ErrInjected) {
