@@ -65,7 +65,9 @@ net-matrix:
 # changes the indexed field, per index kind; BenchmarkIndexSearch: the same
 # per candidate of an equality, a range and a keyword search), plus the per-layer
 # microbenchmarks of the record decoder (BenchmarkLocateFields: fields and
-# whole records out of both stored forms) and the leaf over them
+# whole records out of both stored forms), of the key encoder
+# (BenchmarkEncodeKey: ns and bytes per key of a small integer, an integer
+# beyond 2^53, a double and a string) and the leaf over them
 # (BenchmarkScanLeaf), the
 # expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled)
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
@@ -106,6 +108,7 @@ fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMDecodeFields -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzKeySplit -fuzztime 10s ./internal/adm
+	go test -run NONE -fuzz FuzzNumberKey -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
 	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
@@ -120,7 +123,7 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, stored-record decoder, partial decoder and key splitter, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"

@@ -211,7 +211,7 @@ func DefaultConfig() *Config {
 			"encoding/binary.Uvarint", "encoding/binary.Varint",
 			"encoding/binary.(bigEndian).", "encoding/binary.(littleEndian).",
 			"bufio.(Writer).Write", "bufio.(Writer).WriteByte",
-			"math.Float64bits", "math.Float64frombits",
+			"math.Float64bits", "math.Float64frombits", "math/bits.LeadingZeros64",
 			"sort.SearchInts", "sort.Search",
 			// Lock/unlock and atomics never allocate; whether a Lock may
 			// *block* in a hot path is the wait-attrib rule's LockWaits

@@ -91,3 +91,30 @@ func BenchmarkLocateFields(b *testing.B) {
 		}
 	}
 }
+
+var keySink []byte
+
+// BenchmarkEncodeKey measures EncodeKey per key, and the key's length, for a
+// small integer, an integer beyond 2^53, a double with a full fraction and
+// a short string.
+func BenchmarkEncodeKey(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		v    Value
+	}{
+		{"int", Int64(12345)},
+		{"int-beyond-2^53", Int64(1<<53 + 1)},
+		{"double", Double(0.1)},
+		{"string", String("user009041")},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf, _ := EncodeKey(nil, c.v)
+			b.ReportMetric(float64(len(buf)), "B/key")
+			for i := 0; i < b.N; i++ {
+				buf, _ = EncodeKey(buf[:0], c.v)
+			}
+			keySink = buf
+		})
+	}
+}

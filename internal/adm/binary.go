@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -343,8 +344,8 @@ func skipValue(data []byte) (int, error) {
 // EncodeKey appends an order-preserving encoding of a scalar value:
 // bytes.Compare over encodings agrees with Compare over values. Used as
 // the key format for B+trees and other ordered indexes. Only scalar kinds
-// are supported; numerics (int64/double) share one encoding so that their
-// numeric cross-kind order is preserved.
+// are supported; numerics (int64/double) share one exact encoding so that
+// their numeric cross-kind order is preserved.
 func EncodeKey(buf []byte, v Value) ([]byte, error) {
 	switch x := v.(type) {
 	case missingValue:
@@ -358,7 +359,7 @@ func EncodeKey(buf []byte, v Value) ([]byte, error) {
 			buf = append(buf, 0x02, 0)
 		}
 	case Int64:
-		buf = AppendNumberKey(buf, float64(x))
+		buf = appendNumberKey(buf, x < 0, uint64(max(x, -x)), 0) // -MinInt64 wraps to 2^63 as a uint64
 	case Double:
 		buf = AppendNumberKey(buf, float64(x))
 	case String:
@@ -395,34 +396,63 @@ func EncodeKey(buf []byte, v Value) ([]byte, error) {
 
 // AppendNumberKey, AppendStringKey and AppendBinaryKey are EncodeKey for a
 // number, a string and a binary the caller holds unboxed.
+//
+// A number's key is exact: the tag 0x03; two bytes of sign and biased binary
+// exponent, 0x8000 | (e+1075) for a positive number whose leading 1 is worth
+// 2^e and 0x8000 − (e+1075) for a negative one (0x8000 is zero, 0x8FFE and
+// 0x7002 are ±Inf, 0x8FFF is NaN); then the bits after the leading 1, seven
+// to a byte whose low bit says another byte follows, without trailing zeros
+// but at least one byte, inverted for a negative number. Int64(n) and
+// Double(n) have one key; 1 takes 4 bytes, any int64 at most 12, a double at
+// most 11.
 func AppendNumberKey(buf []byte, f float64) []byte {
-	buf = append(buf, 0x03)
-	return appendOrderedFloat(buf, f)
+	b := math.Float64bits(f)
+	exp, m := int(b>>52&0x7FF), b&(1<<52-1)
+	switch {
+	case f != f:
+		return appendNumberKey(buf, false, 1, 0xFFF-1075)
+	case exp == 0x7FF:
+		return appendNumberKey(buf, f < 0, 1, 0xFFE-1075)
+	case exp == 0: // zero or subnormal
+		return appendNumberKey(buf, f < 0, m, -1074)
+	}
+	return appendNumberKey(buf, f < 0, m|1<<52, exp-1075)
 }
 
 func AppendStringKey[S ~string | ~[]byte](buf []byte, s S) []byte { return appendEscaped(buf, 0x04, s) }
 
 func AppendBinaryKey(buf, b []byte) []byte { return appendEscaped(buf, 0x0C, b) }
 
-// EncodeCompositeKey encodes several scalar values into one
-// order-preserving composite key.
-func EncodeCompositeKey(buf []byte, vs ...Value) ([]byte, error) {
-	var err error
-	for _, v := range vs {
-		buf, err = EncodeKey(buf, v)
-		if err != nil {
-			return nil, err
+// appendNumberKey appends the key of the number ±m·2^exp.
+func appendNumberKey(buf []byte, neg bool, m uint64, exp int) []byte {
+	if m == 0 {
+		buf = append(buf, 0x03, 0x80, 0x00)
+		return buf
+	}
+	lz := bits.LeadingZeros64(m)
+	e, inv := exp+63-lz+1075, byte(0)
+	if neg {
+		e, inv = -e, 0xFF
+	}
+	buf = append(buf, 0x03, byte((0x8000+e)>>8), byte(0x8000+e))
+	for frac := m << (lz + 1); ; { // the bits after the leading 1
+		b := byte(frac>>56) &^ 1
+		if frac <<= 7; frac != 0 {
+			b |= 1
+		}
+		if buf = append(buf, b^inv); frac == 0 {
+			return buf
 		}
 	}
-	return buf, nil
 }
 
 // keyWidth is the length of a key component by its tag: 0 where it runs to
-// a 0x00 0x00 terminator (strings, binaries), -1 where no kind has the tag.
-var keyWidth = [...]int{0x00: 1, 0x01: 1, 0x02: 2, 0x03: 9, 0x04: 0, 0x05: 9, 0x06: 9, 0x07: 9, 0x08: 25, 0x09: 17, 0x0A: -1, 0x0B: 17, 0x0C: 0}
+// a 0x00 0x00 terminator (strings, binaries) or to a number's last byte,
+// -1 where no kind has the tag.
+var keyWidth = [...]int{0x00: 1, 0x01: 1, 0x02: 2, 0x03: 0, 0x04: 0, 0x05: 9, 0x06: 9, 0x07: 9, 0x08: 25, 0x09: 17, 0x0A: -1, 0x0B: 17, 0x0C: 0}
 
-// KeyLen returns the length of the first component of a key EncodeKey or
-// EncodeCompositeKey produced, so that a composite can be split without
+// KeyLen returns the length of the first component of a key EncodeKey
+// produced, or of several appended, so that a composite can be split without
 // decoding it. Damaged input is ErrCorrupt.
 func KeyLen(key []byte) (int, error) {
 	if len(key) == 0 || int(key[0]) >= len(keyWidth) {
@@ -433,6 +463,17 @@ func KeyLen(key []byte) (int, error) {
 			return 0, ErrCorrupt
 		}
 		return n, nil
+	}
+	if key[0] == 0x03 { // zero, or a number up to its byte with the continuation bit clear (set, if negative)
+		if len(key) >= 3 && key[1] == 0x80 && key[2] == 0x00 {
+			return 3, nil
+		}
+		for n := 3; n < len(key); n++ {
+			if key[n]&1 != key[1]>>7 {
+				return n + 1, nil
+			}
+		}
+		return 0, ErrCorrupt
 	}
 	for n := 1; n+1 < len(key); n++ {
 		if key[n] != 0x00 {
@@ -447,6 +488,57 @@ func KeyLen(key []byte) (int, error) {
 		n++ // an escaped 0x00
 	}
 	return 0, ErrCorrupt
+}
+
+// KeyFormat is a layout of key bytes. A dataset's key bytes are stored, so
+// it keeps the format it was created with.
+type KeyFormat uint8
+
+const (
+	// FloatKeys, the format of datasets created before exact keys, carries a
+	// number as its float64: the tag 0x03 and 8 bytes, so that integers
+	// beyond ±2^53 share keys. Every other kind is as in ExactKeys.
+	FloatKeys KeyFormat = iota
+	// ExactKeys is EncodeKey's format.
+	ExactKeys
+)
+
+// Append is EncodeKey in format f.
+func (f KeyFormat) Append(buf []byte, v Value) ([]byte, error) {
+	if x, ok := AsFloat(v); ok && f == FloatKeys {
+		return f.AppendNumber(buf, x), nil
+	}
+	return EncodeKey(buf, v)
+}
+
+// AppendNumber is AppendNumberKey in format f.
+func (f KeyFormat) AppendNumber(buf []byte, x float64) []byte {
+	if f == FloatKeys {
+		buf = append(buf, 0x03)
+		return appendOrderedFloat(buf, x)
+	}
+	return AppendNumberKey(buf, x)
+}
+
+// Len is KeyLen in format f.
+func (f KeyFormat) Len(key []byte) (int, error) {
+	if f == FloatKeys && len(key) > 0 && key[0] == 0x03 {
+		if len(key) < 9 {
+			return 0, ErrCorrupt
+		}
+		return 9, nil
+	}
+	return KeyLen(key)
+}
+
+// Hash is the hash a dataset of format f places a primary key's values by:
+// Hash64, except that FloatKeys, whose keys hold a double's own bits, hashes
+// those bits (−0 apart from 0, and each NaN apart).
+func (f KeyFormat) Hash(v Value) uint64 {
+	if x, ok := v.(Double); ok && f == FloatKeys {
+		return fnvU64(fnvByte(fnvOffset64, byte(KindDouble)), math.Float64bits(float64(x)))
+	}
+	return Hash64(v)
 }
 
 // appendOrderedInt encodes an int64 so unsigned byte order matches signed

@@ -147,7 +147,8 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
-// Property: EncodeKey preserves Compare order for scalar values.
+// Property: EncodeKey preserves Compare order for scalar values, the
+// generated numbers of randomNumber among them, which it orders exactly.
 func TestPropKeyEncodingPreservesOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var vals []Value
@@ -156,6 +157,7 @@ func TestPropKeyEncodingPreservesOrder(t *testing.T) {
 		if v.Kind().IsScalar() && v.Kind() != KindRectangle {
 			vals = append(vals, v)
 		}
+		vals = append(vals, randomNumber(r))
 	}
 	// Also adversarial strings containing 0x00 bytes.
 	vals = append(vals, String("a\x00b"), String("a\x00"), String("a"), String("a\x01"), String(""))
@@ -169,15 +171,18 @@ func TestPropKeyEncodingPreservesOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("EncodeKey(%v): %v", v, err)
 		}
+		if n, err := KeyLen(k); err != nil || n != len(k) {
+			t.Fatalf("KeyLen(% x), the key of %v, = %d, %v", k, v, n, err)
+		}
 		ks = append(ks, kv{v, k})
 	}
 	sort.Slice(ks, func(i, j int) bool { return bytes.Compare(ks[i].k, ks[j].k) < 0 })
 	for i := 1; i < len(ks); i++ {
 		a, b := ks[i-1], ks[i]
 		if a.v.Kind() == b.v.Kind() || (a.v.Kind().IsNumeric() && b.v.Kind().IsNumeric()) {
-			if Compare(a.v, b.v) > 0 {
-				t.Fatalf("key order disagrees with value order: %v (key %x) before %v (key %x)",
-					a.v, a.k, b.v, b.k)
+			if c := Compare(a.v, b.v); c != bytes.Compare(a.k, b.k) {
+				t.Fatalf("key order disagrees with value order: %v (key %x) before %v (key %x), Compare %d",
+					a.v, a.k, b.v, b.k, c)
 			}
 		}
 	}
@@ -185,22 +190,19 @@ func TestPropKeyEncodingPreservesOrder(t *testing.T) {
 
 func TestCompositeKeyOrder(t *testing.T) {
 	// ("a", 2) < ("a", 10) must hold even though "2" > "1" textually.
-	k1, err := EncodeCompositeKey(nil, String("a"), Int64(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := EncodeCompositeKey(nil, String("a"), Int64(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1, k2 := mustKey(t, ExactKeys, String("a"), Int64(2)), mustKey(t, ExactKeys, String("a"), Int64(10))
 	if bytes.Compare(k1, k2) >= 0 {
 		t.Error(`("a",2) should sort before ("a",10)`)
 	}
 	// ("a\x00", 1) vs ("a", 1): "a" < "a\x00".
-	k3, _ := EncodeCompositeKey(nil, String("a\x00"), Int64(1))
-	k4, _ := EncodeCompositeKey(nil, String("a"), Int64(1))
+	k3, k4 := mustKey(t, ExactKeys, String("a\x00"), Int64(1)), mustKey(t, ExactKeys, String("a"), Int64(1))
 	if bytes.Compare(k4, k3) >= 0 {
 		t.Error(`("a",1) should sort before ("a\x00",1)`)
+	}
+	// (1, x) < (1.5, y) < (2, z): a number's key ends where it ends.
+	k5, k6 := mustKey(t, ExactKeys, Int64(1), Int64(99)), mustKey(t, ExactKeys, Double(1.5), Int64(0))
+	if k7 := mustKey(t, ExactKeys, Int64(2), Int64(-5)); bytes.Compare(k5, k6) >= 0 || bytes.Compare(k6, k7) >= 0 {
+		t.Error(`(1, 99) < (1.5, 0) < (2, -5) should hold`)
 	}
 }
 

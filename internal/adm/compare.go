@@ -8,22 +8,25 @@ import (
 
 // Compare defines a total order over all ADM values. Values of different
 // kinds order by kind rank, except that int64 and double compare
-// numerically with each other. Within a kind the natural order applies;
+// numerically with each other, exactly: −0 equals 0, and NaN equals NaN and
+// sorts above +Inf. Within a kind the natural order applies;
 // objects compare by their name-sorted field lists, collections
 // element-wise. Missing sorts before null, which sorts before everything
 // else (the order AsterixDB uses for ORDER BY).
 func Compare(a, b Value) int {
 	ka, kb := a.Kind(), b.Kind()
 	if ka.IsNumeric() && kb.IsNumeric() {
-		fa, _ := AsFloat(a)
-		fb, _ := AsFloat(b)
+		x, xi := a.(Int64)
+		y, yi := b.(Int64)
 		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
+		case xi && yi:
+			return cmpInt(int64(x), int64(y))
+		case xi:
+			return cmpIntDouble(int64(x), float64(b.(Double)))
+		case yi:
+			return -cmpIntDouble(int64(y), float64(a.(Double)))
 		}
-		return 0
+		return cmpDouble(float64(a.(Double)), float64(b.(Double)))
 	}
 	if ka != kb {
 		if ka < kb {
@@ -235,6 +238,31 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
+// cmpDouble is cmpFloat with NaN equal to itself and above every number.
+func cmpDouble(x, y float64) int {
+	switch {
+	case x == y || x < y || x > y:
+		return cmpFloat(x, y)
+	case x == x:
+		return -1
+	case y == y:
+		return 1
+	}
+	return 0
+}
+
+// cmpIntDouble compares an integer with a double exactly: rounding keeps
+// order, so only a double equal to the integer's image, an integer, is left.
+func cmpIntDouble(i int64, d float64) int {
+	switch c := cmpDouble(float64(i), d); {
+	case c != 0:
+		return c
+	case d == 1<<63: // above every int64
+		return -1
+	}
+	return cmpInt(i, int64(d))
+}
+
 // Equal reports deep equality under Compare's semantics. Note that like
 // Compare it treats int64(2) and double(2.0) as equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
@@ -246,10 +274,10 @@ const (
 )
 
 // Hash64 computes a 64-bit hash of a value, consistent with Equal: equal
-// values hash identically (numerics hash via their float64 image). The
-// FNV-1a fold is inlined over a plain uint64 state — the earlier
-// hash/fnv version allocated the hash object and boxed every Write —
-// and produces bit-identical results to it.
+// values hash identically (numerics hash via their float64 image, −0 as 0
+// and every NaN as one). The FNV-1a fold is inlined over a plain uint64
+// state — the earlier hash/fnv version allocated the hash object and boxed
+// every Write — and produces bit-identical results to it.
 func Hash64(v Value) uint64 {
 	return hashValue(fnvOffset64, v)
 }
@@ -273,7 +301,11 @@ func hashValue(h uint64, v Value) uint64 {
 	case Int64:
 		h = fnvU64(h, math.Float64bits(float64(x)))
 	case Double:
-		h = fnvU64(h, math.Float64bits(float64(x)))
+		f := float64(x) + 0 // −0 + 0 is 0
+		if f != f {
+			f = math.Float64frombits(0x7FF8000000000001) // one NaN
+		}
+		h = fnvU64(h, math.Float64bits(f))
 	case String:
 		h = fnvString(h, string(x))
 	case Date:

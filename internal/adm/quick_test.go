@@ -14,7 +14,9 @@ type quickScalar struct{ V Value }
 // Generate implements quick.Generator, producing random scalar values.
 func (quickScalar) Generate(r *rand.Rand, size int) reflect.Value {
 	var v Value
-	switch r.Intn(8) {
+	switch r.Intn(10) {
+	case 8, 9:
+		v = randomNumber(r)
 	case 0:
 		v = Boolean(r.Intn(2) == 0)
 	case 1:
@@ -83,11 +85,15 @@ func TestQuickKeyEncodingOrder(t *testing.T) {
 	}
 }
 
-// Property (quick): Compare is antisymmetric and hashing respects
-// equality on scalars.
+// Property (quick): Compare is antisymmetric, numbers compare exactly, and
+// hashing respects equality on scalars — on generated values, and on every
+// pair of keyValues().
 func TestQuickCompareAndHash(t *testing.T) {
 	f := func(a, b quickScalar) bool {
 		if Compare(a.V, b.V) != -Compare(b.V, a.V) {
+			return false
+		}
+		if a.V.Kind().IsNumeric() && b.V.Kind().IsNumeric() && Compare(a.V, b.V) != exactCompare(a.V, b.V) {
 			return false
 		}
 		if Compare(a.V, b.V) == 0 && Hash64(a.V) != Hash64(b.V) {
@@ -97,6 +103,13 @@ func TestQuickCompareAndHash(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+	for _, a := range keyValues() {
+		for _, b := range keyValues() {
+			if Compare(a, b) == 0 && Hash64(a) != Hash64(b) {
+				t.Errorf("%v %s and %v %s are equal and hash apart", a, a.Kind(), b, b.Kind())
+			}
+		}
 	}
 }
 

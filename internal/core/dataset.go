@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -31,6 +32,7 @@ type Dataset struct {
 	eng   *Engine
 	def   *metadata.DatasetDef
 	typ   *adm.Type
+	keys  adm.KeyFormat // every key the dataset builds or splits, in its format
 	parts []*lsm.Tree
 	// idxs is kept in index-name order, so that which index a write
 	// dirties first and which of two candidates the optimizer is offered
@@ -122,7 +124,7 @@ func (e *Engine) openDataset(def *metadata.DatasetDef) (*Dataset, error) {
 	} else {
 		typ = adm.AnyType
 	}
-	d := &Dataset{eng: e, def: def, typ: typ}
+	d := &Dataset{eng: e, def: def, typ: typ, keys: def.KeyFormat}
 	if def.External {
 		return d, nil
 	}
@@ -202,27 +204,30 @@ func (d *Dataset) primaryKeyValues(rec *adm.Object) ([]adm.Value, error) {
 	return pks, nil
 }
 
-// ErrInexactKey refuses an integer primary key that key bytes, which carry a
-// number as a float64 (adm.EncodeKey), would share with another: stored, one
-// would silently overwrite the other; searched for, it would find the other.
+// ErrInexactKey refuses, where keys are adm.FloatKeys, an integer primary key
+// another would share: stored, one would silently overwrite the other;
+// searched for, it would find the other.
 var ErrInexactKey = errors.New("integer primary key is not exact as a float64 (beyond ±2^53)")
 
 // encodePK builds order-preserving key bytes for a primary key, or for a
 // search bound on one.
-func encodePK(pks []adm.Value) ([]byte, error) {
+func (d *Dataset) encodePK(pks []adm.Value) (kb []byte, err error) {
 	for _, v := range pks {
-		if i, ok := v.(adm.Int64); ok && (float64(i) >= 1<<63 || adm.Int64(float64(i)) != i) {
+		if i, ok := v.(adm.Int64); ok && d.keys == adm.FloatKeys && (float64(i) >= 1<<63 || adm.Int64(float64(i)) != i) {
 			return nil, fmt.Errorf("core: %w: %d", ErrInexactKey, int64(i))
 		}
+		if kb, err = d.keys.Append(kb, v); err != nil {
+			return nil, err
+		}
 	}
-	return adm.EncodeCompositeKey(nil, pks...)
+	return kb, nil
 }
 
 // partitionOf hashes a primary key to a partition.
 func (d *Dataset) partitionOf(pks []adm.Value) int {
 	var h uint64 = 14695981039346656037
 	for _, v := range pks {
-		h = h*1099511628211 ^ adm.Hash64(v)
+		h = h*1099511628211 ^ d.keys.Hash(v)
 	}
 	return int(h % uint64(d.def.Partitions))
 }
@@ -233,7 +238,7 @@ func (d *Dataset) locate(rec *adm.Object) (int, []byte, []adm.Value, error) {
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	kb, err := encodePK(pks)
+	kb, err := d.encodePK(pks)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -365,7 +370,7 @@ func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Objec
 	switch si.def.Kind {
 	case "BTREE":
 		if fv.Kind().IsScalar() {
-			if ks.buf, err = adm.EncodeKey(ks.buf, fv); err == nil {
+			if ks.buf, err = si.ds.keys.Append(ks.buf, fv); err == nil {
 				ks.seal(pk)
 			}
 		}
@@ -398,7 +403,7 @@ func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Objec
 // point under: its place on the curve, or its grid cell.
 func (si *SecondaryIndex) appendCellKey(buf []byte, pt adm.Point) []byte {
 	if si.def.Kind == "GRID" {
-		return adm.AppendNumberKey(buf, float64(si.grid.Cell(pt.X, pt.Y)))
+		return si.ds.keys.AppendNumber(buf, float64(si.grid.Cell(pt.X, pt.Y)))
 	}
 	x, y := si.norm.Lattice(pt.X, pt.Y)
 	if si.def.Kind == "ZORDER" {
@@ -637,7 +642,7 @@ func (pi primaryIndex) encodeBound(bound adm.Value) (kb []byte, full bool, err e
 	if err != nil {
 		return nil, false, err
 	}
-	kb, err = encodePK(pks)
+	kb, err = pi.ds.encodePK(pks)
 	return kb, len(pks) == len(pi.ds.def.PrimaryKey), err
 }
 
@@ -756,9 +761,7 @@ func (si *SecondaryIndex) fetch(part int, pks [][]byte, emit func(algebricks.Rec
 }
 
 // SearchRange implements algebricks.IndexAccessor for BTREE indexes: the
-// records whose entries lie within the bounds as key bytes. Where the order
-// of key bytes and the order of values part (integers beyond 2^53, say)
-// the plan's residual filter decides.
+// records whose entries lie within the bounds as key bytes.
 func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc bool, emit func(algebricks.Record) error) error {
 	if si.def.Kind != "BTREE" {
 		return fmt.Errorf("core: SearchRange on %s index", si.def.Kind)
@@ -766,7 +769,7 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 	var loB, hiB []byte
 	var err error
 	if lo != nil {
-		if loB, err = adm.EncodeKey(nil, lo); err != nil {
+		if loB, loInc, err = si.ds.keyBound(lo, loInc, -1); err != nil {
 			return err
 		}
 		if !loInc {
@@ -774,7 +777,7 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		}
 	}
 	if hi != nil {
-		if hiB, err = adm.EncodeKey(nil, hi); err != nil {
+		if hiB, hiInc, err = si.ds.keyBound(hi, hiInc, 1); err != nil {
 			return err
 		}
 		if hiInc {
@@ -786,6 +789,25 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		return err
 	}
 	return si.fetch(part, c.sorted(), emit)
+}
+
+// keyBound encodes a secondary search bound. An adm.FloatKeys key holds a
+// number as its nearest float64, which other values share: there a numeric
+// bound moves out to the float64 on its far side (dir −1 for a lower bound)
+// and becomes inclusive, and the plan's residual filter drops the excess.
+func (d *Dataset) keyBound(v adm.Value, inc bool, dir float64) ([]byte, bool, error) {
+	x, ok := adm.AsFloat(v)
+	if !ok || d.keys != adm.FloatKeys {
+		k, err := d.keys.Append(nil, v)
+		return k, inc, err
+	}
+	if c := adm.Compare(adm.Double(x), v); c != 0 && float64(c) != dir {
+		x = math.Nextafter(x, math.Inf(int(dir)))
+	}
+	if x == 0 {
+		x = math.Copysign(0, dir) // −0 and 0 are one value with two keys
+	}
+	return d.keys.AppendNumber(nil, x), true, nil
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
@@ -848,7 +870,7 @@ func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, c *candidates)
 	var innerErr error
 	err := si.trees[part].Scan(lo, hi, func(k, _ []byte) bool {
 		var n int
-		if n, innerErr = adm.KeyLen(k); innerErr == nil {
+		if n, innerErr = si.ds.keys.Len(k); innerErr == nil {
 			c.add(k[n:])
 		}
 		return innerErr == nil
@@ -891,7 +913,7 @@ func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (*cand
 	case "GRID":
 		var lo, hi []byte
 		for _, cell := range si.grid.CellsInRect(rect.MinX, rect.MinY, rect.MaxX, rect.MaxY) {
-			lo = adm.AppendNumberKey(lo[:0], float64(cell))
+			lo = si.ds.keys.AppendNumber(lo[:0], float64(cell))
 			hi = append(append(hi[:0], lo...), 0xFF)
 			if err := si.scanCandidates(part, lo, hi, c); err != nil {
 				return c, err

@@ -208,7 +208,7 @@ func (e *Engine) DeleteKey(dataset string, pk ...adm.Value) error {
 	if !ok {
 		return fmt.Errorf("core: unknown dataset %q", dataset)
 	}
-	kb, err := encodePK(pk)
+	kb, err := d.encodePK(pk)
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func (e *Engine) GetKey(dataset string, pk ...adm.Value) (*adm.Object, bool, err
 	if !ok {
 		return nil, false, fmt.Errorf("core: unknown dataset %q", dataset)
 	}
-	kb, err := encodePK(pk)
+	kb, err := d.encodePK(pk)
 	if err != nil {
 		return nil, false, err
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -254,25 +253,12 @@ func TestPreIncarnationLogReplays(t *testing.T) {
 	}
 	lm.Close()
 	// The catalog as it was before incarnations.
-	path := filepath.Join(dir, "metadata.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cat map[string]any
-	if err := json.Unmarshal(raw, &cat); err != nil {
-		t.Fatal(err)
-	}
-	delete(cat, "incarnations")
-	for _, ds := range cat["datasets"].([]any) {
-		delete(ds.(map[string]any), "incarnation")
-	}
-	if raw, err = json.Marshal(cat); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	editCatalog(t, dir, func(cat map[string]any) {
+		delete(cat, "incarnations")
+		for _, ds := range cat["datasets"].([]any) {
+			delete(ds.(map[string]any), "incarnation")
+		}
+	})
 
 	e2, err := e.Reopen()
 	if err != nil {

@@ -38,10 +38,12 @@ type TypeRef struct {
 
 // DatasetDef is a persisted dataset definition. Incarnation tells datasets
 // of one name apart: each CREATE draws a fresh one from the catalog's
-// counter, and the WAL names a dataset by it.
+// counter, and the WAL names a dataset by it. KeyFormat is the layout of its
+// key bytes: ExactKeys from CREATE on, FloatKeys (none) in older catalogs.
 type DatasetDef struct {
 	Name        string            `json:"name"`
 	Incarnation int64             `json:"incarnation,omitempty"`
+	KeyFormat   adm.KeyFormat     `json:"keyFormat,omitempty"`
 	TypeName    string            `json:"type"`
 	PrimaryKey  []string          `json:"primaryKey,omitempty"`
 	Partitions  int               `json:"partitions"`
@@ -181,7 +183,7 @@ func (c *Catalog) AddDataset(d *DatasetDef, ifNotExists bool) error {
 		}
 	}
 	c.incarnations++
-	d.Incarnation = c.incarnations
+	d.Incarnation, d.KeyFormat = c.incarnations, adm.ExactKeys
 	c.Datasets[d.Name] = d
 	return c.save()
 }

@@ -190,19 +190,21 @@ func TestDropTypeRefusesNestedUse(t *testing.T) {
 
 // Every CREATE of a dataset draws a new incarnation, never one handed out
 // before — not across a drop, not across a reopen — and a catalog written
-// without incarnations gets them, persisted, when it is opened.
+// without incarnations gets them, persisted, when it is opened. Every CREATE
+// records exact keys, whatever the caller asked; a dataset of a catalog
+// written without key formats keeps float keys through opens and saves.
 func TestDatasetIncarnations(t *testing.T) {
 	c, dir := newCat(t)
 	c.AddType(employmentType(), false)
 	seen := map[int64]bool{}
 	create := func(c *Catalog, name string) int64 {
 		t.Helper()
-		d := &DatasetDef{Name: name, TypeName: "EmploymentType", PrimaryKey: []string{"organizationName"}, Partitions: 1}
+		d := &DatasetDef{Name: name, TypeName: "EmploymentType", PrimaryKey: []string{"organizationName"}, Partitions: 1, KeyFormat: adm.FloatKeys}
 		if err := c.AddDataset(d, false); err != nil {
 			t.Fatal(err)
 		}
-		if d.Incarnation <= 0 || seen[d.Incarnation] {
-			t.Fatalf("%s: incarnation %d, handed out before: %v", name, d.Incarnation, seen)
+		if d.Incarnation <= 0 || seen[d.Incarnation] || d.KeyFormat != adm.ExactKeys {
+			t.Fatalf("%s: incarnation %d, handed out before: %v; key format %d", name, d.Incarnation, seen, d.KeyFormat)
 		}
 		seen[d.Incarnation] = true
 		return d.Incarnation
@@ -215,13 +217,13 @@ func TestDatasetIncarnations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, _ := c2.Dataset("A"); !seen[a.Incarnation] {
-		t.Fatalf("reopened A has incarnation %d", a.Incarnation)
+	if a, _ := c2.Dataset("A"); !seen[a.Incarnation] || a.KeyFormat != adm.ExactKeys {
+		t.Fatalf("reopened A has incarnation %d, key format %d", a.Incarnation, a.KeyFormat)
 	}
 	c2.DropDataset("B", false)
 	create(c2, "B")
 
-	// The same catalog without incarnations.
+	// The same catalog without incarnations and key formats.
 	path := filepath.Join(dir, "metadata.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -234,6 +236,7 @@ func TestDatasetIncarnations(t *testing.T) {
 	delete(snap, "incarnations")
 	for _, d := range snap["datasets"].([]any) {
 		delete(d.(map[string]any), "incarnation")
+		delete(d.(map[string]any), "keyFormat")
 	}
 	if data, err = json.Marshal(snap); err != nil {
 		t.Fatal(err)
@@ -254,10 +257,15 @@ func TestDatasetIncarnations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a4, _ := c4.Dataset("A"); a4.Incarnation != a.Incarnation {
-		t.Fatalf("incarnation given on open not persisted: %d, then %d", a.Incarnation, a4.Incarnation)
+	if a4, _ := c4.Dataset("A"); a4.Incarnation != a.Incarnation || a4.KeyFormat != adm.FloatKeys {
+		t.Fatalf("incarnation given on open not persisted: %d, then %d; key format %d", a.Incarnation, a4.Incarnation, a4.KeyFormat)
 	}
-	if d := (&DatasetDef{Name: "C", TypeName: "EmploymentType", Partitions: 1}); c4.AddDataset(d, false) != nil || d.Incarnation == a.Incarnation || d.Incarnation == b.Incarnation {
-		t.Fatalf("new dataset after open: incarnation %d", d.Incarnation)
+	if d := (&DatasetDef{Name: "C", TypeName: "EmploymentType", Partitions: 1}); c4.AddDataset(d, false) != nil || d.Incarnation == a.Incarnation || d.Incarnation == b.Incarnation || d.KeyFormat != adm.ExactKeys {
+		t.Fatalf("new dataset after open: incarnation %d, key format %d", d.Incarnation, d.KeyFormat)
+	}
+	if c5, err := Open(dir); err != nil {
+		t.Fatal(err)
+	} else if a5, _ := c5.Dataset("A"); a5.KeyFormat != adm.FloatKeys {
+		t.Fatalf("A has key format %d after a save", a5.KeyFormat)
 	}
 }
