@@ -3,8 +3,9 @@
 //
 // Every run emits a structured BENCH_<n>.json artifact (schema
 // asterixbench/v1) alongside the prose tables — the JSON is the canonical
-// record; the prose is a render of it. Artifacts can be diffed with
-// tolerance bands to gate regressions.
+// record; the prose is a render of it. -compare diffs two artifacts:
+// every delta outside a 1.5x band is printed, and the exit status is 2
+// when an allocs/op or allocs/row measurement regressed or went missing.
 //
 // Usage:
 //
@@ -36,11 +37,7 @@ func main() {
 		workDir   = flag.String("work", "", "scratch directory (default: a temp dir)")
 		outPath   = flag.String("out", "", "artifact path (default: next free BENCH_<n>.json)")
 		inPath    = flag.String("in", "", "compare this artifact instead of running (requires -compare)")
-		comparePV = flag.String("compare", "", "baseline BENCH_*.json to diff against; regressions exit non-zero")
-		tolerance = flag.Float64("tolerance", 0, "fractional tolerance band for -compare (default 0.5)")
-		warnOnly  = flag.Bool("warn-only", false, "report -compare regressions but exit zero")
-		hardUnits = flag.String("hard-units", "",
-			"comma-separated measurement units (e.g. allocs/op,allocs/row) whose regressions fail the gate even under -warn-only")
+		comparePV = flag.String("compare", "", "baseline BENCH_*.json to diff against; an allocs/op or allocs/row regression exits 2")
 	)
 	flag.Parse()
 
@@ -53,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gate(*comparePV, cur, *tolerance, *warnOnly, splitUnits(*hardUnits))
+		gate(*comparePV, cur)
 		return
 	}
 
@@ -114,38 +111,24 @@ func main() {
 		os.Exit(1)
 	}
 	if *comparePV != "" {
-		gate(*comparePV, artifact, *tolerance, *warnOnly, splitUnits(*hardUnits))
+		gate(*comparePV, artifact)
 	}
 }
 
-// splitUnits parses the -hard-units flag value.
-func splitUnits(s string) []string {
-	var units []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			units = append(units, u)
-		}
-	}
-	return units
-}
-
-// gate diffs cur against the baseline at basePath and exits non-zero on
-// regression (unless warn-only). Hard-unit regressions — deterministic
-// counters like allocs/op — fail the gate even under warn-only.
-func gate(basePath string, cur *benchfmt.Artifact, tolerance float64, warnOnly bool, hardUnits []string) {
+// gate diffs cur against the baseline at basePath and prints the deltas.
+// Timings only warn (shared hosts are noisy); the allocation counters are
+// deterministic, so their regression or loss exits 2.
+func gate(basePath string, cur *benchfmt.Artifact) {
 	base, err := benchfmt.ReadFile(basePath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := benchfmt.Compare(base, cur, benchfmt.CompareOptions{Tolerance: tolerance, HardUnits: hardUnits})
+	rep := benchfmt.Compare(base, cur)
 	fmt.Printf("\n-- compare vs %s (env: %s/%d-cpu -> %s/%d-cpu)\n",
 		basePath, base.Env.GOOS, base.Env.NumCPU, cur.Env.GOOS, cur.Env.NumCPU)
 	rep.Format(os.Stdout)
 	if rep.HardFail() {
 		fmt.Fprintln(os.Stderr, "asterixbench: hard-unit regression (allocation counters are a hard gate)")
-		os.Exit(2)
-	}
-	if !rep.OK() && !warnOnly {
 		os.Exit(2)
 	}
 }

@@ -121,8 +121,7 @@ func (cs *clusterService) serveCluster(w http.ResponseWriter, r *http.Request) {
 		out.Members = append(out.Members, member{ID: n.ID, Alive: !n.Dead(), Self: n.ID == cs.self})
 	}
 	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	json.NewEncoder(w).Encode(&out)
+	writeJSON(w, &out)
 }
 
 // distRequest is the /query/distributed body: a dist job spec plus run
@@ -177,8 +176,7 @@ func (cs *clusterService) serveDistributed(w http.ResponseWriter, r *http.Reques
 		} else {
 			w.WriteHeader(http.StatusInternalServerError)
 		}
-		//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-		json.NewEncoder(w).Encode(&resp)
+		writeJSON(w, &resp)
 		return
 	}
 	resp.ResultCount = len(rows)
@@ -199,8 +197,13 @@ func (cs *clusterService) serveDistributed(w http.ResponseWriter, r *http.Reques
 		resp.Results = append(resp.Results, b)
 	}
 	w.Header().Set("Content-Type", "application/json")
+	writeJSON(w, &resp)
+}
+
+// writeJSON writes v as a response body.
+func writeJSON(w http.ResponseWriter, v any) {
 	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	json.NewEncoder(w).Encode(&resp)
+	json.NewEncoder(w).Encode(v)
 }
 
 // serveFault arms or disarms the process-wide fault registry. Mounted
@@ -219,9 +222,7 @@ func (cs *clusterService) serveFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Spec == "" {
-		//lint:ignore fault-gate the annotated harness path: this handler only mounts behind -enable-fault-injection
 		fault.Disarm()
-		//lint:ignore fault-gate the annotated harness path: this handler only mounts behind -enable-fault-injection
 	} else if err := fault.Arm(req.Spec); err != nil {
 		http.Error(w, fmt.Sprintf(`{"status":"fatal","errors":[%q]}`, err.Error()), http.StatusBadRequest)
 		return

@@ -13,22 +13,9 @@ import (
 // Config names the project-specific types and packages the rules key on.
 // Tests override the paths to point at fixture packages.
 type Config struct {
-	// ObsPkgPath is the package whose exported handle types promise
-	// nil-safe methods.
-	ObsPkgPath string
-	// ObsHandles are the handle type names within ObsPkgPath.
-	ObsHandles []string
-	// TuplePkgPath/TupleType name the executor tuple type whose frames
-	// must not be mutated after being sent over a channel.
-	TuplePkgPath string
-	TupleType    string
 	// ErrPkgs are package paths (exact, or prefix when ending in "/")
 	// whose discarded error returns are flagged.
 	ErrPkgs []string
-	// FaultPkgPath is the fault-injection registry; production code may
-	// only call the guarded probe helpers named in FaultGuarded from it.
-	FaultPkgPath string
-	FaultGuarded []string
 	// Resources registers acquire/release pairs for the resource-leak
 	// rule: every value produced by an acquire must reach one of its
 	// releases on all paths out of the acquiring function.
@@ -65,16 +52,10 @@ type Config struct {
 // DefaultConfig is the configuration for this repository.
 func DefaultConfig() *Config {
 	return &Config{
-		ObsPkgPath:   "asterix/internal/obs",
-		ObsHandles:   []string{"Span", "Counter", "Gauge", "Histogram", "Registry"},
-		TuplePkgPath: "asterix/internal/hyracks",
-		TupleType:    "Tuple",
 		ErrPkgs: []string{
 			"io", "os", "encoding/",
 			"asterix/internal/storage", "asterix/internal/txn",
 		},
-		FaultPkgPath: "asterix/internal/fault",
-		FaultGuarded: []string{"Hit", "HitTag", "Tear", "TearTag", "Armed", "Hits", "Fired", "Snapshot", "BindMetrics", "Int63n"},
 		Resources: []ResourceSpec{
 			{
 				Pkg: "asterix/internal/mem", Recv: "Governor", Func: "Reserve", Result: 0,
@@ -255,14 +236,13 @@ func (d Diagnostic) String() string {
 // repo-global analyses (lock-order) report on state accumulated across
 // packages. The positions a Finish reports must come from the shared
 // loader FileSet. Interp, when set, runs after every package has been
-// scanned with the interprocedural summary table; its findings report
-// by token.Position because cached summaries have no live token.Pos.
+// scanned with the interprocedural summary table.
 type Rule struct {
 	Name   string
 	Doc    string
 	Run    func(c *Config, p *Package, report func(token.Pos, string))
 	Finish func(c *Config, fset *token.FileSet, report func(token.Pos, string))
-	Interp func(c *Config, ip *Interp, report func(token.Position, string))
+	Interp func(c *Config, ip *Interp, report func(token.Pos, string))
 }
 
 // AllRules returns every rule in stable order. Rules carrying
@@ -270,12 +250,9 @@ type Rule struct {
 // runs (and tests) do not share graphs.
 func AllRules() []*Rule {
 	return []*Rule{
-		ruleObsNil(),
 		ruleLockHeld(),
 		ruleGoLifecycle(),
 		ruleErrDiscard(),
-		ruleFrameAlias(),
-		ruleFaultGate(),
 		ruleDeferUnlock(),
 		ruleLockOrder(),
 		ruleResourceLeak(),
@@ -304,7 +281,7 @@ type suppressions map[string]map[string]bool
 type supDirective struct {
 	rules []string
 	keys  []string // the "file:line" keys the directive covers
-	pos   token.Position
+	pos   token.Pos
 }
 
 func collectSuppressions(p *Package, report func(token.Pos, string)) (suppressions, []supDirective) {
@@ -317,7 +294,7 @@ func collectSuppressions(p *Package, report func(token.Pos, string)) (suppressio
 			rules    []string
 			filename string
 			line     int
-			pos      token.Position
+			pos      token.Pos
 		}
 		var directives []directive
 		for _, cg := range f.Comments {
@@ -339,7 +316,7 @@ func collectSuppressions(p *Package, report func(token.Pos, string)) (suppressio
 					rules:    strings.Split(m[1], ","),
 					filename: pos.Filename,
 					line:     pos.Line,
-					pos:      pos,
+					pos:      c.Pos(),
 				})
 			}
 		}
@@ -383,14 +360,6 @@ type Runner struct {
 	pkgs  []*Package
 	stats map[string]int
 
-	// ModRoot anchors cached summary positions; CacheDir, when set,
-	// enables the summary cache. Both are set by main before Finish
-	// (tests leave them empty: absolute positions, no cache).
-	ModRoot  string
-	CacheDir string
-	// Interp is the summary table built by Finish; exposed for -stats.
-	Interp *Interp
-
 	// ReportStale enables the stale-suppression audit: a reasoned
 	// directive that suppressed nothing across the whole run is reported
 	// as "stale-suppression". Only meaningful when every rule runs — a
@@ -406,17 +375,23 @@ func NewRunner(c *Config, fset *token.FileSet, rules []*Rule) *Runner {
 }
 
 func (r *Runner) add(rule string, pos token.Pos, msg string) {
-	r.addAt(rule, r.fset.Position(pos), msg)
-}
-
-func (r *Runner) addAt(rule string, pos token.Position, msg string) {
-	key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-	if r.sup[key][rule] {
-		r.supUsed[key+"|"+rule] = true
+	if r.suppressed(rule, pos) {
 		return
 	}
 	r.stats[rule]++
-	r.diags = append(r.diags, Diagnostic{Pos: pos, Rule: rule, Msg: msg})
+	r.diags = append(r.diags, Diagnostic{Pos: r.fset.Position(pos), Rule: rule, Msg: msg})
+}
+
+// suppressed reports whether a directive ignores rule at pos, and marks
+// that directive as used.
+func (r *Runner) suppressed(rule string, pos token.Pos) bool {
+	p := r.fset.Position(pos)
+	key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
+	if r.sup[key][rule] {
+		r.supUsed[key+"|"+rule] = true
+		return true
+	}
+	return false
 }
 
 // Stats returns per-rule unsuppressed finding counts.
@@ -450,35 +425,23 @@ func (r *Runner) Package(p *Package) {
 
 // Finish runs the interprocedural and cross-package hooks and returns
 // every unsuppressed finding sorted by position. The summary table is
-// built (or restored from cache) only when a selected rule wants it.
+// built only when a selected rule wants it.
 func (r *Runner) Finish() []Diagnostic {
-	needInterp := false
+	var ip *Interp
 	for _, rule := range r.rules {
-		if rule.Interp != nil {
-			needInterp = true
+		if rule.Interp == nil {
+			continue
 		}
-	}
-	if needInterp {
-		r.Interp = buildInterp(r.c, r.fset, r.ModRoot, r.CacheDir, r.pkgs)
-		r.Interp.Suppressed = func(rule string, pos token.Position) bool {
-			key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-			if r.sup[key][rule] {
-				// A directive acting as an interprocedural walk barrier is
-				// in use even when no finding lands on its line.
-				r.supUsed[key+"|"+rule] = true
-				return true
-			}
-			return false
+		if ip == nil {
+			ip = buildInterp(r.c, r.pkgs)
+			// A directive acting as an interprocedural walk barrier is in
+			// use even when no finding lands on its line.
+			ip.Suppressed = r.suppressed
 		}
-		for _, rule := range r.rules {
-			if rule.Interp == nil {
-				continue
-			}
-			rule := rule
-			rule.Interp(r.c, r.Interp, func(pos token.Position, msg string) {
-				r.addAt(rule.Name, pos, msg)
-			})
-		}
+		rule := rule
+		rule.Interp(r.c, ip, func(pos token.Pos, msg string) {
+			r.add(rule.Name, pos, msg)
+		})
 	}
 	for _, rule := range r.rules {
 		if rule.Finish == nil {
@@ -500,7 +463,7 @@ func (r *Runner) Finish() []Diagnostic {
 				}
 			}
 			if !used {
-				r.addAt("stale-suppression", d.pos, fmt.Sprintf(
+				r.add("stale-suppression", d.pos, fmt.Sprintf(
 					"//lint:ignore %s suppresses no finding: delete the directive or re-justify it",
 					strings.Join(d.rules, ",")))
 			}

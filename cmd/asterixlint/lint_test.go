@@ -131,27 +131,6 @@ func TestLockHeldFixture(t *testing.T) {
 	checkFixture(t, "lockheld", nil)
 }
 
-func TestObsNilGuardFixture(t *testing.T) {
-	checkFixture(t, "obsguard", func(cfg *Config, pkgPath string) {
-		cfg.ObsPkgPath = pkgPath
-		cfg.ObsHandles = []string{"H"}
-	})
-}
-
-func TestObsNilCallSiteFixture(t *testing.T) {
-	checkFixture(t, "obsnil", nil)
-}
-
-func TestFaultGateFixture(t *testing.T) {
-	checkFixture(t, "faultgate", nil)
-}
-
-func TestFrameAliasFixture(t *testing.T) {
-	checkFixture(t, "framealias", func(cfg *Config, pkgPath string) {
-		cfg.TuplePkgPath = pkgPath
-	})
-}
-
 func TestDeferUnlockFixture(t *testing.T) {
 	checkFixture(t, "deferunlock", nil)
 }

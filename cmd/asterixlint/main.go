@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	asterixlint [-rules r1,r2] [-json] [-v] [-stats] [-summary-cache dir] [-max-wall d] [-strict-suppressions] [packages...]
+//	asterixlint [-rules r1,r2] [-json] [-v] [-stats] [-max-wall d] [-strict-suppressions] [packages...]
 //
 // Package patterns are directories or go-style "./..." trees. Exit code
 // is 1 when any diagnostic is reported, 2 on load/type-check failure,
@@ -14,12 +14,9 @@
 // //lint:ignore directives (rule "stale-suppression") warn by default;
 // -strict-suppressions makes them fail too.
 //
-// -summary-cache names a directory for the interprocedural summary
-// cache: the table of per-function summaries is keyed on the hash of
-// every loaded Go file plus the config, so an unchanged tree restores
-// instead of re-extracting. -stats prints per-rule finding counts and
-// wall time to stderr; -max-wall turns slow lint into a hard failure so
-// CI notices when the engine regresses.
+// -stats prints per-rule finding counts and wall time to stderr;
+// -max-wall turns slow lint into a hard failure so CI notices when the
+// engine regresses.
 //
 // With -json, findings are emitted one JSON object per line
 // ({"file","line","col","rule","msg"}) for machine consumers; the
@@ -48,11 +45,10 @@ type jsonDiagnostic struct {
 
 func main() {
 	var (
-		rulesFlag = flag.String("rules", "", "comma-separated rule names to run (default: all)")
-		verbose   = flag.Bool("v", false, "print packages as they are checked")
-		listFlag  = flag.Bool("list", false, "list rules and exit")
-		jsonFlag  = flag.Bool("json", false, "emit findings as JSON, one object per line")
-		cacheFlag = flag.String("summary-cache", "", "directory for the interprocedural summary cache")
+		rulesFlag  = flag.String("rules", "", "comma-separated rule names to run (default: all)")
+		verbose    = flag.Bool("v", false, "print packages as they are checked")
+		listFlag   = flag.Bool("list", false, "list rules and exit")
+		jsonFlag   = flag.Bool("json", false, "emit findings as JSON, one object per line")
 		statsFlag  = flag.Bool("stats", false, "print per-rule finding counts and wall time to stderr")
 		wallFlag   = flag.Duration("max-wall", 0, "fail (exit 3) when the run exceeds this wall time")
 		strictFlag = flag.Bool("strict-suppressions", false, "fail (exit 1) on stale //lint:ignore directives instead of warning")
@@ -105,8 +101,6 @@ func main() {
 	// All packages feed one Runner so cross-package rules (lock-order)
 	// see the whole acquisition graph before Finish reports on it.
 	runner := NewRunner(DefaultConfig(), loader.Fset(), rules)
-	runner.ModRoot = loader.ModRoot
-	runner.CacheDir = *cacheFlag
 	// The stale audit needs every rule live: under a -rules subset a
 	// directive for an unselected rule would be falsely called stale.
 	runner.ReportStale = *rulesFlag == ""
@@ -148,11 +142,7 @@ func main() {
 		for _, name := range names {
 			fmt.Fprintf(os.Stderr, "asterixlint: rule %-14s %d finding(s)\n", name, stats[name])
 		}
-		cached := ""
-		if runner.Interp != nil && runner.Interp.FromCache {
-			cached = " (summaries from cache)"
-		}
-		fmt.Fprintf(os.Stderr, "asterixlint: wall %s%s\n", elapsed.Round(time.Millisecond), cached)
+		fmt.Fprintf(os.Stderr, "asterixlint: wall %s\n", elapsed.Round(time.Millisecond))
 	}
 	if *wallFlag > 0 && elapsed > *wallFlag {
 		fmt.Fprintf(os.Stderr, "asterixlint: wall time %s exceeds -max-wall %s\n",

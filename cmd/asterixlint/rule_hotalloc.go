@@ -60,15 +60,13 @@ func extAllowed(list []string, name string) bool {
 	return false
 }
 
-func runHotAlloc(c *Config, ip *Interp, report func(token.Position, string)) {
-	reported := map[string]bool{}
-	emit := func(p SitePos, msg string) {
-		key := fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
-		if reported[key] {
-			return
+func runHotAlloc(c *Config, ip *Interp, report func(token.Pos, string)) {
+	reported := map[token.Pos]bool{}
+	emit := func(pos token.Pos, msg string) {
+		if !reported[pos] {
+			reported[pos] = true
+			report(pos, msg)
 		}
-		reported[key] = true
-		report(ip.Position(p), msg)
 	}
 	for _, root := range c.HotRoots {
 		rootID := root.ID()
@@ -95,7 +93,7 @@ func runHotAlloc(c *Config, ip *Interp, report func(token.Position, string)) {
 				if e.Go {
 					continue // launch already charged as an alloc site
 				}
-				if ip.edgeSuppressed("hot-alloc", e.P) {
+				if ip.Suppressed("hot-alloc", e.P) {
 					continue // reasoned cold barrier at the call line
 				}
 				switch e.Kind {
@@ -131,5 +129,3 @@ func runHotAlloc(c *Config, ip *Interp, report func(token.Position, string)) {
 		visit(rootID, nil)
 	}
 }
-
-var _ = token.NoPos

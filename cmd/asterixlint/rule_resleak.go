@@ -62,15 +62,12 @@ type ReleaseSpec struct {
 	Arg             int
 }
 
-func runResourceLeak(c *Config, ip *Interp, reportAt func(token.Position, string)) {
+func runResourceLeak(c *Config, ip *Interp, report func(token.Pos, string)) {
 	if len(c.Resources) == 0 {
 		return
 	}
 	for _, p := range ip.Pkgs() {
 		p := p
-		report := func(pos token.Pos, msg string) {
-			reportAt(p.Fset.Position(pos), msg)
-		}
 		funcBodies(p, func(_ *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
 			a := newLeakAnalysis(c, p, report)
 			a.ip = ip

@@ -27,15 +27,13 @@ func ruleWaitAttrib() *Rule {
 	}
 }
 
-func runWaitAttrib(c *Config, ip *Interp, report func(token.Position, string)) {
-	reported := map[string]bool{}
-	emit := func(p SitePos, msg string) {
-		key := fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
-		if reported[key] {
-			return
+func runWaitAttrib(c *Config, ip *Interp, report func(token.Pos, string)) {
+	reported := map[token.Pos]bool{}
+	emit := func(pos token.Pos, msg string) {
+		if !reported[pos] {
+			reported[pos] = true
+			report(pos, msg)
 		}
-		reported[key] = true
-		report(ip.Position(p), msg)
 	}
 	for _, root := range c.WaitRoots {
 		rootID := root.ID()
@@ -66,7 +64,7 @@ func runWaitAttrib(c *Config, ip *Interp, report func(token.Position, string)) {
 				if e.Go || e.Attributed {
 					continue
 				}
-				if ip.edgeSuppressed("wait-attrib", e.P) {
+				if ip.Suppressed("wait-attrib", e.P) {
 					continue // reasoned barrier: callee's waits accepted as untracked
 				}
 				switch e.Kind {

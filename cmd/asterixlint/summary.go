@@ -8,24 +8,13 @@ package main
 // call graph's SCCs. The hot-alloc and wait-attrib rules then walk
 // summaries from their registered roots; the resource-leak rule consults
 // resolved parameter actions instead of killing facts at every call.
-//
-// Summaries are position-based (file:line:col relative to the module
-// root), not AST-based, which is what makes them cacheable: a cache hit
-// keyed on the Go file hash set restores the whole table and skips call
-// graph construction and extraction. See docs/STATIC_ANALYSIS.md.
+// See docs/STATIC_ANALYSIS.md.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 
 	"asterix/cmd/asterixlint/cfg"
 )
@@ -44,18 +33,10 @@ func (r FuncRef) ID() string {
 	return r.Pkg + "." + r.Func
 }
 
-// SitePos is a serializable source position, file relative to the
-// module root.
-type SitePos struct {
-	File string `json:"f"`
-	Line int    `json:"l"`
-	Col  int    `json:"c"`
-}
-
 // AllocSite is one direct allocation in a function body.
 type AllocSite struct {
-	P    SitePos `json:"p"`
-	What string  `json:"w"`
+	P    token.Pos
+	What string
 }
 
 // BlockSite is one direct potentially-blocking operation. Attributed
@@ -64,19 +45,19 @@ type AllocSite struct {
 // `t0 := time.Now(); <block>; tc.AddWait(kind, time.Since(t0))`
 // pattern — or an AddWait-carrying defer is active at the site.
 type BlockSite struct {
-	P          SitePos `json:"p"`
-	What       string  `json:"w"`
-	Attributed bool    `json:"a,omitempty"`
+	P          token.Pos
+	What       string
+	Attributed bool
 }
 
 // EdgeFact is one outgoing call edge of the summary.
 type EdgeFact struct {
-	P          SitePos  `json:"p"`
-	Kind       string   `json:"k"` // static|method|interface|dynamic|external|ref
-	Callees    []string `json:"c,omitempty"`
-	Ext        string   `json:"x,omitempty"`
-	Go         bool     `json:"g,omitempty"`
-	Attributed bool     `json:"a,omitempty"`
+	P          token.Pos
+	Kind       string // static|method|interface|dynamic|external|ref
+	Callees    []string
+	Ext        string
+	Go         bool
+	Attributed bool
 }
 
 // Param actions, ordered: resolution takes the strongest evidence.
@@ -97,54 +78,43 @@ const (
 // parameter. Action is the direct (intraprocedural) evidence; Resolved
 // is the fixpoint over forwarded flows.
 type ParamFact struct {
-	Index    int    `json:"i"`
-	Type     string `json:"t"` // "pkg/path.TypeName"
-	Action   string `json:"a"`
-	Resolved string `json:"-"`
+	Index    int
+	Type     string // "pkg/path.TypeName"
+	Action   string
+	Resolved string
 }
 
 // ParamFlow records a resource parameter forwarded verbatim to a module
 // callee's parameter.
 type ParamFlow struct {
-	Param       int    `json:"i"`
-	Callee      string `json:"c"`
-	CalleeParam int    `json:"j"`
+	Param       int
+	Callee      string
+	CalleeParam int
 }
 
 // Summary is one function's interprocedural fact sheet.
 type Summary struct {
-	ID     string      `json:"id"`
-	Allocs []AllocSite `json:"allocs,omitempty"`
-	Blocks []BlockSite `json:"blocks,omitempty"`
-	Edges  []EdgeFact  `json:"edges,omitempty"`
-	Panics bool        `json:"panics,omitempty"`
-	Params []ParamFact `json:"params,omitempty"`
-	Flows  []ParamFlow `json:"flows,omitempty"`
+	Allocs []AllocSite
+	Blocks []BlockSite
+	Edges  []EdgeFact
+	Panics bool
+	Params []ParamFact
+	Flows  []ParamFlow
 }
 
 // Interp is the interprocedural state handed to rules' Interp hooks.
 type Interp struct {
-	c       *Config
-	fset    *token.FileSet
-	modRoot string
-	pkgs    []*Package
-	sums    map[string]*Summary
-	ids     []string // sorted
-	// FromCache reports whether the summary table was restored rather
-	// than computed (the -stats line surfaces it).
-	FromCache bool
+	c    *Config
+	pkgs []*Package
+	sums map[string]*Summary
+	ids  []string // sorted
 	// Suppressed is set by the Runner to its suppression table: it
 	// reports whether a rule is ignored at a position. Interprocedural
 	// walks treat a suppressed call edge as a cold barrier — a reasoned
 	// //lint:ignore on the call line stops the descent into the callee,
 	// which is how a whole cold subtree (fault probes, eviction) is
 	// excluded without suppressing every deep site in it.
-	Suppressed func(rule string, pos token.Position) bool
-}
-
-// edgeSuppressed reports whether a call edge is a suppression barrier.
-func (ip *Interp) edgeSuppressed(rule string, p SitePos) bool {
-	return ip.Suppressed != nil && ip.Suppressed(rule, ip.Position(p))
+	Suppressed func(rule string, pos token.Pos) bool
 }
 
 // Pkgs returns the packages under analysis.
@@ -152,35 +122,6 @@ func (ip *Interp) Pkgs() []*Package { return ip.pkgs }
 
 // Summary returns the summary for a call-graph ID, nil if unknown.
 func (ip *Interp) Summary(id string) *Summary { return ip.sums[id] }
-
-// SummaryFor returns the summary of a resolved function object.
-func (ip *Interp) SummaryFor(fn *types.Func) *Summary {
-	if fn == nil {
-		return nil
-	}
-	return ip.sums[cfg.FuncID(fn)]
-}
-
-// Position converts a summary position back to a reportable one.
-func (ip *Interp) Position(p SitePos) token.Position {
-	f := p.File
-	if ip.modRoot != "" && !filepath.IsAbs(f) {
-		f = filepath.Join(ip.modRoot, filepath.FromSlash(f))
-	}
-	return token.Position{Filename: f, Line: p.Line, Column: p.Col}
-}
-
-// site converts a token.Pos to a summary position.
-func (ip *Interp) site(pos token.Pos) SitePos {
-	p := ip.fset.Position(pos)
-	f := p.Filename
-	if ip.modRoot != "" {
-		if rel, err := filepath.Rel(ip.modRoot, f); err == nil && !strings.HasPrefix(rel, "..") {
-			f = filepath.ToSlash(rel)
-		}
-	}
-	return SitePos{File: f, Line: p.Line, Col: p.Column}
-}
 
 // resourceTypes maps "pkg/path.TypeName" → Desc for the registered
 // resource result types.
@@ -195,19 +136,9 @@ func resourceTypes(c *Config) map[string]string {
 	return m
 }
 
-// buildInterp computes (or restores) the summary table for the loaded
-// package set.
-func buildInterp(c *Config, fset *token.FileSet, modRoot, cacheDir string, pkgs []*Package) *Interp {
-	ip := &Interp{c: c, fset: fset, modRoot: modRoot, pkgs: pkgs, sums: map[string]*Summary{}}
-	var key string
-	if cacheDir != "" {
-		key = cacheKey(c, modRoot, pkgs)
-		if loadSummaryCache(filepath.Join(cacheDir, key+".json"), ip) {
-			ip.FromCache = true
-			ip.resolveParams()
-			return ip
-		}
-	}
+// buildInterp computes the summary table for the loaded package set.
+func buildInterp(c *Config, pkgs []*Package) *Interp {
+	ip := &Interp{c: c, pkgs: pkgs, sums: map[string]*Summary{}}
 	var gps []*cfg.GraphPackage
 	pkgOf := map[*cfg.GraphPackage]*Package{}
 	for _, p := range pkgs {
@@ -226,9 +157,6 @@ func buildInterp(c *Config, fset *token.FileSet, modRoot, cacheDir string, pkgs 
 	}
 	sort.Strings(ip.ids)
 	ip.resolveParams()
-	if cacheDir != "" {
-		saveSummaryCache(cacheDir, key, ip)
-	}
 	return ip
 }
 
@@ -411,7 +339,7 @@ func (x *extractor) unitAt(pos token.Pos) *unit {
 }
 
 func (x *extractor) extract(f *cfg.CGFunc) *Summary {
-	x.sum = &Summary{ID: f.ID}
+	x.sum = &Summary{}
 	x.collectUnits(f.Decl.Body, nil, nil)
 	for _, u := range x.units {
 		x.scanUnit(u)
@@ -796,7 +724,7 @@ func (x *extractor) isWaitFunc(call *ast.CallExpr) bool {
 }
 
 func (x *extractor) addAlloc(u *unit, pos token.Pos, what string) {
-	x.sum.Allocs = append(x.sum.Allocs, AllocSite{P: x.ip.site(pos), What: what})
+	x.sum.Allocs = append(x.sum.Allocs, AllocSite{P: pos, What: what})
 }
 
 // addBlock records a blocking site; coverage is computed before the
@@ -804,7 +732,7 @@ func (x *extractor) addAlloc(u *unit, pos token.Pos, what string) {
 // stamped immediately.
 func (x *extractor) addBlock(u *unit, pos token.Pos, what string) {
 	x.sum.Blocks = append(x.sum.Blocks, BlockSite{
-		P: x.ip.site(pos), What: what, Attributed: u.attributedAt(pos),
+		P: pos, What: what, Attributed: u.attributedAt(pos),
 	})
 }
 
@@ -829,7 +757,7 @@ func (x *extractor) edges(f *cfg.CGFunc) {
 		}
 		u := x.unitAt(pos)
 		attributed := u != nil && u.attributedAt(pos)
-		ef := EdgeFact{P: x.ip.site(pos), Kind: s.Kind.String(), Go: s.Go, Attributed: attributed}
+		ef := EdgeFact{P: pos, Kind: s.Kind.String(), Go: s.Go, Attributed: attributed}
 		switch s.Kind {
 		case cfg.Static, cfg.Method, cfg.Ref:
 			ef.Callees = []string{s.Callee}
@@ -847,7 +775,7 @@ func (x *extractor) edges(f *cfg.CGFunc) {
 		// which the callee walk can never reach.
 		if (s.Kind == cfg.External || s.Kind == cfg.Interface) && blockExt[s.Callee] {
 			x.sum.Blocks = append(x.sum.Blocks, BlockSite{
-				P: x.ip.site(pos), What: "call to " + s.Callee, Attributed: attributed,
+				P: pos, What: "call to " + s.Callee, Attributed: attributed,
 			})
 		}
 	}
@@ -1056,87 +984,4 @@ func isStringByteConv(to, from types.Type) bool {
 		return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune || e.Kind() == types.Uint8 || e.Kind() == types.Int32)
 	}
 	return (isStr(to) && isBytes(from)) || (isBytes(to) && isStr(from))
-}
-
-// --- summary cache ---
-
-const summaryCacheVersion = "asterixlint-summaries-v2"
-
-type summaryCacheFile struct {
-	Version   string     `json:"version"`
-	Summaries []*Summary `json:"summaries"`
-}
-
-// cacheKey hashes the schema version, the config, and the sorted
-// (path, content-hash) set of every Go file in the loaded packages: any
-// source or config change misses.
-func cacheKey(c *Config, modRoot string, pkgs []*Package) string {
-	h := sha256.New()
-	fmt.Fprintln(h, summaryCacheVersion)
-	fmt.Fprintf(h, "%+v\n", *c)
-	var files []string
-	seen := map[string]bool{}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			if !seen[name] {
-				seen[name] = true
-				files = append(files, name)
-			}
-		}
-	}
-	sort.Strings(files)
-	for _, name := range files {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			fmt.Fprintf(h, "%s unreadable\n", name)
-			continue
-		}
-		rel := name
-		if modRoot != "" {
-			if r, err := filepath.Rel(modRoot, name); err == nil {
-				rel = filepath.ToSlash(r)
-			}
-		}
-		sum := sha256.Sum256(data)
-		fmt.Fprintf(h, "%s %s\n", rel, hex.EncodeToString(sum[:]))
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
-func loadSummaryCache(path string, ip *Interp) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	var f summaryCacheFile
-	if err := json.Unmarshal(data, &f); err != nil || f.Version != summaryCacheVersion {
-		return false
-	}
-	for _, s := range f.Summaries {
-		ip.sums[s.ID] = s
-		ip.ids = append(ip.ids, s.ID)
-	}
-	sort.Strings(ip.ids)
-	return true
-}
-
-func saveSummaryCache(dir, key string, ip *Interp) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	f := summaryCacheFile{Version: summaryCacheVersion}
-	for _, id := range ip.ids {
-		f.Summaries = append(f.Summaries, ip.sums[id])
-	}
-	data, err := json.MarshalIndent(&f, "", " ")
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(dir, key+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	//lint:ignore err-discard the summary cache is best-effort: a failed rename just means the next run rebuilds summaries from source
-	_ = os.Rename(tmp, filepath.Join(dir, key+".json"))
 }

@@ -59,7 +59,7 @@ func TestRoundTripCompareClean(t *testing.T) {
 	if got := b.Find("E1").WaitMS["admission"]; got != 12.5 {
 		t.Fatalf("wait_ms round-trip: %v", got)
 	}
-	rep := Compare(a, b, CompareOptions{WallTime: true})
+	rep := Compare(a, b)
 	if !rep.OK() {
 		var buf bytes.Buffer
 		rep.Format(&buf)
@@ -83,7 +83,7 @@ func TestCompareDetectsSlowdown(t *testing.T) {
 	old := sampleArtifact()
 	cur := sampleArtifact()
 	cur.Find("E1").Measurement("scan_p4").Value *= 2
-	rep := Compare(old, cur, CompareOptions{})
+	rep := Compare(old, cur)
 	if rep.OK() {
 		t.Fatal("2x slowdown passed the gate")
 	}
@@ -98,26 +98,26 @@ func TestCompareDetectsSlowdown(t *testing.T) {
 // Exactly at the band edge passes; epsilon past it fails. Same for the
 // higher-better direction.
 func TestCompareToleranceBandEdges(t *testing.T) {
-	const tol = 0.5
+	const tol = tolerance
 	old := sampleArtifact()
 
 	at := sampleArtifact()
 	at.Find("E1").Measurement("scan_p4").Value = 30 * (1 + tol)
 	at.Find("E1").Measurement("speedup_p4").Value = 3.2 / (1 + tol)
-	if rep := Compare(old, at, CompareOptions{Tolerance: tol}); !rep.OK() {
+	if rep := Compare(old, at); !rep.OK() {
 		t.Fatalf("exactly-at-band failed: %+v", rep.Regressions)
 	}
 
 	over := sampleArtifact()
 	over.Find("E1").Measurement("scan_p4").Value = 30*(1+tol) + 0.01
-	rep := Compare(old, over, CompareOptions{Tolerance: tol})
+	rep := Compare(old, over)
 	if rep.OK() || rep.Regressions[0].Metric != "scan_p4" {
 		t.Fatalf("just-over-band passed: %+v", rep)
 	}
 
 	slower := sampleArtifact()
 	slower.Find("E1").Measurement("speedup_p4").Value = 3.2/(1+tol) - 0.01
-	rep = Compare(old, slower, CompareOptions{Tolerance: tol})
+	rep = Compare(old, slower)
 	if rep.OK() || rep.Regressions[0].Metric != "speedup_p4" {
 		t.Fatalf("higher-better drop passed: %+v", rep)
 	}
@@ -133,7 +133,7 @@ func TestCompareMissingAndAdded(t *testing.T) {
 		Measurement{Name: "new_metric", Value: 1})
 	cur.Experiments = append(cur.Experiments, Experiment{ID: "E99"})
 
-	rep := Compare(old, cur, CompareOptions{})
+	rep := Compare(old, cur)
 	if rep.OK() {
 		t.Fatal("missing experiment passed the gate")
 	}
@@ -146,7 +146,7 @@ func TestCompareMissingAndAdded(t *testing.T) {
 	}
 
 	// Added-only (no missing) must still pass.
-	rep = Compare(old, sampleArtifact(), CompareOptions{})
+	rep = Compare(old, sampleArtifact())
 	if !rep.OK() {
 		t.Fatalf("identical compare failed: %+v", rep)
 	}
@@ -157,7 +157,7 @@ func TestCompareImprovementReported(t *testing.T) {
 	old := sampleArtifact()
 	cur := sampleArtifact()
 	cur.Find("E1").Measurement("scan_p4").Value = 3 // 10x faster
-	rep := Compare(old, cur, CompareOptions{})
+	rep := Compare(old, cur)
 	if !rep.OK() {
 		t.Fatalf("improvement failed gate: %+v", rep.Regressions)
 	}
@@ -185,8 +185,8 @@ func TestWriteTextRendersEnvAndWaits(t *testing.T) {
 	}
 }
 
-// Hard units promote deterministic counters (allocs/op) to failures a
-// warn-only caller still honors; other units stay soft.
+// Hard units promote deterministic counters (allocs/op) to failures;
+// other units only warn.
 func TestCompareHardUnits(t *testing.T) {
 	mk := func() *Artifact {
 		a := sampleArtifact()
@@ -194,9 +194,7 @@ func TestCompareHardUnits(t *testing.T) {
 			Measurement{Name: "pipeline_allocs", Unit: "allocs/op", Value: 4})
 		return a
 	}
-	opts := CompareOptions{HardUnits: []string{"allocs/op", "allocs/row"}}
-
-	clean := Compare(mk(), mk(), opts)
+	clean := Compare(mk(), mk())
 	if !clean.OK() || clean.HardFail() {
 		t.Fatalf("identical artifacts failed: %+v", clean)
 	}
@@ -204,7 +202,7 @@ func TestCompareHardUnits(t *testing.T) {
 	// An alloc-counter regression is hard; a timing regression is not.
 	allocUp := mk()
 	allocUp.Find("E1").Measurement("pipeline_allocs").Value = 40
-	rep := Compare(mk(), allocUp, opts)
+	rep := Compare(mk(), allocUp)
 	if !rep.HardFail() {
 		t.Fatalf("10x alloc growth not a hard failure: %+v", rep)
 	}
@@ -214,7 +212,7 @@ func TestCompareHardUnits(t *testing.T) {
 
 	slow := mk()
 	slow.Find("E1").Measurement("scan_p4").Value = 300
-	rep = Compare(mk(), slow, opts)
+	rep = Compare(mk(), slow)
 	if rep.OK() || rep.HardFail() {
 		t.Fatalf("timing regression classified hard: %+v", rep)
 	}
@@ -222,19 +220,27 @@ func TestCompareHardUnits(t *testing.T) {
 	// Losing the counter (directly or with its whole experiment) is hard.
 	gone := mk()
 	gone.Experiments[0].Measurements = gone.Experiments[0].Measurements[:2]
-	rep = Compare(mk(), gone, opts)
+	rep = Compare(mk(), gone)
 	if !rep.HardFail() || len(rep.HardMissing) != 1 {
 		t.Fatalf("dropped hard counter not HardMissing: %+v", rep)
 	}
 	lost := mk()
 	lost.Experiments = lost.Experiments[1:]
-	rep = Compare(mk(), lost, opts)
+	rep = Compare(mk(), lost)
 	if !rep.HardFail() {
 		t.Fatalf("dropped experiment with hard counter not HardFail: %+v", rep)
 	}
 
+	// From a baseline of 0 there is no ratio, but any increase regresses.
+	zero, grown := mk(), mk()
+	zero.Find("E1").Measurement("pipeline_allocs").Value = 0
+	grown.Find("E1").Measurement("pipeline_allocs").Value = 3
+	if rep := Compare(zero, grown); !rep.HardFail() || rep.OK() {
+		t.Fatalf("0 -> 3 allocs/op passed the gate: %+v", rep)
+	}
+
 	var buf bytes.Buffer
-	Compare(mk(), allocUp, opts).Format(&buf)
+	Compare(mk(), allocUp).Format(&buf)
 	if !strings.Contains(buf.String(), "REGRESS!") || !strings.Contains(buf.String(), "hard-unit failure") {
 		t.Fatalf("hard regression not labeled:\n%s", buf.String())
 	}

@@ -5,28 +5,15 @@ import (
 	"io"
 )
 
-// CompareOptions tunes the regression gate.
-type CompareOptions struct {
-	// Tolerance is the allowed fractional change before a metric counts
-	// as a regression: 0.5 lets a lower-better metric grow to 1.5× the
-	// baseline (and a higher-better one shrink to 1/1.5×) before
-	// failing. A value exactly at the band edge passes — the gate fires
-	// only on strictly worse-than-band. Zero means the default 0.5;
-	// benchmark timings on shared CI hosts are that noisy.
-	Tolerance float64
-	// WallTime also gates each experiment's end-to-end wall time, not
-	// just its measurements. Off by default: wall time includes data
-	// generation and is the noisiest number in the artifact.
-	WallTime bool
-	// HardUnits lists measurement units whose regressions are hard
-	// failures: deterministic counters (e.g. "allocs/op", "allocs/row")
-	// that stay meaningful on noisy shared hosts. A warn-only caller is
-	// expected to still fail when HardFail reports true. Wall time is
-	// never hard.
-	HardUnits []string
-}
+// tolerance is the allowed fractional change before a metric counts as
+// a regression: a lower-better metric may grow to 1.5× the baseline (and
+// a higher-better one shrink to 1/1.5×). A value exactly at the band
+// edge passes. Benchmark timings on shared CI hosts are that noisy.
+const tolerance = 0.5
 
-const defaultTolerance = 0.5
+// hardUnits are the deterministic counters that stay meaningful on noisy
+// shared hosts: a regression in one, or its loss, fails the gate.
+var hardUnits = map[string]bool{"allocs/op": true, "allocs/row": true}
 
 // Delta is one metric's old-vs-new pair.
 type Delta struct {
@@ -36,10 +23,10 @@ type Delta struct {
 	Better     string  `json:"better"`
 	Old        float64 `json:"old"`
 	New        float64 `json:"new"`
-	// Ratio is new/old (old > 0 always holds for recorded deltas).
+	// Ratio is new/old, or 0 when the baseline is 0.
 	Ratio float64 `json:"ratio"`
-	// Hard marks a delta whose unit is in CompareOptions.HardUnits: its
-	// regression fails the gate even under a warn-only policy.
+	// Hard marks a delta in one of the hardUnits: its regression fails
+	// the gate.
 	Hard bool `json:"hard,omitempty"`
 }
 
@@ -58,14 +45,14 @@ func (d Delta) String() string {
 // CompareReport is the outcome of diffing two artifacts.
 type CompareReport struct {
 	// Regressions are metrics strictly outside the tolerance band in the
-	// worse direction. Any entry here (or in Missing) fails the gate.
+	// worse direction. Only the Hard ones fail the gate.
 	Regressions []Delta `json:"regressions,omitempty"`
 	// Improvements are metrics outside the band in the better direction
 	// (reported so a suspicious 10× "improvement" — often a broken
 	// experiment — is visible, but they never fail the gate).
 	Improvements []Delta `json:"improvements,omitempty"`
 	// Missing lists experiments or metrics present in the baseline but
-	// absent from the new run: losing coverage is a regression.
+	// absent from the new run.
 	Missing []string `json:"missing,omitempty"`
 	// HardMissing is the subset of Missing that loses a hard-unit
 	// measurement (directly, or via a whole missing experiment that
@@ -75,13 +62,13 @@ type CompareReport struct {
 	Added []string `json:"added,omitempty"`
 }
 
-// OK reports whether the gate passes (no regressions, nothing missing).
+// OK reports whether nothing regressed and nothing went missing.
 func (r *CompareReport) OK() bool {
 	return len(r.Regressions) == 0 && len(r.Missing) == 0
 }
 
-// HardFail reports whether a hard-unit metric regressed or went missing
-// — the failures a warn-only gate must still honor.
+// HardFail reports whether a hard-unit metric regressed or went missing:
+// the only outcome that fails the gate.
 func (r *CompareReport) HardFail() bool {
 	if len(r.HardMissing) > 0 {
 		return true
@@ -112,31 +99,21 @@ func (r *CompareReport) Format(w io.Writer) {
 	for _, m := range r.Added {
 		fmt.Fprintf(w, "added    %s\n", m)
 	}
-	if r.OK() {
+	switch {
+	case r.HardFail():
+		fmt.Fprintf(w, "compare: FAIL (%d regression(s), %d missing, hard-unit failure)\n", len(r.Regressions), len(r.Missing))
+	case !r.OK():
+		fmt.Fprintf(w, "compare: WARN (%d regression(s), %d missing; only allocs/op and allocs/row fail)\n", len(r.Regressions), len(r.Missing))
+	default:
 		fmt.Fprintf(w, "compare: OK (%d improvement(s), %d added)\n", len(r.Improvements), len(r.Added))
-	} else {
-		hard := ""
-		if r.HardFail() {
-			hard = ", hard-unit failure"
-		}
-		fmt.Fprintf(w, "compare: FAIL (%d regression(s), %d missing%s)\n", len(r.Regressions), len(r.Missing), hard)
 	}
 }
 
 // Compare diffs new against the old baseline. Experiments are matched by
 // ID, measurements by name; direction comes from the BASELINE's Better
 // field (the baseline defines the contract a new run is held to).
-func Compare(old, new_ *Artifact, opts CompareOptions) *CompareReport {
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = defaultTolerance
-	}
+func Compare(old, new_ *Artifact) *CompareReport {
 	rep := &CompareReport{}
-	hardUnit := map[string]bool{}
-	for _, u := range opts.HardUnits {
-		hardUnit[u] = true
-	}
-
 	seen := map[string]bool{}
 	for i := range old.Experiments {
 		oe := &old.Experiments[i]
@@ -147,18 +124,12 @@ func Compare(old, new_ *Artifact, opts CompareOptions) *CompareReport {
 			// Losing a whole experiment loses its counters too: surface
 			// each hard-unit measurement it carried.
 			for j := range oe.Measurements {
-				if om := &oe.Measurements[j]; hardUnit[om.Unit] {
+				if om := &oe.Measurements[j]; hardUnits[om.Unit] {
 					rep.HardMissing = append(rep.HardMissing,
 						fmt.Sprintf("measurement %s %s", oe.ID, om.Name))
 				}
 			}
 			continue
-		}
-		if opts.WallTime && oe.WallMS > 0 {
-			classify(rep, Delta{
-				Experiment: oe.ID, Metric: "wall_time", Unit: "ms",
-				Better: LowerBetter, Old: oe.WallMS, New: ne.WallMS,
-			}, tol)
 		}
 		for j := range oe.Measurements {
 			om := &oe.Measurements[j]
@@ -166,23 +137,28 @@ func Compare(old, new_ *Artifact, opts CompareOptions) *CompareReport {
 			if nm == nil {
 				m := fmt.Sprintf("measurement %s %s", oe.ID, om.Name)
 				rep.Missing = append(rep.Missing, m)
-				if hardUnit[om.Unit] {
+				if hardUnits[om.Unit] {
 					rep.HardMissing = append(rep.HardMissing, m)
 				}
 				continue
-			}
-			if om.Value <= 0 {
-				continue // no meaningful ratio against a zero baseline
 			}
 			better := om.Better
 			if better == "" {
 				better = LowerBetter
 			}
-			classify(rep, Delta{
+			d := Delta{
 				Experiment: oe.ID, Metric: om.Name, Unit: om.Unit,
 				Better: better, Old: om.Value, New: nm.Value,
-				Hard: hardUnit[om.Unit],
-			}, tol)
+				Hard: hardUnits[om.Unit],
+			}
+			switch {
+			case om.Value > 0:
+				classify(rep, d)
+			case d.Hard && better == LowerBetter && nm.Value > om.Value:
+				// No ratio against a zero baseline, but a counter that
+				// was 0 and is not has regressed however small it is.
+				rep.Regressions = append(rep.Regressions, d)
+			}
 		}
 		for j := range ne.Measurements {
 			if oe.Measurement(ne.Measurements[j].Name) == nil {
@@ -199,21 +175,21 @@ func Compare(old, new_ *Artifact, opts CompareOptions) *CompareReport {
 }
 
 // classify routes a delta into regressions/improvements, or drops it as
-// within-band. The band is inclusive: new == old*(1+tol) (or old/(1+tol)
-// for higher-better) still passes.
-func classify(rep *CompareReport, d Delta, tol float64) {
+// within-band. The band is inclusive: new == old*(1+tolerance) (or
+// old/(1+tolerance) for higher-better) still passes.
+func classify(rep *CompareReport, d Delta) {
 	d.Ratio = d.New / d.Old
 	if d.Better == HigherBetter {
-		if d.New*(1+tol) < d.Old {
+		if d.New*(1+tolerance) < d.Old {
 			rep.Regressions = append(rep.Regressions, d)
-		} else if d.New > d.Old*(1+tol) {
+		} else if d.New > d.Old*(1+tolerance) {
 			rep.Improvements = append(rep.Improvements, d)
 		}
 		return
 	}
-	if d.New > d.Old*(1+tol) {
+	if d.New > d.Old*(1+tolerance) {
 		rep.Regressions = append(rep.Regressions, d)
-	} else if d.New*(1+tol) < d.Old {
+	} else if d.New*(1+tolerance) < d.Old {
 		rep.Improvements = append(rep.Improvements, d)
 	}
 }

@@ -154,7 +154,7 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		c.TotalMemory = int64(c.BufferPages)*int64(c.PageSize) + int64(c.MemComponentPool) + int64(c.WorkingMemory)
 	}
-	//lint:ignore obs-nil config defaulting, not instrumentation branching: a real registry keeps Snapshot and /metrics meaningful
+	// A real registry keeps Snapshot and /metrics meaningful.
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}

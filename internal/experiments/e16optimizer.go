@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
@@ -26,8 +25,7 @@ func E16OptimizerJoinOrder(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"engine", "time", "tuples-moved", "join-order-fired", "rows"},
 	}
 	dir := filepath.Join(workDir, "e16")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 
 	open := func(sub string, disable []string) (*core.Engine, error) {
 		return core.Open(core.Config{

@@ -73,7 +73,6 @@ type Report struct {
 // Ctx returns a context carrying the experiment's root span, so engine
 // calls made with it feed the artifact's wait-time rollup.
 func (r *Report) Ctx() context.Context {
-	//lint:ignore obs-nil lazy creation of the root span, not instrumentation branching
 	if r.span == nil {
 		r.span = obs.NewSpan(r.ID)
 	}
@@ -138,6 +137,12 @@ func (r *Report) Print(w io.Writer) {
 }
 
 func ms(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
+
+// removeScratch deletes an experiment's scratch directory.
+func removeScratch(dir string) {
+	//lint:ignore err-discard best-effort cleanup: a directory left behind under the work dir costs disk space, never a measurement
+	os.RemoveAll(dir)
+}
 
 func fixedClock() func() time.Time {
 	t, _ := time.Parse(time.RFC3339, "2019-04-01T00:00:00Z")
@@ -232,8 +237,7 @@ func E1ScaleOut(scale Scale, workDir string) (*Report, error) {
 			rep.MeasureHigher(fmt.Sprintf("speedup_p%d", p), "x", speedup)
 		}
 		e.Close()
-		//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-		os.RemoveAll(dir)
+		removeScratch(dir)
 	}
 	return rep, nil
 }
@@ -251,8 +255,7 @@ func E2Spatial(scale Scale, workDir string) (*Report, error) {
 		},
 	}
 	dir := filepath.Join(workDir, "e2")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	e, err := newEngine(dir, 2, nil, 0)
 	if err != nil {
 		return nil, err
@@ -340,8 +343,7 @@ func E3BtreeVsHash(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"structure", "load-mode", "load-time", "lookup(avg I/O)", "lookup-time"},
 	}
 	dir := filepath.Join(workDir, "e3")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	fm, err := storage.NewFileManager(dir, 4096)
 	if err != nil {
 		return nil, err
@@ -451,8 +453,7 @@ func E4MRvsHyracks(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"engine", "time", "shuffle-bytes", "result-rows"},
 	}
 	dir := filepath.Join(workDir, "e4")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	e, err := newEngine(filepath.Join(dir, "engine"), 2, nil, 0)
 	if err != nil {
 		return nil, err
@@ -583,8 +584,7 @@ func E5MemoryBudget(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"budget", "time", "spill-runs", "peak-grant"},
 	}
 	dir := filepath.Join(workDir, "e5")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	rows := scale.SortRows
 	dataBytes := rows * 64
 	budgets := []int{dataBytes * 2, dataBytes / 4, dataBytes / 16}

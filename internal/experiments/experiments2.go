@@ -33,8 +33,7 @@ func E6HTAPIsolation(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"phase", "frontend-ops/s", "analytics-queries", "shadow-lag"},
 	}
 	dir := filepath.Join(workDir, "e6")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	e, err := newEngine(dir, 2, nil, 0)
 	if err != nil {
 		return nil, err
@@ -148,8 +147,7 @@ func E7AqlVsSqlpp(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"query", "sqlpp", "aql", "ratio", "rows-equal"},
 	}
 	dir := filepath.Join(workDir, "e7")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	e, err := newEngine(dir, 2, nil, 0)
 	if err != nil {
 		return nil, err
@@ -278,8 +276,7 @@ func E8MergePolicy(scale Scale, workDir string) (*Report, error) {
 		rep.Measure("get_"+key, "us", float64(get.Nanoseconds())/1000)
 		rep.Measure("components_"+key, "count", float64(comps))
 		e.Close()
-		//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-		os.RemoveAll(dir)
+		removeScratch(dir)
 	}
 	return rep, nil
 }
@@ -293,8 +290,7 @@ func E9Figure3(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"users", "log-lines", "query-time", "groups"},
 	}
 	dir := filepath.Join(workDir, "e9")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	e, err := newEngine(filepath.Join(dir, "engine"), 2, nil, 0)
 	if err != nil {
 		return nil, err
@@ -350,8 +346,7 @@ func E10Recovery(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"records", "ingest", "recovery", "records/s", "verified"},
 	}
 	dir := filepath.Join(workDir, "e10")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	cfg := core.Config{DataDir: dir, Partitions: 2, NoSyncCommits: true, Now: fixedClock()}
 	e, err := core.Open(cfg)
 	if err != nil {
@@ -428,8 +423,7 @@ func E13NodeFailure(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"scenario", "query", "attempts", "dead-nodes", "rows"},
 	}
 	dir := filepath.Join(workDir, "e13")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	e, err := newEngine(dir, 4, nil, 0)
 	if err != nil {
 		return nil, err
@@ -457,11 +451,9 @@ func E13NodeFailure(scale Scale, workDir string) (*Report, error) {
 	// Crash the node whose task is the third to start on the next job,
 	// then run the identical query: attempt one dies with the node,
 	// attempt two runs on the three survivors.
-	//lint:ignore fault-gate the experiment harness arms the crash deliberately; disarmed again below
 	if err := fault.Arm(fault.PointNodeCrash + ":error:after=2:times=1"); err != nil {
 		return nil, err
 	}
-	//lint:ignore fault-gate harness cleanup of its own arming
 	defer fault.Disarm()
 	t0 = time.Now()
 	wounded, err := e.Query(rep.Ctx(), query)
@@ -562,8 +554,7 @@ func E14HotPathAllocs(scale Scale, workDir string) (*Report, error) {
 	// group-by job. The probe path used to add 2 allocs/tuple on top of
 	// the pipeline's own framing.
 	dir := filepath.Join(workDir, "e14")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	rows := scale.SortRows
 	runJob := func() (float64, error) {
 		cluster, err := hyracks.NewCluster(1, dir)
@@ -625,8 +616,7 @@ func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"scenario", "query", "attempts", "rows"},
 	}
 	dir := filepath.Join(workDir, "e15")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 
 	type member struct {
 		node *dist.Node
@@ -736,11 +726,9 @@ func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
 	// are dropped (and the connection reset — loss is never silent)
 	// three times. The attempt breaks, the driver aborts it, and the
 	// retry re-exchanges everything over the healed link.
-	//lint:ignore fault-gate the experiment harness arms the link fault deliberately; disarmed again below
 	if err := fault.Arm(fault.PointNetDrop + ":error:after=2:times=3:tag=nb"); err != nil {
 		return nil, err
 	}
-	//lint:ignore fault-gate harness cleanup of its own arming
 	defer fault.Disarm()
 	t0 = time.Now()
 	rows, runRep, err = members["na"].node.Run(rep.Ctx(), mkSpec("e15-drop"), hyracks.RetryPolicy{MaxAttempts: 6})
@@ -804,8 +792,7 @@ func E11PKSortAblation(scale Scale, workDir string) (*Report, error) {
 		Header: []string{"fetch-order", "rows", "time", "physical-reads"},
 	}
 	dir := filepath.Join(workDir, "e11")
-	//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-	defer os.RemoveAll(dir)
+	defer removeScratch(dir)
 	// A small buffer cache makes locality visible.
 	e, err := core.Open(core.Config{
 		DataDir:       dir,
@@ -945,8 +932,7 @@ func E12Compression(scale Scale, workDir string) (*Report, error) {
 		rep.Rows = append(rep.Rows, []string{label, ms(ingest), fmt.Sprint(size), ms(scan)})
 		rep.Measure("storage_bytes_"+label, "bytes", float64(size))
 		rep.Measure("scan_"+label, "ms", float64(scan.Microseconds())/1000)
-		//lint:ignore err-discard benchmark scratch-dir cleanup is best-effort
-		os.RemoveAll(dir)
+		removeScratch(dir)
 	}
 	return rep, nil
 }

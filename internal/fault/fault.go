@@ -25,9 +25,12 @@
 //	ASTERIX_FAULTS='txn.wal.append:torn,hyracks.frame.delay:delay=2ms:times=0'
 //	ASTERIX_FAULTS='hyracks.node.crash:error:after=3:times=1'
 //
-// The guarded helpers are the ONLY fault API production code may call
-// (enforced by the asterixlint fault-gate rule): everything else —
-// Arm, Disarm, Seed, Hits — is harness configuration.
+// Engine code calls only the guarded probes (Hit, Tear and their tagged
+// forms) and the read-only observers. Arm, Disarm and Seed change state
+// for the whole process and are harness API: tests, ASTERIX_FAULTS, the
+// E13/E15 experiments in internal/experiments, and asterixd's
+// /admin/fault endpoint, which is mounted only under
+// -enable-fault-injection.
 package fault
 
 import (

@@ -338,7 +338,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				// profiling, attribute the stall to the task's
 				// frame-exchange wait (per-frame timing only on the slow
 				// path, and only when a task span exists).
-				//lint:ignore obs-nil skips the per-frame time.Now on untraced jobs, not a call guard
+				// Untraced jobs have no task span: skip the per-frame time.Now.
 				if ts != nil {
 					t0 := time.Now()
 					defer func() { ts.AddWait(obs.WaitExchange, time.Since(t0)) }()

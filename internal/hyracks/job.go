@@ -51,7 +51,7 @@ func (tc *TaskContext) publishRead() {
 // both nil-safe, so untraced jobs pay only the time.Since call at each
 // (rare) wait event.
 func (tc *TaskContext) AddWait(k obs.WaitKind, d time.Duration) {
-	//lint:ignore obs-nil routing between two sinks, not a call guard: detailed task span wins over the job span
+	// Two sinks: the detailed task span wins over the job span.
 	if tc.Span != nil {
 		tc.Span.AddWait(k, d)
 		return

@@ -114,7 +114,7 @@ func NewGovernor(cfg Config) *Governor {
 	cfg = cfg.withDefaults()
 	g := &Governor{cfg: cfg}
 	reg := cfg.Metrics
-	//lint:ignore obs-nil config defaulting, not instrumentation branching: real handles keep StatsSnapshot meaningful
+	// Real handles keep StatsSnapshot meaningful without a caller's registry.
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}

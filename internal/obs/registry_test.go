@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,32 @@ func TestNilSafety(t *testing.T) {
 	s.AddSpill()
 	if s.StartChild("x") != nil || s.Tree() != nil || s.Detailed() {
 		t.Fatal("nil span not inert")
+	}
+}
+
+// Instrumented code calls handles unconditionally, so every exported
+// method of every handle type must be a no-op on a nil receiver. The
+// methods are enumerated by reflection: a new one is covered without
+// editing this test.
+func TestNilHandlesAreInert(t *testing.T) {
+	handles := []any{(*Span)(nil), (*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Registry)(nil)}
+	for _, h := range handles {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Type().Method(i)
+			args := make([]reflect.Value, m.Type.NumIn()-1) // In(0) is the receiver
+			for j := range args {
+				args[j] = reflect.Zero(m.Type.In(j + 1))
+			}
+			t.Run(v.Type().Elem().Name()+"."+m.Name, func(t *testing.T) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("panics on a nil receiver: %v", p)
+					}
+				}()
+				v.Method(i).Call(args)
+			})
+		}
 	}
 }
 

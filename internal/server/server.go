@@ -96,7 +96,7 @@ func NewHandler(e Engine, opts Options) http.Handler {
 		opts.Logger = log.Default()
 	}
 	reg := opts.Registry
-	//lint:ignore obs-nil config defaulting, not instrumentation branching: prefer the engine's registry so scrapes see its counters
+	// Prefer the engine's registry so scrapes see its counters.
 	if reg == nil {
 		if mp, ok := e.(MetricsProvider); ok {
 			reg = mp.Metrics()
@@ -161,8 +161,7 @@ func (s *service) serveStats(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	enc.Encode(snap)
+	encodeBody(enc, snap)
 }
 
 type queryRequest struct {
@@ -419,8 +418,7 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusInternalServerError)
 		}
 	}
-	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	json.NewEncoder(w).Encode(&resp)
+	encodeBody(json.NewEncoder(w), &resp)
 }
 
 // serveExplain answers an explain-only request: the statement is parsed
@@ -454,8 +452,7 @@ func (s *service) serveExplain(w http.ResponseWriter, statement string) {
 	if resp.Status != "success" {
 		w.WriteHeader(http.StatusInternalServerError)
 	}
-	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	json.NewEncoder(w).Encode(&resp)
+	encodeBody(json.NewEncoder(w), &resp)
 }
 
 // truncateStmt bounds slow-query log lines (statements can be whole
@@ -471,6 +468,11 @@ func truncateStmt(s string) string {
 func writeError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	encodeBody(json.NewEncoder(w), &queryResponse{Status: "fatal", Errors: []string{msg}})
+}
+
+// encodeBody writes v as a response body.
+func encodeBody(enc *json.Encoder, v any) {
 	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	json.NewEncoder(w).Encode(&queryResponse{Status: "fatal", Errors: []string{msg}})
+	enc.Encode(v)
 }
