@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward dataflow problems on them. It is
-// the engine under asterixlint's flow-sensitive rules (resource-leak,
-// lock-order, ctx-flow, defer-unlock); see docs/STATIC_ANALYSIS.md.
+// the engine under asterixlint's flow-sensitive rules (lock-order,
+// ctx-flow, defer-unlock); see docs/STATIC_ANALYSIS.md.
 //
 // The graph is deliberately simple: a Block is a maximal straight-line
 // sequence of statements (plus the branch condition, when one ends the

@@ -16,11 +16,6 @@ type Config struct {
 	// ErrPkgs are package paths (exact, or prefix when ending in "/")
 	// whose discarded error returns are flagged.
 	ErrPkgs []string
-	// Resources registers acquire/release pairs for the resource-leak
-	// rule: every value produced by an acquire must reach one of its
-	// releases on all paths out of the acquiring function.
-	Resources []ResourceSpec
-
 	// HotRoots are the per-tuple kernels the hot-alloc rule requires to
 	// be transitively allocation-free (see docs/STATIC_ANALYSIS.md for
 	// the registration recipe).
@@ -42,11 +37,6 @@ type Config struct {
 	// default: only enumerated callees count, because "any external
 	// call may block" would drown the signal.
 	BlockExt []string
-	// LockWaits extends wait-attrib to sync.Mutex/RWMutex Lock calls.
-	// Off by default: the repo's short-critical-section mutexes are the
-	// lock-order/defer-unlock rules' territory, and the long waits
-	// (admission, txn locks) already attribute internally.
-	LockWaits bool
 }
 
 // DefaultConfig is the configuration for this repository.
@@ -55,96 +45,6 @@ func DefaultConfig() *Config {
 		ErrPkgs: []string{
 			"io", "os", "encoding/",
 			"asterix/internal/storage", "asterix/internal/txn",
-		},
-		Resources: []ResourceSpec{
-			{
-				Pkg: "asterix/internal/mem", Recv: "Governor", Func: "Reserve", Result: 0,
-				Type: "Grant", Desc: "memory grant",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/mem", Recv: "Grant", Func: "Release", Arg: -1},
-				},
-			},
-			{
-				Pkg: "asterix/internal/mem", Recv: "Governor", Func: "AdmitJob", Result: 0,
-				Type: "JobGrant", Desc: "job admission grant",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/mem", Recv: "JobGrant", Func: "Release", Arg: -1},
-				},
-			},
-			{
-				Pkg: "asterix/internal/storage", Recv: "BufferCache", Func: "Pin", Result: 0,
-				Type: "Page", Desc: "pinned page",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/storage", Recv: "BufferCache", Func: "Unpin", Arg: 0},
-				},
-			},
-			{
-				Pkg: "asterix/internal/storage", Recv: "BufferCache", Func: "NewPage", Result: 0,
-				Type: "Page", Desc: "pinned page",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/storage", Recv: "BufferCache", Func: "Unpin", Arg: 0},
-				},
-			},
-			{
-				// The one LSM lifecycle every index kind embeds, so readers
-				// and merges of B+tree and R-tree indexes alike are covered.
-				// view returns []*component[D] first — no named resource
-				// type, so helper parameters are not classified and call
-				// sites keep the blanket ownership-transfer kill.
-				Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "view", Result: 0,
-				Desc: "component view",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/lsm", Recv: "lifecycle", Func: "release", Arg: 0},
-				},
-			},
-			{
-				Pkg: "asterix/internal/txn", Recv: "Manager", Func: "Begin", Result: 0,
-				Type: "Txn", Desc: "transaction",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/txn", Recv: "Txn", Func: "Commit", Arg: -1},
-					{Pkg: "asterix/internal/txn", Recv: "Txn", Func: "Abort", Arg: -1},
-				},
-			},
-			{
-				// Spill run files. Operators reach them only through
-				// hyracks.runSet, which holds them in its slots (an
-				// ownership transfer) and deletes them in its close; this
-				// pair covers any code that handles one directly.
-				Pkg: "asterix/internal/hyracks", Func: "NewRunWriter", Result: 0,
-				Type: "RunWriter", Desc: "run-file writer",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/hyracks", Recv: "RunWriter", Func: "Finish", Arg: -1},
-					{Pkg: "asterix/internal/hyracks", Recv: "RunWriter", Func: "Abort", Arg: -1},
-				},
-			},
-			{
-				Pkg: "asterix/internal/hyracks", Recv: "RunWriter", Func: "Finish", Result: 0,
-				Type: "RunReader", Desc: "run-file reader",
-				Releases: []ReleaseSpec{
-					{Pkg: "asterix/internal/hyracks", Recv: "RunReader", Func: "Close", Arg: -1},
-				},
-			},
-			{
-				Pkg: "os", Func: "Open", Result: 0,
-				Type: "File", Desc: "open file",
-				Releases: []ReleaseSpec{
-					{Pkg: "os", Recv: "File", Func: "Close", Arg: -1},
-				},
-			},
-			{
-				Pkg: "os", Func: "Create", Result: 0,
-				Type: "File", Desc: "open file",
-				Releases: []ReleaseSpec{
-					{Pkg: "os", Recv: "File", Func: "Close", Arg: -1},
-				},
-			},
-			{
-				Pkg: "os", Func: "OpenFile", Result: 0,
-				Type: "File", Desc: "open file",
-				Releases: []ReleaseSpec{
-					{Pkg: "os", Recv: "File", Func: "Close", Arg: -1},
-				},
-			},
 		},
 		HotRoots: []FuncRef{
 			// ADM comparator/serde kernels: run once per tuple column.
@@ -194,9 +94,7 @@ func DefaultConfig() *Config {
 			"bufio.(Writer).Write", "bufio.(Writer).WriteByte",
 			"math.Float64bits", "math.Float64frombits", "math/bits.LeadingZeros64",
 			"sort.SearchInts", "sort.Search",
-			// Lock/unlock and atomics never allocate; whether a Lock may
-			// *block* in a hot path is the wait-attrib rule's LockWaits
-			// knob, not an allocation question.
+			// Lock/unlock and atomics never allocate.
 			"sync.(Mutex).", "sync.(RWMutex).", "sync/atomic.",
 		},
 		BlockExt: []string{
@@ -251,11 +149,9 @@ type Rule struct {
 func AllRules() []*Rule {
 	return []*Rule{
 		ruleLockHeld(),
-		ruleGoLifecycle(),
 		ruleErrDiscard(),
 		ruleDeferUnlock(),
 		ruleLockOrder(),
-		ruleResourceLeak(),
 		ruleCtxFlow(),
 		ruleHotAlloc(),
 		ruleWaitAttrib(),

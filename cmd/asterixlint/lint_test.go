@@ -123,10 +123,6 @@ func TestErrDiscardFixture(t *testing.T) {
 	checkFixture(t, "errdiscard", nil)
 }
 
-func TestGoLifecycleFixture(t *testing.T) {
-	checkFixture(t, "goroutine", nil)
-}
-
 func TestLockHeldFixture(t *testing.T) {
 	checkFixture(t, "lockheld", nil)
 }
@@ -137,28 +133,6 @@ func TestDeferUnlockFixture(t *testing.T) {
 
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "lockorder", nil)
-}
-
-func TestResourceLeakFixture(t *testing.T) {
-	checkFixture(t, "resleak", func(cfg *Config, pkgPath string) {
-		cfg.ErrPkgs = nil // fixture drops Close errors on purpose
-		cfg.Resources = []ResourceSpec{
-			{
-				Pkg: pkgPath, Recv: "Pool", Func: "Acquire", Result: 0,
-				Desc: "pool resource",
-				Releases: []ReleaseSpec{
-					{Pkg: pkgPath, Recv: "Res", Func: "Release", Arg: -1},
-				},
-			},
-			{
-				Pkg: "os", Func: "Open", Result: 0,
-				Desc: "open file",
-				Releases: []ReleaseSpec{
-					{Pkg: "os", Recv: "File", Func: "Close", Arg: -1},
-				},
-			},
-		}
-	})
 }
 
 func TestHotAllocFixture(t *testing.T) {
@@ -181,20 +155,6 @@ func TestWaitNetFixture(t *testing.T) {
 	})
 }
 
-func TestResourceLeakInterprocFixture(t *testing.T) {
-	checkFixture(t, "resleakip", func(cfg *Config, pkgPath string) {
-		cfg.Resources = []ResourceSpec{
-			{
-				Pkg: pkgPath, Recv: "Pool", Func: "Acquire", Result: 0,
-				Type: "Res", Desc: "pool resource",
-				Releases: []ReleaseSpec{
-					{Pkg: pkgPath, Recv: "Res", Func: "Release", Arg: -1},
-				},
-			},
-		}
-	})
-}
-
 func TestCtxFlowFixture(t *testing.T) {
 	checkFixture(t, "ctxflow", nil)
 }
@@ -205,15 +165,7 @@ func TestStaleSuppressionFixture(t *testing.T) {
 
 func TestMultiRuleSuppression(t *testing.T) {
 	checkFixture(t, "multirule", func(cfg *Config, pkgPath string) {
-		cfg.Resources = []ResourceSpec{
-			{
-				Pkg: pkgPath, Recv: "Pool", Func: "AcquireCtx", Result: 0,
-				Desc: "pool resource",
-				Releases: []ReleaseSpec{
-					{Pkg: pkgPath, Recv: "Res", Func: "Release", Arg: -1},
-				},
-			},
-		}
+		cfg.ErrPkgs = []string{pkgPath}
 	})
 }
 

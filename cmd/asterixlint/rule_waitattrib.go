@@ -6,9 +6,9 @@ import (
 )
 
 // ruleWaitAttrib enforces that every blocking operation reachable from
-// an operator task root — channel sends/receives, enumerated blocking
-// externals like file reads and WaitGroup waits, and (when LockWaits is
-// on) mutex acquisition — is covered by wait attribution: either a
+// an operator task root — channel sends/receives and enumerated blocking
+// externals like file reads and WaitGroup waits — is covered by wait
+// attribution: either a
 // `defer ctx.AddWait(...)(...)`-style deferred stopwatch active at the
 // site, or an AddWait call that dominates it on every non-loop path.
 // Unattributed blocking skews the perf harness's wait-time breakdown:

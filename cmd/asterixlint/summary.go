@@ -2,19 +2,14 @@ package main
 
 // Interprocedural engine: per-function summaries over the module call
 // graph. Each function gets a Summary of its direct effects — allocation
-// sites, blocking sites (with wait-attribution coverage), outgoing call
-// edges, panic reachability, and what it does with resource-typed
-// parameters — and the resource facts are resolved bottom-up over the
-// call graph's SCCs. The hot-alloc and wait-attrib rules then walk
-// summaries from their registered roots; the resource-leak rule consults
-// resolved parameter actions instead of killing facts at every call.
-// See docs/STATIC_ANALYSIS.md.
+// sites, blocking sites (with wait-attribution coverage) and outgoing
+// call edges — and the hot-alloc and wait-attrib rules walk summaries
+// from their registered roots. See docs/STATIC_ANALYSIS.md.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"asterix/cmd/asterixlint/cfg"
 )
@@ -60,54 +55,17 @@ type EdgeFact struct {
 	Attributed bool
 }
 
-// Param actions, ordered: resolution takes the strongest evidence.
-const (
-	// ParamNone: the function neither releases, stores, returns, nor
-	// forwards the resource to anyone who does — passing a live resource
-	// here leaves the caller the owner (and a leak candidate).
-	ParamNone = "none"
-	// ParamKept: ownership transfers (stored, returned, forwarded to an
-	// unknown callee). The caller's obligation ends.
-	ParamKept = "kept"
-	// ParamReleased: a release is reachable from the function (possibly
-	// through further calls).
-	ParamReleased = "released"
-)
-
-// ParamFact records what a function does with one resource-typed
-// parameter. Action is the direct (intraprocedural) evidence; Resolved
-// is the fixpoint over forwarded flows.
-type ParamFact struct {
-	Index    int
-	Type     string // "pkg/path.TypeName"
-	Action   string
-	Resolved string
-}
-
-// ParamFlow records a resource parameter forwarded verbatim to a module
-// callee's parameter.
-type ParamFlow struct {
-	Param       int
-	Callee      string
-	CalleeParam int
-}
-
 // Summary is one function's interprocedural fact sheet.
 type Summary struct {
 	Allocs []AllocSite
 	Blocks []BlockSite
 	Edges  []EdgeFact
-	Panics bool
-	Params []ParamFact
-	Flows  []ParamFlow
 }
 
 // Interp is the interprocedural state handed to rules' Interp hooks.
 type Interp struct {
 	c    *Config
-	pkgs []*Package
 	sums map[string]*Summary
-	ids  []string // sorted
 	// Suppressed is set by the Runner to its suppression table: it
 	// reports whether a rule is ignored at a position. Interprocedural
 	// walks treat a suppressed call edge as a cold barrier — a reasoned
@@ -117,28 +75,12 @@ type Interp struct {
 	Suppressed func(rule string, pos token.Pos) bool
 }
 
-// Pkgs returns the packages under analysis.
-func (ip *Interp) Pkgs() []*Package { return ip.pkgs }
-
 // Summary returns the summary for a call-graph ID, nil if unknown.
 func (ip *Interp) Summary(id string) *Summary { return ip.sums[id] }
 
-// resourceTypes maps "pkg/path.TypeName" → Desc for the registered
-// resource result types.
-func resourceTypes(c *Config) map[string]string {
-	m := map[string]string{}
-	for i := range c.Resources {
-		spec := &c.Resources[i]
-		if spec.Type != "" {
-			m[spec.Pkg+"."+spec.Type] = spec.Desc
-		}
-	}
-	return m
-}
-
 // buildInterp computes the summary table for the loaded package set.
 func buildInterp(c *Config, pkgs []*Package) *Interp {
-	ip := &Interp{c: c, pkgs: pkgs, sums: map[string]*Summary{}}
+	ip := &Interp{c: c, sums: map[string]*Summary{}}
 	var gps []*cfg.GraphPackage
 	pkgOf := map[*cfg.GraphPackage]*Package{}
 	for _, p := range pkgs {
@@ -147,91 +89,11 @@ func buildInterp(c *Config, pkgs []*Package) *Interp {
 		pkgOf[gp] = p
 	}
 	graph := cfg.BuildCallGraph(gps)
-	restypes := resourceTypes(c)
 	for _, id := range graph.IDs {
 		f := graph.Funcs[id]
-		ip.sums[id] = newExtractor(ip, pkgOf[f.Pkg], restypes).extract(f)
+		ip.sums[id] = (&extractor{ip: ip, p: pkgOf[f.Pkg]}).extract(f)
 	}
-	for id := range ip.sums {
-		ip.ids = append(ip.ids, id)
-	}
-	sort.Strings(ip.ids)
-	ip.resolveParams()
 	return ip
-}
-
-// resolveParams runs the bottom-up fixpoint over parameter actions:
-// direct evidence joins with the resolved actions of every callee a
-// parameter is forwarded to, iterating to a fixpoint so cycles (mutual
-// recursion) converge. The lattice is none < kept < released and the
-// join takes the maximum, so resolution only ever strengthens.
-func (ip *Interp) resolveParams() {
-	rank := map[string]int{ParamNone: 0, ParamKept: 1, ParamReleased: 2}
-	for _, s := range ip.sums {
-		for i := range s.Params {
-			s.Params[i].Resolved = s.Params[i].Action
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, id := range ip.ids {
-			s := ip.sums[id]
-			for i := range s.Params {
-				p := &s.Params[i]
-				best := p.Resolved
-				for _, fl := range s.Flows {
-					if fl.Param != p.Index {
-						continue
-					}
-					callee := ip.sums[fl.Callee]
-					if callee == nil {
-						// Forwarded to a function outside the analyzed
-						// set: assume ownership transfers (old blanket
-						// behavior).
-						if rank[ParamKept] > rank[best] {
-							best = ParamKept
-						}
-						continue
-					}
-					found := false
-					for j := range callee.Params {
-						cp := &callee.Params[j]
-						if cp.Index == fl.CalleeParam && cp.Type == p.Type {
-							found = true
-							if rank[cp.Resolved] > rank[best] {
-								best = cp.Resolved
-							}
-						}
-					}
-					if !found && rank[ParamKept] > rank[best] {
-						// The callee's parameter is not resource-tracked
-						// (interface-typed, say): assume transfer.
-						best = ParamKept
-					}
-				}
-				if best != p.Resolved {
-					p.Resolved = best
-					changed = true
-				}
-			}
-		}
-	}
-}
-
-// ParamResolved returns the resolved action of calleeID's parameter
-// index for the given resource type, or "" when the callee or the
-// parameter is unknown to the engine.
-func (ip *Interp) ParamResolved(calleeID string, index int, resType string) string {
-	s := ip.sums[calleeID]
-	if s == nil {
-		return ""
-	}
-	for i := range s.Params {
-		if s.Params[i].Index == index && s.Params[i].Type == resType {
-			return s.Params[i].Resolved
-		}
-	}
-	return ""
 }
 
 // --- extraction ---
@@ -298,9 +160,8 @@ func (u *unit) attributedAt(pos token.Pos) bool {
 }
 
 type extractor struct {
-	ip       *Interp
-	p        *Package
-	restypes map[string]string
+	ip *Interp
+	p  *Package
 
 	units []*unit
 	// panicSpans are panic-argument source ranges: calls inside them are
@@ -318,10 +179,6 @@ func (x *extractor) inPanicArg(pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-func newExtractor(ip *Interp, p *Package, restypes map[string]string) *extractor {
-	return &extractor{ip: ip, p: p, restypes: restypes}
 }
 
 // unitAt returns the innermost unit whose body contains pos (go-launched
@@ -345,7 +202,6 @@ func (x *extractor) extract(f *cfg.CGFunc) *Summary {
 		x.scanUnit(u)
 	}
 	x.edges(f)
-	x.params(f)
 	return x.sum
 }
 
@@ -534,7 +390,6 @@ func (x *extractor) scanUnit(u *unit) {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 					if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin || info.Uses[id] == nil {
-						x.sum.Panics = true
 						for _, a := range call.Args {
 							x.panicSpans = append(x.panicSpans, [2]token.Pos{a.Pos(), a.End()})
 							ast.Inspect(a, func(m ast.Node) bool {
@@ -736,19 +591,12 @@ func (x *extractor) addBlock(u *unit, pos token.Pos, what string) {
 	})
 }
 
-// edges lifts the call graph's sites into serializable facts, stamping
+// edges lifts the call graph's sites into summary facts, stamping
 // attribution, and folds configured external blockers into block sites.
 func (x *extractor) edges(f *cfg.CGFunc) {
 	blockExt := map[string]bool{}
 	for _, e := range x.ip.c.BlockExt {
 		blockExt[e] = true
-	}
-	if x.ip.c.LockWaits {
-		for _, e := range []string{
-			"sync.(Mutex).Lock", "sync.(RWMutex).Lock", "sync.(RWMutex).RLock",
-		} {
-			blockExt[e] = true
-		}
 	}
 	for _, s := range f.Calls {
 		pos := s.Node.Pos()
@@ -781,183 +629,24 @@ func (x *extractor) edges(f *cfg.CGFunc) {
 	}
 }
 
-// params classifies what the function does with each resource-typed
-// parameter.
-func (x *extractor) params(f *cfg.CGFunc) {
-	sig, ok := f.Fn.Type().(*types.Signature)
-	if !ok || sig.Params() == nil {
-		return
-	}
-	info := x.p.Info
-	la := &leakAnalysis{c: x.ip.c, p: x.p} // reuse release matching
-	for i := 0; i < sig.Params().Len(); i++ {
-		pv := sig.Params().At(i)
-		n := namedType(pv.Type())
-		if n == nil || n.Obj().Pkg() == nil {
-			continue
-		}
-		tkey := n.Obj().Pkg().Path() + "." + n.Obj().Name()
-		if _, isRes := x.restypes[tkey]; !isRes {
-			continue
-		}
-		fact := ParamFact{Index: i, Type: tkey, Action: ParamNone}
-		x.paramScan(f.Decl.Body, info, la, pv, i, &fact)
-		x.sum.Params = append(x.sum.Params, fact)
-	}
-}
-
-// paramScan walks the whole body (literals included: a release inside a
-// closure or goroutine still counts as may-release) looking for
-// evidence. Benign uses — release target, method receiver, field read,
-// comparison operand — leave the action at none.
-func (x *extractor) paramScan(body *ast.BlockStmt, info *types.Info, la *leakAnalysis, pv *types.Var, index int, fact *ParamFact) {
-	isParam := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		if !ok {
-			return false
-		}
-		return info.Uses[id] == pv
-	}
-	strengthen := func(a string) {
-		rank := map[string]int{ParamNone: 0, ParamKept: 1, ParamReleased: 2}
-		if rank[a] > rank[fact.Action] {
-			fact.Action = a
-		}
-	}
-	skip := map[ast.Node]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if skip[n] {
-			return true
-		}
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if target, isRel := la.releaseTarget(v); isRel && isParam(target) {
-				strengthen(ParamReleased)
-				skip[target] = true
-				return true
-			}
-			if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok && isParam(sel.X) {
-				// Method call on the resource itself: benign use.
-				skip[sel.X] = true
-			}
-			if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok {
-				if b, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					switch b.Name() {
-					case "append":
-						for ai, arg := range v.Args {
-							if !isParam(arg) {
-								continue
-							}
-							skip[ast.Unparen(arg)] = true
-							if v.Ellipsis.IsValid() && ai == len(v.Args)-1 {
-								continue // spread: the elements copy out
-							}
-							// Base or stored element: the result may alias
-							// or retain the container.
-							strengthen(ParamKept)
-						}
-					default:
-						// len/cap/copy/clear/delete/min/max/...: reads of
-						// the container, never retention.
-						for _, arg := range v.Args {
-							if isParam(arg) {
-								skip[ast.Unparen(arg)] = true
-							}
-						}
-					}
-					return true
-				}
-			}
-			fn := calleeFunc(info, v)
-			for ai, arg := range v.Args {
-				if !isParam(arg) {
-					continue
-				}
-				skip[ast.Unparen(arg)] = true
-				if fn == nil || fn.Pkg() == nil {
-					strengthen(ParamKept) // dynamic callee: assume transfer
-					continue
-				}
-				csig, _ := fn.Type().(*types.Signature)
-				if csig == nil || (csig.Variadic() && ai >= csig.Params().Len()-1) {
-					strengthen(ParamKept)
-					continue
-				}
-				if ai >= csig.Params().Len() {
-					strengthen(ParamKept)
-					continue
-				}
-				// Forwarded verbatim: record the flow; the fixpoint
-				// resolves whether the callee handles it.
-				x.sum.Flows = append(x.sum.Flows, ParamFlow{
-					Param: index, Callee: cfg.FuncID(fn), CalleeParam: ai,
-				})
-			}
-		case *ast.ReturnStmt:
-			for _, r := range v.Results {
-				if isParam(r) {
-					strengthen(ParamKept)
-					skip[ast.Unparen(r)] = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range v.Elts {
-				e := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if isParam(e) {
-					strengthen(ParamKept)
-					skip[ast.Unparen(e)] = true
-				}
-			}
-		case *ast.SendStmt:
-			if isParam(v.Value) {
-				strengthen(ParamKept)
-				skip[ast.Unparen(v.Value)] = true
-			}
-		case *ast.AssignStmt:
-			for _, r := range v.Rhs {
-				if isParam(r) {
-					strengthen(ParamKept) // aliased or stored: transfer
-					skip[ast.Unparen(r)] = true
-				}
-			}
-		case *ast.SelectorExpr:
-			if isParam(v.X) {
-				skip[ast.Unparen(v.X)] = true // field read: benign
-			}
-		case *ast.RangeStmt:
-			if isParam(v.X) {
-				skip[ast.Unparen(v.X)] = true // iteration reads
-			}
-		case *ast.IndexExpr:
-			if isParam(v.X) {
-				skip[ast.Unparen(v.X)] = true // element read/write
-			}
-		case *ast.SliceExpr:
-			if isParam(v.X) {
-				skip[ast.Unparen(v.X)] = true // view of the container
-			}
-		case *ast.BinaryExpr:
-			if isParam(v.X) {
-				skip[ast.Unparen(v.X)] = true
-			}
-			if isParam(v.Y) {
-				skip[ast.Unparen(v.Y)] = true
-			}
-		case *ast.Ident:
-			if info.Uses[v] == pv && !skip[v] {
-				// Bare use in an unclassified position: conservative
-				// transfer (matches the old blanket-escape behavior).
-				strengthen(ParamKept)
-			}
-		}
-		return true
-	})
-}
-
 // --- small type helpers ---
+
+// recvMatches reports whether fn's receiver type is named recv; an empty
+// recv matches package-level functions only.
+func recvMatches(fn *types.Func, recv string) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	if recv == "" {
+		return sig.Recv() == nil
+	}
+	if sig.Recv() == nil {
+		return false
+	}
+	rt := namedType(sig.Recv().Type())
+	return rt != nil && rt.Obj().Name() == recv
+}
 
 func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)

@@ -6,41 +6,28 @@ package multirule
 
 import "context"
 
-type Res struct{}
+type Store struct{}
 
-func (r *Res) Release() {}
-
-type Pool struct{}
-
-func (p *Pool) AcquireCtx(ctx context.Context) (*Res, error) {
-	_ = ctx
-	return &Res{}, nil
+func (s *Store) Put(ctx context.Context, key string) error {
+	_, _ = ctx, key
+	return nil
 }
 
-// Unsuppressed control: both rules fire on the acquire line.
-func control(ctx context.Context, p *Pool) {
-	r, _ := p.AcquireCtx(context.Background()) // WANT resource-leak ctx-flow
-	if r == nil {
-		return
-	}
+// Unsuppressed control: both rules fire on the put line.
+func control(ctx context.Context, s *Store) {
+	s.Put(context.Background(), "k") // WANT err-discard ctx-flow
 }
 
 // One directive, two rules, comma-separated.
-func commaForm(ctx context.Context, p *Pool) {
-	//lint:ignore resource-leak,ctx-flow fixture: both rules on one line
-	r, _ := p.AcquireCtx(context.Background())
-	if r == nil {
-		return
-	}
+func commaForm(ctx context.Context, s *Store) {
+	//lint:ignore err-discard,ctx-flow fixture: both rules on one line
+	s.Put(context.Background(), "k")
 }
 
 // Two stacked single-rule directives both reach the statement below
 // the stack — previously only the bottom directive applied.
-func stacked(ctx context.Context, p *Pool) {
-	//lint:ignore resource-leak fixture: leak is intentional
+func stacked(ctx context.Context, s *Store) {
+	//lint:ignore err-discard fixture: best-effort write
 	//lint:ignore ctx-flow fixture: detached by design
-	r, _ := p.AcquireCtx(context.Background())
-	if r == nil {
-		return
-	}
+	s.Put(context.Background(), "k")
 }

@@ -1,7 +1,6 @@
 // Fixture for the stale-suppression audit: a reasoned //lint:ignore
 // that still suppresses a finding stays silent, while one covering code
-// that no longer trips its rule is itself reported (warn by default,
-// -strict-suppressions promotes it to a failure).
+// that no longer trips its rule is itself reported.
 package stalesup
 
 import "os"
