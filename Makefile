@@ -39,10 +39,12 @@ invariants:
 # descriptor outlives a failed task), the WAL torn-tail suite, and the
 # LSM lifecycle's flush/merge fault (on the writer's barrier and on the
 # background worker), crash-orphan and validator tests over every index
-# kind, with deep validators compiled in (see docs/ROBUSTNESS.md).
+# kind, and the storage-format gate (a directory of another format is
+# refused and left as found), with deep validators compiled in (see
+# docs/ROBUSTNESS.md).
 fault-matrix:
-	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout' \
-		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/
+	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat' \
+		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
 # net-matrix: the network-failure gate — in-process transport fault tests

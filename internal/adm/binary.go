@@ -490,57 +490,6 @@ func KeyLen(key []byte) (int, error) {
 	return 0, ErrCorrupt
 }
 
-// KeyFormat is a layout of key bytes. A dataset's key bytes are stored, so
-// it keeps the format it was created with.
-type KeyFormat uint8
-
-const (
-	// FloatKeys, the format of datasets created before exact keys, carries a
-	// number as its float64: the tag 0x03 and 8 bytes, so that integers
-	// beyond ±2^53 share keys. Every other kind is as in ExactKeys.
-	FloatKeys KeyFormat = iota
-	// ExactKeys is EncodeKey's format.
-	ExactKeys
-)
-
-// Append is EncodeKey in format f.
-func (f KeyFormat) Append(buf []byte, v Value) ([]byte, error) {
-	if x, ok := AsFloat(v); ok && f == FloatKeys {
-		return f.AppendNumber(buf, x), nil
-	}
-	return EncodeKey(buf, v)
-}
-
-// AppendNumber is AppendNumberKey in format f.
-func (f KeyFormat) AppendNumber(buf []byte, x float64) []byte {
-	if f == FloatKeys {
-		buf = append(buf, 0x03)
-		return appendOrderedFloat(buf, x)
-	}
-	return AppendNumberKey(buf, x)
-}
-
-// Len is KeyLen in format f.
-func (f KeyFormat) Len(key []byte) (int, error) {
-	if f == FloatKeys && len(key) > 0 && key[0] == 0x03 {
-		if len(key) < 9 {
-			return 0, ErrCorrupt
-		}
-		return 9, nil
-	}
-	return KeyLen(key)
-}
-
-// Hash is the hash a dataset of format f places a primary key's values by:
-// Hash64, except that FloatKeys, whose keys hold a double's own bits, hashes
-// those bits (−0 apart from 0, and each NaN apart).
-func (f KeyFormat) Hash(v Value) uint64 {
-	if x, ok := v.(Double); ok && f == FloatKeys {
-		return fnvU64(fnvByte(fnvOffset64, byte(KindDouble)), math.Float64bits(float64(x)))
-	}
-	return Hash64(v)
-}
-
 // appendOrderedInt encodes an int64 so unsigned byte order matches signed
 // numeric order (flip the sign bit, big endian).
 func appendOrderedInt(buf []byte, i int64) []byte {

@@ -190,18 +190,18 @@ func TestPropKeyEncodingPreservesOrder(t *testing.T) {
 
 func TestCompositeKeyOrder(t *testing.T) {
 	// ("a", 2) < ("a", 10) must hold even though "2" > "1" textually.
-	k1, k2 := mustKey(t, ExactKeys, String("a"), Int64(2)), mustKey(t, ExactKeys, String("a"), Int64(10))
+	k1, k2 := mustKey(t, String("a"), Int64(2)), mustKey(t, String("a"), Int64(10))
 	if bytes.Compare(k1, k2) >= 0 {
 		t.Error(`("a",2) should sort before ("a",10)`)
 	}
 	// ("a\x00", 1) vs ("a", 1): "a" < "a\x00".
-	k3, k4 := mustKey(t, ExactKeys, String("a\x00"), Int64(1)), mustKey(t, ExactKeys, String("a"), Int64(1))
+	k3, k4 := mustKey(t, String("a\x00"), Int64(1)), mustKey(t, String("a"), Int64(1))
 	if bytes.Compare(k4, k3) >= 0 {
 		t.Error(`("a",1) should sort before ("a\x00",1)`)
 	}
 	// (1, x) < (1.5, y) < (2, z): a number's key ends where it ends.
-	k5, k6 := mustKey(t, ExactKeys, Int64(1), Int64(99)), mustKey(t, ExactKeys, Double(1.5), Int64(0))
-	if k7 := mustKey(t, ExactKeys, Int64(2), Int64(-5)); bytes.Compare(k5, k6) >= 0 || bytes.Compare(k6, k7) >= 0 {
+	k5, k6 := mustKey(t, Int64(1), Int64(99)), mustKey(t, Double(1.5), Int64(0))
+	if k7 := mustKey(t, Int64(2), Int64(-5)); bytes.Compare(k5, k6) >= 0 || bytes.Compare(k6, k7) >= 0 {
 		t.Error(`(1, 99) < (1.5, 0) < (2, -5) should hold`)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -30,14 +29,12 @@ func keyValues() []Value {
 	}
 }
 
-var keyFormats = []KeyFormat{FloatKeys, ExactKeys}
-
-func mustKey(t testing.TB, f KeyFormat, vs ...Value) []byte {
+func mustKey(t testing.TB, vs ...Value) []byte {
 	t.Helper()
 	var k []byte
 	for _, v := range vs {
 		var err error
-		if k, err = f.Append(k, v); err != nil {
+		if k, err = EncodeKey(k, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +103,7 @@ func exactCompare(a, b Value) int {
 // prefix is one.
 func checkNumbers(t testing.TB, a, b Value) {
 	t.Helper()
-	ka, kb := mustKey(t, ExactKeys, a), mustKey(t, ExactKeys, b)
+	ka, kb := mustKey(t, a), mustKey(t, b)
 	c := Compare(a, b)
 	if want := exactCompare(a, b); c != want {
 		t.Fatalf("Compare(%v %s, %v %s) = %d, exactly %d", a, a.Kind(), b, b.Kind(), c, want)
@@ -152,46 +149,9 @@ func TestNumberKeys(t *testing.T) {
 		Int64(0): 3, Int64(1): 4, Double(1): 4, Int64(-1): 4, Int64(12345): 5, Int64(100000): 5, Double(0.5): 4,
 		Int64(1<<53 + 1): 11, Int64(math.MaxInt64): 12, Int64(math.MinInt64): 4, Double(0.1): 11, Double(math.NaN()): 4,
 	} {
-		if k := mustKey(t, ExactKeys, v); len(k) != want {
+		if k := mustKey(t, v); len(k) != want {
 			t.Errorf("key of %v %s is % x, %d bytes; want %d", v, v.Kind(), k, len(k), want)
 		}
-	}
-}
-
-// FloatKeys writes and splits numbers as the layout before exact keys did —
-// the tag and the float64, 9 bytes, integers beyond 2^53 collapsed — and
-// every other kind as ExactKeys; its partition hash is Hash64 but for the
-// doubles Hash64 now canonicalizes.
-func TestFloatKeysKeepTheirLayout(t *testing.T) {
-	for v, want := range map[Value]string{
-		Int64(5):                     "03 c0 14 00 00 00 00 00 00",
-		Double(5):                    "03 c0 14 00 00 00 00 00 00",
-		Int64(1<<53 + 1):             "03 c3 40 00 00 00 00 00 00",
-		Double(-1.5):                 "03 40 07 ff ff ff ff ff ff",
-		Double(math.Copysign(0, -1)): "03 7f ff ff ff ff ff ff ff",
-	} {
-		k := mustKey(t, FloatKeys, v)
-		if got := fmt.Sprintf("% x", k); got != want {
-			t.Errorf("FloatKeys key of %v %s = %s, want %s", v, v.Kind(), got, want)
-		}
-		if n, err := FloatKeys.Len(append(k, 0x03)); err != nil || n != 9 {
-			t.Errorf("FloatKeys.Len(% x ‖ 03) = %d, %v", k, n, err)
-		}
-	}
-	for _, v := range keyValues() {
-		if !v.Kind().IsNumeric() && !bytes.Equal(mustKey(t, FloatKeys, v), mustKey(t, ExactKeys, v)) {
-			t.Errorf("the formats differ on %v %s", v, v.Kind())
-		}
-		want := Hash64(v)
-		if d, ok := v.(Double); ok {
-			want = fnvU64(fnvByte(fnvOffset64, byte(KindDouble)), math.Float64bits(float64(d)))
-		}
-		if got := FloatKeys.Hash(v); got != want {
-			t.Errorf("FloatKeys.Hash(%v %s) = %x, want %x", v, v.Kind(), got, want)
-		}
-	}
-	if FloatKeys.Hash(Double(math.Copysign(0, -1))) == FloatKeys.Hash(Double(0)) || Hash64(Double(math.Copysign(0, -1))) != Hash64(Double(0)) {
-		t.Error("FloatKeys must hash −0 apart from 0, Hash64 together")
 	}
 }
 
@@ -199,27 +159,25 @@ func TestFloatKeysKeepTheirLayout(t *testing.T) {
 // first, whatever follows; splitting on walks the composite to its end.
 func TestKeyLenSplitsComposites(t *testing.T) {
 	vals := keyValues()
-	for _, f := range keyFormats {
-		check := func(vs ...Value) {
-			rest := mustKey(t, f, vs...)
-			for i, v := range vs {
-				n, err := f.Len(rest)
-				if want := len(mustKey(t, f, v)); err != nil || n != want {
-					t.Fatalf("format %d: Len(% x) at component %d of %v = %d, %v; want %d", f, rest, i, vs, n, err, want)
-				}
-				rest = rest[n:]
+	check := func(vs ...Value) {
+		rest := mustKey(t, vs...)
+		for i, v := range vs {
+			n, err := KeyLen(rest)
+			if want := len(mustKey(t, v)); err != nil || n != want {
+				t.Fatalf("KeyLen(% x) at component %d of %v = %d, %v; want %d", rest, i, vs, n, err, want)
 			}
-			if len(rest) != 0 {
-				t.Fatalf("format %d: %d bytes left after the components of %v", f, len(rest), vs)
-			}
+			rest = rest[n:]
 		}
-		for _, a := range vals {
-			check(a)
-			for _, b := range vals {
-				check(a, b)
-				for _, c := range vals {
-					check(a, b, c)
-				}
+		if len(rest) != 0 {
+			t.Fatalf("%d bytes left after the components of %v", len(rest), vs)
+		}
+	}
+	for _, a := range vals {
+		check(a)
+		for _, b := range vals {
+			check(a, b)
+			for _, c := range vals {
+				check(a, b, c)
 			}
 		}
 	}
@@ -228,13 +186,11 @@ func TestKeyLenSplitsComposites(t *testing.T) {
 // The encoding is prefix-free: no proper prefix of a key is a whole
 // component, so a truncated entry is always found out.
 func TestKeyLenTruncated(t *testing.T) {
-	for _, f := range keyFormats {
-		for _, v := range keyValues() {
-			k := mustKey(t, f, v)
-			for cut := 0; cut < len(k); cut++ {
-				if n, err := f.Len(k[:cut]); !errors.Is(err, ErrCorrupt) {
-					t.Errorf("format %d: Len(% x), a prefix of the key of %v, = %d, %v", f, k[:cut], v, n, err)
-				}
+	for _, v := range keyValues() {
+		k := mustKey(t, v)
+		for cut := 0; cut < len(k); cut++ {
+			if n, err := KeyLen(k[:cut]); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("KeyLen(% x), a prefix of the key of %v, = %d, %v", k[:cut], v, n, err)
 			}
 		}
 	}
@@ -245,39 +201,39 @@ func TestKeyLenTruncated(t *testing.T) {
 	}
 }
 
-// FuzzKeySplit drives KeyLen, in either format, with arbitrary bytes: it
-// answers ErrCorrupt or a length within its input, never panics, and a
-// length it answers holds for that component alone and with anything after
-// it.
+// FuzzKeySplit drives KeyLen with arbitrary bytes: it answers ErrCorrupt or
+// a length within its input, never panics, and a length it answers holds for
+// that component alone and with anything after it. The seeds are each key,
+// the key before a composite primary key, before itself and before 0xFF, and
+// the key with its first or its last byte cut off.
 func FuzzKeySplit(f *testing.F) {
 	for _, v := range keyValues() {
-		for _, kf := range keyFormats {
-			k := mustKey(f, kf, v)
-			f.Add(k)
-			f.Add(append(k, mustKey(f, kf, Int64(1), String("pk\x00"))...))
-			f.Add(k[:len(k)-1])
-		}
+		k := mustKey(f, v)
+		f.Add(k)
+		f.Add(append(bytes.Clone(k), mustKey(f, Int64(1), String("pk\x00"))...))
+		f.Add(append(bytes.Clone(k), k...))
+		f.Add(append(bytes.Clone(k), 0xFF))
+		f.Add(k[1:])
+		f.Add(k[:len(k)-1])
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x04, 0x00})
 	f.Add([]byte{0x0C, 0x00, 0xFF, 0x00, 0x07})
 	f.Add([]byte{0x03, 0x80})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kf := range keyFormats {
-			n, err := kf.Len(data)
-			if err != nil {
-				if !errors.Is(err, ErrCorrupt) || n != 0 {
-					t.Fatalf("format %d: Len(% x) = %d, %v", kf, data, n, err)
-				}
-				continue
+		n, err := KeyLen(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || n != 0 {
+				t.Fatalf("KeyLen(% x) = %d, %v", data, n, err)
 			}
-			if n <= 0 || n > len(data) {
-				t.Fatalf("format %d: Len(% x) = %d of %d bytes", kf, data, n, len(data))
-			}
-			for _, tail := range [][]byte{nil, {0x00}, {0xFF, 0x00, 0x00}} {
-				if m, err := kf.Len(append(bytes.Clone(data[:n]), tail...)); err != nil || m != n {
-					t.Fatalf("format %d: Len(% x ‖ % x) = %d, %v; want %d", kf, data[:n], tail, m, err, n)
-				}
+			return
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("KeyLen(% x) = %d of %d bytes", data, n, len(data))
+		}
+		for _, tail := range [][]byte{nil, {0x00}, {0xFF, 0x00, 0x00}} {
+			if m, err := KeyLen(append(bytes.Clone(data[:n]), tail...)); err != nil || m != n {
+				t.Fatalf("KeyLen(% x ‖ % x) = %d, %v; want %d", data[:n], tail, m, err, n)
 			}
 		}
 	})

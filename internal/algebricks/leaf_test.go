@@ -10,8 +10,9 @@ import (
 
 // leafMessageType is the benchmark's GleambookMessageType and leafRecords a
 // message as a dataset of that type stores it — positionally — and in the
-// generic form that older components and untyped sources hold. Its ints are
-// too large for the runtime's preboxed small values.
+// generic form, the form of a value of type any, which the leaf reads by the
+// same fallback. Its ints are too large for the runtime's preboxed small
+// values.
 var leafMessageType = adm.NewObjectType("GleambookMessageType", false,
 	adm.FieldType{Name: "messageId", Type: adm.Primitive(adm.KindInt64)},
 	adm.FieldType{Name: "authorId", Type: adm.Primitive(adm.KindInt64)},

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +16,8 @@ import (
 	"asterix/internal/check"
 	"asterix/internal/fault"
 	"asterix/internal/lsm"
+	"asterix/internal/metadata"
+	"asterix/internal/txn"
 )
 
 // The crash dataset carries one secondary index of every LSM kind, so
@@ -325,5 +331,104 @@ func TestCrashReopenTwice(t *testing.T) {
 	d, _ := e3.Dataset("KV")
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// editCatalog rewrites the catalog of the closed engine over dir as edit
+// leaves its JSON document.
+func editCatalog(t *testing.T, dir string, edit func(cat map[string]any)) {
+	t.Helper()
+	path := filepath.Join(dir, "metadata.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cat map[string]any
+	if err := json.Unmarshal(raw, &cat); err != nil {
+		t.Fatal(err)
+	}
+	edit(cat)
+	if raw, err = json.Marshal(cat); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dirFiles maps every file under dir to its content.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	if err := filepath.WalkDir(dir, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// A data directory of another storage format is refused before anything in
+// it is opened for writing: Open fails with metadata.ErrStorageFormat, and
+// every file keeps its bytes — the WAL's torn tail is not truncated, and the
+// run file a killed spill left is not deleted.
+func TestStorageFormatRefusalLeavesDirectory(t *testing.T) {
+	fault.Disarm()
+	defer fault.Disarm()
+	e := newEngine(t, Config{})
+	mustExec(t, e, crashDDL)
+	for i := 0; i < 10; i++ {
+		if err := e.UpsertValue("KV", crashRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Arm(fault.PointWALAppend + ":torn:times=1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.UpsertValue("KV", crashRec(10)); err == nil {
+		t.Fatal("torn append must fail the upsert")
+	}
+	fault.Disarm()
+	if err := e.CrashStop(); err != nil {
+		t.Fatal(err)
+	}
+	dir := e.cfg.DataDir
+	lm, err := txn.OpenLog(filepath.Join(dir, "txnlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Scan(0, func(*txn.LogRecord) bool { return true }); err != nil || lm.TornTails() != 1 {
+		t.Fatalf("the log has %d torn tails (%v), want 1", lm.TornTails(), err)
+	}
+	lm.Close()
+	if err := os.WriteFile(filepath.Join(dir, "tmp", "nc0", "run-1.tmp"), []byte("spilled"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	editCatalog(t, dir, func(cat map[string]any) { delete(cat, "format") })
+	before := dirFiles(t, dir)
+
+	e2, err := Open(e.cfg)
+	if err == nil {
+		e2.Close()
+	}
+	if !errors.Is(err, metadata.ErrStorageFormat) {
+		t.Errorf("Open of a format 0 directory: %v, want ErrStorageFormat", err)
+	}
+	after := dirFiles(t, dir)
+	for path, data := range before {
+		if got, ok := after[path]; !ok || got != data {
+			t.Errorf("%s: %d bytes, then %d (present: %v)", path, len(data), len(got), ok)
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("the refused directory had %d files, then %d", len(before), len(after))
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -32,7 +31,6 @@ type Dataset struct {
 	eng   *Engine
 	def   *metadata.DatasetDef
 	typ   *adm.Type
-	keys  adm.KeyFormat // every key the dataset builds or splits, in its format
 	parts []*lsm.Tree
 	// idxs is kept in index-name order, so that which index a write
 	// dirties first and which of two candidates the optimizer is offered
@@ -124,7 +122,7 @@ func (e *Engine) openDataset(def *metadata.DatasetDef) (*Dataset, error) {
 	} else {
 		typ = adm.AnyType
 	}
-	d := &Dataset{eng: e, def: def, typ: typ, keys: def.KeyFormat}
+	d := &Dataset{eng: e, def: def, typ: typ}
 	if def.External {
 		return d, nil
 	}
@@ -204,19 +202,11 @@ func (d *Dataset) primaryKeyValues(rec *adm.Object) ([]adm.Value, error) {
 	return pks, nil
 }
 
-// ErrInexactKey refuses, where keys are adm.FloatKeys, an integer primary key
-// another would share: stored, one would silently overwrite the other;
-// searched for, it would find the other.
-var ErrInexactKey = errors.New("integer primary key is not exact as a float64 (beyond ±2^53)")
-
 // encodePK builds order-preserving key bytes for a primary key, or for a
 // search bound on one.
 func (d *Dataset) encodePK(pks []adm.Value) (kb []byte, err error) {
 	for _, v := range pks {
-		if i, ok := v.(adm.Int64); ok && d.keys == adm.FloatKeys && (float64(i) >= 1<<63 || adm.Int64(float64(i)) != i) {
-			return nil, fmt.Errorf("core: %w: %d", ErrInexactKey, int64(i))
-		}
-		if kb, err = d.keys.Append(kb, v); err != nil {
+		if kb, err = adm.EncodeKey(kb, v); err != nil {
 			return nil, err
 		}
 	}
@@ -227,7 +217,7 @@ func (d *Dataset) encodePK(pks []adm.Value) (kb []byte, err error) {
 func (d *Dataset) partitionOf(pks []adm.Value) int {
 	var h uint64 = 14695981039346656037
 	for _, v := range pks {
-		h = h*1099511628211 ^ d.keys.Hash(v)
+		h = h*1099511628211 ^ adm.Hash64(v)
 	}
 	return int(h % uint64(d.def.Partitions))
 }
@@ -297,8 +287,8 @@ func (d *Dataset) applyDelete(part int, pk []byte, w *indexWriter) error {
 
 // storedRecord presents a stored (possibly compressed) primary-index value
 // to a query leaf, which reads the fields it needs out of it in place and
-// unpacks it only if it reads any. The record was written under d.typ, or in
-// the generic form: the type of a dataset never changes.
+// unpacks it only if it reads any. The record was written under d.typ: the
+// type of a dataset never changes.
 func (d *Dataset) storedRecord(stored []byte) algebricks.Record {
 	return algebricks.Record{Stored: stored, Unpack: decodeRecordBytes, Type: d.typ}
 }
@@ -370,7 +360,7 @@ func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Objec
 	switch si.def.Kind {
 	case "BTREE":
 		if fv.Kind().IsScalar() {
-			if ks.buf, err = si.ds.keys.Append(ks.buf, fv); err == nil {
+			if ks.buf, err = adm.EncodeKey(ks.buf, fv); err == nil {
 				ks.seal(pk)
 			}
 		}
@@ -403,7 +393,7 @@ func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Objec
 // point under: its place on the curve, or its grid cell.
 func (si *SecondaryIndex) appendCellKey(buf []byte, pt adm.Point) []byte {
 	if si.def.Kind == "GRID" {
-		return si.ds.keys.AppendNumber(buf, float64(si.grid.Cell(pt.X, pt.Y)))
+		return adm.AppendNumberKey(buf, float64(si.grid.Cell(pt.X, pt.Y)))
 	}
 	x, y := si.norm.Lattice(pt.X, pt.Y)
 	if si.def.Kind == "ZORDER" {
@@ -769,7 +759,7 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 	var loB, hiB []byte
 	var err error
 	if lo != nil {
-		if loB, loInc, err = si.ds.keyBound(lo, loInc, -1); err != nil {
+		if loB, err = adm.EncodeKey(nil, lo); err != nil {
 			return err
 		}
 		if !loInc {
@@ -777,7 +767,7 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		}
 	}
 	if hi != nil {
-		if hiB, hiInc, err = si.ds.keyBound(hi, hiInc, 1); err != nil {
+		if hiB, err = adm.EncodeKey(nil, hi); err != nil {
 			return err
 		}
 		if hiInc {
@@ -789,25 +779,6 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		return err
 	}
 	return si.fetch(part, c.sorted(), emit)
-}
-
-// keyBound encodes a secondary search bound. An adm.FloatKeys key holds a
-// number as its nearest float64, which other values share: there a numeric
-// bound moves out to the float64 on its far side (dir −1 for a lower bound)
-// and becomes inclusive, and the plan's residual filter drops the excess.
-func (d *Dataset) keyBound(v adm.Value, inc bool, dir float64) ([]byte, bool, error) {
-	x, ok := adm.AsFloat(v)
-	if !ok || d.keys != adm.FloatKeys {
-		k, err := d.keys.Append(nil, v)
-		return k, inc, err
-	}
-	if c := adm.Compare(adm.Double(x), v); c != 0 && float64(c) != dir {
-		x = math.Nextafter(x, math.Inf(int(dir)))
-	}
-	if x == 0 {
-		x = math.Copysign(0, dir) // −0 and 0 are one value with two keys
-	}
-	return d.keys.AppendNumber(nil, x), true, nil
 }
 
 // SearchSpatial implements algebricks.IndexAccessor for the spatial index
@@ -864,13 +835,11 @@ func (si *SecondaryIndex) SearchSpatialCandidates(part int, rect adm.Rectangle) 
 // [lo, hi] (nil = unbounded). An entry is `EncodeKey(skey) ‖ pk` and a pk
 // starts with a key tag, all of which are below 0xFF: a bound `key ‖ 0xFF`
 // lies past every entry of that secondary key and before the next one's.
-// What an entry written before entries were key-only has as its value is
-// not read.
 func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, c *candidates) error {
 	var innerErr error
 	err := si.trees[part].Scan(lo, hi, func(k, _ []byte) bool {
 		var n int
-		if n, innerErr = si.ds.keys.Len(k); innerErr == nil {
+		if n, innerErr = adm.KeyLen(k); innerErr == nil {
 			c.add(k[n:])
 		}
 		return innerErr == nil
@@ -913,7 +882,7 @@ func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (*cand
 	case "GRID":
 		var lo, hi []byte
 		for _, cell := range si.grid.CellsInRect(rect.MinX, rect.MinY, rect.MaxX, rect.MaxY) {
-			lo = si.ds.keys.AppendNumber(lo[:0], float64(cell))
+			lo = adm.AppendNumberKey(lo[:0], float64(cell))
 			hi = append(append(hi[:0], lo...), 0xFF)
 			if err := si.scanCandidates(part, lo, hi, c); err != nil {
 				return c, err

@@ -196,11 +196,13 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	fm, err := storage.NewFileManager(filepath.Join(cfg.DataDir, "storage"), cfg.PageSize)
+	// The catalog is read first: a directory of another storage format is
+	// refused before anything in it is opened, created or repaired.
+	cat, err := metadata.Open(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	cat, err := metadata.Open(cfg.DataDir)
+	fm, err := storage.NewFileManager(filepath.Join(cfg.DataDir, "storage"), cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +212,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	cluster, err := hyracks.NewCluster(cfg.Nodes, filepath.Join(cfg.DataDir, "tmp"))
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, log.Close())
 	}
 	bc := storage.NewBufferCache(fm, cfg.BufferPages)
 	// One governor owns the whole Figure 2 budget: the buffer cache's
@@ -259,9 +261,7 @@ func Open(cfg Config) (*Engine, error) {
 // components, returning the number of records replayed. An update names its
 // dataset by incarnation — one of a dataset dropped since names no open
 // dataset and is skipped — and carries the value as stored, which redo
-// decodes with the dataset's type for index maintenance. An update written
-// before incarnations names its dataset and holds a generic-form record,
-// which is stored as it is.
+// decodes with the dataset's type for index maintenance.
 func (e *Engine) Recover() (int, error) {
 	w := &indexWriter{redo: true}
 	byIncarnation := map[int64]*Dataset{}
@@ -270,10 +270,6 @@ func (e *Engine) Recover() (int, error) {
 	}
 	return e.txmgr.Recover(func(rec *txn.LogRecord) error {
 		d, ok := byIncarnation[rec.Incarnation]
-		if rec.Type == txn.RecUpdate {
-			d, ok = e.datasets[rec.Dataset]
-			rec.Value = encodeRecordBytes(rec.Value, e.cfg.Compression)
-		}
 		if !ok {
 			return nil // dataset dropped after the logged update
 		}

@@ -2,10 +2,7 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -13,50 +10,6 @@ import (
 	"asterix/internal/adm"
 	"asterix/internal/lsm"
 )
-
-// editCatalog rewrites the catalog of the closed engine over dir as edit
-// leaves its JSON document.
-func editCatalog(t *testing.T, dir string, edit func(cat map[string]any)) {
-	t.Helper()
-	path := filepath.Join(dir, "metadata.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cat map[string]any
-	if err := json.Unmarshal(raw, &cat); err != nil {
-		t.Fatal(err)
-	}
-	edit(cat)
-	if raw, err = json.Marshal(cat); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// withFloatKeys closes e and reopens it over its catalog without the key
-// format of any dataset, as a catalog written before datasets recorded one:
-// every dataset of e is then an adm.FloatKeys dataset, as every dataset of
-// such a catalog is. Call it before the datasets hold a record.
-func withFloatKeys(t *testing.T, e *Engine) *Engine {
-	t.Helper()
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	editCatalog(t, e.cfg.DataDir, func(cat map[string]any) {
-		for _, ds := range cat["datasets"].([]any) {
-			delete(ds.(map[string]any), "keyFormat")
-		}
-	})
-	e2, err := e.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e2.Close() })
-	return e2
-}
 
 // expectRows runs each query on each engine and compares its rows, in the
 // query's order, with the wanted rendering.
@@ -179,21 +132,19 @@ func TestExactIntegerKeys(t *testing.T) {
 	}
 }
 
-// checkStoredKeys asserts that every key d stores is in format f: the key of
-// each primary record is f's key of its primary key, and each BTREE or GRID
-// entry is f's key of its record's field, then the record's primary key.
-func checkStoredKeys(t *testing.T, d *Dataset, f adm.KeyFormat) {
+// checkStoredKeys asserts that every key d stores is EncodeKey's: the key of
+// each primary record is the key of its primary key, and each BTREE or GRID
+// entry is the key of its record's field (its cell), then the record's
+// primary key.
+func checkStoredKeys(t *testing.T, d *Dataset) {
 	t.Helper()
-	if d.keys != f {
-		t.Fatalf("dataset %s is in key format %d, want %d", d.def.Name, d.keys, f)
-	}
 	for p, tree := range d.parts {
 		if err := tree.Scan(nil, nil, func(k, v []byte) bool {
 			rec, err := d.decodeRecord(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := f.Append(nil, rec.Get(d.def.PrimaryKey[0]))
+			want, err := adm.EncodeKey(nil, rec.Get(d.def.PrimaryKey[0]))
 			if err != nil || !bytes.Equal(k, want) {
 				t.Fatalf("partition %d stores record %v under % x, want % x (%v)", p, rec, k, want, err)
 			}
@@ -206,7 +157,7 @@ func checkStoredKeys(t *testing.T, d *Dataset, f adm.KeyFormat) {
 				continue
 			}
 			if err := si.trees[p].Scan(nil, nil, func(k, _ []byte) bool {
-				n, err := f.Len(k)
+				n, err := adm.KeyLen(k)
 				if err != nil {
 					t.Fatalf("%s entry % x: %v", si.def.Name, k, err)
 				}
@@ -218,7 +169,7 @@ func checkStoredKeys(t *testing.T, d *Dataset, f adm.KeyFormat) {
 				if fv := rec.Get(si.def.Fields[0]); si.def.Kind == "GRID" {
 					want = si.appendCellKey(nil, fv.(adm.Point))
 				} else {
-					want, _ = f.Append(nil, fv)
+					want, _ = adm.EncodeKey(nil, fv)
 				}
 				if !bytes.Equal(k[:n], want) {
 					t.Fatalf("%s entry % x of record %v: key % x, want % x", si.def.Name, k, rec, k[:n], want)
@@ -231,12 +182,12 @@ func checkStoredKeys(t *testing.T, d *Dataset, f adm.KeyFormat) {
 	}
 }
 
-// A dataset whose catalog entry has no key format — every dataset a catalog
-// written before the choice holds — keeps float keys through upserts,
-// deletes, a flush, a merge, a crash and an index build, and answers GetKey,
-// scans and index searches as a map of its records does; a dataset created
-// beside it has exact keys.
-func TestFloatKeyDatasets(t *testing.T) {
+// A dataset with integer and double values, and ids and values beyond 2^53,
+// keeps EncodeKey's keys in its primary index and in its BTREE and GRID
+// entries through upserts, overwrites, deletes, a flush, a merge, a crash and
+// an index build, and answers GetKey, scans and index searches as a map of
+// its records does.
+func TestStoredKeysThroughHistory(t *testing.T) {
 	t.Setenv("ASTERIX_INVARIANTS", "1")
 	e := newEngine(t, Config{MergePolicy: lsm.ConstantPolicy{Components: 1}})
 	mustExec(t, e, `
@@ -244,7 +195,6 @@ func TestFloatKeyDatasets(t *testing.T) {
 		CREATE DATASET O(OT) PRIMARY KEY id;
 		CREATE INDEX ov ON O(v);
 		CREATE INDEX og ON O(loc) TYPE GRID;`)
-	e = withFloatKeys(t, e)
 	oracle := map[int64]adm.Value{}
 	upsert := func(lo, hi int64, v func(id int64) adm.Value) {
 		var recs []string
@@ -257,7 +207,7 @@ func TestFloatKeyDatasets(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		d, _ := e.Dataset("O")
-		checkStoredKeys(t, d, adm.FloatKeys)
+		checkStoredKeys(t, d)
 		if err := d.Validate(); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
@@ -307,14 +257,14 @@ func TestFloatKeyDatasets(t *testing.T) {
 	upsert(0, 200, func(id int64) adm.Value { return adm.Int64(id % 13) })
 	upsert(200, 204, func(id int64) adm.Value { return adm.Int64(1<<53 + id%2) })
 	upsert(204, 210, func(id int64) adm.Value { return adm.Double(float64(id%5) + 0.5) })
+	upsert(1<<53, 1<<53+2, func(id int64) adm.Value { return adm.Int64(id % 7) })
 	check("in memory")
-	expectError(t, e, `UPSERT INTO O ({"id": 9007199254740993, "v": 1, "loc": point(0, 0)});`, ErrInexactKey.Error())
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	upsert(100, 300, func(id int64) adm.Value { return adm.Int64(id%11 - 3) })
-	mustExec(t, e, `DELETE FROM O o WHERE o.id >= 50 AND o.id < 60;`)
-	for id := int64(50); id < 60; id++ {
+	mustExec(t, e, `DELETE FROM O o WHERE o.id >= 50 AND o.id < 60 OR o.id = 9007199254740993;`)
+	for _, id := range []int64{50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 1<<53 + 1} {
 		delete(oracle, id)
 	}
 	check("flushed, then overwritten")
@@ -330,11 +280,4 @@ func TestFloatKeyDatasets(t *testing.T) {
 	check("reopened after a crash")
 	mustExec(t, e, `DROP INDEX O.ov; CREATE INDEX ov ON O(v);`)
 	check("index built anew")
-
-	mustExec(t, e, `CREATE DATASET P(OT) PRIMARY KEY id; UPSERT INTO P ({"id": 9007199254740993, "v": 1});`)
-	p, _ := e.Dataset("P")
-	checkStoredKeys(t, p, adm.ExactKeys)
-	if rows := queryRows(t, e, `SELECT VALUE p.v FROM P p WHERE p.id = 9007199254740993;`); len(rows) != 1 {
-		t.Errorf("the exact-key dataset beside returned %v", rows)
-	}
 }

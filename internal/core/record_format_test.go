@@ -156,33 +156,27 @@ func checkDocs(t *testing.T, e *Engine, oracle map[int]*adm.Object) {
 	}
 }
 
-// A dataset holds records in both forms — generic-form values under the
-// components a tree was left with, positional ones from every upsert since —
-// through index build, overwrites, flushes, merges and a crash: every access
-// path answers like a map of the records written.
-func TestMixedRecordFormsInOneDataset(t *testing.T) {
+// Records of a declared type — an int where a double is declared on some,
+// optional fields absent on some, undeclared fields on some, the longer ones
+// stored deflated — go through index build, overwrites, deletes, flushes,
+// merges, a crash and a second index build: every access path answers like a
+// map of the records written.
+func TestDeclaredRecordsThroughHistory(t *testing.T) {
 	e := newEngine(t, Config{Partitions: 2, MemComponentBudget: 16 << 10, MergePolicy: lsm.ConstantPolicy{Components: 3},
-		NoSyncCommits: true, Compression: true}) // the longer records are stored deflated, whatever their form
+		NoSyncCommits: true, Compression: true})
 	mustExec(t, e, docsDDL)
 	d, _ := e.Dataset("Docs")
 	oracle := map[int]*adm.Object{}
-	// Generic-form records, written straight into the partitions as an
-	// engine before the positional form stored them, and flushed.
 	for id := 0; id < 200; id++ {
-		rec := docRecord(id, 0)
-		part, key, _, err := d.locate(rec)
-		if err != nil {
+		oracle[id] = docRecord(id, 0)
+		if err := e.UpsertValue("Docs", oracle[id]); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.parts[part].UpsertSpan(key, encodeRecordBytes(adm.EncodeValue(rec), id%2 == 0), nil); err != nil {
-			t.Fatal(err)
-		}
-		oracle[id] = rec
 	}
 	if err := d.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Index build reads them; overwrites replace their index entries.
+	// Index build reads them from disk; overwrites replace their index entries.
 	mustExec(t, e, `CREATE INDEX docGrp ON Docs(grp);
 		CREATE INDEX docLoc ON Docs(loc) TYPE RTREE;
 		CREATE INDEX docBody ON Docs(body) TYPE KEYWORD;`)
@@ -204,22 +198,6 @@ func TestMixedRecordFormsInOneDataset(t *testing.T) {
 	checkDocs(t, e, oracle)
 	if comps, merges := d.LSMStats(); comps == 0 || merges == 0 {
 		t.Fatalf("%d disk components and %d merges: the history does not reach a merge", comps, merges)
-	}
-	forms := map[bool]int{}
-	for _, tree := range d.parts {
-		if err := tree.Scan(nil, nil, func(_, v []byte) bool {
-			raw, err := decodeRecordBytes(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			forms[adm.Kind(raw[0]) == adm.KindObject]++
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if forms[true] == 0 || forms[false] == 0 {
-		t.Fatalf("stored forms: %d generic, %d positional; want both", forms[true], forms[false])
 	}
 
 	if err := e.CrashStop(); err != nil {
@@ -352,44 +330,22 @@ func checkUsers(t *testing.T, e *Engine, oracle map[int]*adm.Object, when string
 	}
 }
 
-// A dataset holds its records in all three forms — generic, positional with
-// generic nested values as written before nested types were positional, and
-// positional all the way down — in memory, flushed and merged components:
-// every way of reading them answers like a map of the records written. A
-// projection that does not read employment does not decode it.
-func TestNestedRecordForms(t *testing.T) {
+// Records with an array of a declared nested type — none to three elements,
+// optional and undeclared fields on some — are overwritten across flushes and
+// merges: every way of reading them answers like a map of the records
+// written, in memory, flushed and merged components. A projection that does
+// not read employment does not decode it.
+func TestNestedRecordsThroughHistory(t *testing.T) {
 	e := newEngine(t, Config{MergePolicy: lsm.ConstantPolicy{Components: 1}, NoSyncCommits: true})
 	mustExec(t, e, gleambookDDL)
 	d, _ := e.Dataset("GleambookUsers")
-	// The same top-level positions with every value encoded as Encode does.
-	flat := adm.NewObjectType(d.typ.Name, d.typ.Closed)
-	for _, f := range d.typ.Fields {
-		flat.Fields = append(flat.Fields, adm.FieldType{Name: f.Name, Type: adm.AnyType, Optional: f.Optional})
-	}
-	put := func(rec *adm.Object, raw []byte) {
-		part, key, _, err := d.locate(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.parts[part].UpsertSpan(key, encodeRecordBytes(raw, false), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 	oracle := map[int]*adm.Object{}
 	for ver, ids := range [][2]int{{0, 60}, {30, 90}, {60, 120}} {
 		for id := ids[0]; id < ids[1]; id++ {
-			rec := nestedUser(id, ver)
-			switch (id + ver) % 3 {
-			case 0:
-				put(rec, adm.EncodeValue(rec))
-			case 1:
-				put(rec, adm.EncodeRecord(nil, rec, flat))
-			default:
-				if err := e.UpsertValue("GleambookUsers", rec); err != nil {
-					t.Fatal(err)
-				}
+			oracle[id] = nestedUser(id, ver)
+			if err := e.UpsertValue("GleambookUsers", oracle[id]); err != nil {
+				t.Fatal(err)
 			}
-			oracle[id] = rec
 		}
 		if ver < 2 {
 			if err := d.FlushAll(); err != nil {
@@ -411,7 +367,13 @@ func TestNestedRecordForms(t *testing.T) {
 		t.Fatalf("employment of %v at %d is not a one-element array: %x", rec, at, raw)
 	}
 	raw[at+2] = 0xEE
-	put(rec, raw)
+	part, key, _, err := d.locate(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.parts[part].UpsertSpan(key, encodeRecordBytes(raw, false), nil); err != nil {
+		t.Fatal(err)
+	}
 	if got := orderedRows(t, e, `SELECT VALUE u.name FROM GleambookUsers u WHERE u.id = 501;`); len(got) != 1 || got[0] != `"User 501"` {
 		t.Errorf("name of the damaged record: %v", got)
 	}

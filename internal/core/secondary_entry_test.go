@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -51,16 +49,12 @@ func searchIDs(t *testing.T, si *SecondaryIndex, keep func(*adm.Object) bool,
 // of one another, on tokens that are, and on integers beyond 2^53, finds
 // through the index what a scan finds — and SearchRange fetches no record
 // that adm.Compare puts outside the bounds (an exclusive bound costs no
-// Get). A dataset of float keys, where integers beyond 2^53 share keys,
-// answers the same through the residual filter above its outward-rounded
-// bounds.
+// Get).
 func TestSecondaryBoundsOnKeyBytes(t *testing.T) {
-	for _, f := range []adm.KeyFormat{adm.ExactKeys, adm.FloatKeys} {
-		t.Run([...]string{"FloatKeys", "ExactKeys"}[f], func(t *testing.T) { testSecondaryBounds(t, f) })
-	}
+	t.Run("ExactKeys", testSecondaryBounds)
 }
 
-func testSecondaryBounds(t *testing.T, f adm.KeyFormat) {
+func testSecondaryBounds(t *testing.T) {
 	on, off, noIndex := engineTrio(t, Config{})
 	recs := []string{
 		`{"id": 1, "v": 4, "s": "a", "t": "ab abc"}`, `{"id": 2, "v": 5, "s": "ab", "t": "abc"}`,
@@ -68,17 +62,14 @@ func testSecondaryBounds(t *testing.T, f adm.KeyFormat) {
 		`{"id": 5, "v": 6, "s": "", "t": "abcd"}`, `{"id": 6, "v": 9007199254740992, "s": "ab ", "t": "x"}`,
 		`{"id": 7, "v": 9007199254740993, "s": "b"}`, `{"id": 8, "v": -5, "s": "ab"}`, `{"id": 9, "s": null}`,
 	}
-	for _, e := range []**Engine{&on, &off, &noIndex} {
-		mustExec(t, *e, `
+	for _, e := range []*Engine{on, off, noIndex} {
+		mustExec(t, e, `
 			CREATE TYPE BT AS {id: int};
 			CREATE DATASET B(BT) PRIMARY KEY id;
 			CREATE INDEX bv ON B(v);
 			CREATE INDEX bs ON B(s);
-			CREATE INDEX bt ON B(t) TYPE KEYWORD;`)
-		if f == adm.FloatKeys {
-			*e = withFloatKeys(t, *e)
-		}
-		mustExec(t, *e, `UPSERT INTO B ([`+strings.Join(recs, ",")+`]);`)
+			CREATE INDEX bt ON B(t) TYPE KEYWORD;
+			UPSERT INTO B ([`+strings.Join(recs, ",")+`]);`)
 	}
 	constants := map[string][]string{
 		"v": {"5", "5.0", "4.5", "6", "-5", "9007199254740992", "9007199254740993", "9007199254740994.0"},
@@ -121,8 +112,7 @@ func testSecondaryBounds(t *testing.T, f adm.KeyFormat) {
 	}
 
 	// The same bounds on SearchRange itself, which has no residual above it:
-	// on exact keys it fetches exactly the records within them, on float keys
-	// at least those.
+	// it fetches exactly the records within them.
 	all := queryRows(t, off, `SELECT VALUE b FROM B b;`)
 	for field, cs := range constants {
 		si := indexOf(t, on, "B", "b"+field)
@@ -162,7 +152,7 @@ func testSecondaryBounds(t *testing.T, f adm.KeyFormat) {
 					got, fetched := searchIDs(t, si, within, func(p int, emit func(algebricks.Record) error) error {
 						return si.SearchRange(p, lo, hi, loInc, hiInc, emit)
 					})
-					if fmt.Sprint(got) != fmt.Sprint(want) || fetched < len(want) || f == adm.ExactKeys && fetched != len(want) {
+					if fmt.Sprint(got) != fmt.Sprint(want) || fetched != len(want) {
 						t.Errorf("SearchRange(%s: %v..%v, inclusive %v %v) fetched %d records, ids %v within the bounds; want %v",
 							field, lo, hi, loInc, hiInc, fetched, got, want)
 					}
@@ -181,18 +171,19 @@ func testSecondaryBounds(t *testing.T, f adm.KeyFormat) {
 	}
 }
 
-// mixedRec is a record of the mixed-forms dataset: v, t and loc are indexed.
-type mixedRec struct {
+// kindsRec is a record of dataset M, which has an index of every kind: v,
+// t and loc are indexed.
+type kindsRec struct {
 	v    int
 	t    string
 	x, y float64
 }
 
-func (r mixedRec) json(id int) string {
+func (r kindsRec) json(id int) string {
 	return fmt.Sprintf(`{"id": %d, "v": %d, "t": "%s", "loc": point(%g, %g), "pad": "%d"}`, id, r.v, r.t, r.x, r.y, id)
 }
 
-const mixedDDL = `
+const kindsDDL = `
 CREATE TYPE MT AS {id: int};
 CREATE DATASET M(MT) PRIMARY KEY id;
 CREATE INDEX mB ON M(v);
@@ -203,10 +194,10 @@ CREATE INDEX mG ON M(loc) TYPE GRID;
 CREATE INDEX mR ON M(loc) TYPE RTREE;
 `
 
-// checkMixed compares every search kind of every index of M with the oracle.
-func checkMixed(t *testing.T, e *Engine, oracle map[int]mixedRec, when string) {
+// checkKinds compares every search kind of every index of M with the oracle.
+func checkKinds(t *testing.T, e *Engine, oracle map[int]kindsRec, when string) {
 	t.Helper()
-	ids := func(keep func(mixedRec) bool) []int {
+	ids := func(keep func(kindsRec) bool) []int {
 		var out []int
 		for id, r := range oracle {
 			if keep(r) {
@@ -229,14 +220,14 @@ func checkMixed(t *testing.T, e *Engine, oracle map[int]mixedRec, when string) {
 		got, _ := searchIDs(t, si, nil, func(p int, emit func(algebricks.Record) error) error {
 			return si.SearchRange(p, adm.Int64(lo), adm.Int64(hi), true, true, emit)
 		})
-		expect(fmt.Sprintf("BTREE [%d..%d]", lo, hi), got, ids(func(r mixedRec) bool { return r.v >= lo && r.v <= hi }))
+		expect(fmt.Sprintf("BTREE [%d..%d]", lo, hi), got, ids(func(r kindsRec) bool { return r.v >= lo && r.v <= hi }))
 	}
 	for _, tok := range []string{"red", "green", "blue", "teal"} {
 		si := indexOf(t, e, "M", "mK")
 		got, _ := searchIDs(t, si, nil, func(p int, emit func(algebricks.Record) error) error {
 			return si.SearchKeyword(p, tok, emit)
 		})
-		expect("KEYWORD "+tok, got, ids(func(r mixedRec) bool { return strings.Contains(" "+r.t+" ", " "+tok+" ") }))
+		expect("KEYWORD "+tok, got, ids(func(r kindsRec) bool { return strings.Contains(" "+r.t+" ", " "+tok+" ") }))
 	}
 	for _, rect := range []adm.Rectangle{{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}, {MinX: 0, MinY: 0, MaxX: 40, MaxY: 5}, {MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}} {
 		for _, name := range []string{"mZ", "mH", "mG", "mR"} {
@@ -248,7 +239,7 @@ func checkMixed(t *testing.T, e *Engine, oracle map[int]mixedRec, when string) {
 			got, _ := searchIDs(t, si, inside, func(p int, emit func(algebricks.Record) error) error {
 				return si.SearchSpatial(p, rect, emit)
 			})
-			expect(fmt.Sprintf("%s %v", si.Kind(), rect), got, ids(func(r mixedRec) bool { return rect.Contains(r.x, r.y) }))
+			expect(fmt.Sprintf("%s %v", si.Kind(), rect), got, ids(func(r kindsRec) bool { return rect.Contains(r.x, r.y) }))
 		}
 	}
 	if err := d.Validate(); err != nil {
@@ -256,25 +247,24 @@ func checkMixed(t *testing.T, e *Engine, oracle map[int]mixedRec, when string) {
 	}
 }
 
-// An index holds entries written before entries were key-only — the same
-// key, with a value of [secondary key, primary key] that nothing reads any
-// more — beside key-only ones, in the memory component and in disk
-// components, through overwrites, deletes, flushes, a merge, a crash and an
-// index build: every search kind answers as a map of the records does.
-func TestMixedSecondaryEntryForms(t *testing.T) {
+// An index of every kind holds a record's entries in the memory component
+// and in disk components, through overwrites that move or keep them,
+// deletes, flushes, a merge, a crash and an index build: every search kind
+// answers as a map of the records does.
+func TestEveryIndexKindThroughHistory(t *testing.T) {
 	t.Setenv("ASTERIX_INVARIANTS", "1")
 	e := newEngine(t, Config{MergePolicy: lsm.ConstantPolicy{Components: 1}})
-	mustExec(t, e, mixedDDL)
+	mustExec(t, e, kindsDDL)
 	r := rand.New(rand.NewSource(28))
 	colors := []string{"red", "green", "blue", "teal"}
-	gen := func() mixedRec {
-		return mixedRec{
+	gen := func() kindsRec {
+		return kindsRec{
 			v: r.Intn(10), t: colors[r.Intn(4)] + " " + colors[r.Intn(4)],
 			x: float64(r.Intn(120) - 60), y: float64(r.Intn(60) - 30),
 		}
 	}
-	oracle := map[int]mixedRec{}
-	upsert := func(lo, hi int, change func(old mixedRec) mixedRec) {
+	oracle := map[int]kindsRec{}
+	upsert := func(lo, hi int, change func(old kindsRec) kindsRec) {
 		var recs []string
 		for id := lo; id < hi; id++ {
 			oracle[id] = change(oracle[id])
@@ -282,56 +272,22 @@ func TestMixedSecondaryEntryForms(t *testing.T) {
 		}
 		mustExec(t, e, `UPSERT INTO M ([`+strings.Join(recs, ",")+`]);`)
 	}
-	fresh := func(mixedRec) mixedRec { return gen() }
-
-	// valued rewrites, as the parent of this format wrote them, the entries
-	// of the records in [lo, hi) of every B-tree-shaped index.
-	valued := func(lo, hi int) {
-		d, _ := e.Dataset("M")
-		for id := lo; id < hi; id++ {
-			pk, _ := d.encodePK([]adm.Value{adm.Int64(id)})
-			part := d.partitionOf([]adm.Value{adm.Int64(id)})
-			rec, ok, err := d.getRecord(part, pk)
-			if err != nil || !ok {
-				t.Fatalf("record %d: %v %v", id, ok, err)
-			}
-			for _, si := range d.idxs {
-				var ks entryKeys
-				if err := si.appendEntries(&ks, pk, rec); err != nil {
-					t.Fatal(err)
-				}
-				start := 0
-				for _, end := range ks.ends {
-					key := ks.buf[start:end]
-					n, _ := d.keys.Len(key)
-					// What the secondary key decoded to is not read back;
-					// the parent stored the indexed value or the token.
-					val := adm.EncodeValue(adm.Array{adm.Binary(key[:n]), adm.Binary(pk)})
-					if err := si.trees[part].Upsert(key, val); err != nil {
-						t.Fatal(err)
-					}
-					start = end
-				}
-			}
-		}
-	}
+	fresh := func(kindsRec) kindsRec { return gen() }
 
 	upsert(0, 60, fresh)
-	valued(0, 40) // valued entries in the memory component
-	checkMixed(t, e, oracle, "valued and key-only entries in memory")
+	checkKinds(t, e, oracle, "in memory")
 	if err := e.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	upsert(60, 90, fresh)
-	valued(60, 70)
-	upsert(10, 30, fresh)                                                              // overwrites of valued entries, on disk
-	upsert(30, 35, func(o mixedRec) mixedRec { o.x++; return o })                      // keeps v and t
-	upsert(65, 68, func(o mixedRec) mixedRec { o.t = "teal " + o.t; o.v++; return o }) // valued, in memory
+	upsert(10, 30, fresh)                                                              // overwrites of entries on disk
+	upsert(30, 35, func(o kindsRec) kindsRec { o.x++; return o })                      // keeps v and t
+	upsert(65, 68, func(o kindsRec) kindsRec { o.t = "teal " + o.t; o.v++; return o }) // in memory
 	mustExec(t, e, `DELETE FROM M m WHERE m.id >= 35 AND m.id < 45;`)
 	for id := 35; id < 45; id++ {
 		delete(oracle, id)
 	}
-	checkMixed(t, e, oracle, "overwrites and deletes over a disk component")
+	checkKinds(t, e, oracle, "overwrites and deletes over a disk component")
 	if err := e.Checkpoint(); err != nil { // second component: merge
 		t.Fatal(err)
 	}
@@ -339,9 +295,8 @@ func TestMixedSecondaryEntryForms(t *testing.T) {
 	if _, merges := d.LSMStats(); merges == 0 {
 		t.Fatal("no merge ran")
 	}
-	checkMixed(t, e, oracle, "merged")
+	checkKinds(t, e, oracle, "merged")
 	upsert(85, 110, fresh)
-	valued(100, 105)
 	mustExec(t, e, `DELETE FROM M m WHERE m.id = 3;`)
 	delete(oracle, 3)
 	if err := e.CrashStop(); err != nil {
@@ -352,9 +307,9 @@ func TestMixedSecondaryEntryForms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	checkMixed(t, e2, oracle, "reopened after a crash")
+	checkKinds(t, e2, oracle, "reopened after a crash")
 	mustExec(t, e2, `DROP INDEX M.mB; DROP INDEX M.mK; CREATE INDEX mB ON M(v); CREATE INDEX mK ON M(t) TYPE KEYWORD;`)
-	checkMixed(t, e2, oracle, "indexes built anew")
+	checkKinds(t, e2, oracle, "indexes built anew")
 }
 
 // After a crash the primary index can be a flush ahead of a secondary: the
@@ -438,43 +393,6 @@ func TestSecondaryWritesOnlyWhatChanged(t *testing.T) {
 		if rows := queryRows(t, e2, q); len(rows) != 1 || rows[0].String() != "7" {
 			t.Errorf("%s: got %v, want [7]", q, rows)
 		}
-	}
-}
-
-// Float key bytes carry an integer as a float64, so beyond ±2^53 two
-// primary keys would share them: in a dataset of float keys such a key is
-// refused, as a record and as a search bound, rather than stored over, or
-// answered with, its neighbour.
-func TestInexactPrimaryKeyRefused(t *testing.T) {
-	e := newEngine(t, Config{})
-	mustExec(t, e, `
-		CREATE TYPE WT AS {id: int};
-		CREATE DATASET W(WT) PRIMARY KEY id;`)
-	e = withFloatKeys(t, e)
-	mustExec(t, e, `
-		UPSERT INTO W ([{"id": 9007199254740992, "v": "a"}, {"id": -9007199254740992, "v": "n"}, {"id": 5, "v": "c"}]);`)
-	for _, stmt := range []string{
-		`UPSERT INTO W ({"id": 9007199254740993, "v": "b"});`,
-		`INSERT INTO W ({"id": -9007199254740993, "v": "b"});`,
-		`UPSERT INTO W ({"id": 9223372036854775807, "v": "b"});`,
-		`SELECT VALUE w.v FROM W w WHERE w.id = 9007199254740993;`,
-		`DELETE FROM W w WHERE w.id = 9007199254740993;`,
-	} {
-		if _, err := e.Execute(context.Background(), stmt); !errors.Is(err, ErrInexactKey) {
-			t.Errorf("%s: error %v, want ErrInexactKey", stmt, err)
-		}
-	}
-	if _, _, err := e.GetKey("W", adm.Int64(1<<53+1)); !errors.Is(err, ErrInexactKey) {
-		t.Errorf("GetKey(2^53+1): error %v, want ErrInexactKey", err)
-	}
-	if got := sortedRows(t, e, `SELECT VALUE w.v FROM W w;`); strings.Join(got, ",") != `"a","c","n"` {
-		t.Errorf("records after the refused writes: %v", got)
-	}
-	if got := sortedRows(t, e, `SELECT VALUE w.v FROM W w WHERE w.id = 9007199254740992;`); strings.Join(got, ",") != `"a"` {
-		t.Errorf("id = 2^53 returned %v", got)
-	}
-	if got := sortedRows(t, e, `SELECT VALUE w.v FROM W w WHERE w.id = 9007199254740992.0 OR w.id = 1e300;`); strings.Join(got, ",") != `"a"` {
-		t.Errorf("double constants returned %v", got)
 	}
 }
 

@@ -186,7 +186,7 @@ func TestTornStatementRedoesNothing(t *testing.T) {
 	recs = recs[len(recs)-21:]
 	var cuts []int64
 	for i, r := range recs {
-		if i < 20 && (r.Type != txn.RecStoredUpdate || r.TxnID != recs[20].TxnID) || i == 20 && r.Type != txn.RecCommit {
+		if i < 20 && (r.Type != txn.RecUpdate || r.TxnID != recs[20].TxnID) || i == 20 && r.Type != txn.RecCommit {
 			t.Fatalf("log record %d of the statement: %+v", i, r)
 		}
 		cuts = append(cuts, r.LSN)
@@ -215,71 +215,4 @@ func TestTornStatementRedoesNothing(t *testing.T) {
 		}
 		e2.Close()
 	}
-}
-
-// A log written before updates named incarnations — dataset names and
-// generic-form values — under a catalog without incarnations replays, and
-// what is logged after it replays with it.
-func TestPreIncarnationLogReplays(t *testing.T) {
-	e := newEngine(t, Config{})
-	mustExec(t, e, gleambookDDL)
-	d, _ := e.Dataset("GleambookUsers")
-	dir := e.cfg.DataDir
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lm, err := txn.OpenLog(filepath.Join(dir, "txnlog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logged []txn.LogRecord
-	for i := 0; i < 6; i++ {
-		part, key, _, err := d.locate(userObj(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := txn.LogRecord{Type: txn.RecUpdate, TxnID: 7, Dataset: "GleambookUsers", Partition: int32(part), Op: txn.OpUpsert, Key: key, Value: adm.EncodeValue(userObj(i))}
-		switch i {
-		case 4:
-			u.TxnID = 8 // never commits
-		case 5:
-			u.Op, u.Value = txn.OpDelete, nil // deletes user 0 again, after its upsert
-			u.Partition, u.Key = logged[0].Partition, logged[0].Key
-		}
-		logged = append(logged, u)
-	}
-	if err := lm.Append(append(logged, txn.LogRecord{Type: txn.RecCommit, TxnID: 7})...); err != nil {
-		t.Fatal(err)
-	}
-	lm.Close()
-	// The catalog as it was before incarnations.
-	editCatalog(t, dir, func(cat map[string]any) {
-		delete(cat, "incarnations")
-		for _, ds := range cat["datasets"].([]any) {
-			delete(ds.(map[string]any), "incarnation")
-		}
-	})
-
-	e2, err := e.Reopen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 3}
-	check := func(e *Engine, want []int) {
-		t.Helper()
-		got := orderedRows(t, e, `SELECT VALUE u.id FROM GleambookUsers u ORDER BY u.id;`)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("ids %v, want %v", got, want)
-		}
-		for _, id := range want {
-			if o, ok, err := e.GetKey("GleambookUsers", adm.Int64(int64(id))); err != nil || !ok || adm.Compare(o, userObj(id)) != 0 {
-				t.Fatalf("GetKey(%d) = %v, %v, %v", id, o, ok, err)
-			}
-		}
-	}
-	check(e2, want)
-	if err := e2.UpsertValue("GleambookUsers", userObj(9)); err != nil {
-		t.Fatal(err)
-	}
-	check(crashAndReopen(t, e2), append(want, 9))
 }

@@ -6,7 +6,9 @@ package metadata
 import (
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,12 +40,10 @@ type TypeRef struct {
 
 // DatasetDef is a persisted dataset definition. Incarnation tells datasets
 // of one name apart: each CREATE draws a fresh one from the catalog's
-// counter, and the WAL names a dataset by it. KeyFormat is the layout of its
-// key bytes: ExactKeys from CREATE on, FloatKeys (none) in older catalogs.
+// counter, and the WAL names a dataset by it.
 type DatasetDef struct {
 	Name        string            `json:"name"`
 	Incarnation int64             `json:"incarnation,omitempty"`
-	KeyFormat   adm.KeyFormat     `json:"keyFormat,omitempty"`
 	TypeName    string            `json:"type"`
 	PrimaryKey  []string          `json:"primaryKey,omitempty"`
 	Partitions  int               `json:"partitions"`
@@ -72,7 +72,17 @@ type Catalog struct {
 	incarnations int64
 }
 
-// Open loads (or initializes) the catalog at dir/metadata.json.
+// StorageFormat is the version of everything a data directory stores: the
+// catalog, the WAL, and the key and record bytes of every component. A
+// change to any of them bumps it; no reader of an older form is kept.
+const StorageFormat = 1
+
+// ErrStorageFormat refuses a data directory written in another storage
+// format than this build's.
+var ErrStorageFormat = errors.New("data directory of another storage format")
+
+// Open loads (or initializes) the catalog at dir/metadata.json. It writes
+// nothing to a catalog it finds, and refuses one of another StorageFormat.
 func Open(dir string) (*Catalog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -94,40 +104,47 @@ func Open(dir string) (*Catalog, error) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("metadata: corrupt catalog: %w", err)
 	}
+	if snap.Format != StorageFormat {
+		return nil, fmt.Errorf("metadata: %w: %s is format %d, this build reads format %d", ErrStorageFormat, dir, snap.Format, StorageFormat)
+	}
 	for _, t := range snap.Types {
 		c.Types[t.Name] = t
+	}
+	for _, d := range snap.Datasets {
+		c.Datasets[d.Name] = d
 	}
 	for _, i := range snap.Indexes {
 		c.Indexes[i.Dataset+"."+i.Name] = i
 	}
-	// A dataset of a catalog written before incarnations has none: it gets
-	// one now, saved before the log can name it.
 	c.incarnations = snap.Incarnations
-	for _, d := range snap.Datasets { // in name order
-		c.Datasets[d.Name] = d
-		if d.Incarnation == 0 {
-			c.incarnations++
-			d.Incarnation = c.incarnations
-		}
-	}
-	if c.incarnations != snap.Incarnations {
-		if err := c.save(); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
 }
 
+// catalogSnapshot is the catalog as metadata.json holds it. A catalog
+// without a format is of format 0.
 type catalogSnapshot struct {
+	Format       int           `json:"format"`
 	Types        []*TypeDef    `json:"types"`
 	Datasets     []*DatasetDef `json:"datasets"`
 	Indexes      []*IndexDef   `json:"indexes"`
 	Incarnations int64         `json:"incarnations,omitempty"`
 }
 
+// change applies a change to the catalog and saves it; when the save fails,
+// the catalog is left as it was before the change (caller holds mu).
+func (c *Catalog) change(apply func()) error {
+	types, datasets, indexes, incarnations := maps.Clone(c.Types), maps.Clone(c.Datasets), maps.Clone(c.Indexes), c.incarnations
+	apply()
+	if err := c.save(); err != nil {
+		c.Types, c.Datasets, c.Indexes, c.incarnations = types, datasets, indexes, incarnations
+		return err
+	}
+	return nil
+}
+
 // save persists the catalog (caller holds mu).
 func (c *Catalog) save() error {
-	snap := catalogSnapshot{Incarnations: c.incarnations}
+	snap := catalogSnapshot{Format: StorageFormat, Incarnations: c.incarnations}
 	for _, t := range c.Types {
 		snap.Types = append(snap.Types, t)
 	}
@@ -163,8 +180,7 @@ func (c *Catalog) AddType(t *TypeDef, ifNotExists bool) error {
 		}
 		return fmt.Errorf("metadata: type %q already exists", t.Name)
 	}
-	c.Types[t.Name] = t
-	return c.save()
+	return c.change(func() { c.Types[t.Name] = t })
 }
 
 // AddDataset registers a dataset.
@@ -182,10 +198,11 @@ func (c *Catalog) AddDataset(d *DatasetDef, ifNotExists bool) error {
 			return fmt.Errorf("metadata: unknown type %q", d.TypeName)
 		}
 	}
-	c.incarnations++
-	d.Incarnation, d.KeyFormat = c.incarnations, adm.ExactKeys
-	c.Datasets[d.Name] = d
-	return c.save()
+	return c.change(func() {
+		c.incarnations++
+		d.Incarnation = c.incarnations
+		c.Datasets[d.Name] = d
+	})
 }
 
 // AddIndex registers a secondary index.
@@ -206,8 +223,7 @@ func (c *Catalog) AddIndex(i *IndexDef, ifNotExists bool) error {
 	if ds.External {
 		return fmt.Errorf("metadata: cannot index external dataset %q", i.Dataset)
 	}
-	c.Indexes[key] = i
-	return c.save()
+	return c.change(func() { c.Indexes[key] = i })
 }
 
 // DropDataset removes a dataset and its indexes.
@@ -220,13 +236,10 @@ func (c *Catalog) DropDataset(name string, ifExists bool) error {
 		}
 		return fmt.Errorf("metadata: unknown dataset %q", name)
 	}
-	delete(c.Datasets, name)
-	for k, i := range c.Indexes {
-		if i.Dataset == name {
-			delete(c.Indexes, k)
-		}
-	}
-	return c.save()
+	return c.change(func() {
+		delete(c.Datasets, name)
+		maps.DeleteFunc(c.Indexes, func(_ string, i *IndexDef) bool { return i.Dataset == name })
+	})
 }
 
 // DropType removes a named type.
@@ -257,8 +270,7 @@ func (c *Catalog) DropType(name string, ifExists bool) error {
 			}
 		}
 	}
-	delete(c.Types, name)
-	return c.save()
+	return c.change(func() { delete(c.Types, name) })
 }
 
 // DropIndex removes an index.
@@ -272,8 +284,7 @@ func (c *Catalog) DropIndex(dataset, name string, ifExists bool) error {
 		}
 		return fmt.Errorf("metadata: unknown index %q on %q", name, dataset)
 	}
-	delete(c.Indexes, key)
-	return c.save()
+	return c.change(func() { delete(c.Indexes, key) })
 }
 
 // Dataset looks up a dataset.

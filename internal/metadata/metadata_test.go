@@ -1,7 +1,10 @@
 package metadata
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,25 +192,21 @@ func TestDropTypeRefusesNestedUse(t *testing.T) {
 }
 
 // Every CREATE of a dataset draws a new incarnation, never one handed out
-// before — not across a drop, not across a reopen — and a catalog written
-// without incarnations gets them, persisted, when it is opened. Every CREATE
-// records exact keys, whatever the caller asked; a dataset of a catalog
-// written without key formats keeps float keys through opens and saves.
+// before — not across a drop, not across a reopen.
 func TestDatasetIncarnations(t *testing.T) {
 	c, dir := newCat(t)
 	c.AddType(employmentType(), false)
 	seen := map[int64]bool{}
-	create := func(c *Catalog, name string) int64 {
+	create := func(c *Catalog, name string) {
 		t.Helper()
-		d := &DatasetDef{Name: name, TypeName: "EmploymentType", PrimaryKey: []string{"organizationName"}, Partitions: 1, KeyFormat: adm.FloatKeys}
+		d := &DatasetDef{Name: name, TypeName: "EmploymentType", PrimaryKey: []string{"organizationName"}, Partitions: 1}
 		if err := c.AddDataset(d, false); err != nil {
 			t.Fatal(err)
 		}
-		if d.Incarnation <= 0 || seen[d.Incarnation] || d.KeyFormat != adm.ExactKeys {
-			t.Fatalf("%s: incarnation %d, handed out before: %v; key format %d", name, d.Incarnation, seen, d.KeyFormat)
+		if d.Incarnation <= 0 || seen[d.Incarnation] {
+			t.Fatalf("%s: incarnation %d, handed out before: %v", name, d.Incarnation, seen)
 		}
 		seen[d.Incarnation] = true
-		return d.Incarnation
 	}
 	create(c, "A")
 	create(c, "B")
@@ -217,55 +216,162 @@ func TestDatasetIncarnations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, _ := c2.Dataset("A"); !seen[a.Incarnation] || a.KeyFormat != adm.ExactKeys {
-		t.Fatalf("reopened A has incarnation %d, key format %d", a.Incarnation, a.KeyFormat)
+	if a, _ := c2.Dataset("A"); !seen[a.Incarnation] {
+		t.Fatalf("reopened A has incarnation %d", a.Incarnation)
 	}
 	c2.DropDataset("B", false)
 	create(c2, "B")
+}
 
-	// The same catalog without incarnations and key formats.
+// editCatalog rewrites the catalog at dir/metadata.json as edit leaves its
+// JSON document.
+func editCatalog(t *testing.T, dir string, edit func(cat map[string]any)) {
+	t.Helper()
 	path := filepath.Join(dir, "metadata.json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]any
-	if err := json.Unmarshal(data, &snap); err != nil {
+	var cat map[string]any
+	if err := json.Unmarshal(data, &cat); err != nil {
 		t.Fatal(err)
 	}
-	delete(snap, "incarnations")
-	for _, d := range snap["datasets"].([]any) {
-		delete(d.(map[string]any), "incarnation")
-		delete(d.(map[string]any), "keyFormat")
-	}
-	if data, err = json.Marshal(snap); err != nil {
+	edit(cat)
+	if data, err = json.Marshal(cat); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c3, err := Open(dir)
+}
+
+// A catalog records the storage format, and Open refuses one of another
+// format — format 0, a catalog without the field, and a later one alike —
+// with ErrStorageFormat naming both versions, and writes nothing.
+func TestStorageFormatGate(t *testing.T) {
+	c, dir := newCat(t)
+	c.AddType(employmentType(), false)
+	if err := c.AddDataset(&DatasetDef{Name: "A", TypeName: "EmploymentType", Partitions: 1}, false); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "metadata.json")
+	saved, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := c3.Dataset("A")
-	b, _ := c3.Dataset("B")
-	if a.Incarnation <= 0 || b.Incarnation <= 0 || a.Incarnation == b.Incarnation {
-		t.Fatalf("incarnations given on open: A %d, B %d", a.Incarnation, b.Incarnation)
+	var snap struct{ Format *int }
+	if err := json.Unmarshal(saved, &snap); err != nil || snap.Format == nil || *snap.Format != 1 {
+		t.Fatalf("a new catalog saved format %v (%v), want 1", snap.Format, err)
 	}
-	c4, err := Open(dir)
+	if c2, err := Open(dir); err != nil {
+		t.Fatalf("reopening a new catalog: %v", err)
+	} else if a, ok := c2.Dataset("A"); !ok || a.Incarnation != 1 {
+		t.Fatalf("reopened catalog has dataset A %v, %v", a, ok)
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(cat map[string]any)
+	}{
+		{"format 0", "format 0", func(cat map[string]any) {
+			delete(cat, "format")
+			delete(cat, "incarnations")
+			for _, d := range cat["datasets"].([]any) {
+				delete(d.(map[string]any), "incarnation")
+			}
+		}},
+		{"format 2", "format 2", func(cat map[string]any) { cat["format"] = 2 }},
+	} {
+		if err := os.WriteFile(path, saved, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		editCatalog(t, dir, c.edit)
+		before, _ := os.ReadFile(path)
+		_, err := Open(dir)
+		if !errors.Is(err, ErrStorageFormat) || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "format 1") {
+			t.Errorf("%s: Open = %v, want ErrStorageFormat naming %s and format 1", c.name, err, c.want)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+			t.Errorf("%s: the refused catalog was rewritten:\n%s", c.name, after)
+		}
+	}
+}
+
+// catalogState renders what a catalog answers for the names the failed-save
+// test uses.
+func catalogState(c *Catalog) string {
+	var b strings.Builder
+	for _, name := range []string{"EmploymentType", "UserType", "Spare", "Other"} {
+		_, ok := c.Type(name)
+		fmt.Fprintf(&b, "type %s %v; ", name, ok)
+	}
+	for _, name := range []string{"Users", "Other"} {
+		d, ok := c.Dataset(name)
+		fmt.Fprintf(&b, "dataset %s %v", name, ok)
+		if ok {
+			fmt.Fprintf(&b, " incarnation %d", d.Incarnation)
+		}
+		for _, i := range c.IndexesOf(name) {
+			fmt.Fprintf(&b, " index %s", i.Name)
+		}
+		b.WriteString("; ")
+	}
+	return b.String()
+}
+
+// A change whose save fails returns the error and leaves the catalog as it
+// was, incarnation counter included; the same change succeeds once the save
+// can. The catalog on disk then answers as the one in memory.
+func TestFailedSaveChangesNothing(t *testing.T) {
+	c, dir := newCat(t)
+	c.AddType(employmentType(), false)
+	c.AddType(userType(), false)
+	c.AddType(&TypeDef{Name: "Spare"}, false)
+	c.AddDataset(&DatasetDef{Name: "Users", TypeName: "UserType", PrimaryKey: []string{"id"}, Partitions: 1}, false)
+	c.AddIndex(&IndexDef{Name: "idx", Dataset: "Users", Fields: []string{"id"}, Kind: "BTREE"}, false)
+	tmp := filepath.Join(dir, "metadata.json.tmp")
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"AddType", func() error { return c.AddType(&TypeDef{Name: "Other"}, false) }},
+		{"AddDataset", func() error {
+			return c.AddDataset(&DatasetDef{Name: "Other", TypeName: "Spare", PrimaryKey: []string{"id"}, Partitions: 1}, false)
+		}},
+		{"AddIndex", func() error {
+			return c.AddIndex(&IndexDef{Name: "idx2", Dataset: "Users", Fields: []string{"friendIds"}, Kind: "BTREE"}, false)
+		}},
+		{"DropIndex", func() error { return c.DropIndex("Users", "idx", false) }},
+		{"DropDataset", func() error { return c.DropDataset("Users", false) }},
+		{"DropType", func() error { return c.DropType("Other", false) }},
+	} {
+		before := catalogState(c)
+		if err := os.Mkdir(tmp, 0o755); err != nil { // the save cannot write its temporary file
+			t.Fatal(err)
+		}
+		if err := step.run(); err == nil {
+			t.Fatalf("%s succeeded with the save failing", step.name)
+		}
+		if after := catalogState(c); after != before {
+			t.Errorf("%s failed and changed the catalog:\n before %s\n after  %s", step.name, before, after)
+		}
+		if err := os.Remove(tmp); err != nil {
+			t.Fatal(err)
+		}
+		if err := step.run(); err != nil {
+			t.Fatalf("%s once the save can: %v", step.name, err)
+		}
+		if catalogState(c) == before {
+			t.Errorf("%s changed nothing", step.name)
+		}
+	}
+	if d, _ := c.Dataset("Other"); d.Incarnation != 2 {
+		t.Errorf("the dataset created after a failed CREATE has incarnation %d, want 2", d.Incarnation)
+	}
+	c2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a4, _ := c4.Dataset("A"); a4.Incarnation != a.Incarnation || a4.KeyFormat != adm.FloatKeys {
-		t.Fatalf("incarnation given on open not persisted: %d, then %d; key format %d", a.Incarnation, a4.Incarnation, a4.KeyFormat)
-	}
-	if d := (&DatasetDef{Name: "C", TypeName: "EmploymentType", Partitions: 1}); c4.AddDataset(d, false) != nil || d.Incarnation == a.Incarnation || d.Incarnation == b.Incarnation || d.KeyFormat != adm.ExactKeys {
-		t.Fatalf("new dataset after open: incarnation %d, key format %d", d.Incarnation, d.KeyFormat)
-	}
-	if c5, err := Open(dir); err != nil {
-		t.Fatal(err)
-	} else if a5, _ := c5.Dataset("A"); a5.KeyFormat != adm.FloatKeys {
-		t.Fatalf("A has key format %d after a save", a5.KeyFormat)
+	if got, want := catalogState(c2), catalogState(c); got != want {
+		t.Errorf("reopened catalog:\n got  %s\n want %s", got, want)
 	}
 }

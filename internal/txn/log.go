@@ -25,16 +25,13 @@ import (
 // RecordType tags log records.
 type RecordType uint8
 
-// Log record types. An update is logged as a RecStoredUpdate: it names its
+// Log record types, numbered as the log stores them. A RecUpdate names its
 // dataset by incarnation and carries the value as the dataset stores it.
-// RecUpdate — a dataset name and a value in the generic form — is what logs
-// written before held; it is still read and redone.
 const (
-	RecUpdate RecordType = iota + 1
-	RecCommit
+	RecCommit RecordType = iota + 2
 	RecAbort
 	RecCheckpoint
-	RecStoredUpdate
+	RecUpdate
 )
 
 // walChunk is the most of a batch of records one write system call
@@ -52,11 +49,10 @@ const (
 
 // LogRecord is one entry in the WAL.
 type LogRecord struct {
-	LSN     int64 // byte offset in the log (assigned by Append)
-	Type    RecordType
-	TxnID   int64
-	Dataset string // RecUpdate: the dataset's name
-	// Incarnation is, for a RecStoredUpdate, the dataset's incarnation.
+	LSN   int64 // byte offset in the log (assigned by Append)
+	Type  RecordType
+	TxnID int64
+	// Incarnation is, for a RecUpdate, the dataset's incarnation.
 	Incarnation int64
 	Partition   int32
 	Op          Op
@@ -177,15 +173,10 @@ func (lm *LogManager) Writes() (calls, bytes int64) {
 // checksum, then the body.
 func appendFramed(buf []byte, r *LogRecord) []byte {
 	at := len(buf)
-	buf = append(slices.Grow(buf, 40+len(r.Dataset)+len(r.Key)+len(r.Value)), make([]byte, 8)...)
+	buf = append(slices.Grow(buf, 40+len(r.Key)+len(r.Value)), make([]byte, 8)...)
 	buf = append(buf, byte(r.Type))
 	buf = binary.AppendVarint(buf, r.TxnID)
-	if r.Type == RecStoredUpdate {
-		buf = binary.AppendUvarint(buf, uint64(r.Incarnation))
-	} else {
-		buf = binary.AppendUvarint(buf, uint64(len(r.Dataset)))
-		buf = append(buf, r.Dataset...)
-	}
+	buf = binary.AppendUvarint(buf, uint64(r.Incarnation))
 	buf = binary.AppendVarint(buf, int64(r.Partition))
 	buf = append(buf, byte(r.Op))
 	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
@@ -213,15 +204,11 @@ func decodeRecord(body []byte) (*LogRecord, error) {
 	r.TxnID = v
 	pos += n
 	l, n := binary.Uvarint(body[pos:])
-	if r.Type == RecStoredUpdate { // an incarnation where a name would be
-		r.Incarnation, l = int64(l), 0
-	}
-	if n <= 0 || pos+n+int(l) > len(body) {
+	if n <= 0 {
 		return nil, fmt.Errorf("txn: corrupt record")
 	}
+	r.Incarnation = int64(l)
 	pos += n
-	r.Dataset = string(body[pos : pos+int(l)])
-	pos += int(l)
 	v, n = binary.Varint(body[pos:])
 	if n <= 0 {
 		return nil, fmt.Errorf("txn: corrupt record")

@@ -217,7 +217,7 @@ func (t *Txn) LogUpdates(dataset string, inc int64, ups []LogRecord) error {
 		if err := t.mgr.Locks.lock(t.ID, dataset, ups[i].Key, t.span); err != nil {
 			return err
 		}
-		ups[i].Type, ups[i].TxnID, ups[i].Incarnation = RecStoredUpdate, t.ID, inc
+		ups[i].Type, ups[i].TxnID, ups[i].Incarnation = RecUpdate, t.ID, inc
 	}
 	return t.mgr.Log.Append(ups...)
 }
@@ -304,7 +304,7 @@ func (m *Manager) Recover(apply func(rec *LogRecord) error) (int, error) {
 	redone := 0
 	var applyErr error
 	err = m.Log.Scan(start, func(rec *LogRecord) bool {
-		if (rec.Type == RecUpdate || rec.Type == RecStoredUpdate) && committed[rec.TxnID] {
+		if rec.Type == RecUpdate && committed[rec.TxnID] {
 			if e := apply(rec); e != nil {
 				applyErr = e
 				return false

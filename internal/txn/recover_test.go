@@ -39,7 +39,7 @@ func TestLogUpdatesIsOneWrite(t *testing.T) {
 			t.Fatalf("scanned %d records, logged %d", len(got), c.records)
 		}
 		for i, r := range got {
-			if r.Type != RecStoredUpdate || r.TxnID != tx.ID || r.Incarnation != 42 || r.Partition != int32(i) ||
+			if r.Type != RecUpdate || r.TxnID != tx.ID || r.Incarnation != 42 || r.Partition != int32(i) ||
 				r.LSN != ups[i].LSN || !bytes.Equal(r.Key, ups[i].Key) || !bytes.Equal(r.Value, ups[i].Value) {
 				t.Fatalf("record %d reads back as %+v", i, r)
 			}

@@ -32,8 +32,8 @@ func logOne(tx *Txn, ds string, op Op, key, value []byte) error {
 func TestLogAppendScanRoundTrip(t *testing.T) {
 	lm, _ := newLog(t)
 	recs := []*LogRecord{
-		{Type: RecUpdate, TxnID: 1, Dataset: "Users", Partition: 2, Op: OpUpsert, Key: []byte("k1"), Value: []byte("v1")},
-		{Type: RecUpdate, TxnID: 1, Dataset: "Users", Partition: 0, Op: OpDelete, Key: []byte("k2")},
+		{Type: RecUpdate, TxnID: 1, Incarnation: 3, Partition: 2, Op: OpUpsert, Key: []byte("k1"), Value: []byte("v1")},
+		{Type: RecUpdate, TxnID: 1, Incarnation: 3, Partition: 0, Op: OpDelete, Key: []byte("k2")},
 		{Type: RecCommit, TxnID: 1},
 	}
 	for _, r := range recs {
@@ -48,7 +48,7 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("scanned %d records", len(got))
 	}
-	if got[0].Dataset != "Users" || string(got[0].Key) != "k1" || string(got[0].Value) != "v1" {
+	if got[0].Incarnation != 3 || string(got[0].Key) != "k1" || string(got[0].Value) != "v1" {
 		t.Errorf("record 0 mismatch: %+v", got[0])
 	}
 	if got[1].Op != OpDelete || got[1].Partition != 0 {
@@ -65,7 +65,7 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 
 func TestLogTornTailIgnored(t *testing.T) {
 	lm, dir := newLog(t)
-	lm.Append(LogRecord{Type: RecUpdate, TxnID: 1, Dataset: "d", Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
+	lm.Append(LogRecord{Type: RecUpdate, TxnID: 1, Incarnation: 1, Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
 	lm.Append(LogRecord{Type: RecCommit, TxnID: 1})
 	lm.Close()
 	// Simulate a crash mid-append: garbage partial header at the tail.
@@ -224,7 +224,7 @@ func TestManagerIDsMonotonic(t *testing.T) {
 
 func TestRepairTailTruncatesGarbage(t *testing.T) {
 	lm, dir := newLog(t)
-	lm.Append(LogRecord{Type: RecUpdate, TxnID: 1, Dataset: "d", Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
+	lm.Append(LogRecord{Type: RecUpdate, TxnID: 1, Incarnation: 1, Op: OpUpsert, Key: []byte("k"), Value: []byte("v")})
 	lm.Append(LogRecord{Type: RecCommit, TxnID: 1})
 	lm.Close()
 	// Crash mid-append: a plausible-looking torn header + partial body.
@@ -260,7 +260,7 @@ func TestRepairTailTruncatesGarbage(t *testing.T) {
 	}
 	var keys []string
 	if err := lm2.Scan(0, func(r *LogRecord) bool {
-		if r.Type == RecUpdate || r.Type == RecStoredUpdate {
+		if r.Type == RecUpdate {
 			keys = append(keys, string(r.Key))
 		}
 		return true
