@@ -23,7 +23,7 @@ optimizer:
 # lint: project-specific static analysis (see docs/STATIC_ANALYSIS.md).
 # -stats prints per-rule finding counts and wall time; a stale
 # //lint:ignore directive (suppressing nothing) fails like any finding.
-# The last line is ROADMAP item 7's two numbers: the suppressions the
+# The last line is ROADMAP item 9's two numbers: the suppressions the
 # engine carries and the linter's own size.
 lint:
 	go run ./cmd/asterixlint -stats ./...
@@ -82,7 +82,8 @@ bench:
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
 # the checked-in BENCH_1.json baseline. Timing deltas are printed only
 # (shared CI hosts are noisy), but allocation counters are deterministic:
-# an allocs/op or allocs/row regression, or its loss, fails the job. So do the two
+# an allocs/op or allocs/row that grows by more than half an allocation, or
+# its loss, fails the job. So do the two
 # numbers of a disk component's build that repeat exactly, which
 # BenchmarkComponentBuild checks itself (the comparator's band cannot say
 # "equal"): page-writes/page must be 1 and leaf-fill at least 0.97.

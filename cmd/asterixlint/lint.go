@@ -16,27 +16,6 @@ type Config struct {
 	// ErrPkgs are package paths (exact, or prefix when ending in "/")
 	// whose discarded error returns are flagged.
 	ErrPkgs []string
-	// HotRoots are the per-tuple kernels the hot-alloc rule requires to
-	// be transitively allocation-free (see docs/STATIC_ANALYSIS.md for
-	// the registration recipe).
-	HotRoots []FuncRef
-	// WaitRoots are operator task entry points: blocking operations
-	// reachable from them must be covered by wait attribution.
-	WaitRoots []FuncRef
-	// WaitFuncs are the attribution sinks (TaskContext.AddWait and the
-	// span-level AddWait) that satisfy the wait-attrib rule.
-	WaitFuncs []FuncRef
-	// NonAllocExt whitelists external functions the hot-alloc rule may
-	// assume allocation-free; everything external is otherwise
-	// conservatively treated as allocating. An entry ending in "." is a
-	// prefix: "sync/atomic." covers the whole package, "sync.(Mutex)."
-	// every method of the type.
-	NonAllocExt []string
-	// BlockExt enumerates external functions that block (file I/O,
-	// sleeps, waits). Unlike allocation, blocking is whitelist-by-
-	// default: only enumerated callees count, because "any external
-	// call may block" would drown the signal.
-	BlockExt []string
 }
 
 // DefaultConfig is the configuration for this repository.
@@ -45,75 +24,6 @@ func DefaultConfig() *Config {
 		ErrPkgs: []string{
 			"io", "os", "encoding/",
 			"asterix/internal/storage", "asterix/internal/txn",
-		},
-		HotRoots: []FuncRef{
-			// ADM comparator/serde kernels: run once per tuple column.
-			{Pkg: "asterix/internal/adm", Func: "Compare"},
-			{Pkg: "asterix/internal/adm", Func: "Equal"},
-			{Pkg: "asterix/internal/adm", Func: "Hash64"},
-			{Pkg: "asterix/internal/adm", Func: "Encode"},
-			// The leaf's in-place field walk: once per stored record.
-			{Pkg: "asterix/internal/adm", Recv: "Locator", Func: "Locate"},
-			// Hyracks per-tuple operator kernels.
-			{Pkg: "asterix/internal/hyracks", Recv: "Comparator", Func: "Compare"},
-			{Pkg: "asterix/internal/hyracks", Func: "HashColumns"},
-			{Pkg: "asterix/internal/hyracks", Recv: "Tuple", Func: "EstimateSize"},
-			{Pkg: "asterix/internal/hyracks", Recv: "Tuple", Func: "EstimateSizeShallow"},
-			{Pkg: "asterix/internal/hyracks", Func: "keysEqual"},
-			{Pkg: "asterix/internal/hyracks", Func: "hasNullKey"},
-			{Pkg: "asterix/internal/hyracks", Recv: "groupTable", Func: "probe"},
-			// Storage read paths.
-			{Pkg: "asterix/internal/btree", Recv: "BTree", Func: "Search"},
-			{Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "Get"},
-			{Pkg: "asterix/internal/btree", Recv: "Iterator", Func: "Next"},
-			{Pkg: "asterix/internal/btree", Recv: "Iterator", Func: "Valid"},
-			{Pkg: "asterix/internal/lsm", Recv: "Tree", Func: "Scan"},
-			// Secondary-index entries: per index, per version of a record written.
-			{Pkg: "asterix/internal/core", Recv: "SecondaryIndex", Func: "appendEntries"},
-		},
-		WaitRoots: []FuncRef{
-			{Pkg: "asterix/internal/hyracks", Func: "runSort"},
-			{Pkg: "asterix/internal/hyracks", Func: "runGroupBy"},
-			{Pkg: "asterix/internal/hyracks", Func: "runHashJoin"},
-			{Pkg: "asterix/internal/hyracks", Func: "NewNestedLoopJoin"},
-		},
-		WaitFuncs: []FuncRef{
-			{Pkg: "asterix/internal/hyracks", Recv: "TaskContext", Func: "AddWait"},
-			{Pkg: "asterix/internal/obs", Recv: "Span", Func: "AddWait"},
-		},
-		NonAllocExt: []string{
-			"bytes.Compare", "bytes.Equal", "bytes.HasPrefix",
-			"time.Now", "time.Since",
-			// Endian codecs and varints write into caller buffers; the
-			// Append* forms grow amortized like self-append.
-			"encoding/binary.AppendUvarint", "encoding/binary.AppendVarint",
-			"encoding/binary.PutUvarint", "encoding/binary.PutVarint",
-			"encoding/binary.ReadUvarint",
-			"encoding/binary.Uvarint", "encoding/binary.Varint",
-			"encoding/binary.(bigEndian).", "encoding/binary.(littleEndian).",
-			"bufio.(Writer).Write", "bufio.(Writer).WriteByte",
-			"math.Float64bits", "math.Float64frombits", "math/bits.LeadingZeros64",
-			"sort.SearchInts", "sort.Search",
-			// Lock/unlock and atomics never allocate.
-			"sync.(Mutex).", "sync.(RWMutex).", "sync/atomic.",
-		},
-		BlockExt: []string{
-			"os.(File).Read", "os.(File).ReadAt", "os.(File).Write",
-			"os.(File).WriteAt", "os.(File).Sync",
-			"io.ReadFull", "io.Copy", "io.ReadAll",
-			"bufio.(Reader).Read", "bufio.(Reader).ReadByte",
-			"bufio.(Writer).Flush", "bufio.(Writer).Write",
-			"encoding/binary.ReadUvarint",
-			"time.Sleep",
-			"sync.(WaitGroup).Wait", "sync.(Cond).Wait",
-			// Transport blocking calls (internal/net): the conn methods
-			// are interface dispatch — the concrete net.TCPConn lives
-			// outside the module — so they match by declared symbol.
-			// An unattributed network wait on an operator task path is
-			// a lint error; the executor attributes the whole Send call
-			// as WaitNet, which covers everything beneath it.
-			"net.(Conn).Read", "net.(Conn).Write",
-			"net.(Listener).Accept", "net.DialTimeout",
 		},
 	}
 }
@@ -133,14 +43,12 @@ func (d Diagnostic) String() string {
 // when set, runs once after every package has been scanned — it is how
 // repo-global analyses (lock-order) report on state accumulated across
 // packages. The positions a Finish reports must come from the shared
-// loader FileSet. Interp, when set, runs after every package has been
-// scanned with the interprocedural summary table.
+// loader FileSet.
 type Rule struct {
 	Name   string
 	Doc    string
 	Run    func(c *Config, p *Package, report func(token.Pos, string))
 	Finish func(c *Config, fset *token.FileSet, report func(token.Pos, string))
-	Interp func(c *Config, ip *Interp, report func(token.Pos, string))
 }
 
 // AllRules returns every rule in stable order. Rules carrying
@@ -153,8 +61,6 @@ func AllRules() []*Rule {
 		ruleDeferUnlock(),
 		ruleLockOrder(),
 		ruleCtxFlow(),
-		ruleHotAlloc(),
-		ruleWaitAttrib(),
 	}
 }
 
@@ -253,7 +159,6 @@ type Runner struct {
 	rules []*Rule
 	sup   suppressions
 	diags []Diagnostic
-	pkgs  []*Package
 	stats map[string]int
 
 	// ReportStale enables the stale-suppression audit: a reasoned
@@ -270,24 +175,17 @@ func NewRunner(c *Config, fset *token.FileSet, rules []*Rule) *Runner {
 		stats: map[string]int{}, supUsed: map[string]bool{}}
 }
 
+// add records a finding unless a directive ignores rule at pos, in which
+// case it marks that directive as used.
 func (r *Runner) add(rule string, pos token.Pos, msg string) {
-	if r.suppressed(rule, pos) {
-		return
-	}
-	r.stats[rule]++
-	r.diags = append(r.diags, Diagnostic{Pos: r.fset.Position(pos), Rule: rule, Msg: msg})
-}
-
-// suppressed reports whether a directive ignores rule at pos, and marks
-// that directive as used.
-func (r *Runner) suppressed(rule string, pos token.Pos) bool {
 	p := r.fset.Position(pos)
 	key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
 	if r.sup[key][rule] {
 		r.supUsed[key+"|"+rule] = true
-		return true
+		return
 	}
-	return false
+	r.stats[rule]++
+	r.diags = append(r.diags, Diagnostic{Pos: p, Rule: rule, Msg: msg})
 }
 
 // Stats returns per-rule unsuppressed finding counts.
@@ -295,7 +193,6 @@ func (r *Runner) Stats() map[string]int { return r.stats }
 
 // Package scans one package with every rule's Run hook.
 func (r *Runner) Package(p *Package) {
-	r.pkgs = append(r.pkgs, p)
 	sup, directives := collectSuppressions(p, func(pos token.Pos, msg string) {
 		r.add("lint-directive", pos, msg)
 	})
@@ -319,26 +216,9 @@ func (r *Runner) Package(p *Package) {
 	}
 }
 
-// Finish runs the interprocedural and cross-package hooks and returns
-// every unsuppressed finding sorted by position. The summary table is
-// built only when a selected rule wants it.
+// Finish runs the cross-package hooks and returns every unsuppressed
+// finding sorted by position.
 func (r *Runner) Finish() []Diagnostic {
-	var ip *Interp
-	for _, rule := range r.rules {
-		if rule.Interp == nil {
-			continue
-		}
-		if ip == nil {
-			ip = buildInterp(r.c, r.pkgs)
-			// A directive acting as an interprocedural walk barrier is in
-			// use even when no finding lands on its line.
-			ip.Suppressed = r.suppressed
-		}
-		rule := rule
-		rule.Interp(r.c, ip, func(pos token.Pos, msg string) {
-			r.add(rule.Name, pos, msg)
-		})
-	}
 	for _, rule := range r.rules {
 		if rule.Finish == nil {
 			continue

@@ -135,26 +135,6 @@ func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "lockorder", nil)
 }
 
-func TestHotAllocFixture(t *testing.T) {
-	checkFixture(t, "hotalloc", func(cfg *Config, pkgPath string) {
-		cfg.HotRoots = []FuncRef{{Pkg: pkgPath, Func: "HotKernel"}}
-	})
-}
-
-func TestWaitAttribFixture(t *testing.T) {
-	checkFixture(t, "waitattrib", func(cfg *Config, pkgPath string) {
-		cfg.WaitRoots = []FuncRef{{Pkg: pkgPath, Func: "RunTask"}}
-		cfg.WaitFuncs = []FuncRef{{Pkg: pkgPath, Recv: "TC", Func: "AddWait"}}
-	})
-}
-
-func TestWaitNetFixture(t *testing.T) {
-	checkFixture(t, "waitnet", func(cfg *Config, pkgPath string) {
-		cfg.WaitRoots = []FuncRef{{Pkg: pkgPath, Func: "SendFrames"}}
-		cfg.WaitFuncs = []FuncRef{{Pkg: pkgPath, Recv: "TC", Func: "AddWait"}}
-	})
-}
-
 func TestCtxFlowFixture(t *testing.T) {
 	checkFixture(t, "ctxflow", nil)
 }

@@ -1,6 +1,6 @@
 // Command asterixlint is the repository's project-specific static
 // analyzer: a stdlib-only (go/parser + go/types) multi-rule linter that
-// machine-checks the concurrency and allocation invariants this codebase
+// machine-checks the concurrency and error-handling invariants this codebase
 // relies on. See docs/STATIC_ANALYSIS.md for the rule catalogue and the
 // //lint:ignore suppression syntax.
 //

@@ -388,7 +388,6 @@ func EncodeKey(buf []byte, v Value) ([]byte, error) {
 	case Binary:
 		buf = AppendBinaryKey(buf, x)
 	default:
-		//lint:ignore hot-alloc the refusal of a value that cannot be a key ends the statement: it is not on any per-record path
 		return nil, fmt.Errorf("adm: %s values cannot be index keys", v.Kind())
 	}
 	return buf, nil

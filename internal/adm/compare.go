@@ -115,7 +115,6 @@ func Compare(a, b Value) int {
 func compareMultisets(x, y Multiset) int {
 	nx, ny := len(x), len(y)
 	if nx > smallObjectFields || ny > smallObjectFields {
-		//lint:ignore hot-alloc wide multiset (> 16 elements) takes the allocating sorted-copy slow path; typical keys stay on the stack path above
 		return compareSeq(sortedElems(x), sortedElems(y))
 	}
 	var bx, by [smallObjectFields]int32
@@ -139,7 +138,6 @@ func compareMultisets(x, y Multiset) int {
 func compareObjects(x, y *Object) int {
 	nx, ny := len(x.fields), len(y.fields)
 	if nx > smallObjectFields || ny > smallObjectFields {
-		//lint:ignore hot-alloc wide object (> 16 fields) takes the allocating sorted-copy slow path; typical records stay on the stack path above
 		return compareFieldSeq(x.sortedFields(), y.sortedFields())
 	}
 	var bx, by [smallObjectFields]int32
@@ -351,7 +349,6 @@ func hashValue(h uint64, v Value) uint64 {
 				h = hashValue(h, f.Value)
 			}
 		} else {
-			//lint:ignore hot-alloc wide object (> 16 fields) takes the allocating sorted-copy slow path; typical records stay on the stack path above
 			for _, f := range x.sortedFields() {
 				h = fnvString(h, f.Name)
 				h = hashValue(h, f.Value)

@@ -84,7 +84,8 @@ func leafFor(tb testing.TB, fields []string, filter string) *leaf {
 // The leaf's allocation budget per row, as hard bounds: a row its filter
 // rejects costs what the filter's operands cost, a row no field of which is
 // read costs nothing, and no row builds an object unless the plan reads the
-// record whole.
+// record whole. It is the allocation gate of adm.Locator.Locate, the field
+// walk every stored row goes through.
 func TestLeafAllocations(t *testing.T) {
 	const rows = 200
 	for form, rec := range leafRecords {

@@ -239,6 +239,22 @@ func TestCompareHardUnits(t *testing.T) {
 		t.Fatalf("0 -> 3 allocs/op passed the gate: %+v", rep)
 	}
 
+	// The band of a counter is a distance, not a ratio: one more allocation
+	// per row is a 1.41x growth of E14's pipeline, inside the timings'
+	// 1.5x, and must still fail.
+	perRow := func(v float64) *Artifact {
+		a := sampleArtifact()
+		a.Experiments[0].Measurements = append(a.Experiments[0].Measurements,
+			Measurement{Name: "groupby_pipeline_allocs_per_row", Unit: "allocs/row", Value: v})
+		return a
+	}
+	if rep := Compare(perRow(2.4668), perRow(3.4668)); !rep.HardFail() || len(rep.Regressions) != 1 {
+		t.Fatalf("2.4668 -> 3.4668 allocs/row passed the gate: %+v", rep)
+	}
+	if rep := Compare(perRow(2.4668), perRow(2.4668)); !rep.OK() || rep.HardFail() {
+		t.Fatalf("an unchanged allocs/row failed the gate: %+v", rep)
+	}
+
 	var buf bytes.Buffer
 	Compare(mk(), allocUp).Format(&buf)
 	if !strings.Contains(buf.String(), "REGRESS!") || !strings.Contains(buf.String(), "hard-unit failure") {

@@ -15,6 +15,12 @@ const tolerance = 0.5
 // shared hosts: a regression in one, or its loss, fails the gate.
 var hardUnits = map[string]bool{"allocs/op": true, "allocs/row": true}
 
+// hardSlack is how far a hard-unit counter may move before it counts: half
+// an allocation, whatever the baseline. One more allocation per op or per
+// row then fails a 2.47 allocs/row pipeline as it fails a kernel at 0,
+// where a fractional band would let it through.
+const hardSlack = 0.5
+
 // Delta is one metric's old-vs-new pair.
 type Delta struct {
 	Experiment string  `json:"experiment"`
@@ -151,13 +157,10 @@ func Compare(old, new_ *Artifact) *CompareReport {
 				Better: better, Old: om.Value, New: nm.Value,
 				Hard: hardUnits[om.Unit],
 			}
-			switch {
-			case om.Value > 0:
+			// A timing has no ratio against a zero baseline; a counter is
+			// judged by its distance from the baseline, 0 included.
+			if om.Value > 0 || d.Hard {
 				classify(rep, d)
-			case d.Hard && better == LowerBetter && nm.Value > om.Value:
-				// No ratio against a zero baseline, but a counter that
-				// was 0 and is not has regressed however small it is.
-				rep.Regressions = append(rep.Regressions, d)
 			}
 		}
 		for j := range ne.Measurements {
@@ -175,21 +178,24 @@ func Compare(old, new_ *Artifact) *CompareReport {
 }
 
 // classify routes a delta into regressions/improvements, or drops it as
-// within-band. The band is inclusive: new == old*(1+tolerance) (or
-// old/(1+tolerance) for higher-better) still passes.
+// within-band. A timing's band is a ratio, a hard unit's a distance
+// (hardSlack). Both are inclusive: new == old*(1+tolerance), or
+// old+hardSlack (mirrored for higher-better), still passes.
 func classify(rep *CompareReport, d Delta) {
-	d.Ratio = d.New / d.Old
-	if d.Better == HigherBetter {
-		if d.New*(1+tolerance) < d.Old {
-			rep.Regressions = append(rep.Regressions, d)
-		} else if d.New > d.Old*(1+tolerance) {
-			rep.Improvements = append(rep.Improvements, d)
-		}
-		return
+	if d.Old != 0 {
+		d.Ratio = d.New / d.Old
 	}
-	if d.New > d.Old*(1+tolerance) {
+	grew, shrank := d.New > d.Old*(1+tolerance), d.New*(1+tolerance) < d.Old
+	if d.Hard {
+		grew, shrank = d.New > d.Old+hardSlack, d.New < d.Old-hardSlack
+	}
+	worse, better := grew, shrank
+	if d.Better == HigherBetter {
+		worse, better = shrank, grew
+	}
+	if worse {
 		rep.Regressions = append(rep.Regressions, d)
-	} else if d.New*(1+tolerance) < d.Old {
+	} else if better {
 		rep.Improvements = append(rep.Improvements, d)
 	}
 }

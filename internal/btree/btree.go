@@ -291,7 +291,6 @@ func (t *BTree) Search(key []byte) ([]byte, bool, error) {
 		}
 		switch bytes.Compare(k, key) {
 		case 0:
-			//lint:ignore hot-alloc the one copy the contract requires: the result must outlive the page pin
 			return append([]byte(nil), v...), true, nil
 		case 1:
 			return nil, false, nil

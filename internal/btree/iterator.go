@@ -24,7 +24,6 @@ type Iterator struct {
 // NewIterator positions a cursor at the first key >= lo (nil = min); it
 // yields keys up to hi inclusive (nil = max).
 func (t *BTree) NewIterator(lo, hi []byte) *Iterator {
-	//lint:ignore hot-alloc per-scan cursor setup: one allocation per NewIterator, not per Next
 	it := &Iterator{}
 	it.seek(t, lo, hi)
 	return it
@@ -38,7 +37,7 @@ func (it *Iterator) seek(t *BTree, lo, hi []byte) {
 		it.fail(err)
 		return
 	}
-	//lint:ignore hot-alloc per-scan cursor setup: the page buffer is allocated once per iterator and reused for every leaf
+	// One page buffer per iterator, reused for every leaf it crosses.
 	it.page = make([]byte, t.bc.FileManager().PageSize())
 	if !it.load(num) {
 		return

@@ -188,7 +188,8 @@ func TestPropInPlaceReadsMatchReference(t *testing.T) {
 // The read path allocates per call, never per entry or per page: Search
 // makes the one copy it returns; an iterator makes itself and its page
 // buffer, however many entries a leaf holds and however many leaves it
-// crosses.
+// crosses. This is the allocation gate of Search, Iterator.Next and
+// Iterator.Valid.
 func TestReadPathAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	load := func(n, valLen int) *BTree {

@@ -498,15 +498,16 @@ func allocsPerRun(runs int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// E14HotPathAllocs audits the per-tuple kernels the hot-alloc lint rule
-// guards. The ADM comparator and hash are measured on both the typical
-// small shapes (which must run allocation-free through the stack-index
-// path) and on wide shapes, which still take the pre-optimization
-// sorted-copy fallback — so the wide numbers double as the "before"
-// measurement of the eliminated allocations. The group-by row measures
-// whole-pipeline allocations per input tuple; its "before" shape paid
-// two extra allocations per probe (a fresh key Tuple and a fresh column
-// list for hashing).
+// E14HotPathAllocs is the allocation gate of adm.Compare, adm.Hash64 and
+// the in-memory group-by pipeline. The comparator and hash are measured
+// on both the typical small shapes (which must run allocation-free
+// through the stack-index path) and on wide shapes, which still take the
+// pre-optimization sorted-copy fallback — so the wide numbers double as
+// the "before" measurement of the eliminated allocations. The group-by
+// row measures whole-pipeline allocations per input tuple; its "before"
+// shape paid two extra allocations per probe (a fresh key Tuple and a
+// fresh column list for hashing). `asterixbench -compare` fails a run in
+// which any of these counters grows by more than half an allocation.
 func E14HotPathAllocs(scale Scale, workDir string) (*Report, error) {
 	rep := &Report{
 		ID:     "E14",

@@ -46,9 +46,7 @@ type group struct {
 // groupTable is the hash table of a hash aggregation. Its probe path
 // runs once per input tuple, so it works out of preallocated scratch —
 // an identity column list for hashing extracted keys and a reusable key
-// buffer — and is a registered hot-alloc root: probing must never
-// allocate. (The old shape rebuilt both per tuple: a fresh key Tuple
-// and a fresh []int for HashColumns on every probe.)
+// buffer — and must never allocate (TestKernelAllocations holds it to 0).
 type groupTable struct {
 	groupCols []int
 	idCols    []int // 0..len(groupCols)-1: the extracted key's own columns

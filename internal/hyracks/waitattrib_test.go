@@ -3,19 +3,20 @@ package hyracks
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"asterix/internal/adm"
 	"asterix/internal/obs"
 )
 
-// These tests guard the wait-attribution plumbing end to end: a spilling
-// operator run under a traced job must surface its spill I/O (both the
-// run-file writes and the read-back during merge/probe) as WaitSpill on
-// the job span. The asterixlint wait-attrib rule statically guarantees
-// every blocking call on an operator path is routed through AddWait;
-// these tests check the routed time actually reaches the span, which is
-// what the slow-query log and E-series wait breakdowns consume.
+// These tests guard spill-wait attribution. A run file's I/O is timed
+// where it happens — RunWriter.flush, RunReader.fill and runSet.writer —
+// so TestRunFileReadIsSpillWait checks each half at that level, and the
+// operator tests check that a spilling sort or grace join under a traced
+// job surfaces the time on the job span, which is what the slow-query log
+// and the E-series wait breakdowns consume.
 
 func runTracedJob(t *testing.T, c *Cluster, j *Job) *obs.Span {
 	t.Helper()
@@ -98,5 +99,50 @@ func TestGraceJoinSpillWaitAttributed(t *testing.T) {
 	}
 	if got := span.WaitRollup()[obs.WaitSpill]; got <= 0 {
 		t.Errorf("grace join recorded no WaitSpill time on the job span (got %v)", got)
+	}
+}
+
+// TestRunFileReadIsSpillWait times each half of a run file apart: writing
+// it, then reading it back, must each add to the task's WaitSpill. A
+// job-level test cannot tell the halves apart, since the writes alone make
+// the job's total positive.
+func TestRunFileReadIsSpillWait(t *testing.T) {
+	tc := bareTask(t)
+	tc.Span = obs.NewSpan("spill")
+	spill := func() time.Duration { return tc.Span.Waits()[obs.WaitSpill] }
+	s := newRunSet(tc, false)
+	defer s.close()
+	// Four buffers' worth, so the read-back is four reads.
+	pad := adm.String(strings.Repeat("x", 1000))
+	n := 4 * runBufSize / 1000
+	for i := 0; i < n; i++ {
+		if err := s.write(0, Tuple{adm.Int64(i), pad}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := s.open(0, true); !ok || err != nil {
+		t.Fatalf("open: %v, %v", ok, err)
+	}
+	written := spill()
+	if written <= 0 {
+		t.Fatalf("writing a run file recorded %v of WaitSpill", written)
+	}
+	for i := 0; ; i++ {
+		tp, ok, err := s.next(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != n {
+				t.Fatalf("read back %d tuples, want %d", i, n)
+			}
+			break
+		}
+		if v, _ := adm.AsInt(tp[0]); v != int64(i) {
+			t.Fatalf("tuple %d read back as %v", i, tp[0])
+		}
+	}
+	if read := spill() - written; read <= 0 {
+		t.Errorf("reading a run file back recorded %v of WaitSpill (writing it: %v)", read, written)
 	}
 }

@@ -376,7 +376,7 @@ func (l *lifecycle[M, D]) trySealForGovernor(sp *obs.Span) (bool, error) {
 func (l *lifecycle[M, D]) view() ([]*component[D], []M) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	//lint:ignore hot-alloc per-read snapshot of the component list: O(components) once per read, not per entry
+	// One allocation per read, whatever the read visits: the snapshot.
 	comps := append([]*component[D](nil), l.disk...)
 	for _, c := range comps {
 		atomic.AddInt32(&c.refs, 1)
@@ -390,7 +390,6 @@ func (l *lifecycle[M, D]) release(comps []*component[D]) error {
 	var firstErr error
 	for _, c := range comps {
 		if atomic.AddInt32(&c.refs, -1) == 0 {
-			//lint:ignore hot-alloc runs only when the last reference to a merged-away component drops — once per component lifetime, not per scan entry
 			if err := l.destroyComponent(c); err != nil && firstErr == nil {
 				firstErr = err
 			}

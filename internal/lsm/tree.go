@@ -301,7 +301,6 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 
 	// K-way merge: the memory runs are the newest sources, then the disk
 	// components newest-first; the newest source wins ties.
-	//lint:ignore hot-alloc per-scan iterator table: O(components) once per scan setup
 	iters := make([]*btree.Iterator, len(comps))
 	for i, c := range comps {
 		iters[i] = c.idx.bt.NewIterator(lo, hi)
@@ -340,7 +339,6 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 		} else if value, tombstone, err = flagged(iters[src].Value()); err != nil {
 			return err
 		}
-		//lint:ignore hot-alloc user-supplied visitor callback: its allocation behavior belongs to the caller, not the scan kernel
 		if !tombstone && !fn(key, value) {
 			return nil
 		}

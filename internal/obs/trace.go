@@ -11,7 +11,7 @@ import (
 )
 
 // WaitKind classifies time a query spent blocked rather than computing:
-// the wait-attribution categories threaded through the governor, the lock
+// the categories of attributed wait threaded through the governor, the lock
 // manager, the LSM, and the executor. A span accumulates nanoseconds per
 // kind, so a slow query's trace answers "where did the time go" — was it
 // queued for memory admission, stuck behind a record lock, or grinding

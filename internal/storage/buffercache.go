@@ -93,7 +93,6 @@ func (bc *BufferCache) Pin(pid PageID) (*Page, error) {
 		return p, nil
 	}
 	bc.stats.Misses++
-	//lint:ignore hot-alloc cache-miss eviction path: runs only when the working set outgrows the pool, and its cost is the page I/O, not the error-path allocations
 	i, err := bc.evictLocked()
 	if err != nil {
 		bc.mu.Unlock()
@@ -109,7 +108,6 @@ func (bc *BufferCache) Pin(pid PageID) (*Page, error) {
 	bc.stats.Reads++
 	// Read outside the lock would need per-frame latching; at this
 	// system's scale a short critical section is the simpler invariant.
-	//lint:ignore hot-alloc cache-miss disk read: the page I/O dominates; ReadPage's error-path formatting never runs on the hot path
 	if err := bc.fm.ReadPage(pid.File, pid.Num, f.page.Data); err != nil {
 		f.valid = false
 		f.pins = 0
