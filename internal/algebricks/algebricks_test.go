@@ -452,6 +452,15 @@ func runJob(t *testing.T, cat Catalog, src string) []adm.Value {
 
 func runJobCtx(ctx context.Context, t *testing.T, cat Catalog, src string) []adm.Value {
 	t.Helper()
+	cluster, err := hyracks.NewCluster(2, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runJobOn(ctx, t, cat, src, cluster)
+}
+
+func runJobOn(ctx context.Context, t *testing.T, cat Catalog, src string, cluster *hyracks.Cluster) []adm.Value {
+	t.Helper()
 	q, err := sqlpp.ParseQuery(src + ";")
 	if err != nil {
 		t.Fatal(err)
@@ -463,10 +472,6 @@ func runJobCtx(ctx context.Context, t *testing.T, cat Catalog, src string) []adm
 		t.Fatal(err)
 	}
 	plan = tr.Optimize(plan)
-	cluster, err := hyracks.NewCluster(2, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := &JobGen{Cluster: cluster, Catalog: cat, Ev: ev, Parallelism: 2}
 	coll := &hyracks.Collector{}
 	job, err := g.Build(plan, coll)
@@ -487,7 +492,11 @@ func runJobCtx(ctx context.Context, t *testing.T, cat Catalog, src string) []adm
 // serial interpreter (order-insensitively unless ORDER BY is present).
 func jobMatchesInterp(t *testing.T, cat Catalog, src string, ordered bool) {
 	t.Helper()
-	jobRes := runJob(t, cat, src)
+	assertMatchesInterp(t, cat, src, ordered, runJob(t, cat, src))
+}
+
+func assertMatchesInterp(t *testing.T, cat Catalog, src string, ordered bool, jobRes []adm.Value) {
+	t.Helper()
 	ev := newEval(cat)
 	q, _ := sqlpp.ParseQuery(src + ";")
 	iv, err := ev.Eval(q.Body, NewEnv(nil, nil, nil))

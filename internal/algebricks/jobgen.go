@@ -444,7 +444,24 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 		if o.On != nil {
 			residual = g.Ev.compilePred(o.On, l.schema, r.schema)
 		}
-		join := j.Add(hyracks.NewHashJoin("hash-join", par, lCols, rCols, kind, r.schema.width, residual))
+		join := hyracks.NewHashJoin("hash-join", par, lCols, rCols, kind, r.schema.width, residual)
+		if o.Aggs != nil {
+			// The rule made every argument a probe-side column.
+			specs := make([]hyracks.AggSpec, len(o.Aggs))
+			for i, a := range o.Aggs {
+				col := -1
+				if !a.Star {
+					if col = l.schema.indexOf(a.Arg.(*sqlpp.VarRef).Name); col < 0 {
+						return built{}, fmt.Errorf("jobgen: aggregate column missing")
+					}
+				}
+				if specs[i], err = aggSpecFor(a, col); err != nil {
+					return built{}, err
+				}
+			}
+			join = hyracks.NewAggregatingHashJoin("hash-join", par, lCols, rCols, specs, residual)
+		}
+		j.Add(join)
 		j.MustConnect(l.op, join, 0, hyracks.HashPartition(lCols...))
 		j.MustConnect(r.op, join, 1, hyracks.HashPartition(rCols...))
 		return built{op: join, schema: joinOutSchema(o, l.schema, r.schema), par: par}, nil
@@ -469,8 +486,14 @@ func (g *JobGen) buildJoin(j *hyracks.Job, o *JoinOp) (built, error) {
 }
 
 func joinOutSchema(o *JoinOp, l, r schema) schema {
-	if o.Kind == JoinSemi {
+	switch {
+	case o.Kind == JoinSemi:
 		return l
+	case o.Aggs != nil: // the build row, then one partial per aggregate
+		for _, a := range o.Aggs {
+			r = r.bind(a.Var, r.width)
+		}
+		return r
 	}
 	return l.concat(r)
 }
@@ -537,6 +560,10 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 		spec, err := aggSpecFor(a, col)
 		if err != nil {
 			return built{}, err
+		}
+		if o.Merge { // the column holds a partial state
+			merge := spec.Merge
+			spec.Step = func(s adm.Value, t hyracks.Tuple) adm.Value { return merge(s, t[col]) }
 		}
 		specs = append(specs, spec)
 	}

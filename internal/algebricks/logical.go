@@ -112,6 +112,10 @@ type JoinOp struct {
 	// Hash-join keys (variable names present in L/R schemas), set by the
 	// join-recognition rule.
 	LeftKeys, RightKeys []string
+	// Aggs (push-aggregate-into-join) makes an inner hash join emit each R
+	// row that matches once, with a partial state per aggregate over the L
+	// rows it matched: the schema is R's plus the aggregates' variables.
+	Aggs []AggRef
 	// ordered marks joins already placed by the greedy join-ordering rule
 	// so the rule does not restructure the same cluster twice.
 	ordered bool
@@ -139,6 +143,10 @@ type GroupOp struct {
 	Aggs    []AggRef
 	GroupAs string
 	RowVars []string // input schema captured for GROUP AS
+	// Merge is set when the input carries each aggregate's partial state
+	// (an aggregating join below computed it): the group-by merges its
+	// argument, the partial, instead of stepping over rows.
+	Merge bool
 }
 
 // ResultOp appends the final projection value as column "$result".
@@ -268,6 +276,13 @@ func (o *JoinOp) Schema() []string {
 	if o.Kind == JoinSemi {
 		return o.L.Schema()
 	}
+	if o.Aggs != nil {
+		s := append([]string{}, o.R.Schema()...)
+		for _, a := range o.Aggs {
+			s = append(s, a.Var)
+		}
+		return s
+	}
 	return append(append([]string{}, o.L.Schema()...), o.R.Schema()...)
 }
 func (o *JoinOp) Inputs() []Op { return []Op{o.L, o.R} }
@@ -288,7 +303,23 @@ func (o *JoinOp) String() string {
 	if o.On != nil {
 		s += " on=" + ExprString(o.On)
 	}
+	if o.Aggs != nil {
+		parts := make([]string, len(o.Aggs))
+		for i, a := range o.Aggs {
+			parts[i] = aggString(a)
+		}
+		s += " aggs=[" + strings.Join(parts, ", ") + "]"
+	}
 	return s
+}
+
+// aggString renders one aggregate for plan text: var:=fn(arg).
+func aggString(a AggRef) string {
+	arg := "*"
+	if !a.Star {
+		arg = ExprString(a.Arg)
+	}
+	return fmt.Sprintf("%s:=%s(%s)", a.Var, a.Fn, arg)
 }
 
 func (o *GroupOp) Schema() []string {
@@ -311,13 +342,12 @@ func (o *GroupOp) String() string {
 		parts = append(parts, k.Var+":="+ExprString(k.Expr))
 	}
 	for _, a := range o.Aggs {
-		arg := "*"
-		if !a.Star {
-			arg = ExprString(a.Arg)
-		}
-		parts = append(parts, fmt.Sprintf("%s:=%s(%s)", a.Var, a.Fn, arg))
+		parts = append(parts, aggString(a))
 	}
 	s := fmt.Sprintf("group-by(%d keys, %d aggs)", len(o.Keys), len(o.Aggs))
+	if o.Merge {
+		s += " merge"
+	}
 	if len(parts) > 0 {
 		s += " [" + strings.Join(parts, ", ") + "]"
 	}

@@ -224,10 +224,10 @@ func TestJobShapes(t *testing.T) {
 		{`SELECT VALUE m.mid FROM Messages m WHERE m.len % 2 = 0`, "scan-Messages", 2, 7, "scan-Messages result project-result sink", 25},
 		// golden join_keys_from_leaf_columns: no assign, no project.
 		{`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m WHERE m.authorId = u.id GROUP BY u.name AS name`,
-			"scan-Messages", 2, 0, "scan-Users scan-Messages hash-join group-prep group-by result project-result sink", 20},
+			"scan-Messages", 2, 0, "scan-Messages scan-Users hash-join group-prep group-by result project-result sink", 20},
 		// The filter's only field is projected away before the exchange.
 		{`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m WHERE m.authorId = u.id AND m.len > 100 GROUP BY u.name AS name`,
-			"scan-Messages", 2, 0, "scan-Users scan-Messages project hash-join group-prep group-by result project-result sink", 16},
+			"scan-Messages", 2, 0, "scan-Messages project scan-Users hash-join group-prep group-by result project-result sink", 16},
 		// project []: the join's key columns all go (TestProjectNothing).
 		{`SELECT VALUE x FROM Messages m, Users u, [1, 2] x WHERE m.authorId = u.id`,
 			"scan-Messages", 2, 0, "scan-Messages scan-Users hash-join project ets unnest-x nl-join result project-result sink", 100},

@@ -20,6 +20,7 @@ func DefaultRules() []Rule {
 		{Name: "push-select-through-join", Apply: rulePushSelectThroughJoin},
 		{Name: "order-joins-greedily", Apply: ruleOrderJoinsGreedily},
 		{Name: "recognize-hash-join", Apply: ruleRecognizeHashJoin},
+		{Name: "push-aggregate-into-join", Apply: rulePushAggregateIntoJoin},
 		{Name: "introduce-index-search", Apply: ruleIntroduceIndexSearch},
 		{Name: "push-select-into-scan", Apply: rulePushSelectIntoScan},
 		{Name: "push-limit-into-scan", Apply: rulePushLimitIntoScan},
@@ -526,6 +527,121 @@ func (tr *Translator) recognizeHashJoin(j *JoinOp) bool {
 	return true
 }
 
+// --- rule: push-aggregate-into-join ---
+
+// A group-by directly on an inner hash join whose keys read one side (the
+// grouping side) and whose aggregates are mergeable ones over the other is
+// split the local/global way inside the join (a groupjoin): the grouping
+// side is the build side, each build row aggregates the probe rows it
+// matches, and the group-by merges the partials per key.
+func rulePushAggregateIntoJoin(tr *Translator, plan Op) (Op, int) {
+	return sweep(plan, func(op Op) (Op, bool) {
+		g, ok := op.(*GroupOp)
+		if !ok || g.Merge || g.GroupAs != "" || len(g.Aggs) == 0 {
+			return op, false
+		}
+		j, ok := g.In.(*JoinOp)
+		if !ok || j.Kind != JoinInner || len(j.LeftKeys) == 0 || j.Aggs != nil {
+			return op, false
+		}
+		if !tr.groupsOver(g, j.R.Schema(), j.L.Schema()) {
+			// An inner join commutes, but the grouping side is swapped in as
+			// the build side only as the one side of a one-to-many join: as the
+			// many side it makes a larger table and saves the join no rows.
+			if !tr.groupsOver(g, j.L.Schema(), j.R.Schema()) || !tr.keysArePrimary(j.L, j.LeftKeys) {
+				return op, false
+			}
+			j.L, j.R = j.R, j.L
+			j.LeftKeys, j.RightKeys = j.RightKeys, j.LeftKeys
+		}
+		// Each argument becomes a probe-side column; the group-by reads the
+		// partial under the aggregate's own variable.
+		probe := j.L.Schema()
+		for i, a := range g.Aggs {
+			if vr, ok := a.Arg.(*sqlpp.VarRef); !a.Star && (!ok || indexOf(probe, vr.Name) < 0) {
+				v := tr.freshVar("jag")
+				j.L = &AssignOp{In: j.L, Var: v, Expr: a.Arg}
+				a.Arg = &sqlpp.VarRef{Name: v}
+			}
+			j.Aggs = append(j.Aggs, a)
+			g.Aggs[i].Star, g.Aggs[i].Arg = false, &sqlpp.VarRef{Name: a.Var}
+		}
+		g.Merge = true
+		return g, true
+	})
+}
+
+// groupsOver reports whether g can aggregate inside a join whose build side
+// binds grouping and whose probe side binds other: every key reads only
+// grouping, and every aggregate is COUNT(*) or a non-DISTINCT count, sum, min,
+// max or avg of a field path on other, which cannot fail on any probe row.
+func (tr *Translator) groupsOver(g *GroupOp, grouping, other []string) bool {
+	for _, k := range g.Keys {
+		if !tr.usesOnly(k.Expr, grouping) {
+			return false
+		}
+	}
+	for _, a := range g.Aggs {
+		if a.Distinct || a.Fn == "array_agg" || !a.Star && !fieldPath(a.Arg, other) {
+			return false
+		}
+	}
+	return true
+}
+
+// keysArePrimary reports whether side scans a dataset through assigns and
+// selects only and its join keys, assigned on the way, read its whole
+// primary key: each key value names at most one row of side.
+func (tr *Translator) keysArePrimary(side Op, keys []string) bool {
+	if tr.Catalog == nil {
+		return false
+	}
+	exprs := map[string]sqlpp.Expr{}
+	for {
+		switch o := side.(type) {
+		case *AssignOp:
+			exprs[o.Var], side = o.Expr, o.In
+			continue
+		case *SelectOp:
+			side = o.In
+			continue
+		case *ScanOp:
+			read := map[string]bool{}
+			for _, k := range keys {
+				if f, ok := recField(exprs[k], o.Var); ok {
+					read[f] = true
+				}
+			}
+			for f := range read {
+				if idx, ok := tr.Catalog.ResolveIndex(o.Dataset, f); ok && idx.Kind() == "PRIMARY" {
+					return !slices.ContainsFunc(idx.KeyFields(), func(pk string) bool { return !read[pk] })
+				}
+			}
+		}
+		return false
+	}
+}
+
+// recField returns f when e is rec.f.
+func recField(e sqlpp.Expr, rec string) (string, bool) {
+	if fa, ok := e.(*sqlpp.FieldAccess); ok {
+		if vr, ok := fa.Base.(*sqlpp.VarRef); ok && vr.Name == rec {
+			return fa.Field, true
+		}
+	}
+	return "", false
+}
+
+// fieldPath reports whether e is one of vars or a chain of field accesses on
+// one of them.
+func fieldPath(e sqlpp.Expr, vars []string) bool {
+	if vr, ok := e.(*sqlpp.VarRef); ok {
+		return indexOf(vars, vr.Name) >= 0
+	}
+	fa, ok := e.(*sqlpp.FieldAccess)
+	return ok && fieldPath(fa.Base, vars)
+}
+
 // --- rule: introduce-index-search ---
 
 func ruleIntroduceIndexSearch(tr *Translator, plan Op) (Op, int) {
@@ -687,17 +803,7 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 	}
 	cs := conjuncts(sel.Cond)
 
-	fieldOf := func(e sqlpp.Expr) (string, bool) {
-		fa, ok := e.(*sqlpp.FieldAccess)
-		if !ok {
-			return "", false
-		}
-		vr, ok := fa.Base.(*sqlpp.VarRef)
-		if !ok || vr.Name != scan.Var {
-			return "", false
-		}
-		return fa.Field, true
-	}
+	fieldOf := func(e sqlpp.Expr) (string, bool) { return recField(e, scan.Var) }
 
 	// Ordered indexes (PRIMARY, BTREE): the first bounded field with a
 	// usable index wins, except that equality on the full primary key —
@@ -1116,6 +1222,9 @@ func pruneOp(op Op, need needs, hits *int) Op {
 		if o.On != nil {
 			needL.addUses(o.On, lSchema)
 			needR.addUses(o.On, rSchema)
+		}
+		for _, a := range o.Aggs {
+			needL.addUses(a.Arg, lSchema)
 		}
 		for _, k := range o.LeftKeys {
 			needL.set(k, nil)

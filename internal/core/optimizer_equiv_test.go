@@ -168,6 +168,9 @@ func TestOptimizerDisableRule(t *testing.T) {
 			ORDER BY m.authorId % 3 DESC, m.messageId LIMIT 9 OFFSET 2;`,
 		"push-select-into-scan": `SELECT m.messageId AS id, m.topic AS topic FROM GleambookMessages m
 			WHERE m.authorId >= 3 AND m.topic > "topic1" ORDER BY m.messageId DESC;`,
+		"push-aggregate-into-join": `SELECT g AS g, COUNT(*) AS n, SUM(m.messageId) AS s, MAX(m.topic) AS t
+			FROM GleambookUsers u, GleambookMessages m WHERE m.authorId = u.id
+			GROUP BY u.id % 7 AS g ORDER BY g;`,
 	} {
 		t.Run(rule, func(t *testing.T) {
 			ablated := newEngine(t, Config{OptimizerDisable: []string{rule}})

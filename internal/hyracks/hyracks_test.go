@@ -460,6 +460,60 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
+// TestJoinNullBuildKeysAreNotSpilled: a build tuple with a null or missing
+// key can never match and no join preserves its build side, so 40 000 of
+// them under a 4 KiB grant are neither stored nor spilled, and every kind
+// answers as over the one keyed build tuple.
+func TestJoinNullBuildKeysAreNotSpilled(t *testing.T) {
+	const rows = 40000
+	for _, c := range []struct {
+		kind     JoinKind
+		out, hit int // rows out, and of them those carrying the build tuple
+	}{{InnerJoin, 1, 1}, {LeftOuterJoin, 11, 1}, {LeftSemiJoin, 1, 0}} {
+		cl := newSpillCluster(t, 1, 4<<10)
+		j := NewJob()
+		left := j.Add(NewScan("left", 1, func(tc *TaskContext, emit func(Tuple) error) error {
+			if err := emit(Tuple{adm.Null, adm.String("l")}); err != nil {
+				return err
+			}
+			return rangeScan(10)(tc, emit)
+		}))
+		right := j.Add(NewScan("right", 1, func(tc *TaskContext, emit func(Tuple) error) error {
+			for i := 0; i < rows; i++ {
+				key := adm.Value(adm.Null)
+				if i%2 == 0 {
+					key = adm.Missing
+				}
+				if err := emit(Tuple{key, adm.String("padding-padding-padding")}); err != nil {
+					return err
+				}
+			}
+			return emit(Tuple{adm.Int64(3), adm.String("match")})
+		}))
+		join := j.Add(NewHashJoin("join", 1, []int{0}, []int{0}, c.kind, 2, nil))
+		coll := &Collector{}
+		sink := j.Add(NewSink("sink", 1, coll))
+		j.MustConnect(left, join, 0, OneToOne())
+		j.MustConnect(right, join, 1, OneToOne())
+		j.MustConnect(join, sink, 0, OneToOne())
+		if err := cl.Run(context.Background(), j); err != nil {
+			t.Fatal(err)
+		}
+		hit := 0
+		for _, tp := range coll.Tuples() {
+			if len(tp) == 4 && adm.Equal(tp[3], adm.String("match")) {
+				hit++
+			}
+		}
+		if coll.Len() != c.out || hit != c.hit {
+			t.Errorf("join kind %d: %d rows, %d matched, want %d and %d", c.kind, coll.Len(), hit, c.out, c.hit)
+		}
+		if s := cl.TotalStats().Spills; s != 0 {
+			t.Errorf("join kind %d: %d spills of build tuples that cannot match", c.kind, s)
+		}
+	}
+}
+
 func TestNestedLoopJoin(t *testing.T) {
 	c := newCluster(t, 1)
 	j := NewJob()

@@ -29,27 +29,37 @@ const (
 // semantics needed for outer and semi joins whose conditions mix
 // equalities with other predicates).
 func NewHashJoin(name string, parallelism int, leftCols, rightCols []int, kind JoinKind, rightWidth int, residual func(l, r Tuple) (bool, error)) *Operator {
+	return hashJoinOp(name, parallelism, leftCols, rightCols, kind, rightWidth, residual, nil)
+}
+
+// NewAggregatingHashJoin is an inner hash join that aggregates its matches (a
+// groupjoin): every matching probe tuple steps the build row's partial
+// states, one per aggregate (non-empty aggs, columns of the probe tuple),
+// and each build row that matched is emitted once as row ++ states. Build,
+// memory accounting and the grace path are NewHashJoin's.
+func NewAggregatingHashJoin(name string, parallelism int, leftCols, rightCols []int, aggs []AggSpec, residual func(l, r Tuple) (bool, error)) *Operator {
+	return hashJoinOp(name, parallelism, leftCols, rightCols, InnerJoin, 0, residual, aggs)
+}
+
+func hashJoinOp(name string, parallelism int, leftCols, rightCols []int, kind JoinKind, rightWidth int, residual func(l, r Tuple) (bool, error), aggs []AggSpec) *Operator {
 	return &Operator{
 		Name:        name,
 		Parallelism: parallelism,
 		Memory:      true,
 		New: func(int) Runner {
 			return RunnerFunc(func(tc *TaskContext, in []*Input, out []*Output) error {
-				return runHashJoin(tc, in[0], in[1], out[0], leftCols, rightCols, kind, rightWidth, residual)
+				return runHashJoin(tc, in[0], in[1], out[0], leftCols, rightCols, kind, rightWidth, residual, aggs)
 			})
 		},
 	}
 }
 
+// keysEqual compares join keys. Neither side ever holds a null or missing
+// key here: the build drops such tuples and the probe answers them without
+// a lookup (SQL join semantics: null/missing never match).
 func keysEqual(a Tuple, aCols []int, b Tuple, bCols []int) bool {
 	for i := range aCols {
-		av, bv := a[aCols[i]], b[bCols[i]]
-		// SQL join semantics: null/missing never match.
-		ak, bk := av.Kind(), bv.Kind()
-		if ak <= adm.KindNull || bk <= adm.KindNull {
-			return false
-		}
-		if adm.Compare(av, bv) != 0 {
+		if adm.Compare(a[aCols[i]], b[bCols[i]]) != 0 {
 			return false
 		}
 	}
@@ -104,7 +114,33 @@ func joinProbe(out *Output, kind JoinKind, rightWidth int, match func(l, r Tuple
 	}
 }
 
-func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rightCols []int, kind JoinKind, rightWidth int, residual func(l, r Tuple) (bool, error)) error {
+// aggregateProbe is joinProbe for the aggregating join: a match steps the
+// partial states at the tail of the build entry, made on its first match.
+func aggregateProbe(aggs []AggSpec, match func(l, r Tuple) (bool, error)) func(l Tuple, cands []Tuple) error {
+	return func(l Tuple, cands []Tuple) error {
+		for _, r := range cands {
+			ok, err := match(l, r)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			states := r[len(r)-len(aggs):]
+			if states[0] == nil {
+				for i, a := range aggs {
+					states[i] = a.Init()
+				}
+			}
+			for i, a := range aggs {
+				states[i] = a.Step(states[i], l)
+			}
+		}
+		return nil
+	}
+}
+
+func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rightCols []int, kind JoinKind, rightWidth int, residual func(l, r Tuple) (bool, error), aggs []AggSpec) error {
 	const graceFanout = 16
 	// Grace partitions of both sides. The build files are the spills the
 	// counters report; the probe files follow from them.
@@ -112,17 +148,30 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 	defer build.close()
 	defer probe.close()
 
+	// A table entry is the build row, plus — for the aggregating join — one
+	// slot per partial state, nil until the row's first match. The states
+	// are charged with the row.
+	entry, stateSize := func(t Tuple) Tuple { return t }, 0
+	if len(aggs) > 0 {
+		stateSize = 24 // the entry's own slice, as in EstimateSize
+		for _, a := range aggs {
+			stateSize += estimateValueSize(a.Init())
+		}
+		entry = func(t Tuple) Tuple { return append(t[:len(t):len(t)], make(Tuple, len(aggs))...) }
+	}
+
 	// Build phase: read the right side into a hash table; when the grant
 	// cannot cover it, move the table to the build partitions and send the
-	// rest of the input straight after it.
+	// rest of the input straight after it. A tuple with a null or missing key
+	// never matches, and no join here keeps unmatched build rows: it is dropped.
 	var (
 		table     = map[uint64][]Tuple{}
 		tableSize = 0
 	)
 	spillTable := func() error {
 		for h, bucket := range table {
-			for _, t := range bucket {
-				if err := build.write(int(h%graceFanout), t); err != nil {
+			for _, e := range bucket {
+				if err := build.write(int(h%graceFanout), e[:len(e)-len(aggs)]); err != nil {
 					return err
 				}
 			}
@@ -131,19 +180,22 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 		return nil
 	}
 	err := right.ForEach(func(t Tuple) error {
+		if hasNullKey(t, rightCols) {
+			return nil
+		}
 		h := HashColumns(t, rightCols)
 		if build.len() > 0 {
 			return build.write(int(h%graceFanout), t)
 		}
-		table[h] = append(table[h], t)
-		tableSize += t.EstimateSize()
+		table[h] = append(table[h], entry(t))
+		tableSize += t.EstimateSize() + stateSize
 		return growOrSpill(tc, tableSize, spillTable)
 	})
 	if err != nil {
 		return err
 	}
 
-	probeOne := joinProbe(out, kind, rightWidth, func(l, r Tuple) (bool, error) {
+	match := func(l, r Tuple) (bool, error) {
 		if !keysEqual(l, leftCols, r, rightCols) {
 			return false, nil
 		}
@@ -151,7 +203,11 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 			return true, nil
 		}
 		return residual(l, r)
-	})
+	}
+	probeOne := joinProbe(out, kind, rightWidth, match)
+	if len(aggs) > 0 {
+		probeOne = aggregateProbe(aggs, match)
+	}
 	// probeTable joins l against its bucket (none for a null key: SQL join
 	// semantics, null/missing never match).
 	probeTable := func(table map[uint64][]Tuple, l Tuple) error {
@@ -160,27 +216,52 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 		}
 		return probeOne(l, table[HashColumns(l, leftCols)])
 	}
+	// emitMatched ends a probe pass of the aggregating join.
+	emitMatched := func(table map[uint64][]Tuple) error {
+		if len(aggs) == 0 {
+			return nil
+		}
+		for _, bucket := range table {
+			for _, e := range bucket {
+				if e[len(e)-len(aggs)] == nil {
+					continue
+				}
+				if err := out.Write(e); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 	if build.len() == 0 {
-		return left.ForEach(func(l Tuple) error { return probeTable(table, l) })
+		if err := left.ForEach(func(l Tuple) error { return probeTable(table, l) }); err != nil {
+			return err
+		}
+		return emitMatched(table)
 	}
 
 	// Grace: partition the probe side the same way, then join each
-	// partition pair in memory.
+	// partition pair in memory. A probe tuple with a null key is answered at
+	// once, as it would be against any partition.
 	err = left.ForEach(func(l Tuple) error {
+		if hasNullKey(l, leftCols) {
+			return probeOne(l, nil)
+		}
 		return probe.write(int(HashColumns(l, leftCols)%graceFanout), l)
 	})
 	if err != nil {
 		return err
 	}
 	// Inner and outer probes copy the probe tuple into every emitted row,
-	// so one read-back container serves them all. A semi join writes the
-	// probe tuple itself downstream and must read fresh ones.
+	// and the aggregating probe keeps only values of it, so one read-back
+	// container serves them all. A semi join writes the probe tuple itself
+	// downstream and must read fresh ones.
 	reuseProbe := kind != LeftSemiJoin
 	for p := 0; p < graceFanout; p++ {
 		part := map[uint64][]Tuple{}
 		err := build.each(p, false, func(r Tuple) error {
 			h := HashColumns(r, rightCols)
-			part[h] = append(part[h], r)
+			part[h] = append(part[h], entry(r))
 			return nil
 		})
 		if err != nil {
@@ -188,6 +269,9 @@ func runHashJoin(tc *TaskContext, left, right *Input, out *Output, leftCols, rig
 		}
 		err = probe.each(p, reuseProbe, func(l Tuple) error { return probeTable(part, l) })
 		if err != nil {
+			return err
+		}
+		if err := emitMatched(part); err != nil {
 			return err
 		}
 	}

@@ -169,14 +169,19 @@ func TestUnboundedBufferReleasesDeliveredFrames(t *testing.T) {
 }
 
 // TestSpilledOperatorsMatchInMemory runs the operators that read runs back
-// — group-by and the grace join of every kind — under a 64 KiB grant and
-// with ample memory, and requires the same rows.
+// — group-by, the grace join of every kind and the aggregating join — under
+// a 64 KiB grant and with ample memory, and requires the same rows and
+// every grant given back.
 func TestSpilledOperatorsMatchInMemory(t *testing.T) {
 	const n = 6000
 	payload := func(i int) adm.Value { return adm.String(fmt.Sprintf("payload-%06d-payload-payload", i)) }
 	left := func(tc *TaskContext, emit func(Tuple) error) error {
 		for i := tc.Partition; i < n; i += tc.NumPartitions {
-			if err := emit(Tuple{adm.Int64(i), payload(i)}); err != nil {
+			key := adm.Value(adm.Int64(i))
+			if i%100 == 7 { // a null key never reaches a partition
+				key = adm.Null
+			}
+			if err := emit(Tuple{key, payload(i)}); err != nil {
 				return err
 			}
 		}
@@ -222,6 +227,23 @@ func TestSpilledOperatorsMatchInMemory(t *testing.T) {
 		{"inner join", join(InnerJoin)},
 		{"left outer join", join(LeftOuterJoin)},
 		{"semi join", join(LeftSemiJoin)},
+		// Three probe tuples for each key of the first third, against build
+		// keys that skip every third one.
+		{"aggregating join", func(j *Job) *Operator {
+			l := j.Add(NewScan("left", 2, func(tc *TaskContext, emit func(Tuple) error) error {
+				for i := tc.Partition; i < n; i += tc.NumPartitions {
+					if err := emit(Tuple{adm.Int64(i % (n / 3)), adm.Int64(i)}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}))
+			r := j.Add(NewScan("right", 2, right))
+			op := j.Add(NewAggregatingHashJoin("join", 2, []int{0}, []int{0}, []AggSpec{CountAgg(-1), SumAgg(1), MaxAgg(1)}, nil))
+			j.MustConnect(l, op, 0, HashPartition(0))
+			j.MustConnect(r, op, 1, HashPartition(0))
+			return op
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(c *Cluster) []string {
@@ -231,6 +253,9 @@ func TestSpilledOperatorsMatchInMemory(t *testing.T) {
 				j.MustConnect(tc.build(j), sink, 0, MergeUnordered())
 				if err := c.Run(context.Background(), j); err != nil {
 					t.Fatal(err)
+				}
+				if g := c.Gov.WorkingGranted(); g != 0 {
+					t.Errorf("%d working bytes still granted after the job", g)
 				}
 				rows := make([]string, 0, coll.Len())
 				for _, tp := range coll.Tuples() {

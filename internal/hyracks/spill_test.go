@@ -122,6 +122,9 @@ func TestSpillErrorExitsLeaveNothingBehind(t *testing.T) {
 		{"inner join", func() *Operator { return NewHashJoin("op", 1, []int{0}, []int{0}, InnerJoin, 2, nil) }, true},
 		{"left-outer join", func() *Operator { return NewHashJoin("op", 1, []int{0}, []int{0}, LeftOuterJoin, 2, nil) }, true},
 		{"semi join", func() *Operator { return NewHashJoin("op", 1, []int{0}, []int{0}, LeftSemiJoin, 2, nil) }, true},
+		{"aggregating join", func() *Operator {
+			return NewAggregatingHashJoin("op", 1, []int{0}, []int{0}, []AggSpec{CountAgg(-1)}, nil)
+		}, true},
 	}
 
 	for _, o := range operators {
