@@ -36,14 +36,15 @@ invariants:
 
 # fault-matrix: the robustness gate — crash-recovery matrix, node-failure
 # and cancellation tests, the spill error-exit matrix (no run file or
-# descriptor outlives a failed task), the WAL torn-tail suite, and the
-# LSM lifecycle's flush/merge fault (on the writer's barrier and on the
-# background worker), crash-orphan and validator tests over every index
+# descriptor outlives a failed task), a panicking operator's typed job
+# failure (grant, pins and run files given back), the WAL torn-tail suite,
+# and the LSM lifecycle's flush/merge fault (on the writer's barrier and on
+# the background worker), crash-orphan and validator tests over every index
 # kind, and the storage-format gate (a directory of another format is
 # refused and left as found), with deep validators compiled in (see
 # docs/ROBUSTNESS.md).
 fault-matrix:
-	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat' \
+	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestTaskPanic|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat' \
 		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
@@ -67,7 +68,7 @@ net-matrix:
 # whole records out of both stored forms), of the key encoder
 # (BenchmarkEncodeKey: ns and bytes per key of a small integer, an integer
 # beyond 2^53, a double and a string) and the leaf over them
-# (BenchmarkScanLeaf), the
+# (BenchmarkScanLeaf), the B+tree's point search (BenchmarkSearchHot), the
 # expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled)
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
 # BenchmarkExchangeWrite), and of storage maintenance
@@ -76,7 +77,7 @@ net-matrix:
 # (BenchmarkRecover: ns and read system calls per record redone from a
 # 100 000-record log).
 bench:
-	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/hyracks ./internal/lsm ./internal/txn
+	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/btree ./internal/hyracks ./internal/lsm ./internal/txn
 
 # bench-smoke: the CI perf gate — run the experiment suite at the small
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
@@ -124,7 +125,7 @@ help:
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
 	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
-	@echo "  bench       top-level benchmarks + adm/algebricks/hyracks/lsm/txn microbenchmarks, once each"
+	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 

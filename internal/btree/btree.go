@@ -2,11 +2,11 @@
 // Keys and values are opaque byte strings; keys compare with bytes.Compare
 // (ADM values use adm.EncodeKey to obtain order-preserving key bytes).
 //
-// The tree supports point search, upserting insert, delete (lazy: leaves
-// may underflow without rebalancing, as many production systems allow),
-// ordered range scans via the leaf chain, and bottom-up bulk loading from
-// sorted input — the operation whose absence for linear hashing is the
-// punchline of the paper's Section V-C.
+// A tree is built once, bottom-up from sorted input by BulkLoad — the
+// operation whose absence for linear hashing is the punchline of the
+// paper's Section V-C — and only read after that: point search, ordered
+// range scans via the leaf chain, and pull-style iterators. Every LSM disk
+// component is such a tree; nothing updates one in place.
 package btree
 
 import (
@@ -37,8 +37,12 @@ type BTree struct {
 }
 
 // Open opens (or initializes) a B+tree in the file. A fresh file gets a
-// meta page and an empty root leaf.
+// meta page and an empty root leaf. Pages above maxPageSize are refused:
+// a restart offset has 2 bytes.
 func Open(bc *storage.BufferCache, file storage.FileID) (*BTree, error) {
+	if ps := bc.FileManager().PageSize(); ps > maxPageSize {
+		return nil, fmt.Errorf("btree: page size %d exceeds the %d bytes a restart offset addresses", ps, maxPageSize)
+	}
 	t := &BTree{bc: bc, file: file}
 	n, err := bc.FileManager().NumPages(file)
 	if err != nil {
@@ -81,16 +85,6 @@ func (t *BTree) writeMeta(buf []byte) {
 	binary.BigEndian.PutUint64(buf[8:], uint64(t.count))
 }
 
-func (t *BTree) syncMeta() error {
-	mp, err := t.bc.Pin(storage.PageID{File: t.file, Num: metaPage})
-	if err != nil {
-		return err
-	}
-	t.writeMeta(mp.Data)
-	t.bc.Unpin(mp, true)
-	return nil
-}
-
 // Count returns the number of live entries.
 func (t *BTree) Count() int64 { return t.count }
 
@@ -113,9 +107,9 @@ type node struct {
 
 func newNode(typ byte) *node { return &node{typ: typ, next: noPage} }
 
-// encodedSize returns the page bytes the node needs.
+// encodedSize returns the page bytes the node needs, trailer included.
 func (n *node) encodedSize() int {
-	sz := pageHeaderSize
+	sz := pageHeaderSize + 2 + 2*numRestarts(len(n.keys))
 	for i, k := range n.keys {
 		sz += chunkSize(k)
 		if n.typ == nodeLeaf {
@@ -140,18 +134,25 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
+// encode writes the node into the page buf: entries from the front, the
+// restart trailer at the end.
 func (n *node) encode(buf []byte) {
 	buf[0] = n.typ
 	binary.BigEndian.PutUint16(buf[1:], uint16(len(n.keys)))
 	binary.BigEndian.PutUint32(buf[3:], uint32(n.next))
-	pos := 7
+	pos := pageHeaderSize
 	if n.typ == nodeInterior {
 		for _, c := range n.children {
 			binary.BigEndian.PutUint32(buf[pos:], uint32(c))
 			pos += 4
 		}
 	}
+	r := numRestarts(len(n.keys))
+	restarts := buf[len(buf)-2-2*r:]
 	for i, k := range n.keys {
+		if i%restartEvery == 0 {
+			binary.BigEndian.PutUint16(restarts[2*(i/restartEvery):], uint16(pos))
+		}
 		pos += binary.PutUvarint(buf[pos:], uint64(len(k)))
 		pos += copy(buf[pos:], k)
 		if n.typ == nodeLeaf {
@@ -159,42 +160,50 @@ func (n *node) encode(buf []byte) {
 			pos += copy(buf[pos:], n.vals[i])
 		}
 	}
+	binary.BigEndian.PutUint16(buf[len(buf)-2:], uint16(r))
 }
 
-// decodeNode materialises a page for the write side (insert, delete) and
-// the validator; reads go through page.go.
+// decodeNode materialises a page for the validator. It checks what the
+// in-place readers take on trust: every entry lies before the trailer, and
+// restart offset r points at entry r*restartEvery.
 func decodeNode(buf []byte) (*node, error) {
-	if len(buf) < pageHeaderSize {
+	if len(buf) == 0 || (buf[0] != nodeLeaf && buf[0] != nodeInterior) {
 		return nil, errCorrupt
 	}
-	cnt, next, pos, err := pageHeader(buf, buf[0])
+	v, err := parsePage(buf, buf[0])
 	if err != nil {
 		return nil, err
 	}
-	n := &node{typ: buf[0], next: next}
+	n := &node{typ: buf[0], next: v.next}
 	if n.typ == nodeInterior {
-		n.children = make([]int32, cnt+1)
+		n.children = make([]int32, v.cnt+1)
 		for i := range n.children {
 			n.children[i] = int32(binary.BigEndian.Uint32(buf[pageHeaderSize+4*i:]))
 		}
 	}
-	n.keys = make([][]byte, cnt)
+	n.keys = make([][]byte, v.cnt)
 	if n.typ == nodeLeaf {
-		n.vals = make([][]byte, cnt)
+		n.vals = make([][]byte, v.cnt)
 	}
-	for i := 0; i < cnt; i++ {
-		k, end, ok := readChunk(buf, pos)
+	pos := v.first
+	for i := 0; i < v.cnt; i++ {
+		if i%restartEvery == 0 {
+			if off, err := v.restart(i / restartEvery); err != nil || off != pos {
+				return nil, fmt.Errorf("%w: restart %d does not point at entry %d", errCorrupt, i/restartEvery, i)
+			}
+		}
+		k, end, ok := readChunk(v.buf, pos)
 		if !ok {
 			return nil, errCorrupt
 		}
 		n.keys[i] = append([]byte(nil), k...)
 		pos = end
 		if n.typ == nodeLeaf {
-			v, end, ok := readChunk(buf, pos)
+			val, end, ok := readChunk(v.buf, pos)
 			if !ok {
 				return nil, errCorrupt
 			}
-			n.vals[i] = append([]byte(nil), v...)
+			n.vals[i] = append([]byte(nil), val...)
 			pos = end
 		}
 	}
@@ -215,16 +224,6 @@ func (t *BTree) readNode(num int32) (*node, error) {
 	return n, err
 }
 
-func (t *BTree) writeNode(num int32, n *node) error {
-	p, err := t.bc.Pin(storage.PageID{File: t.file, Num: num})
-	if err != nil {
-		return err
-	}
-	n.encode(p.Data)
-	t.bc.Unpin(p, true)
-	return nil
-}
-
 func (t *BTree) allocNode(n *node) (int32, error) {
 	p, err := t.bc.NewPage(t.file)
 	if err != nil {
@@ -234,37 +233,6 @@ func (t *BTree) allocNode(n *node) (int32, error) {
 	num := p.ID.Num
 	t.bc.Unpin(p, true)
 	return num, nil
-}
-
-// childIndex returns the index of the child to follow for key.
-func (n *node) childIndex(key []byte) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(key, n.keys[mid]) < 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// leafIndex returns the insertion position of key and whether it is present.
-func (n *node) leafIndex(key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch bytes.Compare(n.keys[mid], key) {
-		case -1:
-			lo = mid + 1
-		case 1:
-			hi = mid
-		default:
-			return mid, true
-		}
-	}
-	return lo, false
 }
 
 // Search returns a copy of the value stored under key. The leaf is
@@ -279,11 +247,10 @@ func (t *BTree) Search(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	defer t.bc.Unpin(p, false)
-	cnt, _, pos, err := pageHeader(p.Data, nodeLeaf)
+	c, _, err := seekLeaf(p.Data, key)
 	if err != nil {
 		return nil, false, err
 	}
-	c := leafCursor{buf: p.Data, pos: pos, left: cnt}
 	for {
 		k, v, ok, err := c.next()
 		if err != nil || !ok {
@@ -296,139 +263,6 @@ func (t *BTree) Search(key []byte) ([]byte, bool, error) {
 			return nil, false, nil
 		}
 	}
-}
-
-// Insert upserts key → value.
-func (t *BTree) Insert(key, value []byte) error {
-	if len(key)+len(value) > t.MaxEntrySize() {
-		return fmt.Errorf("btree: entry of %d bytes exceeds max %d", len(key)+len(value), t.MaxEntrySize())
-	}
-	sepKey, newChild, replaced, err := t.insertAt(t.root, t.height, key, value)
-	if err != nil {
-		return err
-	}
-	if newChild != noPage {
-		// Root split: new root with two children.
-		nr := newNode(nodeInterior)
-		nr.keys = [][]byte{sepKey}
-		nr.children = []int32{t.root, newChild}
-		num, err := t.allocNode(nr)
-		if err != nil {
-			return err
-		}
-		t.root = num
-		t.height++
-	}
-	if !replaced {
-		t.count++
-	}
-	return t.syncMeta()
-}
-
-// insertAt inserts into the subtree rooted at page num at the given level.
-// On split it returns the separator key and new right-sibling page.
-func (t *BTree) insertAt(num int32, level int32, key, value []byte) (sep []byte, newPage int32, replaced bool, err error) {
-	n, err := t.readNode(num)
-	if err != nil {
-		return nil, noPage, false, err
-	}
-	if (level == 1) != (n.typ == nodeLeaf) {
-		return nil, noPage, false, errCorrupt
-	}
-	if level == 1 {
-		i, found := n.leafIndex(key)
-		if found {
-			n.vals[i] = value
-			replaced = true
-		} else {
-			n.keys = append(n.keys, nil)
-			copy(n.keys[i+1:], n.keys[i:])
-			n.keys[i] = append([]byte(nil), key...)
-			n.vals = append(n.vals, nil)
-			copy(n.vals[i+1:], n.vals[i:])
-			n.vals[i] = append([]byte(nil), value...)
-		}
-		return t.finishInsert(num, n, replaced)
-	}
-	ci := n.childIndex(key)
-	childSep, childNew, replaced, err := t.insertAt(n.children[ci], level-1, key, value)
-	if err != nil {
-		return nil, noPage, false, err
-	}
-	if childNew == noPage {
-		return nil, noPage, replaced, nil
-	}
-	n.keys = append(n.keys, nil)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = childSep
-	n.children = append(n.children, 0)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = childNew
-	return t.finishInsert(num, n, replaced)
-}
-
-// finishInsert writes the node back, splitting if it no longer fits.
-func (t *BTree) finishInsert(num int32, n *node, replaced bool) ([]byte, int32, bool, error) {
-	pageSize := t.bc.FileManager().PageSize()
-	if n.encodedSize() <= pageSize {
-		return nil, noPage, replaced, t.writeNode(num, n)
-	}
-	mid := len(n.keys) / 2
-	right := newNode(n.typ)
-	var sep []byte
-	if n.typ == nodeLeaf {
-		right.keys = append(right.keys, n.keys[mid:]...)
-		right.vals = append(right.vals, n.vals[mid:]...)
-		n.keys = n.keys[:mid]
-		n.vals = n.vals[:mid]
-		sep = append([]byte(nil), right.keys[0]...)
-		right.next = n.next
-	} else {
-		// Interior: separator moves up, not into the right node.
-		sep = append([]byte(nil), n.keys[mid]...)
-		right.keys = append(right.keys, n.keys[mid+1:]...)
-		right.children = append(right.children, n.children[mid+1:]...)
-		n.keys = n.keys[:mid]
-		n.children = n.children[:mid+1]
-	}
-	rNum, err := t.allocNode(right)
-	if err != nil {
-		return nil, noPage, false, err
-	}
-	if n.typ == nodeLeaf {
-		n.next = rNum
-	}
-	if err := t.writeNode(num, n); err != nil {
-		return nil, noPage, false, err
-	}
-	return sep, rNum, replaced, nil
-}
-
-// Delete removes key, reporting whether it was present. Leaves may
-// underflow; they are not merged (lazy deletion).
-func (t *BTree) Delete(key []byte) (bool, error) {
-	num, err := t.findLeaf(key)
-	if err != nil {
-		return false, err
-	}
-	leaf, err := t.readNode(num)
-	if err != nil {
-		return false, err
-	}
-	if leaf.typ != nodeLeaf {
-		return false, errCorrupt
-	}
-	i, found := leaf.leafIndex(key)
-	if !found {
-		return false, nil
-	}
-	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
-	leaf.vals = append(leaf.vals[:i], leaf.vals[i+1:]...)
-	if err := t.writeNode(num, leaf); err != nil {
-		return false, err
-	}
-	t.count--
-	return true, t.syncMeta()
 }
 
 // Scan visits entries with lo <= key <= hi in order (nil bounds are
@@ -448,9 +282,9 @@ func (t *BTree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // pairs supplied by next (which returns ok=false at end; a pair need only
 // stay valid until the following call to next). The tree must be empty.
 // This is the efficient sorted-load path that Section V-C contrasts with
-// linear hashing. What it builds is never inserted into (an LSM disk
-// component): every page is filled until the next entry does not fit, and
-// encoded once.
+// linear hashing, and the only way a tree is written: every page is filled
+// until the next entry — with its restart offset, when it starts a restart
+// group — does not fit, and encoded once.
 func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: bulk load into non-empty tree")
@@ -465,10 +299,11 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		t.bc.Unpin(mp, true)
 	}()
 	pageSize := t.bc.FileManager().PageSize()
+	const emptySize = pageHeaderSize + 2 // a page without entries: header and restart count
 
 	var (
 		leaf     = newNode(nodeLeaf)
-		leafSize = pageHeaderSize // leaf.encodedSize(), kept as entries are added
+		leafSize = emptySize // leaf.encodedSize(), kept as entries are added
 		// The leaf's keys and values, copied once each: next's pair is good
 		// only until its following call. Emptied when the leaf is written.
 		leafBuf  = make([]byte, 0, pageSize)
@@ -499,7 +334,7 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		prevLeaf = num
 		pages = append(pages, num)
 		seps = append(seps, append([]byte(nil), leaf.keys[0]...))
-		leaf.keys, leaf.vals, leafBuf, leafSize = leaf.keys[:0], leaf.vals[:0], leafBuf[:0], pageHeaderSize
+		leaf.keys, leaf.vals, leafBuf, leafSize = leaf.keys[:0], leaf.vals[:0], leafBuf[:0], emptySize
 		return nil
 	}
 
@@ -516,16 +351,16 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 			return fmt.Errorf("btree: entry exceeds max size")
 		}
 		entrySize := chunkSize(k) + chunkSize(v)
-		if leafSize+entrySize > pageSize {
+		if leafSize+entrySize+restartCost(len(leaf.keys)) > pageSize {
 			if err := writeLeaf(false); err != nil {
 				return err
 			}
 		}
+		leafSize += entrySize + restartCost(len(leaf.keys))
 		leafBuf = append(append(leafBuf, k...), v...)
 		kv := leafBuf[len(leafBuf)-len(k)-len(v):]
 		leaf.keys = append(leaf.keys, kv[:len(k):len(k)])
 		leaf.vals = append(leaf.vals, kv[len(k):])
-		leafSize += entrySize
 		total++
 	}
 	if total == 0 {
@@ -544,13 +379,13 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		for i < len(pages) {
 			in := newNode(nodeInterior)
 			in.children = []int32{pages[i]}
-			size := pageHeaderSize + 4 // in.encodedSize(), kept as children are added
+			size := emptySize + 4 // in.encodedSize(), kept as children are added
 			firstSep := seps[i]
 			i++
-			for i < len(pages) && size+4+chunkSize(seps[i]) <= pageSize {
+			for i < len(pages) && size+4+chunkSize(seps[i])+restartCost(len(in.keys)) <= pageSize {
+				size += 4 + chunkSize(seps[i]) + restartCost(len(in.keys))
 				in.keys = append(in.keys, seps[i])
 				in.children = append(in.children, pages[i])
-				size += 4 + chunkSize(seps[i])
 				i++
 			}
 			num, err := t.allocNode(in)

@@ -44,13 +44,28 @@ func ikey(i int) []byte {
 	return b[:]
 }
 
-func TestInsertSearchSmall(t *testing.T) {
-	bt := newTree(t, 512, 64)
-	for i := 0; i < 100; i++ {
-		if err := bt.Insert(ikey(i*2), []byte(fmt.Sprintf("v%d", i*2))); err != nil {
-			t.Fatal(err)
+// load bulk-loads key(i) → val(i) for i in [0, n); key must ascend.
+func load(t testing.TB, bt *BTree, n int, key, val func(i int) []byte) {
+	t.Helper()
+	i := 0
+	err := bt.BulkLoad(func() ([]byte, []byte, bool) {
+		if i == n {
+			return nil, nil, false
 		}
+		i++
+		return key(i - 1), val(i - 1), true
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+}
+
+// loadKeys bulk-loads ikey(i) → ikey(i) for i in [0, n).
+func loadKeys(t testing.TB, bt *BTree, n int) { load(t, bt, n, ikey, ikey) }
+
+func TestSearchSmall(t *testing.T) {
+	bt := newTree(t, 512, 64)
+	load(t, bt, 100, func(i int) []byte { return ikey(i * 2) }, func(i int) []byte { return []byte(fmt.Sprintf("v%d", i*2)) })
 	for i := 0; i < 100; i++ {
 		v, ok, err := bt.Search(ikey(i * 2))
 		if err != nil {
@@ -68,34 +83,12 @@ func TestInsertSearchSmall(t *testing.T) {
 	}
 }
 
-func TestInsertUpsertsReplaces(t *testing.T) {
-	bt := newTree(t, 512, 64)
-	if err := bt.Insert([]byte("k"), []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bt.Insert([]byte("k"), []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, _ := bt.Search([]byte("k"))
-	if !ok || string(v) != "v2" {
-		t.Fatalf("got %q", v)
-	}
-	if bt.Count() != 1 {
-		t.Errorf("replace should not grow count: %d", bt.Count())
-	}
-}
-
-func TestSplitsGrowHeight(t *testing.T) {
-	bt := newTree(t, 256, 256) // small pages force splits
+func TestBulkLoadGrowsHeight(t *testing.T) {
+	bt := newTree(t, 256, 256) // small pages make a deep tree
 	n := 2000
-	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, i := range perm {
-		if err := bt.Insert(ikey(i), ikey(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadKeys(t, bt, n)
 	if bt.Height() < 3 {
-		t.Errorf("expected height >= 3 after %d inserts into 256B pages, got %d", n, bt.Height())
+		t.Errorf("expected height >= 3 for %d keys in 256B pages, got %d", n, bt.Height())
 	}
 	for i := 0; i < n; i++ {
 		if _, ok, _ := bt.Search(ikey(i)); !ok {
@@ -106,11 +99,7 @@ func TestSplitsGrowHeight(t *testing.T) {
 
 func TestScanRange(t *testing.T) {
 	bt := newTree(t, 256, 256)
-	for i := 0; i < 500; i++ {
-		if err := bt.Insert(ikey(i), ikey(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loadKeys(t, bt, 500)
 	var got []int
 	err := bt.Scan(ikey(100), ikey(199), func(k, v []byte) bool {
 		got = append(got, int(binary.BigEndian.Uint64(k)))
@@ -143,34 +132,6 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	bt := newTree(t, 256, 256)
-	for i := 0; i < 300; i++ {
-		bt.Insert(ikey(i), ikey(i))
-	}
-	for i := 0; i < 300; i += 2 {
-		ok, err := bt.Delete(ikey(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("delete %d reported absent", i)
-		}
-	}
-	if ok, _ := bt.Delete(ikey(0)); ok {
-		t.Error("double delete should report absent")
-	}
-	for i := 0; i < 300; i++ {
-		_, ok, _ := bt.Search(ikey(i))
-		if (i%2 == 0) == ok {
-			t.Fatalf("key %d presence wrong: %v", i, ok)
-		}
-	}
-	if bt.Count() != 150 {
-		t.Errorf("count = %d", bt.Count())
-	}
-}
-
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	fm, err := storage.NewFileManager(dir, 512)
@@ -183,9 +144,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		bt.Insert(ikey(i), []byte("x"))
-	}
+	load(t, bt, 200, ikey, func(int) []byte { return []byte("x") })
 	if err := bc.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +174,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 func TestBulkLoadAndSearch(t *testing.T) {
 	bt := newTree(t, 512, 128)
 	n := 5000
-	i := 0
-	err := bt.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= n {
-			return nil, nil, false
-		}
-		k := ikey(i)
-		i++
-		return k, k, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loadKeys(t, bt, n)
 	if bt.Count() != int64(n) {
 		t.Fatalf("count = %d", bt.Count())
 	}
@@ -252,29 +200,24 @@ func TestBulkLoadAndSearch(t *testing.T) {
 	if prev != n-1 {
 		t.Errorf("scan ended at %d", prev)
 	}
-	// Inserts after bulk load still work.
-	if err := bt.Insert(ikey(n+10), []byte("late")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, _ := bt.Search(ikey(n + 10)); !ok || string(v) != "late" {
-		t.Error("post-bulk-load insert lost")
-	}
 }
 
+// Input that is out of order, or repeats a key, is refused.
 func TestBulkLoadRejectsUnsorted(t *testing.T) {
-	bt := newTree(t, 512, 32)
-	seq := [][]byte{ikey(1), ikey(3), ikey(2)}
-	i := 0
-	err := bt.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(seq) {
-			return nil, nil, false
+	for _, seq := range [][]int{{1, 3, 2}, {1, 3, 3}} {
+		bt := newTree(t, 512, 32)
+		i := 0
+		err := bt.BulkLoad(func() ([]byte, []byte, bool) {
+			if i >= len(seq) {
+				return nil, nil, false
+			}
+			k := ikey(seq[i])
+			i++
+			return k, k, true
+		})
+		if err == nil {
+			t.Errorf("bulk load of %v must fail", seq)
 		}
-		k := seq[i]
-		i++
-		return k, k, true
-	})
-	if err == nil {
-		t.Error("unsorted bulk load must fail")
 	}
 }
 
@@ -294,47 +237,69 @@ func TestBulkLoadEmpty(t *testing.T) {
 func TestRejectsOversizeEntry(t *testing.T) {
 	bt := newTree(t, 256, 32)
 	big := make([]byte, 300)
-	if err := bt.Insert([]byte("k"), big); err == nil {
+	sent := false
+	err := bt.BulkLoad(func() ([]byte, []byte, bool) {
+		if sent {
+			return nil, nil, false
+		}
+		sent = true
+		return []byte("k"), big, true
+	})
+	if err == nil {
 		t.Error("oversize entry must be rejected")
 	}
 }
 
-// Property: tree behaves like a sorted map under random interleaved
-// operations.
+// A restart offset is 2 bytes, so a file of pages larger than 64 KiB is
+// refused.
+func TestOpenRefusesPagesPastRestartRange(t *testing.T) {
+	for _, c := range []struct {
+		pageSize int
+		ok       bool
+	}{{maxPageSize, true}, {maxPageSize + 1, false}} {
+		fm, err := storage.NewFileManager(t.TempDir(), c.pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := fm.Open("bt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(storage.NewBufferCache(fm, 4), id); (err == nil) != c.ok {
+			t.Errorf("page size %d: Open error %v", c.pageSize, err)
+		}
+		fm.Close()
+	}
+}
+
+// Property: a tree loaded from a random history's final state behaves like
+// that sorted map — count, full scan, and a search for every key and for
+// every key the history deleted.
 func TestPropMatchesReferenceMap(t *testing.T) {
-	bt := newTree(t, 256, 512)
 	ref := map[string]string{}
+	deleted := map[string]bool{}
 	r := rand.New(rand.NewSource(77))
 	for op := 0; op < 5000; op++ {
 		k := fmt.Sprintf("key%04d", r.Intn(800))
-		switch r.Intn(3) {
-		case 0, 1:
-			v := fmt.Sprintf("val%d", op)
-			if err := bt.Insert([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			ref[k] = v
-		case 2:
-			ok, err := bt.Delete([]byte(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, inRef := ref[k]
-			if ok != inRef {
-				t.Fatalf("delete(%s) = %v, ref has %v", k, ok, inRef)
-			}
+		if r.Intn(3) < 2 {
+			ref[k] = fmt.Sprintf("val%d", op)
+			delete(deleted, k)
+		} else if _, ok := ref[k]; ok {
 			delete(ref, k)
+			deleted[k] = true
 		}
 	}
-	if bt.Count() != int64(len(ref)) {
-		t.Fatalf("count %d != ref %d", bt.Count(), len(ref))
-	}
-	// Full scan must equal the sorted reference.
 	var refKeys []string
 	for k := range ref {
 		refKeys = append(refKeys, k)
 	}
 	sort.Strings(refKeys)
+	bt := newTree(t, 256, 512)
+	load(t, bt, len(refKeys), func(i int) []byte { return []byte(refKeys[i]) }, func(i int) []byte { return []byte(ref[refKeys[i]]) })
+
+	if bt.Count() != int64(len(ref)) {
+		t.Fatalf("count %d != ref %d", bt.Count(), len(ref))
+	}
 	i := 0
 	bt.Scan(nil, nil, func(k, v []byte) bool {
 		if i >= len(refKeys) || string(k) != refKeys[i] || string(v) != ref[refKeys[i]] {
@@ -346,22 +311,21 @@ func TestPropMatchesReferenceMap(t *testing.T) {
 	if i != len(refKeys) {
 		t.Fatalf("scan visited %d of %d", i, len(refKeys))
 	}
-}
-
-func BenchmarkInsertRandom(b *testing.B) {
-	bt := newTree(b, 4096, 1024)
-	r := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bt.Insert(ikey(r.Intn(1<<30)), ikey(i))
+	for k, want := range ref {
+		if v, ok, err := bt.Search([]byte(k)); err != nil || !ok || string(v) != want {
+			t.Fatalf("Search(%s) = %q, %v, %v; want %q", k, v, ok, err, want)
+		}
+	}
+	for k := range deleted {
+		if _, ok, err := bt.Search([]byte(k)); ok || err != nil {
+			t.Fatalf("Search(%s) found a deleted key (err %v)", k, err)
+		}
 	}
 }
 
 func BenchmarkSearchHot(b *testing.B) {
 	bt := newTree(b, 4096, 1024)
-	for i := 0; i < 10000; i++ {
-		bt.Insert(ikey(i), ikey(i))
-	}
+	loadKeys(b, bt, 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bt.Search(ikey(i % 10000))

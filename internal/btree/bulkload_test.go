@@ -31,29 +31,39 @@ func treeLevels(t *testing.T, bt *BTree) [][]*node {
 	return levels
 }
 
-// loadAtOldFill bulk-loads entries the way components were built before
-// pages were packed: a leaf or interior page closes once it is nine tenths
-// full. The node encoding is the same, so such trees are still on disk.
-func loadAtOldFill(t *testing.T, bt *BTree, entries []kv) {
+// rewrite encodes n over page num. No production code rewrites a page:
+// tests use it to damage a tree or to empty its leaves.
+func rewrite(t testing.TB, bt *BTree, num int32, n *node) {
+	t.Helper()
+	p, err := bt.bc.Pin(bt.pageID(num))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.encode(p.Data)
+	bt.bc.Unpin(p, true)
+}
+
+// loadPages builds a tree bottom-up like BulkLoad, with the same page
+// encoding, but closes a page — leaf or interior — as soon as full says so
+// or its next entry does not fit. Tests use it for page shapes BulkLoad's
+// packing never makes: a set number of entries per page, or the
+// nine-tenths fill components were once built at.
+func loadPages(t testing.TB, bt *BTree, entries []kv, full func(*node) bool) {
 	t.Helper()
 	pageSize := bt.bc.FileManager().PageSize()
-	fill := pageSize * 9 / 10
-	var pages []int32
-	var seps [][]byte
 	var leaves []*node
 	leaf := newNode(nodeLeaf)
 	for _, e := range entries {
-		if len(leaf.keys) > 0 && leaf.encodedSize()+chunkSize(e.k)+chunkSize(e.v) > pageSize {
+		if len(leaf.keys) > 0 && (full(leaf) || leaf.encodedSize()+chunkSize(e.k)+chunkSize(e.v)+restartCost(len(leaf.keys)) > pageSize) {
 			leaves, leaf = append(leaves, leaf), newNode(nodeLeaf)
 		}
 		leaf.keys, leaf.vals = append(leaf.keys, e.k), append(leaf.vals, e.v)
-		if leaf.encodedSize() >= fill {
-			leaves, leaf = append(leaves, leaf), newNode(nodeLeaf)
-		}
 	}
 	if len(leaf.keys) > 0 {
 		leaves = append(leaves, leaf)
 	}
+	var pages []int32
+	var seps [][]byte
 	for i := len(leaves) - 1; i >= 0; i-- { // right to left: a leaf links to one already written
 		if i+1 < len(leaves) {
 			leaves[i].next = pages[0]
@@ -72,7 +82,7 @@ func loadAtOldFill(t *testing.T, bt *BTree, entries []kv) {
 			in := newNode(nodeInterior)
 			in.children = []int32{pages[i]}
 			first := seps[i]
-			for i++; i < len(pages) && in.encodedSize() < fill && in.encodedSize()+4+chunkSize(seps[i]) <= pageSize; i++ {
+			for i++; i < len(pages) && !full(in) && in.encodedSize()+4+chunkSize(seps[i])+restartCost(len(in.keys)) <= pageSize; i++ {
 				in.keys, in.children = append(in.keys, seps[i]), append(in.children, pages[i])
 			}
 			num, err := bt.allocNode(in)
@@ -84,12 +94,16 @@ func loadAtOldFill(t *testing.T, bt *BTree, entries []kv) {
 		pages, seps = nextPages, nextSeps
 	}
 	bt.root, bt.height, bt.count = pages[0], height, int64(len(entries))
-	if err := bt.syncMeta(); err != nil {
+	mp, err := bt.bc.Pin(bt.pageID(metaPage))
+	if err != nil {
 		t.Fatal(err)
 	}
+	bt.writeMeta(mp.Data)
+	bt.bc.Unpin(mp, true)
 }
 
-// leafFill returns the share of the tree's leaf pages that entries occupy.
+// leafFill returns the share of the tree's leaf pages that entries and
+// their trailers occupy.
 func leafFill(t *testing.T, bt *BTree) float64 {
 	levels := treeLevels(t, bt)
 	used := 0
@@ -108,7 +122,7 @@ func TestBulkLoadPacksPages(t *testing.T) {
 	const pageSize = 512
 	r := rand.New(rand.NewSource(29))
 	entries := randomEntries(r, 3000, (pageSize-16)/4) // up to a quarter page each
-	bt := buildTree(t, r, pageSize, entries, true)
+	bt := buildTree(t, pageSize, entries)
 
 	levels := treeLevels(t, bt)
 	if len(levels) < 3 {
@@ -130,10 +144,12 @@ func TestBulkLoadPacksPages(t *testing.T) {
 	}
 	for l, nodes := range levels {
 		for i, n := range nodes[:len(nodes)-1] {
-			following := 4 + chunkSize(minKey[l][i+1]) // an interior entry: child and separator
+			// The following entry, with the restart offset it would add:
+			// for an interior page a child and a separator.
+			following := 4 + chunkSize(minKey[l][i+1]) + restartCost(len(n.keys))
 			if n.typ == nodeLeaf {
 				nx := nodes[i+1]
-				following = chunkSize(nx.keys[0]) + chunkSize(nx.vals[0])
+				following = chunkSize(nx.keys[0]) + chunkSize(nx.vals[0]) + restartCost(len(n.keys))
 			}
 			if n.encodedSize()+following <= pageSize {
 				t.Fatalf("level %d page %d of %d: %d bytes used, the following entry of %d bytes would fit",
@@ -178,7 +194,7 @@ func TestBulkLoadPacksPages(t *testing.T) {
 		oracle[string(entries[i].k)] = v
 	}
 	old := newTree(t, pageSize, 256)
-	loadAtOldFill(t, old, older)
+	loadPages(t, old, older, func(n *node) bool { return n.encodedSize() >= pageSize*9/10 })
 	if err := old.Validate(); err != nil {
 		t.Fatal(err)
 	}

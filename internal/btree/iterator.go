@@ -39,7 +39,7 @@ func (it *Iterator) seek(t *BTree, lo, hi []byte) {
 	}
 	// One page buffer per iterator, reused for every leaf it crosses.
 	it.page = make([]byte, t.bc.FileManager().PageSize())
-	if !it.load(num) {
+	if !it.load(num, lo) {
 		return
 	}
 	it.Next()
@@ -48,8 +48,10 @@ func (it *Iterator) seek(t *BTree, lo, hi []byte) {
 	}
 }
 
-// load copies leaf num into the iterator's buffer: one pin per leaf visit.
-func (it *Iterator) load(num int32) bool {
+// load copies leaf num into the iterator's buffer, one pin per leaf visit,
+// and places the cursor on the restart group that would hold key (nil =
+// the leaf's first entry).
+func (it *Iterator) load(num int32, key []byte) bool {
 	p, err := it.t.bc.Pin(it.t.pageID(num))
 	if err != nil {
 		it.fail(err)
@@ -57,13 +59,10 @@ func (it *Iterator) load(num int32) bool {
 	}
 	copy(it.page, p.Data)
 	it.t.bc.Unpin(p, false)
-	cnt, next, pos, err := pageHeader(it.page, nodeLeaf)
-	if err != nil {
+	if it.cur, it.next, err = seekLeaf(it.page, key); err != nil {
 		it.fail(err)
 		return false
 	}
-	it.cur = leafCursor{buf: it.page, pos: pos, left: cnt}
-	it.next = next
 	return true
 }
 
@@ -101,7 +100,7 @@ func (it *Iterator) Next() {
 			it.done = true
 			return
 		}
-		it.load(it.next)
+		it.load(it.next, nil)
 	}
 }
 

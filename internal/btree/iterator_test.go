@@ -9,11 +9,7 @@ import (
 func TestIteratorFullScan(t *testing.T) {
 	bt := newTree(t, 256, 256)
 	n := 1000
-	for i := 0; i < n; i++ {
-		if err := bt.Insert(ikey(i), ikey(i*2)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, bt, n, ikey, func(i int) []byte { return ikey(i * 2) })
 	it := bt.NewIterator(nil, nil)
 	count := 0
 	prev := -1
@@ -38,9 +34,7 @@ func TestIteratorFullScan(t *testing.T) {
 
 func TestIteratorBounds(t *testing.T) {
 	bt := newTree(t, 256, 256)
-	for i := 0; i < 500; i++ {
-		bt.Insert(ikey(i), ikey(i))
-	}
+	loadKeys(t, bt, 500)
 	it := bt.NewIterator(ikey(100), ikey(199))
 	first, last, count := -1, -1, 0
 	for ; it.Valid(); it.Next() {
@@ -58,9 +52,8 @@ func TestIteratorBounds(t *testing.T) {
 
 func TestIteratorLoBetweenKeys(t *testing.T) {
 	bt := newTree(t, 256, 64)
-	for i := 0; i < 100; i += 10 {
-		bt.Insert(ikey(i), ikey(i))
-	}
+	tens := func(i int) []byte { return ikey(i * 10) }
+	load(t, bt, 10, tens, tens)
 	// lo = 15 (absent) must position at 20.
 	it := bt.NewIterator(ikey(15), nil)
 	if !it.Valid() {
@@ -84,9 +77,7 @@ func TestIteratorEmptyTree(t *testing.T) {
 
 func TestIteratorEmptyRange(t *testing.T) {
 	bt := newTree(t, 256, 64)
-	for i := 0; i < 100; i++ {
-		bt.Insert(ikey(i), ikey(i))
-	}
+	loadKeys(t, bt, 100)
 	it := bt.NewIterator(ikey(500), ikey(600))
 	if it.Valid() {
 		t.Fatalf("range beyond data should be empty, got %x", it.Key())
@@ -95,15 +86,28 @@ func TestIteratorEmptyRange(t *testing.T) {
 
 func TestIteratorAcrossEmptiedLeaves(t *testing.T) {
 	bt := newTree(t, 256, 256)
-	for i := 0; i < 400; i++ {
-		bt.Insert(ikey(i), ikey(i))
+	loadKeys(t, bt, 400)
+	// Take a middle band of keys out of their leaves, leaving empty leaves
+	// in the chain: the iterator must skip them.
+	num, err := bt.findLeaf(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Empty out a middle band of keys (lazy deletion leaves empty leaves
-	// in the chain; the iterator must skip them).
-	for i := 100; i < 300; i++ {
-		if ok, err := bt.Delete(ikey(i)); err != nil || !ok {
-			t.Fatal(err, ok)
+	for num != noPage {
+		n, err := bt.readNode(num)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var keys, vals [][]byte
+		for i, k := range n.keys {
+			if x := binary.BigEndian.Uint64(k); x < 100 || x >= 300 {
+				keys, vals = append(keys, k), append(vals, n.vals[i])
+			}
+		}
+		bt.count -= int64(len(n.keys) - len(keys))
+		n.keys, n.vals = keys, vals
+		rewrite(t, bt, num, n)
+		num = n.next
 	}
 	it := bt.NewIterator(ikey(50), ikey(350))
 	var seen []int

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,8 +14,9 @@ import (
 type kv struct{ k, v []byte }
 
 // randomEntries returns n distinct entries in key order with variable-
-// length keys and values, seeded with the edge shapes: a 1-byte key, an
-// empty value, and entries of exactly max bytes (MaxEntrySize).
+// length keys and values of at most max bytes together, seeded with the
+// edge shapes: a 1-byte key, an empty value, and entries of exactly max
+// bytes. max is at least 12.
 func randomEntries(r *rand.Rand, n, max int) []kv {
 	seen := map[string]bool{}
 	var out []kv
@@ -35,37 +37,18 @@ func randomEntries(r *rand.Rand, n, max int) []kv {
 	add([]byte{0x00}, nil)            // smallest possible entry
 	add(bytes.Repeat([]byte{0xFF}, 9), blob(3))
 	for len(out) < n {
-		k := blob(1 + r.Intn(24))
+		k := blob(1 + r.Intn(min(24, max)))
 		add(k, blob(r.Intn(max-len(k)+1)))
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].k, out[j].k) < 0 })
 	return out
 }
 
-// buildTree loads entries by bulk load (the shape of an LSM component) or
-// by inserts in random order (splits, uneven leaves).
-func buildTree(t testing.TB, r *rand.Rand, pageSize int, entries []kv, bulk bool) *BTree {
+// buildTree bulk-loads entries: the shape of an LSM component.
+func buildTree(t testing.TB, pageSize int, entries []kv) *BTree {
 	t.Helper()
 	bt := newTree(t, pageSize, 256)
-	if bulk {
-		i := 0
-		err := bt.BulkLoad(func() ([]byte, []byte, bool) {
-			if i == len(entries) {
-				return nil, nil, false
-			}
-			i++
-			return entries[i-1].k, entries[i-1].v, true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bt
-	}
-	for _, i := range r.Perm(len(entries)) {
-		if err := bt.Insert(entries[i].k, entries[i].v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	load(t, bt, len(entries), func(i int) []byte { return entries[i].k }, func(i int) []byte { return entries[i].v })
 	return bt
 }
 
@@ -73,115 +56,151 @@ func buildTree(t testing.TB, r *rand.Rand, pageSize int, entries []kv, bulk bool
 // agree with a sorted reference for every key, for absent keys, and for
 // bounds that fall on keys, between keys, before the first, after the
 // last, on one point (lo == hi), and across leaf boundaries.
+//
+// The trees are bulk-loaded (packed pages), and built with 1, 15, 16, 17,
+// 31, 32 and 33 entries on every leaf and, where they fit, on every
+// interior page: one restart point, a group one short of full, a full
+// group, one past it, and so on to three restart points. Every entry is
+// probed, and so is a key just past it, which lies before the next entry:
+// the probes fall on, between and just past every restart point.
 func TestPropInPlaceReadsMatchReference(t *testing.T) {
-	for _, bulk := range []bool{true, false} {
-		r := rand.New(rand.NewSource(11))
-		const pageSize = 512
-		entries := randomEntries(r, 600, (pageSize-16)/4)
-		bt := buildTree(t, r, pageSize, entries, bulk)
-		if bt.Height() < 3 {
-			t.Fatalf("tree of height %d does not exercise interior descent", bt.Height())
-		}
-		if bt.MaxEntrySize() != (pageSize-16)/4 {
-			t.Fatal("test sizes its limit entries wrongly")
-		}
-
-		// between returns a key strictly between two adjacent reference
-		// keys when one exists (else the lower key itself).
-		between := func(i int) []byte {
-			k := append(append([]byte(nil), entries[i].k...), 0x00)
-			if i+1 < len(entries) && bytes.Compare(k, entries[i+1].k) >= 0 {
-				return entries[i].k
+	for _, pageSize := range []int{512, 4096, 8192} {
+		for _, perPage := range []int{0, 1, 15, 16, 17, 31, 32, 33} {
+			name := fmt.Sprintf("page%d/bulk", pageSize)
+			if perPage > 0 {
+				name = fmt.Sprintf("page%d/%d-per-page", pageSize, perPage)
 			}
-			return k
-		}
-
-		for i, e := range entries {
-			v, ok, err := bt.Search(e.k)
-			if err != nil || !ok || !bytes.Equal(v, e.v) {
-				t.Fatalf("bulk=%v search entry %d: ok=%v err=%v", bulk, i, ok, err)
-			}
-			if len(v) > 0 { // the result is the caller's copy, not the page
-				v[0] ^= 0xFF
-				if again, _, _ := bt.Search(e.k); !bytes.Equal(again, e.v) {
-					t.Fatal("Search returned a slice of the cached page")
+			t.Run(name, func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(11 + pageSize + perPage)))
+				max, n := (pageSize-16)/4, 600
+				if perPage > 0 {
+					// Small enough entries that perPage of them and the
+					// trailer fit a page.
+					max = min(max, (pageSize-pageHeaderSize-2-2*numRestarts(perPage))/perPage-2)
+					n = 40 * perPage
 				}
-			}
-			if absent := between(i); !bytes.Equal(absent, e.k) {
-				if _, ok, err := bt.Search(absent); ok || err != nil {
-					t.Fatalf("search found an absent key (err %v)", err)
-				}
-			}
-		}
-		for _, k := range [][]byte{{}, bytes.Repeat([]byte{0xFF}, 40)} {
-			if _, ok, err := bt.Search(k); ok || err != nil {
-				t.Fatalf("search outside the key range: ok=%v err=%v", ok, err)
-			}
-		}
-
-		bound := func() []byte {
-			switch i := r.Intn(len(entries)); r.Intn(6) {
-			case 0:
-				return nil
-			case 1:
-				return []byte{} // before the first key
-			case 2:
-				return bytes.Repeat([]byte{0xFF}, 40) // after the last
-			case 3:
-				return between(i)
-			default:
-				return entries[i].k
-			}
-		}
-		for trial := 0; trial < 400; trial++ {
-			lo, hi := bound(), bound()
-			if trial%5 == 0 {
-				hi = lo // one point, present or absent
-			}
-			var want []kv
-			for _, e := range entries {
-				if (lo == nil || bytes.Compare(e.k, lo) >= 0) && (hi == nil || bytes.Compare(e.k, hi) <= 0) {
-					want = append(want, e)
-				}
-			}
-			var scanned []kv
-			err := bt.Scan(lo, hi, func(k, v []byte) bool {
-				scanned = append(scanned, kv{append([]byte(nil), k...), append([]byte(nil), v...)})
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var iterated []kv
-			it := bt.NewIterator(lo, hi)
-			for ; it.Valid(); it.Next() {
-				// Key/Value stay valid until Next: read them twice.
-				k, v := it.Key(), it.Value()
-				if !bytes.Equal(k, it.Key()) || !bytes.Equal(v, it.Value()) {
-					t.Fatal("Key/Value changed without Next")
-				}
-				iterated = append(iterated, kv{append([]byte(nil), k...), append([]byte(nil), v...)})
-			}
-			if it.Err() != nil {
-				t.Fatal(it.Err())
-			}
-			for name, got := range map[string][]kv{"scan": scanned, "iterator": iterated} {
-				if len(got) != len(want) {
-					t.Fatalf("bulk=%v %s [%x, %x]: %d entries, want %d", bulk, name, lo, hi, len(got), len(want))
-				}
-				for i := range got {
-					if !bytes.Equal(got[i].k, want[i].k) || !bytes.Equal(got[i].v, want[i].v) {
-						t.Fatalf("bulk=%v %s [%x, %x]: entry %d differs", bulk, name, lo, hi, i)
+				entries := randomEntries(r, n, max)
+				var bt *BTree
+				if perPage == 0 {
+					bt = buildTree(t, pageSize, entries)
+				} else {
+					bt = newTree(t, pageSize, 256)
+					loadPages(t, bt, entries, func(n *node) bool { return len(n.keys) >= perPage })
+					levels := treeLevels(t, bt)
+					leaves := levels[len(levels)-1]
+					for i, l := range leaves[:len(leaves)-1] {
+						if len(l.keys) != perPage {
+							t.Fatalf("leaf %d holds %d entries, want %d", i, len(l.keys), perPage)
+						}
 					}
 				}
+				if bt.Height() < 2 {
+					t.Fatalf("tree of height %d does not exercise interior descent", bt.Height())
+				}
+				checkReadsMatch(t, r, bt, entries)
+			})
+		}
+	}
+}
+
+// checkReadsMatch probes bt against the sorted reference entries.
+func checkReadsMatch(t *testing.T, r *rand.Rand, bt *BTree, entries []kv) {
+	t.Helper()
+	// between returns a key strictly between two adjacent reference keys
+	// when one exists (else the lower key itself).
+	between := func(i int) []byte {
+		k := append(append([]byte(nil), entries[i].k...), 0x00)
+		if i+1 < len(entries) && bytes.Compare(k, entries[i+1].k) >= 0 {
+			return entries[i].k
+		}
+		return k
+	}
+
+	for i, e := range entries {
+		v, ok, err := bt.Search(e.k)
+		if err != nil || !ok || !bytes.Equal(v, e.v) {
+			t.Fatalf("search entry %d: ok=%v err=%v", i, ok, err)
+		}
+		if len(v) > 0 { // the result is the caller's copy, not the page
+			v[0] ^= 0xFF
+			if again, _, _ := bt.Search(e.k); !bytes.Equal(again, e.v) {
+				t.Fatal("Search returned a slice of the cached page")
 			}
 		}
-
-		// Early stop.
-		n := 0
-		if err := bt.Scan(nil, nil, func(k, v []byte) bool { n++; return n < 7 }); err != nil || n != 7 {
-			t.Fatalf("early stop visited %d (err %v)", n, err)
+		if absent := between(i); !bytes.Equal(absent, e.k) {
+			if _, ok, err := bt.Search(absent); ok || err != nil {
+				t.Fatalf("search found an absent key (err %v)", err)
+			}
 		}
+	}
+	for _, k := range [][]byte{{}, bytes.Repeat([]byte{0xFF}, 40)} {
+		if _, ok, err := bt.Search(k); ok || err != nil {
+			t.Fatalf("search outside the key range: ok=%v err=%v", ok, err)
+		}
+	}
+
+	bound := func() []byte {
+		switch i := r.Intn(len(entries)); r.Intn(6) {
+		case 0:
+			return nil
+		case 1:
+			return []byte{} // before the first key
+		case 2:
+			return bytes.Repeat([]byte{0xFF}, 40) // after the last
+		case 3:
+			return between(i)
+		default:
+			return entries[i].k
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		lo, hi := bound(), bound()
+		if trial%5 == 0 {
+			hi = lo // one point, present or absent
+		}
+		var want []kv
+		for _, e := range entries {
+			if (lo == nil || bytes.Compare(e.k, lo) >= 0) && (hi == nil || bytes.Compare(e.k, hi) <= 0) {
+				want = append(want, e)
+			}
+		}
+		var scanned []kv
+		err := bt.Scan(lo, hi, func(k, v []byte) bool {
+			scanned = append(scanned, kv{append([]byte(nil), k...), append([]byte(nil), v...)})
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var iterated []kv
+		it := bt.NewIterator(lo, hi)
+		for ; it.Valid(); it.Next() {
+			// Key/Value stay valid until Next: read them twice.
+			k, v := it.Key(), it.Value()
+			if !bytes.Equal(k, it.Key()) || !bytes.Equal(v, it.Value()) {
+				t.Fatal("Key/Value changed without Next")
+			}
+			iterated = append(iterated, kv{append([]byte(nil), k...), append([]byte(nil), v...)})
+		}
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+		for name, got := range map[string][]kv{"scan": scanned, "iterator": iterated} {
+			if len(got) != len(want) {
+				t.Fatalf("%s [%x, %x]: %d entries, want %d", name, lo, hi, len(got), len(want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i].k, want[i].k) || !bytes.Equal(got[i].v, want[i].v) {
+					t.Fatalf("%s [%x, %x]: entry %d differs", name, lo, hi, i)
+				}
+			}
+		}
+	}
+
+	// Early stop.
+	n := 0
+	if err := bt.Scan(nil, nil, func(k, v []byte) bool { n++; return n < 7 }); err != nil || n != 7 {
+		t.Fatalf("early stop visited %d (err %v)", n, err)
 	}
 }
 
@@ -191,13 +210,12 @@ func TestPropInPlaceReadsMatchReference(t *testing.T) {
 // crosses. This is the allocation gate of Search, Iterator.Next and
 // Iterator.Valid.
 func TestReadPathAllocations(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
 	load := func(n, valLen int) *BTree {
 		var entries []kv
 		for i := 0; i < n; i++ {
 			entries = append(entries, kv{ikey(i), make([]byte, valLen)})
 		}
-		return buildTree(t, r, 4096, entries, true)
+		return buildTree(t, 4096, entries)
 	}
 	dense := load(20000, 2)   // ~300 entries per leaf
 	sparse := load(2000, 900) // 4 entries per leaf
@@ -252,17 +270,46 @@ func TestReadPathAllocations(t *testing.T) {
 // when it walks into the damage: never a panic, never a slice past the
 // page. Their keys sort below ikey(150), so a search for it reads on.
 func corruptions(pageSize int) map[string][]byte {
+	// page writes the header, the body, and a trailer with the count of
+	// restart offsets the entry count asks for; the one offset of a page of
+	// up to restartEvery entries points at its first entry.
 	page := func(typ byte, cnt uint16, body ...byte) []byte {
 		p := make([]byte, pageSize)
 		p[0] = typ
 		binary.BigEndian.PutUint16(p[1:], cnt)
 		binary.BigEndian.PutUint32(p[3:], uint32(0xFFFFFFFF)) // next = noPage
 		copy(p[pageHeaderSize:], body)
+		first := pageHeaderSize
+		if typ == nodeInterior {
+			first += 4 * (int(cnt) + 1)
+		}
+		r := numRestarts(int(cnt))
+		binary.BigEndian.PutUint16(p[pageSize-2:], uint16(r))
+		if r == 1 {
+			binary.BigEndian.PutUint16(p[pageSize-4:], uint16(first))
+		}
 		return p
 	}
+	// grouped is a leaf of 17 13-byte entries, two restart groups, whose
+	// second restart offset is restart1. Each value's bytes read as a
+	// length running past the page.
+	grouped := func(restart1 int) []byte {
+		var body []byte
+		for i := 0; i < 17; i++ {
+			body = append(append(append(body, 8), ikey(i)...), 3, 0xFF, 0xFF, 0x03)
+		}
+		p := page(nodeLeaf, 17, body...)
+		binary.BigEndian.PutUint16(p[pageSize-6:], pageHeaderSize)
+		binary.BigEndian.PutUint16(p[pageSize-4:], uint16(restart1))
+		return p
+	}
+	entry16 := pageHeaderSize + 16*13
 	overlong := bytes.Repeat([]byte{0x80}, 11) // varint that never ends
-	// A key that ends exactly at the page end, so its value is missing.
-	toTheEnd := binary.AppendUvarint(nil, uint64(pageSize-pageHeaderSize-2))
+	// A key that ends exactly where the trailer begins, so its value is
+	// missing.
+	toTheEnd := binary.AppendUvarint(nil, uint64(pageSize-pageHeaderSize-2-4))
+	trailerPastPage := page(nodeLeaf, 1, 1, 0, 1, 'v')
+	binary.BigEndian.PutUint16(trailerPastPage[pageSize-2:], 0xFFFF)
 	return map[string][]byte{
 		"unknown type":                page(7, 1, 1, 'k', 1, 'v'),
 		"leaf count past page end":    page(nodeLeaf, 0xFFFF, 1, 0, 1, 'v'),
@@ -275,6 +322,10 @@ func corruptions(pageSize int) map[string][]byte {
 		"interior key past end":       page(nodeInterior, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0xFF, 0x7F),
 		"interior child is meta page": page(nodeInterior, 0, 0, 0, 0, 0),
 		"interior child negative":     page(nodeInterior, 0, 0xFF, 0xFF, 0xFF, 0xFE),
+		"trailer count past page":     trailerPastPage,
+		"restart into the header":     grouped(3),
+		"restart past the body":       grouped(pageSize - 3),
+		"restart in mid-entry":        grouped(entry16 + 10), // on the value's 0xFF 0xFF 0x03
 	}
 }
 
@@ -282,11 +333,7 @@ func TestCorruptPagesAreErrors(t *testing.T) {
 	for name, img := range corruptions(512) {
 		for _, asRoot := range []bool{true, false} {
 			bt := rawTree(t)
-			for i := 0; i < 300; i++ {
-				if err := bt.Insert(ikey(i), ikey(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
+			loadKeys(t, bt, 300)
 			victim := bt.root
 			if !asRoot { // the leaf holding key 150
 				var err error
@@ -313,9 +360,6 @@ func TestCorruptPagesAreErrors(t *testing.T) {
 			if it.Err() == nil {
 				t.Errorf("%s (root=%v): Iterator reported no error", name, asRoot)
 			}
-			if _, err := bt.Delete(ikey(150)); err == nil {
-				t.Errorf("%s (root=%v): Delete returned no error", name, asRoot)
-			}
 			if n := bt.bc.Pinned(); n != 0 {
 				t.Errorf("%s (root=%v): %d pages left pinned", name, asRoot, n)
 			}
@@ -323,10 +367,21 @@ func TestCorruptPagesAreErrors(t *testing.T) {
 	}
 }
 
-// FuzzBTreePage feeds arbitrary page images to the in-place readers and
-// to the write side's decoder. Neither may panic, and they must agree:
-// a page one of them walks to the end, the other decodes to the same
-// entries and the same child choice.
+// ascending reports whether keys strictly increase.
+func ascending(keys [][]byte) bool {
+	for i := 1; i < len(keys); i++ {
+		if bytes.Compare(keys[i-1], keys[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzBTreePage feeds arbitrary page images to the in-place readers and to
+// the validator's decoder. No reader may panic or slice past the page, and
+// on a page the decoder accepts — trailer included — whose keys ascend,
+// the binary-searched readers agree with a linear walk: the same entries,
+// the same first entry at or past the key, the same child choice.
 func FuzzBTreePage(f *testing.F) {
 	leaf := newNode(nodeLeaf)
 	leaf.keys = [][]byte{[]byte("a"), []byte("bb"), bytes.Repeat([]byte("c"), 200)}
@@ -334,49 +389,67 @@ func FuzzBTreePage(f *testing.F) {
 	interior := newNode(nodeInterior)
 	interior.keys = [][]byte{[]byte("f"), []byte("m")}
 	interior.children = []int32{1, 2, 3}
-	for _, n := range []*node{leaf, interior} {
+	wideLeaf, wideInterior := newNode(nodeLeaf), newNode(nodeInterior)
+	wideInterior.children = []int32{1}
+	for i := 0; i < 40; i++ {
+		wideLeaf.keys, wideLeaf.vals = append(wideLeaf.keys, ikey(2*i)), append(wideLeaf.vals, []byte{byte(i)})
+		wideInterior.keys, wideInterior.children = append(wideInterior.keys, ikey(2*i)), append(wideInterior.children, int32(i+2))
+	}
+	for _, n := range []*node{leaf, interior, wideLeaf, wideInterior} {
 		buf := make([]byte, n.encodedSize())
 		n.encode(buf)
 		f.Add(buf, []byte("g"))
+		f.Add(buf, ikey(33))
 	}
-	for _, img := range corruptions(64) {
-		f.Add(img, []byte("k"))
+	for _, img := range corruptions(512) {
+		f.Add(img, ikey(150))
 	}
 	f.Fuzz(func(t *testing.T, page, key []byte) {
+		page = page[:len(page):len(page)] // a read past the page panics
 		child, childErr := childFor(page, key)
 		var keys, vals [][]byte
-		cnt, _, pos, walkErr := pageHeader(page, nodeLeaf)
-		if walkErr == nil {
-			c := leafCursor{buf: page, pos: pos, left: cnt}
-			for {
-				k, v, ok, err := c.next()
-				if walkErr = err; err != nil || !ok {
-					break
-				}
-				keys, vals = append(keys, k), append(vals, v)
+		c, _, walkErr := seekLeaf(page, nil)
+		for walkErr == nil {
+			k, v, ok, err := c.next()
+			if walkErr = err; err != nil || !ok {
+				break
+			}
+			keys, vals = append(keys, k), append(vals, v)
+		}
+		var found []byte
+		c, _, seekErr := seekLeaf(page, key)
+		for seekErr == nil {
+			k, _, ok, err := c.next()
+			if seekErr = err; err != nil || !ok {
+				break
+			}
+			if bytes.Compare(k, key) >= 0 {
+				found = k
+				break
 			}
 		}
 		n, decErr := decodeNode(page)
-		if decErr != nil {
-			if walkErr == nil {
-				t.Fatalf("decodeNode refused (%v) a leaf the in-place walk read to its end", decErr)
-			}
+		if decErr != nil || !ascending(n.keys) {
 			return
 		}
 		switch n.typ {
 		case nodeLeaf:
-			if walkErr != nil || len(keys) != len(n.keys) {
-				t.Fatalf("in-place walk: %d entries, err %v; decodeNode: %d entries", len(keys), walkErr, len(n.keys))
+			if walkErr != nil || seekErr != nil || len(keys) != len(n.keys) {
+				t.Fatalf("in-place walk: %d entries, errors %v, %v; decodeNode: %d entries", len(keys), walkErr, seekErr, len(n.keys))
 			}
 			for i := range keys {
 				if !bytes.Equal(keys[i], n.keys[i]) || !bytes.Equal(vals[i], n.vals[i]) {
 					t.Fatalf("entry %d differs between the in-place walk and decodeNode", i)
 				}
 			}
+			i := 0
+			for i < len(n.keys) && bytes.Compare(n.keys[i], key) < 0 {
+				i++
+			}
+			if (i < len(n.keys)) != (found != nil) || found != nil && !bytes.Equal(found, n.keys[i]) {
+				t.Fatalf("seek found %x; the linear walk finds entry %d of %d", found, i, len(n.keys))
+			}
 		case nodeInterior:
-			// childFor stops at the first separator above key, so it can
-			// succeed on a page whose later separators are garbage; when
-			// the whole page decodes, the choice must be the same.
 			want := n.children[0]
 			if key != nil {
 				i := 0

@@ -8,6 +8,9 @@ import (
 // Validate walks the entire tree and verifies its deep structural
 // invariants:
 //
+//   - every page decodes: its entries lie before its trailer, the trailer
+//     holds one restart offset per restartEvery entries, and offset r
+//     points at entry r*restartEvery;
 //   - every node's keys are strictly increasing;
 //   - every key lies within the separator bounds inherited from its
 //     ancestors (child i of an interior node holds keys k with
@@ -20,9 +23,9 @@ import (
 //   - every node re-encodes within the page size;
 //   - the meta entry count matches the number of leaf entries.
 //
-// Deletion is lazy by design, so no minimum occupancy is enforced.
-// Validate is O(n) and intended for tests and the check framework's
-// opt-in production hooks, not the hot path.
+// No minimum occupancy is enforced: the last page of a level may hold a
+// single entry. Validate is O(n) and intended for tests and the check
+// framework's opt-in production hooks, not the hot path.
 func (t *BTree) Validate() error {
 	pageSize := t.bc.FileManager().PageSize()
 	if t.height < 1 {
@@ -40,7 +43,7 @@ func (t *BTree) Validate() error {
 	walk = func(num, depth int32, lo, hi []byte) error {
 		n, err := t.readNode(num)
 		if err != nil {
-			return err
+			return fmt.Errorf("btree: node %d: %w", num, err)
 		}
 		if sz := n.encodedSize(); sz > pageSize {
 			return fmt.Errorf("btree: node %d encodes to %d bytes, page size is %d", num, sz, pageSize)
@@ -58,8 +61,7 @@ func (t *BTree) Validate() error {
 				return fmt.Errorf("btree: node %d key %d not below its subtree's upper bound", num, i)
 			}
 		}
-		switch n.typ {
-		case nodeLeaf:
+		if n.typ == nodeLeaf {
 			if depth != t.height {
 				return fmt.Errorf("btree: leaf %d at depth %d, want uniform depth %d", num, depth, t.height)
 			}
@@ -68,27 +70,25 @@ func (t *BTree) Validate() error {
 			}
 			entries += int64(len(n.keys))
 			leaves = append(leaves, leafLink{num: num, next: n.next})
-		case nodeInterior:
-			if depth >= t.height {
-				return fmt.Errorf("btree: interior node %d at depth %d >= height %d", num, depth, t.height)
+			return nil
+		}
+		if depth >= t.height {
+			return fmt.Errorf("btree: interior node %d at depth %d >= height %d", num, depth, t.height)
+		}
+		if len(n.children) != len(n.keys)+1 {
+			return fmt.Errorf("btree: interior node %d has %d keys but %d children", num, len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
 			}
-			if len(n.children) != len(n.keys)+1 {
-				return fmt.Errorf("btree: interior node %d has %d keys but %d children", num, len(n.keys), len(n.children))
+			if i < len(n.keys) {
+				chi = n.keys[i]
 			}
-			for i, c := range n.children {
-				clo, chi := lo, hi
-				if i > 0 {
-					clo = n.keys[i-1]
-				}
-				if i < len(n.keys) {
-					chi = n.keys[i]
-				}
-				if err := walk(c, depth+1, clo, chi); err != nil {
-					return err
-				}
+			if err := walk(c, depth+1, clo, chi); err != nil {
+				return err
 			}
-		default:
-			return fmt.Errorf("btree: node %d has unknown type %d", num, n.typ)
 		}
 		return nil
 	}

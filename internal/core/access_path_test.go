@@ -65,8 +65,8 @@ func TestAccessPathTypedConstants(t *testing.T) {
 		`SELECT VALUE p.id FROM P p WHERE p.v = "5";`,
 	} {
 		r, err := on.Query(context.Background(), q)
-		if err != nil || !strings.Contains(r.Plan, "index-search") || len(r.Rows) == 0 {
-			t.Errorf("%s: rows %v, err %v, plan:\n%s", q, r.Rows, err, r.Plan)
+		if err != nil || !strings.Contains(r.PlanText(), "index-search") || len(r.Rows) == 0 {
+			t.Errorf("%s: rows %v, err %v, plan:\n%s", q, r.Rows, err, r.PlanText())
 		}
 	}
 }
@@ -192,8 +192,8 @@ func TestDeleteLocatesVictimsThroughPlan(t *testing.T) {
 		if rOn.Count != s.count || rOff.Count != s.count {
 			t.Errorf("%s: deleted %d (optimized) and %d (naive), want %d", s.stmt, rOn.Count, rOff.Count, s.count)
 		}
-		if !strings.Contains(rOn.Plan, s.planHas) || (s.ruleName != "") != (rOn.RulesFired["introduce-index-search"] > 0) {
-			t.Errorf("%s: rules %v, plan:\n%s", s.stmt, rOn.RulesFired, rOn.Plan)
+		if !strings.Contains(rOn.PlanText(), s.planHas) || (s.ruleName != "") != (rOn.RulesFired["introduce-index-search"] > 0) {
+			t.Errorf("%s: rules %v, plan:\n%s", s.stmt, rOn.RulesFired, rOn.PlanText())
 		}
 		for _, q := range probes {
 			if got, want := sortedRows(t, on, q), sortedRows(t, off, q); strings.Join(got, ",") != strings.Join(want, ",") {
@@ -262,12 +262,12 @@ func TestLimitReachesFilteredLeaf(t *testing.T) {
 		{`SELECT VALUE l.id FROM L l WHERE l.id >= 1000 LIMIT 9223372036854775807 OFFSET 5;`, "range=[1000..+inf) fields", 10995, 0, 0},
 	} {
 		read, out, r := leafCounters(t, e, c.q)
-		if len(r.Rows) != c.rows || !strings.Contains(r.Plan, c.leaf) {
-			t.Errorf("%s: %d rows, want %d, plan:\n%s", c.q, len(r.Rows), c.rows, r.Plan)
+		if len(r.Rows) != c.rows || !strings.Contains(r.PlanText(), c.leaf) {
+			t.Errorf("%s: %d rows, want %d, plan:\n%s", c.q, len(r.Rows), c.rows, r.PlanText())
 		}
 		if c.maxRead == 0 {
-			if read < 10000 || strings.Contains(r.Plan, "limit=") {
-				t.Errorf("%s: leaf capped (read %d rows), plan:\n%s", c.q, read, r.Plan)
+			if read < 10000 || strings.Contains(r.PlanText(), "limit=") {
+				t.Errorf("%s: leaf capped (read %d rows), plan:\n%s", c.q, read, r.PlanText())
 			}
 		} else if max := parts * c.maxRead * (1 + c.rejected); read > max || out > parts*c.maxRead {
 			t.Errorf("%s: leaves read %d rows and emitted %d, want at most %d and %d", c.q, read, out, max, parts*c.maxRead)

@@ -405,6 +405,8 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(cl.RetryStats().Retries) })
 	reg.RegisterFunc("hyracks_node_failures_total", "jobs failed by a node death", obs.TypeCounter,
 		func() float64 { return float64(cl.RetryStats().NodeFailures) })
+	reg.RegisterFunc("hyracks_task_panics_total", "jobs failed by an operator panic", obs.TypeCounter,
+		func() float64 { return float64(cl.RetryStats().TaskPanics) })
 	reg.RegisterFunc("hyracks_dead_nodes", "node controllers currently dead", obs.TypeGauge,
 		func() float64 { return float64(len(cl.DeadNodeIDs())) })
 
@@ -471,10 +473,9 @@ type Result struct {
 	// Count is the number of records affected by DML.
 	Count int64
 	// Plan is the optimized logical plan (queries, and the query that
-	// located a DELETE's victims).
-	Plan string
-	// PlanJSON is the same plan as a stable JSON tree.
-	PlanJSON string
+	// located a DELETE's victims). PlanText and PlanJSON render it, so a
+	// query nobody asks them of pays for no rendering.
+	Plan algebricks.Op
 	// RulesFired maps optimizer rule name -> rewrite sites fired while
 	// compiling this query.
 	RulesFired map[string]int
@@ -486,6 +487,26 @@ type Result struct {
 	// PeakWorkingMem is the query's high-water mark of granted working
 	// memory in bytes (0 for statements that drew none).
 	PeakWorkingMem int64
+}
+
+// The plan renderers; a test swaps them to count renders.
+var renderPlanText, renderPlanJSON = algebricks.PlanString, algebricks.PlanJSON
+
+// PlanText renders the optimized plan as text ("" when there is none).
+func (r *Result) PlanText() string {
+	if r.Plan == nil {
+		return ""
+	}
+	return renderPlanText(r.Plan)
+}
+
+// PlanJSON renders the optimized plan as a stable JSON tree ("" when
+// there is none).
+func (r *Result) PlanJSON() string {
+	if r.Plan == nil {
+		return ""
+	}
+	return renderPlanJSON(r.Plan)
 }
 
 // JSONRows renders query rows as JSON strings.
@@ -591,7 +612,7 @@ func (e *Engine) executeStmt(ctx context.Context, stmt sqlpp.Statement) (Result,
 		if err != nil {
 			return Result{}, err
 		}
-		return Result{Kind: ResultQuery, Rows: []adm.Value{adm.String(plan)}, Plan: plan}, nil
+		return Result{Kind: ResultQuery, Rows: []adm.Value{adm.String(explainText(plan))}, Plan: plan}, nil
 	}
 	return Result{}, fmt.Errorf("core: unsupported statement %T", stmt)
 }
@@ -716,8 +737,7 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 		rows = append(rows, t[0])
 	}
 	return Result{
-		Kind: ResultQuery, Rows: rows, Plan: algebricks.PlanString(plan),
-		PlanJSON: algebricks.PlanJSON(plan), RulesFired: orep.Fired,
+		Kind: ResultQuery, Rows: rows, Plan: plan, RulesFired: orep.Fired,
 		Attempts: rep.Attempts, DeadNodes: rep.DeadNodes, PeakWorkingMem: rep.PeakWorkingBytes,
 	}, nil
 }
@@ -737,24 +757,37 @@ func (e *Engine) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return e.explainAST(q)
+	plan, err := e.explainAST(q)
+	if err != nil {
+		return "", err
+	}
+	return explainText(plan), nil
 }
 
-// explainAST renders the optimized plan for a parsed query.
-func (e *Engine) explainAST(q *sqlpp.QueryStmt) (string, error) {
+// explainAST optimizes a parsed query without running it. A constant
+// expression has no plan (nil).
+func (e *Engine) explainAST(q *sqlpp.QueryStmt) (algebricks.Op, error) {
 	switch q.Body.(type) {
 	case *sqlpp.SelectExpr, *sqlpp.UnionExpr:
 	default:
-		return "constant expression\n", nil
+		return nil, nil
 	}
 	ev := e.evaluator()
 	tr := &algebricks.Translator{Ev: ev, Catalog: ev.Catalog}
 	plan, err := tr.TranslateQuery(q.Body)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	plan, _ = e.optimizePlan(tr, plan)
-	return algebricks.PlanString(plan), nil
+	return plan, nil
+}
+
+// explainText is what EXPLAIN shows for a plan of explainAST.
+func explainText(plan algebricks.Op) string {
+	if plan == nil {
+		return "constant expression\n"
+	}
+	return algebricks.PlanString(plan)
 }
 
 // trimSemis is a small helper for REPLs built on the engine.

@@ -73,8 +73,8 @@ func TestLeafOverEverySource(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
-		if !strings.Contains(r.Plan, c.plan) || strings.Contains(r.Plan, "select") {
-			t.Errorf("%s: plan\n%swant a leaf %q and no select", c.q, r.Plan, c.plan)
+		if !strings.Contains(r.PlanText(), c.plan) || strings.Contains(r.PlanText(), "select") {
+			t.Errorf("%s: plan\n%swant a leaf %q and no select", c.q, r.PlanText(), c.plan)
 		}
 		got, want := sortedRows(t, on, c.q), sortedRows(t, off, c.q)
 		if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"asterix/internal/algebricks"
 )
 
 // readCorpus reads one of the statement files under
@@ -209,6 +211,32 @@ func TestOptimizerDisableRule(t *testing.T) {
 	}
 }
 
+// A query renders its plan only when asked: a point lookup's Result carries
+// the optimized plan, and neither renderer runs until PlanText or PlanJSON
+// is called.
+func TestQueryRendersPlanOnlyWhenAsked(t *testing.T) {
+	e := newEngine(t, Config{})
+	mustExec(t, e, gleambookDDL)
+	seedUsers(t, e, 10)
+	renders := 0
+	text, tree := renderPlanText, renderPlanJSON
+	renderPlanText = func(op algebricks.Op) string { renders++; return text(op) }
+	renderPlanJSON = func(op algebricks.Op) string { renders++; return tree(op) }
+	defer func() { renderPlanText, renderPlanJSON = text, tree }()
+
+	r, err := e.Query(context.Background(), `SELECT VALUE u FROM GleambookUsers u WHERE u.id = 3;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 1 || r.Plan == nil || renders != 0 {
+		t.Fatalf("point query: %d rows, plan %v, %d renders; want 1 row, a plan and no render", len(r.Rows), r.Plan != nil, renders)
+	}
+	if !strings.Contains(r.PlanText(), "index-search(GleambookUsers.id PRIMARY as u)") ||
+		!strings.Contains(r.PlanJSON(), `"op":"result"`) || renders != 2 {
+		t.Errorf("asked for the plan: %d renders, text\n%s", renders, r.PlanText())
+	}
+}
+
 // TestResultCarriesPlanAndRules checks the observability surface on
 // Result: plan text, JSON tree, and per-rule counts.
 func TestResultCarriesPlanAndRules(t *testing.T) {
@@ -221,12 +249,12 @@ func TestResultCarriesPlanAndRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.Plan, "index-search(GleambookUsers.id PRIMARY as u) range=(-inf..3)") ||
-		!strings.Contains(r.Plan, "scan(GleambookMessages as m)") {
-		t.Errorf("plan text: %s", r.Plan)
+	if !strings.Contains(r.PlanText(), "index-search(GleambookUsers.id PRIMARY as u) range=(-inf..3)") ||
+		!strings.Contains(r.PlanText(), "scan(GleambookMessages as m)") {
+		t.Errorf("plan text: %s", r.PlanText())
 	}
-	if !strings.Contains(r.PlanJSON, `"op":"result"`) {
-		t.Errorf("plan JSON: %s", r.PlanJSON)
+	if !strings.Contains(r.PlanJSON(), `"op":"result"`) {
+		t.Errorf("plan JSON: %s", r.PlanJSON())
 	}
 	if r.RulesFired["recognize-hash-join"] == 0 || r.RulesFired["constant-fold"] == 0 || r.RulesFired["introduce-index-search"] == 0 {
 		t.Errorf("expected hash-join recognition, constant folding and an index search: %v", r.RulesFired)

@@ -32,8 +32,8 @@ func TestWholeRecordFieldOrder(t *testing.T) {
 			`SELECT * FROM GleambookMessages m;`: "scan(",
 		} {
 			r, err := e.Query(context.Background(), q)
-			if err != nil || len(r.Rows) != 1 || !strings.Contains(r.Plan, access) {
-				t.Fatalf("%s: %s: %v, %d rows, plan\n%s", state, q, err, len(r.Rows), r.Plan)
+			if err != nil || len(r.Rows) != 1 || !strings.Contains(r.PlanText(), access) {
+				t.Fatalf("%s: %s: %v, %d rows, plan\n%s", state, q, err, len(r.Rows), r.PlanText())
 			}
 			got := r.Rows[0].String()
 			if strings.HasPrefix(q, "SELECT *") {
@@ -142,8 +142,8 @@ func checkDocs(t *testing.T, e *Engine, oracle map[int]*adm.Object) {
 			t.Fatalf("%s: %v", c.q, err)
 		}
 		// The index on score is only built at the end: until then a scan answers.
-		if _, built := e.SecondaryIndexHandle("Docs", "docScore"); !strings.Contains(r.Plan, c.access) && (built || !strings.Contains(c.access, "score")) {
-			t.Errorf("%s: plan has no %s\n%s", c.q, c.access, r.Plan)
+		if _, built := e.SecondaryIndexHandle("Docs", "docScore"); !strings.Contains(r.PlanText(), c.access) && (built || !strings.Contains(c.access, "score")) {
+			t.Errorf("%s: plan has no %s\n%s", c.q, c.access, r.PlanText())
 		}
 		var got []string
 		for _, row := range r.Rows {

@@ -117,6 +117,7 @@ type Cluster struct {
 	jobRetries   int64
 	nodeFailures int64
 	linkFailures int64
+	taskPanics   int64
 }
 
 // defaultWorkingBytes is the working pool of the governor a cluster
@@ -145,6 +146,8 @@ type RetryStats struct {
 	// LinkFailures counts jobs that failed because a network frame
 	// stream broke (connection reset, partition) without a node dying.
 	LinkFailures int64
+	// TaskPanics counts jobs that failed because an operator panicked.
+	TaskPanics int64
 }
 
 // RetryStats snapshots the retry counters.
@@ -154,6 +157,7 @@ func (c *Cluster) RetryStats() RetryStats {
 		Retries:      atomic.LoadInt64(&c.jobRetries),
 		NodeFailures: atomic.LoadInt64(&c.nodeFailures),
 		LinkFailures: atomic.LoadInt64(&c.linkFailures),
+		TaskPanics:   atomic.LoadInt64(&c.taskPanics),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -18,7 +19,8 @@ import (
 // Run executes a job on the cluster, blocking until completion. The first
 // task error cancels the whole job. Partitions are placed on the nodes
 // alive when the run starts; a node killed mid-run cancels its tasks,
-// which surface as a *NodeFailure (retriable via RunWithRetry).
+// which surface as a *NodeFailure (retriable via RunWithRetry). A task
+// whose operator panics fails the job with a *TaskPanic.
 //
 // With a Placement attached (SetPlacement), Run executes only this
 // process's share of the DAG: channels consumed here stay on the
@@ -115,16 +117,27 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	// Build the per-edge fabric. Each edge has one frame channel per
 	// consumer-owned slot: channels consumed in this process are real Go
 	// channels; channels consumed elsewhere stay nil and sends to them go
-	// through the transport. The channels close when every producer —
-	// local task or remote peer EOS — has finished, or are abandoned (and
-	// drained by task-context cancellation) when the run dies first.
+	// through the transport.
 	type edgeRT struct {
 		chans   []chan []Tuple
 		owners  []string // per-channel consumer node; "" = local
 		remote  bool     // any remote-owned channel
 		handle  EdgeHandle
 		pending int32 // undone producers, local + remote
-		done    chan struct{}
+	}
+	// producerDone counts one producer of the edge finished. The last one —
+	// a local task, or a remote peer's EOS — closes the local channels,
+	// unless the run has died first (error, cancellation, a peer that will
+	// never EOS): then they are abandoned, and every consumer recv selects
+	// on its task context, so nothing blocks on an unclosed channel.
+	producerDone := func(rt *edgeRT) {
+		if atomic.AddInt32(&rt.pending, -1) == 0 && ctx.Err() == nil {
+			for _, ch := range rt.chans {
+				if ch != nil {
+					close(ch)
+				}
+			}
+		}
 	}
 	rts := make(map[*edge]*edgeRT, len(j.edges))
 	var transport Transport = LocalTransport{}
@@ -171,13 +184,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			rt.chans[i] = make(chan []Tuple, 8)
 		}
 		rt.pending = int32(e.from.Parallelism)
-		rt.done = make(chan struct{})
 		rts[e] = rt
-		decr := func() {
-			if atomic.AddInt32(&rt.pending, -1) == 0 {
-				close(rt.done)
-			}
-		}
 		if pl != nil {
 			senders := map[string]bool{}
 			for pp := 0; pp < e.from.Parallelism; pp++ {
@@ -192,7 +199,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				Recv:      rt.chans,
 				Producers: e.from.Parallelism,
 				Senders:   len(senders),
-				EOS:       decr,
+				EOS:       func() { producerDone(rt) },
 				Fail:      fail,
 			})
 			if err != nil {
@@ -200,21 +207,6 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			}
 			rt.handle = h
 		}
-		go func(rt *edgeRT) {
-			// Close the local channels once all producers finished. A run
-			// that dies first (error, cancellation, a peer that will never
-			// EOS) abandons them instead: every consumer recv selects on
-			// its task context, so nothing blocks on an unclosed channel.
-			select {
-			case <-rt.done:
-				for _, ch := range rt.chans {
-					if ch != nil {
-						close(ch)
-					}
-				}
-			case <-ctx.Done():
-			}
-		}(rt)
 	}
 
 	// Control-plane hooks. The remote-node watchers and the abort
@@ -275,6 +267,28 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 		}
 	}
 
+	// One kill watcher per node the job runs tasks on: the node's tasks
+	// share a context the watcher cancels the instant the node is killed.
+	// Every blocking construct of a task selects on it, so the whole job
+	// then tears down via the usual error path. The watchers stop with
+	// the run's context, which is the parent of every node's.
+	nodeCtxs := map[*NodeController]context.Context{}
+	nodeCtx := func(parent context.Context, node *NodeController) context.Context {
+		if nctx, ok := nodeCtxs[node]; ok {
+			return nctx
+		}
+		nctx, ncancel := context.WithCancel(parent)
+		nodeCtxs[node] = nctx
+		go func() {
+			defer ncancel()
+			select {
+			case <-node.killedCh():
+			case <-nctx.Done():
+			}
+		}()
+		return nctx
+	}
+
 	for _, op := range j.ops {
 		for p := 0; p < op.Parallelism; p++ {
 			if !isLocal(op, p) {
@@ -289,17 +303,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			if traceTasks {
 				ts = jobSpan.StartChild(fmt.Sprintf("%s[%d]", op.Name, p))
 			}
-			// Every blocking construct of this task selects on tctx, which
-			// the watcher cancels the instant the task's node is killed —
-			// the whole job then tears down via the usual error path.
-			tctx, tcancel := context.WithCancel(ctx)
-			go func() {
-				select {
-				case <-node.killedCh():
-					tcancel()
-				case <-tctx.Done():
-				}
-			}()
+			tctx := nodeCtx(ctx, node)
 			var taskMem *mem.Grant
 			if op.Memory {
 				taskMem = jobGrant.TaskGrant()
@@ -412,9 +416,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer tcancel()         // releases the kill watcher
 				defer taskMem.Release() // returns this task's working memory
-				runner := op.New(p)
 				err := fault.Hit(fault.PointNodeCrash)
 				if err != nil {
 					// The injected crash takes down the whole node, not
@@ -429,7 +431,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 						"hyracks_op", op.Name,
 						"partition", strconv.Itoa(p),
 					), func(context.Context) {
-						err = runner.Run(tc, ins, outs)
+						err = runTask(op, p, tc, ins, outs)
 					})
 				}
 				// The task wrote its last tuple, failed or not: publish what
@@ -447,23 +449,15 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 						}
 					}
 				}
-				// Producers must be marked done even on error so channel
-				// closers terminate. The wire end-of-stream, though, is a
-				// success claim — "every frame I owed this edge arrived
-				// before this" — so a FAILED producer must not send it: a
-				// reconnect would carry the EOS past the break and the
-				// consumer would complete on silently truncated data. Its
-				// consumers instead block until the failure status aborts
-				// the attempt and the retry supersedes the job id.
+				// The wire end-of-stream is a success claim — "every frame I
+				// owed this edge arrived before this" — so a FAILED producer
+				// must not send it: a reconnect would carry the EOS past the
+				// break and the consumer would complete on silently truncated
+				// data. Its consumers instead block until the failure status
+				// aborts the attempt and the retry supersedes the job id.
 				for _, e := range op.outs {
-					rt := rts[e]
-					if rt.remote && rt.handle != nil && err == nil {
-						if pdErr := rt.handle.ProducerDone(); pdErr != nil {
-							err = pdErr
-						}
-					}
-					if atomic.AddInt32(&rt.pending, -1) == 0 {
-						close(rt.done)
+					if rt := rts[e]; err == nil && rt.remote && rt.handle != nil {
+						err = rt.handle.ProducerDone()
 					}
 				}
 				// A task that failed on a dead node failed BECAUSE the node
@@ -476,6 +470,10 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 					fail(fmt.Errorf("hyracks: %s[%d]: %w", op.Name, p, err))
 				} else if err != nil {
 					fail(err)
+				}
+				// After fail: a failed producer's edges are abandoned.
+				for _, e := range op.outs {
+					producerDone(rts[e])
 				}
 			}()
 		}
@@ -491,14 +489,30 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	if firstErr != nil {
 		var nf *NodeFailure
 		var lf *LinkFailure
-		if errors.As(firstErr, &nf) {
+		var tp *TaskPanic
+		switch {
+		case errors.As(firstErr, &nf):
 			atomic.AddInt64(&c.nodeFailures, 1)
-		} else if errors.As(firstErr, &lf) {
+		case errors.As(firstErr, &lf):
 			atomic.AddInt64(&c.linkFailures, 1)
+		case errors.As(firstErr, &tp):
+			atomic.AddInt64(&c.taskPanics, 1)
 		}
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// runTask runs one (operator, partition) task and contains a panic in it:
+// the panic becomes the *TaskPanic the job fails with, once the operator's
+// own defers have released its pins, grants and run files on the way out.
+func runTask(op *Operator, p int, tc *TaskContext, ins []*Input, outs []*Output) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &TaskPanic{Op: op.Name, Partition: p, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return op.New(p).Run(tc, ins, outs)
 }
 
 // firstFrameCap is the capacity a connWriter's frames start with until one

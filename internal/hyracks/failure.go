@@ -43,6 +43,20 @@ func (e *LinkFailure) Error() string {
 
 func (e *LinkFailure) Unwrap() error { return e.Err }
 
+// TaskPanic is the error a job fails with when one of its operators
+// panics. The task's goroutine recovers the panic, so the process keeps
+// serving; it is not retriable, since a re-run would panic again.
+type TaskPanic struct {
+	Op        string // operator whose task panicked
+	Partition int
+	Value     any    // what the operator panicked with
+	Stack     []byte // the panicking goroutine's stack
+}
+
+func (e *TaskPanic) Error() string {
+	return fmt.Sprintf("hyracks: %s[%d] panicked: %v", e.Op, e.Partition, e.Value)
+}
+
 // Retriable reports whether err is a failure class RunWithRetry would
 // re-plan around (node death or a broken frame stream), and the dead
 // node's id when the error names one. Servers use it to tell clients a

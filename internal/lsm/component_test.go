@@ -244,9 +244,10 @@ func TestOpenSkipsUnprobedLeaves(t *testing.T) {
 }
 
 // leafFill reads the component's file page by page and returns the share
-// of its leaf pages' bytes that entries occupy. It parses the B+tree page
-// format on its own (type, entry count, next leaf; then length-prefixed
-// keys and values), so it also pins that format.
+// of its leaf pages' bytes that entries and their trailers occupy. It parses
+// the B+tree page format on its own (type, entry count, next leaf; then
+// length-prefixed keys and values; at the page's end a 2-byte restart
+// offset per 16 entries and their count), so it also pins that format.
 func leafFill(t testing.TB, bc *storage.BufferCache, file storage.FileID) float64 {
 	t.Helper()
 	pages, err := bc.FileManager().NumPages(file)
@@ -260,13 +261,14 @@ func leafFill(t testing.TB, bc *storage.BufferCache, file storage.FileID) float6
 			t.Fatal(err)
 		}
 		if p.Data[0] == 1 {
+			cnt := int(binary.BigEndian.Uint16(p.Data[1:]))
 			pos := 1 + 2 + 4
-			for chunks := 2 * int(binary.BigEndian.Uint16(p.Data[1:])); chunks > 0; chunks-- {
+			for chunks := 2 * cnt; chunks > 0; chunks-- {
 				l, n := binary.Uvarint(p.Data[pos:])
 				pos += n + int(l)
 			}
-			if pos > 7 { // a tree's first page is the empty root it was created with
-				used, leaves = used+pos, leaves+1
+			if cnt > 0 { // a tree's first page is the empty root it was created with
+				used, leaves = used+pos+2+2*((cnt+15)/16), leaves+1
 			}
 		}
 		bc.Unpin(p, false)

@@ -73,9 +73,10 @@ type Catalog struct {
 }
 
 // StorageFormat is the version of everything a data directory stores: the
-// catalog, the WAL, and the key and record bytes of every component. A
-// change to any of them bumps it; no reader of an older form is kept.
-const StorageFormat = 1
+// catalog, the WAL, the B+tree page layout, and the key and record bytes of
+// every component. A change to any of them bumps it; no reader of an older
+// form is kept. Format 2 ends every B+tree page in restart points.
+const StorageFormat = 2
 
 // ErrStorageFormat refuses a data directory written in another storage
 // format than this build's.

@@ -391,11 +391,8 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 		// Plan of the last statement that produced one (matching the
 		// results payload, which is also the last statement's).
 		for i := len(results) - 1; i >= 0; i-- {
-			if results[i].Plan != "" {
-				resp.Plan = &planPayload{Text: results[i].Plan}
-				if results[i].PlanJSON != "" {
-					resp.Plan.Tree = json.RawMessage(results[i].PlanJSON)
-				}
+			if results[i].Plan != nil {
+				resp.Plan = &planPayload{Text: results[i].PlanText(), Tree: json.RawMessage(results[i].PlanJSON())}
 				resp.Metrics.RulesFired = results[i].RulesFired
 				break
 			}
