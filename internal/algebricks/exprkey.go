@@ -129,66 +129,7 @@ func SubstituteByKey(e sqlpp.Expr, repl map[string]sqlpp.Expr) sqlpp.Expr {
 	if r, ok := repl[ExprKey(e)]; ok {
 		return r
 	}
-	switch x := e.(type) {
-	case *sqlpp.FieldAccess:
-		return &sqlpp.FieldAccess{Base: SubstituteByKey(x.Base, repl), Field: x.Field}
-	case *sqlpp.IndexAccess:
-		return &sqlpp.IndexAccess{Base: SubstituteByKey(x.Base, repl), Index: SubstituteByKey(x.Index, repl)}
-	case *sqlpp.Call:
-		out := &sqlpp.Call{Fn: x.Fn, Distinct: x.Distinct}
-		for _, a := range x.Args {
-			out.Args = append(out.Args, SubstituteByKey(a, repl))
-		}
-		return out
-	case *sqlpp.Unary:
-		return &sqlpp.Unary{Op: x.Op, X: SubstituteByKey(x.X, repl)}
-	case *sqlpp.Binary:
-		return &sqlpp.Binary{Op: x.Op, L: SubstituteByKey(x.L, repl), R: SubstituteByKey(x.R, repl)}
-	case *sqlpp.IsExpr:
-		return &sqlpp.IsExpr{X: SubstituteByKey(x.X, repl), What: x.What, Negate: x.Negate}
-	case *sqlpp.Between:
-		return &sqlpp.Between{X: SubstituteByKey(x.X, repl), Lo: SubstituteByKey(x.Lo, repl), Hi: SubstituteByKey(x.Hi, repl), Negate: x.Negate}
-	case *sqlpp.InExpr:
-		return &sqlpp.InExpr{X: SubstituteByKey(x.X, repl), Coll: SubstituteByKey(x.Coll, repl), Negate: x.Negate}
-	case *sqlpp.CaseExpr:
-		out := &sqlpp.CaseExpr{}
-		if x.Operand != nil {
-			out.Operand = SubstituteByKey(x.Operand, repl)
-		}
-		for _, wt := range x.Whens {
-			out.Whens = append(out.Whens, sqlpp.WhenThen{
-				When: SubstituteByKey(wt.When, repl),
-				Then: SubstituteByKey(wt.Then, repl),
-			})
-		}
-		if x.Else != nil {
-			out.Else = SubstituteByKey(x.Else, repl)
-		}
-		return out
-	case *sqlpp.ObjectConstructor:
-		out := &sqlpp.ObjectConstructor{}
-		for _, f := range x.Fields {
-			out.Fields = append(out.Fields, sqlpp.ObjectField{
-				Name:  SubstituteByKey(f.Name, repl),
-				Value: SubstituteByKey(f.Value, repl),
-			})
-		}
-		return out
-	case *sqlpp.ArrayConstructor:
-		out := &sqlpp.ArrayConstructor{}
-		for _, el := range x.Elems {
-			out.Elems = append(out.Elems, SubstituteByKey(el, repl))
-		}
-		return out
-	case *sqlpp.MultisetConstructor:
-		out := &sqlpp.MultisetConstructor{}
-		for _, el := range x.Elems {
-			out.Elems = append(out.Elems, SubstituteByKey(el, repl))
-		}
-		return out
-	default:
-		return e
-	}
+	return sqlpp.Rewrite(e, func(c sqlpp.Expr) sqlpp.Expr { return SubstituteByKey(c, repl) })
 }
 
 // groupKeyRewrites builds the substitution map key-expr → key-var for a

@@ -145,7 +145,7 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 		for i := range orderExprs {
 			orderExprs[i] = SubstituteByKey(ExtractAggregates(orderExprs[i], &gen, &aggs), repl)
 		}
-		grouped, err := ev.interpretGroup(sel, rows, base)
+		grouped, err := ev.interpretGroup(sel, aggs, rows, base)
 		if err != nil {
 			return nil, err
 		}
@@ -289,25 +289,9 @@ func (ev *Evaluator) projectionExpr(sel *sqlpp.SelectExpr) sqlpp.Expr {
 }
 
 // interpretGroup groups rows and produces one row per group with: group
-// keys, GROUP AS binding, and extracted aggregate variables.
-func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, rows []interpRow, base *Env) ([]interpRow, error) {
-	// Deterministic aggregate extraction across SELECT, HAVING, ORDER.
-	gen := 0
-	var aggs []AggRef
-	ExtractAggregates(ev.projectionExpr(sel), &gen, &aggs)
-	if sel.Having != nil {
-		ExtractAggregates(sel.Having, &gen, &aggs)
-	}
-	aliasMap := map[string]sqlpp.Expr{}
-	for _, item := range sel.Select.Items {
-		if item.Alias != "" {
-			aliasMap[item.Alias] = item.Expr
-		}
-	}
-	for _, oi := range sel.OrderBy {
-		ExtractAggregates(SubstituteVars(oi.Expr, aliasMap), &gen, &aggs)
-	}
-
+// keys, GROUP AS binding, and the variables of aggs, the aggregates
+// extracted from the block's SELECT, HAVING and ORDER BY.
+func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows []interpRow, base *Env) ([]interpRow, error) {
 	type groupState struct {
 		keys []adm.Value
 		rows []interpRow

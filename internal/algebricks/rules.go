@@ -107,54 +107,12 @@ func containsSubquery(e sqlpp.Expr) bool {
 		return true
 	}
 	var buf [4]sqlpp.Expr
-	for _, c := range exprChildren(e, buf[:0]) {
+	for _, c := range sqlpp.Children(e, buf[:0]) {
 		if containsSubquery(c) {
 			return true
 		}
 	}
 	return false
-}
-
-// exprChildren lists the direct subexpressions of e that are evaluated in
-// e's own scope (nil entries included where a clause is absent), appending
-// to buf — a caller's stack scratch, so the common nodes cost no
-// allocation. Nodes that open a scope — SELECT blocks, EXISTS, quantifiers
-// — report none; callers treat them as opaque.
-func exprChildren(e sqlpp.Expr, buf []sqlpp.Expr) []sqlpp.Expr {
-	switch x := e.(type) {
-	case *sqlpp.FieldAccess:
-		return append(buf, x.Base)
-	case *sqlpp.IndexAccess:
-		return append(buf, x.Base, x.Index)
-	case *sqlpp.Call:
-		return x.Args
-	case *sqlpp.Unary:
-		return append(buf, x.X)
-	case *sqlpp.Binary:
-		return append(buf, x.L, x.R)
-	case *sqlpp.IsExpr:
-		return append(buf, x.X)
-	case *sqlpp.Between:
-		return append(buf, x.X, x.Lo, x.Hi)
-	case *sqlpp.InExpr:
-		return append(buf, x.X, x.Coll)
-	case *sqlpp.CaseExpr:
-		buf = append(buf, x.Operand, x.Else)
-		for _, wt := range x.Whens {
-			buf = append(buf, wt.When, wt.Then)
-		}
-	case *sqlpp.ObjectConstructor:
-		for _, f := range x.Fields {
-			buf = append(buf, f.Name, f.Value)
-		}
-	case *sqlpp.ArrayConstructor:
-		return x.Elems
-	case *sqlpp.MultisetConstructor:
-		return x.Elems
-	case *sqlpp.UnionExpr:
-		return x.Blocks
-	}
-	return buf
 }
 
 // constValue evaluates a constant expression at plan time.
@@ -164,72 +122,30 @@ func (tr *Translator) constValue(e sqlpp.Expr) (adm.Value, error) {
 
 // --- rule: constant-fold ---
 
-// foldConst replaces variable-free subexpressions with literals (bottom-up,
-// largest constant subtree wins). Evaluation errors leave the expression
-// unfolded so runtime semantics are preserved.
+// foldConst replaces each largest constant subexpression — one that reads
+// no variable and holds no subquery, EXISTS or quantifier — with its value,
+// bottom-up, copying the nodes it changes, and reports whether e is
+// constant. A constant subexpression whose evaluation fails is left as it
+// is (its own constant parts folded), so runtime semantics are preserved.
 func (tr *Translator) foldConst(e sqlpp.Expr) (sqlpp.Expr, bool) {
-	if e == nil {
-		return nil, false
+	constant := true
+	switch e.(type) {
+	case *sqlpp.Literal:
+		return e, true
+	case nil, *sqlpp.VarRef, *sqlpp.SelectExpr, *sqlpp.UnionExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
+		constant = false
 	}
-	if _, ok := e.(*sqlpp.Literal); ok {
-		return e, false
-	}
-	if !containsSubquery(e) && tr.isConstant(e) {
-		if v, err := tr.constValue(e); err == nil {
+	out := sqlpp.Rewrite(e, func(c sqlpp.Expr) sqlpp.Expr {
+		c, ok := tr.foldConst(c)
+		constant = constant && ok
+		return c
+	})
+	if constant {
+		if v, err := tr.constValue(out); err == nil {
 			return &sqlpp.Literal{Value: v}, true
 		}
-		return e, false
 	}
-	changed := false
-	fold := func(c sqlpp.Expr) sqlpp.Expr {
-		nc, ch := tr.foldConst(c)
-		changed = changed || ch
-		return nc
-	}
-	switch x := e.(type) {
-	case *sqlpp.FieldAccess:
-		x.Base = fold(x.Base)
-	case *sqlpp.IndexAccess:
-		x.Base, x.Index = fold(x.Base), fold(x.Index)
-	case *sqlpp.Call:
-		for i := range x.Args {
-			x.Args[i] = fold(x.Args[i])
-		}
-	case *sqlpp.Unary:
-		x.X = fold(x.X)
-	case *sqlpp.Binary:
-		x.L, x.R = fold(x.L), fold(x.R)
-	case *sqlpp.IsExpr:
-		x.X = fold(x.X)
-	case *sqlpp.Between:
-		x.X, x.Lo, x.Hi = fold(x.X), fold(x.Lo), fold(x.Hi)
-	case *sqlpp.InExpr:
-		x.X, x.Coll = fold(x.X), fold(x.Coll)
-	case *sqlpp.CaseExpr:
-		if x.Operand != nil {
-			x.Operand = fold(x.Operand)
-		}
-		for i := range x.Whens {
-			x.Whens[i].When = fold(x.Whens[i].When)
-			x.Whens[i].Then = fold(x.Whens[i].Then)
-		}
-		if x.Else != nil {
-			x.Else = fold(x.Else)
-		}
-	case *sqlpp.ObjectConstructor:
-		for i := range x.Fields {
-			x.Fields[i].Value = fold(x.Fields[i].Value)
-		}
-	case *sqlpp.ArrayConstructor:
-		for i := range x.Elems {
-			x.Elems[i] = fold(x.Elems[i])
-		}
-	case *sqlpp.MultisetConstructor:
-		for i := range x.Elems {
-			x.Elems[i] = fold(x.Elems[i])
-		}
-	}
-	return e, changed
+	return out, constant
 }
 
 func isTrueLiteral(e sqlpp.Expr) bool {
@@ -241,8 +157,8 @@ func ruleConstantFold(tr *Translator, plan Op) (Op, int) {
 	return sweep(plan, func(op Op) (Op, bool) {
 		changed := false
 		fold := func(e sqlpp.Expr) sqlpp.Expr {
-			ne, c := tr.foldConst(e)
-			changed = changed || c
+			ne, _ := tr.foldConst(e)
+			changed = changed || ne != e
 			return ne
 		}
 		switch o := op.(type) {
@@ -1109,8 +1025,8 @@ func (n *needs) field(v, f string) {
 
 // addUses records how e reads the columns in schema. `v.f` reads one field
 // of column v; every other occurrence of v — bare, indexed, passed to a
-// function, or anywhere inside a subquery, EXISTS or quantifier, whose
-// scopes are not tracked here — reads it whole.
+// function, or anywhere inside a subquery, UNION, EXISTS or quantifier,
+// whose scopes are not tracked here — reads it whole.
 func (n *needs) addUses(e sqlpp.Expr, schema []string) {
 	switch x := e.(type) {
 	case *sqlpp.VarRef:
@@ -1123,7 +1039,7 @@ func (n *needs) addUses(e sqlpp.Expr, schema []string) {
 		} else if indexOf(schema, vr.Name) >= 0 {
 			n.field(vr.Name, x.Field)
 		}
-	case *sqlpp.SelectExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
+	case *sqlpp.SelectExpr, *sqlpp.UnionExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
 		free := map[string]bool{}
 		FreeVars(e, free)
 		for _, v := range schema {
@@ -1133,7 +1049,7 @@ func (n *needs) addUses(e sqlpp.Expr, schema []string) {
 		}
 	default:
 		var buf [4]sqlpp.Expr
-		for _, c := range exprChildren(e, buf[:0]) {
+		for _, c := range sqlpp.Children(e, buf[:0]) {
 			n.addUses(c, schema)
 		}
 	}

@@ -9,6 +9,7 @@ package aql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"asterix/internal/adm"
@@ -258,63 +259,36 @@ func isSQLAggregate(fn string) bool {
 // into field_collect(groupAs, "$v") — the array of $v's values within the
 // group (AQL's "with" semantics on top of SQL++'s GROUP AS).
 func rewriteWithVars(e sqlpp.Expr, withVars []string, groupAs string) sqlpp.Expr {
-	isWith := func(name string) bool {
-		for _, v := range withVars {
-			if v == name {
-				return true
-			}
-		}
-		return false
-	}
 	var rw func(sqlpp.Expr) sqlpp.Expr
 	rw = func(e sqlpp.Expr) sqlpp.Expr {
 		switch x := e.(type) {
 		case *sqlpp.VarRef:
-			if isWith(x.Name) {
+			if slices.Contains(withVars, x.Name) {
 				return &sqlpp.Call{Fn: "field_collect", Args: []sqlpp.Expr{
 					&sqlpp.VarRef{Name: groupAs},
 					&sqlpp.Literal{Value: adm.String(x.Name)},
 				}}
 			}
-			return x
-		case *sqlpp.FieldAccess:
-			return &sqlpp.FieldAccess{Base: rw(x.Base), Field: x.Field}
-		case *sqlpp.IndexAccess:
-			return &sqlpp.IndexAccess{Base: rw(x.Base), Index: rw(x.Index)}
 		case *sqlpp.Call:
 			// A SQL-style aggregate applied directly to a grouped
 			// variable stays an aggregate over the pre-group rows
 			// (count($m) → COUNT(m)); only non-aggregate uses read the
 			// GROUP AS collection.
 			if isSQLAggregate(x.Fn) && len(x.Args) == 1 {
-				if vr, ok := x.Args[0].(*sqlpp.VarRef); ok && isWith(vr.Name) {
-					return &sqlpp.Call{Fn: x.Fn, Distinct: x.Distinct, Args: []sqlpp.Expr{vr}}
+				if vr, ok := x.Args[0].(*sqlpp.VarRef); ok && slices.Contains(withVars, vr.Name) {
+					return x
 				}
 			}
-			out := &sqlpp.Call{Fn: x.Fn, Distinct: x.Distinct}
-			for _, a := range x.Args {
-				out.Args = append(out.Args, rw(a))
-			}
-			return out
-		case *sqlpp.Unary:
-			return &sqlpp.Unary{Op: x.Op, X: rw(x.X)}
-		case *sqlpp.Binary:
-			return &sqlpp.Binary{Op: x.Op, L: rw(x.L), R: rw(x.R)}
-		case *sqlpp.ObjectConstructor:
-			out := &sqlpp.ObjectConstructor{}
-			for _, f := range x.Fields {
-				out.Fields = append(out.Fields, sqlpp.ObjectField{Name: rw(f.Name), Value: rw(f.Value)})
-			}
-			return out
-		case *sqlpp.ArrayConstructor:
-			out := &sqlpp.ArrayConstructor{}
-			for _, el := range x.Elems {
-				out.Elems = append(out.Elems, rw(el))
-			}
-			return out
-		default:
-			return e
+		case *sqlpp.QuantifiedExpr:
+			// The body binds Var, which shadows a grouped variable of
+			// that name.
+			q := *x
+			q.In = rw(x.In)
+			q.Satisfies = rewriteWithVars(x.Satisfies,
+				slices.DeleteFunc(slices.Clone(withVars), func(v string) bool { return v == x.Var }), groupAs)
+			return &q
 		}
+		return sqlpp.Rewrite(e, rw)
 	}
 	return rw(e)
 }

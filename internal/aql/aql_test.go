@@ -3,6 +3,7 @@ package aql
 import (
 	"testing"
 
+	"asterix/internal/algebricks"
 	"asterix/internal/sqlpp"
 )
 
@@ -84,21 +85,28 @@ func TestParseGroupByWith(t *testing.T) {
 	}
 }
 
+// TestNonAggregateWithVarUsesGroupAs checks that a grouped variable read
+// outside an aggregate becomes the GROUP AS collection under every kind of
+// expression, quantifier bodies included unless they rebind the name.
 func TestNonAggregateWithVarUsesGroupAs(t *testing.T) {
-	q, err := Parse(`
-		for $m in dataset Messages
-		group by $a := $m.authorId with $m
-		return {"author": $a, "lens": coll_count($m)}
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := q.Body.(*sqlpp.SelectExpr)
-	obj := sel.Select.Value.(*sqlpp.ObjectConstructor)
-	cc := obj.Fields[1].Value.(*sqlpp.Call)
-	inner, ok := cc.Args[0].(*sqlpp.Call)
-	if !ok || inner.Fn != "field_collect" {
-		t.Fatalf("non-aggregate with-var should read GROUP AS: %T", cc.Args[0])
+	const m = `field_collect($aql_group, "$m")`
+	for _, c := range []struct{ ret, want string }{
+		{`{"author": $a, "lens": coll_count($m)}`, `{"author": $a, "lens": coll_count(` + m + `)}`},
+		{`$m[0].messageId between 0 and 100`, `(` + m + `[0].messageId between 0 and 100)`},
+		{`case when $m[0].x > 1 then $m else 0 end`, `case when (` + m + `[0].x > 1) then ` + m + ` else 0 end`},
+		{`1 in $m`, `(1 in ` + m + `)`},
+		{`$m[0] is null`, `(` + m + `[0] is NULL)`},
+		{`some $x in $m satisfies $x.k = $m[0].k`, `some $x in ` + m + ` satisfies ($x.k = ` + m + `[0].k)`},
+		{`every $m in $m satisfies $m.k > $a`, `every $m in ` + m + ` satisfies ($m.k > $a)`},
+		{`count($m)`, `count($m)`},
+	} {
+		q, err := Parse(`for $m in dataset Messages group by $a := $m.authorId with $m return ` + c.ret)
+		if err != nil {
+			t.Fatalf("%s: %v", c.ret, err)
+		}
+		if got := algebricks.ExprString(q.Body.(*sqlpp.SelectExpr).Select.Value); got != c.want {
+			t.Errorf("return %s\n got %s\nwant %s", c.ret, got, c.want)
+		}
 	}
 }
 

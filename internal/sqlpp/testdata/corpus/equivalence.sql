@@ -193,3 +193,11 @@ SELECT VALUE x FROM GleambookMessages m, GleambookUsers u, [1, 2] x WHERE m.auth
 
 SELECT DISTINCT VALUE m.authorId FROM GleambookMessages m, GleambookUsers u, GleambookUsers v
     WHERE m.authorId = u.id AND v.id < 2;
+
+-- A correlated UNION ALL inside EXISTS reads the outer column in each block,
+-- so column pruning must keep it.
+SELECT VALUE u.id FROM GleambookUsers u WHERE EXISTS (SELECT VALUE 1 FROM [1] x WHERE u.id < 3 UNION ALL SELECT VALUE 1 FROM [1] y WHERE u.id > 27);
+
+-- A GROUP BY key read inside a quantifier's IN is replaced by its key
+-- variable like any other occurrence.
+SELECT (SOME v IN [u.id] SATISFIES v > 1) AS s, COUNT(*) AS n FROM GleambookUsers u WHERE u.id < 3 GROUP BY u.id;
