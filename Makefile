@@ -41,11 +41,12 @@ invariants:
 # and the LSM lifecycle's flush/merge fault (on the writer's barrier and on
 # the background worker), crash-orphan and validator tests over every index
 # kind, and the storage-format gate (a directory of another format is
-# refused and left as found), with deep validators compiled in (see
-# docs/ROBUSTNESS.md).
+# refused and left as found), and the request boundary (a panic while
+# serving a query is answered, and the next request served), with deep
+# validators compiled in (see docs/ROBUSTNESS.md).
 fault-matrix:
-	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestTaskPanic|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat' \
-		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/
+	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestTaskPanic|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat|TestEnginePanic' \
+		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/ ./internal/server/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
 # net-matrix: the network-failure gate — in-process transport fault tests
@@ -114,6 +115,7 @@ fuzz-smoke:
 	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
 	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
 	go test -run NONE -fuzz FuzzBTreePage -fuzztime 10s ./internal/btree
+	go test -run NONE -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/hyracks
 
 help:
 	@echo "Targets:"
@@ -124,7 +126,7 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader)"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader, aggregate merge)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"

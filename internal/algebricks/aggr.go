@@ -12,7 +12,7 @@ import (
 // reference; the group-by operator computes it.
 type AggRef struct {
 	Var      string
-	Fn       string // count, sum, min, max, avg, array_agg
+	Fn       string // a name in sqlpp.Aggregates
 	Arg      sqlpp.Expr
 	Star     bool // COUNT(*)
 	Distinct bool
@@ -28,7 +28,7 @@ func ExtractAggregates(e sqlpp.Expr, gen *int, aggs *[]AggRef) sqlpp.Expr {
 	var rw func(sqlpp.Expr) sqlpp.Expr
 	rw = func(e sqlpp.Expr) sqlpp.Expr {
 		x, ok := e.(*sqlpp.Call)
-		if !ok || !IsAggregateFn(x.Fn) {
+		if !ok || !sqlpp.IsAggregate(x.Fn) {
 			return sqlpp.Rewrite(e, rw)
 		}
 		ref := AggRef{Fn: x.Fn, Distinct: x.Distinct}
@@ -51,13 +51,41 @@ func ExtractAggregates(e sqlpp.Expr, gen *int, aggs *[]AggRef) sqlpp.Expr {
 	return rw(e)
 }
 
-// HasAggregates reports whether the expression contains a SQL aggregate
-// call at this block's level.
-func HasAggregates(e sqlpp.Expr) bool {
+// groupBlock, for the translator and the interpreter alike, rewrites a
+// SELECT block's output expressions — its projection proj, its HAVING and
+// its ORDER BY — for grouping, and returns them with the aggregates it
+// extracted. SELECT aliases are inlined into ORDER BY, and the aggregates of
+// proj and HAVING become variables. The block groups if it has a GROUP BY
+// or that finds one; then the aggregates of ORDER BY become variables too —
+// numbered once across the three, so that the ones the grouping binds line
+// up — and each group key becomes its variable.
+func groupBlock(sel *sqlpp.SelectExpr, proj sqlpp.Expr) (sqlpp.Expr, sqlpp.Expr, []sqlpp.Expr, []AggRef) {
+	aliases := map[string]sqlpp.Expr{}
+	for _, item := range sel.Select.Items {
+		if item.Alias != "" {
+			aliases[item.Alias] = item.Expr
+		}
+	}
+	order := make([]sqlpp.Expr, len(sel.OrderBy))
+	for i, oi := range sel.OrderBy {
+		order[i] = SubstituteVars(oi.Expr, aliases)
+	}
 	var aggs []AggRef
-	gen := 0
-	ExtractAggregates(e, &gen, &aggs)
-	return len(aggs) > 0
+	gen, having := 0, sel.Having
+	if proj = ExtractAggregates(proj, &gen, &aggs); having != nil {
+		having = ExtractAggregates(having, &gen, &aggs)
+	}
+	if len(sel.GroupBy) == 0 && len(aggs) == 0 {
+		return proj, having, order, nil
+	}
+	repl := groupKeyRewrites(sel)
+	if proj = SubstituteByKey(proj, repl); having != nil {
+		having = SubstituteByKey(having, repl)
+	}
+	for i := range order {
+		order[i] = SubstituteByKey(ExtractAggregates(order[i], &gen, &aggs), repl)
+	}
+	return proj, having, order, aggs
 }
 
 // SubstituteVars rewrites VarRefs per the mapping (used to inline SELECT

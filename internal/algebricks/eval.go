@@ -819,13 +819,3 @@ func (ev *Evaluator) materialize(ds DataSource) (adm.Value, error) {
 	}
 	return out, nil
 }
-
-// IsAggregateFn reports whether a function name is a SQL aggregate
-// (meaningful only under GROUP BY / global aggregation).
-func IsAggregateFn(fn string) bool {
-	switch strings.ToLower(fn) {
-	case "count", "sum", "min", "max", "avg", "array_agg":
-		return true
-	}
-	return false
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"asterix/internal/adm"
+	"asterix/internal/hyracks"
 	"asterix/internal/sqlpp"
 )
 
@@ -383,7 +384,7 @@ func init() {
 		}
 		return adm.Null, nil
 	})
-	register("coll_sum array_sum coll_min array_min coll_max array_max coll_avg array_avg count sum min max avg array_agg", 1, func(c fnCall) (adm.Value, error) {
+	register("coll_sum array_sum coll_min array_min coll_max array_max coll_avg array_avg "+strings.Join(sqlpp.Aggregates, " "), 1, func(c fnCall) (adm.Value, error) {
 		// Scalar (COLL_-style) aggregate over a collection argument.
 		elems, ok := asCollection(c.args[0])
 		if !ok {
@@ -392,10 +393,15 @@ func init() {
 			}
 			return nil, evalErrf("%s expects a collection, got %s", c.fn, c.args[0].Kind())
 		}
-		if c.distinct {
-			elems = dedupe(elems)
+		fn := strings.TrimPrefix(c.fn, "coll_")
+		if !sqlpp.IsAggregate(fn) {
+			fn = strings.TrimPrefix(fn, "array_")
 		}
-		return foldAggregate(strings.TrimPrefix(strings.TrimPrefix(c.fn, "coll_"), "array_"), elems)
+		spec, err := aggSpecFor(AggRef{Fn: fn, Distinct: c.distinct}, 0)
+		if err != nil {
+			return nil, err
+		}
+		return hyracks.Fold(spec, elems)
 	})
 	register("field_collect", 2, func(c fnCall) (adm.Value, error) {
 		// field_collect(groupAs, "name"): project one field out of a
@@ -516,73 +522,6 @@ func init() {
 		}
 		return adm.Null, nil
 	})
-}
-
-// foldAggregate applies a COLL_-style aggregate over elements, skipping
-// null/missing per SQL semantics.
-func foldAggregate(fn string, elems []adm.Value) (adm.Value, error) {
-	switch fn {
-	case "count":
-		n := 0
-		for _, e := range elems {
-			if e.Kind() > adm.KindNull {
-				n++
-			}
-		}
-		return adm.Int64(n), nil
-	case "array_agg", "agg":
-		return adm.Array(elems), nil
-	case "sum", "avg":
-		var sum adm.Value = adm.Null
-		n := 0
-		for _, e := range elems {
-			if e.Kind() <= adm.KindNull {
-				continue
-			}
-			if _, ok := adm.AsFloat(e); !ok {
-				return nil, evalErrf("%s over non-numeric %s", fn, e.Kind())
-			}
-			if sum.Kind() <= adm.KindNull {
-				sum = e
-			} else {
-				s, _ := adm.AsFloat(sum)
-				v, _ := adm.AsFloat(e)
-				si, sInt := sum.(adm.Int64)
-				vi, vInt := e.(adm.Int64)
-				if sInt && vInt {
-					sum = si + vi
-				} else {
-					sum = adm.Double(s + v)
-				}
-			}
-			n++
-		}
-		if fn == "sum" {
-			return sum, nil
-		}
-		if n == 0 || sum.Kind() <= adm.KindNull {
-			return adm.Null, nil
-		}
-		f, _ := adm.AsFloat(sum)
-		return adm.Double(f / float64(n)), nil
-	case "min", "max":
-		var best adm.Value = adm.Null
-		for _, e := range elems {
-			if e.Kind() <= adm.KindNull {
-				continue
-			}
-			if best.Kind() <= adm.KindNull {
-				best = e
-				continue
-			}
-			c := adm.Compare(e, best)
-			if (fn == "min" && c < 0) || (fn == "max" && c > 0) {
-				best = e
-			}
-		}
-		return best, nil
-	}
-	return nil, evalErrf("unknown aggregate %q", fn)
 }
 
 func dedupe(elems []adm.Value) []adm.Value {

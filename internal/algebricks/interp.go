@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"asterix/internal/adm"
+	"asterix/internal/hyracks"
 	"asterix/internal/sqlpp"
 )
 
@@ -115,36 +116,8 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 		rows = kept
 	}
 
-	// Grouping (explicit GROUP BY, or implicit global aggregation).
-	// Aggregate extraction uses one shared counter across SELECT, HAVING,
-	// and ORDER BY so the $agg variables bound by grouping line up with
-	// the rewritten expressions used below.
-	implicitAgg := len(sel.GroupBy) == 0 && ev.selectHasAggregates(sel)
-	grouping := len(sel.GroupBy) > 0 || implicitAgg
-
-	aliasMap := map[string]sqlpp.Expr{}
-	for _, item := range sel.Select.Items {
-		if item.Alias != "" {
-			aliasMap[item.Alias] = item.Expr
-		}
-	}
-	projExpr := ev.projectionExpr(sel)
-	havingExpr := sel.Having
-	orderExprs := make([]sqlpp.Expr, len(sel.OrderBy))
-	for i, oi := range sel.OrderBy {
-		orderExprs[i] = SubstituteVars(oi.Expr, aliasMap)
-	}
-	if grouping {
-		gen := 0
-		var aggs []AggRef
-		repl := groupKeyRewrites(sel)
-		projExpr = SubstituteByKey(ExtractAggregates(projExpr, &gen, &aggs), repl)
-		if havingExpr != nil {
-			havingExpr = SubstituteByKey(ExtractAggregates(havingExpr, &gen, &aggs), repl)
-		}
-		for i := range orderExprs {
-			orderExprs[i] = SubstituteByKey(ExtractAggregates(orderExprs[i], &gen, &aggs), repl)
-		}
+	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, ev.projectionExpr(sel))
+	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
 		grouped, err := ev.interpretGroup(sel, aggs, rows, base)
 		if err != nil {
 			return nil, err
@@ -251,23 +224,6 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 	return result, nil
 }
 
-// selectHasAggregates reports whether the block's SELECT/HAVING/ORDER
-// expressions contain SQL aggregates (triggering implicit grouping).
-func (ev *Evaluator) selectHasAggregates(sel *sqlpp.SelectExpr) bool {
-	if sel.Select.Value != nil && HasAggregates(sel.Select.Value) {
-		return true
-	}
-	for _, it := range sel.Select.Items {
-		if HasAggregates(it.Expr) {
-			return true
-		}
-	}
-	if sel.Having != nil && HasAggregates(sel.Having) {
-		return true
-	}
-	return false
-}
-
 // projectionExpr builds the single output expression of the block.
 func (ev *Evaluator) projectionExpr(sel *sqlpp.SelectExpr) sqlpp.Expr {
 	if sel.Select.Value != nil {
@@ -370,14 +326,11 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 				}
 				vals = append(vals, v)
 			}
-			if a.Distinct {
-				vals = dedupe(vals)
+			spec, err := aggSpecFor(a, 0)
+			if err != nil {
+				return nil, err
 			}
-			fn := a.Fn
-			if a.Star {
-				fn = "count"
-			}
-			v, err := foldAggregate(fn, vals)
+			v, err := hyracks.Fold(spec, vals)
 			if err != nil {
 				return nil, err
 			}

@@ -313,7 +313,7 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return emit(hyracks.Tuple{t[col]})
 		}))
 		j.MustConnect(in.op, proj, 0, hyracks.OneToOne())
-		d := j.Add(hyracks.NewDistinct("distinct", par, 1))
+		d := j.Add(hyracks.NewGroupBy("distinct", par, []int{0}, nil))
 		j.MustConnect(proj, d, 0, hyracks.HashPartition(0))
 		return built{op: d, schema: schemaOf(ResultVar), par: par}, nil
 
@@ -563,7 +563,7 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 		}
 		if o.Merge { // the column holds a partial state
 			merge := spec.Merge
-			spec.Step = func(s adm.Value, t hyracks.Tuple) adm.Value { return merge(s, t[col]) }
+			spec.Step = func(s, v adm.Value) (adm.Value, error) { return merge(s, v), nil }
 		}
 		specs = append(specs, spec)
 	}
@@ -571,100 +571,35 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 		specs = append(specs, hyracks.CollectAgg(nKeys+nAggs))
 	}
 
-	par := g.Parallelism
-	gb := j.Add(hyracks.NewGroupBy("group-by", parOrOne(nKeys, par), groupCols, specs))
-	if nKeys > 0 {
-		j.MustConnect(prep, gb, 0, hyracks.HashPartition(groupCols...))
-	} else {
-		j.MustConnect(prep, gb, 0, hyracks.MergeUnordered())
+	par, conn := g.Parallelism, hyracks.HashPartition(groupCols...)
+	if nKeys == 0 { // global aggregation: one group, on one partition
+		par, conn = 1, hyracks.MergeUnordered()
 	}
-
-	outOp := gb
-	outPar := parOrOne(nKeys, par)
-	// Global aggregation over empty input must still produce one row of
-	// defaults (COUNT(*) = 0 over an empty dataset).
-	if nKeys == 0 {
-		defaults := make(hyracks.Tuple, 0, len(specs))
-		for i, a := range o.Aggs {
-			spec, _ := aggSpecFor(a, i)
-			defaults = append(defaults, spec.Finish(spec.Init()))
-		}
-		if hasGroupAs {
-			defaults = append(defaults, adm.Array{})
-		}
-		fill := j.Add(&hyracks.Operator{
-			Name:        "global-agg-default",
-			Parallelism: 1,
-			New: func(int) hyracks.Runner {
-				return hyracks.RunnerFunc(func(tc *hyracks.TaskContext, ins []*hyracks.Input, outs []*hyracks.Output) error {
-					any := false
-					err := ins[0].ForEach(func(t hyracks.Tuple) error {
-						any = true
-						return outs[0].Write(t)
-					})
-					if err != nil {
-						return err
-					}
-					if !any {
-						return outs[0].Write(defaults)
-					}
-					return nil
-				})
-			},
-		})
-		j.MustConnect(gb, fill, 0, hyracks.OneToOne())
-		outOp = fill
-		outPar = 1
-	}
-	return built{op: outOp, schema: schemaOf(o.Schema()...), par: outPar}, nil
+	gb := j.Add(hyracks.NewGroupBy("group-by", par, groupCols, specs))
+	j.MustConnect(prep, gb, 0, conn)
+	return built{op: gb, schema: schemaOf(o.Schema()...), par: par}, nil
 }
 
-func parOrOne(nKeys, par int) int {
-	if nKeys == 0 {
-		return 1
-	}
-	return par
-}
-
-// aggSpecFor maps an extracted aggregate to a runtime spec over its
-// argument column.
+// aggSpecFor maps an extracted aggregate to its runtime spec over argument
+// column col. COUNT(*) — any aggregate without an argument — counts: col is
+// -1, or holds a constant.
 func aggSpecFor(a AggRef, col int) (hyracks.AggSpec, error) {
-	if a.Distinct {
-		// Collect then dedupe at finish (exact, memory-proportional to
-		// group distinct cardinality).
-		base := hyracks.CollectAgg(col)
-		fn := a.Fn
-		return hyracks.AggSpec{
-			Name:  fn + "-distinct",
-			Init:  base.Init,
-			Step:  base.Step,
-			Merge: base.Merge,
-			Finish: func(s adm.Value) adm.Value {
-				elems := dedupe([]adm.Value(s.(adm.Array)))
-				v, err := foldAggregate(fn, elems)
-				if err != nil {
-					return adm.Null
-				}
-				return v
-			},
-		}, nil
+	agg, ok := hyracks.Aggregates[a.Fn]
+	if a.Star {
+		agg, ok = hyracks.CountAgg, true
 	}
-	switch a.Fn {
-	case "count":
-		if a.Star {
-			return hyracks.CountAgg(-1), nil
-		}
-		return hyracks.CountAgg(col), nil
-	case "sum":
-		return hyracks.SumAgg(col), nil
-	case "min":
-		return hyracks.MinAgg(col), nil
-	case "max":
-		return hyracks.MaxAgg(col), nil
-	case "avg":
-		return hyracks.AvgAgg(col), nil
-	case "array_agg":
-		return hyracks.CollectAgg(col), nil
+	if !ok {
+		return hyracks.AggSpec{}, fmt.Errorf("jobgen: unsupported aggregate %q", a.Fn)
 	}
-	return hyracks.AggSpec{}, fmt.Errorf("jobgen: unsupported aggregate %q", a.Fn)
+	spec := agg(col)
+	if !a.Distinct {
+		return spec, nil
+	}
+	// Collect, then dedupe and fold at finish (exact, memory-proportional
+	// to the group's distinct cardinality).
+	distinct := hyracks.CollectAgg(col)
+	distinct.Finish = func(s adm.Value) (adm.Value, error) {
+		return hyracks.Fold(spec, dedupe(s.(adm.Array)))
+	}
+	return distinct, nil
 }

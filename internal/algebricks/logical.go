@@ -475,33 +475,8 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 		plan = &SelectOp{In: plan, Cond: sel.Where}
 	}
 
-	// Grouping with shared aggregate numbering (mirrors the interpreter).
-	implicitAgg := len(sel.GroupBy) == 0 && tr.Ev.selectHasAggregates(sel)
-	grouping := len(sel.GroupBy) > 0 || implicitAgg
-
-	aliasMap := map[string]sqlpp.Expr{}
-	for _, item := range sel.Select.Items {
-		if item.Alias != "" {
-			aliasMap[item.Alias] = item.Expr
-		}
-	}
-	projExpr := tr.projectionFor(sel, plan)
-	havingExpr := sel.Having
-	orderExprs := make([]sqlpp.Expr, len(sel.OrderBy))
-	for i, oi := range sel.OrderBy {
-		orderExprs[i] = SubstituteVars(oi.Expr, aliasMap)
-	}
-	if grouping {
-		gen := 0
-		var aggs []AggRef
-		repl := groupKeyRewrites(sel)
-		projExpr = SubstituteByKey(ExtractAggregates(projExpr, &gen, &aggs), repl)
-		if havingExpr != nil {
-			havingExpr = SubstituteByKey(ExtractAggregates(havingExpr, &gen, &aggs), repl)
-		}
-		for i := range orderExprs {
-			orderExprs[i] = SubstituteByKey(ExtractAggregates(orderExprs[i], &gen, &aggs), repl)
-		}
+	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, tr.projectionFor(sel, plan))
+	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
 		// Dead GROUP AS elimination: materializing each group's rows is
 		// expensive; skip it when no post-group expression reads the
 		// binding (AQL's with-variables often compile this way).
@@ -540,7 +515,7 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 		plan = &DistinctOp{In: plan}
 		// Order expressions after DISTINCT can only see the result value.
 		for i := range orderExprs {
-			orderExprs[i] = rebaseOnResult(orderExprs[i], aliasMap)
+			orderExprs[i] = rebaseOnResult(orderExprs[i], sel)
 		}
 	}
 	if len(orderExprs) > 0 {
@@ -617,12 +592,14 @@ func (tr *Translator) projectionFor(sel *sqlpp.SelectExpr, plan Op) sqlpp.Expr {
 	return obj
 }
 
-// rebaseOnResult rewrites an ORDER BY expression used above DISTINCT to
-// access fields of the projected result.
-func rebaseOnResult(e sqlpp.Expr, aliasMap map[string]sqlpp.Expr) sqlpp.Expr {
+// rebaseOnResult rewrites an ORDER BY expression of sel used above DISTINCT
+// to access fields of the projected result.
+func rebaseOnResult(e sqlpp.Expr, sel *sqlpp.SelectExpr) sqlpp.Expr {
 	mapping := map[string]sqlpp.Expr{}
-	for alias := range aliasMap {
-		mapping[alias] = &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: ResultVar}, Field: alias}
+	for _, item := range sel.Select.Items {
+		if item.Alias != "" {
+			mapping[item.Alias] = &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: ResultVar}, Field: item.Alias}
+		}
 	}
 	free := map[string]bool{}
 	FreeVars(e, free)

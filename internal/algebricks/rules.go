@@ -490,7 +490,7 @@ func rulePushAggregateIntoJoin(tr *Translator, plan Op) (Op, int) {
 // groupsOver reports whether g can aggregate inside a join whose build side
 // binds grouping and whose probe side binds other: every key reads only
 // grouping, and every aggregate is COUNT(*) or a non-DISTINCT count, sum, min,
-// max or avg of a field path on other, which cannot fail on any probe row.
+// max or avg of a field path on other: reading one fails on no probe row.
 func (tr *Translator) groupsOver(g *GroupOp, grouping, other []string) bool {
 	for _, k := range g.Keys {
 		if !tr.usesOnly(k.Expr, grouping) {

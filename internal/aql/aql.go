@@ -245,16 +245,6 @@ func expectAssign(p *sqlpp.Parser) error {
 	return p.ExpectOperator("=")
 }
 
-// isSQLAggregate mirrors the SQL++ aggregate set (kept local to avoid a
-// front-end dependency on the compiler package).
-func isSQLAggregate(fn string) bool {
-	switch fn {
-	case "count", "sum", "min", "max", "avg", "array_agg":
-		return true
-	}
-	return false
-}
-
 // rewriteWithVars rewrites post-group references to a grouped variable $v
 // into field_collect(groupAs, "$v") — the array of $v's values within the
 // group (AQL's "with" semantics on top of SQL++'s GROUP AS).
@@ -274,7 +264,7 @@ func rewriteWithVars(e sqlpp.Expr, withVars []string, groupAs string) sqlpp.Expr
 			// variable stays an aggregate over the pre-group rows
 			// (count($m) → COUNT(m)); only non-aggregate uses read the
 			// GROUP AS collection.
-			if isSQLAggregate(x.Fn) && len(x.Args) == 1 {
+			if sqlpp.IsAggregate(x.Fn) && len(x.Args) == 1 {
 				if vr, ok := x.Args[0].(*sqlpp.VarRef); ok && slices.Contains(withVars, vr.Name) {
 					return x
 				}

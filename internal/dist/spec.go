@@ -62,7 +62,7 @@ type OpSpec struct {
 
 // AggSpec selects one aggregate for a groupby operator.
 type AggSpec struct {
-	Kind string `json:"kind"` // count | sum | min | max | avg
+	Kind string `json:"kind"` // a name in hyracks.Aggregates
 	Col  int    `json:"col"`
 }
 
@@ -164,20 +164,11 @@ func buildHashJoin(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
 func buildGroupBy(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
 	aggs := make([]hyracks.AggSpec, 0, len(op.Aggs))
 	for _, a := range op.Aggs {
-		switch a.Kind {
-		case "count":
-			aggs = append(aggs, hyracks.CountAgg(a.Col))
-		case "sum":
-			aggs = append(aggs, hyracks.SumAgg(a.Col))
-		case "min":
-			aggs = append(aggs, hyracks.MinAgg(a.Col))
-		case "max":
-			aggs = append(aggs, hyracks.MaxAgg(a.Col))
-		case "avg":
-			aggs = append(aggs, hyracks.AvgAgg(a.Col))
-		default:
+		agg, ok := hyracks.Aggregates[a.Kind]
+		if !ok {
 			return nil, fmt.Errorf("dist: groupby %s: unknown aggregate %q", op.Name, a.Kind)
 		}
+		aggs = append(aggs, agg(a.Col))
 	}
 	return hyracks.NewGroupBy(op.Name, op.Parallelism, op.GroupCols, aggs), nil
 }

@@ -630,7 +630,7 @@ func TestDistinct(t *testing.T) {
 		}
 		return nil
 	}))
-	d := j.Add(NewDistinct("distinct", 1, 1))
+	d := j.Add(NewGroupBy("distinct", 1, []int{0}, nil))
 	coll := &Collector{}
 	sink := j.Add(NewSink("sink", 1, coll))
 	j.MustConnect(scan, d, 0, OneToOne())

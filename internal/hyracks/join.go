@@ -128,12 +128,13 @@ func aggregateProbe(aggs []AggSpec, match func(l, r Tuple) (bool, error)) func(l
 			}
 			states := r[len(r)-len(aggs):]
 			if states[0] == nil {
-				for i, a := range aggs {
-					states[i] = a.Init()
-				}
+				initStates(states, aggs)
 			}
-			for i, a := range aggs {
-				states[i] = a.Step(states[i], l)
+			for i := range aggs {
+				var err error
+				if states[i], err = aggs[i].step(states[i], l); err != nil {
+					return err
+				}
 			}
 		}
 		return nil

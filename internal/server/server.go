@@ -15,6 +15,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"runtime/debug"
 	rpprof "runtime/pprof"
 	"strconv"
 	"strings"
@@ -113,6 +114,7 @@ func NewHandler(e Engine, opts Options) http.Handler {
 		errors:    reg.Counter("server_request_errors_total", "query-service requests that failed"),
 		retriable: reg.Counter("server_retriable_errors_total", "failed requests the client may safely resend (lock timeout, node failure)"),
 		slowQ:     reg.Counter("server_slow_queries_total", "statements over the slow-query threshold"),
+		panics:    reg.Counter("server_request_panics_total", "requests whose execution panicked (answered as failed)"),
 		reqDur:    reg.Histogram("server_request_duration_seconds", "query-service request wall time", nil),
 	}
 
@@ -142,6 +144,7 @@ type service struct {
 	errors    *obs.Counter
 	retriable *obs.Counter
 	slowQ     *obs.Counter
+	panics    *obs.Counter
 	reqDur    *obs.Histogram
 
 	// queryID numbers requests for pprof labels and the slow-query log.
@@ -278,6 +281,15 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 	var results []core.Result
 	var err error
 	rpprof.Do(ctx, rpprof.Labels("query_id", qid), func(ctx context.Context) {
+		// A panic fails the request with an error naming the panic value;
+		// unrecovered, net/http drops the connection without a status.
+		defer func() {
+			if p := recover(); p != nil {
+				s.panics.Inc()
+				s.logger.Printf("server: panic serving query #%s: %v\n%s", qid, p, debug.Stack())
+				results, err = nil, fmt.Errorf("server: panic: %v", p)
+			}
+		}()
 		results, err = s.eng.Execute(ctx, req.Statement)
 	})
 	root.End()

@@ -561,9 +561,14 @@ func TestPing(t *testing.T) {
 type stubEngine struct {
 	res []core.Result
 	err error
+	// panicOn makes Execute panic on this one script.
+	panicOn string
 }
 
 func (s stubEngine) Execute(ctx context.Context, script string) ([]core.Result, error) {
+	if script == s.panicOn {
+		panic("operator state corrupt")
+	}
 	return s.res, s.err
 }
 
@@ -847,5 +852,34 @@ func TestExplainOnlyFlagDoesNotExecute(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(b), "optimizer_plans_total") {
 		t.Error("optimizer counters missing from /admin/metrics")
+	}
+}
+
+// TestEnginePanicGetsResponse checks that a panic while executing a
+// statement still answers the request — HTTP 500, status fatal, an error
+// naming the panic value — is logged with its stack and counted, and that
+// the server answers its next request.
+func TestEnginePanicGetsResponse(t *testing.T) {
+	reg := obs.NewRegistry()
+	var buf strings.Builder
+	eng := stubEngine{res: []core.Result{{Kind: core.ResultQuery}}, panicOn: `SELECT VALUE 1;`}
+	srv := httptest.NewServer(NewHandler(eng, Options{Registry: reg, Logger: log.New(&buf, "", 0)}))
+	t.Cleanup(srv.Close)
+
+	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
+	if code != http.StatusInternalServerError || qr.Status != "fatal" {
+		t.Fatalf("panic answered HTTP %d %+v, want 500 fatal", code, qr)
+	}
+	if len(qr.Errors) != 1 || !strings.Contains(qr.Errors[0], "operator state corrupt") {
+		t.Fatalf("errors %q should name the panic value", qr.Errors)
+	}
+	if !strings.Contains(buf.String(), "operator state corrupt") || !strings.Contains(buf.String(), "goroutine") {
+		t.Fatalf("log should hold the panic and its stack: %q", buf.String())
+	}
+	if got := reg.Snapshot()["server_request_panics_total"]; got != int64(1) {
+		t.Fatalf("server_request_panics_total = %v, want 1", got)
+	}
+	if code, qr := postRaw(t, srv, `SELECT VALUE 2;`); code != http.StatusOK || qr.Status != "success" {
+		t.Fatalf("next request answered HTTP %d %+v, want 200 success", code, qr)
 	}
 }

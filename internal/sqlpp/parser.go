@@ -2,11 +2,21 @@ package sqlpp
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"asterix/internal/adm"
 )
+
+// Aggregates lists the functions that are SQL++ aggregates: under GROUP BY,
+// or in a block that aggregates globally, a call of one folds the group's
+// values. The runtime defines each (hyracks.Aggregates, which a test keeps
+// in step with this list).
+var Aggregates = strings.Fields("count sum min max avg array_agg")
+
+// IsAggregate reports whether fn, lower-cased, names an aggregate.
+func IsAggregate(fn string) bool { return slices.Contains(Aggregates, fn) }
 
 // Parser is a recursive-descent SQL++ parser.
 type Parser struct {
