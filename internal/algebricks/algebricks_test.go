@@ -408,7 +408,8 @@ func translate(t *testing.T, cat Catalog, src string) Op {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr.Optimize(plan)
+	out, _ := NewOptimizer(nil).Optimize(tr, plan)
+	return out
 }
 
 func TestRuleHashJoinRecognition(t *testing.T) {
@@ -471,7 +472,7 @@ func runJobOn(ctx context.Context, t *testing.T, cat Catalog, src string, cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan = tr.Optimize(plan)
+	plan, _ = NewOptimizer(nil).Optimize(tr, plan)
 	g := &JobGen{Cluster: cluster, Catalog: cat, Ev: ev, Parallelism: 2}
 	coll := &hyracks.Collector{}
 	job, err := g.Build(plan, coll)

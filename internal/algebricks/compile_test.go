@@ -281,8 +281,9 @@ func TestCompiledConstantErrorIsPerRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan, _ = NewOptimizer(nil).Optimize(tr, plan)
 		coll := &hyracks.Collector{}
-		job, err := (&JobGen{Cluster: cluster, Catalog: cat, Ev: ev, Parallelism: 2}).Build(tr.Optimize(plan), coll)
+		job, err := (&JobGen{Cluster: cluster, Catalog: cat, Ev: ev, Parallelism: 2}).Build(plan, coll)
 		if err != nil {
 			return 0, err
 		}

@@ -77,7 +77,7 @@ func TestPropRandomQueriesJobMatchesInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("translate %s: %v", src, err)
 		}
-		plan = tr.Optimize(plan)
+		plan, _ = NewOptimizer(nil).Optimize(tr, plan)
 		g := &JobGen{Cluster: cluster, Catalog: cat, Ev: ev, Parallelism: 2}
 		coll := &hyracks.Collector{}
 		job, err := g.Build(plan, coll)

@@ -25,13 +25,13 @@ type ScanOp struct {
 	Dataset string
 	Var     string
 	// MaxTuples caps the number of tuples each partition emits (0 = no
-	// cap), set by the limit-pushdown rule.
+	// cap), set by the push-limit rule.
 	MaxTuples int64
 	// Fields lists, sorted, the only first-level fields of the record the
 	// plan reads (nil = the whole record), set by the column-pruning rule;
 	// the leaf emits one column per field and materializes nothing else.
 	Fields []string
-	// Filter, set by the push-select-into-scan rule, is a predicate over
+	// Filter, set by the push-select rule, is a predicate over
 	// Var alone that the leaf applies itself: a record it does not hold for
 	// is never emitted, nor decoded beyond the fields Filter reads.
 	Filter sqlpp.Expr
@@ -40,13 +40,12 @@ type ScanOp struct {
 // IndexKind names the access paths an IndexSearchOp can use.
 type IndexKind string
 
-// IndexSearchOp replaces Scan+Select when a sargable predicate matches an
-// index. PRIMARY searches the primary index itself — a point lookup on
-// the owning partition for equality on the full key, a bounded scan
-// otherwise; a secondary index is searched and the qualifying records
-// fetched (pk-sorted, per [26]). Either way the whole predicate is
-// re-checked on what the search delivers: as a select above, or by the leaf
-// itself once push-select-into-scan has made it the leaf's Filter.
+// IndexSearchOp replaces a scan when a sargable conjunct of its Filter
+// matches an index. PRIMARY searches the primary index itself — a point
+// lookup on the owning partition for equality on the full key, a bounded
+// scan otherwise; a secondary index is searched and the qualifying records
+// fetched (pk-sorted, per [26]). Either way the scan's whole Filter becomes
+// the search's, and the leaf re-checks it on what the search delivers.
 type IndexSearchOp struct {
 	Dataset string
 	Var     string
@@ -63,7 +62,7 @@ type IndexSearchOp struct {
 	// KEYWORD token (constant expression).
 	Token sqlpp.Expr
 	// MaxTuples caps the number of tuples each partition emits (0 = no
-	// cap), set by the limit-pushdown rule.
+	// cap), set by the push-limit rule.
 	MaxTuples int64
 	// Fields and Filter are ScanOp's, for the fetched records.
 	Fields []string
@@ -169,7 +168,7 @@ type OrderOp struct {
 	In    Op
 	Items []OrderDef
 	// Limit bounds the sort to its first Limit tuples (0 = all), set by the
-	// push-limit-into-order rule; the LimitOp above keeps the exact bound.
+	// push-limit rule; the LimitOp above keeps the exact bound.
 	Limit int64
 }
 
@@ -407,9 +406,6 @@ type Translator struct {
 	Ev      *Evaluator
 	Catalog Catalog
 	varGen  int
-	// LastOpt is the report of the most recent Optimize run on this
-	// translator (one translator serves one statement).
-	LastOpt OptReport
 }
 
 func (tr *Translator) freshVar(prefix string) string {

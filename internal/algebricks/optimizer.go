@@ -14,11 +14,11 @@ type Rule struct {
 	Apply func(tr *Translator, plan Op) (Op, int)
 }
 
-// DefaultMaxPasses bounds the fixpoint loop. Each pass runs every rule
-// once over the whole plan; rules that sink operators one level per pass
-// (select pushdown) need a pass per level, so the budget scales with
-// realistic plan depth rather than rule count.
-const DefaultMaxPasses = 16
+// maxPasses bounds the fixpoint loop. Each pass runs every rule once over
+// the whole plan; rules that sink operators one level per pass (select
+// pushdown) need a pass per level, so the budget scales with realistic plan
+// depth rather than rule count.
+const maxPasses = 16
 
 // OptReport summarizes one optimizer run.
 type OptReport struct {
@@ -42,8 +42,7 @@ func (r OptReport) TotalFired() int {
 // Optimizer runs a registry of rewrite rules to fixpoint under a bounded
 // pass budget, counting per-rule hits into an obs registry when wired.
 type Optimizer struct {
-	Rules     []Rule
-	MaxPasses int
+	Rules []Rule
 	// Disabled names rules to skip (experiment ablations, OptimizerDisable
 	// config knob).
 	Disabled map[string]bool
@@ -58,9 +57,8 @@ type Optimizer struct {
 // fired counters on reg (obs handles are nil-safe, so reg may be nil).
 func NewOptimizer(reg *obs.Registry) *Optimizer {
 	o := &Optimizer{
-		Rules:     DefaultRules(),
-		MaxPasses: DefaultMaxPasses,
-		fired:     map[string]*obs.Counter{},
+		Rules: DefaultRules(),
+		fired: map[string]*obs.Counter{},
 	}
 	for _, r := range o.Rules {
 		o.fired[r.Name] = reg.Counter(
@@ -83,11 +81,7 @@ func metricToken(name string) string {
 // fired.
 func (o *Optimizer) Optimize(tr *Translator, plan Op) (Op, OptReport) {
 	rep := OptReport{Fired: map[string]int{}}
-	max := o.MaxPasses
-	if max <= 0 {
-		max = DefaultMaxPasses
-	}
-	for pass := 0; pass < max; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		rep.Passes = pass + 1
 		changed := false
 		for _, r := range o.Rules {
@@ -105,7 +99,7 @@ func (o *Optimizer) Optimize(tr *Translator, plan Op) (Op, OptReport) {
 		if !changed {
 			break
 		}
-		if pass == max-1 {
+		if pass == maxPasses-1 {
 			rep.BudgetExhausted = true
 			o.mBudget.Inc()
 		}
@@ -113,15 +107,6 @@ func (o *Optimizer) Optimize(tr *Translator, plan Op) (Op, OptReport) {
 	o.mPlans.Inc()
 	o.mPasses.Add(int64(rep.Passes))
 	return plan, rep
-}
-
-// Optimize applies the default rule registry to fixpoint. It is the
-// compatibility entry point for callers that do not hold an Optimizer;
-// the report of the last run is kept on the translator.
-func (tr *Translator) Optimize(plan Op) Op {
-	out, rep := NewOptimizer(nil).Optimize(tr, plan)
-	tr.LastOpt = rep
-	return out
 }
 
 // setInput replaces the i-th input of op (as ordered by Inputs()).

@@ -457,7 +457,7 @@ func TestOptimizerFixpointTerminates(t *testing.T) {
 	if rep.BudgetExhausted {
 		t.Fatalf("no fixpoint within %d passes; fired: %v", rep.Passes, rep.Fired)
 	}
-	if rep.Passes >= DefaultMaxPasses {
+	if rep.Passes >= maxPasses {
 		t.Errorf("suspiciously many passes: %d", rep.Passes)
 	}
 }
@@ -466,17 +466,17 @@ func TestOptimizerBudgetBounds(t *testing.T) {
 	spin := Rule{Name: "spin", Apply: func(tr *Translator, plan Op) (Op, int) {
 		return plan, 1 // claims progress forever
 	}}
-	o := &Optimizer{Rules: []Rule{spin}, MaxPasses: 4}
+	o := &Optimizer{Rules: []Rule{spin}}
 	plan := &ResultOp{In: &EtsOp{}}
 	_, rep := o.Optimize(nil, plan)
 	if !rep.BudgetExhausted {
 		t.Error("budget exhaustion not reported")
 	}
-	if rep.Passes != 4 {
-		t.Errorf("passes = %d, want 4", rep.Passes)
+	if rep.Passes != maxPasses {
+		t.Errorf("passes = %d, want %d", rep.Passes, maxPasses)
 	}
-	if rep.Fired["spin"] != 4 {
-		t.Errorf("fired[spin] = %d, want 4", rep.Fired["spin"])
+	if rep.Fired["spin"] != maxPasses {
+		t.Errorf("fired[spin] = %d, want %d", rep.Fired["spin"], maxPasses)
 	}
 }
 
@@ -536,7 +536,8 @@ func TestOptimizerMetricsCounters(t *testing.T) {
 }
 
 // Optimizing the same plan twice must be a no-op the second time (rules
-// are idempotent at fixpoint).
+// are idempotent at fixpoint), and every rule of the default pipeline must
+// fire on some query of the corpus: a rule that never fires is dead code.
 func TestOptimizerIdempotent(t *testing.T) {
 	cat := testCatalog3()
 	queries := []string{
@@ -544,16 +545,20 @@ func TestOptimizerIdempotent(t *testing.T) {
 		`SELECT u.name, m.mid, l.lid FROM Messages m, Likes l, Users u
 			WHERE m.authorId = u.id AND l.mid = m.mid AND u.id = 7`,
 		`SELECT VALUE u.name FROM Users u WHERE u.age >= 22 LIMIT 3`,
-		// result-after-order, push-limit-into-order and the leaf field
+		// result-after-order, push-limit bounding a sort, and the leaf field
 		// lists of prune-columns.
 		`SELECT u.name AS name, COUNT(*) AS cnt FROM Users u, Messages m
 			WHERE m.authorId = u.id GROUP BY u.name AS name ORDER BY cnt DESC, name LIMIT 3 OFFSET 2`,
 		`SELECT VALUE COUNT(*) FROM Messages m`,
 		`SELECT VALUE m FROM Messages m ORDER BY m.len DESC LIMIT 2`,
 		`SELECT VALUE upper(u.name) FROM Users u ORDER BY u.age DESC`,
-		// push-select-into-scan: part of a filter, and a residual a LIMIT passes.
+		// push-select into a leaf: part of a filter, and a residual a LIMIT
+		// passes.
 		`SELECT VALUE u.name FROM Users u WHERE (SOME t IN u.tags SATISFIES t = "t1") AND u.name > "user05"`,
 		`SELECT VALUE u.name FROM Users u WHERE u.id > 3 AND u.age != 22 LIMIT 2`,
+		// constant-fold and quantifier-to-semijoin.
+		`SELECT VALUE u.id FROM Users u WHERE u.id < 1 + 2 AND 1 = 1`,
+		`SELECT VALUE u.name FROM Users u WHERE SOME m IN Messages SATISFIES m.authorId = u.id`,
 	}
 	fired := map[string]int{}
 	for _, q := range queries {
@@ -571,9 +576,9 @@ func TestOptimizerIdempotent(t *testing.T) {
 			t.Errorf("re-optimizing fired rules for %q: %v", q, rep.Fired)
 		}
 	}
-	for _, rule := range []string{"result-after-order", "push-limit-into-order", "prune-columns", "push-select-into-scan"} {
-		if fired[rule] == 0 {
-			t.Errorf("no query of the corpus fires %s", rule)
+	for _, rule := range DefaultRules() {
+		if fired[rule.Name] == 0 {
+			t.Errorf("no query of the corpus fires %s", rule.Name)
 		}
 	}
 }
@@ -598,7 +603,7 @@ func TestIndexSelectionDeterministic(t *testing.T) {
 }
 
 func TestMetricToken(t *testing.T) {
-	if got := metricToken("push-select-down"); got != "push_select_down" {
+	if got := metricToken("push-select"); got != "push_select" {
 		t.Errorf("metricToken = %q", got)
 	}
 }

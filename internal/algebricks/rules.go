@@ -16,18 +16,14 @@ func DefaultRules() []Rule {
 	return []Rule{
 		{Name: "constant-fold", Apply: ruleConstantFold},
 		{Name: "quantifier-to-semijoin", Apply: ruleQuantifierToSemijoin},
-		{Name: "push-select-down", Apply: rulePushSelectDown},
-		{Name: "push-select-through-join", Apply: rulePushSelectThroughJoin},
+		{Name: "push-select", Apply: rulePushSelect},
 		{Name: "order-joins-greedily", Apply: ruleOrderJoinsGreedily},
 		{Name: "recognize-hash-join", Apply: ruleRecognizeHashJoin},
 		{Name: "push-aggregate-into-join", Apply: rulePushAggregateIntoJoin},
 		{Name: "introduce-index-search", Apply: ruleIntroduceIndexSearch},
-		{Name: "push-select-into-scan", Apply: rulePushSelectIntoScan},
-		{Name: "push-limit-into-scan", Apply: rulePushLimitIntoScan},
-		{Name: "push-limit-into-order", Apply: rulePushLimitIntoOrder},
+		{Name: "push-limit", Apply: rulePushLimit},
 		{Name: "result-after-order", Apply: ruleResultAfterOrder},
 		{Name: "prune-columns", Apply: rulePruneColumns},
-		{Name: "eliminate-redundant-project", Apply: ruleEliminateRedundantProject},
 	}
 }
 
@@ -253,132 +249,134 @@ func ruleQuantifierToSemijoin(tr *Translator, plan Op) (Op, int) {
 	})
 }
 
-// --- rule: push-select-down ---
+// --- rule: push-select ---
 
-// Push selections below assigns and unnests that do not define the
-// referenced variables (both are 1:1 or expanding on rows they keep, so a
-// filter on pre-existing columns commutes).
-func rulePushSelectDown(tr *Translator, plan Op) (Op, int) {
+// rulePushSelect moves each filter's conjuncts one operator down per pass,
+// as far as they go:
+//   - below an assign or unnest that binds none of the variables a conjunct
+//     reads (both keep or multiply the rows they see, so a filter on
+//     columns they do not bind commutes);
+//   - through a join: a conjunct that reads one side only goes to that side
+//     — for a left-outer or semi join only the preserved (left) side, since
+//     a right-side filter would turn pad rows into matches or the reverse —
+//     and, for an inner join before key extraction, the cross-side rest
+//     folds into the join condition, where recognize-hash-join finds keys;
+//   - into a leaf (scan or index search): a conjunct that reads nothing but
+//     the leaf's variable and holds no subquery, EXISTS or quantifier (those
+//     scan datasets and bind variables per row) becomes part of the leaf's
+//     Filter. The leaf then decodes what the conjunct reads, applies it, and
+//     neither decodes the rest of a rejected record nor builds a tuple for
+//     it; introduce-index-search finds its sargable conjuncts there.
+//
+// What does not move stays in the select; moved and kept conjuncts each keep
+// their order, so a conjunction that moves whole evaluates exactly as the
+// select did (short circuit, first error).
+func rulePushSelect(tr *Translator, plan Op) (Op, int) {
 	return sweep(plan, func(op Op) (Op, bool) {
 		sel, ok := op.(*SelectOp)
-		if !ok {
-			return op, false
-		}
-		var defVar string
-		var setChild func(Op)
-		var child Op
-		switch in := sel.In.(type) {
-		case *AssignOp:
-			defVar, child = in.Var, in.In
-			setChild = func(c Op) { in.In = c }
-		case *UnnestOp:
-			defVar, child = in.Var, in.In
-			setChild = func(c Op) { in.In = c }
-		default:
-			return op, false
-		}
-		var below, above []sqlpp.Expr
-		for _, c := range conjuncts(sel.Cond) {
-			free := map[string]bool{}
-			FreeVars(c, free)
-			if !free[defVar] {
-				below = append(below, c)
-			} else {
-				above = append(above, c)
-			}
-		}
-		if len(below) == 0 {
-			return op, false
-		}
-		setChild(&SelectOp{In: child, Cond: conjoin(below)})
-		if len(above) == 0 {
-			return sel.In, true
-		}
-		sel.Cond = conjoin(above)
-		return sel, true
-	})
-}
-
-// --- rule: push-select-through-join ---
-
-// Distribute a filter above a join: single-side conjuncts move below the
-// join (into the preserved side only, for outer/semi joins), and for inner
-// joins the remaining cross-side conjuncts fold into the join condition
-// (enabling hash-join recognition).
-func rulePushSelectThroughJoin(tr *Translator, plan Op) (Op, int) {
-	return sweep(plan, func(op Op) (Op, bool) {
-		sel, ok := op.(*SelectOp)
-		if !ok {
-			return op, false
-		}
-		j, ok := sel.In.(*JoinOp)
 		if !ok {
 			return op, false
 		}
 		cs := conjuncts(sel.Cond)
-		switch j.Kind {
-		case JoinInner:
-			var toL, toR, keep []sqlpp.Expr
-			for _, c := range cs {
-				switch {
-				case tr.usesOnly(c, j.L.Schema()):
-					toL = append(toL, c)
-				case tr.usesOnly(c, j.R.Schema()):
-					toR = append(toR, c)
-				default:
-					keep = append(keep, c)
-				}
-			}
-			// Folding into the join condition is only safe before key
-			// extraction: afterwards On is the per-pair residual and stays
-			// equivalent too, but there is nothing left to recognize.
-			foldOK := len(j.LeftKeys) == 0
-			if len(toL) == 0 && len(toR) == 0 && (len(keep) == 0 || !foldOK) {
-				return op, false
-			}
-			if len(toL) > 0 {
-				j.L = &SelectOp{In: j.L, Cond: conjoin(toL)}
-			}
-			if len(toR) > 0 {
-				j.R = &SelectOp{In: j.R, Cond: conjoin(toR)}
-			}
-			if len(keep) > 0 && foldOK {
-				if j.On != nil {
-					keep = append(conjuncts(j.On), keep...)
-				}
-				j.On = conjoin(keep)
-				return j, true
-			}
-			if len(keep) == 0 {
-				return j, true
-			}
-			sel.Cond = conjoin(keep)
-			return sel, true
-		case JoinLeftOuter, JoinSemi:
-			// Only the preserved (left) side can absorb filters: for a
-			// left-outer join, pushing right-side filters would turn pad
-			// rows into matches (or vice versa); for a semi join the output
-			// schema is the left side anyway.
-			var toL, keep []sqlpp.Expr
-			for _, c := range cs {
-				if tr.usesOnly(c, j.L.Schema()) && referencesAny(c, j.L.Schema()) {
-					toL = append(toL, c)
-				} else {
-					keep = append(keep, c)
-				}
-			}
-			if len(toL) == 0 {
-				return op, false
-			}
-			j.L = &SelectOp{In: j.L, Cond: conjoin(toL)}
-			if len(keep) == 0 {
-				return j, true
-			}
-			sel.Cond = conjoin(keep)
-			return sel, true
+		var moved, kept []sqlpp.Expr
+		switch in := sel.In.(type) {
+		case *AssignOp:
+			moved, kept = pushBelow(in.Var, &in.In, cs)
+		case *UnnestOp:
+			moved, kept = pushBelow(in.Var, &in.In, cs)
+		case *JoinOp:
+			moved, kept = tr.pushIntoJoin(in, cs)
+		case *ScanOp:
+			moved, kept = pushIntoLeaf(in.Var, &in.Filter, cs)
+		case *IndexSearchOp:
+			moved, kept = pushIntoLeaf(in.Var, &in.Filter, cs)
 		}
-		return op, false
+		if len(moved) == 0 {
+			return op, false
+		}
+		if len(kept) == 0 {
+			return sel.In, true
+		}
+		sel.Cond = conjoin(kept)
+		return sel, true
 	})
+}
+
+// splitConjuncts splits cs into the conjuncts that move and those kept,
+// each in their order.
+func splitConjuncts(cs []sqlpp.Expr, moves func(sqlpp.Expr) bool) (moved, kept []sqlpp.Expr) {
+	for _, c := range cs {
+		if moves(c) {
+			moved = append(moved, c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	return moved, kept
+}
+
+// appendConjuncts returns the conjunction of e's conjuncts (none when e is
+// nil) followed by cs.
+func appendConjuncts(e sqlpp.Expr, cs []sqlpp.Expr) sqlpp.Expr {
+	if e != nil {
+		cs = append(conjuncts(e), cs...)
+	}
+	return conjoin(cs)
+}
+
+// pushBelow moves the conjuncts of cs that do not read v, the variable an
+// assign or unnest binds, into a select on its input *in.
+func pushBelow(v string, in *Op, cs []sqlpp.Expr) (moved, kept []sqlpp.Expr) {
+	moved, kept = splitConjuncts(cs, func(c sqlpp.Expr) bool { return !referencesAny(c, []string{v}) })
+	if len(moved) > 0 {
+		*in = &SelectOp{In: *in, Cond: conjoin(moved)}
+	}
+	return moved, kept
+}
+
+// pushIntoJoin moves the conjuncts cs of a filter above j below or into it
+// and returns those it moved and those the filter keeps.
+func (tr *Translator) pushIntoJoin(j *JoinOp, cs []sqlpp.Expr) (moved, kept []sqlpp.Expr) {
+	lSchema, rSchema := j.L.Schema(), j.R.Schema()
+	var toL, toR []sqlpp.Expr
+	if j.Kind == JoinInner {
+		toL, kept = splitConjuncts(cs, func(c sqlpp.Expr) bool { return tr.usesOnly(c, lSchema) })
+		toR, kept = splitConjuncts(kept, func(c sqlpp.Expr) bool { return tr.usesOnly(c, rSchema) })
+	} else {
+		toL, kept = splitConjuncts(cs, func(c sqlpp.Expr) bool {
+			return tr.usesOnly(c, lSchema) && referencesAny(c, lSchema)
+		})
+	}
+	if len(toL) > 0 {
+		j.L = &SelectOp{In: j.L, Cond: conjoin(toL)}
+	}
+	if len(toR) > 0 {
+		j.R = &SelectOp{In: j.R, Cond: conjoin(toR)}
+	}
+	moved = append(toL, toR...)
+	// Folding into the join condition is only safe before key extraction:
+	// afterwards On is the per-pair residual and stays equivalent too, but
+	// there is nothing left to recognize.
+	if foldOK := j.Kind == JoinInner && len(j.LeftKeys) == 0; foldOK && len(kept) > 0 {
+		moved = append(moved, kept...)
+		j.On, kept = appendConjuncts(j.On, kept), nil
+	}
+	return moved, kept
+}
+
+// pushIntoLeaf moves the conjuncts of cs that read only the leaf's variable
+// v and hold no subquery onto the end of the leaf's filter.
+func pushIntoLeaf(v string, filter *sqlpp.Expr, cs []sqlpp.Expr) (moved, kept []sqlpp.Expr) {
+	moved, kept = splitConjuncts(cs, func(c sqlpp.Expr) bool {
+		free := map[string]bool{}
+		FreeVars(c, free)
+		delete(free, v)
+		return len(free) == 0 && !containsSubquery(c)
+	})
+	if len(moved) > 0 {
+		*filter = appendConjuncts(*filter, moved)
+	}
+	return moved, kept
 }
 
 // --- rule: recognize-hash-join ---
@@ -560,18 +558,16 @@ func fieldPath(e sqlpp.Expr, vars []string) bool {
 
 // --- rule: introduce-index-search ---
 
+// A scan whose filter holds a sargable conjunct on an indexed field or on the
+// primary key becomes an index search. The search takes the whole filter as
+// its residual: the index delivers a superset-safe candidate set, and
+// re-checking keeps open-type edge cases (non-comparable values) correct.
 func ruleIntroduceIndexSearch(tr *Translator, plan Op) (Op, int) {
 	return sweep(plan, func(op Op) (Op, bool) {
-		sel, ok := op.(*SelectOp)
-		if !ok {
-			return op, false
-		}
-		scan, ok := sel.In.(*ScanOp)
-		if !ok {
-			return op, false
-		}
-		if out, c := tr.introduceIndex(sel, scan); c {
-			return out, true
+		if scan, ok := op.(*ScanOp); ok && scan.Filter != nil {
+			if is := tr.introduceIndex(scan); is != nil {
+				return is, true
+			}
 		}
 		return op, false
 	})
@@ -711,22 +707,20 @@ func primaryBounds(key []string, bounds map[string]*rangeBound) (rb rangeBound, 
 	return rb, false, rb.lo != nil || rb.hi != nil
 }
 
-// introduceIndex replaces Scan+Select with an index search when a
-// conjunct is sargable on an indexed field or on the primary key.
-func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
+// introduceIndex returns the index search that replaces scan when a
+// conjunct of its filter is sargable on an indexed field or on the primary
+// key, nil when none is.
+func (tr *Translator) introduceIndex(scan *ScanOp) *IndexSearchOp {
 	if tr.Catalog == nil {
-		return nil, false
+		return nil
 	}
-	cs := conjuncts(sel.Cond)
+	cs := conjuncts(scan.Filter)
 
 	fieldOf := func(e sqlpp.Expr) (string, bool) { return recField(e, scan.Var) }
 
 	// Ordered indexes (PRIMARY, BTREE): the first bounded field with a
 	// usable index wins, except that equality on the full primary key —
-	// one record on one partition — beats any earlier candidate. The full
-	// predicate stays as a residual filter: the index delivers a
-	// superset-safe candidate set, and re-checking keeps open-type edge
-	// cases (non-comparable values) correct.
+	// one record on one partition — beats any earlier candidate.
 	bounds, fieldOrder := tr.collectBounds(cs, fieldOf)
 	var best *IndexSearchOp
 	for _, field := range fieldOrder {
@@ -757,7 +751,7 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		}
 	}
 	if best != nil {
-		return &SelectOp{In: best, Cond: sel.Cond}, true
+		return best
 	}
 
 	// RTREE: spatial_intersect(field, <const rect>).
@@ -781,11 +775,10 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		}
 		switch idx.Kind() {
 		case "RTREE", "ZORDER", "HILBERT", "GRID":
-			is := &IndexSearchOp{
+			return &IndexSearchOp{
 				Dataset: scan.Dataset, Var: scan.Var, Field: field,
 				Kind: idx.Kind(), Rect: rectExpr, Filter: scan.Filter,
 			}
-			return &SelectOp{In: is, Cond: sel.Cond}, true
 		}
 	}
 
@@ -803,77 +796,26 @@ func (tr *Translator) introduceIndex(sel *SelectOp, scan *ScanOp) (Op, bool) {
 		if !ok || idx.Kind() != "KEYWORD" {
 			continue
 		}
-		is := &IndexSearchOp{
+		return &IndexSearchOp{
 			Dataset: scan.Dataset, Var: scan.Var, Field: f,
 			Kind: "KEYWORD", Token: call.Args[1], Filter: scan.Filter,
 		}
-		return &SelectOp{In: is, Cond: sel.Cond}, true
 	}
-	return nil, false
+	return nil
 }
 
-// --- rule: push-select-into-scan ---
+// --- rule: push-limit ---
 
-// A filter directly on a leaf moves into it, conjunct by conjunct: the leaf
-// then decodes what the conjunct reads, applies it, and neither decodes the
-// rest of a rejected record nor builds a tuple for it. A conjunct moves
-// when it reads nothing but the leaf's variable and holds no subquery,
-// EXISTS or quantifier (those scan datasets and bind variables per row);
-// the others stay in the select. The residual that introduce-index-search
-// leaves above an index search is such a filter, so this rule runs after
-// it — and before push-limit-into-scan, which can then cap a leaf whose
-// filter used to stand in its way: the cap counts the rows emitted.
-func rulePushSelectIntoScan(tr *Translator, plan Op) (Op, int) {
-	return sweep(plan, func(op Op) (Op, bool) {
-		sel, ok := op.(*SelectOp)
-		if !ok {
-			return op, false
-		}
-		var v string
-		var filter *sqlpp.Expr
-		switch leaf := sel.In.(type) {
-		case *ScanOp:
-			v, filter = leaf.Var, &leaf.Filter
-		case *IndexSearchOp:
-			v, filter = leaf.Var, &leaf.Filter
-		default:
-			return op, false
-		}
-		var moved, kept []sqlpp.Expr
-		if *filter != nil {
-			moved = conjuncts(*filter)
-		}
-		n := len(moved)
-		for _, c := range conjuncts(sel.Cond) {
-			free := map[string]bool{}
-			FreeVars(c, free)
-			if delete(free, v); len(free) == 0 && !containsSubquery(c) {
-				moved = append(moved, c)
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		if len(moved) == n {
-			return op, false
-		}
-		*filter = conjoin(moved)
-		if len(kept) == 0 {
-			return sel.In, true
-		}
-		sel.Cond = conjoin(kept)
-		return sel, true
-	})
-}
-
-// --- rules: push-limit-into-scan, push-limit-into-order ---
-
-// pushLimit hands each LIMIT's bound to the operator it sits on: walking
+// rulePushLimit hands each LIMIT's bound to the operator it sits on: walking
 // down through row-preserving 1:1 operators only (assign/result/project —
 // anything that filters, groups or multiplies rows ends the walk), the
-// operator reached needs to produce at most limit+offset tuples. bound
-// returns where that operator keeps such a cap, nil if it takes none. The
-// LimitOp stays and still enforces the exact global bound.
-func pushLimit(plan Op, bound func(Op) *int64) (Op, int) {
+// operator reached needs to produce at most limit+offset tuples. A scan or
+// index search caps the tuples each partition emits (MaxTuples), so
+// partitions stop early; a sort keeps its first limit+offset tuples per
+// partition (Limit) instead of sorting, buffering and shipping its whole
+// input to a limit that drops the rest. The LimitOp stays and still
+// enforces the exact global bound.
+func rulePushLimit(tr *Translator, plan Op) (Op, int) {
 	return sweep(plan, func(op Op) (Op, bool) {
 		l, ok := op.(*LimitOp)
 		if !ok || l.Limit < 0 {
@@ -883,51 +825,24 @@ func pushLimit(plan Op, bound func(Op) *int64) (Op, int) {
 		if target <= 0 {
 			return op, false
 		}
-		cur := l.In
-		for {
+		for cur := l.In; ; cur = cur.Inputs()[0] {
+			var bound *int64
 			switch x := cur.(type) {
-			case *AssignOp:
-				cur = x.In
+			case *AssignOp, *ResultOp, *ProjectOp:
 				continue
-			case *ResultOp:
-				cur = x.In
-				continue
-			case *ProjectOp:
-				cur = x.In
-				continue
+			case *ScanOp:
+				bound = &x.MaxTuples
+			case *IndexSearchOp:
+				bound = &x.MaxTuples
+			case *OrderOp:
+				bound = &x.Limit
 			}
-			if b := bound(cur); b != nil && (*b == 0 || *b > target) {
-				*b = target
+			if bound != nil && (*bound == 0 || *bound > target) {
+				*bound = target
 				return op, true
 			}
 			return op, false
 		}
-	})
-}
-
-// Cap leaf scans under a LIMIT: each scan partition emits at most
-// limit+offset tuples.
-func rulePushLimitIntoScan(tr *Translator, plan Op) (Op, int) {
-	return pushLimit(plan, func(op Op) *int64 {
-		switch x := op.(type) {
-		case *ScanOp:
-			return &x.MaxTuples
-		case *IndexSearchOp:
-			return &x.MaxTuples
-		}
-		return nil
-	})
-}
-
-// Bound a sort under a LIMIT: ORDER BY … LIMIT k keeps the first
-// limit+offset tuples per partition instead of sorting, buffering and
-// shipping its whole input to a limit that drops the rest.
-func rulePushLimitIntoOrder(tr *Translator, plan Op) (Op, int) {
-	return pushLimit(plan, func(op Op) *int64 {
-		if x, ok := op.(*OrderOp); ok {
-			return &x.Limit
-		}
-		return nil
 	})
 }
 
@@ -1089,7 +1004,7 @@ func leafFields(cur []string, need needs, v string, hits *int) []string {
 		want = append(make([]string, 0, len(fs)), fs...)
 		sort.Strings(want)
 	}
-	if (cur == nil) != (want == nil) || !sameStrings(cur, want) {
+	if (cur == nil) != (want == nil) || !slices.Equal(cur, want) {
 		*hits++
 	}
 	return want
@@ -1196,7 +1111,8 @@ func pruneOp(op Op, need needs, hits *int) Op {
 
 // maybeProject narrows child to the needed columns when it produces more,
 // keeping schema order. Children that are already projects were narrowed
-// in place by pruneOp.
+// in place by pruneOp. It is the one place a ProjectOp is built, and it
+// never wraps a project nor builds an identity one.
 func maybeProject(child Op, need needs, hits *int) Op {
 	if _, ok := child.(*ProjectOp); ok {
 		return child
@@ -1213,38 +1129,4 @@ func maybeProject(child Op, need needs, hits *int) Op {
 	}
 	*hits++
 	return &ProjectOp{In: child, Cols: cols}
-}
-
-// --- rule: eliminate-redundant-project ---
-
-func ruleEliminateRedundantProject(tr *Translator, plan Op) (Op, int) {
-	return sweep(plan, func(op Op) (Op, bool) {
-		p, ok := op.(*ProjectOp)
-		if !ok {
-			return op, false
-		}
-		// Collapse stacked projects (the outer column set is a subset of
-		// the inner by construction).
-		if inner, ok := p.In.(*ProjectOp); ok {
-			p.In = inner.In
-			return p, true
-		}
-		// An identity project is noise.
-		if sameStrings(p.Cols, p.In.Schema()) {
-			return p.In, true
-		}
-		return op, false
-	})
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -153,6 +154,17 @@ func (c Config) withDefaults() (Config, error) {
 			c.WorkingMemory = 32 << 20
 		}
 		c.TotalMemory = int64(c.BufferPages)*int64(c.PageSize) + int64(c.MemComponentPool) + int64(c.WorkingMemory)
+	}
+	// A misspelt or renamed rule would make its ablation a silent no-op.
+	var rules []string
+	for _, r := range algebricks.DefaultRules() {
+		rules = append(rules, r.Name)
+	}
+	for _, name := range c.OptimizerDisable {
+		if !slices.Contains(rules, name) {
+			return c, fmt.Errorf("core: Config.OptimizerDisable names unknown rule %q; the rules are %s",
+				name, strings.Join(rules, ", "))
+		}
 	}
 	// A real registry keeps Snapshot and /metrics meaningful.
 	if c.Metrics == nil {

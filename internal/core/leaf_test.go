@@ -88,9 +88,9 @@ func TestLeafOverEverySource(t *testing.T) {
 // unknown left operand does not stop AND from evaluating the right one.
 func TestLeafFilterErrorsLikeSelect(t *testing.T) {
 	engines := map[string]*Engine{
-		"optimized":      newEngine(t, Config{}),
-		"naive":          newEngine(t, Config{OptimizerOff: true}),
-		"no leaf filter": newEngine(t, Config{OptimizerDisable: []string{"push-select-into-scan"}}),
+		"optimized":        newEngine(t, Config{}),
+		"naive":            newEngine(t, Config{OptimizerOff: true}),
+		"no filter motion": newEngine(t, Config{OptimizerDisable: []string{"push-select"}}),
 	}
 	for _, e := range engines {
 		seedEquivData(t, e)

@@ -79,23 +79,23 @@ func sortedRows(t testing.TB, e *Engine, q string) []string {
 // TestOptimizerOnOffEquivalence runs a corpus of fixed and generated
 // queries against seven engines over identical data — one with the
 // optimizer, one with OptimizerOff, and one each with only the access-path
-// rule, the bounded-sort rule, column pruning, result-after-order or the
-// leaf filter disabled — and requires identical result multisets. Any rule
-// that changes answers shows up here. The last four ablations leave the
-// rest of the plan alone, so on ORDER BY queries they must also return the
-// optimized engine's rows in its exact order: a bounded sort is the prefix
-// of the full sort, ties included, projecting after the sort reorders
-// nothing, and a leaf that filters emits what the select above it passed.
+// rule, limit pushdown, column pruning, result-after-order or filter motion
+// disabled — and requires identical result multisets. Any rule that changes
+// answers shows up here. On ORDER BY queries the last four ablations must
+// also return the optimized engine's rows in its exact order: a bounded
+// sort is the prefix of the full sort, ties included, projecting after the
+// sort reorders nothing, and a leaf that filters emits what a select above
+// it passes.
 func TestOptimizerOnOffEquivalence(t *testing.T) {
 	on := newEngine(t, Config{})
 	off := newEngine(t, Config{OptimizerOff: true})
 	ablated := map[string]*Engine{"optimized": on}
 	for name, rule := range map[string]string{
-		"no index search": "introduce-index-search",
-		"no bounded sort": "push-limit-into-order",
-		"no field lists":  "prune-columns",
-		"result first":    "result-after-order",
-		"no leaf filter":  "push-select-into-scan",
+		"no index search":   "introduce-index-search",
+		"no limit pushdown": "push-limit",
+		"no field lists":    "prune-columns",
+		"result first":      "result-after-order",
+		"no filter motion":  "push-select",
 	} {
 		ablated[name] = newEngine(t, Config{OptimizerDisable: []string{rule}})
 		seedEquivData(t, ablated[name])
@@ -162,13 +162,13 @@ func TestOptimizerDisableRule(t *testing.T) {
 			FROM GleambookMessages m1, GleambookMessages m2, GleambookUsers u
 			WHERE m1.authorId = u.id AND m2.authorId = u.id
 			  AND m1.messageId < 20 AND m2.messageId < 20;`,
-		"push-limit-into-order": `SELECT VALUE m.messageId FROM GleambookMessages m
+		"push-limit": `SELECT VALUE m.messageId FROM GleambookMessages m
 			ORDER BY m.authorId % 3 DESC LIMIT 9 OFFSET 2;`,
 		"prune-columns": `SELECT m.messageId AS id, m.topic AS topic FROM GleambookMessages m
 			WHERE m.authorId % 2 = 0;`,
 		"result-after-order": `SELECT m.messageId AS id, m.message AS msg FROM GleambookMessages m
 			ORDER BY m.authorId % 3 DESC, m.messageId LIMIT 9 OFFSET 2;`,
-		"push-select-into-scan": `SELECT m.messageId AS id, m.topic AS topic FROM GleambookMessages m
+		"push-select": `SELECT m.messageId AS id, m.topic AS topic FROM GleambookMessages m
 			WHERE m.authorId >= 3 AND m.topic > "topic1" ORDER BY m.messageId DESC;`,
 		"push-aggregate-into-join": `SELECT g AS g, COUNT(*) AS n, SUM(m.messageId) AS s, MAX(m.topic) AS t
 			FROM GleambookUsers u, GleambookMessages m WHERE m.authorId = u.id
@@ -208,6 +208,22 @@ func TestOptimizerDisableRule(t *testing.T) {
 				t.Error("ablation changed answers")
 			}
 		})
+	}
+}
+
+// An OptimizerDisable name that is no rule fails Open with an error naming
+// it and the rules: a misspelt or renamed rule would otherwise make its
+// ablation a silent no-op.
+func TestOptimizerDisableRuleUnknownName(t *testing.T) {
+	e, err := Open(Config{DataDir: t.TempDir(), OptimizerDisable: []string{"push-select", "no-such-rule"}})
+	if err == nil {
+		e.Close()
+		t.Fatal("Open accepted an unknown rule name")
+	}
+	for _, want := range []string{`"no-such-rule"`, "constant-fold", "push-select", "prune-columns"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

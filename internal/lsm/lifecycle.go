@@ -496,21 +496,29 @@ func (l *lifecycle[M, D]) seal(sp *obs.Span) error {
 }
 
 // maintain is the worker's job for one sealed component: build, make
-// durable, manifest, validate, then the policy's merge.
-func (l *lifecycle[M, D]) maintain() *obs.Span {
-	sp := obs.NewSpan(l.name)
+// durable, manifest, validate, then the policy's merge. A panic in it
+// belongs to no statement and must not kill the process: it is recovered
+// into the same sticky failure as an error, and the writers waiting for
+// the job are woken either way.
+func (l *lifecycle[M, D]) maintain() (sp *obs.Span) {
+	sp = obs.NewSpan(l.name)
 	defer sp.End()
-	err := l.flushSealed(sp)
-	if err == nil {
+	var err error
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+		l.mu.Lock()
+		l.pending--
+		if err != nil && l.bgErr == nil {
+			l.bgErr = fmt.Errorf("%w: %s: %w", ErrMaintenance, l.name, err)
+		}
+		l.done.Broadcast()
+		l.mu.Unlock()
+	}()
+	if err = l.flushSealed(sp); err == nil {
 		err = l.maybeMerge(sp)
 	}
-	l.mu.Lock()
-	l.pending--
-	if err != nil && l.bgErr == nil {
-		l.bgErr = fmt.Errorf("%w: %s: %w", ErrMaintenance, l.name, err)
-	}
-	l.done.Broadcast()
-	l.mu.Unlock()
 	return sp
 }
 

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,6 +197,69 @@ func TestFlushFaultKeepsDataAndRetries(t *testing.T) {
 			t.Fatalf("retry flush: %v", err)
 		}
 		wantPresent(t, ix, 0, 50, true, "after failed+retried flush")
+		mustValidate(t, ix, bc)
+	})
+}
+
+// TestFlushFaultPanicIsMaintenanceError panics in a flush on the worker,
+// once behind a Flush and once behind writes alone: the process survives,
+// the Flush or one later write gets ErrMaintenance naming the panic, and
+// the flush runs again, after which every entry reads back.
+func TestFlushFaultPanicIsMaintenanceError(t *testing.T) {
+	isPanic := func(err error) bool {
+		return errors.Is(err, ErrMaintenance) && strings.Contains(err.Error(), "panic: fault: injected panic at "+fault.PointLSMFlush)
+	}
+	forEachKind(t, func(t *testing.T, open openFunc) {
+		fault.Disarm()
+		defer fault.Disarm()
+		bc, _ := newEnv(t, 1024, 1024)
+		ix := open(bc, "d/panicflush", Options{MemBudget: 1 << 20})
+		putRange(t, ix, 0, 50)
+		if err := fault.Arm(fault.PointLSMFlush + ":panic"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Flush(); !isPanic(err) {
+			t.Fatalf("flush with an armed panic: got %v", err)
+		}
+		fault.Disarm()
+		wantPresent(t, ix, 0, 50, true, "in the sealed component of a panicked flush")
+		if err := ix.Flush(); err != nil {
+			t.Fatalf("retry flush: %v", err)
+		}
+		wantPresent(t, ix, 0, 50, true, "after the panicked and retried flush")
+		mustValidate(t, ix, bc)
+
+		// Writes alone: the budget seals, the worker panics, and a write
+		// that meets the failure gets it.
+		ix = open(bc, "d/panicbg", Options{MemBudget: 4 << 10})
+		if err := fault.Arm(fault.PointLSMFlush + ":panic:times=1"); err != nil {
+			t.Fatal(err)
+		}
+		failures, n := 0, 0
+		for ; n < 3000 && (fault.Fired(fault.PointLSMFlush) == 0 || n%500 != 0); n++ {
+			if err := ix.put(n); err != nil {
+				if !isPanic(err) {
+					t.Fatalf("put %d: %v, want the worker's panic as ErrMaintenance", n, err)
+				}
+				failures++
+			}
+		}
+		if fault.Fired(fault.PointLSMFlush) == 0 {
+			t.Fatalf("the flush never panicked in %d puts", n)
+		}
+		if err := ix.Flush(); err != nil {
+			if !isPanic(err) || failures != 0 {
+				t.Fatalf("flush: %v after %d reported failures", err, failures)
+			}
+			failures++
+			if err := ix.Flush(); err != nil {
+				t.Fatalf("second flush: %v", err)
+			}
+		}
+		if failures != 1 {
+			t.Fatalf("the panic was reported %d times, want once", failures)
+		}
+		wantPresent(t, ix, 0, n, true, "after the retried flush")
 		mustValidate(t, ix, bc)
 	})
 }
