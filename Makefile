@@ -50,12 +50,13 @@ fault-matrix:
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
 # net-matrix: the network-failure gate — in-process transport fault tests
-# (drop, delay, partition, conn-reset, torn frames) plus the multi-process
-# cluster smoke test, which boots three asterixd processes and drives a
-# distributed join through injected link faults and a killed node
-# (gated on ASTERIX_NET_MATRIX so plain `go test ./...` stays fast).
+# (drop, delay, partition and heal, conn-reset, torn frames, a lost
+# failure status) plus the multi-process cluster smoke test, which boots
+# three asterixd processes and drives a distributed join through injected
+# link faults and a killed node (gated on ASTERIX_NET_MATRIX so plain
+# `go test ./...` stays fast).
 net-matrix:
-	go test -count=1 -run 'TestNetDrop|TestNetDelay|TestHeartbeatPartition|TestConnResetMidFrame|TestPartitionDuringExchange|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestPeerDownRevivesOnHeal|TestConcurrentRunsSameSpecID' \
+	go test -count=1 -run 'TestNetDrop|TestConnResetMidFrame|TestPartitionDuringExchange|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestPeerDownRevivesOnHeal|TestConcurrentRunsSameSpecID|TestLostFailureStatusIsResent|TestPartitionedWorkerRejoins' \
 		./internal/net/ ./internal/dist/
 	ASTERIX_NET_MATRIX=1 go test -count=1 -timeout 180s -run 'TestParsePeers|TestMultiProcessCluster' -v ./cmd/asterixd/
 

@@ -26,7 +26,6 @@ type clusterService struct {
 	peer       *anet.Peer
 	cluster    *hyracks.Cluster
 	node       *dist.Node
-	reg        *obs.Registry
 	allowFault bool
 }
 
@@ -85,15 +84,7 @@ func startCluster(self, dataListen, peerSpec, dataDir string, hbInterval time.Du
 		return nil, err
 	}
 	node.Bind(peer)
-	return &clusterService{
-		self: self, peer: peer, cluster: cluster, node: node,
-		reg: reg, allowFault: allowFault,
-	}, nil
-}
-
-func (cs *clusterService) close() {
-	cs.node.Close()
-	cs.peer.Close()
+	return &clusterService{self: self, peer: peer, cluster: cluster, node: node, allowFault: allowFault}, nil
 }
 
 // routes mounts the cluster endpoints on the mux.

@@ -89,7 +89,7 @@ func distJoinBody(id string, maxAttempts int) map[string]interface{} {
 				{"kind": "gen", "name": "right", "parallelism": 3, "rows": 100, "keyMod": 100},
 				{"kind": "hashjoin", "name": "join", "parallelism": 3,
 					"leftCols": []int{0}, "rightCols": []int{0}, "rightWidth": 2},
-				{"kind": "collect", "name": "out", "pin": "@coordinator"},
+				{"kind": "collect", "name": "out"},
 			},
 			"edges": []map[string]interface{}{
 				{"from": 0, "to": 2, "port": 0, "conn": "hash", "hashCols": []int{0}},

@@ -102,7 +102,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("asterixd: cluster: %v", err)
 		}
-		defer cs.close()
 		mux := http.NewServeMux()
 		cs.routes(mux)
 		mux.Handle("/", h)

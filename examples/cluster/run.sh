@@ -47,7 +47,7 @@ join() { # id
 	      {"kind": "gen", "name": "right", "parallelism": 3, "rows": 100, "keyMod": 100},
 	      {"kind": "hashjoin", "name": "join", "parallelism": 3,
 	       "leftCols": [0], "rightCols": [0], "rightWidth": 2},
-	      {"kind": "collect", "name": "out", "pin": "@coordinator"}
+	      {"kind": "collect", "name": "out"}
 	    ],
 	    "edges": [
 	      {"from": 0, "to": 2, "port": 0, "conn": "hash", "hashCols": [0]},

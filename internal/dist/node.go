@@ -18,14 +18,13 @@ import (
 // node id arrives out of band (anet stamps it), so messages carry only
 // job-scoped fields.
 type ctlMsg struct {
-	Type        string              `json:"type"` // job | ready | start | status | cancel
-	JobID       string              `json:"jobID"`
-	Coordinator string              `json:"coordinator,omitempty"`
-	Assign      map[string][]string `json:"assign,omitempty"`
-	Spec        *Spec               `json:"spec,omitempty"`
-	// status: the worker attempt's outcome, classified so the driver can
+	Type   string              `json:"type"` // job | ready | start | status | cancel
+	JobID  string              `json:"jobID"`
+	Assign map[string][]string `json:"assign,omitempty"`
+	Spec   *Spec               `json:"spec,omitempty"`
+	// status: a worker attempt's failure, classified so the driver can
 	// re-raise the exact retriable type.
-	ErrKind string `json:"errKind,omitempty"` // "" (success) | node | link | error
+	ErrKind string `json:"errKind,omitempty"` // node | link | error
 	ErrNode string `json:"errNode,omitempty"`
 	ErrMsg  string `json:"errMsg,omitempty"`
 }
@@ -36,17 +35,12 @@ type ctlMsg struct {
 // Options.OnControl = node.HandleControl, then Bind.
 type Node struct {
 	cluster *hyracks.Cluster
+	closing chan struct{} // closed by Close
 
-	// ReadyTimeout bounds how long the driver waits for every
-	// participant's READY before declaring laggards dead and retrying
-	// (default 10s).
-	ReadyTimeout time.Duration
-
-	mu     sync.Mutex
-	peer   *anet.Peer
-	jobs   map[string]*workerJob // attempts this process runs for a remote driver
-	runs   map[string]*driverRun // attempts this process is driving
-	closed bool
+	mu   sync.Mutex
+	peer *anet.Peer
+	jobs map[string]*workerJob // attempts this process runs for a remote driver
+	runs map[string]*driverRun // attempts this process is driving
 	// seq (atomic) numbers this driver's Runs: without it, two
 	// concurrent Runs of the same spec id would mint colliding attempt
 	// job ids — the workers would dedupe-drop the second job message,
@@ -54,6 +48,11 @@ type Node struct {
 	// Kill()ed for nothing.
 	seq uint64
 }
+
+// readyHeartbeats is how long, in the peer's heartbeat intervals, the
+// driver waits for every participant's READY before declaring laggards
+// dead and retrying: 10s at the 250ms default.
+const readyHeartbeats = 40
 
 // workerJob is one attempt being executed on behalf of a remote driver.
 type workerJob struct {
@@ -79,10 +78,10 @@ type driverRun struct {
 // controllers carry the member ids (hyracks.NewNamedCluster).
 func NewNode(cluster *hyracks.Cluster) *Node {
 	return &Node{
-		cluster:      cluster,
-		ReadyTimeout: 10 * time.Second,
-		jobs:         map[string]*workerJob{},
-		runs:         map[string]*driverRun{},
+		cluster: cluster,
+		closing: make(chan struct{}),
+		jobs:    map[string]*workerJob{},
+		runs:    map[string]*driverRun{},
 	}
 }
 
@@ -98,11 +97,15 @@ func (n *Node) Bind(p *anet.Peer) {
 }
 
 // Close cancels every attempt this process is executing for remote
-// drivers. In-flight driver Runs fail through their abort channels as
-// workers and peers go away.
+// drivers and stops every control-message retry. In-flight driver Runs
+// fail through their abort channels as workers and peers go away.
 func (n *Node) Close() {
 	n.mu.Lock()
-	n.closed = true
+	select {
+	case <-n.closing:
+	default:
+		close(n.closing)
+	}
 	jobs := make([]*workerJob, 0, len(n.jobs))
 	for _, wj := range n.jobs {
 		jobs = append(jobs, wj)
@@ -168,14 +171,18 @@ func (n *Node) HandleControl(from string, payload []byte) {
 	case "status":
 		n.mu.Lock()
 		run := n.runs[msg.JobID]
+		peer := n.peer
 		n.mu.Unlock()
 		if run != nil {
-			if err := msg.statusErr(); err != nil {
-				select {
-				case run.abort <- err:
-				default:
-				}
+			select {
+			case run.abort <- msg.statusErr():
+			default:
 			}
+		} else if peer != nil {
+			// The attempt is over, so finishRun already sent its cancel,
+			// which the worker's re-sending says it never got: send it
+			// again. Off the read loop, which must not wait on a dial.
+			go peer.SendControl(from, marshal(ctlMsg{Type: "cancel", JobID: msg.JobID}))
 		}
 	}
 }
@@ -184,8 +191,6 @@ func (n *Node) HandleControl(from string, payload []byte) {
 // the driver's RunWithRetry understands.
 func (m *ctlMsg) statusErr() error {
 	switch m.ErrKind {
-	case "":
-		return nil
 	case "node":
 		return &hyracks.NodeFailure{Node: m.ErrNode, Op: "(worker)"}
 	case "link":
@@ -198,9 +203,6 @@ func (m *ctlMsg) statusErr() error {
 // classifyErr is the inverse: fold a local attempt error into the
 // status message.
 func classifyErr(st *ctlMsg, err error) {
-	if err == nil {
-		return
-	}
 	var nf *hyracks.NodeFailure
 	var lf *hyracks.LinkFailure
 	switch {
@@ -220,30 +222,55 @@ func marshal(m ctlMsg) []byte {
 	return b
 }
 
-// sendCtl delivers one control message, retrying across transient link
-// churn. A fault- or churn-reset connection heals within a heartbeat,
-// but the protocol's one-shot messages (status, start, cancel) are lost
-// forever if their single write races the reconnect — a lost status in
-// particular stalls the driving attempt with no failure to observe,
-// because the worker that failed is still perfectly alive. Retries stop
-// once the peer is declared dead (heartbeat failure detection owns that
-// outcome) or the deadline passes.
-func (n *Node) sendCtl(peer *anet.Peer, to string, payload []byte, deadline time.Duration) error {
-	var err error
+// dead reports whether this process has declared member id dead.
+func (n *Node) dead(id string) bool {
+	nc := n.cluster.NodeByID(id)
+	return nc != nil && nc.Dead()
+}
+
+// sendCtl delivers one control message, retrying a failed write across
+// transient link churn: a fault- or churn-reset connection heals within
+// a heartbeat. Retries stop once the peer is declared dead (heartbeat
+// failure detection owns that outcome), the deadline passes, or Close
+// has run. A successful write is not delivery — a reset can still
+// discard it — so a message whose loss would stall an attempt has its
+// own recovery: a lost job or READY trips the ready barrier, and a lost
+// failure status is re-sent (reportFailure).
+func (n *Node) sendCtl(peer *anet.Peer, to string, payload []byte, deadline time.Duration) {
 	backoff := 10 * time.Millisecond
-	for end := time.Now().Add(deadline); ; {
-		if nc := n.cluster.NodeByID(to); nc != nil && nc.Dead() {
-			return fmt.Errorf("dist: peer %s is dead", to)
+	for end := time.Now().Add(deadline); !n.dead(to); {
+		if peer.SendControl(to, payload) == nil || time.Now().After(end) {
+			return
 		}
-		if err = peer.SendControl(to, payload); err == nil {
-			return nil
+		select {
+		case <-n.closing:
+			return
+		case <-time.After(backoff):
 		}
-		if time.Now().After(end) {
-			return err
-		}
-		time.Sleep(backoff)
 		if backoff < 160*time.Millisecond {
 			backoff *= 2
+		}
+	}
+}
+
+// reportFailure tells the driver that this worker's attempt failed, and
+// keeps telling it every heartbeat interval: the driver of a failed
+// attempt otherwise waits forever, since this worker is alive and no
+// watcher fires, and a written status can still be lost to the next
+// reset of its connection. The driver acknowledges with the attempt's
+// cancel, which cancels ctx, as does Close; re-sending also stops once
+// the driver is declared down.
+func (n *Node) reportFailure(ctx context.Context, peer *anet.Peer, coord, jobID string, err error) {
+	st := ctlMsg{Type: "status", JobID: jobID}
+	classifyErr(&st, err)
+	payload := marshal(st)
+	tick := time.NewTicker(peer.HeartbeatInterval())
+	defer tick.Stop()
+	for ctx.Err() == nil && !n.dead(coord) {
+		peer.SendControl(coord, payload) // a failed write is retried at the next tick, like a lost one
+		select {
+		case <-ctx.Done():
+		case <-tick.C:
 		}
 	}
 }
@@ -258,7 +285,13 @@ func (n *Node) startWorkerJob(coord string, msg ctlMsg) {
 		return
 	}
 	n.mu.Lock()
-	if n.closed || n.peer == nil || n.jobs[msg.JobID] != nil {
+	select {
+	case <-n.closing:
+		n.mu.Unlock()
+		return
+	default:
+	}
+	if n.peer == nil || n.jobs[msg.JobID] != nil {
 		n.mu.Unlock()
 		return
 	}
@@ -275,21 +308,15 @@ func (n *Node) startWorkerJob(coord string, msg ctlMsg) {
 			n.mu.Unlock()
 			cancel()
 		}()
-		err := n.runWorkerAttempt(ctx, coord, msg, wj)
-		st := ctlMsg{Type: "status", JobID: msg.JobID}
-		classifyErr(&st, err)
-		// The status MUST land: the driver of a failed attempt otherwise
-		// waits forever, since this worker is alive and no watcher fires.
-		// Past the retry window the driver is dead or partitioned, and
-		// heartbeat failure detection resolves the attempt instead.
-		n.sendCtl(peer, coord, marshal(st), 5*time.Second)
+		if err := n.runWorkerAttempt(ctx, coord, msg, wj); err != nil {
+			n.reportFailure(ctx, peer, coord, msg.JobID, err)
+		}
 	}()
 }
 
 func (n *Node) runWorkerAttempt(ctx context.Context, coord string, msg ctlMsg, wj *workerJob) error {
 	self := n.peer.ID()
-	env := &BuildEnv{Node: self, Coordinator: coord, Result: &hyracks.Collector{}}
-	job, err := BuildJob(msg.Spec, env)
+	job, err := BuildJob(msg.Spec, &hyracks.Collector{})
 	if err != nil {
 		return err
 	}
@@ -299,9 +326,9 @@ func (n *Node) runWorkerAttempt(ctx context.Context, coord string, msg ctlMsg, w
 		Assign:    assignFunc(msg.Assign),
 		Transport: n.peer,
 		Ready: func() {
-			// Recoverable if lost — the barrier declares this worker dead at
-			// ReadyTimeout and the attempt retries — but riding out brief
-			// churn avoids burning an attempt on it.
+			// Recoverable if lost — the barrier declares this worker dead
+			// at its timeout and the attempt retries — but riding out
+			// brief churn avoids burning an attempt on it.
 			n.sendCtl(n.peer, coord, marshal(ctlMsg{Type: "ready", JobID: msg.JobID}), 2*time.Second)
 		},
 		Start: wj.start,
@@ -313,8 +340,8 @@ func (n *Node) runWorkerAttempt(ctx context.Context, coord string, msg ctlMsg, w
 // and link failures per the policy. Per attempt it: computes the
 // placement over currently-alive members, broadcasts the job (spec +
 // assignment) under a fresh attempt-scoped id, builds its own share,
-// waits for every participant's READY (laggards past ReadyTimeout are
-// declared dead, aborting the attempt into a retry on the survivors),
+// waits for every participant's READY (laggards past the ready timeout
+// are declared dead, aborting the attempt into a retry on the survivors),
 // broadcasts START, and runs. Worker-side failures flow back as typed
 // status messages into the attempt's abort channel.
 func (n *Node) Run(ctx context.Context, spec *Spec, pol hyracks.RetryPolicy) ([]hyracks.Tuple, hyracks.RunReport, error) {
@@ -375,15 +402,14 @@ func (n *Node) Run(ctx context.Context, spec *Spec, pol hyracks.RetryPolicy) ([]
 				run.remotes = append(run.remotes, id)
 			}
 		}
-		env := &BuildEnv{Node: self, Coordinator: self, Result: run.result}
-		job, err := BuildJob(spec, env)
+		job, err := BuildJob(spec, run.result)
 		if err != nil {
 			return nil, err
 		}
 		n.mu.Lock()
 		n.runs[jobID] = run
 		n.mu.Unlock()
-		jm := marshal(ctlMsg{Type: "job", JobID: jobID, Coordinator: self, Assign: assign, Spec: spec})
+		jm := marshal(ctlMsg{Type: "job", JobID: jobID, Assign: assign, Spec: spec})
 		for _, r := range run.remotes {
 			// Bounded retry smooths transient connection churn; past that
 			// the READY barrier is the failure detector — a worker that
@@ -391,7 +417,7 @@ func (n *Node) Run(ctx context.Context, spec *Spec, pol hyracks.RetryPolicy) ([]
 			// timeout, and the attempt retries on the survivors.
 			n.sendCtl(peer, r, jm, 2*time.Second)
 		}
-		go n.coordinate(run)
+		go n.coordinate(run, peer)
 		job.SetPlacement(&hyracks.Placement{
 			JobID:     jobID,
 			Node:      self,
@@ -421,15 +447,11 @@ func (n *Node) Run(ctx context.Context, spec *Spec, pol hyracks.RetryPolicy) ([]
 }
 
 // coordinate runs one attempt's READY/START barrier: collect READY from
-// every participant, then release them all. A participant silent past
-// ReadyTimeout is declared dead (Kill feeds the executor's watchers)
-// and the attempt aborts into a retry.
-func (n *Node) coordinate(run *driverRun) {
-	timeout := n.ReadyTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	timer := time.NewTimer(timeout)
+// every participant, then release them all. A participant silent for
+// readyHeartbeats heartbeat intervals is declared dead (Kill feeds the
+// executor's watchers) and the attempt aborts into a retry.
+func (n *Node) coordinate(run *driverRun, peer *anet.Peer) {
+	timer := time.NewTimer(readyHeartbeats * peer.HeartbeatInterval())
 	defer timer.Stop()
 	ready := map[string]bool{}
 	for len(ready) < len(run.need) {
@@ -457,9 +479,6 @@ func (n *Node) coordinate(run *driverRun) {
 		}
 	}
 	close(run.start)
-	n.mu.Lock()
-	peer := n.peer
-	n.mu.Unlock()
 	// START must reach every participant: a worker parked at the barrier
 	// sends nothing, so a lost START stalls the attempt invisibly. If a
 	// send stays down past the window the peer is partitioned, and

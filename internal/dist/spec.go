@@ -1,9 +1,11 @@
-// Package dist is the control plane of a multi-process cluster: it
-// turns a serializable job spec into identical hyracks DAGs on every
-// participating node process, coordinates the READY/START barrier over
-// the anet control channel, routes worker failures back to the driver,
-// and drives retry-safe re-execution (RunWithRetry) with attempt-scoped
-// job ids so a retried attempt never sees the dead attempt's frames.
+// Package dist is the control plane of the multi-process test rig for
+// the TCP frame transport: it turns a serializable job spec into
+// identical hyracks DAGs on every participating node process,
+// coordinates the READY/START barrier over the anet control channel,
+// routes worker failures back to the driver, and drives retry-safe
+// re-execution (RunWithRetry) with attempt-scoped job ids so a retried
+// attempt never sees the dead attempt's frames. SQL++ does not run on
+// it; queries run on hyracks.Cluster in one process.
 package dist
 
 import (
@@ -14,10 +16,10 @@ import (
 	"asterix/internal/hyracks"
 )
 
-// Spec is a serializable dataflow job: operators by registered kind,
-// edges by operator index. Every process of an attempt builds its DAG
-// from the same spec, so plan shape is structurally identical
-// everywhere and only the placement decides which tasks run locally.
+// Spec is a serializable dataflow job: operators by kind, edges by
+// operator index. Every process of an attempt builds its DAG from the
+// same spec, so plan shape is structurally identical everywhere and
+// only the placement decides which tasks run locally.
 type Spec struct {
 	// ID names the job; each attempt runs under the attempt-scoped id
 	// "ID#n".
@@ -26,29 +28,20 @@ type Spec struct {
 	Edges []EdgeSpec `json:"edges"`
 }
 
-// OpSpec describes one operator. Kind selects a registered builder;
-// the remaining fields are that builder's parameters (unused fields
-// stay zero).
+// OpSpec describes one operator. Kind is gen, hashjoin, groupby or
+// collect; the remaining fields are that kind's parameters (unused
+// fields stay zero). A collect always runs on the driving node, so the
+// results land where the query ran.
 type OpSpec struct {
 	Kind        string `json:"kind"`
 	Name        string `json:"name"`
 	Parallelism int    `json:"parallelism"`
-	// Pin forces every partition of the operator onto one node: a node
-	// id, or PinCoordinator to follow the driving process (the collect
-	// sink is pinned there so results land where the query ran).
-	Pin string `json:"pin,omitempty"`
 
 	// gen: Rows per partition; keys are sequential int64s modulo KeyMod
 	// (0 = no wrap), so two gen operators with the same KeyMod produce
 	// joinable key sets deterministically.
 	Rows   int64 `json:"rows,omitempty"`
 	KeyMod int64 `json:"keyMod,omitempty"`
-
-	// filter: keep tuples whose column Col (int64) satisfies
-	// value % Mod == Keep.
-	Col  int   `json:"col,omitempty"`
-	Mod  int64 `json:"mod,omitempty"`
-	Keep int64 `json:"keep,omitempty"`
 
 	// hashjoin: equi-join input port 0 (left) with port 1 (right).
 	LeftCols   []int `json:"leftCols,omitempty"`
@@ -71,54 +64,14 @@ type EdgeSpec struct {
 	From     int    `json:"from"`
 	To       int    `json:"to"`
 	Port     int    `json:"port"`
-	Conn     string `json:"conn"` // 1to1 | hash | broadcast | merge | rr
+	Conn     string `json:"conn"` // hash | merge
 	HashCols []int  `json:"hashCols,omitempty"`
-}
-
-// PinCoordinator pins an operator to whichever node drives the job.
-const PinCoordinator = "@coordinator"
-
-// BuildEnv is the per-process context handed to op builders.
-type BuildEnv struct {
-	// Node is the building process's node id.
-	Node string
-	// Coordinator is the driving node's id (what PinCoordinator
-	// resolves to).
-	Coordinator string
-	// Result receives collect-op tuples. Every process builds the
-	// collect sink against its own collector, but only the process the
-	// op is pinned to ever runs it, so results accumulate exactly where
-	// the driver reads them.
-	Result *hyracks.Collector
-}
-
-// Builder constructs one operator from its spec.
-type Builder func(op OpSpec, env *BuildEnv) (*hyracks.Operator, error)
-
-var builders = map[string]Builder{}
-
-// RegisterOp registers a builder for an operator kind. Kinds must be
-// registered identically in every process of the cluster (same binary,
-// same init), or specs will build on some nodes and fail on others.
-func RegisterOp(kind string, b Builder) {
-	if _, dup := builders[kind]; dup {
-		panic(fmt.Sprintf("dist: op kind %q registered twice", kind))
-	}
-	builders[kind] = b
-}
-
-func init() {
-	RegisterOp("gen", buildGen)
-	RegisterOp("filter", buildFilter)
-	RegisterOp("hashjoin", buildHashJoin)
-	RegisterOp("groupby", buildGroupBy)
-	RegisterOp("collect", buildCollect)
 }
 
 // buildGen emits Rows tuples per partition: (int64 key, string tag).
 // Keys are globally sequential across partitions, wrapped at KeyMod, so
 // the data is deterministic regardless of which node runs the task.
-func buildGen(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
+func buildGen(op OpSpec) *hyracks.Operator {
 	rows, keyMod := op.Rows, op.KeyMod
 	return hyracks.NewScan(op.Name, op.Parallelism, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
 		base := int64(tc.Partition) * rows
@@ -133,35 +86,10 @@ func buildGen(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
 			}
 		}
 		return nil
-	}), nil
+	})
 }
 
-func buildFilter(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
-	if op.Mod <= 0 {
-		return nil, fmt.Errorf("dist: filter %s needs mod > 0", op.Name)
-	}
-	col, mod, keep := op.Col, op.Mod, op.Keep
-	return hyracks.NewFilter(op.Name, op.Parallelism, func(t hyracks.Tuple) (bool, error) {
-		if col >= len(t) {
-			return false, fmt.Errorf("dist: filter %s: column %d out of range", op.Name, col)
-		}
-		v, ok := t[col].(adm.Int64)
-		if !ok {
-			return false, fmt.Errorf("dist: filter %s: column %d is not int64", op.Name, col)
-		}
-		return int64(v)%mod == keep, nil
-	}), nil
-}
-
-func buildHashJoin(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
-	if len(op.LeftCols) == 0 || len(op.LeftCols) != len(op.RightCols) {
-		return nil, fmt.Errorf("dist: hashjoin %s needs matching leftCols/rightCols", op.Name)
-	}
-	return hyracks.NewHashJoin(op.Name, op.Parallelism, op.LeftCols, op.RightCols,
-		hyracks.InnerJoin, op.RightWidth, nil), nil
-}
-
-func buildGroupBy(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
+func buildGroupBy(op OpSpec) (*hyracks.Operator, error) {
 	aggs := make([]hyracks.AggSpec, 0, len(op.Aggs))
 	for _, a := range op.Aggs {
 		agg, ok := hyracks.Aggregates[a.Kind]
@@ -173,30 +101,36 @@ func buildGroupBy(op OpSpec, _ *BuildEnv) (*hyracks.Operator, error) {
 	return hyracks.NewGroupBy(op.Name, op.Parallelism, op.GroupCols, aggs), nil
 }
 
-func buildCollect(op OpSpec, env *BuildEnv) (*hyracks.Operator, error) {
-	if op.Pin == "" {
-		return nil, fmt.Errorf("dist: collect %s must be pinned (results need one home)", op.Name)
-	}
-	return hyracks.NewSink(op.Name, 1, env.Result), nil
-}
-
-// BuildJob materializes the spec into a hyracks DAG using the
-// registered builders. Every process of an attempt calls this with its
-// own env and gets a structurally identical job.
-func BuildJob(spec *Spec, env *BuildEnv) (*hyracks.Job, error) {
+// BuildJob materializes the spec into a hyracks DAG whose collect sink
+// feeds result. Every process of an attempt calls this and gets a
+// structurally identical job; only the driving node runs the collect,
+// so results accumulate exactly where the driver reads them.
+func BuildJob(spec *Spec, result *hyracks.Collector) (*hyracks.Job, error) {
 	if spec.ID == "" {
 		return nil, fmt.Errorf("dist: spec needs an id")
 	}
 	j := hyracks.NewJob()
 	ops := make([]*hyracks.Operator, len(spec.Ops))
 	for i, os := range spec.Ops {
-		b := builders[os.Kind]
-		if b == nil {
+		var op *hyracks.Operator
+		switch os.Kind {
+		case "gen":
+			op = buildGen(os)
+		case "hashjoin":
+			if len(os.LeftCols) == 0 || len(os.LeftCols) != len(os.RightCols) {
+				return nil, fmt.Errorf("dist: hashjoin %s needs matching leftCols/rightCols", os.Name)
+			}
+			op = hyracks.NewHashJoin(os.Name, os.Parallelism, os.LeftCols, os.RightCols,
+				hyracks.InnerJoin, os.RightWidth, nil)
+		case "groupby":
+			var err error
+			if op, err = buildGroupBy(os); err != nil {
+				return nil, err
+			}
+		case "collect":
+			op = hyracks.NewSink(os.Name, 1, result)
+		default:
 			return nil, fmt.Errorf("dist: unknown op kind %q (op %d)", os.Kind, i)
-		}
-		op, err := b(os, env)
-		if err != nil {
-			return nil, err
 		}
 		ops[i] = j.Add(op)
 	}
@@ -206,16 +140,10 @@ func BuildJob(spec *Spec, env *BuildEnv) (*hyracks.Job, error) {
 		}
 		var conn hyracks.Connector
 		switch es.Conn {
-		case "1to1":
-			conn = hyracks.OneToOne()
 		case "hash":
 			conn = hyracks.HashPartition(es.HashCols...)
-		case "broadcast":
-			conn = hyracks.Broadcast()
 		case "merge":
 			conn = hyracks.MergeUnordered()
-		case "rr":
-			conn = hyracks.RoundRobin()
 		default:
 			return nil, fmt.Errorf("dist: edge %d: unknown connector %q", i, es.Conn)
 		}
@@ -227,12 +155,11 @@ func BuildJob(spec *Spec, env *BuildEnv) (*hyracks.Job, error) {
 }
 
 // Assign computes the attempt's (operator, partition) → node placement
-// over the alive members: pinned operators go wholly to their pin
-// (PinCoordinator resolves to coordinator), everything else spreads
-// round-robin over the members in sorted-id order. The driver computes
-// it ONCE per attempt and ships the result in the job message, so every
-// process places tasks identically even if their liveness views drift
-// mid-attempt.
+// over the alive members: a collect goes to the coordinator, everything
+// else spreads round-robin over the members in sorted-id order. The
+// driver computes it ONCE per attempt and ships the result in the job
+// message, so every process places tasks identically even if their
+// liveness views drift mid-attempt.
 func Assign(spec *Spec, members []string, coordinator string) (map[string][]string, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("dist: no alive members to place on")
@@ -241,23 +168,16 @@ func Assign(spec *Spec, members []string, coordinator string) (map[string][]stri
 	sort.Strings(sorted)
 	assign := make(map[string][]string, len(spec.Ops))
 	for _, os := range spec.Ops {
-		par := os.Parallelism
-		if par < 1 || os.Kind == "collect" {
-			par = 1
-		}
-		nodes := make([]string, par)
-		for p := 0; p < par; p++ {
-			switch os.Pin {
-			case "":
-				nodes[p] = sorted[p%len(sorted)]
-			case PinCoordinator:
-				nodes[p] = coordinator
-			default:
-				nodes[p] = os.Pin
-			}
-		}
 		if _, dup := assign[os.Name]; dup {
 			return nil, fmt.Errorf("dist: duplicate operator name %q", os.Name)
+		}
+		if os.Kind == "collect" {
+			assign[os.Name] = []string{coordinator}
+			continue
+		}
+		nodes := make([]string, max(1, os.Parallelism))
+		for p := range nodes {
+			nodes[p] = sorted[p%len(sorted)]
 		}
 		assign[os.Name] = nodes
 	}

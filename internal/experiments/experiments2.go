@@ -642,13 +642,13 @@ func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
 			return nil, err
 		}
 		nd := dist.NewNode(cl)
-		nd.ReadyTimeout = 2 * time.Second
 		reg := obs.NewRegistry()
 		p, err := anet.NewPeer(anet.Options{
 			ID:                id,
 			ListenAddr:        "127.0.0.1:0",
 			Metrics:           reg,
 			OnPeerDown:        nd.OnPeerDown,
+			OnPeerUp:          nd.OnPeerUp,
 			OnControl:         nd.HandleControl,
 			HeartbeatInterval: 25 * time.Millisecond,
 		})
@@ -699,7 +699,7 @@ func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
 				{Kind: "gen", Name: "left", Parallelism: 3, Rows: 200, KeyMod: 100},
 				{Kind: "gen", Name: "right", Parallelism: 3, Rows: 100, KeyMod: 100},
 				{Kind: "hashjoin", Name: "join", Parallelism: 3, LeftCols: []int{0}, RightCols: []int{0}, RightWidth: 2},
-				{Kind: "collect", Name: "out", Pin: dist.PinCoordinator},
+				{Kind: "collect", Name: "out"},
 			},
 			Edges: []dist.EdgeSpec{
 				{From: 0, To: 2, Port: 0, Conn: "hash", HashCols: []int{0}},

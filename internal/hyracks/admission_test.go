@@ -27,10 +27,20 @@ func (t *edgeTransport) OpenEdge(context.Context, EdgeDesc) (EdgeHandle, error) 
 	if t.err != nil {
 		return nil, t.err
 	}
-	return localEdge{}, nil
+	return noRemoteEdge{}, nil
 }
 
 func (t *edgeTransport) CloseJob(string) {}
+
+// noRemoteEdge is the handle of an edge every channel of which is local:
+// the executor never sends through it.
+type noRemoteEdge struct{}
+
+func (noRemoteEdge) Send(context.Context, int, []Tuple) error {
+	return errors.New("no remote channels")
+}
+
+func (noRemoteEdge) ProducerDone() error { return nil }
 
 // TestRunReleasesAdmissionOnEveryExit fails Run on each exit between the
 // job's admission and its first task — a placement naming a node the
@@ -78,7 +88,7 @@ func TestRunReleasesAdmissionOnEveryExit(t *testing.T) {
 			placement: func(c *Cluster, cancel context.CancelFunc) (*Placement, func() int64) {
 				var held int64
 				return &Placement{
-					JobID: "admit-start", Node: "nc0",
+					JobID: "admit-start", Node: "nc0", Transport: &edgeTransport{gov: c.Gov},
 					Assign: func(string, int) string { return "nc0" },
 					Ready: func() {
 						held = c.Gov.WorkingGranted()

@@ -140,15 +140,9 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 		}
 	}
 	rts := make(map[*edge]*edgeRT, len(j.edges))
-	var transport Transport = LocalTransport{}
-	if pl != nil && pl.Transport != nil {
-		transport = pl.Transport
-	}
-	jobID := ""
 	if pl != nil {
-		jobID = pl.JobID
+		defer pl.Transport.CloseJob(pl.JobID)
 	}
-	defer transport.CloseJob(jobID)
 	for ei, e := range j.edges {
 		rt := &edgeRT{}
 		n := e.to.Parallelism
@@ -192,7 +186,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 					senders[id] = true
 				}
 			}
-			h, err := transport.OpenEdge(ctx, EdgeDesc{
+			h, err := pl.Transport.OpenEdge(ctx, EdgeDesc{
 				JobID:     pl.JobID,
 				Edge:      ei,
 				Owners:    rt.owners,
@@ -250,20 +244,16 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				}
 			}()
 		}
-		if pl.Ready != nil {
-			pl.Ready()
-		}
-		if pl.Start != nil {
-			select {
-			case <-pl.Start:
-			case <-ctx.Done():
-				// A watcher or the abort listener may have cancelled the
-				// run with a typed retriable failure; fail-then-read
-				// synchronizes on the errOnce, so that error wins over a
-				// bare context.Canceled.
-				fail(ctx.Err())
-				return firstErr
-			}
+		pl.Ready()
+		select {
+		case <-pl.Start:
+		case <-ctx.Done():
+			// A watcher or the abort listener may have cancelled the run
+			// with a typed retriable failure; fail-then-read synchronizes
+			// on the errOnce, so that error wins over a bare
+			// context.Canceled.
+			fail(ctx.Err())
+			return firstErr
 		}
 	}
 
@@ -456,7 +446,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				// data. Its consumers instead block until the failure status
 				// aborts the attempt and the retry supersedes the job id.
 				for _, e := range op.outs {
-					if rt := rts[e]; err == nil && rt.remote && rt.handle != nil {
+					if rt := rts[e]; err == nil && rt.remote {
 						err = rt.handle.ProducerDone()
 					}
 				}

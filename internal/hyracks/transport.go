@@ -8,10 +8,10 @@ import (
 // Transport moves frames between the processes of a multi-process
 // cluster. The executor routes every connector channel through exactly
 // one of two paths: channels whose consumer task runs in this process
-// stay on the in-process channel fabric (LocalTransport — the original
-// single-process path), and channels whose consumer lives elsewhere are
-// handed to the transport, which owns serialization, backpressure, and
-// reconnection. The TCP implementation lives in internal/net.
+// stay on the in-process channel fabric, and channels whose consumer
+// lives elsewhere are handed to the transport, which owns
+// serialization, backpressure, and reconnection. The TCP implementation
+// lives in internal/net.
 //
 // Contract, per job attempt:
 //   - OpenEdge is called once per edge before any task starts (the
@@ -61,11 +61,10 @@ type EdgeDesc struct {
 	// remote combined.
 	Producers int
 	// Senders is the number of DISTINCT remote processes producing into
-	// this edge (0 = unknown; the transport must then assume up to
-	// Producers distinct processes). Each sending process holds its own
-	// credit window per channel, so this bounds how many windows can be
-	// in flight toward one locally-owned channel — which is what sizes
-	// the receive queues.
+	// this edge; 0 means no remote process does. Each sending process
+	// holds its own credit window per channel, so this bounds how many
+	// windows can be in flight toward one locally-owned channel — which
+	// is what sizes the receive queues.
 	Senders int
 	// EOS is invoked once per remote producer partition that finishes
 	// the edge, after all of that producer's frames were delivered.
@@ -106,15 +105,14 @@ type Placement struct {
 	Assign func(op string, part int) string
 	// Transport carries frames between processes.
 	Transport Transport
-	// Ready, when non-nil, is called after this process has registered
-	// all of its receive queues but before any task starts — the hook
-	// the control plane uses to report READY to the driver.
+	// Ready is called after this process has registered all of its
+	// receive queues but before any task starts — the hook the control
+	// plane uses to report READY to the driver.
 	Ready func()
-	// Start, when non-nil, gates task launch: the executor waits for it
-	// to close (the driver's START broadcast) after Ready. Without the
-	// barrier a fast producer could emit frames at a process that has
-	// not registered the attempt yet, and they would be dropped as
-	// stale.
+	// Start gates task launch: the executor waits for it to close (the
+	// driver's START broadcast) after Ready. Without the barrier a fast
+	// producer could emit frames at a process that has not registered
+	// the attempt yet, and they would be dropped as stale.
 	Start <-chan struct{}
 	// Abort, when non-nil, lets the control plane fail the run from
 	// outside — e.g. a worker reporting a typed NodeFailure or
@@ -131,32 +129,3 @@ func (p *Placement) localNode(c *Cluster) (*NodeController, error) {
 	}
 	return nil, fmt.Errorf("hyracks: placement node %q is not in the cluster", p.Node)
 }
-
-// LocalTransport is the in-process implementation: every channel is
-// owned locally, so there is never a remote send and never a remote
-// EOS. It is what a nil-placement run uses implicitly, kept as a named
-// type so single-process and multi-process runs share one executor
-// path.
-type LocalTransport struct{}
-
-type localEdge struct{}
-
-// OpenEdge implements Transport; it rejects remote owners, which cannot
-// occur without a real transport.
-func (LocalTransport) OpenEdge(_ context.Context, desc EdgeDesc) (EdgeHandle, error) {
-	for ch, owner := range desc.Owners {
-		if owner != "" {
-			return nil, fmt.Errorf("hyracks: local transport cannot reach %s (edge %d ch %d)", owner, desc.Edge, ch)
-		}
-	}
-	return localEdge{}, nil
-}
-
-// CloseJob implements Transport.
-func (LocalTransport) CloseJob(string) {}
-
-func (localEdge) Send(context.Context, int, []Tuple) error {
-	return fmt.Errorf("hyracks: local transport has no remote channels")
-}
-
-func (localEdge) ProducerDone() error { return nil }

@@ -79,22 +79,22 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 		queues:  map[int]*recvQueue{},
 		credits: map[int]chan struct{}{},
 	}
-	w := p.opt.CreditWindow
+	w := p.opt.creditWindow
 	// Credit windows are per sending PROCESS per channel: every remote
 	// producer process holds its own w-frame pool for the same channel,
 	// so a queue must absorb w frames from each of them (worst case: a
 	// concentrating edge pulls every producer into one channel), plus one
 	// EOS marker per producer partition. Sized this way, honest senders
-	// can never overflow a queue — overflow is a protocol violation.
-	senders := desc.Senders
-	if senders <= 0 || senders > desc.Producers {
-		senders = desc.Producers
-	}
-	qcap := w*maxInt(1, senders) + maxInt(1, desc.Producers)
+	// can never overflow a queue — overflow is a protocol violation. An
+	// edge no remote process produces into needs no queue at all.
+	qcap := w*desc.Senders + desc.Producers
 	locals := 0
 	seen := map[string]bool{}
 	for ch, owner := range desc.Owners {
 		if owner == "" {
+			if desc.Senders == 0 {
+				continue
+			}
 			if desc.Recv[ch] == nil {
 				return nil, fmt.Errorf("anet: edge %d channel %d is local but has no receive queue", desc.Edge, ch)
 			}
@@ -118,7 +118,7 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 	// on behalf of remote producers — one full credit window per sending
 	// process per local channel.
 	if locals > 0 && p.opt.Gov != nil {
-		need := int64(locals) * int64(w*maxInt(1, senders)) * p.opt.FrameBytes
+		need := int64(locals) * int64(w*desc.Senders) * frameBytes
 		rctx, rcancel := context.WithTimeout(ctx, 5*time.Second)
 		grant, err := p.opt.Gov.Reserve(rctx, need)
 		rcancel()
@@ -302,7 +302,7 @@ func (p *Peer) deliverCredit(payload []byte) {
 func (p *Peer) injectLoop(js *jobState, es *edgeState, ch int, q *recvQueue) {
 	recv := es.desc.Recv[ch]
 	ref := edgeRef{jobID: es.desc.JobID, edge: es.desc.Edge}
-	threshold := maxInt(1, p.opt.CreditWindow/2)
+	threshold := max(1, p.opt.creditWindow/2)
 	owed := map[string]int{}
 	flush := func(from string) {
 		n := owed[from]
@@ -412,11 +412,4 @@ func (h *edgeHandle) ProducerDone() error {
 		h.p.m.eosSent.Inc()
 	}
 	return firstErr
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -39,49 +39,42 @@ type Options struct {
 	// OnControl receives opaque control-plane messages (internal/dist).
 	OnControl func(from string, payload []byte)
 
-	// HeartbeatInterval is the keepalive send period (default 250ms).
+	// HeartbeatInterval is the keepalive send period (default 250ms). A
+	// peer silent for heartbeatTimeouts intervals is declared down.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the silence after which a previously-heard
-	// peer is declared down (default 8× the interval).
-	HeartbeatTimeout time.Duration
-	// WriteTimeout bounds each frame write (default 5s): a stalled TCP
-	// buffer fails the send instead of wedging the producer forever.
-	WriteTimeout time.Duration
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
-	// MaxBackoff caps the reconnect backoff (default 2s; the first
-	// retry waits HeartbeatInterval, doubling per failure plus jitter
-	// drawn from the fault registry's seeded PRNG).
-	MaxBackoff time.Duration
-	// CreditWindow is how many frames a sender may have in flight per
-	// channel before the consumer must hand window back (default 16).
-	CreditWindow int
-	// FrameBytes is the per-frame byte estimate used to charge receive
-	// queues to the governor (default 64 KiB).
-	FrameBytes int64
+
+	// creditWindow is how many frames a sender may have in flight per
+	// channel before the consumer must hand window back; zero means
+	// defaultCreditWindow. Only the package's tests narrow it.
+	creditWindow int
 }
+
+const (
+	// heartbeatTimeouts is the silence, in heartbeat intervals, after
+	// which a previously-heard peer is declared down.
+	heartbeatTimeouts = 8
+	// writeTimeout bounds each frame write: a stalled TCP buffer fails
+	// the send instead of wedging the producer forever.
+	writeTimeout = 5 * time.Second
+	// dialTimeout bounds each connection attempt and the hello read.
+	dialTimeout = 2 * time.Second
+	// maxBackoff caps the reconnect backoff (the first retry waits one
+	// heartbeat interval, doubling per failure plus jitter drawn from the
+	// fault registry's seeded PRNG).
+	maxBackoff = 2 * time.Second
+	// defaultCreditWindow is the per-channel send window in frames.
+	defaultCreditWindow = 16
+	// frameBytes is the per-frame byte estimate used to charge receive
+	// queues to the governor.
+	frameBytes = 64 << 10
+)
 
 func (o Options) withDefaults() Options {
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = 250 * time.Millisecond
 	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 8 * o.HeartbeatInterval
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 5 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 2 * time.Second
-	}
-	if o.CreditWindow <= 0 {
-		o.CreditWindow = 16
-	}
-	if o.FrameBytes <= 0 {
-		o.FrameBytes = 64 << 10
+	if o.creditWindow <= 0 {
+		o.creditWindow = defaultCreditWindow
 	}
 	return o
 }
@@ -137,11 +130,10 @@ type peerState struct {
 	lastSeen atomic.Int64 // unix nanos of last processed inbound message; 0 = never heard
 	down     atomic.Bool  // declared dead (OnPeerDown fired)
 
-	mu         sync.Mutex // guards the dial schedule
-	dialing    bool
-	failures   int
-	nextDial   time.Time
-	everDialOK bool
+	mu       sync.Mutex // guards the dial schedule
+	dialing  bool
+	failures int
+	nextDial time.Time
 }
 
 // Peer is one process's endpoint in the cluster mesh: a listener, a
@@ -194,6 +186,10 @@ func NewPeer(opt Options) (*Peer, error) {
 
 // ID returns this peer's node id.
 func (p *Peer) ID() string { return p.opt.ID }
+
+// HeartbeatInterval returns the keepalive period the peer runs at; the
+// control plane scales its own timeouts from it.
+func (p *Peer) HeartbeatInterval() time.Duration { return p.opt.HeartbeatInterval }
 
 // AddPeer registers (or updates) a remote peer's dial address — used
 // when listen ports are allocated dynamically and the member list is
@@ -288,8 +284,8 @@ func (p *Peer) acceptLoop() {
 		p.wg.Add(1)
 		go func(c net.Conn) {
 			defer p.wg.Done()
-			c.SetReadDeadline(time.Now().Add(p.opt.DialTimeout))
-			typ, payload, err := readMsg(c)
+			c.SetReadDeadline(time.Now().Add(dialTimeout))
+			typ, payload, _, err := readMsg(c, nil)
 			if err != nil || typ != msgHello || len(payload) == 0 {
 				c.Close()
 				return
@@ -399,7 +395,7 @@ func (p *Peer) dial(id string) (*peerConn, error) {
 	if err := p.linkFault(id); err != nil {
 		return nil, err
 	}
-	c, err := net.DialTimeout("tcp", addr, p.opt.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		ps.mu.Lock()
 		ps.failures++
@@ -429,7 +425,6 @@ func (p *Peer) dial(id string) (*peerConn, error) {
 	}
 	ps.failures = 0
 	ps.nextDial = time.Time{}
-	ps.everDialOK = true
 	ps.mu.Unlock()
 	p.wg.Add(1)
 	go func() {
@@ -440,16 +435,16 @@ func (p *Peer) dial(id string) (*peerConn, error) {
 }
 
 // redialBackoff is the wait before dial attempt n+1: exponential from
-// one heartbeat interval, capped at MaxBackoff, plus up to 25% jitter
+// one heartbeat interval, capped at maxBackoff, plus up to 25% jitter
 // drawn from the fault registry's seeded PRNG (deterministic under
 // ASTERIX_FAULT_SEED).
 func (p *Peer) redialBackoff(failures int) time.Duration {
 	d := p.opt.HeartbeatInterval
-	for i := 1; i < failures && d < p.opt.MaxBackoff; i++ {
+	for i := 1; i < failures && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.opt.MaxBackoff {
-		d = p.opt.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	return d + time.Duration(fault.Int63n(int64(d)/4+1))
 }
@@ -478,7 +473,7 @@ func (p *Peer) writeMsg(pc *peerConn, typ byte, payload []byte) error {
 	// as if the kernel had split an interrupted send.
 	if torn, fired := fault.TearTag(fault.PointNetConnReset, p.opt.ID, wire); fired {
 		//lint:ignore lock-held,err-discard deliberate torn write under wmu: the prefix must not interleave with a whole frame, and its error is moot — the connection is reset either way
-		pc.c.SetWriteDeadline(time.Now().Add(p.opt.WriteTimeout))
+		pc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		//lint:ignore lock-held,err-discard deliberate torn write under wmu: the prefix must not interleave with a whole frame, and its error is moot — the connection is reset either way
 		pc.c.Write(torn)
 		p.m.connResets.Inc()
@@ -486,7 +481,7 @@ func (p *Peer) writeMsg(pc *peerConn, typ byte, payload []byte) error {
 		return fmt.Errorf("anet: connection to %s reset mid-frame: %w", pc.id, fault.ErrInjected)
 	}
 	//lint:ignore lock-held wmu exists to serialize frame writes — interleaved writes corrupt the stream; the deadline bounds the hold
-	pc.c.SetWriteDeadline(time.Now().Add(p.opt.WriteTimeout))
+	pc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	//lint:ignore lock-held wmu exists to serialize frame writes — interleaved writes corrupt the stream; the deadline bounds the hold
 	if _, err := pc.c.Write(wire); err != nil {
 		p.m.connResets.Inc()
@@ -532,7 +527,7 @@ func (p *Peer) readLoop(pc *peerConn) {
 		var typ byte
 		var payload []byte
 		var err error
-		typ, payload, scratch, err = readMsgReuse(pc.c, scratch)
+		typ, payload, scratch, err = readMsg(pc.c, scratch)
 		if err != nil {
 			if !pc.closed.Load() && !p.isClosed() {
 				p.m.connResets.Inc()
@@ -608,7 +603,7 @@ func (p *Peer) heartbeatLoop() {
 			// down-latched peers would never heal a partition (neither
 			// side would ever dial the other again).
 			if last := ps.lastSeen.Load(); last != 0 &&
-				now.Sub(time.Unix(0, last)) > p.opt.HeartbeatTimeout {
+				now.Sub(time.Unix(0, last)) > heartbeatTimeouts*p.opt.HeartbeatInterval {
 				if ps.down.CompareAndSwap(false, true) {
 					p.m.hbTimeouts.Inc()
 					p.mu.Lock()

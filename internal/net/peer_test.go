@@ -210,7 +210,7 @@ func TestTwoPeerExchange(t *testing.T) {
 // sender must run out of credit while the consumer waits.
 func TestCreditBackpressure(t *testing.T) {
 	nodes := startMesh(t, []string{"na", "nb"}, func(id string, o *Options) {
-		o.CreditWindow = 2
+		o.creditWindow = 2
 	})
 	const rows = 20 * 256 // 20 frames: past the 8-frame channel buffer plus the window
 	stalled := func() bool {
@@ -291,7 +291,7 @@ func TestHeartbeatFailureDetection(t *testing.T) {
 	start := make(chan struct{})
 	close(start)
 	j.SetPlacement(&hyracks.Placement{
-		JobID: "hb#1", Node: "na", Transport: nodes["na"].peer, Start: start,
+		JobID: "hb#1", Node: "na", Transport: nodes["na"].peer, Ready: func() {}, Start: start,
 		Assign: func(op string, part int) string {
 			if op == "gen" && part == 1 {
 				return "nb"
@@ -526,7 +526,7 @@ func TestWaitNetAttribution(t *testing.T) {
 // a short count.
 func TestConcentratedMergeExact(t *testing.T) {
 	nodes := startMesh(t, []string{"na", "nb", "nc"}, func(id string, o *Options) {
-		o.CreditWindow = 4
+		o.creditWindow = 4
 	})
 	const rowsPerPart = 4000
 	var got atomic.Int64
@@ -566,7 +566,7 @@ func TestConcentratedMergeExact(t *testing.T) {
 // never fire EOS — a dropped frame must not end in a "complete" stream.
 func TestRecvOverflowPoisonsEdge(t *testing.T) {
 	p, err := NewPeer(Options{ID: "na", ListenAddr: "127.0.0.1:0",
-		Metrics: obs.NewRegistry(), CreditWindow: 1})
+		Metrics: obs.NewRegistry(), creditWindow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,57 +67,41 @@ func appendMsg(buf []byte, typ byte, payload []byte) []byte {
 // readMsg reads one framed message, validating magic, length bound, and
 // payload CRC. A validation failure is a protocol error: the caller must
 // reset the connection (the stream can no longer be trusted).
-func readMsg(r io.Reader) (typ byte, payload []byte, err error) {
-	var h [headerLen]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return 0, nil, err
-	}
-	typ, payload, err = decodeHeaderAndBodyInto(h, r, nil)
-	return typ, payload, err
-}
-
-// readMsgReuse is readMsg with a per-connection decode scratch buffer: the
-// payload decodes into scratch when it fits (one allocation per high-water
-// mark instead of one per message), and the possibly-grown scratch is
-// returned for the connection's next read. The payload therefore ALIASES
-// scratch — it is valid only until the next readMsgReuse on the same
-// scratch, so the caller must fully consume or copy it first. Data frames
-// qualify (adm.Decode copies string and binary bytes out of the payload);
-// control payloads that outlive the dispatch must be copied.
-func readMsgReuse(r io.Reader, scratch []byte) (typ byte, payload, next []byte, err error) {
+//
+// The payload decodes into scratch when it fits (one allocation per
+// high-water mark instead of one per message), and the possibly-grown
+// scratch is returned for the connection's next read. The payload
+// therefore ALIASES scratch — it is valid only until the next readMsg on
+// the same scratch, so the caller must fully consume or copy it first.
+// Data frames qualify (adm.Decode copies string and binary bytes out of
+// the payload); control payloads that outlive the dispatch must be
+// copied.
+func readMsg(r io.Reader, scratch []byte) (typ byte, payload, next []byte, err error) {
 	var h [headerLen]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return 0, nil, scratch, err
 	}
-	typ, payload, err = decodeHeaderAndBodyInto(h, r, scratch)
-	if cap(payload) > cap(scratch) {
-		scratch = payload[:0]
-	}
-	return typ, payload, scratch, err
-}
-
-func decodeHeaderAndBodyInto(h [headerLen]byte, r io.Reader, scratch []byte) (byte, []byte, error) {
 	if h[0] != magic0 || h[1] != magic1 {
-		return 0, nil, fmt.Errorf("anet: bad magic %02x%02x", h[0], h[1])
+		return 0, nil, scratch, fmt.Errorf("anet: bad magic %02x%02x", h[0], h[1])
 	}
 	n := binary.BigEndian.Uint32(h[4:8])
 	if n > maxPayload {
-		return 0, nil, fmt.Errorf("anet: payload length %d exceeds cap", n)
+		return 0, nil, scratch, fmt.Errorf("anet: payload length %d exceeds cap", n)
 	}
-	var payload []byte
 	if uint32(cap(scratch)) >= n {
 		payload = scratch[:n]
 	} else {
 		payload = make([]byte, n)
+		scratch = payload[:0]
 	}
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("anet: short payload: %w", err)
+		return 0, nil, scratch, fmt.Errorf("anet: short payload: %w", err)
 	}
 	want := binary.BigEndian.Uint32(h[8:12])
 	if got := crc32.Checksum(payload, crcTable); got != want {
-		return 0, nil, fmt.Errorf("anet: payload CRC mismatch (got %08x want %08x)", got, want)
+		return 0, nil, scratch, fmt.Errorf("anet: payload CRC mismatch (got %08x want %08x)", got, want)
 	}
-	return h[2], payload, nil
+	return h[2], payload, scratch, nil
 }
 
 // appendString appends a uvarint-length-prefixed string.

@@ -49,30 +49,30 @@ func TestCreditPayloadRoundTrip(t *testing.T) {
 func TestMsgRoundTripAndCRC(t *testing.T) {
 	payload := encodeDataPayload(nil, edgeRef{jobID: "j", edge: 0}, 0, testFrame())
 	wire := appendMsg(nil, msgData, payload)
-	typ, got, err := readMsg(bytes.NewReader(wire))
+	typ, got, _, err := readMsg(bytes.NewReader(wire), nil)
 	if err != nil || typ != msgData || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: typ=%d err=%v", typ, err)
 	}
 	// Flip one payload byte: the CRC must reject the frame.
 	bad := append([]byte(nil), wire...)
 	bad[headerLen+3] ^= 0x40
-	if _, _, err := readMsg(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, _, _, err := readMsg(bytes.NewReader(bad), nil); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupt frame accepted: %v", err)
 	}
 	// Torn mid-payload: short read, never a hang or panic.
-	if _, _, err := readMsg(bytes.NewReader(wire[:len(wire)/2])); err == nil {
+	if _, _, _, err := readMsg(bytes.NewReader(wire[:len(wire)/2]), nil); err == nil {
 		t.Fatal("torn frame accepted")
 	}
 	// Bad magic.
 	bad = append([]byte(nil), wire...)
 	bad[0] = 0x00
-	if _, _, err := readMsg(bytes.NewReader(bad)); err == nil {
+	if _, _, _, err := readMsg(bytes.NewReader(bad), nil); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Absurd length must be rejected before allocation.
 	bad = append([]byte(nil), wire...)
 	bad[4], bad[5], bad[6], bad[7] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := readMsg(bytes.NewReader(bad)); err == nil {
+	if _, _, _, err := readMsg(bytes.NewReader(bad), nil); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
