@@ -75,7 +75,9 @@ net-matrix:
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
 # BenchmarkExchangeWrite), and of storage maintenance
 # (BenchmarkComponentBuild: ns/entry, page-writes/page and leaf-fill of the
-# flush of one memory component and of a 5-way merge) and of recovery
+# flush of one memory component and of a 5-way merge; BenchmarkTreeScan:
+# ns/row and allocs/row of a full scan of one flushed component, with
+# primary-shaped and keyword-shaped keys) and of recovery
 # (BenchmarkRecover: ns and read system calls per record redone from a
 # 100 000-record log).
 bench:

@@ -109,12 +109,15 @@ func newNode(typ byte) *node { return &node{typ: typ, next: noPage} }
 
 // encodedSize returns the page bytes the node needs, trailer included.
 func (n *node) encodedSize() int {
-	sz := pageHeaderSize + 2 + 2*numRestarts(len(n.keys))
+	sz := pageHeaderSize + 2
+	var prev []byte
 	for i, k := range n.keys {
-		sz += chunkSize(k)
+		size, _ := keySize(i, prev, k)
+		sz += size
 		if n.typ == nodeLeaf {
 			sz += chunkSize(n.vals[i])
 		}
+		prev = k
 	}
 	if n.typ == nodeInterior {
 		sz += 4 * len(n.children)
@@ -137,35 +140,30 @@ func uvarintLen(x uint64) int {
 // encode writes the node into the page buf: entries from the front, the
 // restart trailer at the end.
 func (n *node) encode(buf []byte) {
-	buf[0] = n.typ
-	binary.BigEndian.PutUint16(buf[1:], uint16(len(n.keys)))
-	binary.BigEndian.PutUint32(buf[3:], uint32(n.next))
-	pos := pageHeaderSize
+	w := pageWriter{buf: buf, pos: pageHeaderSize}
 	if n.typ == nodeInterior {
 		for _, c := range n.children {
-			binary.BigEndian.PutUint32(buf[pos:], uint32(c))
-			pos += 4
+			binary.BigEndian.PutUint32(buf[w.pos:], uint32(c))
+			w.pos += 4
 		}
 	}
-	r := numRestarts(len(n.keys))
-	restarts := buf[len(buf)-2-2*r:]
+	var prev, val []byte
 	for i, k := range n.keys {
-		if i%restartEvery == 0 {
-			binary.BigEndian.PutUint16(restarts[2*(i/restartEvery):], uint16(pos))
-		}
-		pos += binary.PutUvarint(buf[pos:], uint64(len(k)))
-		pos += copy(buf[pos:], k)
 		if n.typ == nodeLeaf {
-			pos += binary.PutUvarint(buf[pos:], uint64(len(n.vals[i])))
-			pos += copy(buf[pos:], n.vals[i])
+			val = n.vals[i]
 		}
+		if !w.add(prev, k, val, n.typ == nodeLeaf) {
+			panic("btree: node does not fit its page")
+		}
+		prev = k
 	}
-	binary.BigEndian.PutUint16(buf[len(buf)-2:], uint16(r))
+	w.finish(n.typ, n.next)
 }
 
-// decodeNode materialises a page for the validator. It checks what the
-// in-place readers take on trust: every entry lies before the trailer, and
-// restart offset r points at entry r*restartEvery.
+// decodeNode materialises a page for the validator, rebuilding every key.
+// It checks what the in-place readers take on trust: every entry lies
+// before the trailer, restart offset r points at entry r*restartEvery, and
+// no entry shares more than its predecessor's key.
 func decodeNode(buf []byte) (*node, error) {
 	if len(buf) == 0 || (buf[0] != nodeLeaf && buf[0] != nodeInterior) {
 		return nil, errCorrupt
@@ -192,19 +190,18 @@ func decodeNode(buf []byte) (*node, error) {
 				return nil, fmt.Errorf("%w: restart %d does not point at entry %d", errCorrupt, i/restartEvery, i)
 			}
 		}
-		k, end, ok := readChunk(v.buf, pos)
+		shared, suffix, val, end, ok := v.entry(pos, i, n.typ == nodeLeaf)
 		if !ok {
-			return nil, errCorrupt
+			return nil, fmt.Errorf("%w: entry %d does not decode, or shares a prefix at a restart point", errCorrupt, i)
 		}
-		n.keys[i] = append([]byte(nil), k...)
+		prev := n.keys[max(i, 1)-1] // nil at entry 0, which shares nothing
+		if shared > len(prev) {
+			return nil, fmt.Errorf("%w: entry %d shares %d bytes of a %d-byte key", errCorrupt, i, shared, len(prev))
+		}
+		n.keys[i] = append(append(make([]byte, 0, shared+len(suffix)), prev[:shared]...), suffix...)
 		pos = end
 		if n.typ == nodeLeaf {
-			val, end, ok := readChunk(v.buf, pos)
-			if !ok {
-				return nil, errCorrupt
-			}
 			n.vals[i] = append([]byte(nil), val...)
-			pos = end
 		}
 	}
 	return n, nil
@@ -247,22 +244,15 @@ func (t *BTree) Search(key []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	defer t.bc.Unpin(p, false)
-	c, _, err := seekLeaf(p.Data, key)
+	v, err := parsePage(p.Data, nodeLeaf)
 	if err != nil {
 		return nil, false, err
 	}
-	for {
-		k, v, ok, err := c.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		switch bytes.Compare(k, key) {
-		case 0:
-			return append([]byte(nil), v...), true, nil
-		case 1:
-			return nil, false, nil
-		}
+	_, eq, val, err := v.find(key, true)
+	if err != nil || !eq {
+		return nil, false, err
 	}
+	return append([]byte(nil), val...), true, nil
 }
 
 // Scan visits entries with lo <= key <= hi in order (nil bounds are
@@ -283,8 +273,9 @@ func (t *BTree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 // stay valid until the following call to next). The tree must be empty.
 // This is the efficient sorted-load path that Section V-C contrasts with
 // linear hashing, and the only way a tree is written: every page is filled
-// until the next entry — with its restart offset, when it starts a restart
-// group — does not fit, and encoded once.
+// until the next entry — its key compressed against the previous one, or
+// whole with its restart offset when it starts a restart group — does not
+// fit, and encoded once.
 func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	if t.count != 0 {
 		return fmt.Errorf("btree: bulk load into non-empty tree")
@@ -302,14 +293,12 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 	const emptySize = pageHeaderSize + 2 // a page without entries: header and restart count
 
 	var (
-		leaf     = newNode(nodeLeaf)
-		leafSize = emptySize // leaf.encodedSize(), kept as entries are added
-		// The leaf's keys and values, copied once each: next's pair is good
-		// only until its following call. Emptied when the leaf is written.
-		leafBuf  = make([]byte, 0, pageSize)
+		// The leaf being filled, encoded as its entries arrive: next's pair
+		// is good only until its following call.
+		leaf     = pageWriter{buf: make([]byte, pageSize), pos: pageHeaderSize}
 		prevLeaf = noPage
 		pages    []int32  // finished pages at the current level
-		seps     [][]byte // first key of each finished page
+		seps     [][]byte // first key of each page, finished or being filled
 		total    int64
 		lastKey  []byte
 	)
@@ -323,18 +312,19 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 			return err
 		}
 		num := p.ID.Num
-		if leaf.next = noPage; !last {
-			leaf.next = num + 1
+		next := noPage
+		if !last {
+			next = num + 1
 		}
-		leaf.encode(p.Data)
+		leaf.finish(nodeLeaf, next)
+		copy(p.Data, leaf.buf)
 		t.bc.Unpin(p, true)
 		if prevLeaf != noPage && num != prevLeaf+1 {
 			return fmt.Errorf("btree: bulk load is not the only writer of its file")
 		}
 		prevLeaf = num
 		pages = append(pages, num)
-		seps = append(seps, append([]byte(nil), leaf.keys[0]...))
-		leaf.keys, leaf.vals, leafBuf, leafSize = leaf.keys[:0], leaf.vals[:0], leafBuf[:0], emptySize
+		leaf.pos, leaf.cnt, leaf.restarts = pageHeaderSize, 0, leaf.restarts[:0]
 		return nil
 	}
 
@@ -346,21 +336,19 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 		if lastKey != nil && bytes.Compare(k, lastKey) <= 0 {
 			return fmt.Errorf("btree: bulk load input not strictly ascending")
 		}
-		lastKey = append(lastKey[:0], k...)
 		if len(k)+len(v) > t.MaxEntrySize() {
 			return fmt.Errorf("btree: entry exceeds max size")
 		}
-		entrySize := chunkSize(k) + chunkSize(v)
-		if leafSize+entrySize+restartCost(len(leaf.keys)) > pageSize {
+		if !leaf.add(lastKey, k, v, true) {
 			if err := writeLeaf(false); err != nil {
 				return err
 			}
+			leaf.add(nil, k, v, true) // fits: an empty page holds MaxEntrySize
 		}
-		leafSize += entrySize + restartCost(len(leaf.keys))
-		leafBuf = append(append(leafBuf, k...), v...)
-		kv := leafBuf[len(leafBuf)-len(k)-len(v):]
-		leaf.keys = append(leaf.keys, kv[:len(k):len(k)])
-		leaf.vals = append(leaf.vals, kv[len(k):])
+		if leaf.cnt == 1 {
+			seps = append(seps, append([]byte(nil), k...))
+		}
+		lastKey = append(lastKey[:0], k...)
 		total++
 	}
 	if total == 0 {
@@ -382,8 +370,14 @@ func (t *BTree) BulkLoad(next func() (key, value []byte, ok bool)) error {
 			size := emptySize + 4 // in.encodedSize(), kept as children are added
 			firstSep := seps[i]
 			i++
-			for i < len(pages) && size+4+chunkSize(seps[i])+restartCost(len(in.keys)) <= pageSize {
-				size += 4 + chunkSize(seps[i]) + restartCost(len(in.keys))
+			for i < len(pages) {
+				// seps[i-1] is the node's last key, or firstSep when it has
+				// none and seps[i] starts a restart group.
+				sepSize, _ := keySize(len(in.keys), seps[i-1], seps[i])
+				if size+4+sepSize > pageSize {
+					break
+				}
+				size += 4 + sepSize
 				in.keys = append(in.keys, seps[i])
 				in.children = append(in.children, pages[i])
 				i++

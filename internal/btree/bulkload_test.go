@@ -43,6 +43,16 @@ func rewrite(t testing.TB, bt *BTree, num int32, n *node) {
 	bt.bc.Unpin(p, true)
 }
 
+// entrySize returns the page bytes key k adds as n's next key.
+func entrySize(n *node, k []byte) int {
+	var prev []byte
+	if len(n.keys) > 0 {
+		prev = n.keys[len(n.keys)-1]
+	}
+	size, _ := keySize(len(n.keys), prev, k)
+	return size
+}
+
 // loadPages builds a tree bottom-up like BulkLoad, with the same page
 // encoding, but closes a page — leaf or interior — as soon as full says so
 // or its next entry does not fit. Tests use it for page shapes BulkLoad's
@@ -54,7 +64,7 @@ func loadPages(t testing.TB, bt *BTree, entries []kv, full func(*node) bool) {
 	var leaves []*node
 	leaf := newNode(nodeLeaf)
 	for _, e := range entries {
-		if len(leaf.keys) > 0 && (full(leaf) || leaf.encodedSize()+chunkSize(e.k)+chunkSize(e.v)+restartCost(len(leaf.keys)) > pageSize) {
+		if len(leaf.keys) > 0 && (full(leaf) || leaf.encodedSize()+entrySize(leaf, e.k)+chunkSize(e.v) > pageSize) {
 			leaves, leaf = append(leaves, leaf), newNode(nodeLeaf)
 		}
 		leaf.keys, leaf.vals = append(leaf.keys, e.k), append(leaf.vals, e.v)
@@ -82,7 +92,7 @@ func loadPages(t testing.TB, bt *BTree, entries []kv, full func(*node) bool) {
 			in := newNode(nodeInterior)
 			in.children = []int32{pages[i]}
 			first := seps[i]
-			for i++; i < len(pages) && !full(in) && in.encodedSize()+4+chunkSize(seps[i])+restartCost(len(in.keys)) <= pageSize; i++ {
+			for i++; i < len(pages) && !full(in) && in.encodedSize()+4+entrySize(in, seps[i]) <= pageSize; i++ {
 				in.keys, in.children = append(in.keys, seps[i]), append(in.children, pages[i])
 			}
 			num, err := bt.allocNode(in)
@@ -144,12 +154,13 @@ func TestBulkLoadPacksPages(t *testing.T) {
 	}
 	for l, nodes := range levels {
 		for i, n := range nodes[:len(nodes)-1] {
-			// The following entry, with the restart offset it would add:
-			// for an interior page a child and a separator.
-			following := 4 + chunkSize(minKey[l][i+1]) + restartCost(len(n.keys))
+			// The following entry, compressed against the page's last key or
+			// with the restart offset it would add: for an interior page a
+			// child and a separator.
+			following := 4 + entrySize(n, minKey[l][i+1])
 			if n.typ == nodeLeaf {
 				nx := nodes[i+1]
-				following = chunkSize(nx.keys[0]) + chunkSize(nx.vals[0]) + restartCost(len(n.keys))
+				following = entrySize(n, nx.keys[0]) + chunkSize(nx.vals[0])
 			}
 			if n.encodedSize()+following <= pageSize {
 				t.Fatalf("level %d page %d of %d: %d bytes used, the following entry of %d bytes would fit",

@@ -7,8 +7,9 @@ import "bytes"
 //
 // It holds no pin between calls: each leaf is pinned once, copied into
 // the iterator's own page buffer and unpinned, and entries are then read
-// out of that copy in place. Key and Value alias the buffer, so they are
-// valid until the next call to Next.
+// out of that copy in place, each key rebuilt from its predecessor in a
+// key buffer of the iterator's own. Key and Value alias the two buffers,
+// so they are valid until the next call to Next.
 type Iterator struct {
 	t    *BTree
 	hi   []byte
@@ -37,8 +38,11 @@ func (it *Iterator) seek(t *BTree, lo, hi []byte) {
 		it.fail(err)
 		return
 	}
-	// One page buffer per iterator, reused for every leaf it crosses.
-	it.page = make([]byte, t.bc.FileManager().PageSize())
+	// One page buffer per iterator, reused for every leaf it crosses, and
+	// 64 bytes behind it for keys: the cursor grows that on a longer key.
+	ps := t.bc.FileManager().PageSize()
+	buf := make([]byte, ps+64)
+	it.page, it.cur.key = buf[:ps:ps], buf[ps:ps]
 	if !it.load(num, lo) {
 		return
 	}
@@ -59,7 +63,7 @@ func (it *Iterator) load(num int32, key []byte) bool {
 	}
 	copy(it.page, p.Data)
 	it.t.bc.Unpin(p, false)
-	if it.cur, it.next, err = seekLeaf(it.page, key); err != nil {
+	if it.cur, it.next, err = seekLeaf(it.page, key, it.cur.key); err != nil {
 		it.fail(err)
 		return false
 	}

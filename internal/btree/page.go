@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // The read path works on a page's encoded bytes where they lie. Entries
@@ -14,10 +15,16 @@ import (
 // stops the walk at the first entry past its target, at most restartEvery
 // entries on. Nothing is allocated per entry or per page.
 //
+// Keys are prefix-compressed between restart points, as in LevelDB: an
+// entry stores the length its key shares with the previous key (0 at a
+// restart point, so the binary search reads whole keys), then the rest.
+// Only a cursor that hands keys out rebuilds them (leafCursor).
+//
 // A page is laid out as
 //
 //	type (1) | count (2) | next leaf (4) | interior: count+1 children (4 each)
-//	entries: a key chunk (leaf: then a value chunk), each a uvarint length and bytes
+//	entries: shared length (uvarint), then a suffix chunk (leaf: then a
+//	  value chunk), each chunk a uvarint length and bytes
 //	free space
 //	restart offsets (2 each) | number of restart offsets (2)
 
@@ -33,13 +40,80 @@ var errCorrupt = errors.New("btree: corrupt node")
 // numRestarts returns how many restart points a page of cnt entries has.
 func numRestarts(cnt int) int { return (cnt + restartEvery - 1) / restartEvery }
 
-// restartCost returns the trailer bytes entry i of a page adds: one
-// offset when it starts a restart group.
-func restartCost(i int) int {
+// keySize returns the page bytes key k adds as entry i of a page, after
+// prev (the key of entry i-1): its shared length and suffix, and a restart
+// offset when it starts a restart group; and that shared length, 0 at a
+// restart point.
+func keySize(i int, prev, k []byte) (size, shared int) {
 	if i%restartEvery == 0 {
-		return 2
+		return 2 + 1 + chunkSize(k), 0
 	}
-	return 0
+	s := commonPrefix(prev, k)
+	return uvarintLen(uint64(s)) + chunkSize(k[s:]), s
+}
+
+// pageWriter lays out a page's entries as they come, each key compressed
+// against the one before it, and then the page's header and trailer.
+type pageWriter struct {
+	buf      []byte   // the page
+	pos      int      // offset of the next entry
+	cnt      int      // entries written
+	restarts []uint16 // offsets of the restart points written
+}
+
+// add writes key k, after prev (the page's last key), and on a leaf the
+// value v, compressing k against prev unless it starts a restart group. It
+// writes nothing and returns false when the entry and the trailer would
+// not fit in the page.
+func (w *pageWriter) add(prev, k, v []byte, leaf bool) bool {
+	size, shared := keySize(w.cnt, prev, k)
+	if leaf {
+		size += chunkSize(v)
+	}
+	if w.pos+size+2*len(w.restarts)+2 > len(w.buf) { // the new restart offset is in size
+		return false
+	}
+	if w.cnt%restartEvery == 0 {
+		w.restarts = append(w.restarts, uint16(w.pos))
+	}
+	w.pos += binary.PutUvarint(w.buf[w.pos:], uint64(shared))
+	w.pos += binary.PutUvarint(w.buf[w.pos:], uint64(len(k)-shared))
+	w.pos += copy(w.buf[w.pos:], k[shared:])
+	if leaf {
+		w.pos += binary.PutUvarint(w.buf[w.pos:], uint64(len(v)))
+		w.pos += copy(w.buf[w.pos:], v)
+	}
+	w.cnt++
+	return true
+}
+
+// finish writes the header, zeroes the free space and writes the trailer.
+func (w *pageWriter) finish(typ byte, next int32) {
+	w.buf[0] = typ
+	binary.BigEndian.PutUint16(w.buf[1:], uint16(w.cnt))
+	binary.BigEndian.PutUint32(w.buf[3:], uint32(next))
+	trailer := len(w.buf) - 2 - 2*len(w.restarts)
+	clear(w.buf[w.pos:trailer])
+	for j, off := range w.restarts {
+		binary.BigEndian.PutUint16(w.buf[trailer+2*j:], off)
+	}
+	binary.BigEndian.PutUint16(w.buf[len(w.buf)-2:], uint16(len(w.restarts)))
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+func commonPrefix(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for i+8 <= n {
+		if x := binary.BigEndian.Uint64(a[i:]) ^ binary.BigEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.LeadingZeros64(x)/8
+		}
+		i += 8
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // view is a parsed page: its entries start at first, buf ends where the
@@ -94,7 +168,7 @@ func (v *view) seek(key []byte) (pos, idx int, err error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		k, _, ok := readChunk(v.buf, off)
+		_, k, _, _, ok := v.entry(off, mid*restartEvery, false)
 		if !ok {
 			return 0, 0, errCorrupt
 		}
@@ -111,25 +185,87 @@ func (v *view) seek(key []byte) (pos, idx int, err error) {
 	return pos, (lo - 1) * restartEvery, err
 }
 
-// readChunk returns the length-prefixed byte string at buf[pos:] and the
-// offset just past it.
-func readChunk(buf []byte, pos int) (chunk []byte, end int, ok bool) {
-	if pos >= len(buf) {
-		return nil, 0, false
+// entry reads entry i at pos: the length its key shares with the previous
+// key (0 at a restart point), the key's suffix, a leaf entry's value, and
+// the offset past them; ok=false on a corrupt entry. A length is a uvarint,
+// read inline when it has one byte, and compared in uint64 so that garbage
+// cannot wrap negative.
+func (v *view) entry(pos, i int, leaf bool) (shared int, suffix, val []byte, end int, ok bool) {
+	b := v.buf
+	if pos+1 >= len(b) {
+		return 0, nil, nil, 0, false
 	}
-	l, n := uint64(buf[pos]), 1
+	s, n := uint64(b[pos]), 1
+	if s >= 0x80 {
+		s, n = longUvarint(b[pos:])
+	}
+	if pos += n; n <= 0 || s > maxPageSize || (s != 0 && i%restartEvery == 0) || pos >= len(b) {
+		return 0, nil, nil, 0, false
+	}
+	l, n := uint64(b[pos]), 1
 	if l >= 0x80 {
-		if l, n = binary.Uvarint(buf[pos:]); n <= 0 {
-			return nil, 0, false
-		}
+		l, n = longUvarint(b[pos:])
+	}
+	if n <= 0 || l > uint64(len(b)-pos-n) {
+		return 0, nil, nil, 0, false
 	}
 	pos += n
-	// Compared in uint64: a garbage length must not wrap negative.
-	if l > uint64(len(buf)-pos) {
-		return nil, 0, false
+	suffix, end = b[pos:pos+int(l)], pos+int(l)
+	if !leaf {
+		return int(s), suffix, nil, end, true
 	}
-	end = pos + int(l)
-	return buf[pos:end], end, true
+	if end >= len(b) {
+		return 0, nil, nil, 0, false
+	}
+	l, n = uint64(b[end]), 1
+	if l >= 0x80 {
+		l, n = longUvarint(b[end:])
+	}
+	if n <= 0 || l > uint64(len(b)-end-n) {
+		return 0, nil, nil, 0, false
+	}
+	pos = end + n
+	return int(s), suffix, b[pos : pos+int(l)], pos + int(l), true
+}
+
+// longUvarint reads a uvarint of more than one byte, out of entry's line.
+//
+//go:noinline
+func longUvarint(b []byte) (uint64, int) { return binary.Uvarint(b) }
+
+// find returns the index of the first entry whose key is >= key (cnt when
+// there is none), whether it equals key, and that entry's value on a leaf.
+// It walks the restart group seek picks and compares key with each entry
+// in place: matched is how many bytes of key the previous key has, and an
+// entry sharing more than that with it differs from key where it did, so
+// is below key unread.
+func (v *view) find(key []byte, leaf bool) (i int, eq bool, val []byte, err error) {
+	pos, i, err := v.seek(key)
+	if err != nil {
+		return 0, false, nil, err
+	}
+	matched, prevLen := 0, 0
+	for ; i < v.cnt; i++ {
+		shared, suffix, val, end, ok := v.entry(pos, i, leaf)
+		if !ok || shared > prevLen {
+			return 0, false, nil, errCorrupt
+		}
+		prevLen = shared + len(suffix)
+		if shared <= matched {
+			c := commonPrefix(suffix, key[shared:])
+			matched = shared + c
+			switch {
+			case c == len(suffix):
+				if matched == len(key) {
+					return i, true, val, nil
+				}
+			case matched == len(key) || suffix[c] > key[matched]:
+				return i, false, val, nil
+			}
+		}
+		pos = end
+	}
+	return v.cnt, false, nil, nil
 }
 
 // childFor returns the child page of the interior page buf to follow for
@@ -139,19 +275,15 @@ func childFor(buf, key []byte) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	pos, i, err := v.seek(key)
-	if err != nil {
-		return 0, err
-	}
-	for key != nil && i < v.cnt {
-		sep, end, ok := readChunk(v.buf, pos)
-		if !ok {
-			return 0, errCorrupt
+	i := 0
+	if key != nil {
+		var eq bool
+		if i, eq, _, err = v.find(key, false); err != nil {
+			return 0, err
 		}
-		if bytes.Compare(key, sep) < 0 {
-			break
+		if eq {
+			i++
 		}
-		pos, i = end, i+1
 	}
 	child := int32(binary.BigEndian.Uint32(buf[pageHeaderSize+4*i:]))
 	if child <= metaPage {
@@ -160,18 +292,21 @@ func childFor(buf, key []byte) (int32, error) {
 	return child, nil
 }
 
-// leafCursor walks the entries of one encoded leaf in key order.
+// leafCursor walks the entries of one encoded leaf in key order, rebuilding
+// each key from the previous one in key.
 type leafCursor struct {
-	buf  []byte
-	pos  int // offset of the next unread entry
-	left int // entries not yet read
+	v   view
+	pos int    // offset of the next unread entry
+	idx int    // index of the next unread entry
+	key []byte // the last key read
 }
 
 // seekLeaf parses the leaf buf and returns a cursor on the first entry of
 // the restart group that would hold key (nil = the leaf's first entry),
 // and the leaf's next-leaf link. Walking on from there, the first entry
-// >= key comes within restartEvery entries.
-func seekLeaf(buf, key []byte) (leafCursor, int32, error) {
+// >= key comes within restartEvery entries. The cursor rebuilds keys in
+// keyBuf, growing it when a key does not fit.
+func seekLeaf(buf, key, keyBuf []byte) (leafCursor, int32, error) {
 	v, err := parsePage(buf, nodeLeaf)
 	if err != nil {
 		return leafCursor{}, 0, err
@@ -180,24 +315,26 @@ func seekLeaf(buf, key []byte) (leafCursor, int32, error) {
 	if err != nil {
 		return leafCursor{}, 0, err
 	}
-	return leafCursor{buf: v.buf, pos: pos, left: v.cnt - idx}, v.next, nil
+	return leafCursor{v: v, pos: pos, idx: idx, key: keyBuf[:0]}, v.next, nil
 }
 
-// next reads the next entry; ok=false with a nil error is end of leaf.
+// next reads the next entry; ok=false with a nil error is end of leaf. The
+// key is valid until the following call.
 func (c *leafCursor) next() (key, val []byte, ok bool, err error) {
-	if c.left == 0 {
+	if c.idx == c.v.cnt {
 		return nil, nil, false, nil
 	}
-	key, pos, ok := readChunk(c.buf, c.pos)
+	shared, suffix, val, end, ok := c.v.entry(c.pos, c.idx, true)
 	if !ok {
 		return nil, nil, false, errCorrupt
 	}
-	if val, pos, ok = readChunk(c.buf, pos); !ok {
+	if shared > len(c.key) {
 		return nil, nil, false, errCorrupt
 	}
-	c.pos = pos
-	c.left--
-	return key, val, true, nil
+	c.key = append(c.key[:shared], suffix...)
+	c.pos = end
+	c.idx++
+	return c.key, val, true, nil
 }
 
 // findLeaf descends to the leaf that would hold key (nil = the leftmost

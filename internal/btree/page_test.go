@@ -100,7 +100,53 @@ func TestPropInPlaceReadsMatchReference(t *testing.T) {
 				checkReadsMatch(t, r, bt, entries)
 			})
 		}
+		for _, shape := range []string{"keyword", "composite", "disjoint"} {
+			t.Run(fmt.Sprintf("page%d/%s", pageSize, shape), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(pageSize + len(shape))))
+				entries := shapedEntries(r, shape, (pageSize-16)/4)
+				bt := buildTree(t, pageSize, entries)
+				if bt.Height() < 2 {
+					t.Fatalf("tree of height %d does not exercise interior descent", bt.Height())
+				}
+				checkReadsMatch(t, r, bt, entries)
+			})
+		}
 	}
+}
+
+// shapedEntries returns sorted entries in the key shapes of the indexes
+// that prefix compression serves, and one it cannot:
+//   - keyword: one token and thousands of primary keys, with empty values
+//     (key-only secondary entries);
+//   - composite: a secondary key of a few hundred values, then a primary
+//     key, with empty values;
+//   - disjoint: keys whose first bytes all differ, so that no key shares a
+//     byte with its neighbour, with values of up to max bytes.
+func shapedEntries(r *rand.Rand, shape string, max int) []kv {
+	var out []kv
+	switch shape {
+	case "keyword":
+		for i := 0; i < 4000; i++ {
+			out = append(out, kv{append([]byte("database\x00"), ikey(3*i)...), nil})
+		}
+	case "composite":
+		for sk := 0; sk < 300; sk++ {
+			for pk := sk; pk < 6000; pk += 1 + r.Intn(400) {
+				out = append(out, kv{append([]byte(fmt.Sprintf("user%d\x00", sk)), ikey(pk)...), nil})
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].k, out[j].k) < 0 })
+	case "disjoint":
+		for b := 1; b < 256; b++ {
+			k := make([]byte, 1+r.Intn(min(24, max)))
+			r.Read(k)
+			k[0] = byte(b)
+			v := make([]byte, r.Intn(max-len(k)+1))
+			r.Read(v)
+			out = append(out, kv{k, v})
+		}
+	}
+	return out
 }
 
 // checkReadsMatch probes bt against the sorted reference entries.
@@ -290,42 +336,51 @@ func corruptions(pageSize int) map[string][]byte {
 		}
 		return p
 	}
-	// grouped is a leaf of 17 13-byte entries, two restart groups, whose
-	// second restart offset is restart1. Each value's bytes read as a
-	// length running past the page.
+	// grouped is a leaf of 17 14-byte entries, two restart groups, whose
+	// second restart offset is restart1. Each key is stored whole, and each
+	// value's bytes read as a length running past the page.
 	grouped := func(restart1 int) []byte {
 		var body []byte
 		for i := 0; i < 17; i++ {
-			body = append(append(append(body, 8), ikey(i)...), 3, 0xFF, 0xFF, 0x03)
+			body = append(append(append(body, 0, 8), ikey(i)...), 3, 0xFF, 0xFF, 0x03)
 		}
 		p := page(nodeLeaf, 17, body...)
 		binary.BigEndian.PutUint16(p[pageSize-6:], pageHeaderSize)
 		binary.BigEndian.PutUint16(p[pageSize-4:], uint16(restart1))
 		return p
 	}
-	entry16 := pageHeaderSize + 16*13
+	entry16 := pageHeaderSize + 16*14
+	// sharedAtRestart is grouped with entry 16, the second restart point,
+	// sharing 7 bytes of entry 15's key: the binary search reads it.
+	sharedAtRestart := grouped(entry16)
+	copy(sharedAtRestart[entry16:], []byte{7, 1, 0x10})
 	overlong := bytes.Repeat([]byte{0x80}, 11) // varint that never ends
 	// A key that ends exactly where the trailer begins, so its value is
-	// missing.
-	toTheEnd := binary.AppendUvarint(nil, uint64(pageSize-pageHeaderSize-2-4))
-	trailerPastPage := page(nodeLeaf, 1, 1, 0, 1, 'v')
+	// missing, and one that ends two bytes into the trailer.
+	toTheEnd := append([]byte{0}, binary.AppendUvarint(nil, uint64(pageSize-pageHeaderSize-3-4))...)
+	intoTrailer := append([]byte{0}, binary.AppendUvarint(nil, uint64(pageSize-pageHeaderSize-3-2))...)
+	trailerPastPage := page(nodeLeaf, 1, 0, 1, 0, 1, 'v')
 	binary.BigEndian.PutUint16(trailerPastPage[pageSize-2:], 0xFFFF)
 	return map[string][]byte{
-		"unknown type":                page(7, 1, 1, 'k', 1, 'v'),
-		"leaf count past page end":    page(nodeLeaf, 0xFFFF, 1, 0, 1, 'v'),
-		"leaf key length past end":    page(nodeLeaf, 1, 0xFF, 0x7F, 'k'),
-		"leaf value length past end":  page(nodeLeaf, 1, 1, 'k', 0xFF, 0xFF, 0x03),
+		"unknown type":                page(7, 1, 0, 1, 'k', 1, 'v'),
+		"leaf count past page end":    page(nodeLeaf, 0xFFFF, 0, 1, 0, 1, 'v'),
+		"leaf key length past end":    page(nodeLeaf, 1, 0, 0xFF, 0x7F, 'k'),
+		"leaf value length past end":  page(nodeLeaf, 1, 0, 1, 0, 0xFF, 0xFF, 0x03),
 		"leaf bad varint":             page(nodeLeaf, 1, overlong...),
+		"leaf bad key varint":         page(nodeLeaf, 1, append([]byte{0}, overlong...)...),
 		"leaf value missing at end":   page(nodeLeaf, 1, toTheEnd...),
+		"leaf suffix into trailer":    page(nodeLeaf, 1, intoTrailer...),
+		"leaf shares past its prefix": page(nodeLeaf, 2, append(append([]byte{0, 8}, ikey(1)...), 0, 9, 1, 'x', 0)...),
+		"leaf shares at a restart":    sharedAtRestart,
 		"interior children past end":  page(nodeInterior, 0xFFFF),
 		"interior bad varint":         page(nodeInterior, 1, append([]byte{0, 0, 0, 2, 0, 0, 0, 3}, overlong...)...),
-		"interior key past end":       page(nodeInterior, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0xFF, 0x7F),
+		"interior key past end":       page(nodeInterior, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0xFF, 0x7F),
 		"interior child is meta page": page(nodeInterior, 0, 0, 0, 0, 0),
 		"interior child negative":     page(nodeInterior, 0, 0xFF, 0xFF, 0xFF, 0xFE),
 		"trailer count past page":     trailerPastPage,
 		"restart into the header":     grouped(3),
 		"restart past the body":       grouped(pageSize - 3),
-		"restart in mid-entry":        grouped(entry16 + 10), // on the value's 0xFF 0xFF 0x03
+		"restart in mid-entry":        grouped(entry16 + 11), // on the value's 0xFF 0xFF 0x03
 	}
 }
 
@@ -380,15 +435,18 @@ func ascending(keys [][]byte) bool {
 // FuzzBTreePage feeds arbitrary page images to the in-place readers and to
 // the validator's decoder. No reader may panic or slice past the page, and
 // on a page the decoder accepts — trailer included — whose keys ascend,
-// the binary-searched readers agree with a linear walk: the same entries,
-// the same first entry at or past the key, the same child choice.
+// the readers agree with decodeNode and with a linear walk over its keys:
+// the key-rebuilding cursor yields the same entries, from the start and
+// from the restart group it seeks to; the in-place search finds the same
+// first entry at or past the key, and its value; the interior descent
+// picks the same child.
 func FuzzBTreePage(f *testing.F) {
 	leaf := newNode(nodeLeaf)
-	leaf.keys = [][]byte{[]byte("a"), []byte("bb"), bytes.Repeat([]byte("c"), 200)}
-	leaf.vals = [][]byte{nil, []byte("v"), bytes.Repeat([]byte("w"), 130)}
+	leaf.keys = [][]byte{[]byte("a"), []byte("ab"), []byte("abc"), []byte("bb"), bytes.Repeat([]byte("c"), 200)}
+	leaf.vals = [][]byte{nil, {0}, {1, 2}, []byte("v"), bytes.Repeat([]byte("w"), 130)}
 	interior := newNode(nodeInterior)
-	interior.keys = [][]byte{[]byte("f"), []byte("m")}
-	interior.children = []int32{1, 2, 3}
+	interior.keys = [][]byte{[]byte("f"), []byte("fg"), []byte("m")}
+	interior.children = []int32{1, 2, 3, 4}
 	wideLeaf, wideInterior := newNode(nodeLeaf), newNode(nodeInterior)
 	wideInterior.children = []int32{1}
 	for i := 0; i < 40; i++ {
@@ -399,7 +457,9 @@ func FuzzBTreePage(f *testing.F) {
 		buf := make([]byte, n.encodedSize())
 		n.encode(buf)
 		f.Add(buf, []byte("g"))
+		f.Add(buf, []byte("ab"))
 		f.Add(buf, ikey(33))
+		f.Add(buf, ikey(34))
 	}
 	for _, img := range corruptions(512) {
 		f.Add(img, ikey(150))
@@ -407,26 +467,32 @@ func FuzzBTreePage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, page, key []byte) {
 		page = page[:len(page):len(page)] // a read past the page panics
 		child, childErr := childFor(page, key)
-		var keys, vals [][]byte
-		c, _, walkErr := seekLeaf(page, nil)
-		for walkErr == nil {
-			k, v, ok, err := c.next()
-			if walkErr = err; err != nil || !ok {
-				break
+		// walk copies out what a cursor yields: it rebuilds keys in place.
+		walk := func(from []byte) (keys, vals [][]byte, err error) {
+			c, _, err := seekLeaf(page, from, nil)
+			for err == nil {
+				k, v, ok, e := c.next()
+				if err = e; e != nil || !ok {
+					break
+				}
+				keys, vals = append(keys, bytes.Clone(k)), append(vals, v)
 			}
-			keys, vals = append(keys, k), append(vals, v)
+			return keys, vals, err
 		}
-		var found []byte
-		c, _, seekErr := seekLeaf(page, key)
-		for seekErr == nil {
-			k, _, ok, err := c.next()
-			if seekErr = err; err != nil || !ok {
-				break
-			}
-			if bytes.Compare(k, key) >= 0 {
-				found = k
-				break
-			}
+		keys, vals, walkErr := walk(nil)
+		sought, soughtVals, seekErr := walk(key)
+		// The in-place search: the first entry at or past key, whether it
+		// is key, and its value.
+		var (
+			at      int
+			eq      bool
+			val     []byte
+			findErr error
+		)
+		if v, err := parsePage(page, nodeLeaf); err != nil {
+			findErr = err
+		} else {
+			at, eq, val, findErr = v.find(key, true)
 		}
 		n, decErr := decodeNode(page)
 		if decErr != nil || !ascending(n.keys) {
@@ -434,8 +500,8 @@ func FuzzBTreePage(f *testing.F) {
 		}
 		switch n.typ {
 		case nodeLeaf:
-			if walkErr != nil || seekErr != nil || len(keys) != len(n.keys) {
-				t.Fatalf("in-place walk: %d entries, errors %v, %v; decodeNode: %d entries", len(keys), walkErr, seekErr, len(n.keys))
+			if walkErr != nil || seekErr != nil || findErr != nil || len(keys) != len(n.keys) {
+				t.Fatalf("in-place walk: %d entries, errors %v, %v, %v; decodeNode: %d entries", len(keys), walkErr, seekErr, findErr, len(n.keys))
 			}
 			for i := range keys {
 				if !bytes.Equal(keys[i], n.keys[i]) || !bytes.Equal(vals[i], n.vals[i]) {
@@ -446,8 +512,18 @@ func FuzzBTreePage(f *testing.F) {
 			for i < len(n.keys) && bytes.Compare(n.keys[i], key) < 0 {
 				i++
 			}
-			if (i < len(n.keys)) != (found != nil) || found != nil && !bytes.Equal(found, n.keys[i]) {
-				t.Fatalf("seek found %x; the linear walk finds entry %d of %d", found, i, len(n.keys))
+			// The sought walk starts on a restart point at or before entry i.
+			from := len(keys) - len(sought)
+			if from%restartEvery != 0 || from > i {
+				t.Fatalf("seek to %x started at entry %d; the linear walk finds entry %d", key, from, i)
+			}
+			for j := range sought {
+				if !bytes.Equal(sought[j], n.keys[from+j]) || !bytes.Equal(soughtVals[j], n.vals[from+j]) {
+					t.Fatalf("entry %d differs between the sought walk and decodeNode", from+j)
+				}
+			}
+			if at != i || eq != (i < len(n.keys) && bytes.Equal(n.keys[i], key)) || i < len(n.keys) && !bytes.Equal(val, n.vals[i]) {
+				t.Fatalf("find(%x) = entry %d (equal %v); the linear walk finds entry %d of %d", key, at, eq, i, len(n.keys))
 			}
 		case nodeInterior:
 			want := n.children[0]

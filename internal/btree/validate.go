@@ -9,8 +9,9 @@ import (
 // invariants:
 //
 //   - every page decodes: its entries lie before its trailer, the trailer
-//     holds one restart offset per restartEvery entries, and offset r
-//     points at entry r*restartEvery;
+//     holds one restart offset per restartEvery entries, offset r points
+//     at entry r*restartEvery, the entry there shares no prefix, and no
+//     other entry shares more than the previous key's length;
 //   - every node's keys are strictly increasing;
 //   - every key lies within the separator bounds inherited from its
 //     ancestors (child i of an interior node holds keys k with

@@ -412,23 +412,32 @@ func TestStorageFormatRefusalLeavesDirectory(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "tmp", "nc0", "run-1.tmp"), []byte("spilled"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	editCatalog(t, dir, func(cat map[string]any) { delete(cat, "format") })
-	before := dirFiles(t, dir)
-
-	e2, err := Open(e.cfg)
-	if err == nil {
-		e2.Close()
-	}
-	if !errors.Is(err, metadata.ErrStorageFormat) {
-		t.Errorf("Open of a format 0 directory: %v, want ErrStorageFormat", err)
-	}
-	after := dirFiles(t, dir)
-	for path, data := range before {
-		if got, ok := after[path]; !ok || got != data {
-			t.Errorf("%s: %d bytes, then %d (present: %v)", path, len(data), len(got), ok)
+	// A directory written before the format was recorded, and one of
+	// format 2, whose B+tree keys are stored whole: this build reads format 3.
+	for _, c := range []struct {
+		name string
+		edit func(cat map[string]any)
+	}{
+		{"format 0", func(cat map[string]any) { delete(cat, "format") }},
+		{"format 2", func(cat map[string]any) { cat["format"] = 2 }},
+	} {
+		editCatalog(t, dir, c.edit)
+		before := dirFiles(t, dir)
+		e2, err := Open(e.cfg)
+		if err == nil {
+			e2.Close()
 		}
-	}
-	if len(after) != len(before) {
-		t.Errorf("the refused directory had %d files, then %d", len(before), len(after))
+		if !errors.Is(err, metadata.ErrStorageFormat) || !strings.Contains(err.Error(), c.name) || !strings.Contains(err.Error(), "format 3") {
+			t.Errorf("Open of a %s directory: %v, want ErrStorageFormat naming %s and format 3", c.name, err, c.name)
+		}
+		after := dirFiles(t, dir)
+		for path, data := range before {
+			if got, ok := after[path]; !ok || got != data {
+				t.Errorf("%s: %s: %d bytes, then %d (present: %v)", c.name, path, len(data), len(got), ok)
+			}
+		}
+		if len(after) != len(before) {
+			t.Errorf("%s: the refused directory had %d files, then %d", c.name, len(before), len(after))
+		}
 	}
 }

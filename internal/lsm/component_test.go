@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"asterix/internal/storage"
@@ -14,13 +15,14 @@ import (
 // each of its pages once — through a cache far smaller than the component,
 // where a page touched twice would be evicted in between and written twice.
 func TestComponentPagesWrittenOnce(t *testing.T) {
+	const perFlush = 2500 // enough that a prefix-compressed component spans 16 pages
 	forEachKind(t, func(t *testing.T, open openFunc) {
 		bc, _ := newEnv(t, 1024, 8)
 		ix := open(bc, "d/once", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}})
 		writes := func() int64 { return bc.Stats().Writes }
 		for c := 0; c < 5; c++ {
 			before, pages := writes(), ix.componentPages()
-			for i := 0; i < 1500; i++ {
+			for i := 0; i < perFlush; i++ {
 				if err := ix.put(i*5 + c); err != nil {
 					t.Fatal(err)
 				}
@@ -40,7 +42,7 @@ func TestComponentPagesWrittenOnce(t *testing.T) {
 		if got, built := writes()-before, ix.componentPages(); ix.DiskComponents() != 1 || built < 80 || got != built {
 			t.Fatalf("5-way merge wrote %d pages for a component of %d (%d components)", got, built, ix.DiskComponents())
 		}
-		wantPresent(t, ix, 0, 7500, true, "after the merge")
+		wantPresent(t, ix, 0, 5*perFlush, true, "after the merge")
 		mustValidate(t, ix, bc)
 	})
 }
@@ -245,9 +247,11 @@ func TestOpenSkipsUnprobedLeaves(t *testing.T) {
 
 // leafFill reads the component's file page by page and returns the share
 // of its leaf pages' bytes that entries and their trailers occupy. It parses
-// the B+tree page format on its own (type, entry count, next leaf; then
-// length-prefixed keys and values; at the page's end a 2-byte restart
-// offset per 16 entries and their count), so it also pins that format.
+// the B+tree page format on its own (type, entry count, next leaf; then per
+// entry the length its key shares with the previous key, and the
+// length-prefixed rest of the key and value; at the page's end a 2-byte
+// restart offset per 16 entries and their count), so it also pins that
+// format.
 func leafFill(t testing.TB, bc *storage.BufferCache, file storage.FileID) float64 {
 	t.Helper()
 	pages, err := bc.FileManager().NumPages(file)
@@ -263,9 +267,13 @@ func leafFill(t testing.TB, bc *storage.BufferCache, file storage.FileID) float6
 		if p.Data[0] == 1 {
 			cnt := int(binary.BigEndian.Uint16(p.Data[1:]))
 			pos := 1 + 2 + 4
-			for chunks := 2 * cnt; chunks > 0; chunks-- {
-				l, n := binary.Uvarint(p.Data[pos:])
-				pos += n + int(l)
+			for e := 0; e < cnt; e++ {
+				_, n := binary.Uvarint(p.Data[pos:]) // the length shared with the previous key
+				pos += n
+				for chunk := 0; chunk < 2; chunk++ { // the key's suffix, the value
+					l, n := binary.Uvarint(p.Data[pos:])
+					pos += n + int(l)
+				}
 			}
 			if cnt > 0 { // a tree's first page is the empty root it was created with
 				used, leaves = used+pos+2+2*((cnt+15)/16), leaves+1
@@ -333,6 +341,127 @@ func BenchmarkComponentBuild(b *testing.B) {
 			if writes != pages || fill < 0.97 {
 				b.Fatalf("%d page writes for %d pages, leaves %.4f full: want one write per page and leaves at least 0.97 full", writes, pages, fill)
 			}
+		})
+	}
+}
+
+// A live entry with an empty payload is stored as an empty value, with no
+// flag byte; antimatter and every other payload keep theirs. Each form —
+// an empty payload, antimatter, and payloads that start with the bytes a
+// flag takes (0x00 and 0x01, alone and followed by more) — survives a
+// flush, a merge that keeps antimatter and one that drops it, and reads
+// back unchanged through Get and Scan.
+func TestDiskValueForms(t *testing.T) {
+	bc, _ := newEnv(t, 1024, 256)
+	tr, err := Open(bc, "forms/t", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{{}, {0x00}, {0x01}, {0x00, 'a'}, {0x01, 'b'}}
+	const deleted = 10        // a key that is live in the oldest component, then deleted
+	stored := map[int][]byte{ // the value each key's newest entry stores on disk
+		0: nil, 1: {0x00, 0x00}, 2: {0x00, 0x01}, 3: {0x00, 0x00, 'a'}, 4: {0x00, 0x01, 'b'}, deleted: {0x01},
+	}
+	step := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(tr.Upsert(ikey(deleted), []byte("old")))
+	step(tr.Upsert(ikey(99), []byte("oldest")))
+	step(tr.Flush())
+	for i, p := range payloads {
+		step(tr.Upsert(ikey(i), p))
+	}
+	step(tr.Delete(ikey(deleted)))
+	step(tr.Flush())
+
+	check := func(when string, antimatter bool) {
+		t.Helper()
+		for i, p := range payloads {
+			if v, ok, err := tr.Get(ikey(i)); err != nil || !ok || !bytes.Equal(v, p) {
+				t.Fatalf("%s: Get(%d) = %x, %v, %v; want %x", when, i, v, ok, err, p)
+			}
+		}
+		if v, ok, err := tr.Get(ikey(deleted)); err != nil || ok {
+			t.Fatalf("%s: Get of the deleted key = %x, %v, %v", when, v, ok, err)
+		}
+		n := 0
+		step(tr.Scan(nil, nil, func(k, v []byte) bool {
+			i := int(binary.BigEndian.Uint64(k))
+			if i < len(payloads) && !bytes.Equal(v, payloads[i]) || i == deleted {
+				t.Fatalf("%s: Scan yields %d = %x", when, i, v)
+			}
+			n++
+			return true
+		}))
+		if n != len(payloads)+1 {
+			t.Fatalf("%s: Scan yields %d entries, want %d", when, n, len(payloads)+1)
+		}
+		newest := tr.disk[0].idx.bt
+		for i, want := range stored {
+			v, ok, err := newest.Search(ikey(i))
+			if i == deleted && !antimatter {
+				if ok || err != nil {
+					t.Fatalf("%s: the merge that drops antimatter kept %x (err %v)", when, v, err)
+				}
+				continue
+			}
+			if err != nil || !ok || !bytes.Equal(v, want) {
+				t.Fatalf("%s: key %d is stored as %x, %v, %v; want %x", when, i, v, ok, err, want)
+			}
+		}
+		mustValidate(t, tr, bc)
+	}
+	check("flushed", true)
+	step(tr.forceMerge(0, 0)) // an older component remains: antimatter stays
+	check("merged, antimatter kept", true)
+	step(tr.forceMerge(0, 1))
+	check("merged, antimatter dropped", false)
+}
+
+// BenchmarkTreeScan times a full Scan of one flushed component, per row,
+// and counts its allocations per row, in two shapes: a primary index (6-byte
+// keys, 120-byte values) and a keyword index (token ‖ primary key, no
+// value), whose keys share most of their bytes with their neighbours.
+func BenchmarkTreeScan(b *testing.B) {
+	const rows = 50000
+	for _, shape := range []struct {
+		name  string
+		key   func(i int) []byte
+		value []byte
+	}{
+		{"primary", func(i int) []byte { return ikey(i)[2:] }, bytes.Repeat([]byte{'v'}, 120)},
+		{"keyword", func(i int) []byte { return append([]byte("database\x00"), ikey(i)...) }, nil},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			bc, _ := newEnv(b, 8192, 1024)
+			tr, err := Open(bc, "bench/scan", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < rows; i++ {
+				if err := tr.Upsert(shape.key(i), shape.value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := tr.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				seen := 0
+				if err := tr.Scan(nil, nil, func(k, v []byte) bool { seen++; return true }); err != nil || seen != rows {
+					b.Fatalf("scanned %d of %d rows (err %v)", seen, rows, err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*rows), "allocs/row")
 		})
 	}
 }

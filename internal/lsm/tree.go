@@ -49,8 +49,9 @@ func openTree(kind btreeKind, bc *storage.BufferCache, name string, opts Options
 	return t, nil
 }
 
-// btreeKind LSM-ifies the B+tree. Values inside disk components carry a
-// leading flag byte (1 = antimatter) before the payload.
+// btreeKind LSM-ifies the B+tree. A live entry with an empty payload
+// (every key-only secondary entry) stores an empty value; any other value
+// inside a disk component is a flag byte (1 = antimatter) and the payload.
 type btreeKind struct {
 	probed bool // the tree answers point lookups: its components carry filters
 }
@@ -94,6 +95,9 @@ func (k btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memT
 		e := entries[i]
 		i++
 		bloom.add(e.key)
+		if len(e.value) == 0 && !e.tombstone {
+			return e.key, nil, true // a live key-only entry: no flag byte
+		}
 		return e.key, encodeFlagged(e.value, e.tombstone), true
 	})
 	if err != nil {
@@ -132,9 +136,12 @@ func lowest(iters []*btree.Iterator) (src int, key []byte, err error) {
 var errNoFlag = errors.New("lsm: component value missing antimatter flag byte")
 
 // flagged splits a disk-component value into its antimatter flag and
-// payload.
+// payload: an empty value is a live entry's empty payload.
 func flagged(v []byte) (payload []byte, tombstone bool, err error) {
-	if len(v) < 1 || v[0] > 1 {
+	switch {
+	case len(v) == 0:
+		return v, false, nil
+	case v[0] > 1:
 		return nil, false, errNoFlag
 	}
 	return v[1:], v[0] == 1, nil
@@ -157,8 +164,9 @@ func (k btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims [
 	}
 	bloom := k.newFilter(total)
 	var mergeErr error
-	// The entry handed to BulkLoad lives in its iterator's page buffer,
-	// so that source moves past it only when BulkLoad asks for the next.
+	// The key and value handed to BulkLoad are valid only until their
+	// source's Next, which BulkLoad allows: it copies the pair into its
+	// page before it calls next again, and only then does that source move.
 	src, key := -1, []byte(nil)
 	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
 		for {
@@ -210,8 +218,9 @@ func (k btreeKind) open(bc *storage.BufferCache, file storage.FileID) (*btreeDis
 }
 
 // validate checks that the B+tree passes its own deep validation, keys
-// are in strict order, every value carries a flag byte, and the bloom
-// filter, where there is one, answers mayContain=true for every key present.
+// are in strict order, every non-empty value starts with a flag byte, and
+// the bloom filter, where there is one, answers mayContain=true for every
+// key present.
 func (btreeKind) validate(d *btreeDisk) error {
 	if err := d.bt.Validate(); err != nil {
 		return err

@@ -75,8 +75,10 @@ type Catalog struct {
 // StorageFormat is the version of everything a data directory stores: the
 // catalog, the WAL, the B+tree page layout, and the key and record bytes of
 // every component. A change to any of them bumps it; no reader of an older
-// form is kept. Format 2 ends every B+tree page in restart points.
-const StorageFormat = 2
+// form is kept. Format 2 ends every B+tree page in restart points. Format 3
+// prefix-compresses B+tree keys between restart points, and stores a live
+// key-only LSM entry without its flag byte.
+const StorageFormat = 3
 
 // ErrStorageFormat refuses a data directory written in another storage
 // format than this build's.

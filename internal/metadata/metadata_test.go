@@ -247,8 +247,9 @@ func editCatalog(t *testing.T, dir string, edit func(cat map[string]any)) {
 
 // A catalog records the storage format, and Open refuses one of another
 // format — format 0, a catalog without the field, format 1, whose B+tree
-// pages have no restart points, and a later one alike — with
-// ErrStorageFormat naming both versions, and writes nothing.
+// pages have no restart points, format 2, whose B+tree keys are stored
+// whole, and a later one alike — with ErrStorageFormat naming both
+// versions, and writes nothing.
 func TestStorageFormatGate(t *testing.T) {
 	c, dir := newCat(t)
 	c.AddType(employmentType(), false)
@@ -261,8 +262,8 @@ func TestStorageFormatGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var snap struct{ Format *int }
-	if err := json.Unmarshal(saved, &snap); err != nil || snap.Format == nil || *snap.Format != 2 {
-		t.Fatalf("a new catalog saved format %v (%v), want 2", snap.Format, err)
+	if err := json.Unmarshal(saved, &snap); err != nil || snap.Format == nil || *snap.Format != 3 {
+		t.Fatalf("a new catalog saved format %v (%v), want 3", snap.Format, err)
 	}
 	if c2, err := Open(dir); err != nil {
 		t.Fatalf("reopening a new catalog: %v", err)
@@ -281,7 +282,8 @@ func TestStorageFormatGate(t *testing.T) {
 			}
 		}},
 		{"format 1", "format 1", func(cat map[string]any) { cat["format"] = 1 }},
-		{"format 3", "format 3", func(cat map[string]any) { cat["format"] = 3 }},
+		{"format 2", "format 2", func(cat map[string]any) { cat["format"] = 2 }},
+		{"format 4", "format 4", func(cat map[string]any) { cat["format"] = 4 }},
 	} {
 		if err := os.WriteFile(path, saved, 0o644); err != nil {
 			t.Fatal(err)
@@ -289,8 +291,8 @@ func TestStorageFormatGate(t *testing.T) {
 		editCatalog(t, dir, c.edit)
 		before, _ := os.ReadFile(path)
 		_, err := Open(dir)
-		if !errors.Is(err, ErrStorageFormat) || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "format 2") {
-			t.Errorf("%s: Open = %v, want ErrStorageFormat naming %s and format 2", c.name, err, c.want)
+		if !errors.Is(err, ErrStorageFormat) || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "format 3") {
+			t.Errorf("%s: Open = %v, want ErrStorageFormat naming %s and format 3", c.name, err, c.want)
 		}
 		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
 			t.Errorf("%s: the refused catalog was rewritten:\n%s", c.name, after)
