@@ -76,8 +76,11 @@ net-matrix:
 # BenchmarkExchangeWrite), and of storage maintenance
 # (BenchmarkComponentBuild: ns/entry, page-writes/page and leaf-fill of the
 # flush of one memory component and of a 5-way merge; BenchmarkTreeScan:
-# ns/row and allocs/row of a full scan of one flushed component, with
-# primary-shaped and keyword-shaped keys) and of recovery
+# ns/row and allocs/row of a full scan of one flushed component, and of the
+# same rows still in the memory component (-memory), with primary-shaped
+# and keyword-shaped keys; BenchmarkTreeUpsert: ns, B and allocs per put at
+# a 1 MiB component budget, flushes included, keyword- and primary-shaped)
+# and of recovery
 # (BenchmarkRecover: ns and read system calls per record redone from a
 # 100 000-record log).
 bench:

@@ -356,9 +356,10 @@ func TestWriterStallIsFlushWait(t *testing.T) {
 
 // TestFlushedComponentIsGarbage: once its flush has ended nothing may
 // keep a memory component reachable. (The slice of memory components once
-// did, through its backing array: every index dragged a dead skiplist of
-// up to a component budget through each garbage collection, which cost
-// the benchmark's htap readers a tenth of their throughput.)
+// did, through its backing array: every index dragged a dead component of
+// up to a component budget — then a skiplist of one node per entry —
+// through each garbage collection, which cost the benchmark's htap readers
+// a tenth of their throughput.)
 func TestFlushedComponentIsGarbage(t *testing.T) {
 	bc, _ := newEnv(t, 1024, 256)
 	tr, err := Open(bc, "gc/t", Options{})

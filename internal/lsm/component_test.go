@@ -424,7 +424,9 @@ func TestDiskValueForms(t *testing.T) {
 // BenchmarkTreeScan times a full Scan of one flushed component, per row,
 // and counts its allocations per row, in two shapes: a primary index (6-byte
 // keys, 120-byte values) and a keyword index (token ‖ primary key, no
-// value), whose keys share most of their bytes with their neighbours.
+// value), whose keys share most of their bytes with their neighbours. The
+// -memory subcases scan the same rows while they are still in the memory
+// component.
 func BenchmarkTreeScan(b *testing.B) {
 	const rows = 50000
 	for _, shape := range []struct {
@@ -435,33 +437,45 @@ func BenchmarkTreeScan(b *testing.B) {
 		{"primary", func(i int) []byte { return ikey(i)[2:] }, bytes.Repeat([]byte{'v'}, 120)},
 		{"keyword", func(i int) []byte { return append([]byte("database\x00"), ikey(i)...) }, nil},
 	} {
-		b.Run(shape.name, func(b *testing.B) {
-			bc, _ := newEnv(b, 8192, 1024)
-			tr, err := Open(bc, "bench/scan", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}})
-			if err != nil {
-				b.Fatal(err)
+		for _, flushed := range []bool{true, false} {
+			name := shape.name
+			if !flushed {
+				name += "-memory"
 			}
-			for i := 0; i < rows; i++ {
-				if err := tr.Upsert(shape.key(i), shape.value); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := tr.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				seen := 0
-				if err := tr.Scan(nil, nil, func(k, v []byte) bool { seen++; return true }); err != nil || seen != rows {
-					b.Fatalf("scanned %d of %d rows (err %v)", seen, rows, err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*rows), "allocs/row")
-		})
+			b.Run(name, func(b *testing.B) {
+				benchScan(b, rows, shape.key, shape.value, flushed)
+			})
+		}
 	}
+}
+
+func benchScan(b *testing.B, rows int, key func(i int) []byte, value []byte, flushed bool) {
+	bc, _ := newEnv(b, 8192, 1024)
+	tr, err := Open(bc, "bench/scan", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		if err := tr.Upsert(key(i), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if flushed {
+		if err := tr.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		seen := 0
+		if err := tr.Scan(nil, nil, func(k, v []byte) bool { seen++; return true }); err != nil || seen != rows {
+			b.Fatalf("scanned %d of %d rows (err %v)", seen, rows, err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*rows), "allocs/row")
 }

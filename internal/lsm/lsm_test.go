@@ -1,9 +1,11 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"asterix/internal/check"
@@ -525,12 +527,48 @@ func TestTieredPolicy(t *testing.T) {
 	}
 }
 
+// BenchmarkTreeUpsert times Upsert at a 1 MiB memory budget, the flushes
+// it causes included, per put, and counts the bytes and allocations per
+// put, in two shapes: a keyword index (token ‖ primary key, no value; the
+// keys of each token ascend) and a primary index (6-byte keys in a
+// scrambled order, 120-byte values). Keys are built in one reused buffer,
+// so every allocation counted is the tree's.
 func BenchmarkTreeUpsert(b *testing.B) {
-	bc, _ := newEnv(b, 4096, 2048)
-	tr, _ := Open(bc, "bench", Options{MemBudget: 8 << 20})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Upsert(ikey(i), ikey(i))
+	scramble := func(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 }
+	for _, shape := range []struct {
+		name  string
+		key   func(buf []byte, i int) []byte
+		value []byte
+	}{
+		{"keyword", func(buf []byte, i int) []byte {
+			return binary.BigEndian.AppendUint64(append(append(buf, tokens[scramble(i)>>61]...), 0), uint64(i))
+		}, nil},
+		{"primary", func(buf []byte, i int) []byte { return binary.BigEndian.AppendUint64(buf, scramble(i))[:6] }, bytes.Repeat([]byte{'v'}, 120)},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			bc, _ := newEnv(b, 4096, 2048)
+			tr, err := Open(bc, "bench/upsert", Options{MemBudget: 1 << 20, Policy: NoMergePolicy{}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 0, 32)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tr.Upsert(shape.key(buf, i), shape.value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/put")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/put")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/put")
+			if err := tr.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,8 @@ package lsm
 
 import (
 	"bytes"
-	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 )
 
@@ -18,30 +19,86 @@ type memEntry struct {
 	tombstone bool
 }
 
-const maxSkipHeight = 16
+const (
+	leafSlots = 64       // entries per leaf
+	innerKids = 64       // children per inner node
+	chunkSize = 64 << 10 // bytes per slab chunk; a larger entry gets a chunk of its own
+)
 
-type skipNode struct {
-	entry memEntry
-	next  [maxSkipHeight]*skipNode
+// slot locates one entry's bytes in the slab: the key at off in chunk, its
+// value right behind it. It holds no pointer, so a leaf's slots are one
+// object the GC need not scan, and moving them needs no write barrier.
+type slot struct {
+	chunk, off, klen, vlen uint32
+	tombstone              bool
 }
 
-// memTable is a skiplist-based sorted map acting as the LSM memory
-// component. Safe for concurrent use.
+// memNode is a leaf (kids == nil: slots in key order, next the right
+// neighbour) or an inner node, where seps[i], a copy of its own, is the
+// first key under kids[i+1].
+type memNode struct {
+	slots []slot
+	next  *memNode
+	seps  [][]byte
+	kids  []*memNode
+}
+
+// memTable is the LSM memory component: a B+tree over a byte slab. Every
+// put appends its key and value to the slab, and a slab byte is never
+// rewritten, so a key or value handed out by get or run stays valid and
+// unchanged. Safe for concurrent use.
 type memTable struct {
 	mu     sync.RWMutex
-	head   *skipNode
-	height int
+	root   *memNode
+	chunks [][]byte
 	count  int
 	bytes  int
-	rng    *rand.Rand
+	dead   int // slab bytes of overwritten entries
 }
 
 func newMemTable() *memTable {
-	return &memTable{
-		head:   &skipNode{},
-		height: 1,
-		rng:    rand.New(rand.NewSource(1)),
+	return &memTable{root: &memNode{slots: make([]slot, 0, leafSlots)}}
+}
+
+// at returns n slab bytes at off in chunk, capped so that an append by
+// the holder copies them rather than overwriting the slab.
+func (m *memTable) at(chunk, off, n uint32) []byte {
+	return m.chunks[chunk][off : off+n : off+n]
+}
+
+func (m *memTable) key(s slot) []byte   { return m.at(s.chunk, s.off, s.klen) }
+func (m *memTable) value(s slot) []byte { return m.at(s.chunk, s.off+s.klen, s.vlen) }
+
+// find returns the index of the first slot in leaf n whose key is >= key,
+// and whether that key equals it.
+func (m *memTable) find(n *memNode, key []byte) (int, bool) {
+	lo, hi := 0, len(n.slots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(m.key(n.slots[mid]), key); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
 	}
+	return lo, false
+}
+
+// child returns the index of the child of inner node n whose subtree holds key.
+func child(n *memNode, key []byte) int {
+	return sort.Search(len(n.seps), func(i int) bool { return bytes.Compare(n.seps[i], key) > 0 })
+}
+
+// leaf returns the leaf whose key range holds key (the first leaf for nil).
+func (m *memTable) leaf(key []byte) *memNode {
+	n := m.root
+	for n.kids != nil {
+		n = n.kids[child(n, key)]
+	}
+	return n
 }
 
 // put upserts the key's state and returns the byte-size delta it caused
@@ -50,39 +107,26 @@ func newMemTable() *memTable {
 func (m *memTable) put(key, value []byte, tombstone bool) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var update [maxSkipHeight]*skipNode
-	x := m.head
-	for i := m.height - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].entry.key, key) < 0 {
-			x = x.next[i]
-		}
-		update[i] = x
-	}
-	if n := x.next[0]; n != nil && bytes.Equal(n.entry.key, key) {
-		delta := len(value) - len(n.entry.value)
+	sep, right, old := m.insert(m.root, key, m.store(key, value, tombstone))
+	if old >= 0 {
+		delta := len(value) - old
 		m.bytes += delta
-		n.entry.value = append([]byte(nil), value...)
-		n.entry.tombstone = tombstone
+		if m.dead += len(key) + old; m.dead > max(m.bytes, chunkSize) {
+			// Overwritten bytes outweigh the charge: copy the entries to a
+			// new slab, and the old goes once no reader holds bytes of it.
+			prev := m.chunks
+			m.chunks, m.dead = nil, 0
+			for n := m.leaf(nil); n != nil; n = n.next {
+				for i, s := range n.slots {
+					b := prev[s.chunk][s.off : s.off+s.klen+s.vlen]
+					n.slots[i] = m.store(b[:s.klen], b[s.klen:], s.tombstone)
+				}
+			}
+		}
 		return delta
 	}
-	h := 1
-	for h < maxSkipHeight && m.rng.Intn(2) == 0 {
-		h++
-	}
-	if h > m.height {
-		for i := m.height; i < h; i++ {
-			update[i] = m.head
-		}
-		m.height = h
-	}
-	n := &skipNode{entry: memEntry{
-		key:       append([]byte(nil), key...),
-		value:     append([]byte(nil), value...),
-		tombstone: tombstone,
-	}}
-	for i := 0; i < h; i++ {
-		n.next[i] = update[i].next[i]
-		update[i].next[i] = n
+	if right != nil {
+		m.root = &memNode{seps: append(make([][]byte, 0, innerKids), sep), kids: append(make([]*memNode, 0, innerKids+1), m.root, right)}
 	}
 	m.count++
 	delta := len(key) + len(value) + 32
@@ -90,18 +134,74 @@ func (m *memTable) put(key, value []byte, tombstone bool) int {
 	return delta
 }
 
+// store appends an entry's bytes to the slab.
+func (m *memTable) store(key, value []byte, tombstone bool) slot {
+	c := len(m.chunks) - 1
+	if need := len(key) + len(value); c < 0 || len(m.chunks[c])+need > cap(m.chunks[c]) {
+		m.chunks = append(m.chunks, make([]byte, 0, max(need, chunkSize)))
+		c++
+	}
+	s := slot{chunk: uint32(c), off: uint32(len(m.chunks[c])), klen: uint32(len(key)), vlen: uint32(len(value)), tombstone: tombstone}
+	m.chunks[c] = append(append(m.chunks[c], key...), value...)
+	return s
+}
+
+// insert places s under key in n's subtree. It returns the replaced
+// value's length (-1 for a new key) and, when n split, its new right
+// sibling and the first key under it.
+func (m *memTable) insert(n *memNode, key []byte, s slot) (sep []byte, right *memNode, old int) {
+	if n.kids == nil {
+		i, found := m.find(n, key)
+		if found {
+			old, n.slots[i] = int(n.slots[i].vlen), s
+			return nil, nil, old
+		}
+		if len(n.slots) < leafSlots {
+			n.slots = slices.Insert(n.slots, i, s)
+			return nil, nil, -1
+		}
+		// A full leaf splits in half, or, when the key goes past its end
+		// (an ascending run), keeps its entries and starts a new leaf.
+		h := leafSlots / 2
+		if i == leafSlots {
+			h = leafSlots
+		}
+		right = &memNode{slots: append(make([]slot, 0, leafSlots), n.slots[h:]...), next: n.next}
+		n.slots, n.next = n.slots[:h], right
+		if i < h {
+			n.slots = slices.Insert(n.slots, i, s)
+		} else {
+			right.slots = slices.Insert(right.slots, i-h, s)
+		}
+		return bytes.Clone(m.key(right.slots[0])), right, -1
+	}
+	i := child(n, key)
+	sep, right, old = m.insert(n.kids[i], key, s)
+	if right == nil {
+		return nil, nil, old
+	}
+	n.seps = slices.Insert(n.seps, i, sep)
+	n.kids = slices.Insert(n.kids, i+1, right)
+	if len(n.kids) <= innerKids {
+		return nil, nil, -1
+	}
+	h := len(n.kids) / 2
+	right = &memNode{
+		seps: append(make([][]byte, 0, innerKids), n.seps[h:]...),
+		kids: append(make([]*memNode, 0, innerKids+1), n.kids[h:]...),
+	}
+	sep = n.seps[h-1]
+	n.seps, n.kids = n.seps[:h-1], n.kids[:h]
+	return sep, right, -1
+}
+
 // get returns the key's state if present.
 func (m *memTable) get(key []byte) (value []byte, tombstone, ok bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	x := m.head
-	for i := m.height - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].entry.key, key) < 0 {
-			x = x.next[i]
-		}
-	}
-	if n := x.next[0]; n != nil && bytes.Equal(n.entry.key, key) {
-		return n.entry.value, n.entry.tombstone, true
+	n := m.leaf(key)
+	if i, found := m.find(n, key); found {
+		return m.value(n.slots[i]), n.slots[i].tombstone, true
 	}
 	return nil, false, false
 }
@@ -125,16 +225,16 @@ func (m *memTable) len() int {
 func (m *memTable) run(lo, hi []byte, out []memEntry) []memEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	x := m.head
-	if lo != nil {
-		for i := m.height - 1; i >= 0; i-- {
-			for x.next[i] != nil && bytes.Compare(x.next[i].entry.key, lo) < 0 {
-				x = x.next[i]
+	n := m.leaf(lo)
+	i, _ := m.find(n, lo)
+	for ; n != nil; n, i = n.next, 0 {
+		for _, s := range n.slots[i:] {
+			k := m.key(s)
+			if hi != nil && bytes.Compare(k, hi) > 0 {
+				return out
 			}
+			out = append(out, memEntry{key: k, value: m.value(s), tombstone: s.tombstone})
 		}
-	}
-	for n := x.next[0]; n != nil && (hi == nil || bytes.Compare(n.entry.key, hi) <= 0); n = n.next[0] {
-		out = append(out, n.entry)
 	}
 	return out
 }

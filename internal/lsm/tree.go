@@ -10,9 +10,9 @@ import (
 	"asterix/internal/storage"
 )
 
-// Tree is an LSM B+tree: a skiplist memory component plus B+tree disk
-// components, bloom-guarded where the tree answers point lookups. It is the
-// storage form of every primary index and every value-keyed secondary index.
+// Tree is an LSM B+tree: a B+tree-on-a-slab memory component plus B+tree
+// disk components, bloom-guarded where the tree answers point lookups. It is
+// the storage form of every primary and every value-keyed secondary index.
 type Tree struct {
 	lifecycle[*memTable, *btreeDisk]
 }
@@ -276,7 +276,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	defer t.release(comps)
 	for _, m := range mems {
 		if v, tomb, ok := m.get(key); ok {
-			return v, !tomb, nil // a tombstone's value is nil
+			return v, !tomb, nil // a tombstone's value is empty
 		}
 	}
 	for _, c := range comps {
