@@ -79,8 +79,9 @@ net-matrix:
 # ns/row and allocs/row of a full scan of one flushed component, and of the
 # same rows still in the memory component (-memory), with primary-shaped
 # and keyword-shaped keys; BenchmarkTreeUpsert: ns, B and allocs per put at
-# a 1 MiB component budget, flushes included, keyword- and primary-shaped)
-# and of recovery
+# a 1 MiB component budget, flushes included, keyword- and primary-shaped
+# and an R-tree point; BenchmarkRTreeSearch: ns and allocs per search of
+# 50 000 points in an R-tree's memory component) and of recovery
 # (BenchmarkRecover: ns and read system calls per record redone from a
 # 100 000-record log).
 bench:

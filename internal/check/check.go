@@ -1,8 +1,8 @@
 // Package check is the runtime invariant-checking framework: deep
 // structural validators (B+tree ordering, LSM component sequencing,
-// buffer-cache accounting, R-tree MBR containment) live next to the data
-// structures they verify as Validate() methods; this package decides when
-// they run and how violations surface.
+// buffer-cache accounting) live next to the data structures they verify
+// as Validate() methods; this package decides when they run and how
+// violations surface.
 //
 // Three entry points:
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -431,6 +432,47 @@ func TestLSMRTreeInsertSearchDelete(t *testing.T) {
 	if count != 23 {
 		t.Fatalf("after deletes found %d, want 23", count)
 	}
+	// A pair put live three times and deleted once is gone, in memory and
+	// once flushed: a put replaces the pair's pending state, so no second
+	// live entry is left behind for the delete to miss.
+	dup := rtree.PointRect(100, 100)
+	for i := 0; i < 3; i++ {
+		if err := rt.Insert(dup, ikey(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Delete(dup, ikey(1000)); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.mem.len(); n != 301 {
+		t.Fatalf("memory component holds %d entries, want 301: 300 pairs and the deleted one's antimatter", n)
+	}
+	// A pair with a NaN coordinate meets no query, and hides no other pair.
+	if err := rt.Insert(rtree.Rect{MinX: 5, MinY: math.NaN(), MaxX: 5, MaxY: 5}, ikey(2000)); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"in memory", "flushed"} {
+		if stage == "flushed" {
+			if err := rt.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			query rtree.Rect
+			want  int
+		}{{rtree.Rect{MinX: 99, MinY: 99, MaxX: 101, MaxY: 101}, 0}, {everything, 298}} {
+			count = 0
+			if err := rt.Search(c.query, func(r rtree.Rect, key []byte) bool {
+				count++
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if count != c.want {
+				t.Fatalf("%s: search %v found %d pairs, want %d", stage, c.query, count, c.want)
+			}
+		}
+	}
 }
 
 func TestLSMRTreeAntimatterAcrossComponents(t *testing.T) {
@@ -527,27 +569,43 @@ func TestTieredPolicy(t *testing.T) {
 	}
 }
 
-// BenchmarkTreeUpsert times Upsert at a 1 MiB memory budget, the flushes
-// it causes included, per put, and counts the bytes and allocations per
-// put, in two shapes: a keyword index (token ‖ primary key, no value; the
-// keys of each token ascend) and a primary index (6-byte keys in a
-// scrambled order, 120-byte values). Keys are built in one reused buffer,
-// so every allocation counted is the tree's.
+// BenchmarkTreeUpsert times a put at a 1 MiB memory budget, the flushes it
+// causes included, per put, and counts the bytes and allocations per put,
+// in three shapes: a keyword index (token ‖ primary key, no value; the
+// keys of each token ascend), a primary index (6-byte keys in a scrambled
+// order, 120-byte values) and an R-tree index (an RTreeIndex.Insert of a
+// random point in a 1000×1000 world with a 9-byte primary key). Keys are
+// built in one reused buffer, so every allocation counted is the index's.
 func BenchmarkTreeUpsert(b *testing.B) {
 	scramble := func(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 }
 	for _, shape := range []struct {
 		name  string
 		key   func(buf []byte, i int) []byte
 		value []byte
+		point func(i int) rtree.Rect // set for the R-tree shape
 	}{
 		{"keyword", func(buf []byte, i int) []byte {
 			return binary.BigEndian.AppendUint64(append(append(buf, tokens[scramble(i)>>61]...), 0), uint64(i))
-		}, nil},
-		{"primary", func(buf []byte, i int) []byte { return binary.BigEndian.AppendUint64(buf, scramble(i))[:6] }, bytes.Repeat([]byte{'v'}, 120)},
+		}, nil, nil},
+		{"primary", func(buf []byte, i int) []byte { return binary.BigEndian.AppendUint64(buf, scramble(i))[:6] }, bytes.Repeat([]byte{'v'}, 120), nil},
+		{"rtree", func(buf []byte, i int) []byte { return binary.BigEndian.AppendUint64(append(buf, 0x10), scramble(i)) }, nil,
+			func(i int) rtree.Rect {
+				return rtree.PointRect(float64(scramble(i)>>32)/(1<<32)*1000, float64(uint32(scramble(i)))/(1<<32)*1000)
+			}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			bc, _ := newEnv(b, 4096, 2048)
-			tr, err := Open(bc, "bench/upsert", Options{MemBudget: 1 << 20, Policy: NoMergePolicy{}})
+			opts := Options{MemBudget: 1 << 20, Policy: NoMergePolicy{}}
+			var put func(key []byte, i int) error
+			var idx interface{ Flush() error }
+			var err error
+			if shape.point == nil {
+				tr, e := Open(bc, "bench/upsert", opts)
+				put, idx, err = func(key []byte, _ int) error { return tr.Upsert(key, shape.value) }, tr, e
+			} else {
+				rt, e := OpenRTree(bc, "bench/upsert", opts)
+				put, idx, err = func(key []byte, i int) error { return rt.Insert(shape.point(i), key) }, rt, e
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -556,7 +614,7 @@ func BenchmarkTreeUpsert(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := tr.Upsert(shape.key(buf, i), shape.value); err != nil {
+				if err := put(shape.key(buf, i), i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -565,7 +623,7 @@ func BenchmarkTreeUpsert(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/put")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/put")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/put")
-			if err := tr.Flush(); err != nil {
+			if err := idx.Flush(); err != nil {
 				b.Fatal(err)
 			}
 		})

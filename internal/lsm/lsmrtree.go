@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -8,14 +9,15 @@ import (
 
 	"asterix/internal/obs"
 	"asterix/internal/rtree"
+	"asterix/internal/spatial"
 	"asterix/internal/storage"
 )
 
-// RTreeIndex is an LSM R-tree: an in-memory R-tree component plus
-// immutable STR-packed disk components. Deletes are antimatter entries
-// that cancel matching (rect, key) pairs in older components — the design
-// the paper says was adopted into AsterixDB after the Section V-B study.
-// Entry payloads are a flag byte (1 = antimatter) + the primary key.
+// RTreeIndex is an LSM R-tree: a memory component plus immutable
+// STR-packed disk R-tree components. Deletes are antimatter entries that
+// cancel matching (rect, key) pairs in older components — the design the
+// paper says was adopted into AsterixDB after the Section V-B study. A disk
+// entry's payload is a flag byte (1 = antimatter) and the primary key.
 type RTreeIndex struct {
 	lifecycle[*memRTree, *rtree.DiskRTree]
 }
@@ -29,48 +31,79 @@ func OpenRTree(bc *storage.BufferCache, name string, opts Options) (*RTreeIndex,
 	return t, nil
 }
 
-// memRTree is the R-tree memory component. rtree.RTree is not safe for
-// concurrent use, so (like memTable) it guards itself: searches run
-// outside the lifecycle lock while a writer mutates the tree in place.
+// memRTree is the R-tree's memory component: a memTable whose key for the
+// pair (r, pk) is
+//
+//	Hilbert curve position of r's centre's cell ‖ r's coordinates' bits ‖ pk
+//
+// with an empty value, the pair's state (live or antimatter) being the
+// entry's tombstone flag, so a put replaces whatever the pair had pending.
+// A search grows the query by reach, the farthest any entry extends from
+// its centre, and keeps, of the entries under the grown box's curve
+// ranges, those whose rectangles meet the query. mu makes a put's reach
+// and entry one step to a search, and a search one view of the component.
 type memRTree struct {
 	mu    sync.RWMutex
-	rt    *rtree.RTree
+	t     *memTable
+	reach float64
 	bytes int
+	key   []byte // put's key buffer
 }
 
+const (
+	curveLen = 8  // a memRTree key's curve position, before its (rect, pk) pair
+	rectLen  = 32 // a pair's rect, before its pk
+	// curveRangeBudget caps the curve ranges a search walks; ranges past
+	// it are covered whole, and the rectangle test drops what they add.
+	curveRangeBudget = 128
+)
+
 // put replaces the pair's pending state (live or antimatter) and returns
-// the byte-size delta: an insert revives a pending antimatter entry, a
-// delete cancels a pending live one and leaves antimatter for older disk
-// components.
+// the byte-size delta, len(key)+64 whether or not the pair was pending:
+// an insert revives a pending antimatter entry, a delete cancels a pending
+// live one and leaves antimatter for older disk components.
 func (m *memRTree) put(r rtree.Rect, key []byte, tombstone bool) int {
+	cx, cy := centre(r.MinX, r.MaxX), centre(r.MinY, r.MaxY)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.rt.Delete(r, encodeFlagged(key, !tombstone))
-	m.rt.Insert(r, encodeFlagged(key, tombstone))
+	if e := extent(r, cx, cy); e > m.reach {
+		m.reach = e
+	}
+	m.key = appendPair(binary.BigEndian.AppendUint64(m.key[:0], spatial.Hilbert(cell(cx), cell(cy))), r, key)
+	m.t.put(m.key, nil, tombstone)
 	delta := len(key) + 64
 	m.bytes += delta
 	return delta
 }
 
-// search returns the entries intersecting query. They are collected under
-// the lock and visited by the caller outside it (payloads are immutable
-// once inserted), so a visitor may itself use the index.
-func (m *memRTree) search(query rtree.Rect) []rtree.Entry {
+// search returns the entries, live and antimatter, whose rectangles meet
+// query. The caller visits them outside the lock: memTable bytes are never
+// rewritten, so a visitor may itself use the index.
+func (m *memRTree) search(query rtree.Rect) []memEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []rtree.Entry
-	m.rt.Search(query, func(e rtree.Entry) bool {
-		out = append(out, e)
-		return true
-	})
+	x0, x1 := cells(query.MinX, query.MaxX, m.reach)
+	y0, y1 := cells(query.MinY, query.MaxY, m.reach)
+	var out, run []memEntry
+	var lo, next [curveLen]byte
+	for _, c := range spatial.HilbertRanges(x0, y0, x1, y1, curveRangeBudget) {
+		binary.BigEndian.PutUint64(lo[:], c.Lo)
+		var hi []byte // nil: to the end
+		if c.Hi < math.MaxUint64 {
+			binary.BigEndian.PutUint64(next[:], c.Hi+1)
+			hi = next[:] // below every key at c.Hi+1, above every key before it
+		}
+		run = m.t.run(lo[:], hi, run[:0])
+		for _, e := range run {
+			if query.Intersects(pairRect(e.key[curveLen:])) {
+				out = append(out, e)
+			}
+		}
+	}
 	return out
 }
 
-func (m *memRTree) len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.rt.Len()
-}
+func (m *memRTree) len() int { return m.t.len() }
 
 func (m *memRTree) size() int {
 	m.mu.RLock()
@@ -78,18 +111,76 @@ func (m *memRTree) size() int {
 	return m.bytes
 }
 
-// everything intersects every rectangle.
+// cell maps x to the lattice the curve runs on: the top 32 bits of its
+// float64 bits, ordered as the numbers are (a negative number's bits
+// flipped, a positive one's sign bit set). -0 lands one cell below +0.
+func cell(x float64) uint32 {
+	b := math.Float64bits(x)
+	if b>>63 == 1 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return uint32(b >> 32)
+}
+
+// centre is the middle of [lo, hi], halved first so that it cannot
+// overflow; 0 where there is none ([-Inf, +Inf], or a NaN bound).
+func centre(lo, hi float64) float64 {
+	if c := lo/2 + hi/2; c == c {
+		return c
+	}
+	return 0
+}
+
+// extent bounds how far r reaches from (cx, cy) along either axis: the
+// rounded distance is stepped up one float so that it is never below the
+// exact one. It is +Inf for a rectangle with an infinite side, and NaN for
+// one with a NaN coordinate, which meets no rectangle, the plane included.
+func extent(r rtree.Rect, cx, cy float64) float64 {
+	e := max(cx-r.MinX, r.MaxX-cx, cy-r.MinY, r.MaxY-cy)
+	switch {
+	case e != e && everything.Intersects(r):
+		return math.Inf(1) // an infinite side: Inf - Inf
+	case e > 0:
+		return math.Nextafter(e, math.Inf(1))
+	}
+	return e
+}
+
+// cells returns the lattice interval that holds the centre of every entry
+// that meets [lo, hi] and reaches at most reach from its centre. Such a
+// centre c has lo-reach <= c <= hi+reach, and rounding those bounds to
+// float64s keeps c inside them; the interval is one cell wider on each
+// side for a centre of -0 against a bound of +0.
+func cells(lo, hi, reach float64) (uint32, uint32) {
+	a, b := lo-reach, hi+reach
+	if a != a {
+		a = math.Inf(-1)
+	}
+	if b != b {
+		b = math.Inf(1)
+	}
+	return max(cell(a), 1) - 1, min(cell(b), math.MaxUint32-1) + 1
+}
+
+// everything intersects every rectangle without a NaN coordinate.
 var everything = rtree.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
 
-// pairKey identifies a (rect, primary key) pair — the unit antimatter
+// appendPair appends the (rect, primary key) pair — the unit antimatter
 // cancels — as the rect's coordinate bits followed by the key.
-func pairKey(r rtree.Rect, key []byte) string {
-	b := make([]byte, 32, 32+len(key))
-	binary.BigEndian.PutUint64(b[0:], math.Float64bits(r.MinX))
-	binary.BigEndian.PutUint64(b[8:], math.Float64bits(r.MinY))
-	binary.BigEndian.PutUint64(b[16:], math.Float64bits(r.MaxX))
-	binary.BigEndian.PutUint64(b[24:], math.Float64bits(r.MaxY))
-	return string(append(b, key...))
+func appendPair(b []byte, r rtree.Rect, key []byte) []byte {
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MinX))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MinY))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MaxX))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MaxY))
+	return append(b, key...)
+}
+
+// pairRect decodes the rect of an appendPair pair.
+func pairRect(p []byte) rtree.Rect {
+	f := func(i int) float64 { return math.Float64frombits(binary.BigEndian.Uint64(p[i:])) }
+	return rtree.Rect{MinX: f(0), MinY: f(8), MaxX: f(16), MaxY: f(24)}
 }
 
 // rtreeKind LSM-ifies the R-tree.
@@ -97,10 +188,20 @@ type rtreeKind struct{}
 
 func (rtreeKind) fileTag() byte { return 'r' }
 
-func (rtreeKind) newMem() *memRTree { return &memRTree{rt: rtree.New()} }
+func (rtreeKind) newMem() *memRTree { return &memRTree{t: newMemTable()} }
 
+// build rebuilds each memory entry as a disk one: its rect, and the flag
+// byte before its primary key. An entry with a NaN coordinate meets no
+// query, not even everything, so no search could reach it on disk and no
+// merge would keep it: it is not written.
 func (rtreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memRTree) (*rtree.DiskRTree, error) {
-	return rtree.BuildDisk(bc, file, mem.search(everything))
+	entries := make([]rtree.Entry, 0, mem.len())
+	for _, e := range mem.t.run(nil, nil, make([]memEntry, 0, mem.len())) {
+		if r := pairRect(e.key[curveLen:]); everything.Intersects(r) {
+			entries = append(entries, rtree.Entry{Rect: r, Payload: encodeFlagged(e.key[curveLen+rectLen:], e.tombstone)})
+		}
+	}
+	return rtree.BuildDisk(bc, file, entries)
 }
 
 // merge walks the victims newest first; the first sighting of a pair
@@ -108,11 +209,12 @@ func (rtreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memRTr
 func (rtreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*rtree.DiskRTree, dropAntimatter bool) (*rtree.DiskRTree, error) {
 	decided := map[string]bool{}
 	var keep []rtree.Entry
+	var pair []byte
 	for _, v := range victims {
 		err := v.Search(everything, func(e rtree.Entry) bool {
-			pk := pairKey(e.Rect, e.Payload[1:])
-			if !decided[pk] {
-				decided[pk] = true
+			pair = appendPair(pair[:0], e.Rect, e.Payload[1:])
+			if !decided[string(pair)] {
+				decided[string(pair)] = true
 				if e.Payload[0] == 0 || !dropAntimatter {
 					keep = append(keep, e)
 				}
@@ -186,27 +288,30 @@ func (t *RTreeIndex) Search(query rtree.Rect, fn func(r rtree.Rect, key []byte) 
 
 	seen := map[string]bool{} // pair already decided (live emitted or cancelled)
 	stopped := false
-	visit := func(e rtree.Entry) bool {
-		key := e.Payload[1:]
-		pk := pairKey(e.Rect, key)
-		if seen[pk] {
+	visit := func(pair []byte, tombstone bool) bool {
+		if seen[string(pair)] {
 			return true
 		}
-		seen[pk] = true
-		if e.Payload[0] == 0 && !fn(e.Rect, append([]byte(nil), key...)) {
+		seen[string(pair)] = true
+		if !tombstone && !fn(pairRect(pair), bytes.Clone(pair[rectLen:])) {
 			stopped = true
 		}
 		return !stopped
 	}
 	for _, m := range mems {
 		for _, e := range m.search(query) {
-			if !visit(e) {
+			if !visit(e.key[curveLen:], e.tombstone) {
 				return nil
 			}
 		}
 	}
+	var pair []byte
 	for _, c := range comps {
-		if err := c.idx.Search(query, visit); err != nil {
+		err := c.idx.Search(query, func(e rtree.Entry) bool {
+			pair = appendPair(pair[:0], e.Rect, e.Payload[1:])
+			return visit(pair, e.Payload[0] == 1)
+		})
+		if err != nil {
 			return err
 		}
 		if stopped {

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"asterix/internal/rtree"
 )
 
 // tokens share long prefixes, as a keyword index's do.
@@ -286,32 +288,57 @@ func checkMemTableState(t *testing.T, m *memTable, oracle map[string]modelEntry,
 	}
 }
 
-// TestMemTableHeapAgainstCharge: a key-only secondary entry of 25 bytes is
-// charged 57; the component's heap per entry, measured after a GC, stays
-// within twice that.
+// TestMemTableHeapAgainstCharge puts 40 000 entries in random order into
+// a memory component and measures its heap per entry after a GC, which
+// must stay within twice the entry's charge: a key-only secondary entry
+// of 25 bytes, charged 57, and an R-tree point with a 9-byte primary key,
+// charged len(pk)+64 = 73.
 func TestMemTableHeapAgainstCharge(t *testing.T) {
-	const n, klen = 40000, 25
-	keys := make([]byte, 0, n*klen)
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < n; i++ {
-		keys = fmt.Appendf(keys, "%-10s\x00%014d", tokens[r.Intn(len(tokens))], r.Int63n(1e14))
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	m := newMemTable()
-	for i := 0; i < n; i++ {
-		m.put(keys[i*klen:(i+1)*klen], nil, false)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(m.len())
-	charge := float64(m.size()) / float64(m.len())
-	runtime.KeepAlive(m)
-	runtime.KeepAlive(keys)
-	t.Logf("%d entries of %d bytes: %.1f B of heap per entry against a charge of %.0f B", m.len(), klen, heap, charge)
-	if heap > 2*charge {
-		t.Fatalf("%.1f B of heap per entry, more than twice its %.0f B charge", heap, charge)
+	const n = 40000
+	for _, row := range []struct {
+		name string
+		fill func(r *rand.Rand) memComponent
+	}{
+		{"keyword", func(r *rand.Rand) memComponent {
+			const klen = 25
+			keys := make([]byte, 0, n*klen)
+			for i := 0; i < n; i++ {
+				keys = fmt.Appendf(keys, "%-10s\x00%014d", tokens[r.Intn(len(tokens))], r.Int63n(1e14))
+			}
+			m := newMemTable()
+			for i := 0; i < n; i++ {
+				m.put(keys[i*klen:(i+1)*klen], nil, false)
+			}
+			return m
+		}},
+		{"rtree", func(r *rand.Rand) memComponent {
+			m := rtreeKind{}.newMem()
+			pk := make([]byte, 9)
+			for i := 0; i < n; i++ {
+				binary.BigEndian.PutUint64(pk[1:], r.Uint64())
+				m.put(rtree.PointRect(r.Float64()*1000, r.Float64()*1000), pk, false)
+			}
+			return m
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			m := row.fill(rand.New(rand.NewSource(5)))
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			heap := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(m.len())
+			charge := float64(m.size()) / float64(m.len())
+			runtime.KeepAlive(m)
+			t.Logf("%d entries: %.1f B of heap per entry against a charge of %.0f B", m.len(), heap, charge)
+			if m.len() != n {
+				t.Fatalf("%d entries, want %d", m.len(), n)
+			}
+			if heap > 2*charge {
+				t.Fatalf("%.1f B of heap per entry, more than twice its %.0f B charge", heap, charge)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"asterix/internal/check"
 	"asterix/internal/storage"
 )
 
@@ -50,112 +49,9 @@ func TestRectOps(t *testing.T) {
 	if got := a.Union(b); got != (Rect{0, 0, 15, 15}) {
 		t.Errorf("union = %v", got)
 	}
-	if !a.Contains(Rect{1, 1, 2, 2}) || a.Contains(b) {
-		t.Error("contains wrong")
-	}
-	if a.Area() != 100 {
-		t.Errorf("area = %f", a.Area())
-	}
 	// Touching boundaries count as intersecting (closed rectangles).
 	if !a.Intersects(Rect{10, 10, 20, 20}) {
 		t.Error("touching rects must intersect")
-	}
-}
-
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
-	es := randomPoints(2000, 42)
-	tr := New()
-	for _, e := range es {
-		tr.Insert(e.Rect, e.Payload)
-	}
-	if tr.Len() != len(es) {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	check.MustValidate(t, tr)
-	r := rand.New(rand.NewSource(7))
-	for q := 0; q < 50; q++ {
-		x, y := r.Float64()*900, r.Float64()*900
-		query := Rect{x, y, x + r.Float64()*100, y + r.Float64()*100}
-		want := bruteSearch(es, query)
-		got := map[int]bool{}
-		tr.Search(query, func(e Entry) bool {
-			got[int(binary.BigEndian.Uint64(e.Payload))] = true
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("query %v: got %d, want %d", query, len(got), len(want))
-		}
-		for k := range want {
-			if !got[k] {
-				t.Fatalf("query %v: missing %d", query, k)
-			}
-		}
-	}
-}
-
-func TestNonPointRects(t *testing.T) {
-	tr := New()
-	// Overlapping regions (non-point data, the R-tree's advantage per
-	// Section V-B).
-	for i := 0; i < 100; i++ {
-		x := float64(i)
-		tr.Insert(Rect{x, 0, x + 10, 10}, payload(i))
-	}
-	count := 0
-	tr.Search(Rect{50, 5, 52, 6}, func(e Entry) bool { count++; return true })
-	// Rects with x in [40..52] overlap the query.
-	if count != 13 {
-		t.Errorf("overlap count = %d, want 13", count)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	es := randomPoints(500, 9)
-	tr := New()
-	for _, e := range es {
-		tr.Insert(e.Rect, e.Payload)
-	}
-	for i, e := range es {
-		if i%2 == 0 {
-			if !tr.Delete(e.Rect, e.Payload) {
-				t.Fatalf("delete %d failed", i)
-			}
-		}
-	}
-	if tr.Len() != 250 {
-		t.Errorf("len = %d", tr.Len())
-	}
-	everything := Rect{-1e18, -1e18, 1e18, 1e18}
-	got := map[int]bool{}
-	tr.Search(everything, func(e Entry) bool {
-		got[int(binary.BigEndian.Uint64(e.Payload))] = true
-		return true
-	})
-	for i := range es {
-		want := i%2 == 1
-		if got[i] != want {
-			t.Fatalf("entry %d presence = %v, want %v", i, got[i], want)
-		}
-	}
-	if tr.Delete(PointRect(-999, -999), payload(0)) {
-		t.Error("deleting absent entry should return false")
-	}
-	// MBRs must have been tightened correctly by the deletions.
-	check.MustValidate(t, tr)
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	tr := New()
-	for _, e := range randomPoints(100, 3) {
-		tr.Insert(e.Rect, e.Payload)
-	}
-	n := 0
-	tr.Search(Rect{-1e18, -1e18, 1e18, 1e18}, func(e Entry) bool {
-		n++
-		return n < 5
-	})
-	if n != 5 {
-		t.Errorf("early stop visited %d", n)
 	}
 }
 
@@ -240,6 +136,47 @@ func TestDiskRTreePacksLeaves(t *testing.T) {
 	}
 }
 
+func TestNonPointRects(t *testing.T) {
+	// Overlapping regions (non-point data, the R-tree's advantage per
+	// Section V-B).
+	var es []Entry
+	for i := 0; i < 100; i++ {
+		x := float64(i)
+		es = append(es, Entry{Rect: Rect{x, 0, x + 10, 10}, Payload: payload(i)})
+	}
+	bc, id := newBC(t, 512, 64)
+	dt, err := BuildDisk(bc, id, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	if err := dt.Search(Rect{50, 5, 52, 6}, func(e Entry) bool { count++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	// Rects with x in [40..52] overlap the query.
+	if count != 13 {
+		t.Errorf("overlap count = %d, want 13", count)
+	}
+}
+
+func TestSearchEarlyStop(t *testing.T) {
+	bc, id := newBC(t, 512, 64)
+	dt, err := BuildDisk(bc, id, randomPoints(100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := dt.Search(Rect{-1e18, -1e18, 1e18, 1e18}, func(e Entry) bool {
+		n++
+		return n < 5
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 {
+		t.Errorf("early stop visited %d", n)
+	}
+}
+
 func TestDiskRTreeReopen(t *testing.T) {
 	es := randomPoints(500, 21)
 	fm, err := storage.NewFileManager(t.TempDir(), 1024)
@@ -298,27 +235,5 @@ func TestDiskRTreeVariablePayloads(t *testing.T) {
 	dt.Search(Rect{-1, -1, 300, 300}, func(e Entry) bool { got++; return true })
 	if got != len(es) {
 		t.Errorf("got %d of %d", got, len(es))
-	}
-}
-
-func BenchmarkMemInsert(b *testing.B) {
-	es := randomPoints(b.N+1, 1)
-	tr := New()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(es[i].Rect, es[i].Payload)
-	}
-}
-
-func BenchmarkMemSearch(b *testing.B) {
-	tr := New()
-	for _, e := range randomPoints(50000, 2) {
-		tr.Insert(e.Rect, e.Payload)
-	}
-	r := rand.New(rand.NewSource(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, y := r.Float64()*990, r.Float64()*990
-		tr.Search(Rect{x, y, x + 10, y + 10}, func(e Entry) bool { return true })
 	}
 }

@@ -65,30 +65,21 @@ func spreadBits(v uint32) uint64 {
 
 // Hilbert returns the Hilbert-curve position of (x, y) on a 2^CurveOrder
 // square grid. Unlike Z-order, consecutive curve positions are always
-// adjacent cells, which gives better range-query clustering.
+// adjacent cells, which gives better range-query clustering. Each level
+// reads one bit of x and y through the rotations of the quadrants above
+// it, which come down to two parities: sw (x and y swapped) and fl (both
+// flipped). Masks apply them without branches, which random points would
+// mispredict.
 func Hilbert(x, y uint32) uint64 {
 	var d uint64
-	rx, ry := uint32(0), uint32(0)
-	for s := uint32(1) << (CurveOrder - 1); s > 0; s >>= 1 {
-		if x&s > 0 {
-			rx = 1
-		} else {
-			rx = 0
-		}
-		if y&s > 0 {
-			ry = 1
-		} else {
-			ry = 0
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		// Rotate the quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
-			}
-			x, y = y, x
-		}
+	var sw, fl uint32
+	for i := CurveOrder - 1; i >= 0; i-- {
+		bx, by := x>>i&1, y>>i&1
+		t := (bx ^ by) & sw
+		rx, ry := bx^t^fl, by^t^fl
+		d = d<<2 | uint64((3*rx)^ry)
+		fl ^= rx &^ ry // quadrant (1, 0) flips the rest
+		sw ^= ry ^ 1   // quadrants (0, 0) and (1, 0) swap it
 	}
 	return d
 }

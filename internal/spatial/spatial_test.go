@@ -69,6 +69,46 @@ func TestHilbertInjective(t *testing.T) {
 	}
 }
 
+// hilbertBranching is the textbook form of Hilbert, a branch per bit,
+// whose positions every stored HILBERT index key was made with.
+func hilbertBranching(x, y uint32) uint64 {
+	var d uint64
+	for s := uint32(1) << (CurveOrder - 1); s > 0; s >>= 1 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		if ry == 0 {
+			if rx == 1 {
+				x = s - 1 - x
+				y = s - 1 - y
+			}
+			x, y = y, x
+		}
+	}
+	return d
+}
+
+// TestHilbertMatchesBranching: the branch-free Hilbert gives every point
+// the position the branching form does, so keys already stored stay put.
+func TestHilbertMatchesBranching(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	edges := []uint32{0, 1, 2, 1 << 31, 1<<31 - 1, 1<<32 - 1, 1<<32 - 2, 0x55555555, 0xAAAAAAAA}
+	for i := 0; i < 200000; i++ {
+		x, y := r.Uint32(), r.Uint32()
+		if i < len(edges)*len(edges) {
+			x, y = edges[i%len(edges)], edges[i/len(edges)]
+		}
+		if got, want := Hilbert(x, y), hilbertBranching(x, y); got != want {
+			t.Fatalf("Hilbert(%#x, %#x) = %#x, want %#x", x, y, got, want)
+		}
+	}
+}
+
 func TestNormalizerClamps(t *testing.T) {
 	n := NewNormalizer(0, 0, 100, 100)
 	if x, y := n.Lattice(-5, 200); x != 0 || y != latticeMax {
