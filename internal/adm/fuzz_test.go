@@ -2,7 +2,9 @@ package adm
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -11,10 +13,17 @@ import (
 // binary codec: any input the decoder accepts must re-encode to a form
 // that decodes and re-encodes to identical bytes. (The first encoding may
 // differ from arbitrary fuzz input — e.g. non-minimal varints — but one
-// decode/encode pass must reach a fixpoint.) It also serves as a
+// decode/encode pass must reach a fixpoint.) Every value it decodes must
+// also render, through ToJSON, as valid JSON. It also serves as a
 // crash/OOM harness for the decoder on adversarial bytes.
 func FuzzADMBinaryRoundTrip(f *testing.F) {
 	for _, v := range roundTripSeeds() {
+		f.Add(EncodeValue(v))
+	}
+	// Numbers JSON has no spelling for.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, v := range []Value{Double(nan), Double(inf), Double(-inf), Point{X: inf, Y: 0},
+		Rectangle{MinX: -inf, MinY: nan, MaxX: 1, MaxY: inf}, Array{Double(nan), Double(1)}} {
 		f.Add(EncodeValue(v))
 	}
 	// A few invalid seeds so the corpus covers error paths.
@@ -33,6 +42,9 @@ func FuzzADMBinaryRoundTrip(f *testing.F) {
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
+		}
+		if js := ToJSON(v1); !json.Valid([]byte(js)) {
+			t.Fatalf("ToJSON(%v) = %s, not valid JSON", v1, js)
 		}
 		e1 := EncodeValue(v1)
 		v2, err := DecodeValue(e1)

@@ -2,6 +2,7 @@ package adm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf16"
@@ -351,7 +352,7 @@ func SerializeJSON(sb *strings.Builder, v Value) {
 	case Int64:
 		sb.WriteString(strconv.FormatInt(int64(x), 10))
 	case Double:
-		sb.WriteString(strconv.FormatFloat(float64(x), 'g', -1, 64))
+		jsonNumber(sb, float64(x))
 	case String:
 		quoteJSON(sb, string(x))
 	case Date:
@@ -363,9 +364,9 @@ func SerializeJSON(sb *strings.Builder, v Value) {
 	case Duration:
 		quoteJSON(sb, FormatDuration(x))
 	case Point:
-		fmt.Fprintf(sb, `{"point":[%g,%g]}`, x.X, x.Y)
+		jsonNumbers(sb, `{"point":[`, x.X, x.Y)
 	case Rectangle:
-		fmt.Fprintf(sb, `{"rectangle":[%g,%g,%g,%g]}`, x.MinX, x.MinY, x.MaxX, x.MaxY)
+		jsonNumbers(sb, `{"rectangle":[`, x.MinX, x.MinY, x.MaxX, x.MaxY)
 	case UUID:
 		quoteJSON(sb, fmt.Sprintf("%x", x[:]))
 	case Binary:
@@ -405,6 +406,28 @@ func SerializeJSON(sb *strings.Builder, v Value) {
 		}
 		sb.WriteByte('}')
 	}
+}
+
+// jsonNumber writes f as a JSON number, or, where JSON has none (NaN and
+// the infinities), as the string Double.String spells it with.
+func jsonNumber(sb *strings.Builder, f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		quoteJSON(sb, Double(f).String())
+	} else {
+		sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+	}
+}
+
+// jsonNumbers writes prefix, the numbers as one array, and the closing "}".
+func jsonNumbers(sb *strings.Builder, prefix string, fs ...float64) {
+	sb.WriteString(prefix)
+	for i, f := range fs {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		jsonNumber(sb, f)
+	}
+	sb.WriteString("]}")
 }
 
 // ToJSON returns the strict-JSON rendering of v.

@@ -21,7 +21,7 @@ func exchangeJob(rows, parallelism int, coll *Collector, ordered *Collector) *Jo
 		}
 		return nil
 	}))
-	filter := j.Add(NewFilter("filter", parallelism, func(tp Tuple) (bool, error) { return true, nil }))
+	filter := j.Add(NewMap("filter", parallelism, func(tc *TaskContext, tp Tuple, emit func(Tuple) error) error { return emit(tp) }))
 	sink := j.Add(NewSink("sink", parallelism, coll))
 	j.MustConnect(scan, filter, 0, HashPartition(0))
 	j.MustConnect(filter, sink, 0, OneToOne())

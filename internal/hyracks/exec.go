@@ -523,7 +523,6 @@ type connWriter struct {
 	// handful of rows per edge, not a frame's worth.
 	filled   bool
 	producer int
-	rr       int
 	mergeDst int // ConnMerge: the one channel this producer feeds
 	send     func(dst int, frame []Tuple) error
 	tc       *TaskContext // whose node and span the counts go to
@@ -567,10 +566,6 @@ func (w *connWriter) Write(t Tuple) error {
 			}
 		}
 		return nil
-	case ConnRoundRobin:
-		dst := w.rr % w.nch
-		w.rr++
-		return w.buffered(dst, t)
 	case ConnMerge:
 		return w.buffered(w.mergeDst, t)
 	}

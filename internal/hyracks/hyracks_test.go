@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"asterix/internal/adm"
@@ -47,9 +46,11 @@ func TestScanFilterSink(t *testing.T) {
 	c := newCluster(t, 2)
 	j := NewJob()
 	scan := j.Add(NewScan("scan", 4, rangeScan(100)))
-	filter := j.Add(NewFilter("filter", 4, func(tp Tuple) (bool, error) {
-		v, _ := adm.AsInt(tp[0])
-		return v%2 == 0, nil
+	filter := j.Add(NewMap("filter", 4, func(tc *TaskContext, tp Tuple, emit func(Tuple) error) error {
+		if v, _ := adm.AsInt(tp[0]); v%2 != 0 {
+			return nil
+		}
+		return emit(tp)
 	}))
 	coll := &Collector{}
 	sink := j.Add(NewSink("sink", 4, coll))
@@ -643,23 +644,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	c := newCluster(t, 1)
-	j := NewJob()
-	scan := j.Add(NewScan("scan", 2, rangeScan(100)))
-	lim := j.Add(NewLimit("limit", 1, 5))
-	coll := &Collector{}
-	sink := j.Add(NewSink("sink", 1, coll))
-	j.MustConnect(scan, lim, 0, MergeUnordered())
-	j.MustConnect(lim, sink, 0, OneToOne())
-	if err := c.Run(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
-	if coll.Len() != 5 {
-		t.Fatalf("limit returned %d", coll.Len())
-	}
-}
-
 func TestErrorPropagationCancelsJob(t *testing.T) {
 	c := newCluster(t, 2)
 	j := NewJob()
@@ -810,33 +794,5 @@ func TestHashSemiJoinResidual(t *testing.T) {
 	}
 	if coll.Len() != 10 {
 		t.Fatalf("semi join with residual: %d rows, want 10", coll.Len())
-	}
-}
-
-func TestRoundRobinConnector(t *testing.T) {
-	c := newCluster(t, 1)
-	j := NewJob()
-	scan := j.Add(NewScan("scan", 1, rangeScan(90)))
-	var mu sync.Mutex
-	counts := make([]int, 3)
-	sink := j.Add(NewFuncSink("sink", 3, func(p int, tp Tuple) error {
-		mu.Lock()
-		counts[p]++
-		mu.Unlock()
-		return nil
-	}))
-	j.MustConnect(scan, sink, 0, RoundRobin())
-	if err := c.Run(context.Background(), j); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for p, n := range counts {
-		total += n
-		if n != 30 {
-			t.Errorf("partition %d got %d, want 30 (round robin balance)", p, n)
-		}
-	}
-	if total != 90 {
-		t.Fatalf("total %d", total)
 	}
 }

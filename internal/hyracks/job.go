@@ -148,8 +148,6 @@ const (
 	// partition 0, merging by a comparator if one is given (otherwise
 	// arbitrary interleave). Consumer parallelism must be 1.
 	ConnMerge
-	// ConnRoundRobin scatters tuples round-robin (load balancing).
-	ConnRoundRobin
 )
 
 // Connector configures an edge.
@@ -176,9 +174,6 @@ func MergeUnordered() Connector { return Connector{Kind: ConnMerge} }
 // MergeOrdered concentrates producers into one consumer partition,
 // merge-sorting by cmp (producers must emit in cmp order).
 func MergeOrdered(cmp Comparator) Connector { return Connector{Kind: ConnMerge, Cmp: cmp} }
-
-// RoundRobin returns a round-robin scatter connector.
-func RoundRobin() Connector { return Connector{Kind: ConnRoundRobin} }
 
 type edge struct {
 	from, to *Operator

@@ -35,54 +35,6 @@ func NewMap(name string, parallelism int, fn func(tc *TaskContext, t Tuple, emit
 	}
 }
 
-// NewFilter builds a predicate filter.
-func NewFilter(name string, parallelism int, pred func(t Tuple) (bool, error)) *Operator {
-	return NewMap(name, parallelism, func(tc *TaskContext, t Tuple, emit func(Tuple) error) error {
-		ok, err := pred(t)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return emit(t)
-		}
-		return nil
-	})
-}
-
-// NewLimit passes at most n tuples per partition (a global LIMIT is a
-// per-partition limit, a merge, and another limit).
-func NewLimit(name string, parallelism int, n int64) *Operator {
-	return &Operator{
-		Name:        name,
-		Parallelism: parallelism,
-		New: func(int) Runner {
-			return RunnerFunc(func(tc *TaskContext, in []*Input, out []*Output) error {
-				var count int64
-				for {
-					frame, ok, err := in[0].NextFrame()
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return nil
-					}
-					for _, t := range frame {
-						if count >= n {
-							// Drain the rest without emitting (upstream
-							// cancellation would need job-level support).
-							continue
-						}
-						count++
-						if err := out[0].Write(t); err != nil {
-							return err
-						}
-					}
-				}
-			})
-		},
-	}
-}
-
 // Collector accumulates a job's result tuples (thread-safe).
 type Collector struct {
 	mu     sync.Mutex

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -63,16 +64,26 @@ func (h *history) check(k int, acked, seen int64) bool {
 // every read must find each key exactly once, at a version no older than
 // the last acknowledged before the read began, tombstones included —
 // whether the version sits in the active component, the sealed one or on
-// disk, and whichever of them the flush moves it between meanwhile.
+// disk, and whichever of them the flush moves it between meanwhile. A
+// scan, of the whole tree or of a range, reads a memory component a batch
+// at a time while the writer goes on: its keys must rise strictly, and it
+// must see every key acknowledged before it began. So the writer also
+// inserts fresh keys between the existing ones (inside the batches being
+// read), and in every other phase overwrites one key until the memory
+// component copies its slab.
 func TestTreeReadersSeeOneView(t *testing.T) {
 	bc, _ := newEnv(t, 1024, 2048)
 	tr, err := Open(bc, "view/t", Options{MemBudget: 16 << 10, Policy: ConstantPolicy{Components: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const keys, writes = 400, 30000
+	const keys, writes, phase = 400, 30000, 1500
 	h := newHistory(keys, func(n int64) bool { return n == 0 || n%5 == 0 })
 	version := func(v []byte) int64 { return int64(binary.BigEndian.Uint64(v)) }
+	// Fresh key j is ikey(j*13%keys) ‖ j, between two of the keys above;
+	// it is written once, and never deleted.
+	var fresh atomic.Int64 // fresh keys acknowledged
+	freshKey := func(j int) []byte { return binary.BigEndian.AppendUint32(ikey(j*13%keys), uint32(j)) }
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -93,15 +104,29 @@ func TestTreeReadersSeeOneView(t *testing.T) {
 				}
 			}
 		}()
-		go func() { // scans
+		go func(r int) { // scans: whole, or of [lo, hi)
 			defer wg.Done()
-			for !stop.Load() {
-				acked := h.ackedNow()
+			for n := 0; !stop.Load(); n++ {
+				lo, hi := 0, keys
+				if (n+r)%2 == 1 {
+					lo = n * 37 % keys
+					hi = lo + 1 + n*11%(keys-lo)
+				}
+				acked, freshAcked := h.ackedNow(), int(fresh.Load())
 				seen := make([]int64, keys)
-				err := tr.Scan(nil, nil, func(key, v []byte) bool {
+				var prev []byte
+				freshSeen := 0
+				err := tr.Scan(ikey(lo), ikey(hi-1), func(key, v []byte) bool {
 					k := int(binary.BigEndian.Uint64(key))
-					if seen[k] != 0 {
-						t.Errorf("Scan visited key %d twice", k)
+					if prev != nil && bytes.Compare(prev, key) >= 0 || k < lo || k >= hi {
+						t.Errorf("Scan [%d, %d) visited %x after %x", lo, hi, key, prev)
+					}
+					prev = append(prev[:0], key...)
+					if len(key) > 8 {
+						if int(binary.BigEndian.Uint32(key[8:])) < freshAcked {
+							freshSeen++
+						}
+						return true
 					}
 					seen[k] = version(v)
 					return true
@@ -110,17 +135,41 @@ func TestTreeReadersSeeOneView(t *testing.T) {
 					t.Errorf("Scan: %v", err)
 					return
 				}
-				for k := range seen {
+				for k := lo; k < hi; k++ {
 					if !h.check(k, acked[k], seen[k]) {
-						t.Errorf("Scan saw key %d at version %d: acknowledged %d, issued %d", k, seen[k], acked[k], h.issued[k].Load())
+						t.Errorf("Scan [%d, %d) saw key %d at version %d: acknowledged %d, issued %d", lo, hi, k, seen[k], acked[k], h.issued[k].Load())
 						return
 					}
 				}
+				want := 0
+				for j := 0; j < freshAcked; j++ {
+					if k := j * 13 % keys; k >= lo && k < hi-1 {
+						want++
+					}
+				}
+				if freshSeen != want {
+					t.Errorf("Scan [%d, %d) saw %d of the %d fresh keys acknowledged before it", lo, hi, freshSeen, want)
+					return
+				}
 			}
-		}()
+		}(r)
 	}
+	slabCopies := 0
 	for i := 0; i < writes && !t.Failed(); i++ {
 		k := (i * 31) % keys
+		if i/phase%2 == 1 {
+			k = i / phase % keys // one key, overwritten until the slab is copied
+		} else if i%3 == 0 {
+			j := int(fresh.Load())
+			if err := tr.Upsert(freshKey(j), nil); err != nil {
+				t.Fatal(err)
+			}
+			fresh.Store(int64(j + 1))
+		}
+		m := tr.mem // this goroutine is the only one to seal
+		m.mu.RLock()
+		dead := m.dead
+		m.mu.RUnlock()
 		n := h.issued[k].Add(1)
 		if h.absent(n) {
 			err = tr.Delete(ikey(k))
@@ -132,11 +181,16 @@ func TestTreeReadersSeeOneView(t *testing.T) {
 			break
 		}
 		h.acked[k].Store(n)
+		m.mu.RLock()
+		if m.dead < dead {
+			slabCopies++
+		}
+		m.mu.RUnlock()
 	}
 	stop.Store(true)
 	wg.Wait()
-	if flushes, merges := tr.Stats(); flushes < 10 || merges == 0 {
-		t.Fatalf("the writer caused %d flushes and %d merges, want many and some", flushes, merges)
+	if flushes, merges := tr.Stats(); flushes < 10 || merges == 0 || slabCopies < 5 {
+		t.Fatalf("the writer caused %d flushes, %d merges and %d slab copies, want many, some and several", flushes, merges, slabCopies)
 	}
 	mustValidate(t, tr, bc)
 }

@@ -11,10 +11,7 @@ type bloomFilter struct {
 
 // newBloom sizes a filter for n keys at ~10 bits/key (k=7 ≈ 1% FPR).
 func newBloom(n int) *bloomFilter {
-	if n < 16 {
-		n = 16
-	}
-	words := (n*10 + 63) / 64
+	words := (max(n, 16)*10 + 63) / 64
 	return &bloomFilter{bits: make([]uint64, words), k: 7}
 }
 

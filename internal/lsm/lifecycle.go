@@ -243,9 +243,7 @@ func (l *lifecycle[M, D]) open(kind indexKind[M, D], bc *storage.BufferCache, na
 			return err
 		}
 		l.disk = append(l.disk, &component[D]{seq: s, file: file, idx: idx, refs: 1})
-		if s >= l.seq {
-			l.seq = s + 1
-		}
+		l.seq = max(l.seq, s+1)
 	}
 	l.charge = opts.Gov.RegisterComponent(name, l.trySealForGovernor)
 	return nil
@@ -712,13 +710,8 @@ func (l *lifecycle[M, D]) Validate() (err error) {
 		live[i] = c.seq
 	}
 	l.mu.RUnlock()
-	if len(manifest) != len(live) {
-		return fmt.Errorf("manifest lists %d components, index has %d", len(manifest), len(live))
-	}
-	for i := range live {
-		if manifest[i] != live[i] {
-			return fmt.Errorf("manifest seq %d at position %d, index has %d", manifest[i], i, live[i])
-		}
+	if !slices.Equal(manifest, live) {
+		return fmt.Errorf("manifest lists components %v, index has %v", manifest, live)
 	}
 	return nil
 }

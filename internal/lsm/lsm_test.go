@@ -68,7 +68,7 @@ func TestMemTableBasics(t *testing.T) {
 		t.Fatal("phantom key")
 	}
 	var keys []string
-	for _, e := range m.run(nil, nil, nil) {
+	for _, e := range m.run(nil, nil, nil, math.MaxInt) {
 		keys = append(keys, string(e.key))
 	}
 	if fmt.Sprint(keys) != "[a b c]" {
@@ -76,7 +76,7 @@ func TestMemTableBasics(t *testing.T) {
 	}
 	// Bounded scan.
 	keys = nil
-	for _, e := range m.run([]byte("b"), []byte("b"), nil) {
+	for _, e := range m.run([]byte("b"), []byte("b"), nil, math.MaxInt) {
 		keys = append(keys, string(e.key))
 	}
 	if fmt.Sprint(keys) != "[b]" {
@@ -94,7 +94,7 @@ func TestMemTableOrderedUnderRandomInserts(t *testing.T) {
 		m.put(ikey(r.Intn(1000)), ikey(i), false)
 	}
 	var prev []byte
-	for _, e := range m.run(nil, nil, nil) {
+	for _, e := range m.run(nil, nil, nil, math.MaxInt) {
 		if prev != nil && string(prev) >= string(e.key) {
 			t.Fatalf("out of order: %x after %x", e.key, prev)
 		}

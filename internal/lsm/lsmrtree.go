@@ -93,7 +93,7 @@ func (m *memRTree) search(query rtree.Rect) []memEntry {
 			binary.BigEndian.PutUint64(next[:], c.Hi+1)
 			hi = next[:] // below every key at c.Hi+1, above every key before it
 		}
-		run = m.t.run(lo[:], hi, run[:0])
+		run = m.t.run(lo[:], hi, run[:0], math.MaxInt)
 		for _, e := range run {
 			if query.Intersects(pairRect(e.key[curveLen:])) {
 				out = append(out, e)
@@ -196,9 +196,10 @@ func (rtreeKind) newMem() *memRTree { return &memRTree{t: newMemTable()} }
 // merge would keep it: it is not written.
 func (rtreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memRTree) (*rtree.DiskRTree, error) {
 	entries := make([]rtree.Entry, 0, mem.len())
-	for _, e := range mem.t.run(nil, nil, make([]memEntry, 0, mem.len())) {
+	for c := mem.t.cursor(nil, nil); c.valid(); c.next() {
+		e := c.batch[c.i]
 		if r := pairRect(e.key[curveLen:]); everything.Intersects(r) {
-			entries = append(entries, rtree.Entry{Rect: r, Payload: encodeFlagged(e.key[curveLen+rectLen:], e.tombstone)})
+			entries = append(entries, rtree.Entry{Rect: r, Payload: appendFlagged(make([]byte, 0, len(e.key)-curveLen-rectLen+1), e.key[curveLen+rectLen:], e.tombstone)})
 		}
 	}
 	return rtree.BuildDisk(bc, file, entries)

@@ -287,7 +287,7 @@ func memRTreeHistory(t *testing.T, p palette, steps, searchers int, r *rand.Rand
 // rect's centre to the rect's edges.
 func checkMemRTree(t *testing.T, m *memRTree, pending map[string]bool) {
 	t.Helper()
-	entries := m.t.run(nil, nil, nil)
+	entries := m.t.run(nil, nil, nil, math.MaxInt)
 	if len(entries) != len(pending) || m.len() != len(pending) {
 		t.Fatalf("memory component holds %d entries (len %d), want %d", len(entries), m.len(), len(pending))
 	}

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"asterix/internal/btree"
 )
 
 // memEntry is one key's newest state in the memory component.
@@ -221,8 +223,9 @@ func (m *memTable) len() int {
 }
 
 // run appends to out the entries (including tombstones) with lo <= key <= hi
-// in order; nil bounds are unbounded.
-func (m *memTable) run(lo, hi []byte, out []memEntry) []memEntry {
+// in order, at most limit of them; nil bounds are unbounded. A nil out
+// that takes an entry is given room for a leaf's worth.
+func (m *memTable) run(lo, hi []byte, out []memEntry, limit int) []memEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	n := m.leaf(lo)
@@ -230,11 +233,67 @@ func (m *memTable) run(lo, hi []byte, out []memEntry) []memEntry {
 	for ; n != nil; n, i = n.next, 0 {
 		for _, s := range n.slots[i:] {
 			k := m.key(s)
-			if hi != nil && bytes.Compare(k, hi) > 0 {
+			if len(out) == limit || hi != nil && bytes.Compare(k, hi) > 0 {
 				return out
+			}
+			if out == nil {
+				out = make([]memEntry, 0, leafSlots)
 			}
 			out = append(out, memEntry{key: k, value: m.value(s), tombstone: s.tombstone})
 		}
 	}
 	return out
+}
+
+// cursor is one sorted source of a merge: a disk component's iterator or,
+// where that is nil, a memory component's entries, read a batch of at most
+// a leaf's worth at a time. A batch is taken under the read lock, so a
+// writer waits for one batch, not for a whole scan; its keys and values
+// are slab bytes, which stay valid once the lock is released.
+type cursor struct {
+	it    *btree.Iterator
+	m     *memTable
+	hi    []byte
+	batch []memEntry // reused from batch to batch
+	i     int        // the entry of batch the cursor is on
+	from  []byte     // the least key above the last batch's last
+}
+
+// cursor returns a cursor on the entries with lo <= key <= hi. It
+// allocates nothing when there is none.
+func (m *memTable) cursor(lo, hi []byte) cursor {
+	return cursor{m: m, hi: hi, batch: m.run(lo, hi, nil, leafSlots)}
+}
+
+func (c *cursor) valid() bool {
+	if c.it != nil {
+		return c.it.Valid()
+	}
+	return c.i < len(c.batch)
+}
+
+func (c *cursor) key() []byte {
+	if c.it != nil {
+		return c.it.Key()
+	}
+	return c.batch[c.i].key
+}
+
+// entry returns the current value and whether it is antimatter.
+func (c *cursor) entry() (value []byte, tombstone bool, err error) {
+	if c.it != nil {
+		return flagged(c.it.Value())
+	}
+	return c.batch[c.i].value, c.batch[c.i].tombstone, nil
+}
+
+// next moves to the next entry. Past a full batch, the next one starts at
+// the last key ‖ 0x00, the least key above it.
+func (c *cursor) next() {
+	if c.it != nil {
+		c.it.Next()
+	} else if c.i++; c.i == leafSlots {
+		c.from = append(append(c.from[:0], c.batch[c.i-1].key...), 0)
+		c.batch, c.i = c.m.run(c.from, c.hi, c.batch[:0], leafSlots), 0
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -184,7 +185,7 @@ func memTableHistory(t *testing.T, size int, r *rand.Rand) {
 				want++
 			}
 		}
-		got := m.run(lo, hi, nil)
+		got := m.run(lo, hi, nil, math.MaxInt)
 		for j, e := range got {
 			o, ok := oracle[string(e.key)]
 			switch {
@@ -200,6 +201,17 @@ func memTableHistory(t *testing.T, size int, r *rand.Rand) {
 		}
 		if len(got) != want {
 			t.Fatalf("run(%x, %x) returned %d entries, want %d", lo, hi, len(got), want)
+		}
+		// A cursor reads the same entries, a batch at a time.
+		j := 0
+		for c := m.cursor(lo, hi); c.valid(); c.next() {
+			if v, tomb, _ := c.entry(); j == len(got) || !bytes.Equal(c.key(), got[j].key) || !bytes.Equal(v, got[j].value) || tomb != got[j].tombstone {
+				t.Fatalf("cursor(%x, %x)[%d] = %x, want run's entry", lo, hi, j, c.key())
+			}
+			j++
+		}
+		if j != len(got) {
+			t.Fatalf("cursor(%x, %x) read %d entries, run %d", lo, hi, j, len(got))
 		}
 	}
 	big := r.Intn(max(size, 1)) // the new key that gets a value larger than a chunk
@@ -416,7 +428,7 @@ func TestMemTableConcurrentReaders(t *testing.T) {
 					v, _, _ := m.get(key(n % keys))
 					vs = append(vs, v)
 				} else {
-					for _, e := range m.run(key(n%keys), key(n%keys+10), nil) {
+					for _, e := range m.run(key(n%keys), key(n%keys+10), nil, math.MaxInt) {
 						vs = append(vs, e.value)
 					}
 				}

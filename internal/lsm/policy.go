@@ -26,11 +26,7 @@ type ConstantPolicy struct {
 
 // PickMerge implements MergePolicy.
 func (p ConstantPolicy) PickMerge(sizes []int64) (int, int, bool) {
-	max := p.Components
-	if max < 1 {
-		max = 1
-	}
-	if len(sizes) > max {
+	if len(sizes) > max(p.Components, 1) {
 		return 0, len(sizes) - 1, true
 	}
 	return 0, 0, false
@@ -61,14 +57,10 @@ func (p TieredPolicy) PickMerge(sizes []int64) (int, int, bool) {
 	run := 1
 	for i := 1; i < len(sizes); i++ {
 		a, b := float64(sizes[i-1]), float64(sizes[i])
-		if a == 0 || b == 0 {
+		if a == 0 || b == 0 || b/a > ratio || a/b > ratio {
 			break
 		}
-		if b/a <= ratio && a/b <= ratio {
-			run++
-		} else {
-			break
-		}
+		run++
 	}
 	if run >= minRun {
 		return 0, run - 1, true

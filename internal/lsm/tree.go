@@ -69,65 +69,44 @@ func (btreeKind) fileTag() byte { return 'c' }
 
 func (btreeKind) newMem() *memTable { return newMemTable() }
 
-func encodeFlagged(value []byte, tombstone bool) []byte {
-	out := make([]byte, 0, len(value)+1)
+// appendFlagged appends a disk-component value: the flag byte (1 =
+// antimatter) and the payload.
+func appendFlagged(b, value []byte, tombstone bool) []byte {
+	flag := byte(0)
 	if tombstone {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		flag = 1
 	}
-	return append(out, value...)
+	return append(append(b, flag), value...)
 }
 
-// build bulk-loads the memory component's entries in key order.
+// build bulk-loads the memory component: a merge of one source.
 func (k btreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memTable) (*btreeDisk, error) {
-	bt, err := btree.Open(bc, file)
-	if err != nil {
-		return nil, err
-	}
-	bloom := k.newFilter(int64(mem.len()))
-	entries := mem.run(nil, nil, make([]memEntry, 0, mem.len()))
-	i := 0
-	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(entries) {
-			return nil, nil, false
-		}
-		e := entries[i]
-		i++
-		bloom.add(e.key)
-		if len(e.value) == 0 && !e.tombstone {
-			return e.key, nil, true // a live key-only entry: no flag byte
-		}
-		return e.key, encodeFlagged(e.value, e.tombstone), true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &btreeDisk{bt: bt, bloom: bloom}, nil
+	return k.load(bc, file, []cursor{mem.cursor(nil, nil)}, int64(mem.len()), false)
 }
 
-// lowest returns the iterator sitting on the smallest key (-1 when all
-// are exhausted); the lowest index — the newest source — wins ties. An
-// older source's entry under the key of a newer one can never be read
-// again, so it is stepped over here, in the pass that finds it: one
-// comparison per source and output key, and the caller advances only src.
-func lowest(iters []*btree.Iterator) (src int, key []byte, err error) {
+// lowest returns the source sitting on the smallest key (-1 when all are
+// exhausted); the lowest index — the newest source — wins ties. An older
+// source's entry under the key of a newer one can never be read again, so
+// it is stepped over here, in the pass that finds it: one comparison per
+// source and output key, and the caller advances only src.
+func lowest(srcs []cursor) (src int, key []byte, err error) {
 	src = -1
-	for i, it := range iters {
-		if !it.Valid() {
-			if err := it.Err(); err != nil {
-				return -1, nil, err
+	for i := range srcs {
+		c := &srcs[i]
+		if !c.valid() {
+			if c.it != nil && c.it.Err() != nil {
+				return -1, nil, c.it.Err()
 			}
 			continue
 		}
-		c := -1
+		cmp := -1
 		if src >= 0 {
-			c = bytes.Compare(it.Key(), key)
+			cmp = bytes.Compare(c.key(), key)
 		}
-		if c < 0 {
-			src, key = i, it.Key()
-		} else if c == 0 {
-			it.Next()
+		if cmp < 0 {
+			src, key = i, c.key()
+		} else if cmp == 0 {
+			c.next()
 		}
 	}
 	return src, key, nil
@@ -147,52 +126,60 @@ func flagged(v []byte) (payload []byte, tombstone bool, err error) {
 	return v[1:], v[0] == 1, nil
 }
 
-// merge k-way merges the victims' sorted runs; the lowest (newest) source
-// wins ties.
+// merge k-way merges the victims' sorted runs.
 func (k btreeKind) merge(bc *storage.BufferCache, file storage.FileID, victims []*btreeDisk, dropAntimatter bool) (*btreeDisk, error) {
 	total := int64(0)
-	iters := make([]*btree.Iterator, len(victims))
+	srcs := make([]cursor, len(victims))
 	for i, v := range victims {
 		total += v.bt.Count()
-		iters[i] = v.bt.NewIterator(nil, nil)
+		srcs[i].it = v.bt.NewIterator(nil, nil)
 	}
-	// The sources are positioned first (that reads pages): the new file's
-	// meta page is then still cached when BulkLoad pins it.
+	return k.load(bc, file, srcs, total, dropAntimatter)
+}
+
+// load bulk-loads the merge of srcs, newest first, into the empty file,
+// whose filter is sized for n keys. The sources are positioned first (that
+// reads pages): the new file's meta page is then still cached when
+// BulkLoad pins it.
+func (k btreeKind) load(bc *storage.BufferCache, file storage.FileID, srcs []cursor, n int64, dropAntimatter bool) (*btreeDisk, error) {
 	bt, err := btree.Open(bc, file)
 	if err != nil {
 		return nil, err
 	}
-	bloom := k.newFilter(total)
-	var mergeErr error
+	bloom := k.newFilter(n)
+	var loadErr error
 	// The key and value handed to BulkLoad are valid only until their
-	// source's Next, which BulkLoad allows: it copies the pair into its
+	// source's next, which BulkLoad allows: it copies the pair into its
 	// page before it calls next again, and only then does that source move.
-	src, key := -1, []byte(nil)
+	src, key, buf := -1, []byte(nil), []byte(nil)
 	err = bt.BulkLoad(func() ([]byte, []byte, bool) {
 		for {
 			if src >= 0 {
-				iters[src].Next()
+				srcs[src].next()
 			}
-			if src, key, mergeErr = lowest(iters); src == -1 {
+			if src, key, loadErr = lowest(srcs); src == -1 {
 				return nil, nil, false
 			}
-			value := iters[src].Value()
-			var tombstone bool
-			if _, tombstone, mergeErr = flagged(value); mergeErr != nil {
+			value, tombstone, err := srcs[src].entry()
+			if loadErr = err; err != nil {
 				return nil, nil, false
 			}
 			if dropAntimatter && tombstone {
 				continue
 			}
 			bloom.add(key)
-			return key, value, true
+			if len(value) == 0 && !tombstone {
+				return key, nil, true // a live key-only entry: no flag byte
+			}
+			buf = appendFlagged(buf[:0], value, tombstone)
+			return key, buf, true
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	if mergeErr != nil {
-		return nil, mergeErr
+	if loadErr != nil {
+		return nil, loadErr
 	}
 	return &btreeDisk{bt: bt, bloom: bloom}, nil
 }
@@ -302,58 +289,28 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	comps, mems := t.view()
 	defer t.release(comps)
-	// Copy the memory components' ranges (each bounded by the mem budget).
-	var runs [2][]memEntry // newest first, as mems is
+	// One merge: the memory components are the newest sources, then the
+	// disk components newest first.
+	srcs := make([]cursor, len(mems)+len(comps))
 	for i, m := range mems {
-		runs[i] = m.run(lo, hi, nil)
+		srcs[i] = m.cursor(lo, hi)
 	}
-
-	// K-way merge: the memory runs are the newest sources, then the disk
-	// components newest-first; the newest source wins ties.
-	iters := make([]*btree.Iterator, len(comps))
 	for i, c := range comps {
-		iters[i] = c.idx.bt.NewIterator(lo, hi)
+		srcs[len(mems)+i].it = c.idx.bt.NewIterator(lo, hi)
 	}
 	for {
-		src, key, err := lowest(iters)
-		if err != nil {
+		src, key, err := lowest(srcs)
+		if src == -1 {
 			return err
 		}
-		m := -1
-		for i := range runs {
-			if len(runs[i]) > 0 && (m < 0 || bytes.Compare(runs[i][0].key, runs[m][0].key) < 0) {
-				m = i
-			}
-		}
-		// cmp places the lowest memory key against the lowest disk key; the
-		// memory components are newer, so they win a tie.
-		cmp := 1
-		switch {
-		case m >= 0 && src >= 0:
-			cmp = bytes.Compare(runs[m][0].key, key)
-		case m >= 0:
-			cmp = -1
-		}
-		var value []byte
-		var tombstone bool
-		if cmp <= 0 {
-			key, value, tombstone = runs[m][0].key, runs[m][0].value, runs[m][0].tombstone
-			for i := range runs {
-				if len(runs[i]) > 0 && bytes.Equal(runs[i][0].key, key) {
-					runs[i] = runs[i][1:]
-				}
-			}
-		} else if src == -1 {
-			return nil
-		} else if value, tombstone, err = flagged(iters[src].Value()); err != nil {
+		value, tombstone, err := srcs[src].entry()
+		if err != nil {
 			return err
 		}
 		if !tombstone && !fn(key, value) {
 			return nil
 		}
-		if cmp >= 0 {
-			iters[src].Next()
-		}
+		srcs[src].next()
 	}
 }
 

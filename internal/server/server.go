@@ -162,9 +162,7 @@ func (s *service) serveStats(w http.ResponseWriter, r *http.Request) {
 	if mt, ok := s.eng.(MaintenanceTracer); ok {
 		snap["maintenance"] = mt.Maintenance()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	encodeBody(enc, snap)
+	writeJSON(w, http.StatusOK, snap)
 }
 
 type queryRequest struct {
@@ -419,15 +417,14 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.logger.Printf("%s): %s", line, truncateStmt(req.Statement))
 	}
-	w.Header().Set("Content-Type", "application/json")
+	code := http.StatusOK
 	if resp.Status != "success" {
+		code = http.StatusInternalServerError
 		if resp.Retriable {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		} else {
-			w.WriteHeader(http.StatusInternalServerError)
+			code = http.StatusServiceUnavailable
 		}
 	}
-	encodeBody(json.NewEncoder(w), &resp)
+	writeJSON(w, code, &resp)
 }
 
 // serveExplain answers an explain-only request: the statement is parsed
@@ -457,11 +454,11 @@ func (s *service) serveExplain(w http.ResponseWriter, statement string) {
 		ElapsedTime: elapsed.String(),
 		ResultCount: len(resp.Results),
 	}
-	w.Header().Set("Content-Type", "application/json")
+	code := http.StatusOK
 	if resp.Status != "success" {
-		w.WriteHeader(http.StatusInternalServerError)
+		code = http.StatusInternalServerError
 	}
-	encodeBody(json.NewEncoder(w), &resp)
+	writeJSON(w, code, &resp)
 }
 
 // truncateStmt bounds slow-query log lines (statements can be whole
@@ -475,13 +472,20 @@ func truncateStmt(s string) string {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	encodeBody(json.NewEncoder(w), &queryResponse{Status: "fatal", Errors: []string{msg}})
+	writeJSON(w, code, &queryResponse{Status: "fatal", Errors: []string{msg}})
 }
 
-// encodeBody writes v as a response body.
-func encodeBody(enc *json.Encoder, v any) {
-	//lint:ignore err-discard best-effort write to the response; a failure means the client is gone
-	enc.Encode(v)
+// writeJSON answers code with v as the body. v is marshalled before the
+// status line goes out, so a body that cannot be encoded answers 500
+// "fatal", never a success with an empty body.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		//lint:ignore err-discard a queryResponse of strings always marshals
+		body, _ = json.Marshal(&queryResponse{Status: "fatal", Errors: []string{"encoding the response: " + err.Error()}})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(body, '\n')) // best effort: a failure means the client is gone
 }

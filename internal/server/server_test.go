@@ -587,6 +587,34 @@ func postRaw(t *testing.T, srv *httptest.Server, stmt string) (int, queryRespons
 	return resp.StatusCode, qr
 }
 
+// TestNonFiniteNumbersAnswerJSON: NaN and the infinities have no JSON
+// number, so a result holding one, at top level, in an object or in a
+// point, spells it as a string, and the response is a whole JSON body. A
+// body that still cannot be marshalled answers 500 "fatal", never 200
+// with nothing.
+func TestNonFiniteNumbersAnswerJSON(t *testing.T) {
+	srv := newServer(t)
+	for stmt, want := range map[string]string{
+		`SELECT VALUE sqrt(-1);`:                `"NaN"`,
+		`SELECT VALUE {"a": 1, "b": sqrt(-1)};`: `{"a":1,"b":"NaN"}`,
+		`SELECT VALUE 1e308 * 10;`:              `"Infinity"`,
+		`SELECT VALUE point(1e308*10, 0);`:      `{"point":["Infinity",0]}`,
+		`SELECT VALUE -1e308 * 10;`:             `"-Infinity"`,
+		`SELECT VALUE sqrt(4);`:                 `2`,
+	} {
+		code, r := postRaw(t, srv, stmt)
+		if code != http.StatusOK || r.Status != "success" || len(r.Results) != 1 || string(r.Results[0]) != want {
+			t.Errorf("%s: HTTP %d, %+v; want one result %s", stmt, code, r, want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, json.RawMessage("NaN"))
+	var r queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil || rec.Code != http.StatusInternalServerError || r.Status != "fatal" {
+		t.Errorf("an unmarshallable body: HTTP %d, %q", rec.Code, rec.Body)
+	}
+}
+
 func TestLockTimeoutMapsToRetriable503(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := stubEngine{err: fmt.Errorf("stmt 1: %w", txn.ErrLockTimeout)}

@@ -5,6 +5,11 @@
 // grid-based indexing.
 package spatial
 
+import (
+	"cmp"
+	"slices"
+)
+
 // CurveOrder is the number of bits per dimension used by the
 // linearizations (32 bits → 64-bit curve positions).
 const CurveOrder = 32
@@ -169,13 +174,11 @@ func HilbertRanges(x0, y0, x1, y1 uint32, maxRanges int) []CurveRange {
 
 // curveRanges performs breadth-first quadtree decomposition of the query
 // box, emitting a curve interval per fully-covered quad cell. Partially-
-// covered cells split level by level until the range budget is reached,
-// then are emitted as conservative whole-cell intervals - BFS distributes
-// the budget evenly over the box instead of refining one corner.
+// covered cells split level by level, and only the children that meet the
+// box go on, until the range budget is reached; the pending cells are then
+// emitted as conservative whole-cell intervals - BFS distributes the
+// budget evenly over the box instead of refining one corner.
 func curveRanges(x0, y0, x1, y1 uint32, maxRanges int, curve func(x, y uint32) uint64) []CurveRange {
-	if maxRanges < 1 {
-		maxRanges = 1
-	}
 	type quad struct {
 		qx, qy uint32 // cell origin in lattice coords
 		size   uint64 // cell edge length (power of two), up to 2^32
@@ -188,46 +191,39 @@ func curveRanges(x0, y0, x1, y1 uint32, maxRanges int, curve func(x, y uint32) u
 		base := lo &^ (n - 1)
 		return append(out, CurveRange{Lo: base, Hi: base + n - 1})
 	}
-	overlaps := func(q quad) (full bool, any bool) {
-		qx1 := uint64(q.qx) + q.size - 1
-		qy1 := uint64(q.qy) + q.size - 1
-		if uint64(x0) > qx1 || uint64(x1) < uint64(q.qx) || uint64(y0) > qy1 || uint64(y1) < uint64(q.qy) {
-			return false, false
-		}
-		full = uint64(x0) <= uint64(q.qx) && uint64(x1) >= qx1 && uint64(y0) <= uint64(q.qy) && uint64(y1) >= qy1
-		return full, true
+	meets := func(q quad) bool {
+		return uint64(x0) < uint64(q.qx)+q.size && uint64(x1) >= uint64(q.qx) &&
+			uint64(y0) < uint64(q.qy)+q.size && uint64(y1) >= uint64(q.qy)
 	}
-
+	covers := func(q quad) bool {
+		return uint64(x0) <= uint64(q.qx) && uint64(x1) >= uint64(q.qx)+q.size-1 &&
+			uint64(y0) <= uint64(q.qy) && uint64(y1) >= uint64(q.qy)+q.size-1
+	}
 	var out []CurveRange
-	level := []quad{{0, 0, 1 << CurveOrder}}
+	level, next := []quad{{0, 0, 1 << CurveOrder}}, []quad(nil) // the root meets every box
 	for len(level) > 0 {
 		// Refining this level can at worst quadruple the pending cells;
 		// stop when emitted + pending would exceed the budget.
-		if len(out)+4*len(level) > maxRanges {
+		if len(out)+4*len(level) > max(maxRanges, 1) {
 			for _, q := range level {
 				out = emitCell(out, q)
 			}
 			break
 		}
-		var next []quad
+		next = next[:0]
 		for _, q := range level {
-			full, any := overlaps(q)
-			if !any {
-				continue
-			}
-			if full || q.size == 1 {
+			if q.size == 1 || covers(q) {
 				out = emitCell(out, q)
 				continue
 			}
 			h := q.size / 2
-			next = append(next,
-				quad{q.qx, q.qy, h},
-				quad{q.qx + uint32(h), q.qy, h},
-				quad{q.qx, q.qy + uint32(h), h},
-				quad{q.qx + uint32(h), q.qy + uint32(h), h},
-			)
+			for _, c := range [4]quad{{q.qx, q.qy, h}, {q.qx + uint32(h), q.qy, h}, {q.qx, q.qy + uint32(h), h}, {q.qx + uint32(h), q.qy + uint32(h), h}} {
+				if meets(c) {
+					next = append(next, c)
+				}
+			}
 		}
-		level = next
+		level, next = next, level
 	}
 	return mergeRanges(out)
 }
@@ -237,12 +233,7 @@ func mergeRanges(rs []CurveRange) []CurveRange {
 	if len(rs) <= 1 {
 		return rs
 	}
-	// Insertion sort (small n).
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Lo < rs[j-1].Lo; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
+	slices.SortFunc(rs, func(a, b CurveRange) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]

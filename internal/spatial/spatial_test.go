@@ -1,7 +1,10 @@
 package spatial
 
 import (
+	"cmp"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -142,47 +145,81 @@ func TestGridCells(t *testing.T) {
 	}
 }
 
-// Property: curve range decomposition covers every point in the query box.
+// Property: for any box and budget from 1 to 512, the curve ranges are
+// at most the budget, they cover every sampled point of the box, and every
+// quad the decomposition emits meets the box. The quads are read back
+// through Z-order, where a quad's range starts at its origin's position:
+// each runs from its origin's position to the next one or to the end of
+// its merged range.
 func TestPropCurveRangesCoverQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		x0 := r.Uint32() >> 1
-		y0 := r.Uint32() >> 1
-		x1 := x0 + uint32(r.Intn(1<<20))
-		y1 := y0 + uint32(r.Intn(1<<20))
+	for trial := 0; trial < 400; trial++ {
+		w, h := uint32(r.Int63n(1<<32)>>r.Intn(33)), uint32(r.Int63n(1<<32)>>r.Intn(33))
+		x0, y0 := uint32(r.Int63n(int64(^w)+1)), uint32(r.Int63n(int64(^h)+1))
+		x1, y1 := x0+w, y0+h
+		budget := 1 + r.Intn(512)
+		var origins [][2]uint32
+		zorder := func(x, y uint32) uint64 {
+			origins = append(origins, [2]uint32{x, y})
+			return ZOrder(x, y)
+		}
 		for _, curve := range []struct {
 			name string
 			rs   []CurveRange
 			f    func(x, y uint32) uint64
 		}{
-			{"zorder", ZOrderRanges(x0, y0, x1, y1, 16), ZOrder},
-			{"hilbert", HilbertRanges(x0, y0, x1, y1, 16), Hilbert},
+			{"zorder", curveRanges(x0, y0, x1, y1, budget, zorder), ZOrder},
+			{"hilbert", HilbertRanges(x0, y0, x1, y1, budget), Hilbert},
 		} {
-			if len(curve.rs) == 0 {
-				t.Fatalf("%s: no ranges", curve.name)
-			}
-			if len(curve.rs) > 16 {
-				t.Fatalf("%s: budget exceeded: %d", curve.name, len(curve.rs))
+			if len(curve.rs) == 0 || len(curve.rs) > budget {
+				t.Fatalf("%s: %d ranges at budget %d", curve.name, len(curve.rs), budget)
 			}
 			// Sample points inside the box; each must fall in some range.
 			for s := 0; s < 100; s++ {
-				px := x0 + uint32(r.Int63n(int64(x1-x0)+1))
-				py := y0 + uint32(r.Int63n(int64(y1-y0)+1))
-				pos := curve.f(px, py)
-				found := false
-				for _, rg := range curve.rs {
-					if pos >= rg.Lo && pos <= rg.Hi {
-						found = true
-						break
-					}
+				px := x0 + uint32(r.Int63n(int64(w)+1))
+				py := y0 + uint32(r.Int63n(int64(h)+1))
+				if s < 4 {
+					px, py = [2]uint32{x0, x1}[s%2], [2]uint32{y0, y1}[s/2]
 				}
-				if !found {
+				pos := curve.f(px, py)
+				if i := rangeOf(curve.rs, pos); i < 0 {
 					t.Fatalf("%s: point (%d,%d) pos %d not covered by %v",
 						curve.name, px, py, pos, curve.rs)
 				}
 			}
 		}
+		slices.SortFunc(origins, func(a, b [2]uint32) int { return cmp.Compare(ZOrder(a[0], a[1]), ZOrder(b[0], b[1])) })
+		rs := ZOrderRanges(x0, y0, x1, y1, budget)
+		for i, o := range origins {
+			lo := ZOrder(o[0], o[1])
+			hi := rs[rangeOf(rs, lo)].Hi
+			if i+1 < len(origins) {
+				hi = min(hi, ZOrder(origins[i+1][0], origins[i+1][1])-1)
+			}
+			// The quad's side is the square root of its length, 2^32 for
+			// the whole curve, whose length overflows to 0.
+			side := uint64(1) << 32
+			if n := hi - lo + 1; n != 0 {
+				side = uint64(1) << (bits.TrailingZeros64(n) / 2)
+				if side*side != n || lo%n != 0 {
+					t.Fatalf("box (%d,%d)-(%d,%d), budget %d: range [%d, %d] is no quad", x0, y0, x1, y1, budget, lo, hi)
+				}
+			}
+			if uint64(o[0]) > uint64(x1) || uint64(o[0])+side <= uint64(x0) || uint64(o[1]) > uint64(y1) || uint64(o[1])+side <= uint64(y0) {
+				t.Fatalf("box (%d,%d)-(%d,%d), budget %d: the quad of side %d at (%d,%d) misses it", x0, y0, x1, y1, budget, side, o[0], o[1])
+			}
+		}
 	}
+}
+
+// rangeOf returns the index of the range of rs holding pos, or -1.
+func rangeOf(rs []CurveRange, pos uint64) int {
+	for i, rg := range rs {
+		if pos >= rg.Lo && pos <= rg.Hi {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestCurveRangesMerged(t *testing.T) {
