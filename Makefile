@@ -65,7 +65,10 @@ net-matrix:
 # statements at a 1 MiB component budget; BenchmarkSecondaryMaintenance:
 # ns, B and allocs per record of an insert and of an overwrite that keeps or
 # changes the indexed field, per index kind; BenchmarkIndexSearch: the same
-# per candidate of an equality, a range and a keyword search), plus the per-layer
+# per candidate, and allocs per search, of an equality, a range and a keyword
+# search, and of a spatial search of each of RTREE, ZORDER, HILBERT and GRID
+# over E2-shaped points and boxes at selectivities 0.0001, 0.001 and 0.01,
+# all over flushed components), plus the per-layer
 # microbenchmarks of the record decoder (BenchmarkLocateFields: fields and
 # whole records out of both stored forms), of the key encoder
 # (BenchmarkEncodeKey: ns and bytes per key of a small integer, an integer

@@ -11,6 +11,7 @@ package asterix
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -237,20 +238,29 @@ func BenchmarkSecondaryMaintenance(b *testing.B) {
 
 // BenchmarkIndexSearch is what one candidate costs the three searches the
 // repository benchmark's lookups make — an equality (10 entries), a range
-// over 10 keys (100) and a keyword — on the index itself, primary fetch
-// included, over flushed components.
+// over 10 keys (100) and a keyword — and a spatial search of every spatial
+// index kind over E2's points (uniform over the world) with E2-shaped boxes
+// at its three selectivities, on the index itself, primary fetch included,
+// over flushed components; and what one search allocates.
 func BenchmarkIndexSearch(b *testing.B) {
-	const n, authors, searches = 50000, 5000, 2000
+	const n, authors, points = 50000, 5000, 20000
 	eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2, NoSyncCommits: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	if _, err := eng.Execute(context.Background(), `
+	kinds := []string{"RTREE", "ZORDER", "HILBERT", "GRID"}
+	ddl := `
 		CREATE TYPE MT AS {id: int, author: int, text: string};
 		CREATE DATASET M(MT) PRIMARY KEY id;
 		CREATE INDEX byAuthor ON M(author);
-		CREATE INDEX byText ON M(text) TYPE KEYWORD;`); err != nil {
+		CREATE INDEX byText ON M(text) TYPE KEYWORD;
+		CREATE TYPE PointType AS {id: int, loc: point, payload: string};
+		CREATE DATASET Points(PointType) PRIMARY KEY id;`
+	for _, kind := range kinds {
+		ddl += fmt.Sprintf("CREATE INDEX by%s ON Points(loc) TYPE %s;", kind, kind)
+	}
+	if _, err := eng.Execute(context.Background(), ddl); err != nil {
 		b.Fatal(err)
 	}
 	for id := 0; id < n; id++ {
@@ -262,6 +272,12 @@ func BenchmarkIndexSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	r := rand.New(rand.NewSource(2))
+	for id := 0; id < points; id++ {
+		if err := eng.UpsertValue("Points", experiments.GenPoint(id, r)); err != nil {
+			b.Fatal(err)
+		}
+	}
 	if err := eng.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
@@ -269,8 +285,10 @@ func BenchmarkIndexSearch(b *testing.B) {
 	byText, _ := eng.SecondaryIndexHandle("M", "byText")
 	count := 0
 	emit := func(algebricks.Record) error { count++; return nil }
-	run := func(b *testing.B, search func(part, i int) error) {
+	run := func(b *testing.B, searches int, search func(part, i int) error) {
 		for i := 0; i < b.N; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			measured(b, "search", "candidate", func() int {
 				count = 0
 				for s := 0; s < searches; s++ {
@@ -282,21 +300,39 @@ func BenchmarkIndexSearch(b *testing.B) {
 				}
 				return count
 			})
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(2*searches), "allocs/search")
 		}
 	}
 	b.Run("equality", func(b *testing.B) {
-		run(b, func(part, i int) error {
+		run(b, 2000, func(part, i int) error {
 			k := adm.Int64(i * 7 % authors)
 			return byAuthor.SearchRange(part, k, k, true, true, emit)
 		})
 	})
 	b.Run("range10", func(b *testing.B) {
-		run(b, func(part, i int) error {
+		run(b, 2000, func(part, i int) error {
 			k := i * 7 % (authors - 10)
 			return byAuthor.SearchRange(part, adm.Int64(k), adm.Int64(k+10), true, false, emit)
 		})
 	})
 	b.Run("keyword", func(b *testing.B) {
-		run(b, func(part, i int) error { return byText.SearchKeyword(part, fmt.Sprintf("w%d", i%500), emit) })
+		run(b, 2000, func(part, i int) error { return byText.SearchKeyword(part, fmt.Sprintf("w%d", i%500), emit) })
 	})
+	for _, sel := range []float64{0.0001, 0.001, 0.01} {
+		// 100 boxes of E2's shape: a sel share of the world, placed at random.
+		qr := rand.New(rand.NewSource(7))
+		boxes := make([]adm.Rectangle, 100)
+		for i := range boxes {
+			w, h := 360*math.Sqrt(sel), 180*math.Sqrt(sel)
+			x, y := -180+qr.Float64()*(360-w), -90+qr.Float64()*(180-h)
+			boxes[i] = adm.Rectangle{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}
+		}
+		for _, kind := range kinds {
+			si, _ := eng.SecondaryIndexHandle("Points", "by"+kind)
+			b.Run(fmt.Sprintf("%s-%g", kind, sel), func(b *testing.B) {
+				run(b, 500, func(part, i int) error { return si.SearchSpatial(part, boxes[i%len(boxes)], emit) })
+			})
+		}
+	}
 }

@@ -259,8 +259,8 @@ func (t *BTree) Search(key []byte) ([]byte, bool, error) {
 // unbounded). fn returning false stops the scan early. key and value are
 // valid only until fn returns.
 func (t *BTree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
-	var it Iterator
-	for it.seek(t, lo, hi); it.Valid(); it.Next() {
+	it := Iterator{t: t}
+	for it.Seek(lo, hi); it.Valid(); it.Next() {
 		if !fn(it.key, it.val) {
 			return nil
 		}

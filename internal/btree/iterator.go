@@ -25,24 +25,30 @@ type Iterator struct {
 // NewIterator positions a cursor at the first key >= lo (nil = min); it
 // yields keys up to hi inclusive (nil = max).
 func (t *BTree) NewIterator(lo, hi []byte) *Iterator {
-	it := &Iterator{}
-	it.seek(t, lo, hi)
+	it := &Iterator{t: t}
+	it.Seek(lo, hi)
 	return it
 }
 
-// seek positions the iterator on the first entry with key >= lo.
-func (it *Iterator) seek(t *BTree, lo, hi []byte) {
-	it.t, it.hi = t, hi
-	num, err := t.findLeaf(lo)
+// Seek positions the iterator on the first entry with key >= lo and makes
+// hi its upper bound, whether or not it has ended: a sorted set of ranges
+// is read by one iterator, seeking from each range to the next. It keeps
+// the iterator's page and key buffers.
+func (it *Iterator) Seek(lo, hi []byte) {
+	it.hi, it.err, it.done = hi, nil, false
+	num, err := it.t.findLeaf(lo)
 	if err != nil {
 		it.fail(err)
 		return
 	}
-	// One page buffer per iterator, reused for every leaf it crosses, and
-	// 64 bytes behind it for keys: the cursor grows that on a longer key.
-	ps := t.bc.FileManager().PageSize()
-	buf := make([]byte, ps+64)
-	it.page, it.cur.key = buf[:ps:ps], buf[ps:ps]
+	if it.page == nil {
+		// One page buffer per iterator, reused for every leaf it crosses,
+		// and 64 bytes behind it for keys: the cursor grows that on a
+		// longer key.
+		ps := it.t.bc.FileManager().PageSize()
+		buf := make([]byte, ps+64)
+		it.page, it.cur.key = buf[:ps:ps], buf[ps:ps]
+	}
 	if !it.load(num, lo) {
 		return
 	}

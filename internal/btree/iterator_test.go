@@ -129,3 +129,33 @@ func TestIteratorAcrossEmptiedLeaves(t *testing.T) {
 		}
 	}
 }
+
+// TestIteratorSeek reads a sorted set of ranges with one iterator, seeking
+// from each to the next whether or not the last has ended: each range
+// yields exactly its keys, across leaves, and one past every key none.
+func TestIteratorSeek(t *testing.T) {
+	bt := newTree(t, 256, 256)
+	tens := func(i int) []byte { return ikey(i * 10) }
+	load(t, bt, 1000, tens, tens)
+	it := bt.NewIterator(nil, ikey(-1))
+	for _, rg := range []struct{ lo, hi, first, n int }{
+		{15, 35, 20, 2},
+		{36, 39, 0, 0},
+		{40, 40, 40, 1},
+		{41, 5000, 50, 496},
+		{5001, 9995, 5010, 499},
+		{10000, 20000, 0, 0},
+	} {
+		it.Seek(ikey(rg.lo), ikey(rg.hi))
+		n := 0
+		for ; it.Valid(); it.Next() {
+			if k := int(binary.BigEndian.Uint64(it.Key())); k != rg.first+10*n {
+				t.Fatalf("range [%d, %d]: key %d at %d", rg.lo, rg.hi, k, n)
+			}
+			n++
+		}
+		if n != rg.n || it.Err() != nil {
+			t.Fatalf("range [%d, %d]: %d keys (err %v), want %d", rg.lo, rg.hi, n, it.Err(), rg.n)
+		}
+	}
+}

@@ -60,8 +60,6 @@ type SecondaryIndex struct {
 	trees []*lsm.Tree       // BTREE / ZORDER / HILBERT / GRID / KEYWORD
 	rts   []*lsm.RTreeIndex // RTREE
 	all   []lsmIndex        // trees or rts, by partition
-	norm  spatial.Normalizer
-	grid  spatial.Grid
 	// Entries written (inserted or antimatter-deleted), and overwrites that
 	// left the index alone because they kept its entries.
 	mWritten, mSkipped *obs.Counter
@@ -87,10 +85,6 @@ func (d *Dataset) lsmIndexes() []lsmIndex {
 	}
 	return all
 }
-
-// defaultWorld bounds the curve/grid linearizations (geographic-style
-// coordinates; the core API allows custom worlds via index params).
-var defaultWorld = [4]float64{-180, -90, 180, 90}
 
 // dropAll retires LSM indexes — a dropped dataset's, a dropped or half-built
 // secondary index's partitions: none keeps an account in the governor's
@@ -145,8 +139,6 @@ func (e *Engine) openDataset(def *metadata.DatasetDef) (*Dataset, error) {
 
 func (d *Dataset) openIndex(idef *metadata.IndexDef) (*SecondaryIndex, error) {
 	si := &SecondaryIndex{def: idef, ds: d}
-	si.norm = spatial.NewNormalizer(defaultWorld[0], defaultWorld[1], defaultWorld[2], defaultWorld[3])
-	si.grid = spatial.NewGrid(defaultWorld[0], defaultWorld[1], defaultWorld[2], defaultWorld[3], 64, 64)
 	e := d.eng
 	kind := strings.ToLower(idef.Kind)
 	si.mWritten = e.reg.Counter("index_"+kind+"_entries_written_total", "entries inserted into or antimatter-deleted from "+idef.Kind+" secondary indexes")
@@ -317,18 +309,18 @@ func (d *Dataset) getRecord(part int, keyBytes []byte) (*adm.Object, bool, error
 	return o, err == nil, err
 }
 
-// entryKeys holds one record's entries in one secondary index. An entry of
-// a B-tree-shaped index is its key, `EncodeKey(secondary key) ‖ primary
-// key`, and has no value; the keys lie back to back in buf, the i-th ending
-// at ends[i]. An RTREE entry is the pair (rect, primary key).
+// entryKeys holds one record's entries in one secondary index, back to
+// back in buf, the i-th ending at ends[i]. An entry of a B-tree-shaped
+// index is its key, `EncodeKey(secondary key) ‖ primary key`, and has no
+// value; an RTREE entry is `rtree.AppendRect(rect) ‖ primary key`, the
+// pair the R-tree keys by its rect's bits.
 type entryKeys struct {
-	buf   []byte
-	ends  []int
-	rects []rtree.Rect
-	tok   []byte // KEYWORD: the token being keyed
+	buf  []byte
+	ends []int
+	tok  []byte // KEYWORD: the token being keyed
 }
 
-func (ks *entryKeys) reset() { ks.buf, ks.ends, ks.rects = ks.buf[:0], ks.ends[:0], ks.rects[:0] }
+func (ks *entryKeys) reset() { ks.buf, ks.ends = ks.buf[:0], ks.ends[:0] }
 
 // seal ends, with pk, the key buf has grown by since the last one — and
 // drops it if the record has it already (a token that occurs twice).
@@ -381,9 +373,11 @@ func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Objec
 	case "RTREE":
 		switch g := fv.(type) {
 		case adm.Point:
-			ks.rects = append(ks.rects, rtree.PointRect(g.X, g.Y))
+			ks.buf = rtree.AppendRect(ks.buf, rtree.PointRect(g.X, g.Y))
+			ks.seal(pk)
 		case adm.Rectangle:
-			ks.rects = append(ks.rects, rtree.Rect{MinX: g.MinX, MinY: g.MinY, MaxX: g.MaxX, MaxY: g.MaxY})
+			ks.buf = rtree.AppendRect(ks.buf, rtree.Rect{MinX: g.MinX, MinY: g.MinY, MaxX: g.MaxX, MaxY: g.MaxY})
+			ks.seal(pk)
 		}
 	}
 	return err
@@ -393,9 +387,9 @@ func (si *SecondaryIndex) appendEntries(ks *entryKeys, pk []byte, rec *adm.Objec
 // point under: its place on the curve, or its grid cell.
 func (si *SecondaryIndex) appendCellKey(buf []byte, pt adm.Point) []byte {
 	if si.def.Kind == "GRID" {
-		return adm.AppendNumberKey(buf, float64(si.grid.Cell(pt.X, pt.Y)))
+		return appendGridKey(buf, uint64(spatial.World.Cell(pt.X, pt.Y)))
 	}
-	x, y := si.norm.Lattice(pt.X, pt.Y)
+	x, y := spatial.World.Norm.Lattice(pt.X, pt.Y)
 	if si.def.Kind == "ZORDER" {
 		return appendCurveKey(buf, spatial.ZOrder(x, y))
 	}
@@ -407,6 +401,8 @@ func appendCurveKey(buf []byte, curve uint64) []byte {
 	binary.BigEndian.PutUint64(cb[:], curve)
 	return adm.AppendBinaryKey(buf, cb[:])
 }
+
+func appendGridKey(buf []byte, cell uint64) []byte { return adm.AppendNumberKey(buf, float64(cell)) }
 
 // maintainIndexes brings every secondary index from the entries of old to
 // those of rec (nil: no such version). An index in which the new version
@@ -421,7 +417,7 @@ func (d *Dataset) maintainIndexes(part int, pk []byte, old, rec *adm.Object, w *
 		if err := errors.Join(si.appendEntries(&w.old, pk, old), si.appendEntries(&w.cur, pk, rec)); err != nil {
 			return err
 		}
-		if old != nil && rec != nil && !w.redo && bytes.Equal(w.old.buf, w.cur.buf) && slices.Equal(w.old.rects, w.cur.rects) {
+		if old != nil && rec != nil && !w.redo && bytes.Equal(w.old.buf, w.cur.buf) {
 			si.mSkipped.Inc()
 			continue
 		}
@@ -439,29 +435,24 @@ func (d *Dataset) maintainIndexes(part int, pk []byte, old, rec *adm.Object, w *
 // index build all go through it: it inserts the entries, or with remove
 // antimatter-deletes them.
 func (si *SecondaryIndex) write(part int, pk []byte, ks *entryKeys, remove bool, sp *obs.Span) (err error) {
-	for _, r := range ks.rects {
-		if remove {
-			err = si.rts[part].DeleteSpan(r, pk, sp)
-		} else {
-			err = si.rts[part].InsertSpan(r, pk, sp)
-		}
-		if err != nil {
-			return err
-		}
-	}
 	start := 0
 	for _, end := range ks.ends {
-		if remove {
-			err = si.trees[part].DeleteSpan(ks.buf[start:end], sp)
-		} else {
-			err = si.trees[part].UpsertSpan(ks.buf[start:end], nil, sp)
+		switch e := ks.buf[start:end]; {
+		case si.rts != nil && remove:
+			err = si.rts[part].DeleteSpan(rtree.DecodeRect(e), pk, sp)
+		case si.rts != nil:
+			err = si.rts[part].InsertSpan(rtree.DecodeRect(e), pk, sp)
+		case remove:
+			err = si.trees[part].DeleteSpan(e, sp)
+		default:
+			err = si.trees[part].UpsertSpan(e, nil, sp)
 		}
 		if err != nil {
 			return err
 		}
 		start = end
 	}
-	si.mWritten.Add(int64(len(ks.rects) + len(ks.ends)))
+	si.mWritten.Add(int64(len(ks.ends)))
 	return nil
 }
 
@@ -775,7 +766,7 @@ func (si *SecondaryIndex) SearchRange(part int, lo, hi adm.Value, loInc, hiInc b
 		}
 	}
 	var c candidates
-	if err := si.scanCandidates(part, loB, hiB, &c); err != nil {
+	if err := si.scanCandidates(part, []lsm.KeyRange{{Lo: loB, Hi: hiB}}, &c); err != nil {
 		return err
 	}
 	return si.fetch(part, c.sorted(), emit)
@@ -832,12 +823,13 @@ func (si *SecondaryIndex) SearchSpatialCandidates(part int, rect adm.Rectangle) 
 }
 
 // scanCandidates adds to c the primary key of every entry with key bytes in
-// [lo, hi] (nil = unbounded). An entry is `EncodeKey(skey) ‖ pk` and a pk
-// starts with a key tag, all of which are below 0xFF: a bound `key ‖ 0xFF`
-// lies past every entry of that secondary key and before the next one's.
-func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, c *candidates) error {
+// one of the sorted, disjoint ranges rs, read in one scan. An entry is
+// `EncodeKey(skey) ‖ pk` and a pk starts with a key tag, all of which are
+// below 0xFF: a bound `key ‖ 0xFF` lies past every entry of that secondary
+// key and before the next one's.
+func (si *SecondaryIndex) scanCandidates(part int, rs []lsm.KeyRange, c *candidates) error {
 	var innerErr error
-	err := si.trees[part].Scan(lo, hi, func(k, _ []byte) bool {
+	err := si.trees[part].ScanRanges(rs, func(k, _ []byte) bool {
 		var n int
 		if n, innerErr = adm.KeyLen(k); innerErr == nil {
 			c.add(k[n:])
@@ -848,9 +840,15 @@ func (si *SecondaryIndex) scanCandidates(part int, lo, hi []byte, c *candidates)
 }
 
 // spatialCandidates gathers the candidate primary keys of a spatial query
-// from whichever structure the index kind uses.
+// from whichever structure the index kind uses. A curve or grid index is
+// read in one scan of the key ranges that cover the query: its curve
+// ranges, or one range of cells per grid row.
 func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (*candidates, error) {
 	c := &candidates{}
+	x0, y0 := spatial.World.Norm.Lattice(rect.MinX, rect.MinY)
+	x1, y1 := spatial.World.Norm.Lattice(rect.MaxX, rect.MaxY)
+	var cells []spatial.CurveRange
+	appendKey := appendCurveKey
 	switch si.def.Kind {
 	case "RTREE":
 		q := rtree.Rect{MinX: rect.MinX, MinY: rect.MinY, MaxX: rect.MaxX, MaxY: rect.MaxY}
@@ -858,39 +856,26 @@ func (si *SecondaryIndex) spatialCandidates(part int, rect adm.Rectangle) (*cand
 			c.add(key)
 			return true
 		})
-	case "ZORDER", "HILBERT":
-		x0, y0 := si.norm.Lattice(rect.MinX, rect.MinY)
-		x1, y1 := si.norm.Lattice(rect.MaxX, rect.MaxY)
-		// A generous range budget keeps curve false positives low; the
-		// paper's §V-B point is precisely that sloppy candidates get
-		// amplified by the (dominant) object-fetch phase.
-		const curveRangeBudget = 512
-		var ranges []spatial.CurveRange
-		if si.def.Kind == "ZORDER" {
-			ranges = spatial.ZOrderRanges(x0, y0, x1, y1, curveRangeBudget)
-		} else {
-			ranges = spatial.HilbertRanges(x0, y0, x1, y1, curveRangeBudget)
-		}
-		var lo, hi []byte
-		for _, r := range ranges {
-			lo, hi = appendCurveKey(lo[:0], r.Lo), append(appendCurveKey(hi[:0], r.Hi), 0xFF)
-			if err := si.scanCandidates(part, lo, hi, c); err != nil {
-				return c, err
-			}
-		}
-		return c, nil
+	case "ZORDER":
+		cells = spatial.ZOrderRanges(x0, y0, x1, y1, spatial.RangeBudget)
+	case "HILBERT":
+		cells = spatial.HilbertRanges(x0, y0, x1, y1, spatial.RangeBudget)
 	case "GRID":
-		var lo, hi []byte
-		for _, cell := range si.grid.CellsInRect(rect.MinX, rect.MinY, rect.MaxX, rect.MaxY) {
-			lo = adm.AppendNumberKey(lo[:0], float64(cell))
-			hi = append(append(hi[:0], lo...), 0xFF)
-			if err := si.scanCandidates(part, lo, hi, c); err != nil {
-				return c, err
-			}
-		}
-		return c, nil
+		cells, appendKey = spatial.World.CellRanges(rect.MinX, rect.MinY, rect.MaxX, rect.MaxY), appendGridKey
+	default:
+		return c, fmt.Errorf("core: spatial search on %s index", si.def.Kind)
 	}
-	return c, fmt.Errorf("core: spatial search on %s index", si.def.Kind)
+	// A range's bounds take at most 40 bytes (two keys of at most 19 and
+	// the 0xFF), so every bound is a slice of one buffer.
+	buf, rs := make([]byte, 0, 40*len(cells)), make([]lsm.KeyRange, len(cells))
+	for i, r := range cells {
+		lo := len(buf)
+		buf = appendKey(buf, r.Lo)
+		hi := len(buf)
+		buf = append(appendKey(buf, r.Hi), 0xFF)
+		rs[i] = lsm.KeyRange{Lo: buf[lo:hi], Hi: buf[hi:]}
+	}
+	return c, si.scanCandidates(part, rs, c)
 }
 
 // SearchKeyword implements algebricks.IndexAccessor for KEYWORD indexes.
@@ -904,7 +889,7 @@ func (si *SecondaryIndex) SearchKeyword(part int, token string, emit func(algebr
 	}
 	lo := adm.AppendStringKey(nil, toks[0])
 	var c candidates
-	if err := si.scanCandidates(part, lo, append(slices.Clone(lo), 0xFF), &c); err != nil {
+	if err := si.scanCandidates(part, []lsm.KeyRange{{Lo: lo, Hi: append(slices.Clone(lo), 0xFF)}}, &c); err != nil {
 		return err
 	}
 	return si.fetch(part, c.sorted(), emit)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"asterix/internal/adm"
 	"asterix/internal/algebricks"
 	"asterix/internal/lsm"
+	"asterix/internal/rtree"
 )
 
 func indexOf(t *testing.T, e *Engine, dataset, index string) *SecondaryIndex {
@@ -392,6 +394,35 @@ func TestSecondaryWritesOnlyWhatChanged(t *testing.T) {
 	} {
 		if rows := queryRows(t, e2, q); len(rows) != 1 || rows[0].String() != "7" {
 			t.Errorf("%s: got %v, want [7]", q, rows)
+		}
+	}
+}
+
+// TestRTreeOverwriteAcrossSignedZero: an overwrite that moves a point from
+// -0 to +0 changes its R-tree entry, because the R-tree keys a pair by its
+// rect's bits, so the overwrite writes the index, and deleting the record
+// leaves no entry behind in it.
+func TestRTreeOverwriteAcrossSignedZero(t *testing.T) {
+	e := newEngine(t, Config{})
+	mustExec(t, e, `
+		CREATE TYPE ZT AS {id: int};
+		CREATE DATASET Z(ZT) PRIMARY KEY id;
+		CREATE INDEX zLoc ON Z(loc) TYPE RTREE;`)
+	for _, x := range []float64{math.Copysign(0, -1), 0} {
+		if err := e.UpsertValue("Z", adm.NewObject(adm.Field{Name: "id", Value: adm.Int64(1)}, adm.Field{Name: "loc", Value: adm.Point{X: x, Y: 5}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.DeleteKey("Z", adm.Int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	world := rtree.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+	for p, rt := range indexOf(t, e, "Z", "zLoc").rts {
+		if err := rt.Search(world, func(r rtree.Rect, pk []byte) bool {
+			t.Errorf("partition %d: entry %v of pk %x outlives its record", p, r, pk)
+			return true
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -231,11 +231,6 @@ func NewNamedCluster(ids []string, baseDir string) (*Cluster, error) {
 	return c, nil
 }
 
-// NodeFor maps an operator partition to its node.
-func (c *Cluster) NodeFor(partition int) *NodeController {
-	return c.Nodes[partition%len(c.Nodes)]
-}
-
 // NodeByID returns the controller with the id, or nil.
 func (c *Cluster) NodeByID(id string) *NodeController {
 	for _, n := range c.Nodes {

@@ -75,9 +75,6 @@ type Input struct {
 	recv func() ([]Tuple, bool, error)
 }
 
-// NextFrame returns the next frame, ok=false at end of stream.
-func (in *Input) NextFrame() ([]Tuple, bool, error) { return in.recv() }
-
 // ForEach drains the input, calling fn per tuple.
 func (in *Input) ForEach(fn func(Tuple) error) error {
 	for {

@@ -65,9 +65,11 @@ func (h *history) check(k int, acked, seen int64) bool {
 // the last acknowledged before the read began, tombstones included —
 // whether the version sits in the active component, the sealed one or on
 // disk, and whichever of them the flush moves it between meanwhile. A
-// scan, of the whole tree or of a range, reads a memory component a batch
-// at a time while the writer goes on: its keys must rise strictly, and it
-// must see every key acknowledged before it began. So the writer also
+// scan, of the whole tree, of a range or of a set of ranges, reads a memory
+// component a batch at a time while the writer goes on: its keys must rise
+// strictly, and it must see every key acknowledged before it began. A
+// range-set scan reads all its ranges in one view, and the flush may move
+// entries between the ranges it reads. So the writer also
 // inserts fresh keys between the existing ones (inside the batches being
 // read), and in every other phase overwrites one key until the memory
 // component copies its slab.
@@ -104,22 +106,43 @@ func TestTreeReadersSeeOneView(t *testing.T) {
 				}
 			}
 		}()
-		go func(r int) { // scans: whole, or of [lo, hi)
+		go func(r int) { // scans: whole, of [lo, hi], or of a set of such ranges
 			defer wg.Done()
 			for n := 0; !stop.Load(); n++ {
-				lo, hi := 0, keys
-				if (n+r)%2 == 1 {
-					lo = n * 37 % keys
-					hi = lo + 1 + n*11%(keys-lo)
+				var spans [][2]int // the ranges scanned, as key numbers, inclusive
+				switch (n + r) % 3 {
+				case 0:
+					spans = [][2]int{{0, keys - 1}}
+				case 1:
+					lo := n * 37 % keys
+					spans = [][2]int{{lo, lo + n*11%(keys-lo)}}
+				default:
+					for lo := n % 23; lo < keys; {
+						hi := min(lo+(n+lo)%50, keys-1)
+						spans = append(spans, [2]int{lo, hi})
+						lo = hi + 1 + (n*7+lo)%30
+					}
+				}
+				rs := make([]KeyRange, len(spans))
+				end := make([]int, keys) // the last key number of k's range; -1 outside every range
+				for k := range end {
+					end[k] = -1
+				}
+				for i, sp := range spans {
+					rs[i] = KeyRange{ikey(sp[0]), ikey(sp[1])}
+					for k := sp[0]; k <= sp[1]; k++ {
+						end[k] = sp[1]
+					}
 				}
 				acked, freshAcked := h.ackedNow(), int(fresh.Load())
 				seen := make([]int64, keys)
 				var prev []byte
 				freshSeen := 0
-				err := tr.Scan(ikey(lo), ikey(hi-1), func(key, v []byte) bool {
+				err := tr.ScanRanges(rs, func(key, v []byte) bool {
 					k := int(binary.BigEndian.Uint64(key))
-					if prev != nil && bytes.Compare(prev, key) >= 0 || k < lo || k >= hi {
-						t.Errorf("Scan [%d, %d) visited %x after %x", lo, hi, key, prev)
+					// A fresh key behind ikey(k) lies in k's range unless k ends it.
+					if prev != nil && bytes.Compare(prev, key) >= 0 || k >= keys || end[k] < 0 || len(key) > 8 && k == end[k] {
+						t.Errorf("Scan %v visited %x after %x", spans, key, prev)
 					}
 					prev = append(prev[:0], key...)
 					if len(key) > 8 {
@@ -135,20 +158,22 @@ func TestTreeReadersSeeOneView(t *testing.T) {
 					t.Errorf("Scan: %v", err)
 					return
 				}
-				for k := lo; k < hi; k++ {
-					if !h.check(k, acked[k], seen[k]) {
-						t.Errorf("Scan [%d, %d) saw key %d at version %d: acknowledged %d, issued %d", lo, hi, k, seen[k], acked[k], h.issued[k].Load())
-						return
-					}
-				}
 				want := 0
-				for j := 0; j < freshAcked; j++ {
-					if k := j * 13 % keys; k >= lo && k < hi-1 {
-						want++
+				for _, sp := range spans {
+					for k := sp[0]; k <= sp[1]; k++ {
+						if !h.check(k, acked[k], seen[k]) {
+							t.Errorf("Scan %v saw key %d at version %d: acknowledged %d, issued %d", spans, k, seen[k], acked[k], h.issued[k].Load())
+							return
+						}
+					}
+					for j := 0; j < freshAcked; j++ {
+						if k := j * 13 % keys; k >= sp[0] && k < sp[1] {
+							want++
+						}
 					}
 				}
 				if freshSeen != want {
-					t.Errorf("Scan [%d, %d) saw %d of the %d fresh keys acknowledged before it", lo, hi, freshSeen, want)
+					t.Errorf("Scan %v saw %d of the %d fresh keys acknowledged before it", spans, freshSeen, want)
 					return
 				}
 			}

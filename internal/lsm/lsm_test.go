@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"asterix/internal/check"
@@ -396,6 +397,87 @@ func TestPropTreeMatchesReference(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("key %s: %q != %q", k, got[k], v)
 		}
+	}
+	mustValidate(t, tr, bc)
+}
+
+// TestScanRangesMatchesModel checks range-set scans against a map over a
+// random history of upserts, deletes, flushes and merges: every few steps
+// a scan of a random sorted set of disjoint ranges (single keys, adjacent
+// ranges, ranges past every key, unbounded ends) must return exactly the
+// map's keys in those ranges, in order, at their newest values, and a scan
+// stopped early must return a prefix of that.
+func TestScanRangesMatchesModel(t *testing.T) {
+	bc, _ := newEnv(t, 1024, 1024)
+	tr, err := Open(bc, "ranges", Options{MemBudget: 1 << 30, Policy: ConstantPolicy{Components: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 500
+	ref := map[int]string{}
+	r := rand.New(rand.NewSource(54))
+	for op := 0; op < 6000; op++ {
+		k := r.Intn(keys)
+		switch r.Intn(25) {
+		case 0:
+			err = tr.Flush()
+		case 1, 2, 3, 4, 5:
+			err = tr.Delete(ikey(k))
+			delete(ref, k)
+		default:
+			ref[k] = fmt.Sprintf("v%d", op)
+			err = tr.Upsert(ikey(k), []byte(ref[k]))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op%7 != 0 {
+			continue
+		}
+		var rs []KeyRange
+		var want []int
+		for lo := r.Intn(60); lo < keys+40; lo += 1 + r.Intn(60) {
+			hi := lo + r.Intn(1+r.Intn(200))
+			rg := KeyRange{ikey(lo), ikey(hi)}
+			if len(rs) == 0 && r.Intn(4) == 0 {
+				rg.Lo = nil
+			}
+			if hi >= keys && r.Intn(2) == 0 {
+				rg.Hi, hi = nil, math.MaxInt
+			}
+			for k := range ref {
+				if k >= lo && k <= hi || rg.Lo == nil && k < lo {
+					want = append(want, k)
+				}
+			}
+			if rs = append(rs, rg); rg.Hi == nil {
+				break
+			}
+			lo = hi
+		}
+		slices.Sort(want)
+		stop := len(want) + 1
+		if r.Intn(3) == 0 {
+			stop = 1 + r.Intn(len(want)+1)
+		}
+		var got []int
+		err := tr.ScanRanges(rs, func(key, v []byte) bool {
+			k := int(binary.BigEndian.Uint64(key))
+			if string(v) != ref[k] {
+				t.Fatalf("op %d: key %d = %q, want %q", op, k, v, ref[k])
+			}
+			got = append(got, k)
+			return len(got) < stop
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = want[:min(stop, len(want))]; !slices.Equal(got, want) {
+			t.Fatalf("op %d: ranges %v: got %v, want %v", op, rs, got, want)
+		}
+	}
+	if flushes, merges := tr.Stats(); flushes < 100 || merges == 0 {
+		t.Fatalf("%d flushes and %d merges, want many and some", flushes, merges)
 	}
 	mustValidate(t, tr, bc)
 }

@@ -53,9 +53,6 @@ type memRTree struct {
 const (
 	curveLen = 8  // a memRTree key's curve position, before its (rect, pk) pair
 	rectLen  = 32 // a pair's rect, before its pk
-	// curveRangeBudget caps the curve ranges a search walks; ranges past
-	// it are covered whole, and the rectangle test drops what they add.
-	curveRangeBudget = 128
 )
 
 // put replaces the pair's pending state (live or antimatter) and returns
@@ -86,7 +83,7 @@ func (m *memRTree) search(query rtree.Rect) []memEntry {
 	y0, y1 := cells(query.MinY, query.MaxY, m.reach)
 	var out, run []memEntry
 	var lo, next [curveLen]byte
-	for _, c := range spatial.HilbertRanges(x0, y0, x1, y1, curveRangeBudget) {
+	for _, c := range spatial.HilbertRanges(x0, y0, x1, y1, spatial.RangeBudget) {
 		binary.BigEndian.PutUint64(lo[:], c.Lo)
 		var hi []byte // nil: to the end
 		if c.Hi < math.MaxUint64 {
@@ -95,7 +92,7 @@ func (m *memRTree) search(query rtree.Rect) []memEntry {
 		}
 		run = m.t.run(lo[:], hi, run[:0], math.MaxInt)
 		for _, e := range run {
-			if query.Intersects(pairRect(e.key[curveLen:])) {
+			if query.Intersects(rtree.DecodeRect(e.key[curveLen:])) {
 				out = append(out, e)
 			}
 		}
@@ -170,17 +167,7 @@ var everything = rtree.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.I
 // appendPair appends the (rect, primary key) pair — the unit antimatter
 // cancels — as the rect's coordinate bits followed by the key.
 func appendPair(b []byte, r rtree.Rect, key []byte) []byte {
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MinX))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MinY))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MaxX))
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MaxY))
-	return append(b, key...)
-}
-
-// pairRect decodes the rect of an appendPair pair.
-func pairRect(p []byte) rtree.Rect {
-	f := func(i int) float64 { return math.Float64frombits(binary.BigEndian.Uint64(p[i:])) }
-	return rtree.Rect{MinX: f(0), MinY: f(8), MaxX: f(16), MaxY: f(24)}
+	return append(rtree.AppendRect(b, r), key...)
 }
 
 // rtreeKind LSM-ifies the R-tree.
@@ -198,7 +185,7 @@ func (rtreeKind) build(bc *storage.BufferCache, file storage.FileID, mem *memRTr
 	entries := make([]rtree.Entry, 0, mem.len())
 	for c := mem.t.cursor(nil, nil); c.valid(); c.next() {
 		e := c.batch[c.i]
-		if r := pairRect(e.key[curveLen:]); everything.Intersects(r) {
+		if r := rtree.DecodeRect(e.key[curveLen:]); everything.Intersects(r) {
 			entries = append(entries, rtree.Entry{Rect: r, Payload: appendFlagged(make([]byte, 0, len(e.key)-curveLen-rectLen+1), e.key[curveLen+rectLen:], e.tombstone)})
 		}
 	}
@@ -294,7 +281,7 @@ func (t *RTreeIndex) Search(query rtree.Rect, fn func(r rtree.Rect, key []byte) 
 			return true
 		}
 		seen[string(pair)] = true
-		if !tombstone && !fn(pairRect(pair), bytes.Clone(pair[rectLen:])) {
+		if !tombstone && !fn(rtree.DecodeRect(pair), bytes.Clone(pair[rectLen:])) {
 			stopped = true
 		}
 		return !stopped

@@ -120,9 +120,9 @@ func memRTreeHistory(t *testing.T, p palette, steps, searchers int, r *rand.Rand
 	write := func(pair []byte, tombstone bool) {
 		var err error
 		if tombstone {
-			err = rt.Delete(pairRect(pair), pair[rectLen:])
+			err = rt.Delete(rtree.DecodeRect(pair), pair[rectLen:])
 		} else {
-			err = rt.Insert(pairRect(pair), pair[rectLen:])
+			err = rt.Insert(rtree.DecodeRect(pair), pair[rectLen:])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func memRTreeHistory(t *testing.T, p palette, steps, searchers int, r *rand.Rand
 			}
 			return q
 		}
-		e := pairRect([]byte(pairs[r.Intn(len(pairs))]))
+		e := rtree.DecodeRect([]byte(pairs[r.Intn(len(pairs))]))
 		d := float64(r.Intn(8)) / 4
 		switch r.Intn(6) {
 		case 0:
@@ -180,13 +180,13 @@ func memRTreeHistory(t *testing.T, p palette, steps, searchers int, r *rand.Rand
 			t.Fatal(err)
 		}
 		for pair, n := range got {
-			if !live[pair] || n != 1 || !q.Intersects(pairRect([]byte(pair))) {
-				t.Fatalf("search %v returned %v pk %x %d times; live %v", q, pairRect([]byte(pair)), pair[rectLen:], n, live[pair])
+			if !live[pair] || n != 1 || !q.Intersects(rtree.DecodeRect([]byte(pair))) {
+				t.Fatalf("search %v returned %v pk %x %d times; live %v", q, rtree.DecodeRect([]byte(pair)), pair[rectLen:], n, live[pair])
 			}
 		}
 		for pair, l := range live {
-			if l && got[pair] == 0 && q.Intersects(pairRect([]byte(pair))) {
-				t.Fatalf("search %v missed %v pk %x", q, pairRect([]byte(pair)), pair[rectLen:])
+			if l && got[pair] == 0 && q.Intersects(rtree.DecodeRect([]byte(pair))) {
+				t.Fatalf("search %v missed %v pk %x", q, rtree.DecodeRect([]byte(pair)), pair[rectLen:])
 			}
 		}
 	}
@@ -225,8 +225,8 @@ func memRTreeHistory(t *testing.T, p palette, steps, searchers int, r *rand.Rand
 					return
 				}
 				for pair, n := range got {
-					if n != 1 || !q.Intersects(pairRect([]byte(pair))) {
-						t.Errorf("search %v returned %v %d times", q, pairRect([]byte(pair)), n)
+					if n != 1 || !q.Intersects(rtree.DecodeRect([]byte(pair))) {
+						t.Errorf("search %v returned %v %d times", q, rtree.DecodeRect([]byte(pair)), n)
 						return
 					}
 				}
@@ -258,7 +258,7 @@ func memRTreeHistory(t *testing.T, p palette, steps, searchers int, r *rand.Rand
 		if step == steps/3 || step == 2*steps/3 {
 			flushed := 0 // an entry with a NaN coordinate is not written
 			for pair := range pending {
-				if everything.Intersects(pairRect([]byte(pair))) {
+				if everything.Intersects(rtree.DecodeRect([]byte(pair))) {
 					flushed++
 				}
 			}
@@ -297,7 +297,7 @@ func checkMemRTree(t *testing.T, m *memRTree, pending map[string]bool) {
 	for _, e := range entries {
 		pair := e.key[curveLen:]
 		tomb, ok := pending[string(pair)]
-		r := pairRect(pair)
+		r := rtree.DecodeRect(pair)
 		if !ok || tomb != e.tombstone {
 			t.Fatalf("entry %v pk %x tombstone %v: pending %v %v", r, pair[rectLen:], e.tombstone, ok, tomb)
 		}

@@ -252,6 +252,7 @@ func (m *memTable) run(lo, hi []byte, out []memEntry, limit int) []memEntry {
 // are slab bytes, which stay valid once the lock is released.
 type cursor struct {
 	it    *btree.Iterator
+	bt    *btree.BTree // a disk source: its iterator is made at the first seek
 	m     *memTable
 	hi    []byte
 	batch []memEntry // reused from batch to batch
@@ -262,7 +263,22 @@ type cursor struct {
 // cursor returns a cursor on the entries with lo <= key <= hi. It
 // allocates nothing when there is none.
 func (m *memTable) cursor(lo, hi []byte) cursor {
-	return cursor{m: m, hi: hi, batch: m.run(lo, hi, nil, leafSlots)}
+	c := cursor{m: m}
+	c.seek(lo, hi)
+	return c
+}
+
+// seek moves the cursor to the entries with lo <= key <= hi, keeping its
+// iterator or batch buffer.
+func (c *cursor) seek(lo, hi []byte) {
+	switch {
+	case c.it != nil:
+		c.it.Seek(lo, hi)
+	case c.bt != nil:
+		c.it = c.bt.NewIterator(lo, hi)
+	default:
+		c.hi, c.batch, c.i = hi, c.m.run(lo, hi, c.batch[:0], leafSlots), 0
+	}
 }
 
 func (c *cursor) valid() bool {

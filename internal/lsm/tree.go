@@ -282,36 +282,55 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
+// KeyRange is the keys lo <= key <= hi (a nil bound is unbounded).
+type KeyRange struct{ Lo, Hi []byte }
+
 // Scan visits live entries with lo <= key <= hi in key order, newest
 // version winning; fn returning false stops early. key and value point
 // into the scan's page buffers and are valid only until fn returns: a
 // caller that keeps either copies it.
 func (t *Tree) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
+	return t.ScanRanges([]KeyRange{{lo, hi}}, fn)
+}
+
+// ScanRanges is Scan over each of a sorted set of disjoint ranges in turn,
+// in one view of the components: between ranges every source seeks
+// forward in place, keeping its buffers.
+func (t *Tree) ScanRanges(rs []KeyRange, fn func(key, value []byte) bool) error {
 	comps, mems := t.view()
 	defer t.release(comps)
 	// One merge: the memory components are the newest sources, then the
 	// disk components newest first.
 	srcs := make([]cursor, len(mems)+len(comps))
 	for i, m := range mems {
-		srcs[i] = m.cursor(lo, hi)
+		srcs[i].m = m
 	}
 	for i, c := range comps {
-		srcs[len(mems)+i].it = c.idx.bt.NewIterator(lo, hi)
+		srcs[len(mems)+i].bt = c.idx.bt
 	}
-	for {
-		src, key, err := lowest(srcs)
-		if src == -1 {
-			return err
+	for _, r := range rs {
+		for i := range srcs {
+			srcs[i].seek(r.Lo, r.Hi)
 		}
-		value, tombstone, err := srcs[src].entry()
-		if err != nil {
-			return err
+		for {
+			src, key, err := lowest(srcs)
+			if src == -1 {
+				if err != nil {
+					return err
+				}
+				break
+			}
+			value, tombstone, err := srcs[src].entry()
+			if err != nil {
+				return err
+			}
+			if !tombstone && !fn(key, value) {
+				return nil
+			}
+			srcs[src].next()
 		}
-		if !tombstone && !fn(key, value) {
-			return nil
-		}
-		srcs[src].next()
 	}
+	return nil
 }
 
 // Count estimates the number of live keys by a full scan (exact but O(n));

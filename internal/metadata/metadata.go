@@ -329,13 +329,6 @@ func (c *Catalog) ResolveType(name string) (*adm.Type, error) {
 	return c.resolveRef(TypeRef{Named: name}, 0)
 }
 
-// ResolveRef materializes a structural type reference.
-func (c *Catalog) ResolveRef(ref TypeRef) (*adm.Type, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.resolveRef(ref, 0)
-}
-
 var primitives = map[string]adm.Kind{
 	"boolean": adm.KindBoolean,
 	"int8":    adm.KindInt64, "int16": adm.KindInt64, "int32": adm.KindInt64,

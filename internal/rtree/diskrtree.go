@@ -75,7 +75,7 @@ func BuildDisk(bc *storage.BufferCache, file storage.FileID, entries []Entry) (*
 			if pos+leafEntrySize(e) > pageSize {
 				break
 			}
-			putRect(p.Data[pos:], e.Rect)
+			AppendRect(p.Data[pos:pos], e.Rect)
 			pos += 32
 			pos += binary.PutUvarint(p.Data[pos:], uint64(len(e.Payload)))
 			pos += copy(p.Data[pos:], e.Payload)
@@ -122,7 +122,7 @@ func BuildDisk(bc *storage.BufferCache, file storage.FileID, entries []Entry) (*
 			var rect Rect
 			for off+n < len(level) && n < interiorCap && pos+36 <= pageSize {
 				c := level[off+n]
-				putRect(p.Data[pos:], c.rect)
+				AppendRect(p.Data[pos:pos], c.rect)
 				pos += 32
 				binary.BigEndian.PutUint32(p.Data[pos:], uint32(c.page))
 				pos += 4
@@ -182,7 +182,7 @@ func (t *DiskRTree) search(page int32, query Rect, fn func(e Entry) bool) (bool,
 	if leaf {
 		pos := 3
 		for i := 0; i < n; i++ {
-			r := getRect(p.Data[pos:])
+			r := DecodeRect(p.Data[pos:])
 			pos += 32
 			l, m := binary.Uvarint(p.Data[pos:])
 			pos += m
@@ -207,7 +207,7 @@ func (t *DiskRTree) search(page int32, query Rect, fn func(e Entry) bool) (bool,
 	var kids []childRef
 	pos := 3
 	for i := 0; i < n; i++ {
-		r := getRect(p.Data[pos:])
+		r := DecodeRect(p.Data[pos:])
 		pos += 32
 		c := int32(binary.BigEndian.Uint32(p.Data[pos:]))
 		pos += 4
@@ -225,14 +225,17 @@ func (t *DiskRTree) search(page int32, query Rect, fn func(e Entry) bool) (bool,
 	return true, nil
 }
 
-func putRect(buf []byte, r Rect) {
-	binary.BigEndian.PutUint64(buf[0:], math.Float64bits(r.MinX))
-	binary.BigEndian.PutUint64(buf[8:], math.Float64bits(r.MinY))
-	binary.BigEndian.PutUint64(buf[16:], math.Float64bits(r.MaxX))
-	binary.BigEndian.PutUint64(buf[24:], math.Float64bits(r.MaxY))
+// AppendRect appends r as the bits of its coordinates, the form in which
+// pages store it and the LSM R-tree tells two rectangles apart (-0 from +0).
+func AppendRect(b []byte, r Rect) []byte {
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MinX))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MinY))
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.MaxX))
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(r.MaxY))
 }
 
-func getRect(buf []byte) Rect {
+// DecodeRect decodes the rectangle AppendRect put at the start of buf.
+func DecodeRect(buf []byte) Rect {
 	return Rect{
 		MinX: math.Float64frombits(binary.BigEndian.Uint64(buf[0:])),
 		MinY: math.Float64frombits(binary.BigEndian.Uint64(buf[8:])),

@@ -3,9 +3,9 @@
 // and then only searched (the memory component is internal/lsm's memTable,
 // keyed by a Hilbert curve). Per the paper's Section V-B conclusion, the
 // R-tree is the spatial index AsterixDB ships: it handles point and
-// non-point data alike; point entries are stored without degenerate
-// bounding boxes (the "small improvement for storage efficiency" the paper
-// mentions is reflected here by the packed point-leaf format).
+// non-point data alike. Every leaf entry stores its whole rectangle, 32
+// bytes, a point's too (Min == Max): the packed point-leaf format of the
+// paper's "small improvement for storage efficiency" is not implemented.
 package rtree
 
 import (

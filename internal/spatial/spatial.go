@@ -14,21 +14,10 @@ import (
 // linearizations (32 bits → 64-bit curve positions).
 const CurveOrder = 32
 
-// Normalizer maps floating-point coordinates in a bounded world to the
-// integer lattice the curves operate on.
+// Normalizer maps floating-point coordinates in a bounded world (Min <
+// Max on both axes) to the integer lattice the curves operate on.
 type Normalizer struct {
 	MinX, MinY, MaxX, MaxY float64
-}
-
-// NewNormalizer builds a normalizer for the world rectangle.
-func NewNormalizer(minX, minY, maxX, maxY float64) Normalizer {
-	if maxX <= minX {
-		maxX = minX + 1
-	}
-	if maxY <= minY {
-		maxY = minY + 1
-	}
-	return Normalizer{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
 }
 
 const latticeMax = (1 << CurveOrder) - 1
@@ -89,26 +78,12 @@ func Hilbert(x, y uint32) uint64 {
 	return d
 }
 
-// Grid is a uniform W×H grid over a world rectangle; cells are numbered
-// row-major.
+// Grid is a uniform W×H grid (W, H >= 1) over a world rectangle; cells
+// are numbered row-major.
 type Grid struct {
 	Norm Normalizer
 	W, H int
 }
-
-// NewGrid builds a w×h grid over the world rectangle.
-func NewGrid(minX, minY, maxX, maxY float64, w, h int) Grid {
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
-	return Grid{Norm: NewNormalizer(minX, minY, maxX, maxY), W: w, H: h}
-}
-
-// Cells returns the total number of cells.
-func (g Grid) Cells() int { return g.W * g.H }
 
 // Cell returns the cell containing (x, y).
 func (g Grid) Cell(x, y float64) int {
@@ -141,19 +116,27 @@ func (g Grid) cellY(y float64) int {
 	return c
 }
 
-// CellsInRect returns the ids of all cells overlapping the query
-// rectangle.
-func (g Grid) CellsInRect(minX, minY, maxX, maxY float64) []int {
+// CellRanges returns the cells overlapping the query rectangle as one
+// range of consecutive cell ids per row.
+func (g Grid) CellRanges(minX, minY, maxX, maxY float64) []CurveRange {
 	x0, x1 := g.cellX(minX), g.cellX(maxX)
 	y0, y1 := g.cellY(minY), g.cellY(maxY)
-	out := make([]int, 0, (x1-x0+1)*(y1-y0+1))
+	out := make([]CurveRange, 0, y1-y0+1)
 	for cy := y0; cy <= y1; cy++ {
-		for cx := x0; cx <= x1; cx++ {
-			out = append(out, cy*g.W+cx)
-		}
+		out = append(out, CurveRange{Lo: uint64(cy*g.W + x0), Hi: uint64(cy*g.W + x1)})
 	}
 	return out
 }
+
+// World is the one world of the curve and grid indexes: geographic
+// coordinates, on a 64×64 grid. A point outside it is clamped to its edge.
+var World = Grid{Norm: Normalizer{MinX: -180, MinY: -90, MaxX: 180, MaxY: 90}, W: 64, H: 64}
+
+// RangeBudget caps the ranges a curve decomposition spends on one search,
+// by a curve index and by the R-tree's memory component alike. Past it,
+// quads are covered whole, and the exact test after the index drops what
+// they add: fewer, looser ranges trade candidates for seeks.
+const RangeBudget = 128
 
 // CurveRange describes one contiguous run of curve positions.
 type CurveRange struct{ Lo, Hi uint64 }
@@ -199,12 +182,15 @@ func curveRanges(x0, y0, x1, y1 uint32, maxRanges int, curve func(x, y uint32) u
 		return uint64(x0) <= uint64(q.qx) && uint64(x1) >= uint64(q.qx)+q.size-1 &&
 			uint64(y0) <= uint64(q.qy) && uint64(y1) >= uint64(q.qy)+q.size-1
 	}
-	var out []CurveRange
-	level, next := []quad{{0, 0, 1 << CurveOrder}}, []quad(nil) // the root meets every box
+	// Emitted + pending cells never exceed the budget, so out, level and
+	// next are allocated once, whatever the number of ranges.
+	b := max(maxRanges, 1)
+	out, qs := make([]CurveRange, 0, b), make([]quad, 2*b)
+	level, next := append(qs[:0:b], quad{0, 0, 1 << CurveOrder}), qs[b:b] // the root meets every box
 	for len(level) > 0 {
 		// Refining this level can at worst quadruple the pending cells;
 		// stop when emitted + pending would exceed the budget.
-		if len(out)+4*len(level) > max(maxRanges, 1) {
+		if len(out)+4*len(level) > b {
 			for _, q := range level {
 				out = emitCell(out, q)
 			}

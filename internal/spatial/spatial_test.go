@@ -113,7 +113,7 @@ func TestHilbertMatchesBranching(t *testing.T) {
 }
 
 func TestNormalizerClamps(t *testing.T) {
-	n := NewNormalizer(0, 0, 100, 100)
+	n := Normalizer{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}
 	if x, y := n.Lattice(-5, 200); x != 0 || y != latticeMax {
 		t.Errorf("clamp failed: %d, %d", x, y)
 	}
@@ -125,10 +125,7 @@ func TestNormalizerClamps(t *testing.T) {
 }
 
 func TestGridCells(t *testing.T) {
-	g := NewGrid(0, 0, 100, 100, 10, 10)
-	if g.Cells() != 100 {
-		t.Fatalf("cells = %d", g.Cells())
-	}
+	g := Grid{Norm: Normalizer{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, W: 10, H: 10}
 	if c := g.Cell(5, 5); c != 0 {
 		t.Errorf("cell(5,5) = %d", c)
 	}
@@ -138,10 +135,9 @@ func TestGridCells(t *testing.T) {
 	if c := g.Cell(150, -10); c != 9 {
 		t.Errorf("out-of-world point should clamp: %d", c)
 	}
-	cells := g.CellsInRect(12, 12, 38, 27)
-	// x cells 1..3, y cells 1..2 -> 6 cells.
-	if len(cells) != 6 {
-		t.Errorf("CellsInRect returned %d cells: %v", len(cells), cells)
+	// x cells 1..3, y cells 1..2: one range of three cells per row.
+	if rs := g.CellRanges(12, 12, 38, 27); !slices.Equal(rs, []CurveRange{{11, 13}, {21, 23}}) {
+		t.Errorf("CellRanges returned %v", rs)
 	}
 }
 
