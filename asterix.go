@@ -66,11 +66,9 @@ type Config struct {
 	// MergePolicy selects the LSM merge policy: "constant" (default),
 	// "tiered", or "none".
 	MergePolicy string
-	// OptimizerOff disables the rule-based plan optimizer: queries run
-	// exactly as translated (equivalence testing, worst-case baselines).
-	OptimizerOff bool
-	// OptimizerDisable names individual optimizer rules to skip
-	// (experiment ablations).
+	// OptimizerDisable names optimizer rules to skip (experiment
+	// ablations; see algebricks.DefaultRules). Naming every rule runs each
+	// query exactly as translated.
 	OptimizerDisable []string
 	// Now overrides the statement clock (tests and reproducible runs).
 	Now func() time.Time
@@ -112,7 +110,6 @@ func Open(cfg Config) (*DB, error) {
 		WorkingMemory:      cfg.WorkingMemory,
 		AdmitTimeout:       cfg.AdmitTimeout,
 		MergePolicy:        policy,
-		OptimizerOff:       cfg.OptimizerOff,
 		OptimizerDisable:   cfg.OptimizerDisable,
 		Now:                cfg.Now,
 	})

@@ -3,7 +3,9 @@ package algebricks
 import (
 	"fmt"
 	"maps"
+	"sort"
 
+	"asterix/internal/adm"
 	"asterix/internal/sqlpp"
 )
 
@@ -58,7 +60,9 @@ func ExtractAggregates(e sqlpp.Expr, gen *int, aggs *[]AggRef) sqlpp.Expr {
 // proj and HAVING become variables. The block groups if it has a GROUP BY
 // or that finds one; then the aggregates of ORDER BY become variables too —
 // numbered once across the three, so that the ones the grouping binds line
-// up — and each group key becomes its variable.
+// up — and each group key becomes its variable. The aliases are rewritten
+// so before they are inlined, since a nested block of ORDER BY, which the
+// rewrites do not enter, reads them as they are.
 func groupBlock(sel *sqlpp.SelectExpr, proj sqlpp.Expr) (sqlpp.Expr, sqlpp.Expr, []sqlpp.Expr, []AggRef) {
 	aliases := map[string]sqlpp.Expr{}
 	for _, item := range sel.Select.Items {
@@ -66,32 +70,66 @@ func groupBlock(sel *sqlpp.SelectExpr, proj sqlpp.Expr) (sqlpp.Expr, sqlpp.Expr,
 			aliases[item.Alias] = item.Expr
 		}
 	}
-	order := make([]sqlpp.Expr, len(sel.OrderBy))
-	for i, oi := range sel.OrderBy {
-		order[i] = SubstituteVars(oi.Expr, aliases)
-	}
 	var aggs []AggRef
 	gen, having := 0, sel.Having
 	if proj = ExtractAggregates(proj, &gen, &aggs); having != nil {
 		having = ExtractAggregates(having, &gen, &aggs)
 	}
+	order := make([]sqlpp.Expr, len(sel.OrderBy))
 	if len(sel.GroupBy) == 0 && len(aggs) == 0 {
+		for i, oi := range sel.OrderBy {
+			order[i] = SubstituteVars(oi.Expr, aliases)
+		}
 		return proj, having, order, nil
 	}
 	repl := groupKeyRewrites(sel)
 	if proj = SubstituteByKey(proj, repl); having != nil {
 		having = SubstituteByKey(having, repl)
 	}
-	for i := range order {
-		order[i] = SubstituteByKey(ExtractAggregates(order[i], &gen, &aggs), repl)
+	for name, e := range aliases {
+		aliases[name] = SubstituteByKey(ExtractAggregates(e, &gen, &aggs), repl)
+	}
+	for i, oi := range sel.OrderBy {
+		order[i] = SubstituteByKey(ExtractAggregates(SubstituteVars(oi.Expr, aliases), &gen, &aggs), repl)
 	}
 	return proj, having, order, aggs
 }
 
 // SubstituteVars rewrites VarRefs per the mapping (used to inline SELECT
-// aliases into ORDER BY and to rewrite quantifier rewrites).
+// aliases into ORDER BY and to rewrite quantifier rewrites). A nested
+// block that reads mapped names it does not bind itself gets them as WITH
+// bindings, which it evaluates before its own clauses: the first, $outer,
+// holds every mapped expression, evaluated in the enclosing scope, and
+// each name then reads its field.
 func SubstituteVars(e sqlpp.Expr, mapping map[string]sqlpp.Expr) sqlpp.Expr {
 	switch x := e.(type) {
+	case *sqlpp.SelectExpr:
+		free := map[string]bool{}
+		freeVarsOfBlock(x, free)
+		var names []string
+		for name := range free {
+			if _, ok := mapping[name]; ok {
+				names = append(names, name)
+			}
+		}
+		if len(names) == 0 {
+			return x
+		}
+		sort.Strings(names)
+		outer, b := &sqlpp.ObjectConstructor{}, *x
+		b.With = []sqlpp.LetClause{{Var: "$outer", Expr: outer}}
+		for _, name := range names {
+			outer.Fields = append(outer.Fields, sqlpp.ObjectField{Name: &sqlpp.Literal{Value: adm.String(name)}, Value: mapping[name]})
+			b.With = append(b.With, sqlpp.LetClause{Var: name, Expr: &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: "$outer"}, Field: name}})
+		}
+		b.With = append(b.With, x.With...)
+		return &b
+	case *sqlpp.UnionExpr:
+		u := &sqlpp.UnionExpr{Blocks: make([]sqlpp.Expr, len(x.Blocks))}
+		for i, b := range x.Blocks {
+			u.Blocks[i] = SubstituteVars(b, mapping)
+		}
+		return u
 	case *sqlpp.VarRef:
 		if r, ok := mapping[x.Name]; ok {
 			return r
@@ -147,7 +185,11 @@ func freeVarsOfBlock(x *sqlpp.SelectExpr, out map[string]bool) {
 	inner := map[string]bool{}
 	bound := map[string]bool{}
 	for _, w := range x.With {
-		FreeVars(w.Expr, inner)
+		// Evaluated in the enclosing scope, after the earlier WITHs only.
+		with := map[string]bool{}
+		FreeVars(w.Expr, with)
+		maps.DeleteFunc(with, func(k string, _ bool) bool { return bound[k] })
+		maps.Copy(out, with)
 		bound[w.Var] = true
 	}
 	for _, ft := range x.From {

@@ -543,12 +543,53 @@ func TestJobEndToEnd(t *testing.T) {
 		{`SELECT VALUE t FROM Users u UNNEST u.tags t WHERE u.id = 1`, false},
 		{`SELECT VALUE u.name FROM Users u WHERE SOME m IN Messages SATISFIES m.authorId = u.id AND m.len > 100`, false},
 		{`SELECT u.name AS name, m.mid AS mid FROM Users u LEFT OUTER JOIN Messages m ON m.authorId = u.id WHERE u.id >= 18`, false},
+		// ORDER BY reads a SELECT alias, in a nested block too, and above
+		// DISTINCT an item's alias or expression is the result's field.
+		{`SELECT u.name AS n FROM Users u WHERE u.id < 5 ORDER BY (SELECT VALUE n FROM [1] x)[0] DESC`, true},
+		{`SELECT DISTINCT u.age AS a FROM Users u ORDER BY a DESC`, true},
+		{`SELECT DISTINCT u.age AS a FROM Users u ORDER BY -u.age`, true},
+		{`SELECT DISTINCT u.age AS a FROM Users u ORDER BY (SELECT VALUE -a FROM [1] u)[0]`, true},
+		{`SELECT DISTINCT VALUE u.age FROM Users u ORDER BY u.age DESC`, true},
+		{`SELECT DISTINCT a AS a, COUNT(*) AS n FROM Users u WHERE u.id < 7 GROUP BY u.age AS a ORDER BY COUNT(*) DESC, a`, true},
+		// Under SELECT * each variable the star projects is the result's
+		// field, and a WITH constant stays in scope.
+		{`SELECT DISTINCT * FROM Users u ORDER BY u.id DESC`, true},
+		{`SELECT DISTINCT * FROM Users u GROUP BY u.age AS a ORDER BY -a`, true},
+		{`WITH k AS -1 SELECT DISTINCT VALUE u.age FROM Users u ORDER BY u.age * k`, true},
+		// SELECT * projects the same fields on both engines: the WITH
+		// variables, and in a grouped block no aggregate's variable.
+		{`WITH k AS 1 SELECT * FROM Users u WHERE u.id < 3`, false},
+		{`SELECT * FROM Users u GROUP BY u.age AS a ORDER BY COUNT(*), a`, true},
 		{`SELECT a AS age, cnt AS c FROM Users u GROUP BY u.age AS a LET cnt = 1 SELECT a, cnt`, false},
 	}
 	for _, qc := range queries[:len(queries)-1] {
 		t.Run(qc.src[:24], func(t *testing.T) {
 			jobMatchesInterp(t, cat, qc.src, qc.ordered)
 		})
+	}
+}
+
+// Above SELECT DISTINCT, an ORDER BY item that reads a variable the block
+// binds and does not project fails: at translation, and in the interpreter
+// when the block runs.
+func TestDistinctOrderByOutOfScope(t *testing.T) {
+	cat := testCatalog()
+	for _, src := range []string{
+		`SELECT DISTINCT u.id AS uid FROM Users u ORDER BY u.age`,
+		`SELECT DISTINCT * FROM Users u GROUP BY u.age AS a ORDER BY u.id`,
+	} {
+		q, err := sqlpp.ParseQuery(src + ";")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const want = `ORDER BY reads "u", which SELECT DISTINCT does not project`
+		tr := &Translator{Ev: newEval(cat), Catalog: cat}
+		if _, err := tr.Translate(q.Body.(*sqlpp.SelectExpr)); err == nil || err.Error() != want {
+			t.Errorf("translating %s: %v, want %q", src, err, want)
+		}
+		if _, err := newEval(cat).Eval(q.Body, NewEnv(nil, nil, nil)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("interpreting %s: %v, want %q", src, err, want)
+		}
 	}
 }
 

@@ -301,6 +301,35 @@ func TestCompiledConstantErrorIsPerRow(t *testing.T) {
 	}
 }
 
+// Jobgen's fold is the one place a constant subtree becomes a value (no
+// optimizer rule folds): each constant below compiles to its value, the
+// interpreter's, and not to a closure run per tuple. A constant whose
+// evaluation fails, and an expression that reads a column, stay closures.
+func TestCompileFoldsConstants(t *testing.T) {
+	ev := newEval(testCatalog())
+	c := compiler{ev: ev, l: schemaOf(compileSchema...)}
+	for _, src := range []string{
+		`1 + 2`,
+		`1 = 1 AND NOT (2 > 3)`,
+		`{"a": 1 + 1, "b": [upper("x"), -2.5, null], "c": {"d": "e" || "f"}}`,
+		`coll_count([1, 2, 3]) * 2`,
+	} {
+		e := parseExpr(t, src)
+		want, err := ev.Eval(e, NewEnv(nil, nil, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if got := c.compile(e); got.fn != nil || got.lit.String() != want.String() {
+			t.Errorf("%s compiles to a closure or to %v, want the value %v", src, got.lit, want)
+		}
+	}
+	for _, src := range []string{`1 || 2`, `u.id < 1 + 2`} {
+		if got := c.compile(parseExpr(t, src)); got.fn == nil {
+			t.Errorf("%s compiles to the value %v, want a closure", src, got.lit)
+		}
+	}
+}
+
 // The exponential case of the old matcher, and the shapes of pattern the
 // prepared matcher special-cases, against the general one.
 func TestLikeMatch(t *testing.T) {

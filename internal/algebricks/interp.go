@@ -1,6 +1,7 @@
 package algebricks
 
 import (
+	"slices"
 	"sort"
 
 	"asterix/internal/adm"
@@ -116,7 +117,7 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 		rows = kept
 	}
 
-	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, ev.projectionExpr(sel))
+	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, projectionFor(sel))
 	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
 		grouped, err := ev.interpretGroup(sel, aggs, rows, base)
 		if err != nil {
@@ -140,40 +141,41 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 	}
 
 	type outRow struct {
+		env   *Env // what the ORDER BY keys are evaluated in
 		keys  []adm.Value
 		value adm.Value
 	}
-	isStar := false
-	if c, ok := projExpr.(*sqlpp.Call); ok && c.Fn == "$star" {
-		isStar = true
-	}
 	var outs []outRow
 	for _, row := range rows {
-		var v adm.Value
-		var err error
-		if isStar {
-			o := adm.NewObject()
-			for _, name := range row.vars {
-				if val, ok := row.env.Lookup(name); ok && val.Kind() != adm.KindMissing {
-					o.Set(name, val)
-				}
-			}
-			v = o
-		} else {
-			v, err = ev.Eval(projExpr, row.env)
-			if err != nil {
+		v, err := ev.Eval(projExpr, row.env)
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, outRow{env: row.env, value: v})
+	}
+	if sel.Select.Distinct {
+		// As in a plan: drop duplicates, then order what is left by its
+		// value, with the statement's scope but not the block's.
+		for i, oi := range sel.OrderBy {
+			var err error
+			if orderExprs[i], err = rebaseOnResult(oi.Expr, sel); err != nil {
 				return nil, err
 			}
 		}
-		var keys []adm.Value
+		sort.Slice(outs, func(i, j int) bool { return adm.Compare(outs[i].value, outs[j].value) < 0 })
+		outs = slices.CompactFunc(outs, func(a, b outRow) bool { return adm.Compare(a.value, b.value) == 0 })
+		for i, o := range outs {
+			outs[i].env = NewEnv(base, []string{ResultVar}, []adm.Value{o.value})
+		}
+	}
+	for i := range outs {
 		for _, oe := range orderExprs {
-			kv, err := ev.Eval(oe, row.env)
+			kv, err := ev.Eval(oe, outs[i].env)
 			if err != nil {
 				return nil, err
 			}
-			keys = append(keys, kv)
+			outs[i].keys = append(outs[i].keys, kv)
 		}
-		outs = append(outs, outRow{keys: keys, value: v})
 	}
 
 	if len(sel.OrderBy) > 0 {
@@ -195,53 +197,15 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 	for _, o := range outs {
 		result = append(result, o.value)
 	}
-	if sel.Select.Distinct {
-		result = dedupe(result)
+	limit, offset, err := ev.limitOffset(sel, base)
+	if err != nil {
+		return nil, err
 	}
-	// OFFSET/LIMIT.
-	if sel.Offset != nil {
-		v, err := ev.Eval(sel.Offset, base)
-		if err != nil {
-			return nil, err
-		}
-		if n, ok := adm.AsInt(v); ok && n > 0 {
-			if int(n) >= len(result) {
-				result = nil
-			} else {
-				result = result[n:]
-			}
-		}
-	}
-	if sel.Limit != nil {
-		v, err := ev.Eval(sel.Limit, base)
-		if err != nil {
-			return nil, err
-		}
-		if n, ok := adm.AsInt(v); ok && n >= 0 && int(n) < len(result) {
-			result = result[:n]
-		}
+	result = result[min(offset, int64(len(result))):]
+	if limit >= 0 && limit < int64(len(result)) {
+		result = result[:limit]
 	}
 	return result, nil
-}
-
-// projectionExpr builds the single output expression of the block.
-func (ev *Evaluator) projectionExpr(sel *sqlpp.SelectExpr) sqlpp.Expr {
-	if sel.Select.Value != nil {
-		return sel.Select.Value
-	}
-	if sel.Select.Star {
-		// {* } expands to an object of all from-term/let variables; the
-		// interpreter and jobgen provide $star support via a marker call.
-		return &sqlpp.Call{Fn: "$star"}
-	}
-	obj := &sqlpp.ObjectConstructor{}
-	for _, it := range sel.Select.Items {
-		obj.Fields = append(obj.Fields, sqlpp.ObjectField{
-			Name:  &sqlpp.Literal{Value: adm.String(it.Alias)},
-			Value: it.Expr,
-		})
-	}
-	return obj
 }
 
 // interpretGroup groups rows and produces one row per group with: group

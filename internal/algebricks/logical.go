@@ -443,27 +443,24 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 
 	// WITH bindings evaluate once per statement (constant w.r.t. the
 	// data being scanned).
-	baseEnv := NewEnv(nil, nil, nil)
+	baseEnv, consts := NewEnv(nil, nil, nil), map[string]sqlpp.Expr{}
 	for _, w := range sel.With {
 		v, err := tr.Ev.Eval(w.Expr, baseEnv)
 		if err != nil {
 			return nil, fmt.Errorf("WITH %s: %w", w.Var, err)
 		}
 		baseEnv.Bind(w.Var, v)
-		plan = &AssignOp{In: plan, Var: w.Var, Expr: &sqlpp.Literal{Value: v}}
+		consts[w.Var] = &sqlpp.Literal{Value: v}
+		plan = &AssignOp{In: plan, Var: w.Var, Expr: consts[w.Var]}
 	}
 
-	for i, ft := range sel.From {
+	for _, ft := range sel.From {
 		var err error
-		plan, err = tr.addFromTerm(plan, ft, i == 0 && len(sel.With) == 0)
+		plan, err = tr.addFromTerm(plan, ft)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if len(sel.From) == 0 {
-		// Expression-only query: SELECT VALUE 1+1.
-	}
-
 	for _, lc := range sel.Lets {
 		plan = &AssignOp{In: plan, Var: lc.Var, Expr: lc.Expr}
 	}
@@ -471,7 +468,7 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 		plan = &SelectOp{In: plan, Cond: sel.Where}
 	}
 
-	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, tr.projectionFor(sel, plan))
+	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, projectionFor(sel))
 	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
 		// Dead GROUP AS elimination: materializing each group's rows is
 		// expensive; skip it when no post-group expression reads the
@@ -509,9 +506,14 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 
 	if sel.Select.Distinct {
 		plan = &DistinctOp{In: plan}
-		// Order expressions after DISTINCT can only see the result value.
-		for i := range orderExprs {
-			orderExprs[i] = rebaseOnResult(orderExprs[i], sel)
+		// Order expressions after DISTINCT can only see the result value
+		// and the statement's WITH constants.
+		for i, oi := range sel.OrderBy {
+			oe, err := rebaseOnResult(oi.Expr, sel)
+			if err != nil {
+				return nil, err
+			}
+			orderExprs[i] = SubstituteVars(oe, consts)
 		}
 	}
 	if len(orderExprs) > 0 {
@@ -522,56 +524,47 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 		plan = o
 	}
 	if sel.Limit != nil || sel.Offset != nil {
-		limit, offset := int64(-1), int64(0)
-		if sel.Limit != nil {
-			v, err := tr.Ev.Eval(sel.Limit, baseEnv)
-			if err != nil {
-				return nil, err
-			}
-			n, ok := adm.AsInt(v)
-			if !ok || n < 0 {
-				return nil, fmt.Errorf("LIMIT must be a non-negative integer")
-			}
-			limit = n
-		}
-		if sel.Offset != nil {
-			v, err := tr.Ev.Eval(sel.Offset, baseEnv)
-			if err != nil {
-				return nil, err
-			}
-			n, ok := adm.AsInt(v)
-			if !ok || n < 0 {
-				return nil, fmt.Errorf("OFFSET must be a non-negative integer")
-			}
-			offset = n
+		limit, offset, err := tr.Ev.limitOffset(sel, baseEnv)
+		if err != nil {
+			return nil, err
 		}
 		plan = &LimitOp{In: plan, Limit: limit, Offset: offset}
 	}
 	return plan, nil
 }
 
-// projectionFor builds the final projection expression; SELECT * expands
-// over the current schema's user-visible variables.
-func (tr *Translator) projectionFor(sel *sqlpp.SelectExpr, plan Op) sqlpp.Expr {
+// limitOffset evaluates sel's LIMIT and OFFSET in env, for the translator
+// and the interpreter alike; limit is -1 without a LIMIT.
+func (ev *Evaluator) limitOffset(sel *sqlpp.SelectExpr, env *Env) (limit, offset int64, err error) {
+	eval := func(clause string, e sqlpp.Expr, n *int64) {
+		if e == nil || err != nil {
+			return
+		}
+		v, evalErr := ev.Eval(e, env)
+		if err = evalErr; err == nil {
+			var ok bool
+			if *n, ok = adm.AsInt(v); !ok || *n < 0 {
+				err = fmt.Errorf("%s must be a non-negative integer", clause)
+			}
+		}
+	}
+	limit = -1
+	eval("LIMIT", sel.Limit, &limit)
+	eval("OFFSET", sel.Offset, &offset)
+	return limit, offset, err
+}
+
+// projectionFor builds the final projection expression. SELECT * is an
+// object of the variables blockVars says it projects, so the translator and
+// the interpreter project the same fields.
+func projectionFor(sel *sqlpp.SelectExpr) sqlpp.Expr {
 	if sel.Select.Value != nil {
 		return sel.Select.Value
 	}
 	obj := &sqlpp.ObjectConstructor{}
 	if sel.Select.Star {
-		vars := plan.Schema()
-		if len(sel.GroupBy) > 0 {
-			vars = nil
-			for _, gk := range sel.GroupBy {
-				vars = append(vars, gk.Alias)
-			}
-			if sel.GroupAs != "" {
-				vars = append(vars, sel.GroupAs)
-			}
-		}
-		for _, v := range vars {
-			if strings.HasPrefix(v, "$") {
-				continue
-			}
+		star, _ := blockVars(sel)
+		for _, v := range star {
 			obj.Fields = append(obj.Fields, sqlpp.ObjectField{
 				Name:  &sqlpp.Literal{Value: adm.String(v)},
 				Value: &sqlpp.VarRef{Name: v},
@@ -588,35 +581,73 @@ func (tr *Translator) projectionFor(sel *sqlpp.SelectExpr, plan Op) sqlpp.Expr {
 	return obj
 }
 
-// rebaseOnResult rewrites an ORDER BY expression of sel used above DISTINCT
-// to access fields of the projected result.
-func rebaseOnResult(e sqlpp.Expr, sel *sqlpp.SelectExpr) sqlpp.Expr {
-	mapping := map[string]sqlpp.Expr{}
-	for _, item := range sel.Select.Items {
-		if item.Alias != "" {
-			mapping[item.Alias] = &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: ResultVar}, Field: item.Alias}
+// blockVars returns, in binding order, the variables SELECT * projects —
+// the WITH variables and then, if the block has a GROUP BY, its keys and
+// GROUP AS, else its FROM, JOIN, UNNEST and LET variables — and the ones
+// the block binds itself: its FROM, JOIN, UNNEST, LET, key and GROUP AS
+// variables.
+func blockVars(sel *sqlpp.SelectExpr) (star, bound []string) {
+	for _, ft := range sel.From {
+		bound = append(bound, ft.Alias)
+		for _, link := range ft.Links {
+			bound = append(bound, link.Alias)
 		}
 	}
+	for _, lc := range sel.Lets {
+		bound = append(bound, lc.Var)
+	}
+	keys := len(bound)
+	for _, gk := range sel.GroupBy {
+		bound = append(bound, gk.Alias)
+	}
+	if len(sel.GroupBy) > 0 && sel.GroupAs != "" {
+		bound = append(bound, sel.GroupAs)
+	}
+	for _, w := range sel.With {
+		star = append(star, w.Var)
+	}
+	if len(sel.GroupBy) > 0 {
+		return append(star, bound[keys:]...), bound
+	}
+	return append(star, bound...), bound
+}
+
+// rebaseOnResult rewrites an ORDER BY expression of sel used above DISTINCT
+// to read the projected result: a SELECT item's expression or alias becomes
+// its field, under SELECT * each variable the star projects its field, and
+// the SELECT VALUE expression the result itself. A variable the block binds
+// and does not project is out of scope there: reading it is an error.
+func rebaseOnResult(e sqlpp.Expr, sel *sqlpp.SelectExpr) (sqlpp.Expr, error) {
+	result := &sqlpp.VarRef{Name: ResultVar}
+	fields, items := map[string]sqlpp.Expr{}, map[string]sqlpp.Expr{}
+	if sel.Select.Value != nil {
+		items[ExprKey(sel.Select.Value)] = result
+	}
+	for _, item := range sel.Select.Items {
+		fields[item.Alias] = &sqlpp.FieldAccess{Base: result, Field: item.Alias}
+		items[ExprKey(item.Expr)] = fields[item.Alias]
+	}
+	star, bound := blockVars(sel)
+	if sel.Select.Star {
+		for _, v := range star {
+			fields[v] = &sqlpp.FieldAccess{Base: result, Field: v}
+		}
+	}
+	e = SubstituteVars(SubstituteByKey(e, items), fields)
 	free := map[string]bool{}
 	FreeVars(e, free)
-	// Any other variable reference becomes the result itself (covers
-	// ORDER BY x after SELECT DISTINCT VALUE x).
-	for v := range free {
-		if _, ok := mapping[v]; !ok {
-			mapping[v] = &sqlpp.VarRef{Name: ResultVar}
+	for _, v := range bound {
+		if free[v] {
+			return nil, fmt.Errorf("ORDER BY reads %q, which SELECT DISTINCT does not project", v)
 		}
 	}
-	return SubstituteVars(e, mapping)
+	return e, nil
 }
 
 // addFromTerm extends the plan with one FROM term and its join/unnest
 // links.
-func (tr *Translator) addFromTerm(plan Op, ft sqlpp.FromTerm, first bool) (Op, error) {
-	var err error
-	plan, err = tr.addSource(plan, ft.Expr, ft.Alias, false)
-	if err != nil {
-		return nil, err
-	}
+func (tr *Translator) addFromTerm(plan Op, ft sqlpp.FromTerm) (Op, error) {
+	plan = tr.addSource(plan, ft.Expr, ft.Alias)
 	for _, link := range ft.Links {
 		if link.IsJoin {
 			rhs, err := tr.sourcePlan(link.Expr, link.Alias)
@@ -633,11 +664,7 @@ func (tr *Translator) addFromTerm(plan Op, ft sqlpp.FromTerm, first bool) (Op, e
 			if link.Kind == sqlpp.JoinLeftOuter {
 				return nil, fmt.Errorf("LEFT JOIN with correlated right side is not supported")
 			}
-			plan, err = tr.addSource(plan, link.Expr, link.Alias, false)
-			if err != nil {
-				return nil, err
-			}
-			plan = &SelectOp{In: plan, Cond: link.On}
+			plan = &SelectOp{In: tr.addSource(plan, link.Expr, link.Alias), Cond: link.On}
 			continue
 		}
 		// UNNEST (correlated by nature).
@@ -669,15 +696,15 @@ func (tr *Translator) sourcePlan(e sqlpp.Expr, alias string) (Op, error) {
 
 // addSource extends the current plan with a data source: an independent
 // source becomes a cross join; a correlated expression becomes an unnest.
-func (tr *Translator) addSource(plan Op, e sqlpp.Expr, alias string, outer bool) (Op, error) {
+func (tr *Translator) addSource(plan Op, e sqlpp.Expr, alias string) Op {
 	// Dataset scan?
 	if vr, ok := e.(*sqlpp.VarRef); ok && tr.Catalog != nil {
 		if _, ok := tr.Catalog.Resolve(vr.Name); ok {
 			scan := &ScanOp{Dataset: vr.Name, Var: alias}
 			if isEts(plan) {
-				return scan, nil
+				return scan
 			}
-			return &JoinOp{L: plan, R: scan, Kind: JoinInner}, nil
+			return &JoinOp{L: plan, R: scan, Kind: JoinInner}
 		}
 	}
 	// Correlated with the current plan?
@@ -691,18 +718,15 @@ func (tr *Translator) addSource(plan Op, e sqlpp.Expr, alias string, outer bool)
 		}
 	}
 	if correlated || isEts(plan) {
-		return &UnnestOp{In: plan, Var: alias, Expr: e, Outer: outer}, nil
+		return &UnnestOp{In: plan, Var: alias, Expr: e}
 	}
-	rhs := &UnnestOp{In: &EtsOp{}, Var: alias, Expr: e, Outer: outer}
-	return &JoinOp{L: plan, R: rhs, Kind: JoinInner}, nil
+	rhs := &UnnestOp{In: &EtsOp{}, Var: alias, Expr: e}
+	return &JoinOp{L: plan, R: rhs, Kind: JoinInner}
 }
 
+// isEts reports whether op is the empty tuple source. A chain of assigns
+// over it is a single-tuple source too, but joining one is harmless.
 func isEts(op Op) bool {
 	_, ok := op.(*EtsOp)
-	if ok {
-		return true
-	}
-	// A chain of assigns over ets is still a single-tuple source, but
-	// joining it is harmless; keep the simple test.
-	return false
+	return ok
 }

@@ -30,15 +30,6 @@ type OptReport struct {
 	BudgetExhausted bool
 }
 
-// TotalFired sums all rule hits.
-func (r OptReport) TotalFired() int {
-	n := 0
-	for _, v := range r.Fired {
-		n += v
-	}
-	return n
-}
-
 // Optimizer runs a registry of rewrite rules to fixpoint under a bounded
 // pass budget, counting per-rule hits into an obs registry when wired.
 type Optimizer struct {

@@ -9,12 +9,11 @@ import (
 )
 
 // DefaultRules returns the standard rule pipeline in application order:
-// normalization first (constant folding), then predicate motion, then the
-// structural rules (join ordering, physical join/access-path selection),
-// and finally the cleanup rules that shrink tuples.
+// normalization first (quantifiers to semi joins), then predicate motion,
+// then the structural rules (join ordering, physical join/access-path
+// selection), and finally the cleanup rules that shrink tuples.
 func DefaultRules() []Rule {
 	return []Rule{
-		{Name: "constant-fold", Apply: ruleConstantFold},
 		{Name: "quantifier-to-semijoin", Apply: ruleQuantifierToSemijoin},
 		{Name: "push-select", Apply: rulePushSelect},
 		{Name: "order-joins-greedily", Apply: ruleOrderJoinsGreedily},
@@ -95,8 +94,8 @@ func (tr *Translator) isConstant(e sqlpp.Expr) bool {
 }
 
 // containsSubquery reports whether e contains a nested SELECT, EXISTS, or
-// quantifier — subtrees the constant folder must not evaluate at plan
-// time (they may scan datasets).
+// quantifier — subtrees that must not be evaluated at plan time (they may
+// scan datasets).
 func containsSubquery(e sqlpp.Expr) bool {
 	switch e.(type) {
 	case *sqlpp.SelectExpr, *sqlpp.UnionExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
@@ -109,99 +108,6 @@ func containsSubquery(e sqlpp.Expr) bool {
 		}
 	}
 	return false
-}
-
-// constValue evaluates a constant expression at plan time.
-func (tr *Translator) constValue(e sqlpp.Expr) (adm.Value, error) {
-	return tr.Ev.Eval(e, NewEnv(nil, nil, nil))
-}
-
-// --- rule: constant-fold ---
-
-// foldConst replaces each largest constant subexpression — one that reads
-// no variable and holds no subquery, EXISTS or quantifier — with its value,
-// bottom-up, copying the nodes it changes, and reports whether e is
-// constant. A constant subexpression whose evaluation fails is left as it
-// is (its own constant parts folded), so runtime semantics are preserved.
-func (tr *Translator) foldConst(e sqlpp.Expr) (sqlpp.Expr, bool) {
-	constant := true
-	switch e.(type) {
-	case *sqlpp.Literal:
-		return e, true
-	case nil, *sqlpp.VarRef, *sqlpp.SelectExpr, *sqlpp.UnionExpr, *sqlpp.ExistsExpr, *sqlpp.QuantifiedExpr:
-		constant = false
-	}
-	out := sqlpp.Rewrite(e, func(c sqlpp.Expr) sqlpp.Expr {
-		c, ok := tr.foldConst(c)
-		constant = constant && ok
-		return c
-	})
-	if constant {
-		if v, err := tr.constValue(out); err == nil {
-			return &sqlpp.Literal{Value: v}, true
-		}
-	}
-	return out, constant
-}
-
-func isTrueLiteral(e sqlpp.Expr) bool {
-	l, ok := e.(*sqlpp.Literal)
-	return ok && l.Value.Kind() == adm.KindBoolean && bool(l.Value.(adm.Boolean))
-}
-
-func ruleConstantFold(tr *Translator, plan Op) (Op, int) {
-	return sweep(plan, func(op Op) (Op, bool) {
-		changed := false
-		fold := func(e sqlpp.Expr) sqlpp.Expr {
-			ne, _ := tr.foldConst(e)
-			changed = changed || ne != e
-			return ne
-		}
-		switch o := op.(type) {
-		case *SelectOp:
-			o.Cond = fold(o.Cond)
-			// Drop conjuncts folded to TRUE; drop the filter entirely when
-			// nothing remains.
-			cs := conjuncts(o.Cond)
-			var kept []sqlpp.Expr
-			for _, c := range cs {
-				if !isTrueLiteral(c) {
-					kept = append(kept, c)
-				}
-			}
-			if len(kept) == 0 {
-				return o.In, true
-			}
-			if len(kept) < len(cs) {
-				o.Cond = conjoin(kept)
-				changed = true
-			}
-		case *AssignOp:
-			o.Expr = fold(o.Expr)
-		case *UnnestOp:
-			o.Expr = fold(o.Expr)
-		case *JoinOp:
-			if o.On != nil {
-				o.On = fold(o.On)
-			}
-		case *ResultOp:
-			o.Expr = fold(o.Expr)
-		case *OrderOp:
-			for i := range o.Items {
-				o.Items[i].Expr = fold(o.Items[i].Expr)
-			}
-		case *GroupOp:
-			for i := range o.Keys {
-				o.Keys[i].Expr = fold(o.Keys[i].Expr)
-			}
-			for i := range o.Aggs {
-				if o.Aggs[i].Arg != nil {
-					o.Aggs[i].Arg = fold(o.Aggs[i].Arg)
-				}
-			}
-		}
-		return op, changed
-	})
 }
 
 // --- rule: quantifier-to-semijoin ---
@@ -594,7 +500,7 @@ func (tr *Translator) isKeyConstant(e sqlpp.Expr) bool {
 	if !tr.isConstant(e) || containsSubquery(e) {
 		return false
 	}
-	v, err := tr.constValue(e)
+	v, err := tr.Ev.Eval(e, NewEnv(nil, nil, nil))
 	if err != nil || v.Kind() <= adm.KindNull {
 		return false
 	}

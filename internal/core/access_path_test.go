@@ -16,10 +16,9 @@ import (
 // rule disabled.
 func engineTrio(t *testing.T, cfg Config) (on, off, noIndex *Engine) {
 	t.Helper()
-	offCfg, noIndexCfg := cfg, cfg
-	offCfg.OptimizerOff = true
+	noIndexCfg := cfg
 	noIndexCfg.OptimizerDisable = []string{"introduce-index-search"}
-	return newEngine(t, cfg), newEngine(t, offCfg), newEngine(t, noIndexCfg)
+	return newEngine(t, cfg), newEngine(t, unoptimized(cfg)), newEngine(t, noIndexCfg)
 }
 
 // A sargable predicate whose constant cannot be an index key (array,

@@ -43,7 +43,7 @@ func TestAggregateOneAnswer(t *testing.T) {
 	}
 
 	on := newEngine(t, Config{})
-	off := newEngine(t, Config{OptimizerOff: true})
+	off := newEngine(t, unoptimized(Config{}))
 	mustExec(t, on, `CREATE TYPE AggT AS {id: int};
 		CREATE DATASET AggK(AggT) PRIMARY KEY id;
 		UPSERT INTO AggK ({"id": 1});`)

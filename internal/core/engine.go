@@ -72,13 +72,10 @@ type Config struct {
 	// Compressed and raw records coexist, so the option can be toggled
 	// across restarts.
 	Compression bool
-	// OptimizerOff disables the rule-based plan optimizer entirely:
-	// queries run exactly as translated (equivalence testing, worst-case
-	// baselines).
-	OptimizerOff bool
-	// OptimizerDisable names individual rewrite rules to skip (see
+	// OptimizerDisable names rewrite rules to skip (see
 	// algebricks.DefaultRules), for experiment ablations such as turning
-	// off only greedy join ordering.
+	// off only greedy join ordering. Naming every rule runs each query
+	// exactly as translated.
 	OptimizerDisable []string
 	// Metrics, when set, is the observability registry all subsystems
 	// publish into; nil = the engine creates its own (see Engine.Metrics).
@@ -354,11 +351,9 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 	// One optimizer per engine so per-rule fired counters accumulate in
 	// the registry (surfaced at /admin/metrics).
 	e.opt = algebricks.NewOptimizer(reg)
-	if len(e.cfg.OptimizerDisable) > 0 {
-		e.opt.Disabled = map[string]bool{}
-		for _, name := range e.cfg.OptimizerDisable {
-			e.opt.Disabled[name] = true
-		}
+	e.opt.Disabled = map[string]bool{}
+	for _, name := range e.cfg.OptimizerDisable {
+		e.opt.Disabled[name] = true
 	}
 	e.mStatements = reg.Counter("engine_statements_total", "statements executed")
 	e.mQueries = reg.Counter("engine_queries_total", "query statements executed")
@@ -708,8 +703,7 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 		return Result{}, err
 	}
 	opt := cs.StartChild("optimize")
-	var orep algebricks.OptReport
-	plan, orep = e.optimizePlan(tr, plan)
+	plan, orep := e.opt.Optimize(tr, plan)
 	opt.End()
 	g := &algebricks.JobGen{
 		Cluster:     e.cluster,
@@ -754,15 +748,6 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 	}, nil
 }
 
-// optimizePlan runs the engine's optimizer, honoring the OptimizerOff
-// knob (in which case the plan runs exactly as translated).
-func (e *Engine) optimizePlan(tr *algebricks.Translator, plan algebricks.Op) (algebricks.Op, algebricks.OptReport) {
-	if e.cfg.OptimizerOff {
-		return plan, algebricks.OptReport{}
-	}
-	return e.opt.Optimize(tr, plan)
-}
-
 // Explain returns the optimized plan for a query without running it.
 func (e *Engine) Explain(src string) (string, error) {
 	q, err := sqlpp.ParseQuery(src)
@@ -790,7 +775,7 @@ func (e *Engine) explainAST(q *sqlpp.QueryStmt) (algebricks.Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, _ = e.optimizePlan(tr, plan)
+	plan, _ = e.opt.Optimize(tr, plan)
 	return plan, nil
 }
 

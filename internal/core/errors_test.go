@@ -79,6 +79,9 @@ func TestErrorPaths(t *testing.T) {
 	})
 	t.Run("negative limit", func(t *testing.T) {
 		expectError(t, e, `SELECT VALUE d FROM D d LIMIT -1;`, "LIMIT")
+		// A nested block, which the interpreter runs, checks the same way.
+		expectError(t, e, `SELECT VALUE (SELECT VALUE d FROM D d LIMIT -1);`, "LIMIT must be a non-negative integer")
+		expectError(t, e, `SELECT VALUE (SELECT VALUE d FROM D d OFFSET 1.5);`, "OFFSET must be a non-negative integer")
 	})
 	t.Run("DML into external dataset", func(t *testing.T) {
 		mustExec(t, e, `

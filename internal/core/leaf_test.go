@@ -26,7 +26,7 @@ func TestLeafOverEverySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	on := newEngine(t, Config{Compression: true})
-	off := newEngine(t, Config{Compression: true, OptimizerOff: true})
+	off := newEngine(t, unoptimized(Config{Compression: true}))
 	pad := strings.Repeat("compressible padding ", 12) // past compressMin: these records are stored deflated
 	for _, e := range []*Engine{on, off} {
 		mustExec(t, e, fmt.Sprintf(`
@@ -89,7 +89,7 @@ func TestLeafOverEverySource(t *testing.T) {
 func TestLeafFilterErrorsLikeSelect(t *testing.T) {
 	engines := map[string]*Engine{
 		"optimized":        newEngine(t, Config{}),
-		"naive":            newEngine(t, Config{OptimizerOff: true}),
+		"naive":            newEngine(t, unoptimized(Config{})),
 		"no filter motion": newEngine(t, Config{OptimizerDisable: []string{"push-select"}}),
 	}
 	for _, e := range engines {

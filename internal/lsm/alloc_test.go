@@ -1,6 +1,10 @@
 package lsm
 
-import "testing"
+import (
+	"testing"
+
+	"asterix/internal/rtree"
+)
 
 // TestKernelAllocations is the allocation gate of the tree's read path. A
 // Get or a Scan allocates per call, for set-up — the snapshot of the
@@ -8,7 +12,8 @@ import "testing"
 // table and each iterator's struct and page buffer, and, for a memory
 // component with a key in the range, its cursor's batch buffer and the
 // key the next batch resumes at — and nothing per entry or per batch: a
-// scan of twice the entries costs the same.
+// scan of twice the entries costs the same. An R-tree's empty memory
+// component, which every search of a flushed R-tree reads, costs nothing.
 func TestKernelAllocations(t *testing.T) {
 	bc, _ := newEnv(t, 4096, 256)
 	tr, err := Open(bc, "allocs", Options{MemBudget: 1 << 30, Policy: NoMergePolicy{}, Worker: &Worker{}})
@@ -46,6 +51,7 @@ func TestKernelAllocations(t *testing.T) {
 			}
 		}
 	}
+	emptyRTree := rtreeKind{}.newMem()
 	for _, c := range []struct {
 		name string
 		want float64
@@ -58,6 +64,7 @@ func TestKernelAllocations(t *testing.T) {
 		{"Scan/disk-1000", 6, scan(1500, 2499)}, // the snapshot, the source table, 2 × (iterator, page)
 		{"Scan/disk-2000", 6, scan(1000, 2999)},
 		{"Scan/memory-100", 9, scan(4000, 4099)}, // the disk set-up, the batch buffer, and the resume key, which its 0x00 outgrows once
+		{"memRTree.search/empty", 0, func() { emptyRTree.search(rtree.Rect{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10}) }},
 	} {
 		if got := testing.AllocsPerRun(50, c.f); got > c.want {
 			t.Errorf("%s: %v allocations per call, want at most %v", c.name, got, c.want)

@@ -75,10 +75,14 @@ func (m *memRTree) put(r rtree.Rect, key []byte, tombstone bool) int {
 
 // search returns the entries, live and antimatter, whose rectangles meet
 // query. The caller visits them outside the lock: memTable bytes are never
-// rewritten, so a visitor may itself use the index.
+// rewritten, so a visitor may itself use the index. An empty component
+// (every search of a just-flushed index) costs no curve decomposition.
 func (m *memRTree) search(query rtree.Rect) []memEntry {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if m.t.len() == 0 {
+		return nil
+	}
 	x0, x1 := cells(query.MinX, query.MaxX, m.reach)
 	y0, y1 := cells(query.MinY, query.MaxY, m.reach)
 	var out, run []memEntry

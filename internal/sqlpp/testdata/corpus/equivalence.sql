@@ -201,3 +201,19 @@ SELECT VALUE u.id FROM GleambookUsers u WHERE EXISTS (SELECT VALUE 1 FROM [1] x 
 -- A GROUP BY key read inside a quantifier's IN is replaced by its key
 -- variable like any other occurrence.
 SELECT (SOME v IN [u.id] SATISFIES v > 1) AS s, COUNT(*) AS n FROM GleambookUsers u WHERE u.id < 3 GROUP BY u.id;
+
+-- An ORDER BY item reads a SELECT alias inside a nested block, at the top
+-- level and one block down; a block that binds the alias's name, or the
+-- name the alias's expression reads, does not capture it.
+SELECT u.id AS uid FROM GleambookUsers u ORDER BY (SELECT VALUE uid FROM [1] x)[0];
+
+SELECT VALUE (SELECT u.id AS uid FROM GleambookUsers u ORDER BY (SELECT VALUE uid FROM [1] x)[0]);
+
+SELECT u.id AS uid FROM GleambookUsers u ORDER BY (SELECT VALUE uid FROM [7] uid)[0], (SELECT VALUE -uid FROM [1] u)[0];
+
+-- In a grouped block, the alias of an aggregate and of a group key
+-- expression reads the grouped value inside a nested ORDER BY block.
+SELECT u.id % 3 AS k, COUNT(*) AS n FROM GleambookUsers u GROUP BY u.id % 3 AS g ORDER BY (SELECT VALUE [-n, k] FROM [1] u)[0];
+
+-- Above SELECT DISTINCT, ORDER BY reads what SELECT * projects.
+SELECT DISTINCT * FROM GleambookUsers u WHERE u.id < 5 ORDER BY u.id DESC;
