@@ -11,14 +11,16 @@ verify: tier1 lint optimizer
 	go test -race ./...
 
 # optimizer: the plan-quality gate — golden plan tests, hash-join and
-# join-order regressions, rule idempotence, the point-lookup job shape,
-# and under the race detector the optimizer on/off equivalence corpus
-# plus the access-path suites (typed constants, LSM states, DELETE).
+# join-order regressions, rule idempotence, the point-lookup job shape and
+# the binder (every binding kind, shadowing, correlation lists, unbound
+# names), all under the race detector, as are the optimizer on/off
+# equivalence corpus, the access-path suites (typed constants, LSM states,
+# DELETE) and the names that nested scopes read of a grouped block.
 # Regenerate drifted goldens with
 # ASTERIX_UPDATE_GOLDEN=1 go test ./internal/algebricks -run TestGoldenPlans.
 optimizer:
-	go test -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule|TestJobShapes' ./internal/algebricks/
-	go test -race -run 'TestOptimizerOnOffEquivalence|TestOptimizerDisableRule|TestResultCarriesPlanAndRules|TestAccessPathTypedConstants|TestPrimaryKeyLSMStates|TestDeleteLocatesVictimsThroughPlan' ./internal/core/
+	go test -race -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule|TestJobShapes|TestBind|TestSubstituteRecomputesCorrelation' ./internal/algebricks/
+	go test -race -run 'TestOptimizerOnOffEquivalence|TestOptimizerDisableRule|TestResultCarriesPlanAndRules|TestAccessPathTypedConstants|TestPrimaryKeyLSMStates|TestDeleteLocatesVictimsThroughPlan|TestUnboundNameFailsBeforeAnyJob|TestGroupKeyInNestedScopes' ./internal/core/
 
 # lint: project-specific static analysis (see docs/STATIC_ANALYSIS.md).
 # -stats prints per-rule finding counts and wall time; a stale

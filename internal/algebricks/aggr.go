@@ -2,10 +2,7 @@ package algebricks
 
 import (
 	"fmt"
-	"maps"
-	"sort"
 
-	"asterix/internal/adm"
 	"asterix/internal/sqlpp"
 )
 
@@ -60,14 +57,18 @@ func ExtractAggregates(e sqlpp.Expr, gen *int, aggs *[]AggRef) sqlpp.Expr {
 // proj and HAVING become variables. The block groups if it has a GROUP BY
 // or that finds one; then the aggregates of ORDER BY become variables too —
 // numbered once across the three, so that the ones the grouping binds line
-// up — and each group key becomes its variable. The aliases are rewritten
-// so before they are inlined, since a nested block of ORDER BY, which the
-// rewrites do not enter, reads them as they are.
+// up — and each group key becomes its variable, in nested scopes too. The
+// aliases are rewritten so before they are inlined, since a nested block of
+// ORDER BY, whose aggregates are its own, reads them as they are.
 func groupBlock(sel *sqlpp.SelectExpr, proj sqlpp.Expr) (sqlpp.Expr, sqlpp.Expr, []sqlpp.Expr, []AggRef) {
-	aliases := map[string]sqlpp.Expr{}
-	for _, item := range sel.Select.Items {
-		if item.Alias != "" {
-			aliases[item.Alias] = item.Expr
+	var aliases map[*sqlpp.Binding]sqlpp.Expr
+	if len(sel.OrderBy) > 0 { // only ORDER BY reads an alias
+		aliases = map[*sqlpp.Binding]sqlpp.Expr{}
+		decls := declared(sel, sqlpp.BindAlias)
+		for _, item := range sel.Select.Items {
+			if item.Alias != "" { // the binder declared one alias per such item, in order
+				aliases[decls[0]], decls = item.Expr, decls[1:]
+			}
 		}
 	}
 	var aggs []AggRef
@@ -82,12 +83,15 @@ func groupBlock(sel *sqlpp.SelectExpr, proj sqlpp.Expr) (sqlpp.Expr, sqlpp.Expr,
 		}
 		return proj, having, order, nil
 	}
-	repl := groupKeyRewrites(sel)
+	repl := map[string]sqlpp.Expr{}
+	for i, d := range declared(sel, sqlpp.BindGroupKey) {
+		repl[ExprKey(sel.GroupBy[i].Expr)] = &sqlpp.VarRef{Name: d.Name, Binding: d}
+	}
 	if proj = SubstituteByKey(proj, repl); having != nil {
 		having = SubstituteByKey(having, repl)
 	}
-	for name, e := range aliases {
-		aliases[name] = SubstituteByKey(ExtractAggregates(e, &gen, &aggs), repl)
+	for d, e := range aliases {
+		aliases[d] = SubstituteByKey(ExtractAggregates(e, &gen, &aggs), repl)
 	}
 	for i, oi := range sel.OrderBy {
 		order[i] = SubstituteByKey(ExtractAggregates(SubstituteVars(oi.Expr, aliases), &gen, &aggs), repl)
@@ -95,137 +99,33 @@ func groupBlock(sel *sqlpp.SelectExpr, proj sqlpp.Expr) (sqlpp.Expr, sqlpp.Expr,
 	return proj, having, order, aggs
 }
 
-// SubstituteVars rewrites VarRefs per the mapping (used to inline SELECT
-// aliases into ORDER BY and to rewrite quantifier rewrites). A nested
-// block that reads mapped names it does not bind itself gets them as WITH
-// bindings, which it evaluates before its own clauses: the first, $outer,
-// holds every mapped expression, evaluated in the enclosing scope, and
-// each name then reads its field.
-func SubstituteVars(e sqlpp.Expr, mapping map[string]sqlpp.Expr) sqlpp.Expr {
-	switch x := e.(type) {
-	case *sqlpp.SelectExpr:
-		free := map[string]bool{}
-		freeVarsOfBlock(x, free)
-		var names []string
-		for name := range free {
-			if _, ok := mapping[name]; ok {
-				names = append(names, name)
-			}
-		}
-		if len(names) == 0 {
-			return x
-		}
-		sort.Strings(names)
-		outer, b := &sqlpp.ObjectConstructor{}, *x
-		b.With = []sqlpp.LetClause{{Var: "$outer", Expr: outer}}
-		for _, name := range names {
-			outer.Fields = append(outer.Fields, sqlpp.ObjectField{Name: &sqlpp.Literal{Value: adm.String(name)}, Value: mapping[name]})
-			b.With = append(b.With, sqlpp.LetClause{Var: name, Expr: &sqlpp.FieldAccess{Base: &sqlpp.VarRef{Name: "$outer"}, Field: name}})
-		}
-		b.With = append(b.With, x.With...)
-		return &b
-	case *sqlpp.UnionExpr:
-		u := &sqlpp.UnionExpr{Blocks: make([]sqlpp.Expr, len(x.Blocks))}
-		for i, b := range x.Blocks {
-			u.Blocks[i] = SubstituteVars(b, mapping)
-		}
-		return u
-	case *sqlpp.VarRef:
-		if r, ok := mapping[x.Name]; ok {
-			return r
-		}
-	case *sqlpp.QuantifiedExpr:
-		// The body binds Var, which shadows the mapping's entry of that name.
-		inner := make(map[string]sqlpp.Expr, len(mapping))
-		for k, v := range mapping {
-			if k != x.Var {
-				inner[k] = v
-			}
-		}
-		q := *x
-		q.In, q.Satisfies = SubstituteVars(x.In, mapping), SubstituteVars(x.Satisfies, inner)
-		return &q
-	case *sqlpp.ExistsExpr:
-		// EXISTS binds nothing: its operand reads the enclosing scope.
-		return &sqlpp.ExistsExpr{X: SubstituteVars(x.X, mapping), Negate: x.Negate}
-	}
-	return sqlpp.Rewrite(e, func(c sqlpp.Expr) sqlpp.Expr { return SubstituteVars(c, mapping) })
-}
-
-// FreeVars collects variable names referenced by e that are not bound
-// within it (nested scopes subtracted approximately: quantifier vars and
-// nested SELECT aliases are treated as bound).
+// FreeVars adds to out each name e reads that it does not bind itself,
+// mapped to true for a variable and false for a dataset: a nested block
+// reads its correlation list, a quantifier's body all but its variable.
 func FreeVars(e sqlpp.Expr, out map[string]bool) {
 	switch x := e.(type) {
 	case *sqlpp.VarRef:
-		out[x.Name] = true
+		out[x.Name] = out[x.Name] || x.Binding == nil || x.Binding.Kind != sqlpp.BindDataset
+	case *sqlpp.SelectExpr:
+		for _, bd := range x.Correlation {
+			out[bd.Name] = out[bd.Name] || bd.Kind != sqlpp.BindDataset
+		}
 	case *sqlpp.QuantifiedExpr:
 		inner := map[string]bool{}
 		FreeVars(x.Satisfies, inner)
 		delete(inner, x.Var)
-		maps.Copy(out, inner)
+		for k, v := range inner {
+			out[k] = out[k] || v
+		}
 	case *sqlpp.ExistsExpr:
 		FreeVars(x.X, out)
 	case *sqlpp.UnionExpr:
 		for _, b := range x.Blocks {
 			FreeVars(b, out)
 		}
-	case *sqlpp.SelectExpr:
-		freeVarsOfBlock(x, out)
 	}
 	var buf [4]sqlpp.Expr
 	for _, c := range sqlpp.Children(e, buf[:0]) {
 		FreeVars(c, out)
-	}
-}
-
-// freeVarsOfBlock adds to out what a SELECT block reads of the enclosing
-// scope: every name its clauses read, minus the names the block binds.
-func freeVarsOfBlock(x *sqlpp.SelectExpr, out map[string]bool) {
-	inner := map[string]bool{}
-	bound := map[string]bool{}
-	for _, w := range x.With {
-		// Evaluated in the enclosing scope, after the earlier WITHs only.
-		with := map[string]bool{}
-		FreeVars(w.Expr, with)
-		maps.DeleteFunc(with, func(k string, _ bool) bool { return bound[k] })
-		maps.Copy(out, with)
-		bound[w.Var] = true
-	}
-	for _, ft := range x.From {
-		FreeVars(ft.Expr, inner)
-		bound[ft.Alias] = true
-		for _, l := range ft.Links {
-			FreeVars(l.Expr, inner)
-			bound[l.Alias] = true
-			FreeVars(l.On, inner)
-		}
-	}
-	for _, lc := range x.Lets {
-		FreeVars(lc.Expr, inner)
-		bound[lc.Var] = true
-	}
-	FreeVars(x.Where, inner)
-	for _, gk := range x.GroupBy {
-		FreeVars(gk.Expr, inner)
-		bound[gk.Alias] = true
-	}
-	if x.GroupAs != "" {
-		bound[x.GroupAs] = true
-	}
-	FreeVars(x.Having, inner)
-	FreeVars(x.Select.Value, inner)
-	for _, it := range x.Select.Items {
-		FreeVars(it.Expr, inner)
-	}
-	for _, oi := range x.OrderBy {
-		FreeVars(oi.Expr, inner)
-	}
-	FreeVars(x.Limit, inner)
-	FreeVars(x.Offset, inner)
-	for k := range inner {
-		if !bound[k] {
-			out[k] = true
-		}
 	}
 }

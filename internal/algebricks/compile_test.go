@@ -272,10 +272,7 @@ func TestCompiledConstantErrorIsPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(src string) (int, error) {
-		q, err := sqlpp.ParseQuery(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := parseBound(t, cat, src)
 		tr := &Translator{Ev: ev, Catalog: cat}
 		plan, err := tr.Translate(q.Body.(*sqlpp.SelectExpr))
 		if err != nil {

@@ -60,10 +60,7 @@ func TestPropRandomQueriesJobMatchesInterpreter(t *testing.T) {
 	}
 	for trial := 0; trial < 60; trial++ {
 		src, ordered := genQuery()
-		qs, err := sqlpp.ParseQuery(src)
-		if err != nil {
-			t.Fatalf("generated query does not parse: %s\n%v", src, err)
-		}
+		qs := parseBound(t, cat, src)
 		ev := newEval(cat)
 		// Interpreter path.
 		iv, err := ev.Eval(qs.Body, NewEnv(nil, nil, nil))

@@ -151,17 +151,15 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		return x.Value, nil
 
 	case *sqlpp.VarRef:
+		if isDataset(x) {
+			// Materialized on demand; the optimizer rewrites the hot paths
+			// into joins and scans.
+			return ev.materialize(x.Name)
+		}
 		if v, ok := env.Lookup(x.Name); ok {
 			return v, nil
 		}
-		// A bare name can reference a dataset (materialized on demand;
-		// the optimizer rewrites the hot paths into joins/scans).
-		if ev.Catalog != nil {
-			if ds, ok := ev.Catalog.Resolve(x.Name); ok {
-				return ev.materialize(ds)
-			}
-		}
-		return nil, evalErrf("undefined variable %q", x.Name)
+		return nil, evalErrf("undefined variable %q", userName(x.Name))
 
 	case *sqlpp.FieldAccess:
 		base, err := ev.Eval(x.Base, env)
@@ -231,29 +229,22 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 		return truthValue[inTruth(v, coll, x.Negate)], nil
 
 	case *sqlpp.CaseExpr:
+		var subject adm.Value
 		if x.Operand != nil {
-			op, err := ev.Eval(x.Operand, env)
+			var err error
+			if subject, err = ev.Eval(x.Operand, env); err != nil {
+				return nil, err
+			}
+		}
+		// An arm is taken when its WHEN equals the subject (CASE x WHEN v)
+		// or, with no subject, is true (CASE WHEN cond).
+		for _, wt := range x.Whens {
+			w, err := ev.Eval(wt.When, env)
 			if err != nil {
 				return nil, err
 			}
-			for _, wt := range x.Whens {
-				w, err := ev.Eval(wt.When, env)
-				if err != nil {
-					return nil, err
-				}
-				if adm.Compare(op, w) == 0 {
-					return ev.Eval(wt.Then, env)
-				}
-			}
-		} else {
-			for _, wt := range x.Whens {
-				w, err := ev.Eval(wt.When, env)
-				if err != nil {
-					return nil, err
-				}
-				if b, known := adm.Truthy(w); known && b {
-					return ev.Eval(wt.Then, env)
-				}
+			if (x.Operand != nil && adm.Compare(subject, w) == 0) || (x.Operand == nil && truthOf(w) == tTrue) {
+				return ev.Eval(wt.Then, env)
 			}
 		}
 		if x.Else != nil {
@@ -276,12 +267,8 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			b, known := adm.Truthy(p)
-			if x.Some && known && b {
-				return adm.Boolean(true), nil
-			}
-			if !x.Some && (!known || !b) {
-				return adm.Boolean(false), nil
+			if holds := truthOf(p) == tTrue; holds == x.Some {
+				return adm.Boolean(holds), nil
 			}
 		}
 		return adm.Boolean(!x.Some), nil
@@ -803,7 +790,11 @@ func asCollection(v adm.Value) ([]adm.Value, bool) {
 
 // materialize scans a whole dataset into an array (fallback path for
 // datasets referenced in expression position).
-func (ev *Evaluator) materialize(ds DataSource) (adm.Value, error) {
+func (ev *Evaluator) materialize(name string) (adm.Value, error) {
+	ds, ok := ev.Catalog.Resolve(name)
+	if !ok {
+		return nil, evalErrf("unknown dataset %q", name)
+	}
 	var out adm.Array
 	for p := 0; p < ds.Partitions(); p++ {
 		err := ds.Scan(p, func(rec Record) error {

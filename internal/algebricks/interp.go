@@ -9,15 +9,9 @@ import (
 	"asterix/internal/sqlpp"
 )
 
-// interpRow is one binding tuple during serial interpretation.
-type interpRow struct {
-	env  *Env
-	vars []string // row variables in binding order (for GROUP AS / *)
-}
-
 // interpretSelect executes a nested SELECT block serially against outer
 // bindings (the subplan path; top-level queries go through job
-// generation).
+// generation). Each row is the Env of one binding tuple.
 func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.Value, error) {
 	base := NewEnv(outer, nil, nil)
 	for _, w := range sel.With {
@@ -28,116 +22,75 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 		base.Bind(w.Var, v)
 	}
 
-	rows := []interpRow{{env: NewEnv(base, nil, nil)}}
+	rows := []*Env{NewEnv(base, nil, nil)}
 
-	bindCollection := func(in []interpRow, expr sqlpp.Expr, alias string) ([]interpRow, error) {
-		var out []interpRow
+	// bind extends each row by every element of expr's collection that
+	// satisfies on (nil: every element), a LEFT JOIN's row without one by
+	// missing.
+	bind := func(in []*Env, expr sqlpp.Expr, alias string, on sqlpp.Expr, leftOuter bool) ([]*Env, error) {
+		var out []*Env
 		for _, row := range in {
-			coll, err := ev.Eval(expr, row.env)
+			coll, err := ev.Eval(expr, row)
 			if err != nil {
 				return nil, err
 			}
-			elems, ok := asCollection(coll)
-			if !ok {
-				continue // non-collection sources bind nothing
-			}
+			elems, _ := asCollection(coll)
+			matched := false
 			for _, el := range elems {
-				env := NewEnv(row.env, []string{alias}, []adm.Value{el})
-				out = append(out, interpRow{env: env, vars: append(append([]string(nil), row.vars...), alias)})
+				env := NewEnv(row, []string{alias}, []adm.Value{el})
+				ok := on == nil
+				if !ok {
+					if ok, err = ev.truthyExpr(on, env); err != nil {
+						return nil, err
+					}
+				}
+				if ok {
+					matched = true
+					out = append(out, env)
+				}
+			}
+			if !matched && leftOuter {
+				out = append(out, NewEnv(row, []string{alias}, []adm.Value{adm.Missing}))
 			}
 		}
 		return out, nil
 	}
 
+	var err error
 	for _, ft := range sel.From {
-		var err error
-		rows, err = bindCollection(rows, ft.Expr, ft.Alias)
-		if err != nil {
+		if rows, err = bind(rows, ft.Expr, ft.Alias, nil, false); err != nil {
 			return nil, err
 		}
 		for _, link := range ft.Links {
-			if !link.IsJoin {
-				// UNNEST.
-				rows, err = bindCollection(rows, link.Expr, link.Alias)
-				if err != nil {
-					return nil, err
-				}
-				continue
+			if rows, err = bind(rows, link.Expr, link.Alias, link.On, link.Kind == sqlpp.JoinLeftOuter); err != nil {
+				return nil, err
 			}
-			var joined []interpRow
-			for _, row := range rows {
-				coll, err := ev.Eval(link.Expr, row.env)
-				if err != nil {
-					return nil, err
-				}
-				elems, _ := asCollection(coll)
-				matched := false
-				for _, el := range elems {
-					env := NewEnv(row.env, []string{link.Alias}, []adm.Value{el})
-					ok, err := ev.truthyExpr(link.On, env)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						joined = append(joined, interpRow{env: env, vars: append(append([]string(nil), row.vars...), link.Alias)})
-					}
-				}
-				if !matched && link.Kind == sqlpp.JoinLeftOuter {
-					env := NewEnv(row.env, []string{link.Alias}, []adm.Value{adm.Missing})
-					joined = append(joined, interpRow{env: env, vars: append(append([]string(nil), row.vars...), link.Alias)})
-				}
-			}
-			rows = joined
 		}
 	}
 
 	for _, lc := range sel.Lets {
-		for i := range rows {
-			v, err := ev.Eval(lc.Expr, rows[i].env)
+		for _, row := range rows {
+			v, err := ev.Eval(lc.Expr, row)
 			if err != nil {
 				return nil, err
 			}
-			rows[i].env.Bind(lc.Var, v)
-			rows[i].vars = append(rows[i].vars, lc.Var)
+			row.Bind(lc.Var, v)
 		}
 	}
 
-	if sel.Where != nil {
-		var kept []interpRow
-		for _, row := range rows {
-			ok, err := ev.truthyExpr(sel.Where, row.env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
+	if rows, err = ev.filter(rows, sel.Where); err != nil {
+		return nil, err
 	}
 
 	projExpr, havingExpr, orderExprs, aggs := groupBlock(sel, projectionFor(sel))
 	if len(sel.GroupBy) > 0 || len(aggs) > 0 {
-		grouped, err := ev.interpretGroup(sel, aggs, rows, base)
-		if err != nil {
+		if rows, err = ev.interpretGroup(sel, aggs, rows, base); err != nil {
 			return nil, err
 		}
-		rows = grouped
 	}
 
-	if havingExpr != nil {
-		var kept []interpRow
-		for _, row := range rows {
-			ok, err := ev.truthyExpr(havingExpr, row.env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
+	if rows, err = ev.filter(rows, havingExpr); err != nil {
+		return nil, err
 	}
 
 	type outRow struct {
@@ -147,20 +100,17 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 	}
 	var outs []outRow
 	for _, row := range rows {
-		v, err := ev.Eval(projExpr, row.env)
+		v, err := ev.Eval(projExpr, row)
 		if err != nil {
 			return nil, err
 		}
-		outs = append(outs, outRow{env: row.env, value: v})
+		outs = append(outs, outRow{env: row, value: v})
 	}
 	if sel.Select.Distinct {
 		// As in a plan: drop duplicates, then order what is left by its
 		// value, with the statement's scope but not the block's.
 		for i, oi := range sel.OrderBy {
-			var err error
-			if orderExprs[i], err = rebaseOnResult(oi.Expr, sel); err != nil {
-				return nil, err
-			}
+			orderExprs[i] = rebaseOnResult(oi.Expr, sel)
 		}
 		sort.Slice(outs, func(i, j int) bool { return adm.Compare(outs[i].value, outs[j].value) < 0 })
 		outs = slices.CompactFunc(outs, func(a, b outRow) bool { return adm.Compare(a.value, b.value) == 0 })
@@ -211,10 +161,10 @@ func (ev *Evaluator) interpretSelect(sel *sqlpp.SelectExpr, outer *Env) ([]adm.V
 // interpretGroup groups rows and produces one row per group with: group
 // keys, GROUP AS binding, and the variables of aggs, the aggregates
 // extracted from the block's SELECT, HAVING and ORDER BY.
-func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows []interpRow, base *Env) ([]interpRow, error) {
+func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows []*Env, base *Env) ([]*Env, error) {
 	type groupState struct {
 		keys []adm.Value
-		rows []interpRow
+		rows []*Env
 	}
 	groups := map[uint64][]*groupState{}
 	var order []*groupState
@@ -222,7 +172,7 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 		keys := make([]adm.Value, len(sel.GroupBy))
 		var h uint64 = 1469598103934665603
 		for i, gk := range sel.GroupBy {
-			v, err := ev.Eval(gk.Expr, row.env)
+			v, err := ev.Eval(gk.Expr, row)
 			if err != nil {
 				return nil, err
 			}
@@ -255,27 +205,26 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 		order = append(order, &groupState{})
 	}
 
-	var out []interpRow
+	// A GROUP AS element holds a row's FROM, JOIN, UNNEST and LET variables.
+	rowVars := append(declared(sel, sqlpp.BindFrom), declared(sel, sqlpp.BindLet)...)
+	var out []*Env
 	for _, g := range order {
 		env := NewEnv(base, nil, nil)
-		var vars []string
 		for i, gk := range sel.GroupBy {
 			env.Bind(gk.Alias, g.keys[i])
-			vars = append(vars, gk.Alias)
 		}
 		if sel.GroupAs != "" {
 			var coll adm.Array
 			for _, row := range g.rows {
 				o := adm.NewObject()
-				for _, v := range row.vars {
-					if val, ok := row.env.Lookup(v); ok {
-						o.Set(v, val)
+				for _, d := range rowVars {
+					if val, ok := row.Lookup(d.Name); ok {
+						o.Set(userName(d.Name), val)
 					}
 				}
 				coll = append(coll, o)
 			}
 			env.Bind(sel.GroupAs, coll)
-			vars = append(vars, sel.GroupAs)
 		}
 		for _, a := range aggs {
 			var vals []adm.Value
@@ -284,7 +233,7 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 					vals = append(vals, adm.Int64(1))
 					continue
 				}
-				v, err := ev.Eval(a.Arg, row.env)
+				v, err := ev.Eval(a.Arg, row)
 				if err != nil {
 					return nil, err
 				}
@@ -299,19 +248,32 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 				return nil, err
 			}
 			env.Bind(a.Var, v)
-			vars = append(vars, a.Var)
 		}
-		out = append(out, interpRow{env: env, vars: vars})
+		out = append(out, env)
 	}
 	return out, nil
+}
+
+// filter keeps the rows cond is true on, all of them without a cond.
+func (ev *Evaluator) filter(rows []*Env, cond sqlpp.Expr) ([]*Env, error) {
+	if cond == nil {
+		return rows, nil
+	}
+	var kept []*Env
+	for _, row := range rows {
+		ok, err := ev.truthyExpr(cond, row)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, row)
+		}
+	}
+	return kept, nil
 }
 
 // truthyExpr evaluates e and applies SQL boolean semantics.
 func (ev *Evaluator) truthyExpr(e sqlpp.Expr, env *Env) (bool, error) {
 	v, err := ev.Eval(e, env)
-	if err != nil {
-		return false, err
-	}
-	b, known := adm.Truthy(v)
-	return known && b, nil
+	return err == nil && truthOf(v) == tTrue, err
 }

@@ -226,20 +226,12 @@ func (g *JobGen) buildOp(j *hyracks.Job, plan Op) (built, error) {
 			return built{}, err
 		}
 		expr := g.Ev.compile(o.Expr, in.schema)
-		outer := o.Outer
 		op := j.Add(hyracks.NewMap("unnest-"+o.Var, in.par, func(tc *hyracks.TaskContext, t hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 			v, err := expr(t, nil)
 			if err != nil {
 				return err
 			}
-			elems, ok := asCollection(v)
-			if !ok || len(elems) == 0 {
-				if outer {
-					out := append(append(hyracks.Tuple{}, t...), adm.Missing)
-					return emit(out)
-				}
-				return nil
-			}
+			elems, _ := asCollection(v)
 			for _, el := range elems {
 				out := make(hyracks.Tuple, 0, len(t)+1)
 				out = append(out, t...)

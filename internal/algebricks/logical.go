@@ -2,6 +2,7 @@ package algebricks
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"asterix/internal/adm"
@@ -84,12 +85,11 @@ type AssignOp struct {
 
 // UnnestOp appends a column iterating a (possibly correlated) collection
 // expression; tuples whose collection is empty or non-collection are
-// dropped (or padded with missing when Outer).
+// dropped.
 type UnnestOp struct {
-	In    Op
-	Var   string
-	Expr  sqlpp.Expr
-	Outer bool
+	In   Op
+	Var  string
+	Expr sqlpp.Expr
 }
 
 // JoinKind for logical joins.
@@ -259,13 +259,7 @@ func (o *AssignOp) String() string   { return "assign " + o.Var + " := " + ExprS
 
 func (o *UnnestOp) Schema() []string { return append(append([]string{}, o.In.Schema()...), o.Var) }
 func (o *UnnestOp) Inputs() []Op     { return []Op{o.In} }
-func (o *UnnestOp) String() string {
-	kind := "unnest"
-	if o.Outer {
-		kind = "outer-unnest"
-	}
-	return kind + " " + o.Var + " := " + ExprString(o.Expr)
-}
+func (o *UnnestOp) String() string   { return "unnest " + o.Var + " := " + ExprString(o.Expr) }
 
 func (o *ProjectOp) Schema() []string { return append([]string{}, o.Cols...) }
 func (o *ProjectOp) Inputs() []Op     { return []Op{o.In} }
@@ -443,15 +437,16 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 
 	// WITH bindings evaluate once per statement (constant w.r.t. the
 	// data being scanned).
-	baseEnv, consts := NewEnv(nil, nil, nil), map[string]sqlpp.Expr{}
-	for _, w := range sel.With {
+	baseEnv, consts := NewEnv(nil, nil, nil), map[*sqlpp.Binding]sqlpp.Expr{}
+	for i, d := range declared(sel, sqlpp.BindWith) {
+		w := sel.With[i]
 		v, err := tr.Ev.Eval(w.Expr, baseEnv)
 		if err != nil {
 			return nil, fmt.Errorf("WITH %s: %w", w.Var, err)
 		}
 		baseEnv.Bind(w.Var, v)
-		consts[w.Var] = &sqlpp.Literal{Value: v}
-		plan = &AssignOp{In: plan, Var: w.Var, Expr: consts[w.Var]}
+		consts[d] = &sqlpp.Literal{Value: v}
+		plan = &AssignOp{In: plan, Var: w.Var, Expr: consts[d]}
 	}
 
 	for _, ft := range sel.From {
@@ -476,17 +471,11 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 		groupAs := sel.GroupAs
 		if groupAs != "" {
 			used := map[string]bool{}
-			FreeVars(projExpr, used)
-			if havingExpr != nil {
-				FreeVars(havingExpr, used)
-			}
-			for _, oe := range orderExprs {
-				FreeVars(oe, used)
+			for _, e := range append([]sqlpp.Expr{projExpr, havingExpr}, orderExprs...) {
+				FreeVars(e, used)
 			}
 			for _, a := range aggs {
-				if a.Arg != nil {
-					FreeVars(a.Arg, used)
-				}
+				FreeVars(a.Arg, used)
 			}
 			if !used[groupAs] {
 				groupAs = ""
@@ -509,11 +498,7 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 		// Order expressions after DISTINCT can only see the result value
 		// and the statement's WITH constants.
 		for i, oi := range sel.OrderBy {
-			oe, err := rebaseOnResult(oi.Expr, sel)
-			if err != nil {
-				return nil, err
-			}
-			orderExprs[i] = SubstituteVars(oe, consts)
+			orderExprs[i] = SubstituteVars(rebaseOnResult(oi.Expr, sel), consts)
 		}
 	}
 	if len(orderExprs) > 0 {
@@ -555,7 +540,7 @@ func (ev *Evaluator) limitOffset(sel *sqlpp.SelectExpr, env *Env) (limit, offset
 }
 
 // projectionFor builds the final projection expression. SELECT * is an
-// object of the variables blockVars says it projects, so the translator and
+// object of the variables starVars says it projects, so the translator and
 // the interpreter project the same fields.
 func projectionFor(sel *sqlpp.SelectExpr) sqlpp.Expr {
 	if sel.Select.Value != nil {
@@ -563,11 +548,10 @@ func projectionFor(sel *sqlpp.SelectExpr) sqlpp.Expr {
 	}
 	obj := &sqlpp.ObjectConstructor{}
 	if sel.Select.Star {
-		star, _ := blockVars(sel)
-		for _, v := range star {
+		for _, d := range starVars(sel) {
 			obj.Fields = append(obj.Fields, sqlpp.ObjectField{
-				Name:  &sqlpp.Literal{Value: adm.String(v)},
-				Value: &sqlpp.VarRef{Name: v},
+				Name:  &sqlpp.Literal{Value: adm.String(userName(d.Name))},
+				Value: &sqlpp.VarRef{Name: d.Name, Binding: d},
 			})
 		}
 		return obj
@@ -581,67 +565,38 @@ func projectionFor(sel *sqlpp.SelectExpr) sqlpp.Expr {
 	return obj
 }
 
-// blockVars returns, in binding order, the variables SELECT * projects —
+// starVars returns, in declaration order, the variables SELECT * projects:
 // the WITH variables and then, if the block has a GROUP BY, its keys and
-// GROUP AS, else its FROM, JOIN, UNNEST and LET variables — and the ones
-// the block binds itself: its FROM, JOIN, UNNEST, LET, key and GROUP AS
-// variables.
-func blockVars(sel *sqlpp.SelectExpr) (star, bound []string) {
-	for _, ft := range sel.From {
-		bound = append(bound, ft.Alias)
-		for _, link := range ft.Links {
-			bound = append(bound, link.Alias)
-		}
-	}
-	for _, lc := range sel.Lets {
-		bound = append(bound, lc.Var)
-	}
-	keys := len(bound)
-	for _, gk := range sel.GroupBy {
-		bound = append(bound, gk.Alias)
-	}
-	if len(sel.GroupBy) > 0 && sel.GroupAs != "" {
-		bound = append(bound, sel.GroupAs)
-	}
-	for _, w := range sel.With {
-		star = append(star, w.Var)
-	}
+// GROUP AS, else its FROM, JOIN, UNNEST and LET variables.
+func starVars(sel *sqlpp.SelectExpr) []*sqlpp.Binding {
 	if len(sel.GroupBy) > 0 {
-		return append(star, bound[keys:]...), bound
+		return slices.Concat(declared(sel, sqlpp.BindWith), declared(sel, sqlpp.BindGroupKey), declared(sel, sqlpp.BindGroupAs))
 	}
-	return append(star, bound...), bound
+	return slices.Concat(declared(sel, sqlpp.BindWith), declared(sel, sqlpp.BindFrom), declared(sel, sqlpp.BindLet))
 }
 
 // rebaseOnResult rewrites an ORDER BY expression of sel used above DISTINCT
 // to read the projected result: a SELECT item's expression or alias becomes
 // its field, under SELECT * each variable the star projects its field, and
-// the SELECT VALUE expression the result itself. A variable the block binds
-// and does not project is out of scope there: reading it is an error.
-func rebaseOnResult(e sqlpp.Expr, sel *sqlpp.SelectExpr) (sqlpp.Expr, error) {
+// the SELECT VALUE expression the result itself. The binder rejects an
+// ORDER BY that reads any other variable of the block.
+func rebaseOnResult(e sqlpp.Expr, sel *sqlpp.SelectExpr) sqlpp.Expr {
 	result := &sqlpp.VarRef{Name: ResultVar}
-	fields, items := map[string]sqlpp.Expr{}, map[string]sqlpp.Expr{}
+	items, fields := map[string]sqlpp.Expr{}, map[*sqlpp.Binding]sqlpp.Expr{}
 	if sel.Select.Value != nil {
 		items[ExprKey(sel.Select.Value)] = result
 	}
 	for _, item := range sel.Select.Items {
-		fields[item.Alias] = &sqlpp.FieldAccess{Base: result, Field: item.Alias}
-		items[ExprKey(item.Expr)] = fields[item.Alias]
+		items[ExprKey(item.Expr)] = &sqlpp.FieldAccess{Base: result, Field: item.Alias}
 	}
-	star, bound := blockVars(sel)
+	named := declared(sel, sqlpp.BindAlias) // the items' names, or under SELECT * the variables
 	if sel.Select.Star {
-		for _, v := range star {
-			fields[v] = &sqlpp.FieldAccess{Base: result, Field: v}
-		}
+		named = starVars(sel)
 	}
-	e = SubstituteVars(SubstituteByKey(e, items), fields)
-	free := map[string]bool{}
-	FreeVars(e, free)
-	for _, v := range bound {
-		if free[v] {
-			return nil, fmt.Errorf("ORDER BY reads %q, which SELECT DISTINCT does not project", v)
-		}
+	for _, d := range named {
+		fields[d] = &sqlpp.FieldAccess{Base: result, Field: userName(d.Name)}
 	}
-	return e, nil
+	return SubstituteVars(SubstituteByKey(e, items), fields)
 }
 
 // addFromTerm extends the plan with one FROM term and its join/unnest
@@ -649,63 +604,39 @@ func rebaseOnResult(e sqlpp.Expr, sel *sqlpp.SelectExpr) (sqlpp.Expr, error) {
 func (tr *Translator) addFromTerm(plan Op, ft sqlpp.FromTerm) (Op, error) {
 	plan = tr.addSource(plan, ft.Expr, ft.Alias)
 	for _, link := range ft.Links {
-		if link.IsJoin {
-			rhs, err := tr.sourcePlan(link.Expr, link.Alias)
-			if err == nil {
-				kind := JoinInner
-				if link.Kind == sqlpp.JoinLeftOuter {
-					kind = JoinLeftOuter
-				}
-				plan = &JoinOp{L: plan, R: rhs, Kind: kind, On: link.On}
-				continue
-			}
-			// Correlated right side: fall back to unnest + filter (inner
-			// joins only).
+		switch {
+		case !link.IsJoin: // UNNEST (correlated by nature)
+			plan = &UnnestOp{In: plan, Var: link.Alias, Expr: link.Expr}
+		case tr.usesOnly(link.Expr, nil): // a right side that reads no variable
+			kind := JoinInner
 			if link.Kind == sqlpp.JoinLeftOuter {
-				return nil, fmt.Errorf("LEFT JOIN with correlated right side is not supported")
+				kind = JoinLeftOuter
 			}
+			plan = &JoinOp{L: plan, R: tr.addSource(&EtsOp{}, link.Expr, link.Alias), Kind: kind, On: link.On}
+		case link.Kind == sqlpp.JoinLeftOuter:
+			return nil, fmt.Errorf("LEFT JOIN with correlated right side is not supported")
+		default: // a correlated inner join: unnest + filter
 			plan = &SelectOp{In: tr.addSource(plan, link.Expr, link.Alias), Cond: link.On}
-			continue
 		}
-		// UNNEST (correlated by nature).
-		plan = &UnnestOp{In: plan, Var: link.Alias, Expr: link.Expr}
 	}
 	return plan, nil
 }
 
-// sourcePlan builds an independent subplan for an uncorrelated source
-// (dataset scan or constant collection); errors if correlated.
-func (tr *Translator) sourcePlan(e sqlpp.Expr, alias string) (Op, error) {
-	if vr, ok := e.(*sqlpp.VarRef); ok && tr.Catalog != nil {
-		if _, ok := tr.Catalog.Resolve(vr.Name); ok {
-			return &ScanOp{Dataset: vr.Name, Var: alias}, nil
-		}
-	}
-	free := map[string]bool{}
-	FreeVars(e, free)
-	for v := range free {
-		if tr.Catalog != nil {
-			if _, ok := tr.Catalog.Resolve(v); ok {
-				continue
-			}
-		}
-		return nil, fmt.Errorf("source expression references in-scope variable %q", v)
-	}
-	return &UnnestOp{In: &EtsOp{}, Var: alias, Expr: e}, nil
+// isDataset reports whether e names a dataset.
+func isDataset(e sqlpp.Expr) bool {
+	vr, ok := e.(*sqlpp.VarRef)
+	return ok && vr.Binding != nil && vr.Binding.Kind == sqlpp.BindDataset
 }
 
 // addSource extends the current plan with a data source: an independent
 // source becomes a cross join; a correlated expression becomes an unnest.
 func (tr *Translator) addSource(plan Op, e sqlpp.Expr, alias string) Op {
-	// Dataset scan?
-	if vr, ok := e.(*sqlpp.VarRef); ok && tr.Catalog != nil {
-		if _, ok := tr.Catalog.Resolve(vr.Name); ok {
-			scan := &ScanOp{Dataset: vr.Name, Var: alias}
-			if isEts(plan) {
-				return scan
-			}
-			return &JoinOp{L: plan, R: scan, Kind: JoinInner}
+	if isDataset(e) {
+		scan := &ScanOp{Dataset: e.(*sqlpp.VarRef).Name, Var: alias}
+		if isEts(plan) {
+			return scan
 		}
+		return &JoinOp{L: plan, R: scan, Kind: JoinInner}
 	}
 	// Correlated with the current plan?
 	free := map[string]bool{}

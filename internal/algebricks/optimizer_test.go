@@ -47,10 +47,7 @@ func testCatalog3() *memCatalog {
 // the plan and the optimizer report.
 func optimizeQuery(t *testing.T, cat Catalog, src string) (Op, OptReport) {
 	t.Helper()
-	q, err := sqlpp.ParseQuery(src + ";")
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := parseBound(t, cat, src+";")
 	tr := &Translator{Ev: newEval(cat), Catalog: cat}
 	plan, err := tr.Translate(q.Body.(*sqlpp.SelectExpr))
 	if err != nil {
@@ -482,11 +479,8 @@ func TestOptimizerBudgetBounds(t *testing.T) {
 
 func TestOptimizerDisabledRules(t *testing.T) {
 	q := `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id`
-	qp, err := sqlpp.ParseQuery(q + ";")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cat := testCatalog3()
+	qp := parseBound(t, cat, q+";")
 	tr := &Translator{Ev: newEval(cat), Catalog: cat}
 	plan, err := tr.Translate(qp.Body.(*sqlpp.SelectExpr))
 	if err != nil {
@@ -507,10 +501,7 @@ func TestOptimizerMetricsCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	o := NewOptimizer(reg)
 	cat := testCatalog3()
-	q, err := sqlpp.ParseQuery(`SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id;`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := parseBound(t, cat, `SELECT u.name, m.mid FROM Users u, Messages m WHERE m.authorId = u.id;`)
 	tr := &Translator{Ev: newEval(cat), Catalog: cat}
 	plan, err := tr.Translate(q.Body.(*sqlpp.SelectExpr))
 	if err != nil {

@@ -11,152 +11,176 @@ import (
 // ExprString renders an expression in compact SQL-ish form for plan text
 // (EXPLAIN output and golden plan tests). It is stable: the same
 // expression always renders the same way.
-func ExprString(e sqlpp.Expr) string {
-	var sb strings.Builder
-	writeExprString(&sb, e)
-	return sb.String()
+func ExprString(e sqlpp.Expr) string { return exprText(e, false) }
+
+// ExprKey renders an expression to a canonical string used for structural
+// equality (matching SELECT expressions against GROUP BY keys): its text
+// with each name's binding, each field name quoted and each nested block's
+// identity, so that two expressions are equal only if they read the same
+// declarations the same way.
+func ExprKey(e sqlpp.Expr) string { return exprText(e, true) }
+
+func exprText(e sqlpp.Expr, keyed bool) string {
+	w := exprWriter{keyed: keyed}
+	w.write(e)
+	return w.String()
 }
 
-func writeExprString(sb *strings.Builder, e sqlpp.Expr) {
+type exprWriter struct {
+	strings.Builder
+	keyed bool
+}
+
+func (w *exprWriter) write(e sqlpp.Expr) {
 	switch x := e.(type) {
 	case nil:
-		sb.WriteString("true")
+		w.WriteString("true")
 	case *sqlpp.Literal:
-		sb.WriteString(x.Value.String())
+		w.WriteString(x.Value.String())
 	case *sqlpp.VarRef:
-		sb.WriteString(x.Name)
+		w.WriteString(x.Name)
+		if w.keyed && !isDataset(x) { // a dataset is one, however often it is named
+			fmt.Fprintf(w, "#%p", x.Binding)
+		}
 	case *sqlpp.FieldAccess:
-		writeExprString(sb, x.Base)
-		sb.WriteByte('.')
-		sb.WriteString(x.Field)
+		w.write(x.Base)
+		if w.WriteByte('.'); w.keyed { // a.`b.c` is not a.b.c
+			fmt.Fprintf(w, "%q", x.Field)
+		} else {
+			w.WriteString(x.Field)
+		}
 	case *sqlpp.IndexAccess:
-		writeExprString(sb, x.Base)
-		sb.WriteByte('[')
-		writeExprString(sb, x.Index)
-		sb.WriteByte(']')
+		w.write(x.Base)
+		w.WriteByte('[')
+		w.write(x.Index)
+		w.WriteByte(']')
 	case *sqlpp.Call:
-		sb.WriteString(x.Fn)
-		sb.WriteByte('(')
+		w.WriteString(x.Fn)
+		w.WriteByte('(')
 		if x.Distinct {
-			sb.WriteString("distinct ")
+			w.WriteString("distinct ")
 		}
 		for i, a := range x.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			writeExprString(sb, a)
+			w.write(a)
 		}
-		sb.WriteByte(')')
+		w.WriteByte(')')
 	case *sqlpp.Unary:
-		sb.WriteString(x.Op)
-		sb.WriteByte(' ')
-		writeExprString(sb, x.X)
+		w.WriteString(x.Op)
+		w.WriteByte(' ')
+		w.write(x.X)
 	case *sqlpp.Binary:
-		sb.WriteByte('(')
-		writeExprString(sb, x.L)
-		sb.WriteByte(' ')
-		sb.WriteString(x.Op)
-		sb.WriteByte(' ')
-		writeExprString(sb, x.R)
-		sb.WriteByte(')')
+		w.WriteByte('(')
+		w.write(x.L)
+		w.WriteByte(' ')
+		w.WriteString(x.Op)
+		w.WriteByte(' ')
+		w.write(x.R)
+		w.WriteByte(')')
 	case *sqlpp.IsExpr:
-		sb.WriteByte('(')
-		writeExprString(sb, x.X)
-		sb.WriteString(" is ")
+		w.WriteByte('(')
+		w.write(x.X)
+		w.WriteString(" is ")
 		if x.Negate {
-			sb.WriteString("not ")
+			w.WriteString("not ")
 		}
-		sb.WriteString(x.What)
-		sb.WriteByte(')')
+		w.WriteString(x.What)
+		w.WriteByte(')')
 	case *sqlpp.Between:
-		sb.WriteByte('(')
-		writeExprString(sb, x.X)
+		w.WriteByte('(')
+		w.write(x.X)
 		if x.Negate {
-			sb.WriteString(" not")
+			w.WriteString(" not")
 		}
-		sb.WriteString(" between ")
-		writeExprString(sb, x.Lo)
-		sb.WriteString(" and ")
-		writeExprString(sb, x.Hi)
-		sb.WriteByte(')')
+		w.WriteString(" between ")
+		w.write(x.Lo)
+		w.WriteString(" and ")
+		w.write(x.Hi)
+		w.WriteByte(')')
 	case *sqlpp.InExpr:
-		sb.WriteByte('(')
-		writeExprString(sb, x.X)
+		w.WriteByte('(')
+		w.write(x.X)
 		if x.Negate {
-			sb.WriteString(" not")
+			w.WriteString(" not")
 		}
-		sb.WriteString(" in ")
-		writeExprString(sb, x.Coll)
-		sb.WriteByte(')')
+		w.WriteString(" in ")
+		w.write(x.Coll)
+		w.WriteByte(')')
 	case *sqlpp.CaseExpr:
-		sb.WriteString("case")
+		w.WriteString("case")
 		if x.Operand != nil {
-			sb.WriteByte(' ')
-			writeExprString(sb, x.Operand)
+			w.WriteByte(' ')
+			w.write(x.Operand)
 		}
 		for _, wt := range x.Whens {
-			sb.WriteString(" when ")
-			writeExprString(sb, wt.When)
-			sb.WriteString(" then ")
-			writeExprString(sb, wt.Then)
+			w.WriteString(" when ")
+			w.write(wt.When)
+			w.WriteString(" then ")
+			w.write(wt.Then)
 		}
 		if x.Else != nil {
-			sb.WriteString(" else ")
-			writeExprString(sb, x.Else)
+			w.WriteString(" else ")
+			w.write(x.Else)
 		}
-		sb.WriteString(" end")
+		w.WriteString(" end")
 	case *sqlpp.QuantifiedExpr:
 		if x.Some {
-			sb.WriteString("some ")
+			w.WriteString("some ")
 		} else {
-			sb.WriteString("every ")
+			w.WriteString("every ")
 		}
-		sb.WriteString(x.Var)
-		sb.WriteString(" in ")
-		writeExprString(sb, x.In)
-		sb.WriteString(" satisfies ")
-		writeExprString(sb, x.Satisfies)
+		w.WriteString(x.Var)
+		w.WriteString(" in ")
+		w.write(x.In)
+		w.WriteString(" satisfies ")
+		w.write(x.Satisfies)
 	case *sqlpp.ExistsExpr:
 		if x.Negate {
-			sb.WriteString("not ")
+			w.WriteString("not ")
 		}
-		sb.WriteString("exists ")
-		writeExprString(sb, x.X)
+		w.WriteString("exists ")
+		w.write(x.X)
 	case *sqlpp.ObjectConstructor:
-		sb.WriteByte('{')
+		w.WriteByte('{')
 		for i, f := range x.Fields {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			writeExprString(sb, f.Name)
-			sb.WriteString(": ")
-			writeExprString(sb, f.Value)
+			w.write(f.Name)
+			w.WriteString(": ")
+			w.write(f.Value)
 		}
-		sb.WriteByte('}')
+		w.WriteByte('}')
 	case *sqlpp.ArrayConstructor:
-		sb.WriteByte('[')
+		w.WriteByte('[')
 		for i, el := range x.Elems {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			writeExprString(sb, el)
+			w.write(el)
 		}
-		sb.WriteByte(']')
+		w.WriteByte(']')
 	case *sqlpp.MultisetConstructor:
-		sb.WriteString("{{")
+		w.WriteString("{{")
 		for i, el := range x.Elems {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			writeExprString(sb, el)
+			w.write(el)
 		}
-		sb.WriteString("}}")
-	case *sqlpp.SelectExpr:
-		sb.WriteString("(subquery)")
-	case *sqlpp.UnionExpr:
-		sb.WriteString("(union)")
+		w.WriteString("}}")
+	case *sqlpp.SelectExpr, *sqlpp.UnionExpr:
+		if w.keyed { // nested blocks compare by identity
+			fmt.Fprintf(w, "(%p)", x)
+		} else if _, ok := x.(*sqlpp.SelectExpr); ok {
+			w.WriteString("(subquery)")
+		} else {
+			w.WriteString("(union)")
+		}
 	default:
-		fmt.Fprintf(sb, "?%T", e)
+		fmt.Fprintf(w, "?%T", e)
 	}
 }
 

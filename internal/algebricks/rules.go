@@ -48,25 +48,15 @@ func conjoin(es []sqlpp.Expr) sqlpp.Expr {
 	return out
 }
 
-// usesOnly reports whether e's free variables (minus dataset names) are a
+// usesOnly reports whether the variables e reads (datasets aside) are a
 // subset of vars.
 func (tr *Translator) usesOnly(e sqlpp.Expr, vars []string) bool {
 	free := map[string]bool{}
 	FreeVars(e, free)
-	allowed := map[string]bool{}
-	for _, v := range vars {
-		allowed[v] = true
-	}
-	for v := range free {
-		if allowed[v] {
-			continue
+	for v, isVar := range free {
+		if isVar && !slices.Contains(vars, v) {
+			return false
 		}
-		if tr.Catalog != nil {
-			if _, ok := tr.Catalog.Resolve(v); ok {
-				continue
-			}
-		}
-		return false
 	}
 	return true
 }
@@ -123,14 +113,7 @@ func ruleQuantifierToSemijoin(tr *Translator, plan Op) (Op, int) {
 		cs := conjuncts(sel.Cond)
 		for i, c := range cs {
 			q, ok := c.(*sqlpp.QuantifiedExpr)
-			if !ok || !q.Some {
-				continue
-			}
-			ds, ok := q.In.(*sqlpp.VarRef)
-			if !ok || tr.Catalog == nil {
-				continue
-			}
-			if _, isDS := tr.Catalog.Resolve(ds.Name); !isDS {
+			if !ok || !q.Some || !isDataset(q.In) {
 				continue
 			}
 			// The satisfies predicate may reference the quantified var and
@@ -139,13 +122,12 @@ func ruleQuantifierToSemijoin(tr *Translator, plan Op) (Op, int) {
 				continue
 			}
 			rest := append(append([]sqlpp.Expr{}, cs[:i]...), cs[i+1:]...)
-			join := &JoinOp{
+			var out Op = &JoinOp{
 				L:    sel.In,
-				R:    &ScanOp{Dataset: ds.Name, Var: q.Var},
+				R:    &ScanOp{Dataset: q.In.(*sqlpp.VarRef).Name, Var: q.Var},
 				Kind: JoinSemi,
 				On:   q.Satisfies,
 			}
-			var out Op = join
 			if len(rest) > 0 {
 				out = &SelectOp{In: out, Cond: conjoin(rest)}
 			}

@@ -202,12 +202,7 @@ func parseVar(p *sqlpp.Parser) (string, error) {
 // parseForSource parses `dataset Name`, `dataset("Name")`, or a general
 // expression.
 func parseForSource(p *sqlpp.Parser) (sqlpp.Expr, error) {
-	if p.PeekKeyword("DATASET") || p.PeekIdent("dataset") {
-		if !p.AcceptKeyword("DATASET") {
-			if _, err := p.ParseIdentifier(); err != nil {
-				return nil, err
-			}
-		}
+	if p.AcceptKeyword("DATASET") { // the lexer makes "dataset" a keyword in any case
 		if p.AcceptOperator("(") {
 			e, err := p.ParseExpression()
 			if err != nil {
@@ -216,8 +211,8 @@ func parseForSource(p *sqlpp.Parser) (sqlpp.Expr, error) {
 			if err := p.ExpectOperator(")"); err != nil {
 				return nil, err
 			}
-			if lit, ok := e.(*sqlpp.Literal); ok {
-				return &sqlpp.VarRef{Name: litString(lit)}, nil
+			if lit, ok := e.(*sqlpp.Literal); ok && lit.Value.Kind() == adm.KindString {
+				return &sqlpp.VarRef{Name: string(lit.Value.(adm.String))}, nil
 			}
 			return nil, fmt.Errorf("aql: dataset() requires a string literal")
 		}
@@ -228,13 +223,6 @@ func parseForSource(p *sqlpp.Parser) (sqlpp.Expr, error) {
 		return &sqlpp.VarRef{Name: name}, nil
 	}
 	return p.ParseExpression()
-}
-
-func litString(l *sqlpp.Literal) string {
-	if s, ok := l.Value.(adm.String); ok {
-		return string(s)
-	}
-	return ""
 }
 
 // expectAssign consumes ":=".

@@ -122,6 +122,35 @@ func TestParseDatasetFunctionForm(t *testing.T) {
 	}
 }
 
+// The lexer makes "dataset" a keyword in any letter case, so every spelling
+// takes the DATASET branch, and a backquoted `dataset` is an identifier:
+// a variable the binder will look up like any other.
+func TestParseDatasetKeywordAnyCase(t *testing.T) {
+	for _, src := range []string{
+		`for $x in dataset Users return $x`,
+		`for $x in DataSet Users return $x`,
+		`for $x in DATASET("Users") return $x`,
+	} {
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if ds := q.Body.(*sqlpp.SelectExpr).From[0].Expr.(*sqlpp.VarRef); ds.Name != "Users" {
+			t.Errorf("%s: source %q, want Users", src, ds.Name)
+		}
+	}
+	q, err := Parse("for $x in `dataset` return $x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := q.Body.(*sqlpp.SelectExpr).From[0].Expr.(*sqlpp.VarRef); v.Name != "dataset" {
+		t.Errorf("backquoted dataset: source %q, want the name dataset", v.Name)
+	}
+	if _, err := Parse(`for $x in dataset(1) return $x`); err == nil {
+		t.Error("dataset(1) should fail: the name must be a string literal")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		`return 1`,                        // no for

@@ -27,6 +27,9 @@ func (e *Engine) execUpsert(ctx context.Context, dataset string, expr sqlpp.Expr
 		return Result{}, fmt.Errorf("core: dataset %q is external (read-only)", dataset)
 	}
 	ev := e.evaluator()
+	if err := algebricks.Bind(expr, ev.Catalog); err != nil {
+		return Result{}, err
+	}
 	v, err := ev.Eval(expr, algebricks.NewEnv(nil, nil, nil))
 	if err != nil {
 		return Result{}, err

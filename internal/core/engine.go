@@ -676,6 +676,9 @@ func (e *Engine) execQuery(ctx context.Context, q *sqlpp.QueryStmt) (Result, err
 	switch q.Body.(type) {
 	case *sqlpp.SelectExpr, *sqlpp.UnionExpr:
 	default:
+		if err := algebricks.Bind(q.Body, ev.Catalog); err != nil {
+			return Result{}, err
+		}
 		es := sp.StartChild("execute")
 		v, err := ev.Eval(q.Body, algebricks.NewEnv(nil, nil, nil))
 		es.End()
@@ -696,7 +699,11 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 	cs := sp.StartChild("compile")
 	ts := cs.StartChild("translate")
 	tr := &algebricks.Translator{Ev: ev, Catalog: ev.Catalog}
-	plan, err := tr.TranslateQuery(body)
+	err := algebricks.Bind(body, ev.Catalog)
+	var plan algebricks.Op
+	if err == nil {
+		plan, err = tr.TranslateQuery(body)
+	}
 	ts.End()
 	if err != nil {
 		cs.End()
@@ -770,6 +777,9 @@ func (e *Engine) explainAST(q *sqlpp.QueryStmt) (algebricks.Op, error) {
 		return nil, nil
 	}
 	ev := e.evaluator()
+	if err := algebricks.Bind(q.Body, ev.Catalog); err != nil {
+		return nil, err
+	}
 	tr := &algebricks.Translator{Ev: ev, Catalog: ev.Catalog}
 	plan, err := tr.TranslateQuery(q.Body)
 	if err != nil {
@@ -786,6 +796,3 @@ func explainText(plan algebricks.Op) string {
 	}
 	return algebricks.PlanString(plan)
 }
-
-// trimSemis is a small helper for REPLs built on the engine.
-func trimSemis(s string) string { return strings.TrimRight(strings.TrimSpace(s), ";") }

@@ -158,3 +158,36 @@ func TestExplainStatement(t *testing.T) {
 		t.Fatalf("explain output:\n%s", plan)
 	}
 }
+
+// TestUnboundNameFailsBeforeAnyJob: a name that nothing declares fails when
+// the statement is bound, with one error whatever the input holds and
+// whichever engine would run the scope it is in — the job (a top-level
+// block), the interpreter (a nested block, EXISTS, a quantifier), or a
+// constant expression — and no job reads a row first.
+func TestUnboundNameFailsBeforeAnyJob(t *testing.T) {
+	const want = `eval: undefined variable "nosuch"`
+	for _, rows := range []int{0, 30} {
+		e := newEngine(t, Config{})
+		mustExec(t, e, gleambookDDL)
+		if rows > 0 {
+			seedUsers(t, e, rows)
+		}
+		read := e.Metrics().Snapshot()["hyracks_rows_read_total"]
+		for _, q := range []string{
+			`SELECT VALUE nosuch FROM GleambookUsers u WHERE u.id > 100;`,
+			`SELECT VALUE u.id FROM GleambookUsers u WHERE EXISTS (SELECT VALUE 1 FROM [1] x WHERE x = nosuch);`,
+			`SELECT VALUE (SELECT VALUE nosuch FROM GleambookUsers v) FROM GleambookUsers u;`,
+			`SELECT VALUE u.id FROM GleambookUsers u WHERE (SOME x IN u.friendIds SATISFIES x = nosuch);`,
+			`SELECT VALUE u.id FROM GleambookUsers u LIMIT nosuch;`,
+			`nosuch + 1;`,
+			`UPSERT INTO GleambookUsers (nosuch);`,
+		} {
+			if _, err := e.Query(context.Background(), q); err == nil || err.Error() != want {
+				t.Errorf("%d rows, %s: error %v, want %q", rows, q, err, want)
+			}
+		}
+		if after := e.Metrics().Snapshot()["hyracks_rows_read_total"]; after != read {
+			t.Errorf("%d rows: a job read rows before the name failed (%v, then %v)", rows, read, after)
+		}
+	}
+}

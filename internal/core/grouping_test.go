@@ -74,3 +74,41 @@ func TestAQLWithVarUnderBetween(t *testing.T) {
 		t.Errorf("got %s, want %s", strings.Join(got, "|"), want)
 	}
 }
+
+// TestGroupKeyInNestedScopes pins the rows of statements whose nested
+// scopes — a quantifier's body, a nested block, an EXISTS in SELECT and in
+// HAVING, a block nested in ORDER BY — read a group key's expression, and of
+// a block nested in an ORDER BY above SELECT DISTINCT that reads an item's
+// expression. Each reads the grouped value or the result's field, with and
+// without the optimizer; the corpus checks that every engine agrees.
+func TestGroupKeyInNestedScopes(t *testing.T) {
+	for name, cfg := range map[string]Config{"optimized": {}, "unoptimized": unoptimized(Config{})} {
+		e := newEngine(t, cfg)
+		seedEquivData(t, e)
+		for _, c := range []struct {
+			q, want string
+			ordered bool
+		}{
+			{`SELECT g, (SOME x IN [0, 2] SATISFIES x = u.id % 3) AS s FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g;`,
+				`{"g":0,"s":true} {"g":1,"s":false} {"g":2,"s":true}`, false},
+			{`SELECT g, (SELECT VALUE u.id % 3 + x FROM [10, 20] x) AS s FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g;`,
+				`{"g":0,"s":[10,20]} {"g":1,"s":[11,21]} {"g":2,"s":[12,22]}`, false},
+			{`SELECT g, EXISTS (SELECT VALUE x FROM [1, 2] x WHERE x = u.id % 3) AS e FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g;`,
+				`{"g":0,"e":false} {"g":1,"e":true} {"g":2,"e":true}`, false},
+			{`SELECT g, COUNT(*) AS n FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g HAVING EXISTS (SELECT VALUE x FROM [1, 2] x WHERE x = u.id % 3);`,
+				`{"g":1,"n":2} {"g":2,"n":2}`, false},
+			{`SELECT g FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g ORDER BY (SELECT VALUE -(u.id % 3) FROM [1] x)[0];`,
+				`{"g":2} {"g":1} {"g":0}`, true},
+			{`SELECT DISTINCT u.id AS a FROM GleambookUsers u WHERE u.id < 3 ORDER BY (SELECT VALUE -u.id FROM [1] x)[0];`,
+				`{"a":2} {"a":1} {"a":0}`, true},
+		} {
+			rows := orderedRows(t, e, c.q)
+			if !c.ordered {
+				rows = sortedRows(t, e, c.q)
+			}
+			if got := strings.Join(rows, " "); got != c.want {
+				t.Errorf("%s: %s\n got %s\nwant %s", name, c.q, got, c.want)
+			}
+		}
+	}
+}

@@ -137,7 +137,15 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-func ms(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000) }
+// ms renders a duration for a table: to 0.1 ms from 10 ms up, and in whole
+// microseconds below, where tenths of a millisecond would print the small
+// scale's index searches all as 0.0ms.
+func ms(d time.Duration) string {
+	if d < 10*time.Millisecond {
+		return fmt.Sprintf("%dµs", d.Microseconds())
+	}
+	return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
+}
 
 // removeScratch deletes an experiment's scratch directory.
 func removeScratch(dir string) {

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"asterix/internal/adm"
-	"asterix/internal/obs"
 )
 
 // Mutation is one ordered change from the KV store.
@@ -84,23 +83,6 @@ func (s *KVStore) Get(key string) (*adm.Object, bool) {
 	s.Ops++
 	d, ok := s.docs[key]
 	return d, ok
-}
-
-// OpsCount returns the front-end operation count (race-safe snapshot).
-func (s *KVStore) OpsCount() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Ops
-}
-
-// PublishMetrics registers the store's counters on the registry (the
-// ingestion-monitoring requirement of the data-feeds work: the front end
-// stays observable without ever blocking on a consumer).
-func (s *KVStore) PublishMetrics(reg *obs.Registry) {
-	reg.RegisterFunc("feed_kv_ops_total", "front-end KV operations", obs.TypeCounter,
-		func() float64 { return float64(s.OpsCount()) })
-	reg.RegisterFunc("feed_kv_seq", "current mutation-stream position", obs.TypeGauge,
-		func() float64 { return float64(s.Seq()) })
 }
 
 // Seq returns the current stream position.
@@ -190,14 +172,6 @@ func (l *ShadowLink) Applied() int64 {
 
 // Lag returns how many mutations the shadow is behind the store.
 func (l *ShadowLink) Lag() int64 { return l.Store.Seq() - l.Applied() }
-
-// PublishMetrics registers ingest-progress gauges on the registry.
-func (l *ShadowLink) PublishMetrics(reg *obs.Registry) {
-	reg.RegisterFunc("feed_applied_seq", "last mutation applied to the shadow dataset", obs.TypeGauge,
-		func() float64 { return float64(l.Applied()) })
-	reg.RegisterFunc("feed_lag", "mutations the shadow dataset is behind the store", obs.TypeGauge,
-		func() float64 { return float64(l.Lag()) })
-}
 
 // Run consumes the stream until ctx is done (or an apply error).
 func (l *ShadowLink) Run(ctx context.Context, fromSeq int64) error {

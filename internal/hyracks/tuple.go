@@ -198,9 +198,6 @@ func (rw *RunWriter) flush() error {
 	return err
 }
 
-// Len returns the number of tuples written.
-func (rw *RunWriter) Len() int { return rw.n }
-
 // Finish flushes and returns a reader positioned at the start. The file is
 // unlinked once the reader is closed. The reader reads into the buffer the
 // writer wrote from. A failed Finish aborts the run: the writer is disposed

@@ -1,8 +1,10 @@
 package mem
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -166,6 +168,56 @@ func TestReserveContextCancel(t *testing.T) {
 	hold.Release()
 	if got := g.WorkingGranted(); got != 0 {
 		t.Fatalf("granted = %d after all releases, want 0", got)
+	}
+}
+
+// A reservation cancelled in the instant it is granted gives its bytes back
+// and the grant loop moves on: the waiter queued behind it is granted
+// without any further release. The test holds the governor's lock while it
+// cancels the first waiter, so that waiter commits to its cancellation
+// branch and blocks in abandon; the test then grants it under the same lock
+// and lets go.
+func TestCancelledGrantPassesToNextWaiter(t *testing.T) {
+	g := NewGovernor(Config{WorkingBytes: 100, ComponentBytes: 1 << 20, MinTaskGrant: 4 << 10, AdmitTimeout: 10 * time.Second})
+	if _, err := g.Reserve(context.Background(), 100); err != nil {
+		t.Fatal(err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- g.reserve(ctx1, 100) }()
+	for g.Waiters() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() { second <- g.reserve(ctx2, 100) }()
+	for g.Waiters() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	g.mu.Lock()
+	cancel1()
+	// The first waiter has taken its cancellation branch once it waits for
+	// the lock in abandon; only then is it granted the first hold's bytes.
+	buf := make([]byte, 1<<20)
+	for !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Governor).abandon")) {
+		time.Sleep(time.Millisecond)
+	}
+	g.workUsed -= 100
+	g.pumpLocked()
+	g.mu.Unlock()
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("first waiter: %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-second:
+		if err != nil {
+			t.Fatalf("second waiter: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the cancelled grant was not passed on: the second waiter is still queued")
+	}
+	if got := g.WorkingGranted(); got != 100 {
+		t.Fatalf("granted = %d, want the second waiter's 100", got)
 	}
 }
 

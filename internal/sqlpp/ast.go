@@ -139,8 +139,41 @@ type Expr interface{ exprNode() }
 // Literal is a constant.
 type Literal struct{ Value adm.Value }
 
-// VarRef references a variable in scope.
-type VarRef struct{ Name string }
+// VarRef references a variable in scope, or a dataset. Binding is what the
+// binder (algebricks.Bind) resolved it to: nil before the binder runs, and
+// on a name a plan adds itself.
+type VarRef struct {
+	Name    string
+	Binding *Binding
+}
+
+// BindKind is what declares a name: a FROM term, JOIN or UNNEST, a LET, a
+// WITH, a GROUP BY key, GROUP AS, a SELECT alias (read in ORDER BY), a
+// quantifier, the catalog's dataset, or the plan outside the statement's
+// scopes ($result, an aggregate's variable).
+type BindKind uint8
+
+// Binding kinds.
+const (
+	BindFrom BindKind = iota + 1
+	BindLet
+	BindWith
+	BindGroupKey
+	BindGroupAs
+	BindAlias
+	BindQuantifier
+	BindDataset
+	BindOuter
+)
+
+// Binding is one declaration of a name; every VarRef that reads it points to
+// it. Block is the block that declares it (nil for a dataset, an outer name
+// and a quantifier outside any block).
+type Binding struct {
+	Name  string
+	Kind  BindKind
+	Block *SelectExpr
+}
 
 // FieldAccess is base.field.
 type FieldAccess struct {
@@ -244,6 +277,12 @@ type SelectExpr struct {
 	OrderBy []OrderItem
 	Limit   Expr
 	Offset  Expr
+
+	// Set by the binder: Decls lists, in order, what the block declares
+	// (its clauses' names, its SELECT aliases, its quantifiers' variables),
+	// and Correlation what a nested block reads from outside itself (names
+	// of enclosing scopes, datasets, columns of the plan).
+	Decls, Correlation []*Binding
 }
 
 // LetClause binds a name to an expression.

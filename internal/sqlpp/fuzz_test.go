@@ -27,9 +27,9 @@ func readCorpus(t testing.TB, path string) []string {
 // FuzzSQLPPParse checks that the parser never panics: any input must
 // either parse or return an error. The seeds cover every statement kind
 // plus inputs shaped like past robustness bugs (unterminated strings,
-// deep nesting, stray operators). Every expression of a parsed statement,
-// nested blocks included, must come back from an identity rewrite as the
-// same tree with the same ExprKey.
+// deep nesting, stray operators). The binder must not panic on what parses,
+// and every expression of a parsed statement, nested blocks included, must
+// come back from an identity rewrite as the same tree with the same ExprKey.
 func FuzzSQLPPParse(f *testing.F) {
 	for _, s := range readCorpus(f, "testdata/corpus/fuzz_seeds.sql") {
 		f.Add(s)
@@ -55,6 +55,11 @@ func FuzzSQLPPParse(f *testing.F) {
 				exprs = append(exprs, s.Where)
 			}
 		}
+		for _, e := range exprs {
+			// The binder never panics: a name it cannot resolve (with no
+			// catalog, every dataset) is an error.
+			_ = algebricks.Bind(e, nil)
+		}
 		var identity func(sqlpp.Expr) sqlpp.Expr
 		identity = func(e sqlpp.Expr) sqlpp.Expr { return sqlpp.Rewrite(e, identity) }
 		for len(exprs) > 0 {
@@ -71,40 +76,9 @@ func FuzzSQLPPParse(f *testing.F) {
 	})
 }
 
-// scopeExprs lists every expression that e holds directly: its children,
-// and the expressions of its own scope when e is opaque.
-func scopeExprs(e sqlpp.Expr) []sqlpp.Expr {
-	var out []sqlpp.Expr
-	switch x := e.(type) {
-	case *sqlpp.SelectExpr:
-		for _, w := range x.With {
-			out = append(out, w.Expr)
-		}
-		for _, ft := range x.From {
-			out = append(out, ft.Expr)
-			for _, l := range ft.Links {
-				out = append(out, l.Expr, l.On)
-			}
-		}
-		for _, lc := range x.Lets {
-			out = append(out, lc.Expr)
-		}
-		out = append(out, x.Where, x.Having, x.Select.Value, x.Limit, x.Offset)
-		for _, gk := range x.GroupBy {
-			out = append(out, gk.Expr)
-		}
-		for _, it := range x.Select.Items {
-			out = append(out, it.Expr)
-		}
-		for _, oi := range x.OrderBy {
-			out = append(out, oi.Expr)
-		}
-	case *sqlpp.UnionExpr:
-		out = append(out, x.Blocks...)
-	case *sqlpp.ExistsExpr:
-		out = []sqlpp.Expr{x.X}
-	case *sqlpp.QuantifiedExpr:
-		out = []sqlpp.Expr{x.Satisfies}
-	}
-	return sqlpp.Children(e, out)
+// scopeExprs lists every expression that e holds directly, the clauses of
+// its own scope included when e is opaque.
+func scopeExprs(e sqlpp.Expr) (out []sqlpp.Expr) {
+	sqlpp.RewriteScopes(e, func(c sqlpp.Expr) sqlpp.Expr { out = append(out, c); return c })
+	return out
 }

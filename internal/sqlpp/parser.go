@@ -222,12 +222,6 @@ func (p *Parser) AcceptOperator(op string) bool { return p.acceptOp(op) }
 // ExpectOperator consumes op or errors.
 func (p *Parser) ExpectOperator(op string) error { return p.expectOp(op) }
 
-// PeekIdent reports whether the current token is a plain identifier with
-// the given text (for AQL's soft keywords).
-func (p *Parser) PeekIdent(text string) bool {
-	return p.tok.Kind == TokIdent && strings.EqualFold(p.tok.Text, text)
-}
-
 // AtEOF reports end of input.
 func (p *Parser) AtEOF() bool { return p.tok.Kind == TokEOF }
 

@@ -217,3 +217,20 @@ SELECT u.id % 3 AS k, COUNT(*) AS n FROM GleambookUsers u GROUP BY u.id % 3 AS g
 
 -- Above SELECT DISTINCT, ORDER BY reads what SELECT * projects.
 SELECT DISTINCT * FROM GleambookUsers u WHERE u.id < 5 ORDER BY u.id DESC;
+
+-- A group key's expression read inside a quantifier's body, a nested block,
+-- an EXISTS in SELECT and in HAVING, and a block nested in ORDER BY is the
+-- grouped value: the binder tells that u from any inner u.
+SELECT g, (SOME x IN [0, 2] SATISFIES x = u.id % 3) AS s FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g;
+
+SELECT g, (SELECT VALUE u.id % 3 + x FROM [10, 20] x) AS s FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g;
+
+SELECT g, EXISTS (SELECT VALUE x FROM [1, 2] x WHERE x = u.id % 3) AS e FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g;
+
+SELECT g, COUNT(*) AS n FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g HAVING EXISTS (SELECT VALUE x FROM [1, 2] x WHERE x = u.id % 3);
+
+SELECT g FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g ORDER BY (SELECT VALUE -(u.id % 3) FROM [1] x)[0];
+
+-- Above SELECT DISTINCT, a block nested in ORDER BY reads an item's
+-- expression as the result's field, as it reads the item's alias.
+SELECT DISTINCT u.id AS a FROM GleambookUsers u WHERE u.id < 3 ORDER BY (SELECT VALUE -u.id FROM [1] x)[0];

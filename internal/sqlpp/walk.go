@@ -12,12 +12,15 @@ import "slices"
 // SATISFIES body are opaque — they list no children, and a walker that
 // must enter them does so itself, minding the names they bind. A
 // quantifier's IN is evaluated in the enclosing scope and is listed.
+// RewriteScopes enters every scope: it is for a bound statement, where no
+// inner declaration can capture a name a rewrite moves inside.
 
 // slots appends the addresses of e's child fields, in source order, absent
-// clauses (a nil CASE operand or ELSE) included. With clone set it first
-// makes a shallow copy of e, slices included, and returns the copy with the
-// copy's slots; otherwise it returns e.
-func slots(e Expr, clone bool, buf []*Expr) (Expr, []*Expr) {
+// clauses (a nil CASE operand or ELSE) included; with deep set, the opaque
+// nodes' too. With clone set it first makes a shallow copy of e, slices
+// included, and returns the copy with the copy's slots; otherwise it
+// returns e.
+func slots(e Expr, clone, deep bool, buf []*Expr) (Expr, []*Expr) {
 	switch x := e.(type) {
 	case *FieldAccess:
 		x = copyIf(x, clone)
@@ -56,7 +59,10 @@ func slots(e Expr, clone bool, buf []*Expr) (Expr, []*Expr) {
 		return x, append(buf, &x.Else)
 	case *QuantifiedExpr:
 		x = copyIf(x, clone)
-		return x, append(buf, &x.In)
+		if buf = append(buf, &x.In); deep {
+			buf = append(buf, &x.Satisfies)
+		}
+		return x, buf
 	case *ObjectConstructor:
 		if x = copyIf(x, clone); clone {
 			x.Fields = slices.Clone(x.Fields)
@@ -76,7 +82,51 @@ func slots(e Expr, clone bool, buf []*Expr) (Expr, []*Expr) {
 		}
 		return x, appendSlots(buf, x.Elems)
 	}
+	if deep {
+		return scopeSlots(e, clone, buf)
+	}
 	return e, buf // Literal, VarRef and the opaque nodes
+}
+
+// scopeSlots is slots for the opaque nodes.
+func scopeSlots(e Expr, clone bool, buf []*Expr) (Expr, []*Expr) {
+	switch x := e.(type) {
+	case *ExistsExpr:
+		x = copyIf(x, clone)
+		return x, append(buf, &x.X)
+	case *UnionExpr:
+		if x = copyIf(x, clone); clone {
+			x.Blocks = slices.Clone(x.Blocks)
+		}
+		return x, appendSlots(buf, x.Blocks)
+	case *SelectExpr:
+		if x = copyIf(x, clone); clone {
+			x.With, x.From, x.Lets = slices.Clone(x.With), slices.Clone(x.From), slices.Clone(x.Lets)
+			x.GroupBy, x.Select.Items, x.OrderBy = slices.Clone(x.GroupBy), slices.Clone(x.Select.Items), slices.Clone(x.OrderBy)
+		}
+		buf = letSlots(buf, x.With)
+		for i := range x.From {
+			if buf = append(buf, &x.From[i].Expr); clone {
+				x.From[i].Links = slices.Clone(x.From[i].Links)
+			}
+			for j := range x.From[i].Links {
+				buf = append(buf, &x.From[i].Links[j].Expr, &x.From[i].Links[j].On)
+			}
+		}
+		buf = append(letSlots(buf, x.Lets), &x.Where)
+		for i := range x.GroupBy {
+			buf = append(buf, &x.GroupBy[i].Expr)
+		}
+		buf = append(buf, &x.Having, &x.Select.Value)
+		for i := range x.Select.Items {
+			buf = append(buf, &x.Select.Items[i].Expr)
+		}
+		for i := range x.OrderBy {
+			buf = append(buf, &x.OrderBy[i].Expr)
+		}
+		return x, append(buf, &x.Limit, &x.Offset)
+	}
+	return e, buf
 }
 
 func copyIf[T any](x *T, clone bool) *T {
@@ -85,6 +135,13 @@ func copyIf[T any](x *T, clone bool) *T {
 	}
 	c := *x
 	return &c
+}
+
+func letSlots(buf []*Expr, ls []LetClause) []*Expr {
+	for i := range ls {
+		buf = append(buf, &ls[i].Expr)
+	}
+	return buf
 }
 
 func appendSlots(buf []*Expr, xs []Expr) []*Expr {
@@ -99,7 +156,7 @@ func appendSlots(buf []*Expr, xs []Expr) []*Expr {
 // scratch, so the common nodes cost no allocation.
 func Children(e Expr, buf []Expr) []Expr {
 	var sb [8]*Expr
-	_, ss := slots(e, false, sb[:0])
+	_, ss := slots(e, false, false, sb[:0])
 	for _, s := range ss {
 		if *s != nil {
 			buf = append(buf, *s)
@@ -112,9 +169,15 @@ func Children(e Expr, buf []Expr) []Expr {
 // f(c). It copies on write: when f returns every child unchanged, e itself
 // is returned; otherwise a shallow copy of e holding the new children.
 // Neither e nor any node under it is modified.
-func Rewrite(e Expr, f func(Expr) Expr) Expr {
-	var sb [8]*Expr
-	_, ss := slots(e, false, sb[:0])
+func Rewrite(e Expr, f func(Expr) Expr) Expr { return rewrite(e, false, f) }
+
+// RewriteScopes is Rewrite over every child, the opaque nodes' clauses
+// included: a block's, a UNION's, an EXISTS's and a quantifier's body.
+func RewriteScopes(e Expr, f func(Expr) Expr) Expr { return rewrite(e, true, f) }
+
+func rewrite(e Expr, deep bool, f func(Expr) Expr) Expr {
+	var sb [16]*Expr // an object of 8 fields, without a heap allocation
+	_, ss := slots(e, false, deep, sb[:0])
 	var out Expr
 	var outSlots []*Expr
 	for i, s := range ss {
@@ -123,7 +186,7 @@ func Rewrite(e Expr, f func(Expr) Expr) Expr {
 		}
 		if c := f(*s); c != *s {
 			if out == nil {
-				out, outSlots = slots(e, true, make([]*Expr, 0, len(ss)))
+				out, outSlots = slots(e, true, deep, make([]*Expr, 0, len(ss)))
 			}
 			*outSlots[i] = c
 		}

@@ -162,3 +162,64 @@ func fieldExprs(v reflect.Value, out *[]Expr) {
 		}
 	}
 }
+
+// TestRewriteScopesReachesEveryField: RewriteScopes visits every expression
+// a node holds, an opaque node's clauses included — every clause of a full
+// block — replaces each in a copy, and leaves the original untouched.
+func TestRewriteScopesReachesEveryField(t *testing.T) {
+	n := 0
+	leaf := func() Expr { n++; return &Literal{Value: adm.Int64(int64(n))} }
+	full := &SelectExpr{
+		With:    []LetClause{{Var: "w", Expr: leaf()}},
+		Select:  SelectClause{Items: []Projection{{Expr: leaf(), Alias: "a"}, {Expr: leaf(), Alias: "b"}}},
+		From:    []FromTerm{{Expr: leaf(), Alias: "f", Links: []FromLink{{IsJoin: true, Expr: leaf(), Alias: "j", On: leaf()}, {Expr: leaf(), Alias: "u"}}}},
+		Lets:    []LetClause{{Var: "l", Expr: leaf()}},
+		Where:   leaf(),
+		GroupBy: []GroupKey{{Expr: leaf(), Alias: "k"}},
+		Having:  leaf(),
+		OrderBy: []OrderItem{{Expr: leaf()}},
+		Limit:   leaf(),
+		Offset:  leaf(),
+	}
+	for _, e := range append(everyKind(), full) {
+		var want []Expr
+		fieldExprs(reflect.ValueOf(e).Elem(), &want)
+		var visited, repl []Expr
+		got := RewriteScopes(e, func(c Expr) Expr {
+			visited = append(visited, c)
+			repl = append(repl, &VarRef{Name: "r"})
+			return repl[len(repl)-1]
+		})
+		if !sameExprs(visited, want) {
+			t.Errorf("%T: RewriteScopes visited %d expressions, the node holds %d", e, len(visited), len(want))
+		}
+		var after, held []Expr
+		fieldExprs(reflect.ValueOf(e).Elem(), &after)
+		if !slices.Equal(after, want) {
+			t.Errorf("%T: RewriteScopes modified the original", e)
+		}
+		if len(want) > 0 {
+			fieldExprs(reflect.ValueOf(got).Elem(), &held)
+			if got == e || !sameExprs(held, repl) {
+				t.Errorf("%T: the copy does not hold the replacements", e)
+			}
+		}
+	}
+}
+
+// sameExprs reports whether a and b hold the same nodes, in any order.
+func sameExprs(a, b []Expr) bool {
+	count := map[Expr]int{}
+	for _, e := range a {
+		count[e]++
+	}
+	for _, e := range b {
+		count[e]--
+	}
+	for _, c := range count {
+		if c != 0 {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
