@@ -51,16 +51,16 @@ fault-matrix:
 		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/ ./internal/server/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
-# net-matrix: the network-failure gate — in-process transport fault tests
-# (drop, delay, partition and heal, conn-reset, torn frames, a lost
-# failure status) plus the multi-process cluster smoke test, which boots
-# three asterixd processes and drives a distributed join through injected
-# link faults and a killed node (gated on ASTERIX_NET_MATRIX so plain
-# `go test ./...` stays fast).
+# net-matrix: the network-failure gate — the transport's own fault tests
+# (drop, delay, partition and heal, conn-reset, torn frames, a receive
+# window overrun) plus SQL++ run across loopback nodes over TCP: every
+# corpus statement against the channel fabric at 2 and 4 nodes, a join
+# under each network fault and under a killed node, concurrent queries,
+# one admission per attempt, and E15.
 net-matrix:
-	go test -count=1 -run 'TestNetDrop|TestConnResetMidFrame|TestPartitionDuringExchange|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestPeerDownRevivesOnHeal|TestConcurrentRunsSameSpecID|TestLostFailureStatusIsResent|TestPartitionedWorkerRejoins' \
-		./internal/net/ ./internal/dist/
-	ASTERIX_NET_MATRIX=1 go test -count=1 -timeout 180s -run 'TestParsePeers|TestMultiProcessCluster' -v ./cmd/asterixd/
+	go test -count=1 -run 'TestNetDrop|TestConnResetMidFrame|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestPeerDownRevivesOnHeal|TestPartition|TestLoopback' \
+		./internal/net/ ./internal/core/
+	go test -count=1 -run TestE15 ./internal/experiments/
 
 # bench: every top-level Go benchmark once (BenchmarkIngestStall among
 # them: records/s and writer stall ns/record of 20-record UPSERT
@@ -137,7 +137,7 @@ help:
 	@echo "  optimizer   golden plans, join regressions, on/off equivalence (race)"
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
-	@echo "  net-matrix  transport fault tests + 3-process cluster smoke test"
+	@echo "  net-matrix  transport fault tests + SQL++ over loopback TCP (corpus vs channels, every network fault, a killed node)"
 	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader, aggregate merge)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"

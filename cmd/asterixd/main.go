@@ -12,8 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -65,12 +63,6 @@ func main() {
 			"instance-wide memory budget, e.g. 256MiB; split across buffer cache, LSM memtables, and working memory")
 		slowQuery = flag.Duration("slow-query", 500*time.Millisecond,
 			"log statements slower than this (negative disables)")
-		nodeID     = flag.String("node-id", "", "cluster node id; empty runs single-process")
-		dataListen = flag.String("data-listen", "127.0.0.1:19010", "frame-transport listen address (cluster mode)")
-		peers      = flag.String("peers", "", "remote members as id=host:port,... (cluster mode)")
-		hbInterval = flag.Duration("hb-interval", 250*time.Millisecond, "cluster heartbeat interval")
-		faultAPI   = flag.Bool("enable-fault-injection", false,
-			"mount POST /admin/fault (test harnesses only; arms process-wide fault points)")
 	)
 	flag.Parse()
 
@@ -93,22 +85,6 @@ func main() {
 	defer eng.Close()
 
 	h := server.NewHandler(eng, server.Options{SlowQueryThreshold: *slowQuery})
-
-	// Cluster mode: join the peer mesh and mount the distributed
-	// endpoints in front of the single-process query service.
-	if *nodeID != "" {
-		cs, err := startCluster(*nodeID, *dataListen, *peers, filepath.Join(*dataDir, "cluster"),
-			*hbInterval, eng.Cluster().Gov, eng.Metrics(), *faultAPI)
-		if err != nil {
-			log.Fatalf("asterixd: cluster: %v", err)
-		}
-		mux := http.NewServeMux()
-		cs.routes(mux)
-		mux.Handle("/", h)
-		h = mux
-		log.Printf("asterixd: node %s joined cluster (frame transport on %s, %d members)",
-			*nodeID, cs.peer.Addr(), len(cs.cluster.Nodes))
-	}
 
 	srv := server.NewHTTPServer(*listen, h)
 	log.Printf("asterixd: query service listening on %s (data: %s, partitions: %d; metrics at /admin/metrics)",

@@ -159,6 +159,41 @@ func (b *binder) selectBlock(sel *sqlpp.SelectExpr) {
 	if sel.Select.Distinct {
 		b.distinctOrder(sel)
 	}
+	if len(sel.GroupBy) > 0 {
+		b.groupedReads(sel)
+	}
+}
+
+// groupedReads checks what a grouped block reads after grouping: a row
+// variable only inside a group key's expression or an aggregate's
+// argument, which grouping turns into the key's or the aggregate's value.
+// Any other read has no row to read, so it fails here, before a job runs.
+func (b *binder) groupedReads(sel *sqlpp.SelectExpr) {
+	proj, having, order, _ := groupBlock(sel, projectionFor(sel))
+	read := map[*sqlpp.Binding]bool{}
+	var visit func(sqlpp.Expr) sqlpp.Expr
+	visit = func(e sqlpp.Expr) sqlpp.Expr {
+		switch x := e.(type) {
+		case *sqlpp.VarRef:
+			read[x.Binding] = true
+		case *sqlpp.SelectExpr:
+			for _, bd := range x.Correlation {
+				read[bd] = true
+			}
+		case nil:
+		default:
+			sqlpp.RewriteScopes(e, visit)
+		}
+		return e
+	}
+	for _, e := range append([]sqlpp.Expr{proj, having}, order...) {
+		visit(e)
+	}
+	for _, d := range rowVars(sel) {
+		if read[d] && b.err == nil {
+			b.err = evalErrf("%q is read after GROUP BY outside a group key and an aggregate", userName(d.Name))
+		}
+	}
 }
 
 // distinctOrder checks a DISTINCT block's ORDER BY, which reads the result:
@@ -205,6 +240,12 @@ func correlation(sel *sqlpp.SelectExpr) []*sqlpp.Binding {
 	}
 	sqlpp.RewriteScopes(sel, visit)
 	return out
+}
+
+// rowVars returns sel's FROM, JOIN, UNNEST and LET declarations, in order:
+// what one row of the block binds, and what a GROUP AS element holds.
+func rowVars(sel *sqlpp.SelectExpr) []*sqlpp.Binding {
+	return slices.Concat(declared(sel, sqlpp.BindFrom), declared(sel, sqlpp.BindLet))
 }
 
 // declared returns sel's declarations of kind k, in order.

@@ -205,8 +205,7 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 		order = append(order, &groupState{})
 	}
 
-	// A GROUP AS element holds a row's FROM, JOIN, UNNEST and LET variables.
-	rowVars := append(declared(sel, sqlpp.BindFrom), declared(sel, sqlpp.BindLet)...)
+	held := rowVars(sel) // what a GROUP AS element holds
 	var out []*Env
 	for _, g := range order {
 		env := NewEnv(base, nil, nil)
@@ -217,7 +216,7 @@ func (ev *Evaluator) interpretGroup(sel *sqlpp.SelectExpr, aggs []AggRef, rows [
 			var coll adm.Array
 			for _, row := range g.rows {
 				o := adm.NewObject()
-				for _, d := range rowVars {
+				for _, d := range held {
 					if val, ok := row.Lookup(d.Name); ok {
 						o.Set(userName(d.Name), val)
 					}

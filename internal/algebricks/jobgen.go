@@ -533,7 +533,7 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 			obj := adm.NewObject()
 			for i, name := range rowVars {
 				if ci := rowCols[i]; ci >= 0 && ci < len(t) && t[ci].Kind() != adm.KindMissing {
-					obj.Set(name, t[ci])
+					obj.Set(userName(name), t[ci])
 				}
 			}
 			out = append(out, obj)

@@ -141,7 +141,7 @@ type GroupOp struct {
 	Keys    []GroupKeyDef
 	Aggs    []AggRef
 	GroupAs string
-	RowVars []string // input schema captured for GROUP AS
+	RowVars []string // the row variables a GROUP AS element holds
 	// Merge is set when the input carries each aggregate's partial state
 	// (an aggregating join below computed it): the group-by merges its
 	// argument, the partial, instead of stepping over rows.
@@ -481,7 +481,10 @@ func (tr *Translator) Translate(sel *sqlpp.SelectExpr) (Op, error) {
 				groupAs = ""
 			}
 		}
-		g := &GroupOp{In: plan, Aggs: aggs, GroupAs: groupAs, RowVars: plan.Schema()}
+		g := &GroupOp{In: plan, Aggs: aggs, GroupAs: groupAs}
+		for _, d := range rowVars(sel) {
+			g.RowVars = append(g.RowVars, d.Name)
+		}
 		for _, gk := range sel.GroupBy {
 			g.Keys = append(g.Keys, GroupKeyDef{Var: gk.Alias, Expr: gk.Expr})
 		}
@@ -572,7 +575,7 @@ func starVars(sel *sqlpp.SelectExpr) []*sqlpp.Binding {
 	if len(sel.GroupBy) > 0 {
 		return slices.Concat(declared(sel, sqlpp.BindWith), declared(sel, sqlpp.BindGroupKey), declared(sel, sqlpp.BindGroupAs))
 	}
-	return slices.Concat(declared(sel, sqlpp.BindWith), declared(sel, sqlpp.BindFrom), declared(sel, sqlpp.BindLet))
+	return slices.Concat(declared(sel, sqlpp.BindWith), rowVars(sel))
 }
 
 // rebaseOnResult rewrites an ORDER BY expression of sel used above DISTINCT

@@ -159,13 +159,17 @@ func TestExplainStatement(t *testing.T) {
 	}
 }
 
-// TestUnboundNameFailsBeforeAnyJob: a name that nothing declares fails when
-// the statement is bound, with one error whatever the input holds and
+// TestUnboundNameFailsBeforeAnyJob: a name that nothing declares, or a row
+// variable read after GROUP BY outside a group key and an aggregate, fails
+// when the statement is bound, with one error whatever the input holds and
 // whichever engine would run the scope it is in — the job (a top-level
 // block), the interpreter (a nested block, EXISTS, a quantifier), or a
 // constant expression — and no job reads a row first.
 func TestUnboundNameFailsBeforeAnyJob(t *testing.T) {
-	const want = `eval: undefined variable "nosuch"`
+	const (
+		unbound = `eval: undefined variable "nosuch"`
+		grouped = `eval: "u" is read after GROUP BY outside a group key and an aggregate`
+	)
 	for _, rows := range []int{0, 30} {
 		e := newEngine(t, Config{})
 		mustExec(t, e, gleambookDDL)
@@ -173,14 +177,19 @@ func TestUnboundNameFailsBeforeAnyJob(t *testing.T) {
 			seedUsers(t, e, rows)
 		}
 		read := e.Metrics().Snapshot()["hyracks_rows_read_total"]
-		for _, q := range []string{
-			`SELECT VALUE nosuch FROM GleambookUsers u WHERE u.id > 100;`,
-			`SELECT VALUE u.id FROM GleambookUsers u WHERE EXISTS (SELECT VALUE 1 FROM [1] x WHERE x = nosuch);`,
-			`SELECT VALUE (SELECT VALUE nosuch FROM GleambookUsers v) FROM GleambookUsers u;`,
-			`SELECT VALUE u.id FROM GleambookUsers u WHERE (SOME x IN u.friendIds SATISFIES x = nosuch);`,
-			`SELECT VALUE u.id FROM GleambookUsers u LIMIT nosuch;`,
-			`nosuch + 1;`,
-			`UPSERT INTO GleambookUsers (nosuch);`,
+		for q, want := range map[string]string{
+			`SELECT VALUE nosuch FROM GleambookUsers u WHERE u.id > 100;`:                                        unbound,
+			`SELECT VALUE u.id FROM GleambookUsers u WHERE EXISTS (SELECT VALUE 1 FROM [1] x WHERE x = nosuch);`: unbound,
+			`SELECT VALUE (SELECT VALUE nosuch FROM GleambookUsers v) FROM GleambookUsers u;`:                    unbound,
+			`SELECT VALUE u.id FROM GleambookUsers u WHERE (SOME x IN u.friendIds SATISFIES x = nosuch);`:        unbound,
+			`SELECT VALUE u.id FROM GleambookUsers u LIMIT nosuch;`:                                              unbound,
+			`nosuch + 1;`:                          unbound,
+			`UPSERT INTO GleambookUsers (nosuch);`: unbound,
+			`SELECT u.id AS i FROM GleambookUsers u GROUP BY u.name;`:                                         grouped,
+			`SELECT u.id AS i FROM GleambookUsers u WHERE u.id > 100 GROUP BY u.name;`:                        grouped,
+			`SELECT n, COUNT(*) AS c FROM GleambookUsers u GROUP BY u.name AS n HAVING u.id > 1;`:             grouped,
+			`SELECT VALUE (SELECT u.id AS i FROM GleambookUsers u GROUP BY u.name) FROM [1] x;`:               grouped,
+			`SELECT n FROM GleambookUsers u GROUP BY u.name AS n ORDER BY (SELECT VALUE u.id FROM [1] x)[0];`: grouped,
 		} {
 			if _, err := e.Query(context.Background(), q); err == nil || err.Error() != want {
 				t.Errorf("%d rows, %s: error %v, want %q", rows, q, err, want)

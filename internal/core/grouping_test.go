@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -109,6 +110,32 @@ func TestGroupKeyInNestedScopes(t *testing.T) {
 			if got := strings.Join(rows, " "); got != c.want {
 				t.Errorf("%s: %s\n got %s\nwant %s", name, c.q, got, c.want)
 			}
+		}
+	}
+}
+
+// TestGroupAsHoldsRowVariables pins the last two corpus statements, a
+// GROUP AS over FROM, UNNEST and LET variables beside a WITH item, at the
+// top level and one block down: both engines hold the same row variables
+// in each element and never the WITH item.
+func TestGroupAsHoldsRowVariables(t *testing.T) {
+	stmts := readCorpus(t, "../sqlpp/testdata/corpus/equivalence.sql")
+	stmts = stmts[len(stmts)-2:]
+	e := newEngine(t, Config{})
+	seedEquivData(t, e)
+	var user [2]string
+	for id := range user {
+		user[id] = orderedRows(t, e, fmt.Sprintf(`SELECT VALUE u FROM GleambookUsers u WHERE u.id = %d;`, id))[0]
+	}
+	elems := func(id int) string {
+		return fmt.Sprintf(`[{"u":%[1]s,"f":%[2]d,"i":%[4]d},{"u":%[1]s,"f":%[3]d,"i":%[4]d}]`, user[id], id+1, id+2, id*10)
+	}
+	for i, want := range []string{
+		elems(0) + "\n" + elems(1),
+		"[" + elems(0) + "," + elems(1) + "]",
+	} {
+		if got := strings.Join(orderedRows(t, e, stmts[i]), "\n"); got != want {
+			t.Errorf("%s\n got %s\nwant %s", stmts[i], got, want)
 		}
 	}
 }

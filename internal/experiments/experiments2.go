@@ -14,7 +14,6 @@ import (
 	"asterix/internal/adm"
 	"asterix/internal/aql"
 	"asterix/internal/core"
-	"asterix/internal/dist"
 	"asterix/internal/fault"
 	"asterix/internal/feed"
 	"asterix/internal/hyracks"
@@ -603,160 +602,103 @@ func E14HotPathAllocs(scale Scale, workDir string) (*Report, error) {
 	return rep, nil
 }
 
-// E15DistJoinLinkFault extends E13 across the process seam: the same
-// join shape, but the data plane is the TCP frame transport — three
-// cluster members with their own liveness views and control planes,
-// meshed over loopback sockets. The clean run baselines the wire cost;
-// the fault run injects a link failure (net.drop: frame discarded AND
-// connection reset) mid-exchange and measures what the retry-on-
-// survivors path pays for the same exact answer.
+// E15DistJoinLinkFault extends E13 across the network seam: a SQL++
+// equi-join on a three-node cluster whose nodes each own a TCP peer on
+// 127.0.0.1, so every frame between nodes crosses a socket. The clean run
+// baselines the wire cost; the fault run injects a link failure (net.drop:
+// frame discarded AND connection reset) mid-exchange and measures what the
+// retry-on-survivors path pays for the same exact answer.
 func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
 	rep := &Report{
 		ID:     "E15",
-		Claim:  "a distributed join over the TCP frame transport survives an injected link fault: failure detection plus one re-execution buys the same exact answer",
+		Claim:  "a SQL++ join over the TCP frame transport survives an injected link fault: one re-execution buys the same exact answer",
 		Header: []string{"scenario", "query", "attempts", "rows"},
 	}
 	dir := filepath.Join(workDir, "e15")
 	defer removeScratch(dir)
-
-	type member struct {
-		node *dist.Node
-		peer *anet.Peer
-		reg  *obs.Registry
+	e, err := newEngine(dir, 3, nil, 0)
+	if err != nil {
+		return nil, err
 	}
-	ids := []string{"na", "nb", "nc"}
-	members := map[string]*member{}
-	defer func() {
-		for _, m := range members {
-			m.node.Close()
-			m.peer.Close()
-		}
-	}()
-	for _, id := range ids {
-		mdir := filepath.Join(dir, id)
-		if err := os.MkdirAll(mdir, 0o755); err != nil {
-			return nil, err
-		}
-		cl, err := hyracks.NewNamedCluster(ids, mdir)
-		if err != nil {
-			return nil, err
-		}
-		nd := dist.NewNode(cl)
-		reg := obs.NewRegistry()
-		p, err := anet.NewPeer(anet.Options{
-			ID:                id,
-			ListenAddr:        "127.0.0.1:0",
-			Metrics:           reg,
-			OnPeerDown:        nd.OnPeerDown,
-			OnPeerUp:          nd.OnPeerUp,
-			OnControl:         nd.HandleControl,
-			HeartbeatInterval: 25 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nd.Bind(p)
-		members[id] = &member{node: nd, peer: p, reg: reg}
-	}
-	for _, a := range ids {
-		for _, b := range ids {
-			if a != b {
-				members[a].peer.AddPeer(b, members[b].peer.Addr())
+	defer e.Close()
+	// Both sides wrap onto 100 keys, so the exact cardinality (6 left x 3
+	// right per key) is the loss probe.
+	var load strings.Builder
+	load.WriteString(`CREATE TYPE SideType AS {id: int, k: int};
+		CREATE DATASET Lefts(SideType) PRIMARY KEY id;
+		CREATE DATASET Rights(SideType) PRIMARY KEY id;`)
+	for _, side := range []struct {
+		name string
+		rows int
+	}{{"Lefts", 600}, {"Rights", 300}} {
+		fmt.Fprintf(&load, "UPSERT INTO %s ([", side.name)
+		for i := 0; i < side.rows; i++ {
+			if i > 0 {
+				load.WriteString(",")
 			}
+			fmt.Fprintf(&load, `{"id": %d, "k": %d}`, i, i%100)
 		}
+		load.WriteString("]);")
 	}
-	// Let simultaneous dials dedupe down to one connection per pair: the
-	// mesh is converged once a full round of control sends succeeds in
-	// every direction, twice in a row.
-	deadline := time.Now().Add(5 * time.Second)
-	for rounds := 0; rounds < 2; {
-		ok := true
-		for _, a := range ids {
-			for _, b := range ids {
-				if a != b && members[a].peer.SendControl(b, []byte(`{"type":"noop"}`)) != nil {
-					ok = false
-				}
-			}
-		}
-		if ok {
-			rounds++
-			time.Sleep(50 * time.Millisecond)
-			continue
-		}
-		rounds = 0
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("E15: transport mesh never converged")
-		}
-		time.Sleep(20 * time.Millisecond)
+	if _, err := e.Execute(rep.Ctx(), load.String()); err != nil {
+		return nil, err
 	}
-
-	// The canonical distributed join: both sides wrap onto 100 keys, so
-	// the exact cardinality (6 left x 3 right per key) is the loss probe.
-	mkSpec := func(id string) *dist.Spec {
-		return &dist.Spec{
-			ID: id,
-			Ops: []dist.OpSpec{
-				{Kind: "gen", Name: "left", Parallelism: 3, Rows: 200, KeyMod: 100},
-				{Kind: "gen", Name: "right", Parallelism: 3, Rows: 100, KeyMod: 100},
-				{Kind: "hashjoin", Name: "join", Parallelism: 3, LeftCols: []int{0}, RightCols: []int{0}, RightWidth: 2},
-				{Kind: "collect", Name: "out"},
-			},
-			Edges: []dist.EdgeSpec{
-				{From: 0, To: 2, Port: 0, Conn: "hash", HashCols: []int{0}},
-				{From: 1, To: 2, Port: 1, Conn: "hash", HashCols: []int{0}},
-				{From: 2, To: 3, Port: 0, Conn: "merge"},
-			},
-		}
+	reg := obs.NewRegistry()
+	lb, err := anet.AttachLoopback(e.Cluster(), anet.Options{Metrics: reg, HeartbeatInterval: 25 * time.Millisecond})
+	if err != nil {
+		return nil, err
 	}
+	defer lb.Close()
+	const query = `SELECT l.id AS l, r.id AS r FROM Lefts l, Rights r WHERE l.k = r.k;`
 	const want = 1800
 
 	t0 := time.Now()
-	rows, runRep, err := members["na"].node.Run(rep.Ctx(), mkSpec("e15-clean"), hyracks.RetryPolicy{})
+	res, err := e.Query(rep.Ctx(), query)
 	if err != nil {
-		return nil, fmt.Errorf("E15: clean distributed join: %w", err)
+		return nil, fmt.Errorf("E15: clean join: %w", err)
 	}
 	cleanT := time.Since(t0)
-	if len(rows) != want {
-		return nil, fmt.Errorf("E15: clean run returned %d rows, want %d", len(rows), want)
+	if len(res.Rows) != want {
+		return nil, fmt.Errorf("E15: clean run returned %d rows, want %d", len(res.Rows), want)
 	}
 	rep.Rows = append(rep.Rows, []string{
-		"clean", ms(cleanT), fmt.Sprint(runRep.Attempts), fmt.Sprint(len(rows)),
+		"clean", ms(cleanT), fmt.Sprint(res.Attempts), fmt.Sprint(len(res.Rows)),
 	})
 
-	// One link fault: after two clean sends, nb's outbound data frames
-	// are dropped (and the connection reset — loss is never silent)
-	// three times. The attempt breaks, the driver aborts it, and the
-	// retry re-exchanges everything over the healed link.
-	if err := fault.Arm(fault.PointNetDrop + ":error:after=2:times=3:tag=nb"); err != nil {
+	// One link fault: after two clean sends, node nc1's next outbound
+	// data frame is dropped (and the connection reset — loss is never
+	// silent). The attempt breaks on every node, and the retry
+	// re-exchanges everything over a fresh connection.
+	if err := fault.Arm(fault.PointNetDrop + ":error:after=2:times=1:tag=nc1"); err != nil {
 		return nil, err
 	}
 	defer fault.Disarm()
 	t0 = time.Now()
-	rows, runRep, err = members["na"].node.Run(rep.Ctx(), mkSpec("e15-drop"), hyracks.RetryPolicy{MaxAttempts: 6})
+	res, err = e.Query(rep.Ctx(), query)
 	if err != nil {
 		return nil, fmt.Errorf("E15: join did not survive the link fault: %w", err)
 	}
 	faultT := time.Since(t0)
-	if len(rows) != want {
-		return nil, fmt.Errorf("E15: fault run returned %d rows, want %d — a lost frame went unnoticed", len(rows), want)
+	if len(res.Rows) != want {
+		return nil, fmt.Errorf("E15: fault run returned %d rows, want %d — a lost frame went unnoticed", len(res.Rows), want)
 	}
-	if runRep.Attempts < 2 {
-		return nil, fmt.Errorf("E15: link fault forced no retry (attempts=%d)", runRep.Attempts)
+	if res.Attempts < 2 {
+		return nil, fmt.Errorf("E15: link fault forced no retry (attempts=%d)", res.Attempts)
 	}
 	rep.Rows = append(rep.Rows, []string{
-		"link-fault", ms(faultT), fmt.Sprint(runRep.Attempts), fmt.Sprint(len(rows)),
+		"link-fault", ms(faultT), fmt.Sprint(res.Attempts), fmt.Sprint(len(res.Rows)),
 	})
 
 	rep.Measure("dist_join_clean", "ms", float64(cleanT.Microseconds())/1000)
 	rep.Measure("dist_join_linkfault", "ms", float64(faultT.Microseconds())/1000)
-	rep.Measure("linkfault_attempts", "attempts", float64(runRep.Attempts))
-	snap := members["nb"].reg.Snapshot()
+	rep.Measure("linkfault_attempts", "attempts", float64(res.Attempts))
+	snap := reg.Snapshot()
 	counter := func(name string) int64 {
 		v, _ := snap[name].(int64)
 		return v
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"nb transport counters: frames_sent=%d dropped=%d conn_resets=%d stale_frames=%d",
+		"transport counters, all nodes: frames_sent=%d dropped=%d conn_resets=%d stale_frames=%d",
 		counter("net_frames_sent_total"), counter("net_frames_dropped_total"),
 		counter("net_conn_resets_total"), counter("net_stale_frames_total")))
 	return rep, nil

@@ -27,10 +27,8 @@
 //
 // Engine code calls only the guarded probes (Hit, Tear and their tagged
 // forms) and the read-only observers. Arm, Disarm and Seed change state
-// for the whole process and are harness API: tests, ASTERIX_FAULTS, the
-// E13/E15 experiments in internal/experiments, and asterixd's
-// /admin/fault endpoint, which is mounted only under
-// -enable-fault-injection.
+// for the whole process and are harness API: tests, ASTERIX_FAULTS, and
+// the E13/E15 experiments in internal/experiments.
 package fault
 
 import (

@@ -112,6 +112,14 @@ type Cluster struct {
 
 	govOnce sync.Once
 
+	// transports, when attached, carries RunWithRetry's jobs across the
+	// nodes: node id → that node's Transport (see AttachTransports).
+	netMu      sync.Mutex
+	transports map[string]Transport
+	// runSeq numbers RunWithRetry calls, so the attempts of two
+	// concurrent jobs never share a job id on the wire.
+	runSeq atomic.Uint64
+
 	// Job lifecycle counters (atomic).
 	jobAttempts  int64
 	jobRetries   int64
@@ -194,11 +202,7 @@ func NewCluster(n int, baseDir string) (*Cluster, error) {
 }
 
 // NewNamedCluster creates a cluster whose node controllers carry the
-// given ids — one per member of a multi-process cluster, local and
-// remote alike. Each process holds a controller for EVERY member: the
-// local one runs tasks, the remote ones exist so heartbeat failure
-// detection can Kill them and the executor's remote-node watchers fire,
-// exactly as an in-process Kill does.
+// given ids.
 //
 // Each node's spill directory is baseDir/<id>. Run files a previous
 // process left there when it was killed mid-spill are deleted: a live

@@ -22,14 +22,13 @@ import (
 // which surface as a *NodeFailure (retriable via RunWithRetry). A task
 // whose operator panics fails the job with a *TaskPanic.
 //
-// With a Placement attached (SetPlacement), Run executes only this
-// process's share of the DAG: channels consumed here stay on the
-// in-process fabric, channels consumed elsewhere are routed through the
-// placement's Transport, and a remote node's death — reported by
-// heartbeat failure detection through NodeController.Kill — fails the
-// run with the same *NodeFailure an in-process kill produces. A broken
-// frame stream without a dead node surfaces as *LinkFailure, equally
-// retriable.
+// With a Placement attached (SetPlacement), Run executes only one node's
+// share of the DAG: channels consumed on the node stay on the in-process
+// fabric, channels consumed elsewhere are routed through the placement's
+// Transport, and the death of another node the job runs on
+// (NodeController.Kill) fails the run with the same *NodeFailure. A
+// broken frame stream without a dead node surfaces as *LinkFailure,
+// equally retriable.
 //
 // Before any task starts, the job is admitted through the cluster's
 // memory governor: the minimum grants of ALL its memory operators'
@@ -38,6 +37,29 @@ import (
 // — admitted jobs can never deadlock on memory against each other.
 func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	atomic.AddInt64(&c.jobAttempts, 1)
+	return c.countFailure(c.run(ctx, j))
+}
+
+// countFailure counts a failed attempt under its failure class.
+func (c *Cluster) countFailure(err error) error {
+	var nf *NodeFailure
+	var lf *LinkFailure
+	var tp *TaskPanic
+	switch {
+	case err == nil:
+	case errors.As(err, &nf):
+		atomic.AddInt64(&c.nodeFailures, 1)
+	case errors.As(err, &lf):
+		atomic.AddInt64(&c.linkFailures, 1)
+	case errors.As(err, &tp):
+		atomic.AddInt64(&c.taskPanics, 1)
+	}
+	return err
+}
+
+// run is Run without the attempt counters: one node's share of an
+// attempt runs through it (runAcross).
+func (c *Cluster) run(ctx context.Context, j *Job) error {
 	alive := c.AliveNodes()
 	if len(alive) == 0 {
 		return fmt.Errorf("hyracks: no alive nodes in the cluster")
@@ -53,7 +75,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 			return &NodeFailure{Node: localNC.ID, Op: "(startup)"}
 		}
 	}
-	// isLocal reports whether (op, partition) runs in this process.
+	// isLocal reports whether (op, partition) runs on this node.
 	isLocal := func(op *Operator, p int) bool {
 		return pl == nil || pl.Assign(op.Name, p) == pl.Node
 	}
@@ -77,29 +99,33 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	}
 
 	// Admit the job: one atomic reservation covering every LOCAL memory
-	// task's minimum grant (each process admits against its own
-	// governor).
-	memTasks := 0
-	for _, op := range j.ops {
-		if !op.Memory {
-			continue
-		}
-		for p := 0; p < op.Parallelism; p++ {
-			if isLocal(op, p) {
-				memTasks++
+	// task's minimum grant, unless the placement brings the attempt's
+	// admission for every node.
+	var jobGrant *mem.JobGrant
+	if pl != nil && pl.Grant != nil {
+		jobGrant = pl.Grant
+	} else {
+		memTasks := 0
+		for _, op := range j.ops {
+			if !op.Memory {
+				continue
+			}
+			for p := 0; p < op.Parallelism; p++ {
+				if isLocal(op, p) {
+					memTasks++
+				}
 			}
 		}
-	}
-	var jobGrant *mem.JobGrant
-	if memTasks > 0 {
-		jg, err := c.governor().AdmitJob(ctx, memTasks)
-		if err != nil {
-			return fmt.Errorf("hyracks: job admission: %w", err)
+		if memTasks > 0 {
+			jg, err := c.governor().AdmitJob(ctx, memTasks)
+			if err != nil {
+				return fmt.Errorf("hyracks: job admission: %w", err)
+			}
+			jobGrant = jg
+			// Nil-safe and idempotent: the admission is given back on
+			// every exit, the early returns below included.
+			defer jobGrant.Release()
 		}
-		jobGrant = jg
-		// Nil-safe and idempotent: the admission is given back on every
-		// exit, the early returns below included.
-		defer jobGrant.Release()
 	}
 
 	var (
@@ -115,7 +141,7 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	}
 
 	// Build the per-edge fabric. Each edge has one frame channel per
-	// consumer-owned slot: channels consumed in this process are real Go
+	// consumer-owned slot: channels consumed on this node are real Go
 	// channels; channels consumed elsewhere stay nil and sends to them go
 	// through the transport.
 	type edgeRT struct {
@@ -203,15 +229,14 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 		}
 	}
 
-	// Control-plane hooks. The remote-node watchers and the abort
-	// listener install BEFORE the START barrier: a process whose
-	// coordinator (or any depended-on peer) dies while it is parked at
-	// the barrier must still fail with the typed retriable error rather
-	// than wait forever.
+	// The watchers of the other nodes install BEFORE the START barrier:
+	// a node that dies while this one is parked at the barrier must still
+	// fail the run with the typed retriable error rather than let it wait
+	// forever.
 	if pl != nil {
-		// Watch every remote node this attempt depends on: a heartbeat
-		// timeout Kills its controller, and the watcher converts that
-		// into the same retriable NodeFailure an in-process kill raises.
+		// Watch every other node this attempt runs tasks on: Kill on its
+		// controller becomes the same retriable NodeFailure a kill of
+		// this node raises.
 		watched := map[string]bool{pl.Node: true}
 		for _, op := range j.ops {
 			for p := 0; p < op.Parallelism; p++ {
@@ -233,25 +258,13 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				}(nc)
 			}
 		}
-		if pl.Abort != nil {
-			go func() {
-				select {
-				case err := <-pl.Abort:
-					if err != nil {
-						fail(err)
-					}
-				case <-ctx.Done():
-				}
-			}()
-		}
 		pl.Ready()
 		select {
 		case <-pl.Start:
 		case <-ctx.Done():
-			// A watcher or the abort listener may have cancelled the run
-			// with a typed retriable failure; fail-then-read synchronizes
-			// on the errOnce, so that error wins over a bare
-			// context.Canceled.
+			// A watcher or the transport may have cancelled the run with a
+			// typed retriable failure; fail-then-read synchronizes on the
+			// errOnce, so that error wins over a bare context.Canceled.
 			fail(ctx.Err())
 			return firstErr
 		}
@@ -443,8 +456,8 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 				// owed this edge arrived before this" — so a FAILED producer
 				// must not send it: a reconnect would carry the EOS past the
 				// break and the consumer would complete on silently truncated
-				// data. Its consumers instead block until the failure status
-				// aborts the attempt and the retry supersedes the job id.
+				// data. Its consumers instead block until its failure cancels
+				// the attempt on every node and the retry supersedes the job id.
 				for _, e := range op.outs {
 					if rt := rts[e]; err == nil && rt.remote {
 						err = rt.handle.ProducerDone()
@@ -470,24 +483,13 @@ func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	}
 	wg.Wait()
 	j.peakWorking = jobGrant.Peak()
-	// The remote-node watchers and the abort listener stop on the
-	// deferred cancel, so one can be inside fail() right now. An empty
-	// Do synchronizes with it — Do returns only after the first call's
-	// write to firstErr completed — and consumes the Once, so a watcher
-	// firing later can no longer write while firstErr is read.
+	// The watchers of the other nodes stop on the deferred cancel, so one
+	// can be inside fail() right now. An empty Do synchronizes with it —
+	// Do returns only after the first call's write to firstErr completed —
+	// and consumes the Once, so a watcher firing later can no longer write
+	// while firstErr is read.
 	errOnce.Do(func() {})
 	if firstErr != nil {
-		var nf *NodeFailure
-		var lf *LinkFailure
-		var tp *TaskPanic
-		switch {
-		case errors.As(firstErr, &nf):
-			atomic.AddInt64(&c.nodeFailures, 1)
-		case errors.As(firstErr, &lf):
-			atomic.AddInt64(&c.linkFailures, 1)
-		case errors.As(firstErr, &tp):
-			atomic.AddInt64(&c.taskPanics, 1)
-		}
 		return firstErr
 	}
 	return ctx.Err()

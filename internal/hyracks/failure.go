@@ -125,21 +125,29 @@ type RunReport struct {
 // attempts. Jitter is drawn from fault.Int63n, so a run armed with
 // ASTERIX_FAULT_SEED has deterministic retry timing end-to-end.
 // build must return a fresh Job per call — sinks and collectors hold
-// per-run state, so a Job value cannot be re-run. Other errors are
-// returned immediately.
-func (c *Cluster) RunWithRetry(ctx context.Context, build func() (*Job, error), pol RetryPolicy) (RunReport, error) {
+// per-run state, so a Job value cannot be re-run. It is called with the
+// attempt number, once per attempt on the channel fabric and once per
+// alive node with transports attached (AttachTransports): the jobs of
+// one attempt share whatever per-attempt state build hands them, such as
+// the result collector. Other errors are returned immediately.
+func (c *Cluster) RunWithRetry(ctx context.Context, build func(attempt int) (*Job, error), pol RetryPolicy) (RunReport, error) {
 	pol = pol.withDefaults()
 	var rep RunReport
 	backoff := pol.BaseBackoff
+	run := c.runSeq.Add(1)
 	for {
-		j, err := build()
+		jobs, err := c.buildAttempt(build, run, rep.Attempts+1)
 		if err != nil {
 			return rep, err
 		}
 		rep.Attempts++
-		err = c.Run(ctx, j)
-		if p := j.PeakWorkingBytes(); p > rep.PeakWorkingBytes {
-			rep.PeakWorkingBytes = p
+		if jobs[0].placement == nil {
+			err = c.Run(ctx, jobs[0])
+		} else {
+			err = c.runAcross(ctx, jobs)
+		}
+		for _, j := range jobs {
+			rep.PeakWorkingBytes = max(rep.PeakWorkingBytes, j.PeakWorkingBytes())
 		}
 		if err == nil {
 			return rep, nil

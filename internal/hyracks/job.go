@@ -183,9 +183,9 @@ type Job struct {
 	ops   []*Operator
 	edges []*edge
 
-	// placement, when set, makes Run execute only this process's share
-	// of the DAG and route cross-process edges through the transport.
-	// Nil is the single-process mode: every task local.
+	// placement, when set, makes Run execute only one node's share of
+	// the DAG and route cross-node edges through the transport. Nil is
+	// the channel fabric: every task local.
 	placement *Placement
 
 	// peakWorking records the job's high-water mark of granted working
@@ -193,9 +193,9 @@ type Job struct {
 	peakWorking int64
 }
 
-// SetPlacement attaches a multi-process placement to the job (see
-// Placement). Call before Run; a nil placement restores single-process
-// execution.
+// SetPlacement makes Run execute one node's share of the job (see
+// Placement). Call before Run; a nil placement restores the channel
+// fabric.
 func (j *Job) SetPlacement(p *Placement) { j.placement = p }
 
 // PeakWorkingBytes returns the high-water mark of working memory granted

@@ -3,19 +3,23 @@ package hyracks
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"asterix/internal/mem"
 )
 
-// Transport moves frames between the processes of a multi-process
-// cluster. The executor routes every connector channel through exactly
-// one of two paths: channels whose consumer task runs in this process
-// stay on the in-process channel fabric, and channels whose consumer
-// lives elsewhere are handed to the transport, which owns
+// Transport moves frames between the nodes of a cluster whose jobs run
+// across a network. The executor routes every connector channel through
+// exactly one of two paths: channels whose consumer task runs on this
+// node stay on the in-process channel fabric, and channels whose
+// consumer runs on another node are handed to the transport, which owns
 // serialization, backpressure, and reconnection. The TCP implementation
 // lives in internal/net.
 //
 // Contract, per job attempt:
 //   - OpenEdge is called once per edge before any task starts (the
-//     READY/START barrier in Placement guarantees every process has
+//     READY/START barrier in Placement guarantees every node has
 //     registered its receive queues before the first frame is sent).
 //   - For locally-consumed channels the executor passes a receive
 //     channel in desc.Recv; the transport must deliver remote frames
@@ -43,15 +47,15 @@ type Transport interface {
 // EdgeDesc describes one connector edge's channel topology to the
 // transport.
 type EdgeDesc struct {
-	// JobID is the attempt-scoped job id ("q17#2"): unique per
+	// JobID is the attempt-scoped job id ("job17#2"): unique per
 	// RunWithRetry attempt, so stale frames from a dead attempt can
 	// never be mistaken for live ones.
 	JobID string
-	// Edge is the edge's index within the job, identical on every
-	// process (all processes build the job from the same spec).
+	// Edge is the edge's index within the job, identical on every node
+	// (every node builds the job from the same plan).
 	Edge int
 	// Owners names the node that consumes each channel; "" means this
-	// process. Non-merge connectors have one channel per consumer
+	// node. Non-merge connectors have one channel per consumer
 	// partition; merge connectors concentrate onto partition 0's node.
 	Owners []string
 	// Recv holds, for each locally-owned channel, the queue remote
@@ -60,19 +64,19 @@ type EdgeDesc struct {
 	// Producers is the edge's total producer partition count, local and
 	// remote combined.
 	Producers int
-	// Senders is the number of DISTINCT remote processes producing into
-	// this edge; 0 means no remote process does. Each sending process
-	// holds its own credit window per channel, so this bounds how many
-	// windows can be in flight toward one locally-owned channel — which
-	// is what sizes the receive queues.
+	// Senders is the number of DISTINCT remote nodes producing into
+	// this edge; 0 means no remote node does. Each sending node holds
+	// its own credit window per channel, so this bounds how many windows
+	// can be in flight toward one locally-owned channel — which is what
+	// sizes the receive queues.
 	Senders int
 	// EOS is invoked once per remote producer partition that finishes
 	// the edge, after all of that producer's frames were delivered.
 	EOS func()
 	// Fail, when non-nil, aborts the attempt with a (retriable) error —
-	// the transport's escape hatch for protocol violations it cannot
-	// attribute to any one local task (e.g. a peer overrunning its
-	// credit window).
+	// the transport's escape hatch for failures it cannot attribute to
+	// any one local task (a peer overrunning its credit window, a frame
+	// lost on the way in).
 	Fail func(error)
 }
 
@@ -89,35 +93,35 @@ type EdgeHandle interface {
 	ProducerDone() error
 }
 
-// Placement makes a job run span processes: it tells the executor which
-// (operator, partition) tasks belong to this process, and wires the
-// cross-process fabric plus the start barrier. A nil Placement on a Job
-// is the single-process mode that existed before the transport: every
-// task local, every channel in-process.
+// Placement makes a Run execute one node's share of a job: it tells the
+// executor which (operator, partition) tasks belong to the node, and
+// wires the cross-node fabric plus the start barrier. A nil Placement on
+// a Job is the channel-fabric mode: every task local, every channel
+// in-process.
 type Placement struct {
-	// JobID is the attempt-scoped id shared by every process running
-	// this attempt.
+	// JobID is the attempt-scoped id shared by every node running this
+	// attempt.
 	JobID string
-	// Node is this process's node id (must match a cluster node).
+	// Node is this node's id (must match a cluster node).
 	Node string
 	// Assign maps (operator name, partition) to the node id that runs
-	// it. Every process must compute the identical assignment.
+	// it. Every node must compute the identical assignment.
 	Assign func(op string, part int) string
-	// Transport carries frames between processes.
+	// Transport carries frames between nodes.
 	Transport Transport
-	// Ready is called after this process has registered all of its
-	// receive queues but before any task starts — the hook the control
-	// plane uses to report READY to the driver.
+	// Ready is called after this node has registered all of its
+	// receive queues but before any task starts.
 	Ready func()
-	// Start gates task launch: the executor waits for it to close (the
-	// driver's START broadcast) after Ready. Without the barrier a fast
-	// producer could emit frames at a process that has not registered
-	// the attempt yet, and they would be dropped as stale.
+	// Start gates task launch: the executor waits for it to close after
+	// Ready. Without the barrier a fast producer could emit frames at a
+	// node that has not registered the attempt yet, and they would be
+	// dropped as stale.
 	Start <-chan struct{}
-	// Abort, when non-nil, lets the control plane fail the run from
-	// outside — e.g. a worker reporting a typed NodeFailure or
-	// LinkFailure for a task this process never saw.
-	Abort <-chan error
+	// Grant, when non-nil, is the attempt's admission, taken once for
+	// the tasks of every node: the node's tasks draw their grants from
+	// it, and the caller releases it. Nil makes Run admit the node's own
+	// memory tasks.
+	Grant *mem.JobGrant
 }
 
 // localNode resolves the placement's node controller on c.
@@ -128,4 +132,105 @@ func (p *Placement) localNode(c *Cluster) (*NodeController, error) {
 		}
 	}
 	return nil, fmt.Errorf("hyracks: placement node %q is not in the cluster", p.Node)
+}
+
+// AttachTransports makes RunWithRetry run every later job across the
+// cluster's alive nodes, one plan per node, with ts[id] carrying node
+// id's frames. Nil detaches: jobs take the channel fabric again. Jobs
+// already running keep the transports they started with.
+func (c *Cluster) AttachTransports(ts map[string]Transport) {
+	c.netMu.Lock()
+	c.transports = ts
+	c.netMu.Unlock()
+}
+
+// buildAttempt builds attempt n of a RunWithRetry: one job for the
+// channel fabric or, with transports attached, one per alive node, each
+// placed on its node under the attempt's job id. Partitions go to nodes
+// as a channel run places them (partition p on alive node p mod count).
+func (c *Cluster) buildAttempt(build func(attempt int) (*Job, error), run uint64, n int) ([]*Job, error) {
+	c.netMu.Lock()
+	ts := c.transports
+	c.netMu.Unlock()
+	if ts == nil {
+		j, err := build(n)
+		if err != nil {
+			return nil, err
+		}
+		return []*Job{j}, nil
+	}
+	alive := c.AliveNodes()
+	if len(alive) == 0 {
+		return nil, fmt.Errorf("hyracks: no alive nodes in the cluster")
+	}
+	jobID := fmt.Sprintf("job%d#%d", run, n)
+	assign := func(_ string, part int) string { return alive[part%len(alive)].ID }
+	jobs := make([]*Job, len(alive))
+	for i, nc := range alive {
+		if ts[nc.ID] == nil {
+			return nil, fmt.Errorf("hyracks: no transport for node %s", nc.ID)
+		}
+		j, err := build(n)
+		if err != nil {
+			return nil, err
+		}
+		j.SetPlacement(&Placement{JobID: jobID, Node: nc.ID, Assign: assign, Transport: ts[nc.ID]})
+		jobs[i] = j
+	}
+	return jobs, nil
+}
+
+// runAcross runs one attempt's node jobs side by side, as the node
+// controllers of a cluster would: the whole job is admitted once, every
+// node registers its edges before any node starts a task, and the first
+// node to fail cancels the attempt on every node. The attempt's error is
+// that first failure.
+func (c *Cluster) runAcross(ctx context.Context, jobs []*Job) error {
+	atomic.AddInt64(&c.jobAttempts, 1)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	memTasks := 0
+	for _, op := range jobs[0].ops {
+		if op.Memory {
+			memTasks += op.Parallelism
+		}
+	}
+	var grant *mem.JobGrant
+	if memTasks > 0 {
+		g, err := c.governor().AdmitJob(ctx, memTasks)
+		if err != nil {
+			return fmt.Errorf("hyracks: job admission: %w", err)
+		}
+		grant = g
+		defer grant.Release()
+	}
+	start := make(chan struct{})
+	pending := int32(len(jobs))
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for _, j := range jobs {
+		pl := j.placement
+		pl.Grant = grant
+		pl.Start = start
+		pl.Ready = func() {
+			if atomic.AddInt32(&pending, -1) == 0 {
+				close(start)
+			}
+		}
+		wg.Add(1)
+		go func(j *Job) {
+			defer wg.Done()
+			if err := c.run(ctx, j); err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
+			}
+		}(j)
+	}
+	wg.Wait()
+	return c.countFailure(first)
 }

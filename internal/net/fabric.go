@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"asterix/internal/fault"
 	"asterix/internal/hyracks"
-	"asterix/internal/mem"
 )
 
 // jobState holds one job attempt's edge registrations. Its context is
@@ -23,14 +21,13 @@ type jobState struct {
 }
 
 // edgeState is one registered edge: local receive queues, remote-channel
-// credit pools, and the distinct remote owners that get this process's
+// credit pools, and the distinct remote owners that get this node's
 // end-of-stream markers.
 type edgeState struct {
 	desc         hyracks.EdgeDesc
 	remoteOwners []string
 	queues       map[int]*recvQueue
 	credits      map[int]chan struct{}
-	grant        *mem.Grant
 	// broken latches when a peer violates the edge's protocol (receive
 	// queue overrun): a poisoned edge never fires EOS — a dropped frame
 	// must not end in a "complete" stream — and the attempt is failed
@@ -88,7 +85,6 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 	// can never overflow a queue — overflow is a protocol violation. An
 	// edge no remote process produces into needs no queue at all.
 	qcap := w*desc.Senders + desc.Producers
-	locals := 0
 	seen := map[string]bool{}
 	for ch, owner := range desc.Owners {
 		if owner == "" {
@@ -99,7 +95,6 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 				return nil, fmt.Errorf("anet: edge %d channel %d is local but has no receive queue", desc.Edge, ch)
 			}
 			es.queues[ch] = &recvQueue{items: make(chan recvItem, qcap)}
-			locals++
 			continue
 		}
 		pool := make(chan struct{}, w)
@@ -113,25 +108,9 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 		}
 	}
 
-	// Charge the receive window to the memory governor before frames
-	// flow: the recv queues are real buffered memory this process holds
-	// on behalf of remote producers — one full credit window per sending
-	// process per local channel.
-	if locals > 0 && p.opt.Gov != nil {
-		need := int64(locals) * int64(w*desc.Senders) * frameBytes
-		rctx, rcancel := context.WithTimeout(ctx, 5*time.Second)
-		grant, err := p.opt.Gov.Reserve(rctx, need)
-		rcancel()
-		if err != nil {
-			return nil, fmt.Errorf("anet: recv-window reservation (%d bytes): %w", need, err)
-		}
-		es.grant = grant
-	}
-
 	js.mu.Lock()
 	if _, dup := js.edges[desc.Edge]; dup {
 		js.mu.Unlock()
-		es.grant.Release()
 		return nil, fmt.Errorf("anet: edge %d already registered for job %s", desc.Edge, desc.JobID)
 	}
 	js.edges[desc.Edge] = es
@@ -149,22 +128,40 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 
 // CloseJob implements hyracks.Transport: it drops the attempt's
 // registrations (subsequent frames for it are counted stale and
-// discarded), releases governor reservations, and stops the inject
-// goroutines.
+// discarded) and stops the inject goroutines.
 func (p *Peer) CloseJob(jobID string) {
 	p.mu.Lock()
 	js := p.jobs[jobID]
 	delete(p.jobs, jobID)
 	p.mu.Unlock()
-	if js == nil {
-		return
+	if js != nil {
+		js.cancel()
 	}
-	js.cancel()
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	for _, es := range js.edges {
-		es.grant.Release()
-		es.grant = nil
+}
+
+// failJobs fails every attempt registered on this peer with a retriable
+// LinkFailure: a message from peer was lost, so no stream of the attempt
+// can be trusted to complete.
+func (p *Peer) failJobs(peer string, err error) {
+	p.mu.Lock()
+	jobs := make([]*jobState, 0, len(p.jobs))
+	for _, js := range p.jobs {
+		jobs = append(jobs, js)
+	}
+	p.mu.Unlock()
+	var fails []func(error) // one per attempt: its edges share it
+	for _, js := range jobs {
+		js.mu.Lock()
+		for _, es := range js.edges {
+			if es.desc.Fail != nil {
+				fails = append(fails, es.desc.Fail)
+				break
+			}
+		}
+		js.mu.Unlock()
+	}
+	for _, fail := range fails {
+		fail(&hyracks.LinkFailure{Peer: peer, Err: err})
 	}
 }
 
@@ -310,9 +307,11 @@ func (p *Peer) injectLoop(js *jobState, es *edgeState, ch int, q *recvQueue) {
 			return
 		}
 		owed[from] = 0
-		// Best-effort: a lost credit message means a broken link, and
-		// the attempt is about to die of that anyway.
-		p.send(from, msgCredit, encodeCreditPayload(nil, ref, ch, n))
+		// A lost credit would stall its sender for good: it fails the
+		// attempt instead.
+		if err := p.send(from, msgCredit, encodeCreditPayload(nil, ref, ch, n)); err != nil && es.desc.Fail != nil {
+			es.desc.Fail(&hyracks.LinkFailure{Peer: from, Err: err})
+		}
 	}
 	for {
 		select {

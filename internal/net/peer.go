@@ -8,23 +8,17 @@ import (
 	"time"
 
 	"asterix/internal/fault"
-	"asterix/internal/mem"
 	"asterix/internal/obs"
 )
 
 // Options configures a Peer.
 type Options struct {
-	// ID is this process's node id (must match its cluster node id).
+	// ID is this peer's node id (must match its cluster node id).
 	ID string
 	// ListenAddr is the data-plane listen address ("host:port"; port 0
-	// picks a free port — see Peer.Addr).
+	// picks a free port — see Peer.Addr). Remote peers are added with
+	// AddPeer.
 	ListenAddr string
-	// Peers maps remote node ids to their data-plane addresses.
-	Peers map[string]string
-	// Gov, when non-nil, charges receive-window buffers to the memory
-	// governor: each registered edge reserves its receive queues'
-	// capacity before frames flow.
-	Gov *mem.Governor
 	// Metrics, when non-nil, receives the net_* counters.
 	Metrics *obs.Registry
 	// OnPeerDown is invoked (once per down transition) when a peer that
@@ -36,8 +30,6 @@ type Options struct {
 	// or a restarted process. The mirror hook, feeding
 	// NodeController.Revive. A later silence re-fires OnPeerDown.
 	OnPeerUp func(id string)
-	// OnControl receives opaque control-plane messages (internal/dist).
-	OnControl func(from string, payload []byte)
 
 	// HeartbeatInterval is the keepalive send period (default 250ms). A
 	// peer silent for heartbeatTimeouts intervals is declared down.
@@ -64,9 +56,6 @@ const (
 	maxBackoff = 2 * time.Second
 	// defaultCreditWindow is the per-channel send window in frames.
 	defaultCreditWindow = 16
-	// frameBytes is the per-frame byte estimate used to charge receive
-	// queues to the governor.
-	frameBytes = 64 << 10
 )
 
 func (o Options) withDefaults() Options {
@@ -130,13 +119,16 @@ type peerState struct {
 	lastSeen atomic.Int64 // unix nanos of last processed inbound message; 0 = never heard
 	down     atomic.Bool  // declared dead (OnPeerDown fired)
 
+	// dialMu serializes dials: a sender that finds no connection waits
+	// for the dial in flight instead of failing beside it.
+	dialMu sync.Mutex
+
 	mu       sync.Mutex // guards the dial schedule
-	dialing  bool
 	failures int
 	nextDial time.Time
 }
 
-// Peer is one process's endpoint in the cluster mesh: a listener, a
+// Peer is one node's endpoint in the cluster mesh: a listener, a
 // pool of at-most-one connection per remote peer, heartbeating, failure
 // detection, and the frame fabric implementing hyracks.Transport.
 type Peer struct {
@@ -174,22 +166,11 @@ func NewPeer(opt Options) (*Peer, error) {
 		jobs:   map[string]*jobState{},
 		closed: make(chan struct{}),
 	}
-	for id, addr := range opt.Peers {
-		p.addrs[id] = addr
-		p.peers[id] = &peerState{}
-	}
 	p.wg.Add(2)
 	go p.acceptLoop()
 	go p.heartbeatLoop()
 	return p, nil
 }
-
-// ID returns this peer's node id.
-func (p *Peer) ID() string { return p.opt.ID }
-
-// HeartbeatInterval returns the keepalive period the peer runs at; the
-// control plane scales its own timeouts from it.
-func (p *Peer) HeartbeatInterval() time.Duration { return p.opt.HeartbeatInterval }
 
 // AddPeer registers (or updates) a remote peer's dial address — used
 // when listen ports are allocated dynamically and the member list is
@@ -302,23 +283,20 @@ func (p *Peer) acceptLoop() {
 			// remote may have committed writes to it before our verdict
 			// (e.g. a reconnect racing the stale conn's EOF), and closing
 			// it unread would drop those messages after the sender saw
-			// the write succeed.
-			if !p.register(pc) {
-				// Not pooled (it lost the dedupe, or Close won the race),
-				// so Close will not find it: close it when the peer closes.
-				// Its readLoop otherwise ends only when the remote hangs up.
-				drained := make(chan struct{})
-				defer close(drained)
-				p.wg.Add(1)
-				go func() {
-					defer p.wg.Done()
-					select {
-					case <-p.closed:
-						pc.close()
-					case <-drained:
-					}
-				}()
-			}
+			// the write succeed. One that is not pooled, now or later, is
+			// closed by its remote, or here when the peer closes.
+			p.register(pc)
+			drained := make(chan struct{})
+			defer close(drained)
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				select {
+				case <-p.closed:
+					pc.close()
+				case <-drained:
+				}
+			}()
 			p.readLoop(pc)
 		}(c)
 	}
@@ -328,6 +306,9 @@ func (p *Peer) acceptLoop() {
 // peer. When both sides dialed simultaneously each end holds two
 // connections; both deterministically keep the one initiated by the
 // smaller id, so the mesh converges on a single duplex link per pair.
+// A displaced connection this side dialed is closed (the remote reads it
+// to EOF); a displaced inbound one is left to its reader, since the
+// remote may still have writes on it in flight, and the remote closes it.
 func (p *Peer) register(pc *peerConn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -340,7 +321,9 @@ func (p *Peer) register(pc *peerConn) bool {
 		if !keepNew {
 			return false
 		}
-		old.close()
+		if old.initiator == p.opt.ID {
+			old.close()
+		}
 	}
 	p.conns[pc.id] = pc
 	return true
@@ -357,41 +340,36 @@ func (p *Peer) unregister(pc *peerConn) {
 }
 
 // connFor returns the pooled connection to a peer, dialing synchronously
-// when none exists. Dial failures surface to the caller; background
-// reconnection with backoff is the heartbeat loop's job.
+// when none exists; a dial already in flight is waited for. Dial failures
+// surface to the caller; background reconnection with backoff is the
+// heartbeat loop's job.
 func (p *Peer) connFor(id string) (*peerConn, error) {
-	p.mu.Lock()
-	pc := p.conns[id]
-	p.mu.Unlock()
-	if pc != nil {
+	pooled := func() *peerConn {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.conns[id]
+	}
+	if pc := pooled(); pc != nil {
 		return pc, nil
 	}
-	return p.dial(id)
+	ps := p.peer(id)
+	ps.dialMu.Lock()
+	defer ps.dialMu.Unlock()
+	if pc := pooled(); pc != nil {
+		return pc, nil // the dial this one waited for connected
+	}
+	return p.dial(id, ps)
 }
 
 // dial connects to a configured peer, sends hello, and registers the
-// connection. At most one dial per peer runs at a time.
-func (p *Peer) dial(id string) (*peerConn, error) {
+// connection. The caller holds ps.dialMu.
+func (p *Peer) dial(id string, ps *peerState) (*peerConn, error) {
 	p.mu.Lock()
 	addr, ok := p.addrs[id]
 	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("anet: unknown peer %q", id)
 	}
-	ps := p.peer(id)
-	ps.mu.Lock()
-	if ps.dialing {
-		ps.mu.Unlock()
-		return nil, fmt.Errorf("anet: dial to %s already in flight", id)
-	}
-	ps.dialing = true
-	ps.mu.Unlock()
-	defer func() {
-		ps.mu.Lock()
-		ps.dialing = false
-		ps.mu.Unlock()
-	}()
-
 	if err := p.linkFault(id); err != nil {
 		return nil, err
 	}
@@ -505,20 +483,11 @@ func (p *Peer) send(peerID string, typ byte, payload []byte) error {
 	return p.writeMsg(pc, typ, payload)
 }
 
-// SendControl delivers an opaque control-plane message to a peer (the
-// internal/dist job protocol rides on this).
-func (p *Peer) SendControl(peerID string, payload []byte) error {
-	body := appendString(nil, p.opt.ID)
-	body = append(body, payload...)
-	return p.send(peerID, msgControl, body)
-}
-
 // readLoop drains one connection, dispatching messages until the stream
 // breaks. Every processed message refreshes the peer's last-seen time.
 // Payloads decode into a per-connection scratch buffer reused across
 // messages: every dispatch below fully consumes its payload before the
-// next read (data frames copy their bytes out during ADM decode), and the
-// one handler that may retain bytes — OnControl — gets a copy.
+// next read (data frames copy their bytes out during ADM decode).
 func (p *Peer) readLoop(pc *peerConn) {
 	ps := p.peer(pc.id)
 	defer p.unregister(pc)
@@ -537,9 +506,12 @@ func (p *Peer) readLoop(pc *peerConn) {
 		p.m.bytesRecv.Add(int64(headerLen + len(payload)))
 		// Inbound half of an armed partition: drop everything without
 		// refreshing last-seen, so the silent peer is eventually
-		// declared down on both sides.
-		if fault.HitTag(fault.PointNetPartition, p.opt.ID) != nil {
+		// declared down on both sides. The sender saw its write succeed,
+		// so the loss is made loud here: every attempt registered on this
+		// peer fails.
+		if err := fault.HitTag(fault.PointNetPartition, p.opt.ID); err != nil {
 			p.m.injectedDrop.Inc()
+			p.failJobs(pc.id, err)
 			continue
 		}
 		ps.lastSeen.Store(time.Now().UnixNano())
@@ -564,13 +536,6 @@ func (p *Peer) readLoop(pc *peerConn) {
 			p.deliverEOS(pc.id, payload)
 		case msgCredit:
 			p.deliverCredit(payload)
-		case msgControl:
-			from, body, err := readString(payload)
-			if err == nil && p.opt.OnControl != nil {
-				// body aliases the reused scratch; the control plane may
-				// hold it past this dispatch, so it gets its own copy.
-				p.opt.OnControl(from, append([]byte(nil), body...))
-			}
 		case msgHello:
 			// Redundant hello on an established connection: ignore.
 		default:
@@ -612,6 +577,7 @@ func (p *Peer) heartbeatLoop() {
 					if pc != nil {
 						p.unregister(pc)
 					}
+					p.failJobs(id, fmt.Errorf("anet: peer %s silent for %d heartbeats", id, heartbeatTimeouts))
 					if p.opt.OnPeerDown != nil {
 						p.opt.OnPeerDown(id)
 					}

@@ -82,10 +82,10 @@ func startMesh(t *testing.T, ids []string, tune func(id string, o *Options)) map
 // shared START barrier, returning the per-node Run errors.
 func runPlaced(ctx context.Context, nodes map[string]*simNode, jobID string,
 	build func(n *simNode) *hyracks.Job, assign func(op string, part int) string) map[string]error {
-	// A failed node cancels the others, standing in for the dist control
-	// plane's failure-status abort: a failed producer withholds its wire
-	// EOS (it would legitimize a truncated stream), so its consumers
-	// block until told the attempt is dead.
+	// A failed node cancels the others, as Cluster.RunWithRetry does over
+	// a loopback: a failed producer withholds its wire EOS (it would
+	// legitimize a truncated stream), so its consumers block until told
+	// the attempt is dead.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	start := make(chan struct{})
@@ -261,7 +261,7 @@ func TestCreditBackpressure(t *testing.T) {
 func TestHeartbeatFailureDetection(t *testing.T) {
 	nodes := startMesh(t, []string{"na", "nb"}, nil)
 	// Warm the link so nb has been heard from.
-	if err := nodes["na"].peer.SendControl("nb", []byte("ping")); err != nil {
+	if err := nodes["na"].peer.send("nb", msgHeartbeat, nil); err != nil {
 		t.Fatalf("warm-up send: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -612,6 +612,49 @@ func TestRecvOverflowPoisonsEdge(t *testing.T) {
 	case <-eos:
 		t.Fatal("EOS fired on an edge that dropped a frame")
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestPartitionDropFailsAttempt delivers a data frame to a partitioned
+// peer: the sender's write succeeded, so the peer that swallows the frame
+// must fail the attempts registered on it with a retriable LinkFailure —
+// the swallowed frame would otherwise be a silent gap in the stream.
+func TestPartitionDropFailsAttempt(t *testing.T) {
+	defer fault.Disarm()
+	nodes := startMesh(t, []string{"na", "nb"}, nil)
+	failed := make(chan error, 1)
+	ref := edgeRef{jobID: "part#1", edge: 0}
+	if _, err := nodes["nb"].peer.OpenEdge(context.Background(), hyracks.EdgeDesc{
+		JobID:     ref.jobID,
+		Edge:      ref.edge,
+		Owners:    []string{""},
+		Recv:      []chan []hyracks.Tuple{make(chan []hyracks.Tuple, 1)},
+		Producers: 1,
+		Senders:   1,
+		EOS:       func() {},
+		Fail: func(err error) {
+			select {
+			case failed <- err:
+			default:
+			}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Arm("net.partition:error:times=0:tag=nb"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes["na"].peer.send("nb", msgData, encodeDataPayload(nil, ref, 0, testFrame())); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	select {
+	case err := <-failed:
+		var lf *hyracks.LinkFailure
+		if !errors.As(err, &lf) || lf.Peer != "na" {
+			t.Fatalf("a swallowed frame should fail the attempt with LinkFailure{na}, got %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a frame swallowed by the partition never failed the attempt")
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package anet is the TCP frame transport behind the hyracks Transport
 // interface: a length-prefixed, CRC-checked message protocol carrying
-// data frames, per-channel credit grants, end-of-stream markers,
-// heartbeats, and opaque control messages between the node processes of
-// a multi-process cluster. It owns connection pooling with
-// reconnect-on-failure (bounded exponential backoff plus seedable
+// data frames, per-channel credit grants, end-of-stream markers and
+// heartbeats between the nodes of a cluster. It owns connection pooling
+// with reconnect-on-failure (bounded exponential backoff plus seedable
 // jitter), per-frame write deadlines, heartbeat-based peer failure
 // detection, and the network fault points (net.drop, net.delay,
-// net.partition, net.conn.reset).
+// net.partition, net.conn.reset). AttachLoopback gives every node of a
+// hyracks.Cluster its own Peer on 127.0.0.1, so a job's frames between
+// nodes cross real sockets inside one process.
 //
 // The package is named anet so importers are never ambiguous against
 // the stdlib net package it is built on.
@@ -48,7 +49,6 @@ const (
 	msgData      = byte(3) // payload: jobID, edge, channel, tuple frame
 	msgEOS       = byte(4) // payload: jobID, edge — one producer finished the edge
 	msgCredit    = byte(5) // payload: jobID, edge, channel, n — consumer window return
-	msgControl   = byte(6) // payload: opaque control-plane bytes (internal/dist)
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

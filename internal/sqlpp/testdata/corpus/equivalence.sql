@@ -234,3 +234,9 @@ SELECT g FROM GleambookUsers u WHERE u.id < 6 GROUP BY u.id % 3 AS g ORDER BY (S
 -- Above SELECT DISTINCT, a block nested in ORDER BY reads an item's
 -- expression as the result's field, as it reads the item's alias.
 SELECT DISTINCT u.id AS a FROM GleambookUsers u WHERE u.id < 3 ORDER BY (SELECT VALUE -u.id FROM [1] x)[0];
+
+-- A GROUP AS element holds the row's FROM, UNNEST and LET variables and
+-- never a WITH item, at the top level and one block down.
+WITH k AS 1 SELECT VALUE g FROM GleambookUsers u UNNEST u.friendIds f LET i = u.id * 10 WHERE u.id < 2 GROUP BY u.id AS a GROUP AS g ORDER BY a;
+
+SELECT VALUE (WITH k AS 1 SELECT VALUE g FROM GleambookUsers u UNNEST u.friendIds f LET i = u.id * 10 WHERE u.id < 2 GROUP BY u.id AS a GROUP AS g ORDER BY a);
