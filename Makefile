@@ -53,12 +53,13 @@ fault-matrix:
 
 # net-matrix: the network-failure gate — the transport's own fault tests
 # (drop, delay, partition and heal, conn-reset, torn frames, a receive
-# window overrun) plus SQL++ run across loopback nodes over TCP: every
-# corpus statement against the channel fabric at 2 and 4 nodes, a join
-# under each network fault and under a killed node, concurrent queries,
-# one admission per attempt, and E15.
+# window overrun) and the mesh's shape (one connection per direction,
+# kept across clean runs), plus SQL++ run across loopback nodes over TCP:
+# every corpus statement against the channel fabric at 2 and 4 nodes, a
+# join under each network fault and under a killed node, concurrent
+# queries, one admission per attempt, and E15.
 net-matrix:
-	go test -count=1 -run 'TestNetDrop|TestConnResetMidFrame|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestPeerDownRevivesOnHeal|TestPartition|TestLoopback' \
+	go test -count=1 -run 'TestNetDrop|TestConnResetMidFrame|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestMeshOneConnectionPerDirection|TestPartition|TestLoopback' \
 		./internal/net/ ./internal/core/
 	go test -count=1 -run TestE15 ./internal/experiments/
 
@@ -137,7 +138,7 @@ help:
 	@echo "  optimizer   golden plans, join regressions, on/off equivalence (race)"
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
-	@echo "  net-matrix  transport fault tests + SQL++ over loopback TCP (corpus vs channels, every network fault, a killed node)"
+	@echo "  net-matrix  transport fault tests + mesh shape + SQL++ over loopback TCP (corpus vs channels, every network fault, a killed node)"
 	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader, aggregate merge)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"

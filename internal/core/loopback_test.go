@@ -19,13 +19,12 @@ import (
 
 // loopbackEngine opens an engine of cfg and attaches the loopback TCP
 // transport to its cluster: every frame between nodes crosses a socket on
-// 127.0.0.1. The heartbeat is slowed to a minute so that the network
-// fault points are only hit by a query's own messages.
+// 127.0.0.1.
 func loopbackEngine(t *testing.T, cfg Config) (*Engine, *anet.Loopback, *obs.Registry) {
 	t.Helper()
 	e := newEngine(t, cfg)
 	reg := obs.NewRegistry()
-	lb, err := anet.AttachLoopback(e.Cluster(), anet.Options{Metrics: reg, HeartbeatInterval: time.Minute})
+	lb, err := anet.AttachLoopback(e.Cluster(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,9 @@ func statementRows(e *Engine, script string) string {
 // TestLoopbackCorpusMatchesChannels runs every corpus statement on a
 // cluster of 2 and of 4 nodes, once over the in-process channel fabric
 // and once with every cross-node frame on a TCP socket, and requires the
-// same rows (in the same order under ORDER BY) or the same error.
+// same rows (in the same order under ORDER BY) or the same error. The
+// clean run keeps the connections AttachLoopback dialed: it dials
+// nothing more and resets nothing.
 func TestLoopbackCorpusMatchesChannels(t *testing.T) {
 	stmts := append(readCorpus(t, "../sqlpp/testdata/corpus/equivalence.sql"),
 		readCorpus(t, "../sqlpp/testdata/corpus/fuzz_seeds.sql")...)
@@ -81,6 +82,11 @@ func TestLoopbackCorpusMatchesChannels(t *testing.T) {
 			}
 			if netCounter(reg, "net_frames_sent_total") == 0 {
 				t.Fatal("no frame crossed a socket")
+			}
+			for _, name := range []string{"net_reconnects_total", "net_conn_resets_total"} {
+				if v := netCounter(reg, name); v != 0 {
+					t.Errorf("%s = %d after a clean corpus run", name, v)
+				}
 			}
 		})
 	}
@@ -270,7 +276,7 @@ func TestLoopbackNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		lb, err := anet.AttachLoopback(e.Cluster(), anet.Options{})
+		lb, err := anet.AttachLoopback(e.Cluster(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

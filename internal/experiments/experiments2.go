@@ -644,7 +644,7 @@ func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	lb, err := anet.AttachLoopback(e.Cluster(), anet.Options{Metrics: reg, HeartbeatInterval: 25 * time.Millisecond})
+	lb, err := anet.AttachLoopback(e.Cluster(), reg)
 	if err != nil {
 		return nil, err
 	}

@@ -78,11 +78,10 @@ const (
 	// PointNetDelay stalls an outbound data frame (arm with delay=…),
 	// simulating a slow or congested link.
 	PointNetDelay = "net.delay"
-	// PointNetPartition isolates a process from the data-plane mesh:
-	// while armed, its outbound sends fail and inbound messages are
-	// dropped, so peers stop hearing its heartbeats and eventually
-	// declare it dead. Arm with times=0 for a lasting partition, or tag=
-	// to partition one peer of an in-process mesh.
+	// PointNetPartition isolates a node from the data-plane mesh: while
+	// armed, its outbound sends fail and inbound messages are swallowed,
+	// failing every attempt registered on it. Arm with times=0 for a
+	// lasting partition, or tag= to partition one peer of the mesh.
 	PointNetPartition = "net.partition"
 	// PointNetConnReset tears an outbound frame mid-write (torn mode)
 	// and resets the connection: the receiver sees a short or

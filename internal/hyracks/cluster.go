@@ -45,17 +45,6 @@ func (n *NodeController) Kill() {
 	close(n.killed)
 }
 
-// Revive brings a killed node back for future jobs (it does not resurrect
-// tasks that already failed).
-func (n *NodeController) Revive() {
-	n.killMu.Lock()
-	defer n.killMu.Unlock()
-	if n.dead.Load() {
-		n.killed = make(chan struct{})
-		n.dead.Store(false)
-	}
-}
-
 // Dead reports whether the node has been killed.
 func (n *NodeController) Dead() bool { return n.dead.Load() }
 
@@ -191,29 +180,16 @@ func (c *Cluster) DeadNodeIDs() []string {
 	return out
 }
 
-// NewCluster creates an n-node cluster with node ids nc0..nc(n-1) and
-// spill directories under baseDir.
-func NewCluster(n int, baseDir string) (*Cluster, error) {
-	ids := make([]string, max(n, 1))
-	for i := range ids {
-		ids[i] = fmt.Sprintf("nc%d", i)
-	}
-	return NewNamedCluster(ids, baseDir)
-}
-
-// NewNamedCluster creates a cluster whose node controllers carry the
-// given ids.
+// NewCluster creates an n-node cluster with node ids nc0..nc(n-1).
 //
 // Each node's spill directory is baseDir/<id>. Run files a previous
 // process left there when it was killed mid-spill are deleted: a live
 // task deletes its own on every exit, so whatever is found at start-up
 // is dead bytes. Only run files are touched.
-func NewNamedCluster(ids []string, baseDir string) (*Cluster, error) {
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("hyracks: named cluster needs at least one node id")
-	}
+func NewCluster(n int, baseDir string) (*Cluster, error) {
 	c := &Cluster{FrameSize: 256}
-	for _, id := range ids {
+	for i := 0; i < max(n, 1); i++ {
+		id := fmt.Sprintf("nc%d", i)
 		dir := filepath.Join(baseDir, id)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("hyracks: node temp dir: %w", err)

@@ -22,22 +22,38 @@ import (
 // which surface as a *NodeFailure (retriable via RunWithRetry). A task
 // whose operator panics fails the job with a *TaskPanic.
 //
-// With a Placement attached (SetPlacement), Run executes only one node's
-// share of the DAG: channels consumed on the node stay on the in-process
-// fabric, channels consumed elsewhere are routed through the placement's
-// Transport, and the death of another node the job runs on
-// (NodeController.Kill) fails the run with the same *NodeFailure. A
-// broken frame stream without a dead node surfaces as *LinkFailure,
-// equally retriable.
-//
 // Before any task starts, the job is admitted through the cluster's
-// memory governor: the minimum grants of ALL its memory operators'
-// tasks are reserved atomically (bounded wait, typed timeout). Because
-// a running task only ever Grows non-blockingly — a denial means spill
-// — admitted jobs can never deadlock on memory against each other.
+// memory governor (see admit).
 func (c *Cluster) Run(ctx context.Context, j *Job) error {
 	atomic.AddInt64(&c.jobAttempts, 1)
-	return c.countFailure(c.run(ctx, j))
+	grant, err := c.admit(ctx, j)
+	if err != nil {
+		return err
+	}
+	defer grant.Release()
+	return c.countFailure(c.run(ctx, j, grant))
+}
+
+// admit reserves the minimum grants of ALL the job's memory tasks, on
+// every node, in one atomic step (bounded wait, typed timeout); nil when
+// the job has no memory task. Because a running task only ever Grows
+// non-blockingly — a denial means spill — admitted jobs can never
+// deadlock on memory against each other.
+func (c *Cluster) admit(ctx context.Context, j *Job) (*mem.JobGrant, error) {
+	memTasks := 0
+	for _, op := range j.ops {
+		if op.Memory {
+			memTasks += op.Parallelism
+		}
+	}
+	if memTasks == 0 {
+		return nil, nil
+	}
+	g, err := c.governor().AdmitJob(ctx, memTasks)
+	if err != nil {
+		return nil, fmt.Errorf("hyracks: job admission: %w", err)
+	}
+	return g, nil
 }
 
 // countFailure counts a failed attempt under its failure class.
@@ -57,28 +73,31 @@ func (c *Cluster) countFailure(err error) error {
 	return err
 }
 
-// run is Run without the attempt counters: one node's share of an
-// attempt runs through it (runAcross).
-func (c *Cluster) run(ctx context.Context, j *Job) error {
-	alive := c.AliveNodes()
-	if len(alive) == 0 {
+// run is Run without the attempt counters and the admission, under the
+// job's admitted grant: a job placed on one node (buildAttempt) runs that
+// node's share of an attempt through it (runAcross).
+//
+// A placed job runs only the node's tasks: channels consumed on the node
+// stay on the in-process fabric, channels consumed elsewhere are routed
+// through the placement's Transport, and the death of another node the
+// job runs on (NodeController.Kill) fails the run with the same
+// *NodeFailure. A broken frame stream without a dead node surfaces as
+// *LinkFailure, equally retriable.
+func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error {
+	pl := j.placement
+	var nodes []*NodeController
+	if pl != nil {
+		if pl.node.Dead() {
+			return &NodeFailure{Node: pl.node.ID, Op: "(startup)"}
+		}
+		nodes = pl.att.nodes
+	} else if nodes = c.AliveNodes(); len(nodes) == 0 {
 		return fmt.Errorf("hyracks: no alive nodes in the cluster")
 	}
-	pl := j.placement
-	var localNC *NodeController
-	if pl != nil {
-		var err error
-		if localNC, err = pl.localNode(c); err != nil {
-			return err
-		}
-		if localNC.Dead() {
-			return &NodeFailure{Node: localNC.ID, Op: "(startup)"}
-		}
-	}
-	// isLocal reports whether (op, partition) runs on this node.
-	isLocal := func(op *Operator, p int) bool {
-		return pl == nil || pl.Assign(op.Name, p) == pl.Node
-	}
+	// nodeOf places partition p of every operator; isLocal reports
+	// whether it runs here.
+	nodeOf := func(p int) *NodeController { return nodes[p%len(nodes)] }
+	isLocal := func(p int) bool { return pl == nil || nodeOf(p) == pl.node }
 	// When the caller's span requests detailed profiling, every
 	// (operator, partition) task gets its own child span recording wall
 	// time, tuple counts, and spills. With no span (or detail off) every
@@ -95,36 +114,6 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 			if e == nil {
 				return fmt.Errorf("hyracks: %s input port %d unconnected", op.Name, port)
 			}
-		}
-	}
-
-	// Admit the job: one atomic reservation covering every LOCAL memory
-	// task's minimum grant, unless the placement brings the attempt's
-	// admission for every node.
-	var jobGrant *mem.JobGrant
-	if pl != nil && pl.Grant != nil {
-		jobGrant = pl.Grant
-	} else {
-		memTasks := 0
-		for _, op := range j.ops {
-			if !op.Memory {
-				continue
-			}
-			for p := 0; p < op.Parallelism; p++ {
-				if isLocal(op, p) {
-					memTasks++
-				}
-			}
-		}
-		if memTasks > 0 {
-			jg, err := c.governor().AdmitJob(ctx, memTasks)
-			if err != nil {
-				return fmt.Errorf("hyracks: job admission: %w", err)
-			}
-			jobGrant = jg
-			// Nil-safe and idempotent: the admission is given back on
-			// every exit, the early returns below included.
-			defer jobGrant.Release()
 		}
 	}
 
@@ -167,7 +156,7 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 	}
 	rts := make(map[*edge]*edgeRT, len(j.edges))
 	if pl != nil {
-		defer pl.Transport.CloseJob(pl.JobID)
+		defer pl.transport.CloseJob(pl.att.jobID)
 	}
 	for ei, e := range j.edges {
 		rt := &edgeRT{}
@@ -194,12 +183,10 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 			if e.conn.Kind == ConnMerge {
 				part = 0
 			}
-			if pl != nil {
-				if owner := pl.Assign(e.to.Name, part); owner != pl.Node {
-					rt.owners[i] = owner
-					rt.remote = true
-					continue
-				}
+			if !isLocal(part) {
+				rt.owners[i] = nodeOf(part).ID
+				rt.remote = true
+				continue
 			}
 			rt.chans[i] = make(chan []Tuple, 8)
 		}
@@ -208,12 +195,12 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 		if pl != nil {
 			senders := map[string]bool{}
 			for pp := 0; pp < e.from.Parallelism; pp++ {
-				if id := pl.Assign(e.from.Name, pp); id != pl.Node {
-					senders[id] = true
+				if !isLocal(pp) {
+					senders[nodeOf(pp).ID] = true
 				}
 			}
-			h, err := pl.Transport.OpenEdge(ctx, EdgeDesc{
-				JobID:     pl.JobID,
+			h, err := pl.transport.OpenEdge(ctx, EdgeDesc{
+				JobID:     pl.att.jobID,
 				Edge:      ei,
 				Owners:    rt.owners,
 				Recv:      rt.chans,
@@ -237,18 +224,14 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 		// Watch every other node this attempt runs tasks on: Kill on its
 		// controller becomes the same retriable NodeFailure a kill of
 		// this node raises.
-		watched := map[string]bool{pl.Node: true}
+		watched := map[*NodeController]bool{pl.node: true}
 		for _, op := range j.ops {
 			for p := 0; p < op.Parallelism; p++ {
-				id := pl.Assign(op.Name, p)
-				if watched[id] {
+				nc := nodeOf(p)
+				if watched[nc] {
 					continue
 				}
-				watched[id] = true
-				nc := c.NodeByID(id)
-				if nc == nil {
-					return fmt.Errorf("hyracks: placement assigns %s[%d] to unknown node %q", op.Name, p, id)
-				}
+				watched[nc] = true
 				go func(nc *NodeController) {
 					select {
 					case <-nc.killedCh():
@@ -258,9 +241,9 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 				}(nc)
 			}
 		}
-		pl.Ready()
+		pl.att.ready()
 		select {
-		case <-pl.Start:
+		case <-pl.att.start:
 		case <-ctx.Done():
 			// A watcher or the transport may have cancelled the run with a
 			// typed retriable failure; fail-then-read synchronizes on the
@@ -294,14 +277,11 @@ func (c *Cluster) run(ctx context.Context, j *Job) error {
 
 	for _, op := range j.ops {
 		for p := 0; p < op.Parallelism; p++ {
-			if !isLocal(op, p) {
+			if !isLocal(p) {
 				continue
 			}
 			op, p := op, p
-			node := localNC
-			if node == nil {
-				node = alive[p%len(alive)]
-			}
+			node := nodeOf(p)
 			var ts *obs.Span
 			if traceTasks {
 				ts = jobSpan.StartChild(fmt.Sprintf("%s[%d]", op.Name, p))

@@ -183,20 +183,15 @@ type Job struct {
 	ops   []*Operator
 	edges []*edge
 
-	// placement, when set, makes Run execute only one node's share of
-	// the DAG and route cross-node edges through the transport. Nil is
-	// the channel fabric: every task local.
-	placement *Placement
+	// placement, when set, makes the job one node's share of an attempt
+	// (buildAttempt) that routes cross-node edges through the transport.
+	// Nil is the channel fabric: every task local.
+	placement *placement
 
 	// peakWorking records the job's high-water mark of granted working
 	// memory, set by Run when the job completes.
 	peakWorking int64
 }
-
-// SetPlacement makes Run execute one node's share of the job (see
-// Placement). Call before Run; a nil placement restores the channel
-// fabric.
-func (j *Job) SetPlacement(p *Placement) { j.placement = p }
 
 // PeakWorkingBytes returns the high-water mark of working memory granted
 // to the job's tasks during its last Run (0 before the job ran or when

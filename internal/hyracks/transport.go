@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"asterix/internal/mem"
 )
 
 // Transport moves frames between the nodes of a cluster whose jobs run
@@ -19,8 +17,8 @@ import (
 //
 // Contract, per job attempt:
 //   - OpenEdge is called once per edge before any task starts (the
-//     READY/START barrier in Placement guarantees every node has
-//     registered its receive queues before the first frame is sent).
+//     attempt's start barrier guarantees every node has registered its
+//     receive queues before the first frame is sent).
 //   - For locally-consumed channels the executor passes a receive
 //     channel in desc.Recv; the transport must deliver remote frames
 //     into it, honoring ctx (a send that can no longer complete because
@@ -93,45 +91,38 @@ type EdgeHandle interface {
 	ProducerDone() error
 }
 
-// Placement makes a Run execute one node's share of a job: it tells the
-// executor which (operator, partition) tasks belong to the node, and
-// wires the cross-node fabric plus the start barrier. A nil Placement on
-// a Job is the channel-fabric mode: every task local, every channel
-// in-process.
-type Placement struct {
-	// JobID is the attempt-scoped id shared by every node running this
-	// attempt.
-	JobID string
-	// Node is this node's id (must match a cluster node).
-	Node string
-	// Assign maps (operator name, partition) to the node id that runs
-	// it. Every node must compute the identical assignment.
-	Assign func(op string, part int) string
-	// Transport carries frames between nodes.
-	Transport Transport
-	// Ready is called after this node has registered all of its
-	// receive queues but before any task starts.
-	Ready func()
-	// Start gates task launch: the executor waits for it to close after
-	// Ready. Without the barrier a fast producer could emit frames at a
-	// node that has not registered the attempt yet, and they would be
-	// dropped as stale.
-	Start <-chan struct{}
-	// Grant, when non-nil, is the attempt's admission, taken once for
-	// the tasks of every node: the node's tasks draw their grants from
-	// it, and the caller releases it. Nil makes Run admit the node's own
-	// memory tasks.
-	Grant *mem.JobGrant
+// placement makes a run execute one node's share of an attempt: the
+// tasks of the partitions the attempt puts on the node, with the
+// channels consumed on other nodes routed through the transport. A job
+// without one runs on the channel fabric: every task local, every
+// channel in-process.
+type placement struct {
+	node      *NodeController
+	transport Transport
+	att       *attempt
 }
 
-// localNode resolves the placement's node controller on c.
-func (p *Placement) localNode(c *Cluster) (*NodeController, error) {
-	for _, n := range c.Nodes {
-		if n.ID == p.Node {
-			return n, nil
-		}
+// attempt is what the nodes running one attempt share.
+type attempt struct {
+	// jobID is the attempt-scoped id every node registers its edges
+	// under.
+	jobID string
+	// nodes are the alive nodes the attempt was built on: partition p
+	// of every operator runs on nodes[p % len(nodes)].
+	nodes []*NodeController
+	// start closes once every node has registered its edges: without
+	// the barrier a fast producer could send frames to a node that has
+	// not registered the attempt yet, and they would be dropped as
+	// stale.
+	start   chan struct{}
+	pending atomic.Int32 // nodes yet to register
+}
+
+// ready records that one node registered its edges.
+func (a *attempt) ready() {
+	if a.pending.Add(-1) == 0 {
+		close(a.start)
 	}
-	return nil, fmt.Errorf("hyracks: placement node %q is not in the cluster", p.Node)
 }
 
 // AttachTransports makes RunWithRetry run every later job across the
@@ -163,8 +154,8 @@ func (c *Cluster) buildAttempt(build func(attempt int) (*Job, error), run uint64
 	if len(alive) == 0 {
 		return nil, fmt.Errorf("hyracks: no alive nodes in the cluster")
 	}
-	jobID := fmt.Sprintf("job%d#%d", run, n)
-	assign := func(_ string, part int) string { return alive[part%len(alive)].ID }
+	att := &attempt{jobID: fmt.Sprintf("job%d#%d", run, n), nodes: alive, start: make(chan struct{})}
+	att.pending.Store(int32(len(alive)))
 	jobs := make([]*Job, len(alive))
 	for i, nc := range alive {
 		if ts[nc.ID] == nil {
@@ -174,7 +165,7 @@ func (c *Cluster) buildAttempt(build func(attempt int) (*Job, error), run uint64
 		if err != nil {
 			return nil, err
 		}
-		j.SetPlacement(&Placement{JobID: jobID, Node: nc.ID, Assign: assign, Transport: ts[nc.ID]})
+		j.placement = &placement{node: nc, transport: ts[nc.ID], att: att}
 		jobs[i] = j
 	}
 	return jobs, nil
@@ -189,41 +180,21 @@ func (c *Cluster) runAcross(ctx context.Context, jobs []*Job) error {
 	atomic.AddInt64(&c.jobAttempts, 1)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	memTasks := 0
-	for _, op := range jobs[0].ops {
-		if op.Memory {
-			memTasks += op.Parallelism
-		}
+	grant, err := c.admit(ctx, jobs[0])
+	if err != nil {
+		return err
 	}
-	var grant *mem.JobGrant
-	if memTasks > 0 {
-		g, err := c.governor().AdmitJob(ctx, memTasks)
-		if err != nil {
-			return fmt.Errorf("hyracks: job admission: %w", err)
-		}
-		grant = g
-		defer grant.Release()
-	}
-	start := make(chan struct{})
-	pending := int32(len(jobs))
+	defer grant.Release()
 	var (
 		wg    sync.WaitGroup
 		once  sync.Once
 		first error
 	)
 	for _, j := range jobs {
-		pl := j.placement
-		pl.Grant = grant
-		pl.Start = start
-		pl.Ready = func() {
-			if atomic.AddInt32(&pending, -1) == 0 {
-				close(start)
-			}
-		}
 		wg.Add(1)
 		go func(j *Job) {
 			defer wg.Done()
-			if err := c.run(ctx, j); err != nil {
+			if err := c.run(ctx, j, grant); err != nil {
 				once.Do(func() {
 					first = err
 					cancel()

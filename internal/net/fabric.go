@@ -76,14 +76,14 @@ func (p *Peer) OpenEdge(ctx context.Context, desc hyracks.EdgeDesc) (hyracks.Edg
 		queues:  map[int]*recvQueue{},
 		credits: map[int]chan struct{}{},
 	}
-	w := p.opt.creditWindow
-	// Credit windows are per sending PROCESS per channel: every remote
-	// producer process holds its own w-frame pool for the same channel,
+	w := p.window
+	// Credit windows are per sending NODE per channel: every remote
+	// producer node holds its own w-frame pool for the same channel,
 	// so a queue must absorb w frames from each of them (worst case: a
 	// concentrating edge pulls every producer into one channel), plus one
 	// EOS marker per producer partition. Sized this way, honest senders
 	// can never overflow a queue — overflow is a protocol violation. An
-	// edge no remote process produces into needs no queue at all.
+	// edge no remote node produces into needs no queue at all.
 	qcap := w*desc.Senders + desc.Producers
 	seen := map[string]bool{}
 	for ch, owner := range desc.Owners {
@@ -179,10 +179,10 @@ func (p *Peer) lookupEdge(ref edgeRef) *edgeState {
 }
 
 // deliverData routes one inbound data frame into its receive queue.
-// Unknown attempts are stale by construction — the READY/START barrier
+// Unknown attempts are stale by construction — the attempt's start barrier
 // guarantees live attempts are registered everywhere before the first
 // frame — so the frame is dropped and counted, never misdelivered.
-func (p *Peer) deliverData(from string, payload []byte) {
+func (p *Peer) deliverData(pc *peerConn, payload []byte) {
 	ref, ch, frame, err := decodeDataPayload(payload)
 	if err != nil {
 		p.m.staleDrops.Inc()
@@ -203,7 +203,7 @@ func (p *Peer) deliverData(from string, payload []byte) {
 		return
 	}
 	select {
-	case q.items <- recvItem{from: from, frame: frame}:
+	case q.items <- recvItem{from: pc.id, frame: frame}:
 		p.m.framesRecv.Inc()
 	default:
 		// The queue is sized so every honest sender's full credit window
@@ -211,34 +211,27 @@ func (p *Peer) deliverData(from string, payload []byte) {
 		// window, and a silent drop here would let the consumer complete
 		// on truncated data (the sender saw success and its EOS still
 		// arrives). Treat it as a protocol violation instead.
-		p.protocolViolation(from, es, ref)
+		p.protocolViolation(pc, es, ref)
 	}
 }
 
 // protocolViolation handles a peer overrunning a receive queue. The
 // queues are sized so honest senders cannot overflow them, so overflow
 // means a broken peer: poison the edge (its EOS can never fire, so a
-// lost frame can never end in a "complete" stream), reset the
-// connection, and fail the attempt with a retriable LinkFailure so
-// RunWithRetry replans it.
-func (p *Peer) protocolViolation(from string, es *edgeState, ref edgeRef) {
+// lost frame can never end in a "complete" stream) and close the inbound
+// connection the frame came on. Whatever the sender wrote behind it is
+// lost with the connection, so every attempt registered on this peer
+// fails with a retriable LinkFailure and RunWithRetry replans it.
+func (p *Peer) protocolViolation(pc *peerConn, es *edgeState, ref edgeRef) {
 	es.broken.Store(true)
 	p.m.connResets.Inc()
-	p.mu.Lock()
-	pc := p.conns[from]
-	p.mu.Unlock()
-	if pc != nil {
-		p.unregister(pc)
-	}
-	if es.desc.Fail != nil {
-		es.desc.Fail(&hyracks.LinkFailure{Peer: from,
-			Err: fmt.Errorf("anet: peer %s overran edge %d's receive window", from, ref.edge)})
-	}
+	pc.close()
+	p.failJobs(pc.id, fmt.Errorf("anet: peer %s overran edge %d's receive window", pc.id, ref.edge))
 }
 
 // deliverEOS fans one remote producer's end-of-stream marker into every
 // local queue of the edge (see eosBarrier).
-func (p *Peer) deliverEOS(from string, payload []byte) {
+func (p *Peer) deliverEOS(pc *peerConn, payload []byte) {
 	ref, _, err := readEdgeRef(payload)
 	if err != nil {
 		return
@@ -258,13 +251,13 @@ func (p *Peer) deliverEOS(from string, payload []byte) {
 	b := &eosBarrier{pending: int32(len(es.queues))}
 	for _, q := range es.queues {
 		select {
-		case q.items <- recvItem{from: from, eos: b}:
+		case q.items <- recvItem{from: pc.id, eos: b}:
 		default:
 			// Queue sized for every producer's EOS marker: overflow means
 			// the peer EOSed more than once (or overran its window), and
 			// firing the edge EOS from here could close recv channels
 			// while frames are still queued. Protocol violation.
-			p.protocolViolation(from, es, ref)
+			p.protocolViolation(pc, es, ref)
 			return
 		}
 	}
@@ -299,7 +292,7 @@ func (p *Peer) deliverCredit(payload []byte) {
 func (p *Peer) injectLoop(js *jobState, es *edgeState, ch int, q *recvQueue) {
 	recv := es.desc.Recv[ch]
 	ref := edgeRef{jobID: es.desc.JobID, edge: es.desc.Edge}
-	threshold := max(1, p.opt.creditWindow/2)
+	threshold := max(1, p.window/2)
 	owed := map[string]int{}
 	flush := func(from string) {
 		n := owed[from]
@@ -370,21 +363,15 @@ func (h *edgeHandle) Send(ctx context.Context, ch int, frame []hyracks.Tuple) er
 	}
 	// net.delay armed as delay=… stalls here; armed as error it breaks
 	// the link like any transport failure.
-	if err := fault.HitTag(fault.PointNetDelay, h.p.opt.ID); err != nil {
+	if err := fault.HitTag(fault.PointNetDelay, h.p.id); err != nil {
 		return &hyracks.LinkFailure{Peer: owner, Err: err}
 	}
 	// net.drop: the frame is discarded AND the connection reset, so the
 	// loss is never silent — the receiver's stream breaks and the
 	// attempt retries.
-	if err := fault.HitTag(fault.PointNetDrop, h.p.opt.ID); err != nil {
+	if err := fault.HitTag(fault.PointNetDrop, h.p.id); err != nil {
 		h.p.m.injectedDrop.Inc()
-		h.p.m.connResets.Inc()
-		h.p.mu.Lock()
-		pc := h.p.conns[owner]
-		h.p.mu.Unlock()
-		if pc != nil {
-			h.p.unregister(pc)
-		}
+		h.p.resetRoute(owner)
 		return &hyracks.LinkFailure{Peer: owner, Err: err}
 	}
 	payload := encodeDataPayload(nil, edgeRef{jobID: h.es.desc.JobID, edge: h.es.desc.Edge}, ch, frame)

@@ -41,7 +41,7 @@ func TestLoopbackAdmitsOnceUnderDistinctJobIDs(t *testing.T) {
 	}
 	const minTaskGrant = 256 << 10
 	c.Gov = mem.NewGovernor(mem.Config{WorkingBytes: 2 * minTaskGrant, MinTaskGrant: minTaskGrant, AdmitTimeout: 2 * time.Second})
-	lb, err := AttachLoopback(c, Options{})
+	lb, err := AttachLoopback(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLoopbackAdmitsOnceUnderDistinctJobIDs(t *testing.T) {
 	ids := map[string]bool{}
 	recording := map[string]hyracks.Transport{}
 	for _, n := range c.Nodes {
-		recording[n.ID] = recordingPeer{Peer: lb.Peer(n.ID), mu: &mu, ids: ids}
+		recording[n.ID] = recordingPeer{Peer: lb.peers[n.ID], mu: &mu, ids: ids}
 	}
 	c.AttachTransports(recording)
 

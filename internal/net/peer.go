@@ -1,7 +1,9 @@
 package anet
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -11,62 +13,15 @@ import (
 	"asterix/internal/obs"
 )
 
-// Options configures a Peer.
-type Options struct {
-	// ID is this peer's node id (must match its cluster node id).
-	ID string
-	// ListenAddr is the data-plane listen address ("host:port"; port 0
-	// picks a free port — see Peer.Addr). Remote peers are added with
-	// AddPeer.
-	ListenAddr string
-	// Metrics, when non-nil, receives the net_* counters.
-	Metrics *obs.Registry
-	// OnPeerDown is invoked (once per down transition) when a peer that
-	// had been heard from goes silent past the heartbeat timeout — the
-	// hook that feeds NodeController.Kill.
-	OnPeerDown func(id string)
-	// OnPeerUp is invoked (once per up transition) when a peer
-	// previously declared down is heard from again — a healed partition
-	// or a restarted process. The mirror hook, feeding
-	// NodeController.Revive. A later silence re-fires OnPeerDown.
-	OnPeerUp func(id string)
-
-	// HeartbeatInterval is the keepalive send period (default 250ms). A
-	// peer silent for heartbeatTimeouts intervals is declared down.
-	HeartbeatInterval time.Duration
-
-	// creditWindow is how many frames a sender may have in flight per
-	// channel before the consumer must hand window back; zero means
-	// defaultCreditWindow. Only the package's tests narrow it.
-	creditWindow int
-}
-
 const (
-	// heartbeatTimeouts is the silence, in heartbeat intervals, after
-	// which a previously-heard peer is declared down.
-	heartbeatTimeouts = 8
 	// writeTimeout bounds each frame write: a stalled TCP buffer fails
 	// the send instead of wedging the producer forever.
 	writeTimeout = 5 * time.Second
 	// dialTimeout bounds each connection attempt and the hello read.
 	dialTimeout = 2 * time.Second
-	// maxBackoff caps the reconnect backoff (the first retry waits one
-	// heartbeat interval, doubling per failure plus jitter drawn from the
-	// fault registry's seeded PRNG).
-	maxBackoff = 2 * time.Second
 	// defaultCreditWindow is the per-channel send window in frames.
 	defaultCreditWindow = 16
 )
-
-func (o Options) withDefaults() Options {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if o.creditWindow <= 0 {
-		o.creditWindow = defaultCreditWindow
-	}
-	return o
-}
 
 // netMetrics is the package's obs surface; all fields tolerate a nil
 // registry (every counter method is nil-safe).
@@ -76,7 +31,7 @@ type netMetrics struct {
 	eosSent, eosRecv         *obs.Counter
 	staleDrops, injectedDrop *obs.Counter
 	connResets, reconnects   *obs.Counter
-	hbTimeouts, creditStalls *obs.Counter
+	creditStalls             *obs.Counter
 }
 
 func newNetMetrics(r *obs.Registry) netMetrics {
@@ -90,20 +45,19 @@ func newNetMetrics(r *obs.Registry) netMetrics {
 		staleDrops:   r.Counter("net_stale_frames_total", "Frames discarded for unregistered (stale) job attempts."),
 		injectedDrop: r.Counter("net_frames_dropped_total", "Frames dropped by injected network faults."),
 		connResets:   r.Counter("net_conn_resets_total", "Connections reset on error, fault, or protocol violation."),
-		reconnects:   r.Counter("net_reconnects_total", "Successful dials after at least one failure."),
-		hbTimeouts:   r.Counter("net_heartbeat_timeouts_total", "Peers declared down after heartbeat silence."),
+		reconnects:   r.Counter("net_reconnects_total", "Outbound connections dialed again after a reset."),
 		creditStalls: r.Counter("net_credit_stalls_total", "Sends that blocked waiting for consumer credit."),
 	}
 }
 
-// peerConn is one live connection to a peer. Writes are serialized by
-// wmu and bounded by a per-frame deadline.
+// peerConn is one connection between two peers. An outbound one is only
+// written, under wmu with a per-frame deadline; an inbound one is only
+// read, by its readLoop.
 type peerConn struct {
-	id        string // remote peer id
-	initiator string // who dialed: dedupe keeps min(initiator) per peer
-	c         net.Conn
-	wmu       sync.Mutex
-	closed    atomic.Bool
+	id     string // remote peer id
+	c      net.Conn
+	wmu    sync.Mutex
+	closed atomic.Bool
 }
 
 func (pc *peerConn) close() {
@@ -112,91 +66,65 @@ func (pc *peerConn) close() {
 	}
 }
 
-// peerState is per-remote-peer bookkeeping that outlives any one
-// connection: last-heard time for failure detection and the reconnect
-// backoff schedule.
-type peerState struct {
-	lastSeen atomic.Int64 // unix nanos of last processed inbound message; 0 = never heard
-	down     atomic.Bool  // declared dead (OnPeerDown fired)
-
-	// dialMu serializes dials: a sender that finds no connection waits
-	// for the dial in flight instead of failing beside it.
-	dialMu sync.Mutex
-
-	mu       sync.Mutex // guards the dial schedule
-	failures int
-	nextDial time.Time
+// route is this peer's outbound path to one remote peer: the address it
+// dials and the one connection it writes to.
+type route struct {
+	addr string
+	// mu guards pc and serializes dials: senders that find no live
+	// connection share one dial instead of racing a second.
+	mu sync.Mutex
+	pc *peerConn // nil until dialed; closed after a reset
 }
 
-// Peer is one node's endpoint in the cluster mesh: a listener, a
-// pool of at-most-one connection per remote peer, heartbeating, failure
-// detection, and the frame fabric implementing hyracks.Transport.
+// Peer is one node's endpoint in the mesh: a listener whose inbound
+// connections are only read, one outbound connection per remote peer
+// that is only written, and the frame fabric implementing
+// hyracks.Transport.
+//
+// Because a connection carries messages one way, the writer never holds
+// unread bytes: closing it sends FIN, never RST, and the receiver reads
+// every frame the writer wrote before the close.
 type Peer struct {
-	opt Options
-	m   netMetrics
-	ln  net.Listener
+	id     string
+	window int // per-channel credit window in frames
+	m      netMetrics
+	ln     net.Listener
 
-	mu     sync.Mutex
-	addrs  map[string]string // peer id → dial address
-	conns  map[string]*peerConn
-	peers  map[string]*peerState
-	jobs   map[string]*jobState
-	closed chan struct{}
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	routes  map[string]*route
+	inbound map[*peerConn]bool
+	readers map[string]chan struct{} // sender id → closed when its latest reader ends
+	jobs    map[string]*jobState
+	closed  chan struct{}
+	wg      sync.WaitGroup
 }
 
-// NewPeer binds the listen address and starts the accept and heartbeat
-// loops. Close releases everything.
-func NewPeer(opt Options) (*Peer, error) {
-	opt = opt.withDefaults()
-	if opt.ID == "" {
-		return nil, fmt.Errorf("anet: peer needs an id")
+// newPeer binds a listener on 127.0.0.1 and starts accepting inbound
+// connections. window is the per-channel credit window (zero means
+// defaultCreditWindow); Close releases everything.
+func newPeer(id string, metrics *obs.Registry, window int) (*Peer, error) {
+	if window <= 0 {
+		window = defaultCreditWindow
 	}
-	ln, err := net.Listen("tcp", opt.ListenAddr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("anet: listen %s: %w", opt.ListenAddr, err)
+		return nil, fmt.Errorf("anet: listen: %w", err)
 	}
 	p := &Peer{
-		opt:    opt,
-		m:      newNetMetrics(opt.Metrics),
-		ln:     ln,
-		addrs:  map[string]string{},
-		conns:  map[string]*peerConn{},
-		peers:  map[string]*peerState{},
-		jobs:   map[string]*jobState{},
-		closed: make(chan struct{}),
+		id:      id,
+		window:  window,
+		m:       newNetMetrics(metrics),
+		ln:      ln,
+		routes:  map[string]*route{},
+		inbound: map[*peerConn]bool{},
+		readers: map[string]chan struct{}{},
+		jobs:    map[string]*jobState{},
+		closed:  make(chan struct{}),
 	}
-	p.wg.Add(2)
+	p.wg.Add(1)
 	go p.acceptLoop()
-	go p.heartbeatLoop()
 	return p, nil
 }
-
-// AddPeer registers (or updates) a remote peer's dial address — used
-// when listen ports are allocated dynamically and the member list is
-// only complete after every process has bound.
-func (p *Peer) AddPeer(id, addr string) {
-	p.mu.Lock()
-	p.addrs[id] = addr
-	if p.peers[id] == nil {
-		p.peers[id] = &peerState{}
-	}
-	p.mu.Unlock()
-}
-
-// peerIDs snapshots the known remote ids.
-func (p *Peer) peerIDs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ids := make([]string, 0, len(p.addrs))
-	for id := range p.addrs {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
-// Addr returns the bound listen address (resolves port 0).
-func (p *Peer) Addr() string { return p.ln.Addr().String() }
 
 // Close stops the listener, closes every connection, and waits for the
 // peer's goroutines.
@@ -209,8 +137,15 @@ func (p *Peer) Close() {
 	default:
 	}
 	close(p.closed)
-	conns := make([]*peerConn, 0, len(p.conns))
-	for _, pc := range p.conns {
+	conns := make([]*peerConn, 0, len(p.routes)+len(p.inbound))
+	for _, r := range p.routes {
+		r.mu.Lock()
+		if r.pc != nil {
+			conns = append(conns, r.pc)
+		}
+		r.mu.Unlock()
+	}
+	for pc := range p.inbound {
 		conns = append(conns, pc)
 	}
 	jobs := make([]string, 0, len(p.jobs))
@@ -237,21 +172,12 @@ func (p *Peer) isClosed() bool {
 	}
 }
 
-// peer returns (lazily creating) the persistent state for a peer id.
-func (p *Peer) peer(id string) *peerState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ps := p.peers[id]
-	if ps == nil {
-		ps = &peerState{}
-		p.peers[id] = ps
-	}
-	return ps
-}
-
 // acceptLoop admits inbound connections: the first message must be a
-// hello naming the remote peer, after which the connection joins the
-// pool and its reader starts.
+// hello naming the sender, after which the connection is read until it
+// ends. A sender dials again only after closing its last connection, and
+// hellos are read here in accept order, so a new connection from it is
+// read once the old one is read to its end: the sender's messages are
+// delivered in the order it wrote them, across reconnects too.
 func (p *Peer) acceptLoop() {
 	defer p.wg.Done()
 	for {
@@ -262,183 +188,108 @@ func (p *Peer) acceptLoop() {
 			}
 			continue
 		}
-		p.wg.Add(1)
-		go func(c net.Conn) {
-			defer p.wg.Done()
-			c.SetReadDeadline(time.Now().Add(dialTimeout))
-			typ, payload, _, err := readMsg(c, nil)
-			if err != nil || typ != msgHello || len(payload) == 0 {
-				c.Close()
-				return
-			}
-			c.SetReadDeadline(time.Time{})
-			from := string(payload)
-			pc := &peerConn{id: from, initiator: from, c: c}
-			if p.isClosed() {
-				pc.close()
-				return
-			}
-			// The dedupe in register only decides which connection this
-			// side SENDS on. An inbound connection is always drained: the
-			// remote may have committed writes to it before our verdict
-			// (e.g. a reconnect racing the stale conn's EOF), and closing
-			// it unread would drop those messages after the sender saw
-			// the write succeed. One that is not pooled, now or later, is
-			// closed by its remote, or here when the peer closes.
-			p.register(pc)
-			drained := make(chan struct{})
-			defer close(drained)
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				select {
-				case <-p.closed:
-					pc.close()
-				case <-drained:
-				}
-			}()
-			p.readLoop(pc)
-		}(c)
-	}
-}
-
-// register adds a connection to the pool, enforcing at most one per
-// peer. When both sides dialed simultaneously each end holds two
-// connections; both deterministically keep the one initiated by the
-// smaller id, so the mesh converges on a single duplex link per pair.
-// A displaced connection this side dialed is closed (the remote reads it
-// to EOF); a displaced inbound one is left to its reader, since the
-// remote may still have writes on it in flight, and the remote closes it.
-func (p *Peer) register(pc *peerConn) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.isClosed() {
-		return false
-	}
-	old := p.conns[pc.id]
-	if old != nil {
-		keepNew := pc.initiator < old.initiator
-		if !keepNew {
-			return false
+		c.SetReadDeadline(time.Now().Add(dialTimeout))
+		typ, payload, _, err := readMsg(c, nil)
+		if err != nil || typ != msgHello || len(payload) == 0 {
+			c.Close()
+			continue
 		}
-		if old.initiator == p.opt.ID {
-			old.close()
-		}
-	}
-	p.conns[pc.id] = pc
-	return true
-}
-
-// unregister drops the connection if it is still the registered one.
-func (p *Peer) unregister(pc *peerConn) {
-	p.mu.Lock()
-	if p.conns[pc.id] == pc {
-		delete(p.conns, pc.id)
-	}
-	p.mu.Unlock()
-	pc.close()
-}
-
-// connFor returns the pooled connection to a peer, dialing synchronously
-// when none exists; a dial already in flight is waited for. Dial failures
-// surface to the caller; background reconnection with backoff is the
-// heartbeat loop's job.
-func (p *Peer) connFor(id string) (*peerConn, error) {
-	pooled := func() *peerConn {
+		c.SetReadDeadline(time.Time{})
+		pc := &peerConn{id: string(payload), c: c}
+		done := make(chan struct{})
 		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.conns[id]
+		if p.isClosed() {
+			p.mu.Unlock()
+			pc.close()
+			return
+		}
+		prev := p.readers[pc.id]
+		p.readers[pc.id] = done
+		p.inbound[pc] = true
+		p.mu.Unlock()
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			defer func() {
+				p.mu.Lock()
+				delete(p.inbound, pc)
+				p.mu.Unlock()
+				pc.close()
+				close(done)
+			}()
+			if prev != nil {
+				select {
+				case <-prev:
+				case <-p.closed:
+					return
+				}
+			}
+			p.readLoop(pc)
+		}()
 	}
-	if pc := pooled(); pc != nil {
-		return pc, nil
-	}
-	ps := p.peer(id)
-	ps.dialMu.Lock()
-	defer ps.dialMu.Unlock()
-	if pc := pooled(); pc != nil {
-		return pc, nil // the dial this one waited for connected
-	}
-	return p.dial(id, ps)
 }
 
-// dial connects to a configured peer, sends hello, and registers the
-// connection. The caller holds ps.dialMu.
-func (p *Peer) dial(id string, ps *peerState) (*peerConn, error) {
+// connFor returns the outbound connection to a peer, dialing when there
+// is none or the last one was reset.
+func (p *Peer) connFor(id string) (*peerConn, error) {
 	p.mu.Lock()
-	addr, ok := p.addrs[id]
+	r := p.routes[id]
 	p.mu.Unlock()
-	if !ok {
+	if r == nil {
 		return nil, fmt.Errorf("anet: unknown peer %q", id)
 	}
-	if err := p.linkFault(id); err != nil {
-		return nil, err
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.pc != nil && !r.pc.closed.Load() {
+		return r.pc, nil
 	}
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	//lint:ignore lock-held r.mu exists to serialize dials to one peer — a sender that finds no connection waits for this dial instead of dialing a second; dialTimeout bounds the hold
+	c, err := net.DialTimeout("tcp", r.addr, dialTimeout)
 	if err != nil {
-		ps.mu.Lock()
-		ps.failures++
-		ps.nextDial = time.Now().Add(p.redialBackoff(ps.failures))
-		ps.mu.Unlock()
-		return nil, fmt.Errorf("anet: dial %s (%s): %w", id, addr, err)
+		return nil, fmt.Errorf("anet: dial %s (%s): %w", id, r.addr, err)
 	}
-	pc := &peerConn{id: id, initiator: p.opt.ID, c: c}
-	if err := p.writeMsg(pc, msgHello, []byte(p.opt.ID)); err != nil {
-		pc.close()
+	pc := &peerConn{id: id, c: c}
+	if err := p.writeMsg(pc, msgHello, []byte(p.id)); err != nil {
 		return nil, err
 	}
-	if !p.register(pc) {
-		// Lost the dedupe race: the peer's own dial won. Use theirs.
-		pc.close()
-		p.mu.Lock()
-		winner := p.conns[id]
-		p.mu.Unlock()
-		if winner == nil {
-			return nil, fmt.Errorf("anet: connection to %s lost in dedupe", id)
-		}
-		return winner, nil
-	}
-	ps.mu.Lock()
-	if ps.failures > 0 {
+	if r.pc != nil {
 		p.m.reconnects.Inc()
 	}
-	ps.failures = 0
-	ps.nextDial = time.Time{}
-	ps.mu.Unlock()
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.readLoop(pc)
-	}()
+	r.pc = pc
+	if p.isClosed() {
+		// Close may have collected the routes before this dial landed.
+		pc.close()
+		return nil, fmt.Errorf("anet: peer %s is closed", p.id)
+	}
 	return pc, nil
 }
 
-// redialBackoff is the wait before dial attempt n+1: exponential from
-// one heartbeat interval, capped at maxBackoff, plus up to 25% jitter
-// drawn from the fault registry's seeded PRNG (deterministic under
-// ASTERIX_FAULT_SEED).
-func (p *Peer) redialBackoff(failures int) time.Duration {
-	d := p.opt.HeartbeatInterval
-	for i := 1; i < failures && d < maxBackoff; i++ {
-		d *= 2
-	}
-	if d > maxBackoff {
-		d = maxBackoff
-	}
-	return d + time.Duration(fault.Int63n(int64(d)/4+1))
+// reset closes an outbound connection after a failure: the next send to
+// its peer dials again.
+func (p *Peer) reset(pc *peerConn) {
+	p.m.connResets.Inc()
+	pc.close()
 }
 
-// linkFault probes the partition fault point for this process's
-// outbound path.
-func (p *Peer) linkFault(peerID string) error {
-	if err := fault.HitTag(fault.PointNetPartition, p.opt.ID); err != nil {
-		return fmt.Errorf("anet: partitioned from %s: %w", peerID, err)
+// resetRoute resets the outbound connection to a peer, if one is live.
+func (p *Peer) resetRoute(id string) {
+	p.mu.Lock()
+	r := p.routes[id]
+	p.mu.Unlock()
+	if r == nil {
+		return
 	}
-	return nil
+	r.mu.Lock()
+	pc := r.pc
+	r.mu.Unlock()
+	if pc != nil && !pc.closed.Load() {
+		p.reset(pc)
+	}
 }
 
 // writeMsg frames and writes one message under the connection's write
-// lock with a per-frame deadline. Any failure closes the connection:
-// a stream that lost bytes can never carry another valid frame.
+// lock with a per-frame deadline. Any failure resets the connection: a
+// stream that lost bytes can never carry another valid frame.
 func (p *Peer) writeMsg(pc *peerConn, typ byte, payload []byte) error {
 	wire := appendMsg(nil, typ, payload)
 	pc.wmu.Lock()
@@ -449,32 +300,30 @@ func (p *Peer) writeMsg(pc *peerConn, typ byte, payload []byte) error {
 	// Injected mid-frame tear: write a prefix, then reset the
 	// connection — the receiver observes a short/corrupt frame exactly
 	// as if the kernel had split an interrupted send.
-	if torn, fired := fault.TearTag(fault.PointNetConnReset, p.opt.ID, wire); fired {
+	if torn, fired := fault.TearTag(fault.PointNetConnReset, p.id, wire); fired {
 		//lint:ignore lock-held,err-discard deliberate torn write under wmu: the prefix must not interleave with a whole frame, and its error is moot — the connection is reset either way
 		pc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		//lint:ignore lock-held,err-discard deliberate torn write under wmu: the prefix must not interleave with a whole frame, and its error is moot — the connection is reset either way
 		pc.c.Write(torn)
-		p.m.connResets.Inc()
-		p.unregister(pc)
+		p.reset(pc)
 		return fmt.Errorf("anet: connection to %s reset mid-frame: %w", pc.id, fault.ErrInjected)
 	}
 	//lint:ignore lock-held wmu exists to serialize frame writes — interleaved writes corrupt the stream; the deadline bounds the hold
 	pc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	//lint:ignore lock-held wmu exists to serialize frame writes — interleaved writes corrupt the stream; the deadline bounds the hold
 	if _, err := pc.c.Write(wire); err != nil {
-		p.m.connResets.Inc()
-		p.unregister(pc)
+		p.reset(pc)
 		return fmt.Errorf("anet: write to %s: %w", pc.id, err)
 	}
 	p.m.bytesSent.Add(int64(len(wire)))
 	return nil
 }
 
-// send routes one message to a peer through the pool, applying the
-// outbound partition fault.
+// send writes one message to a peer's outbound connection, applying the
+// outbound half of the partition fault.
 func (p *Peer) send(peerID string, typ byte, payload []byte) error {
-	if err := p.linkFault(peerID); err != nil {
-		return err
+	if err := fault.HitTag(fault.PointNetPartition, p.id); err != nil {
+		return fmt.Errorf("anet: partitioned from %s: %w", peerID, err)
 	}
 	pc, err := p.connFor(peerID)
 	if err != nil {
@@ -483,14 +332,13 @@ func (p *Peer) send(peerID string, typ byte, payload []byte) error {
 	return p.writeMsg(pc, typ, payload)
 }
 
-// readLoop drains one connection, dispatching messages until the stream
-// breaks. Every processed message refreshes the peer's last-seen time.
-// Payloads decode into a per-connection scratch buffer reused across
-// messages: every dispatch below fully consumes its payload before the
-// next read (data frames copy their bytes out during ADM decode).
+// readLoop reads one inbound connection, dispatching messages until the
+// stream ends or breaks. A clean end of stream is the writer's close; any
+// other error is a reset. Payloads decode into a per-connection scratch
+// buffer reused across messages: every dispatch below fully consumes its
+// payload before the next read (data frames copy their bytes out during
+// ADM decode).
 func (p *Peer) readLoop(pc *peerConn) {
-	ps := p.peer(pc.id)
-	defer p.unregister(pc)
 	var scratch []byte
 	for {
 		var typ byte
@@ -498,111 +346,31 @@ func (p *Peer) readLoop(pc *peerConn) {
 		var err error
 		typ, payload, scratch, err = readMsg(pc.c, scratch)
 		if err != nil {
-			if !pc.closed.Load() && !p.isClosed() {
+			if !errors.Is(err, io.EOF) && !pc.closed.Load() && !p.isClosed() {
 				p.m.connResets.Inc()
 			}
 			return
 		}
 		p.m.bytesRecv.Add(int64(headerLen + len(payload)))
-		// Inbound half of an armed partition: drop everything without
-		// refreshing last-seen, so the silent peer is eventually
-		// declared down on both sides. The sender saw its write succeed,
-		// so the loss is made loud here: every attempt registered on this
-		// peer fails.
-		if err := fault.HitTag(fault.PointNetPartition, p.opt.ID); err != nil {
+		// Inbound half of an armed partition: the message is swallowed.
+		// The sender saw its write succeed, so the loss is made loud
+		// here: every attempt registered on this peer fails.
+		if err := fault.HitTag(fault.PointNetPartition, p.id); err != nil {
 			p.m.injectedDrop.Inc()
 			p.failJobs(pc.id, err)
 			continue
 		}
-		ps.lastSeen.Store(time.Now().UnixNano())
-		if ps.down.CompareAndSwap(true, false) {
-			// Back from the dead — a healed partition or a restarted
-			// process. Re-arm failure detection and the dial schedule,
-			// and give the control plane its up transition.
-			ps.mu.Lock()
-			ps.failures = 0
-			ps.nextDial = time.Time{}
-			ps.mu.Unlock()
-			if p.opt.OnPeerUp != nil {
-				p.opt.OnPeerUp(pc.id)
-			}
-		}
 		switch typ {
-		case msgHeartbeat:
-			// last-seen refresh is the whole message.
 		case msgData:
-			p.deliverData(pc.id, payload)
+			p.deliverData(pc, payload)
 		case msgEOS:
-			p.deliverEOS(pc.id, payload)
+			p.deliverEOS(pc, payload)
 		case msgCredit:
 			p.deliverCredit(payload)
-		case msgHello:
-			// Redundant hello on an established connection: ignore.
 		default:
-			// Unknown type from a future version: tolerated, counted as
-			// nothing — the CRC already proved it arrived intact.
-		}
-	}
-}
-
-// heartbeatLoop keeps every configured peer link warm (dialing with
-// backoff when down) and declares peers dead after heartbeat silence.
-func (p *Peer) heartbeatLoop() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.opt.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.closed:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		for _, id := range p.peerIDs() {
-			ps := p.peer(id)
-			// Failure detection: silence from a peer we had heard. The
-			// latch fires OnPeerDown once per down transition; readLoop
-			// clears it when the peer is heard again, so a later silence
-			// fires again. Deliberately no continue — a down peer keeps
-			// being dialed and heartbeated below, otherwise two mutually
-			// down-latched peers would never heal a partition (neither
-			// side would ever dial the other again).
-			if last := ps.lastSeen.Load(); last != 0 &&
-				now.Sub(time.Unix(0, last)) > heartbeatTimeouts*p.opt.HeartbeatInterval {
-				if ps.down.CompareAndSwap(false, true) {
-					p.m.hbTimeouts.Inc()
-					p.mu.Lock()
-					pc := p.conns[id]
-					p.mu.Unlock()
-					if pc != nil {
-						p.unregister(pc)
-					}
-					p.failJobs(id, fmt.Errorf("anet: peer %s silent for %d heartbeats", id, heartbeatTimeouts))
-					if p.opt.OnPeerDown != nil {
-						p.opt.OnPeerDown(id)
-					}
-				}
-			}
-			// Keepalive / reconnect. Respect the backoff schedule.
-			p.mu.Lock()
-			pc := p.conns[id]
-			p.mu.Unlock()
-			if pc == nil {
-				ps.mu.Lock()
-				wait := ps.nextDial.After(now)
-				ps.mu.Unlock()
-				if wait {
-					continue
-				}
-				var err error
-				if pc, err = p.connFor(id); err != nil {
-					continue
-				}
-			}
-			if p.linkFault(id) != nil {
-				continue // partitioned: suppress outbound heartbeats
-			}
-			p.writeMsg(pc, msgHeartbeat, nil)
+			// A redundant hello, or an unknown type from a future
+			// version: tolerated — the CRC already proved it arrived
+			// intact.
 		}
 	}
 }

@@ -17,112 +17,42 @@ import (
 	"asterix/internal/obs"
 )
 
-// simNode is one simulated node process: a peer endpoint plus its own
-// cluster view (every process holds controllers for every member).
-type simNode struct {
-	id      string
-	peer    *Peer
+// mesh is one cluster of n nodes with the loopback attached, as a
+// production caller builds it: node ids nc0..nc(n-1), one peer each, and
+// every peer's counters in one registry.
+type mesh struct {
 	cluster *hyracks.Cluster
+	lb      *Loopback
 	metrics *obs.Registry
 }
 
-// startMesh boots one Peer per id on loopback with dynamic ports, wires
-// the full address book, and gives each node a named cluster whose
-// remote controllers are killed by that node's failure detector.
-func startMesh(t *testing.T, ids []string, tune func(id string, o *Options)) map[string]*simNode {
+// startMesh attaches a loopback with a per-channel credit window of
+// window frames (zero means the default) to a fresh n-node cluster.
+func startMesh(t *testing.T, n, window int) *mesh {
 	t.Helper()
-	nodes := map[string]*simNode{}
-	for _, id := range ids {
-		cl, err := hyracks.NewNamedCluster(ids, t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		o := Options{
-			ID:                id,
-			ListenAddr:        "127.0.0.1:0",
-			Metrics:           reg,
-			HeartbeatInterval: 25 * time.Millisecond,
-			OnPeerDown: func(down string) {
-				if nc := cl.NodeByID(down); nc != nil {
-					nc.Kill()
-				}
-			},
-			OnPeerUp: func(up string) {
-				if nc := cl.NodeByID(up); nc != nil {
-					nc.Revive()
-				}
-			},
-		}
-		if tune != nil {
-			tune(id, &o)
-		}
-		p, err := NewPeer(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = &simNode{id: id, peer: p, cluster: cl, metrics: reg}
+	c, err := hyracks.NewCluster(n, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a.id != b.id {
-				a.peer.AddPeer(b.id, b.peer.Addr())
-			}
-		}
+	reg := obs.NewRegistry()
+	lb, err := attachLoopback(c, reg, window)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, n := range nodes {
-			n.peer.Close()
-		}
-	})
-	return nodes
+	t.Cleanup(lb.Close)
+	return &mesh{cluster: c, lb: lb, metrics: reg}
 }
 
-// runPlaced executes the same job spec on every node of the mesh with a
-// shared START barrier, returning the per-node Run errors.
-func runPlaced(ctx context.Context, nodes map[string]*simNode, jobID string,
-	build func(n *simNode) *hyracks.Job, assign func(op string, part int) string) map[string]error {
-	// A failed node cancels the others, as Cluster.RunWithRetry does over
-	// a loopback: a failed producer withholds its wire EOS (it would
-	// legitimize a truncated stream), so its consumers block until told
-	// the attempt is dead.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	start := make(chan struct{})
-	var readyWG sync.WaitGroup
-	readyWG.Add(len(nodes))
-	go func() {
-		readyWG.Wait()
-		close(start)
-	}()
-	errs := map[string]error{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, n := range nodes {
-		n := n
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j := build(n)
-			j.SetPlacement(&hyracks.Placement{
-				JobID:     jobID,
-				Node:      n.id,
-				Assign:    assign,
-				Transport: n.peer,
-				Ready:     readyWG.Done,
-				Start:     start,
-			})
-			err := n.cluster.Run(ctx, j)
-			mu.Lock()
-			errs[n.id] = err
-			mu.Unlock()
-			if err != nil {
-				cancel()
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
+func (m *mesh) peer(id string) *Peer { return m.lb.peers[id] }
+
+// runPlaced runs the job build returns once across the mesh, as
+// RunWithRetry places it: one plan per node, partition p of every
+// operator on node p mod n. It returns the attempt's error.
+func runPlaced(ctx context.Context, m *mesh, build func() *hyracks.Job) error {
+	_, err := m.cluster.RunWithRetry(ctx, func(int) (*hyracks.Job, error) {
+		return build(), nil
+	}, hyracks.RetryPolicy{MaxAttempts: 1})
+	return err
 }
 
 // genOp emits rows [base, base+count) on each partition; used as the
@@ -139,6 +69,32 @@ func genOp(parallelism, rowsPerPart int) *hyracks.Operator {
 	})
 }
 
+// remoteGen is a two-partition source whose partition 0 emits nothing:
+// every row comes from partition 1, which the placement puts on nc1, so
+// a consumer of parallelism 1 (on nc0) receives all of it over the wire.
+func remoteGen(rows int) *hyracks.Operator {
+	return hyracks.NewScan("gen", 2, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
+		if tc.Partition == 0 {
+			return nil
+		}
+		for i := 0; i < rows; i++ {
+			if err := emit(hyracks.Tuple{adm.Int64(i), adm.String("row-payload")}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// collectJob sends src's rows to a collector of parallelism 1, on nc0.
+func collectJob(src *hyracks.Operator, coll *hyracks.Collector) *hyracks.Job {
+	j := hyracks.NewJob()
+	gen := j.Add(src)
+	sink := j.Add(hyracks.NewSink("collect", 1, coll))
+	j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
+	return j
+}
+
 func counterValue(reg *obs.Registry, name string) int64 {
 	snap := reg.Snapshot()
 	if v, ok := snap[name]; ok {
@@ -152,52 +108,95 @@ func counterValue(reg *obs.Registry, name string) int64 {
 	return 0
 }
 
-// TestTwoPeerExchange proves the tentpole end to end in miniature: two
-// node processes, a hash-partitioned producer spanning both, and a
-// merge-concentrated collector on one — frames cross the wire with
-// credit backpressure, EOS closes the stream, and every row arrives
-// exactly once.
+// TestTwoPeerExchange proves the transport end to end in miniature: two
+// nodes, a producer spanning both, and a merge-concentrated collector on
+// nc0 — frames cross the wire with credit backpressure, EOS closes the
+// stream, and every row arrives exactly once.
 func TestTwoPeerExchange(t *testing.T) {
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
+	m := startMesh(t, 2, 0)
 	const rows = 500
-	var collMu sync.Mutex
-	colls := map[string]*hyracks.Collector{}
-	errs := runPlaced(context.Background(), nodes, "x1#1", func(n *simNode) *hyracks.Job {
-		j := hyracks.NewJob()
-		gen := j.Add(genOp(2, rows))
-		coll := &hyracks.Collector{}
-		collMu.Lock()
-		colls[n.id] = coll
-		collMu.Unlock()
-		sink := j.Add(hyracks.NewSink("collect", 1, coll))
-		j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
-		return j
-	}, func(op string, part int) string {
-		if op == "collect" {
-			return "na"
+	coll := &hyracks.Collector{}
+	if err := runPlaced(context.Background(), m, func() *hyracks.Job {
+		return collectJob(genOp(2, rows), coll)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := coll.Len(); got != 2*rows {
+		t.Fatalf("collector has %d rows, want %d", got, 2*rows)
+	}
+	// The wire must actually have carried nc1's half.
+	if counterValue(m.metrics, "net_frames_sent_total") == 0 || counterValue(m.metrics, "net_frames_recv_total") == 0 {
+		t.Fatal("no frame crossed the wire")
+	}
+}
+
+// TestMeshOneConnectionPerDirection checks the mesh's shape: after
+// AttachLoopback on n nodes every peer writes to exactly n-1 outbound
+// connections and reads n-1 inbound ones, and clean runs keep those
+// connections — nothing is dialed again and nothing is reset.
+func TestMeshOneConnectionPerDirection(t *testing.T) {
+	const n = 4
+	m := startMesh(t, n, 0)
+	outbound := map[*route]*peerConn{}
+	for id, p := range m.lb.peers {
+		p.mu.Lock()
+		if len(p.routes) != n-1 {
+			t.Errorf("%s has %d routes, want %d", id, len(p.routes), n-1)
 		}
-		return []string{"na", "nb"}[part%2]
-	})
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("node %s: %v", id, err)
+		for to, r := range p.routes {
+			if r.pc == nil || r.pc.closed.Load() {
+				t.Errorf("%s holds no live connection to %s", id, to)
+			}
+			outbound[r] = r.pc
+		}
+		p.mu.Unlock()
+	}
+	inbound := func() int {
+		total := 0
+		for _, p := range m.lb.peers {
+			p.mu.Lock()
+			total += len(p.inbound)
+			p.mu.Unlock()
+		}
+		return total
+	}
+	for deadline := time.Now().Add(5 * time.Second); inbound() != n*(n-1); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d inbound connections, want %d", inbound(), n*(n-1))
 		}
 	}
-	got := colls["na"].Len()
-	if got != 2*rows {
-		t.Fatalf("collector on na has %d rows, want %d", got, 2*rows)
+	for round := 0; round < 3; round++ {
+		var got atomic.Int64
+		if err := runPlaced(context.Background(), m, func() *hyracks.Job {
+			j := hyracks.NewJob()
+			gen := j.Add(genOp(n, 500))
+			sink := j.Add(hyracks.NewFuncSink("count", n, func(int, hyracks.Tuple) error {
+				got.Add(1)
+				return nil
+			}))
+			j.MustConnect(gen, sink, 0, hyracks.HashPartition(0))
+			return j
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got.Load() != n*500 {
+			t.Fatalf("round %d: %d rows, want %d", round, got.Load(), n*500)
+		}
 	}
-	if colls["nb"].Len() != 0 {
-		t.Fatalf("collector on nb has %d rows, want 0", colls["nb"].Len())
+	for r, pc := range outbound {
+		r.mu.Lock()
+		if r.pc != pc {
+			t.Errorf("the connection to %s was replaced", pc.id)
+		}
+		r.mu.Unlock()
 	}
-	// The wire must actually have carried nb's half.
-	sent := counterValue(nodes["nb"].metrics, "net_frames_sent_total")
-	if sent == 0 {
-		t.Fatal("nb sent no frames over the wire")
+	if inbound() != n*(n-1) {
+		t.Errorf("%d inbound connections after the runs, want %d", inbound(), n*(n-1))
 	}
-	recv := counterValue(nodes["na"].metrics, "net_frames_recv_total")
-	if recv == 0 {
-		t.Fatal("na received no frames over the wire")
+	for _, name := range []string{"net_reconnects_total", "net_conn_resets_total"} {
+		if v := counterValue(m.metrics, name); v != 0 {
+			t.Errorf("%s = %d after clean runs", name, v)
+		}
 	}
 }
 
@@ -209,17 +208,15 @@ func TestTwoPeerExchange(t *testing.T) {
 // channel buffer, the window and the frames in hand can hold, the
 // sender must run out of credit while the consumer waits.
 func TestCreditBackpressure(t *testing.T) {
-	nodes := startMesh(t, []string{"na", "nb"}, func(id string, o *Options) {
-		o.creditWindow = 2
-	})
+	m := startMesh(t, 2, 2)
 	const rows = 20 * 256 // 20 frames: past the 8-frame channel buffer plus the window
 	stalled := func() bool {
-		return counterValue(nodes["nb"].metrics, "net_credit_stalls_total") > 0
+		return counterValue(m.metrics, "net_credit_stalls_total") > 0
 	}
 	coll := &hyracks.Collector{}
-	errs := runPlaced(context.Background(), nodes, "bp#1", func(n *simNode) *hyracks.Job {
+	err := runPlaced(context.Background(), m, func() *hyracks.Job {
 		j := hyracks.NewJob()
-		gen := j.Add(genOp(1, rows))
+		gen := j.Add(remoteGen(rows))
 		held := false
 		hold := j.Add(hyracks.NewMap("hold", 1, func(tc *hyracks.TaskContext, tp hyracks.Tuple, emit func(hyracks.Tuple) error) error {
 			if !held {
@@ -236,16 +233,9 @@ func TestCreditBackpressure(t *testing.T) {
 		j.MustConnect(gen, hold, 0, hyracks.MergeUnordered())
 		j.MustConnect(hold, sink, 0, hyracks.OneToOne())
 		return j
-	}, func(op string, part int) string {
-		if op == "gen" {
-			return "nb"
-		}
-		return "na"
 	})
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("node %s: %v", id, err)
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
 	if coll.Len() != rows {
 		t.Fatalf("got %d rows, want %d", coll.Len(), rows)
@@ -255,90 +245,29 @@ func TestCreditBackpressure(t *testing.T) {
 	}
 }
 
-// TestHeartbeatFailureDetection kills one node process mid-run; the
-// survivor's detector must declare it dead, kill its controller, and
-// fail the run with a retriable NodeFailure.
-func TestHeartbeatFailureDetection(t *testing.T) {
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
-	// Warm the link so nb has been heard from.
-	if err := nodes["na"].peer.send("nb", msgHeartbeat, nil); err != nil {
-		t.Fatalf("warm-up send: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for nodes["na"].peer.peer("nb").lastSeen.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("na never heard from nb")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Hard-kill nb's process.
-	nodes["nb"].peer.Close()
-	for !nodes["na"].cluster.NodeByID("nb").Dead() {
-		if time.Now().After(deadline) {
-			t.Fatal("na never declared nb dead after heartbeat silence")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if counterValue(nodes["na"].metrics, "net_heartbeat_timeouts_total") == 0 {
-		t.Fatal("heartbeat timeout not counted")
-	}
-	// A run placed across the dead node must fail with NodeFailure.
-	j := hyracks.NewJob()
-	gen := j.Add(genOp(2, 10))
-	coll := &hyracks.Collector{}
-	sink := j.Add(hyracks.NewSink("collect", 1, coll))
-	j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
-	start := make(chan struct{})
-	close(start)
-	j.SetPlacement(&hyracks.Placement{
-		JobID: "hb#1", Node: "na", Transport: nodes["na"].peer, Ready: func() {}, Start: start,
-		Assign: func(op string, part int) string {
-			if op == "gen" && part == 1 {
-				return "nb"
-			}
-			return "na"
-		},
-	})
-	err := nodes["na"].cluster.Run(context.Background(), j)
-	var nf *hyracks.NodeFailure
-	if !errors.As(err, &nf) || nf.Node != "nb" {
-		t.Fatalf("want NodeFailure{nb}, got %v", err)
-	}
-}
-
-// TestNetDropBreaksStream arms net.drop on the sending process: the
-// dropped frame resets the connection and the sending task fails with a
-// retriable LinkFailure — never a silent gap in the data.
+// TestNetDropBreaksStream arms net.drop on the sending node: the dropped
+// frame resets the connection and the attempt fails with a retriable
+// LinkFailure — never a silent gap in the data.
 func TestNetDropBreaksStream(t *testing.T) {
+	m := startMesh(t, 2, 0)
 	defer fault.Disarm()
-	if err := fault.Arm("net.drop:error:after=2:tag=nb"); err != nil {
+	if err := fault.Arm("net.drop:error:after=2:tag=nc1"); err != nil {
 		t.Fatal(err)
 	}
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
-	coll := &hyracks.Collector{}
-	errs := runPlaced(context.Background(), nodes, "drop#1", func(n *simNode) *hyracks.Job {
-		j := hyracks.NewJob()
-		gen := j.Add(genOp(1, 5000))
-		sink := j.Add(hyracks.NewSink("collect", 1, coll))
-		j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
-		return j
-	}, func(op string, part int) string {
-		if op == "gen" {
-			return "nb"
-		}
-		return "na"
+	err := runPlaced(context.Background(), m, func() *hyracks.Job {
+		return collectJob(remoteGen(5000), &hyracks.Collector{})
 	})
 	var lf *hyracks.LinkFailure
-	if !errors.As(errs["nb"], &lf) {
-		t.Fatalf("sender should fail with LinkFailure, got %v", errs["nb"])
+	if !errors.As(err, &lf) {
+		t.Fatalf("sender should fail with LinkFailure, got %v", err)
 	}
-	if !errors.Is(errs["nb"], fault.ErrInjected) {
-		t.Fatalf("link failure should wrap the injected fault: %v", errs["nb"])
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("link failure should wrap the injected fault: %v", err)
 	}
-	if counterValue(nodes["nb"].metrics, "net_frames_dropped_total") == 0 {
+	if counterValue(m.metrics, "net_frames_dropped_total") == 0 {
 		t.Fatal("drop not counted")
 	}
-	if counterValue(nodes["nb"].metrics, "net_conn_resets_total") == 0 {
+	if counterValue(m.metrics, "net_conn_resets_total") == 0 {
 		t.Fatal("drop must reset the connection")
 	}
 }
@@ -347,30 +276,20 @@ func TestNetDropBreaksStream(t *testing.T) {
 // truncated wire frame (caught by length/CRC framing), the connection
 // resets, and the sender surfaces a retriable LinkFailure.
 func TestConnResetMidFrame(t *testing.T) {
+	m := startMesh(t, 2, 0)
 	defer fault.Disarm()
-	if err := fault.Arm("net.conn.reset:torn:after=1:tag=nb"); err != nil {
+	if err := fault.Arm("net.conn.reset:torn:after=1:tag=nc1"); err != nil {
 		t.Fatal(err)
 	}
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
-	coll := &hyracks.Collector{}
-	errs := runPlaced(context.Background(), nodes, "torn#1", func(n *simNode) *hyracks.Job {
-		j := hyracks.NewJob()
-		gen := j.Add(genOp(1, 5000))
-		sink := j.Add(hyracks.NewSink("collect", 1, coll))
-		j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
-		return j
-	}, func(op string, part int) string {
-		if op == "gen" {
-			return "nb"
-		}
-		return "na"
+	err := runPlaced(context.Background(), m, func() *hyracks.Job {
+		return collectJob(remoteGen(5000), &hyracks.Collector{})
 	})
 	var lf *hyracks.LinkFailure
-	if !errors.As(errs["nb"], &lf) {
-		t.Fatalf("sender should fail with LinkFailure, got %v", errs["nb"])
+	if !errors.As(err, &lf) {
+		t.Fatalf("sender should fail with LinkFailure, got %v", err)
 	}
-	if !strings.Contains(errs["nb"].Error(), "reset mid-frame") {
-		t.Fatalf("unexpected failure: %v", errs["nb"])
+	if !strings.Contains(err.Error(), "reset mid-frame") {
+		t.Fatalf("unexpected failure: %v", err)
 	}
 }
 
@@ -378,13 +297,13 @@ func TestConnResetMidFrame(t *testing.T) {
 // job attempt: they must be counted stale and discarded, not crash or
 // leak into a later attempt.
 func TestStaleAttemptFramesDropped(t *testing.T) {
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
+	m := startMesh(t, 2, 0)
 	payload := encodeDataPayload(nil, edgeRef{jobID: "ghost#9", edge: 0}, 0, testFrame())
-	if err := nodes["nb"].peer.send("na", msgData, payload); err != nil {
+	if err := m.peer("nc1").send("nc0", msgData, payload); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for counterValue(nodes["na"].metrics, "net_stale_frames_total") == 0 {
+	for counterValue(m.metrics, "net_stale_frames_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stale frame never counted")
 		}
@@ -399,31 +318,17 @@ func TestStaleAttemptFramesDropped(t *testing.T) {
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
-		nodes := startMesh(t, []string{"na", "nb", "nc"}, nil)
+		m := startMesh(t, 3, 0)
 		coll := &hyracks.Collector{}
-		errs := runPlaced(context.Background(), nodes, "leak#1", func(n *simNode) *hyracks.Job {
-			j := hyracks.NewJob()
-			gen := j.Add(genOp(3, 200))
-			sink := j.Add(hyracks.NewSink("collect", 1, coll))
-			j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
-			return j
-		}, func(op string, part int) string {
-			if op == "collect" {
-				return "na"
-			}
-			return []string{"na", "nb", "nc"}[part%3]
-		})
-		for id, err := range errs {
-			if err != nil {
-				t.Fatalf("node %s: %v", id, err)
-			}
+		if err := runPlaced(context.Background(), m, func() *hyracks.Job {
+			return collectJob(genOp(3, 200), coll)
+		}); err != nil {
+			t.Fatal(err)
 		}
 		if coll.Len() != 600 {
 			t.Fatalf("got %d rows, want 600", coll.Len())
 		}
-		for _, n := range nodes {
-			n.peer.Close()
-		}
+		m.lb.Close()
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -440,36 +345,33 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	}
 }
 
-// TestCloseWithUnpooledInboundConn forces the interleaving that used to
-// hang Close: two inbound connections name the same remote peer, so the
-// second loses register's dedupe and is in no pool, and the remote end
-// keeps both open. Close must end the second one's reader itself.
+// TestCloseWithUnpooledInboundConn checks that Close returns while a
+// remote keeps its connections open: one inbound connection whose reader
+// is running, and a second one from the same sender whose reader waits
+// for the first to end. Close must end both itself.
 func TestCloseWithUnpooledInboundConn(t *testing.T) {
-	p, err := NewPeer(Options{ID: "nb", ListenAddr: "127.0.0.1:0"})
+	reg := obs.NewRegistry()
+	p, err := newPeer("nc1", reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stale := appendMsg(nil, msgData, encodeDataPayload(nil, edgeRef{jobID: "ghost#1", edge: 0}, 0, testFrame()))
 	for i := 0; i < 2; i++ {
-		c, err := net.Dial("tcp", p.Addr())
+		c, err := net.Dial("tcp", p.ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close() // only after Close has returned
-		if _, err := c.Write(appendMsg(nil, msgHello, []byte("na"))); err != nil {
+		if _, err := c.Write(append(appendMsg(nil, msgHello, []byte("nc0")), stale...)); err != nil {
 			t.Fatal(err)
 		}
-		// The hello is processed (and the connection registered or turned
-		// away) before the next one is sent.
-		if _, err := c.Write(appendMsg(nil, msgHeartbeat, nil)); err != nil {
-			t.Fatal(err)
+	}
+	// The first connection's reader counts its stale frame; the second
+	// one's waits behind it.
+	for deadline := time.Now().Add(5 * time.Second); counterValue(reg, "net_stale_frames_total") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no inbound connection reached its read loop")
 		}
-		for deadline := time.Now().Add(5 * time.Second); p.peer("na").lastSeen.Load() == 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("inbound connection never reached its read loop")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		p.peer("na").lastSeen.Store(0)
 	}
 	closed := make(chan struct{})
 	go func() { p.Close(); close(closed) }()
@@ -477,37 +379,67 @@ func TestCloseWithUnpooledInboundConn(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("Close hangs on a connection that lost the dedupe\n%s", buf[:runtime.Stack(buf, true)])
+		t.Fatalf("Close hangs on an inbound connection its remote keeps open\n%s", buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestInboundInOrderAcrossReconnects checks that a new connection from
+// a sender is read only after the sender's previous one ended: a message
+// written after a reconnect is never delivered ahead of one the old
+// connection still carries.
+func TestInboundInOrderAcrossReconnects(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, err := newPeer("nc1", reg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	dial := func(msgs ...[]byte) net.Conn {
+		c, err := net.Dial("tcp", p.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := appendMsg(nil, msgHello, []byte("nc0"))
+		for _, m := range msgs {
+			wire = append(wire, m...)
+		}
+		if _, err := c.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	old := dial()
+	defer old.Close()
+	stale := appendMsg(nil, msgData, encodeDataPayload(nil, edgeRef{jobID: "ghost#1", edge: 0}, 0, testFrame()))
+	next := dial(stale)
+	defer next.Close()
+	time.Sleep(50 * time.Millisecond)
+	if n := counterValue(reg, "net_stale_frames_total"); n != 0 {
+		t.Fatalf("the new connection was read while the old one was open (%d frames)", n)
+	}
+	old.Close()
+	for deadline := time.Now().Add(5 * time.Second); counterValue(reg, "net_stale_frames_total") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the new connection was never read after the old one ended")
+		}
 	}
 }
 
 // TestWaitNetAttribution checks that wire stalls show up in the span
 // wait profile under the net kind.
 func TestWaitNetAttribution(t *testing.T) {
+	m := startMesh(t, 2, 0)
 	defer fault.Disarm()
-	if err := fault.Arm("net.delay:delay=5ms:times=3:tag=nb"); err != nil {
+	if err := fault.Arm("net.delay:delay=5ms:times=3:tag=nc1"); err != nil {
 		t.Fatal(err)
 	}
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
 	span := obs.NewSpan("job")
 	ctx := obs.ContextWithSpan(context.Background(), span)
 	coll := &hyracks.Collector{}
-	errs := runPlaced(ctx, nodes, "wait#1", func(n *simNode) *hyracks.Job {
-		j := hyracks.NewJob()
-		gen := j.Add(genOp(1, 2000))
-		sink := j.Add(hyracks.NewSink("collect", 1, coll))
-		j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
-		return j
-	}, func(op string, part int) string {
-		if op == "gen" {
-			return "nb"
-		}
-		return "na"
-	})
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("node %s: %v", id, err)
-		}
+	if err := runPlaced(ctx, m, func() *hyracks.Job {
+		return collectJob(remoteGen(2000), coll)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if coll.Len() != 2000 {
 		t.Fatalf("got %d rows, want 2000", coll.Len())
@@ -520,17 +452,15 @@ func TestWaitNetAttribution(t *testing.T) {
 // TestConcentratedMergeExact is the topology that can overrun a receive
 // queue sized for one sender's window: an unordered merge concentrates
 // every producer of a 3-node mesh onto ONE channel, and each remote
-// producer process holds its own credit window for it. With a slow
+// producer node holds its own credit window for it. With a slow
 // consumer keeping the queue under pressure, every row must still
 // arrive exactly once — an overflow-turned-silent-drop would show up as
 // a short count.
 func TestConcentratedMergeExact(t *testing.T) {
-	nodes := startMesh(t, []string{"na", "nb", "nc"}, func(id string, o *Options) {
-		o.creditWindow = 4
-	})
+	m := startMesh(t, 3, 4)
 	const rowsPerPart = 4000
 	var got atomic.Int64
-	errs := runPlaced(context.Background(), nodes, "conc#1", func(n *simNode) *hyracks.Job {
+	if err := runPlaced(context.Background(), m, func() *hyracks.Job {
 		j := hyracks.NewJob()
 		gen := j.Add(genOp(3, rowsPerPart))
 		sink := j.Add(hyracks.NewFuncSink("collect", 1, func(_ int, t hyracks.Tuple) error {
@@ -543,16 +473,8 @@ func TestConcentratedMergeExact(t *testing.T) {
 		}))
 		j.MustConnect(gen, sink, 0, hyracks.MergeUnordered())
 		return j
-	}, func(op string, part int) string {
-		if op == "collect" {
-			return "na"
-		}
-		return []string{"na", "nb", "nc"}[part%3]
-	})
-	for id, err := range errs {
-		if err != nil {
-			t.Fatalf("node %s: %v", id, err)
-		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if got.Load() != 3*rowsPerPart {
 		t.Fatalf("concentrated merge delivered %d rows, want %d (frames lost to queue overflow?)",
@@ -561,16 +483,19 @@ func TestConcentratedMergeExact(t *testing.T) {
 }
 
 // TestRecvOverflowPoisonsEdge drives a receive queue past its capacity
-// by hand (a peer violating its credit window): the overflow must fail
-// the attempt with a retriable LinkFailure, and the poisoned edge must
-// never fire EOS — a dropped frame must not end in a "complete" stream.
+// by hand (a peer violating its credit window): the overflow must close
+// the inbound connection the frames came on, fail the attempt with a
+// retriable LinkFailure, and never fire the poisoned edge's EOS — a
+// dropped frame must not end in a "complete" stream.
 func TestRecvOverflowPoisonsEdge(t *testing.T) {
-	p, err := NewPeer(Options{ID: "na", ListenAddr: "127.0.0.1:0",
-		Metrics: obs.NewRegistry(), creditWindow: 1})
+	p, err := newPeer("nc0", obs.NewRegistry(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	in := &peerConn{id: "nc1", c: local}
 	failed := make(chan error, 1)
 	eos := make(chan struct{}, 4)
 	recv := make(chan []hyracks.Tuple) // never read: the consumer is wedged
@@ -596,7 +521,7 @@ func TestRecvOverflowPoisonsEdge(t *testing.T) {
 	// goroutine can hold one more: a burst of 5 frames must overflow.
 	payload := encodeDataPayload(nil, ref, 0, testFrame())
 	for i := 0; i < 5; i++ {
-		p.deliverData("nb", payload)
+		p.deliverData(in, payload)
 	}
 	select {
 	case err := <-failed:
@@ -607,7 +532,10 @@ func TestRecvOverflowPoisonsEdge(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("credit-window overrun never failed the attempt")
 	}
-	p.deliverEOS("nb", appendEdgeRef(nil, ref))
+	if !in.closed.Load() {
+		t.Fatal("the overrun left the inbound connection open")
+	}
+	p.deliverEOS(in, appendEdgeRef(nil, ref))
 	select {
 	case <-eos:
 		t.Fatal("EOS fired on an edge that dropped a frame")
@@ -620,11 +548,11 @@ func TestRecvOverflowPoisonsEdge(t *testing.T) {
 // must fail the attempts registered on it with a retriable LinkFailure —
 // the swallowed frame would otherwise be a silent gap in the stream.
 func TestPartitionDropFailsAttempt(t *testing.T) {
+	m := startMesh(t, 2, 0)
 	defer fault.Disarm()
-	nodes := startMesh(t, []string{"na", "nb"}, nil)
 	failed := make(chan error, 1)
 	ref := edgeRef{jobID: "part#1", edge: 0}
-	if _, err := nodes["nb"].peer.OpenEdge(context.Background(), hyracks.EdgeDesc{
+	if _, err := m.peer("nc1").OpenEdge(context.Background(), hyracks.EdgeDesc{
 		JobID:     ref.jobID,
 		Edge:      ref.edge,
 		Owners:    []string{""},
@@ -641,139 +569,70 @@ func TestPartitionDropFailsAttempt(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fault.Arm("net.partition:error:times=0:tag=nb"); err != nil {
+	if err := fault.Arm("net.partition:error:times=0:tag=nc1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := nodes["na"].peer.send("nb", msgData, encodeDataPayload(nil, ref, 0, testFrame())); err != nil {
+	if err := m.peer("nc0").send("nc1", msgData, encodeDataPayload(nil, ref, 0, testFrame())); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	select {
 	case err := <-failed:
 		var lf *hyracks.LinkFailure
-		if !errors.As(err, &lf) || lf.Peer != "na" {
-			t.Fatalf("a swallowed frame should fail the attempt with LinkFailure{na}, got %v", err)
+		if !errors.As(err, &lf) || lf.Peer != "nc0" {
+			t.Fatalf("a swallowed frame should fail the attempt with LinkFailure{nc0}, got %v", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("a frame swallowed by the partition never failed the attempt")
 	}
 }
 
-// TestPeerDownRevivesOnHeal latches a peer down behind a partition,
-// heals it, and requires the detector to hear the peer again (revive)
-// and to fire again on a second silence — failure detection must not be
-// one-shot per process lifetime.
-func TestPeerDownRevivesOnHeal(t *testing.T) {
-	defer fault.Disarm()
-	var ups, downs atomic.Int32
-	nodes := startMesh(t, []string{"na", "nb"}, func(id string, o *Options) {
-		if id != "na" {
-			return
-		}
-		innerUp, innerDown := o.OnPeerUp, o.OnPeerDown
-		o.OnPeerUp = func(peer string) { ups.Add(1); innerUp(peer) }
-		o.OnPeerDown = func(peer string) { downs.Add(1); innerDown(peer) }
-	})
-	deadline := time.Now().Add(10 * time.Second)
-	warm := func(a, b string) bool { return nodes[a].peer.peer(b).lastSeen.Load() != 0 }
-	for !(warm("na", "nb") && warm("nb", "na")) {
-		if time.Now().After(deadline) {
-			t.Fatal("mesh never warmed up")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	wait := func(cond func() bool, what string) {
-		t.Helper()
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	nb := func() *hyracks.NodeController { return nodes["na"].cluster.NodeByID("nb") }
-
-	if err := fault.Arm("net.partition:error:times=0:tag=nb"); err != nil {
-		t.Fatal(err)
-	}
-	wait(func() bool { return nb().Dead() }, "first down transition")
-
-	// Heal: both sides are down-latched, so convergence needs the
-	// detector to keep dialing and heartbeating a down peer.
-	fault.Disarm()
-	wait(func() bool { return !nb().Dead() && ups.Load() >= 1 }, "revive after heal")
-
-	// A second silence must fire detection again.
-	if err := fault.Arm("net.partition:error:times=0:tag=nb"); err != nil {
-		t.Fatal(err)
-	}
-	wait(func() bool { return nb().Dead() && downs.Load() >= 2 }, "second down transition")
-}
-
 // TestPartitionIsolatesPeer arms a lasting partition on one node of a
-// three-node mesh (scoped by tag): both sides must eventually declare
-// each other dead while the unpartitioned pair stays healthy.
+// three-node mesh (scoped by tag): an attempt whose frames cross nc2
+// fails with a retriable LinkFailure, one that places nothing on nc2
+// (two partitions: nc0 and nc1) stays exact, and once the partition
+// heals the crossing attempt is exact on the same mesh.
 func TestPartitionIsolatesPeer(t *testing.T) {
+	m := startMesh(t, 3, 0)
 	defer fault.Disarm()
-	nodes := startMesh(t, []string{"na", "nb", "nc"}, nil)
-	// Let the mesh warm up so everyone has heard everyone.
-	deadline := time.Now().Add(5 * time.Second)
-	warm := func(a, b string) bool { return nodes[a].peer.peer(b).lastSeen.Load() != 0 }
-	for !(warm("na", "nb") && warm("na", "nc") && warm("nb", "na") && warm("nc", "na")) {
-		if time.Now().After(deadline) {
-			t.Fatal("mesh never warmed up")
-		}
-		time.Sleep(10 * time.Millisecond)
+	run := func(parts int) (int, error) {
+		coll := &hyracks.Collector{}
+		err := runPlaced(context.Background(), m, func() *hyracks.Job {
+			return collectJob(genOp(parts, 300), coll)
+		})
+		return coll.Len(), err
 	}
-	if err := fault.Arm("net.partition:error:times=0:tag=nc"); err != nil {
+	if err := fault.Arm("net.partition:error:times=0:tag=nc2"); err != nil {
 		t.Fatal(err)
 	}
-	for !nodes["na"].cluster.NodeByID("nc").Dead() {
-		if time.Now().After(deadline) {
-			t.Fatal("na never declared partitioned nc dead")
-		}
-		time.Sleep(10 * time.Millisecond)
+	var lf *hyracks.LinkFailure
+	if _, err := run(3); !errors.As(err, &lf) {
+		t.Fatalf("an attempt across partitioned nc2: %v, want a LinkFailure", err)
 	}
-	if nodes["na"].cluster.NodeByID("nb").Dead() {
-		t.Fatal("unpartitioned nb wrongly declared dead on na")
+	if got, err := run(2); err != nil || got != 600 {
+		t.Fatalf("an attempt clear of nc2: %d rows, error %v; want 600 rows", got, err)
 	}
-	if !nodes["na"].cluster.NodeByID("nc").Dead() {
-		t.Fatal("partitioned nc not declared dead on na")
+	fault.Disarm()
+	if got, err := run(3); err != nil || got != 900 {
+		t.Fatalf("after the heal: %d rows, error %v; want 900 rows", got, err)
 	}
 }
 
 // TestPooledExchangeSoakUnderDelay is the exchange aliasing soak: a
 // 3-node mesh moves hash-partitioned rows over the wire while net.delay
-// randomly stalls nb's outbound frames. Every round must deliver every
+// randomly stalls nc1's outbound frames. Every round must deliver every
 // row exactly once with its payload still paired to its id.
 func TestPooledExchangeSoakUnderDelay(t *testing.T) {
+	m := startMesh(t, 3, 0)
 	defer fault.Disarm()
-	if err := fault.Arm("net.delay:delay=1ms:p=0.2:times=0:tag=nb"); err != nil {
+	if err := fault.Arm("net.delay:delay=1ms:p=0.2:times=0:tag=nc1"); err != nil {
 		t.Fatal(err)
-	}
-	nodes := startMesh(t, []string{"na", "nb", "nc"}, nil)
-	// Warm the mesh: with two producer partitions per node, cold
-	// concurrent first-sends to the same peer race the dialer; the
-	// heartbeat loop establishes the links first.
-	deadline := time.Now().Add(5 * time.Second)
-	for _, a := range []string{"na", "nb", "nc"} {
-		for _, b := range []string{"na", "nb", "nc"} {
-			if a == b {
-				continue
-			}
-			for nodes[a].peer.peer(b).lastSeen.Load() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("mesh never warmed up")
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
 	}
 	const rows, parts, rounds = 6000, 6, 3
 	for round := 0; round < rounds; round++ {
 		var mu sync.Mutex
 		seen := make([]int64, rows)
 		dup := false
-		errs := runPlaced(context.Background(), nodes, "soak#"+string(rune('a'+round)), func(n *simNode) *hyracks.Job {
+		err := runPlaced(context.Background(), m, func() *hyracks.Job {
 			j := hyracks.NewJob()
 			gen := j.Add(hyracks.NewScan("gen", parts, func(tc *hyracks.TaskContext, emit func(hyracks.Tuple) error) error {
 				for i := tc.Partition; i < rows; i += tc.NumPartitions {
@@ -799,13 +658,9 @@ func TestPooledExchangeSoakUnderDelay(t *testing.T) {
 			}))
 			j.MustConnect(gen, sink, 0, hyracks.HashPartition(0))
 			return j
-		}, func(op string, part int) string {
-			return []string{"na", "nb", "nc"}[part%3]
 		})
-		for id, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d node %s: %v", round, id, err)
-			}
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 		missing := 0
 		for _, n := range seen {

@@ -1,13 +1,15 @@
 // Package anet is the TCP frame transport behind the hyracks Transport
 // interface: a length-prefixed, CRC-checked message protocol carrying
-// data frames, per-channel credit grants, end-of-stream markers and
-// heartbeats between the nodes of a cluster. It owns connection pooling
-// with reconnect-on-failure (bounded exponential backoff plus seedable
-// jitter), per-frame write deadlines, heartbeat-based peer failure
-// detection, and the network fault points (net.drop, net.delay,
-// net.partition, net.conn.reset). AttachLoopback gives every node of a
-// hyracks.Cluster its own Peer on 127.0.0.1, so a job's frames between
-// nodes cross real sockets inside one process.
+// data frames, per-channel credit grants and end-of-stream markers
+// between the nodes of one process. AttachLoopback gives every node of a
+// hyracks.Cluster its own Peer on 127.0.0.1 and dials one connection in
+// each direction between every pair, so a job's frames between nodes
+// cross real sockets. A peer only writes its outbound connections and
+// only reads its inbound ones; a write that fails resets the connection,
+// and the next send dials again. Node death is the cluster's to signal
+// (Loopback.Kill). The package owns per-frame write deadlines and the
+// network fault points (net.drop, net.delay, net.partition,
+// net.conn.reset).
 //
 // The package is named anet so importers are never ambiguous against
 // the stdlib net package it is built on.
@@ -44,11 +46,10 @@ const (
 
 // Message types.
 const (
-	msgHello     = byte(1) // payload: sender node id (raw bytes)
-	msgHeartbeat = byte(2) // payload: empty
-	msgData      = byte(3) // payload: jobID, edge, channel, tuple frame
-	msgEOS       = byte(4) // payload: jobID, edge — one producer finished the edge
-	msgCredit    = byte(5) // payload: jobID, edge, channel, n — consumer window return
+	msgHello  = byte(1) // payload: sender node id (raw bytes)
+	msgData   = byte(3) // payload: jobID, edge, channel, tuple frame
+	msgEOS    = byte(4) // payload: jobID, edge — one producer finished the edge
+	msgCredit = byte(5) // payload: jobID, edge, channel, n — consumer window return
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
