@@ -22,12 +22,15 @@ optimizer:
 	go test -race -run 'TestGoldenPlans|TestHashJoin|TestGreedy|TestOptimizer|TestIndexSelection|TestPlanJSON|TestRule|TestJobShapes|TestBind|TestSubstituteRecomputesCorrelation' ./internal/algebricks/
 	go test -race -run 'TestOptimizerOnOffEquivalence|TestOptimizerDisableRule|TestResultCarriesPlanAndRules|TestAccessPathTypedConstants|TestPrimaryKeyLSMStates|TestDeleteLocatesVictimsThroughPlan|TestUnboundNameFailsBeforeAnyJob|TestGroupKeyInNestedScopes' ./internal/core/
 
-# lint: project-specific static analysis (see docs/STATIC_ANALYSIS.md).
-# -stats prints per-rule finding counts and wall time; a stale
-# //lint:ignore directive (suppressing nothing) fails like any finding.
-# The last line is ROADMAP item 9's two numbers: the suppressions the
-# engine carries and the linter's own size.
+# lint: gofmt, then project-specific static analysis (see
+# docs/STATIC_ANALYSIS.md). Any Go file outside testdata/ that gofmt -l
+# lists fails the target. -stats prints per-rule finding counts and wall
+# time; a stale //lint:ignore directive (suppressing nothing) fails like
+# any finding. The last line is ROADMAP item 9's two numbers: the
+# suppressions the engine carries and the linter's own size.
 lint:
+	@unformatted="$$(find . -name '*.go' ! -path '*/testdata/*' ! -path './.*' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files that are not formatted:"; echo "$$unformatted"; exit 1; fi
 	go run ./cmd/asterixlint -stats ./...
 	@echo "engine //lint:ignore directives (internal/ and cmd/ without the linter): $$(grep -rE --include='*.go' '^\s*//lint:ignore ' internal cmd | grep -vc '^cmd/asterixlint/'); linter non-test Go lines: $$(find cmd/asterixlint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
 

@@ -50,12 +50,11 @@ type Config struct {
 	// BufferPages sizes the buffer cache in pages (default 4096, or
 	// TotalMemory/4 when TotalMemory is set).
 	BufferPages int
-	// MemComponentPool bounds the sum of all LSM memory components in
-	// bytes; the governor flushes the earliest-dirty component when the
-	// pool overflows (default 4x MemComponentBudget, or TotalMemory/4).
-	MemComponentPool int
 	// MemComponentBudget bounds each LSM memory component in bytes
-	// (default 4 MiB).
+	// (default 4 MiB). The sum of all memory components is bounded by a
+	// pool of 4x MemComponentBudget, or TotalMemory/4 when TotalMemory is
+	// set; the governor flushes the earliest-dirty component when the
+	// pool overflows.
 	MemComponentBudget int
 	// WorkingMemory bounds the shared operator working-memory pool in
 	// bytes (default 32 MiB, or the TotalMemory remainder).
@@ -105,7 +104,6 @@ func Open(cfg Config) (*DB, error) {
 		FrameSize:          cfg.FrameSize,
 		TotalMemory:        cfg.TotalMemory,
 		BufferPages:        cfg.BufferPages,
-		MemComponentPool:   cfg.MemComponentPool,
 		MemComponentBudget: cfg.MemComponentBudget,
 		WorkingMemory:      cfg.WorkingMemory,
 		AdmitTimeout:       cfg.AdmitTimeout,

@@ -205,7 +205,7 @@ func BenchmarkSecondaryMaintenance(b *testing.B) {
 		b.Run(strings.Fields(ix + " TYPE BTREE")[4], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2,
-					MemComponentBudget: 256 << 20, MemComponentPool: 2 << 30, NoSyncCommits: true})
+					MemComponentBudget: 256 << 20, NoSyncCommits: true})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -25,19 +25,11 @@ func funcBodies(p *Package, visit func(decl *ast.FuncDecl, lit *ast.FuncLit, bod
 	}
 }
 
-// posSet is the shared lattice state shape for the lock rules: fact id →
-// position that generated it (the witness for diagnostics). Meet is set
-// union — a fact holds at a merge if it holds on any incoming path —
-// which makes these may-analyses: a report means "there exists a path".
+// posSet is ctx-flow's lattice state: fact id → position that generated
+// it (the witness for diagnostics). Meet is set union — a fact holds at a
+// merge if it holds on any incoming path — which makes it a
+// may-analysis: a report means "there exists a path".
 type posSet map[string]token.Pos
-
-func clonePosSet(s posSet) posSet {
-	c := make(posSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
 
 func meetPosSet(dst, src posSet) posSet {
 	for k, v := range src {
@@ -46,16 +38,4 @@ func meetPosSet(dst, src posSet) posSet {
 		}
 	}
 	return dst
-}
-
-func equalPosSet(a, b posSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
 }

@@ -22,6 +22,8 @@ type Package struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+
+	locks map[*ast.BlockStmt]*lockFlow // the held-lock pass, per body (locks.go)
 }
 
 // Loader parses and type-checks module packages from source, resolving

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"asterix/cmd/asterixlint/cfg"
 )
@@ -165,9 +166,9 @@ func checkCtxFlow(p *Package, fname string, params []types.Object, body *ast.Blo
 	}
 
 	lat := cfg.Lattice[posSet]{
-		Clone: clonePosSet,
+		Clone: maps.Clone[posSet],
 		Meet:  meetPosSet,
-		Equal: equalPosSet,
+		Equal: maps.Equal[posSet, posSet],
 		Node:  transfer,
 	}
 	in := cfg.Forward(g, entry, lat)

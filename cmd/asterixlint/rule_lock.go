@@ -15,10 +15,11 @@ import (
 // writes that must be ordered under the log mutex) carry a lint:ignore
 // with a written reason.
 //
-// The analysis is per-function and statement-ordered: a Lock() raises the
-// held depth, Unlock() lowers it, and `defer Unlock()` holds it for the
-// rest of the function. sync.Cond.Wait is exempt (it requires the lock by
-// contract), as are selects with a default clause (non-blocking).
+// It reads the held-lock pass (locks.go) and checks every node reached
+// with some lock held, so an early-return Unlock, a TryLock's failed
+// branch and a lock taken inside a loop are all seen per path.
+// sync.Cond.Wait is exempt (it requires the lock by contract), as are
+// selects with a default clause (non-blocking).
 func ruleLockHeld() *Rule {
 	return &Rule{
 		Name: "lock-held",
@@ -39,245 +40,98 @@ var nonBlockingFuncs = map[string]bool{
 }
 
 func runLockHeld(c *Config, p *Package, report func(token.Pos, string)) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				st := &lockWalk{p: p, report: report}
-				st.stmts(body.List)
-			}
-			return true // nested literals are visited as their own functions
-		})
-	}
-}
-
-type lockWalk struct {
-	p      *Package
-	report func(token.Pos, string)
-	depth  int
-}
-
-// mutexMethod classifies a call as a Lock/Unlock-family method on
-// sync.Mutex or sync.RWMutex.
-func (w *lockWalk) mutexMethod(call *ast.CallExpr) string {
-	fn := calleeFunc(w.p.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	rt := namedType(sig.Recv().Type())
-	if rt == nil || (rt.Obj().Name() != "Mutex" && rt.Obj().Name() != "RWMutex") {
-		return ""
-	}
-	switch fn.Name() {
-	case "Lock", "RLock", "Unlock", "RUnlock", "TryLock", "TryRLock":
-		return fn.Name()
-	}
-	return ""
-}
-
-func (w *lockWalk) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
-	}
-}
-
-func (w *lockWalk) stmt(s ast.Stmt) {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		w.stmts(st.List)
-	case *ast.IfStmt:
-		if st.Init != nil {
-			w.stmt(st.Init)
-		}
-		w.checkExpr(st.Cond)
-		w.stmt(st.Body)
-		if st.Else != nil {
-			w.stmt(st.Else)
-		}
-	case *ast.ForStmt:
-		if st.Init != nil {
-			w.stmt(st.Init)
-		}
-		if st.Cond != nil {
-			w.checkExpr(st.Cond)
-		}
-		w.stmt(st.Body)
-		if st.Post != nil {
-			w.stmt(st.Post)
-		}
-	case *ast.RangeStmt:
-		if w.depth > 0 {
-			if tv, ok := w.p.Info.Types[st.X]; ok && isChanType(tv.Type) {
-				w.report(st.Pos(), "ranging over a channel while a mutex is held")
-			}
-		}
-		w.checkExpr(st.X)
-		w.stmt(st.Body)
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			w.stmt(st.Init)
-		}
-		if st.Tag != nil {
-			w.checkExpr(st.Tag)
-		}
-		for _, cc := range st.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				w.stmts(clause.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range st.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				w.stmts(clause.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		if hasDefaultClause(st) {
-			// Non-blocking: the select completes immediately either way.
-			// Still walk the clause bodies for lock transitions and
-			// further violations.
-			for _, cc := range st.Body.List {
-				if clause, ok := cc.(*ast.CommClause); ok {
-					w.stmts(clause.Body)
-				}
-			}
+	funcBodies(p, func(_ *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
+		held := heldLocks(p, body).nodes
+		if len(held) == 0 {
 			return
 		}
-		if w.depth > 0 {
-			w.report(st.Pos(), "blocking select while a mutex is held")
-		}
-		for _, cc := range st.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				w.stmts(clause.Body)
-			}
-		}
-	case *ast.SendStmt:
-		if w.depth > 0 {
-			w.report(st.Pos(), "channel send while a mutex is held")
-		}
-	case *ast.GoStmt:
-		// Starting a goroutine is non-blocking, and its body runs with a
-		// fresh stack: analyzed when the FuncLit itself is visited.
-	case *ast.DeferStmt:
-		// `defer mu.Unlock()` (directly or inside a deferred closure):
-		// the lock stays held to function end; leave the depth as-is and
-		// don't treat the deferred body as executing here.
-		deferredUnlock := false
-		ast.Inspect(st.Call, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				switch w.mutexMethod(call) {
-				case "Unlock", "RUnlock":
-					deferredUnlock = true
-					return false
+		// The graph keeps a select's comm clauses and a range's operand
+		// as nodes; their findings are reported at the select and the
+		// for, where they are written.
+		selects := map[ast.Node]*ast.SelectStmt{}
+		ranges := map[ast.Node]*ast.RangeStmt{}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.SelectStmt:
+				for _, cc := range st.Body.List {
+					if comm := cc.(*ast.CommClause).Comm; comm != nil {
+						selects[comm] = st
+					}
 				}
+			case *ast.RangeStmt:
+				ranges[st.X] = st
 			}
 			return true
 		})
-		if deferredUnlock {
-			return
-		}
-		// Argument expressions evaluate now; the call itself runs at exit.
-		for _, a := range st.Call.Args {
-			w.checkExpr(a)
-		}
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			switch w.mutexMethod(call) {
-			case "Lock", "RLock":
-				w.depth++
-				return
-			case "Unlock", "RUnlock":
-				if w.depth > 0 {
-					w.depth--
+		reported := map[token.Pos]bool{}
+		for _, at := range held {
+			if sel, ok := selects[at.node]; ok {
+				if !hasDefaultClause(sel) && !reported[sel.Pos()] {
+					reported[sel.Pos()] = true
+					report(sel.Pos(), "blocking select while a mutex is held")
 				}
-				return
+				continue
 			}
-		}
-		w.checkExpr(st.X)
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			w.checkExpr(e)
-		}
-		for _, e := range st.Lhs {
-			w.checkExpr(e)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			w.checkExpr(e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.checkExpr(e)
-					}
-				}
+			if r, ok := ranges[at.node]; ok && isChanType(p.Info.TypeOf(r.X)) {
+				report(r.Pos(), "ranging over a channel while a mutex is held")
 			}
+			blockingOps(p, at.node, report)
 		}
-	case *ast.LabeledStmt:
-		w.stmt(st.Stmt)
-	case *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt:
-	}
+	})
 }
 
-// checkExpr scans an expression tree (excluding function literal bodies,
-// which execute elsewhere) for blocking operations while a lock is held.
-func (w *lockWalk) checkExpr(e ast.Expr) {
-	if w.depth == 0 || e == nil {
+// blockingOps reports the blocking operations node n performs when it
+// runs. A go statement's body runs on its own stack, and a deferred call
+// runs at exit: only the deferred call's arguments are evaluated here.
+func blockingOps(p *Package, n ast.Node, report func(token.Pos, string)) {
+	switch st := n.(type) {
+	case *ast.GoStmt:
+		return
+	case *ast.DeferStmt:
+		for _, a := range st.Call.Args {
+			blockingOps(p, a, report)
+		}
 		return
 	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
 		case *ast.FuncLit:
 			return false
+		case *ast.SendStmt:
+			report(x.Pos(), "channel send while a mutex is held")
 		case *ast.UnaryExpr:
 			if x.Op == token.ARROW {
-				w.report(x.Pos(), "channel receive while a mutex is held")
+				report(x.Pos(), "channel receive while a mutex is held")
 			}
 		case *ast.CallExpr:
-			w.checkCall(x)
+			if what := blockingCall(p, x); what != "" {
+				report(x.Pos(), what+" while a mutex is held")
+			}
 		}
 		return true
 	})
 }
 
-func (w *lockWalk) checkCall(call *ast.CallExpr) {
-	fn := calleeFunc(w.p.Info, call)
+// blockingCall names the blocking callee of call, or "" when it does not
+// block. sync.Cond.Wait is exempt: it requires the lock by contract.
+func blockingCall(p *Package, call *ast.CallExpr) string {
+	fn := calleeFunc(p.Info, call)
 	if fn == nil || fn.Pkg() == nil {
-		return
+		return ""
 	}
-	pkg := fn.Pkg().Path()
-	if pkg == "sync" {
-		sig, _ := fn.Type().(*types.Signature)
-		if sig != nil && sig.Recv() != nil {
-			rt := namedType(sig.Recv().Type())
-			if rt != nil && rt.Obj().Name() == "WaitGroup" && fn.Name() == "Wait" {
-				w.report(call.Pos(), "sync.WaitGroup.Wait while a mutex is held")
-			}
-			// sync.Cond.Wait is exempt: it requires the lock by contract.
-		}
-		return
+	pkg, name := fn.Pkg().Path(), fn.Name()
+	recv := fn.Type().(*types.Signature).Recv()
+	switch {
+	case pkg == "sync" && name == "Wait" && recv != nil && isPkgType(recv.Type(), "sync", "WaitGroup"):
+		return "sync.WaitGroup.Wait"
+	case pkg == "time" && name == "Sleep":
+		return "time.Sleep"
+	case blockingPkgs[pkg] && !nonBlockingFuncs[pkg+"."+name]:
+		return "blocking I/O (" + pkg + "." + name + ")"
 	}
-	if pkg == "time" && fn.Name() == "Sleep" {
-		w.report(call.Pos(), "time.Sleep while a mutex is held")
-		return
-	}
-	if blockingPkgs[pkg] && !nonBlockingFuncs[pkg+"."+fn.Name()] {
-		w.report(call.Pos(), "blocking I/O ("+pkg+"."+fn.Name()+") while a mutex is held")
-	}
+	return ""
 }
 
 func hasDefaultClause(sel *ast.SelectStmt) bool {

@@ -6,17 +6,13 @@ import (
 	"go/token"
 	"sort"
 	"strings"
-
-	"asterix/cmd/asterixlint/cfg"
 )
 
 // ruleLockOrder builds a repo-global lock-acquisition graph and reports
 // cycles in it — the static form of the deadlock the fault matrix can
-// only hope to stumble into. Within each function a flow-sensitive pass
-// tracks which mutexes are held at each program point (defer Unlock
-// keeps a lock held to function end; TryLock acquires only on its
-// successful branch); every blocking acquisition taken while another
-// lock is held contributes an edge (held → acquired), keyed by
+// only hope to stumble into. It reads the held-lock pass (locks.go):
+// every blocking acquisition taken while another global lock is held
+// contributes an edge (held → acquired), keyed by
 // (package, receiver type, field). After all packages are scanned the
 // graph is checked: any cycle is reported once, with the witness
 // acquisition sites of every edge on it.
@@ -50,7 +46,23 @@ type lockOrderGraph struct {
 
 func (g *lockOrderGraph) run(c *Config, p *Package, report func(token.Pos, string)) {
 	funcBodies(p, func(_ *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
-		g.scan(p, body)
+		for _, at := range heldLocks(p, body).nodes {
+			if _, ok := at.node.(*ast.DeferStmt); ok {
+				continue
+			}
+			for _, ev := range lockCalls(p, at.node) {
+				// Only blocking acquisitions take edges; TryLock holds
+				// but cannot be the blocked party.
+				if (ev.method != "Lock" && ev.method != "RLock") || !ev.key.global {
+					continue
+				}
+				for id, held := range at.held {
+					if held.global {
+						g.addEdge(id, ev.key.id, lockOrderWitness{heldAt: held.pos, takenAt: ev.pos})
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -66,64 +78,6 @@ func (g *lockOrderGraph) addEdge(from, to string, w lockOrderWitness) {
 	if cur, ok := m[to]; !ok || w.takenAt < cur.takenAt {
 		m[to] = w
 	}
-}
-
-func (g *lockOrderGraph) scan(p *Package, body *ast.BlockStmt) {
-	graph := cfg.New(body)
-	lat := cfg.Lattice[posSet]{
-		Clone: clonePosSet,
-		Meet:  meetPosSet,
-		Equal: equalPosSet,
-		Node: func(n ast.Node, s posSet) posSet {
-			if _, ok := n.(*ast.DeferStmt); ok {
-				// A deferred Unlock runs at exit: the lock stays held
-				// for ordering purposes on every path below.
-				return s
-			}
-			for _, ev := range lockCalls(p, n) {
-				switch ev.method {
-				case "Lock", "RLock":
-					if _, held := s[ev.key.id]; !held && ev.key.global {
-						s[ev.key.id] = ev.pos
-					}
-				case "Unlock", "RUnlock":
-					delete(s, ev.key.id)
-				}
-			}
-			return s
-		},
-		Refine: func(blk *cfg.Block, e cfg.Edge, s posSet) posSet {
-			ev, onTrue, ok := tryLockGuard(p, blk)
-			if !ok || !ev.key.global {
-				return s
-			}
-			if (onTrue && e.Kind == cfg.True) || (!onTrue && e.Kind == cfg.False) {
-				if _, held := s[ev.key.id]; !held {
-					s[ev.key.id] = ev.pos
-				}
-			}
-			return s
-		},
-	}
-	in := cfg.Forward(graph, posSet{}, lat)
-	cfg.Visit(graph, in, lat, func(blk *cfg.Block, n ast.Node, before posSet) {
-		if _, ok := n.(*ast.DeferStmt); ok {
-			return
-		}
-		for _, ev := range lockCalls(p, n) {
-			// Only blocking acquisitions take edges; TryLock holds
-			// (via Refine) but cannot be the blocked party.
-			if ev.method != "Lock" && ev.method != "RLock" {
-				continue
-			}
-			if !ev.key.global {
-				continue
-			}
-			for held, heldPos := range before {
-				g.addEdge(held, ev.key.id, lockOrderWitness{heldAt: heldPos, takenAt: ev.pos})
-			}
-		}
-	}, nil)
 }
 
 func (g *lockOrderGraph) finish(c *Config, fset *token.FileSet, report func(token.Pos, string)) {

@@ -11,6 +11,7 @@ type S struct {
 	rw sync.RWMutex
 	ch chan int
 	wg sync.WaitGroup
+	n  int
 }
 
 func (s *S) sendLocked() {
@@ -92,6 +93,64 @@ func (s *S) predicateOK() bool {
 	defer s.mu.Unlock()
 	_, err := os.Stat("x") // WANT lock-held
 	return os.IsNotExist(err)
+}
+
+// The early-return Unlock releases the lock on one path only: the send
+// below it still runs locked.
+func (s *S) earlyReturnUnlock(err error) {
+	s.mu.Lock()
+	if err != nil {
+		s.mu.Unlock()
+		return
+	}
+	s.ch <- 1 // WANT lock-held
+	s.mu.Unlock()
+}
+
+func (s *S) tryLockSuccess() {
+	if s.mu.TryLock() {
+		s.ch <- 1 // WANT lock-held
+		s.mu.Unlock()
+	}
+}
+
+func (s *S) tryLockFailure() {
+	if !s.mu.TryLock() {
+		s.ch <- 1 // the lock was not taken on this branch
+		return
+	}
+	s.mu.Unlock()
+}
+
+// The lock taken at the bottom of one iteration is held when the next
+// iteration waits.
+func (s *S) heldAcrossBackEdge(k int) {
+	for i := 0; i < k; i++ {
+		s.wg.Wait() // WANT lock-held
+		s.mu.Lock()
+		s.n++
+	}
+	s.mu.Unlock()
+}
+
+func (s *S) nonBlockingReceive() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case v := <-s.ch:
+		return v
+	default:
+		return 0
+	}
+}
+
+func (s *S) deferredClosureUnlock() {
+	s.mu.Lock()
+	defer func() {
+		s.mu.Unlock()
+		s.ch <- 1 // runs at exit, after the unlock
+	}()
+	s.n++
 }
 
 func (s *S) suppressed() {

@@ -15,7 +15,8 @@ import (
 
 // execUpsert evaluates the payload expression and inserts/upserts the
 // resulting record(s) as one transaction: WAL first, then LSM apply, with
-// record-level locks on the primary keys.
+// record-level locks on the primary keys. A SELECT (or UNION) payload runs
+// as a job like any query; a record constructor is evaluated directly.
 func (e *Engine) execUpsert(ctx context.Context, dataset string, expr sqlpp.Expr, upsert bool) (Result, error) {
 	e.mu.Lock()
 	d, ok := e.datasets[dataset]
@@ -26,11 +27,7 @@ func (e *Engine) execUpsert(ctx context.Context, dataset string, expr sqlpp.Expr
 	if d.def.External {
 		return Result{}, fmt.Errorf("core: dataset %q is external (read-only)", dataset)
 	}
-	ev := e.evaluator()
-	if err := algebricks.Bind(expr, ev.Catalog); err != nil {
-		return Result{}, err
-	}
-	v, err := ev.Eval(expr, algebricks.NewEnv(nil, nil, nil))
+	v, err := e.payload(ctx, expr)
 	if err != nil {
 		return Result{}, err
 	}
@@ -50,6 +47,20 @@ func (e *Engine) execUpsert(ctx context.Context, dataset string, expr sqlpp.Expr
 		return Result{}, err
 	}
 	return Result{Kind: ResultDML, Count: n}, nil
+}
+
+// payload computes an INSERT/UPSERT's records.
+func (e *Engine) payload(ctx context.Context, expr sqlpp.Expr) (adm.Value, error) {
+	ev := e.evaluator()
+	switch expr.(type) {
+	case *sqlpp.SelectExpr, *sqlpp.UnionExpr:
+		res, err := e.runSelect(ctx, ev, expr)
+		return adm.Array(res.Rows), err
+	}
+	if err := algebricks.Bind(expr, ev.Catalog); err != nil {
+		return nil, err
+	}
+	return ev.Eval(expr, algebricks.NewEnv(nil, nil, nil))
 }
 
 // rollback aborts tx on an error path. The abort's own error (a failed

@@ -39,20 +39,17 @@ type Config struct {
 	FrameSize int
 	// TotalMemory, when set, is the single budget of Figure 2: the memory
 	// governor splits it across the buffer cache, the LSM component pool,
-	// and query working memory. Knobs left unset are derived from it
-	// (buffer cache and component pool get a quarter each, working memory
-	// the remainder); explicitly-set knobs are honored as carve-outs.
-	// Zero means "derive the total from the legacy knobs instead".
+	// and query working memory. The component pool gets a quarter; knobs
+	// left unset are derived from the total (the buffer cache gets a
+	// quarter, working memory the remainder), explicitly-set knobs are
+	// honored as carve-outs. Zero means "derive the total from the legacy
+	// knobs instead", with a component pool of 4x MemComponentBudget.
 	TotalMemory int64
 	// BufferPages is the buffer-cache size in pages (default 4096, or
 	// TotalMemory/4 worth of pages).
 	BufferPages int
-	// MemComponentPool caps the governor's shared LSM memory-component
-	// pool across all datasets (default 4x MemComponentBudget, or
-	// TotalMemory/4).
-	MemComponentPool int
 	// MemComponentBudget bounds each LSM memory component (default 4 MiB,
-	// or MemComponentPool/4).
+	// or TotalMemory/16).
 	MemComponentBudget int
 	// WorkingMemory caps the governor's query working-memory pool,
 	// shared by all concurrent sorts/joins/aggregations (default 32 MiB,
@@ -82,6 +79,10 @@ type Config struct {
 	Metrics *obs.Registry
 	// Now overrides the statement clock (tests); nil = time.Now.
 	Now func() time.Time
+
+	// componentPool caps the governor's shared LSM memory-component pool
+	// across all datasets; withDefaults derives it.
+	componentPool int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -118,20 +119,18 @@ func (c Config) withDefaults() (Config, error) {
 				c.BufferPages = 64
 			}
 		}
-		if c.MemComponentPool <= 0 {
-			c.MemComponentPool = int(c.TotalMemory / 4)
-		}
+		c.componentPool = int(c.TotalMemory / 4)
 		if c.MemComponentBudget <= 0 {
-			c.MemComponentBudget = c.MemComponentPool / 4
+			c.MemComponentBudget = c.componentPool / 4
 			if c.MemComponentBudget < 64<<10 {
 				c.MemComponentBudget = 64 << 10
 			}
 		}
 		if c.WorkingMemory <= 0 {
-			w := c.TotalMemory - int64(c.BufferPages)*int64(c.PageSize) - int64(c.MemComponentPool)
+			w := c.TotalMemory - int64(c.BufferPages)*int64(c.PageSize) - int64(c.componentPool)
 			if w <= 0 {
 				return c, fmt.Errorf("core: Config.TotalMemory %d leaves no working memory after the buffer cache (%d) and component pool (%d)",
-					c.TotalMemory, c.BufferPages*c.PageSize, c.MemComponentPool)
+					c.TotalMemory, c.BufferPages*c.PageSize, c.componentPool)
 			}
 			c.WorkingMemory = int(w)
 		}
@@ -144,13 +143,11 @@ func (c Config) withDefaults() (Config, error) {
 		if c.MemComponentBudget <= 0 {
 			c.MemComponentBudget = 4 << 20
 		}
-		if c.MemComponentPool <= 0 {
-			c.MemComponentPool = 4 * c.MemComponentBudget
-		}
+		c.componentPool = 4 * c.MemComponentBudget
 		if c.WorkingMemory <= 0 {
 			c.WorkingMemory = 32 << 20
 		}
-		c.TotalMemory = int64(c.BufferPages)*int64(c.PageSize) + int64(c.MemComponentPool) + int64(c.WorkingMemory)
+		c.TotalMemory = int64(c.BufferPages)*int64(c.PageSize) + int64(c.componentPool) + int64(c.WorkingMemory)
 	}
 	// A misspelt or renamed rule would make its ablation a silent no-op.
 	var rules []string
@@ -229,7 +226,7 @@ func Open(cfg Config) (*Engine, error) {
 	// pool every Hyracks job is admitted through.
 	gov := mem.NewGovernor(mem.Config{
 		BufferCacheBytes: bc.CapacityBytes(),
-		ComponentBytes:   int64(cfg.MemComponentPool),
+		ComponentBytes:   int64(cfg.componentPool),
 		WorkingBytes:     int64(cfg.WorkingMemory),
 		AdmitTimeout:     cfg.AdmitTimeout,
 		Metrics:          cfg.Metrics,

@@ -371,11 +371,22 @@ func TestInsertFromQuery(t *testing.T) {
 	mustExec(t, e, `
 		CREATE TYPE SummaryType AS {id: int, v: int};
 		CREATE DATASET HighV(SummaryType) PRIMARY KEY id;`)
-	// INSERT INTO ... (subquery): the payload expression is a SELECT.
-	res := mustExec(t, e, `
-		INSERT INTO HighV (
-			SELECT p.id AS id, p.v AS v FROM Points p WHERE p.v >= 90
-		);`)
+	// INSERT INTO ... (subquery): the payload expression is a SELECT, which
+	// runs as one cluster job and is cancelled with its statement.
+	const stmt = `INSERT INTO HighV (SELECT p.id AS id, p.v AS v FROM Points p WHERE p.v >= 90);`
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.Execute(ctx, stmt); err == nil {
+		t.Fatal("INSERT … SELECT under a cancelled context succeeded")
+	}
+	if rows := queryRows(t, e, `SELECT VALUE COUNT(*) FROM HighV h;`); rows[0].String() != "0" {
+		t.Fatalf("cancelled INSERT … SELECT stored %v records", rows[0])
+	}
+	before := e.Cluster().RetryStats().Attempts
+	res := mustExec(t, e, stmt)
+	if got := e.Cluster().RetryStats().Attempts - before; got != 1 {
+		t.Fatalf("INSERT … SELECT ran %d job attempts, want 1", got)
+	}
 	want := queryRows(t, e, `SELECT VALUE COUNT(*) FROM Points p WHERE p.v >= 90;`)
 	if fmt.Sprint(res[0].Count) != want[0].String() {
 		t.Fatalf("insert-from-query count %d, source has %s", res[0].Count, want[0])

@@ -77,36 +77,21 @@ func retriable(err error) (deadNode string, ok bool) {
 	return "", false
 }
 
-// RetryPolicy bounds RunWithRetry's re-execution of node-failed jobs with
-// exponential backoff.
+// RetryPolicy bounds RunWithRetry's re-execution of node-failed jobs.
+// Retries back off exponentially: retryBaseBackoff before the first,
+// doubling per retry up to retryMaxBackoff, plus up to retryJitter of
+// each delay drawn at random on top.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of executions, including the first
 	// (default 3).
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry (default 10ms); it
-	// doubles per retry up to MaxBackoff (default 1s).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Jitter is the fraction of each delay randomized on top of it, in
-	// [0,1]. Zero means the default 0.2; negative disables jitter.
-	Jitter float64
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.2
-	}
-	return p
-}
+const (
+	retryBaseBackoff = 10 * time.Millisecond
+	retryMaxBackoff  = time.Second
+	retryJitter      = 0.2
+)
 
 // RunReport describes one RunWithRetry execution.
 type RunReport struct {
@@ -131,9 +116,11 @@ type RunReport struct {
 // one attempt share whatever per-attempt state build hands them, such as
 // the result collector. Other errors are returned immediately.
 func (c *Cluster) RunWithRetry(ctx context.Context, build func(attempt int) (*Job, error), pol RetryPolicy) (RunReport, error) {
-	pol = pol.withDefaults()
+	if pol.MaxAttempts <= 0 {
+		pol.MaxAttempts = 3
+	}
 	var rep RunReport
-	backoff := pol.BaseBackoff
+	backoff := retryBaseBackoff
 	run := c.runSeq.Add(1)
 	for {
 		jobs, err := c.buildAttempt(build, run, rep.Attempts+1)
@@ -164,19 +151,13 @@ func (c *Cluster) RunWithRetry(ctx context.Context, build func(attempt int) (*Jo
 			return rep, fmt.Errorf("hyracks: no surviving nodes: %w", err)
 		}
 		atomic.AddInt64(&c.jobRetries, 1)
-		d := backoff
-		if pol.Jitter > 0 {
-			d += time.Duration(fault.Int63n(int64(float64(backoff)*pol.Jitter) + 1))
-		}
+		d := backoff + time.Duration(fault.Int63n(int64(float64(backoff)*retryJitter)+1))
 		select {
 		case <-time.After(d):
 		case <-ctx.Done():
 			return rep, ctx.Err()
 		}
-		backoff *= 2
-		if backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
-		}
+		backoff = min(2*backoff, retryMaxBackoff)
 	}
 }
 

@@ -370,7 +370,7 @@ func TestCrashOrphanComponentIsReplaced(t *testing.T) {
 func TestTieredMergeKeepsAntimatter(t *testing.T) {
 	forEachKind(t, func(t *testing.T, open openFunc) {
 		bc, _ := newEnv(t, 1024, 512)
-		ix := open(bc, "d/tiered", Options{MemBudget: 1 << 30, Policy: TieredPolicy{Ratio: 3, MinComponents: 3}})
+		ix := open(bc, "d/tiered", Options{MemBudget: 1 << 30, Policy: TieredPolicy{}})
 		flush := func() {
 			t.Helper()
 			if err := ix.Flush(); err != nil {

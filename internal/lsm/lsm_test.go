@@ -638,9 +638,9 @@ func TestLSMRTreeReopen(t *testing.T) {
 }
 
 func TestTieredPolicy(t *testing.T) {
-	p := TieredPolicy{Ratio: 3, MinComponents: 3}
+	p := TieredPolicy{}
 	if _, _, ok := p.PickMerge([]int64{100, 90}); ok {
-		t.Error("two components should not merge with MinComponents=3")
+		t.Error("two components should not merge: the minimum run is 3")
 	}
 	lo, hi, ok := p.PickMerge([]int64{100, 90, 110})
 	if !ok || lo != 0 || hi != 2 {

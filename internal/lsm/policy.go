@@ -32,37 +32,29 @@ func (p ConstantPolicy) PickMerge(sizes []int64) (int, int, bool) {
 	return 0, 0, false
 }
 
-// TieredPolicy merges a run of components when a newer component has grown
-// to within Ratio of the size of the run of older ones — the classic
-// size-tiered scheme (AsterixDB's "prefix" policy is a close relative).
-type TieredPolicy struct {
-	// Ratio is the size multiple between tiers (default 3).
-	Ratio float64
-	// MinComponents is the run length that triggers a merge (default 3).
-	MinComponents int
-}
+// TieredPolicy merges a run of tieredMinRun or more components whose
+// sizes are within tieredRatio of each other — the classic size-tiered
+// scheme (AsterixDB's "prefix" policy is a close relative).
+type TieredPolicy struct{}
+
+const (
+	tieredRatio  = 3.0 // the size multiple between tiers
+	tieredMinRun = 3   // the run length that triggers a merge
+)
 
 // PickMerge implements MergePolicy.
-func (p TieredPolicy) PickMerge(sizes []int64) (int, int, bool) {
-	ratio := p.Ratio
-	if ratio <= 1 {
-		ratio = 3
-	}
-	minRun := p.MinComponents
-	if minRun < 2 {
-		minRun = 3
-	}
+func (TieredPolicy) PickMerge(sizes []int64) (int, int, bool) {
 	// Find the longest newest-prefix of components whose sizes are within
-	// ratio of each other; merge it when long enough.
+	// tieredRatio of each other; merge it when long enough.
 	run := 1
 	for i := 1; i < len(sizes); i++ {
 		a, b := float64(sizes[i-1]), float64(sizes[i])
-		if a == 0 || b == 0 || b/a > ratio || a/b > ratio {
+		if a == 0 || b == 0 || b/a > tieredRatio || a/b > tieredRatio {
 			break
 		}
 		run++
 	}
-	if run >= minRun {
+	if run >= tieredMinRun {
 		return 0, run - 1, true
 	}
 	return 0, 0, false

@@ -95,9 +95,9 @@ var DefBuckets = []float64{
 // Histogram is a fixed-bucket cumulative histogram. Observations are
 // lock-free atomic adds.
 type Histogram struct {
-	bounds []float64 // upper bounds, ascending; +Inf implicit
-	counts []int64   // len(bounds)+1, last is +Inf
-	count  int64
+	bounds  []float64 // upper bounds, ascending; +Inf implicit
+	counts  []int64   // len(bounds)+1, last is +Inf
+	count   int64
 	sumBits uint64 // float64 bits, CAS-updated
 }
 
