@@ -54,18 +54,6 @@ fault-matrix:
 		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/ ./internal/server/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
-# net-matrix: the network-failure gate — the transport's own fault tests
-# (drop, delay, partition and heal, conn-reset, torn frames, a receive
-# window overrun) and the mesh's shape (one connection per direction,
-# kept across clean runs), plus SQL++ run across loopback nodes over TCP:
-# every corpus statement against the channel fabric at 2 and 4 nodes, a
-# join under each network fault and under a killed node, concurrent
-# queries, one admission per attempt, and E15.
-net-matrix:
-	go test -count=1 -run 'TestNetDrop|TestConnResetMidFrame|TestWaitNetAttribution|TestTwoPeerExchange|TestConcentratedMergeExact|TestRecvOverflowPoisonsEdge|TestMeshOneConnectionPerDirection|TestPartition|TestLoopback' \
-		./internal/net/ ./internal/core/
-	go test -count=1 -run TestE15 ./internal/experiments/
-
 # bench: every top-level Go benchmark once (BenchmarkIngestStall among
 # them: records/s and writer stall ns/record of 20-record UPSERT
 # statements at a 1 MiB component budget; BenchmarkSecondaryMaintenance:
@@ -129,7 +117,6 @@ fuzz-smoke:
 	go test -run NONE -fuzz FuzzNumberKey -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
-	go test -run NONE -fuzz FuzzFrameDecode -fuzztime 10s ./internal/net
 	go test -run NONE -fuzz FuzzBTreePage -fuzztime 10s ./internal/btree
 	go test -run NONE -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/hyracks
 
@@ -141,10 +128,9 @@ help:
 	@echo "  optimizer   golden plans, join regressions, on/off equivalence (race)"
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
-	@echo "  net-matrix  transport fault tests + mesh shape + SQL++ over loopback TCP (corpus vs channels, every network fault, a killed node)"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, frame decoder, B+tree page reader, aggregate merge)"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, B+tree page reader, aggregate merge)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 
-.PHONY: tier1 verify lint optimizer invariants fault-matrix net-matrix bench bench-smoke bench-repo-smoke fuzz-smoke help
+.PHONY: tier1 verify lint optimizer invariants fault-matrix bench bench-smoke bench-repo-smoke fuzz-smoke help

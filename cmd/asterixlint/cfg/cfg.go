@@ -302,6 +302,12 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.SelectStmt:
 		label := b.takeLabel()
 		head := b.block()
+		if len(st.Body.List) == 0 {
+			// select {} blocks forever: a node with no successor.
+			head.Nodes = append(head.Nodes, st)
+			b.cur = nil
+			break
+		}
 		join := b.newBlock("select.join")
 		b.targets = append(b.targets, &target{label: label, brk: join})
 		for _, cc := range st.Body.List {
@@ -322,9 +328,6 @@ func (b *builder) stmt(s ast.Stmt) {
 			}
 		}
 		b.targets = b.targets[:len(b.targets)-1]
-		if len(st.Body.List) == 0 {
-			b.edge(head, join, Flow)
-		}
 		b.cur = join
 
 	case *ast.LabeledStmt:

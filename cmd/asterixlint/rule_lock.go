@@ -45,9 +45,10 @@ func runLockHeld(c *Config, p *Package, report func(token.Pos, string)) {
 		if len(held) == 0 {
 			return
 		}
-		// The graph keeps a select's comm clauses and a range's operand
-		// as nodes; their findings are reported at the select and the
-		// for, where they are written.
+		// The graph keeps a select's comm clauses (an empty select is
+		// its own node) and a range's operand as nodes; their findings
+		// are reported at the select and the for, where they are
+		// written.
 		selects := map[ast.Node]*ast.SelectStmt{}
 		ranges := map[ast.Node]*ast.RangeStmt{}
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -55,6 +56,9 @@ func runLockHeld(c *Config, p *Package, report func(token.Pos, string)) {
 			case *ast.FuncLit:
 				return false
 			case *ast.SelectStmt:
+				if len(st.Body.List) == 0 {
+					selects[st] = st
+				}
 				for _, cc := range st.Body.List {
 					if comm := cc.(*ast.CommClause).Comm; comm != nil {
 						selects[comm] = st

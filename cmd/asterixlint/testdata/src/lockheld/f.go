@@ -34,6 +34,12 @@ func (s *S) selectLocked() {
 	}
 }
 
+func (s *S) emptySelectLocked() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {} // WANT lock-held
+}
+
 func (s *S) rangeLocked() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

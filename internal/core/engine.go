@@ -726,19 +726,15 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 	// Execute with node-failure retry: the first attempt uses the job
 	// built under the compile span; a retry regenerates the job with a
 	// fresh collector (sinks hold per-run state) and runs it on the
-	// surviving nodes. Over attached transports every node builds its own
-	// job, and all of one attempt's jobs feed that attempt's collector.
-	first, collAttempt := true, 1
+	// surviving nodes.
+	first := true
 	es := sp.StartChild("execute")
-	rep, err := e.cluster.RunWithRetry(obs.ContextWithSpan(ctx, es), func(attempt int) (*hyracks.Job, error) {
+	rep, err := e.cluster.RunWithRetry(obs.ContextWithSpan(ctx, es), func() (*hyracks.Job, error) {
 		if first {
 			first = false
 			return job, nil
 		}
-		if attempt != collAttempt {
-			collAttempt = attempt
-			coll = &hyracks.Collector{}
-		}
+		coll = &hyracks.Collector{}
 		return g.Build(plan, coll)
 	}, hyracks.RetryPolicy{})
 	es.End()

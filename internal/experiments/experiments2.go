@@ -18,8 +18,6 @@ import (
 	"asterix/internal/feed"
 	"asterix/internal/hyracks"
 	"asterix/internal/lsm"
-	anet "asterix/internal/net"
-	"asterix/internal/obs"
 )
 
 // E6HTAPIsolation regenerates the Figure 7 story: a KV front end keeps
@@ -602,108 +600,6 @@ func E14HotPathAllocs(scale Scale, workDir string) (*Report, error) {
 	return rep, nil
 }
 
-// E15DistJoinLinkFault extends E13 across the network seam: a SQL++
-// equi-join on a three-node cluster whose nodes each own a TCP peer on
-// 127.0.0.1, so every frame between nodes crosses a socket. The clean run
-// baselines the wire cost; the fault run injects a link failure (net.drop:
-// frame discarded AND connection reset) mid-exchange and measures what the
-// retry-on-survivors path pays for the same exact answer.
-func E15DistJoinLinkFault(scale Scale, workDir string) (*Report, error) {
-	rep := &Report{
-		ID:     "E15",
-		Claim:  "a SQL++ join over the TCP frame transport survives an injected link fault: one re-execution buys the same exact answer",
-		Header: []string{"scenario", "query", "attempts", "rows"},
-	}
-	dir := filepath.Join(workDir, "e15")
-	defer removeScratch(dir)
-	e, err := newEngine(dir, 3, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	// Both sides wrap onto 100 keys, so the exact cardinality (6 left x 3
-	// right per key) is the loss probe.
-	var load strings.Builder
-	load.WriteString(`CREATE TYPE SideType AS {id: int, k: int};
-		CREATE DATASET Lefts(SideType) PRIMARY KEY id;
-		CREATE DATASET Rights(SideType) PRIMARY KEY id;`)
-	for _, side := range []struct {
-		name string
-		rows int
-	}{{"Lefts", 600}, {"Rights", 300}} {
-		fmt.Fprintf(&load, "UPSERT INTO %s ([", side.name)
-		for i := 0; i < side.rows; i++ {
-			if i > 0 {
-				load.WriteString(",")
-			}
-			fmt.Fprintf(&load, `{"id": %d, "k": %d}`, i, i%100)
-		}
-		load.WriteString("]);")
-	}
-	if _, err := e.Execute(rep.Ctx(), load.String()); err != nil {
-		return nil, err
-	}
-	reg := obs.NewRegistry()
-	lb, err := anet.AttachLoopback(e.Cluster(), reg)
-	if err != nil {
-		return nil, err
-	}
-	defer lb.Close()
-	const query = `SELECT l.id AS l, r.id AS r FROM Lefts l, Rights r WHERE l.k = r.k;`
-	const want = 1800
-
-	t0 := time.Now()
-	res, err := e.Query(rep.Ctx(), query)
-	if err != nil {
-		return nil, fmt.Errorf("E15: clean join: %w", err)
-	}
-	cleanT := time.Since(t0)
-	if len(res.Rows) != want {
-		return nil, fmt.Errorf("E15: clean run returned %d rows, want %d", len(res.Rows), want)
-	}
-	rep.Rows = append(rep.Rows, []string{
-		"clean", ms(cleanT), fmt.Sprint(res.Attempts), fmt.Sprint(len(res.Rows)),
-	})
-
-	// One link fault: after two clean sends, node nc1's next outbound
-	// data frame is dropped (and the connection reset — loss is never
-	// silent). The attempt breaks on every node, and the retry
-	// re-exchanges everything over a fresh connection.
-	if err := fault.Arm(fault.PointNetDrop + ":error:after=2:times=1:tag=nc1"); err != nil {
-		return nil, err
-	}
-	defer fault.Disarm()
-	t0 = time.Now()
-	res, err = e.Query(rep.Ctx(), query)
-	if err != nil {
-		return nil, fmt.Errorf("E15: join did not survive the link fault: %w", err)
-	}
-	faultT := time.Since(t0)
-	if len(res.Rows) != want {
-		return nil, fmt.Errorf("E15: fault run returned %d rows, want %d — a lost frame went unnoticed", len(res.Rows), want)
-	}
-	if res.Attempts < 2 {
-		return nil, fmt.Errorf("E15: link fault forced no retry (attempts=%d)", res.Attempts)
-	}
-	rep.Rows = append(rep.Rows, []string{
-		"link-fault", ms(faultT), fmt.Sprint(res.Attempts), fmt.Sprint(len(res.Rows)),
-	})
-
-	rep.Measure("dist_join_clean", "ms", float64(cleanT.Microseconds())/1000)
-	rep.Measure("dist_join_linkfault", "ms", float64(faultT.Microseconds())/1000)
-	rep.Measure("linkfault_attempts", "attempts", float64(res.Attempts))
-	snap := reg.Snapshot()
-	counter := func(name string) int64 {
-		v, _ := snap[name].(int64)
-		return v
-	}
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"transport counters, all nodes: frames_sent=%d dropped=%d conn_resets=%d stale_frames=%d",
-		counter("net_frames_sent_total"), counter("net_frames_dropped_total"),
-		counter("net_conn_resets_total"), counter("net_stale_frames_total")))
-	return rep, nil
-}
-
 // All returns every experiment in id order.
 func All() []NamedExperiment {
 	return []NamedExperiment{
@@ -712,8 +608,7 @@ func All() []NamedExperiment {
 		{"E7", E7AqlVsSqlpp}, {"E8", E8MergePolicy}, {"E9", E9Figure3},
 		{"E10", E10Recovery}, {"E11", E11PKSortAblation},
 		{"E12", E12Compression}, {"E13", E13NodeFailure},
-		{"E14", E14HotPathAllocs}, {"E15", E15DistJoinLinkFault},
-		{"E16", E16OptimizerJoinOrder},
+		{"E14", E14HotPathAllocs}, {"E16", E16OptimizerJoinOrder},
 	}
 }
 

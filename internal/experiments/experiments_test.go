@@ -181,24 +181,6 @@ func TestE13NodeFailure(t *testing.T) {
 	}
 }
 
-func TestE15DistJoinLinkFault(t *testing.T) {
-	rep := runExp(t, E15DistJoinLinkFault)
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows: %d", len(rep.Rows))
-	}
-	if rep.Rows[0][0] != "clean" || rep.Rows[1][0] != "link-fault" {
-		t.Errorf("scenario column: %v", rep.Rows)
-	}
-	// The fault run must have retried, and both runs must agree on the
-	// exact join cardinality — a short count is silent data loss.
-	if rep.Rows[1][2] == "1" {
-		t.Errorf("no retry recorded: %v", rep.Rows[1])
-	}
-	if rep.Rows[0][3] != rep.Rows[1][3] {
-		t.Errorf("row counts differ: %v", rep.Rows)
-	}
-}
-
 func TestE14HotPathAllocs(t *testing.T) {
 	rep := runExp(t, E14HotPathAllocs)
 	if len(rep.Measurements) < 6 {

@@ -16,8 +16,6 @@
 //	times=N   fire at most N times, then become a no-op (default 1; 0 = unlimited)
 //	p=F       fire with probability F per eligible hit (default 1.0,
 //	          drawn from the registry's seeded PRNG — see Seed)
-//	tag=S     fire only for probes carrying scope tag S (HitTag/TearTag);
-//	          network points tag probes with the local peer id
 //
 // Examples:
 //
@@ -25,10 +23,10 @@
 //	ASTERIX_FAULTS='txn.wal.append:torn,hyracks.frame.delay:delay=2ms:times=0'
 //	ASTERIX_FAULTS='hyracks.node.crash:error:after=3:times=1'
 //
-// Engine code calls only the guarded probes (Hit, Tear and their tagged
-// forms) and the read-only observers. Arm, Disarm and Seed change state
-// for the whole process and are harness API: tests, ASTERIX_FAULTS, and
-// the E13/E15 experiments in internal/experiments.
+// Engine code calls only the guarded probes (Hit, Tear) and the
+// read-only observers. Arm, Disarm and Seed change state for the whole
+// process and are harness API: tests, ASTERIX_FAULTS, and the E13
+// experiment in internal/experiments.
 package fault
 
 import (
@@ -69,24 +67,6 @@ const (
 	PointWALAppend = "txn.wal.append"
 	// PointPageWrite fails a storage-layer page write.
 	PointPageWrite = "storage.write.io"
-
-	// PointNetDrop drops an outbound data frame on the floor and resets
-	// the connection, like a lost packet followed by a peer RST. The
-	// sending task fails with a retriable link failure; nothing is
-	// silently lost.
-	PointNetDrop = "net.drop"
-	// PointNetDelay stalls an outbound data frame (arm with delay=…),
-	// simulating a slow or congested link.
-	PointNetDelay = "net.delay"
-	// PointNetPartition isolates a node from the data-plane mesh: while
-	// armed, its outbound sends fail and inbound messages are swallowed,
-	// failing every attempt registered on it. Arm with times=0 for a
-	// lasting partition, or tag= to partition one peer of the mesh.
-	PointNetPartition = "net.partition"
-	// PointNetConnReset tears an outbound frame mid-write (torn mode)
-	// and resets the connection: the receiver sees a short or
-	// CRC-corrupt frame on the wire.
-	PointNetConnReset = "net.conn.reset"
 )
 
 // ErrInjected is the sentinel wrapped by every injected error; callers
@@ -134,11 +114,6 @@ type Point struct {
 	Times int64
 	// P is the per-hit firing probability in (0,1]; 0 means 1.0.
 	P float64
-	// Tag scopes the point to probes carrying the same tag (HitTag,
-	// TearTag). Empty matches every probe — including plain Hit/Tear.
-	// Network points use the local peer id as the tag, so an in-process
-	// mesh can partition one peer: `net.partition:error:times=0:tag=b`.
-	Tag string
 
 	hits  int64 // total Hit/Tear probes while armed (atomic)
 	fired int64 // times the point actually fired (atomic)
@@ -190,18 +165,7 @@ func Hit(name string) error {
 	if armed.Load() == 0 {
 		return nil
 	}
-	return reg.hit(name, "")
-}
-
-// HitTag probes the named fault point with a scope tag: a point armed
-// with tag=T fires only for probes carrying T, while an untagged point
-// fires for every probe. The network layer tags probes with the local
-// peer id so one peer of an in-process mesh can be faulted alone.
-func HitTag(name, tag string) error {
-	if armed.Load() == 0 {
-		return nil
-	}
-	return reg.hit(name, tag)
+	return reg.hit(name)
 }
 
 // Tear probes a torn-write fault point: when the point is armed in
@@ -213,15 +177,7 @@ func Tear(name string, buf []byte) ([]byte, bool) {
 	if armed.Load() == 0 {
 		return buf, false
 	}
-	return reg.tear(name, "", buf)
-}
-
-// TearTag is Tear with a scope tag (see HitTag).
-func TearTag(name, tag string, buf []byte) ([]byte, bool) {
-	if armed.Load() == 0 {
-		return buf, false
-	}
-	return reg.tear(name, tag, buf)
+	return reg.tear(name, buf)
 }
 
 func (r *registry) lookup(name string) *Point {
@@ -256,9 +212,9 @@ func (r *registry) eligible(p *Point) bool {
 	return true
 }
 
-func (r *registry) hit(name, tag string) error {
+func (r *registry) hit(name string) error {
 	p := r.lookup(name)
-	if p == nil || (p.Tag != "" && p.Tag != tag) || !r.eligible(p) {
+	if p == nil || !r.eligible(p) {
 		return nil
 	}
 	r.countFire(name)
@@ -273,9 +229,9 @@ func (r *registry) hit(name, tag string) error {
 	}
 }
 
-func (r *registry) tear(name, tag string, buf []byte) ([]byte, bool) {
+func (r *registry) tear(name string, buf []byte) ([]byte, bool) {
 	p := r.lookup(name)
-	if p == nil || p.Mode != ModeTorn || (p.Tag != "" && p.Tag != tag) || !r.eligible(p) {
+	if p == nil || p.Mode != ModeTorn || !r.eligible(p) {
 		return buf, false
 	}
 	r.countFire(name)
@@ -374,11 +330,6 @@ func parsePoint(s string) (Point, error) {
 				return p, fmt.Errorf("fault: %s: bad probability %q", p.Name, f)
 			}
 			p.P = v
-		case strings.HasPrefix(f, "tag="):
-			p.Tag = strings.TrimPrefix(f, "tag=")
-			if p.Tag == "" {
-				return p, fmt.Errorf("fault: %s: empty tag", p.Name)
-			}
 		default:
 			return p, fmt.Errorf("fault: %s: unknown option %q", p.Name, f)
 		}
@@ -403,8 +354,8 @@ func Seed(n int64) {
 }
 
 // Int63n draws a value in [0, n) from the registry's seeded PRNG. It is
-// the randomness source for robustness-machinery jitter (retry backoff,
-// reconnect backoff): drawing it here instead of the global math/rand
+// the randomness source for robustness-machinery jitter (retry
+// backoff): drawing it here instead of the global math/rand
 // makes a fault-matrix run with ASTERIX_FAULT_SEED deterministic
 // end-to-end, retry timing included. n <= 0 returns 0.
 func Int63n(n int64) int64 {

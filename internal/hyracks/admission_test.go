@@ -3,77 +3,89 @@ package hyracks
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"asterix/internal/mem"
 )
 
-// edgeTransport accepts every edge, refuses it with err, or — with
-// cancel set — cancels the run and holds the node at its first edge
-// until the run is dead. It records the working memory the governor had
-// granted when the first edge opened: after the job's admission, so a
-// test can tell the reservation was held.
-type edgeTransport struct {
-	gov      *mem.Governor
-	err      error
-	cancel   context.CancelFunc
-	opened   bool
-	heldOpen int64
-}
-
-func (t *edgeTransport) OpenEdge(ctx context.Context, _ EdgeDesc) (EdgeHandle, error) {
-	if !t.opened {
-		t.opened = true
-		t.heldOpen = t.gov.WorkingGranted()
-	}
-	if t.cancel != nil {
-		t.cancel()
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	if t.err != nil {
-		return nil, t.err
-	}
-	return noRemoteEdge{}, nil
-}
-
-func (t *edgeTransport) CloseJob(string) {}
-
-// noRemoteEdge is the handle of an edge no task sends through: the
-// attempts below fail before any task starts.
-type noRemoteEdge struct{}
-
-func (noRemoteEdge) Send(context.Context, int, []Tuple) error {
-	return errors.New("no task sends")
-}
-
-func (noRemoteEdge) ProducerDone() error { return nil }
-
-// TestRunReleasesAdmissionOnEveryExit fails a two-node attempt on each
-// exit between the job's admission and its first task — a transport that
-// cannot open an edge, a context cancelled while a node waits at the
-// start barrier for one that never arrives — and checks that the
-// admission was held when the attempt failed and is given back once
-// RunWithRetry returns.
+// TestRunReleasesAdmissionOnEveryExit fails a job on each exit of Run
+// that comes after its admission — an unconnected input port, no alive
+// node, a task that fails, a context cancelled while the tasks run — and
+// checks that the admission was held when the job failed and is given
+// back once Run returns.
+//
+// The whole working pool is reserved while the job starts and freed only
+// once the job queues for admission, so Run cannot reach any of these
+// exits before it was admitted. A task that fails records the working
+// memory granted at its failure.
 func TestRunReleasesAdmissionOnEveryExit(t *testing.T) {
-	errRefused := errors.New("edge refused")
+	errTask := errors.New("task failed")
+	// sortJob scans with scanFn, sorts (the memory task the job is
+	// admitted for) and hands every sorted tuple to sink.
+	sortJob := func(scanFn func(*TaskContext, func(Tuple) error) error, sink func(int, Tuple) error) *Job {
+		j := NewJob()
+		scan := j.Add(NewScan("scan", 2, scanFn))
+		sorter := j.Add(NewSort("sort", 2, Comparator{Columns: []int{0}}))
+		out := j.Add(NewFuncSink("sink", 2, sink))
+		j.MustConnect(scan, sorter, 0, HashPartition(0))
+		j.MustConnect(sorter, out, 0, OneToOne())
+		return j
+	}
+	noSink := func(int, Tuple) error { return nil }
 	cases := []struct {
 		name string
-		// nc1 builds node nc1's transport; nc0's accepts every edge.
-		nc1  func(gov *mem.Governor, cancel context.CancelFunc) *edgeTransport
+		// job builds the failing job. held records the working memory
+		// granted when a task fails; cancel cancels Run's context.
+		job  func(c *Cluster, held *int64, cancel context.CancelFunc) *Job
 		want func(error) bool
 	}{
 		{
-			name: "edge refused",
-			nc1: func(gov *mem.Governor, _ context.CancelFunc) *edgeTransport {
-				return &edgeTransport{gov: gov, err: errRefused}
+			name: "unconnected input port",
+			job: func(*Cluster, *int64, context.CancelFunc) *Job {
+				j := NewJob()
+				scan := j.Add(NewScan("scan", 2, rangeScan(100)))
+				sorter := j.Add(NewSort("sort", 2, Comparator{Columns: []int{0}}))
+				j.MustConnect(scan, sorter, 1, HashPartition(0))
+				return j
 			},
-			want: func(err error) bool { return errors.Is(err, errRefused) },
+			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "input port 0 unconnected") },
 		},
 		{
-			name: "cancelled before start",
-			nc1: func(gov *mem.Governor, cancel context.CancelFunc) *edgeTransport {
-				return &edgeTransport{gov: gov, cancel: cancel}
+			name: "no alive node",
+			job: func(c *Cluster, _ *int64, _ context.CancelFunc) *Job {
+				for _, n := range c.Nodes {
+					n.Kill()
+				}
+				return sortJob(rangeScan(100), noSink)
+			},
+			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "no alive nodes") },
+		},
+		{
+			name: "task fails",
+			job: func(c *Cluster, held *int64, _ context.CancelFunc) *Job {
+				return sortJob(func(tc *TaskContext, emit func(Tuple) error) error {
+					if tc.Partition == 0 {
+						*held = c.Gov.WorkingGranted()
+						return errTask
+					}
+					return rangeScan(100)(tc, emit)
+				}, noSink)
+			},
+			want: func(err error) bool { return errors.Is(err, errTask) },
+		},
+		{
+			name: "cancelled after admission",
+			job: func(c *Cluster, held *int64, cancel context.CancelFunc) *Job {
+				return sortJob(func(tc *TaskContext, _ func(Tuple) error) error {
+					if tc.Partition == 0 {
+						*held = c.Gov.WorkingGranted()
+						cancel()
+					}
+					<-tc.Ctx.Done()
+					return tc.Ctx.Err()
+				}, noSink)
 			},
 			want: func(err error) bool { return errors.Is(err, context.Canceled) },
 		},
@@ -84,26 +96,34 @@ func TestRunReleasesAdmissionOnEveryExit(t *testing.T) {
 			c.Gov = mem.NewGovernor(mem.Config{WorkingBytes: 1 << 20})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			failing := tc.nc1(c.Gov, cancel)
-			c.AttachTransports(map[string]Transport{"nc0": &edgeTransport{gov: c.Gov}, "nc1": failing})
-			build := func(int) (*Job, error) {
-				j := NewJob()
-				scan := j.Add(NewScan("scan", 2, rangeScan(100)))
-				sorter := j.Add(NewSort("sort", 2, Comparator{Columns: []int{0}}))
-				sink := j.Add(NewFuncSink("sink", 2, func(int, Tuple) error { return nil }))
-				j.MustConnect(scan, sorter, 0, HashPartition(0))
-				j.MustConnect(sorter, sink, 0, OneToOne())
-				return j, nil
+			held := int64(-1)
+			j := tc.job(c, &held, cancel)
+
+			pool, err := c.Gov.Reserve(context.Background(), c.Gov.WorkingCap())
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, err := c.RunWithRetry(ctx, build, RetryPolicy{})
+			done := make(chan error, 1)
+			go func() { done <- c.Run(ctx, j) }()
+			for c.Gov.Waiters() == 0 {
+				select {
+				case err := <-done:
+					pool.Release()
+					t.Fatalf("Run = %v before the job queued for admission: the exit comes before it", err)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			pool.Release()
+			err = <-done
+
 			if !tc.want(err) {
-				t.Fatalf("RunWithRetry = %v, want the %s failure", err, tc.name)
+				t.Fatalf("Run = %v, want the %s failure", err, tc.name)
 			}
-			if failing.heldOpen == 0 {
-				t.Fatalf("no working memory was granted when the attempt failed: the exit came before admission")
+			if held == 0 {
+				t.Errorf("no working memory was granted when the task failed")
 			}
 			if got := c.Gov.WorkingGranted(); got != 0 {
-				t.Errorf("after the failed attempt the governor still grants %d bytes", got)
+				t.Errorf("after the failed run the governor still grants %d bytes", got)
 			}
 		})
 	}

@@ -101,19 +101,10 @@ type Cluster struct {
 
 	govOnce sync.Once
 
-	// transports, when attached, carries RunWithRetry's jobs across the
-	// nodes: node id → that node's Transport (see AttachTransports).
-	netMu      sync.Mutex
-	transports map[string]Transport
-	// runSeq numbers RunWithRetry calls, so the attempts of two
-	// concurrent jobs never share a job id on the wire.
-	runSeq atomic.Uint64
-
 	// Job lifecycle counters (atomic).
 	jobAttempts  int64
 	jobRetries   int64
 	nodeFailures int64
-	linkFailures int64
 	taskPanics   int64
 }
 
@@ -140,9 +131,6 @@ type RetryStats struct {
 	Retries int64
 	// NodeFailures counts jobs that failed because a node died.
 	NodeFailures int64
-	// LinkFailures counts jobs that failed because a network frame
-	// stream broke (connection reset, partition) without a node dying.
-	LinkFailures int64
 	// TaskPanics counts jobs that failed because an operator panicked.
 	TaskPanics int64
 }
@@ -153,7 +141,6 @@ func (c *Cluster) RetryStats() RetryStats {
 		Attempts:     atomic.LoadInt64(&c.jobAttempts),
 		Retries:      atomic.LoadInt64(&c.jobRetries),
 		NodeFailures: atomic.LoadInt64(&c.nodeFailures),
-		LinkFailures: atomic.LoadInt64(&c.linkFailures),
 		TaskPanics:   atomic.LoadInt64(&c.taskPanics),
 	}
 }

@@ -59,45 +59,26 @@ func (c *Cluster) admit(ctx context.Context, j *Job) (*mem.JobGrant, error) {
 // countFailure counts a failed attempt under its failure class.
 func (c *Cluster) countFailure(err error) error {
 	var nf *NodeFailure
-	var lf *LinkFailure
 	var tp *TaskPanic
 	switch {
 	case err == nil:
 	case errors.As(err, &nf):
 		atomic.AddInt64(&c.nodeFailures, 1)
-	case errors.As(err, &lf):
-		atomic.AddInt64(&c.linkFailures, 1)
 	case errors.As(err, &tp):
 		atomic.AddInt64(&c.taskPanics, 1)
 	}
 	return err
 }
 
-// run is Run without the attempt counters and the admission, under the
-// job's admitted grant: a job placed on one node (buildAttempt) runs that
-// node's share of an attempt through it (runAcross).
-//
-// A placed job runs only the node's tasks: channels consumed on the node
-// stay on the in-process fabric, channels consumed elsewhere are routed
-// through the placement's Transport, and the death of another node the
-// job runs on (NodeController.Kill) fails the run with the same
-// *NodeFailure. A broken frame stream without a dead node surfaces as
-// *LinkFailure, equally retriable.
+// run is Run without the attempt counter and the admission, under the
+// job's admitted grant.
 func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error {
-	pl := j.placement
-	var nodes []*NodeController
-	if pl != nil {
-		if pl.node.Dead() {
-			return &NodeFailure{Node: pl.node.ID, Op: "(startup)"}
-		}
-		nodes = pl.att.nodes
-	} else if nodes = c.AliveNodes(); len(nodes) == 0 {
+	nodes := c.AliveNodes()
+	if len(nodes) == 0 {
 		return fmt.Errorf("hyracks: no alive nodes in the cluster")
 	}
-	// nodeOf places partition p of every operator; isLocal reports
-	// whether it runs here.
+	// nodeOf places partition p of every operator.
 	nodeOf := func(p int) *NodeController { return nodes[p%len(nodes)] }
-	isLocal := func(p int) bool { return pl == nil || nodeOf(p) == pl.node }
 	// When the caller's span requests detailed profiling, every
 	// (operator, partition) task gets its own child span recording wall
 	// time, tuple counts, and spills. With no span (or detail off) every
@@ -129,36 +110,25 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 		})
 	}
 
-	// Build the per-edge fabric. Each edge has one frame channel per
-	// consumer-owned slot: channels consumed on this node are real Go
-	// channels; channels consumed elsewhere stay nil and sends to them go
-	// through the transport.
+	// Build the per-edge fabric: one frame channel per consumer slot.
 	type edgeRT struct {
 		chans   []chan []Tuple
-		owners  []string // per-channel consumer node; "" = local
-		remote  bool     // any remote-owned channel
-		handle  EdgeHandle
-		pending int32 // undone producers, local + remote
+		pending int32 // undone producers
 	}
-	// producerDone counts one producer of the edge finished. The last one —
-	// a local task, or a remote peer's EOS — closes the local channels,
-	// unless the run has died first (error, cancellation, a peer that will
-	// never EOS): then they are abandoned, and every consumer recv selects
-	// on its task context, so nothing blocks on an unclosed channel.
+	// producerDone counts one producer of the edge finished. The last one
+	// closes the channels, unless the run has died first (error or
+	// cancellation): then they are abandoned, and every consumer recv
+	// selects on its task context, so nothing blocks on an unclosed
+	// channel.
 	producerDone := func(rt *edgeRT) {
 		if atomic.AddInt32(&rt.pending, -1) == 0 && ctx.Err() == nil {
 			for _, ch := range rt.chans {
-				if ch != nil {
-					close(ch)
-				}
+				close(ch)
 			}
 		}
 	}
 	rts := make(map[*edge]*edgeRT, len(j.edges))
-	if pl != nil {
-		defer pl.transport.CloseJob(pl.att.jobID)
-	}
-	for ei, e := range j.edges {
+	for _, e := range j.edges {
 		rt := &edgeRT{}
 		n := e.to.Parallelism
 		if e.conn.Kind == ConnMerge {
@@ -175,82 +145,11 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 			}
 		}
 		rt.chans = make([]chan []Tuple, n)
-		rt.owners = make([]string, n)
 		for i := range rt.chans {
-			// The consumer partition owning channel i: merge connectors
-			// concentrate every stream onto consumer partition 0.
-			part := i
-			if e.conn.Kind == ConnMerge {
-				part = 0
-			}
-			if !isLocal(part) {
-				rt.owners[i] = nodeOf(part).ID
-				rt.remote = true
-				continue
-			}
 			rt.chans[i] = make(chan []Tuple, 8)
 		}
 		rt.pending = int32(e.from.Parallelism)
 		rts[e] = rt
-		if pl != nil {
-			senders := map[string]bool{}
-			for pp := 0; pp < e.from.Parallelism; pp++ {
-				if !isLocal(pp) {
-					senders[nodeOf(pp).ID] = true
-				}
-			}
-			h, err := pl.transport.OpenEdge(ctx, EdgeDesc{
-				JobID:     pl.att.jobID,
-				Edge:      ei,
-				Owners:    rt.owners,
-				Recv:      rt.chans,
-				Producers: e.from.Parallelism,
-				Senders:   len(senders),
-				EOS:       func() { producerDone(rt) },
-				Fail:      fail,
-			})
-			if err != nil {
-				return fmt.Errorf("hyracks: open edge %d: %w", ei, err)
-			}
-			rt.handle = h
-		}
-	}
-
-	// The watchers of the other nodes install BEFORE the START barrier:
-	// a node that dies while this one is parked at the barrier must still
-	// fail the run with the typed retriable error rather than let it wait
-	// forever.
-	if pl != nil {
-		// Watch every other node this attempt runs tasks on: Kill on its
-		// controller becomes the same retriable NodeFailure a kill of
-		// this node raises.
-		watched := map[*NodeController]bool{pl.node: true}
-		for _, op := range j.ops {
-			for p := 0; p < op.Parallelism; p++ {
-				nc := nodeOf(p)
-				if watched[nc] {
-					continue
-				}
-				watched[nc] = true
-				go func(nc *NodeController) {
-					select {
-					case <-nc.killedCh():
-						fail(&NodeFailure{Node: nc.ID, Op: "(remote)"})
-					case <-ctx.Done():
-					}
-				}(nc)
-			}
-		}
-		pl.att.ready()
-		select {
-		case <-pl.att.start:
-		case <-ctx.Done():
-			// A watcher or the transport may have cancelled the run with a
-			// typed retriable failure; fail-then-read synchronizes on the
-			// errOnce, so that error wins over a bare context.Canceled.
-			fail(ctx.Err())
-			return firstErr
-		}
 	}
 
 	// One kill watcher per node the job runs tasks on: the node's tasks
@@ -277,9 +176,6 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 
 	for _, op := range j.ops {
 		for p := 0; p < op.Parallelism; p++ {
-			if !isLocal(p) {
-				continue
-			}
 			op, p := op, p
 			node := nodeOf(p)
 			var ts *obs.Span
@@ -302,16 +198,6 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 			}
 			send := func(rt *edgeRT, dst int, frame []Tuple) error {
 				if err := fault.Hit(fault.PointFrameDelay); err != nil {
-					return err
-				}
-				if rt.owners[dst] != "" {
-					// Remote consumer: the transport serializes the frame
-					// and blocks under the consumer's credit window. Wire
-					// stalls are always attributed (the per-frame clock is
-					// noise next to a network round trip).
-					t0 := time.Now()
-					err := rt.handle.Send(tctx, dst, frame)
-					tc.AddWait(obs.WaitNet, time.Since(t0))
 					return err
 				}
 				ch := rt.chans[dst]
@@ -432,17 +318,6 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 						}
 					}
 				}
-				// The wire end-of-stream is a success claim — "every frame I
-				// owed this edge arrived before this" — so a FAILED producer
-				// must not send it: a reconnect would carry the EOS past the
-				// break and the consumer would complete on silently truncated
-				// data. Its consumers instead block until its failure cancels
-				// the attempt on every node and the retry supersedes the job id.
-				for _, e := range op.outs {
-					if rt := rts[e]; err == nil && rt.remote {
-						err = rt.handle.ProducerDone()
-					}
-				}
 				// A task that failed on a dead node failed BECAUSE the node
 				// died (its tctx was cancelled by the watcher); a task that
 				// finished before the kill landed keeps its success.
@@ -463,12 +338,6 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 	}
 	wg.Wait()
 	j.peakWorking = jobGrant.Peak()
-	// The watchers of the other nodes stop on the deferred cancel, so one
-	// can be inside fail() right now. An empty Do synchronizes with it —
-	// Do returns only after the first call's write to firstErr completed —
-	// and consumes the Once, so a watcher firing later can no longer write
-	// while firstErr is read.
-	errOnce.Do(func() {})
 	if firstErr != nil {
 		return firstErr
 	}

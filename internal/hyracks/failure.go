@@ -22,27 +22,6 @@ func (e *NodeFailure) Error() string {
 	return fmt.Sprintf("node %s died running %s", e.Node, e.Op)
 }
 
-// LinkFailure is the error a job fails with when the network transport
-// loses a frame stream mid-flight — a dropped connection, a torn frame,
-// or a partition — without the remote peer being declared dead. Like
-// NodeFailure it is retriable: the exchange protocol never acknowledges
-// a frame it did not deliver, so re-running the attempt from scratch on
-// a fresh stream is always safe.
-type LinkFailure struct {
-	Peer string // remote peer / node id the stream was bound for
-	Op   string // operator whose task observed the break (may be empty)
-	Err  error  // underlying transport error
-}
-
-func (e *LinkFailure) Error() string {
-	if e.Op != "" {
-		return fmt.Sprintf("link to %s failed running %s: %v", e.Peer, e.Op, e.Err)
-	}
-	return fmt.Sprintf("link to %s failed: %v", e.Peer, e.Err)
-}
-
-func (e *LinkFailure) Unwrap() error { return e.Err }
-
 // TaskPanic is the error a job fails with when one of its operators
 // panics. The task's goroutine recovers the panic, so the process keeps
 // serving; it is not retriable, since a re-run would panic again.
@@ -58,21 +37,16 @@ func (e *TaskPanic) Error() string {
 }
 
 // Retriable reports whether err is a failure class RunWithRetry would
-// re-plan around (node death or a broken frame stream), and the dead
-// node's id when the error names one. Servers use it to tell clients a
-// resend may succeed.
+// re-plan around (node death), and the dead node's id. Servers use it to
+// tell clients a resend may succeed.
 func Retriable(err error) (deadNode string, ok bool) { return retriable(err) }
 
 // retriable reports whether err is a failure class RunWithRetry should
-// re-plan around (node death or a broken frame stream).
+// re-plan around (node death).
 func retriable(err error) (deadNode string, ok bool) {
 	var nf *NodeFailure
 	if errors.As(err, &nf) {
 		return nf.Node, true
-	}
-	var lf *LinkFailure
-	if errors.As(err, &lf) {
-		return "", true
 	}
 	return "", false
 }
@@ -105,37 +79,27 @@ type RunReport struct {
 }
 
 // RunWithRetry executes the job produced by build, re-building and
-// re-running it on the surviving nodes when a node or link failure kills
-// an attempt, with bounded exponential backoff plus jitter between
+// re-running it on the surviving nodes when a node failure kills an
+// attempt, with bounded exponential backoff plus jitter between
 // attempts. Jitter is drawn from fault.Int63n, so a run armed with
 // ASTERIX_FAULT_SEED has deterministic retry timing end-to-end.
-// build must return a fresh Job per call — sinks and collectors hold
-// per-run state, so a Job value cannot be re-run. It is called with the
-// attempt number, once per attempt on the channel fabric and once per
-// alive node with transports attached (AttachTransports): the jobs of
-// one attempt share whatever per-attempt state build hands them, such as
-// the result collector. Other errors are returned immediately.
-func (c *Cluster) RunWithRetry(ctx context.Context, build func(attempt int) (*Job, error), pol RetryPolicy) (RunReport, error) {
+// build is called once per attempt and must return a fresh Job — sinks
+// and collectors hold per-run state, so a Job value cannot be re-run.
+// Other errors are returned immediately.
+func (c *Cluster) RunWithRetry(ctx context.Context, build func() (*Job, error), pol RetryPolicy) (RunReport, error) {
 	if pol.MaxAttempts <= 0 {
 		pol.MaxAttempts = 3
 	}
 	var rep RunReport
 	backoff := retryBaseBackoff
-	run := c.runSeq.Add(1)
 	for {
-		jobs, err := c.buildAttempt(build, run, rep.Attempts+1)
+		j, err := build()
 		if err != nil {
 			return rep, err
 		}
 		rep.Attempts++
-		if jobs[0].placement == nil {
-			err = c.Run(ctx, jobs[0])
-		} else {
-			err = c.runAcross(ctx, jobs)
-		}
-		for _, j := range jobs {
-			rep.PeakWorkingBytes = max(rep.PeakWorkingBytes, j.PeakWorkingBytes())
-		}
+		err = c.Run(ctx, j)
+		rep.PeakWorkingBytes = max(rep.PeakWorkingBytes, j.PeakWorkingBytes())
 		if err == nil {
 			return rep, nil
 		}

@@ -38,7 +38,7 @@ func TestKillNodeMidJoinRetriesOnSurvivors(t *testing.T) {
 
 	var seen int32
 	var coll *Collector
-	build := func(int) (*Job, error) {
+	build := func() (*Job, error) {
 		j := NewJob()
 		left := j.Add(NewScan("left", 4, rangeScan(8000)))
 		right := j.Add(NewScan("right", 4, rangeScan(4000)))
@@ -61,7 +61,7 @@ func TestKillNodeMidJoinRetriesOnSurvivors(t *testing.T) {
 	}
 
 	// First, show the bare Run fails fast with a typed node failure.
-	j, _ := build(1)
+	j, _ := build()
 	err := c.Run(context.Background(), j)
 	var nf *NodeFailure
 	if !errors.As(err, &nf) {
@@ -99,7 +99,7 @@ func TestRunWithRetryRecoversMidRunKill(t *testing.T) {
 
 	var seen int32
 	var coll *Collector
-	build := func(int) (*Job, error) {
+	build := func() (*Job, error) {
 		j := NewJob()
 		left := j.Add(NewScan("left", 4, rangeScan(6000)))
 		killer := j.Add(NewMap("killer", 4, func(tc *TaskContext, tp Tuple, emit func(Tuple) error) error {

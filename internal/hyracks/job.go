@@ -183,11 +183,6 @@ type Job struct {
 	ops   []*Operator
 	edges []*edge
 
-	// placement, when set, makes the job one node's share of an attempt
-	// (buildAttempt) that routes cross-node edges through the transport.
-	// Nil is the channel fabric: every task local.
-	placement *placement
-
 	// peakWorking records the job's high-water mark of granted working
 	// memory, set by Run when the job completes.
 	peakWorking int64

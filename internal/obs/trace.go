@@ -39,17 +39,12 @@ const (
 	// blocked sends into a full downstream connector channel (recorded
 	// only under detailed profiling: it is a per-frame hot path).
 	WaitExchange
-	// WaitNet is time a task spent stalled on the network transport:
-	// blocked on a remote consumer's credit window, on a TCP write into
-	// a congested link, or on an injected network delay. The exchange
-	// kind covers in-process connector stalls; this one covers the wire.
-	WaitNet
 
 	numWaitKinds
 )
 
 var waitKindNames = [numWaitKinds]string{
-	"admission", "lock", "spill", "flush", "exchange", "net",
+	"admission", "lock", "spill", "flush", "exchange",
 }
 
 // String names the category as it appears in logs and span counters.
