@@ -108,6 +108,11 @@ bench-repo-smoke:
 	cd benchmark && go test ./...
 	bash benchmark/run.sh --scale smoke --workload point_serve --seconds 2
 
+# examples: run each program under examples/, the callers of the public
+# asterix API; a non-zero exit of any fails the target.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; go run "./$$d" >/dev/null || exit 1; done
+
 # fuzz-smoke: a short bounded run of each fuzz target (CI uses this).
 fuzz-smoke:
 	go test -run NONE -fuzz FuzzADMBinaryRoundTrip -fuzztime 10s ./internal/adm
@@ -128,9 +133,10 @@ help:
 	@echo "  optimizer   golden plans, join regressions, on/off equivalence (race)"
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
+	@echo "  examples    run every program under examples/ (fails on a non-zero exit)"
 	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, B+tree page reader, aggregate merge)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 
-.PHONY: tier1 verify lint optimizer invariants fault-matrix bench bench-smoke bench-repo-smoke fuzz-smoke help
+.PHONY: tier1 verify lint optimizer invariants fault-matrix bench bench-smoke bench-repo-smoke examples fuzz-smoke help

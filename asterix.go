@@ -6,6 +6,10 @@
 // partitioned-parallel dataflow runtime (Hyracks), and LSM-based storage
 // with B+tree, R-tree, and inverted keyword secondary indexes.
 //
+// An instance has four settings (Config): its data directory, its
+// partition count, one memory budget that the governor splits as in the
+// paper's Figure 2, and an optional statement clock.
+//
 // Quick start:
 //
 //	db, err := asterix.Open(asterix.Config{DataDir: "/tmp/asterix"})
@@ -22,7 +26,6 @@ import (
 	"asterix/internal/adm"
 	"asterix/internal/aql"
 	"asterix/internal/core"
-	"asterix/internal/lsm"
 	"asterix/internal/obs"
 )
 
@@ -33,42 +36,12 @@ type Config struct {
 	// Partitions is the number of storage partitions per dataset — the
 	// simulated shared-nothing nodes (default 2).
 	Partitions int
-	// Nodes is the dataflow cluster's node-controller count (default =
-	// Partitions).
-	Nodes int
-	// PageSize is the buffer-cache page size in bytes (default 8192).
-	PageSize int
-	// FrameSize is the dataflow runtime's frame (batch) size in tuples
-	// (default 256).
-	FrameSize int
-	// TotalMemory is the instance-wide memory budget in bytes. When set,
-	// the memory governor splits it across the buffer cache, LSM memory
-	// components, and operator working memory; any of the explicit knobs
-	// below carve their share out of it. When zero, the explicit knobs
-	// (or their defaults) apply and the total is their sum.
+	// TotalMemory is the instance-wide memory budget of Figure 2 in
+	// bytes (at least 1 MiB). The memory governor splits it across the
+	// buffer cache (a quarter), the LSM memory components (a quarter)
+	// and operator working memory (the remainder). When zero, each pool
+	// takes its default and the total is their sum.
 	TotalMemory int64
-	// BufferPages sizes the buffer cache in pages (default 4096, or
-	// TotalMemory/4 when TotalMemory is set).
-	BufferPages int
-	// MemComponentBudget bounds each LSM memory component in bytes
-	// (default 4 MiB). The sum of all memory components is bounded by a
-	// pool of 4x MemComponentBudget, or TotalMemory/4 when TotalMemory is
-	// set; the governor flushes the earliest-dirty component when the
-	// pool overflows.
-	MemComponentBudget int
-	// WorkingMemory bounds the shared operator working-memory pool in
-	// bytes (default 32 MiB, or the TotalMemory remainder).
-	WorkingMemory int
-	// AdmitTimeout bounds how long a query waits for working-memory
-	// admission before failing retriably (default 10s).
-	AdmitTimeout time.Duration
-	// MergePolicy selects the LSM merge policy: "constant" (default),
-	// "tiered", or "none".
-	MergePolicy string
-	// OptimizerDisable names optimizer rules to skip (experiment
-	// ablations; see algebricks.DefaultRules). Naming every rule runs each
-	// query exactly as translated.
-	OptimizerDisable []string
 	// Now overrides the statement clock (tests and reproducible runs).
 	Now func() time.Time
 }
@@ -87,29 +60,11 @@ type Value = adm.Value
 // Open opens (creating if needed) a database instance rooted at
 // cfg.DataDir, running crash recovery from its write-ahead log.
 func Open(cfg Config) (*DB, error) {
-	var policy lsm.MergePolicy
-	switch cfg.MergePolicy {
-	case "", "constant":
-		policy = lsm.ConstantPolicy{Components: 4}
-	case "tiered":
-		policy = lsm.TieredPolicy{}
-	case "none":
-		policy = lsm.NoMergePolicy{}
-	}
 	eng, err := core.Open(core.Config{
-		DataDir:            cfg.DataDir,
-		Partitions:         cfg.Partitions,
-		Nodes:              cfg.Nodes,
-		PageSize:           cfg.PageSize,
-		FrameSize:          cfg.FrameSize,
-		TotalMemory:        cfg.TotalMemory,
-		BufferPages:        cfg.BufferPages,
-		MemComponentBudget: cfg.MemComponentBudget,
-		WorkingMemory:      cfg.WorkingMemory,
-		AdmitTimeout:       cfg.AdmitTimeout,
-		MergePolicy:        policy,
-		OptimizerDisable:   cfg.OptimizerDisable,
-		Now:                cfg.Now,
+		DataDir:     cfg.DataDir,
+		Partitions:  cfg.Partitions,
+		TotalMemory: cfg.TotalMemory,
+		Now:         cfg.Now,
 	})
 	if err != nil {
 		return nil, err

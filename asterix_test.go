@@ -122,12 +122,28 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-func TestMergePolicyConfig(t *testing.T) {
-	for _, p := range []string{"", "constant", "tiered", "none"} {
-		db, err := Open(Config{DataDir: t.TempDir(), MergePolicy: p})
-		if err != nil {
-			t.Fatalf("policy %q: %v", p, err)
+// TestTotalMemoryIsTheOneBudget opens an instance through its one memory
+// setting: the governor's pools split the total (internal/core tests the
+// split), and a total below 1 MiB is refused.
+func TestTotalMemoryIsTheOneBudget(t *testing.T) {
+	db, err := Open(Config{DataDir: t.TempDir(), TotalMemory: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	snap := db.Metrics().Snapshot()
+	for name, want := range map[string]float64{
+		"mem_total_budget_bytes":         64 << 20,
+		"mem_buffercache_reserved_bytes": 16 << 20,
+		"mem_component_pool_bytes":       16 << 20,
+		"mem_working_pool_bytes":         32 << 20,
+	} {
+		if got := snap[name]; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
+	}
+	if db, err := Open(Config{DataDir: t.TempDir(), TotalMemory: 512 << 10}); err == nil {
 		db.Close()
+		t.Fatal("a total below 1 MiB must be refused")
 	}
 }

@@ -56,9 +56,6 @@ func main() {
 		dataDir    = flag.String("data", "./asterix-data", "data directory")
 		listen     = flag.String("listen", ":19002", "listen address")
 		partitions = flag.Int("partitions", 2, "storage partitions per dataset")
-		nodes      = flag.Int("nodes", 0, "dataflow node controllers (0 = partitions)")
-		frameSize  = flag.Int("frame-size", 0, "dataflow frame size in tuples (0 = default 256)")
-		bufPages   = flag.Int("buffer-pages", 0, "buffer cache size in pages (0 = derived)")
 		totalMem   = flag.String("total-memory", "",
 			"instance-wide memory budget, e.g. 256MiB; split across buffer cache, LSM memtables, and working memory")
 		slowQuery = flag.Duration("slow-query", 500*time.Millisecond,
@@ -74,9 +71,6 @@ func main() {
 	eng, err := core.Open(core.Config{
 		DataDir:     *dataDir,
 		Partitions:  *partitions,
-		Nodes:       *nodes,
-		FrameSize:   *frameSize,
-		BufferPages: *bufPages,
 		TotalMemory: total,
 	})
 	if err != nil {

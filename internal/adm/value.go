@@ -268,7 +268,8 @@ type Object struct {
 }
 
 // NewObject builds an object from fields, keeping their order. Duplicate
-// names keep the last occurrence.
+// names keep the last occurrence, and a field whose value is missing is
+// left out (see Set).
 func NewObject(fields ...Field) *Object {
 	o := &Object{fields: make([]Field, 0, len(fields))}
 	for _, f := range fields {
@@ -306,10 +307,15 @@ func (o *Object) Has(name string) bool {
 	return false
 }
 
-// Set sets the named field, replacing any existing value. It is intended
-// for use during construction only; objects must not be mutated after
-// being shared.
+// Set sets the named field, replacing any existing value. An object never
+// holds a field whose value is missing, so setting one leaves the object
+// as it is: a missing value is an absent field. Set is intended for use
+// during construction only; objects must not be mutated after being
+// shared.
 func (o *Object) Set(name string, v Value) {
+	if v == Missing {
+		return
+	}
 	for i, f := range o.fields {
 		if f.Name == name {
 			o.fields[i].Value = v

@@ -374,9 +374,7 @@ func (c *compiler) compileObject(x *sqlpp.ObjectConstructor) code {
 			if err != nil {
 				return nil, err
 			}
-			if v.Kind() != adm.KindMissing { // missing fields are simply absent
-				out = append(out, adm.Field{Name: name, Value: v})
-			}
+			out = append(out, adm.Field{Name: name, Value: v}) // NewObject leaves a missing one out
 		}
 		return adm.NewObject(out...), nil
 	}, operands...)

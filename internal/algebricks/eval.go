@@ -295,10 +295,7 @@ func (ev *Evaluator) Eval(e sqlpp.Expr, env *Env) (adm.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			if v.Kind() == adm.KindMissing {
-				continue // missing fields are simply absent
-			}
-			o.Set(name, v)
+			o.Set(name, v) // a missing field is simply absent
 		}
 		return o, nil
 

@@ -532,7 +532,7 @@ func (g *JobGen) buildGroup(j *hyracks.Job, o *GroupOp) (built, error) {
 		if hasGroupAs {
 			obj := adm.NewObject()
 			for i, name := range rowVars {
-				if ci := rowCols[i]; ci >= 0 && ci < len(t) && t[ci].Kind() != adm.KindMissing {
+				if ci := rowCols[i]; ci >= 0 && ci < len(t) {
 					obj.Set(userName(name), t[ci])
 				}
 			}

@@ -154,3 +154,62 @@ func TestSingleQueryGetsFullPool(t *testing.T) {
 		t.Errorf("lone query within budget spilled %d times", spills)
 	}
 }
+
+// TestTotalMemorySplitsOneBudget checks how Open divides Config.TotalMemory
+// into the three pools of Figure 2: the buffer cache gets a quarter in pages
+// (at least 64), the component pool a quarter, each memory component a
+// quarter of the pool (at least 64 KiB), and working memory the rest. An
+// explicit BufferPages is carved out of the total. The governor is given
+// the same pools, and they sum to the total.
+func TestTotalMemorySplitsOneBudget(t *testing.T) {
+	const kib, mib = 1 << 10, 1 << 20
+	for _, c := range []struct {
+		name                  string
+		cfg                   Config
+		pages, budget         int
+		pool, working, buffer int64
+	}{
+		{"64 MiB", Config{TotalMemory: 64 * mib},
+			2048, 4 * mib, 16 * mib, 32 * mib, 16 * mib},
+		{"1 MiB, the buffer cache at its floor", Config{TotalMemory: 1 * mib},
+			64, 64 * kib, 256 * kib, 256 * kib, 512 * kib},
+		{"64 MiB, 1024 buffer pages carved out", Config{TotalMemory: 64 * mib, BufferPages: 1024},
+			1024, 4 * mib, 16 * mib, 40 * mib, 8 * mib},
+	} {
+		e := newEngine(t, c.cfg)
+		if e.cfg.BufferPages != c.pages || e.cfg.MemComponentBudget != c.budget ||
+			e.cfg.componentPool != int(c.pool) || e.cfg.WorkingMemory != int(c.working) {
+			t.Errorf("%s: pages %d, component budget %d, pool %d, working %d; want %d, %d, %d, %d", c.name,
+				e.cfg.BufferPages, e.cfg.MemComponentBudget, e.cfg.componentPool, e.cfg.WorkingMemory,
+				c.pages, c.budget, c.pool, c.working)
+		}
+		snap := e.Metrics().Snapshot()
+		for name, want := range map[string]int64{
+			"mem_buffercache_reserved_bytes": c.buffer,
+			"mem_component_pool_bytes":       c.pool,
+			"mem_working_pool_bytes":         c.working,
+			"mem_total_budget_bytes":         c.cfg.TotalMemory,
+		} {
+			if got := snap[name]; got != float64(want) {
+				t.Errorf("%s: %s = %v, want %d", c.name, name, got, want)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"below 1 MiB", Config{TotalMemory: 1*mib - 1}, "below the 1 MiB minimum"},
+		{"no working memory left", Config{TotalMemory: 4 * mib, BufferPages: 384}, "leaves no working memory"},
+	} {
+		c.cfg.DataDir = t.TempDir()
+		if e, err := Open(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			if err == nil {
+				e.Close()
+			}
+			t.Errorf("%s: Open returned %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}

@@ -34,9 +34,6 @@ type Config struct {
 	Nodes int
 	// PageSize is the buffer-cache page size (default 8192).
 	PageSize int
-	// FrameSize is the Hyracks tuple-batch size moved through connectors
-	// (default 256 tuples).
-	FrameSize int
 	// TotalMemory, when set, is the single budget of Figure 2: the memory
 	// governor splits it across the buffer cache, the LSM component pool,
 	// and query working memory. The component pool gets a quarter; knobs
@@ -48,12 +45,13 @@ type Config struct {
 	// BufferPages is the buffer-cache size in pages (default 4096, or
 	// TotalMemory/4 worth of pages).
 	BufferPages int
-	// MemComponentBudget bounds each LSM memory component (default 4 MiB,
-	// or TotalMemory/16).
+	// MemComponentBudget bounds each LSM memory component (default a
+	// quarter of mem.DefaultComponentBytes, or TotalMemory/16).
 	MemComponentBudget int
 	// WorkingMemory caps the governor's query working-memory pool,
-	// shared by all concurrent sorts/joins/aggregations (default 32 MiB,
-	// or what TotalMemory leaves after the other pools).
+	// shared by all concurrent sorts/joins/aggregations (default
+	// mem.DefaultWorkingBytes, or what TotalMemory leaves after the other
+	// pools).
 	WorkingMemory int
 	// AdmitTimeout bounds how long a query waits for working-memory
 	// admission before failing retriably (default 10s).
@@ -74,9 +72,6 @@ type Config struct {
 	// off only greedy join ordering. Naming every rule runs each query
 	// exactly as translated.
 	OptimizerDisable []string
-	// Metrics, when set, is the observability registry all subsystems
-	// publish into; nil = the engine creates its own (see Engine.Metrics).
-	Metrics *obs.Registry
 	// Now overrides the statement clock (tests); nil = time.Now.
 	Now func() time.Time
 
@@ -98,12 +93,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.PageSize <= 0 {
 		c.PageSize = 8192
 	}
-	if c.FrameSize < 0 {
-		return c, fmt.Errorf("core: Config.FrameSize must be positive, got %d", c.FrameSize)
-	}
-	if c.FrameSize == 0 {
-		c.FrameSize = 256
-	}
 	if c.AdmitTimeout <= 0 {
 		c.AdmitTimeout = 10 * time.Second
 	}
@@ -121,10 +110,8 @@ func (c Config) withDefaults() (Config, error) {
 		}
 		c.componentPool = int(c.TotalMemory / 4)
 		if c.MemComponentBudget <= 0 {
+			// At least 64 KiB, since the total is at least 1 MiB.
 			c.MemComponentBudget = c.componentPool / 4
-			if c.MemComponentBudget < 64<<10 {
-				c.MemComponentBudget = 64 << 10
-			}
 		}
 		if c.WorkingMemory <= 0 {
 			w := c.TotalMemory - int64(c.BufferPages)*int64(c.PageSize) - int64(c.componentPool)
@@ -141,11 +128,11 @@ func (c Config) withDefaults() (Config, error) {
 			c.BufferPages = 4096
 		}
 		if c.MemComponentBudget <= 0 {
-			c.MemComponentBudget = 4 << 20
+			c.MemComponentBudget = mem.DefaultComponentBytes / 4
 		}
 		c.componentPool = 4 * c.MemComponentBudget
 		if c.WorkingMemory <= 0 {
-			c.WorkingMemory = 32 << 20
+			c.WorkingMemory = mem.DefaultWorkingBytes
 		}
 		c.TotalMemory = int64(c.BufferPages)*int64(c.PageSize) + int64(c.componentPool) + int64(c.WorkingMemory)
 	}
@@ -159,10 +146,6 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("core: Config.OptimizerDisable names unknown rule %q; the rules are %s",
 				name, strings.Join(rules, ", "))
 		}
-	}
-	// A real registry keeps Snapshot and /metrics meaningful.
-	if c.Metrics == nil {
-		c.Metrics = obs.NewRegistry()
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -221,6 +204,7 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, errors.Join(err, log.Close())
 	}
 	bc := storage.NewBufferCache(fm, cfg.BufferPages)
+	reg := obs.NewRegistry()
 	// One governor owns the whole Figure 2 budget: the buffer cache's
 	// fixed slice, the shared LSM component pool, and the query working
 	// pool every Hyracks job is admitted through.
@@ -229,10 +213,9 @@ func Open(cfg Config) (*Engine, error) {
 		ComponentBytes:   int64(cfg.componentPool),
 		WorkingBytes:     int64(cfg.WorkingMemory),
 		AdmitTimeout:     cfg.AdmitTimeout,
-		Metrics:          cfg.Metrics,
+		Metrics:          reg,
 	})
 	cluster.Gov = gov
-	cluster.FrameSize = cfg.FrameSize
 	e := &Engine{
 		cfg:      cfg,
 		fm:       fm,
@@ -245,7 +228,7 @@ func Open(cfg Config) (*Engine, error) {
 		datasets: map[string]*Dataset{},
 	}
 	e.txmgr.NoSync = cfg.NoSyncCommits
-	e.registerMetrics(cfg.Metrics)
+	e.registerMetrics(reg)
 	// Open all datasets, then redo committed updates since the last
 	// checkpoint.
 	for name, def := range cat.Datasets {
@@ -736,7 +719,7 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 		}
 		coll = &hyracks.Collector{}
 		return g.Build(plan, coll)
-	}, hyracks.RetryPolicy{})
+	})
 	es.End()
 	if err != nil {
 		return Result{Attempts: rep.Attempts, DeadNodes: rep.DeadNodes, PeakWorkingMem: rep.PeakWorkingBytes}, err

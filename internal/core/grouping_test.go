@@ -114,13 +114,14 @@ func TestGroupKeyInNestedScopes(t *testing.T) {
 	}
 }
 
-// TestGroupAsHoldsRowVariables pins the last two corpus statements, a
-// GROUP AS over FROM, UNNEST and LET variables beside a WITH item, at the
-// top level and one block down: both engines hold the same row variables
-// in each element and never the WITH item.
+// TestGroupAsHoldsRowVariables pins the last four corpus statements, each
+// pair at the top level and one block down. The first pair is a GROUP AS
+// over FROM, UNNEST and LET variables beside a WITH item: both engines hold
+// the same row variables in each element and never the WITH item. In the
+// second, a LET variable is missing, and no element holds it.
 func TestGroupAsHoldsRowVariables(t *testing.T) {
 	stmts := readCorpus(t, "../sqlpp/testdata/corpus/equivalence.sql")
-	stmts = stmts[len(stmts)-2:]
+	stmts = stmts[len(stmts)-4:]
 	e := newEngine(t, Config{})
 	seedEquivData(t, e)
 	var user [2]string
@@ -133,6 +134,8 @@ func TestGroupAsHoldsRowVariables(t *testing.T) {
 	for i, want := range []string{
 		elems(0) + "\n" + elems(1),
 		"[" + elems(0) + "," + elems(1) + "]",
+		`["m"]`,
+		`[["m"]]`,
 	} {
 		if got := strings.Join(orderedRows(t, e, stmts[i]), "\n"); got != want {
 			t.Errorf("%s\n got %s\nwant %s", stmts[i], got, want)

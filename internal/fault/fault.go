@@ -345,27 +345,12 @@ func Disarm() {
 	armed.Store(0)
 }
 
-// Seed reseeds the registry's PRNG (probabilistic points and Int63n);
-// runs with the same seed and spec fire identically.
+// Seed reseeds the registry's PRNG, which p= points draw from; runs with
+// the same seed and spec fire identically.
 func Seed(n int64) {
 	reg.mu.Lock()
 	reg.rng = rand.New(rand.NewSource(n))
 	reg.mu.Unlock()
-}
-
-// Int63n draws a value in [0, n) from the registry's seeded PRNG. It is
-// the randomness source for robustness-machinery jitter (retry
-// backoff): drawing it here instead of the global math/rand
-// makes a fault-matrix run with ASTERIX_FAULT_SEED deterministic
-// end-to-end, retry timing included. n <= 0 returns 0.
-func Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	reg.mu.Lock()
-	v := reg.rng.Int63n(n)
-	reg.mu.Unlock()
-	return v
 }
 
 // Hits returns the named point's probe count (0 if not armed).

@@ -25,7 +25,6 @@ type NodeController struct {
 
 	// Failure state: Kill closes killed so every in-flight task watcher
 	// on this node wakes; dead mirrors it for cheap polling.
-	killMu sync.Mutex
 	killed chan struct{}
 	dead   atomic.Bool
 }
@@ -33,31 +32,13 @@ type NodeController struct {
 // Kill marks the node dead and wakes every in-flight task running on it.
 // Idempotent.
 func (n *NodeController) Kill() {
-	n.killMu.Lock()
-	defer n.killMu.Unlock()
-	if n.dead.Load() {
-		return
+	if n.dead.CompareAndSwap(false, true) {
+		close(n.killed)
 	}
-	if n.killed == nil {
-		n.killed = make(chan struct{})
-	}
-	n.dead.Store(true)
-	close(n.killed)
 }
 
 // Dead reports whether the node has been killed.
 func (n *NodeController) Dead() bool { return n.dead.Load() }
-
-// killedCh returns the channel closed by Kill (lazily created so
-// directly-constructed test nodes behave).
-func (n *NodeController) killedCh() <-chan struct{} {
-	n.killMu.Lock()
-	defer n.killMu.Unlock()
-	if n.killed == nil {
-		n.killed = make(chan struct{})
-	}
-	return n.killed
-}
 
 func (n *NodeController) addIn(c int64)   { atomic.AddInt64(&n.TuplesIn, c) }
 func (n *NodeController) addOut(c int64)  { atomic.AddInt64(&n.TuplesOut, c) }
@@ -92,11 +73,9 @@ func (n *NodeController) Stats() NodeStats {
 // coordination over N node controllers, all in one process.
 type Cluster struct {
 	Nodes []*NodeController
-	// FrameSize is the tuple-batch size moved through connectors.
-	FrameSize int
 	// Gov arbitrates working memory across concurrent jobs. Set it
-	// before the first Run; left nil, a governor with defaultWorkingBytes
-	// of working memory is created lazily.
+	// before the first Run; left nil, a governor with mem's default
+	// pools is created lazily.
 	Gov *mem.Governor
 
 	govOnce sync.Once
@@ -108,16 +87,15 @@ type Cluster struct {
 	taskPanics   int64
 }
 
-// defaultWorkingBytes is the working pool of the governor a cluster
-// builds for itself when none was installed.
-const defaultWorkingBytes = 32 << 20
+// frameSize is the tuple-batch size moved through connectors.
+const frameSize = 256
 
 // governor resolves the cluster's memory governor, building the default
 // one on first use.
 func (c *Cluster) governor() *mem.Governor {
 	c.govOnce.Do(func() {
 		if c.Gov == nil {
-			c.Gov = mem.NewGovernor(mem.Config{WorkingBytes: defaultWorkingBytes})
+			c.Gov = mem.NewGovernor(mem.Config{})
 		}
 	})
 	return c.Gov
@@ -174,7 +152,7 @@ func (c *Cluster) DeadNodeIDs() []string {
 // task deletes its own on every exit, so whatever is found at start-up
 // is dead bytes. Only run files are touched.
 func NewCluster(n int, baseDir string) (*Cluster, error) {
-	c := &Cluster{FrameSize: 256}
+	c := &Cluster{}
 	for i := 0; i < max(n, 1); i++ {
 		id := fmt.Sprintf("nc%d", i)
 		dir := filepath.Join(baseDir, id)

@@ -167,7 +167,7 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 		go func() {
 			defer ncancel()
 			select {
-			case <-node.killedCh():
+			case <-node.killed:
 			case <-nctx.Done():
 			}
 		}()
@@ -235,7 +235,7 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 						for i, ch := range rt.chans {
 							buffered[i] = unboundedBuffer(tctx, ch)
 						}
-						ins[port] = newMergingInput(tctx, buffered, e.conn.Cmp, c.FrameSize, node, ts)
+						ins[port] = newMergingInput(tctx, buffered, e.conn.Cmp, node, ts)
 					} else {
 						ins[port] = newConcatInput(tctx, rt.chans, node, ts)
 					}
@@ -263,12 +263,11 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 			for i, e := range op.outs {
 				rt := rts[e]
 				w := &connWriter{
-					conn:      e.conn,
-					nch:       len(rt.chans),
-					frameSize: c.FrameSize,
-					producer:  p,
-					send:      func(dst int, frame []Tuple) error { return send(rt, dst, frame) },
-					tc:        tc,
+					conn:     e.conn,
+					nch:      len(rt.chans),
+					producer: p,
+					send:     func(dst int, frame []Tuple) error { return send(rt, dst, frame) },
+					tc:       tc,
 				}
 				if e.conn.Kind == ConnMerge {
 					if len(e.conn.Cmp.Columns) > 0 {
@@ -364,10 +363,9 @@ const firstFrameCap = 8
 // channels with frame batching. A frame is an ordinary slice: once sent it
 // belongs to whoever received it.
 type connWriter struct {
-	conn      Connector
-	nch       int
-	buffers   [][]Tuple
-	frameSize int
+	conn    Connector
+	nch     int
+	buffers [][]Tuple
 	// filled: one of this writer's frames has reached frameSize, so new
 	// ones are allocated at that size. Until then a frame starts at
 	// firstFrameCap and grows by append — a point lookup's answer is a
@@ -427,12 +425,12 @@ func (w *connWriter) buffered(dst int, t Tuple) error {
 	if w.buffers[dst] == nil {
 		size := firstFrameCap
 		if w.filled {
-			size = w.frameSize
+			size = frameSize
 		}
 		w.buffers[dst] = make([]Tuple, 0, size)
 	}
 	w.buffers[dst] = append(w.buffers[dst], t)
-	if len(w.buffers[dst]) >= w.frameSize {
+	if len(w.buffers[dst]) >= frameSize {
 		f := w.buffers[dst]
 		w.buffers[dst] = nil
 		w.filled = true
@@ -519,7 +517,7 @@ func newConcatInput(ctx context.Context, chans []chan []Tuple, node *NodeControl
 
 // newMergingInput merge-sorts k already-sorted producer channels into
 // frames of at most frameSize tuples.
-func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, frameSize int, node *NodeController, span *obs.Span) *Input {
+func newMergingInput(ctx context.Context, chans []chan []Tuple, cmp Comparator, node *NodeController, span *obs.Span) *Input {
 	type cursor struct {
 		frame []Tuple
 		pos   int

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
-
-	"asterix/internal/fault"
 )
 
 // NodeFailure is the error a job fails with when a node controller dies
@@ -36,14 +33,9 @@ func (e *TaskPanic) Error() string {
 	return fmt.Sprintf("hyracks: %s[%d] panicked: %v", e.Op, e.Partition, e.Value)
 }
 
-// Retriable reports whether err is a failure class RunWithRetry would
-// re-plan around (node death), and the dead node's id. Servers use it to
-// tell clients a resend may succeed.
-func Retriable(err error) (deadNode string, ok bool) { return retriable(err) }
-
-// retriable reports whether err is a failure class RunWithRetry should
-// re-plan around (node death).
-func retriable(err error) (deadNode string, ok bool) {
+// Retriable reports whether err is a failure class RunWithRetry
+// re-plans around (node death), and the dead node's id.
+func Retriable(err error) (deadNode string, ok bool) {
 	var nf *NodeFailure
 	if errors.As(err, &nf) {
 		return nf.Node, true
@@ -51,21 +43,9 @@ func retriable(err error) (deadNode string, ok bool) {
 	return "", false
 }
 
-// RetryPolicy bounds RunWithRetry's re-execution of node-failed jobs.
-// Retries back off exponentially: retryBaseBackoff before the first,
-// doubling per retry up to retryMaxBackoff, plus up to retryJitter of
-// each delay drawn at random on top.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of executions, including the first
-	// (default 3).
-	MaxAttempts int
-}
-
-const (
-	retryBaseBackoff = 10 * time.Millisecond
-	retryMaxBackoff  = time.Second
-	retryJitter      = 0.2
-)
+// maxAttempts bounds RunWithRetry's executions of one job, the first
+// included.
+const maxAttempts = 3
 
 // RunReport describes one RunWithRetry execution.
 type RunReport struct {
@@ -79,19 +59,14 @@ type RunReport struct {
 }
 
 // RunWithRetry executes the job produced by build, re-building and
-// re-running it on the surviving nodes when a node failure kills an
-// attempt, with bounded exponential backoff plus jitter between
-// attempts. Jitter is drawn from fault.Int63n, so a run armed with
-// ASTERIX_FAULT_SEED has deterministic retry timing end-to-end.
+// re-running it at once on the surviving nodes when a node failure kills
+// an attempt, up to maxAttempts executions. A killed node never comes
+// back, so there is nothing to wait for between attempts.
 // build is called once per attempt and must return a fresh Job — sinks
 // and collectors hold per-run state, so a Job value cannot be re-run.
 // Other errors are returned immediately.
-func (c *Cluster) RunWithRetry(ctx context.Context, build func() (*Job, error), pol RetryPolicy) (RunReport, error) {
-	if pol.MaxAttempts <= 0 {
-		pol.MaxAttempts = 3
-	}
+func (c *Cluster) RunWithRetry(ctx context.Context, build func() (*Job, error)) (RunReport, error) {
 	var rep RunReport
-	backoff := retryBaseBackoff
 	for {
 		j, err := build()
 		if err != nil {
@@ -103,25 +78,21 @@ func (c *Cluster) RunWithRetry(ctx context.Context, build func() (*Job, error), 
 		if err == nil {
 			return rep, nil
 		}
-		deadNode, ok := retriable(err)
+		deadNode, ok := Retriable(err)
 		if !ok {
 			return rep, err
 		}
 		rep.DeadNodes = mergeDead(rep.DeadNodes, c.DeadNodeIDs(), deadNode)
-		if rep.Attempts >= pol.MaxAttempts {
+		if rep.Attempts >= maxAttempts {
 			return rep, fmt.Errorf("hyracks: job failed after %d attempts: %w", rep.Attempts, err)
 		}
 		if len(c.AliveNodes()) == 0 {
 			return rep, fmt.Errorf("hyracks: no surviving nodes: %w", err)
 		}
-		atomic.AddInt64(&c.jobRetries, 1)
-		d := backoff + time.Duration(fault.Int63n(int64(float64(backoff)*retryJitter)+1))
-		select {
-		case <-time.After(d):
-		case <-ctx.Done():
-			return rep, ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return rep, err
 		}
-		backoff = min(2*backoff, retryMaxBackoff)
+		atomic.AddInt64(&c.jobRetries, 1)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestKillNodeMidJoinRetriesOnSurvivors(t *testing.T) {
 	waitForGoroutines(t, base)
 
 	// Then the retry path completes the job on the three survivors.
-	rep, err := c.RunWithRetry(context.Background(), build, RetryPolicy{})
+	rep, err := c.RunWithRetry(context.Background(), build)
 	if err != nil {
 		t.Fatalf("RunWithRetry on survivors: %v", err)
 	}
@@ -119,7 +119,7 @@ func TestRunWithRetryRecoversMidRunKill(t *testing.T) {
 		return j, nil
 	}
 
-	rep, err := c.RunWithRetry(context.Background(), build, RetryPolicy{MaxAttempts: 3})
+	rep, err := c.RunWithRetry(context.Background(), build)
 	if err != nil {
 		t.Fatalf("RunWithRetry: %v (report %+v)", err, rep)
 	}

@@ -36,6 +36,15 @@ var ErrAdmissionTimeout = errors.New("memory admission timed out")
 // because they exceed the whole working pool. Not retriable.
 var ErrAdmissionRejected = errors.New("memory reservation exceeds pool")
 
+// The pools' defaults, for an instance configured without a total budget.
+const (
+	// DefaultComponentBytes is the LSM memory-component pool: four
+	// components of DefaultComponentBytes/4.
+	DefaultComponentBytes = 16 << 20
+	// DefaultWorkingBytes is the query working-memory pool.
+	DefaultWorkingBytes = 32 << 20
+)
+
 // Config sizes a Governor. Zero fields take defaults.
 type Config struct {
 	// BufferCacheBytes is the buffer cache's fixed reservation — carved
@@ -45,11 +54,11 @@ type Config struct {
 	// ComponentBytes caps the LSM memory-component pool. It is a soft
 	// cap: writers are never rejected, but charging past it triggers
 	// earliest-flush-first arbitration across all registered trees.
-	// Default 16 MiB.
+	// Default DefaultComponentBytes.
 	ComponentBytes int64
 	// WorkingBytes caps query working memory (sorts, joins, group
 	// tables). A hard cap: reservations wait, grows are denied. Default
-	// 32 MiB.
+	// DefaultWorkingBytes.
 	WorkingBytes int64
 	// MinTaskGrant is the minimum guaranteed grant per operator task,
 	// reserved at job admission (clamped to WorkingBytes/tasks so a lone
@@ -64,10 +73,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.ComponentBytes <= 0 {
-		c.ComponentBytes = 16 << 20
+		c.ComponentBytes = DefaultComponentBytes
 	}
 	if c.WorkingBytes <= 0 {
-		c.WorkingBytes = 32 << 20
+		c.WorkingBytes = DefaultWorkingBytes
 	}
 	if c.MinTaskGrant <= 0 {
 		c.MinTaskGrant = 256 << 10

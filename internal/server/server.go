@@ -60,16 +60,7 @@ type Options struct {
 	// SlowQueryThreshold is the elapsed time beyond which a statement is
 	// logged with its phase timings (default 500ms; negative disables).
 	SlowQueryThreshold time.Duration
-	// Logger receives slow-query lines (default log.Default()).
-	Logger *log.Logger
-	// Registry overrides the metrics registry; default is the engine's
-	// own (when it implements MetricsProvider) or a fresh one.
-	Registry *obs.Registry
 }
-
-// Handler returns the HTTP handler for the query service with default
-// options.
-func Handler(e Engine) http.Handler { return NewHandler(e, Options{}) }
 
 // NewHTTPServer wraps a handler in an http.Server with the timeouts a
 // long-lived daemon needs: a client that stalls while sending headers
@@ -93,23 +84,17 @@ func NewHandler(e Engine, opts Options) http.Handler {
 	if opts.SlowQueryThreshold == 0 {
 		opts.SlowQueryThreshold = 500 * time.Millisecond
 	}
-	if opts.Logger == nil {
-		opts.Logger = log.Default()
-	}
-	reg := opts.Registry
 	// Prefer the engine's registry so scrapes see its counters.
-	if reg == nil {
-		if mp, ok := e.(MetricsProvider); ok {
-			reg = mp.Metrics()
-		} else {
-			reg = obs.NewRegistry()
-		}
+	var reg *obs.Registry
+	if mp, ok := e.(MetricsProvider); ok {
+		reg = mp.Metrics()
+	} else {
+		reg = obs.NewRegistry()
 	}
 	s := &service{
 		eng:       e,
 		reg:       reg,
 		slow:      opts.SlowQueryThreshold,
-		logger:    opts.Logger,
 		requests:  reg.Counter("server_requests_total", "query-service requests"),
 		errors:    reg.Counter("server_request_errors_total", "query-service requests that failed"),
 		retriable: reg.Counter("server_retriable_errors_total", "failed requests the client may safely resend (lock timeout, node failure)"),
@@ -135,10 +120,9 @@ func NewHandler(e Engine, opts Options) http.Handler {
 }
 
 type service struct {
-	eng    Engine
-	reg    *obs.Registry
-	slow   time.Duration
-	logger *log.Logger
+	eng  Engine
+	reg  *obs.Registry
+	slow time.Duration
 
 	requests  *obs.Counter
 	errors    *obs.Counter
@@ -284,7 +268,7 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
 				s.panics.Inc()
-				s.logger.Printf("server: panic serving query #%s: %v\n%s", qid, p, debug.Stack())
+				log.Printf("server: panic serving query #%s: %v\n%s", qid, p, debug.Stack())
 				results, err = nil, fmt.Errorf("server: panic: %v", p)
 			}
 		}()
@@ -316,7 +300,7 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 			s.retriable.Inc()
 		case errors.As(err, &nf):
 			// Retries on survivors were already exhausted (or impossible);
-			// resending still helps once nodes rejoin.
+			// a resend is placed on the nodes still alive.
 			resp.Retriable = true
 			s.retriable.Inc()
 		}
@@ -415,7 +399,7 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 		if top := waits.TopN(3); top != "" {
 			line += "; waits: " + top
 		}
-		s.logger.Printf("%s): %s", line, truncateStmt(req.Statement))
+		log.Printf("%s): %s", line, truncateStmt(req.Statement))
 	}
 	code := http.StatusOK
 	if resp.Status != "success" {

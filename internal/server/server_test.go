@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +39,7 @@ func newServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	srv := httptest.NewServer(Handler(eng))
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -375,10 +376,9 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	var buf strings.Builder
+	buf := captureLog(t)
 	h := NewHandler(eng, Options{
 		SlowQueryThreshold: 1 * time.Nanosecond, // everything is slow
-		Logger:             log.New(&buf, "", 0),
 	})
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
@@ -430,10 +430,9 @@ func TestWaitAttributionUnderContention(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	var buf strings.Builder
+	buf := captureLog(t)
 	srv := httptest.NewServer(NewHandler(eng, Options{
 		SlowQueryThreshold: 1 * time.Nanosecond, // everything is slow
-		Logger:             log.New(&buf, "", 0),
 	}))
 	t.Cleanup(srv.Close)
 
@@ -572,6 +571,24 @@ func (s stubEngine) Execute(ctx context.Context, script string) ([]core.Result, 
 	return s.res, s.err
 }
 
+// meteredStub is a stubEngine with a registry of its own, which the
+// server publishes its counters into.
+type meteredStub struct {
+	stubEngine
+	reg *obs.Registry
+}
+
+func (s meteredStub) Metrics() *obs.Registry { return s.reg }
+
+// captureLog sends the standard logger's output to a buffer until the
+// test ends.
+func captureLog(t *testing.T) *strings.Builder {
+	var b strings.Builder
+	log.SetOutput(&b)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return &b
+}
+
 func postRaw(t *testing.T, srv *httptest.Server, stmt string) (int, queryResponse) {
 	t.Helper()
 	body := `{"statement": ` + jsonString(stmt) + `}`
@@ -616,9 +633,8 @@ func TestNonFiniteNumbersAnswerJSON(t *testing.T) {
 }
 
 func TestLockTimeoutMapsToRetriable503(t *testing.T) {
-	reg := obs.NewRegistry()
-	eng := stubEngine{err: fmt.Errorf("stmt 1: %w", txn.ErrLockTimeout)}
-	srv := httptest.NewServer(NewHandler(eng, Options{Registry: reg}))
+	eng := meteredStub{stubEngine{err: fmt.Errorf("stmt 1: %w", txn.ErrLockTimeout)}, obs.NewRegistry()}
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	code, qr := postRaw(t, srv, `UPSERT INTO D ({"id": 1});`)
@@ -628,14 +644,14 @@ func TestLockTimeoutMapsToRetriable503(t *testing.T) {
 	if qr.Status != "timeout" || !qr.Retriable {
 		t.Fatalf("response %+v, want status=timeout retriable=true", qr)
 	}
-	if got := reg.Snapshot()["server_retriable_errors_total"]; got != int64(1) {
+	if got := eng.Metrics().Snapshot()["server_retriable_errors_total"]; got != int64(1) {
 		t.Fatalf("server_retriable_errors_total = %v, want 1", got)
 	}
 }
 
 func TestNodeFailureMapsToRetriable503(t *testing.T) {
 	eng := stubEngine{err: fmt.Errorf("execute: %w", &hyracks.NodeFailure{Node: "nc2", Op: "join"})}
-	srv := httptest.NewServer(NewHandler(eng, Options{Registry: obs.NewRegistry()}))
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
@@ -656,7 +672,7 @@ func TestQueryMetricsReportRetryWork(t *testing.T) {
 		Attempts:  2,
 		DeadNodes: []string{"nc1"},
 	}}}
-	srv := httptest.NewServer(NewHandler(eng, Options{Registry: obs.NewRegistry()}))
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
@@ -672,7 +688,7 @@ func TestQueryMetricsReportRetryWork(t *testing.T) {
 
 	// Single-attempt success must not clutter the metrics block.
 	eng2 := stubEngine{res: []core.Result{{Kind: core.ResultQuery, Attempts: 1}}}
-	srv2 := httptest.NewServer(NewHandler(eng2, Options{Registry: obs.NewRegistry()}))
+	srv2 := httptest.NewServer(NewHandler(eng2, Options{}))
 	t.Cleanup(srv2.Close)
 	_, qr2 := postRaw(t, srv2, `SELECT VALUE 1;`)
 	if qr2.Metrics.JobAttempts != 0 || qr2.Metrics.DeadNodes != nil {
@@ -681,9 +697,8 @@ func TestQueryMetricsReportRetryWork(t *testing.T) {
 }
 
 func TestAdmissionTimeoutMapsToRetriable503(t *testing.T) {
-	reg := obs.NewRegistry()
-	eng := stubEngine{err: fmt.Errorf("stmt 1: %w", mem.ErrAdmissionTimeout)}
-	srv := httptest.NewServer(NewHandler(eng, Options{Registry: reg}))
+	eng := meteredStub{stubEngine{err: fmt.Errorf("stmt 1: %w", mem.ErrAdmissionTimeout)}, obs.NewRegistry()}
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
@@ -693,7 +708,7 @@ func TestAdmissionTimeoutMapsToRetriable503(t *testing.T) {
 	if qr.Status != "timeout" || !qr.Retriable {
 		t.Fatalf("response %+v, want status=timeout retriable=true", qr)
 	}
-	if got := reg.Snapshot()["server_retriable_errors_total"]; got != int64(1) {
+	if got := eng.Metrics().Snapshot()["server_retriable_errors_total"]; got != int64(1) {
 		t.Fatalf("server_retriable_errors_total = %v, want 1", got)
 	}
 }
@@ -715,7 +730,7 @@ func TestAdmissionTimeoutEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	srv := httptest.NewServer(Handler(eng))
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	r := post(t, srv, `
@@ -888,10 +903,9 @@ func TestExplainOnlyFlagDoesNotExecute(t *testing.T) {
 // naming the panic value — is logged with its stack and counted, and that
 // the server answers its next request.
 func TestEnginePanicGetsResponse(t *testing.T) {
-	reg := obs.NewRegistry()
-	var buf strings.Builder
-	eng := stubEngine{res: []core.Result{{Kind: core.ResultQuery}}, panicOn: `SELECT VALUE 1;`}
-	srv := httptest.NewServer(NewHandler(eng, Options{Registry: reg, Logger: log.New(&buf, "", 0)}))
+	buf := captureLog(t)
+	eng := meteredStub{stubEngine{res: []core.Result{{Kind: core.ResultQuery}}, panicOn: `SELECT VALUE 1;`}, obs.NewRegistry()}
+	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
@@ -904,7 +918,7 @@ func TestEnginePanicGetsResponse(t *testing.T) {
 	if !strings.Contains(buf.String(), "operator state corrupt") || !strings.Contains(buf.String(), "goroutine") {
 		t.Fatalf("log should hold the panic and its stack: %q", buf.String())
 	}
-	if got := reg.Snapshot()["server_request_panics_total"]; got != int64(1) {
+	if got := eng.Metrics().Snapshot()["server_request_panics_total"]; got != int64(1) {
 		t.Fatalf("server_request_panics_total = %v, want 1", got)
 	}
 	if code, qr := postRaw(t, srv, `SELECT VALUE 2;`); code != http.StatusOK || qr.Status != "success" {

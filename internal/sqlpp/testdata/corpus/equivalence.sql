@@ -240,3 +240,9 @@ SELECT DISTINCT u.id AS a FROM GleambookUsers u WHERE u.id < 3 ORDER BY (SELECT 
 WITH k AS 1 SELECT VALUE g FROM GleambookUsers u UNNEST u.friendIds f LET i = u.id * 10 WHERE u.id < 2 GROUP BY u.id AS a GROUP AS g ORDER BY a;
 
 SELECT VALUE (WITH k AS 1 SELECT VALUE g FROM GleambookUsers u UNNEST u.friendIds f LET i = u.id * 10 WHERE u.id < 2 GROUP BY u.id AS a GROUP AS g ORDER BY a);
+
+-- A GROUP AS element holds no LET variable whose value is missing, at the
+-- top level and one block down: an object never holds a missing field.
+SELECT VALUE object_names(A[0]) FROM GleambookMessages m LET g = m.nosuch WHERE m.messageId < 2 GROUP BY g GROUP AS A;
+
+SELECT VALUE (SELECT VALUE object_names(A[0]) FROM GleambookMessages m LET g = m.nosuch WHERE m.messageId < 2 GROUP BY g GROUP AS A) FROM [1] x;
