@@ -68,7 +68,9 @@ fault-matrix:
 # (BenchmarkEncodeKey: ns and bytes per key of a small integer, an integer
 # beyond 2^53, a double and a string) and the leaf over them
 # (BenchmarkScanLeaf), the B+tree's point search (BenchmarkSearchHot), the
-# expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled)
+# expression evaluators (BenchmarkCompiledExpr: interpreted vs. compiled), the
+# SQL++ parser (BenchmarkParseUpsert: ns, allocs and ns/token of a 20-record
+# ingest UPSERT)
 # and the runtime (BenchmarkSortLimit, BenchmarkParallelGroupBy,
 # BenchmarkExchangeWrite), and of storage maintenance
 # (BenchmarkComponentBuild: ns/entry, page-writes/page and leaf-fill of the
@@ -82,7 +84,7 @@ fault-matrix:
 # (BenchmarkRecover: ns and read system calls per record redone from a
 # 100 000-record log).
 bench:
-	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/btree ./internal/hyracks ./internal/lsm ./internal/txn
+	go test -bench . -benchtime 1x -run NONE . ./internal/adm ./internal/algebricks ./internal/btree ./internal/hyracks ./internal/lsm ./internal/sqlpp ./internal/txn
 
 # bench-smoke: the CI perf gate — run the experiment suite at the small
 # scale, emit the structured BENCH_ci.json artifact, and diff it against
@@ -121,6 +123,7 @@ fuzz-smoke:
 	go test -run NONE -fuzz FuzzKeySplit -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzNumberKey -fuzztime 10s ./internal/adm
 	go test -run NONE -fuzz FuzzSQLPPParse -fuzztime 10s ./internal/sqlpp
+	go test -run NONE -fuzz FuzzLexerMatchesReference -fuzztime 10s ./internal/sqlpp
 	go test -run NONE -fuzz FuzzCompiledExpr -fuzztime 10s ./internal/algebricks
 	go test -run NONE -fuzz FuzzBTreePage -fuzztime 10s ./internal/btree
 	go test -run NONE -fuzz FuzzAggregateMerge -fuzztime 10s ./internal/hyracks
@@ -134,8 +137,8 @@ help:
 	@echo "  invariants  tests with deep structural validators enabled"
 	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
 	@echo "  examples    run every program under examples/ (fails on a non-zero exit)"
-	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, compiled vs. interpreted expressions, B+tree page reader, aggregate merge)"
-	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/txn microbenchmarks, once each"
+	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, lexer vs. reference, compiled vs. interpreted expressions, B+tree page reader, aggregate merge)"
+	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/sqlpp/txn microbenchmarks, once each"
 	@echo "  bench-smoke small-scale experiment run -> BENCH_ci.json, diffed vs BENCH_1.json (alloc counters gate hard), plus the component-build gate (one write per page, full leaves)"
 	@echo "  bench-repo-smoke repository benchmark: benchmark/ module tests + a 2 s checked point_serve run at smoke scale"
 

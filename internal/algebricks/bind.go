@@ -12,7 +12,9 @@ import (
 // Bind resolves every name of a statement body once, in place, between parse
 // and translation: each VarRef gets the Binding that declares it, each block
 // its Decls and Correlation, and a name nothing declares fails here, before a
-// row is read. Binding a bound body again changes nothing.
+// row is read; so does a call of a function the table does not hold, or with
+// an argument count it does not take. Binding a bound body again changes
+// nothing.
 //
 // Scope, as both engines evaluate a block: WITH items, FROM terms, JOINs,
 // UNNESTs and LETs each see the ones before them (a JOIN's ON its own alias
@@ -65,6 +67,14 @@ func (b *binder) expr(e sqlpp.Expr) {
 		b.expr(x.Satisfies)
 		b.scope = b.scope[:mark]
 	case nil, *sqlpp.Literal: // most of an INSERT payload
+	case *sqlpp.Call:
+		// A call resolves against the function table, as the evaluator
+		// would at the first row to reach it; an aggregate takes any
+		// arguments.
+		if err := builtins[x.Fn].check(x.Fn, len(x.Args)); err != nil && b.err == nil && !sqlpp.IsAggregate(x.Fn) {
+			b.err = err
+		}
+		sqlpp.RewriteScopes(e, b.visit)
 	default:
 		sqlpp.RewriteScopes(e, b.visit)
 	}

@@ -75,13 +75,22 @@ func (ev *Evaluator) callFn(fn string, args []adm.Value, distinct bool) (adm.Val
 }
 
 func (b *builtin) call(c fnCall) (adm.Value, error) {
-	switch {
-	case b == nil:
-		return nil, evalErrf("unknown function %q", c.fn)
-	case b.arity >= 0 && len(c.args) != b.arity:
-		return nil, evalErrf("%s expects %d argument(s), got %d", c.fn, b.arity, len(c.args))
+	if err := b.check(c.fn, len(c.args)); err != nil {
+		return nil, err
 	}
 	return b.impl(c)
+}
+
+// check fails a call of fn with n arguments that the table cannot answer:
+// an unknown name, or a fixed arity that n misses.
+func (b *builtin) check(fn string, n int) error {
+	switch {
+	case b == nil:
+		return evalErrf("unknown function %q", fn)
+	case b.arity >= 0 && n != b.arity:
+		return evalErrf("%s expects %d argument(s), got %d", fn, b.arity, n)
+	}
+	return nil
 }
 
 func init() {

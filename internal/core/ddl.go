@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"asterix/internal/metadata"
 	"asterix/internal/sqlpp"
@@ -107,7 +108,10 @@ func (e *Engine) execCreateExternalDataset(s *sqlpp.CreateExternalDataset) (Resu
 		Partitions: e.cfg.Partitions,
 		External:   true,
 		Adapter:    s.Adapter,
-		Params:     s.Params,
+		Params:     make(map[string]string, len(s.Params)),
+	}
+	for k, v := range s.Params { // a literal shares the statement's text
+		def.Params[strings.Clone(k)] = strings.Clone(v)
 	}
 	if _, err := e.catalog.ResolveType(s.TypeName); err != nil {
 		return Result{}, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Error-path coverage: a system headed for users needs errors, not
@@ -159,8 +160,9 @@ func TestExplainStatement(t *testing.T) {
 	}
 }
 
-// TestUnboundNameFailsBeforeAnyJob: a name that nothing declares, or a row
-// variable read after GROUP BY outside a group key and an aggregate, fails
+// TestUnboundNameFailsBeforeAnyJob: a name that nothing declares, a row
+// variable read after GROUP BY outside a group key and an aggregate, or a
+// call of an unknown function or with the wrong argument count, fails
 // when the statement is bound, with one error whatever the input holds and
 // whichever engine would run the scope it is in — the job (a top-level
 // block), the interpreter (a nested block, EXISTS, a quantifier), or a
@@ -169,6 +171,8 @@ func TestUnboundNameFailsBeforeAnyJob(t *testing.T) {
 	const (
 		unbound = `eval: undefined variable "nosuch"`
 		grouped = `eval: "u" is read after GROUP BY outside a group key and an aggregate`
+		unknown = `eval: unknown function "nosuch"`
+		arity   = `eval: lower expects 1 argument(s), got 3`
 	)
 	for _, rows := range []int{0, 30} {
 		e := newEngine(t, Config{})
@@ -190,6 +194,13 @@ func TestUnboundNameFailsBeforeAnyJob(t *testing.T) {
 			`SELECT n, COUNT(*) AS c FROM GleambookUsers u GROUP BY u.name AS n HAVING u.id > 1;`:             grouped,
 			`SELECT VALUE (SELECT u.id AS i FROM GleambookUsers u GROUP BY u.name) FROM [1] x;`:               grouped,
 			`SELECT n FROM GleambookUsers u GROUP BY u.name AS n ORDER BY (SELECT VALUE u.id FROM [1] x)[0];`: grouped,
+			`SELECT VALUE u FROM GleambookUsers u WHERE nosuch(1);`:                                           unknown,
+			`SELECT VALUE u FROM GleambookUsers u WHERE u.id > 100 AND nosuch(1);`:                            unknown,
+			`SELECT VALUE (SELECT VALUE x FROM [] AS x WHERE nosuch(1)) FROM [1] y;`:                          unknown,
+			`SELECT n, NOSUCH(COUNT(*)) AS c FROM GleambookUsers u GROUP BY u.name AS n;`:                     unknown,
+			`nosuch(1);`: unknown,
+			`SELECT VALUE lower(u.name, 1, 2) FROM GleambookUsers u WHERE u.id > 100;`: arity,
+			`UPSERT INTO GleambookUsers ({"id": 1, "alias": lower("A", "b", "c")});`:   arity,
 		} {
 			if _, err := e.Query(context.Background(), q); err == nil || err.Error() != want {
 				t.Errorf("%d rows, %s: error %v, want %q", rows, q, err, want)
@@ -197,6 +208,28 @@ func TestUnboundNameFailsBeforeAnyJob(t *testing.T) {
 		}
 		if after := e.Metrics().Snapshot()["hyracks_rows_read_total"]; after != read {
 			t.Errorf("%d rows: a job read rows before the name failed (%v, then %v)", rows, read, after)
+		}
+	}
+}
+
+// TestStoredParamsDoNotAliasStatement: a string literal is a span of the
+// statement that holds it, so the catalog keeps a copy of an external
+// dataset's parameters, not the request text they were read from.
+func TestStoredParamsDoNotAliasStatement(t *testing.T) {
+	e := newEngine(t, Config{})
+	script := `CREATE TYPE LT AS CLOSED {a: string};
+		CREATE EXTERNAL DATASET Ext(LT) USING localfs (("path"="/does/not/exist"), ("format"="delimited-text"));`
+	mustExec(t, e, script)
+	def, ok := e.catalog.Dataset("Ext")
+	if !ok || len(def.Params) != 2 {
+		t.Fatalf("catalog entry %+v, %v", def, ok)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(script)))
+	for k, v := range def.Params {
+		for _, s := range []string{k, v} {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); lo <= p && p < lo+uintptr(len(script)) {
+				t.Errorf("stored parameter %q shares the statement's memory", s)
+			}
 		}
 	}
 }

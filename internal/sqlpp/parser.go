@@ -25,6 +25,8 @@ type Parser struct {
 	next  Token
 	err   error
 	depth int
+	// fields holds the fields of the object constructors being parsed.
+	fields []ObjectField
 }
 
 // maxExprDepth bounds expression-nesting recursion so a hostile
@@ -133,8 +135,14 @@ func (p *Parser) expectKw(kw string) error {
 	return nil
 }
 
-func (p *Parser) isOp(op string) bool {
-	return p.tok.Kind == TokOp && p.tok.Text == op
+func (p *Parser) isOp(op string) bool { return p.op() == op }
+
+// op returns the current token's text if it is an operator, else "".
+func (p *Parser) op() string {
+	if p.tok.Kind != TokOp {
+		return ""
+	}
+	return p.tok.Text
 }
 
 func (p *Parser) acceptOp(op string) bool {
@@ -756,18 +764,17 @@ func (p *Parser) parseComparison() (Expr, error) {
 		}
 		return e, nil
 	}
-	for _, op := range []string{"<=", ">=", "!=", "<>", "=", "<", ">"} {
-		if p.isOp(op) {
-			p.advance()
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			if op == "<>" {
-				op = "!="
-			}
-			return &Binary{Op: op, L: l, R: r}, nil
+	switch op := p.op(); op {
+	case "<>":
+		op = "!="
+		fallthrough
+	case "<=", ">=", "!=", "=", "<", ">":
+		p.advance()
+		r, err := p.parseAdditive()
+		if err != nil {
+			return nil, err
 		}
+		return &Binary{Op: op, L: l, R: r}, nil
 	}
 	return l, nil
 }
@@ -778,15 +785,8 @@ func (p *Parser) parseAdditive() (Expr, error) {
 		return nil, err
 	}
 	for {
-		var op string
-		switch {
-		case p.isOp("+"):
-			op = "+"
-		case p.isOp("-"):
-			op = "-"
-		case p.isOp("||"):
-			op = "||"
-		default:
+		op := p.op()
+		if op != "+" && op != "-" && op != "||" {
 			return l, nil
 		}
 		p.advance()
@@ -804,15 +804,8 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 		return nil, err
 	}
 	for {
-		var op string
-		switch {
-		case p.isOp("*"):
-			op = "*"
-		case p.isOp("/"):
-			op = "/"
-		case p.isOp("%"):
-			op = "%"
-		default:
+		op := p.op()
+		if op != "*" && op != "/" && op != "%" {
 			return l, nil
 		}
 		p.advance()
@@ -830,14 +823,16 @@ func (p *Parser) parseUnary() (Expr, error) {
 	if p.depth > maxExprDepth {
 		return nil, p.errf("expression nesting exceeds %d levels", maxExprDepth)
 	}
-	if p.acceptOp("-") {
+	switch p.op() {
+	case "-":
+		p.advance()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
 		return &Unary{Op: "-", X: x}, nil
-	}
-	if p.acceptOp("+") {
+	case "+":
+		p.advance()
 		return p.parseUnary()
 	}
 	return p.parsePostfix()
@@ -849,15 +844,19 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.isOp(".") && (p.next.Kind == TokIdent || p.next.Kind == TokQuotedIdent):
+		switch p.op() {
+		case ".":
+			if p.next.Kind != TokIdent && p.next.Kind != TokQuotedIdent {
+				return e, nil
+			}
 			p.advance()
 			f, err := p.parseIdent()
 			if err != nil {
 				return nil, err
 			}
 			e = &FieldAccess{Base: e, Field: f}
-		case p.acceptOp("["):
+		case "[":
+			p.advance()
 			idx, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -1011,51 +1010,49 @@ func (p *Parser) parseObjectConstructor() (Expr, error) {
 	if p.acceptOp("}") {
 		return o, nil
 	}
+	// The fields collect on p.fields above those of any enclosing
+	// constructor, and o takes a copy of its own, sized once.
+	base := len(p.fields)
 	for {
-		var nameExpr Expr
+		var f ObjectField
 		switch {
 		case p.tok.Kind == TokString && p.next.Kind == TokOp && p.next.Text == ":":
-			nameExpr = &Literal{Value: adm.String(p.tok.Text)}
+			f.Name = &Literal{Value: adm.String(p.tok.Text)}
 			p.advance()
 		case p.tok.Kind == TokIdent || p.tok.Kind == TokQuotedIdent:
 			// { alias: expr } or shorthand { v } meaning {"v": v}.
 			name := p.tok.Text
 			p.advance()
+			f.Name = &Literal{Value: adm.String(name)}
 			if !p.isOp(":") {
-				o.Fields = append(o.Fields, ObjectField{
-					Name:  &Literal{Value: adm.String(name)},
-					Value: &VarRef{Name: name},
-				})
-				if p.acceptOp(",") {
-					continue
-				}
-				if err := p.expectOp("}"); err != nil {
-					return nil, err
-				}
-				return o, nil
+				f.Value = &VarRef{Name: name}
 			}
-			nameExpr = &Literal{Value: adm.String(name)}
 		default:
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			nameExpr = e
+			f.Name = e
 		}
-		if err := p.expectOp(":"); err != nil {
-			return nil, err
+		if f.Value == nil {
+			if err := p.expectOp(":"); err != nil {
+				return nil, err
+			}
+			v, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			f.Value = v
 		}
-		v, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		o.Fields = append(o.Fields, ObjectField{Name: nameExpr, Value: v})
+		p.fields = append(p.fields, f)
 		if p.acceptOp(",") {
 			continue
 		}
 		if err := p.expectOp("}"); err != nil {
 			return nil, err
 		}
+		o.Fields = slices.Clone(p.fields[base:])
+		p.fields = p.fields[:base]
 		return o, nil
 	}
 }

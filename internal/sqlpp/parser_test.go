@@ -409,3 +409,15 @@ func TestParseDeepNesting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEveryKeywordLexes: each reserved word, in any case, lexes as a keyword
+// whose text is its canonical spelling (keyword's fold buffer holds it).
+func TestEveryKeywordLexes(t *testing.T) {
+	for kw := range keywords {
+		for _, src := range []string{kw, strings.ToLower(kw), strings.ToLower(kw[:1]) + kw[1:]} {
+			if tok, err := NewLexer(src).Next(); err != nil || tok.Kind != TokKeyword || tok.Text != kw {
+				t.Errorf("%q lexes as %v, %v; want keyword %s", src, tok, err, kw)
+			}
+		}
+	}
+}

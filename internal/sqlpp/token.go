@@ -6,7 +6,10 @@
 // sharing the Algebricks algebra underneath.
 package sqlpp
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // TokKind classifies tokens.
 type TokKind int
@@ -26,7 +29,7 @@ const (
 // Token is one lexical token.
 type Token struct {
 	Kind TokKind
-	Text string // keyword text is upper-cased
+	Text string // a span of the source, but a keyword's upper-case text or an escaped literal's value
 	Pos  int    // byte offset
 	Line int
 }
@@ -42,26 +45,21 @@ func (t Token) String() string {
 	}
 }
 
-// keywords is the SQL++ reserved-word set (subset sufficient for the
-// implemented grammar; identifiers matching these must be quoted).
-var keywords = map[string]bool{
-	"SELECT": true, "VALUE": true, "FROM": true, "WHERE": true, "AS": true,
-	"LET": true, "WITH": true, "GROUP": true, "BY": true, "HAVING": true,
-	"ORDER": true, "LIMIT": true, "OFFSET": true, "ASC": true, "DESC": true,
-	"JOIN": true, "LEFT": true, "OUTER": true, "INNER": true, "ON": true,
-	"UNNEST": true, "DISTINCT": true, "ALL": true, "UNION": true,
-	"AND": true, "OR": true, "NOT": true, "IN": true, "BETWEEN": true,
-	"LIKE": true, "IS": true, "NULL": true, "MISSING": true, "UNKNOWN": true,
-	"TRUE": true, "FALSE": true, "EXISTS": true, "SOME": true, "EVERY": true,
-	"SATISFIES": true, "CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
-	"END": true, "CREATE": true, "DROP": true, "DATAVERSE": true, "USE": true,
-	"TYPE": true, "DATASET": true, "EXTERNAL": true, "INDEX": true,
-	"PRIMARY": true, "KEY": true, "CLOSED": true, "OPEN": true, "IF": true,
-	"INSERT": true, "UPSERT": true, "DELETE": true, "INTO": true,
-	"USING": true, "LOAD": true, "RETURNING": true, "EXPLAIN": true,
-	// AQL keywords (the lexer is shared by the deprecated AQL front end).
-	"FOR": true, "RETURN": true,
+// keywords maps each SQL++ reserved word (a subset sufficient for the
+// implemented grammar; identifiers matching these must be quoted) to its
+// canonical text, the upper-case spelling a keyword token carries.
+var keywords = map[string]string{}
+
+func init() {
+	for _, kw := range strings.Fields(`SELECT VALUE FROM WHERE AS LET WITH GROUP BY HAVING
+		ORDER LIMIT OFFSET ASC DESC JOIN LEFT OUTER INNER ON UNNEST DISTINCT ALL UNION
+		AND OR NOT IN BETWEEN LIKE IS NULL MISSING UNKNOWN TRUE FALSE EXISTS SOME EVERY
+		SATISFIES CASE WHEN THEN ELSE END CREATE DROP DATAVERSE USE TYPE DATASET EXTERNAL
+		INDEX PRIMARY KEY CLOSED OPEN IF INSERT UPSERT DELETE INTO USING LOAD RETURNING
+		EXPLAIN FOR RETURN`) { // FOR and RETURN: the lexer is shared by the AQL front end
+		keywords[kw] = kw
+	}
 }
 
 // IsKeyword reports whether an upper-cased word is reserved.
-func IsKeyword(s string) bool { return keywords[s] }
+func IsKeyword(s string) bool { _, ok := keywords[s]; return ok }
