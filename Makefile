@@ -39,8 +39,10 @@ lint:
 invariants:
 	go test -tags invariants ./...
 
-# fault-matrix: the robustness gate — crash-recovery matrix, node-failure
-# and cancellation tests, the spill error-exit matrix (no run file or
+# fault-matrix: the robustness gate — crash-recovery matrix, the task
+# fault point (hyracks.task.fail in error and panic mode: a typed failure,
+# nothing held afterwards, and a resend that succeeds) and cancellation
+# tests, the spill error-exit matrix (no run file or
 # descriptor outlives a failed task), a panicking operator's typed job
 # failure (grant, pins and run files given back), the WAL torn-tail suite,
 # and the LSM lifecycle's flush/merge fault (on the writer's barrier and on
@@ -50,7 +52,7 @@ invariants:
 # serving a query is answered, and the next request served), with deep
 # validators compiled in (see docs/ROBUSTNESS.md).
 fault-matrix:
-	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestKillNode|TestRunWithRetry|TestRunFails|TestNodeCrash|TestCancelMidQuery|TestSpillErrorExits|TestTaskPanic|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat|TestEnginePanic' \
+	go test -tags invariants -run 'TestCrash|TestBackgroundFault|TestWorkerStop|TestTaskFaultPoint|TestCancelMidQuery|TestSpillErrorExits|TestTaskPanic|TestRepairTail|TestTornWrite|TestWALSync|TestFlushFault|TestMergeFault|TestTieredMerge|TestValidateDetects|TestCreateIndexFailure|TestLockTimeout|TestStorageFormat|TestEnginePanic' \
 		./internal/core/ ./internal/hyracks/ ./internal/txn/ ./internal/lsm/ ./internal/metadata/ ./internal/server/
 	ASTERIX_FAULTS="hyracks.frame.delay:delay=1ms:times=4" go test -count=1 ./internal/hyracks/
 
@@ -135,7 +137,7 @@ help:
 	@echo "  lint        asterixlint static analysis over the module"
 	@echo "  optimizer   golden plans, join regressions, on/off equivalence (race)"
 	@echo "  invariants  tests with deep structural validators enabled"
-	@echo "  fault-matrix crash-recovery + node-failure tests with validators on"
+	@echo "  fault-matrix crash-recovery + task-fault tests with validators on"
 	@echo "  examples    run every program under examples/ (fails on a non-zero exit)"
 	@echo "  fuzz-smoke  short bounded fuzz run (ADM codec and its JSON rendering, stored-record decoder, partial decoder, key splitter and number keys, SQL++ parser, lexer vs. reference, compiled vs. interpreted expressions, B+tree page reader, aggregate merge)"
 	@echo "  bench       top-level benchmarks + adm/algebricks/btree/hyracks/lsm/sqlpp/txn microbenchmarks, once each"

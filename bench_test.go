@@ -125,7 +125,7 @@ func BenchmarkIngestStall(b *testing.B) {
 	}
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2,
+		eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2,
 			MemComponentBudget: 1 << 20, NoSyncCommits: true})
 		if err != nil {
 			b.Fatal(err)
@@ -204,7 +204,7 @@ func BenchmarkSecondaryMaintenance(b *testing.B) {
 	for _, ix := range []string{"ix ON M(author)", "ix ON M(loc) TYPE RTREE", "ix ON M(text) TYPE KEYWORD"} {
 		b.Run(strings.Fields(ix + " TYPE BTREE")[4], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2,
+				eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2,
 					MemComponentBudget: 256 << 20, NoSyncCommits: true})
 				if err != nil {
 					b.Fatal(err)
@@ -244,7 +244,7 @@ func BenchmarkSecondaryMaintenance(b *testing.B) {
 // over flushed components; and what one search allocates.
 func BenchmarkIndexSearch(b *testing.B) {
 	const n, authors, points = 50000, 5000, 20000
-	eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, Nodes: 2, NoSyncCommits: true})
+	eng, err := core.Open(core.Config{DataDir: b.TempDir(), Partitions: 2, NoSyncCommits: true})
 	if err != nil {
 		b.Fatal(err)
 	}

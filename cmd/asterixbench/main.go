@@ -1,5 +1,6 @@
 // Command asterixbench regenerates the experiment suite of DESIGN.md /
-// EXPERIMENTS.md: one table per empirical claim of the paper (E1–E13).
+// EXPERIMENTS.md: one table per empirical claim of the paper (E1–E16; E13
+// and E15 are retired).
 //
 // Every run emits a structured BENCH_<n>.json artifact (schema
 // asterixbench/v1) alongside the prose tables — the JSON is the canonical

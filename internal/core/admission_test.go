@@ -19,7 +19,6 @@ import (
 func TestConcurrentAdmissionSpills(t *testing.T) {
 	e := newEngine(t, Config{
 		Partitions:    1,
-		Nodes:         1,
 		WorkingMemory: 64 << 10,
 	})
 	mustExec(t, e, `
@@ -128,7 +127,6 @@ func TestConcurrentAdmissionSpills(t *testing.T) {
 func TestSingleQueryGetsFullPool(t *testing.T) {
 	e := newEngine(t, Config{
 		Partitions:    1,
-		Nodes:         1,
 		WorkingMemory: 8 << 20,
 	})
 	mustExec(t, e, `

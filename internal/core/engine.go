@@ -30,7 +30,8 @@ type Config struct {
 	// Partitions is the number of storage/index partitions per dataset —
 	// the simulated shared-nothing "nodes" of Figure 1 (default 2).
 	Partitions int
-	// Nodes is the Hyracks node-controller count (default = Partitions).
+	// Nodes must be 0 or equal to Partitions: every partition runs on a
+	// node controller of its own.
 	Nodes int
 	// PageSize is the buffer-cache page size (default 8192).
 	PageSize int
@@ -87,8 +88,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Partitions <= 0 {
 		c.Partitions = 2
 	}
-	if c.Nodes <= 0 {
-		c.Nodes = c.Partitions
+	if c.Nodes != 0 && c.Nodes != c.Partitions {
+		return c, fmt.Errorf("core: Config.Nodes %d differs from Partitions %d", c.Nodes, c.Partitions)
 	}
 	if c.PageSize <= 0 {
 		c.PageSize = 8192
@@ -199,7 +200,7 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cluster, err := hyracks.NewCluster(cfg.Nodes, filepath.Join(cfg.DataDir, "tmp"))
+	cluster, err := hyracks.NewCluster(cfg.Partitions, filepath.Join(cfg.DataDir, "tmp"))
 	if err != nil {
 		return nil, errors.Join(err, log.Close())
 	}
@@ -386,16 +387,10 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 { _, n := tm.Log.Writes(); return float64(n) })
 	tm.Locks.BindMetrics(reg)
 
-	reg.RegisterFunc("hyracks_job_attempts_total", "job executions including retries", obs.TypeCounter,
-		func() float64 { return float64(cl.RetryStats().Attempts) })
-	reg.RegisterFunc("hyracks_job_retries_total", "job re-executions after node failures", obs.TypeCounter,
-		func() float64 { return float64(cl.RetryStats().Retries) })
-	reg.RegisterFunc("hyracks_node_failures_total", "jobs failed by a node death", obs.TypeCounter,
-		func() float64 { return float64(cl.RetryStats().NodeFailures) })
+	reg.RegisterFunc("hyracks_job_attempts_total", "job executions", obs.TypeCounter,
+		func() float64 { return float64(cl.JobStats().Attempts) })
 	reg.RegisterFunc("hyracks_task_panics_total", "jobs failed by an operator panic", obs.TypeCounter,
-		func() float64 { return float64(cl.RetryStats().TaskPanics) })
-	reg.RegisterFunc("hyracks_dead_nodes", "node controllers currently dead", obs.TypeGauge,
-		func() float64 { return float64(len(cl.DeadNodeIDs())) })
+		func() float64 { return float64(cl.JobStats().TaskPanics) })
 
 	fault.BindMetrics(reg)
 }
@@ -466,11 +461,6 @@ type Result struct {
 	// RulesFired maps optimizer rule name -> rewrite sites fired while
 	// compiling this query.
 	RulesFired map[string]int
-	// Attempts is how many times the query's job ran (>1 after a node
-	// failure was retried); 0 for non-job statements.
-	Attempts int
-	// DeadNodes lists nodes observed dead while executing the query.
-	DeadNodes []string
 	// PeakWorkingMem is the query's high-water mark of granted working
 	// memory in bytes (0 for statements that drew none).
 	PeakWorkingMem int64
@@ -696,7 +686,7 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 		Cluster:     e.cluster,
 		Catalog:     ev.Catalog,
 		Ev:          ev,
-		Parallelism: e.cfg.Nodes,
+		Parallelism: e.cfg.Partitions,
 	}
 	js := cs.StartChild("jobgen")
 	coll := &hyracks.Collector{}
@@ -706,23 +696,11 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 	if err != nil {
 		return Result{}, err
 	}
-	// Execute with node-failure retry: the first attempt uses the job
-	// built under the compile span; a retry regenerates the job with a
-	// fresh collector (sinks hold per-run state) and runs it on the
-	// surviving nodes.
-	first := true
 	es := sp.StartChild("execute")
-	rep, err := e.cluster.RunWithRetry(obs.ContextWithSpan(ctx, es), func() (*hyracks.Job, error) {
-		if first {
-			first = false
-			return job, nil
-		}
-		coll = &hyracks.Collector{}
-		return g.Build(plan, coll)
-	})
+	err = e.cluster.Run(obs.ContextWithSpan(ctx, es), job)
 	es.End()
 	if err != nil {
-		return Result{Attempts: rep.Attempts, DeadNodes: rep.DeadNodes, PeakWorkingMem: rep.PeakWorkingBytes}, err
+		return Result{PeakWorkingMem: job.PeakWorkingBytes()}, err
 	}
 	es.Add("resultTuples", int64(coll.Len()))
 	rows := make([]adm.Value, 0, coll.Len())
@@ -731,7 +709,7 @@ func (e *Engine) runSelect(ctx context.Context, ev *algebricks.Evaluator, body s
 	}
 	return Result{
 		Kind: ResultQuery, Rows: rows, Plan: plan, RulesFired: orep.Fired,
-		Attempts: rep.Attempts, DeadNodes: rep.DeadNodes, PeakWorkingMem: rep.PeakWorkingBytes,
+		PeakWorkingMem: job.PeakWorkingBytes(),
 	}, nil
 }
 

@@ -548,3 +548,15 @@ func TestOpenSweepsStaleRunFiles(t *testing.T) {
 		t.Errorf("unrelated file was removed: %v", err)
 	}
 }
+
+// Every partition runs on a node controller of its own: a node count other
+// than the partition count is refused at open.
+func TestOpenRefusesNodesOtherThanPartitions(t *testing.T) {
+	if _, err := Open(Config{DataDir: t.TempDir(), Partitions: 2, Nodes: 3}); err == nil {
+		t.Fatal("Open with Partitions 2 and Nodes 3 succeeded")
+	}
+	e := newEngine(t, Config{Partitions: 2, Nodes: 2})
+	if n := len(e.Cluster().Nodes); n != 2 {
+		t.Fatalf("engine with 2 partitions has %d nodes", n)
+	}
+}

@@ -382,9 +382,9 @@ func TestInsertFromQuery(t *testing.T) {
 	if rows := queryRows(t, e, `SELECT VALUE COUNT(*) FROM HighV h;`); rows[0].String() != "0" {
 		t.Fatalf("cancelled INSERT … SELECT stored %v records", rows[0])
 	}
-	before := e.Cluster().RetryStats().Attempts
+	before := e.Cluster().JobStats().Attempts
 	res := mustExec(t, e, stmt)
-	if got := e.Cluster().RetryStats().Attempts - before; got != 1 {
+	if got := e.Cluster().JobStats().Attempts - before; got != 1 {
 		t.Fatalf("INSERT … SELECT ran %d job attempts, want 1", got)
 	}
 	want := queryRows(t, e, `SELECT VALUE COUNT(*) FROM Points p WHERE p.v >= 90;`)

@@ -139,7 +139,7 @@ func TestMaintenanceTimingNeverReachesTheDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		e := newEngine(t, Config{Partitions: 2, Nodes: 2, MemComponentBudget: 1 << 20, NoSyncCommits: true})
+		e := newEngine(t, Config{Partitions: 2, MemComponentBudget: 1 << 20, NoSyncCommits: true})
 		mustExec(t, e, ingestDDL)
 		var after func()
 		if drained {
@@ -302,7 +302,7 @@ func TestWritePathStress(t *testing.T) {
 	if testing.Short() {
 		length = 300 * time.Millisecond
 	}
-	e := newEngine(t, Config{Partitions: 2, Nodes: 2, MemComponentBudget: 32 << 10, MergePolicy: lsm.ConstantPolicy{Components: 3}, NoSyncCommits: true})
+	e := newEngine(t, Config{Partitions: 2, MemComponentBudget: 32 << 10, MergePolicy: lsm.ConstantPolicy{Components: 3}, NoSyncCommits: true})
 	mustExec(t, e, ingestDDL)
 	const keys = 600
 	acked := make([]atomic.Int64, keys) // version+1 of the last acknowledged write; 0 = none

@@ -31,7 +31,6 @@ func E16OptimizerJoinOrder(scale Scale, workDir string) (*Report, error) {
 		return core.Open(core.Config{
 			DataDir:          filepath.Join(dir, sub),
 			Partitions:       2,
-			Nodes:            2,
 			NoSyncCommits:    true,
 			OptimizerDisable: disable,
 			Now:              fixedClock(),

@@ -165,7 +165,6 @@ func newEngine(dir string, partitions int, policy lsm.MergePolicy, memBudget int
 	return core.Open(core.Config{
 		DataDir:            dir,
 		Partitions:         partitions,
-		Nodes:              partitions,
 		MergePolicy:        policy,
 		MemComponentBudget: memBudget,
 		NoSyncCommits:      true,

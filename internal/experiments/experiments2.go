@@ -14,7 +14,6 @@ import (
 	"asterix/internal/adm"
 	"asterix/internal/aql"
 	"asterix/internal/core"
-	"asterix/internal/fault"
 	"asterix/internal/feed"
 	"asterix/internal/hyracks"
 	"asterix/internal/lsm"
@@ -409,76 +408,6 @@ func E10Recovery(scale Scale, workDir string) (*Report, error) {
 	return rep, nil
 }
 
-// E13NodeFailure kills a node controller partway through a scale-out
-// join (§VII hardening: fault tolerance): the bare job fails fast with a
-// typed node failure, and the engine's retry path re-executes on the
-// survivors — the query completes with the same answer, one retry later.
-func E13NodeFailure(scale Scale, workDir string) (*Report, error) {
-	rep := &Report{
-		ID:     "E13",
-		Claim:  "a node death mid-query fails fast; the retry path completes the job on the survivors",
-		Header: []string{"scenario", "query", "attempts", "dead-nodes", "rows"},
-	}
-	dir := filepath.Join(workDir, "e13")
-	defer removeScratch(dir)
-	e, err := newEngine(dir, 4, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	if err := ingestGleambook(e, scale.Users, scale.Messages, 13); err != nil {
-		return nil, err
-	}
-	query := `
-		SELECT u.id AS id, COUNT(m) AS cnt
-		FROM GleambookUsers u JOIN GleambookMessages m ON m.authorId = u.id
-		GROUP BY u.id AS id;`
-
-	t0 := time.Now()
-	healthy, err := e.Query(rep.Ctx(), query)
-	if err != nil {
-		return nil, err
-	}
-	healthyT := time.Since(t0)
-	rep.notePeak(healthy.PeakWorkingMem)
-	rep.Rows = append(rep.Rows, []string{
-		"healthy", ms(healthyT), fmt.Sprint(healthy.Attempts), "-", fmt.Sprint(len(healthy.Rows)),
-	})
-
-	// Crash the node whose task is the third to start on the next job,
-	// then run the identical query: attempt one dies with the node,
-	// attempt two runs on the three survivors.
-	if err := fault.Arm(fault.PointNodeCrash + ":error:after=2:times=1"); err != nil {
-		return nil, err
-	}
-	defer fault.Disarm()
-	t0 = time.Now()
-	wounded, err := e.Query(rep.Ctx(), query)
-	if err != nil {
-		return nil, fmt.Errorf("E13: query did not survive the node failure: %w", err)
-	}
-	woundedT := time.Since(t0)
-	rep.Rows = append(rep.Rows, []string{
-		"node-killed", ms(woundedT), fmt.Sprint(wounded.Attempts),
-		strings.Join(wounded.DeadNodes, " "), fmt.Sprint(len(wounded.Rows)),
-	})
-	rep.Measure("healthy_query", "ms", float64(healthyT.Microseconds())/1000)
-	rep.Measure("node_killed_query", "ms", float64(woundedT.Microseconds())/1000)
-	if wounded.Attempts < 2 || len(wounded.DeadNodes) == 0 {
-		return nil, fmt.Errorf("E13: expected a retried job, got attempts=%d dead=%v",
-			wounded.Attempts, wounded.DeadNodes)
-	}
-	if len(wounded.Rows) != len(healthy.Rows) {
-		return nil, fmt.Errorf("E13: survivor run returned %d rows, healthy run %d",
-			len(wounded.Rows), len(healthy.Rows))
-	}
-	st := e.Cluster().RetryStats()
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"cluster counters: attempts=%d retries=%d node-failures=%d; survivors=%d/4",
-		st.Attempts, st.Retries, st.NodeFailures, len(e.Cluster().AliveNodes())))
-	return rep, nil
-}
-
 // allocsPerRun reports the average heap allocations of one call to f,
 // measured exactly via the runtime's malloc counter (the same technique
 // as testing.AllocsPerRun, without importing testing into the product
@@ -607,7 +536,7 @@ func All() []NamedExperiment {
 		{"E4", E4MRvsHyracks}, {"E5", E5MemoryBudget}, {"E6", E6HTAPIsolation},
 		{"E7", E7AqlVsSqlpp}, {"E8", E8MergePolicy}, {"E9", E9Figure3},
 		{"E10", E10Recovery}, {"E11", E11PKSortAblation},
-		{"E12", E12Compression}, {"E13", E13NodeFailure},
+		{"E12", E12Compression},
 		{"E14", E14HotPathAllocs}, {"E16", E16OptimizerJoinOrder},
 	}
 }

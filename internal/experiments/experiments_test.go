@@ -163,24 +163,6 @@ func TestE10Recovery(t *testing.T) {
 	}
 }
 
-func TestE13NodeFailure(t *testing.T) {
-	rep := runExp(t, E13NodeFailure)
-	if len(rep.Rows) != 2 {
-		t.Fatalf("rows: %d", len(rep.Rows))
-	}
-	if rep.Rows[0][0] != "healthy" || rep.Rows[1][0] != "node-killed" {
-		t.Errorf("scenario column: %v", rep.Rows)
-	}
-	// The wounded run must have retried and named the dead node.
-	if rep.Rows[1][2] == "1" || rep.Rows[1][3] == "" {
-		t.Errorf("no retry recorded: %v", rep.Rows[1])
-	}
-	// Same answer either way.
-	if rep.Rows[0][4] != rep.Rows[1][4] {
-		t.Errorf("row counts differ: %v", rep.Rows)
-	}
-}
-
 func TestE14HotPathAllocs(t *testing.T) {
 	rep := runExp(t, E14HotPathAllocs)
 	if len(rep.Measurements) < 6 {

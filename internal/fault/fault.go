@@ -21,12 +21,11 @@
 //
 //	ASTERIX_FAULTS='lsm.flush.io:error'
 //	ASTERIX_FAULTS='txn.wal.append:torn,hyracks.frame.delay:delay=2ms:times=0'
-//	ASTERIX_FAULTS='hyracks.node.crash:error:after=3:times=1'
+//	ASTERIX_FAULTS='hyracks.task.fail:panic:after=3:times=1'
 //
 // Engine code calls only the guarded probes (Hit, Tear) and the
 // read-only observers. Arm, Disarm and Seed change state for the whole
-// process and are harness API: tests, ASTERIX_FAULTS, and the E13
-// experiment in internal/experiments.
+// process and are harness API: tests and ASTERIX_FAULTS.
 package fault
 
 import (
@@ -48,8 +47,10 @@ import (
 // invent their own — but the ones threaded through this repository are
 // declared here so docs, specs, and tests share one spelling.
 const (
-	// PointNodeCrash kills the node controller about to run a task.
-	PointNodeCrash = "hyracks.node.crash"
+	// PointTaskFail fails an (operator, partition) task as it starts:
+	// in error mode with the injected error, in panic mode as a
+	// *hyracks.TaskPanic.
+	PointTaskFail = "hyracks.task.fail"
 	// PointFrameDelay delays (or fails) a connector frame send.
 	PointFrameDelay = "hyracks.frame.delay"
 	// PointSpillIO fails the creation of a spill run file: a sort run, a

@@ -11,8 +11,8 @@ import (
 )
 
 // TestRunReleasesAdmissionOnEveryExit fails a job on each exit of Run
-// that comes after its admission — an unconnected input port, no alive
-// node, a task that fails, a context cancelled while the tasks run — and
+// that comes after its admission — an unconnected input port, a task that
+// fails, a context cancelled while the tasks run — and
 // checks that the admission was held when the job failed and is given
 // back once Run returns.
 //
@@ -51,16 +51,6 @@ func TestRunReleasesAdmissionOnEveryExit(t *testing.T) {
 				return j
 			},
 			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "input port 0 unconnected") },
-		},
-		{
-			name: "no alive node",
-			job: func(c *Cluster, _ *int64, _ context.CancelFunc) *Job {
-				for _, n := range c.Nodes {
-					n.Kill()
-				}
-				return sortJob(rangeScan(100), noSink)
-			},
-			want: func(err error) bool { return err != nil && strings.Contains(err.Error(), "no alive nodes") },
 		},
 		{
 			name: "task fails",

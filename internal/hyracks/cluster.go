@@ -11,8 +11,9 @@ import (
 )
 
 // NodeController is one simulated cluster node: it owns a spill directory
-// and I/O counters. Operator partitions are assigned to nodes round-robin,
-// standing in for the paper's shared-nothing node controllers (Figure 1).
+// and I/O counters. Partition p of every operator runs on node
+// p % len(Nodes), standing in for the paper's shared-nothing node
+// controllers (Figure 1).
 type NodeController struct {
 	ID      string
 	TempDir string
@@ -22,23 +23,7 @@ type NodeController struct {
 	TuplesOut int64
 	RowsRead  int64
 	Spills    int64
-
-	// Failure state: Kill closes killed so every in-flight task watcher
-	// on this node wakes; dead mirrors it for cheap polling.
-	killed chan struct{}
-	dead   atomic.Bool
 }
-
-// Kill marks the node dead and wakes every in-flight task running on it.
-// Idempotent.
-func (n *NodeController) Kill() {
-	if n.dead.CompareAndSwap(false, true) {
-		close(n.killed)
-	}
-}
-
-// Dead reports whether the node has been killed.
-func (n *NodeController) Dead() bool { return n.dead.Load() }
 
 func (n *NodeController) addIn(c int64)   { atomic.AddInt64(&n.TuplesIn, c) }
 func (n *NodeController) addOut(c int64)  { atomic.AddInt64(&n.TuplesOut, c) }
@@ -81,10 +66,8 @@ type Cluster struct {
 	govOnce sync.Once
 
 	// Job lifecycle counters (atomic).
-	jobAttempts  int64
-	jobRetries   int64
-	nodeFailures int64
-	taskPanics   int64
+	jobAttempts int64
+	taskPanics  int64
 }
 
 // frameSize is the tuple-batch size moved through connectors.
@@ -101,48 +84,20 @@ func (c *Cluster) governor() *mem.Governor {
 	return c.Gov
 }
 
-// RetryStats is an atomic snapshot of the cluster's job retry counters.
-type RetryStats struct {
-	// Attempts counts job executions, including retries.
+// JobStats is an atomic snapshot of the cluster's job counters.
+type JobStats struct {
+	// Attempts counts job executions.
 	Attempts int64
-	// Retries counts re-executions after a node failure.
-	Retries int64
-	// NodeFailures counts jobs that failed because a node died.
-	NodeFailures int64
 	// TaskPanics counts jobs that failed because an operator panicked.
 	TaskPanics int64
 }
 
-// RetryStats snapshots the retry counters.
-func (c *Cluster) RetryStats() RetryStats {
-	return RetryStats{
-		Attempts:     atomic.LoadInt64(&c.jobAttempts),
-		Retries:      atomic.LoadInt64(&c.jobRetries),
-		NodeFailures: atomic.LoadInt64(&c.nodeFailures),
-		TaskPanics:   atomic.LoadInt64(&c.taskPanics),
+// JobStats snapshots the job counters.
+func (c *Cluster) JobStats() JobStats {
+	return JobStats{
+		Attempts:   atomic.LoadInt64(&c.jobAttempts),
+		TaskPanics: atomic.LoadInt64(&c.taskPanics),
 	}
-}
-
-// AliveNodes returns the nodes not currently killed, in id order.
-func (c *Cluster) AliveNodes() []*NodeController {
-	out := make([]*NodeController, 0, len(c.Nodes))
-	for _, n := range c.Nodes {
-		if !n.Dead() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// DeadNodeIDs returns the ids of killed nodes.
-func (c *Cluster) DeadNodeIDs() []string {
-	var out []string
-	for _, n := range c.Nodes {
-		if n.Dead() {
-			out = append(out, n.ID)
-		}
-	}
-	return out
 }
 
 // NewCluster creates an n-node cluster with node ids nc0..nc(n-1).
@@ -168,22 +123,9 @@ func NewCluster(n int, baseDir string) (*Cluster, error) {
 				return nil, fmt.Errorf("hyracks: stale run file: %w", err)
 			}
 		}
-		c.Nodes = append(c.Nodes, &NodeController{
-			ID: id, TempDir: dir,
-			killed: make(chan struct{}),
-		})
+		c.Nodes = append(c.Nodes, &NodeController{ID: id, TempDir: dir})
 	}
 	return c, nil
-}
-
-// NodeByID returns the controller with the id, or nil.
-func (c *Cluster) NodeByID(id string) *NodeController {
-	for _, n := range c.Nodes {
-		if n.ID == id {
-			return n
-		}
-	}
-	return nil
 }
 
 // TotalStats sums counter snapshots across all nodes.

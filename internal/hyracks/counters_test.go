@@ -136,3 +136,28 @@ func BenchmarkExchangeWrite(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
 }
+
+// Partition p of every operator runs on node p % len(Nodes), so a
+// partition's rows, spills and run files are counted on, and kept under,
+// the node that hosts it.
+func TestPartitionPlacement(t *testing.T) {
+	c := newCluster(t, 2)
+	placed := make([]string, 4)
+	j := NewJob()
+	scan := j.Add(NewScan("scan", 4, func(tc *TaskContext, emit func(Tuple) error) error {
+		placed[tc.Partition] = tc.Node.ID
+		return emit(Tuple{adm.Int64(tc.Partition)})
+	}))
+	j.MustConnect(scan, j.Add(NewSink("sink", 4, &Collector{})), 0, OneToOne())
+	if err := c.Run(context.Background(), j); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"nc0", "nc1", "nc0", "nc1"}; strings.Join(placed, ",") != strings.Join(want, ",") {
+		t.Fatalf("partitions placed on %v, want %v", placed, want)
+	}
+	for _, n := range c.Nodes {
+		if got := n.Stats().TuplesOut; got != 2 {
+			t.Errorf("node %s counted %d tuples out, want its 2 partitions' 2", n.ID, got)
+		}
+	}
+}

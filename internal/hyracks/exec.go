@@ -17,10 +17,8 @@ import (
 )
 
 // Run executes a job on the cluster, blocking until completion. The first
-// task error cancels the whole job. Partitions are placed on the nodes
-// alive when the run starts; a node killed mid-run cancels its tasks,
-// which surface as a *NodeFailure (retriable via RunWithRetry). A task
-// whose operator panics fails the job with a *TaskPanic.
+// task error cancels the whole job. A task whose operator panics fails the
+// job with a *TaskPanic.
 //
 // Before any task starts, the job is admitted through the cluster's
 // memory governor (see admit).
@@ -56,15 +54,10 @@ func (c *Cluster) admit(ctx context.Context, j *Job) (*mem.JobGrant, error) {
 	return g, nil
 }
 
-// countFailure counts a failed attempt under its failure class.
+// countFailure counts a job that failed with a *TaskPanic.
 func (c *Cluster) countFailure(err error) error {
-	var nf *NodeFailure
 	var tp *TaskPanic
-	switch {
-	case err == nil:
-	case errors.As(err, &nf):
-		atomic.AddInt64(&c.nodeFailures, 1)
-	case errors.As(err, &tp):
+	if errors.As(err, &tp) {
 		atomic.AddInt64(&c.taskPanics, 1)
 	}
 	return err
@@ -73,12 +66,6 @@ func (c *Cluster) countFailure(err error) error {
 // run is Run without the attempt counter and the admission, under the
 // job's admitted grant.
 func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error {
-	nodes := c.AliveNodes()
-	if len(nodes) == 0 {
-		return fmt.Errorf("hyracks: no alive nodes in the cluster")
-	}
-	// nodeOf places partition p of every operator.
-	nodeOf := func(p int) *NodeController { return nodes[p%len(nodes)] }
 	// When the caller's span requests detailed profiling, every
 	// (operator, partition) task gets its own child span recording wall
 	// time, tuple counts, and spills. With no span (or detail off) every
@@ -118,7 +105,7 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 	// producerDone counts one producer of the edge finished. The last one
 	// closes the channels, unless the run has died first (error or
 	// cancellation): then they are abandoned, and every consumer recv
-	// selects on its task context, so nothing blocks on an unclosed
+	// selects on the run's context, so nothing blocks on an unclosed
 	// channel.
 	producerDone := func(rt *edgeRT) {
 		if atomic.AddInt32(&rt.pending, -1) == 0 && ctx.Err() == nil {
@@ -152,43 +139,20 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 		rts[e] = rt
 	}
 
-	// One kill watcher per node the job runs tasks on: the node's tasks
-	// share a context the watcher cancels the instant the node is killed.
-	// Every blocking construct of a task selects on it, so the whole job
-	// then tears down via the usual error path. The watchers stop with
-	// the run's context, which is the parent of every node's.
-	nodeCtxs := map[*NodeController]context.Context{}
-	nodeCtx := func(parent context.Context, node *NodeController) context.Context {
-		if nctx, ok := nodeCtxs[node]; ok {
-			return nctx
-		}
-		nctx, ncancel := context.WithCancel(parent)
-		nodeCtxs[node] = nctx
-		go func() {
-			defer ncancel()
-			select {
-			case <-node.killed:
-			case <-nctx.Done():
-			}
-		}()
-		return nctx
-	}
-
 	for _, op := range j.ops {
 		for p := 0; p < op.Parallelism; p++ {
 			op, p := op, p
-			node := nodeOf(p)
+			node := c.Nodes[p%len(c.Nodes)]
 			var ts *obs.Span
 			if traceTasks {
 				ts = jobSpan.StartChild(fmt.Sprintf("%s[%d]", op.Name, p))
 			}
-			tctx := nodeCtx(ctx, node)
 			var taskMem *mem.Grant
 			if op.Memory {
 				taskMem = jobGrant.TaskGrant()
 			}
 			tc := &TaskContext{
-				Ctx:           tctx,
+				Ctx:           ctx,
 				Partition:     p,
 				NumPartitions: op.Parallelism,
 				Node:          node,
@@ -219,8 +183,8 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 				select {
 				case ch <- frame:
 					return nil
-				case <-tctx.Done():
-					return tctx.Err()
+				case <-ctx.Done():
+					return ctx.Err()
 				}
 			}
 
@@ -233,11 +197,11 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 					if len(e.conn.Cmp.Columns) > 0 {
 						buffered := make([]chan []Tuple, len(rt.chans))
 						for i, ch := range rt.chans {
-							buffered[i] = unboundedBuffer(tctx, ch)
+							buffered[i] = unboundedBuffer(ctx, ch)
 						}
-						ins[port] = newMergingInput(tctx, buffered, e.conn.Cmp, node, ts)
+						ins[port] = newMergingInput(ctx, buffered, e.conn.Cmp, node, ts)
 					} else {
-						ins[port] = newConcatInput(tctx, rt.chans, node, ts)
+						ins[port] = newConcatInput(ctx, rt.chans, node, ts)
 					}
 				default:
 					ch := rt.chans[p]
@@ -250,8 +214,8 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 							node.addIn(int64(len(f)))
 							ts.AddTuplesIn(int64(len(f)))
 							return f, true, nil
-						case <-tctx.Done():
-							return nil, false, tctx.Err()
+						case <-ctx.Done():
+							return nil, false, ctx.Err()
 						}
 					}}
 				}
@@ -285,23 +249,17 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 			go func() {
 				defer wg.Done()
 				defer taskMem.Release() // returns this task's working memory
-				err := fault.Hit(fault.PointNodeCrash)
-				if err != nil {
-					// The injected crash takes down the whole node, not
-					// just this task.
-					node.Kill()
-				} else {
-					// Label the task's CPU samples so /debug/pprof/profile
-					// attributes time to (operator, partition) — combined
-					// with the server's query label, a profile reads as
-					// "query 42 spent 60% in join[1]".
-					pprof.Do(tctx, pprof.Labels(
-						"hyracks_op", op.Name,
-						"partition", strconv.Itoa(p),
-					), func(context.Context) {
-						err = runTask(op, p, tc, ins, outs)
-					})
-				}
+				// Label the task's CPU samples so /debug/pprof/profile
+				// attributes time to (operator, partition) — combined with
+				// the server's query label, a profile reads as "query 42
+				// spent 60% in join[1]".
+				var err error
+				pprof.Do(ctx, pprof.Labels(
+					"hyracks_op", op.Name,
+					"partition", strconv.Itoa(p),
+				), func(context.Context) {
+					err = runTask(op, p, tc, ins, outs)
+				})
 				// The task wrote its last tuple, failed or not: publish what
 				// the writers still count privately before the span ends.
 				for _, w := range writers {
@@ -316,12 +274,6 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 							break
 						}
 					}
-				}
-				// A task that failed on a dead node failed BECAUSE the node
-				// died (its tctx was cancelled by the watcher); a task that
-				// finished before the kill landed keeps its success.
-				if err != nil && node.Dead() {
-					err = &NodeFailure{Node: node.ID, Op: op.Name}
 				}
 				if err != nil && !errors.Is(err, context.Canceled) {
 					fail(fmt.Errorf("hyracks: %s[%d]: %w", op.Name, p, err))
@@ -346,12 +298,17 @@ func (c *Cluster) run(ctx context.Context, j *Job, jobGrant *mem.JobGrant) error
 // runTask runs one (operator, partition) task and contains a panic in it:
 // the panic becomes the *TaskPanic the job fails with, once the operator's
 // own defers have released its pins, grants and run files on the way out.
+// The hyracks.task.fail fault point fires under the same recover, so an
+// injected panic takes the path an operator's own does.
 func runTask(op *Operator, p int, tc *TaskContext, ins []*Input, outs []*Output) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &TaskPanic{Op: op.Name, Partition: p, Value: v, Stack: debug.Stack()}
 		}
 	}()
+	if err := fault.Hit(fault.PointTaskFail); err != nil {
+		return err
+	}
 	return op.New(p).Run(tc, ins, outs)
 }
 

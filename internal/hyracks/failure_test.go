@@ -10,6 +10,7 @@ import (
 
 	"asterix/internal/adm"
 	"asterix/internal/fault"
+	"asterix/internal/mem"
 )
 
 // waitForGoroutines polls until the goroutine count drops back to (or
@@ -32,153 +33,94 @@ func waitForGoroutines(t *testing.T, base int) {
 	}
 }
 
-func TestKillNodeMidJoinRetriesOnSurvivors(t *testing.T) {
-	c := newCluster(t, 4)
-	base := runtime.NumGoroutine()
-
-	var seen int32
-	var coll *Collector
-	build := func() (*Job, error) {
-		j := NewJob()
-		left := j.Add(NewScan("left", 4, rangeScan(8000)))
-		right := j.Add(NewScan("right", 4, rangeScan(4000)))
-		// killer passes tuples through and takes node nc3 down partway
-		// through the first attempt (the counter fires exactly once).
-		killer := j.Add(NewMap("killer", 4, func(tc *TaskContext, tp Tuple, emit func(Tuple) error) error {
-			if atomic.AddInt32(&seen, 1) == 2000 {
-				c.Nodes[3].Kill()
+// TestTaskFaultPoint arms hyracks.task.fail once on a join's tasks in each
+// mode: the job fails with the injected error or a *TaskPanic, counts a
+// panic only as a panic, gives back its working memory and goroutines, and
+// the same job then runs to its full answer on the same cluster.
+func TestTaskFaultPoint(t *testing.T) {
+	for _, mode := range []string{"error", "panic"} {
+		t.Run(mode, func(t *testing.T) {
+			fault.Disarm()
+			defer fault.Disarm()
+			c := newCluster(t, 4)
+			c.Gov = mem.NewGovernor(mem.Config{WorkingBytes: 8 << 20})
+			base := runtime.NumGoroutine()
+			build := func(coll *Collector) *Job {
+				j := NewJob()
+				left := j.Add(NewScan("left", 4, rangeScan(8000)))
+				right := j.Add(NewScan("right", 4, rangeScan(4000)))
+				join := j.Add(NewHashJoin("join", 4, []int{0}, []int{0}, InnerJoin, 2, nil))
+				sink := j.Add(NewSink("sink", 4, coll))
+				j.MustConnect(left, join, 0, HashPartition(0))
+				j.MustConnect(right, join, 1, HashPartition(0))
+				j.MustConnect(join, sink, 0, OneToOne())
+				return j
 			}
-			return emit(tp)
-		}))
-		join := j.Add(NewHashJoin("join", 4, []int{0}, []int{0}, InnerJoin, 2, nil))
-		coll = &Collector{}
-		sink := j.Add(NewSink("sink", 4, coll))
-		j.MustConnect(left, killer, 0, OneToOne())
-		j.MustConnect(killer, join, 0, HashPartition(0))
-		j.MustConnect(right, join, 1, HashPartition(0))
-		j.MustConnect(join, sink, 0, OneToOne())
-		return j, nil
-	}
-
-	// First, show the bare Run fails fast with a typed node failure.
-	j, _ := build()
-	err := c.Run(context.Background(), j)
-	var nf *NodeFailure
-	if !errors.As(err, &nf) {
-		t.Fatalf("want *NodeFailure, got %v", err)
-	}
-	if nf.Node != "nc3" {
-		t.Fatalf("failure attributed to %s, want nc3", nf.Node)
-	}
-	waitForGoroutines(t, base)
-
-	// Then the retry path completes the job on the three survivors.
-	rep, err := c.RunWithRetry(context.Background(), build)
-	if err != nil {
-		t.Fatalf("RunWithRetry on survivors: %v", err)
-	}
-	if rep.Attempts != 1 {
-		// nc3 is already dead at this point, so the rebuilt job runs
-		// entirely on survivors and succeeds first try.
-		t.Fatalf("attempts = %d, want 1", rep.Attempts)
-	}
-	if got := len(coll.Tuples()); got != 4000 {
-		t.Fatalf("join produced %d tuples on survivors, want 4000", got)
-	}
-	waitForGoroutines(t, base)
-
-	st := c.RetryStats()
-	if st.NodeFailures < 1 {
-		t.Fatalf("node failure not counted: %+v", st)
-	}
-}
-
-func TestRunWithRetryRecoversMidRunKill(t *testing.T) {
-	c := newCluster(t, 4)
-	base := runtime.NumGoroutine()
-
-	var seen int32
-	var coll *Collector
-	build := func() (*Job, error) {
-		j := NewJob()
-		left := j.Add(NewScan("left", 4, rangeScan(6000)))
-		killer := j.Add(NewMap("killer", 4, func(tc *TaskContext, tp Tuple, emit func(Tuple) error) error {
-			if atomic.AddInt32(&seen, 1) == 1500 {
-				c.Nodes[1].Kill()
+			// The sixth of the job's sixteen tasks to start fails.
+			if err := fault.Arm(fault.PointTaskFail + ":" + mode + ":after=5:times=1"); err != nil {
+				t.Fatal(err)
 			}
-			return emit(tp)
-		}))
-		join := j.Add(NewHashJoin("join", 4, []int{0}, []int{0}, InnerJoin, 2, nil))
-		right := j.Add(NewScan("right", 4, rangeScan(3000)))
-		coll = &Collector{}
-		sink := j.Add(NewSink("sink", 4, coll))
-		j.MustConnect(left, killer, 0, OneToOne())
-		j.MustConnect(killer, join, 0, HashPartition(0))
-		j.MustConnect(right, join, 1, HashPartition(0))
-		j.MustConnect(join, sink, 0, OneToOne())
-		return j, nil
-	}
+			err := c.Run(context.Background(), build(&Collector{}))
+			var tp *TaskPanic
+			switch {
+			case mode == "error" && (!errors.Is(err, fault.ErrInjected) || errors.As(err, &tp)):
+				t.Fatalf("Run = %v, want the injected error", err)
+			case mode == "panic" && !errors.As(err, &tp):
+				t.Fatalf("Run = %v, want a *TaskPanic", err)
+			}
+			wantPanics := int64(0)
+			if mode == "panic" {
+				wantPanics = 1
+			}
+			if st := c.JobStats(); st.Attempts != 1 || st.TaskPanics != wantPanics {
+				t.Errorf("job stats %+v, want 1 attempt and %d task panics", st, wantPanics)
+			}
+			if got := c.Gov.WorkingGranted(); got != 0 {
+				t.Errorf("after the failed run the governor still grants %d bytes", got)
+			}
+			waitForGoroutines(t, base)
 
-	rep, err := c.RunWithRetry(context.Background(), build)
-	if err != nil {
-		t.Fatalf("RunWithRetry: %v (report %+v)", err, rep)
-	}
-	if rep.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one failure, one success)", rep.Attempts)
-	}
-	if len(rep.DeadNodes) != 1 || rep.DeadNodes[0] != "nc1" {
-		t.Fatalf("dead nodes %v, want [nc1]", rep.DeadNodes)
-	}
-	if got := len(coll.Tuples()); got != 3000 {
-		t.Fatalf("join produced %d tuples, want 3000", got)
-	}
-	waitForGoroutines(t, base)
-	if st := c.RetryStats(); st.Retries != 1 || st.NodeFailures != 1 || st.Attempts != 2 {
-		t.Fatalf("retry stats %+v", st)
+			coll := &Collector{}
+			if err := c.Run(context.Background(), build(coll)); err != nil {
+				t.Fatalf("the resent job: %v", err)
+			}
+			if got := len(coll.Tuples()); got != 4000 {
+				t.Fatalf("the resent join produced %d tuples, want 4000", got)
+			}
+			waitForGoroutines(t, base)
+		})
 	}
 }
 
-func TestRunFailsWithNoAliveNodes(t *testing.T) {
-	c := newCluster(t, 2)
-	for _, n := range c.Nodes {
-		n.Kill()
-	}
-	j := NewJob()
-	coll := &Collector{}
-	scan := j.Add(NewScan("scan", 1, rangeScan(10)))
-	sink := j.Add(NewSink("sink", 1, coll))
-	j.MustConnect(scan, sink, 0, OneToOne())
-	if err := c.Run(context.Background(), j); err == nil {
-		t.Fatal("Run on a fully-dead cluster must fail")
-	}
-	if err := newCluster(t, 2).Run(context.Background(), j); err != nil {
-		t.Fatalf("Run on a fresh cluster: %v", err)
-	}
-	if len(coll.Tuples()) != 10 {
-		t.Fatalf("the fresh cluster's run produced %d tuples", len(coll.Tuples()))
-	}
-}
-
-func TestNodeCrashFaultPoint(t *testing.T) {
-	fault.Disarm()
-	defer fault.Disarm()
-	c := newCluster(t, 4)
-	// The third task to start crashes its node.
-	if err := fault.Arm("hyracks.node.crash:error:after=2:times=1"); err != nil {
-		t.Fatal(err)
-	}
-	j := NewJob()
-	scan := j.Add(NewScan("scan", 4, rangeScan(1000)))
-	coll := &Collector{}
-	sink := j.Add(NewSink("sink", 4, coll))
-	j.MustConnect(scan, sink, 0, OneToOne())
-	err := c.Run(context.Background(), j)
-	var nf *NodeFailure
-	if !errors.As(err, &nf) {
-		t.Fatalf("want *NodeFailure from injected crash, got %v", err)
-	}
-	if len(c.AliveNodes()) != 3 {
-		t.Fatalf("alive nodes = %d, want 3", len(c.AliveNodes()))
+// TestFailedProducerLeavesEdgesOpen: a producer that fails does not close
+// its edges, even as the edge's last producer. Its consumer then ends on
+// the run's cancellation, never on a clean end of input, so no operator
+// can finish a result from a failed producer's prefix. The consumer starts
+// reading a moment after the run is cancelled, so a close (if there were
+// one) and the cancellation would both be ready when it selects.
+func TestFailedProducerLeavesEdgesOpen(t *testing.T) {
+	errScan := errors.New("scan failed")
+	c := newCluster(t, 1)
+	for i := 0; i < 20; i++ {
+		var sawEnd atomic.Bool
+		j := NewJob()
+		scan := j.Add(NewScan("scan", 1, func(*TaskContext, func(Tuple) error) error { return errScan }))
+		consumer := j.Add(&Operator{Name: "consumer", Parallelism: 1, New: func(int) Runner {
+			return RunnerFunc(func(tc *TaskContext, in []*Input, _ []*Output) error {
+				<-tc.Ctx.Done()
+				time.Sleep(time.Millisecond)
+				err := in[0].ForEach(func(Tuple) error { return nil })
+				sawEnd.Store(err == nil)
+				return err
+			})
+		}})
+		j.MustConnect(scan, consumer, 0, OneToOne())
+		if err := c.Run(context.Background(), j); !errors.Is(err, errScan) {
+			t.Fatalf("Run = %v, want the scan's failure", err)
+		}
+		if sawEnd.Load() {
+			t.Fatal("the consumer of a failed producer saw a clean end of input")
+		}
 	}
 }
 

@@ -45,6 +45,11 @@ const (
 	DefaultWorkingBytes = 32 << 20
 )
 
+// minTaskGrant is the minimum guaranteed grant per operator task,
+// reserved at job admission (clamped to WorkingBytes/tasks so a lone job
+// always admits).
+const minTaskGrant = 256 << 10
+
 // Config sizes a Governor. Zero fields take defaults.
 type Config struct {
 	// BufferCacheBytes is the buffer cache's fixed reservation — carved
@@ -60,10 +65,6 @@ type Config struct {
 	// tables). A hard cap: reservations wait, grows are denied. Default
 	// DefaultWorkingBytes.
 	WorkingBytes int64
-	// MinTaskGrant is the minimum guaranteed grant per operator task,
-	// reserved at job admission (clamped to WorkingBytes/tasks so a lone
-	// job always admits). Default 256 KiB.
-	MinTaskGrant int64
 	// AdmitTimeout bounds how long a reservation waits for working
 	// memory before failing with ErrAdmissionTimeout. Default 10s.
 	AdmitTimeout time.Duration
@@ -77,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkingBytes <= 0 {
 		c.WorkingBytes = DefaultWorkingBytes
-	}
-	if c.MinTaskGrant <= 0 {
-		c.MinTaskGrant = 256 << 10
 	}
 	if c.AdmitTimeout <= 0 {
 		c.AdmitTimeout = 10 * time.Second
@@ -338,7 +336,7 @@ type JobGrant struct {
 	released   bool
 }
 
-// AdmitJob reserves tasks × min(MinTaskGrant, WorkingBytes/tasks) from
+// AdmitJob reserves tasks × min(minTaskGrant, WorkingBytes/tasks) from
 // the working pool, waiting up to AdmitTimeout. The clamp guarantees a
 // lone job always fits regardless of its width. Nil governor admits
 // unbudgeted (nil JobGrant).
@@ -349,7 +347,7 @@ func (g *Governor) AdmitJob(ctx context.Context, tasks int) (*JobGrant, error) {
 	if tasks < 1 {
 		tasks = 1
 	}
-	min := g.cfg.MinTaskGrant
+	min := int64(minTaskGrant)
 	if per := g.cfg.WorkingBytes / int64(tasks); min > per {
 		min = per
 	}

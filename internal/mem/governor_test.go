@@ -17,7 +17,6 @@ func testGovernor(working, component int64) *Governor {
 	return NewGovernor(Config{
 		WorkingBytes:   working,
 		ComponentBytes: component,
-		MinTaskGrant:   4 << 10,
 		AdmitTimeout:   200 * time.Millisecond,
 	})
 }
@@ -178,7 +177,7 @@ func TestReserveContextCancel(t *testing.T) {
 // branch and blocks in abandon; the test then grants it under the same lock
 // and lets go.
 func TestCancelledGrantPassesToNextWaiter(t *testing.T) {
-	g := NewGovernor(Config{WorkingBytes: 100, ComponentBytes: 1 << 20, MinTaskGrant: 4 << 10, AdmitTimeout: 10 * time.Second})
+	g := NewGovernor(Config{WorkingBytes: 100, ComponentBytes: 1 << 20, AdmitTimeout: 10 * time.Second})
 	if _, err := g.Reserve(context.Background(), 100); err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +223,8 @@ func TestCancelledGrantPassesToNextWaiter(t *testing.T) {
 func TestAdmitJobClampAndPeak(t *testing.T) {
 	g := testGovernor(64<<10, 1<<20)
 	ctx := context.Background()
-	// 64 tasks of 4 KiB would be 256 KiB; the clamp shrinks the per-task
-	// minimum so the job fits the 64 KiB pool exactly.
+	// 64 tasks of minTaskGrant would be 16 MiB; the clamp shrinks the
+	// per-task minimum so the job fits the 64 KiB pool exactly.
 	j, err := g.AdmitJob(ctx, 64)
 	if err != nil {
 		t.Fatalf("AdmitJob: %v", err)
@@ -252,6 +251,16 @@ func TestAdmitJobClampAndPeak(t *testing.T) {
 	}
 	if p := j.Peak(); p != 64<<10 {
 		t.Fatalf("peak after release = %d, want %d", p, 64<<10)
+	}
+
+	// Below the clamp, a task's minimum is minTaskGrant itself.
+	g = testGovernor(4*minTaskGrant, 1<<20)
+	j, err = g.AdmitJob(ctx, 2)
+	if err != nil {
+		t.Fatalf("AdmitJob: %v", err)
+	}
+	if got := j.TaskGrant().Granted(); got != minTaskGrant {
+		t.Fatalf("unclamped task grant = %d, want %d", got, minTaskGrant)
 	}
 }
 
@@ -378,7 +387,8 @@ func TestComponentArbitrationSelfAndBusy(t *testing.T) {
 }
 
 func TestConcurrentReserveReleaseRace(t *testing.T) {
-	g := testGovernor(256<<10, 1<<20)
+	// Room for all eight 4-task jobs at minTaskGrant: none waits.
+	g := testGovernor(8*4*minTaskGrant, 1<<20)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

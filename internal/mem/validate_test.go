@@ -13,7 +13,7 @@ import (
 // cycle — every barrier below is a state the governor reaches in real
 // operation.
 func TestValidateCleanLifecycle(t *testing.T) {
-	g := testGovernor(1<<20, 64<<10)
+	g := testGovernor(2<<20, 64<<10)
 	ctx := context.Background()
 	check.MustValidate(t, g)
 

@@ -24,7 +24,6 @@ import (
 
 	"asterix/internal/adm"
 	"asterix/internal/core"
-	"asterix/internal/hyracks"
 	"asterix/internal/mem"
 	"asterix/internal/obs"
 	"asterix/internal/txn"
@@ -162,9 +161,8 @@ type queryRequest struct {
 }
 
 // queryMetrics keeps elapsedTime/resultCount stable for old clients and
-// adds phase timings, the result payload size, and — when the cluster had
-// to work around a dead node — the job attempt count and the nodes seen
-// dead during execution.
+// adds phase timings, the result payload size, the peak working memory and
+// the statement's waits.
 type queryMetrics struct {
 	ElapsedTime  string `json:"elapsedTime"`
 	ResultCount  int    `json:"resultCount"`
@@ -172,12 +170,6 @@ type queryMetrics struct {
 	OptimizeTime string `json:"optimizeTime"`
 	ExecuteTime  string `json:"executeTime"`
 	ResultSize   int64  `json:"resultSize"`
-	// JobAttempts is how many times the runtime job executed (>1 means a
-	// node failed mid-query and the job was retried on survivors).
-	JobAttempts int `json:"jobAttempts,omitempty"`
-	// DeadNodes lists node controllers observed dead while the statement
-	// ran.
-	DeadNodes []string `json:"deadNodes,omitempty"`
 	// PeakWorkingMemBytes is the largest working-memory grant the memory
 	// governor saw for any statement in the script.
 	PeakWorkingMemBytes int64 `json:"peakWorkingMemBytes,omitempty"`
@@ -194,8 +186,8 @@ type queryResponse struct {
 	Status  string            `json:"status"`
 	Results []json.RawMessage `json:"results"`
 	Errors  []string          `json:"errors,omitempty"`
-	// Retriable tells the client the failure is transient (lock wait
-	// timeout, node failure): the same statement may succeed if resent.
+	// Retriable tells the client the failure is transient (lock wait or
+	// admission timeout): the same statement may succeed if resent.
 	Retriable bool         `json:"retriable,omitempty"`
 	Metrics   queryMetrics `json:"metrics"`
 	// Profile is the span tree, present only when requested, and
@@ -283,7 +275,6 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 		s.errors.Inc()
 		resp.Status = "fatal"
 		resp.Errors = append(resp.Errors, err.Error())
-		var nf *hyracks.NodeFailure
 		switch {
 		case errors.Is(err, txn.ErrLockTimeout):
 			// AsterixDB reports lock-wait expiry as a timeout; the client
@@ -296,11 +287,6 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 			// wait bound expired; once running queries release working
 			// memory a resend will be admitted.
 			resp.Status = "timeout"
-			resp.Retriable = true
-			s.retriable.Inc()
-		case errors.As(err, &nf):
-			// Retries on survivors were already exhausted (or impossible);
-			// a resend is placed on the nodes still alive.
 			resp.Retriable = true
 			s.retriable.Inc()
 		}
@@ -323,34 +309,9 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 	for _, raw := range resp.Results {
 		resultSize += int64(len(raw))
 	}
-	// Surface node-failure recovery work: the max attempt count over the
-	// script's statements and the union of nodes seen dead. Attempts is
-	// reported only when a statement actually re-ran.
-	attempts := 0
-	var dead []string
 	var peakMem int64
 	for _, res := range results {
-		if res.Attempts > attempts {
-			attempts = res.Attempts
-		}
-		if res.PeakWorkingMem > peakMem {
-			peakMem = res.PeakWorkingMem
-		}
-		for _, id := range res.DeadNodes {
-			found := false
-			for _, have := range dead {
-				if have == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				dead = append(dead, id)
-			}
-		}
-	}
-	if attempts <= 1 {
-		attempts = 0
+		peakMem = max(peakMem, res.PeakWorkingMem)
 	}
 	parseT := root.TotalFor("parse")
 	optT := root.TotalFor("compile")
@@ -363,8 +324,6 @@ func (s *service) serveQuery(w http.ResponseWriter, r *http.Request) {
 		OptimizeTime:        optT.String(),
 		ExecuteTime:         execT.String(),
 		ResultSize:          resultSize,
-		JobAttempts:         attempts,
-		DeadNodes:           dead,
 		PeakWorkingMemBytes: peakMem,
 	}
 	for k, d := range waits {

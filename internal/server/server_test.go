@@ -420,7 +420,6 @@ func TestWaitAttributionUnderContention(t *testing.T) {
 	eng, err := core.Open(core.Config{
 		DataDir:            t.TempDir(),
 		Partitions:         1,
-		Nodes:              1,
 		WorkingMemory:      64 << 10,
 		AdmitTimeout:       5 * time.Second,
 		MemComponentBudget: 4 << 10,
@@ -649,50 +648,22 @@ func TestLockTimeoutMapsToRetriable503(t *testing.T) {
 	}
 }
 
-func TestNodeFailureMapsToRetriable503(t *testing.T) {
-	eng := stubEngine{err: fmt.Errorf("execute: %w", &hyracks.NodeFailure{Node: "nc2", Op: "join"})}
+// A job that fails fast on an operator panic answers 500 fatal and is not
+// marked retriable: a resend would panic again.
+func TestTaskPanicIsFatalNotRetriable(t *testing.T) {
+	eng := stubEngine{err: fmt.Errorf("execute: %w", &hyracks.TaskPanic{Op: "join", Partition: 2, Value: "boom"})}
 	srv := httptest.NewServer(NewHandler(eng, Options{}))
 	t.Cleanup(srv.Close)
 
 	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("node failure returned HTTP %d, want 503", code)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("task panic returned HTTP %d, want 500", code)
 	}
-	if qr.Status != "fatal" || !qr.Retriable {
-		t.Fatalf("response %+v, want status=fatal retriable=true", qr)
+	if qr.Status != "fatal" || qr.Retriable {
+		t.Fatalf("response %+v, want status=fatal retriable=false", qr)
 	}
-	if len(qr.Errors) == 0 || !strings.Contains(qr.Errors[0], "nc2") {
-		t.Fatalf("error text should name the dead node: %v", qr.Errors)
-	}
-}
-
-func TestQueryMetricsReportRetryWork(t *testing.T) {
-	eng := stubEngine{res: []core.Result{{
-		Kind:      core.ResultQuery,
-		Attempts:  2,
-		DeadNodes: []string{"nc1"},
-	}}}
-	srv := httptest.NewServer(NewHandler(eng, Options{}))
-	t.Cleanup(srv.Close)
-
-	code, qr := postRaw(t, srv, `SELECT VALUE 1;`)
-	if code != http.StatusOK {
-		t.Fatalf("HTTP %d", code)
-	}
-	if qr.Metrics.JobAttempts != 2 {
-		t.Fatalf("jobAttempts = %d, want 2", qr.Metrics.JobAttempts)
-	}
-	if len(qr.Metrics.DeadNodes) != 1 || qr.Metrics.DeadNodes[0] != "nc1" {
-		t.Fatalf("deadNodes = %v, want [nc1]", qr.Metrics.DeadNodes)
-	}
-
-	// Single-attempt success must not clutter the metrics block.
-	eng2 := stubEngine{res: []core.Result{{Kind: core.ResultQuery, Attempts: 1}}}
-	srv2 := httptest.NewServer(NewHandler(eng2, Options{}))
-	t.Cleanup(srv2.Close)
-	_, qr2 := postRaw(t, srv2, `SELECT VALUE 1;`)
-	if qr2.Metrics.JobAttempts != 0 || qr2.Metrics.DeadNodes != nil {
-		t.Fatalf("clean run leaked retry metrics: %+v", qr2.Metrics)
+	if len(qr.Errors) == 0 || !strings.Contains(qr.Errors[0], "join[2]") {
+		t.Fatalf("error text should name the failed task: %v", qr.Errors)
 	}
 }
 
@@ -721,7 +692,6 @@ func TestAdmissionTimeoutEndToEnd(t *testing.T) {
 	eng, err := core.Open(core.Config{
 		DataDir:       t.TempDir(),
 		Partitions:    1,
-		Nodes:         1,
 		WorkingMemory: 64 << 10,
 		AdmitTimeout:  100 * time.Millisecond,
 		Now:           func() time.Time { return fixed },

@@ -1,6 +1,7 @@
 package sqlpp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -396,6 +397,12 @@ func TestParseQuotedIdentifiers(t *testing.T) {
 	}
 	if vr := sel.From[0].Expr.(*VarRef); vr.Name != "My Dataset" {
 		t.Errorf("dataset: %q", vr.Name)
+	}
+	// The newlines inside a quoted identifier count toward later lines.
+	_, err = ParseScript("SELECT VALUE `a\nb\nc` FROM\n;")
+	var se *SyntaxError
+	if !errors.As(err, &se) || se.Line != 4 {
+		t.Errorf("error after a 3-line quoted identifier = %v, want one at line 4", err)
 	}
 }
 

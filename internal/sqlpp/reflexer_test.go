@@ -55,7 +55,9 @@ func (lx *RefLexer) Next() (Token, error) {
 		}
 		word := lx.src[lx.pos : lx.pos+s]
 		lx.pos += s + 1
-		return Token{Kind: TokQuotedIdent, Text: word, Pos: start, Line: lx.line}, nil
+		tok := Token{Kind: TokQuotedIdent, Text: word, Pos: start, Line: lx.line}
+		lx.line += strings.Count(word, "\n")
+		return tok, nil
 	}
 	// Operators, longest first.
 	for _, op := range []string{"<=", ">=", "!=", "<>", "||", "{{", "}}"} {
